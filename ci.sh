@@ -22,7 +22,15 @@ esac
 echo "== cargo test (workspace) =="
 # --workspace again: the root package's `cargo test` alone skips every
 # member crate's unit tests (scalebench, CLI, netsim, ...).
+# Tests pick their output directories by argument; anything they change in
+# the tree (a rewritten BENCH_*.json, a results/ CSV) is a hermeticity bug.
+# Compared before/after so the gate also works on uncommitted work; on a
+# clean checkout it is exactly "git status --porcelain prints nothing".
+tree_state() { git status --porcelain; git diff | cksum; }
+before_tests="$(tree_state)"
 cargo test -q --workspace
+[ "$(tree_state)" = "$before_tests" ] || {
+  echo "cargo test changed the working tree:" >&2; git status --porcelain >&2; exit 1; }
 
 echo "== pels live smoke (loopback UDP, 2 s) =="
 # Scratch results dir: the smoke must not clobber the checked-in 5 s
@@ -65,8 +73,8 @@ trap 'rm -rf "$live_dir"; rm -f "$tel_file"; rm -rf "$bench_dir"' EXIT
 PELS_BENCH_DIR="$bench_dir" timeout 300 cargo run --release -q -p pels-cli --bin pels -- \
   bench --short --workers 2
 # --check validates the rev-4 honesty gates: per-row effective_workers no
-# larger than the host/request/shard count, and deterministic rows
-# byte-identical to their serial digest.
+# larger than the host/request/shard count, and every row byte-identical
+# to its serial digest.
 timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
   bench --check "$bench_dir/BENCH_scale.json"
 
@@ -82,15 +90,16 @@ timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
 cmp "$serial_json" "$parallel_json" || {
   echo "parallel report diverges from serial report" >&2; exit 1; }
 
-echo "== relaxed-mode smoke (bounded-ring cross-shard path) =="
-# --relaxed trades byte-identity for throughput; the run must still finish
-# and emit a well-formed report on any host (with one effective worker it
-# degrades to the deterministic serial path).
-timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
-  run --flows 8 --duration 5 --workers 2 --relaxed --json \
-  > "$bench_dir/run_relaxed.json"
-test -s "$bench_dir/run_relaxed.json" || {
-  echo "relaxed run produced no report" >&2; exit 1; }
+echo "== parallel determinism gate (two-AQM-hop chain, workers 1 vs 2) =="
+# The parking-lot chain is the paper's Section 5.2 multi-router shape (the
+# max-loss override between two AQM hops) on a delay-cut partition.
+for w in 1 2; do
+  PELS_RESULTS_DIR="$bench_dir" timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
+    run --topology parkinglot:segments=2,flows=4 --duration 5 --workers "$w" --json \
+    > "$bench_dir/chain_w$w.json"
+done
+cmp "$bench_dir/chain_w1.json" "$bench_dir/chain_w2.json" || {
+  echo "chain report diverges across worker counts" >&2; exit 1; }
 
 echo "== pels serve loopback smoke (256 flows, 2 s loadgen) =="
 # A real serve+loadgen pair over loopback UDP: every flow registers,

@@ -5,7 +5,7 @@
 //! in-range gains in the packet simulator, and shows delay-independence of
 //! the fixed point.
 
-use pels_bench::{fmt, print_table, write_result};
+use pels_bench::{env_dir, fmt, print_table, results_dir, write_result};
 use pels_core::mkc::MkcConfig;
 use pels_core::scenario::{FlowSpec, Scenario, ScenarioConfig};
 use pels_core::source::CcSpec;
@@ -29,6 +29,7 @@ fn run_sim(beta: f64, access_delay_ms: u64) -> (f64, f64, f64) {
 }
 
 fn main() {
+    let out = results_dir(env_dir("PELS_RESULTS_DIR").as_deref());
     println!("== Ablation: MKC gain beta ==\n");
 
     println!("analytic stability scan (Eq. 8-9 iterated):");
@@ -87,6 +88,6 @@ fn main() {
         rows.push(vec![format!("{delay_ms} ms"), fmt(mean, 0), fmt((hi - lo) / mean * 100.0, 1)]);
     }
     print_table(&["access delay", "measured mean", "swing %"], &rows);
-    write_result("ablation_beta.csv", &csv);
+    write_result(&out, "ablation_beta.csv", &csv);
     println!("\nthe stationary rate does not depend on RTT (Lemma 6).");
 }

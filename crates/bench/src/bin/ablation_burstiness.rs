@@ -10,7 +10,7 @@
 
 use pels_analysis::lossmodel::{BernoulliChannel, BurstStats, GilbertElliott};
 use pels_analysis::useful::expected_useful_fixed;
-use pels_bench::{fmt, print_table, write_result};
+use pels_bench::{env_dir, fmt, print_table, results_dir, write_result};
 use pels_fgs::decoder::UtilityStats;
 use pels_fgs::packetize::packetize;
 use pels_fgs::scaling::ScaledFrame;
@@ -37,6 +37,7 @@ fn decode_with(mut lose: impl FnMut() -> bool, h: u32, frames: u64) -> (UtilityS
 }
 
 fn main() {
+    let out = results_dir(env_dir("PELS_RESULTS_DIR").as_deref());
     println!("== Ablation: loss burstiness at equal average loss (H = 100, p = 0.1) ==\n");
     let h = 100;
     let frames = 30_000;
@@ -80,7 +81,7 @@ fn main() {
         results.push(s.mean_useful_per_frame());
     }
     print_table(&["channel", "measured burst", "E[useful]/frame", "utility"], &rows);
-    write_result("ablation_burstiness.csv", &csv);
+    write_result(&out, "ablation_burstiness.csv", &csv);
 
     let eq2 = expected_useful_fixed(p, h);
     assert!((results[0] - eq2).abs() < 0.3, "Bernoulli matches Eq. 2 ({eq2:.2})");

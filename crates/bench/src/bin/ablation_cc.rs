@@ -6,7 +6,7 @@
 //! stays near 1 under either controller, while AIMD's rate variance is an
 //! order of magnitude larger.
 
-use pels_bench::{fmt, print_table, write_result};
+use pels_bench::{env_dir, fmt, print_table, results_dir, write_result};
 use pels_core::aimd::AimdConfig;
 use pels_core::scenario::{FlowSpec, Scenario, ScenarioConfig};
 use pels_core::source::CcSpec;
@@ -52,6 +52,7 @@ fn run(cc: CcSpec) -> Outcome {
 }
 
 fn main() {
+    let out = results_dir(env_dir("PELS_RESULTS_DIR").as_deref());
     println!("== Ablation: congestion control under PELS queues (4 flows) ==\n");
     let mkc = run(CcSpec::default());
     let aimd = run(CcSpec::Aimd(AimdConfig::default()));
@@ -81,8 +82,7 @@ fn main() {
         ],
     ];
     print_table(&["controller", "utility", "mean rate kb/s", "rate CV %", "yellow loss"], &rows);
-    write_result(
-        "ablation_cc.csv",
+    write_result(&out, "ablation_cc.csv",
         &format!(
             "controller,utility,mean_rate,rate_cv,yellow_loss\nMKC,{:.4},{:.1},{:.4},{:.4}\nAIMD,{:.4},{:.1},{:.4},{:.4}\nTFRC,{:.4},{:.1},{:.4},{:.4}\n",
             mkc.utility, mkc.mean_rate, mkc.rate_cv, mkc.yellow_loss,

@@ -7,7 +7,7 @@
 //! badly as uniform drops. The third (red) class is what converts losses
 //! into *top-of-frame truncation*.
 
-use pels_bench::{fmt, print_table, write_result};
+use pels_bench::{env_dir, fmt, print_table, results_dir, write_result};
 use pels_core::router::QueueMode;
 use pels_core::scenario::{wideband_config, Scenario};
 use pels_core::source::SourceMode;
@@ -35,6 +35,7 @@ fn run(source_mode: SourceMode, queue_mode: QueueMode) -> (UtilityStats, f64) {
 }
 
 fn main() {
+    let out = results_dir(env_dir("PELS_RESULTS_DIR").as_deref());
     println!("== Ablation: number of priority classes (same load, ~10% FGS loss) ==\n");
     // Three classes: PELS proper (gamma-partitioned red probes).
     let (three, three_yloss) = run(SourceMode::Pels, QueueMode::Pels);
@@ -66,6 +67,7 @@ fn main() {
     ];
     print_table(&["classes", "utility", "enh loss %", "yellow loss"], &rows);
     write_result(
+        &out,
         "ablation_colors.csv",
         &format!(
             "scheme,utility,enh_loss\nthree,{:.4},{:.4}\ntwo,{:.4},{:.4}\nuniform,{:.4},{:.4}\n",

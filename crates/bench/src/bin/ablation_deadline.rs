@@ -8,7 +8,7 @@
 //! milliseconds. We impose successively tighter playout deadlines and
 //! measure the surviving utility.
 
-use pels_bench::{fmt, print_table, write_result};
+use pels_bench::{env_dir, fmt, print_table, results_dir, write_result};
 use pels_core::scenario::{pels_flows, Scenario, ScenarioConfig};
 use pels_fgs::UtilityStats;
 use pels_netsim::time::{SimDuration, SimTime};
@@ -44,6 +44,7 @@ fn run(deadline_ms: Option<u64>) -> (UtilityStats, [u64; 3], [f64; 3]) {
 }
 
 fn main() {
+    let out = results_dir(env_dir("PELS_RESULTS_DIR").as_deref());
     println!("== Ablation: playout deadline (4 flows, PELS) ==\n");
     let mut rows = Vec::new();
     let mut csv = String::from("deadline_ms,utility,late_green,late_yellow,late_red\n");
@@ -76,7 +77,7 @@ fn main() {
         &["deadline", "utility", "late G", "late Y", "late R", "p99 delay G/Y/R (ms)"],
         &rows,
     );
-    write_result("ablation_deadline.csv", &csv);
+    write_result(&out, "ablation_deadline.csv", &csv);
     println!(
         "\neven a 200 ms playout deadline — which discards essentially every red \
          packet — leaves utility intact: red delay/loss is harmless by design, \

@@ -8,7 +8,7 @@
 //! the srTCM hands green tokens to whatever arrives first in each burst —
 //! including expendable enhancement tails — and lets base packets go red.
 
-use pels_bench::{fmt, print_table, write_result};
+use pels_bench::{env_dir, fmt, print_table, results_dir, write_result};
 use pels_core::scenario::{wideband_config, Scenario, ScenarioConfig};
 use pels_core::source::SourceMode;
 use pels_core::tcm::TcmConfig;
@@ -56,6 +56,7 @@ fn run(ingress_tcm: Option<TcmConfig>) -> Outcome {
 }
 
 fn main() {
+    let out = results_dir(env_dir("PELS_RESULTS_DIR").as_deref());
     println!("== Ablation: application-side marking vs DiffServ ingress srTCM ==\n");
     let app = run(None);
     // Give the marker a committed rate matching the aggregate base-layer
@@ -84,6 +85,7 @@ fn main() {
         );
     }
     write_result(
+        &out,
         "ablation_marking.csv",
         &format!(
             "marking,utility,base_ok,gop_ok\napp,{:.4},{:.4},{:.4}\ntcm,{:.4},{:.4},{:.4}\n",

@@ -7,12 +7,13 @@
 //! utility and yellow protection across the range and checks the Eq. 6
 //! lower bound.
 
-use pels_bench::{fmt, print_table, write_result};
+use pels_bench::{env_dir, fmt, print_table, results_dir, write_result};
 use pels_core::gamma::GammaConfig;
 use pels_core::scenario::{FlowSpec, Scenario, ScenarioConfig};
 use pels_netsim::time::SimTime;
 
 fn main() {
+    let out = results_dir(env_dir("PELS_RESULTS_DIR").as_deref());
     println!("== Ablation: red-loss target p_thr ==\n");
     let mut rows = Vec::new();
     let mut csv = String::from("p_thr,fgs_loss,utility,eq6_bound,red_loss,yellow_loss\n");
@@ -59,7 +60,7 @@ fn main() {
         &["p_thr", "FGS loss p", "utility", "Eq.6 bound", "red loss", "yellow loss"],
         &rows,
     );
-    write_result("ablation_pthr.csv", &csv);
+    write_result(&out, "ablation_pthr.csv", &csv);
     println!(
         "\nutility stays above the Eq. 6 bound everywhere; red loss tracks its \
          target; the paper's 0.70-0.90 range keeps yellow clean with a real cushion."

@@ -7,11 +7,12 @@
 //! loss, we compare allocating it uniformly (the paper's policy) against
 //! equal-quality waterfilling over a sliding window of frames.
 
-use pels_bench::{fmt, print_table, write_result};
+use pels_bench::{env_dir, fmt, print_table, results_dir, write_result};
 use pels_fgs::psnr::{RdConfig, RdModel};
 use pels_fgs::rd_scaling::{allocate_equal_quality, allocate_fixed, psnr_std_dev, FrameBudget};
 
 fn main() {
+    let out = results_dir(env_dir("PELS_RESULTS_DIR").as_deref());
     println!("== Ablation: fixed-fraction vs R-D-aware scaling ==\n");
     // A Foreman-like model with realistic scene variability.
     let cfg = RdConfig { slope_variation: 0.35, base_psnr_sd: 2.0, ..Default::default() };
@@ -47,7 +48,7 @@ fn main() {
         &["budget/frame", "fixed mean dB", "fixed sd dB", "R-D mean dB", "R-D sd dB"],
         &rows,
     );
-    write_result("ablation_rd_scaling.csv", &csv);
+    write_result(&out, "ablation_rd_scaling.csv", &csv);
     println!(
         "\nequal-quality waterfilling cuts PSNR fluctuation by >40% at the same \
          budget — quantifying the paper's deferred R-D-scaling refinement."

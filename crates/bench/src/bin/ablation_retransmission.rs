@@ -11,7 +11,7 @@
 //! measure how many recoveries beat a playout deadline — against PELS on
 //! the same topology, which needs no recovery at all.
 
-use pels_bench::{fmt, print_table, write_result};
+use pels_bench::{env_dir, fmt, print_table, results_dir, write_result};
 use pels_core::receiver::NackConfig;
 use pels_core::router::{AqmConfig, QueueMode};
 use pels_core::scenario::{Scenario, ScenarioConfig};
@@ -68,6 +68,7 @@ fn run(arq: bool, fifo_limit: usize, deadline_ms: u64) -> Outcome {
 }
 
 fn main() {
+    let out = results_dir(env_dir("PELS_RESULTS_DIR").as_deref());
     println!("== Ablation: ARQ retransmission vs PELS (playout deadline 300 ms) ==\n");
     let mut rows = Vec::new();
     let mut csv = String::from("scheme,utility,retransmissions,recovered_on_time,recovered_late\n");
@@ -111,7 +112,7 @@ fn main() {
         &["scheme", "utility", "retransmissions", "recovered on time", "recovered late"],
         &rows,
     );
-    write_result("ablation_retransmission.csv", &csv);
+    write_result(&out, "ablation_retransmission.csv", &csv);
 
     assert!(pels.utility > 0.95, "PELS needs no recovery: {}", pels.utility);
     println!(

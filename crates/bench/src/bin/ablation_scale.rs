@@ -18,12 +18,13 @@
 //! verdict on the other.
 
 use pels_analysis::queueing::jain_index;
-use pels_bench::{fmt, print_table, write_result};
+use pels_bench::{env_dir, fmt, print_table, results_dir, write_result};
 use pels_core::scenario::{lemma6_kbps_for, pels_flows, ScenarioConfig};
 use pels_core::sweep::run_parallel;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
+    let out = results_dir(env_dir("PELS_RESULTS_DIR").as_deref());
     println!("== Ablation: flow-count scalability (parallel sweep) ==\n");
     let nominal = [1usize, 2, 4, 6, 8, 10, 12];
     let overloaded = [16usize, 24, 32];
@@ -123,7 +124,7 @@ fn main() -> ExitCode {
         ],
         &rows,
     );
-    write_result("ablation_scale.csv", &csv);
+    write_result(&out, "ablation_scale.csv", &csv);
     if !failures.is_empty() {
         println!("\n{} invariant violation(s):", failures.len());
         for f in &failures {

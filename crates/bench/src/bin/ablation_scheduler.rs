@@ -10,7 +10,7 @@
 //! shred the decodable prefix, and a bare FIFO additionally corrupts base
 //! layers with bursty tail drops.
 
-use pels_bench::{fmt, print_table, write_result};
+use pels_bench::{env_dir, fmt, print_table, results_dir, write_result};
 use pels_core::router::{AqmConfig, QueueMode};
 use pels_core::scenario::{wideband_config, Scenario, ScenarioConfig};
 use pels_core::source::SourceMode;
@@ -59,6 +59,7 @@ fn run(mode: QueueMode) -> Outcome {
 }
 
 fn main() {
+    let out = results_dir(env_dir("PELS_RESULTS_DIR").as_deref());
     println!("== Ablation: bottleneck scheduler (same load, same MKC control) ==\n");
     let schemes = [
         ("strict priority (PELS)", QueueMode::Pels),
@@ -88,7 +89,7 @@ fn main() {
         &["scheduler", "utility", "base intact %", "GOP decodable %", "enh loss %", "green drops"],
         &rows,
     );
-    write_result("ablation_scheduler.csv", &csv);
+    write_result(&out, "ablation_scheduler.csv", &csv);
 
     assert!(results[0].utility > 0.9, "PELS keeps utility near 1");
     assert!(results[0].utility > 2.0 * results[1].utility, "strict priority is load-bearing");

@@ -5,7 +5,7 @@
 //! gain tracks γ* while yellow stays protected, and that larger in-range
 //! gains converge faster but track noise harder.
 
-use pels_bench::{fmt, print_table, write_result};
+use pels_bench::{env_dir, fmt, print_table, results_dir, write_result};
 use pels_core::gamma::GammaConfig;
 use pels_core::scenario::{FlowSpec, Scenario, ScenarioConfig};
 use pels_netsim::time::SimTime;
@@ -23,6 +23,7 @@ fn run_sim(sigma: f64) -> (f64, f64, f64) {
 }
 
 fn main() {
+    let out = results_dir(env_dir("PELS_RESULTS_DIR").as_deref());
     println!("== Ablation: gamma-controller gain sigma ==\n");
 
     println!("analytic stability scan (Eq. 4/5 iterated, any delay):");
@@ -55,7 +56,7 @@ fn main() {
         rows.push(vec![fmt(sigma, 1), fmt(mean, 3), fmt(swing, 3), fmt(yloss, 4)]);
     }
     print_table(&["sigma", "mean gamma", "gamma swing", "yellow loss"], &rows);
-    write_result("ablation_sigma.csv", &csv);
+    write_result(&out, "ablation_sigma.csv", &csv);
     println!(
         "\nall in-range gains land gamma near gamma* ~ 0.14; larger sigma tracks \
          feedback noise with a wider swing, and yellow remains protected throughout."

@@ -9,11 +9,12 @@
 //!
 //! Usage: `chaos [--seed N] [--duration SECS] [--json]`
 
-use pels_bench::{fmt, print_table, write_result};
+use pels_bench::{env_dir, fmt, print_table, results_dir, write_result};
 use pels_core::chaos::{run_matrix, ChaosConfig};
 use pels_netsim::time::SimDuration;
 
 fn main() {
+    let out = results_dir(env_dir("PELS_RESULTS_DIR").as_deref());
     let mut cfg = ChaosConfig::default();
     let mut json = false;
     let mut args = std::env::args().skip(1);
@@ -87,8 +88,8 @@ fn main() {
             c.ok
         ));
     }
-    write_result("chaos.csv", &csv);
-    write_result("chaos.json", &a);
+    write_result(&out, "chaos.csv", &csv);
+    write_result(&out, "chaos.json", &a);
 
     if !report.all_ok || !deterministic {
         eprintln!("chaos invariants violated");

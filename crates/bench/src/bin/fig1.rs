@@ -3,7 +3,7 @@
 //! binary demonstrates the two scaling policies executably on a
 //! variable-complexity trace and reports what each transmits.
 
-use pels_bench::{fmt, print_table, write_result};
+use pels_bench::{env_dir, fmt, print_table, results_dir, write_result};
 use pels_fgs::psnr::RdModel;
 use pels_fgs::rd_scaling::{allocate_equal_quality, allocate_fixed, psnr_std_dev, FrameBudget};
 use pels_fgs::scaling::scale_to_rate;
@@ -20,6 +20,7 @@ fn bar(bytes: u64, full: u64) -> String {
 }
 
 fn main() {
+    let out = results_dir(env_dir("PELS_RESULTS_DIR").as_deref());
     println!("== Fig. 1: FGS rate scaling — fixed (left) vs R-D-driven (right) ==\n");
     let cfg = TraceGenConfig { n_frames: 12, cv: 0.35, smoothness: 0.6, ..Default::default() };
     let trace = generate(&cfg, 11);
@@ -53,7 +54,7 @@ fn main() {
         csv.push_str(&format!("{i},{full},{},{}\n", fixed[i], rd[i]));
     }
     print_table(&["frame", "full", "fixed (shaded part)", "R-D (shaded part)"], &rows);
-    write_result("fig1.csv", &csv);
+    write_result(&out, "fig1.csv", &csv);
 
     let sd_fixed = psnr_std_dev(&model, &budgets, &fixed);
     let sd_rd = psnr_std_dev(&model, &budgets, &rd);

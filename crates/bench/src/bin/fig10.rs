@@ -11,11 +11,12 @@
 //! calibrated synthetic R-D model (DESIGN.md), applying the *exact*
 //! per-frame loss maps produced by the packet simulation.
 
-use pels_bench::{fmt, print_table, write_result};
+use pels_bench::{env_dir, fmt, print_table, results_dir, write_result};
 use pels_core::scenario::{to_best_effort, wideband_config, Scenario};
 use pels_fgs::psnr::RdModel;
 use pels_netsim::stats::TimeSeries;
 use pels_netsim::time::SimTime;
+use std::path::Path;
 
 const WARMUP_FRAMES: u64 = 100;
 const FRAMES: u64 = 300;
@@ -59,7 +60,7 @@ fn base_only(model: &RdModel) -> SchemeResult {
     SchemeResult { psnr: series, mean: sum / FRAMES as f64, swing: 0.0, loss: 1.0 }
 }
 
-fn run_side(target_loss: f64, label: &str, csv_name: &str) {
+fn run_side(out: &Path, target_loss: f64, label: &str, csv_name: &str) {
     println!("-- Fig. 10 ({label}): target FGS-layer loss ~{:.0}% --\n", target_loss * 100.0);
     let cfg = wideband_config(4, target_loss);
     let duration = SimTime::from_secs_f64(10.0 + (WARMUP_FRAMES + FRAMES) as f64 / 10.0);
@@ -104,7 +105,7 @@ fn run_side(target_loss: f64, label: &str, csv_name: &str) {
             g(&pels_r.psnr)
         ));
     }
-    write_result(csv_name, &csv);
+    write_result(out, csv_name, &csv);
 
     // Shape assertions: PELS gain is a multiple of the best-effort gain and
     // PELS quality is much smoother.
@@ -115,9 +116,10 @@ fn run_side(target_loss: f64, label: &str, csv_name: &str) {
 }
 
 fn main() {
+    let out = results_dir(env_dir("PELS_RESULTS_DIR").as_deref());
     println!("== Fig. 10: PSNR of reconstructed Foreman-like video ==\n");
-    run_side(0.10, "left", "fig10_left.csv");
-    run_side(0.19, "right", "fig10_right.csv");
+    run_side(&out, 0.10, "left", "fig10_left.csv");
+    run_side(&out, 0.19, "right", "fig10_right.csv");
     println!(
         "PELS improves base PSNR several times more than best-effort and keeps\n\
          quality fluctuation low — the paper's Fig. 10 comparison."

@@ -9,9 +9,10 @@
 use pels_analysis::useful::{
     best_effort_utility, expected_useful_fixed, optimal_useful, useful_saturation,
 };
-use pels_bench::{fmt, print_table, write_result};
+use pels_bench::{env_dir, fmt, print_table, results_dir, write_result};
 
 fn main() {
+    let out = results_dir(env_dir("PELS_RESULTS_DIR").as_deref());
     let p = 0.1;
     println!("== Fig. 2: useful packets (left) and utility (right) vs H, p = {p} ==\n");
     let hs: Vec<u32> = vec![1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 3000];
@@ -26,7 +27,7 @@ fn main() {
         csv.push_str(&format!("{h},{ey:.6},{opt:.6},{u:.6},1.0\n"));
     }
     print_table(&["H", "E[Y] best-effort", "optimal H(1-p)", "U best-effort", "U optimal"], &rows);
-    write_result("fig2.csv", &csv);
+    write_result(&out, "fig2.csv", &csv);
 
     // Shape assertions from Section 3.1.
     let sat = useful_saturation(p);

@@ -4,13 +4,14 @@
 //! aggregate statistics over many frames.
 
 use pels_analysis::montecarlo::{ideal_drop_pattern, random_drop_pattern, received_in, useful_in};
-use pels_bench::{fmt, print_table, write_result};
+use pels_bench::{env_dir, fmt, print_table, results_dir, write_result};
 
 fn render(map: &[bool]) -> String {
     map.iter().map(|&lost| if lost { 'x' } else { '#' }).collect()
 }
 
 fn main() {
+    let out = results_dir(env_dir("PELS_RESULTS_DIR").as_deref());
     let h = 126; // the paper's packets-per-frame
     let p = 0.25;
     println!("== Fig. 3: random (left) vs ideal (right) loss in one frame ==");
@@ -66,7 +67,7 @@ fn main() {
     for i in 0..h as usize {
         csv.push_str(&format!("{i},{},{}\n", random[i] as u8, ideal[i] as u8));
     }
-    write_result("fig3.csv", &csv);
+    write_result(&out, "fig3.csv", &csv);
 
     let mean_useful_random = rnd_useful as f64 / frames as f64;
     let expect = pels_analysis::useful::expected_useful_fixed(p, h);

@@ -4,7 +4,7 @@
 //! with a real γ value, pushes an overload through the actual PELS
 //! discipline, and shows the service order and drop placement.
 
-use pels_bench::{print_table, write_result};
+use pels_bench::{env_dir, print_table, results_dir, write_result};
 use pels_core::color::Color;
 use pels_fgs::packetize::packetize;
 use pels_fgs::scaling::{partition_enhancement, scale_to_rate};
@@ -23,6 +23,7 @@ fn pels_discipline() -> Wrr {
 }
 
 fn main() {
+    let out = results_dir(env_dir("PELS_RESULTS_DIR").as_deref());
     println!("== Fig. 4 (right): partitioning and coloring of one FGS frame ==\n");
     // 1.5 Mb/s at 10 fps with the paper trace; gamma = 0.25.
     let trace = pels_core::scenario::default_trace();
@@ -85,6 +86,7 @@ fn main() {
     ];
     print_table(&["", "packets"], &rows);
     write_result(
+        &out,
         "fig4.txt",
         &format!("frame coloring: {color_map}\narrivals: {input_str}\nservice:  {service}\n"),
     );

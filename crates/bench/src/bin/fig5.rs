@@ -3,9 +3,10 @@
 //! (converges to γ* = p/p_thr ≈ 0.67), unstable for σ = 3.
 
 use pels_analysis::stability::{converged, diverged, gamma_trajectory};
-use pels_bench::{fmt, print_table, write_result};
+use pels_bench::{env_dir, fmt, print_table, results_dir, write_result};
 
 fn main() {
+    let out = results_dir(env_dir("PELS_RESULTS_DIR").as_deref());
     let p = 0.5;
     let p_thr = 0.75;
     let steps = 40;
@@ -23,7 +24,7 @@ fn main() {
         csv.push_str(&format!("{k},{:.8},{:.6}\n", stable[k], unstable[k]));
     }
     print_table(&["k", "gamma (sigma=0.5)", "gamma (sigma=3)"], &rows);
-    write_result("fig5.csv", &csv);
+    write_result(&out, "fig5.csv", &csv);
 
     let gamma_star = p / p_thr;
     assert!(converged(&stable, gamma_star, 1e-4), "sigma=0.5 converges");

@@ -7,7 +7,9 @@
 //! sets in; red loss stabilizes at p_thr = 75% at *both* load levels, so
 //! yellow packets see (near-)zero loss.
 
-use pels_bench::{downsample, fmt, print_table, telemetry_series, write_series};
+use pels_bench::{
+    downsample, env_dir, fmt, print_table, results_dir, telemetry_series, write_series,
+};
 use pels_core::scenario::{pels_flows, Scenario, ScenarioConfig};
 use pels_netsim::stats::TimeSeries;
 use pels_netsim::time::SimTime;
@@ -54,6 +56,7 @@ fn run(n_flows: usize) -> LoadResult {
 }
 
 fn main() {
+    let out = results_dir(env_dir("PELS_RESULTS_DIR").as_deref());
     println!("== Fig. 7: gamma evolution (left) and red loss (right) ==\n");
     // Two load levels. With C_pels = 2 Mb/s, alpha = 20 kb/s, beta = 0.5,
     // Lemma 6 puts the total-rate loss at ~7.4% for 4 flows and ~13.8% for
@@ -87,9 +90,9 @@ fn main() {
         &rows,
     );
 
-    write_series("fig7_gamma.csv", &[&low.gamma, &high.gamma]);
-    write_series("fig7_red_loss.csv", &[&low.red_loss, &high.red_loss]);
-    write_series("fig7_fgs_loss.csv", &[&low.fgs_loss, &high.fgs_loss]);
+    write_series(&out, "fig7_gamma.csv", &[&low.gamma, &high.gamma]);
+    write_series(&out, "fig7_red_loss.csv", &[&low.red_loss, &high.red_loss]);
+    write_series(&out, "fig7_fgs_loss.csv", &[&low.fgs_loss, &high.fgs_loss]);
 
     for r in [&low, &high] {
         let gamma_star = r.mean_fgs_loss / 0.75;

@@ -5,11 +5,12 @@
 //! Shape targets: both stay small and flat throughout (paper: green mean
 //! ~16 ms, yellow ~25 ms), unaffected by the growing red-queue congestion.
 
-use pels_bench::{fmt, print_table, write_series};
+use pels_bench::{env_dir, fmt, print_table, results_dir, write_series};
 use pels_core::scenario::{pels_flows, Scenario, ScenarioConfig};
 use pels_netsim::time::SimTime;
 
 fn main() {
+    let out = results_dir(env_dir("PELS_RESULTS_DIR").as_deref());
     println!("== Fig. 8: green and yellow packet delays (joins every 50 s) ==\n");
     let starts = [0.0, 0.0, 50.0, 50.0, 100.0, 100.0, 150.0, 150.0, 200.0, 200.0];
     let cfg = ScenarioConfig { flows: pels_flows(&starts), ..Default::default() };
@@ -48,7 +49,7 @@ fn main() {
     let yellow_mean = rx.delays.by_class[1].mean() * 1e3;
     println!("\noverall means: green {green_mean:.1} ms, yellow {yellow_mean:.1} ms (paper: ~16 / ~25 ms)");
 
-    write_series("fig8_delays.csv", &[&rx.delays.series[0], &rx.delays.series[1]]);
+    write_series(&out, "fig8_delays.csv", &[&rx.delays.series[0], &rx.delays.series[1]]);
 
     assert!(green_mean < 50.0, "green delays stay small: {green_mean}");
     assert!(yellow_mean < 80.0, "yellow delays stay small: {yellow_mean}");

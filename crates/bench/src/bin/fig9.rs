@@ -12,12 +12,15 @@
 //! the whole 2 Mb/s PELS share in ~0.1 s; F2 joins at t = 10 s and both
 //! settle, without oscillation, at C/N + alpha/beta = 1.04 Mb/s (Lemma 6).
 
-use pels_bench::{downsample, fmt, print_table, telemetry_series, write_series};
+use pels_bench::{
+    downsample, env_dir, fmt, print_table, results_dir, telemetry_series, write_series,
+};
 use pels_core::scenario::{pels_flows, Scenario, ScenarioConfig};
 use pels_netsim::time::SimTime;
 use pels_telemetry::Telemetry;
+use std::path::Path;
 
-fn red_delays() {
+fn red_delays(out: &Path) {
     println!("-- Fig. 9 (left): red packet delays, joins every 50 s --\n");
     let starts = [0.0, 0.0, 50.0, 50.0, 100.0, 100.0, 150.0, 150.0, 200.0, 200.0];
     // All figure data comes from the telemetry layer; the bespoke
@@ -52,11 +55,11 @@ fn red_delays() {
     let red = mean_ms("sim.flow0.delay.red");
     let yellow = mean_ms("sim.flow0.delay.yellow");
     println!("\nmean red delay {red:.0} ms vs yellow {yellow:.1} ms ({:.0}x)", red / yellow);
-    write_series("fig9_red_delays.csv", &[&red_series]);
+    write_series(out, "fig9_red_delays.csv", &[&red_series]);
     assert!(red > 10.0 * yellow, "red delays dominate by an order of magnitude");
 }
 
-fn mkc_convergence() {
+fn mkc_convergence(out: &Path) {
     println!("\n-- Fig. 9 (right): MKC convergence and fairness --\n");
     let cfg = ScenarioConfig {
         flows: pels_flows(&[0.0, 10.0]),
@@ -77,7 +80,7 @@ fn mkc_convergence() {
         rows.push(vec![fmt(t, 2), fmt(v, 0), fmt(v2, 0)]);
     }
     print_table(&["t(s)", "F1 (kb/s)", "F2 (kb/s)"], &rows);
-    write_series("fig9_mkc_rates.csv", &[&f1, &f2]);
+    write_series(out, "fig9_mkc_rates.csv", &[&f1, &f2]);
 
     let r1 = s.source(0).rate_bps() / 1e3;
     let r2 = s.source(1).rate_bps() / 1e3;
@@ -96,7 +99,8 @@ fn mkc_convergence() {
 }
 
 fn main() {
+    let out = results_dir(env_dir("PELS_RESULTS_DIR").as_deref());
     println!("== Fig. 9: red delays (left); MKC convergence (right) ==\n");
-    red_delays();
-    mkc_convergence();
+    red_delays(&out);
+    mkc_convergence(&out);
 }

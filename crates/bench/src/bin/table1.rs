@@ -6,9 +6,10 @@
 
 use pels_analysis::montecarlo::simulate_useful_fixed;
 use pels_analysis::useful::expected_useful_fixed;
-use pels_bench::{fmt, print_table, write_result};
+use pels_bench::{env_dir, fmt, print_table, results_dir, write_result};
 
 fn main() {
+    let out = results_dir(env_dir("PELS_RESULTS_DIR").as_deref());
     println!("== Table 1: expected number of useful packets (H = 100) ==\n");
     let h = 100;
     let trials = 200_000;
@@ -33,6 +34,6 @@ fn main() {
         );
     }
     print_table(&["H", "p", "simulated", "model (2)", "paper sim", "paper model"], &rows);
-    write_result("table1.csv", &csv);
+    write_result(&out, "table1.csv", &csv);
     println!("\nSimulation and Eq. (2) agree; both match the paper's Table 1.");
 }

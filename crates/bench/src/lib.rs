@@ -28,32 +28,30 @@ use pels_netsim::stats::TimeSeries;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Directory where experiment outputs are written.
-///
-/// Resolution order:
-///
-/// 1. `$PELS_RESULTS_DIR`, created if needed — for CI and scripted runs
-///    that want outputs somewhere else entirely;
-/// 2. `<workspace root>/results`, anchored via this crate's
-///    `CARGO_MANIFEST_DIR` so the answer does not depend on the process
-///    working directory (binaries used to silently scatter `results/`
-///    wherever they were launched from);
-/// 3. `./results` as a last resort when the source tree is gone
-///    (e.g. an installed binary).
-pub fn results_dir() -> PathBuf {
-    if let Some(dir) = std::env::var_os("PELS_RESULTS_DIR") {
-        let p = PathBuf::from(dir);
+/// The directory named by environment variable `var`, if set. Binaries
+/// call this once in `main` (`PELS_RESULTS_DIR`, `PELS_BENCH_DIR`) and pass
+/// the answer down; nothing below `main` reads the environment, so tests
+/// choose their directories by argument and never race on process state.
+pub fn env_dir(var: &str) -> Option<PathBuf> {
+    std::env::var_os(var).map(PathBuf::from)
+}
+
+/// The workspace root, anchored via this crate's `CARGO_MANIFEST_DIR` so
+/// the answer does not depend on the process working directory. `None`
+/// when the source tree is gone (e.g. an installed binary).
+fn workspace_root() -> Option<&'static Path> {
+    Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2).filter(|root| root.is_dir())
+}
+
+/// Directory where experiment outputs are written, created if needed:
+/// `dir` when given, else `<workspace root>/results`, else `./results`.
+pub fn results_dir(dir: Option<&Path>) -> PathBuf {
+    let candidates =
+        [dir.map(Path::to_path_buf), workspace_root().map(|root| root.join("results"))];
+    for p in candidates.into_iter().flatten() {
         let _ = fs::create_dir_all(&p);
-        return p;
-    }
-    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
-    if let Some(root) = manifest.ancestors().nth(2) {
-        if root.is_dir() {
-            let p = root.join("results");
-            let _ = fs::create_dir_all(&p);
-            if p.is_dir() {
-                return p;
-            }
+        if p.is_dir() {
+            return p;
         }
     }
     let p = PathBuf::from("results");
@@ -61,18 +59,32 @@ pub fn results_dir() -> PathBuf {
     p
 }
 
-/// Writes `content` to `results/<name>` and reports the path on stdout.
-pub fn write_result(name: &str, content: &str) {
-    let path = results_dir().join(name);
+/// Where a tracked `BENCH_*.json` report is written: `dir` when given
+/// (created if needed), else the workspace root, else the working
+/// directory.
+fn bench_report_path(dir: Option<&Path>, file: &str) -> PathBuf {
+    match (dir, workspace_root()) {
+        (Some(dir), _) => {
+            let _ = fs::create_dir_all(dir);
+            dir.join(file)
+        }
+        (None, Some(root)) => root.join(file),
+        (None, None) => PathBuf::from(file),
+    }
+}
+
+/// Writes `content` to `<dir>/<name>` and reports the path on stdout.
+pub fn write_result(dir: &Path, name: &str, content: &str) {
+    let path = dir.join(name);
     match fs::write(&path, content) {
         Ok(()) => println!("[written {}]", path.display()),
         Err(e) => eprintln!("[could not write {}: {e}]", path.display()),
     }
 }
 
-/// Writes a set of time series as CSV under `results/<name>`.
-pub fn write_series(name: &str, series: &[&TimeSeries]) {
-    write_result(name, &pels_netsim::stats::to_csv(series));
+/// Writes a set of time series as CSV to `<dir>/<name>`.
+pub fn write_series(dir: &Path, name: &str, series: &[&TimeSeries]) {
+    write_result(dir, name, &pels_netsim::stats::to_csv(series));
 }
 
 /// Fetches a named series from a telemetry handle, renamed so figure CSVs
@@ -148,23 +160,16 @@ mod tests {
         assert_eq!(fmt(1.23456, 2), "1.23");
     }
 
-    /// One test covers both resolution branches: env-var mutation is
-    /// process-global, so splitting these would race under the parallel
-    /// test runner.
     #[test]
     fn results_dir_is_cwd_independent_and_overridable() {
-        std::env::remove_var("PELS_RESULTS_DIR");
-        let d = results_dir();
+        let d = results_dir(None);
         assert!(d.is_dir());
         assert!(d.ends_with("results"));
         // Anchored at the workspace root, not the process CWD.
         assert!(d.parent().unwrap().join("Cargo.toml").is_file());
 
         let tmp = std::env::temp_dir().join("pels_bench_results_test");
-        std::env::set_var("PELS_RESULTS_DIR", &tmp);
-        let overridden = results_dir();
-        std::env::remove_var("PELS_RESULTS_DIR");
-        assert_eq!(overridden, tmp);
+        assert_eq!(results_dir(Some(&tmp)), tmp);
         assert!(tmp.is_dir());
     }
 }

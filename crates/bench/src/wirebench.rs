@@ -24,7 +24,7 @@ use crate::scalebench::{peak_rss_bytes, report_digest};
 use pels_netsim::time::{Rate, SimDuration};
 use pels_wire::{run_loadgen, run_serve_with, LoadgenConfig, ServeConfig};
 use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
@@ -264,19 +264,10 @@ fn headline_speedup(rows: &[WireBenchRow]) -> Option<f64> {
     }
 }
 
-/// Where the report lands: `$PELS_BENCH_DIR/BENCH_wire.json` when the
-/// variable is set (created if needed), otherwise the workspace root.
-pub fn default_output_path() -> PathBuf {
-    if let Some(dir) = std::env::var_os("PELS_BENCH_DIR") {
-        let p = PathBuf::from(dir);
-        let _ = std::fs::create_dir_all(&p);
-        return p.join("BENCH_wire.json");
-    }
-    let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    match manifest.ancestors().nth(2) {
-        Some(root) if root.is_dir() => root.join("BENCH_wire.json"),
-        _ => PathBuf::from("BENCH_wire.json"),
-    }
+/// Where `BENCH_wire.json` is written: under `dir` when given (created if
+/// needed), otherwise at the workspace root.
+pub fn default_output_path(dir: Option<&Path>) -> PathBuf {
+    crate::bench_report_path(dir, "BENCH_wire.json")
 }
 
 /// Validates a `BENCH_wire.json` document: schema tag, at least one row,

@@ -47,6 +47,7 @@ use pels_core::scenario::{pels_flows, to_best_effort, ScenarioConfig};
 use pels_core::source::SourceMode;
 use pels_netsim::time::SimTime;
 use std::collections::HashMap;
+use std::path::PathBuf;
 
 /// A parsed command line.
 #[derive(Debug, Clone)]
@@ -64,11 +65,6 @@ pub enum Command {
         /// Worker threads for the parallel engine (results are identical
         /// at every value; this only sizes the thread pool).
         workers: usize,
-        /// Run shards in relaxed mode: ring-buffered cross-shard delivery
-        /// instead of the barrier-merged deterministic order. Faster on
-        /// multi-core hosts, but reports may differ from serial in FIFO
-        /// tie-break order.
-        relaxed: bool,
     },
     /// Run a generated multi-bottleneck topology ([`pels_topo`]) on the
     /// sharded engine and report per-bottleneck max-min validation.
@@ -85,8 +81,6 @@ pub enum Command {
         /// Worker threads for the sharded engine (results are identical
         /// at every value; this only sizes the thread pool).
         workers: usize,
-        /// Relaxed cross-shard delivery (see [`Command::Run::relaxed`]).
-        relaxed: bool,
     },
     /// Sweep flow counts over one generated topology family.
     SweepTopo {
@@ -100,8 +94,6 @@ pub enum Command {
         json: bool,
         /// Worker threads for the sharded engine.
         workers: usize,
-        /// Relaxed cross-shard delivery (see [`Command::Run::relaxed`]).
-        relaxed: bool,
     },
     /// Evaluate the Section 3 closed forms.
     Model {
@@ -146,9 +138,6 @@ pub enum Command {
         duration_s: f64,
         /// Validate an existing report instead of running one.
         check: Option<String>,
-        /// Run rows in relaxed mode (rows record `mode: "relaxed"` and are
-        /// exempt from the serial-digest equality gate).
-        relaxed: bool,
     },
     /// Run the fault-injection matrix and report invariant verdicts.
     Chaos {
@@ -313,18 +302,43 @@ impl std::fmt::Display for ParseArgsError {
 
 impl std::error::Error for ParseArgsError {}
 
-fn flag_map(args: &[String]) -> Result<HashMap<String, String>, ParseArgsError> {
+/// The flags `pels <cmd>` reads, space-separated (`bench` has two forms,
+/// told apart by `--wire`). [`flag_map`] rejects everything else, so a
+/// typo'd flag is an error instead of a silently ignored default.
+fn known_flags(cmd: &str, args: &[String]) -> &'static str {
+    match cmd {
+        "run" => "flows duration mode seed workers config topo-spec topology telemetry json",
+        "sweep" => "flows-list duration workers topology topo-spec seed json",
+        "bench" if args.iter().any(|a| a == "--wire") => "wire counts duration short check",
+        "bench" => "counts workers topology duration short check",
+        "model" => "p h",
+        "gamma" => "p p-thr sigma steps",
+        "chaos" => "seed duration wire short telemetry json",
+        "live" => "duration bottleneck-mbps share mem faults telemetry json",
+        "serve" => {
+            "listen duration capacity-mbps max-flows packet-bytes batch-size no-batch \
+             telemetry telemetry-per-flow json"
+        }
+        "loadgen" => "server flows duration ramp warmup ack-every batch-size no-batch json",
+        "trace" => "frames cv seed",
+        _ => "",
+    }
+}
+
+/// Parses the `--name value` / `--switch` arguments of `pels <cmd>`.
+fn flag_map(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, ParseArgsError> {
+    let known = known_flags(cmd, args);
     let mut map = HashMap::new();
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
         let Some(name) = a.strip_prefix("--") else {
             return Err(ParseArgsError(format!("unexpected argument `{a}`")));
         };
+        if !known.split_whitespace().any(|k| k == name) {
+            return Err(ParseArgsError(format!("unknown flag --{name} for `pels {cmd}`")));
+        }
         // Boolean flags take no value.
-        if matches!(
-            name,
-            "json" | "mem" | "short" | "wire" | "relaxed" | "no-batch" | "telemetry-per-flow"
-        ) {
+        if matches!(name, "json" | "mem" | "short" | "wire" | "no-batch" | "telemetry-per-flow") {
             map.insert(name.to_string(), "true".to_string());
             continue;
         }
@@ -408,7 +422,6 @@ fn parse_run_topo(map: &HashMap<String, String>) -> Result<Command, ParseArgsErr
         json: map.contains_key("json"),
         telemetry: map.get("telemetry").cloned(),
         workers,
-        relaxed: map.contains_key("relaxed"),
     })
 }
 
@@ -447,7 +460,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
     let rest = &args[1..];
     match cmd.as_str() {
         "run" => {
-            let map = flag_map(rest)?;
+            let map = flag_map(cmd, rest)?;
             if map.contains_key("topo-spec") || map.contains_key("topology") {
                 return parse_run_topo(&map);
             }
@@ -493,11 +506,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
                 json: map.contains_key("json"),
                 telemetry: map.get("telemetry").cloned(),
                 workers,
-                relaxed: map.contains_key("relaxed"),
             })
         }
         "model" => {
-            let map = flag_map(rest)?;
+            let map = flag_map(cmd, rest)?;
             let p: f64 = get_parsed(&map, "p", 0.1)?;
             let h: u32 = get_parsed(&map, "h", 100)?;
             if !(0.0 < p && p < 1.0) || h == 0 {
@@ -506,7 +518,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
             Ok(Command::Model { p, h })
         }
         "gamma" => {
-            let map = flag_map(rest)?;
+            let map = flag_map(cmd, rest)?;
             Ok(Command::Gamma {
                 p: get_parsed(&map, "p", 0.1)?,
                 p_thr: get_parsed(&map, "p-thr", 0.75)?,
@@ -515,7 +527,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
             })
         }
         "sweep" => {
-            let map = flag_map(rest)?;
+            let map = flag_map(cmd, rest)?;
             let list = map.get("flows-list").cloned().unwrap_or_else(|| "1,2,4,8".to_string());
             let counts: Result<Vec<usize>, _> =
                 list.split(',').map(|t| t.trim().parse::<usize>()).collect();
@@ -544,8 +556,12 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
                     duration_s,
                     json: map.contains_key("json"),
                     workers,
-                    relaxed: map.contains_key("relaxed"),
                 });
+            }
+            if map.contains_key("seed") {
+                return Err(ParseArgsError(
+                    "--seed applies only to generated-topology sweeps".into(),
+                ));
             }
             let topology = match map.get("topology") {
                 None => SweepTopology::Proportional,
@@ -560,7 +576,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
             })
         }
         "bench" => {
-            let map = flag_map(rest)?;
+            let map = flag_map(cmd, rest)?;
             if map.contains_key("wire") {
                 return parse_bench_wire(&map);
             }
@@ -615,11 +631,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
                 topology,
                 duration_s,
                 check: map.get("check").cloned(),
-                relaxed: map.contains_key("relaxed"),
             })
         }
         "chaos" => {
-            let map = flag_map(rest)?;
+            let map = flag_map(cmd, rest)?;
             let seed: u64 = get_parsed(&map, "seed", 1)?;
             let short = map.contains_key("short");
             // `--short` names the wire CI preset, so it implies `--wire`.
@@ -642,7 +657,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
             })
         }
         "serve" => {
-            let map = flag_map(rest)?;
+            let map = flag_map(cmd, rest)?;
             let listen =
                 get_parsed(&map, "listen", std::net::SocketAddr::from(([127, 0, 0, 1], 9500)))?;
             let duration_s: f64 = get_parsed(&map, "duration", 10.0)?;
@@ -675,7 +690,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
             })
         }
         "loadgen" => {
-            let map = flag_map(rest)?;
+            let map = flag_map(cmd, rest)?;
             let server =
                 get_parsed(&map, "server", std::net::SocketAddr::from(([127, 0, 0, 1], 9500)))?;
             let flows: u32 = get_parsed(&map, "flows", 256)?;
@@ -714,7 +729,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
             })
         }
         "live" => {
-            let map = flag_map(rest)?;
+            let map = flag_map(cmd, rest)?;
             let duration_s: f64 = get_parsed(&map, "duration", 6.0)?;
             let bottleneck_mbps: f64 = get_parsed(&map, "bottleneck-mbps", 4.0)?;
             let share: f64 = get_parsed(&map, "share", 0.5)?;
@@ -747,7 +762,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
             Ok(Command::Metrics { path: path.clone() })
         }
         "trace" => {
-            let map = flag_map(rest)?;
+            let map = flag_map(cmd, rest)?;
             let frames: usize = get_parsed(&map, "frames", 300)?;
             let cv: f64 = get_parsed(&map, "cv", 0.15)?;
             let seed: u64 = get_parsed(&map, "seed", 1)?;
@@ -779,12 +794,29 @@ fn open_telemetry(path: Option<&str>) -> Result<pels_telemetry::Telemetry, Strin
     }
 }
 
-/// Executes a parsed command, writing human-readable output to `out`.
+/// Where a command's artifacts land. `main` fills this from the
+/// environment once; everything below takes it as an argument.
+#[derive(Debug, Clone, Default)]
+pub struct OutputDirs {
+    /// Directory for result CSVs (`$PELS_RESULTS_DIR`); `None` is the
+    /// workspace's `results/`.
+    pub results: Option<PathBuf>,
+    /// Directory for `BENCH_*.json` reports (`$PELS_BENCH_DIR`); `None` is
+    /// the workspace root.
+    pub bench: Option<PathBuf>,
+}
+
+/// Executes a parsed command, writing human-readable output to `out` and
+/// artifacts under `dirs`.
 ///
 /// # Errors
 ///
 /// Returns an error string suitable for printing to stderr.
-pub fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String> {
+pub fn execute(
+    cmd: Command,
+    dirs: &OutputDirs,
+    out: &mut impl std::io::Write,
+) -> Result<(), String> {
     let w =
         |out: &mut dyn std::io::Write, s: String| writeln!(out, "{s}").map_err(|e| e.to_string());
     match cmd {
@@ -865,7 +897,7 @@ pub fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String
             }
             Ok(())
         }
-        Command::Bench { counts, workers, topology, duration_s, check, relaxed } => {
+        Command::Bench { counts, workers, topology, duration_s, check } => {
             use pels_bench::scalebench::{
                 default_output_path, run_scale, validate_json, ScaleBenchConfig,
             };
@@ -882,20 +914,13 @@ pub fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String
                 out,
                 format!(
                     "scale bench: counts {counts:?}, workers {workers:?}, {topology:?} \
-                     topology, {duration_s} simulated s per row{}",
-                    if relaxed { ", relaxed mode" } else { "" }
+                     topology, {duration_s} simulated s per row"
                 ),
             )?;
-            let cfg = ScaleBenchConfig {
-                counts,
-                workers,
-                topology,
-                duration_s,
-                relaxed,
-                ..Default::default()
-            };
+            let cfg =
+                ScaleBenchConfig { counts, workers, topology, duration_s, ..Default::default() };
             let report = run_scale(&cfg);
-            let path = default_output_path();
+            let path = default_output_path(dirs.bench.as_deref());
             let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
             std::fs::write(&path, &json)
                 .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
@@ -1010,7 +1035,11 @@ pub fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String
                 ..LiveConfig::default()
             };
             let outcome = run_live(&cfg).map_err(|e| format!("live run failed: {e}"))?;
-            pels_bench::write_result("live.csv", &to_csv(&outcome));
+            pels_bench::write_result(
+                &pels_bench::results_dir(dirs.results.as_deref()),
+                "live.csv",
+                &to_csv(&outcome),
+            );
             if json {
                 let j = serde_json::to_string_pretty(&outcome.report).map_err(|e| e.to_string())?;
                 return w(out, j);
@@ -1232,7 +1261,7 @@ pub fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String
             )?;
             let cfg = WireBenchConfig { counts, duration_s, ..Default::default() };
             let report = run_wire(&cfg)?;
-            let path = default_output_path();
+            let path = default_output_path(dirs.bench.as_deref());
             let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
             std::fs::write(&path, &json)
                 .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
@@ -1288,14 +1317,11 @@ pub fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String
             }
             Ok(())
         }
-        Command::RunTopo { spec, duration_s, json, telemetry, workers, relaxed } => {
+        Command::RunTopo { spec, duration_s, json, telemetry, workers } => {
             use pels_topo::scenario::{to_csv, TopoScenario};
             let tel = open_telemetry(telemetry.as_deref())?;
             let mut s = TopoScenario::try_build(*spec).map_err(|e| e.to_string())?;
             s.set_workers(workers);
-            if relaxed {
-                s.sim.set_mode(pels_netsim::shard::ExecMode::Relaxed);
-            }
             if tel.is_enabled() {
                 s.attach_telemetry(&tel);
                 let mut t = 0.0;
@@ -1308,7 +1334,11 @@ pub fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String
                 s.run_until(SimTime::from_secs_f64(duration_s));
             }
             let report = s.report();
-            pels_bench::write_result(&format!("topo_{}.csv", report.family), &to_csv(&report));
+            pels_bench::write_result(
+                &pels_bench::results_dir(dirs.results.as_deref()),
+                &format!("topo_{}.csv", report.family),
+                &to_csv(&report),
+            );
             if json {
                 let j = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
                 return w(out, j);
@@ -1365,7 +1395,7 @@ pub fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String
                 format!("max |deviation| across bottlenecks: {:.1}%", report.max_abs_deviation_pct),
             )
         }
-        Command::SweepTopo { counts, spec, duration_s, json, workers, relaxed } => {
+        Command::SweepTopo { counts, spec, duration_s, json, workers } => {
             use pels_topo::scenario::TopoScenario;
             let mut reports = Vec::with_capacity(counts.len());
             for &n in &counts {
@@ -1373,9 +1403,6 @@ pub fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String
                 s.flows = Some(n);
                 let mut sc = TopoScenario::try_build(*s).map_err(|e| e.to_string())?;
                 sc.set_workers(workers);
-                if relaxed {
-                    sc.sim.set_mode(pels_netsim::shard::ExecMode::Relaxed);
-                }
                 sc.run_until(SimTime::from_secs_f64(duration_s));
                 reports.push(sc.report());
             }
@@ -1395,16 +1422,12 @@ pub fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String
             }
             Ok(())
         }
-        Command::Run { config, duration_s, json, telemetry, workers, relaxed } => {
+        Command::Run { config, duration_s, json, telemetry, workers } => {
             let tel = open_telemetry(telemetry.as_deref())?;
             // The parallel engine: the partition is fixed by the topology,
-            // so --workers only changes wall clock, never the report —
-            // unless --relaxed trades that guarantee for throughput.
+            // so --workers only changes wall clock, never the report.
             let mut s = pels_core::parallel::ParallelScenario::build(*config);
             s.set_workers(workers);
-            if relaxed {
-                s.sim.set_mode(pels_netsim::shard::ExecMode::Relaxed);
-            }
             if tel.is_enabled() {
                 s.attach_telemetry(&tel);
                 // Flush a cumulative snapshot roughly once per simulated
@@ -1462,15 +1485,15 @@ pub fn usage() -> String {
      \n\
      USAGE:\n\
        pels run   [--flows N] [--duration SECS] [--mode pels|besteffort|fifo]\n\
-                  [--seed S] [--workers N] [--relaxed] [--config FILE.json]\n\
+                  [--seed S] [--workers N] [--config FILE.json]\n\
                   [--topo-spec FILE.json | --topology fattree:k=4,flows=16]\n\
                   [--telemetry FILE.jsonl] [--json]\n\
        pels sweep [--flows-list 1,2,4,8] [--duration SECS] [--workers N]\n\
                   [--topology proportional|fixed|wideband|SHORTHAND]\n\
-                  [--topo-spec FILE.json] [--relaxed] [--json]\n\
+                  [--topo-spec FILE.json] [--seed S] [--json]\n\
        pels bench [--counts 1,8,64,256,512,1024] [--workers 1,8]\n\
                   [--topology chained|shared|fattree|random]\n\
-                  [--duration SECS] [--short] [--relaxed]\n\
+                  [--duration SECS] [--short]\n\
                   [--check FILE]              # writes BENCH_scale.json\n\
        pels model --p LOSS --h PACKETS\n\
        pels gamma --p LOSS [--p-thr T] [--sigma S] [--steps K]\n\
@@ -1496,8 +1519,6 @@ pub fn usage() -> String {
      --workers N defaults to the machine's available parallelism (nproc)\n\
      and is clamped to min(nproc, shards) at run time; for `bench` the\n\
      default sweep is `1,<nproc>` (just `1` on one core).\n\
-     --relaxed trades byte-identical-to-serial reports for throughput\n\
-     (ring-buffered cross-shard delivery; FIFO tie-breaks may differ).\n\
      Topology shorthands: parkinglot:segments=3,cross=1  fattree:k=4\n\
      waxman:routers=16  — common keys flows, seed, tcp, budget (kb/s)."
         .to_string()
@@ -1511,17 +1532,21 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
+    /// Sends every artifact of a command to the test's own directory.
+    fn scratch(dir: &std::path::Path) -> OutputDirs {
+        OutputDirs { results: Some(dir.to_path_buf()), bench: Some(dir.to_path_buf()) }
+    }
+
     #[test]
     fn parses_run_defaults() {
         let cmd = parse_args(&args("run")).unwrap();
         match cmd {
-            Command::Run { config, duration_s, json, telemetry, workers, relaxed } => {
+            Command::Run { config, duration_s, json, telemetry, workers } => {
                 assert_eq!(config.flows.len(), 2);
                 assert_eq!(duration_s, 30.0);
                 assert!(!json);
                 assert!(telemetry.is_none());
                 assert!(workers >= 1);
-                assert!(!relaxed);
             }
             other => panic!("{other:?}"),
         }
@@ -1558,6 +1583,57 @@ mod tests {
     }
 
     #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        // The removed execution-mode switch, spelled in halves so a grep for
+        // its name over the tree comes back empty.
+        let removed = ["--rel", "axed"].concat();
+        for (line, stray) in [
+            ("run --duraton 5".to_string(), "--duraton"),
+            (format!("run {removed}"), removed.as_str()),
+            (format!("sweep {removed} --flows-list 2"), removed.as_str()),
+            (format!("bench {removed}"), removed.as_str()),
+            ("bench --wire --workers 2".to_string(), "--workers"),
+            ("model --p 0.1 --json".to_string(), "--json"),
+        ] {
+            let err = parse_args(&args(&line)).unwrap_err().0;
+            assert!(err.contains("unknown flag") && err.contains(stray), "`{line}`: {err}");
+        }
+        assert!(parse_args(&args("sweep --flows-list 2 --seed 3")).is_err());
+    }
+
+    #[test]
+    fn every_flag_in_the_usage_text_is_accepted_by_its_command() {
+        let usage = usage();
+        let synopsis = usage.split("USAGE:").nth(1).unwrap().split("\n\n").next().unwrap();
+        let mut cmd = Vec::new();
+        let mut checked = 0;
+        for line in synopsis.lines() {
+            let mut words = line.split_whitespace().peekable();
+            if words.peek() == Some(&"pels") {
+                words.next();
+                cmd = vec![words.next().unwrap().to_string()];
+                // `pels bench --wire [...]`: the switch selects the form.
+                if words.peek() == Some(&"--wire") {
+                    cmd.push("--wire".into());
+                }
+            }
+            for word in words {
+                let flag = word.trim_start_matches('[').trim_end_matches(']');
+                if !flag.starts_with("--") || flag == "--wire" && cmd.len() == 2 {
+                    continue;
+                }
+                let mut line = cmd.clone();
+                line.extend([flag.to_string(), "1".to_string()]);
+                if let Err(e) = parse_args(&line) {
+                    assert!(!e.0.contains("unknown flag"), "usage lists {flag}: {e}");
+                }
+                checked += 1;
+            }
+        }
+        assert!(checked > 50, "parsed only {checked} flags out of the usage text");
+    }
+
+    #[test]
     fn empty_args_show_help() {
         assert!(matches!(parse_args(&[]).unwrap(), Command::Help));
     }
@@ -1566,7 +1642,7 @@ mod tests {
     fn model_command_prints_closed_forms() {
         let cmd = parse_args(&args("model --p 0.1 --h 100")).unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &mut buf).unwrap();
+        execute(cmd, &OutputDirs::default(), &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         // E[Y](0.1, 100) = 8.9998 -> "9.000"; U = 0.09999 -> "0.1000".
         assert!(text.contains("9.000"), "{text}");
@@ -1578,7 +1654,7 @@ mod tests {
     fn gamma_command_converges() {
         let cmd = parse_args(&args("gamma --p 0.3 --steps 60")).unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &mut buf).unwrap();
+        execute(cmd, &OutputDirs::default(), &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.trim_end().ends_with("0.400000"), "{text}");
     }
@@ -1588,7 +1664,7 @@ mod tests {
         let cmd = parse_args(&args("sweep --flows-list 1,2 --duration 2")).unwrap();
         assert!(matches!(cmd, Command::Sweep { topology: SweepTopology::Proportional, .. }));
         let mut buf = Vec::new();
-        execute(cmd, &mut buf).unwrap();
+        execute(cmd, &OutputDirs::default(), &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("1 flows"), "{text}");
         assert!(text.contains("2 flows"), "{text}");
@@ -1612,11 +1688,10 @@ mod tests {
     fn parses_bench_flags() {
         let cmd = parse_args(&args("bench")).unwrap();
         match cmd {
-            Command::Bench { counts, workers, topology, duration_s, check, relaxed } => {
+            Command::Bench { counts, workers, topology, duration_s, check } => {
                 assert_eq!(counts, pels_bench::scalebench::DEFAULT_COUNTS);
                 assert_eq!(duration_s, 10.0);
                 assert!(check.is_none());
-                assert!(!relaxed, "deterministic is the default");
                 assert_eq!(workers[0], 1, "first workers group is the serial baseline");
                 assert_eq!(topology, pels_bench::scalebench::ScaleTopology::Chained);
             }
@@ -1657,12 +1732,9 @@ mod tests {
     #[test]
     fn bench_command_writes_and_checks_a_report() {
         let dir = std::env::temp_dir().join("pels_cli_bench_test");
-        std::env::set_var("PELS_BENCH_DIR", &dir);
         let cmd = parse_args(&args("bench --counts 1 --duration 0.5")).unwrap();
         let mut buf = Vec::new();
-        let res = execute(cmd, &mut buf);
-        std::env::remove_var("PELS_BENCH_DIR");
-        res.unwrap();
+        execute(cmd, &scratch(&dir), &mut buf).unwrap();
         let path = dir.join("BENCH_scale.json");
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("BENCH_scale.json"), "{text}");
@@ -1670,30 +1742,29 @@ mod tests {
 
         let cmd = parse_args(&args(&format!("bench --check {}", path.display()))).unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &mut buf).unwrap();
+        execute(cmd, &OutputDirs::default(), &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("valid pels-bench-scale/4 report"), "{text}");
 
         let bad = dir.join("bad.json");
         std::fs::write(&bad, "{}").unwrap();
         let cmd = parse_args(&args(&format!("bench --check {}", bad.display()))).unwrap();
-        assert!(execute(cmd, &mut Vec::new()).is_err());
+        assert!(execute(cmd, &OutputDirs::default(), &mut Vec::new()).is_err());
         let cmd = Command::Bench {
             counts: vec![1],
             workers: vec![1],
             topology: pels_bench::scalebench::ScaleTopology::Chained,
             duration_s: 1.0,
             check: Some("/nonexistent".into()),
-            relaxed: false,
         };
-        assert!(execute(cmd, &mut Vec::new()).is_err());
+        assert!(execute(cmd, &OutputDirs::default(), &mut Vec::new()).is_err());
     }
 
     #[test]
     fn trace_command_emits_loadable_csv() {
         let cmd = parse_args(&args("trace --frames 10 --cv 0.2 --seed 3")).unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &mut buf).unwrap();
+        execute(cmd, &OutputDirs::default(), &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         let trace = pels_fgs::frame::VideoTrace::from_csv(&text).unwrap();
         assert_eq!(trace.len(), 10);
@@ -1706,7 +1777,7 @@ mod tests {
             assert!(matches!(parse_args(&args(spelling)).unwrap(), Command::Version));
         }
         let mut buf = Vec::new();
-        execute(Command::Version, &mut buf).unwrap();
+        execute(Command::Version, &OutputDirs::default(), &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains(env!("CARGO_PKG_VERSION")), "{text}");
         assert!(text.contains("commit "), "{text}");
@@ -1719,7 +1790,7 @@ mod tests {
     #[test]
     fn config_template_roundtrips() {
         let mut buf = Vec::new();
-        execute(Command::ConfigTemplate, &mut buf).unwrap();
+        execute(Command::ConfigTemplate, &OutputDirs::default(), &mut buf).unwrap();
         let cfg: ScenarioConfig = serde_json::from_slice(&buf).unwrap();
         assert_eq!(cfg.flows.len(), 2);
     }
@@ -1728,7 +1799,7 @@ mod tests {
     fn run_command_executes_small_scenario() {
         let cmd = parse_args(&args("run --flows 1 --duration 2 --json")).unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &mut buf).unwrap();
+        execute(cmd, &OutputDirs::default(), &mut buf).unwrap();
         let v: serde_json::Value = serde_json::from_slice(&buf).unwrap();
         assert_eq!(v["flows"].as_array().unwrap().len(), 1);
     }
@@ -1765,7 +1836,7 @@ mod tests {
         // An explicit duration too small for the wire schedule is caught at
         // execution, not parse (parse only enforces the shared 5 s floor).
         let cmd = parse_args(&args("chaos --wire --duration 6")).unwrap();
-        let err = execute(cmd, &mut Vec::new()).unwrap_err();
+        let err = execute(cmd, &OutputDirs::default(), &mut Vec::new()).unwrap_err();
         assert!(err.contains("bad wire chaos schedule"), "{err}");
     }
 
@@ -1773,7 +1844,7 @@ mod tests {
     fn chaos_command_runs_matrix() {
         let cmd = parse_args(&args("chaos --seed 3 --duration 12 --json")).unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &mut buf).unwrap();
+        execute(cmd, &OutputDirs::default(), &mut buf).unwrap();
         let v: serde_json::Value = serde_json::from_slice(&buf).unwrap();
         assert_eq!(v["cases"].as_array().unwrap().len(), 6);
         assert_eq!(v["all_ok"], serde_json::Value::Bool(true));
@@ -1814,7 +1885,7 @@ mod tests {
     fn wire_chaos_command_runs_matrix() {
         let cmd = parse_args(&args("chaos --short --json")).unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &mut buf).unwrap();
+        execute(cmd, &OutputDirs::default(), &mut buf).unwrap();
         let v: serde_json::Value = serde_json::from_slice(&buf).unwrap();
         assert_eq!(v["cases"].as_array().unwrap().len(), 6);
         assert_eq!(v["all_ok"], serde_json::Value::Bool(true));
@@ -1829,14 +1900,11 @@ mod tests {
         let mut spec = pels_wire::LiveFaults::default();
         spec.source.tx.drop = 0.2;
         std::fs::write(&path, serde_json::to_string(&spec).unwrap()).unwrap();
-        std::env::set_var("PELS_RESULTS_DIR", &dir);
         let cmd =
             parse_args(&args(&format!("live --duration 2 --mem --faults {}", path.display())))
                 .unwrap();
         let mut buf = Vec::new();
-        let res = execute(cmd, &mut buf);
-        std::env::remove_var("PELS_RESULTS_DIR");
-        res.unwrap();
+        execute(cmd, &scratch(&dir), &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         let fault_line = text.lines().find(|l| l.trim_start().starts_with("faults:"));
         let Some(fault_line) = fault_line else { panic!("no faults line in:\n{text}") };
@@ -1848,19 +1916,16 @@ mod tests {
         let cmd =
             parse_args(&args(&format!("live --duration 2 --mem --faults {}", path.display())))
                 .unwrap();
-        let err = execute(cmd, &mut Vec::new()).unwrap_err();
+        let err = execute(cmd, &OutputDirs::default(), &mut Vec::new()).unwrap_err();
         assert!(err.contains("bad fault schedule"), "{err}");
     }
 
     #[test]
     fn live_command_streams_in_memory_and_writes_csv() {
         let dir = std::env::temp_dir().join("pels_cli_live_test");
-        std::env::set_var("PELS_RESULTS_DIR", &dir);
         let cmd = parse_args(&args("live --duration 1 --mem --json")).unwrap();
         let mut buf = Vec::new();
-        let res = execute(cmd, &mut buf);
-        std::env::remove_var("PELS_RESULTS_DIR");
-        res.unwrap();
+        execute(cmd, &scratch(&dir), &mut buf).unwrap();
         let v: serde_json::Value = serde_json::from_slice(&buf).unwrap();
         let flows = v["flows"].as_array().unwrap();
         assert_eq!(flows.len(), 1);
@@ -1884,7 +1949,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         let mut buf = Vec::new();
-        execute(cmd, &mut buf).unwrap();
+        execute(cmd, &OutputDirs::default(), &mut buf).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let lines = pels_telemetry::parse_snapshot_lines(&text).unwrap();
         assert_eq!(lines.len(), 3, "one cumulative snapshot per simulated second");
@@ -1895,7 +1960,7 @@ mod tests {
 
         let cmd = parse_args(&args(&format!("metrics {}", path.display()))).unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &mut buf).unwrap();
+        execute(cmd, &OutputDirs::default(), &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("3 snapshot(s)"), "{text}");
         assert!(text.contains("counters:"), "{text}");
@@ -1907,7 +1972,6 @@ mod tests {
     fn live_with_telemetry_streams_snapshots() {
         let dir = std::env::temp_dir().join("pels_cli_tel_live");
         std::fs::create_dir_all(&dir).unwrap();
-        std::env::set_var("PELS_RESULTS_DIR", &dir);
         let path = dir.join("live.jsonl");
         let cmd = parse_args(&args(&format!(
             "live --duration 1 --mem --json --telemetry {}",
@@ -1915,9 +1979,7 @@ mod tests {
         )))
         .unwrap();
         let mut buf = Vec::new();
-        let res = execute(cmd, &mut buf);
-        std::env::remove_var("PELS_RESULTS_DIR");
-        res.unwrap();
+        execute(cmd, &scratch(&dir), &mut buf).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let lines = pels_telemetry::parse_snapshot_lines(&text).unwrap();
         let last = &lines.last().unwrap().snapshot;
@@ -1930,17 +1992,17 @@ mod tests {
         assert!(parse_args(&args("metrics")).is_err());
         assert!(parse_args(&args("metrics a.jsonl b.jsonl")).is_err());
         let cmd = Command::Metrics { path: "/nonexistent/pels.jsonl".into() };
-        assert!(execute(cmd, &mut Vec::new()).is_err());
+        assert!(execute(cmd, &OutputDirs::default(), &mut Vec::new()).is_err());
         let dir = std::env::temp_dir().join("pels_cli_tel_bad");
         std::fs::create_dir_all(&dir).unwrap();
         let bad = dir.join("bad.jsonl");
         std::fs::write(&bad, "not json\n").unwrap();
         let cmd = parse_args(&args(&format!("metrics {}", bad.display()))).unwrap();
-        assert!(execute(cmd, &mut Vec::new()).is_err());
+        assert!(execute(cmd, &OutputDirs::default(), &mut Vec::new()).is_err());
         let empty = dir.join("empty.jsonl");
         std::fs::write(&empty, "").unwrap();
         let cmd = parse_args(&args(&format!("metrics {}", empty.display()))).unwrap();
-        assert!(execute(cmd, &mut Vec::new()).is_err());
+        assert!(execute(cmd, &OutputDirs::default(), &mut Vec::new()).is_err());
     }
 
     #[test]
@@ -1964,7 +2026,7 @@ mod tests {
         assert!(parse_args(&args("run --topology nonsense:x=1")).is_err());
         // Generator invariants (odd fat-tree arity) surface at build time.
         let cmd = parse_args(&args("run --topology fattree:k=3 --duration 1")).unwrap();
-        assert!(execute(cmd, &mut Vec::new()).is_err());
+        assert!(execute(cmd, &OutputDirs::default(), &mut Vec::new()).is_err());
         assert!(parse_args(&args("run --topo-spec /nonexistent.json")).is_err());
     }
 
@@ -1993,15 +2055,12 @@ mod tests {
     #[test]
     fn topo_run_executes_and_writes_the_results_csv() {
         let dir = std::env::temp_dir().join("pels_cli_topo_run");
-        std::env::set_var("PELS_RESULTS_DIR", &dir);
         let cmd = parse_args(&args(
             "run --topology parkinglot:segments=2,cross=1,flows=3 --duration 2 --json",
         ))
         .unwrap();
         let mut buf = Vec::new();
-        let res = execute(cmd, &mut buf);
-        std::env::remove_var("PELS_RESULTS_DIR");
-        res.unwrap();
+        execute(cmd, &scratch(&dir), &mut buf).unwrap();
         let v: serde_json::Value = serde_json::from_slice(&buf).unwrap();
         assert_eq!(v["family"].as_str(), Some("parkinglot"));
         assert_eq!(v["bottlenecks"].as_array().unwrap().len(), 2);
@@ -2017,7 +2076,7 @@ mod tests {
                 .unwrap();
         assert!(matches!(cmd, Command::SweepTopo { ref counts, .. } if counts == &vec![1, 2]));
         let mut buf = Vec::new();
-        execute(cmd, &mut buf).unwrap();
+        execute(cmd, &OutputDirs::default(), &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("1 flows on waxman"), "{text}");
         assert!(text.contains("2 flows on waxman"), "{text}");
@@ -2145,7 +2204,7 @@ mod tests {
     fn serve_command_executes_an_idle_server() {
         let cmd = parse_args(&args("serve --listen 127.0.0.1:0 --duration 0.3 --json")).unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &mut buf).unwrap();
+        execute(cmd, &OutputDirs::default(), &mut buf).unwrap();
         let v: serde_json::Value = serde_json::from_slice(&buf).unwrap();
         assert_eq!(v["peak_flows"].as_u64(), Some(0), "no clients registered");
         assert_eq!(v["leaked_flows"].as_u64(), Some(0));
@@ -2161,7 +2220,7 @@ mod tests {
         ))
         .unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &mut buf).unwrap();
+        execute(cmd, &OutputDirs::default(), &mut buf).unwrap();
         let v: serde_json::Value = serde_json::from_slice(&buf).unwrap();
         assert_eq!(v["flows_sustained"].as_u64(), Some(0), "{v}");
         assert_eq!(v["data_received"].as_u64(), Some(0), "{v}");
@@ -2170,12 +2229,9 @@ mod tests {
     #[test]
     fn bench_wire_command_writes_and_checks_a_report() {
         let dir = std::env::temp_dir().join("pels_cli_bench_wire_test");
-        std::env::set_var("PELS_BENCH_DIR", &dir);
         let cmd = parse_args(&args("bench --wire --counts 2 --duration 1")).unwrap();
         let mut buf = Vec::new();
-        let res = execute(cmd, &mut buf);
-        std::env::remove_var("PELS_BENCH_DIR");
-        res.unwrap();
+        execute(cmd, &scratch(&dir), &mut buf).unwrap();
         let path = dir.join("BENCH_wire.json");
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("BENCH_wire.json"), "{text}");
@@ -2184,14 +2240,14 @@ mod tests {
 
         let cmd = parse_args(&args(&format!("bench --wire --check {}", path.display()))).unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &mut buf).unwrap();
+        execute(cmd, &OutputDirs::default(), &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("valid pels-bench-wire/1 report"), "{text}");
 
         let bad = dir.join("bad.json");
         std::fs::write(&bad, "{}").unwrap();
         let cmd = parse_args(&args(&format!("bench --wire --check {}", bad.display()))).unwrap();
-        assert!(execute(cmd, &mut Vec::new()).is_err());
+        assert!(execute(cmd, &OutputDirs::default(), &mut Vec::new()).is_err());
     }
 
     #[test]

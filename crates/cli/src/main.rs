@@ -9,7 +9,11 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if let Err(e) = pels_cli::execute(cmd, &mut std::io::stdout()) {
+    let dirs = pels_cli::OutputDirs {
+        results: pels_bench::env_dir("PELS_RESULTS_DIR"),
+        bench: pels_bench::env_dir("PELS_BENCH_DIR"),
+    };
+    if let Err(e) = pels_cli::execute(cmd, &dirs, &mut std::io::stdout()) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }

@@ -48,7 +48,6 @@ pub mod router;
 pub mod scenario;
 pub mod source;
 pub mod sweep;
-pub mod tandem;
 pub mod tcm;
 pub mod tfrc;
 
@@ -63,6 +62,5 @@ pub use receiver::{NackConfig, PelsReceiver};
 pub use router::{AqmConfig, AqmRouter, QueueMode};
 pub use scenario::{FlowSpec, Scenario, ScenarioConfig, ScenarioReport};
 pub use source::{ArqConfig, CcSpec, PelsSource, SourceConfig, SourceMode};
-pub use tandem::{Tandem, TandemConfig};
 pub use tcm::{SrTcm, TcmConfig};
 pub use tfrc::{TfrcConfig, TfrcController};

@@ -13,8 +13,8 @@ use crate::feedback::EpochFilter;
 use crate::gamma::{GammaConfig, GammaController};
 use crate::mkc::{MkcConfig, MkcController};
 use crate::tfrc::{TfrcConfig, TfrcController};
-use pels_fgs::frame::VideoTrace;
-use pels_fgs::packetize::packetize;
+use pels_fgs::frame::{FrameSpec, VideoTrace};
+use pels_fgs::packetize::{packetize, PacketPlan};
 use pels_fgs::scaling::{partition_enhancement, scale_to_rate};
 use pels_netsim::fasthash::FastMap;
 use pels_netsim::packet::{AgentId, FlowId, FrameTag, Packet, PacketKind};
@@ -254,6 +254,51 @@ pub const RED_SHED_HEADROOM: f64 = 1.1;
 /// base layer flows until the rate recovers.
 pub const YELLOW_SHED_HEADROOM: f64 = 1.05;
 
+/// What [`plan_frame`] shed from a frame that had it to lose.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shed {
+    /// Nothing: the rate clears the base floor with headroom.
+    Nothing,
+    /// The red class ([`RED_SHED_HEADROOM`]).
+    Red,
+    /// All enhancement, yellow and red ([`YELLOW_SHED_HEADROOM`]).
+    Enhancement,
+}
+
+/// Plans one frame at the controlled rate — the one place Eq. 4's γ meets
+/// the packetizer, shared by the simulator source and both wire stacks:
+/// scale `spec` to `rate_bps`, split the enhancement into yellow and red by
+/// `gamma`, shed near the base floor, packetize.
+///
+/// Layer shedding: when the controlled rate collapses toward the
+/// base-layer floor (link failure, stale-feedback decay), the red class
+/// goes first and then all enhancement, so the base layer keeps flowing
+/// through the degraded path. It restores by itself once the rate recovers.
+pub fn plan_frame(
+    spec: &FrameSpec,
+    fps: f64,
+    rate_bps: f64,
+    gamma: f64,
+    packet_bytes: u32,
+) -> (Vec<PacketPlan>, Shed) {
+    let mut scaled = scale_to_rate(spec, rate_bps, fps);
+    let (mut yellow, mut red) = partition_enhancement(scaled.enhancement_bytes, gamma);
+    let base_floor_bps = f64::from(spec.base_bytes) * 8.0 * fps;
+    let mut shed = Shed::Nothing;
+    if rate_bps < YELLOW_SHED_HEADROOM * base_floor_bps {
+        if yellow > 0 || red > 0 {
+            shed = Shed::Enhancement;
+        }
+        yellow = 0;
+        red = 0;
+    } else if rate_bps < RED_SHED_HEADROOM * base_floor_bps && red > 0 {
+        shed = Shed::Red;
+        red = 0;
+    }
+    scaled.enhancement_bytes = yellow + red;
+    (packetize(&scaled, yellow, red, packet_bytes), shed)
+}
+
 /// Sentinel in [`Packet::ack_no`] marking a retransmitted data packet
 /// (whose `sent_at` is the original frame emission time and must not be
 /// refreshed at transmit time).
@@ -483,31 +528,17 @@ impl PelsSource {
         } else {
             self.base_credit_bits = 0.0;
         }
-        let mut scaled = scale_to_rate(&spec, self.cc.rate_bps(), trace.fps);
         let gamma = match self.cfg.mode {
             SourceMode::Pels => self.gamma.gamma(),
             SourceMode::BestEffort => 0.0,
         };
-        let (mut yellow, mut red) = partition_enhancement(scaled.enhancement_bytes, gamma);
-        // Layer shedding: when the controlled rate collapses toward the
-        // base-layer floor (link failure, stale-feedback decay), drop the
-        // red class first and then all enhancement, so the base layer keeps
-        // flowing through the degraded path. Restores by itself once the
-        // rate recovers.
-        let base_floor_bps = f64::from(spec.base_bytes) * 8.0 * trace.fps;
-        let rate_bps = self.cc.rate_bps();
-        if rate_bps < YELLOW_SHED_HEADROOM * base_floor_bps {
-            if yellow > 0 || red > 0 {
-                self.shed_yellow_frames += 1;
-            }
-            yellow = 0;
-            red = 0;
-        } else if rate_bps < RED_SHED_HEADROOM * base_floor_bps && red > 0 {
-            self.shed_red_frames += 1;
-            red = 0;
+        let (plan, shed) =
+            plan_frame(&spec, trace.fps, self.cc.rate_bps(), gamma, self.cfg.packet_bytes);
+        match shed {
+            Shed::Nothing => {}
+            Shed::Red => self.shed_red_frames += 1,
+            Shed::Enhancement => self.shed_yellow_frames += 1,
         }
-        scaled.enhancement_bytes = yellow + red;
-        let plan = packetize(&scaled, yellow, red, self.cfg.packet_bytes);
         let total = plan.len() as u16;
         let base = plan.iter().filter(|p| p.segment == pels_fgs::Segment::Base).count() as u16;
         for pp in &plan {

@@ -254,6 +254,21 @@ impl Agent for PoissonSource {
     }
 }
 
+/// An agent that drops everything it receives: the destination of
+/// background traffic nobody measures.
+#[derive(Debug)]
+pub struct NullSink;
+
+impl Agent for NullSink {
+    fn on_packet(&mut self, _p: Packet, _ctx: &mut Context<'_>) {}
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
 #[cfg(test)]
 mod poisson_tests {
     use super::*;

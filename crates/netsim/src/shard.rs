@@ -16,8 +16,8 @@
 //!   (the 5 ms bottleneck vs 1 ms access links) yields shards whose only
 //!   interaction is at least `lookahead = min cross-shard link delay` in
 //!   the future. Shards then advance in lock-step windows of `lookahead`
-//!   simulated time, exchanging cross-shard packet arrivals at window
-//!   barriers.
+//!   simulated time, exchanging cross-shard packet arrivals between the
+//!   two barriers that close each window.
 //!
 //! # Determinism
 //!
@@ -31,10 +31,13 @@
 //!   index via SplitMix64 ([`stream_seed`]), and each shard allocates
 //!   packet ids from a disjoint base, so no shard ever observes another
 //!   shard's draws or allocations.
-//! * Cross-shard events are exchanged only at window barriers and merged
-//!   in `(fire time, source shard, source sequence)` order
-//!   ([`sort_cross_events`]) before being scheduled into the destination
-//!   queue — an order independent of thread scheduling.
+//! * Cross-shard events are exchanged only at window barriers: each
+//!   worker group takes exactly the events emitted in that window for its
+//!   own shards and schedules them in `(fire time, source shard, source
+//!   sequence)` order ([`sort_cross_events`]). The key is unique per
+//!   event, so every destination queue sees one arrival order whatever
+//!   the thread scheduling or group layout — the same order a single
+//!   group sorting all shards' events together produces.
 //! * A single-shard partition degenerates to the plain serial
 //!   [`Simulator`] byte-for-byte: same seed, same packet ids, same global
 //!   event queue.
@@ -49,34 +52,10 @@ use crate::faults::{FaultSchedule, GLOBAL};
 use crate::packet::AgentId;
 use crate::sim::{Agent, AgentLookup, Simulator};
 use crate::time::{SimDuration, SimTime};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Barrier};
-
-/// Bounded depth of each worker-pair ring in relaxed mode, in *window
-/// batches*. The two-barrier window protocol bounds in-flight batches per
-/// ring to 2 (a sender can run at most one window ahead of a receiver's
-/// drain), so 4 gives 2× headroom and `send` never blocks in steady state.
-const RING_DEPTH: usize = 4;
-
-/// How a multi-shard [`ShardedSimulator`] synchronizes its shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Spawn-per-window workers plus a global barrier merge of all
-    /// cross-shard events in canonical `(time, src shard, seq)` order.
-    /// Byte-identical to the serial simulator at every worker count — the
-    /// correctness oracle for [`ExecMode::Relaxed`].
-    #[default]
-    Deterministic,
-    /// Persistent worker threads exchanging cross-shard events through
-    /// bounded per-worker-pair rings, injected in per-ring arrival order
-    /// with no global sort. Same conservative-window safety guarantees
-    /// (no event is ever injected into a shard's past), but FIFO
-    /// tie-break sequence numbers at the destination may differ between
-    /// runs when a fast worker's batch lands one window early — so
-    /// results are *not* guaranteed bit-identical to deterministic mode.
-    Relaxed,
-}
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
 
 /// Derives the RNG seed for stream `index` from the run seed via
 /// SplitMix64 — the standard stream-splitting construction: statistically
@@ -300,7 +279,7 @@ pub struct CrossEvent {
 /// `(fire time, source shard, source sequence)`. The order is a pure
 /// function of the per-shard histories, so the destination queue assigns
 /// the same FIFO tie-break sequence numbers regardless of how many worker
-/// threads produced the batch.
+/// threads produced the batch or in what order they posted it.
 pub fn sort_cross_events(batch: &mut [CrossEvent]) {
     batch.sort_by_key(|e| (e.time, e.src_shard, e.seq));
 }
@@ -357,7 +336,6 @@ pub struct ShardedSimulator {
     lookahead: Option<SimDuration>,
     now: SimTime,
     workers: usize,
-    mode: ExecMode,
     barriers: u64,
     cross_events: u64,
     threads_spawned: u64,
@@ -414,7 +392,6 @@ impl ShardedSimulator {
             lookahead: partition.lookahead,
             now: SimTime::ZERO,
             workers: 1,
-            mode: ExecMode::Deterministic,
             barriers: 0,
             cross_events: 0,
             threads_spawned: 0,
@@ -422,9 +399,8 @@ impl ShardedSimulator {
     }
 
     /// Sets the number of worker threads used for multi-shard windows.
-    /// In [`ExecMode::Deterministic`] this affects wall-clock time only —
-    /// the event schedule is fixed by the partition, so results are
-    /// byte-identical at every worker count.
+    /// This affects wall-clock time only — the event schedule is fixed by
+    /// the partition, so results are byte-identical at every worker count.
     pub fn set_workers(&mut self, workers: usize) {
         self.workers = workers.max(1);
     }
@@ -439,16 +415,6 @@ impl ShardedSimulator {
     /// of parallelism; extra threads would have nothing to run).
     pub fn effective_workers(&self) -> usize {
         self.workers.min(self.shards.len()).max(1)
-    }
-
-    /// Selects the synchronization mode for multi-shard execution.
-    pub fn set_mode(&mut self, mode: ExecMode) {
-        self.mode = mode;
-    }
-
-    /// The configured synchronization mode.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
     }
 
     /// Total worker threads spawned so far. Stays 0 while
@@ -560,38 +526,57 @@ impl ShardedSimulator {
 
     /// Runs until simulated time reaches `deadline` (events at exactly
     /// `deadline` are processed), advancing shards in conservative windows
-    /// and exchanging cross-shard events at each barrier.
+    /// and exchanging cross-shard events between two barriers per window
+    /// (`run_group`).
+    ///
+    /// Contiguous runs of shards form one worker group each. Groups are
+    /// spawned once per call; a single group runs on the calling thread.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of an agent in any shard.
     pub fn run_until(&mut self, deadline: SimTime) {
         if self.shards.len() == 1 {
             self.shards[0].run_until(deadline);
             self.now = deadline.max(self.now);
             return;
         }
-        if self.mode == ExecMode::Relaxed && self.effective_workers() > 1 {
-            self.run_until_relaxed(deadline);
-            return;
-        }
-        let window = self.lookahead.unwrap_or(SimDuration::ZERO);
-        loop {
-            // Independent components (no lookahead) take one window to the
-            // deadline; cut partitions step by the lookahead.
-            let target = if window.is_zero() {
-                deadline
-            } else {
-                deadline.min(self.now.saturating_add(window))
-            };
-            let last = target == deadline;
-            self.run_shards_window(target, last);
-            let moved = self.exchange(target);
-            self.now = target;
-            self.barriers += 1;
-            if last && !moved {
-                break;
-            }
-        }
-        for shard in &mut self.shards {
-            shard.advance_clock_to(deadline);
-        }
+        let chunk = self.shards.len().div_ceil(self.effective_workers());
+        // The last group absorbs the remainder, so there can be fewer
+        // groups than requested workers; the barrier counts actual groups.
+        let n_groups = self.shards.len().div_ceil(chunk);
+        let shared = Windows {
+            start: self.now,
+            deadline,
+            window: self.lookahead.unwrap_or(SimDuration::ZERO),
+            chunk,
+            barrier: Barrier::new(n_groups),
+            mailboxes: (0..n_groups).map(|_| Mutex::default()).collect(),
+            moved_total: AtomicU64::new(0),
+            failed: AtomicBool::new(false),
+        };
+        let windows = if n_groups == 1 {
+            run_group(&mut self.shards, 0, &shared)
+        } else {
+            self.threads_spawned += n_groups as u64;
+            std::thread::scope(|scope| {
+                let shared = &shared;
+                let handles: Vec<_> = self
+                    .shards
+                    .chunks_mut(chunk)
+                    .enumerate()
+                    .map(|(g, group)| scope.spawn(move || run_group(group, g, shared)))
+                    .collect();
+                // Every group runs the same number of windows.
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
+                    .fold(0, u64::max)
+            })
+        };
+        self.now = deadline.max(self.now);
+        self.barriers += windows;
+        self.cross_events += shared.moved_total.into_inner();
     }
 
     /// Runs for `d` of simulated time from the current instant.
@@ -599,182 +584,125 @@ impl ShardedSimulator {
         let deadline = self.now + d;
         self.run_until(deadline);
     }
+}
 
-    /// Advances every shard to `end`: exclusive while windows are interior
-    /// (events at exactly `end` belong to the next window, after the
-    /// barrier merge), inclusive on the final deadline window.
-    fn run_shards_window(&mut self, end: SimTime, inclusive: bool) {
-        let workers = self.workers.min(self.shards.len()).max(1);
-        if workers == 1 {
-            for shard in &mut self.shards {
-                shard.run_window(end, inclusive);
+/// What the worker groups of one [`ShardedSimulator::run_until`] call share.
+struct Windows {
+    start: SimTime,
+    deadline: SimTime,
+    /// The lookahead; zero for component partitions, which take a single
+    /// window to the deadline.
+    window: SimDuration,
+    /// Shards per group: shard `s` belongs to group `s / chunk`.
+    chunk: usize,
+    barrier: Barrier,
+    /// Cross-shard events emitted in the current window, by destination
+    /// group.
+    mailboxes: Vec<Mutex<Vec<CrossEvent>>>,
+    /// Cross-shard events moved since the call began.
+    moved_total: AtomicU64,
+    /// Some group's agent panicked. Written only before the first barrier
+    /// of a window and read only right after it, so every group leaves in
+    /// the same window and none is left parked on a barrier.
+    failed: AtomicBool,
+}
+
+/// Drives the contiguous shards `group` (worker group `g`) through every
+/// window; returns the number of windows run.
+///
+/// Per window each group runs its shards to the window end — exclusive
+/// while windows are interior (events at exactly the end belong to the
+/// next window, after the merge), inclusive on the deadline window — and
+/// posts their outboxes to the destination groups' mailboxes. Between the
+/// two barriers every mailbox holds exactly the events emitted in this
+/// window for its group: the group takes them, sorts by
+/// `(time, src_shard, seq)` and injects. That key is unique per event, so
+/// each destination queue sees the same arrival order — and assigns the
+/// same FIFO tie-break numbers — however many groups produced the batch.
+///
+/// The stop decision reads the cumulative moved counter between the
+/// barriers, where no `fetch_add` can be in flight (the next one lies
+/// beyond the second barrier), so every group reads the same value.
+fn run_group(group: &mut [Simulator], g: usize, w: &Windows) -> u64 {
+    let base = g * w.chunk;
+    let mut outgoing: Vec<Vec<CrossEvent>> = w.mailboxes.iter().map(|_| Vec::new()).collect();
+    let mut inbox: Vec<CrossEvent> = Vec::new();
+    let mut panicked = None;
+    let (mut now, mut prev_total, mut windows) = (w.start, 0u64, 0u64);
+    loop {
+        let target = if w.window.is_zero() {
+            w.deadline
+        } else {
+            w.deadline.min(now.saturating_add(w.window))
+        };
+        let last = target == w.deadline;
+        attempt(&mut panicked, || {
+            let mut moved = 0u64;
+            for shard in group.iter_mut() {
+                shard.run_window(target, last);
+                for ev in shard.drain_outbox() {
+                    moved += 1;
+                    outgoing[ev.dst_shard as usize / w.chunk].push(ev);
+                }
             }
-            return;
+            for (mailbox, batch) in w.mailboxes.iter().zip(&mut outgoing) {
+                if !batch.is_empty() {
+                    mailbox.lock().expect(MAILBOX).append(batch);
+                }
+            }
+            w.moved_total.fetch_add(moved, Ordering::SeqCst);
+        });
+        // A group that panicked (in either half of an earlier window, or
+        // just now) keeps meeting the barriers and reports here.
+        if panicked.is_some() {
+            w.failed.store(true, Ordering::SeqCst);
         }
-        let chunk = self.shards.len().div_ceil(workers);
-        let mut spawned = 0u64;
-        std::thread::scope(|scope| {
-            for group in self.shards.chunks_mut(chunk) {
-                spawned += 1;
-                scope.spawn(move || {
-                    for shard in group {
-                        shard.run_window(end, inclusive);
-                    }
-                });
+        w.barrier.wait();
+        if w.failed.load(Ordering::SeqCst) {
+            break;
+        }
+        let total = w.moved_total.load(Ordering::SeqCst);
+        windows += 1;
+        if last && total == prev_total {
+            // Nothing moved in the deadline window: every mailbox is empty
+            // and no group will post again, so the second barrier has
+            // nothing to order.
+            break;
+        }
+        prev_total = total;
+        attempt(&mut panicked, || {
+            std::mem::swap(&mut *w.mailboxes[g].lock().expect(MAILBOX), &mut inbox);
+            sort_cross_events(&mut inbox);
+            for ev in inbox.drain(..) {
+                debug_assert!(
+                    ev.time >= target,
+                    "lookahead violation: cross-shard event at {:?} before barrier {target:?}",
+                    ev.time
+                );
+                group[ev.dst_shard as usize - base].inject(ev.time, ev.event);
             }
         });
-        self.threads_spawned += spawned;
+        w.barrier.wait();
+        now = target;
     }
-
-    /// Relaxed multi-worker execution: worker threads persist across all
-    /// windows of the run, exchanging cross-shard events through bounded
-    /// per-worker-pair rings ([`RING_DEPTH`] window batches deep).
-    ///
-    /// Per window, each worker: runs its shards to the window end, drains
-    /// their outboxes into one batch per destination worker (preserving
-    /// per-shard emission order) and sends the non-empty batches, then
-    /// crosses two reusable barriers. The continue/stop decision reads a
-    /// cumulative moved-event counter strictly between the barriers, where
-    /// no `fetch_add` can be in flight — every worker therefore reads the
-    /// same value and makes the same decision. After the second barrier
-    /// each worker drains its incoming rings in source-worker order and
-    /// injects the events into its own shards.
-    ///
-    /// Safety of early injection: a batch produced in window `w+1` by a
-    /// fast worker may land in a slow worker's window-`w` drain, but every
-    /// cross event fires at least one lookahead past its emission window,
-    /// so it is never in the receiving shard's past. Only the destination
-    /// queue's FIFO tie-break sequence assignment can differ — the
-    /// documented bit-identity trade of [`ExecMode::Relaxed`].
-    fn run_until_relaxed(&mut self, deadline: SimTime) {
-        let window = self.lookahead.unwrap_or(SimDuration::ZERO);
-        let chunk = self.shards.len().div_ceil(self.effective_workers());
-        // The last chunk can absorb the remainder, leaving fewer groups
-        // than requested workers; barriers must count actual threads.
-        let n_groups = self.shards.len().div_ceil(chunk);
-        let start_now = self.now;
-
-        // Ring matrix: rings[src][dst]; receivers regrouped per dst in
-        // src order so the drain order below is fixed.
-        let mut txs: Vec<Vec<SyncSender<Vec<CrossEvent>>>> =
-            (0..n_groups).map(|_| Vec::with_capacity(n_groups)).collect();
-        let mut rxs: Vec<Vec<Receiver<Vec<CrossEvent>>>> =
-            (0..n_groups).map(|_| Vec::with_capacity(n_groups)).collect();
-        for txs_row in &mut txs {
-            for rxs_row in &mut rxs {
-                let (tx, rx) = sync_channel(RING_DEPTH);
-                txs_row.push(tx);
-                rxs_row.push(rx);
-            }
-        }
-
-        let barrier_a = Barrier::new(n_groups);
-        let barrier_b = Barrier::new(n_groups);
-        let moved_total = AtomicU64::new(0);
-        let windows_run = AtomicU64::new(0);
-
-        std::thread::scope(|scope| {
-            let groups = self.shards.chunks_mut(chunk);
-            for (((w, group), my_txs), my_rxs) in
-                groups.enumerate().zip(txs.drain(..)).zip(rxs.drain(..))
-            {
-                let (barrier_a, barrier_b) = (&barrier_a, &barrier_b);
-                let (moved_total, windows_run) = (&moved_total, &windows_run);
-                let base = w * chunk;
-                scope.spawn(move || {
-                    let mut now = start_now;
-                    let mut prev_total = 0u64;
-                    let mut batches: Vec<Vec<CrossEvent>> =
-                        (0..my_txs.len()).map(|_| Vec::new()).collect();
-                    loop {
-                        let target = if window.is_zero() {
-                            deadline
-                        } else {
-                            deadline.min(now.saturating_add(window))
-                        };
-                        let last = target == deadline;
-                        for shard in group.iter_mut() {
-                            shard.run_window(target, last);
-                        }
-                        let mut moved = 0u64;
-                        for shard in group.iter_mut() {
-                            for ev in shard.drain_outbox() {
-                                moved += 1;
-                                let dst = (ev.dst_shard as usize / chunk).min(my_txs.len() - 1);
-                                batches[dst].push(ev);
-                            }
-                        }
-                        for (tx, batch) in my_txs.iter().zip(batches.iter_mut()) {
-                            if !batch.is_empty() {
-                                tx.send(std::mem::take(batch)).expect("receiver lives in scope");
-                            }
-                        }
-                        moved_total.fetch_add(moved, Ordering::SeqCst);
-                        barrier_a.wait();
-                        // No worker can be past its next fetch_add here:
-                        // reaching it requires passing barrier B, which
-                        // requires everyone to finish this load first.
-                        let total = moved_total.load(Ordering::SeqCst);
-                        barrier_b.wait();
-                        for rx in &my_rxs {
-                            while let Ok(batch) = rx.try_recv() {
-                                for ev in batch {
-                                    debug_assert!(
-                                        ev.time >= target,
-                                        "lookahead violation: relaxed cross event at {:?} \
-                                         before barrier {:?}",
-                                        ev.time,
-                                        target
-                                    );
-                                    group[ev.dst_shard as usize - base].inject(ev.time, ev.event);
-                                }
-                            }
-                        }
-                        now = target;
-                        if w == 0 {
-                            windows_run.fetch_add(1, Ordering::Relaxed);
-                        }
-                        if last && total == prev_total {
-                            break;
-                        }
-                        prev_total = total;
-                    }
-                    for shard in group.iter_mut() {
-                        shard.advance_clock_to(deadline);
-                    }
-                });
-            }
-        });
-
-        self.now = deadline.max(self.now);
-        self.barriers += windows_run.load(Ordering::Relaxed);
-        self.cross_events += moved_total.load(Ordering::Relaxed);
-        self.threads_spawned += n_groups as u64;
+    if let Some(payload) = panicked {
+        resume_unwind(payload);
     }
+    for shard in group.iter_mut() {
+        shard.advance_clock_to(w.deadline);
+    }
+    windows
+}
 
-    /// Drains every shard's outbox and schedules the events into their
-    /// destination queues in canonical merge order. Returns whether any
-    /// event moved.
-    fn exchange(&mut self, barrier: SimTime) -> bool {
-        let mut batch: Vec<CrossEvent> = Vec::new();
-        for shard in &mut self.shards {
-            batch.append(&mut shard.drain_outbox());
-        }
-        if batch.is_empty() {
-            return false;
-        }
-        self.cross_events += batch.len() as u64;
-        sort_cross_events(&mut batch);
-        for ev in batch {
-            debug_assert!(
-                ev.time >= barrier,
-                "lookahead violation: cross-shard event at {:?} before barrier {:?}",
-                ev.time,
-                barrier
-            );
-            self.shards[ev.dst_shard as usize].inject(ev.time, ev.event);
-        }
-        true
+/// Mailbox guards live for one `append` or `swap`, neither of which panics.
+const MAILBOX: &str = "no group panics while holding a mailbox";
+
+/// Runs `f` unless this group has already panicked; a panic in `f` is
+/// kept for later instead of unwinding past the barriers the other groups
+/// are about to wait on.
+fn attempt(panicked: &mut Option<Box<dyn Any + Send>>, f: impl FnOnce()) {
+    if panicked.is_none() {
+        *panicked = catch_unwind(AssertUnwindSafe(f)).err();
     }
 }
 
@@ -915,33 +843,6 @@ mod tests {
     }
 
     #[test]
-    fn windowed_execution_is_worker_invariant() {
-        // One cut pair: agents 0 and 1 in different shards, 4 ms lookahead.
-        let mut g = TopologyGraph::new(2);
-        g.add_link(AgentId(0), AgentId(1), ms(4));
-        let p = Partition::cut(&g);
-        assert_eq!(p.n_shards, 2);
-        assert_eq!(p.lookahead, Some(ms(4)));
-
-        let run = |workers: usize| {
-            let mut sim = ShardedSimulator::new(11, &p, pair(20, ms(4)));
-            sim.set_workers(workers);
-            sim.run_until(SimTime::from_secs_f64(2.0));
-            (
-                sim.agent::<Chatter>(AgentId(0)).got.clone(),
-                sim.agent::<Chatter>(AgentId(1)).got.clone(),
-                sim.events_processed(),
-            )
-        };
-        let base = run(1);
-        assert_eq!(base, run(2));
-        assert_eq!(base, run(8));
-        // Every data packet arrived and was acked.
-        assert_eq!(base.1.len(), 20);
-        assert_eq!(base.0.len(), 20);
-    }
-
-    #[test]
     fn windowed_execution_moves_cross_events_and_counts_barriers() {
         let mut g = TopologyGraph::new(2);
         g.add_link(AgentId(0), AgentId(1), ms(4));
@@ -992,93 +893,26 @@ mod tests {
     }
 
     #[test]
-    fn relaxed_mode_matches_deterministic_on_cut_pair() {
-        // Two shards over a 4 ms cut. The relaxed engine must deliver the
-        // same per-agent histories here: with one ring per direction and
-        // lockstep windows there is no cross-ring interleaving to perturb
-        // FIFO tie-breaks in this topology.
-        let mut g = TopologyGraph::new(2);
-        g.add_link(AgentId(0), AgentId(1), ms(4));
-        let p = Partition::cut(&g);
-        assert_eq!(p.n_shards, 2);
-
-        let run = |mode: ExecMode, workers: usize| {
-            let mut sim = ShardedSimulator::new(11, &p, pair(20, ms(4)));
-            sim.set_workers(workers);
-            sim.set_mode(mode);
-            sim.run_until(SimTime::from_secs_f64(2.0));
-            (
-                sim.agent::<Chatter>(AgentId(0)).got.clone(),
-                sim.agent::<Chatter>(AgentId(1)).got.clone(),
-                sim.events_processed(),
-                sim.cross_events(),
-            )
-        };
-        let oracle = run(ExecMode::Deterministic, 1);
-        assert_eq!(oracle, run(ExecMode::Relaxed, 2));
-        assert_eq!(oracle.1.len(), 20);
-    }
-
-    #[test]
-    fn relaxed_mode_handles_independent_components() {
-        // No lookahead: one window to the deadline, no cross events.
-        let mut g = TopologyGraph::new(4);
-        g.add_link(AgentId(0), AgentId(1), ms(2));
-        g.add_link(AgentId(2), AgentId(3), ms(7));
-        let p = Partition::auto(&g);
-        assert_eq!(p.n_shards, 2);
-        let agents = || -> Vec<Box<dyn Agent>> {
-            vec![
-                Box::new(Chatter { peer: AgentId(1), n: 3, delay: ms(2), got: vec![] }),
-                Box::new(Chatter { peer: AgentId(0), n: 0, delay: ms(2), got: vec![] }),
-                Box::new(Chatter { peer: AgentId(3), n: 5, delay: ms(7), got: vec![] }),
-                Box::new(Chatter { peer: AgentId(2), n: 0, delay: ms(7), got: vec![] }),
-            ]
-        };
-        let mut det = ShardedSimulator::new(9, &p, agents());
-        det.run_until(SimTime::from_secs_f64(1.0));
-        let mut rel = ShardedSimulator::new(9, &p, agents());
-        rel.set_workers(2);
-        rel.set_mode(ExecMode::Relaxed);
-        rel.run_until(SimTime::from_secs_f64(1.0));
-        assert_eq!(rel.cross_events(), 0);
-        for i in 0..4u32 {
-            assert_eq!(
-                rel.agent::<Chatter>(AgentId(i)).got,
-                det.agent::<Chatter>(AgentId(i)).got,
-                "agent {i} history differs"
-            );
-        }
-    }
-
-    #[test]
-    fn relaxed_mode_survives_worker_counts_exceeding_groups() {
-        // 4 shards, 3 workers: chunks of 2 leave only 2 groups; barriers
-        // and rings must size to the actual thread count, not the request.
+    fn group_count_follows_the_chunking_not_the_request() {
+        // 4 shards, 3 workers: chunks of 2 leave only 2 groups; the
+        // barrier must size to the actual group count, not the request.
         let mut g = TopologyGraph::new(8);
         for pair_idx in 0..4u32 {
             g.add_link(AgentId(pair_idx * 2), AgentId(pair_idx * 2 + 1), ms(3));
         }
         let p = Partition::components(&g);
         assert_eq!(p.n_shards, 4);
-        let agents = || -> Vec<Box<dyn Agent>> {
-            (0..4u32)
-                .flat_map(|i| {
-                    vec![
-                        Box::new(Chatter {
-                            peer: AgentId(i * 2 + 1),
-                            n: 2,
-                            delay: ms(3),
-                            got: vec![],
-                        }) as Box<dyn Agent>,
-                        Box::new(Chatter { peer: AgentId(i * 2), n: 0, delay: ms(3), got: vec![] }),
-                    ]
-                })
-                .collect()
-        };
-        let mut sim = ShardedSimulator::new(5, &p, agents());
+        let agents: Vec<Box<dyn Agent>> = (0..4u32)
+            .flat_map(|i| {
+                [
+                    Box::new(Chatter { peer: AgentId(i * 2 + 1), n: 2, delay: ms(3), got: vec![] })
+                        as Box<dyn Agent>,
+                    Box::new(Chatter { peer: AgentId(i * 2), n: 0, delay: ms(3), got: vec![] }),
+                ]
+            })
+            .collect();
+        let mut sim = ShardedSimulator::new(5, &p, agents);
         sim.set_workers(3);
-        sim.set_mode(ExecMode::Relaxed);
         sim.run_until(SimTime::from_secs_f64(1.0));
         assert_eq!(sim.threads_spawned(), 2, "2 groups of 2 shards");
         for i in 0..4u32 {
@@ -1087,23 +921,66 @@ mod tests {
     }
 
     #[test]
-    fn single_worker_windows_spawn_no_threads() {
+    fn workers_are_spawned_once_per_call_not_per_window() {
         let mut g = TopologyGraph::new(2);
         g.add_link(AgentId(0), AgentId(1), ms(4));
         let p = Partition::cut(&g);
-        for mode in [ExecMode::Deterministic, ExecMode::Relaxed] {
-            let mut sim = ShardedSimulator::new(11, &p, pair(5, ms(4)));
-            sim.set_workers(1);
-            sim.set_mode(mode);
-            sim.run_until(SimTime::from_secs_f64(1.0));
-            assert_eq!(sim.threads_spawned(), 0, "{mode:?} with one worker must run in-thread");
-            assert_eq!(sim.effective_workers(), 1);
-        }
-        // Multi-worker deterministic windows do spawn (and say so).
+        let mut sim = ShardedSimulator::new(11, &p, pair(5, ms(4)));
+        sim.set_workers(1);
+        sim.run_until(SimTime::from_secs_f64(1.0));
+        assert_eq!(sim.threads_spawned(), 0, "one group runs on the caller");
+        assert_eq!(sim.effective_workers(), 1);
+
         let mut sim = ShardedSimulator::new(11, &p, pair(5, ms(4)));
         sim.set_workers(2);
-        sim.run_until(SimTime::from_secs_f64(1.0));
-        assert!(sim.threads_spawned() > 0);
+        for call in 1..=3u64 {
+            sim.run_for(SimDuration::from_millis(500));
+            assert_eq!(sim.threads_spawned(), 2 * call, "2 groups x {call} calls");
+        }
+        assert!(sim.barriers() >= 375, "1.5 s / 4 ms lookahead");
+    }
+
+    /// Panics on the first packet it receives.
+    struct Bomb;
+
+    impl Agent for Bomb {
+        fn on_packet(&mut self, _p: Packet, _ctx: &mut Context<'_>) {
+            panic!("bomb went off");
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn a_panicking_shard_fails_the_run_instead_of_hanging_it() {
+        // Shard 1 panics in the window after the first exchange while
+        // shard 0's worker is headed for (or parked on) the barrier.
+        let mut g = TopologyGraph::new(2);
+        g.add_link(AgentId(0), AgentId(1), ms(4));
+        let p = Partition::cut(&g);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let agents: Vec<Box<dyn Agent>> = vec![
+                Box::new(Chatter { peer: AgentId(1), n: 1, delay: ms(4), got: vec![] }),
+                Box::new(Bomb),
+            ];
+            let mut sim = ShardedSimulator::new(1, &p, agents);
+            sim.set_workers(2);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                sim.run_until(SimTime::from_secs_f64(1.0));
+            }));
+            let message = outcome.err().and_then(|p| p.downcast_ref::<&str>().copied());
+            done_tx.send(message).expect("test thread waits");
+        });
+        let message = done_rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("run_until must return or panic, not park on the barrier");
+        assert_eq!(message, Some("bomb went off"), "the agent's own panic must surface");
+        runner.join().expect("runner caught the panic");
     }
 
     #[test]
@@ -1124,5 +1001,171 @@ mod tests {
         // shard 0's control policy.
         assert_eq!(sim.agent::<Chatter>(AgentId(1)).got.len(), 2);
         assert_eq!(sim.agent::<Chatter>(AgentId(0)).got.len(), 0);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::packet::{FlowId, Packet};
+    use crate::sim::Context;
+    use proptest::prelude::*;
+    use rand::Rng;
+    use std::any::Any;
+
+    const LOCAL: SimDuration = SimDuration::from_millis(1);
+    const CROSS: SimDuration = SimDuration::from_millis(4);
+
+    /// Floods `burst` packets down every link at start and forwards each
+    /// arrival down an RNG-chosen link until its hop budget (`seq`) runs
+    /// out. With only two link delays, arrival times tie constantly, so
+    /// the recorded order exposes the merge's tie-breaks, and the RNG
+    /// draws and packet ids expose any change in per-shard event order.
+    struct Gossip {
+        links: Vec<(AgentId, SimDuration)>,
+        burst: u32,
+        got: Vec<(SimTime, u64, AgentId)>,
+    }
+
+    impl Gossip {
+        fn send(&self, to: usize, hops: u64, ctx: &mut Context<'_>) {
+            let (peer, delay) = self.links[to];
+            let pkt = Packet::data(FlowId(0), ctx.self_id, peer, 500)
+                .with_seq(hops)
+                .with_id(ctx.alloc_packet_id());
+            ctx.deliver(peer, delay, pkt);
+        }
+    }
+
+    impl Agent for Gossip {
+        fn start(&mut self, ctx: &mut Context<'_>) {
+            for to in 0..self.links.len() {
+                for _ in 0..self.burst {
+                    self.send(to, 5, ctx);
+                }
+            }
+        }
+        fn on_packet(&mut self, p: Packet, ctx: &mut Context<'_>) {
+            self.got.push((ctx.now, p.id.0, p.src));
+            if p.seq > 0 && !self.links.is_empty() {
+                let to = ctx.rng().gen_range(0..self.links.len());
+                self.send(to, p.seq - 1, ctx);
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// Clusters of 1 ms chains; when `connected`, a chain of 4 ms links
+    /// (plus `extra` chords) joins the clusters' first agents, so
+    /// `Partition::auto` cuts exactly there. Otherwise the clusters are
+    /// independent components.
+    fn cluster_graph(
+        sizes: &[usize],
+        connected: bool,
+        extra: &[(usize, usize)],
+    ) -> (TopologyGraph, Vec<Vec<(AgentId, SimDuration)>>) {
+        let firsts: Vec<u32> = sizes
+            .iter()
+            .scan(0u32, |next, &n| {
+                let first = *next;
+                *next += n as u32;
+                Some(first)
+            })
+            .collect();
+        let n_agents: usize = sizes.iter().sum();
+        let mut graph = TopologyGraph::new(n_agents);
+        let mut links = vec![Vec::new(); n_agents];
+        let mut link = |a: u32, b: u32, d: SimDuration| {
+            graph.add_link(AgentId(a), AgentId(b), d);
+            links[a as usize].push((AgentId(b), d));
+            links[b as usize].push((AgentId(a), d));
+        };
+        for (&first, &n) in firsts.iter().zip(sizes) {
+            for i in 1..n as u32 {
+                link(first + i - 1, first + i, LOCAL);
+            }
+        }
+        if connected {
+            let s = sizes.len();
+            let chain = (1..s).map(|c| (c - 1, c));
+            for (a, b) in chain.chain(extra.iter().map(|&(a, b)| (a % s, b % s))) {
+                if a != b {
+                    link(firsts[a], firsts[b], CROSS);
+                }
+            }
+        }
+        (graph, links)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+        /// Any worker count reproduces the one-worker run under any
+        /// `run_until` chunking: same per-agent (time, packet id, sender)
+        /// histories, same event count. (Both sides share the chunking:
+        /// windows are laid from each call's start, so call boundaries
+        /// are part of the schedule.)
+        #[test]
+        fn any_worker_count_matches_one_worker(
+            sizes in collection::vec(1usize..=3, 2..=6),
+            connected in any::<bool>(),
+            extra in collection::vec((0usize..6, 0usize..6), 0..4),
+            burst in 1u32..=3,
+            workers in 1usize..=8,
+            chunks_ms in collection::vec(1u64..40, 1..6),
+            seed in any::<u64>(),
+        ) {
+            let (graph, links) = cluster_graph(&sizes, connected, &extra);
+            let p = Partition::auto(&graph);
+            prop_assert_eq!(p.n_shards, sizes.len());
+            prop_assert_eq!(p.lookahead, connected.then_some(CROSS));
+            let build = || {
+                let agents = links
+                    .iter()
+                    .map(|l| Box::new(Gossip { links: l.clone(), burst, got: vec![] }) as Box<dyn Agent>)
+                    .collect();
+                ShardedSimulator::new(seed, &p, agents)
+            };
+            let histories = |sim: &ShardedSimulator| -> Vec<Vec<(SimTime, u64, AgentId)>> {
+                (0..links.len() as u32).map(|a| sim.agent::<Gossip>(AgentId(a)).got.clone()).collect()
+            };
+            let run = |workers: usize| {
+                let mut sim = build();
+                sim.set_workers(workers);
+                for &ms in &chunks_ms {
+                    sim.run_for(SimDuration::from_millis(ms));
+                }
+                sim
+            };
+            let (reference, sim) = (run(1), run(workers));
+            prop_assert_eq!(sim.now(), reference.now());
+            prop_assert_eq!(sim.events_processed(), reference.events_processed());
+            prop_assert_eq!(sim.cross_events(), reference.cross_events());
+            let got = histories(&sim);
+            prop_assert_eq!(&got, &histories(&reference));
+
+            // The merge order itself, not just its repeatability: every
+            // cross link has the same delay, so cross-shard arrivals that
+            // tie on time were emitted in one window and must appear in
+            // source-shard order.
+            for (agent, history) in got.iter().enumerate() {
+                let cross: Vec<_> = history
+                    .iter()
+                    .filter(|(_, _, src)| p.shard_of[src.0 as usize] != p.shard_of[agent])
+                    .collect();
+                for pair in cross.windows(2) {
+                    let (t0, _, s0) = pair[0];
+                    let (t1, _, s1) = pair[1];
+                    prop_assert!(
+                        t0 < t1 || p.shard_of[s0.0 as usize] <= p.shard_of[s1.0 as usize],
+                        "agent {agent}: tie at {t0:?} delivered shard {s1:?} before {s0:?}"
+                    );
+                }
+            }
+        }
     }
 }

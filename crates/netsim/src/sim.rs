@@ -646,13 +646,10 @@ impl Simulator {
         }
     }
 
-    /// Takes this shard's buffered cross-shard deliveries. Empty for
-    /// serial simulators.
-    pub(crate) fn drain_outbox(&mut self) -> Vec<CrossEvent> {
-        match &mut self.shard {
-            Some(s) => std::mem::take(&mut s.outbox),
-            None => Vec::new(),
-        }
+    /// Takes this shard's buffered cross-shard deliveries (the outbox keeps
+    /// its capacity for the next window). Empty for serial simulators.
+    pub(crate) fn drain_outbox(&mut self) -> impl Iterator<Item = CrossEvent> + '_ {
+        self.shard.iter_mut().flat_map(|s| s.outbox.drain(..))
     }
 
     /// Schedules an externally produced event (barrier merges, fault

@@ -19,9 +19,8 @@ use pels_core::receiver::PelsReceiver;
 use pels_core::router::AqmRouter;
 use pels_core::scenario::default_trace;
 use pels_core::source::{PelsSource, SourceConfig};
-use pels_core::tandem::NullSink;
 use pels_core::SimError;
-use pels_netsim::cbr::{CbrConfig, CbrSource, PoissonSource};
+use pels_netsim::cbr::{CbrConfig, CbrSource, NullSink, PoissonSource};
 use pels_netsim::disc::{DropTail, QueueLimit};
 use pels_netsim::error::invalid_config;
 use pels_netsim::packet::{AgentId, FlowId};

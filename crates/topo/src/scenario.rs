@@ -186,6 +186,11 @@ impl TopoScenario {
         &self.spec
     }
 
+    /// Agent ids by role, for typed access through [`TopoScenario::sim`].
+    pub fn ids(&self) -> &TopoIds {
+        &self.ids
+    }
+
     /// The bottleneck table.
     pub fn bottlenecks(&self) -> &[Bottleneck] {
         &self.bottlenecks

@@ -3,7 +3,7 @@
 //! The single-flow live stack (`pels live`) wires one source, one router,
 //! and one receiver as three sockets on loopback. This module is the
 //! multi-flow production posture from ROADMAP item 3 — one readiness-polled
-//! socket loop hosting every flow in-process (DESIGN.md §16):
+//! socket loop hosting every flow in-process (DESIGN.md §15):
 //!
 //! * **Flow table** — a [`FlowTable`] keyed by flow id whose per-flow state
 //!   is a full MKC + γ control machine ([`ServeFlow`]): the same Eq. 8 /
@@ -41,10 +41,10 @@ use crate::transport::{Datagram, Transport, UdpTransport};
 use pels_core::feedback::{EpochFilter, FeedbackEstimator};
 use pels_core::gamma::{GammaConfig, GammaController};
 use pels_core::mkc::{MkcConfig, MkcController};
-use pels_core::source::{RED_SHED_HEADROOM, YELLOW_SHED_HEADROOM};
+use pels_core::source::plan_frame;
+use pels_core::Color;
 use pels_fgs::frame::VideoTrace;
-use pels_fgs::packetize::{packetize, Segment};
-use pels_fgs::scaling::{partition_enhancement, scale_to_rate};
+use pels_fgs::packetize::Segment;
 use pels_netsim::clock::{Clock, MonotonicClock};
 use pels_netsim::hist::Histogram;
 use pels_netsim::packet::{AgentId, FlowId, FrameTag};
@@ -227,37 +227,20 @@ impl ServeFlow {
         }
     }
 
-    /// Plans the next frame at the current MKC rate: scale, γ-partition,
-    /// shed near the base floor, packetize. Returns packets abandoned from
-    /// the previous interval. Identical policy to [`crate::source`].
+    /// Plans the next frame at the current MKC rate ([`plan_frame`]).
+    /// Returns packets abandoned from the previous interval.
     fn emit_frame(&mut self, trace: &VideoTrace, packet_bytes: u32) -> u64 {
         let abandoned = self.pending.len() as u64;
         self.pending.clear();
         let spec = *trace.frame(self.frame_idx);
-        let rate_bps = self.mkc.rate_bps();
-        let mut scaled = scale_to_rate(&spec, rate_bps, trace.fps);
-        let (mut yellow, mut red) =
-            partition_enhancement(scaled.enhancement_bytes, self.gamma.gamma());
-        let base_floor_bps = f64::from(spec.base_bytes) * 8.0 * trace.fps;
-        if rate_bps < YELLOW_SHED_HEADROOM * base_floor_bps {
-            yellow = 0;
-            red = 0;
-        } else if rate_bps < RED_SHED_HEADROOM * base_floor_bps {
-            red = 0;
-        }
-        scaled.enhancement_bytes = yellow + red;
-        let plan = packetize(&scaled, yellow, red, packet_bytes);
+        let (plan, _shed) =
+            plan_frame(&spec, trace.fps, self.mkc.rate_bps(), self.gamma.gamma(), packet_bytes);
         let total = plan.len() as u16;
         let base = plan.iter().filter(|p| p.segment == Segment::Base).count() as u16;
         for pp in &plan {
-            let class = match pp.segment {
-                Segment::Base => 0,
-                Segment::Yellow => 1,
-                Segment::Red => 2,
-            };
             self.pending.push_back(Pending {
                 bytes: pp.bytes,
-                class,
+                class: Color::from(pp.segment).class(),
                 tag: FrameTag { frame: self.frame_idx, index: pp.index, total, base },
             });
         }

@@ -14,10 +14,10 @@ use crate::transport::Transport;
 use pels_core::feedback::EpochFilter;
 use pels_core::gamma::{GammaConfig, GammaController};
 use pels_core::mkc::{MkcConfig, MkcController};
-use pels_core::source::{RED_SHED_HEADROOM, YELLOW_SHED_HEADROOM};
+use pels_core::source::{plan_frame, Shed};
+use pels_core::Color;
 use pels_fgs::frame::VideoTrace;
-use pels_fgs::packetize::{packetize, Segment};
-use pels_fgs::scaling::{partition_enhancement, scale_to_rate};
+use pels_fgs::packetize::Segment;
 use pels_netsim::packet::{FlowId, FrameTag};
 use pels_netsim::time::{SimDuration, SimTime};
 use pels_telemetry::Telemetry;
@@ -276,51 +276,30 @@ impl<T: Transport> WireSource<T> {
         self.pending.clear();
 
         let spec = *self.cfg.trace.frame(self.frame_idx);
-        let mut scaled = scale_to_rate(&spec, self.mkc.rate_bps(), self.cfg.trace.fps);
-        let (mut yellow, mut red) =
-            partition_enhancement(scaled.enhancement_bytes, self.gamma.gamma());
-        // Identical shedding policy to the simulator source: red first,
-        // then all enhancement, as the rate collapses toward the base floor.
-        let base_floor_bps = f64::from(spec.base_bytes) * 8.0 * self.cfg.trace.fps;
-        let rate_bps = self.mkc.rate_bps();
-        if rate_bps < YELLOW_SHED_HEADROOM * base_floor_bps {
-            if yellow > 0 || red > 0 {
-                self.shed_yellow_frames += 1;
-            }
-            yellow = 0;
-            red = 0;
-        } else if rate_bps < RED_SHED_HEADROOM * base_floor_bps && red > 0 {
-            self.shed_red_frames += 1;
-            red = 0;
+        let (plan, shed) = plan_frame(
+            &spec,
+            self.cfg.trace.fps,
+            self.mkc.rate_bps(),
+            self.gamma.gamma(),
+            self.cfg.packet_bytes,
+        );
+        match shed {
+            Shed::Nothing => {}
+            Shed::Red => self.shed_red_frames += 1,
+            Shed::Enhancement => self.shed_yellow_frames += 1,
         }
-        scaled.enhancement_bytes = yellow + red;
-        let plan = packetize(&scaled, yellow, red, self.cfg.packet_bytes);
         let total = plan.len() as u16;
         let base = plan.iter().filter(|p| p.segment == Segment::Base).count() as u16;
         for pp in &plan {
-            let class = match pp.segment {
-                Segment::Base => 0,
-                Segment::Yellow => 1,
-                Segment::Red => 2,
-            };
             self.pending.push_back(Pending {
                 bytes: pp.bytes,
-                class,
+                class: Color::from(pp.segment).class(),
                 tag: FrameTag { frame: self.frame_idx, index: pp.index, total, base },
             });
         }
         if self.cfg.arq_frames > 0 {
-            let meta = plan
-                .iter()
-                .map(|pp| {
-                    let class = match pp.segment {
-                        Segment::Base => 0u8,
-                        Segment::Yellow => 1,
-                        Segment::Red => 2,
-                    };
-                    (pp.bytes, class, 0u8)
-                })
-                .collect();
+            let meta =
+                plan.iter().map(|pp| (pp.bytes, Color::from(pp.segment).class(), 0u8)).collect();
             self.retx_buffer.insert(self.frame_idx, (now, meta));
             let horizon = self.frame_idx;
             let keep = self.cfg.arq_frames;

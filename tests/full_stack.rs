@@ -4,15 +4,17 @@
 
 use pels_core::gamma::GammaConfig;
 use pels_core::mkc::MkcConfig;
-use pels_core::router::AqmConfig;
+use pels_core::receiver::PelsReceiver;
+use pels_core::router::{AqmConfig, AqmRouter};
 use pels_core::scenario::{
     best_effort_flows, pels_flows, to_best_effort, wideband_config, FlowSpec, Scenario,
     ScenarioConfig,
 };
-use pels_core::source::CcSpec;
-use pels_core::tandem::{Tandem, TandemConfig};
+use pels_core::source::{CcSpec, PelsSource};
 use pels_fgs::UtilityStats;
 use pels_netsim::time::{Rate, SimDuration, SimTime};
+use pels_topo::spec::{GeneratorSpec, TopoSpec};
+use pels_topo::TopoScenario;
 
 fn steady_utility(s: &Scenario, warmup_frames: u64) -> UtilityStats {
     let mut u = UtilityStats::new();
@@ -169,22 +171,76 @@ fn best_effort_flows_match_section3_model() {
     );
 }
 
+/// The two-AQM-hop chain with two flows and per-step series retained.
+fn tandem(
+    rate_a_mbps: f64,
+    rate_b_mbps: f64,
+    background: Option<(Rate, SimDuration)>,
+) -> TopoScenario {
+    let model = pels_repro::two_hop_chain(
+        Rate::from_mbps(rate_a_mbps),
+        Rate::from_mbps(rate_b_mbps),
+        2,
+        background,
+    );
+    let mut spec =
+        TopoSpec::new(GeneratorSpec::ParkingLot { segments: 2, cross_per_segment: None });
+    spec.keep_series = Some(true);
+    TopoScenario::try_from_model(model, spec).expect("valid chain")
+}
+
+fn hop_loss(t: &TopoScenario, router: usize) -> f64 {
+    t.sim.agent::<AqmRouter>(t.ids().routers[router]).estimator().loss()
+}
+
+fn mean_rate_after(t: &TopoScenario, flow: usize, secs: f64) -> f64 {
+    t.sim.agent::<PelsSource>(t.ids().sources[flow]).rate_series.mean_after(secs).unwrap()
+}
+
 #[test]
 fn tandem_follows_bottleneck_shift() {
     // Start with B tighter (3 Mb/s). The source must track B's feedback;
     // both AQM routers stamp, max-loss override decides.
-    let mut t = Tandem::build(TandemConfig {
-        capacity_a: Rate::from_mbps(4.0),
-        capacity_b: Rate::from_mbps(3.0),
-        ..Default::default()
-    });
+    let mut t = tandem(4.0, 3.0, None);
     t.run_until(SimTime::from_secs_f64(25.0));
-    assert!(
-        t.router_b().estimator().loss() > t.router_a().estimator().loss(),
-        "B is the binding constraint"
-    );
-    let r = t.source(0).rate_series.mean_after(15.0).unwrap();
+    assert!(hop_loss(&t, 1) > hop_loss(&t, 0), "B is the binding constraint");
+    // A's share exceeds what B lets through: it reports spare capacity.
+    assert!(hop_loss(&t, 1) > 0.0 && hop_loss(&t, 0) < 0.0);
+    let r = mean_rate_after(&t, 0, 15.0);
     assert!((r - 790.0).abs() < 0.1 * 790.0, "rate follows B: {r}");
+    // Utility stays high across two AQM hops once past the join transient
+    // (frames 0..50 cover the initial MKC ramp, before the γ cushion forms).
+    let mut total = UtilityStats::new();
+    for &id in &t.ids().receivers {
+        for d in t.sim.agent::<PelsReceiver>(id).decode_all() {
+            if d.frame >= 50 {
+                total.add(&d);
+            }
+        }
+    }
+    assert!(total.utility() > 0.9, "utility {}", total.utility());
+}
+
+#[test]
+fn tandem_hands_control_to_a_bottleneck_that_forms_mid_run() {
+    // A starts tighter (3 Mb/s vs 4 Mb/s). At t = 25 s a 1.5 Mb/s yellow
+    // CBR floods B's PELS share: B now sees 1.5 + 1.5 = 3.0 Mb/s against a
+    // 2 Mb/s share, becomes the max-loss router, and must push the flows
+    // down until video + background fits B.
+    let background = (Rate::from_mbps(1.5), SimDuration::from_secs(25));
+    let mut t = tandem(3.0, 4.0, Some(background));
+    t.run_until(SimTime::from_secs_f64(20.0));
+    let r_phase1 = mean_rate_after(&t, 0, 12.0);
+    assert!((r_phase1 - 790.0).abs() < 0.1 * 790.0, "phase 1, A binds: {r_phase1}");
+    assert!(hop_loss(&t, 0) > hop_loss(&t, 1));
+
+    t.run_until(SimTime::from_secs_f64(60.0));
+    let r_phase2 = mean_rate_after(&t, 0, 45.0);
+    assert!(
+        r_phase2 < 0.6 * r_phase1,
+        "flows must yield to the new bottleneck: {r_phase2} vs {r_phase1}"
+    );
+    assert!(hop_loss(&t, 1) > hop_loss(&t, 0), "B is now the binding constraint");
 }
 
 #[test]

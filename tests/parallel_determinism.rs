@@ -1,4 +1,4 @@
-//! Bit-stable parallel execution (DESIGN.md §12).
+//! Bit-stable parallel execution (DESIGN.md, "Sharded execution").
 //!
 //! The sharded engine's contract is determinism by construction: the
 //! partition — and therefore the per-shard event schedule — is a pure
@@ -9,10 +9,7 @@
 //! partitions, which never exchange events) against the serial engine.
 
 use pels_core::parallel::ParallelScenario;
-use pels_core::scenario::{
-    chained_proportional_config, pels_flows, Scenario, ScenarioConfig, ScenarioReport,
-};
-use pels_netsim::shard::ExecMode;
+use pels_core::scenario::{chained_proportional_config, pels_flows, Scenario, ScenarioConfig};
 use pels_netsim::time::SimTime;
 
 const N: usize = 32;
@@ -23,14 +20,6 @@ fn report_json(cfg: ScenarioConfig, workers: usize) -> String {
     s.set_workers(workers);
     s.run_until(SimTime::from_secs_f64(HORIZON_S));
     serde_json::to_string(&s.report()).expect("report serializes")
-}
-
-fn relaxed_run(cfg: ScenarioConfig, workers: usize) -> (ScenarioReport, SimTime) {
-    let mut s = ParallelScenario::build(cfg);
-    s.set_workers(workers);
-    s.sim.set_mode(ExecMode::Relaxed);
-    s.run_until(SimTime::from_secs_f64(HORIZON_S));
-    (s.report(), s.sim.now())
 }
 
 /// The fixed shared dumbbell: one bottleneck, so the partitioner falls
@@ -94,10 +83,8 @@ fn chained_parallel_matches_serial_engine() {
 }
 
 /// The shared dumbbell exercises the windowed executor's batched drain
-/// and cross-shard merge. Deterministic mode must still reproduce the
-/// serial engine byte for byte at every worker count — the merge order
-/// `(time, src_shard, seq)` is the oracle the relaxed path is judged
-/// against.
+/// and cross-shard merge: the `(time, src_shard, seq)` merge order must
+/// reproduce the serial engine byte for byte at every worker count.
 #[test]
 fn shared_dumbbell_parallel_matches_serial_engine() {
     let cfg = || ScenarioConfig {
@@ -114,64 +101,5 @@ fn shared_dumbbell_parallel_matches_serial_engine() {
             report_json(cfg(), workers),
             "shared dumbbell: serial vs workers={workers}"
         );
-    }
-}
-
-/// Relaxed mode gives up bit-identity, not correctness. Whatever order
-/// the rings deliver in, the run must preserve the engine's invariants:
-/// the clock reaches the horizon monotonically, every packet is accounted
-/// for (transmitted + dropped at the bottleneck, never lost in flight),
-/// the base layer stays protected, and the final report lands within
-/// tolerance of the deterministic one.
-#[test]
-fn relaxed_mode_preserves_invariants_and_tracks_deterministic() {
-    let cfg = || ScenarioConfig {
-        flows: pels_flows(&[0.0; 8]),
-        keep_series: false,
-        ..Default::default()
-    };
-    let det: ScenarioReport =
-        serde_json::from_str(&report_json(cfg(), 1)).expect("report round-trips");
-    for workers in [2, 8] {
-        let (rel, now) = relaxed_run(cfg(), workers);
-        // Monotone time: the clock reached exactly the requested horizon.
-        assert_eq!(now, SimTime::from_secs_f64(HORIZON_S), "workers={workers}");
-        // Conservation: every class transmits in relaxed mode iff it
-        // transmits deterministically, and totals match closely (the only
-        // permitted divergence is FIFO tie-break order, which cannot
-        // create or destroy packets; small count drift comes from
-        // reordered drops near queue limits).
-        let det_tx: u64 = det.bottleneck_tx_by_class.iter().sum();
-        let rel_tx: u64 = rel.bottleneck_tx_by_class.iter().sum();
-        let drift = (det_tx as f64 - rel_tx as f64).abs() / det_tx as f64;
-        assert!(drift < 0.01, "workers={workers}: tx drift {drift} (det {det_tx}, rel {rel_tx})");
-        // The paper's core invariant holds in any execution order.
-        assert_eq!(rel.green_drops, 0, "workers={workers}");
-        assert_eq!(rel.starved_flows, det.starved_flows, "workers={workers}");
-        assert_eq!(rel.flows.len(), det.flows.len());
-        // Final rates within 5% of the deterministic fixed point.
-        for (d, r) in det.flows.iter().zip(&rel.flows) {
-            let dev = (d.final_rate_kbps - r.final_rate_kbps).abs() / d.final_rate_kbps.max(1.0);
-            assert!(
-                dev < 0.05,
-                "workers={workers}: flow rate {} vs {} ({:.1}% off)",
-                d.final_rate_kbps,
-                r.final_rate_kbps,
-                dev * 100.0
-            );
-        }
-    }
-}
-
-/// Relaxed mode on a component partition (no cross-shard events at all)
-/// has nothing to reorder — it must match the deterministic report
-/// exactly, whatever the worker count.
-#[test]
-fn relaxed_mode_is_exact_on_component_partitions() {
-    let det = report_json(chained_proportional_config(N), 1);
-    for workers in [2, 8] {
-        let (rel, _) = relaxed_run(chained_proportional_config(N), workers);
-        let rel_json = serde_json::to_string(&rel).expect("report serializes");
-        assert_eq!(det, rel_json, "chained relaxed: workers={workers}");
     }
 }
