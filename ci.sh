@@ -8,6 +8,12 @@ echo "== cargo build --release --workspace =="
 # members the root package does not depend on, leaving stale binaries.
 cargo build --release --workspace
 
+echo "== benchmark package check (out-of-workspace consumer of pels-wire) =="
+# benchmark/ is its own package, so a public-API break in the crates it
+# compiles against passes every workspace gate and would only surface when
+# the benchmark pipeline runs.
+cargo check --release --offline --locked --manifest-path benchmark/Cargo.toml
+
 echo "== binary provenance gate (embedded commit vs HEAD) =="
 # Stale target/release binaries have survived rebuilds on some hosts;
 # refuse to record any result with a binary built from another commit.
@@ -33,7 +39,7 @@ cargo test -q --workspace
   echo "cargo test changed the working tree:" >&2; git status --porcelain >&2; exit 1; }
 
 echo "== pels live smoke (loopback UDP, 2 s) =="
-# Scratch results dir: the smoke must not clobber the checked-in 5 s
+# Scratch results dir: the smoke must not clobber the checked-in
 # results/live.csv artifact (results/ is tracked in git).
 live_dir="$(mktemp -d -t pels_live_XXXXXX)"
 trap 'rm -rf "$live_dir"' EXIT
@@ -41,9 +47,8 @@ PELS_RESULTS_DIR="$live_dir" timeout 120 cargo run --release -q -p pels-cli --bi
   live --duration 2
 
 echo "== pels live determinism gate (in-memory transport, batch defaults) =="
-# The Transport batch methods default to scalar loops, so MemHub-backed
-# runs must be byte-identical run to run — the gate that vectored I/O
-# plumbing never changed the deterministic backend's behavior.
+# The serve loop on MemHub and a mock clock: byte-identical run to run, or
+# the wire stack's deterministic backend is no longer deterministic.
 PELS_RESULTS_DIR="$live_dir" timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
   live --duration 2 --mem --json > "$live_dir/live_mem_a.json"
 PELS_RESULTS_DIR="$live_dir" timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
@@ -52,8 +57,9 @@ cmp "$live_dir/live_mem_a.json" "$live_dir/live_mem_b.json" || {
   echo "pels live --mem output is not byte-identical across runs" >&2; exit 1; }
 
 echo "== pels chaos wire smoke (fault matrix, CI preset) =="
-# Six fault cases against the live wire agents; the command exits nonzero
-# if any recovery invariant (rate re-convergence, green floor, budget) fails.
+# Six fault cases against the serve loop and its receiver; the command exits
+# nonzero if any recovery invariant (rate re-convergence, green floor,
+# budget) fails.
 timeout 300 cargo run --release -q -p pels-cli --bin pels -- chaos --wire --short
 
 echo "== pels run telemetry smoke (JSON-lines stream) =="
@@ -104,7 +110,8 @@ cmp "$bench_dir/chain_w1.json" "$bench_dir/chain_w2.json" || {
 echo "== pels serve loopback smoke (256 flows, 2 s loadgen) =="
 # A real serve+loadgen pair over loopback UDP: every flow registers,
 # streams paced data, and says BYE. Gates: zero decode errors on the
-# serve socket and zero leaked flow-table entries after teardown.
+# serve socket, zero leaked flow-table entries after teardown, and — the
+# loadgen never NACKs — not one repair sent or refused.
 serve_json="$bench_dir/serve.json"
 serve_log="$bench_dir/serve.log"
 timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
@@ -131,6 +138,9 @@ if serve["decode_errors"] != 0:
     problems.append(f"serve saw {serve['decode_errors']} decode errors")
 if serve["leaked_flows"] != 0:
     problems.append(f"serve leaked {serve['leaked_flows']} flow-table entries")
+if serve["retransmissions"] != 0 or serve["nacks_ignored"] != 0:
+    problems.append(f"serve repaired {serve['retransmissions']} packets and refused "
+                    f"{serve['nacks_ignored']} NACKs with a NACK-free client")
 if serve["peak_flows"] < 256:
     problems.append(f"serve peaked at {serve['peak_flows']}/256 flows")
 if lg["data_received"] == 0:

@@ -1,24 +1,28 @@
-//! Wire-stack hot-path benchmark: datagram forwarding through the live
-//! strict-priority router over the in-memory transport.
+//! Wire-stack hot-path benchmark: data packets through the serve loop over
+//! the in-memory transport.
 //!
-//! Each iteration pushes a burst of data packets source→router and polls
-//! the router until the burst has fully departed — the per-datagram cost
-//! covers `WireData` encoding, `MemHub` delivery, router ingest
-//! (classify + queue), and budgeted forwarding with label stamping. This
-//! is the allocation-sensitive path: a per-packet `Vec` clone anywhere in
-//! it shows up directly in the elements/s number.
+//! Each iteration advances a [`ServeLoop`] hosting 32 flows by one frame
+//! interval and drains the client side — the per-packet cost covers HELLO
+//! ingest, frame planning, token-bucket pacing, `WireData` encoding, the
+//! strict-priority router (queue + budgeted service with label stamping),
+//! container coalescing, and `MemHub` delivery. This is the
+//! allocation-sensitive path: a per-packet `Vec` clone anywhere in it shows
+//! up directly in the elements/s number.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pels_netsim::packet::{AgentId, FlowId, FrameTag};
+use pels_netsim::packet::{FlowId, FrameTag};
 use pels_netsim::time::{Rate, SimTime};
-use pels_wire::codec::WireData;
-use pels_wire::router::{WireRouter, WireRouterConfig};
+use pels_wire::codec::{packets, WireData, WireHello};
 use pels_wire::transport::{MemHub, Transport};
+use pels_wire::{ServeConfig, ServeLoop};
 use std::hint::black_box;
 use std::net::SocketAddr;
 
-const BURST: usize = 32;
+const FLOWS: u32 = 32;
 const PAYLOAD: usize = 400;
+/// Without feedback every flow holds MKC's initial 128 kb/s: the 1600-byte
+/// base layer of each 10 fps frame and nothing else.
+const FRAME_BYTES: usize = 1_600;
 
 fn addr(port: u16) -> SocketAddr {
     format!("127.0.0.1:{port}").parse().unwrap()
@@ -39,36 +43,35 @@ fn datagram(seq: u64, class: u8, payload: &[u8]) -> Vec<u8> {
     .encode()
 }
 
-/// Send a burst through the router and drain the far side. Capacity is
-/// wide enough that every packet forwards within one 30 ms credit window.
+/// One frame interval of every flow per iteration, in ten 10 ms polls.
+/// Capacity is wide enough that nothing queues past a poll.
 fn bench_forward(c: &mut Criterion) {
     let mut g = c.benchmark_group("wire_forward");
-    g.throughput(Throughput::Elements(BURST as u64));
     for &payload in &[64usize, PAYLOAD] {
-        g.bench_with_input(BenchmarkId::new("burst32", payload), &payload, |b, &payload| {
+        let per_frame = FRAME_BYTES.div_ceil(payload) as u64;
+        g.throughput(Throughput::Elements(u64::from(FLOWS) * per_frame));
+        g.bench_with_input(BenchmarkId::new("frame32", payload), &payload, |b, &payload| {
             let hub = MemHub::new();
-            let rx = hub.endpoint(addr(3));
-            let router_ep = hub.endpoint(addr(2));
-            let src = hub.endpoint(addr(1));
-            let cfg = WireRouterConfig::new(AgentId(1), Rate::from_mbps(1000.0), rx.local_addr());
-            let mut router = WireRouter::new(cfg, router_ep);
-            let body = vec![0u8; payload];
+            let client = hub.endpoint(addr(2));
+            let mut cfg = ServeConfig::new(addr(1));
+            cfg.capacity = Rate::from_mbps(1000.0);
+            cfg.packet_bytes = payload as u32;
+            let mut lp = ServeLoop::new(cfg, hub.endpoint(addr(1)), None);
             let mut now_ns: u64 = 0;
-            let mut seq: u64 = 0;
             let mut sink = [0u8; 2048];
             b.iter(|| {
-                for _ in 0..BURST {
-                    let d = datagram(seq, (seq % 3) as u8, &body);
-                    src.send_to(&d, addr(2)).unwrap();
-                    seq += 1;
+                // The HELLO that registers a flow also keeps it alive.
+                for flow in 1..=FLOWS {
+                    let hello = WireHello { flow: FlowId(flow), seq: now_ns };
+                    client.send_to(&hello.encode(), addr(1)).unwrap();
                 }
-                // Two polls: ingest + credit the elapsed wall, then forward.
-                router.poll(SimTime::from_nanos(now_ns)).unwrap();
-                now_ns += 1_000_000;
-                router.poll(SimTime::from_nanos(now_ns)).unwrap();
+                for _ in 0..10 {
+                    lp.poll(SimTime::from_nanos(now_ns)).unwrap();
+                    now_ns += 10_000_000;
+                }
                 let mut got = 0usize;
-                while let Some((n, _)) = rx.try_recv(&mut sink).unwrap() {
-                    got += n;
+                while let Some((n, _)) = client.try_recv(&mut sink).unwrap() {
+                    got += packets(&sink[..n]).count();
                 }
                 black_box(got)
             });

@@ -46,6 +46,7 @@ use pels_core::router::QueueMode;
 use pels_core::scenario::{pels_flows, to_best_effort, ScenarioConfig};
 use pels_core::source::SourceMode;
 use pels_netsim::time::SimTime;
+use pels_wire::serve::{MAX_BATCH_SIZE, MAX_PACKET_BYTES, RX_SLOT_BYTES};
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -363,6 +364,16 @@ fn get_parsed<T: std::str::FromStr>(
     }
 }
 
+/// `--batch-size` of `serve` and `loadgen`: it sizes a ring of receive
+/// slots, so it is bounded here rather than trusted.
+fn parse_batch_size(map: &HashMap<String, String>) -> Result<usize, ParseArgsError> {
+    let batch_size: usize = get_parsed(map, "batch-size", 64)?;
+    if !(1..=MAX_BATCH_SIZE).contains(&batch_size) {
+        return Err(ParseArgsError(format!("--batch-size must be in 1..={MAX_BATCH_SIZE}")));
+    }
+    Ok(batch_size)
+}
+
 /// Default worker-thread count: the machine's available parallelism.
 fn default_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
@@ -670,11 +681,15 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
             }
             let max_flows: usize = get_parsed(&map, "max-flows", 4096)?;
             let packet_bytes: u32 = get_parsed(&map, "packet-bytes", 400)?;
-            let batch_size: usize = get_parsed(&map, "batch-size", 64)?;
-            if max_flows == 0 || packet_bytes == 0 || batch_size == 0 {
-                return Err(ParseArgsError(
-                    "--max-flows, --packet-bytes, and --batch-size must be at least 1".into(),
-                ));
+            let batch_size = parse_batch_size(&map)?;
+            if max_flows == 0 {
+                return Err(ParseArgsError("--max-flows must be at least 1".into()));
+            }
+            if !(1..=MAX_PACKET_BYTES).contains(&packet_bytes) {
+                return Err(ParseArgsError(format!(
+                    "--packet-bytes must be in 1..={MAX_PACKET_BYTES}: header + payload must \
+                     fit the {RX_SLOT_BYTES}-byte slot every peer receives into"
+                )));
             }
             Ok(Command::Serve {
                 listen,
@@ -710,11 +725,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
                 return Err(ParseArgsError("--warmup must be shorter than --duration".into()));
             }
             let ack_every: u32 = get_parsed(&map, "ack-every", 1)?;
-            let batch_size: usize = get_parsed(&map, "batch-size", 64)?;
-            if ack_every == 0 || batch_size == 0 {
-                return Err(ParseArgsError(
-                    "--ack-every and --batch-size must be at least 1".into(),
-                ));
+            let batch_size = parse_batch_size(&map)?;
+            if ack_every == 0 {
+                return Err(ParseArgsError("--ack-every must be at least 1".into()));
             }
             Ok(Command::Loadgen {
                 server,
@@ -930,7 +943,7 @@ pub fn execute(
             use pels_netsim::time::SimDuration;
             let tel = open_telemetry(telemetry.as_deref())?;
             if wire {
-                use pels_wire::chaos::{run_wire_matrix_instrumented, WireChaosConfig};
+                use pels_wire::chaos::{run_wire_matrix, WireChaosConfig};
                 let cfg = if short {
                     WireChaosConfig { seed, ..WireChaosConfig::short() }
                 } else {
@@ -941,7 +954,7 @@ pub fn execute(
                     }
                 };
                 cfg.validate().map_err(|e| format!("bad wire chaos schedule: {e}"))?;
-                let report = run_wire_matrix_instrumented(&cfg, &tel).map_err(|e| e.to_string())?;
+                let report = run_wire_matrix(&cfg, &tel).map_err(|e| e.to_string())?;
                 if json {
                     let j = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
                     return w(out, j);
@@ -1019,9 +1032,17 @@ pub fn execute(
                 Some(path) => {
                     let text = std::fs::read_to_string(path)
                         .map_err(|e| format!("cannot read {path}: {e}"))?;
-                    let spec: LiveFaults = serde_json::from_str(&text)
-                        .map_err(|e| format!("bad fault schedule {path}: {e}"))?;
-                    spec.validate().map_err(|e| format!("bad fault schedule {path}: {e}"))?;
+                    // Files for the former three-endpoint schema (`source`,
+                    // `router`, `receiver`) fail with `server` missing.
+                    let bad = |e: String| {
+                        format!(
+                            "bad fault schedule {path}: {e} (the schema has one fault spec \
+                             under each of the keys `server` and `receiver`)"
+                        )
+                    };
+                    let spec: LiveFaults =
+                        serde_json::from_str(&text).map_err(|e| bad(e.to_string()))?;
+                    spec.validate().map_err(bad)?;
                     Some(spec)
                 }
             };
@@ -1520,7 +1541,11 @@ pub fn usage() -> String {
      and is clamped to min(nproc, shards) at run time; for `bench` the\n\
      default sweep is `1,<nproc>` (just `1` on one core).\n\
      Topology shorthands: parkinglot:segments=3,cross=1  fattree:k=4\n\
-     waxman:routers=16  — common keys flows, seed, tcp, budget (kb/s)."
+     waxman:routers=16  — common keys flows, seed, tcp, budget (kb/s).\n\
+     live --faults FILE.json holds one fault spec under each of the keys\n\
+     `server` and `receiver` (README.md has a complete file).\n\
+     serve/loadgen sizes are bounded by the 2048-byte receive slot:\n\
+     --packet-bytes 1..=1970, --batch-size 1..=1024."
         .to_string()
 }
 
@@ -1898,7 +1923,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sched.json");
         let mut spec = pels_wire::LiveFaults::default();
-        spec.source.tx.drop = 0.2;
+        spec.server.tx.drop = 0.2;
         std::fs::write(&path, serde_json::to_string(&spec).unwrap()).unwrap();
         let cmd =
             parse_args(&args(&format!("live --duration 2 --mem --faults {}", path.display())))
@@ -1910,14 +1935,22 @@ mod tests {
         let Some(fault_line) = fault_line else { panic!("no faults line in:\n{text}") };
         assert!(!fault_line.contains(" 0 dropped"), "20% tx drop must fire: {fault_line}");
 
-        // An invalid schedule is rejected before the run starts.
-        spec.source.tx.drop = 1.5;
-        std::fs::write(&path, serde_json::to_string(&spec).unwrap()).unwrap();
-        let cmd =
-            parse_args(&args(&format!("live --duration 2 --mem --faults {}", path.display())))
-                .unwrap();
-        let err = execute(cmd, &OutputDirs::default(), &mut Vec::new()).unwrap_err();
-        assert!(err.contains("bad fault schedule"), "{err}");
+        // An invalid schedule is rejected before the run starts, and so is
+        // one written for the former `source`/`router`/`receiver` schema;
+        // both messages name the keys a schedule has.
+        spec.server.tx.drop = 1.5;
+        let invalid = serde_json::to_string(&spec).unwrap();
+        spec.server.tx.drop = 0.2;
+        let former = serde_json::to_string(&spec).unwrap().replace("\"server\"", "\"source\"");
+        for text in [invalid, former] {
+            std::fs::write(&path, text).unwrap();
+            let cmd =
+                parse_args(&args(&format!("live --duration 2 --mem --faults {}", path.display())))
+                    .unwrap();
+            let err = execute(cmd, &OutputDirs::default(), &mut Vec::new()).unwrap_err();
+            assert!(err.contains("bad fault schedule"), "{err}");
+            assert!(err.contains("`server` and `receiver`"), "{err}");
+        }
     }
 
     #[test]
@@ -1983,8 +2016,8 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         let lines = pels_telemetry::parse_snapshot_lines(&text).unwrap();
         let last = &lines.last().unwrap().snapshot;
-        assert!(last.counters["wire.src.feedback_epochs"] > 0);
-        assert!(last.counters.contains_key("wire.router.tx.green"));
+        assert!(last.counters["wire.serve.acks"] > 0);
+        assert!(last.counters.contains_key("wire.serve.tx"));
     }
 
     #[test]
@@ -2139,6 +2172,15 @@ mod tests {
         assert!(parse_args(&args("serve --capacity-mbps -1")).is_err());
         assert!(parse_args(&args("serve --batch-size 0")).is_err());
         assert!(parse_args(&args("serve --max-flows 0")).is_err());
+        // Sizes that would overrun a peer's receive slot, or allocate by
+        // the gigabyte, never get past the command line.
+        assert!(parse_args(&args("serve --packet-bytes 1970")).is_ok());
+        for bad in ["--packet-bytes 0", "--packet-bytes 3000", "--packet-bytes 4000000000"] {
+            let err = parse_args(&args(&format!("serve {bad}"))).unwrap_err();
+            assert!(err.0.contains("1..=1970"), "{bad}: {}", err.0);
+        }
+        assert!(parse_args(&args("serve --batch-size 1024")).is_ok());
+        assert!(parse_args(&args("serve --batch-size 1025")).is_err());
     }
 
     #[test]
@@ -2164,6 +2206,8 @@ mod tests {
         assert!(parse_args(&args("loadgen --flows 0")).is_err());
         assert!(parse_args(&args("loadgen --warmup 5 --duration 4")).is_err());
         assert!(parse_args(&args("loadgen --ack-every 0")).is_err());
+        assert!(parse_args(&args("loadgen --batch-size 0")).is_err());
+        assert!(parse_args(&args("loadgen --batch-size 1025")).is_err());
         assert!(parse_args(&args("loadgen --server nowhere")).is_err());
     }
 

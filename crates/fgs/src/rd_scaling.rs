@@ -29,7 +29,9 @@ pub struct FrameBudget {
 ///
 /// Returns one allocation per input frame, in order; the allocations sum to
 /// at most `total_bytes` (exactly, unless every frame hits its cap or its
-/// PSNR ceiling first).
+/// PSNR ceiling first). Each allocation is within [`NEED_SLACK_BYTES`] above
+/// what its frame needs to reach the common level, and no frame is given
+/// bytes past its ceiling, where they would buy nothing.
 ///
 /// # Examples
 ///
@@ -64,10 +66,8 @@ pub fn allocate_equal_quality(
         // Invert the monotone R-D curve by binary search on bytes (robust
         // to any concave model, not just the linear-to-cap default).
         let (mut lo, mut hi) = (0u64, fb.max_bytes);
-        if model.psnr(fb.frame, hi, true) < q {
-            return hi;
-        }
-        while hi - lo > 8 {
+        let q = q.min(model.psnr(fb.frame, hi, true));
+        while hi - lo > NEED_SLACK_BYTES {
             let mid = (lo + hi) / 2;
             if model.psnr(fb.frame, mid, true) < q {
                 lo = mid;
@@ -95,6 +95,9 @@ pub fn allocate_equal_quality(
     }
     frames.iter().map(|fb| need(fb, q_lo)).collect()
 }
+
+/// Resolution of [`allocate_equal_quality`]'s per-frame byte search.
+pub const NEED_SLACK_BYTES: u64 = 8;
 
 /// The fixed-fraction baseline the paper uses: every frame gets the same
 /// byte budget (clamped to its maximum).
@@ -128,7 +131,7 @@ mod tests {
         let model = RdModel::foreman_like(20, 3);
         let fs = frames(20, 5_000);
         let alloc = allocate_equal_quality(&model, &fs, 40_000);
-        assert!(alloc.iter().sum::<u64>() <= 40_000 + 20 * 8); // search slack
+        assert!(alloc.iter().sum::<u64>() <= 40_000 + 20 * NEED_SLACK_BYTES);
         assert!(alloc.iter().all(|&b| b <= 5_000));
     }
 
@@ -147,6 +150,19 @@ mod tests {
             sd_rd < 0.5 * sd_fixed,
             "waterfilling should halve fluctuation: {sd_rd} vs {sd_fixed}"
         );
+    }
+
+    #[test]
+    fn no_frame_is_given_bytes_past_its_ceiling() {
+        // 12 kB caps sit well past where the gain saturates (~9 kB a frame),
+        // and at that budget the common level lies above some ceilings.
+        let model = RdModel::foreman_like(20, 3);
+        let fs = frames(20, 12_000);
+        let alloc = allocate_equal_quality(&model, &fs, 20 * 9_000);
+        for (fb, &b) in fs.iter().zip(&alloc) {
+            let short = b.saturating_sub(2 * NEED_SLACK_BYTES);
+            assert!(b == 0 || model.psnr(fb.frame, short, true) < model.psnr(fb.frame, b, true));
+        }
     }
 
     #[test]
@@ -213,7 +229,7 @@ mod proptests {
             let alloc = allocate_equal_quality(&model, &fs, budget);
             prop_assert_eq!(alloc.len(), fs.len());
             prop_assert!(alloc.iter().all(|&b| b <= cap));
-            let slack = 8 * n; // binary-search quantization
+            let slack = NEED_SLACK_BYTES * n; // binary-search quantization
             prop_assert!(alloc.iter().sum::<u64>() <= budget + slack);
         }
     }

@@ -9,7 +9,7 @@
 //! datagram no matter how many ride one `sendmmsg`. The serve/loadgen
 //! loops therefore pair this with application-layer coalescing — packing
 //! several self-delimiting wire packets into one datagram — which is what
-//! actually moves the ratio there; see DESIGN.md §15 and
+//! actually moves the ratio there; see DESIGN.md §9 and
 //! `BENCH_wire.json` for the measured split.
 //!
 //! The workspace vendors no `libc` crate, so the two syscalls and the

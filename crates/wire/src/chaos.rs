@@ -1,49 +1,43 @@
-//! The wire recovery matrix: six scripted fault cases against the live
-//! agent stack, each checked against machine-readable recovery
-//! invariants.
+//! The wire recovery matrix: six scripted fault cases against the wire
+//! stack, each checked against machine-readable recovery invariants.
 //!
 //! This is the wire-layer sibling of `pels_core::chaos` (the simulator's
 //! matrix). Instead of perturbing simulator internals, every case here
-//! runs the *real* agents — [`WireSource`], [`WireRouter`],
-//! [`WireReceiver`] — over the in-memory hub with a
-//! [`FaultTransport`](crate::FaultTransport) wrapped around each
-//! endpoint, driven by a [`ManualClock`] so runs are bit-reproducible.
-//! The cases ([`WireChaosCase`]) cover the failure axes a datagram path
-//! actually has: feedback blackout, data loss bursts, byte corruption,
-//! receiver churn, duplicate/reorder floods, and asymmetric delay.
+//! runs the stack that ships — a [`ServeLoop`](crate::serve::ServeLoop)
+//! streaming to a [`WireReceiver`](crate::WireReceiver), built and driven
+//! by the same [`Session`] as `pels live` — over the in-memory hub with a
+//! [`FaultTransport`](crate::FaultTransport) wrapped around each endpoint,
+//! timed by a [`ManualClock`] so runs are bit-reproducible. The cases
+//! ([`WireChaosCase`]) cover the failure axes a datagram path actually
+//! has: feedback blackout, data loss bursts, byte corruption, receiver
+//! churn, duplicate/reorder floods, and asymmetric delay.
 //!
 //! After the fault window clears, every case must satisfy the
 //! [`RecoveryInvariants`]:
 //!
-//! 1. **Rate re-convergence** — the source's MKC rate returns to within
+//! 1. **Rate re-convergence** — the flow's MKC rate returns to within
 //!    5% of the Lemma 6 stationary point `r* = C/N + α/β` within
 //!    [`WIRE_RECOVERY_BUDGET_S`] seconds of the fault clearing.
 //! 2. **Base layer never starves** — once the path has settled, at least
 //!    [`WIRE_GREEN_FLOOR`] of sent green packets are delivered.
-//! 3. **No panic** — whatever bytes the faults mutate, every agent keeps
-//!    polling; undecodable datagrams surface as counted `decode_errors`.
+//! 3. **No panic** — whatever bytes the faults mutate, both endpoints keep
+//!    polling; undecodable packets surface as counted `decode_errors`.
 //!
 //! `pels chaos --wire` runs the whole matrix and fails loudly if any
 //! invariant breaks.
 
-use crate::faults::{Blackout, FaultDirection, FaultTransport, FaultWindow};
-use crate::faults::{WireFaultPolicy, WireFaultSpec, WireFaultStats, WireFaultTotals};
-use crate::receiver::{HeartbeatConfig, WireReceiver, WireReceiverConfig};
-use crate::router::{WireRouter, WireRouterConfig};
-use crate::source::{WireSource, WireSourceConfig};
-use crate::transport::{MemHub, MemTransport};
+use crate::faults::{Blackout, FaultDirection, FaultWindow};
+use crate::faults::{LiveFaults, WireFaultPolicy, WireFaultSpec, WireFaultTotals};
+use crate::live::{LiveBackend, LiveConfig, Session, RECEIVER_ADDR, SERVER_ADDR};
+use crate::transport::MemHub;
 use pels_core::chaos::{RecoveryInvariants, WireChaosCase};
-use pels_core::gamma::GammaConfig;
-use pels_core::mkc::MkcConfig;
-use pels_core::receiver::NackConfig;
-use pels_fgs::frame::VideoTrace;
-use pels_netsim::clock::{Clock, ManualClock};
-use pels_netsim::packet::{AgentId, FlowId};
+use pels_core::mkc::{MkcConfig, MkcController};
+use pels_netsim::clock::ManualClock;
 use pels_netsim::time::{Rate, SimDuration, SimTime};
 use pels_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::io;
-use std::net::SocketAddr;
 use std::sync::Arc;
 
 /// Relative band around `r*` the wire stack must re-enter after a fault.
@@ -73,8 +67,8 @@ const GREEN_SETTLE: SimDuration = SimDuration::from_millis(500);
 /// Configuration of one wire-matrix run (shared by all six cases).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WireChaosConfig {
-    /// Seed for every [`FaultTransport`] RNG stream (per-endpoint streams
-    /// are derived, so one seed still decorrelates the three endpoints).
+    /// Seed for every fault RNG stream (per-endpoint streams are derived,
+    /// so one seed still decorrelates the two endpoints).
     pub seed: u64,
     /// Streaming time per case (frames stop; in-flight traffic drains).
     pub duration: SimDuration,
@@ -86,8 +80,6 @@ pub struct WireChaosConfig {
     pub bottleneck: Rate,
     /// Fraction of the bottleneck reserved for PELS (paper: 0.5).
     pub pels_share: f64,
-    /// The mock clock's step per poll round.
-    pub poll_interval: SimDuration,
 }
 
 impl Default for WireChaosConfig {
@@ -102,7 +94,6 @@ impl Default for WireChaosConfig {
             fault_to: SimTime::from_secs_f64(6.0),
             bottleneck: Rate::from_mbps(4.0),
             pels_share: 0.5,
-            poll_interval: SimDuration::from_millis(1),
         }
     }
 }
@@ -152,9 +143,6 @@ impl WireChaosConfig {
         if !(self.pels_share > 0.0 && self.pels_share <= 1.0) {
             return Err(format!("pels_share must be in (0, 1]: {}", self.pels_share));
         }
-        if self.poll_interval <= SimDuration::ZERO {
-            return Err("poll_interval must be positive".into());
-        }
         Ok(())
     }
 
@@ -170,8 +158,7 @@ pub struct WireCaseReport {
     pub name: String,
     /// The Lemma 6 stationary rate for this topology.
     pub r_star_kbps: f64,
-    /// Trailing 1 s mean of the source rate, taken at the stop deadline
-    /// (before the drain, which would decay the estimate toward idle).
+    /// Trailing 1 s mean of the flow's rate at the stop deadline.
     pub final_rate_kbps: f64,
     /// Whether the final rate sits within the ±5% band around `r*`.
     pub rate_ok: bool,
@@ -189,17 +176,17 @@ pub struct WireCaseReport {
     pub recovery_s: Option<f64>,
     /// Whether recovery happened within [`WIRE_RECOVERY_BUDGET_S`].
     pub recovery_ok: bool,
-    /// Stale-feedback decays applied by the source watchdog.
+    /// Stale-feedback decays applied by the flow's watchdog.
     pub watchdog_trips: u64,
-    /// NACK-driven retransmissions performed by the source.
+    /// Base-layer repairs the server queued in answer to NACKs.
     pub retransmissions: u64,
     /// Retransmitted packets that arrived (ARQ recoveries).
     pub recovered_packets: u64,
-    /// Undecodable datagrams counted across all three agents.
+    /// Undecodable packets counted at the server and the receiver.
     pub decode_errors: u64,
-    /// Flow-table evictions at the router.
+    /// Flow-table evictions at the server.
     pub evictions: u64,
-    /// HELLO control frames the router ingested.
+    /// HELLO control frames the server ingested.
     pub hellos_seen: u64,
     /// Fault decisions actually taken, summed over every endpoint.
     pub faults: WireFaultTotals,
@@ -223,263 +210,125 @@ pub struct WireChaosReport {
     pub all_ok: bool,
 }
 
-/// What one case scripts: a fault spec per endpoint, plus topology
-/// switches the transports alone cannot express.
-struct CaseScript {
-    source: WireFaultSpec,
-    router: WireFaultSpec,
-    receiver: WireFaultSpec,
-    /// Router drops data from flows with no live HELLO registration.
-    strict_flows: bool,
-    /// The receiver process "crashes" at `fault_from` and a replacement
-    /// binds the same address at `fault_to`.
-    churn: bool,
-}
-
-fn script_for(case: WireChaosCase, cfg: &WireChaosConfig) -> CaseScript {
-    let window = cfg.window();
+/// The fault spec each endpoint runs in `case`. Receiver churn is the one
+/// fault the transports cannot express: both endpoints stay fault-free and
+/// the run loop crashes and replaces the receiver instead.
+fn script_for(case: WireChaosCase, cfg: &WireChaosConfig) -> LiveFaults {
+    let window = Some(cfg.window());
     // Distinct per-endpoint seeds: FaultTransport derives its own tx/rx
     // streams from each, so endpoints never share a decision sequence.
     let spec =
         |salt: u64| WireFaultSpec { seed: cfg.seed.wrapping_add(salt), ..Default::default() };
-    let quiet = CaseScript {
-        source: spec(1),
-        router: spec(2),
-        receiver: spec(3),
-        strict_flows: false,
-        churn: false,
-    };
+    let mut faults = LiveFaults { server: spec(1), receiver: spec(2) };
     match case {
-        WireChaosCase::FeedbackBlackout => CaseScript {
-            receiver: WireFaultSpec {
-                blackouts: vec![Blackout { window, direction: FaultDirection::Tx }],
-                ..spec(3)
-            },
-            ..quiet
-        },
-        WireChaosCase::DataLossBurst => CaseScript {
-            source: WireFaultSpec {
-                tx: WireFaultPolicy { drop: 0.3, window: Some(window), ..Default::default() },
-                ..spec(1)
-            },
-            ..quiet
-        },
-        WireChaosCase::CorruptionStorm => CaseScript {
-            router: WireFaultSpec {
-                tx: WireFaultPolicy {
-                    corrupt: 0.5,
-                    truncate: 0.2,
-                    window: Some(window),
-                    ..Default::default()
-                },
-                ..spec(2)
-            },
-            ..quiet
-        },
-        WireChaosCase::ReceiverChurn => CaseScript { strict_flows: true, churn: true, ..quiet },
+        WireChaosCase::FeedbackBlackout => faults
+            .receiver
+            .blackouts
+            .push(Blackout { window: cfg.window(), direction: FaultDirection::Tx }),
+        WireChaosCase::DataLossBurst => {
+            faults.server.tx = WireFaultPolicy { drop: 0.3, window, ..Default::default() };
+        }
+        WireChaosCase::CorruptionStorm => {
+            faults.server.tx =
+                WireFaultPolicy { corrupt: 0.5, truncate: 0.2, window, ..Default::default() };
+        }
+        WireChaosCase::ReceiverChurn => {}
         WireChaosCase::DupReorderFlood => {
-            let flood = WireFaultPolicy {
-                duplicate: 0.25,
-                reorder: 0.25,
-                window: Some(window),
+            let flood =
+                WireFaultPolicy { duplicate: 0.25, reorder: 0.25, window, ..Default::default() };
+            (faults.server.tx, faults.receiver.tx) = (flood, flood);
+        }
+        WireChaosCase::AsymmetricDelay => {
+            faults.receiver.tx = WireFaultPolicy {
+                delay: 1.0,
+                delay_by: SimDuration::from_millis(50),
+                window,
                 ..Default::default()
             };
-            CaseScript {
-                source: WireFaultSpec { tx: flood, ..spec(1) },
-                receiver: WireFaultSpec { tx: flood, ..spec(3) },
-                ..quiet
-            }
         }
-        WireChaosCase::AsymmetricDelay => CaseScript {
-            receiver: WireFaultSpec {
-                tx: WireFaultPolicy {
-                    delay: 1.0,
-                    delay_by: SimDuration::from_millis(50),
-                    window: Some(window),
-                    ..Default::default()
-                },
-                ..spec(3)
-            },
-            ..quiet
-        },
     }
+    faults
 }
 
-type FaultedEndpoint = FaultTransport<MemTransport, Arc<ManualClock>>;
-
-fn faulted(
-    hub: &MemHub,
-    addr: SocketAddr,
-    clock: &Arc<ManualClock>,
-    spec: WireFaultSpec,
-    telemetry: &Telemetry,
-) -> (FaultedEndpoint, Arc<WireFaultStats>) {
-    let mut ep = FaultTransport::new(hub.endpoint(addr), Arc::clone(clock), spec);
-    ep.set_telemetry(telemetry.clone());
-    let stats = ep.stats();
-    (ep, stats)
-}
-
-fn mem_addr(port: u16) -> SocketAddr {
-    SocketAddr::new("127.0.0.1".parse().expect("static addr"), port)
-}
-
-/// Runs one case of the matrix.
+/// Runs one case of the matrix, with `telemetry` shared by both endpoints
+/// and their fault transports.
 ///
 /// # Errors
 ///
-/// The in-memory hub cannot fail; any `io::Error` would come from agent
+/// The in-memory hub cannot fail; any `io::Error` would come from endpoint
 /// internals and is propagated.
 ///
 /// # Panics
 ///
 /// Panics if `cfg` fails [`WireChaosConfig::validate`].
-pub fn run_wire_case(cfg: &WireChaosConfig, case: WireChaosCase) -> io::Result<WireCaseReport> {
-    run_wire_case_instrumented(cfg, case, &Telemetry::disabled())
-}
-
-/// [`run_wire_case`] with a telemetry handle shared by the agents and
-/// every fault transport.
-///
-/// # Errors
-///
-/// See [`run_wire_case`].
-///
-/// # Panics
-///
-/// Panics if `cfg` fails [`WireChaosConfig::validate`].
-pub fn run_wire_case_instrumented(
+pub fn run_wire_case(
     cfg: &WireChaosConfig,
     case: WireChaosCase,
     telemetry: &Telemetry,
 ) -> io::Result<WireCaseReport> {
     cfg.validate().expect("invalid wire chaos config");
-    let script = script_for(case, cfg);
-    let pels_capacity =
-        Rate::from_bps((cfg.bottleneck.as_bps() as f64 * cfg.pels_share).round() as u64);
-
-    let hub = MemHub::new();
-    let clock = Arc::new(ManualClock::new());
-    let (src_addr, router_addr, rx_addr) = (mem_addr(9001), mem_addr(9002), mem_addr(9003));
-    let (src_ep, src_faults) = faulted(&hub, src_addr, &clock, script.source, telemetry);
-    let (router_ep, router_faults) = faulted(&hub, router_addr, &clock, script.router, telemetry);
-    let (rx_ep, rx_faults) = faulted(&hub, rx_addr, &clock, script.receiver.clone(), telemetry);
-
-    let trace = VideoTrace::constant(120, 20.0, 800, 30_000);
-    let packet_bytes = 500;
-    let arq_frames = 8;
-    let mut source = WireSource::new(
-        WireSourceConfig {
-            flow: FlowId(1),
-            trace,
-            mkc: MkcConfig::default(),
-            gamma: GammaConfig::default(),
-            packet_bytes,
-            router: router_addr,
-            arq_frames,
-            retx_limit: 3,
-            retx_budget: 65_536,
-        },
-        src_ep,
-    );
-    let mut router = WireRouter::new(
-        WireRouterConfig {
-            strict_flows: script.strict_flows,
-            ..WireRouterConfig::new(AgentId(1), pels_capacity, rx_addr)
-        },
-        router_ep,
-    );
-    let rx_cfg = WireReceiverConfig {
-        flow: FlowId(1),
-        feedback_to: src_addr,
-        nack: Some(NackConfig::default()),
-        packet_bytes,
-        heartbeat: Some(HeartbeatConfig::new(router_addr)),
+    let churn = case == WireChaosCase::ReceiverChurn;
+    // Everything the config does not name is `pels live`'s default stream.
+    let live = LiveConfig {
+        duration: cfg.duration,
+        bottleneck: cfg.bottleneck,
+        pels_share: cfg.pels_share,
+        backend: LiveBackend::Memory,
+        telemetry: telemetry.clone(),
+        faults: Some(script_for(case, cfg)),
+        ..LiveConfig::default()
     };
-    let mut receiver = Some(WireReceiver::new(rx_cfg.clone(), rx_ep));
-    source.set_telemetry(telemetry.clone());
-    router.set_telemetry(telemetry.clone());
-    if let Some(rx) = receiver.as_mut() {
-        rx.set_telemetry(telemetry.clone());
-    }
-
     let invariants = RecoveryInvariants {
-        r_star_bps: source.mkc().stationary_rate_bps(pels_capacity, 1),
+        r_star_bps: MkcController::new(MkcConfig::default())
+            .stationary_rate_bps(live.pels_capacity(), 1),
         rate_tolerance: WIRE_RATE_TOLERANCE,
         green_floor: WIRE_GREEN_FLOOR,
     };
 
-    // Churn bookkeeping: the "crashed" first receiver's delivery counters,
-    // folded into the replacement's totals when measuring green delivery.
-    let mut churned = false;
+    let hub = MemHub::new();
+    let clock = Arc::new(ManualClock::new());
+    let (server_ep, rx_ep) = (hub.endpoint(SERVER_ADDR), hub.endpoint(RECEIVER_ADDR));
+    let mut session = Session::wire_up(&live, clock, server_ep, rx_ep)?;
+
+    // Churn bookkeeping: what the "crashed" first receiver had counted.
+    let mut crashed = false;
     let mut carried_green_recv = 0u64;
-    let mut extra_hellos = 0u64;
-    // A second stats handle appears when the replacement endpoint is
-    // wrapped; totals from both are summed at the end.
-    let mut rx_faults_all = vec![rx_faults];
+    let mut carried_hellos = 0u64;
 
     let settle = cfg.fault_to.saturating_add(GREEN_SETTLE);
     let mut settle_snapshot: Option<(u64, u64)> = None;
     let mut recovered_at: Option<SimTime> = None;
-    let deadline = SimTime::ZERO.saturating_add(cfg.duration);
-    let drain_deadline = deadline.saturating_add(SimDuration::from_millis(300));
-    let mut at_stop: Option<f64> = None;
-    // Trailing [`RATE_WINDOW`] of per-tick rate samples; see the constant
-    // for why the invariant judges the mean, not the instantaneous rate.
-    let mut rate_window: std::collections::VecDeque<(SimTime, f64)> =
-        std::collections::VecDeque::new();
+    // The flow's rate after each poll of the trailing [`RATE_WINDOW`] while
+    // streaming (afterwards the window stays as the stop deadline left it).
+    let stop = SimTime::ZERO.saturating_add(cfg.duration);
+    let mut rate_window = VecDeque::new();
     let mut rate_sum = 0.0;
-    loop {
-        let now = clock.now();
-        if script.churn {
-            if !churned && now >= cfg.fault_from {
-                // Crash: no BYE, the flow table only learns via idle
-                // timeout. Dropping the endpoint discards its queue.
-                if let Some(rx) = receiver.take() {
-                    carried_green_recv += rx.received_by_color[0];
-                    extra_hellos += rx.hellos_sent();
+    session.run(|now, session| {
+        if now < stop {
+            let rate = session.flow().rate_bps;
+            rate_window.push_back((now, rate));
+            rate_sum += rate;
+            while let Some(&(t, oldest)) = rate_window.front() {
+                if now.duration_since(t) < RATE_WINDOW {
+                    break;
                 }
-                churned = true;
-            }
-            if churned && receiver.is_none() && now >= cfg.fault_to {
-                // Replacement binds the same address (fresh queue) and
-                // re-registers through its own HELLOs.
-                let (ep, stats) =
-                    faulted(&hub, rx_addr, &clock, script.receiver.clone(), telemetry);
-                rx_faults_all.push(stats);
-                let mut rx = WireReceiver::new(rx_cfg.clone(), ep);
-                rx.set_telemetry(telemetry.clone());
-                receiver = Some(rx);
-            }
-        }
-        if at_stop.is_none() && now >= deadline {
-            source.stop();
-            at_stop = Some(if rate_window.is_empty() {
-                source.rate_bps()
-            } else {
-                rate_sum / rate_window.len() as f64
-            });
-        }
-        if now >= drain_deadline {
-            break;
-        }
-        // Receiver first so HELLOs reach the router's queue ahead of the
-        // same tick's data — in strict mode the flow must be registered
-        // before its first packet is forwarded.
-        if let Some(rx) = receiver.as_mut() {
-            rx.poll(now)?;
-        }
-        source.poll(now)?;
-        router.poll(now)?;
-        rate_window.push_back((now, source.rate_bps()));
-        rate_sum += source.rate_bps();
-        while let Some(&(t, v)) = rate_window.front() {
-            if now.duration_since(t) >= RATE_WINDOW {
-                rate_sum -= v;
+                rate_sum -= oldest;
                 rate_window.pop_front();
-            } else {
-                break;
             }
+        }
+        if churn && !crashed && now >= cfg.fault_from {
+            // Crash: no BYE, the flow table only learns via idle timeout.
+            if let Some(rx) = session.receiver.take() {
+                carried_green_recv = rx.received_by_color[0];
+                carried_hellos = rx.hellos_sent();
+            }
+            crashed = true;
+        }
+        if crashed && session.receiver.is_none() && now >= cfg.fault_to {
+            // The replacement binds the same address (a fresh queue: what
+            // was sent to the dead socket is gone) and registers itself
+            // through its own HELLOs.
+            session.start_receiver(hub.endpoint(RECEIVER_ADDR));
         }
         if now >= cfg.fault_to {
             let mean = rate_sum / rate_window.len() as f64;
@@ -487,48 +336,46 @@ pub fn run_wire_case_instrumented(
                 recovered_at = Some(now);
             }
             if settle_snapshot.is_none() && now >= settle {
-                let recv = receiver.as_ref().map_or(0, |rx| rx.received_by_color[0]);
-                settle_snapshot = Some((source.sent_by_color[0], carried_green_recv + recv));
+                let recv = session.receiver.as_ref().map_or(0, |rx| rx.received_by_color[0]);
+                let sent = session.server.report(now).paced_by_class[0];
+                settle_snapshot = Some((sent, carried_green_recv + recv));
             }
         }
-        clock.advance(cfg.poll_interval);
-    }
+        Ok(())
+    })?;
 
+    // The flow as it stood at the stop deadline; the server once the BYE
+    // and the drain are behind it.
+    let flow = session.flow();
+    let server = session.server.report(stop);
+    let rx = session.receiver.as_ref();
     let (green_sent_at_settle, green_recv_at_settle) = settle_snapshot.unwrap_or((0, 0));
-    let rx_green = receiver.as_ref().map_or(0, |rx| rx.received_by_color[0]);
-    let green_sent_post = source.sent_by_color[0].saturating_sub(green_sent_at_settle);
+    let rx_green = rx.map_or(0, |rx| rx.received_by_color[0]);
+    let green_sent_post = session.stopped().paced_by_class[0].saturating_sub(green_sent_at_settle);
     let green_recv_post = (carried_green_recv + rx_green).saturating_sub(green_recv_at_settle);
     let green_delivery =
         if green_sent_post > 0 { green_recv_post as f64 / green_sent_post as f64 } else { 0.0 };
     let green_ok = green_sent_post > 0 && invariants.green_ok(green_delivery);
 
-    let final_rate_bps = at_stop.unwrap_or_else(|| source.rate_bps());
+    let final_rate_bps = rate_sum / rate_window.len() as f64;
     let rate_ok = invariants.rate_ok(final_rate_bps);
     let recovery_s = recovered_at.map(|t| t.duration_since(cfg.fault_to).as_secs_f64());
     let recovery_ok = recovery_s.is_some_and(|s| s <= WIRE_RECOVERY_BUDGET_S);
 
-    let mut faults = src_faults.totals();
-    faults.add(&router_faults.totals());
-    for stats in &rx_faults_all {
-        faults.add(&stats.totals());
-    }
-    let recovered_packets = receiver.as_ref().map_or(0, |rx| rx.recovered_packets);
-    let rx_decode_errors = receiver.as_ref().map_or(0, |rx| rx.decode_errors);
-    let hellos_sent = extra_hellos + receiver.as_ref().map_or(0, |rx| rx.hellos_sent());
-    let decode_errors = source.decode_errors + router.decode_errors + rx_decode_errors;
+    let faults = session.fault_totals();
+    let recovered_packets = rx.map_or(0, |rx| rx.recovered_packets);
+    let hellos_sent = carried_hellos + rx.map_or(0, |rx| rx.hellos_sent());
+    let decode_errors = server.decode_errors + rx.map_or(0, |rx| rx.decode_errors);
+    // The silenced (or dead) receiver's flow was evicted, and the resumed
+    // heartbeat registered it again: one BYE at the end empties the table.
+    let reregistered = server.evictions >= 1 && server.byes == 1 && server.leaked_flows == 0;
 
     let signal_ok = match case {
-        WireChaosCase::FeedbackBlackout => {
-            // The watchdog must have decayed on stale feedback, the router
-            // must have evicted the silent flow, and the resumed heartbeat
-            // must have re-registered it.
-            source.stale_decays > 0 && router.evictions >= 1 && router.flows() == 1
-        }
+        // The watchdog must also have decayed on stale feedback.
+        WireChaosCase::FeedbackBlackout => flow.watchdog_trips > 0 && reregistered,
         WireChaosCase::DataLossBurst => faults.dropped > 0 && recovered_packets > 0,
         WireChaosCase::CorruptionStorm => faults.corrupted > 0 && decode_errors > 0,
-        WireChaosCase::ReceiverChurn => {
-            router.evictions >= 1 && router.flows() == 1 && hellos_sent >= 2
-        }
+        WireChaosCase::ReceiverChurn => reregistered && hellos_sent >= 2,
         WireChaosCase::DupReorderFlood => faults.duplicated > 0 && faults.reordered > 0,
         WireChaosCase::AsymmetricDelay => faults.delayed > 0,
     };
@@ -545,19 +392,19 @@ pub fn run_wire_case_instrumented(
         green_ok,
         recovery_s,
         recovery_ok,
-        watchdog_trips: source.stale_decays,
-        retransmissions: source.retransmissions,
+        watchdog_trips: flow.watchdog_trips,
+        retransmissions: flow.retransmissions,
         recovered_packets,
         decode_errors,
-        evictions: router.evictions,
-        hellos_seen: router.hellos_seen,
+        evictions: server.evictions,
+        hellos_seen: server.hellos,
         faults,
         signal_ok,
         ok,
     })
 }
 
-/// Runs all six cases of [`WireChaosCase::ALL`].
+/// Runs all six cases of [`WireChaosCase::ALL`] under one telemetry handle.
 ///
 /// # Errors
 ///
@@ -566,26 +413,13 @@ pub fn run_wire_case_instrumented(
 /// # Panics
 ///
 /// Panics if `cfg` fails [`WireChaosConfig::validate`].
-pub fn run_wire_matrix(cfg: &WireChaosConfig) -> io::Result<WireChaosReport> {
-    run_wire_matrix_instrumented(cfg, &Telemetry::disabled())
-}
-
-/// [`run_wire_matrix`] with a shared telemetry handle.
-///
-/// # Errors
-///
-/// See [`run_wire_case`].
-///
-/// # Panics
-///
-/// Panics if `cfg` fails [`WireChaosConfig::validate`].
-pub fn run_wire_matrix_instrumented(
+pub fn run_wire_matrix(
     cfg: &WireChaosConfig,
     telemetry: &Telemetry,
 ) -> io::Result<WireChaosReport> {
     let mut cases = Vec::with_capacity(WireChaosCase::ALL.len());
     for case in WireChaosCase::ALL {
-        cases.push(run_wire_case_instrumented(cfg, case, telemetry)?);
+        cases.push(run_wire_case(cfg, case, telemetry)?);
     }
     let all_ok = cases.iter().all(|c| c.ok);
     Ok(WireChaosReport { seed: cfg.seed, duration_s: cfg.duration.as_secs_f64(), cases, all_ok })
@@ -597,6 +431,10 @@ mod tests {
 
     fn cfg() -> WireChaosConfig {
         WireChaosConfig::short()
+    }
+
+    fn run_matrix() -> WireChaosReport {
+        run_wire_matrix(&cfg(), &Telemetry::disabled()).unwrap()
     }
 
     #[test]
@@ -615,7 +453,7 @@ mod tests {
 
     #[test]
     fn all_short_cases_recover() {
-        let report = run_wire_matrix(&cfg()).unwrap();
+        let report = run_matrix();
         assert_eq!(report.cases.len(), 6);
         for c in &report.cases {
             assert!(
@@ -637,14 +475,13 @@ mod tests {
 
     #[test]
     fn matrix_is_deterministic() {
-        let a = run_wire_matrix(&cfg()).unwrap();
-        let b = run_wire_matrix(&cfg()).unwrap();
-        assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap(),);
+        let (a, b) = (run_matrix(), run_matrix());
+        assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
     }
 
     #[test]
     fn faults_actually_fired_in_each_case() {
-        let report = run_wire_matrix(&cfg()).unwrap();
+        let report = run_matrix();
         let by_name = |n: &str| {
             report.cases.iter().find(|c| c.name == n).unwrap_or_else(|| panic!("case {n}"))
         };

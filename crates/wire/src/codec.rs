@@ -345,6 +345,44 @@ pub fn packet_len(buf: &[u8]) -> Result<usize, CodecError> {
     })
 }
 
+/// Walks the wire packets packed back-to-back in one received datagram
+/// (the one container walk every receive path shares).
+///
+/// Yields each packet's exact slice, ready for the per-kind `decode`. A
+/// head that [`packet_len`] rejects, or that declares more bytes than
+/// remain, yields one error and ends the walk: without its length the rest
+/// of the container has no frame boundary. A single-packet datagram is the
+/// one-iteration case; an empty one yields nothing.
+pub fn packets(buf: &[u8]) -> Packets<'_> {
+    Packets { rest: buf }
+}
+
+/// Iterator returned by [`packets`].
+#[derive(Debug, Clone)]
+pub struct Packets<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for Packets<'a> {
+    type Item = Result<&'a [u8], CodecError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.rest.is_empty() {
+            return None;
+        }
+        // Taken, so that an error leaves nothing to walk.
+        let rest = std::mem::take(&mut self.rest);
+        Some(packet_len(rest).and_then(|len| {
+            if len > rest.len() {
+                return Err(CodecError::Truncated { need: len, got: rest.len() });
+            }
+            let (packet, tail) = rest.split_at(len);
+            self.rest = tail;
+            Ok(packet)
+        }))
+    }
+}
+
 fn expect_kind(buf: &[u8], want: WireKind) -> Result<(), CodecError> {
     let kind = peek_kind(buf)?;
     if kind != want {
@@ -622,6 +660,22 @@ pub fn patch_feedback(buf: &mut [u8], label: Feedback) -> Result<(), CodecError>
     Ok(())
 }
 
+/// Overwrites the rate echo of an *encoded* data packet in place, for a
+/// sender whose packets queue between encoding and transmission: the echo
+/// is "the rate in effect at transmission" ([`WireData::rate_echo`]).
+///
+/// # Errors
+///
+/// Fails if `buf` is not a valid data packet header.
+pub fn patch_rate_echo(buf: &mut [u8], rate_bps: f64) -> Result<(), CodecError> {
+    expect_kind(buf, WireKind::Data)?;
+    if buf.len() < DATA_HEADER_BYTES {
+        return Err(CodecError::Truncated { need: DATA_HEADER_BYTES, got: buf.len() });
+    }
+    buf[40..48].copy_from_slice(&rate_bps.to_be_bytes());
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -709,17 +763,16 @@ mod tests {
         let hello = WireHello { flow: FlowId(7), seq: 1 }.encode();
         let bye = WireBye { flow: FlowId(7) }.encode();
         // Pack four packets back-to-back into one container datagram and
-        // walk it with packet_len: each slice must decode cleanly and the
-        // walk must consume the container exactly.
+        // walk it: each slice must decode cleanly and the walk must consume
+        // the container exactly.
         let mut container = Vec::new();
         for part in [&d, &ack, &hello, &bye] {
             container.extend_from_slice(part);
         }
-        let mut off = 0;
+        let mut walked = 0;
         let mut kinds = Vec::new();
-        while off < container.len() {
-            let len = packet_len(&container[off..]).unwrap();
-            let pkt = &container[off..off + len];
+        for pkt in packets(&container) {
+            let pkt = pkt.unwrap();
             kinds.push(peek_kind(pkt).unwrap());
             match kinds.last().unwrap() {
                 WireKind::Data => assert!(WireData::decode(pkt).is_ok()),
@@ -728,10 +781,16 @@ mod tests {
                 WireKind::Bye => assert!(WireBye::decode(pkt).is_ok()),
                 WireKind::Nack => unreachable!(),
             }
-            off += len;
+            walked += pkt.len();
         }
-        assert_eq!(off, container.len());
+        assert_eq!(walked, container.len());
         assert_eq!(kinds, [WireKind::Data, WireKind::Ack, WireKind::Hello, WireKind::Bye]);
+        // A container cut inside its last packet yields the whole packets
+        // before the cut, then one error, then nothing.
+        let cut = &container[..container.len() - 3];
+        let walk: Vec<_> = packets(cut).collect();
+        assert_eq!(walk.len(), 4);
+        assert!(walk[..3].iter().all(Result::is_ok) && walk[3].is_err());
         // A data header cut before the length field is a truncation error.
         assert!(packet_len(&d[..20]).is_err());
     }
@@ -796,6 +855,7 @@ mod tests {
             assert!(WireBye::decode(&buf).is_err());
             let mut patchable = buf.clone();
             assert!(patch_feedback(&mut patchable, Feedback::new(AgentId(1), 1, 0.1, 0.1)).is_err());
+            assert!(patch_rate_echo(&mut patchable, 1.0).is_err());
         }
     }
 
@@ -814,8 +874,11 @@ mod tests {
         let fb = WireData::decode(&buf).unwrap().feedback.unwrap();
         assert_eq!(fb.epoch, 10);
         assert!((fb.loss - 0.01).abs() < 1e-12);
-        // The payload was never disturbed.
-        assert_eq!(WireData::decode(&buf).unwrap().payload, &[5; 10]);
+        // The rate echo patches the same way; neither disturbs the rest.
+        patch_rate_echo(&mut buf, 640_000.0).unwrap();
+        let patched = WireData::decode(&buf).unwrap();
+        assert_eq!((patched.rate_echo, patched.feedback), (640_000.0, Some(fb)));
+        assert_eq!(patched.payload, &[5; 10]);
     }
 }
 
@@ -835,6 +898,7 @@ mod proptests {
         let _ = WireBye::decode(buf);
         let mut patchable = buf.to_vec();
         let _ = patch_feedback(&mut patchable, Feedback::new(AgentId(3), 7, 0.2, 0.1));
+        let _ = patch_rate_echo(&mut patchable, 1.0);
     }
 
     proptest! {

@@ -428,11 +428,6 @@ impl<T: Transport, C: Clock> FaultTransport<T, C> {
         Arc::clone(&self.stats)
     }
 
-    /// The wrapped transport.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-
     fn count(&self, counter: &AtomicU64, metric: usize) {
         counter.fetch_add(1, Ordering::Relaxed);
         self.telemetry.counter_add(fault_metric(metric), 1);
@@ -585,33 +580,30 @@ impl<T: Transport, C: Clock> Transport for FaultTransport<T, C> {
     }
 }
 
-/// Per-endpoint fault specs for a live run: one [`WireFaultSpec`] per
-/// agent endpoint. The default is fully passthrough, so `LiveFaults` in a
-/// config is always safe to apply.
+/// Per-endpoint fault specs for a live run: one [`WireFaultSpec`] for each
+/// of the session's two endpoints. The default is fully passthrough, so
+/// `LiveFaults` in a config is always safe to apply.
 ///
 /// This is the schema of `pels live --faults FILE` (JSON). The stub serde
 /// derive takes complete objects, so a file must spell out every field;
 /// serialize a `LiveFaults::default()` for a template to edit.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LiveFaults {
-    /// Faults on the source's endpoint (data out, ACK/NACK in).
-    pub source: WireFaultSpec,
-    /// Faults on the router's endpoint (data in and out).
-    pub router: WireFaultSpec,
-    /// Faults on the receiver's endpoint (data in, ACK/NACK/HELLO out).
+    /// Faults on the server's endpoint (data out; HELLO/ACK/NACK/BYE in).
+    pub server: WireFaultSpec,
+    /// Faults on the receiver's endpoint (data in; HELLO/ACK/NACK/BYE out).
     pub receiver: WireFaultSpec,
 }
 
 impl LiveFaults {
-    /// Validates all three specs.
+    /// Validates both specs.
     ///
     /// # Errors
     ///
     /// Returns a description of the first invalid field, prefixed with
     /// the endpoint it belongs to.
     pub fn validate(&self) -> Result<(), String> {
-        self.source.validate().map_err(|e| format!("source: {e}"))?;
-        self.router.validate().map_err(|e| format!("router: {e}"))?;
+        self.server.validate().map_err(|e| format!("server: {e}"))?;
         self.receiver.validate().map_err(|e| format!("receiver: {e}"))
     }
 }
@@ -841,7 +833,7 @@ mod tests {
                 direction: FaultDirection::Rx,
             });
         });
-        let faults = LiveFaults { source: spec, ..LiveFaults::default() };
+        let faults = LiveFaults { server: spec, ..LiveFaults::default() };
         let json = serde_json::to_string(&faults).unwrap();
         let back: LiveFaults = serde_json::from_str(&json).unwrap();
         assert_eq!(back, faults);

@@ -7,35 +7,41 @@
 //! * [`codec`] — versioned, big-endian on-the-wire formats for data
 //!   packets (with an in-place-patchable feedback block implementing the
 //!   Eq. 12 max-loss override), ACKs carrying the MKC feedback triplet
-//!   `(p, z, router)`, and NACKs. Decoding is zero-copy for payloads.
+//!   `(p, z, router)`, NACKs, and the HELLO/BYE session frames. Packets
+//!   are self-delimiting, so several ride one datagram;
+//!   [`codec::packets`] is the one walk every receive path uses. Decoding
+//!   is zero-copy for payloads.
 //! * [`transport`] — the [`Transport`] datagram abstraction with a
 //!   deterministic in-memory hub ([`MemHub`]) and a non-blocking UDP
 //!   backend ([`UdpTransport`]). [`batch`] adds [`BatchedUdp`], a
 //!   `recvmmsg`/`sendmmsg`-vectored UDP backend behind the same trait.
-//! * [`source`], [`router`], [`receiver`] — `poll(now)`-driven live
-//!   agents reusing the simulator's controllers verbatim: MKC (Eq. 8),
-//!   the γ partitioner (Eq. 4), the router feedback estimator (Eq. 11),
-//!   and the receiver's NACK/ARQ scheduler.
-//! * [`live`] — a one-call harness ([`run_live`]) wiring the three agents
-//!   over loopback UDP or the in-memory hub and emitting the simulator's
-//!   `ScenarioReport` schema, so live and simulated runs are directly
-//!   comparable.
-//! * [`serve`], [`loadgen`] — the multi-flow production posture behind
-//!   `pels serve`/`pels loadgen`: one readiness-polled socket loop hosting
-//!   a [`FlowTable`](flowtable::FlowTable) of per-flow MKC+γ state
-//!   machines, paced off a shared timer wheel through one in-process
-//!   strict-priority PELS router, with batched datagram I/O.
+//! * [`serve`] — [`ServeLoop`], the one place the control path is
+//!   assembled: a `poll(now)`-driven server hosting a
+//!   [`FlowTable`](flowtable::FlowTable) of per-flow state machines that
+//!   reuse the simulator's controllers verbatim — MKC (Eq. 8), the γ
+//!   partitioner (Eq. 4), the router feedback estimator (Eq. 11) — paced
+//!   off a shared timer wheel through one in-process strict-priority
+//!   router, answering NACKs with rate-charged base-layer repairs.
+//!   `pels serve` runs it for thousands of flows on batched UDP.
+//! * [`receiver`] — [`WireReceiver`], the decoding client of one flow:
+//!   reassembly, per-packet ACKs, the simulator's NACK/ARQ scheduler, and
+//!   the HELLO heartbeat that keeps the flow in the server's table.
+//!   [`loadgen`] is the non-decoding client of thousands (`pels loadgen`).
+//! * [`live`] — [`run_live`]: one [`ServeLoop`] streaming to one
+//!   [`WireReceiver`] over loopback UDP or the in-memory hub, reported in
+//!   the simulator's `ScenarioReport` schema, so live and simulated runs
+//!   are directly comparable (`pels live`).
 //! * [`faults`] — [`FaultTransport`], a deterministic fault-injecting
 //!   middleware over any [`Transport`] (drop/duplicate/reorder/delay/
 //!   truncate/corrupt, plus timed blackouts), scriptable per endpoint via
 //!   [`LiveFaults`] and `pels live --faults`.
 //! * [`chaos`] — the six-case wire recovery matrix behind
-//!   `pels chaos --wire`: machine-checked invariants that the live stack
-//!   re-converges to the Lemma 6 rate, keeps the base layer fed, and
-//!   never panics on mutated bytes.
+//!   `pels chaos --wire`, on the same session as [`live`]: machine-checked
+//!   invariants that the stack re-converges to the Lemma 6 rate, keeps the
+//!   base layer fed, and never panics on mutated bytes.
 //!
 //! Time comes from a [`Clock`](pels_netsim::clock::Clock): wall time for
-//! live runs, a hand-stepped mock for reproducible tests. Agents never
+//! live runs, a hand-stepped mock for reproducible tests. Endpoints never
 //! read clocks themselves — they are pure state machines over `SimTime`.
 
 // `deny` rather than `forbid`: the whole crate stays safe except the one
@@ -53,9 +59,7 @@ pub mod flowtable;
 pub mod live;
 pub mod loadgen;
 pub mod receiver;
-pub mod router;
 pub mod serve;
-pub mod source;
 mod telemetry_names;
 pub mod transport;
 
@@ -67,7 +71,5 @@ pub use flowtable::FlowTable;
 pub use live::{run_live, LiveBackend, LiveConfig, LiveOutcome, LiveStats};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
 pub use receiver::{HeartbeatConfig, WireReceiver, WireReceiverConfig};
-pub use router::{WireRouter, WireRouterConfig};
-pub use serve::{run_serve, run_serve_with, ServeConfig, ServeReport};
-pub use source::{WireSource, WireSourceConfig};
+pub use serve::{run_serve, run_serve_with, FlowView, ServeConfig, ServeLoop, ServeReport};
 pub use transport::{Datagram, MemHub, MemTransport, Transport, UdpTransport};

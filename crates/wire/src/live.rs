@@ -1,27 +1,28 @@
-//! End-to-end live runs: source → router → receiver over a real transport.
+//! One-flow sessions: a [`ServeLoop`] streaming to a [`WireReceiver`].
 //!
-//! [`run_live`] wires one [`WireSource`], one [`WireRouter`], and one
-//! [`WireReceiver`] together over either loopback UDP (wall clock) or the
-//! in-memory hub (mock clock, bit-reproducible) and produces the same
-//! [`ScenarioReport`] schema as the discrete-event simulator — so `pels
-//! live` output can be compared field-for-field with `pels run`, plotted
-//! by the same tooling, and written to the same CSV layout.
+//! [`run_live`] is `pels serve` and a decoding client at N = 1: the same
+//! server loop `pels serve` runs for thousands of flows, with one
+//! [`WireReceiver`] registered in its flow table, over either loopback UDP
+//! (wall clock) or the in-memory hub (mock clock, bit-reproducible). It
+//! produces the same [`ScenarioReport`] schema as the discrete-event
+//! simulator — so `pels live` output can be compared field-for-field with
+//! `pels run`, plotted by the same tooling, and written to the same CSV
+//! layout. The wire chaos matrix ([`crate::chaos`]) drives the same
+//! [`Session`] with a fault script and an observer.
 
-use crate::faults::{FaultTransport, LiveFaults, WireFaultStats, WireFaultTotals};
+use crate::faults::{FaultTransport, LiveFaults, WireFaultSpec, WireFaultStats, WireFaultTotals};
 use crate::receiver::{HeartbeatConfig, WireReceiver, WireReceiverConfig};
-use crate::router::{WireRouter, WireRouterConfig};
-use crate::source::{WireSource, WireSourceConfig};
+use crate::serve::{FlowView, ServeConfig, ServeLoop, ServeReport, SOCKET_BUFFER_BYTES};
 use crate::transport::{MemHub, Transport, UdpTransport};
-use pels_core::gamma::GammaConfig;
-use pels_core::mkc::MkcConfig;
 use pels_core::receiver::NackConfig;
 use pels_core::scenario::{FlowReport, ScenarioReport};
 use pels_fgs::frame::VideoTrace;
 use pels_netsim::clock::{Clock, ManualClock, MonotonicClock};
-use pels_netsim::packet::{AgentId, FlowId};
+use pels_netsim::packet::FlowId;
 use pels_netsim::time::{Rate, SimDuration, SimTime};
 use pels_telemetry::Telemetry;
 use std::io;
+use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -31,15 +32,16 @@ pub enum LiveBackend {
     /// Non-blocking UDP sockets on `127.0.0.1` (ephemeral ports), driven
     /// by wall time.
     UdpLoopback,
-    /// The in-memory hub driven by a [`ManualClock`] stepping
-    /// `poll_interval` — deterministic, no wall-clock sensitivity.
+    /// The in-memory hub driven by a [`ManualClock`] stepping one
+    /// millisecond per poll — deterministic, no wall-clock sensitivity.
     Memory,
 }
 
-/// Configuration of a live run.
+/// Configuration of a live run. The control gains are the paper's
+/// ([`ServeConfig::new`]'s defaults).
 #[derive(Debug, Clone)]
 pub struct LiveConfig {
-    /// Streaming time (frames stop; in-flight packets then drain).
+    /// Streaming time (the receiver then says BYE; in-flight packets drain).
     pub duration: SimDuration,
     /// Full bottleneck capacity; the PELS share gets `pels_share` of it.
     pub bottleneck: Rate,
@@ -47,19 +49,9 @@ pub struct LiveConfig {
     pub pels_share: f64,
     /// The video being streamed (looped).
     pub trace: VideoTrace,
-    /// Wire packet payload size.
-    pub packet_bytes: u32,
     /// Transport backend.
     pub backend: LiveBackend,
-    /// MKC gains.
-    pub mkc: MkcConfig,
-    /// γ-controller gains.
-    pub gamma: GammaConfig,
-    /// Poll cadence: the mock clock's step, and the UDP loop's sleep.
-    pub poll_interval: SimDuration,
-    /// Frames kept retransmittable for NACK-driven ARQ; 0 disables ARQ.
-    pub arq_frames: u64,
-    /// Telemetry handle shared by all three agents; snapshots are flushed
+    /// Telemetry handle shared by both endpoints; snapshots are flushed
     /// to its sinks roughly once per second of run time. The default
     /// (disabled) handle keeps every instrumentation point a one-branch
     /// no-op.
@@ -82,37 +74,48 @@ impl Default for LiveConfig {
             bottleneck: Rate::from_mbps(4.0),
             pels_share: 0.5,
             trace: VideoTrace::constant(120, 20.0, 800, 30_000),
-            packet_bytes: 500,
             backend: LiveBackend::UdpLoopback,
-            mkc: MkcConfig::default(),
-            gamma: GammaConfig::default(),
-            poll_interval: SimDuration::from_millis(1),
-            arq_frames: 8,
             telemetry: Telemetry::disabled(),
             faults: None,
         }
     }
 }
 
+impl LiveConfig {
+    /// The PELS share of the bottleneck: the server's capacity `C`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pels_share` is outside `(0, 1]` or the share rounds to
+    /// zero.
+    pub(crate) fn pels_capacity(&self) -> Rate {
+        assert!(
+            self.pels_share > 0.0 && self.pels_share <= 1.0,
+            "pels_share must be in (0, 1]: {}",
+            self.pels_share
+        );
+        let capacity =
+            Rate::from_bps((self.bottleneck.as_bps() as f64 * self.pels_share).round() as u64);
+        assert!(capacity.as_bps() > 0, "PELS share of the bottleneck is zero");
+        capacity
+    }
+}
+
 /// Wire-layer counters that have no slot in the simulator's report.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LiveStats {
-    /// NACK-driven retransmissions performed by the source.
+    /// Base-layer repairs the server queued in answer to NACKs.
     pub retransmissions: u64,
     /// NACKs emitted by the receiver.
     pub nacks_sent: u64,
     /// Retransmitted packets that arrived (ARQ recoveries).
     pub recovered_packets: u64,
-    /// Undecodable datagrams dropped across all three agents.
+    /// Undecodable packets counted at the server and the receiver.
     pub decode_errors: u64,
-    /// Frames whose red class was shed near the base floor.
-    pub shed_red_frames: u64,
-    /// Frames whose whole enhancement was shed at the base floor.
-    pub shed_yellow_frames: u64,
-    /// Packets abandoned at the source when their frame interval expired.
+    /// Packets abandoned at the server when their frame interval expired.
     pub abandoned_packets: u64,
     /// Fault decisions taken by the injected [`FaultTransport`]s, summed
-    /// over all three endpoints (all zero without `--faults`).
+    /// over both endpoints (all zero without `--faults`).
     pub faults: WireFaultTotals,
     /// Datagrams the UDP backend failed to hand to the kernel
     /// (`WouldBlock` / `ConnectionRefused`); always zero on the
@@ -129,99 +132,73 @@ pub struct LiveOutcome {
     pub stats: LiveStats,
 }
 
-/// Runs one live flow through a router to a receiver and reports.
+/// The flow every one-flow session streams.
+const FLOW: FlowId = FlowId(1);
+
+/// Wire packet payload size of a one-flow session.
+const PACKET_BYTES: u32 = 500;
+
+/// Poll cadence: the mock clock's step, and the UDP loop's sleep.
+const POLL_INTERVAL: SimDuration = SimDuration::from_millis(1);
+
+/// How long a session keeps receiving after the BYE, so packets in flight
+/// at the stop deadline still count toward the delivery ratio.
+const DRAIN: SimDuration = SimDuration::from_millis(300);
+
+/// Runs one live flow from a server loop to a receiver and reports.
 ///
 /// # Errors
 ///
 /// Propagates socket errors (UDP backend only; the in-memory hub cannot
-/// fail).
+/// fail), and rejects an invalid fault spec as
+/// [`io::ErrorKind::InvalidInput`].
 ///
 /// # Panics
 ///
 /// Panics if `pels_share` is outside `(0, 1]` or the configured capacity
 /// rounds to zero.
 pub fn run_live(cfg: &LiveConfig) -> io::Result<LiveOutcome> {
-    assert!(
-        cfg.pels_share > 0.0 && cfg.pels_share <= 1.0,
-        "pels_share must be in (0, 1]: {}",
-        cfg.pels_share
-    );
-    let pels_capacity =
-        Rate::from_bps((cfg.bottleneck.as_bps() as f64 * cfg.pels_share).round() as u64);
-    assert!(pels_capacity.as_bps() > 0, "PELS share of the bottleneck is zero");
-
-    let faults = cfg.faults.clone().unwrap_or_default();
-    faults.validate().map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     match cfg.backend {
         LiveBackend::Memory => {
-            let hub = MemHub::new();
-            let clock = Arc::new(ManualClock::new());
-            let wrap = |addr: &str, spec| {
-                let mut ep = FaultTransport::new(
-                    hub.endpoint(addr.parse().expect("static addr")),
-                    Arc::clone(&clock),
-                    spec,
-                );
-                ep.set_telemetry(cfg.telemetry.clone());
-                ep
-            };
-            let src_ep = wrap("127.0.0.1:9001", faults.source);
-            let router_ep = wrap("127.0.0.1:9002", faults.router);
-            let rx_ep = wrap("127.0.0.1:9003", faults.receiver);
-            let stats = [src_ep.stats(), router_ep.stats(), rx_ep.stats()];
-            let mut outcome = run_wired(cfg, pels_capacity, src_ep, router_ep, rx_ep, clock)?;
-            merge_fault_totals(&mut outcome.stats, &stats);
-            Ok(outcome)
+            let (hub, clock) = (MemHub::new(), Arc::new(ManualClock::new()));
+            let (server, rx) = (hub.endpoint(SERVER_ADDR), hub.endpoint(RECEIVER_ADDR));
+            let mut session = Session::wire_up(cfg, clock, server, rx)?;
+            session.run(|_, _| Ok(()))?;
+            Ok(session.outcome())
         }
         LiveBackend::UdpLoopback => {
-            let any = "127.0.0.1:0".parse().expect("static addr");
-            let clock = MonotonicClock::new();
-            let wrap = |spec| -> io::Result<FaultTransport<UdpTransport, MonotonicClock>> {
-                let mut sock = UdpTransport::bind(any)?;
+            let bind = || -> io::Result<UdpTransport> {
+                let mut sock = UdpTransport::bind("127.0.0.1:0".parse().expect("static addr"))?;
                 sock.set_telemetry(cfg.telemetry.clone());
-                let mut ep = FaultTransport::new(sock, clock, spec);
-                ep.set_telemetry(cfg.telemetry.clone());
-                Ok(ep)
+                sock.expand_buffers(SOCKET_BUFFER_BYTES);
+                Ok(sock)
             };
-            let src_ep = wrap(faults.source)?;
-            let router_ep = wrap(faults.router)?;
-            let rx_ep = wrap(faults.receiver)?;
-            let stats = [src_ep.stats(), router_ep.stats(), rx_ep.stats()];
-            let drops = [
-                src_ep.inner().send_drops_handle(),
-                router_ep.inner().send_drops_handle(),
-                rx_ep.inner().send_drops_handle(),
-            ];
-            let mut outcome = run_wired(cfg, pels_capacity, src_ep, router_ep, rx_ep, clock)?;
-            merge_fault_totals(&mut outcome.stats, &stats);
+            let (server, rx) = (bind()?, bind()?);
+            let drops = [server.send_drops_handle(), rx.send_drops_handle()];
+            let mut session = Session::wire_up(cfg, MonotonicClock::new(), server, rx)?;
+            session.run(|_, _| Ok(()))?;
+            let mut outcome = session.outcome();
             outcome.stats.udp_send_drops = drops.iter().map(|h| h.load(Ordering::Relaxed)).sum();
             Ok(outcome)
         }
     }
 }
 
-fn merge_fault_totals(stats: &mut LiveStats, endpoints: &[Arc<WireFaultStats>; 3]) {
-    for s in endpoints {
-        stats.faults.add(&s.totals());
-    }
-}
+/// Hub address of a memory session's server.
+pub(crate) const SERVER_ADDR: SocketAddr = SocketAddr::new(LOOPBACK, 9001);
+/// Hub address of a memory session's receiver.
+pub(crate) const RECEIVER_ADDR: SocketAddr = SocketAddr::new(LOOPBACK, 9002);
+const LOOPBACK: std::net::IpAddr = std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST);
 
-/// A clock the run loop can both read and (for mock time) advance.
-trait RunClock: Clock {
+/// A clock the run loop can both read and (for mock time) advance, and
+/// hand a copy of to each [`FaultTransport`].
+pub(crate) trait RunClock: Clock + Clone {
     /// Blocks (wall clock) or steps (mock clock) until `deadline`.
     ///
     /// Deadlines already in the past return immediately; pacing off
     /// absolute deadlines means sleep overshoot and slow poll iterations
     /// never accumulate into drift — the next wait is simply shorter.
     fn wait_until(&self, deadline: SimTime);
-}
-
-impl RunClock for ManualClock {
-    fn wait_until(&self, deadline: SimTime) {
-        if deadline > self.now() {
-            self.set(deadline);
-        }
-    }
 }
 
 impl RunClock for Arc<ManualClock> {
@@ -241,148 +218,259 @@ impl RunClock for MonotonicClock {
     }
 }
 
-fn run_wired<T: Transport, C: RunClock>(
-    cfg: &LiveConfig,
-    pels_capacity: Rate,
-    src_ep: T,
-    router_ep: T,
-    rx_ep: T,
+/// One server loop and the one receiver it streams to, each behind a
+/// [`FaultTransport`] — the single place where `pels live` and the wire
+/// chaos matrix build and drive endpoints.
+#[derive(Debug)]
+pub(crate) struct Session<T: Transport, C: RunClock> {
+    cfg: LiveConfig,
     clock: C,
-) -> io::Result<LiveOutcome> {
-    let src_addr = src_ep.local_addr();
-    let router_addr = router_ep.local_addr();
-    let rx_addr = rx_ep.local_addr();
+    /// The server, with the session's flow in its table while the receiver
+    /// is alive.
+    pub server: ServeLoop<FaultTransport<T, C>>,
+    /// The receiver; `None` while a churn script has it crashed.
+    pub receiver: Option<WireReceiver<FaultTransport<T, C>>>,
+    rx_faults: WireFaultSpec,
+    /// Fault counters of every endpoint the session has opened.
+    fault_stats: Vec<Arc<WireFaultStats>>,
+    /// Counters of the flow's earlier incarnations: an evicted flow that
+    /// registers again starts from fresh server state.
+    past: FlowView,
+    /// The flow as last seen in the server's table.
+    last: FlowView,
+    /// The server's report at the stop deadline, just before the BYE.
+    /// Rate, γ and the router's price are read then, like the simulator's
+    /// end-of-run report: afterwards the flow is gone and the router's
+    /// arrival estimate decays toward idle.
+    stopped: Option<ServeReport>,
+}
 
-    let mut source = WireSource::new(
-        WireSourceConfig {
-            flow: FlowId(1),
-            trace: cfg.trace.clone(),
-            mkc: cfg.mkc,
-            gamma: cfg.gamma,
-            packet_bytes: cfg.packet_bytes,
-            router: router_addr,
-            arq_frames: cfg.arq_frames,
-            retx_limit: 3,
-            retx_budget: 65_536,
-        },
-        src_ep,
-    );
-    let mut router =
-        WireRouter::new(WireRouterConfig::new(AgentId(1), pels_capacity, rx_addr), router_ep);
-    let mut receiver = WireReceiver::new(
-        WireReceiverConfig {
-            flow: FlowId(1),
-            feedback_to: src_addr,
-            nack: (cfg.arq_frames > 0).then(NackConfig::default),
-            packet_bytes: cfg.packet_bytes,
-            heartbeat: Some(HeartbeatConfig::new(router_addr)),
-        },
-        rx_ep,
-    );
-    source.set_telemetry(cfg.telemetry.clone());
-    router.set_telemetry(cfg.telemetry.clone());
-    receiver.set_telemetry(cfg.telemetry.clone());
-
-    // Stream for `duration`, then stop the source and drain in-flight
-    // packets (and their ARQ repairs) for a grace period so the delivery
-    // ratio is not clipped at the cutoff.
-    let drain = SimDuration::from_millis(300);
-    let deadline = clock.now().saturating_add(cfg.duration);
-    let drain_deadline = deadline.saturating_add(drain);
-    // The reported rate/γ are sampled at the stop deadline, like the
-    // simulator's end-of-run report: during the drain the router's arrival
-    // estimate decays toward idle and its (now meaningless) spare-capacity
-    // labels would push MKC far above the converged operating point.
-    let mut at_stop: Option<(f64, f64)> = None;
-    // The poll cadence is an absolute schedule: each iteration waits for
-    // `start + k * poll_interval`, not "now + poll_interval", so sleep
-    // overshoot and slow iterations shorten the next wait instead of
-    // pushing every later poll back (unbounded drift).
-    let mut next_poll = clock.now().saturating_add(cfg.poll_interval);
-    let flush_every = SimDuration::from_secs(1);
-    let mut next_flush = clock.now().saturating_add(flush_every);
-    loop {
-        let now = clock.now();
-        if at_stop.is_none() && now >= deadline {
-            source.stop();
-            at_stop = Some((source.rate_bps(), source.gamma()));
-        }
-        if now >= drain_deadline {
-            break;
-        }
-        source.poll(now)?;
-        router.poll(now)?;
-        receiver.poll(now)?;
-        if cfg.telemetry.is_enabled() && now >= next_flush {
-            cfg.telemetry.flush(now.as_secs_f64());
-            next_flush = next_flush.saturating_add(flush_every);
-        }
-        clock.wait_until(next_poll);
-        next_poll = next_poll.saturating_add(cfg.poll_interval);
+impl<T: Transport, C: RunClock> Session<T, C> {
+    /// Builds both endpoints of a session configured by `cfg` on two open
+    /// transports, each wrapped to run its side of `cfg.faults` against
+    /// `clock`. The receiver sends everything — HELLO, ACK, NACK, BYE — to
+    /// the server's address.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidInput`] for an invalid fault spec.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pels_share` is outside `(0, 1]` or the configured
+    /// capacity rounds to zero.
+    pub fn wire_up(cfg: &LiveConfig, clock: C, server_ep: T, rx_ep: T) -> io::Result<Self> {
+        let faults = cfg.faults.clone().unwrap_or_default();
+        faults.validate().map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+        let mut server_ep = FaultTransport::new(server_ep, clock.clone(), faults.server);
+        server_ep.set_telemetry(cfg.telemetry.clone());
+        let fault_stats = vec![server_ep.stats()];
+        let server = ServeLoop::new(
+            ServeConfig {
+                capacity: cfg.pels_capacity(),
+                packet_bytes: PACKET_BYTES,
+                trace: cfg.trace.clone(),
+                // One flow's worth of queue: the red class holds ~100 ms of
+                // the PELS share, not the seconds a 4096-flow server's
+                // limits would let a single flow queue.
+                color_limits: [200, 200, 50],
+                telemetry_per_flow: true,
+                telemetry: cfg.telemetry.clone(),
+                ..ServeConfig::new(server_ep.local_addr())
+            },
+            server_ep,
+            None,
+        );
+        let mut session = Session {
+            cfg: cfg.clone(),
+            clock,
+            server,
+            receiver: None,
+            rx_faults: faults.receiver,
+            fault_stats,
+            past: FlowView::default(),
+            last: FlowView::default(),
+            stopped: None,
+        };
+        session.start_receiver(rx_ep);
+        Ok(session)
     }
-    if cfg.telemetry.is_enabled() {
-        cfg.telemetry.flush(clock.now().as_secs_f64());
-    }
-    let (final_rate_bps, final_gamma) =
-        at_stop.unwrap_or_else(|| (source.rate_bps(), source.gamma()));
 
-    let u = receiver.utility();
-    let flow = FlowReport {
-        flow: 1,
-        final_rate_kbps: final_rate_bps / 1_000.0,
-        final_gamma,
-        frames_sent: source.frames_sent,
-        frames_seen: receiver.frames_seen() as u64,
-        sent_by_color: source.sent_by_color,
-        received_by_color: receiver.received_by_color,
-        utility: u.utility(),
-        enh_loss: u.loss_rate(),
-        mean_delay_s: [
-            receiver.delays.by_class[0].mean(),
-            receiver.delays.by_class[1].mean(),
-            receiver.delays.by_class[2].mean(),
-        ],
-        max_delay_s: [
-            finite_or_zero(receiver.delays.by_class[0].max()),
-            finite_or_zero(receiver.delays.by_class[1].max()),
-            finite_or_zero(receiver.delays.by_class[2].max()),
-        ],
-        // The wire source runs without the simulator's degradation policy
-        // (a single live flow has no admission contention to arbitrate).
-        starved: false,
-        skipped_base_frames: 0,
-        probes_sent: 0,
-    };
-    let stats = LiveStats {
-        retransmissions: source.retransmissions,
-        nacks_sent: receiver.nacks_sent(),
-        recovered_packets: receiver.recovered_packets,
-        decode_errors: source.decode_errors + router.decode_errors + receiver.decode_errors,
-        shed_red_frames: source.shed_red_frames,
-        shed_yellow_frames: source.shed_yellow_frames,
-        abandoned_packets: source.abandoned_packets,
-        // Fault and UDP-drop totals live outside the agents; `run_live`
-        // folds them in after the wrapped endpoints are torn down.
-        faults: WireFaultTotals::default(),
-        udp_send_drops: 0,
-    };
-    let report = ScenarioReport {
-        duration_s: cfg.duration.as_secs_f64(),
-        green_drops: router.drops_by_class[0],
-        flows: vec![flow],
-        admitted_flows: 1,
-        starved_flows: 0,
-        // Lemma 6 needs the bottleneck capacity, which a live path does not
-        // advertise.
-        lemma6_kbps: None,
-        bottleneck_tx_by_class: router.tx_by_class,
-        bottleneck_drops_by_class: router.drops_by_class,
-        router_final_loss: router.estimator().loss(),
-        router_final_fgs_loss: router.estimator().fgs_loss(),
-        random_drops: 0,
-        tcp_delivered: 0,
-    };
-    Ok(LiveOutcome { report, stats })
+    /// Starts a receiver on `rx_ep` (the first, or a churn replacement).
+    pub fn start_receiver(&mut self, rx_ep: T) {
+        let mut rx_ep = FaultTransport::new(rx_ep, self.clock.clone(), self.rx_faults.clone());
+        rx_ep.set_telemetry(self.cfg.telemetry.clone());
+        self.fault_stats.push(rx_ep.stats());
+        let server_addr = self.server.local_addr();
+        let rx_cfg = WireReceiverConfig {
+            flow: FLOW,
+            feedback_to: server_addr,
+            nack: Some(NackConfig::default()),
+            packet_bytes: PACKET_BYTES,
+            heartbeat: Some(HeartbeatConfig::new(server_addr)),
+        };
+        let mut rx = WireReceiver::new(rx_cfg, rx_ep);
+        rx.set_telemetry(self.cfg.telemetry.clone());
+        self.receiver = Some(rx);
+    }
+
+    /// The flow's rate and γ as last observed — frozen at the stop
+    /// deadline, like the simulator's end-of-run report — with its counters
+    /// summed over every incarnation.
+    pub fn flow(&self) -> FlowView {
+        let mut total = self.last;
+        total.frames_sent += self.past.frames_sent;
+        total.retransmissions += self.past.retransmissions;
+        total.watchdog_trips += self.past.watchdog_trips;
+        total
+    }
+
+    /// Fault decisions taken so far, summed over every endpoint.
+    pub fn fault_totals(&self) -> WireFaultTotals {
+        let mut totals = WireFaultTotals::default();
+        for stats in &self.fault_stats {
+            totals.add(&stats.totals());
+        }
+        totals
+    }
+
+    /// The server's report at the stop deadline.
+    ///
+    /// # Panics
+    ///
+    /// Panics before [`Session::run`] has returned.
+    pub fn stopped(&self) -> &ServeReport {
+        self.stopped.as_ref().expect("the session has run")
+    }
+
+    /// Folds the server's current view of the flow into the session's.
+    fn observe_flow(&mut self) {
+        match self.server.flow(FLOW) {
+            Some(view) => {
+                if view.frames_sent < self.last.frames_sent {
+                    self.past = self.flow();
+                }
+                self.last = view;
+            }
+            // An unregistered flow is sent nothing.
+            None => self.last.rate_bps = 0.0,
+        }
+    }
+
+    /// Streams for the configured duration, then has the receiver say BYE
+    /// — the end of the stream — and keeps receiving for [`DRAIN`]. Every
+    /// [`POLL_INTERVAL`] the receiver is polled, then the server, then
+    /// `after_poll` runs (the chaos matrix samples and scripts churn there).
+    ///
+    /// # Errors
+    ///
+    /// Propagates hard transport failures and `after_poll`'s errors.
+    pub fn run(
+        &mut self,
+        mut after_poll: impl FnMut(SimTime, &mut Self) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let telemetry = self.cfg.telemetry.clone();
+        let deadline = self.clock.now().saturating_add(self.cfg.duration);
+        let drain_deadline = deadline.saturating_add(DRAIN);
+        // The poll cadence is an absolute schedule: each iteration waits for
+        // `start + k * POLL_INTERVAL`, not "now + POLL_INTERVAL", so sleep
+        // overshoot and slow iterations shorten the next wait instead of
+        // pushing every later poll back (unbounded drift).
+        let mut next_poll = self.clock.now().saturating_add(POLL_INTERVAL);
+        let flush_every = SimDuration::from_secs(1);
+        let mut next_flush = self.clock.now().saturating_add(flush_every);
+        loop {
+            let now = self.clock.now();
+            if self.stopped.is_none() && now >= deadline {
+                self.stopped = Some(self.server.report(now));
+                if let Some(rx) = self.receiver.as_mut() {
+                    rx.send_bye()?;
+                }
+            }
+            if now >= drain_deadline {
+                break;
+            }
+            // Receiver first, so its HELLO is in the server's queue before
+            // the server's first poll.
+            if let Some(rx) = self.receiver.as_mut() {
+                rx.poll(now)?;
+            }
+            self.server.poll(now)?;
+            if self.stopped.is_none() {
+                self.observe_flow();
+            }
+            after_poll(now, self)?;
+            if telemetry.is_enabled() && now >= next_flush {
+                telemetry.flush(now.as_secs_f64());
+                next_flush = next_flush.saturating_add(flush_every);
+            }
+            self.clock.wait_until(next_poll);
+            next_poll = next_poll.saturating_add(POLL_INTERVAL);
+        }
+        if telemetry.is_enabled() {
+            telemetry.flush(self.clock.now().as_secs_f64());
+        }
+        Ok(())
+    }
+
+    /// The simulator-schema report of a finished run.
+    ///
+    /// # Panics
+    ///
+    /// Panics before [`Session::run`] has returned, or if the receiver is
+    /// gone (only a churn script removes it).
+    pub fn outcome(&self) -> LiveOutcome {
+        let (flow, server) = (self.flow(), self.stopped());
+        let rx = self.receiver.as_ref().expect("only a churn script removes the receiver");
+        let u = rx.utility();
+        let flow_report = FlowReport {
+            flow: FLOW.0,
+            final_rate_kbps: flow.rate_bps / 1_000.0,
+            final_gamma: flow.gamma,
+            frames_sent: flow.frames_sent,
+            frames_seen: rx.frames_seen() as u64,
+            sent_by_color: server.paced_by_class,
+            received_by_color: rx.received_by_color,
+            utility: u.utility(),
+            enh_loss: u.loss_rate(),
+            mean_delay_s: [0, 1, 2].map(|c| rx.delays.by_class[c].mean()),
+            max_delay_s: [0, 1, 2].map(|c| finite_or_zero(rx.delays.by_class[c].max())),
+            // The server runs without the simulator's degradation policy
+            // (a single live flow has no admission contention to arbitrate).
+            starved: false,
+            skipped_base_frames: 0,
+            probes_sent: 0,
+        };
+        let stats = LiveStats {
+            retransmissions: flow.retransmissions,
+            nacks_sent: rx.nacks_sent(),
+            recovered_packets: rx.recovered_packets,
+            decode_errors: server.decode_errors + rx.decode_errors,
+            abandoned_packets: server.abandoned_packets,
+            faults: self.fault_totals(),
+            // Only the UDP backend has these; `run_live` fills them in.
+            udp_send_drops: 0,
+        };
+        let [tx_g, tx_y, tx_r] = server.tx_by_class;
+        let [drop_g, drop_y, drop_r] = server.queue_drops_by_class;
+        let report = ScenarioReport {
+            duration_s: self.cfg.duration.as_secs_f64(),
+            green_drops: drop_g,
+            flows: vec![flow_report],
+            admitted_flows: 1,
+            starved_flows: 0,
+            // Lemma 6 needs the bottleneck capacity, which a live path does not
+            // advertise.
+            lemma6_kbps: None,
+            bottleneck_tx_by_class: [tx_g, tx_y, tx_r, 0],
+            bottleneck_drops_by_class: [drop_g, drop_y, drop_r, 0],
+            router_final_loss: server.loss,
+            router_final_fgs_loss: server.fgs_loss,
+            random_drops: 0,
+            tcp_delivered: 0,
+        };
+        LiveOutcome { report, stats }
+    }
 }
 
 fn finite_or_zero(v: Option<f64>) -> f64 {
@@ -392,43 +480,34 @@ fn finite_or_zero(v: Option<f64>) -> f64 {
 /// Renders a [`LiveOutcome`] as the CSV layout used under `results/`:
 /// one row per flow plus a `router` summary row.
 pub fn to_csv(outcome: &LiveOutcome) -> String {
+    let counts = |v: &[u64]| v.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
     let mut out = String::from(
         "row,flow,final_rate_kbps,final_gamma,frames_sent,frames_seen,\
          sent_green,sent_yellow,sent_red,recv_green,recv_yellow,recv_red,\
          utility,enh_loss,mean_delay_green_s,mean_delay_yellow_s,mean_delay_red_s\n",
     );
     for f in &outcome.report.flows {
+        let [delay_g, delay_y, delay_r] = f.mean_delay_s;
         out.push_str(&format!(
-            "flow,{},{:.3},{:.4},{},{},{},{},{},{},{},{},{:.4},{:.4},{:.6},{:.6},{:.6}\n",
+            "flow,{},{:.3},{:.4},{},{},{},{},{:.4},{:.4},{delay_g:.6},{delay_y:.6},{delay_r:.6}\n",
             f.flow,
             f.final_rate_kbps,
             f.final_gamma,
             f.frames_sent,
             f.frames_seen,
-            f.sent_by_color[0],
-            f.sent_by_color[1],
-            f.sent_by_color[2],
-            f.received_by_color[0],
-            f.received_by_color[1],
-            f.received_by_color[2],
+            counts(&f.sent_by_color),
+            counts(&f.received_by_color),
             f.utility,
             f.enh_loss,
-            f.mean_delay_s[0],
-            f.mean_delay_s[1],
-            f.mean_delay_s[2],
         ));
     }
     let r = &outcome.report;
     out.push_str(&format!(
-        "router,,{:.6},{:.6},,,{},{},{},{},{},{},,,,,\n",
+        "router,,{:.6},{:.6},,,{},{},,,,,\n",
         r.router_final_loss,
         r.router_final_fgs_loss,
-        r.bottleneck_tx_by_class[0],
-        r.bottleneck_tx_by_class[1],
-        r.bottleneck_tx_by_class[2],
-        r.bottleneck_drops_by_class[0],
-        r.bottleneck_drops_by_class[1],
-        r.bottleneck_drops_by_class[2],
+        counts(&r.bottleneck_tx_by_class[..3]),
+        counts(&r.bottleneck_drops_by_class[..3]),
     ));
     out
 }
@@ -475,18 +554,19 @@ mod tests {
     fn scripted_faults_perturb_the_run_and_are_counted() {
         use crate::faults::WireFaultPolicy;
         let mut faults = LiveFaults::default();
-        faults.source.tx = WireFaultPolicy { drop: 0.2, ..Default::default() };
+        faults.server.tx = WireFaultPolicy { drop: 0.2, ..Default::default() };
         let out = run_live(&LiveConfig { faults: Some(faults), ..short_mem_cfg() }).unwrap();
         assert!(out.stats.faults.dropped > 0, "{:?}", out.stats.faults);
-        // Dropped data left gaps the receiver NACKed; ARQ filled some.
+        // Dropped data left gaps the receiver NACKed; repairs filled some.
         assert!(out.stats.retransmissions > 0, "{:?}", out.stats);
+        assert!(out.stats.recovered_packets > 0, "{:?}", out.stats);
     }
 
     #[test]
     fn invalid_fault_spec_is_an_input_error() {
         use crate::faults::WireFaultPolicy;
         let mut faults = LiveFaults::default();
-        faults.router.rx = WireFaultPolicy { drop: 1.5, ..Default::default() };
+        faults.server.rx = WireFaultPolicy { drop: 1.5, ..Default::default() };
         let err = run_live(&LiveConfig { faults: Some(faults), ..short_mem_cfg() }).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     }
@@ -503,6 +583,10 @@ mod tests {
         assert!(f.final_rate_kbps > 500.0, "rate {}", f.final_rate_kbps);
         assert!(f.received_by_color[1] > 0, "yellow goodput");
         assert!(f.received_by_color[2] > 0, "red goodput");
+        // The server coalesces its departures into containers (more
+        // packets than datagrams crossed the hub); the receiver walked
+        // every one of them cleanly.
+        assert_eq!(out.stats.decode_errors, 0);
     }
 
     #[test]
@@ -514,20 +598,20 @@ mod tests {
         let out = run_live(&cfg).unwrap();
         let snaps = mem.snapshots();
         assert!(snaps.len() >= 2, "periodic flushes plus the final one, got {}", snaps.len());
-        assert!(tel.counter("wire.src.feedback_epochs") > 0, "feedback drove MKC");
+        assert!(tel.counter("wire.serve.acks") > 0, "feedback drove MKC");
         // The final cumulative snapshot agrees with the report's counters.
         let last = &snaps.last().unwrap().1;
         assert_eq!(
-            last.counters.get("wire.router.tx.green").copied().unwrap_or(0),
-            out.report.bottleneck_tx_by_class[0],
+            last.counters.get("wire.serve.tx").copied().unwrap_or(0),
+            out.report.bottleneck_tx_by_class.iter().sum::<u64>(),
         );
-        assert!(last.series.contains_key("wire.src.rate_kbps"), "rate series recorded");
+        assert!(last.series.contains_key("wire.serve.flow.1.rate"), "rate series recorded");
         assert!(last.stats.contains_key("wire.rx.delay.green"), "delay distribution recorded");
     }
 
     #[test]
     fn manual_wait_until_steps_forward_and_ignores_past_deadlines() {
-        let clock = ManualClock::new();
+        let clock = Arc::new(ManualClock::new());
         clock.wait_until(SimTime::from_secs_f64(1.0));
         assert_eq!(clock.now().as_nanos(), 1_000_000_000);
         // A deadline already behind the clock must be a no-op, not a

@@ -15,7 +15,8 @@
 //! the final 500 ms.
 
 use crate::batch::BatchedUdp;
-use crate::codec::{packet_len, peek_kind, WireAck, WireBye, WireData, WireHello, WireKind};
+use crate::codec::{packets, WireAck, WireBye, WireData, WireHello, ACK_BYTES, DATA_HEADER_BYTES};
+use crate::serve::{check_io_sizes, RX_SLOT_BYTES};
 use crate::transport::{Datagram, Transport, UdpTransport};
 use pels_netsim::clock::{Clock, MonotonicClock};
 use pels_netsim::packet::FlowId;
@@ -124,8 +125,13 @@ struct ClientFlow {
 ///
 /// # Errors
 ///
-/// Propagates socket setup and hard transport failures.
+/// [`io::ErrorKind::InvalidInput`] for a `batch_size` outside
+/// `1..=`[`MAX_BATCH_SIZE`](crate::serve::MAX_BATCH_SIZE) or an
+/// `aggregate_bytes` above [`RX_SLOT_BYTES`]; otherwise propagates socket
+/// setup and hard transport failures.
 pub fn run_loadgen(cfg: LoadgenConfig) -> io::Result<LoadgenReport> {
+    check_io_sizes(cfg.batch_size, cfg.aggregate_bytes)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     if cfg.batch {
         let t = BatchedUdp::bind(cfg.listen)?;
         t.expand_buffers(crate::serve::SOCKET_BUFFER_BYTES);
@@ -162,7 +168,7 @@ fn run_on<T: Transport>(
     let end = SimTime::ZERO + cfg.duration;
     let steady_from = SimTime::ZERO + cfg.warmup;
     let ramp_step = SimDuration::from_nanos(cfg.ramp.as_nanos() / u64::from(n));
-    let ring_cap = crate::serve::RX_SLOT_BYTES;
+    let ring_cap = RX_SLOT_BYTES;
     let mut ring: Vec<Datagram> =
         (0..cfg.batch_size.max(1)).map(|_| Datagram::slot(ring_cap)).collect();
     let agg = if cfg.batch { cfg.aggregate_bytes } else { 0 };
@@ -221,58 +227,34 @@ fn run_on<T: Transport>(
             let got = transport.recv_batch(&mut ring)?;
             // Each received datagram may be a container of several wire
             // packets (the server coalesces departures on its batched
-            // path); walk it with `packet_len`. A malformed head poisons
-            // the rest of the container — no frame boundary without it.
+            // path). Anything but a decodable data packet is an error.
             for slot in ring.iter().take(got) {
-                let buf = &slot.buf;
-                let mut off = 0;
-                while off < buf.len() {
-                    let Ok(len) = packet_len(&buf[off..]) else {
+                for packet in packets(&slot.buf) {
+                    let Ok(pkt) = packet.and_then(WireData::decode) else {
                         decode_errors += 1;
-                        break;
+                        continue;
                     };
-                    let end = off + len;
-                    if end > buf.len() {
-                        decode_errors += 1;
-                        break;
+                    data_received += 1;
+                    bytes_received += (DATA_HEADER_BYTES + pkt.payload.len()) as u64;
+                    if now >= steady_from {
+                        steady_data_received += 1;
                     }
-                    let pkt_buf = &buf[off..end];
-                    off = end;
-                    match peek_kind(pkt_buf) {
-                        Ok(WireKind::Data) => match WireData::decode(pkt_buf) {
-                            Ok(pkt) => {
-                                data_received += 1;
-                                bytes_received += pkt_buf.len() as u64;
-                                if now >= steady_from {
-                                    steady_data_received += 1;
-                                }
-                                let idx = pkt.flow.0.wrapping_sub(1) as usize;
-                                if let Some(f) = flows.get_mut(idx) {
-                                    f.rx += 1;
-                                    f.last_rx = Some(now);
-                                    if f.rx % u64::from(cfg.ack_every.max(1)) == 0 {
-                                        let ack = WireAck {
-                                            flow: pkt.flow,
-                                            seq: pkt.seq,
-                                            sent_at: pkt.sent_at,
-                                            rate_echo: pkt.rate_echo,
-                                            feedback: pkt.feedback,
-                                        };
-                                        push_with(
-                                            &mut out,
-                                            &mut scratch,
-                                            crate::codec::ACK_BYTES,
-                                            cfg.server,
-                                            agg,
-                                            |buf| ack.append_to(buf),
-                                        );
-                                        acks_sent += 1;
-                                    }
-                                }
-                            }
-                            Err(_) => decode_errors += 1,
-                        },
-                        _ => decode_errors += 1,
+                    let idx = pkt.flow.0.wrapping_sub(1) as usize;
+                    let Some(f) = flows.get_mut(idx) else { continue };
+                    f.rx += 1;
+                    f.last_rx = Some(now);
+                    if f.rx % u64::from(cfg.ack_every.max(1)) == 0 {
+                        let ack = WireAck {
+                            flow: pkt.flow,
+                            seq: pkt.seq,
+                            sent_at: pkt.sent_at,
+                            rate_echo: pkt.rate_echo,
+                            feedback: pkt.feedback,
+                        };
+                        push_with(&mut out, &mut scratch, ACK_BYTES, cfg.server, agg, |buf| {
+                            ack.append_to(buf)
+                        });
+                        acks_sent += 1;
                     }
                 }
             }
@@ -386,4 +368,21 @@ fn flush<T: Transport>(
         }
     }
     res
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ring_and_container_sizes_are_bounded_before_any_socket_opens() {
+        let refused = |edit: fn(&mut LoadgenConfig)| {
+            let mut cfg = LoadgenConfig::new(SocketAddr::from(([127, 0, 0, 1], 9)));
+            edit(&mut cfg);
+            run_loadgen(cfg).unwrap_err().kind()
+        };
+        assert_eq!(refused(|c| c.batch_size = 0), io::ErrorKind::InvalidInput);
+        assert_eq!(refused(|c| c.batch_size = 1_000_000), io::ErrorKind::InvalidInput);
+        assert_eq!(refused(|c| c.aggregate_bytes = 4_096), io::ErrorKind::InvalidInput);
+    }
 }

@@ -1,18 +1,20 @@
-//! The live receiver: reassembly, feedback echo, and NACK-driven ARQ.
+//! The decoding client: reassembly, feedback echo, and NACK-driven ARQ.
 //!
 //! [`WireReceiver`] mirrors `pels_core::receiver::PelsReceiver` over real
-//! datagrams. Every data packet is recorded into a per-frame
-//! [`FrameReception`] and immediately answered with a [`WireAck`] carrying
-//! the router's feedback label and the source's echoed rate back on the
-//! (uncongested) reverse path. The shared
+//! datagrams. Every data packet — one or several per datagram, the server
+//! coalesces — is recorded into a per-frame [`FrameReception`] and
+//! immediately answered with a [`WireAck`] carrying the router's feedback
+//! label and the server's echoed rate back on the (uncongested) reverse
+//! path. The shared
 //! [`NackTracker`](pels_core::receiver::NackTracker) then schedules
 //! at-most-`max_rounds` NACK retries per missing packet — the exact ARQ
 //! scheduling the simulator uses, reused rather than re-implemented —
 //! but only *base-layer* gaps are actually requested: enhancement is
 //! prefix-decodable loss-tolerant data whose tail the router clips by
-//! design at the MKC operating point (see `WireSource::handle_nack`).
+//! design at the MKC operating point (the server would refuse to repair it).
 
-use crate::codec::{peek_kind, WireAck, WireBye, WireData, WireHello, WireKind, WireNack};
+use crate::codec::{packets, WireAck, WireBye, WireData, WireHello, WireNack};
+use crate::serve::RX_SLOT_BYTES;
 use crate::telemetry_names::{rx_delay_metric, RX_HELLOS};
 use crate::transport::Transport;
 use pels_core::receiver::{NackConfig, NackTracker};
@@ -30,23 +32,22 @@ use std::net::SocketAddr;
 pub struct WireReceiverConfig {
     /// The flow this receiver accepts.
     pub flow: FlowId,
-    /// Where ACKs and NACKs go (the source — the reverse path bypasses
-    /// the bottleneck router, like the paper's feedback channel).
+    /// Where ACKs and NACKs go (the server — the reverse path bypasses
+    /// its bottleneck router, like the paper's feedback channel).
     pub feedback_to: SocketAddr,
     /// ARQ scheduling; `None` disables NACKs.
     pub nack: Option<NackConfig>,
     /// Wire packet payload size, used to size reassembly buffers.
     pub packet_bytes: u32,
-    /// Session liveness: periodic HELLO heartbeats to a router's flow
-    /// table. `None` disables heartbeats (the router then relies on its
-    /// static forwarding destination).
+    /// Session liveness: periodic HELLO heartbeats into the server's flow
+    /// table, which streams only to registered flows. `None` sends none.
     pub heartbeat: Option<HeartbeatConfig>,
 }
 
 /// Heartbeat parameters for a [`WireReceiver`].
 #[derive(Debug, Clone, Copy)]
 pub struct HeartbeatConfig {
-    /// The router whose flow table this receiver keeps itself alive in.
+    /// The server whose flow table this receiver keeps itself alive in.
     pub router: SocketAddr,
     /// Interval between HELLO frames. The first HELLO goes out on the
     /// first poll so the flow registers before any data arrives.
@@ -55,7 +56,7 @@ pub struct HeartbeatConfig {
 
 impl HeartbeatConfig {
     /// Heartbeats to `router` at the default 100 ms cadence — a fifth of
-    /// the router's default idle timeout, so a healthy session survives
+    /// the server's default idle timeout, so a healthy session survives
     /// several consecutive lost heartbeats before eviction.
     pub fn new(router: SocketAddr) -> Self {
         HeartbeatConfig { router, interval: SimDuration::from_millis(100) }
@@ -103,7 +104,7 @@ impl<T: Transport> WireReceiver<T> {
             nacks_sent: 0,
             hellos_sent: 0,
             next_hello_at: Some(SimTime::ZERO),
-            recv_buf: vec![0u8; 2048],
+            recv_buf: vec![0u8; RX_SLOT_BYTES],
             telemetry: Telemetry::disabled(),
         }
     }
@@ -153,15 +154,18 @@ impl<T: Transport> WireReceiver<T> {
         self.hellos_sent
     }
 
-    /// Announces departure: a BYE to the heartbeat router, so its flow-
-    /// table entry dies immediately instead of idling out. A no-op when
-    /// heartbeats are disabled.
+    /// Ends the stream: a BYE to the heartbeat router, so its flow-table
+    /// entry dies immediately instead of idling out, and no further HELLO
+    /// (which would register the flow again). Packets already in flight
+    /// are still received and acknowledged. A no-op when heartbeats are
+    /// disabled.
     ///
     /// # Errors
     ///
     /// Propagates hard transport failures.
     pub fn send_bye(&mut self) -> io::Result<()> {
         let Some(hb) = self.cfg.heartbeat else { return Ok(()) };
+        self.next_hello_at = None;
         let bye = WireBye { flow: self.cfg.flow }.encode();
         self.transport.send_to(&bye, hb.router)
     }
@@ -204,57 +208,53 @@ impl<T: Transport> WireReceiver<T> {
             let Some((n, _from)) = self.transport.try_recv(buf)? else {
                 return Ok(());
             };
-            let datagram = &buf[..n];
-            if peek_kind(datagram) != Ok(WireKind::Data) {
-                self.decode_errors += 1;
-                self.telemetry.counter_add("wire.rx.decode_errors", 1);
-                continue;
+            for packet in packets(&buf[..n]) {
+                // Anything but this flow's data — a malformed head, another
+                // kind, another flow — is counted and skipped.
+                match packet.and_then(WireData::decode) {
+                    Ok(pkt) if pkt.flow == self.cfg.flow => self.on_data(&pkt, now)?,
+                    _ => {
+                        self.decode_errors += 1;
+                        self.telemetry.counter_add("wire.rx.decode_errors", 1);
+                    }
+                }
             }
-            let Ok(pkt) = WireData::decode(datagram) else {
-                self.decode_errors += 1;
-                self.telemetry.counter_add("wire.rx.decode_errors", 1);
-                continue;
-            };
-            if pkt.flow != self.cfg.flow {
-                self.decode_errors += 1;
-                self.telemetry.counter_add("wire.rx.decode_errors", 1);
-                continue;
-            }
-            let tag = pkt.tag;
-            self.max_frame_seen = self.max_frame_seen.max(tag.frame);
-            let rec = self.frames.entry(tag.frame).or_insert_with(|| {
-                FrameReception::with_counts(tag.frame, tag.total, tag.base, self.cfg.packet_bytes)
-            });
-            rec.mark_received_sized(tag.index, pkt.payload.len() as u32);
-            let class = pkt.class.min(2);
-            self.received_by_color[class as usize] += 1;
-            if pkt.retransmission {
-                self.recovered_packets += 1;
-            }
-            let delay_s = now.duration_since(pkt.sent_at).as_secs_f64();
-            self.delays.record(class, now.as_secs_f64(), delay_s);
-            self.telemetry.observe(rx_delay_metric(class), delay_s);
-            if pkt.retransmission {
-                self.telemetry.counter_add("wire.rx.recovered", 1);
-            }
-            let ack = WireAck {
-                flow: pkt.flow,
-                seq: pkt.seq,
-                sent_at: pkt.sent_at,
-                rate_echo: pkt.rate_echo,
-                feedback: pkt.feedback,
-            }
-            .encode();
-            self.transport.send_to(&ack, self.cfg.feedback_to)?;
         }
+    }
+
+    fn on_data(&mut self, pkt: &WireData<'_>, now: SimTime) -> io::Result<()> {
+        let tag = pkt.tag;
+        self.max_frame_seen = self.max_frame_seen.max(tag.frame);
+        let rec = self.frames.entry(tag.frame).or_insert_with(|| {
+            FrameReception::with_counts(tag.frame, tag.total, tag.base, self.cfg.packet_bytes)
+        });
+        rec.mark_received_sized(tag.index, pkt.payload.len() as u32);
+        let class = pkt.class.min(2);
+        self.received_by_color[class as usize] += 1;
+        let delay_s = now.duration_since(pkt.sent_at).as_secs_f64();
+        self.delays.record(class, now.as_secs_f64(), delay_s);
+        self.telemetry.observe(rx_delay_metric(class), delay_s);
+        if pkt.retransmission {
+            self.recovered_packets += 1;
+            self.telemetry.counter_add("wire.rx.recovered", 1);
+        }
+        let ack = WireAck {
+            flow: pkt.flow,
+            seq: pkt.seq,
+            sent_at: pkt.sent_at,
+            rate_echo: pkt.rate_echo,
+            feedback: pkt.feedback,
+        }
+        .encode();
+        self.transport.send_to(&ack, self.cfg.feedback_to)
     }
 
     fn issue_nacks(&mut self) -> io::Result<()> {
         let Some(tracker) = self.nack.as_mut() else { return Ok(()) };
         for tag in tracker.due(self.max_frame_seen, &self.frames) {
             // Only base-layer packets are worth requesting: enhancement is
-            // prefix-decodable loss-tolerant data (and the source would
-            // refuse to repair it — see `WireSource::handle_nack`).
+            // prefix-decodable loss-tolerant data (and the server would
+            // refuse to repair it).
             if tag.index >= tag.base {
                 continue;
             }
@@ -270,6 +270,7 @@ impl<T: Transport> WireReceiver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{peek_kind, WireKind};
     use crate::transport::{MemHub, MemTransport};
     use pels_netsim::packet::{AgentId, Feedback, FrameTag};
 
@@ -331,6 +332,28 @@ mod tests {
         assert!((fb.loss - 0.1).abs() < 1e-12);
         // One-way delay (5 ms) was recorded against the green class.
         assert_eq!(rx.delays.by_class[0].count(), 1);
+    }
+
+    #[test]
+    fn coalesced_container_is_walked_packet_by_packet() {
+        let hub = MemHub::new();
+        let src = hub.endpoint(addr(1));
+        let rx_ep = hub.endpoint(addr(3));
+        let mut rx = WireReceiver::new(rx_cfg(addr(1), None), rx_ep);
+        // Three data packets in one datagram, as the server's batched path
+        // sends them, then a container whose second packet is cut short.
+        let mut container = Vec::new();
+        for index in 0..3 {
+            container.extend_from_slice(&data(0, index, 3, 1, index.min(2) as u8));
+        }
+        src.send_to(&container, addr(3)).unwrap();
+        rx.poll(SimTime::ZERO).unwrap();
+        assert_eq!((rx.received_by_color, rx.decode_errors), ([1, 1, 1], 0));
+        assert_eq!(drain(&src).len(), 3, "one ACK per packet, not per datagram");
+        let one = data(1, 0, 2, 1, 0).len();
+        src.send_to(&container[..one + 10], addr(3)).unwrap();
+        rx.poll(SimTime::ZERO).unwrap();
+        assert_eq!((rx.received_by_color, rx.decode_errors), ([2, 1, 1], 1));
     }
 
     #[test]
@@ -402,8 +425,9 @@ mod tests {
         assert_eq!(hellos.len(), 3);
         assert_eq!(hellos[0], WireHello { flow: FlowId(1), seq: 0 });
         assert_eq!(hellos[2].seq, 2);
-        // BYE goes to the same router.
+        // BYE goes to the same router, and ends the heartbeat with it.
         rx.send_bye().unwrap();
+        rx.poll(SimTime::from_nanos(900_000_000)).unwrap();
         let byes = drain(&router);
         assert_eq!(byes.len(), 1);
         assert_eq!(WireBye::decode(&byes[0]).unwrap().flow, FlowId(1));

@@ -1,14 +1,14 @@
-//! `pels serve`: one process, thousands of PELS flows, batched UDP.
+//! The wire stack's one server loop: thousands of PELS flows, or one.
 //!
-//! The single-flow live stack (`pels live`) wires one source, one router,
-//! and one receiver as three sockets on loopback. This module is the
-//! multi-flow production posture from ROADMAP item 3 — one readiness-polled
-//! socket loop hosting every flow in-process (DESIGN.md §15):
+//! [`ServeLoop`] is the only place in this crate where the paper's control
+//! path is assembled. `pels serve` runs it on batched UDP for thousands of
+//! flows; `pels live` and the wire chaos matrix run the same loop for one
+//! flow against a [`WireReceiver`](crate::WireReceiver) (DESIGN.md §9):
 //!
 //! * **Flow table** — a [`FlowTable`] keyed by flow id whose per-flow state
-//!   is a full MKC + γ control machine ([`ServeFlow`]): the same Eq. 8 /
-//!   Eq. 4 controllers as [`crate::source::WireSource`], driven by client
-//!   HELLO (register), ACK (feedback), and BYE (teardown) datagrams.
+//!   is a full MKC + γ control machine ([`ServeFlow`], Eq. 8 / Eq. 4),
+//!   driven by client HELLO (register), ACK (feedback), NACK (repair) and
+//!   BYE (teardown, and the end of a stream) packets.
 //! * **Timer wheel** — frame emission and token-bucket pacing for every
 //!   flow hang off one hashed wheel with 1 ms slots; firing lateness
 //!   (actual minus scheduled) is the *pacing jitter* reported by
@@ -17,21 +17,38 @@
 //!   in-process strict-priority green/yellow/red discipline with a single
 //!   Eq. 11 [`FeedbackEstimator`] across all flows, so per-flow MKC rates
 //!   converge to the `C/N + α/β` contended operating point exactly as they
-//!   would behind a physical bottleneck. Labels are stamped at departure.
+//!   would behind a physical bottleneck. The router serves at exactly its
+//!   configured capacity (it has no cross traffic to borrow from), counts
+//!   payload bytes only (the simulator's packets have no header, so `r*`
+//!   and `p*` match it numerically), and stamps each departing packet
+//!   with the current label and its flow's current rate.
 //! * **Batched I/O** — departures leave and arrivals enter through
 //!   [`Transport::send_batch`]/[`Transport::recv_batch`]; with the
 //!   [`BatchedUdp`] backend that is one `sendmmsg`/`recvmmsg` per batch
 //!   instead of one syscall per datagram (`--no-batch` falls back to the
 //!   per-datagram loop for the baseline row).
 //!
-//! The serve posture is strict-flows and ARQ-free: data for an evicted
-//! flow is dropped (never forwarded to a stale address) and NACKs are
-//! counted but not answered — repair amplification is a per-session
-//! feature, not a fan-out server's.
+//! The loop is strict about flows: data for an evicted flow is dropped,
+//! never forwarded to a stale address.
+//!
+//! **Base-layer repair.** Each flow can repair its last [`REPAIR_FRAMES`]
+//! frames without retaining them (the base layer's packets follow from the
+//! trace, frames are a frame interval apart, the payload is the shared
+//! pool) and answers a NACK for a base packet of one of them by queueing a
+//! repair that is paced out of the flow's own token bucket as a green
+//! packet, after the current frame's base layer and ahead of its
+//! enhancement. A repair therefore displaces enhancement traffic instead of
+//! adding to it: whatever a NACK flood asks for, the flow admits no more
+//! bits per second than its MKC rate and every fresh frame's base layer
+//! still goes out first, so answering NACKs can neither turn the server
+//! into an amplifier nor starve the stream it repairs. [`REPAIR_TRIES`] per
+//! packet and [`REPAIR_BUDGET`] per flow bound the repair work itself (NACKs
+//! past either are counted in [`ServeReport::nacks_ignored`]), and a repair
+//! still queued when its frame leaves the history is dropped.
 
 use crate::batch::BatchedUdp;
-use crate::codec::{packet_len, peek_kind, WireAck, WireBye, WireData, WireHello, WireKind};
-use crate::codec::{patch_feedback, DATA_HEADER_BYTES};
+use crate::codec::{packets, peek_kind, WireAck, WireBye, WireData, WireHello, WireKind, WireNack};
+use crate::codec::{patch_feedback, patch_rate_echo, DATA_HEADER_BYTES};
 use crate::flowtable::FlowTable;
 use crate::telemetry_names::{
     serve_flow_rate_metric, SERVE_ACKS, SERVE_DECODE_ERRORS, SERVE_FLOWS, SERVE_PACING_JITTER,
@@ -44,7 +61,6 @@ use pels_core::mkc::{MkcConfig, MkcController};
 use pels_core::source::plan_frame;
 use pels_core::Color;
 use pels_fgs::frame::VideoTrace;
-use pels_fgs::packetize::Segment;
 use pels_netsim::clock::{Clock, MonotonicClock};
 use pels_netsim::hist::Histogram;
 use pels_netsim::packet::{AgentId, FlowId, FrameTag};
@@ -98,8 +114,8 @@ pub struct ServeConfig {
     /// are self-delimiting (see [`packet_len`](crate::codec::packet_len)),
     /// so receivers split containers without framing bytes. `0` disables
     /// coalescing; the per-datagram baseline (`batch: false`) never
-    /// coalesces regardless. Must not exceed [`RX_SLOT_BYTES`] or peers
-    /// will truncate containers on receive.
+    /// coalesces regardless. At most [`RX_SLOT_BYTES`], or peers would
+    /// truncate containers on receive ([`ServeConfig::validate`]).
     pub aggregate_bytes: usize,
     /// Emit per-flow telemetry series (`wire.serve.flow.<id>.rate`). Off
     /// by default: at thousands of flows every per-flow series multiplies
@@ -133,6 +149,38 @@ impl ServeConfig {
             telemetry: Telemetry::disabled(),
         }
     }
+
+    /// Checks the sizes that arrive from a command line.
+    ///
+    /// # Errors
+    ///
+    /// Names the first size out of range: a data packet
+    /// ([`MAX_PACKET_BYTES`]) and a container must each fit a peer's receive
+    /// slot ([`RX_SLOT_BYTES`]), and `batch_size`, which sizes a ring of
+    /// such slots, must lie in `1..=`[`MAX_BATCH_SIZE`].
+    pub fn validate(&self) -> Result<(), String> {
+        if !(1..=MAX_PACKET_BYTES).contains(&self.packet_bytes) {
+            return Err(format!(
+                "packet_bytes {} outside 1..={MAX_PACKET_BYTES}: header + payload must fit \
+                 the {RX_SLOT_BYTES}-byte receive slot",
+                self.packet_bytes
+            ));
+        }
+        check_io_sizes(self.batch_size, self.aggregate_bytes)
+    }
+}
+
+/// Bounds the two I/O sizes `pels serve` and `pels loadgen` share.
+pub(crate) fn check_io_sizes(batch_size: usize, aggregate_bytes: usize) -> Result<(), String> {
+    if !(1..=MAX_BATCH_SIZE).contains(&batch_size) {
+        return Err(format!("batch_size {batch_size} outside 1..={MAX_BATCH_SIZE}"));
+    }
+    if aggregate_bytes > RX_SLOT_BYTES {
+        return Err(format!(
+            "aggregate_bytes {aggregate_bytes} exceeds the {RX_SLOT_BYTES}-byte receive slot"
+        ));
+    }
+    Ok(())
 }
 
 /// End-of-run summary of one serve session (the `pels serve` JSON output).
@@ -157,8 +205,11 @@ pub struct ServeReport {
     pub evictions: u64,
     /// Feedback ACKs consumed by per-flow controllers.
     pub acks: u64,
-    /// NACKs received and deliberately ignored (serve runs no ARQ).
+    /// NACKs refused by the repair caps ([`REPAIR_TRIES`] per packet,
+    /// [`REPAIR_BUDGET`] per flow).
     pub nacks_ignored: u64,
+    /// Base-layer repairs queued in answer to NACKs, all flows.
+    pub retransmissions: u64,
     /// Undecodable datagrams at the serve socket.
     pub decode_errors: u64,
     /// Video frames emitted across all flows.
@@ -169,6 +220,9 @@ pub struct ServeReport {
     pub data_sent: u64,
     /// `data_sent / duration_secs`.
     pub datagrams_per_sec: f64,
+    /// Packets paced into the shared router per color class (green,
+    /// yellow, red), repairs included: what the flows sent.
+    pub paced_by_class: [u64; 3],
     /// Departures per color class (green, yellow, red).
     pub tx_by_class: [u64; 3],
     /// Drops at full shared-router color queues.
@@ -185,6 +239,25 @@ pub struct ServeReport {
     /// 99th-percentile timer-event lateness, microseconds — the bench
     /// jitter column.
     pub pacing_jitter_p99_us: f64,
+    /// The shared router's Eq. 11 loss `p` when the report was taken.
+    pub loss: f64,
+    /// Its FGS-layer loss `p_FGS` (the γ controller's input).
+    pub fgs_loss: f64,
+}
+
+/// A read-only snapshot of one flow ([`ServeLoop::flow`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct FlowView {
+    /// The MKC sending rate, bits/s.
+    pub rate_bps: f64,
+    /// The partition fraction γ.
+    pub gamma: f64,
+    /// Frames emitted.
+    pub frames_sent: u64,
+    /// Base-layer repairs queued in answer to NACKs.
+    pub retransmissions: u64,
+    /// Stale-feedback decays applied by the watchdog.
+    pub watchdog_trips: u64,
 }
 
 /// One planned-but-unsent packet of a flow's current frame.
@@ -195,8 +268,32 @@ struct Pending {
     tag: FrameTag,
 }
 
+/// Frames whose base layer a flow keeps repairable.
+pub const REPAIR_FRAMES: usize = 8;
+/// Repairs a flow grants per packet: a duplicated or replayed NACK cannot
+/// make it resend one packet without bound.
+pub const REPAIR_TRIES: u8 = 3;
+/// Repairs a flow grants over its lifetime.
+pub const REPAIR_BUDGET: u64 = 65_536;
+
+/// What a flow that has been NACKed keeps beyond its frame history —
+/// allocated by the first NACK it is granted, so a flow that is never NACKed
+/// carries one pointer.
+#[derive(Debug, Default)]
+struct Repairs {
+    /// Granted repairs awaiting tokens, each with its frame's emission
+    /// time. Not abandoned with `pending` at a frame boundary, but dropped
+    /// once their frame is [`REPAIR_FRAMES`] old.
+    queue: VecDeque<(Pending, SimTime)>,
+    /// Per history slot, the frame it counts for and the repairs granted
+    /// per base packet of that frame.
+    tries: [(u64, Vec<u8>); REPAIR_FRAMES],
+    granted: u64,
+}
+
 /// Per-flow serve state: the full MKC + γ control machine plus the flow's
-/// pacing bucket and frame plan. Lives inside the [`FlowTable`] entry.
+/// pacing bucket and frame plan. Lives inside the [`FlowTable`] entry, so
+/// every byte here is paid per flow at registration.
 #[derive(Debug)]
 pub struct ServeFlow {
     mkc: MkcController,
@@ -205,11 +302,21 @@ pub struct ServeFlow {
     frame_idx: u64,
     seq: u64,
     pending: VecDeque<Pending>,
+    /// When the latest frame was emitted. With the trace, that is all a
+    /// repair needs remembered: the base layer is never scaled, so which
+    /// base packets a frame had, and how long each was, follows from the
+    /// trace; frames are a frame interval apart; the payload is the shared
+    /// pool.
+    last_frame_at: SimTime,
+    repairs: Option<Box<Repairs>>,
     tokens_bits: f64,
     last_pace: Option<SimTime>,
     /// Whether a Pace event for this flow is already on the wheel (one
-    /// pacing chain per flow, re-armed by frame emission).
+    /// pacing chain per flow, re-armed by frame emission and by repairs).
     pace_armed: bool,
+    /// Whether the pacing chain stopped for want of packets since the bucket
+    /// was last refilled.
+    was_idle: bool,
 }
 
 impl ServeFlow {
@@ -221,22 +328,35 @@ impl ServeFlow {
             frame_idx: 0,
             seq: 0,
             pending: VecDeque::new(),
+            last_frame_at: SimTime::ZERO,
+            repairs: None,
             tokens_bits: 0.0,
             last_pace: None,
             pace_armed: false,
+            was_idle: false,
         }
     }
 
     /// Plans the next frame at the current MKC rate ([`plan_frame`]).
-    /// Returns packets abandoned from the previous interval.
-    fn emit_frame(&mut self, trace: &VideoTrace, packet_bytes: u32) -> u64 {
-        let abandoned = self.pending.len() as u64;
+    /// Returns the packets abandoned: the previous interval's unsent ones
+    /// and the repairs that expired.
+    fn emit_frame(&mut self, trace: &VideoTrace, packet_bytes: u32, now: SimTime) -> u64 {
+        let mut abandoned = self.pending.len() as u64;
         self.pending.clear();
+        // A repair still queued when its frame leaves the history has
+        // missed every deadline it could have served: the queue holds at
+        // most `REPAIR_TRIES` repairs of each base packet of the last
+        // `REPAIR_FRAMES` frames, whatever the NACK stream.
+        if let Some(r) = &mut self.repairs {
+            let queued = r.queue.len();
+            r.queue.retain(|(p, _)| p.tag.frame + REPAIR_FRAMES as u64 > self.frame_idx);
+            abandoned += (queued - r.queue.len()) as u64;
+        }
         let spec = *trace.frame(self.frame_idx);
         let (plan, _shed) =
             plan_frame(&spec, trace.fps, self.mkc.rate_bps(), self.gamma.gamma(), packet_bytes);
         let total = plan.len() as u16;
-        let base = plan.iter().filter(|p| p.segment == Segment::Base).count() as u16;
+        let base = spec.base_bytes.div_ceil(packet_bytes) as u16;
         for pp in &plan {
             self.pending.push_back(Pending {
                 bytes: pp.bytes,
@@ -244,8 +364,92 @@ impl ServeFlow {
                 tag: FrameTag { frame: self.frame_idx, index: pp.index, total, base },
             });
         }
+        self.last_frame_at = now;
         self.frame_idx += 1;
         abandoned
+    }
+
+    /// Whether the pacer's next packet is a repair: repairs go out after the
+    /// current frame's base layer, so no NACK stream can starve it, and
+    /// ahead of its enhancement, which is what they displace.
+    fn repair_is_next(&self) -> bool {
+        self.repairs.as_ref().is_some_and(|r| !r.queue.is_empty())
+            && self.pending.front().is_none_or(|p| p.class != 0)
+    }
+
+    /// The packet the pacer sends next, with its frame's emission time if
+    /// it is a repair.
+    fn head(&self) -> Option<(Pending, Option<SimTime>)> {
+        if self.repair_is_next() {
+            let &(p, emitted_at) = self.repairs.as_ref()?.queue.front()?;
+            Some((p, Some(emitted_at)))
+        } else {
+            self.pending.front().map(|&p| (p, None))
+        }
+    }
+
+    fn pop_head(&mut self) {
+        if !self.repair_is_next() {
+            self.pending.pop_front();
+        } else if let Some(r) = &mut self.repairs {
+            r.queue.pop_front();
+        }
+    }
+
+    fn retransmissions(&self) -> u64 {
+        self.repairs.as_ref().map_or(0, |r| r.granted)
+    }
+
+    /// Answers one NACK: `Some(true)` queued a repair, `Some(false)` hit a
+    /// cap, `None` named nothing repairable.
+    ///
+    /// Only the base layer is repairable. Enhancement is prefix-decodable
+    /// and loss-tolerant by design (red loss *is* the γ signal, Eq. 4), and
+    /// at the MKC operating point its tail is clipped every interval:
+    /// repairing it would displace the next frame's packets into
+    /// abandonment, whose NACKs displace the next — a self-sustaining storm.
+    fn grant_repair(
+        &mut self,
+        tag: FrameTag,
+        trace: &VideoTrace,
+        packet_bytes: u32,
+        frame_interval: SimDuration,
+    ) -> Option<bool> {
+        // Frames back from the latest one, if the history still holds it.
+        let age = self.frame_idx.checked_sub(1)?.checked_sub(tag.frame)?;
+        if age >= REPAIR_FRAMES as u64 {
+            return None;
+        }
+        // The packet's length, if the base layer reaches that index.
+        let base_bytes = trace.frame(tag.frame).base_bytes;
+        let before = u32::from(tag.index) * packet_bytes;
+        let bytes = base_bytes.checked_sub(before).filter(|&b| b > 0)?.min(packet_bytes);
+        let base = base_bytes.div_ceil(packet_bytes) as u16;
+
+        let slot = (tag.frame % REPAIR_FRAMES as u64) as usize;
+        let repairs = self.repairs.get_or_insert_with(Box::default);
+        let (counted, tries) = &mut repairs.tries[slot];
+        if *counted != tag.frame || tries.is_empty() {
+            *counted = tag.frame;
+            tries.clear();
+            tries.resize(usize::from(base), 0);
+        }
+        let tries = &mut tries[usize::from(tag.index)];
+        if repairs.granted >= REPAIR_BUDGET || *tries >= REPAIR_TRIES {
+            return Some(false);
+        }
+        *tries += 1;
+        repairs.granted += 1;
+        // Index, base count and length are the server's own. The frame's
+        // packet count is the receiver's, which learned it from the packets
+        // of the frame that did arrive; the emission time is reckoned back
+        // from the latest frame, give or take timer lateness.
+        let tag = FrameTag { total: tag.total.max(base), base, ..tag };
+        let emitted_at = SimTime::from_nanos(
+            self.last_frame_at.as_nanos().saturating_sub(frame_interval.as_nanos() * age),
+        );
+        repairs.queue.push_back((Pending { bytes, class: 0, tag }, emitted_at));
+        Some(true)
     }
 }
 
@@ -282,11 +486,18 @@ const FLUSH_INTERVAL: SimDuration = SimDuration::from_millis(1);
 /// `sendmmsg` alone only shaves the (cheap) entry.
 pub(crate) const AGGREGATE_BYTES: usize = 1472;
 
-/// Receive-slot capacity on both serve and loadgen rings. Must hold the
+/// Receive-slot capacity of every endpoint in this crate. Must hold the
 /// largest container a peer can send ([`AGGREGATE_BYTES`], plus headroom
 /// for configs that raise it); anything longer is truncated by the socket
 /// and surfaces as a decode error.
-pub(crate) const RX_SLOT_BYTES: usize = 2048;
+pub const RX_SLOT_BYTES: usize = 2048;
+
+/// Largest data payload whose packet still fits a receive slot.
+pub const MAX_PACKET_BYTES: u32 = (RX_SLOT_BYTES - DATA_HEADER_BYTES) as u32;
+
+/// Largest `batch_size`: it sizes a ring of [`RX_SLOT_BYTES`] slots (2 MiB
+/// at this bound) and the kernel caps `sendmmsg`/`recvmmsg` at 1024 anyway.
+pub const MAX_BATCH_SIZE: usize = 1024;
 
 /// Pacing admission stops while a color queue holds this many packets.
 /// Past it, admitting more only converts cheap pending entries into
@@ -380,6 +591,7 @@ impl TimerWheel {
 /// green/yellow/red strict-priority discipline across all flows.
 #[derive(Debug)]
 struct ServeRouter {
+    id: AgentId,
     estimator: FeedbackEstimator,
     queues: [VecDeque<(FlowId, Vec<u8>)>; 3],
     /// Recycled datagram buffers shared with the departure batch.
@@ -396,12 +608,14 @@ struct ServeRouter {
 
 impl ServeRouter {
     fn new(
+        id: AgentId,
         capacity: Rate,
         interval: SimDuration,
         smoothing: f64,
         color_limits: [usize; 3],
     ) -> Self {
         ServeRouter {
+            id,
             estimator: FeedbackEstimator::with_smoothing(capacity, interval, smoothing),
             queues: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
             free: Vec::new(),
@@ -446,17 +660,11 @@ impl ServeRouter {
     }
 
     /// Serves the color queues in strict priority within the accumulated
-    /// byte budget, stamping the current label at departure and resolving
-    /// each packet's destination through the flow table (strict: a dead
-    /// flow's packet is dropped, costing no budget). Departures are pushed
-    /// into `out` for one batched send.
-    fn drain(
-        &mut self,
-        now: SimTime,
-        id: AgentId,
-        flows: &FlowTable<ServeFlow>,
-        out: &mut Vec<Datagram>,
-    ) {
+    /// byte budget, stamping the current label and the flow's rate at
+    /// departure and resolving each packet's destination through the flow
+    /// table (strict: a dead flow's packet is dropped, costing no budget).
+    /// Departures are pushed into `out` for one batched send.
+    fn drain(&mut self, now: SimTime, flows: &FlowTable<ServeFlow>, out: &mut Vec<Datagram>) {
         if let Some(last) = self.last_drain {
             let dt = now.duration_since(last).as_secs_f64();
             // Credit is capped at one interval's worth so an idle spell
@@ -469,7 +677,7 @@ impl ServeRouter {
             self.budget_bits = (self.budget_bits + self.capacity_bps * dt).min(max_credit);
         }
         self.last_drain = Some(now);
-        let label = self.estimator.label(id);
+        let label = self.estimator.label(self.id);
         loop {
             let Some(class) = (0..3).find(|&c| !self.queues[c].is_empty()) else {
                 return;
@@ -483,15 +691,21 @@ impl ServeRouter {
             let Some((flow, mut datagram)) = self.queues[class].pop_front() else {
                 return;
             };
-            let Some(addr) = flows.addr_of(flow) else {
+            let Some(entry) = flows.get(flow) else {
                 self.unregistered_drops += 1;
                 self.recycle(datagram);
                 continue;
             };
             self.budget_bits -= cost;
+            // The label and the rate it will be applied to leave together:
+            // Eq. 8 steps from the rate in effect when `p` was measured, and
+            // a red packet can wait out seconds of yellow backlog — paired
+            // with a fresh label, the rate it was encoded with would fling
+            // the controller back to wherever it was then.
             let _ = patch_feedback(&mut datagram, label);
+            let _ = patch_rate_echo(&mut datagram, entry.state.mkc.rate_bps());
             self.tx_by_class[class] += 1;
-            out.push(Datagram { buf: datagram, addr });
+            out.push(Datagram { buf: datagram, addr: entry.addr });
         }
     }
 }
@@ -510,7 +724,7 @@ pub struct ServeLoop<T: Transport> {
     jitter: Histogram,
     rx_ring: Vec<Datagram>,
     tx_batch: Vec<Datagram>,
-    /// Scratch for coalesced container datagrams, reused across flushes.
+    /// Scratch for the (coalesced) datagrams of one flush, reused.
     agg_batch: Vec<Datagram>,
     /// Deadline for flushing a part-full `tx_batch` (armed when the batch
     /// goes non-empty; see [`FLUSH_INTERVAL`]).
@@ -529,9 +743,11 @@ pub struct ServeLoop<T: Transport> {
     evictions: u64,
     acks: u64,
     nacks_ignored: u64,
+    retransmissions: u64,
     decode_errors: u64,
     frames_emitted: u64,
     abandoned_packets: u64,
+    paced_by_class: [u64; 3],
     data_sent: u64,
     timer_events: u64,
 }
@@ -540,7 +756,8 @@ impl<T: Transport> ServeLoop<T> {
     /// Wraps `transport` in a serve loop. `send_drops` is the transport's
     /// swallowed-send counter when it has one (UDP backends).
     pub fn new(cfg: ServeConfig, transport: T, send_drops: Option<Arc<AtomicU64>>) -> Self {
-        let router = ServeRouter::new(cfg.capacity, cfg.feedback_interval, 0.15, cfg.color_limits);
+        let router =
+            ServeRouter::new(cfg.id, cfg.capacity, cfg.feedback_interval, 0.15, cfg.color_limits);
         let rx_ring = (0..cfg.batch_size.max(1)).map(|_| Datagram::slot(RX_SLOT_BYTES)).collect();
         let payload_pool = vec![0u8; cfg.packet_bytes as usize];
         let frame_interval = SimDuration::from_secs_f64(cfg.trace.frame_interval_secs());
@@ -568,9 +785,11 @@ impl<T: Transport> ServeLoop<T> {
             evictions: 0,
             acks: 0,
             nacks_ignored: 0,
+            retransmissions: 0,
             decode_errors: 0,
             frames_emitted: 0,
             abandoned_packets: 0,
+            paced_by_class: [0; 3],
             data_sent: 0,
             timer_events: 0,
         }
@@ -584,6 +803,18 @@ impl<T: Transport> ServeLoop<T> {
     /// Live flows currently registered.
     pub fn flows(&self) -> usize {
         self.flows.len()
+    }
+
+    /// What `flow` is doing right now, if it is registered.
+    pub fn flow(&self, flow: FlowId) -> Option<FlowView> {
+        let s = &self.flows.get(flow)?.state;
+        Some(FlowView {
+            rate_bps: s.mkc.rate_bps(),
+            gamma: s.gamma.gamma(),
+            frames_sent: s.frame_idx,
+            retransmissions: s.retransmissions(),
+            watchdog_trips: s.mkc.stale_decays(),
+        })
     }
 
     /// Advances the loop to `now`: drains the socket, fires due timers,
@@ -648,7 +879,7 @@ impl<T: Transport> ServeLoop<T> {
         // actually carries a batch worth amortizing a syscall over.
         let mut batch = std::mem::take(&mut self.tx_batch);
         let was_empty = batch.is_empty();
-        self.router.drain(now, self.cfg.id, &self.flows, &mut batch);
+        self.router.drain(now, &self.flows, &mut batch);
         if was_empty && !batch.is_empty() {
             self.flush_due = now + FLUSH_INTERVAL;
         }
@@ -657,39 +888,29 @@ impl<T: Transport> ServeLoop<T> {
             work = true;
             self.data_sent += batch.len() as u64;
             self.cfg.telemetry.counter_add(SERVE_TX, batch.len() as u64);
+            // Coalesce consecutive same-destination packets into container
+            // datagrams: the kernel charges per datagram, not per wire
+            // packet, so fewer-but-fuller datagrams is where the batched
+            // path's throughput comes from. The first packet of each run
+            // donates its buffer, so a run of one costs no copy at all —
+            // and with a zero cap (the per-datagram baseline) every run is
+            // a run of one.
             let agg = if self.cfg.batch { self.cfg.aggregate_bytes } else { 0 };
-            let res = if agg > 0 {
-                // Coalesce consecutive same-destination packets into
-                // container datagrams: the kernel charges per datagram,
-                // not per wire packet, so fewer-but-fuller datagrams is
-                // where the batched path's throughput comes from. The
-                // first packet of each run donates its buffer, so a
-                // run of one costs no copy at all.
-                let mut packed = std::mem::take(&mut self.agg_batch);
-                for d in batch.drain(..) {
-                    match packed.last_mut() {
-                        Some(last)
-                            if last.addr == d.addr && last.buf.len() + d.buf.len() <= agg =>
-                        {
-                            last.buf.extend_from_slice(&d.buf);
-                            self.router.recycle(d.buf);
-                        }
-                        _ => packed.push(d),
+            let mut packed = std::mem::take(&mut self.agg_batch);
+            for d in batch.drain(..) {
+                match packed.last_mut() {
+                    Some(last) if last.addr == d.addr && last.buf.len() + d.buf.len() <= agg => {
+                        last.buf.extend_from_slice(&d.buf);
+                        self.router.recycle(d.buf);
                     }
+                    _ => packed.push(d),
                 }
-                let res = self.transport.send_batch(&packed);
-                for d in packed.drain(..) {
-                    self.router.recycle(d.buf);
-                }
-                self.agg_batch = packed;
-                res
-            } else {
-                let res = self.transport.send_batch(&batch);
-                for d in batch.drain(..) {
-                    self.router.recycle(d.buf);
-                }
-                res
-            };
+            }
+            let res = self.transport.send_batch(&packed);
+            for d in packed.drain(..) {
+                self.router.recycle(d.buf);
+            }
+            self.agg_batch = packed;
             self.tx_batch = batch;
             res?;
         } else {
@@ -698,23 +919,14 @@ impl<T: Transport> ServeLoop<T> {
         Ok(work)
     }
 
-    /// Splits a (possibly coalesced) datagram into its wire packets. A
-    /// single-packet datagram is the degenerate one-iteration case, so
-    /// baseline peers cost nothing extra. A malformed head poisons the
-    /// rest of the container — without its length the remainder has no
-    /// frame boundary — and counts one decode error.
+    /// Handles every wire packet of a (possibly coalesced) datagram; a
+    /// malformed head costs the rest of the container and one decode error.
     fn on_container(&mut self, now: SimTime, buf: &[u8], from: SocketAddr) {
-        let mut off = 0;
-        while off < buf.len() {
-            let Ok(len) = packet_len(&buf[off..]) else {
-                return self.on_decode_error();
-            };
-            let end = off + len;
-            if end > buf.len() {
-                return self.on_decode_error();
+        for packet in packets(buf) {
+            match packet {
+                Ok(packet) => self.on_datagram(now, packet, from),
+                Err(_) => self.on_decode_error(),
             }
-            self.on_datagram(now, &buf[off..end], from);
-            off = end;
         }
     }
 
@@ -751,9 +963,10 @@ impl<T: Transport> ServeLoop<T> {
                 }
             }
             Ok(WireKind::Nack) => {
-                // Serve runs no ARQ: a fan-out server answering repair
-                // floods from thousands of receivers is an amplifier.
-                self.nacks_ignored += 1;
+                let Ok(nack) = WireNack::decode(buf) else {
+                    return self.on_decode_error();
+                };
+                self.on_nack(now, &nack);
             }
             _ => self.on_decode_error(),
         }
@@ -787,6 +1000,29 @@ impl<T: Transport> ServeLoop<T> {
         }
     }
 
+    /// Queues a base-layer repair if the flow still holds the packet and
+    /// its caps allow, and makes sure the flow's pacing chain is running.
+    fn on_nack(&mut self, now: SimTime, nack: &WireNack) {
+        let Some(entry) = self.flows.get_mut(nack.flow) else {
+            return;
+        };
+        let s = &mut entry.state;
+        match s.grant_repair(nack.tag, &self.cfg.trace, self.cfg.packet_bytes, self.frame_interval)
+        {
+            Some(true) => {}
+            Some(false) => {
+                self.nacks_ignored += 1;
+                return;
+            }
+            None => return,
+        }
+        self.retransmissions += 1;
+        if !s.pace_armed {
+            s.pace_armed = true;
+            self.wheel.schedule(now, TimerEvent::Pace(nack.flow));
+        }
+    }
+
     /// Frame deadline: run the per-flow staleness watchdog, plan the next
     /// frame, re-arm the frame timer, and arm pacing if idle.
     fn on_frame(&mut self, now: SimTime, flow: FlowId) {
@@ -797,9 +1033,12 @@ impl<T: Transport> ServeLoop<T> {
         // One check per frame interval stands in for the source's
         // stale_timeout/4 watchdog cadence (same order of magnitude).
         if s.mkc.apply_staleness(now) {
+            // A full timeout without fresh feedback means the epoch horizon
+            // itself may be wrong (a corrupted label that jumped it
+            // forward): re-anchor so the next genuine label is accepted.
             s.filter.reset();
         }
-        let abandoned = s.emit_frame(&self.cfg.trace, self.cfg.packet_bytes);
+        let abandoned = s.emit_frame(&self.cfg.trace, self.cfg.packet_bytes, now);
         let arm_pace = !s.pending.is_empty() && !s.pace_armed;
         if arm_pace {
             s.pace_armed = true;
@@ -825,27 +1064,39 @@ impl<T: Transport> ServeLoop<T> {
         match s.last_pace {
             Some(last) => {
                 let dt = now.duration_since(last).as_secs_f64();
-                // Bucket depth: one frame interval's worth of tokens (the
-                // most `pending` can ever hold), floored at two packets. A
-                // two-packet cap clips tokens whenever a pace event fires
-                // late — under load the lost credit compounds until frames
-                // are abandoned wholesale even though the MKC rate and the
-                // socket could both carry them.
-                let depth = (rate * self.frame_interval.as_secs_f64()).max(2.0 * packet_bits);
+                // Bucket depth while the flow has a backlog: one frame
+                // interval's worth of tokens (the most `pending` can ever
+                // hold), floored at two packets. A two-packet cap clips
+                // tokens whenever a pace event fires late — under load the
+                // lost credit compounds until frames are abandoned wholesale
+                // even though the MKC rate and the socket could both carry
+                // them. A flow that had nothing to send banks two packets at
+                // most: enough to carry the end of one frame's interval into
+                // the next frame, and no more, because banked idle time comes
+                // back as a burst at the head of the next frame, the shared
+                // router reads the burst as overload and the lull after it
+                // as spare capacity, and MKC locks into a limit cycle on the
+                // alternating labels (±12 % around `r*` for one flow).
+                let depth = if s.was_idle {
+                    2.0 * packet_bits
+                } else {
+                    (rate * self.frame_interval.as_secs_f64()).max(2.0 * packet_bits)
+                };
                 s.tokens_bits = (s.tokens_bits + rate * dt).min(depth);
             }
             None => s.tokens_bits = packet_bits,
         }
         s.last_pace = Some(now);
-        while let Some(front) = s.pending.front() {
-            let cost = f64::from(front.bytes) * 8.0;
+        s.was_idle = false;
+        while let Some((p, repair_of)) = s.head() {
+            let cost = f64::from(p.bytes) * 8.0;
             if s.tokens_bits < cost {
                 break;
             }
-            if self.router.queue_depth(front.class) >= ADMIT_HIGH_WATER {
+            if self.router.queue_depth(p.class) >= ADMIT_HIGH_WATER {
                 break;
             }
-            let Some(p) = s.pending.pop_front() else { break };
+            s.pop_head();
             s.tokens_bits -= cost;
             let mut datagram = self.router.take_buf();
             WireData {
@@ -853,22 +1104,26 @@ impl<T: Transport> ServeLoop<T> {
                 seq: s.seq,
                 tag: p.tag,
                 class: p.class,
-                retransmission: false,
-                sent_at: now,
+                retransmission: repair_of.is_some(),
+                // A repair keeps its frame's emission time, so the
+                // receiver's delay accounting sees the full recovery latency.
+                sent_at: repair_of.unwrap_or(now),
                 rate_echo: rate,
                 feedback: None,
                 payload: &self.payload_pool[..p.bytes as usize],
             }
             .encode_into(&mut datagram);
             s.seq += 1;
+            self.paced_by_class[usize::from(p.class.min(2))] += 1;
             self.router.enqueue(flow, datagram, p.class, p.bytes);
         }
-        if let Some(front) = s.pending.front() {
+        if let Some((front, _)) = s.head() {
             let deficit_bits = (f64::from(front.bytes) * 8.0 - s.tokens_bits).max(0.0);
             let wait = SimDuration::from_secs_f64(deficit_bits / rate.max(1.0));
             self.wheel.schedule(now + wait, TimerEvent::Pace(flow));
         } else {
             s.pace_armed = false;
+            s.was_idle = true;
         }
     }
 
@@ -911,11 +1166,13 @@ impl<T: Transport> ServeLoop<T> {
             evictions: self.evictions,
             acks: self.acks,
             nacks_ignored: self.nacks_ignored,
+            retransmissions: self.retransmissions,
             decode_errors: self.decode_errors,
             frames_emitted: self.frames_emitted,
             abandoned_packets: self.abandoned_packets,
             data_sent: self.data_sent,
             datagrams_per_sec: self.data_sent as f64 / duration_secs,
+            paced_by_class: self.paced_by_class,
             tx_by_class: self.router.tx_by_class,
             queue_drops_by_class: self.router.drops_by_class,
             unregistered_drops: self.router.unregistered_drops,
@@ -923,6 +1180,8 @@ impl<T: Transport> ServeLoop<T> {
             timer_events: self.timer_events,
             pacing_jitter_p50_us: self.jitter.quantile(0.50).unwrap_or(0.0) * 1e6,
             pacing_jitter_p99_us: self.jitter.quantile(0.99).unwrap_or(0.0) * 1e6,
+            loss: self.router.estimator.loss(),
+            fgs_loss: self.router.estimator.fgs_loss(),
         }
     }
 }
@@ -949,12 +1208,15 @@ pub fn run_serve(cfg: ServeConfig) -> io::Result<ServeReport> {
 ///
 /// # Errors
 ///
-/// Propagates socket setup and hard transport failures.
+/// [`io::ErrorKind::InvalidInput`] for a config that fails
+/// [`ServeConfig::validate`]; otherwise propagates socket setup and hard
+/// transport failures.
 pub fn run_serve_with(
     cfg: ServeConfig,
     on_ready: impl FnOnce(SocketAddr),
     should_stop: impl FnMut() -> bool,
 ) -> io::Result<ServeReport> {
+    cfg.validate().map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     if cfg.batch {
         let mut t = BatchedUdp::bind(cfg.listen)?;
         t.set_telemetry(cfg.telemetry.clone());
@@ -1024,28 +1286,59 @@ mod tests {
         out
     }
 
+    /// Every data packet in `datagrams`, containers walked.
+    fn data_packets(datagrams: &[Vec<u8>]) -> Vec<WireData<'_>> {
+        datagrams
+            .iter()
+            .flat_map(|d| packets(d))
+            .map(|p| WireData::decode(p.unwrap()).unwrap())
+            .collect()
+    }
+
+    fn hello(client: &MemTransport, flow: u32) {
+        client.send_to(&WireHello { flow: FlowId(flow), seq: 0 }.encode(), addr(1)).unwrap();
+    }
+
+    /// Polls once per millisecond over `ms`, refreshing flow 1's HELLO
+    /// often enough that idle eviction never triggers.
+    fn run_ms(lp: &mut ServeLoop<MemTransport>, client: &MemTransport, ms: std::ops::Range<u64>) {
+        for t in ms {
+            if t % 400 == 0 {
+                hello(client, 1);
+            }
+            lp.poll(SimTime::from_nanos(t * 1_000_000)).unwrap();
+        }
+    }
+
+    /// A flow that never hears feedback holds twice the base-layer rate:
+    /// every 10 fps frame plans the 1600-byte base layer as four 400-byte
+    /// green packets plus four enhancement packets for a repair to displace
+    /// (at the 128 kb/s floor the base layer takes every token).
+    fn repair_cfg() -> ServeConfig {
+        let mut cfg = serve_cfg();
+        cfg.mkc.initial = Rate::from_kbps(256.0);
+        cfg
+    }
+
+    fn nack(frame: u64, index: u16) -> Vec<u8> {
+        WireNack { flow: FlowId(1), tag: FrameTag { frame, index, total: 8, base: 4 } }.encode()
+    }
+
     #[test]
     fn hello_starts_a_paced_stream_and_bye_ends_it() {
         let hub = MemHub::new();
         let client = hub.endpoint(addr(2));
         let mut lp = mem_loop(&hub, serve_cfg());
-        client.send_to(&WireHello { flow: FlowId(7), seq: 0 }.encode(), addr(1)).unwrap();
         // 1 simulated second at 1 ms polls, no feedback: 128 kb/s initial
         // rate = 4 green packets per 10 fps frame.
-        for ms in 0..=1000u64 {
-            lp.poll(SimTime::from_nanos(ms * 1_000_000)).unwrap();
-            if ms == 500 {
-                // refresh liveness mid-run so idle eviction never triggers
-                client.send_to(&WireHello { flow: FlowId(7), seq: 1 }.encode(), addr(1)).unwrap();
-            }
-        }
+        run_ms(&mut lp, &client, 0..1001);
         assert_eq!(lp.flows(), 1);
         let got = drain(&client);
         assert!((30..=45).contains(&got.len()), "{} packets", got.len());
         let first = WireData::decode(&got[0]).unwrap();
-        assert_eq!((first.flow, first.class), (FlowId(7), 0));
+        assert_eq!((first.flow, first.class), (FlowId(1), 0));
         assert!(first.feedback.is_some(), "labels stamped at departure");
-        client.send_to(&WireBye { flow: FlowId(7) }.encode(), addr(1)).unwrap();
+        client.send_to(&WireBye { flow: FlowId(1) }.encode(), addr(1)).unwrap();
         lp.poll(SimTime::from_nanos(1_001_000_000)).unwrap();
         let report = lp.report(SimTime::from_nanos(1_001_000_000));
         assert_eq!((report.leaked_flows, report.byes, report.decode_errors), (0, 1, 0));
@@ -1053,13 +1346,33 @@ mod tests {
     }
 
     #[test]
+    fn an_idle_flow_banks_two_packets_not_a_frame() {
+        let hub = MemHub::new();
+        let client = hub.endpoint(addr(2));
+        // 1 Mb/s pays for 12 500 bytes a frame and the trace has 11 600 to
+        // send, so the pacing chain idles through the end of every interval.
+        let mut cfg = serve_cfg();
+        cfg.mkc.initial = Rate::from_mbps(1.0);
+        let mut lp = mem_loop(&hub, cfg);
+        run_ms(&mut lp, &client, 0..2_000);
+        let paced = |lp: &ServeLoop<MemTransport>| lp.paced_by_class.iter().sum::<u64>();
+        for ms in 2_000..2_100 {
+            let before = paced(&lp);
+            run_ms(&mut lp, &client, ms..ms + 1);
+            // Twenty frames of banked idle time would put a whole frame
+            // into the router in one poll.
+            assert!(paced(&lp) - before <= 3, "{} packets at {ms} ms", paced(&lp) - before);
+        }
+        assert_eq!(lp.abandoned_packets, 0, "and every frame still goes out whole");
+    }
+
+    #[test]
     fn ack_feedback_drives_the_per_flow_mkc_rate() {
         let hub = MemHub::new();
         let client = hub.endpoint(addr(2));
         let mut lp = mem_loop(&hub, serve_cfg());
-        client.send_to(&WireHello { flow: FlowId(1), seq: 0 }.encode(), addr(1)).unwrap();
-        lp.poll(SimTime::ZERO).unwrap();
-        let before = lp.flows.get(FlowId(1)).unwrap().state.mkc.rate_bps();
+        run_ms(&mut lp, &client, 0..1);
+        let before = lp.flow(FlowId(1)).unwrap().rate_bps;
         let ack = WireAck {
             flow: FlowId(1),
             seq: 0,
@@ -1069,14 +1382,48 @@ mod tests {
         };
         client.send_to(&ack.encode(), addr(1)).unwrap();
         lp.poll(SimTime::from_nanos(1_000_000)).unwrap();
-        let after = lp.flows.get(FlowId(1)).unwrap().state.mkc.rate_bps();
-        assert!(after > before, "{after} vs {before}");
+        let after = lp.flow(FlowId(1)).unwrap().rate_bps;
+        // One MKC step from 128k with p = -1: 128k + 20k + 0.5·128k = 212k,
+        // and γ moved toward p_fgs / p_thr = 0.4.
+        assert!((after - 212_000.0).abs() < 1.0, "{after} from {before}");
+        assert!(lp.flow(FlowId(1)).unwrap().gamma < 0.5);
         // Replayed epoch is filtered.
         client.send_to(&ack.encode(), addr(1)).unwrap();
         lp.poll(SimTime::from_nanos(2_000_000)).unwrap();
-        let replayed = lp.flows.get(FlowId(1)).unwrap().state.mkc.rate_bps();
-        assert!((replayed - after).abs() < 1.0);
+        assert!((lp.flow(FlowId(1)).unwrap().rate_bps - after).abs() < 1.0);
         assert_eq!(lp.acks, 2);
+    }
+
+    #[test]
+    fn a_packet_that_waited_in_the_router_echoes_the_rate_at_departure() {
+        let hub = MemHub::new();
+        let client = hub.endpoint(addr(2));
+        let mut lp = mem_loop(&hub, serve_cfg());
+        run_ms(&mut lp, &client, 0..1);
+        // A red packet encoded at 128 kb/s sits in the shared router — in
+        // service it can wait out seconds of yellow backlog — while
+        // feedback moves the flow's rate to 212 kb/s.
+        lp.router.enqueue(FlowId(1), encoded(1, 2, 400), 2, 400);
+        let ack = |epoch: u64, rate_echo: f64, loss: f64| {
+            let feedback = Some(Feedback::new(AgentId(9), epoch, loss, 0.0));
+            WireAck { flow: FlowId(1), seq: 0, sent_at: SimTime::ZERO, rate_echo, feedback }
+                .encode()
+        };
+        client.send_to(&ack(1, 128_000.0, -1.0), addr(1)).unwrap();
+        run_ms(&mut lp, &client, 1..4);
+        let got = drain(&client);
+        let red: Vec<_> = data_packets(&got).into_iter().filter(|p| p.class == 2).collect();
+        assert_eq!(red.len(), 1);
+        // It leaves with a fresh label, so it must leave with the rate that
+        // label's `p` was measured against: stepping Eq. 8 from the echo of
+        // this packet's ACK moves the rate on from 212 kb/s, not back to
+        // 128 kb/s + α.
+        assert!(red[0].feedback.is_some());
+        assert!((red[0].rate_echo - 212_000.0).abs() < 1.0, "echo {}", red[0].rate_echo);
+        client.send_to(&ack(2, red[0].rate_echo, 0.0), addr(1)).unwrap();
+        run_ms(&mut lp, &client, 4..5);
+        let after = lp.flow(FlowId(1)).unwrap().rate_bps;
+        assert!((after - 232_000.0).abs() < 1.0, "{after}");
     }
 
     #[test]
@@ -1084,7 +1431,7 @@ mod tests {
         let hub = MemHub::new();
         let client = hub.endpoint(addr(2));
         let mut lp = mem_loop(&hub, serve_cfg());
-        client.send_to(&WireHello { flow: FlowId(3), seq: 0 }.encode(), addr(1)).unwrap();
+        hello(&client, 3);
         // Run well past the 500 ms idle timeout with no HELLO refresh.
         for ms in 0..=1500u64 {
             lp.poll(SimTime::from_nanos(ms * 1_000_000)).unwrap();
@@ -1103,109 +1450,313 @@ mod tests {
         let mut cfg = serve_cfg();
         cfg.max_flows = 2;
         let mut lp = mem_loop(&hub, cfg);
-        for f in 1..=3u32 {
-            client.send_to(&WireHello { flow: FlowId(f), seq: 0 }.encode(), addr(1)).unwrap();
+        for f in 1..=3 {
+            hello(&client, f);
         }
         lp.poll(SimTime::ZERO).unwrap();
         assert_eq!(lp.flows(), 2);
         let report = lp.report(SimTime::from_nanos(1));
         assert_eq!((report.hellos, report.hellos_refused), (2, 1));
         // A refresh of a registered flow still passes at the cap.
-        client.send_to(&WireHello { flow: FlowId(1), seq: 1 }.encode(), addr(1)).unwrap();
+        hello(&client, 1);
         lp.poll(SimTime::from_nanos(1_000_000)).unwrap();
         assert_eq!(lp.report(SimTime::from_nanos(2)).hellos, 3);
     }
 
     #[test]
-    fn shared_router_keeps_strict_priority_across_flows() {
+    fn overload_produces_positive_loss_and_stamped_labels() {
         let hub = MemHub::new();
         let client = hub.endpoint(addr(2));
         let mut cfg = serve_cfg();
         // Tight shared capacity: two flows at the initial 128 kb/s rate
         // overrun 100 kb/s, so the estimator must report loss.
         cfg.capacity = Rate::from_kbps(100.0);
+        cfg.id = AgentId(7);
         let mut lp = mem_loop(&hub, cfg);
-        for f in [1u32, 2] {
-            client.send_to(&WireHello { flow: FlowId(f), seq: 0 }.encode(), addr(1)).unwrap();
+        hello(&client, 2);
+        run_ms(&mut lp, &client, 0..501);
+        assert!(lp.router.estimator.epoch() >= 1);
+        assert!(lp.router.estimator.loss() > 0.0, "loss {}", lp.router.estimator.loss());
+        let got = drain(&client);
+        let got = data_packets(&got);
+        assert!(got.iter().any(|p| p.flow == FlowId(1)) && got.iter().any(|p| p.flow == FlowId(2)));
+        // Both flows share one label namespace: every departure carries
+        // the shared router's stamp, and once an interval has closed, its
+        // positive loss.
+        for p in &got {
+            assert_eq!(p.feedback.expect("stamped").router, AgentId(7));
         }
-        for ms in 0..=500u64 {
-            lp.poll(SimTime::from_nanos(ms * 1_000_000)).unwrap();
-            if ms % 400 == 0 {
-                for f in [1u32, 2] {
-                    client
-                        .send_to(&WireHello { flow: FlowId(f), seq: 1 }.encode(), addr(1))
-                        .unwrap();
-                }
+        assert!(got.last().unwrap().feedback.unwrap().loss > 0.0);
+    }
+
+    fn encoded(flow: u32, class: u8, payload: usize) -> Vec<u8> {
+        WireData {
+            flow: FlowId(flow),
+            seq: 0,
+            tag: FrameTag { frame: 0, index: 0, total: 1, base: 1 },
+            class,
+            retransmission: false,
+            sent_at: SimTime::ZERO,
+            rate_echo: 128_000.0,
+            feedback: None,
+            payload: &vec![0u8; payload],
+        }
+        .encode()
+    }
+
+    fn router(capacity: Rate, color_limits: [usize; 3]) -> ServeRouter {
+        ServeRouter::new(AgentId(1), capacity, SimDuration::from_millis(30), 0.15, color_limits)
+    }
+
+    /// A table with flow 1 registered at `addr(2)`.
+    fn one_flow() -> FlowTable<ServeFlow> {
+        let mut flows = FlowTable::new();
+        flows.hello(FlowId(1), addr(2), SimTime::ZERO, || {
+            ServeFlow::new(MkcConfig::default(), GammaConfig::default())
+        });
+        flows
+    }
+
+    #[test]
+    fn serves_green_before_enhancement() {
+        let mut r = router(Rate::from_mbps(1.0), [8, 8, 8]);
+        // Interleave red, yellow, green; the budget only covers a few, so
+        // the greens must all leave first.
+        for _ in 0..4 {
+            for class in [2, 1, 0] {
+                r.enqueue(FlowId(1), encoded(1, class, 400), class, 400);
             }
         }
-        assert!(lp.router.estimator.epoch() >= 1);
+        let flows = one_flow();
+        let mut out = Vec::new();
+        r.drain(SimTime::ZERO, &flows, &mut out);
+        // 1 Mb/s × 10 ms = 10_000 bits ≈ 3.1 packets of 400 payload bytes.
+        r.drain(SimTime::from_nanos(10_000_000), &flows, &mut out);
+        assert_eq!(out.len(), 3);
+        for d in &out {
+            assert_eq!((WireData::decode(&d.buf).unwrap().class, d.addr), (0, addr(2)));
+        }
+        assert_eq!(r.tx_by_class, [3, 0, 0]);
+        assert_eq!([0, 1, 2].map(|c| r.queue_depth(c)), [1, 4, 4]);
+    }
+
+    #[test]
+    fn full_color_queue_drops_only_that_color() {
+        let mut r = router(Rate::from_kbps(64.0), [2, 2, 1]);
+        for _ in 0..3 {
+            r.enqueue(FlowId(1), encoded(1, 2, 100), 2, 100);
+            r.enqueue(FlowId(1), encoded(1, 0, 100), 0, 100);
+        }
+        assert_eq!(r.drops_by_class, [1, 0, 2]);
+    }
+
+    #[test]
+    fn dead_flows_packets_are_dropped_without_spending_budget() {
+        let mut r = router(Rate::from_mbps(10.0), [8, 8, 8]);
+        // Flow 9 was never registered (or said BYE with this still queued).
+        r.enqueue(FlowId(9), encoded(9, 0, 100), 0, 100);
+        r.enqueue(FlowId(1), encoded(1, 0, 100), 0, 100);
+        let flows = one_flow();
+        let mut out = Vec::new();
+        r.drain(SimTime::ZERO, &flows, &mut out);
+        r.drain(SimTime::from_nanos(80_000), &flows, &mut out);
+        // 10 Mb/s × 80 µs = 800 bits: exactly the one registered packet.
+        assert_eq!((r.unregistered_drops, out.len(), r.tx_by_class), (1, 1, [1, 0, 0]));
+        assert_eq!(WireData::decode(&out[0].buf).unwrap().flow, FlowId(1));
+    }
+
+    #[test]
+    fn stale_decay_reanchors_a_poisoned_epoch_horizon() {
+        let hub = MemHub::new();
+        let client = hub.endpoint(addr(2));
+        let mut lp = mem_loop(&hub, serve_cfg());
+        run_ms(&mut lp, &client, 0..1);
+        let rate = |lp: &ServeLoop<MemTransport>| lp.flow(FlowId(1)).unwrap().rate_bps;
+        let ack = |epoch: u64, rate: f64| {
+            WireAck {
+                flow: FlowId(1),
+                seq: 0,
+                sent_at: SimTime::ZERO,
+                rate_echo: rate,
+                feedback: Some(Feedback::new(AgentId(9), epoch, -1.0, 0.3)),
+            }
+            .encode()
+        };
+        // A corrupted-but-decodable label jumps the horizon to u64::MAX:
+        // from here on, every genuine epoch looks stale.
+        client.send_to(&ack(u64::MAX, rate(&lp)), addr(1)).unwrap();
+        run_ms(&mut lp, &client, 1..2);
+        let poisoned = rate(&lp);
+        client.send_to(&ack(2, poisoned), addr(1)).unwrap();
+        run_ms(&mut lp, &client, 2..3);
+        assert!((rate(&lp) - poisoned).abs() < 1.0, "genuine epoch rejected while poisoned");
+        // Starve the watchdog past stale_timeout (300 ms): it decays the
+        // rate AND resets the filter so the loop can resynchronize.
+        run_ms(&mut lp, &client, 3..1_000);
+        assert!(lp.flow(FlowId(1)).unwrap().watchdog_trips > 0, "watchdog never fired");
+        let decayed = rate(&lp);
+        assert!(decayed < poisoned, "decay should have lowered the rate");
+        client.send_to(&ack(3, decayed), addr(1)).unwrap();
+        run_ms(&mut lp, &client, 1_000..1_002);
+        assert!(rate(&lp) > decayed, "post-reset feedback must drive the rate again");
+    }
+
+    #[test]
+    fn nack_triggers_marked_retransmission() {
+        let hub = MemHub::new();
+        let client = hub.endpoint(addr(2));
+        let mut lp = mem_loop(&hub, repair_cfg());
+        // Emit frames 0 and 1 and let their packets out.
+        run_ms(&mut lp, &client, 0..200);
+        assert!(data_packets(&drain(&client)).iter().all(|p| !p.retransmission));
+        client.send_to(&nack(0, 1), addr(1)).unwrap();
+        // Not repairable, and not counted: enhancement indices and frames
+        // never sent.
+        client.send_to(&nack(0, 4), addr(1)).unwrap();
+        client.send_to(&nack(77, 0), addr(1)).unwrap();
+        run_ms(&mut lp, &client, 200..400);
+        let got = drain(&client);
+        let retx: Vec<_> = data_packets(&got).into_iter().filter(|p| p.retransmission).collect();
+        assert_eq!(retx.len(), 1);
+        assert_eq!((retx[0].tag.frame, retx[0].tag.index, retx[0].class), (0, 1, 0));
+        // The repair keeps its frame's emission timestamp.
+        assert_eq!(retx[0].sent_at, SimTime::ZERO);
+        let report = lp.report(SimTime::from_nanos(400_000_000));
+        assert_eq!((report.retransmissions, report.nacks_ignored), (1, 0));
+        assert_eq!(lp.flow(FlowId(1)).unwrap().retransmissions, 1);
+    }
+
+    #[test]
+    fn nack_flood_is_capped_per_packet_and_by_budget() {
+        let hub = MemHub::new();
+        let client = hub.endpoint(addr(2));
+        let mut lp = mem_loop(&hub, serve_cfg());
+        run_ms(&mut lp, &client, 0..200);
+        // Ten identical NACKs for one packet: only REPAIR_TRIES repairs.
+        for _ in 0..10 {
+            client.send_to(&nack(0, 1), addr(1)).unwrap();
+        }
+        run_ms(&mut lp, &client, 200..201);
+        assert_eq!(lp.flow(FlowId(1)).unwrap().retransmissions, u64::from(REPAIR_TRIES));
+        assert_eq!(lp.nacks_ignored, 10 - u64::from(REPAIR_TRIES));
+        // The lifetime budget gates even fresh packets.
+        lp.flows.get_mut(FlowId(1)).unwrap().state.repairs.as_mut().unwrap().granted =
+            REPAIR_BUDGET;
+        client.send_to(&nack(1, 2), addr(1)).unwrap();
+        run_ms(&mut lp, &client, 201..202);
+        assert_eq!(lp.flow(FlowId(1)).unwrap().retransmissions, REPAIR_BUDGET);
+        assert_eq!(lp.nacks_ignored, 11 - u64::from(REPAIR_TRIES));
+    }
+
+    #[test]
+    fn nack_flood_never_exceeds_the_mkc_rate() {
+        let hub = MemHub::new();
+        let client = hub.endpoint(addr(2));
+        let mut lp = mem_loop(&hub, repair_cfg());
+        let rate_bps = 256_000.0;
+        let (mut bits, mut fresh_green) = (0u64, 0u64);
+        let mut repairs = std::collections::HashMap::new();
+        for ms in 0..3_000u64 {
+            // Every 10 ms, ask again for the whole base layer of the last
+            // eight frames.
+            if ms % 10 == 0 {
+                for frame in (ms / 100).saturating_sub(7)..=ms / 100 {
+                    for index in 0..4 {
+                        client.send_to(&nack(frame, index), addr(1)).unwrap();
+                    }
+                }
+            }
+            run_ms(&mut lp, &client, ms..ms + 1);
+            for p in data_packets(&drain(&client)) {
+                bits += p.payload.len() as u64 * 8;
+                if p.retransmission {
+                    *repairs.entry((p.tag.frame, p.tag.index)).or_insert(0u8) += 1;
+                } else if p.class == 0 {
+                    fresh_green += 1;
+                }
+            }
+            // Whatever is asked of it, the flow's bucket has admitted at
+            // most its depth (one frame interval's worth) plus what the
+            // MKC rate refilled since.
+            let flow = &lp.flows.get(FlowId(1)).unwrap().state;
+            assert_eq!(flow.mkc.rate_bps(), rate_bps);
+            let allowed = rate_bps * (0.1 + (ms + 1) as f64 / 1e3);
+            assert!(bits as f64 <= allowed, "{bits} bits by {ms} ms, {allowed} allowed");
+            // And it holds no more repairs than its history has packets to
+            // repair, REPAIR_TRIES times each.
+            let queued = flow.repairs.as_ref().map_or(0, |r| r.queue.len());
+            assert!(queued <= REPAIR_FRAMES * 4 * usize::from(REPAIR_TRIES), "{queued} queued");
+        }
+        assert!(repairs.len() > 20, "repairs were in flight throughout: {}", repairs.len());
+        assert!(repairs.values().all(|&n| n <= REPAIR_TRIES), "{repairs:?}");
+        assert!(lp.nacks_ignored > 0, "the flood ran into the per-packet cap");
+        // The repairs took the enhancement packets' place: the flow still
+        // sent at its rate, not beside it, and the base layer of every one
+        // of the 30 frames went out untouched.
+        assert!(bits as f64 > 0.9 * rate_bps * 3.0, "{bits} bits");
+        assert_eq!(fresh_green, 30 * 4);
+        assert!(lp.abandoned_packets > 0, "repairs nobody could pace expired");
+    }
+
+    /// Establishes flow 1's pace chain with regular polls, then stalls
+    /// 200 ms: the tokens matured during the stall admit several packets
+    /// into one departure batch. Returns the datagrams of the whole run.
+    fn stalled_burst(cfg: ServeConfig) -> (ServeLoop<MemTransport>, Vec<Vec<u8>>) {
+        let hub = MemHub::new();
+        let client = hub.endpoint(addr(2));
+        let mut lp = mem_loop(&hub, cfg);
+        run_ms(&mut lp, &client, 0..51);
+        run_ms(&mut lp, &client, 250..251);
+        run_ms(&mut lp, &client, 252..253);
         let got = drain(&client);
         assert!(!got.is_empty());
-        // Both flows share one label namespace: every departure carries
-        // the shared router's stamp.
-        for d in got.iter().filter(|d| peek_kind(d) == Ok(WireKind::Data)) {
-            let p = WireData::decode(d).unwrap();
-            assert_eq!(p.feedback.expect("stamped").router, AgentId(1));
-        }
+        (lp, got)
     }
 
     #[test]
     fn batched_departures_coalesce_into_containers() {
-        let hub = MemHub::new();
-        let client = hub.endpoint(addr(2));
-        let mut lp = mem_loop(&hub, serve_cfg());
-        client.send_to(&WireHello { flow: FlowId(5), seq: 0 }.encode(), addr(1)).unwrap();
-        // Establish the pace chain with regular polls, then stall 200 ms:
-        // the tokens matured during the stall admit several packets in one
-        // departure batch, whose flush must pack the same-destination
-        // packets into shared container datagrams.
-        for ms in 0..=50u64 {
-            lp.poll(SimTime::from_nanos(ms * 1_000_000)).unwrap();
-        }
-        lp.poll(SimTime::from_nanos(250_000_000)).unwrap();
-        lp.poll(SimTime::from_nanos(252_000_000)).unwrap();
-        let got = drain(&client);
-        assert!(!got.is_empty());
-        let mut packets = 0u64;
-        let mut max_per_datagram = 0usize;
-        for d in &got {
-            assert!(d.len() <= AGGREGATE_BYTES, "container over the cap: {}", d.len());
-            let mut off = 0;
-            let mut in_this = 0;
-            while off < d.len() {
-                let len = packet_len(&d[off..]).unwrap();
-                WireData::decode(&d[off..off + len]).unwrap();
-                off += len;
-                in_this += 1;
-            }
-            assert_eq!(off, d.len(), "container must split into whole packets");
-            packets += in_this as u64;
-            max_per_datagram = max_per_datagram.max(in_this);
-        }
-        assert!(max_per_datagram > 1, "no datagram carried more than one packet");
-        assert_eq!(packets, lp.data_sent, "data_sent counts wire packets, not datagrams");
+        // The flush must pack the burst's same-destination packets into
+        // shared container datagrams.
+        let (lp, got) = stalled_burst(serve_cfg());
+        assert!(got.iter().all(|d| d.len() <= AGGREGATE_BYTES), "container over the cap");
+        let per_datagram = |d: &Vec<u8>| data_packets(std::slice::from_ref(d)).len();
+        assert!(got.iter().map(per_datagram).max() > Some(1), "nothing was coalesced");
+        let sent = got.iter().map(per_datagram).sum::<usize>() as u64;
+        assert_eq!(sent, lp.data_sent, "data_sent counts wire packets, not datagrams");
     }
 
     #[test]
     fn per_datagram_baseline_never_coalesces() {
-        let hub = MemHub::new();
-        let client = hub.endpoint(addr(2));
-        let mut cfg = serve_cfg();
-        cfg.batch = false;
-        let mut lp = mem_loop(&hub, cfg);
-        client.send_to(&WireHello { flow: FlowId(5), seq: 0 }.encode(), addr(1)).unwrap();
-        for ms in 0..=50u64 {
-            lp.poll(SimTime::from_nanos(ms * 1_000_000)).unwrap();
-        }
-        lp.poll(SimTime::from_nanos(250_000_000)).unwrap();
-        lp.poll(SimTime::from_nanos(252_000_000)).unwrap();
-        let got = drain(&client);
-        assert!(!got.is_empty());
+        let (lp, got) = stalled_burst(ServeConfig { batch: false, ..serve_cfg() });
         // Strict one-packet-per-datagram: every datagram decodes whole.
         for d in &got {
             WireData::decode(d).unwrap();
         }
         assert_eq!(got.len() as u64, lp.data_sent);
+    }
+
+    #[test]
+    fn sizes_no_peer_could_receive_are_invalid_input() {
+        let refused = |edit: fn(&mut ServeConfig)| {
+            let mut cfg = serve_cfg();
+            cfg.listen = addr(0);
+            edit(&mut cfg);
+            run_serve_with(cfg, |_| {}, || true).map_err(|e| e.kind())
+        };
+        assert!(refused(|_| {}).is_ok());
+        assert!(refused(|c| c.packet_bytes = MAX_PACKET_BYTES).is_ok());
+        // 3000 + 78 bytes would be truncated by every 2048-byte slot;
+        // 4 GB would be allocated as the payload pool before that.
+        for bad in [
+            (|c| c.packet_bytes = 0) as fn(&mut ServeConfig),
+            |c| c.packet_bytes = 3_000,
+            |c| c.packet_bytes = 4_000_000_000,
+            |c| c.aggregate_bytes = RX_SLOT_BYTES + 1,
+            |c| c.batch_size = 0,
+            |c| c.batch_size = MAX_BATCH_SIZE + 1,
+        ] {
+            assert_eq!(refused(bad).unwrap_err(), io::ErrorKind::InvalidInput);
+        }
     }
 
     #[test]

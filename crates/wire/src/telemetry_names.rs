@@ -1,26 +1,8 @@
 //! Static metric names for the wire agents' telemetry.
 //!
-//! Per-class metrics are hot-path (per forwarded packet), so the names are
+//! Per-class metrics are hot-path (per received packet), so the names are
 //! `&'static str` lookups rather than `format!` allocations. The naming
 //! scheme is documented in DESIGN.md §10.
-
-/// `wire.router.tx.<color>` — packets forwarded per color class.
-pub(crate) fn router_tx_metric(class: usize) -> &'static str {
-    match class {
-        0 => "wire.router.tx.green",
-        1 => "wire.router.tx.yellow",
-        _ => "wire.router.tx.red",
-    }
-}
-
-/// `wire.router.drops.<color>` — packets dropped at a full color queue.
-pub(crate) fn router_drops_metric(class: usize) -> &'static str {
-    match class {
-        0 => "wire.router.drops.green",
-        1 => "wire.router.drops.yellow",
-        _ => "wire.router.drops.red",
-    }
-}
 
 /// `wire.rx.delay.<color>` — one-way delay distribution per color class.
 pub(crate) fn rx_delay_metric(class: u8) -> &'static str {
@@ -47,26 +29,6 @@ pub(crate) fn fault_metric(kind: usize) -> &'static str {
 
 /// `wire.rx.hellos` — heartbeat HELLO frames sent by the receiver.
 pub(crate) const RX_HELLOS: &str = "wire.rx.hellos";
-
-/// `wire.router.hellos` — HELLO frames accepted into the flow table.
-pub(crate) const ROUTER_HELLOS: &str = "wire.router.hellos";
-
-/// `wire.router.byes` — BYE frames that removed a flow-table entry.
-pub(crate) const ROUTER_BYES: &str = "wire.router.byes";
-
-/// `wire.router.evictions` — flow-table entries evicted on idle timeout.
-pub(crate) const ROUTER_EVICTIONS: &str = "wire.router.evictions";
-
-/// `wire.router.unregistered_drops` — strict-mode drops of data from flows
-/// with no live flow-table entry.
-pub(crate) const ROUTER_UNREGISTERED: &str = "wire.router.unregistered_drops";
-
-/// `wire.router.flows` — current flow-table size (gauge).
-pub(crate) const ROUTER_FLOWS: &str = "wire.router.flows";
-
-/// `wire.src.retx_suppressed` — NACK retransmissions suppressed by the
-/// per-packet retry cap or the lifetime budget.
-pub(crate) const SRC_RETX_SUPPRESSED: &str = "wire.src.retx_suppressed";
 
 /// `wire.udp.send_drops` — UDP sends dropped on `WouldBlock`/refusal.
 pub(crate) const UDP_SEND_DROPS: &str = "wire.udp.send_drops";

@@ -1,9 +1,10 @@
 //! Datagram transports: a deterministic in-memory hub and real UDP.
 //!
-//! The agents in this crate ([`crate::WireSource`], [`crate::WireRouter`],
-//! [`crate::WireReceiver`]) speak to the network only through the
-//! [`Transport`] trait — unreliable, unordered-capable datagram I/O
-//! addressed by [`SocketAddr`]. Two backends exist:
+//! The endpoints in this crate ([`crate::ServeLoop`], [`crate::WireReceiver`],
+//! the load generator) speak to the network only through the [`Transport`]
+//! trait — unreliable, unordered-capable datagram I/O addressed by
+//! [`SocketAddr`]. Two backends exist here ([`crate::BatchedUdp`] is the
+//! third):
 //!
 //! * [`MemHub`] / [`MemTransport`] — a process-local hub of per-endpoint
 //!   queues. Delivery is instantaneous and lossless in FIFO order, sends to

@@ -1,9 +1,11 @@
 //! Property tests for the wire codecs: roundtrip identity over arbitrary
-//! valid packets, and hard rejection of truncation and version skew.
+//! valid packets, hard rejection of truncation and version skew, and the
+//! container walk over arbitrary mutated concatenations.
 
 use pels_netsim::packet::{AgentId, Feedback, FlowId, FrameTag};
 use pels_netsim::time::SimTime;
-use pels_wire::codec::{CodecError, WireAck, WireData, WireNack, VERSION};
+use pels_wire::codec::{packets, CodecError, WireAck, WireBye, WireData, WireHello, WireNack};
+use pels_wire::codec::{ACK_BYTES, BYE_BYTES, DATA_HEADER_BYTES, HELLO_BYTES, NACK_BYTES, VERSION};
 use proptest::prelude::*;
 
 /// Builds a semantically valid frame tag from raw generator output.
@@ -172,5 +174,110 @@ fn decode_kind(kind: u8, buf: &[u8]) -> Result<(), CodecError> {
         0 => WireData::decode(buf).map(|_| ()),
         1 => WireAck::decode(buf).map(|_| ()),
         _ => WireNack::decode(buf).map(|_| ()),
+    }
+}
+
+/// One valid packet of the kind `kind % 5` names, built from raw generator
+/// output.
+fn any_packet(kind: u8, n: u64, raw: u16, payload: &[u8]) -> Vec<u8> {
+    let flow = FlowId(n as u32);
+    let tag = tag(n, raw, raw / 3, raw / 5);
+    let feedback = (!raw.is_multiple_of(7)).then(|| label(n as u32, n, 0.1, 0.2));
+    match kind % 5 {
+        0 => WireData {
+            flow,
+            seq: n,
+            tag,
+            class: (raw % 3) as u8,
+            retransmission: raw.is_multiple_of(2),
+            sent_at: SimTime::from_nanos(n),
+            rate_echo: f64::from(raw),
+            feedback,
+            payload,
+        }
+        .encode(),
+        1 => WireAck {
+            flow,
+            seq: n,
+            sent_at: SimTime::from_nanos(n),
+            rate_echo: f64::from(raw),
+            feedback,
+        }
+        .encode(),
+        2 => WireNack { flow, tag }.encode(),
+        3 => WireHello { flow, seq: n }.encode(),
+        _ => WireBye { flow }.encode(),
+    }
+}
+
+/// The container walk restated from the layout tables in `codec.rs`, with
+/// nothing shared with the implementation: lengths of the whole packets at
+/// the head of `buf`, and whether bytes were left that frame no packet.
+fn reference_walk(buf: &[u8]) -> (Vec<usize>, bool) {
+    let mut lens = Vec::new();
+    let mut rest = buf;
+    while !rest.is_empty() {
+        let head_ok = rest.len() >= 4 && rest[..2] == [0x50, 0x4C] && rest[2] == VERSION;
+        let len = match (head_ok, rest.get(3)) {
+            (true, Some(0)) if rest.len() >= DATA_HEADER_BYTES => {
+                DATA_HEADER_BYTES + usize::from(u16::from_be_bytes([rest[76], rest[77]]))
+            }
+            (true, Some(1)) => ACK_BYTES,
+            (true, Some(2)) => NACK_BYTES,
+            (true, Some(3)) => HELLO_BYTES,
+            (true, Some(4)) => BYE_BYTES,
+            _ => return (lens, true),
+        };
+        if len > rest.len() {
+            return (lens, true);
+        }
+        lens.push(len);
+        rest = &rest[len..];
+    }
+    (lens, false)
+}
+
+proptest! {
+    /// Arbitrary concatenations of valid packets of all five kinds, cut
+    /// short and with bytes flipped, never panic the container walk, never
+    /// yield a slice outside the buffer, and yield exactly the valid prefix:
+    /// the reference walk's packets, back to back from offset zero, then one
+    /// error if anything is left over, then nothing. (The seed corpus for
+    /// fuzzing `packet_len`: every receive path walks containers this way.)
+    #[test]
+    fn container_walk_yields_exactly_the_valid_prefix(
+        parts in proptest::collection::vec(
+            (any::<u8>(), any::<u64>(), any::<u16>(),
+             proptest::collection::vec(any::<u8>(), 0..300)),
+            0..8),
+        cut in any::<u16>(),
+        flips in proptest::collection::vec((any::<u16>(), any::<u8>()), 0..4),
+    ) {
+        let mut buf = Vec::new();
+        for (kind, n, raw, payload) in &parts {
+            buf.extend_from_slice(&any_packet(*kind, *n, *raw, payload));
+        }
+        // Half the cases keep the whole container, half cut it anywhere.
+        if cut % 2 == 1 {
+            buf.truncate(usize::from(cut / 2) % (buf.len() + 1));
+        }
+        for (at, bits) in &flips {
+            if !buf.is_empty() {
+                let at = usize::from(*at) % buf.len();
+                buf[at] ^= bits;
+            }
+        }
+        let (lens, leftover) = reference_walk(&buf);
+        let mut walk = packets(&buf);
+        let mut offset = 0;
+        for len in lens {
+            let packet = walk.next().expect("a whole packet").expect("well framed");
+            prop_assert_eq!(packet.as_ptr(), buf[offset..].as_ptr());
+            prop_assert_eq!(packet.len(), len);
+            offset += len;
+        }
+        prop_assert!(offset <= buf.len());
+        prop_assert_eq!(walk.next().is_some_and(|r| r.is_err()), leftover);
+        prop_assert!(walk.next().is_none(), "an error ends the walk");
     }
 }

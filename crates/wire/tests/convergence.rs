@@ -21,12 +21,13 @@ fn wire_and_sim_agree_on_the_stationary_rate() {
         duration: SimDuration::from_secs(30),
         trace: default_trace(),
         backend: LiveBackend::Memory,
-        // The simulated comparator runs without ARQ (FlowSpec::arq = None).
-        arq_frames: 0,
         ..LiveConfig::default()
     })
     .expect("in-memory run cannot fail");
     let wire_kbps = live.report.flows[0].final_rate_kbps;
+    // The simulated comparator runs without ARQ; nothing green was lost on
+    // the wire either, so no repair perturbed the operating point.
+    assert_eq!(live.stats.retransmissions, 0);
 
     // Simulator: same bottleneck, same share, same trace, one flow, no TCP
     // cross-traffic (the wire harness has none).

@@ -1,7 +1,8 @@
 //! Property tests for the fault-injecting transport: the whole fault
 //! decision sequence is a pure function of the spec (seed determinism),
-//! and fault-mutated frames never panic the live agents — corruption,
-//! truncation, and duplication land in counted rejects, not crashes.
+//! and fault-mutated frames never panic the server loop or the receiver —
+//! corruption, truncation, and duplication land in counted rejects, not
+//! crashes.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -9,12 +10,12 @@ use std::sync::Arc;
 use pels_core::receiver::NackConfig;
 use pels_netsim::clock::ManualClock;
 use pels_netsim::packet::{AgentId, Feedback, FlowId, FrameTag};
-use pels_netsim::time::{Rate, SimDuration, SimTime};
+use pels_netsim::time::{SimDuration, SimTime};
 use pels_wire::codec::{WireAck, WireBye, WireData, WireHello, WireNack};
 use pels_wire::faults::{Blackout, FaultDirection, FaultWindow, WireFaultPolicy, WireFaultSpec};
 use pels_wire::{
-    FaultTransport, HeartbeatConfig, MemHub, Transport, WireReceiver, WireReceiverConfig,
-    WireRouter, WireRouterConfig,
+    FaultTransport, HeartbeatConfig, MemHub, ServeConfig, ServeLoop, Transport, WireReceiver,
+    WireReceiverConfig,
 };
 use proptest::prelude::*;
 
@@ -94,20 +95,20 @@ proptest! {
         prop_assert_eq!(totals_a, totals_b);
     }
 
-    /// Valid frames of every kind, pushed through a transport that mutates
-    /// every datagram (corrupt or truncate), must never panic the router or
-    /// the receiver — mutated bytes end up in `decode_errors` (or are
-    /// accepted as a different valid frame), and polling afterwards stays
-    /// healthy.
+    /// Valid frames of every kind, alone or coalesced into containers,
+    /// pushed through a transport that mutates every datagram (corrupt or
+    /// truncate), must never panic the server loop or the receiver —
+    /// mutated bytes end up in `decode_errors` (or are accepted as a
+    /// different valid frame), and polling afterwards stays healthy.
     #[test]
-    fn mutated_frames_never_panic_router_or_receiver(
+    fn mutated_frames_never_panic_server_or_receiver(
         seed in any::<u64>(),
         truncate_all in any::<bool>(),
         frames in proptest::collection::vec(
             (0u8..5, any::<u64>(), any::<u16>(), proptest::collection::vec(any::<u8>(), 0..200)),
             1..24),
     ) {
-        let (src_addr, router_addr, rx_addr) = (addr(1), addr(2), addr(3));
+        let (src_addr, server_addr, rx_addr) = (addr(1), addr(2), addr(3));
         let hub = MemHub::new();
         let clock = Arc::new(ManualClock::new());
         // Either every datagram is clipped, or every datagram gets bit
@@ -124,20 +125,21 @@ proptest! {
         };
         let mutator =
             FaultTransport::new(hub.endpoint(src_addr), Arc::clone(&clock), spec);
-        let mut router = WireRouter::new(
-            WireRouterConfig::new(AgentId(1), Rate::from_mbps(2.0), rx_addr),
-            hub.endpoint(router_addr),
-        );
+        // The receiver registers flow 1 with the server, so mutated ACKs,
+        // NACKs, HELLOs and BYEs land on live per-flow state.
+        let mut server =
+            ServeLoop::new(ServeConfig::new(server_addr), hub.endpoint(server_addr), None);
         let mut receiver = WireReceiver::new(
             WireReceiverConfig {
                 flow: FlowId(1),
-                feedback_to: src_addr,
+                feedback_to: server_addr,
                 nack: Some(NackConfig::default()),
                 packet_bytes: 500,
-                heartbeat: Some(HeartbeatConfig::new(router_addr)),
+                heartbeat: Some(HeartbeatConfig::new(server_addr)),
             },
             hub.endpoint(rx_addr),
         );
+        let mut container = Vec::new();
         for (i, (kind, seq, raw, payload)) in frames.iter().enumerate() {
             let tag = FrameTag { frame: *seq % 64, index: 0, total: raw % 512 + 1, base: 1 };
             let bytes = match kind {
@@ -167,25 +169,29 @@ proptest! {
             };
             let now = SimTime::from_nanos(i as u64 * 1_000_000);
             clock.set(now);
-            // Both agents see every mutated frame, whatever its kind.
-            mutator.send_to(&bytes, router_addr).unwrap();
-            mutator.send_to(&bytes, rx_addr).unwrap();
-            router.poll(now).unwrap();
+            // Both endpoints see every mutated frame, whatever its kind,
+            // alone and behind everything sent so far in one container.
+            container.extend_from_slice(&bytes);
+            for datagram in [&bytes, &container] {
+                mutator.send_to(datagram, server_addr).unwrap();
+                mutator.send_to(datagram, rx_addr).unwrap();
+            }
             receiver.poll(now).unwrap();
+            server.poll(now).unwrap();
         }
         let end = SimTime::from_nanos(frames.len() as u64 * 1_000_000);
-        router.poll(end).unwrap();
         receiver.poll(end).unwrap();
+        server.poll(end).unwrap();
         let mutated = mutator.stats().totals();
         prop_assert!(
             mutated.truncated + mutated.corrupted > 0,
             "the mutator must have touched traffic: {mutated:?}"
         );
         // Whatever survived decoding was counted somewhere; nothing panicked
-        // and both agents still poll. (Corruption may leave magic/version
+        // and both endpoints still poll. (Corruption may leave magic/version
         // intact by chance, so decode_errors alone has no guaranteed floor.)
-        let _ = (router.decode_errors, receiver.decode_errors);
-        router.poll(end + SimDuration::from_millis(200)).unwrap();
         receiver.poll(end + SimDuration::from_millis(200)).unwrap();
+        server.poll(end + SimDuration::from_millis(200)).unwrap();
+        let _ = (server.report(end).decode_errors, receiver.decode_errors);
     }
 }

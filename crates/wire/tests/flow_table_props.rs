@@ -1,16 +1,15 @@
 //! Property tests for the flow table under churn: thousands of flows
 //! through randomized HELLO/BYE/idle-eviction interleavings must preserve
 //! per-flow state isolation and never leak table entries — against the
-//! bare [`FlowTable`] and through [`WireRouter`] with `strict_flows` both
-//! on and off.
+//! bare [`FlowTable`] and through a [`ServeLoop`] hosting it.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
 
-use pels_netsim::packet::{AgentId, FlowId, FrameTag};
-use pels_netsim::time::{Rate, SimDuration, SimTime};
+use pels_netsim::packet::{FlowId, FrameTag};
+use pels_netsim::time::{SimDuration, SimTime};
 use pels_wire::codec::{WireBye, WireData, WireHello};
-use pels_wire::{FlowTable, MemHub, Transport, WireRouter, WireRouterConfig};
+use pels_wire::{FlowTable, MemHub, ServeConfig, ServeLoop, Transport};
 use proptest::prelude::*;
 
 fn addr(port: u16) -> SocketAddr {
@@ -128,72 +127,71 @@ fn data(flow: u32, seq: u64, payload: &[u8]) -> Vec<u8> {
     .encode()
 }
 
-/// Drives a [`WireRouter`] through the same churn alphabet and checks the
-/// accounting invariant `registrations − byes − evictions = live flows`
-/// holds throughout, in both strict and fallback forwarding modes, with
-/// an idle drain at the end proving nothing leaks.
-fn router_churn(strict: bool, ops: &[Op]) {
+/// Drives a [`ServeLoop`] through the same churn alphabet and checks that
+/// its table tracks the model (`registrations − byes − evictions = live
+/// flows`, exactly, at every step), with stray data packets interleaved
+/// and an idle drain at the end proving nothing leaks.
+fn serve_churn(ops: &[Op]) {
     let hub = MemHub::new();
-    let fallback = hub.endpoint(addr(9));
-    let router_ep = hub.endpoint(addr(10));
     let client = hub.endpoint(addr(11));
-    let mut cfg = WireRouterConfig::new(AgentId(1), Rate::from_mbps(100.0), fallback.local_addr());
-    cfg.strict_flows = strict;
-    let timeout_ms = TIMEOUT_MS;
-    cfg.flow_idle_timeout = SimDuration::from_millis(timeout_ms);
-    let mut router = WireRouter::new(cfg, router_ep);
+    let mut cfg = ServeConfig::new(addr(10));
+    cfg.flow_idle_timeout = SimDuration::from_millis(TIMEOUT_MS);
+    let tick_ms = cfg.feedback_interval.as_nanos() / 1_000_000;
+    let mut lp = ServeLoop::new(cfg, hub.endpoint(addr(10)), None);
+    // Model: flow -> ms of its last HELLO.
     let mut model: HashMap<u32, u64> = HashMap::new();
+    let (mut registrations, mut byes) = (0u64, 0u64);
     let mut now_ms = 0u64;
+    // Eviction runs on the feedback tick, so after a time jump the loop is
+    // polled at the next tick too before the table is compared.
+    let settle = |lp: &mut ServeLoop<_>, now_ms: &mut u64, model: &mut HashMap<u32, u64>| {
+        lp.poll(SimTime::from_nanos(*now_ms * 1_000_000)).unwrap();
+        *now_ms += tick_ms;
+        lp.poll(SimTime::from_nanos(*now_ms * 1_000_000)).unwrap();
+        let now = *now_ms;
+        model.retain(|_, last| now - *last <= TIMEOUT_MS);
+    };
     for (seq, op) in ops.iter().enumerate() {
         let seq = seq as u64;
         match *op {
             Op::Hello { id, .. } => {
                 client.send_to(&WireHello { flow: FlowId(id), seq }.encode(), addr(10)).unwrap();
-                model.insert(id, now_ms);
-                // Unregistered-flow data mixed into the churn: must never
-                // corrupt the table in either mode.
+                registrations += u64::from(model.insert(id, now_ms).is_none());
+                // A data packet is not something a server takes: it must
+                // be refused without touching the table.
                 client.send_to(&data(id + 100_000, seq, &[0u8; 64]), addr(10)).unwrap();
             }
             Op::Bye { id } => {
                 client.send_to(&WireBye { flow: FlowId(id) }.encode(), addr(10)).unwrap();
-                model.remove(&id);
+                byes += u64::from(model.remove(&id).is_some());
             }
-            Op::Evict { ms } => {
-                now_ms += ms;
-                model.retain(|_, last| now_ms - *last <= timeout_ms);
-            }
+            Op::Evict { ms } => now_ms += ms,
         }
-        router.poll(SimTime::from_nanos(now_ms * 1_000_000)).unwrap();
-        // Eviction only runs on the feedback tick, so the model may lead
-        // the table briefly after a time jump; force a tick-aligned poll.
-        router.poll(SimTime::from_nanos(now_ms * 1_000_000 + 30_000_000)).unwrap();
+        settle(&mut lp, &mut now_ms, &mut model);
+        let report = lp.report(SimTime::from_nanos(now_ms * 1_000_000));
+        assert_eq!(lp.flows(), model.len(), "table and model disagree after {op:?}");
+        assert_eq!(report.byes, byes);
+        assert_eq!(registrations - byes - report.evictions, model.len() as u64, "{report:?}");
     }
-    // Whatever survived churn, a quiet period past the timeout clears it.
-    let end = SimTime::from_nanos((now_ms + 10 * timeout_ms) * 1_000_000);
-    router.poll(end).unwrap();
-    assert_eq!(router.flows(), 0, "router table leaked entries (strict={strict})");
-    let processed = router.hellos_seen as i64 - router.byes_seen as i64;
-    assert!(
-        router.evictions as i64 >= processed - router.byes_seen as i64 - router.flows() as i64
-            || router.evictions <= router.hellos_seen,
-        "accounting drifted: hellos {} byes {} evictions {}",
-        router.hellos_seen,
-        router.byes_seen,
-        router.evictions
-    );
+    // Whatever survived churn, a quiet period past the timeout clears it,
+    // and every flow's timers die with it.
+    now_ms += 10 * TIMEOUT_MS;
+    settle(&mut lp, &mut now_ms, &mut model);
+    let report = lp.report(SimTime::from_nanos(now_ms * 1_000_000));
+    assert_eq!((lp.flows(), report.leaked_flows), (0, 0), "serve table leaked entries");
+    assert_eq!(registrations - byes, report.evictions);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Router churn never leaks flow-table entries, strict mode on and
-    /// off, with unregistered-flow data traffic interleaved throughout.
+    /// Serve-loop churn never leaks flow-table entries, with stray data
+    /// traffic interleaved throughout.
     #[test]
-    fn router_churn_never_leaks(
+    fn serve_churn_never_leaks(
         ops in proptest::collection::vec(op_strategy(256), 1..120),
-        strict in any::<bool>(),
     ) {
-        router_churn(strict, &ops);
+        serve_churn(&ops);
     }
 }
 
