@@ -13,6 +13,9 @@ echo "== benchmark package check (out-of-workspace consumer of pels-wire) =="
 # compiles against passes every workspace gate and would only surface when
 # the benchmark pipeline runs.
 cargo check --release --offline --locked --manifest-path benchmark/Cargo.toml
+# Its own smoke (~9 s): the `chained_smoke_digest` determinism gate reaches
+# `Scenario` through the `pels_core::parallel::ParallelScenario` re-export.
+cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
 
 echo "== binary provenance gate (embedded commit vs HEAD) =="
 # Stale target/release binaries have survived rebuilds on some hosts;
@@ -37,6 +40,13 @@ before_tests="$(tree_state)"
 cargo test -q --workspace
 [ "$(tree_state)" = "$before_tests" ] || {
   echo "cargo test changed the working tree:" >&2; git status --porcelain >&2; exit 1; }
+
+echo "== run_all (every figure and ablation regenerates its tracked CSV) =="
+# Each binary asserts its own shape targets, and results/ is a function of
+# the code: a byte that moves here is a behaviour change to explain.
+./target/release/run_all --jobs 2 > /dev/null
+[ "$(tree_state)" = "$before_tests" ] || {
+  echo "run_all changed tracked results:" >&2; git diff --stat results/ >&2; exit 1; }
 
 echo "== pels live smoke (loopback UDP, 2 s) =="
 # Scratch results dir: the smoke must not clobber the checked-in
@@ -95,6 +105,25 @@ timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
   run --flows 8 --duration 10 --workers 2 --json > "$parallel_json"
 cmp "$serial_json" "$parallel_json" || {
   echo "parallel report diverges from serial report" >&2; exit 1; }
+# The same in best-effort mode, whose router draws a random number per
+# FGS packet: draws come from per-agent streams, not per-shard ones.
+for w in 1 2; do
+  timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
+    run --mode besteffort --flows 8 --duration 10 --workers "$w" --json \
+    > "$bench_dir/be_w$w.json"
+done
+cmp "$bench_dir/be_w1.json" "$bench_dir/be_w2.json" || {
+  echo "best-effort report diverges across worker counts" >&2; exit 1; }
+
+echo "== pels chaos determinism gate (six-case sim fault matrix, run twice) =="
+# Exits nonzero if a recovery invariant fails; the report (fault counters
+# included) must repeat byte for byte.
+for run in a b; do
+  timeout 300 cargo run --release -q -p pels-cli --bin pels -- \
+    chaos --duration 12 --json > "$bench_dir/chaos_$run.json"
+done
+cmp "$bench_dir/chaos_a.json" "$bench_dir/chaos_b.json" || {
+  echo "pels chaos report is not byte-identical across runs" >&2; exit 1; }
 
 echo "== parallel determinism gate (two-AQM-hop chain, workers 1 vs 2) =="
 # The parking-lot chain is the paper's Section 5.2 multi-router shape (the

@@ -43,7 +43,7 @@
 #![forbid(unsafe_code)]
 
 use pels_core::router::QueueMode;
-use pels_core::scenario::{pels_flows, to_best_effort, ScenarioConfig};
+use pels_core::scenario::{pels_flows, to_best_effort, Scenario, ScenarioConfig};
 use pels_core::source::SourceMode;
 use pels_netsim::time::SimTime;
 use pels_wire::serve::{MAX_BATCH_SIZE, MAX_PACKET_BYTES, RX_SLOT_BYTES};
@@ -1445,9 +1445,9 @@ pub fn execute(
         }
         Command::Run { config, duration_s, json, telemetry, workers } => {
             let tel = open_telemetry(telemetry.as_deref())?;
-            // The parallel engine: the partition is fixed by the topology,
-            // so --workers only changes wall clock, never the report.
-            let mut s = pels_core::parallel::ParallelScenario::build(*config);
+            // The partition is fixed by the topology, so --workers only
+            // changes wall clock, never the report.
+            let mut s = Scenario::try_build(*config).map_err(|e| e.to_string())?;
             s.set_workers(workers);
             if tel.is_enabled() {
                 s.attach_telemetry(&tel);
@@ -2292,6 +2292,33 @@ mod tests {
         std::fs::write(&bad, "{}").unwrap();
         let cmd = parse_args(&args(&format!("bench --wire --check {}", bad.display()))).unwrap();
         assert!(execute(cmd, &OutputDirs::default(), &mut Vec::new()).is_err());
+    }
+
+    #[test]
+    fn run_rejects_each_malformed_config_value_with_one_line() {
+        let dir = std::env::temp_dir().join("pels_cli_bad_config_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let base = ScenarioConfig::default;
+        let mut zero_fps = base().trace;
+        zero_fps.fps = 0.0;
+        let no_frames = serde_json::from_str(r#"{"fps":10.0,"frames":[]}"#).unwrap();
+        let cases = [
+            ("packet_bytes", ScenarioConfig { packet_bytes: 0, ..base() }),
+            ("fps", ScenarioConfig { trace: zero_fps, ..base() }),
+            ("bottleneck", ScenarioConfig { bottleneck: pels_netsim::time::Rate::ZERO, ..base() }),
+            ("access", ScenarioConfig { access: pels_netsim::time::Rate::ZERO, ..base() }),
+            ("frames", ScenarioConfig { trace: no_frames, ..base() }),
+            ("flows", ScenarioConfig { flows: vec![], ..base() }),
+        ];
+        for (what, cfg) in cases {
+            let path = dir.join(format!("{what}.json"));
+            std::fs::write(&path, serde_json::to_string(&cfg).unwrap()).unwrap();
+            let cmd = parse_args(&args(&format!("run --config {} --duration 1", path.display())))
+                .unwrap_or_else(|e| panic!("{what} must parse as JSON: {e}"));
+            let err = execute(cmd, &OutputDirs::default(), &mut Vec::new())
+                .expect_err("a malformed value must not run");
+            assert!(!err.is_empty() && !err.contains('\n'), "{what}: {err:?}");
+        }
     }
 
     #[test]

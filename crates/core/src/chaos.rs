@@ -239,7 +239,8 @@ pub struct ChaosReport {
     pub all_ok: bool,
 }
 
-fn schedule_for(case: ChaosCase, cfg: &ChaosConfig) -> FaultSchedule {
+/// The fault schedule `case` installs on the dumbbell under `cfg`'s window.
+pub fn schedule_for(case: ChaosCase, cfg: &ChaosConfig) -> FaultSchedule {
     let r1 = AgentId(0); // scenario layout: agent 0 is the AQM bottleneck
     let from = SimTime::from_secs_f64(cfg.fault_from.as_secs_f64());
     let to = SimTime::from_secs_f64(cfg.fault_to.as_secs_f64());

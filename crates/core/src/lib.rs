@@ -15,7 +15,8 @@
 //!   partitioning, packetization, pacing; prefix decoding, delay and
 //!   utility measurement.
 //! * [`scenario`] — the dumbbell evaluation topology (Fig. 6) with TCP
-//!   cross traffic, plus serializable run reports.
+//!   cross traffic on the sharded engine, plus serializable run reports;
+//!   [`roles`] — agent ids by role and the summaries read off them.
 //! * [`chaos`] — scripted fault scenarios (link failures, feedback loss,
 //!   router flushes) with recovery invariants.
 //!
@@ -44,6 +45,7 @@ pub mod gamma;
 pub mod mkc;
 pub mod parallel;
 pub mod receiver;
+pub mod roles;
 pub mod router;
 pub mod scenario;
 pub mod source;
@@ -59,6 +61,7 @@ pub use mkc::{MkcConfig, MkcController};
 pub use parallel::ParallelScenario;
 pub use pels_netsim::SimError;
 pub use receiver::{NackConfig, PelsReceiver};
+pub use roles::RoleIds;
 pub use router::{AqmConfig, AqmRouter, QueueMode};
 pub use scenario::{FlowSpec, Scenario, ScenarioConfig, ScenarioReport};
 pub use source::{ArqConfig, CcSpec, PelsSource, SourceConfig, SourceMode};

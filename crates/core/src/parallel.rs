@@ -1,220 +1,4 @@
-//! Parallel scenario execution over the sharded simulator.
-//!
-//! [`ParallelScenario`] is [`Scenario`]'s multi-core sibling: it builds the
-//! same agents from the same [`ScenarioConfig`], but partitions the link
-//! graph with [`Partition::auto`] and drives the shards with
-//! [`ShardedSimulator`]. The partition is a pure function of the topology —
-//! the worker count only sizes the thread pool — so a run's results are
-//! byte-identical at every `--workers` value, and a single-shard partition
-//! degenerates to the exact serial event loop.
-//!
-//! [`Scenario`]: crate::scenario::Scenario
-
-use pels_netsim::packet::AgentId;
-use pels_netsim::shard::{Partition, ShardedSimulator};
-use pels_netsim::time::{SimDuration, SimTime};
-
-use crate::receiver::PelsReceiver;
-use crate::router::AqmRouter;
-use crate::scenario::{build_parts, compute_report, ScenarioConfig, ScenarioIds, ScenarioReport};
-use crate::source::PelsSource;
-
-/// A [`ScenarioConfig`] instantiated on the sharded parallel engine.
-///
-/// ```no_run
-/// use pels_core::parallel::ParallelScenario;
-/// use pels_core::scenario::chained_proportional_config;
-/// use pels_netsim::time::SimTime;
-///
-/// let mut sc = ParallelScenario::build(chained_proportional_config(32));
-/// sc.set_workers(8);
-/// sc.run_until(SimTime::from_secs_f64(10.0));
-/// let report = sc.report(); // identical to the same run with 1 worker
-/// # let _ = report;
-/// ```
-pub struct ParallelScenario {
-    /// The underlying sharded simulator.
-    pub sim: ShardedSimulator,
-    ids: ScenarioIds,
-    cfg: ScenarioConfig,
-}
-
-impl ParallelScenario {
-    /// Builds the scenario, partitioning the topology automatically:
-    /// disconnected component per shard when the layout decomposes (e.g.
-    /// [`crate::scenario::Layout::ChainPerFlow`]), a delay-cut otherwise,
-    /// serial as the fallback. Panics on an invalid configuration.
-    pub fn build(cfg: ScenarioConfig) -> Self {
-        Self::try_build(cfg).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`ParallelScenario::build`].
-    pub fn try_build(cfg: ScenarioConfig) -> Result<Self, crate::SimError> {
-        let parts = build_parts(&cfg)?;
-        let partition = Partition::auto(&parts.graph);
-        let sim = ShardedSimulator::new(cfg.seed, &partition, parts.agents);
-        Ok(ParallelScenario { sim, ids: parts.ids, cfg })
-    }
-
-    /// Sets the number of OS threads used per window. This affects wall
-    /// clock only — the schedule, and therefore every result, is fixed by
-    /// the partition.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.sim.set_workers(workers);
-    }
-
-    /// Number of shards the topology was split into.
-    pub fn n_shards(&self) -> usize {
-        self.sim.n_shards()
-    }
-
-    /// The conservative window size, if this partition needs windows
-    /// (`None` for component partitions, which never exchange events).
-    pub fn lookahead(&self) -> Option<SimDuration> {
-        self.sim.lookahead()
-    }
-
-    /// Runs the scenario until simulated time `t`.
-    pub fn run_until(&mut self, t: SimTime) {
-        self.sim.run_until(t);
-    }
-
-    /// Runs the scenario for `d` more simulated time.
-    pub fn run_for(&mut self, d: SimDuration) {
-        self.sim.run_for(d);
-    }
-
-    /// The scenario configuration.
-    pub fn config(&self) -> &ScenarioConfig {
-        &self.cfg
-    }
-
-    /// Total events processed across all shards.
-    pub fn events_processed(&self) -> u64 {
-        self.sim.events_processed()
-    }
-
-    /// High-water mark of the deepest single shard's event queue.
-    pub fn peak_queue_depth(&self) -> usize {
-        self.sim.peak_queue_depth()
-    }
-
-    /// Agent ids of the AQM bottleneck router(s).
-    pub fn router_ids(&self) -> &[AgentId] {
-        &self.ids.routers
-    }
-
-    /// Fallible fault-schedule installation; see
-    /// [`pels_netsim::shard::ShardedSimulator::try_install_faults`].
-    pub fn try_install_faults(
-        &mut self,
-        schedule: &pels_netsim::faults::FaultSchedule,
-    ) -> Result<(), crate::SimError> {
-        self.sim.try_install_faults(schedule)
-    }
-
-    /// Attaches a telemetry handle to every instrumented agent, mirroring
-    /// [`crate::scenario::Scenario::attach_telemetry`].
-    pub fn attach_telemetry(&mut self, telemetry: &pels_telemetry::Telemetry) {
-        for &id in &self.ids.routers {
-            self.sim.agent_mut::<AqmRouter>(id).set_telemetry(telemetry.clone());
-        }
-        for &id in &self.ids.sources {
-            self.sim.agent_mut::<PelsSource>(id).set_telemetry(telemetry.clone());
-        }
-        for &id in &self.ids.receivers {
-            self.sim.agent_mut::<PelsReceiver>(id).set_telemetry(telemetry.clone());
-        }
-    }
-
-    /// Scrapes engine-level gauges and flushes the registry, mirroring
-    /// [`crate::scenario::Scenario::flush_telemetry`].
-    pub fn flush_telemetry(&self, telemetry: &pels_telemetry::Telemetry) {
-        if !telemetry.is_enabled() {
-            return;
-        }
-        telemetry.gauge_set("sim.events", self.sim.events_processed() as f64);
-        let queued: usize = self
-            .ids
-            .routers
-            .iter()
-            .map(|&r| self.sim.agent::<AqmRouter>(r).port(0).discipline().len_packets())
-            .sum();
-        telemetry.gauge_set("sim.router.queue_pkts", queued as f64);
-        telemetry.flush(self.sim.now().as_secs_f64());
-    }
-
-    /// Summarizes the run into the same serializable report the serial
-    /// engine produces — byte-identical for the same config and seed.
-    pub fn report(&self) -> ScenarioReport {
-        compute_report(&self.sim, &self.cfg, &self.ids)
-    }
-
-    /// Aggregate utility across all video flows, mirroring
-    /// [`crate::scenario::Scenario::total_utility`].
-    pub fn total_utility(&self) -> pels_fgs::decoder::UtilityStats {
-        let mut total = pels_fgs::decoder::UtilityStats::new();
-        for &id in &self.ids.receivers {
-            let r = self.sim.agent::<PelsReceiver>(id);
-            for d in r.decode_all() {
-                total.add(&d);
-            }
-        }
-        total
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::scenario::{chained_proportional_config, proportional_config, Scenario};
-
-    fn horizon() -> SimTime {
-        SimTime::from_secs_f64(5.0)
-    }
-
-    #[test]
-    fn chained_layout_shards_per_flow() {
-        let sc = ParallelScenario::build(chained_proportional_config(6));
-        assert_eq!(sc.n_shards(), 6);
-        assert_eq!(sc.lookahead(), None);
-    }
-
-    #[test]
-    fn shared_dumbbell_still_runs() {
-        let mut sc = ParallelScenario::build(proportional_config(3));
-        sc.run_until(horizon());
-        let report = sc.report();
-        assert_eq!(report.flows.len(), 3);
-        assert!(report.bottleneck_tx_by_class.iter().sum::<u64>() > 0);
-    }
-
-    #[test]
-    fn parallel_report_matches_serial_scenario_on_chains() {
-        let cfg = chained_proportional_config(4);
-        let mut serial = Scenario::build(cfg.clone());
-        serial.run_until(horizon());
-        let mut par = ParallelScenario::build(cfg);
-        par.set_workers(2);
-        par.run_until(horizon());
-        let a = serde_json::to_string(&serial.report()).unwrap();
-        let b = serde_json::to_string(&par.report()).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn worker_count_does_not_change_report() {
-        let cfg = chained_proportional_config(8);
-        let reports: Vec<String> = [1usize, 2, 8]
-            .iter()
-            .map(|&w| {
-                let mut sc = ParallelScenario::build(cfg.clone());
-                sc.set_workers(w);
-                sc.run_until(horizon());
-                serde_json::to_string(&sc.report()).unwrap()
-            })
-            .collect();
-        assert_eq!(reports[0], reports[1]);
-        assert_eq!(reports[0], reports[2]);
-    }
-}
+//! The former sharded front-end's name. `benchmark/src/sim.rs` imports this
+//! path and calls `build`, `set_workers`, `run_until`, `report`,
+//! `router_ids` and `.sim` on it; nothing inside the workspace does.
+pub use crate::scenario::Scenario as ParallelScenario;

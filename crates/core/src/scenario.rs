@@ -14,16 +14,18 @@
 use crate::gamma::GammaConfig;
 use crate::mkc::{MkcConfig, MkcController};
 use crate::receiver::PelsReceiver;
+use crate::roles::RoleIds;
 use crate::router::{AqmConfig, AqmRouter, QueueMode};
 use crate::source::{CcSpec, PelsSource, SourceConfig, SourceMode};
 use pels_fgs::decoder::UtilityStats;
 use pels_fgs::frame::VideoTrace;
 use pels_netsim::disc::{DropTail, QueueLimit};
+use pels_netsim::error::invalid_config;
 use pels_netsim::packet::{AgentId, FlowId};
 use pels_netsim::port::Port;
 use pels_netsim::router::{RouteTable, Router};
-use pels_netsim::shard::TopologyGraph;
-use pels_netsim::sim::{Agent, AgentLookup, Simulator};
+use pels_netsim::shard::{Partition, ShardedSimulator, TopologyGraph};
+use pels_netsim::sim::Agent;
 use pels_netsim::tcp::{TcpSink, TcpSource};
 use pels_netsim::time::{Rate, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -149,88 +151,93 @@ impl Default for ScenarioConfig {
     }
 }
 
-/// A built scenario: the simulator plus typed handles to every agent.
+impl ScenarioConfig {
+    /// Rejects values no scenario can run on — a zero link rate or packet
+    /// size, a frame rate that is not positive and finite, an empty trace
+    /// or flow list — before any of them reaches an agent that would
+    /// divide by it. (Delays are unsigned nanosecond counts: every
+    /// representable value is finite and non-negative.)
+    pub fn validate(&self) -> Result<(), crate::SimError> {
+        if self.flows.is_empty() {
+            return Err(invalid_config("a scenario needs at least one video flow"));
+        }
+        for (name, rate) in [("bottleneck", self.bottleneck), ("access", self.access)] {
+            if rate.as_bps() == 0 {
+                return Err(invalid_config(format!("{name} rate must be positive")));
+            }
+        }
+        if self.packet_bytes == 0 || (self.n_tcp > 0 && self.tcp_packet_bytes == 0) {
+            return Err(invalid_config("packet sizes must be positive"));
+        }
+        if !(self.trace.fps.is_finite() && self.trace.fps > 0.0) {
+            return Err(invalid_config(format!("trace fps must be positive: {}", self.trace.fps)));
+        }
+        if self.trace.is_empty() {
+            return Err(invalid_config("a trace needs at least one frame"));
+        }
+        Ok(())
+    }
+}
+
+/// A built scenario: the sharded simulator plus the role of every agent.
+///
+/// There is one engine. [`Scenario::try_build`] partitions the link graph
+/// with [`Partition::auto`]: the shared dumbbell is cut at its
+/// highest-delay tier (the bottleneck link: the R1 side and the R2 side
+/// become two shards advancing in windows of the bottleneck delay),
+/// [`Layout::ChainPerFlow`] falls apart into one shard per chain, and a
+/// graph that cannot be cut runs as a single shard — the plain serial
+/// event loop. The partition is a function of the topology alone and
+/// every agent draws from its own stream, so a report is a function of
+/// (config, seed): [`Scenario::set_workers`] changes wall clock only.
+///
+/// ```no_run
+/// use pels_core::scenario::{chained_proportional_config, Scenario};
+/// use pels_netsim::time::SimTime;
+///
+/// let mut sc = Scenario::build(chained_proportional_config(32));
+/// sc.set_workers(8);
+/// sc.run_until(SimTime::from_secs_f64(10.0));
+/// let report = sc.report(); // identical to the same run with 1 worker
+/// # let _ = report;
+/// ```
 #[derive(Debug)]
 pub struct Scenario {
     /// The underlying simulator (exposed for custom stepping).
-    pub sim: Simulator,
-    /// Bottleneck AQM router id.
-    pub r1: AgentId,
-    /// Far-side plain router id.
-    pub r2: AgentId,
-    /// Video source agent ids, in flow order.
-    pub sources: Vec<AgentId>,
-    /// Video receiver agent ids, in flow order.
-    pub receivers: Vec<AgentId>,
-    /// TCP source agent ids.
-    pub tcp_sources: Vec<AgentId>,
-    /// TCP sink agent ids.
-    pub tcp_sinks: Vec<AgentId>,
-    ids: ScenarioIds,
+    pub sim: ShardedSimulator,
+    ids: RoleIds,
     cfg: ScenarioConfig,
 }
 
-/// Agent ids of every role in a built scenario, grouped so report code can
-/// aggregate over one shared bottleneck router or N per-chain routers
-/// uniformly.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ScenarioIds {
-    /// AQM bottleneck router(s): one for the shared dumbbell, one per
-    /// chain for [`Layout::ChainPerFlow`].
-    pub(crate) routers: Vec<AgentId>,
-    /// Far-side plain router(s), mirroring `routers`.
-    pub(crate) far_routers: Vec<AgentId>,
-    /// Video sources in flow order.
-    pub(crate) sources: Vec<AgentId>,
-    /// Video receivers in flow order.
-    pub(crate) receivers: Vec<AgentId>,
-    /// TCP sources.
-    pub(crate) tcp_sources: Vec<AgentId>,
-    /// TCP sinks.
-    pub(crate) tcp_sinks: Vec<AgentId>,
+/// Everything needed to instantiate a scenario: the agents in global-id
+/// order, the link graph for partitioning, and the role ids.
+struct ScenarioParts {
+    agents: Vec<Box<dyn Agent>>,
+    graph: TopologyGraph,
+    ids: RoleIds,
 }
 
-/// Everything needed to instantiate a scenario on either engine: the
-/// agents in global-id order, the link graph for partitioning, and the
-/// role ids.
-pub(crate) struct ScenarioParts {
-    pub(crate) agents: Vec<Box<dyn Agent>>,
-    pub(crate) graph: TopologyGraph,
-    pub(crate) ids: ScenarioIds,
-}
-
-/// Builds the agents, link graph, and role ids for `cfg` without binding
-/// them to an engine. [`Scenario::try_build`] feeds the agents to the
-/// serial [`Simulator`]; [`crate::parallel::ParallelScenario`] partitions
-/// the graph and feeds them to a
-/// [`pels_netsim::shard::ShardedSimulator`]. Agent construction draws no
-/// randomness, so both engines see identical initial state.
-pub(crate) fn build_parts(cfg: &ScenarioConfig) -> Result<ScenarioParts, crate::SimError> {
-    if cfg.flows.is_empty() {
-        return Err(pels_netsim::error::invalid_config("a scenario needs at least one video flow"));
-    }
+/// Builds the agents, link graph, and role ids for `cfg`. Agent
+/// construction draws no randomness.
+fn build_parts(cfg: &ScenarioConfig) -> Result<ScenarioParts, crate::SimError> {
     let n = cfg.flows.len();
     let n_tcp = cfg.n_tcp;
+    let per_cluster = |flows: usize| 2 + 2 * flows + 2 * n_tcp;
+    let empty = |total: usize| ScenarioParts {
+        agents: Vec::with_capacity(total),
+        graph: TopologyGraph::new(total),
+        ids: RoleIds::default(),
+    };
     match cfg.layout {
         Layout::SharedDumbbell => {
-            let total = 2 + 2 * n + 2 * n_tcp;
-            let mut parts = ScenarioParts {
-                agents: Vec::with_capacity(total),
-                graph: TopologyGraph::new(total),
-                ids: ScenarioIds::default(),
-            };
+            let mut parts = empty(per_cluster(n));
             let flow_ids: Vec<u32> = (0..n as u32).collect();
             push_dumbbell(cfg, &cfg.flows, 0, &flow_ids, 1000, &mut parts)?;
             Ok(parts)
         }
         Layout::ChainPerFlow => {
-            let per_chain = 4 + 2 * n_tcp;
-            let total = n * per_chain;
-            let mut parts = ScenarioParts {
-                agents: Vec::with_capacity(total),
-                graph: TopologyGraph::new(total),
-                ids: ScenarioIds::default(),
-            };
+            let per_chain = per_cluster(1);
+            let mut parts = empty(n * per_chain);
             for i in 0..n {
                 push_dumbbell(
                     cfg,
@@ -305,7 +312,8 @@ fn push_dumbbell(
         cfg.aqm,
         cfg.keep_series,
     )?));
-    parts.ids.routers.push(r1);
+    parts.ids.routers.extend([r1, r2]);
+    parts.ids.aqm_routers.push(r1);
 
     // --- R2: plain far-side router ---
     let mut r2_ports = vec![Port::new(0, r1, cfg.bottleneck, cfg.bottleneck_delay, q(200))];
@@ -325,7 +333,6 @@ fn push_dumbbell(
         parts.graph.add_link(r2, tcp_sink_id(j), cfg.access_delay);
     }
     parts.agents.push(Box::new(Router::new(r2_ports, r2_routes)));
-    parts.ids.far_routers.push(r2);
 
     // --- Video sources ---
     for (i, spec) in flows.iter().enumerate() {
@@ -388,7 +395,7 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has no video flows.
+    /// Panics on a configuration [`ScenarioConfig::validate`] rejects.
     pub fn build(cfg: ScenarioConfig) -> Self {
         Self::try_build(cfg).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -397,23 +404,51 @@ impl Scenario {
     /// [`crate::SimError::InvalidConfig`] instead of panicking on a bad
     /// configuration.
     pub fn try_build(cfg: ScenarioConfig) -> Result<Self, crate::SimError> {
+        Self::try_build_partitioned(cfg, Partition::auto)
+    }
+
+    /// [`Scenario::try_build`] with the partition chosen by the caller.
+    /// This is the reference the determinism tests compare against:
+    /// `|g| Partition::serial(g.n_agents())` runs the whole graph on the
+    /// plain serial event loop, and its report must equal the one
+    /// [`Partition::auto`] gives at any worker count.
+    pub fn try_build_partitioned(
+        cfg: ScenarioConfig,
+        partition: impl FnOnce(&TopologyGraph) -> Partition,
+    ) -> Result<Self, crate::SimError> {
+        cfg.validate()?;
         let parts = build_parts(&cfg)?;
-        let mut sim = Simulator::new(cfg.seed);
-        for agent in parts.agents {
-            sim.add_agent(agent);
-        }
-        let ids = parts.ids;
-        Ok(Scenario {
-            sim,
-            r1: ids.routers[0],
-            r2: ids.far_routers[0],
-            sources: ids.sources.clone(),
-            receivers: ids.receivers.clone(),
-            tcp_sources: ids.tcp_sources.clone(),
-            tcp_sinks: ids.tcp_sinks.clone(),
-            ids,
-            cfg,
-        })
+        let sim = ShardedSimulator::new(cfg.seed, &partition(&parts.graph), parts.agents);
+        Ok(Scenario { sim, ids: parts.ids, cfg })
+    }
+
+    /// Sets the number of OS threads used per window. This affects wall
+    /// clock only — the schedule, and therefore every result, is fixed by
+    /// the partition.
+    pub fn set_workers(&mut self, workers: usize) {
+        self.sim.set_workers(workers);
+    }
+
+    /// Number of shards the topology was split into.
+    pub fn n_shards(&self) -> usize {
+        self.sim.n_shards()
+    }
+
+    /// The conservative window size, if this partition needs windows
+    /// (`None` for component partitions, which never exchange events).
+    pub fn lookahead(&self) -> Option<SimDuration> {
+        self.sim.lookahead()
+    }
+
+    /// Agent ids by role, for typed access through [`Scenario::sim`].
+    pub fn ids(&self) -> &RoleIds {
+        &self.ids
+    }
+
+    /// Agent ids of the AQM bottleneck router(s): one for the shared
+    /// dumbbell, one per chain for [`Layout::ChainPerFlow`].
+    pub fn router_ids(&self) -> &[AgentId] {
+        &self.ids.aqm_routers
     }
 
     /// Installs a scripted fault schedule into the underlying simulator
@@ -421,53 +456,20 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics on an invalid schedule; use
-    /// [`Scenario::try_install_faults`] for a `Result`.
+    /// Panics on an invalid schedule; `self.sim.try_install_faults` is the
+    /// fallible form.
     pub fn install_faults(&mut self, schedule: &pels_netsim::faults::FaultSchedule) {
-        self.sim.install_faults(schedule);
+        self.sim.try_install_faults(schedule).unwrap_or_else(|e| panic!("{e}"));
     }
 
-    /// Fallible variant of [`Scenario::install_faults`]: a malformed
-    /// schedule yields [`crate::SimError::InvalidConfig`] before anything
-    /// is scheduled.
-    pub fn try_install_faults(
-        &mut self,
-        schedule: &pels_netsim::faults::FaultSchedule,
-    ) -> Result<(), crate::SimError> {
-        self.sim.try_install_faults(schedule)
-    }
-
-    /// Attaches a telemetry handle to every instrumented agent: the AQM
-    /// router and each video source and receiver share (clones of) the same
-    /// registry. Disabled handles keep all hot paths single-branch no-ops.
+    /// See [`RoleIds::attach_telemetry`].
     pub fn attach_telemetry(&mut self, telemetry: &pels_telemetry::Telemetry) {
-        for &id in &self.ids.routers {
-            self.sim.agent_mut::<AqmRouter>(id).set_telemetry(telemetry.clone());
-        }
-        for &id in &self.sources {
-            self.sim.agent_mut::<PelsSource>(id).set_telemetry(telemetry.clone());
-        }
-        for &id in &self.receivers {
-            self.sim.agent_mut::<PelsReceiver>(id).set_telemetry(telemetry.clone());
-        }
+        self.ids.attach_telemetry(&mut self.sim, telemetry);
     }
 
-    /// Scrapes simulator-level gauges (event-loop progress, scheduler turns,
-    /// queue occupancy) into `telemetry` and flushes one snapshot stamped
-    /// with the current simulation time to every attached sink.
+    /// See [`RoleIds::flush_telemetry`].
     pub fn flush_telemetry(&self, telemetry: &pels_telemetry::Telemetry) {
-        if !telemetry.is_enabled() {
-            return;
-        }
-        telemetry.gauge_set("sim.events", self.sim.events_processed() as f64);
-        let queued: usize = self
-            .ids
-            .routers
-            .iter()
-            .map(|&r| self.sim.agent::<AqmRouter>(r).port(0).discipline().len_packets())
-            .sum();
-        telemetry.gauge_set("sim.router.queue_pkts", queued as f64);
-        telemetry.flush(self.sim.now().as_secs_f64());
+        self.ids.flush_telemetry(&self.sim, telemetry);
     }
 
     /// Runs the scenario until `t` (absolute simulation time).
@@ -485,39 +487,39 @@ impl Scenario {
         &self.cfg
     }
 
-    /// Total simulator events processed so far.
+    /// Total simulator events processed so far, across all shards.
     pub fn events_processed(&self) -> u64 {
         self.sim.events_processed()
     }
 
-    /// High-water mark of the simulator's event queue.
+    /// High-water mark of the deepest single shard's event queue.
     pub fn peak_queue_depth(&self) -> usize {
         self.sim.peak_queue_depth()
     }
 
     /// Typed access to video source `i`.
     pub fn source(&self, i: usize) -> &PelsSource {
-        self.sim.agent::<PelsSource>(self.sources[i])
+        self.sim.agent::<PelsSource>(self.ids.sources[i])
     }
 
     /// Typed access to video receiver `i`.
     pub fn receiver(&self, i: usize) -> &PelsReceiver {
-        self.sim.agent::<PelsReceiver>(self.receivers[i])
+        self.sim.agent::<PelsReceiver>(self.ids.receivers[i])
     }
 
-    /// Typed access to the bottleneck AQM router.
+    /// Typed access to the (first) bottleneck AQM router.
     pub fn router(&self) -> &AqmRouter {
-        self.sim.agent::<AqmRouter>(self.r1)
+        self.sim.agent::<AqmRouter>(self.ids.aqm_routers[0])
     }
 
     /// Typed access to TCP source `j`.
     pub fn tcp_source(&self, j: usize) -> &TcpSource {
-        self.sim.agent::<TcpSource>(self.tcp_sources[j])
+        self.sim.agent::<TcpSource>(self.ids.tcp_sources[j])
     }
 
     /// Typed access to TCP sink `j`.
     pub fn tcp_sink(&self, j: usize) -> &TcpSink {
-        self.sim.agent::<TcpSink>(self.tcp_sinks[j])
+        self.sim.agent::<TcpSink>(self.ids.tcp_sinks[j])
     }
 
     /// Summarizes the run into a serializable report.
@@ -527,34 +529,23 @@ impl Scenario {
 
     /// Aggregate utility across all video flows.
     pub fn total_utility(&self) -> UtilityStats {
-        let mut total = UtilityStats::new();
-        for i in 0..self.receivers.len() {
-            for d in self.receiver(i).decode_all() {
-                total.add(&d);
-            }
-        }
-        total
+        self.ids.total_utility(&self.sim)
     }
 }
 
-/// Summarizes a finished run on either engine into a [`ScenarioReport`].
-/// Bottleneck counters are aggregated across all AQM routers (one for the
+/// Summarizes a finished run into a [`ScenarioReport`]. Bottleneck counters are aggregated across all AQM routers (one for the
 /// shared dumbbell, one per chain for [`Layout::ChainPerFlow`]); the final
 /// feedback values are taken from flow 0's router, which is representative
 /// because chains are configured symmetrically.
-pub(crate) fn compute_report<L: AgentLookup>(
-    lk: &L,
-    cfg: &ScenarioConfig,
-    ids: &ScenarioIds,
-) -> ScenarioReport {
+fn compute_report(sim: &ShardedSimulator, cfg: &ScenarioConfig, ids: &RoleIds) -> ScenarioReport {
     let flows: Vec<FlowReport> = ids
         .sources
         .iter()
         .zip(&ids.receivers)
         .enumerate()
         .map(|(i, (&src, &rcv))| {
-            let s: &PelsSource = lk.lookup(src).expect("video source agent");
-            let r: &PelsReceiver = lk.lookup(rcv).expect("video receiver agent");
+            let s = sim.agent::<PelsSource>(src);
+            let r = sim.agent::<PelsReceiver>(rcv);
             let u = r.utility();
             FlowReport {
                 flow: i as u32,
@@ -585,8 +576,8 @@ pub(crate) fn compute_report<L: AgentLookup>(
     let mut bottleneck_tx_by_class = [0u64; 4];
     let mut bottleneck_drops_by_class = [0u64; 4];
     let mut random_drops = 0u64;
-    for &rid in &ids.routers {
-        let router: &AqmRouter = lk.lookup(rid).expect("AQM router agent");
+    for &rid in &ids.aqm_routers {
+        let router = sim.agent::<AqmRouter>(rid);
         let stats = &router.port(0).stats;
         for c in 0..4 {
             bottleneck_tx_by_class[c] += stats.tx_by_class[c];
@@ -594,10 +585,10 @@ pub(crate) fn compute_report<L: AgentLookup>(
         }
         random_drops += router.random_drops;
     }
-    let first_router: &AqmRouter = lk.lookup(ids.routers[0]).expect("AQM router agent");
+    let first_router = sim.agent::<AqmRouter>(ids.aqm_routers[0]);
     let starved_flows = flows.iter().filter(|f| f.starved).count();
     ScenarioReport {
-        duration_s: lk.now().as_secs_f64(),
+        duration_s: sim.now().as_secs_f64(),
         admitted_flows: flows.len() - starved_flows,
         starved_flows,
         flows,
@@ -608,11 +599,7 @@ pub(crate) fn compute_report<L: AgentLookup>(
         router_final_fgs_loss: first_router.estimator().fgs_loss(),
         random_drops,
         lemma6_kbps: lemma6_kbps(cfg),
-        tcp_delivered: ids
-            .tcp_sinks
-            .iter()
-            .map(|&id| lk.lookup::<TcpSink>(id).expect("TCP sink agent").delivered())
-            .sum(),
+        tcp_delivered: ids.tcp_sinks.iter().map(|&id| sim.agent::<TcpSink>(id).delivered()).sum(),
     }
 }
 
@@ -1004,6 +991,50 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn chained_layout_shards_per_flow() {
+        let sc = Scenario::build(chained_proportional_config(6));
+        assert_eq!(sc.n_shards(), 6);
+        assert_eq!(sc.lookahead(), None);
+        assert_eq!(sc.router_ids().len(), 6);
+    }
+
+    #[test]
+    fn worker_count_does_not_change_report() {
+        let cfg = chained_proportional_config(8);
+        let reports: Vec<String> = [1usize, 2, 8]
+            .iter()
+            .map(|&w| {
+                let mut sc = Scenario::build(cfg.clone());
+                sc.set_workers(w);
+                sc.run_until(SimTime::from_secs_f64(5.0));
+                serde_json::to_string(&sc.report()).unwrap()
+            })
+            .collect();
+        assert_eq!(reports[0], reports[1]);
+        assert_eq!(reports[0], reports[2]);
+    }
+
+    #[test]
+    fn malformed_configs_are_rejected_not_run() {
+        let empty_trace: VideoTrace = serde_json::from_str(r#"{"fps":10.0,"frames":[]}"#).unwrap();
+        let mut zero_fps = default_trace();
+        zero_fps.fps = 0.0;
+        let bad: Vec<(&str, ScenarioConfig)> = vec![
+            ("no flows", ScenarioConfig { flows: vec![], ..Default::default() }),
+            ("bottleneck", ScenarioConfig { bottleneck: Rate::ZERO, ..Default::default() }),
+            ("access", ScenarioConfig { access: Rate::ZERO, ..Default::default() }),
+            ("packet_bytes", ScenarioConfig { packet_bytes: 0, ..Default::default() }),
+            ("tcp_packet_bytes", ScenarioConfig { tcp_packet_bytes: 0, ..Default::default() }),
+            ("fps", ScenarioConfig { trace: zero_fps, ..Default::default() }),
+            ("frames", ScenarioConfig { trace: empty_trace, ..Default::default() }),
+        ];
+        for (what, cfg) in bad {
+            let err = Scenario::try_build(cfg).expect_err(what);
+            assert!(matches!(err, crate::SimError::InvalidConfig(_)), "{what}: {err}");
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Parallel parameter sweeps.
 //!
-//! Each simulation run is single-threaded and deterministic, so a sweep
-//! over configurations is embarrassingly parallel: [`run_parallel`] fans
+//! Each run is deterministic and, left at one worker, executes its shards
+//! on the calling thread, so a sweep over configurations is
+//! embarrassingly parallel: [`run_parallel`] fans
 //! the configurations out over OS threads (scoped; no runtime dependency)
 //! and returns the reports in input order.
 

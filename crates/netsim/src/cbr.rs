@@ -213,7 +213,7 @@ impl PoissonSource {
     }
 
     fn schedule_next(&self, ctx: &mut Context<'_>) {
-        // Exponential gap via inverse CDF of the shared deterministic RNG.
+        // Exponential gap via inverse CDF of this agent's deterministic RNG.
         let u: f64 = rand::Rng::gen::<f64>(ctx.rng());
         let gap = -self.mean_gap_s * (1.0 - u).ln();
         ctx.schedule_timer(SimDuration::from_secs_f64(gap.min(1e4)), 0);

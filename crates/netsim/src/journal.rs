@@ -89,6 +89,18 @@ impl Journal {
         }
     }
 
+    /// One journal holding every entry `parts` retain, ordered by time
+    /// and, within one instant, by position in `parts`.
+    pub fn merged(parts: &[&Journal]) -> Journal {
+        let mut entries: Vec<Entry> = parts.iter().flat_map(|j| j.iter().copied()).collect();
+        entries.sort_by_key(|e| e.time);
+        Journal {
+            capacity: entries.len().max(1),
+            entries: entries.into(),
+            total_recorded: parts.iter().map(|j| j.total_recorded).sum(),
+        }
+    }
+
     /// Records one dispatch (called by the simulator).
     pub fn record(&mut self, time: SimTime, event: &Event) {
         let kind = match event {

@@ -15,8 +15,7 @@
 //! * composable queue disciplines — DropTail, RED, strict priority,
 //!   deficit-weighted round robin, a uniform-loss FIFO ([`disc`]), and
 //!   Random Early Marking ([`rem`]) and virtual-finish-time WFQ ([`wfq`]),
-//! * a destination-routed store-and-forward router ([`router`]) and a
-//!   dumbbell topology builder ([`topology`]),
+//! * a destination-routed store-and-forward router ([`router`]),
 //! * simplified TCP Reno cross traffic ([`tcp`]) and CBR load generators
 //!   ([`cbr`]),
 //! * deterministic fault injection — scripted link outages, bandwidth
@@ -27,8 +26,9 @@
 //!   machines run under simulated or wall time (see the `pels-wire` crate).
 //!
 //! Determinism is a hard invariant: a run is a pure function of the topology
-//! and the seed. All randomness flows from seeded [`rand::rngs::StdRng`]
-//! instances, and simultaneous events fire in scheduling order.
+//! and the seed. Every agent draws from its own seeded
+//! [`rand::rngs::StdRng`] stream, and simultaneous events fire in
+//! scheduling order.
 //!
 //! ## Example: two hosts over a bottleneck
 //!
@@ -86,7 +86,6 @@ pub mod sim;
 pub mod stats;
 pub mod tcp;
 pub mod time;
-pub mod topology;
 pub mod wfq;
 
 pub use clock::{Clock, ManualClock, MonotonicClock};
@@ -94,5 +93,5 @@ pub use error::SimError;
 pub use faults::{ControlFaultPolicy, FaultAction, FaultSchedule, FaultStats};
 pub use packet::{AgentId, Feedback, FlowId, Packet, PacketId, PacketKind};
 pub use shard::{Partition, ShardedSimulator, TopologyGraph};
-pub use sim::{Agent, AgentLookup, Context, Simulator};
+pub use sim::{Agent, Context, Simulator};
 pub use time::{Rate, SimDuration, SimTime};

@@ -3,7 +3,7 @@
 //!
 //! The engine follows classic conservative parallel discrete-event
 //! simulation (PDES): the agent/link graph is split into *shards*, each
-//! shard owns its own event queue, RNG stream, and packet-id space, and
+//! shard owns its own event queue and packet-id space, and
 //! shards only interact through link-delayed packet deliveries. Two
 //! partition shapes arise in practice:
 //!
@@ -21,16 +21,15 @@
 //!
 //! # Determinism
 //!
-//! A sharded run is a pure function of (topology, partition, seed):
+//! A run is a pure function of (topology, seed):
 //!
 //! * The partition itself is a pure function of the topology — the worker
 //!   thread count only sizes the thread pool and **never** changes the
 //!   shard layout, so `--workers 1` and `--workers 8` execute the exact
 //!   same per-shard event schedules and produce byte-identical results.
-//! * Each shard's RNG stream is derived from the run seed and the shard
-//!   index via SplitMix64 ([`stream_seed`]), and each shard allocates
-//!   packet ids from a disjoint base, so no shard ever observes another
-//!   shard's draws or allocations.
+//! * Each agent draws from its own stream, derived from the run seed and
+//!   its agent id via SplitMix64 ([`stream_seed`]), so no draw can see the
+//!   partition; each shard allocates packet ids from a disjoint base.
 //! * Cross-shard events are exchanged only at window barriers: each
 //!   worker group takes exactly the events emitted in that window for its
 //!   own shards and schedules them in `(fire time, source shard, source
@@ -39,8 +38,12 @@
 //!   the thread scheduling or group layout — the same order a single
 //!   group sorting all shards' events together produces.
 //! * A single-shard partition degenerates to the plain serial
-//!   [`Simulator`] byte-for-byte: same seed, same packet ids, same global
-//!   event queue.
+//!   [`Simulator`] byte-for-byte: same streams, same packet ids, same
+//!   global event queue. Against it, a cut of the same topology gives
+//!   every agent the same history and the same draws, up to one kind of
+//!   same-nanosecond tie: a cross-shard arrival is queued at the barrier,
+//!   behind local events scheduled for that instant since it was emitted,
+//!   where the serial loop queues it ahead of them.
 //!
 //! The conservative window is safe because every cross-shard delivery made
 //! at local time `τ < window_end` fires at `τ + link_delay ≥ τ + lookahead
@@ -48,20 +51,19 @@
 
 use crate::error::SimError;
 use crate::event::Event;
-use crate::faults::{FaultSchedule, GLOBAL};
+use crate::faults::{FaultSchedule, FaultStats, GLOBAL};
+use crate::journal::Journal;
 use crate::packet::AgentId;
-use crate::sim::{Agent, AgentLookup, Simulator};
+use crate::sim::{Agent, Simulator};
 use crate::time::{SimDuration, SimTime};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
-/// Derives the RNG seed for stream `index` from the run seed via
-/// SplitMix64 — the standard stream-splitting construction: statistically
-/// independent streams, and `stream_seed(seed, i)` never equals `seed`
-/// itself in practice, so shard streams do not collide with the serial
-/// stream.
+/// Derives the RNG seed for stream `index` (an agent id) from the run seed
+/// via SplitMix64 — the standard stream-splitting construction:
+/// statistically independent streams.
 pub fn stream_seed(seed: u64, index: u64) -> u64 {
     splitmix64(seed ^ splitmix64(index.wrapping_add(0x9E37_79B9_7F4A_7C15)))
 }
@@ -346,10 +348,9 @@ impl ShardedSimulator {
     /// `AgentId` in order) using `partition`.
     ///
     /// With a single-shard partition this is exactly the serial
-    /// [`Simulator`]: same seed, same packet-id space, one global queue.
-    /// With more shards, shard `s` draws from the SplitMix-derived stream
-    /// [`stream_seed`]`(seed, s)` and allocates packet ids from base
-    /// `s << 40`.
+    /// [`Simulator`]: same packet-id space, one global queue. With more
+    /// shards, shard `s` allocates packet ids from base `s << 40`. Agents
+    /// draw from per-agent streams either way (see [`stream_seed`]).
     ///
     /// # Panics
     ///
@@ -378,9 +379,8 @@ impl ShardedSimulator {
             }
             vec![sim]
         } else {
-            let mut shards: Vec<Simulator> = (0..n_shards)
-                .map(|s| Simulator::new_shard(stream_seed(seed, s as u64), s as u32, map.clone()))
-                .collect();
+            let mut shards: Vec<Simulator> =
+                (0..n_shards).map(|s| Simulator::new_shard(seed, s as u32, map.clone())).collect();
             for (g, a) in agents.into_iter().enumerate() {
                 shards[map.shard_of[g] as usize].add_shard_agent(AgentId(g as u32), a);
             }
@@ -500,7 +500,7 @@ impl ShardedSimulator {
 
     /// Schedules every fault in `schedule` into the owning shard's queue;
     /// simulator-global actions (control-fault policies) are broadcast to
-    /// every shard, each of which applies them against its own RNG stream.
+    /// every shard, each of which applies them to its own arrivals.
     ///
     /// # Errors
     ///
@@ -522,6 +522,35 @@ impl ShardedSimulator {
             }
         }
         Ok(())
+    }
+
+    /// Counters for applied faults and control-plane packet mangling,
+    /// summed over shards (a broadcast global action counts once).
+    pub fn fault_stats(&self) -> FaultStats {
+        let mut total = FaultStats::default();
+        for fs in self.shards.iter().map(Simulator::fault_stats) {
+            total.faults_applied += fs.faults_applied;
+            total.control_dropped += fs.control_dropped;
+            total.control_duplicated += fs.control_duplicated;
+            total.control_reordered += fs.control_reordered;
+        }
+        total
+    }
+
+    /// Enables the event journal: every shard keeps its most recent
+    /// `capacity` dispatches.
+    pub fn enable_journal(&mut self, capacity: usize) {
+        for shard in &mut self.shards {
+            shard.enable_journal(capacity);
+        }
+    }
+
+    /// The shards' journals merged into one, in `(time, shard)` order, if
+    /// enabled. Each shard evicts on its own, so the oldest stretch of the
+    /// merged view holds only the quieter shards' entries.
+    pub fn journal(&self) -> Option<Journal> {
+        let parts: Option<Vec<&Journal>> = self.shards.iter().map(Simulator::journal).collect();
+        parts.map(|p| Journal::merged(&p))
     }
 
     /// Runs until simulated time reaches `deadline` (events at exactly
@@ -703,16 +732,6 @@ const MAILBOX: &str = "no group panics while holding a mailbox";
 fn attempt(panicked: &mut Option<Box<dyn Any + Send>>, f: impl FnOnce()) {
     if panicked.is_none() {
         *panicked = catch_unwind(AssertUnwindSafe(f)).err();
-    }
-}
-
-impl AgentLookup for ShardedSimulator {
-    fn agent_dyn(&self, id: AgentId) -> Result<&dyn Agent, SimError> {
-        self.owning_shard(id)?.agent_dyn(id)
-    }
-
-    fn now(&self) -> SimTime {
-        self.now
     }
 }
 
@@ -938,6 +957,88 @@ mod tests {
             assert_eq!(sim.threads_spawned(), 2 * call, "2 groups x {call} calls");
         }
         assert!(sim.barriers() >= 375, "1.5 s / 4 ms lookahead");
+    }
+
+    #[test]
+    fn a_global_fault_window_counts_once_across_shards() {
+        let mut g = TopologyGraph::new(2);
+        g.add_link(AgentId(0), AgentId(1), ms(4));
+        let mut sim = ShardedSimulator::new(3, &Partition::cut(&g), pair(2, ms(4)));
+        let mut faults = FaultSchedule::new();
+        faults.control_fault_window(
+            crate::faults::ControlFaultPolicy::drop_fraction(1.0),
+            SimTime::ZERO,
+            SimTime::from_secs_f64(1.0),
+        );
+        sim.try_install_faults(&faults).expect("valid schedule");
+        sim.run_until(SimTime::from_secs_f64(2.0));
+        let stats = sim.fault_stats();
+        assert_eq!(stats.faults_applied, 2, "set + clear, as a serial run counts them");
+        assert_eq!(stats.control_dropped, 2, "both ACKs, dropped in shard 0");
+    }
+
+    /// Passes each packet on to `next` while its hop budget (`seq`) lasts.
+    struct Relay {
+        next: AgentId,
+        delay: SimDuration,
+        inject: bool,
+    }
+
+    impl Agent for Relay {
+        fn start(&mut self, ctx: &mut Context<'_>) {
+            if self.inject {
+                let pkt = Packet::data(FlowId(0), ctx.self_id, self.next, 500)
+                    .with_seq(5)
+                    .with_id(ctx.alloc_packet_id());
+                ctx.deliver(self.next, self.delay, pkt);
+            }
+        }
+        fn on_packet(&mut self, p: Packet, ctx: &mut Context<'_>) {
+            if p.seq > 0 {
+                let seq = p.seq - 1;
+                ctx.deliver(self.next, self.delay, p.with_seq(seq));
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn merged_journal_follows_a_packet_across_the_cut_in_time_order() {
+        // A ring 0 -1ms- 1 -4ms- 2 -1ms- 3 -4ms- 0, cut at the 4 ms tier
+        // into shards {0, 1} and {2, 3}; one packet makes a lap and a half.
+        let delays = [ms(1), ms(4), ms(1), ms(4)];
+        let mut g = TopologyGraph::new(4);
+        for (i, &d) in delays.iter().enumerate() {
+            g.add_link(AgentId(i as u32), AgentId((i as u32 + 1) % 4), d);
+        }
+        let p = Partition::cut(&g);
+        assert_eq!(p.shard_of, vec![0, 0, 1, 1]);
+        let agents: Vec<Box<dyn Agent>> = delays
+            .iter()
+            .enumerate()
+            .map(|(i, &delay)| {
+                Box::new(Relay { next: AgentId((i as u32 + 1) % 4), delay, inject: i == 0 })
+                    as Box<dyn Agent>
+            })
+            .collect();
+        let mut sim = ShardedSimulator::new(1, &p, agents);
+        sim.enable_journal(16);
+        sim.run_until(SimTime::from_secs_f64(1.0));
+
+        let journal = sim.journal().expect("enabled");
+        assert_eq!(journal.total_recorded, sim.events_processed());
+        let id = crate::packet::PacketId(1);
+        let hops: Vec<(u64, u32)> = journal
+            .packet_journey(id)
+            .iter()
+            .map(|e| (e.time.as_nanos() / 1_000_000, e.target.0))
+            .collect();
+        assert_eq!(hops, vec![(1, 1), (5, 2), (6, 3), (10, 0), (11, 1), (15, 2)]);
     }
 
     /// Panics on the first packet it receives.

@@ -9,10 +9,10 @@
 
 use crate::error::SimError;
 use crate::event::{Ev, Event, EventQueue, PacketSlot};
-use crate::faults::{ControlFaultPolicy, FaultAction, FaultSchedule, FaultStats};
+use crate::faults::{ControlFaultPolicy, FaultAction, FaultSchedule, FaultStats, GLOBAL};
 use crate::journal::Journal;
 use crate::packet::{AgentId, Packet, PacketId, PacketKind};
-use crate::shard::{CrossEvent, ShardMap};
+use crate::shard::{stream_seed, CrossEvent, ShardMap};
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -181,7 +181,9 @@ impl Context<'_> {
         PacketId(*self.next_packet_id)
     }
 
-    /// The simulation-wide deterministic random number generator.
+    /// The dispatched agent's own deterministic random stream,
+    /// [`stream_seed`]`(run seed, agent id)`: what an agent draws depends on
+    /// its own event history only, never on which shard hosts it.
     pub fn rng(&mut self) -> &mut StdRng {
         self.rng
     }
@@ -221,7 +223,9 @@ pub struct Simulator {
     now: SimTime,
     queue: EventQueue,
     agents: Vec<Option<Box<dyn Agent>>>,
-    rng: StdRng,
+    seed: u64,
+    /// One stream per agent, parallel to `agents`.
+    rngs: Vec<StdRng>,
     next_packet_id: u64,
     started: bool,
     events_processed: u64,
@@ -239,13 +243,15 @@ impl std::fmt::Debug for dyn Agent {
 }
 
 impl Simulator {
-    /// Creates a simulator with a deterministic RNG seeded by `seed`.
+    /// Creates a simulator whose agents draw from streams derived from
+    /// `seed` (see [`Context::rng`]).
     pub fn new(seed: u64) -> Self {
         Simulator {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
             agents: Vec::new(),
-            rng: StdRng::seed_from_u64(seed),
+            seed,
+            rngs: Vec::new(),
             next_packet_id: 0,
             started: false,
             events_processed: 0,
@@ -280,6 +286,11 @@ impl Simulator {
             "shard agents must be added in ascending global-id order"
         );
         s.globals.push(global);
+        self.push_agent(global, agent);
+    }
+
+    fn push_agent(&mut self, global: AgentId, agent: Box<dyn Agent>) {
+        self.rngs.push(StdRng::seed_from_u64(stream_seed(self.seed, u64::from(global.0))));
         self.agents.push(Some(agent));
     }
 
@@ -311,7 +322,7 @@ impl Simulator {
             return Err(SimError::SimulationStarted);
         }
         let id = AgentId(self.agents.len() as u32);
-        self.agents.push(Some(agent));
+        self.push_agent(id, agent);
         Ok(id)
     }
 
@@ -407,7 +418,10 @@ impl Simulator {
     /// Immutable access to a registered agent, downcast to its concrete
     /// type, as a `Result` instead of panicking.
     pub fn try_agent<T: Agent>(&self, id: AgentId) -> Result<&T, SimError> {
-        self.agent_dyn(id)?
+        let idx = self.local_slot(id)?;
+        let slot = self.agents.get(idx).ok_or(SimError::UnknownAgent(id))?;
+        slot.as_ref()
+            .ok_or(SimError::AgentBusy(id))?
             .as_any()
             .downcast_ref::<T>()
             .ok_or(SimError::AgentTypeMismatch { agent: id, expected: std::any::type_name::<T>() })
@@ -463,7 +477,7 @@ impl Simulator {
                 now: self.now,
                 self_id,
                 queue: &mut self.queue,
-                rng: &mut self.rng,
+                rng: &mut self.rngs[i],
                 next_packet_id: &mut self.next_packet_id,
                 shard: self.shard.as_mut(),
             };
@@ -515,14 +529,16 @@ impl Simulator {
                 }
                 // Control-plane fault policy: arriving ACK/NACK packets may
                 // be dropped, duplicated, or delayed. One uniform draw per
-                // arrival keeps the run deterministic. Re-injected copies
+                // arrival, from the destination agent's stream, keeps the
+                // run deterministic under any partition. Re-injected copies
                 // pass through the policy again on their own arrival
                 // (geometric, terminates almost surely while fractions stay
                 // below 1).
                 if let Some(policy) = self.control_policy {
                     let kind = self.queue.packet(slot).kind;
                     if matches!(kind, PacketKind::Ack | PacketKind::Nack) {
-                        let u: f64 = self.rng.gen();
+                        let dst_slot = self.local_slot(dst).expect("arrival at a local agent");
+                        let u: f64 = self.rngs[dst_slot].gen();
                         if u < policy.drop {
                             self.fault_stats.control_dropped += 1;
                             let _ = self.queue.take_packet(slot);
@@ -571,8 +587,12 @@ impl Simulator {
                     journal.record_kind(time, agent, crate::journal::EntryKind::Fault { action });
                 }
                 // Global fault actions are absorbed by the simulator itself;
-                // agent-targeted ones fall through to normal dispatch.
-                self.fault_stats.faults_applied += 1;
+                // agent-targeted ones fall through to normal dispatch. A
+                // global action is broadcast to every shard and counted by
+                // shard 0 alone, so the summed count matches a serial run.
+                if agent != GLOBAL || self.shard.as_ref().is_none_or(|s| s.shard == 0) {
+                    self.fault_stats.faults_applied += 1;
+                }
                 match action {
                     FaultAction::SetControlPolicy(p) => {
                         // Both scheduling entry points validated this policy,
@@ -606,7 +626,7 @@ impl Simulator {
             now: self.now,
             self_id: target,
             queue: &mut self.queue,
-            rng: &mut self.rng,
+            rng: &mut self.rngs[idx],
             next_packet_id: &mut self.next_packet_id,
             shard: self.shard.as_mut(),
         };
@@ -656,50 +676,6 @@ impl Simulator {
     /// routing) into this simulator's queue.
     pub(crate) fn inject(&mut self, time: SimTime, event: Event) {
         self.queue.schedule(time, event);
-    }
-}
-
-/// Read-only agent access shared by the serial [`Simulator`] and the
-/// parallel [`crate::shard::ShardedSimulator`], so report/summary code can
-/// be written once against either engine.
-pub trait AgentLookup {
-    /// Dynamic access to an agent by (global) id.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::UnknownAgent`] for an id outside the simulation,
-    /// [`SimError::AgentBusy`] mid-dispatch.
-    fn agent_dyn(&self, id: AgentId) -> Result<&dyn Agent, SimError>;
-
-    /// Current simulation time.
-    fn now(&self) -> SimTime;
-
-    /// Typed access to an agent by id.
-    ///
-    /// # Errors
-    ///
-    /// As [`AgentLookup::agent_dyn`], plus
-    /// [`SimError::AgentTypeMismatch`] when the agent is not a `T`.
-    fn lookup<T: Agent>(&self, id: AgentId) -> Result<&T, SimError>
-    where
-        Self: Sized,
-    {
-        self.agent_dyn(id)?
-            .as_any()
-            .downcast_ref::<T>()
-            .ok_or(SimError::AgentTypeMismatch { agent: id, expected: std::any::type_name::<T>() })
-    }
-}
-
-impl AgentLookup for Simulator {
-    fn agent_dyn(&self, id: AgentId) -> Result<&dyn Agent, SimError> {
-        let idx = self.local_slot(id)?;
-        let slot = self.agents.get(idx).ok_or(SimError::UnknownAgent(id))?;
-        Ok(slot.as_ref().ok_or(SimError::AgentBusy(id))?.as_ref())
-    }
-
-    fn now(&self) -> SimTime {
-        self.now
     }
 }
 

@@ -16,6 +16,7 @@
 
 use crate::spec::TopoSpec;
 use pels_core::receiver::PelsReceiver;
+use pels_core::roles::RoleIds;
 use pels_core::router::AqmRouter;
 use pels_core::scenario::default_trace;
 use pels_core::source::{PelsSource, SourceConfig};
@@ -195,31 +196,14 @@ pub struct Bottleneck {
     pub tcp_flows: usize,
 }
 
-/// Agent ids of every role in a compiled topology.
-#[derive(Debug, Clone, Default)]
-pub struct TopoIds {
-    /// All routers, indexed by model router index.
-    pub routers: Vec<AgentId>,
-    /// The subset of routers carrying an AQM port, in model order.
-    pub aqm_routers: Vec<AgentId>,
-    /// Video sources, in flow order.
-    pub sources: Vec<AgentId>,
-    /// Video receivers, in flow order.
-    pub receivers: Vec<AgentId>,
-    /// TCP sources.
-    pub tcp_sources: Vec<AgentId>,
-    /// TCP sinks.
-    pub tcp_sinks: Vec<AgentId>,
-}
-
-/// A compiled topology, ready for either engine.
+/// A compiled topology, ready for the sharded engine.
 pub struct CompiledTopo {
     /// Agents in global-id order (routers first, then hosts).
     pub agents: Vec<Box<dyn Agent>>,
     /// The link graph for the shard partitioner.
     pub graph: TopologyGraph,
-    /// Role ids.
-    pub ids: TopoIds,
+    /// Role ids (`routers` is indexed by model router index).
+    pub ids: RoleIds,
     /// Designated AQM egresses with their crossing load, sorted by router.
     pub bottlenecks: Vec<Bottleneck>,
 }
@@ -385,7 +369,7 @@ pub fn compile(model: &TopoModel, spec: &TopoSpec) -> Result<CompiledTopo, SimEr
     // --- Router agents. ---
     let mut agents: Vec<Box<dyn Agent>> = Vec::with_capacity(n_routers + n_hosts);
     let mut ids =
-        TopoIds { routers: (0..n_routers).map(router_id).collect(), ..Default::default() };
+        RoleIds { routers: (0..n_routers).map(router_id).collect(), ..Default::default() };
     for (r, plan) in port_plans.iter().enumerate() {
         let mut table = RouteTable::new();
         let mut entries: Vec<(AgentId, usize)> = routes[r].iter().map(|(&d, &p)| (d, p)).collect();

@@ -2,7 +2,7 @@
 //! validation report.
 //!
 //! [`TopoScenario`] is the off-dumbbell sibling of
-//! [`pels_core::parallel::ParallelScenario`]: it generates a topology from a
+//! [`pels_core::scenario::Scenario`]: it generates a topology from a
 //! [`TopoSpec`], compiles it, partitions the link graph with
 //! [`Partition::auto`], and drives the shards. The partition is a pure
 //! function of the generated graph, so a run's results are byte-identical
@@ -12,11 +12,11 @@
 
 use crate::gen::generate;
 use crate::maxmin::{self, Prediction};
-use crate::model::{compile, Bottleneck, TopoIds, TopoModel};
+use crate::model::{compile, Bottleneck, TopoModel};
 use crate::spec::TopoSpec;
 use pels_core::mkc::MkcConfig;
 use pels_core::receiver::PelsReceiver;
-use pels_core::router::AqmRouter;
+use pels_core::roles::RoleIds;
 use pels_core::source::PelsSource;
 use pels_core::SimError;
 use pels_netsim::shard::{Partition, ShardedSimulator};
@@ -126,7 +126,7 @@ pub struct TopoScenario {
     pub sim: ShardedSimulator,
     spec: TopoSpec,
     model: TopoModel,
-    ids: TopoIds,
+    ids: RoleIds,
     bottlenecks: Vec<Bottleneck>,
     cut_links: usize,
 }
@@ -187,7 +187,7 @@ impl TopoScenario {
     }
 
     /// Agent ids by role, for typed access through [`TopoScenario::sim`].
-    pub fn ids(&self) -> &TopoIds {
+    pub fn ids(&self) -> &RoleIds {
         &self.ids
     }
 
@@ -218,58 +218,27 @@ impl TopoScenario {
 
     /// Base-layer (green) drops summed over every designated AQM egress.
     pub fn green_drops(&self) -> u64 {
-        self.ids
-            .aqm_routers
-            .iter()
-            .map(|&id| self.sim.agent::<AqmRouter>(id).port(0).stats.drops_by_class[0])
-            .sum()
+        self.ids.green_drops(&self.sim)
     }
 
     /// Video flows starved by the degradation policy.
     pub fn starved_flows(&self) -> usize {
-        self.ids.sources.iter().filter(|&&id| self.sim.agent::<PelsSource>(id).is_starved()).count()
+        self.ids.starved_flows(&self.sim)
     }
 
     /// Mean measured source rate across video flows, kb/s.
     pub fn mean_rate_kbps(&self) -> f64 {
-        if self.ids.sources.is_empty() {
-            return 0.0;
-        }
-        self.ids
-            .sources
-            .iter()
-            .map(|&id| self.sim.agent::<PelsSource>(id).rate_bps() / 1e3)
-            .sum::<f64>()
-            / self.ids.sources.len() as f64
+        self.ids.mean_rate_kbps(&self.sim)
     }
 
-    /// Attaches a telemetry handle to every instrumented agent.
+    /// See [`RoleIds::attach_telemetry`].
     pub fn attach_telemetry(&mut self, telemetry: &pels_telemetry::Telemetry) {
-        for &id in &self.ids.aqm_routers {
-            self.sim.agent_mut::<AqmRouter>(id).set_telemetry(telemetry.clone());
-        }
-        for &id in &self.ids.sources {
-            self.sim.agent_mut::<PelsSource>(id).set_telemetry(telemetry.clone());
-        }
-        for &id in &self.ids.receivers {
-            self.sim.agent_mut::<PelsReceiver>(id).set_telemetry(telemetry.clone());
-        }
+        self.ids.attach_telemetry(&mut self.sim, telemetry);
     }
 
-    /// Scrapes engine-level gauges and flushes the registry.
+    /// See [`RoleIds::flush_telemetry`].
     pub fn flush_telemetry(&self, telemetry: &pels_telemetry::Telemetry) {
-        if !telemetry.is_enabled() {
-            return;
-        }
-        telemetry.gauge_set("sim.events", self.sim.events_processed() as f64);
-        let queued: usize = self
-            .ids
-            .aqm_routers
-            .iter()
-            .map(|&r| self.sim.agent::<AqmRouter>(r).port(0).discipline().len_packets())
-            .sum();
-        telemetry.gauge_set("sim.router.queue_pkts", queued as f64);
-        telemetry.flush(self.sim.now().as_secs_f64());
+        self.ids.flush_telemetry(&self.sim, telemetry);
     }
 
     /// The max-min + offset prediction at the current horizon.

@@ -30,7 +30,8 @@ fn main() {
     cfg.playout_deadline = Some(SimDuration::from_millis(300));
 
     let mut s = Scenario::build(cfg);
-    // Enable the journal for a window of the run (ring of 50k events).
+    // Enable the journal: each of the dumbbell's two shards (the R1 side and
+    // the R2 side) keeps a ring of its last 50k events.
     s.sim.enable_journal(50_000);
     s.run_until(SimTime::from_secs_f64(20.0));
 
@@ -54,13 +55,14 @@ fn main() {
     assert!(retx > 0 && on_time > 0);
 
     // The journal: reconstruct the journey of a recently delivered packet.
+    // Read merged in time order, so a journey crosses the cut in sequence.
     let journal = s.sim.journal().expect("journal enabled");
     println!("\njournal: {} events retained of {} recorded", journal.len(), journal.total_recorded);
     let last_arrival = journal
         .iter()
         .rev()
         .find_map(|e| match e.kind {
-            EntryKind::PacketArrival { id, .. } if e.target == s.receivers[0] => Some(id),
+            EntryKind::PacketArrival { id, .. } if e.target == s.ids().receivers[0] => Some(id),
             _ => None,
         })
         .expect("receiver 0 saw traffic");
@@ -69,7 +71,10 @@ fn main() {
         println!("  t={} -> {}", hop.time, hop.target);
     }
     let journey = journal.packet_journey(last_arrival);
-    assert!(journey.len() >= 3, "source -> R1 -> R2 -> receiver hops");
+    let hops: Vec<_> = journey.iter().map(|e| e.target).collect();
+    let ids = s.ids();
+    assert_eq!(hops, [ids.routers[0], ids.routers[1], ids.receivers[0]], "R1 -> R2 -> receiver");
+    assert!(journey.windows(2).all(|w| w[0].time < w[1].time), "hops in time order");
 
     println!(
         "\ncompare: `cargo run -p pels-bench --bin ablation_retransmission` shows the\n\

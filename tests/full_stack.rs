@@ -18,7 +18,7 @@ use pels_topo::TopoScenario;
 
 fn steady_utility(s: &Scenario, warmup_frames: u64) -> UtilityStats {
     let mut u = UtilityStats::new();
-    for i in 0..s.receivers.len() {
+    for i in 0..s.ids().receivers.len() {
         for d in s.receiver(i).decode_all() {
             if d.frame >= warmup_frames {
                 u.add(&d);

@@ -1,25 +1,59 @@
-//! Bit-stable parallel execution (DESIGN.md, "Sharded execution").
+//! One answer per (config, seed) (DESIGN.md, "Sharded execution").
 //!
-//! The sharded engine's contract is determinism by construction: the
-//! partition — and therefore the per-shard event schedule — is a pure
-//! function of the topology, and the worker count only sizes the thread
-//! pool. These tests pin that contract end to end, at the level a user
-//! observes it: the serialized `ScenarioReport` must be byte-identical
-//! across worker counts, across repeated runs, and (for component
-//! partitions, which never exchange events) against the serial engine.
+//! `Scenario::build` partitions the dumbbell's link graph and runs the
+//! shards on however many workers it is given. Neither choice may show in
+//! a result: the partition is a function of the topology, every agent
+//! draws from its own stream, and the worker count only sizes the thread
+//! pool. These tests pin that at the level a user observes it — the
+//! serialized `ScenarioReport` must be byte-identical to the reference
+//! (the same agents on the plain serial event loop, via the constructor
+//! that takes an explicit partition) at every worker count, and across
+//! repeated runs.
 
-use pels_core::parallel::ParallelScenario;
-use pels_core::scenario::{chained_proportional_config, pels_flows, Scenario, ScenarioConfig};
-use pels_netsim::time::SimTime;
+use pels_core::chaos::{schedule_for, ChaosCase, ChaosConfig};
+use pels_core::scenario::{
+    chained_proportional_config, pels_flows, to_best_effort, Scenario, ScenarioConfig,
+};
+use pels_netsim::faults::FaultSchedule;
+use pels_netsim::shard::Partition;
+use pels_netsim::time::{SimDuration, SimTime};
 
 const N: usize = 32;
 const HORIZON_S: f64 = 5.0;
 
-fn report_json(cfg: ScenarioConfig, workers: usize) -> String {
-    let mut s = ParallelScenario::build(cfg);
+fn finish(mut s: Scenario, workers: usize, faults: Option<&FaultSchedule>) -> String {
     s.set_workers(workers);
+    if let Some(schedule) = faults {
+        s.install_faults(schedule);
+    }
     s.run_until(SimTime::from_secs_f64(HORIZON_S));
     serde_json::to_string(&s.report()).expect("report serializes")
+}
+
+fn report_json(cfg: ScenarioConfig, workers: usize) -> String {
+    finish(Scenario::build(cfg), workers, None)
+}
+
+/// The serial reference must equal `Scenario::build` at workers 1, 2, 8.
+fn assert_matches_serial_reference(
+    what: &str,
+    cfg: &ScenarioConfig,
+    shards: usize,
+    faults: Option<&FaultSchedule>,
+) {
+    let serial = |g: &pels_netsim::shard::TopologyGraph| Partition::serial(g.n_agents());
+    let reference = Scenario::try_build_partitioned(cfg.clone(), serial).expect("valid config");
+    assert_eq!(reference.n_shards(), 1);
+    let reference = finish(reference, 1, faults);
+    for workers in [1, 2, 8] {
+        let s = Scenario::build(cfg.clone());
+        assert_eq!(s.n_shards(), shards, "{what}: what Partition::auto picks");
+        assert_eq!(reference, finish(s, workers, faults), "{what}: serial vs workers={workers}");
+    }
+}
+
+fn shared_dumbbell(n: usize) -> ScenarioConfig {
+    ScenarioConfig { flows: pels_flows(&vec![0.0; n]), keep_series: false, ..Default::default() }
 }
 
 /// The fixed shared dumbbell: one bottleneck, so the partitioner falls
@@ -28,14 +62,9 @@ fn report_json(cfg: ScenarioConfig, workers: usize) -> String {
 /// count.
 #[test]
 fn fixed_dumbbell_reports_are_worker_invariant() {
-    let cfg = || ScenarioConfig {
-        flows: pels_flows(&[0.0; N]),
-        keep_series: false,
-        ..Default::default()
-    };
-    let baseline = report_json(cfg(), 1);
+    let baseline = report_json(shared_dumbbell(N), 1);
     for workers in [2, 8] {
-        let r = report_json(cfg(), workers);
+        let r = report_json(shared_dumbbell(N), workers);
         assert_eq!(baseline, r, "fixed dumbbell: workers=1 vs workers={workers}");
     }
 }
@@ -62,44 +91,54 @@ fn repeated_runs_are_bit_stable() {
         report_json(chained_proportional_config(N), 8),
         "chained repeat at workers=8"
     );
-    let cfg = || ScenarioConfig {
-        flows: pels_flows(&[0.0; 4]),
-        keep_series: false,
-        ..Default::default()
-    };
-    assert_eq!(report_json(cfg(), 2), report_json(cfg(), 2), "dumbbell repeat at workers=2");
+    assert_eq!(
+        report_json(shared_dumbbell(4), 2),
+        report_json(shared_dumbbell(4), 2),
+        "dumbbell repeat at workers=2"
+    );
 }
 
 /// Component partitions never exchange cross-shard events, so each shard
-/// replays exactly the schedule the serial engine would give that
-/// component — the parallel report must match the serial `Scenario`
-/// byte for byte.
+/// replays exactly the schedule the serial loop would give that component.
 #[test]
 fn chained_parallel_matches_serial_engine() {
-    let mut serial = Scenario::build(chained_proportional_config(N));
-    serial.run_until(SimTime::from_secs_f64(HORIZON_S));
-    let serial_json = serde_json::to_string(&serial.report()).expect("report serializes");
-    assert_eq!(serial_json, report_json(chained_proportional_config(N), 8));
+    assert_matches_serial_reference("chained", &chained_proportional_config(N), N, None);
 }
 
 /// The shared dumbbell exercises the windowed executor's batched drain
 /// and cross-shard merge: the `(time, src_shard, seq)` merge order must
-/// reproduce the serial engine byte for byte at every worker count.
+/// reproduce the serial loop byte for byte at every worker count.
 #[test]
 fn shared_dumbbell_parallel_matches_serial_engine() {
-    let cfg = || ScenarioConfig {
-        flows: pels_flows(&[0.0; N]),
-        keep_series: false,
+    assert_matches_serial_reference("shared dumbbell", &shared_dumbbell(N), 2, None);
+}
+
+/// Best-effort mode draws a uniform number per FGS packet at R1. R1 draws
+/// from its own stream, so the drops — and everything downstream of them
+/// — are the same whichever shard R1 lands in.
+#[test]
+fn best_effort_draws_do_not_see_the_partition() {
+    let cfg = to_best_effort(shared_dumbbell(4));
+    assert_matches_serial_reference("best-effort dumbbell", &cfg, 2, None);
+    let report: pels_core::ScenarioReport =
+        serde_json::from_str(&report_json(cfg, 1)).expect("report parses");
+    assert!(report.random_drops > 0, "the configuration must actually draw");
+}
+
+/// The chaos matrix's `feedback-mangling` schedule: the engine draws once
+/// per arriving ACK while the policy is in force, from the destination
+/// agent's stream, and the policy is broadcast to both shards. (Four
+/// flows: with two, this seed lands an R1→R2 arrival on the nanosecond of
+/// an R2 tx-complete — the one tie a cut and the serial loop order
+/// differently, see `pels_netsim::shard` — and the 20 ms reorder delay
+/// then carries the swap into which ACK takes which draw.)
+#[test]
+fn control_fault_draws_do_not_see_the_partition() {
+    let window = ChaosConfig {
+        fault_from: SimDuration::from_secs_f64(2.0),
+        fault_to: SimDuration::from_secs_f64(3.5),
         ..Default::default()
     };
-    let mut serial = Scenario::build(cfg());
-    serial.run_until(SimTime::from_secs_f64(HORIZON_S));
-    let serial_json = serde_json::to_string(&serial.report()).expect("report serializes");
-    for workers in [1, 2, 8] {
-        assert_eq!(
-            serial_json,
-            report_json(cfg(), workers),
-            "shared dumbbell: serial vs workers={workers}"
-        );
-    }
+    let faults = schedule_for(ChaosCase::FeedbackMangling, &window);
+    assert_matches_serial_reference("feedback-mangling", &shared_dumbbell(4), 2, Some(&faults));
 }
