@@ -28,6 +28,20 @@ case "$bin_version" in
      exit 1 ;;
 esac
 
+echo "== tracked bench reports validate (BENCH_scale.json, BENCH_wire.json) =="
+# The smokes below validate scratch copies; a stale schema at the root
+# would pass them.
+./target/release/pels bench --check BENCH_scale.json
+./target/release/pels bench --wire --check BENCH_wire.json
+
+echo "== docs name no removed flag =="
+# Spelled in halves so this file does not match itself.
+for flag in no-"batch" batch-"size" ack-"every"; do
+  if grep -n -e "--$flag" README.md DESIGN.md; then
+    echo "README.md/DESIGN.md still mention the removed --$flag" >&2; exit 1
+  fi
+done
+
 echo "== cargo test (workspace) =="
 # --workspace again: the root package's `cargo test` alone skips every
 # member crate's unit tests (scalebench, CLI, netsim, ...).
@@ -56,7 +70,7 @@ trap 'rm -rf "$live_dir"' EXIT
 PELS_RESULTS_DIR="$live_dir" timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
   live --duration 2
 
-echo "== pels live determinism gate (in-memory transport, batch defaults) =="
+echo "== pels live determinism gate (in-memory transport) =="
 # The serve loop on MemHub and a mock clock: byte-identical run to run, or
 # the wire stack's deterministic backend is no longer deterministic.
 PELS_RESULTS_DIR="$live_dir" timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
@@ -66,11 +80,18 @@ PELS_RESULTS_DIR="$live_dir" timeout 120 cargo run --release -q -p pels-cli --bi
 cmp "$live_dir/live_mem_a.json" "$live_dir/live_mem_b.json" || {
   echo "pels live --mem output is not byte-identical across runs" >&2; exit 1; }
 
-echo "== pels chaos wire smoke (fault matrix, CI preset) =="
-# Six fault cases against the serve loop and its receiver; the command exits
-# nonzero if any recovery invariant (rate re-convergence, green floor,
-# budget) fails.
-timeout 300 cargo run --release -q -p pels-cli --bin pels -- chaos --wire --short
+echo "== pels chaos wire determinism gate (fault matrix, CI preset, run twice) =="
+# Six fault cases against the serve loop and its receiver: every recovery
+# invariant (rate re-convergence, green floor, budget) must hold, and the
+# report must repeat byte for byte.
+for run in a b; do
+  timeout 300 cargo run --release -q -p pels-cli --bin pels -- \
+    chaos --wire --short --json > "$live_dir/wire_chaos_$run.json"
+done
+grep -q '"all_ok": true' "$live_dir/wire_chaos_a.json" || {
+  echo "wire chaos invariants violated" >&2; cat "$live_dir/wire_chaos_a.json" >&2; exit 1; }
+cmp "$live_dir/wire_chaos_a.json" "$live_dir/wire_chaos_b.json" || {
+  echo "pels chaos --wire report is not byte-identical across runs" >&2; exit 1; }
 
 echo "== pels run telemetry smoke (JSON-lines stream) =="
 tel_file="$(mktemp -t pels_telemetry_XXXXXX.jsonl)"
@@ -174,6 +195,8 @@ if serve["peak_flows"] < 256:
     problems.append(f"serve peaked at {serve['peak_flows']}/256 flows")
 if lg["data_received"] == 0:
     problems.append("loadgen received no data")
+if lg["flows_sustained"] != 256:
+    problems.append(f"loadgen sustained {lg['flows_sustained']}/256 flows")
 if problems:
     sys.exit("serve smoke failed: " + "; ".join(problems))
 print(f"serve smoke ok: peak {serve['peak_flows']} flows, "
@@ -184,8 +207,8 @@ PY
 echo "== pels bench --wire smoke (saturation harness, short preset) =="
 PELS_BENCH_DIR="$bench_dir" timeout 300 cargo run --release -q -p pels-cli --bin pels -- \
   bench --wire --short
-# --check re-derives the rows digest and the batched/loop headline ratio;
-# hand-edited or truncated reports never validate.
+# --check re-derives the rows digest; hand-edited or truncated reports
+# never validate.
 timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
   bench --wire --check "$bench_dir/BENCH_wire.json"
 

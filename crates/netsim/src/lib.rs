@@ -14,7 +14,7 @@
 //!   configurable rate and propagation delay ([`port`]),
 //! * composable queue disciplines — DropTail, RED, strict priority,
 //!   deficit-weighted round robin, a uniform-loss FIFO ([`disc`]), and
-//!   Random Early Marking ([`rem`]) and virtual-finish-time WFQ ([`wfq`]),
+//!   virtual-finish-time WFQ ([`wfq`]),
 //! * a destination-routed store-and-forward router ([`router`]),
 //! * simplified TCP Reno cross traffic ([`tcp`]) and CBR load generators
 //!   ([`cbr`]),
@@ -79,7 +79,6 @@ pub mod hist;
 pub mod journal;
 pub mod packet;
 pub mod port;
-pub mod rem;
 pub mod router;
 pub mod shard;
 pub mod sim;

@@ -1,153 +1,27 @@
-//! Batched UDP I/O: `recvmmsg`/`sendmmsg` behind the [`Transport`] trait.
+//! `recvmmsg`/`sendmmsg` for the batch hooks of
+//! [`UdpTransport`](crate::UdpTransport).
 //!
-//! [`BatchedUdp`] wraps the non-blocking [`UdpTransport`] and overrides the
-//! trait's vectored [`Transport::send_batch`]/[`Transport::recv_batch`]
-//! hooks with one syscall per *batch* instead of one per datagram. On a
-//! kernel with CPU mitigations the syscall boundary dominates and this is
-//! the whole story; on an unmitigated kernel entry is nearly free and the
-//! residual ~1 µs/datagram is loopback *stack traversal*, paid per
-//! datagram no matter how many ride one `sendmmsg`. The serve/loadgen
-//! loops therefore pair this with application-layer coalescing — packing
-//! several self-delimiting wire packets into one datagram — which is what
-//! actually moves the ratio there; see DESIGN.md §9 and
-//! `BENCH_wire.json` for the measured split.
+//! Its [`send_batch`](crate::Transport::send_batch) and
+//! [`recv_batch`](crate::Transport::recv_batch) spend one syscall per
+//! *batch* here instead of one per datagram. On a kernel with CPU
+//! mitigations the syscall boundary dominates and this is the whole story;
+//! on an unmitigated kernel entry is nearly free and the residual
+//! ~1 µs/datagram is loopback *stack traversal*, paid per datagram no
+//! matter how many ride one `sendmmsg`. The serve/loadgen loops therefore
+//! pair this with application-layer coalescing — packing several
+//! self-delimiting wire packets into one datagram — which is what actually
+//! moves the ratio there; see DESIGN.md §9.
 //!
 //! The workspace vendors no `libc` crate, so the two syscalls and the
 //! three kernel structs they take (`iovec`, `msghdr`, `mmsghdr`) are
-//! declared by hand in the private [`sys`] module — the only place in the
-//! crate allowed to use `unsafe`. Everything above it is safe Rust, and on
-//! non-Linux targets the overrides quietly degrade to the portable
-//! per-datagram loop, so behavior (not speed) is identical everywhere.
-//! Datagram loss semantics mirror [`UdpTransport`]: a `WouldBlock`/refused
-//! send and a `sendmmsg` short-write are *counted* into the same
-//! `wire.udp.send_drops` ledger, never surfaced as errors.
-
-use crate::transport::{Datagram, Transport, UdpTransport};
-use pels_telemetry::Telemetry;
-use std::io;
-use std::net::SocketAddr;
-use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
-
-#[cfg(target_os = "linux")]
-use std::cell::RefCell;
-
-/// A non-blocking UDP socket with vectored batch I/O.
-///
-/// Single-owner by design: the mmsg scratch vectors live in a `RefCell`,
-/// so the handle is `Send` but not `Sync` — exactly the shape of the
-/// `pels serve`/`pels loadgen` event loops, which each own one socket.
-#[derive(Debug)]
-pub struct BatchedUdp {
-    udp: UdpTransport,
-    #[cfg(target_os = "linux")]
-    scratch: RefCell<sys::Scratch>,
-}
-
-impl BatchedUdp {
-    /// Binds `addr` (use port 0 for an ephemeral port) in non-blocking
-    /// mode.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind/configuration failures.
-    pub fn bind(addr: SocketAddr) -> io::Result<Self> {
-        Ok(BatchedUdp {
-            udp: UdpTransport::bind(addr)?,
-            #[cfg(target_os = "linux")]
-            scratch: RefCell::new(sys::Scratch::default()),
-        })
-    }
-
-    /// Attaches a telemetry handle; swallowed sends (including batched
-    /// partial completions and short-writes) count into
-    /// `wire.udp.send_drops`.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.udp.set_telemetry(telemetry);
-    }
-
-    /// Shared handle to the swallowed-send counter.
-    pub fn send_drops_handle(&self) -> Arc<AtomicU64> {
-        self.udp.send_drops_handle()
-    }
-
-    /// Sends swallowed so far — `WouldBlock`/refused sends on either path
-    /// plus `sendmmsg` short-writes.
-    pub fn send_drops(&self) -> u64 {
-        self.udp.send_drops()
-    }
-
-    /// See [`UdpTransport::expand_buffers`].
-    pub fn expand_buffers(&self, bytes: usize) {
-        self.udp.expand_buffers(bytes);
-    }
-
-    /// Sends the batch through the per-datagram loop — the portable path,
-    /// also used when the batch holds non-IPv4 destinations.
-    fn send_batch_fallback(&self, batch: &[Datagram]) -> io::Result<()> {
-        for d in batch {
-            self.udp.send_to(&d.buf, d.addr)?;
-        }
-        Ok(())
-    }
-
-    #[cfg(not(target_os = "linux"))]
-    fn recv_batch_fallback(&self, batch: &mut [Datagram]) -> io::Result<usize> {
-        let mut filled = 0;
-        for slot in batch.iter_mut() {
-            match self.udp.try_recv(&mut slot.buf)? {
-                Some((n, from)) => {
-                    slot.buf.truncate(n);
-                    slot.addr = from;
-                    filled += 1;
-                }
-                None => break,
-            }
-        }
-        Ok(filled)
-    }
-}
-
-impl Transport for BatchedUdp {
-    fn local_addr(&self) -> SocketAddr {
-        self.udp.local_addr()
-    }
-
-    fn send_to(&self, buf: &[u8], to: SocketAddr) -> io::Result<()> {
-        self.udp.send_to(buf, to)
-    }
-
-    fn try_recv(&self, buf: &mut [u8]) -> io::Result<Option<(usize, SocketAddr)>> {
-        self.udp.try_recv(buf)
-    }
-
-    fn send_batch(&self, batch: &[Datagram]) -> io::Result<()> {
-        #[cfg(target_os = "linux")]
-        {
-            // The fast path speaks sockaddr_in only; a mixed batch (IPv6
-            // peers) is rare enough to take the loop wholesale.
-            if batch.iter().any(|d| !d.addr.is_ipv4()) {
-                return self.send_batch_fallback(batch);
-            }
-            sys::send_batch(&self.udp, &mut self.scratch.borrow_mut(), batch)
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            self.send_batch_fallback(batch)
-        }
-    }
-
-    fn recv_batch(&self, batch: &mut [Datagram]) -> io::Result<usize> {
-        #[cfg(target_os = "linux")]
-        {
-            sys::recv_batch(&self.udp, &mut self.scratch.borrow_mut(), batch)
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            self.recv_batch_fallback(batch)
-        }
-    }
-}
+//! declared by hand in the [`sys`] module — the only place in the crate
+//! allowed to use `unsafe`. It speaks `sockaddr_in` only and exists only on
+//! Linux; an IPv6 socket, an IPv6 destination or another platform takes the
+//! [`Transport`](crate::Transport) trait's per-datagram loop, so behavior
+//! (not speed) is identical everywhere. Datagram loss semantics are those
+//! of the per-datagram path: a `WouldBlock`/refused send and a `sendmmsg`
+//! short-write are *counted* into the same `wire.udp.send_drops` ledger,
+//! never surfaced as errors.
 
 /// Best-effort request for `bytes` of kernel receive and send buffer on
 /// `socket` — Linux only, a no-op elsewhere. The kernel clamps the request
@@ -168,9 +42,10 @@ pub(crate) fn expand_socket_buffers(socket: &std::net::UdpSocket, bytes: usize) 
 /// same slice's `len()`.
 #[cfg(target_os = "linux")]
 #[allow(unsafe_code)]
-mod sys {
-    use super::*;
-    use std::net::{Ipv4Addr, SocketAddrV4};
+pub(crate) mod sys {
+    use crate::transport::{Datagram, UdpTransport};
+    use std::io;
+    use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4};
     use std::os::fd::AsRawFd;
     use std::os::raw::{c_int, c_uint, c_void};
 
@@ -268,7 +143,7 @@ mod sys {
     /// Reused header/address/iovec arrays so steady-state batching
     /// allocates nothing per call.
     #[derive(Debug, Default)]
-    pub(super) struct Scratch {
+    pub(crate) struct Scratch {
         addrs: Vec<SockAddrIn>,
         iovs: Vec<IoVec>,
         hdrs: Vec<MMsgHdr>,
@@ -315,7 +190,7 @@ mod sys {
     /// `WouldBlock`/refused head datagram is counted as a drop and the
     /// rest of the batch still gets its chance; a short-write (kernel
     /// accepted fewer bytes than the datagram) is counted the same way.
-    pub(super) fn send_batch(
+    pub(crate) fn send_batch(
         udp: &UdpTransport,
         scratch: &mut Scratch,
         batch: &[Datagram],
@@ -327,7 +202,7 @@ mod sys {
         scratch.prepare(n);
         for (i, d) in batch.iter().enumerate() {
             let SocketAddr::V4(v4) = d.addr else {
-                unreachable!("caller filtered non-IPv4 batches");
+                unreachable!("the caller sends IPv4 batches only");
             };
             scratch.addrs[i] = SockAddrIn {
                 family: AF_INET,
@@ -376,7 +251,7 @@ mod sys {
     /// Vectored receive into the ring's slots. Returns how many slots were
     /// filled; `WouldBlock` (nothing pending) is 0, matching `try_recv`'s
     /// `Ok(None)`.
-    pub(super) fn recv_batch(
+    pub(crate) fn recv_batch(
         udp: &UdpTransport,
         scratch: &mut Scratch,
         batch: &mut [Datagram],
@@ -426,12 +301,11 @@ mod sys {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::transport::wait_for;
+    use crate::transport::{wait_for, Datagram, Transport, UdpTransport};
     use std::time::Duration;
 
-    fn bind() -> BatchedUdp {
-        BatchedUdp::bind("127.0.0.1:0".parse().unwrap()).unwrap()
+    fn bind() -> UdpTransport {
+        UdpTransport::bind("127.0.0.1:0".parse().unwrap()).unwrap()
     }
 
     #[test]
@@ -461,26 +335,29 @@ mod tests {
     }
 
     #[test]
-    fn batched_and_scalar_paths_interoperate() {
+    fn batch_and_per_datagram_calls_interoperate() {
         let a = bind();
         let b = bind();
-        // Scalar send → batched receive.
-        a.send_to(b"one", b.local_addr()).unwrap();
-        let mut ring = [Datagram::slot(64)];
+        // A run of `send_to`s is readable by one `recv_batch`.
+        for payload in [b"one", b"two"] {
+            a.send_to(payload, b.local_addr()).unwrap();
+        }
+        let mut ring: Vec<Datagram> = (0..4).map(|_| Datagram::slot(64)).collect();
+        let mut got = 0usize;
         let arrived = wait_for(Duration::from_secs(5), Duration::from_millis(1), || {
-            ring[0].reset(64);
-            b.recv_batch(&mut ring).unwrap() == 1
+            got += b.recv_batch(&mut ring[got..]).unwrap();
+            got == 2
         });
         assert!(arrived);
-        assert_eq!(ring[0].buf, b"one");
-        // Batched send → scalar receive.
-        b.send_batch(&[Datagram { buf: b"two".to_vec(), addr: a.local_addr() }]).unwrap();
+        assert_eq!((&ring[0].buf[..], &ring[1].buf[..]), (&b"one"[..], &b"two"[..]));
+        // A `send_batch` is readable by `try_recv`.
+        b.send_batch(&[Datagram { buf: b"three".to_vec(), addr: a.local_addr() }]).unwrap();
         let mut buf = [0u8; 64];
         let arrived = wait_for(Duration::from_secs(5), Duration::from_millis(1), || {
-            matches!(a.try_recv(&mut buf).unwrap(), Some((3, _)))
+            matches!(a.try_recv(&mut buf).unwrap(), Some((5, _)))
         });
         assert!(arrived);
-        assert_eq!(&buf[..3], b"two");
+        assert_eq!(&buf[..5], b"three");
     }
 
     #[test]

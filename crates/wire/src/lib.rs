@@ -13,8 +13,8 @@
 //!   is zero-copy for payloads.
 //! * [`transport`] — the [`Transport`] datagram abstraction with a
 //!   deterministic in-memory hub ([`MemHub`]) and a non-blocking UDP
-//!   backend ([`UdpTransport`]). [`batch`] adds [`BatchedUdp`], a
-//!   `recvmmsg`/`sendmmsg`-vectored UDP backend behind the same trait.
+//!   backend ([`UdpTransport`]) whose batch hooks are the
+//!   `recvmmsg`/`sendmmsg` bindings of [`batch`].
 //! * [`serve`] — [`ServeLoop`], the one place the control path is
 //!   assembled: a `poll(now)`-driven server hosting a
 //!   [`FlowTable`](flowtable::FlowTable) of per-flow state machines that
@@ -22,7 +22,7 @@
 //!   partitioner (Eq. 4), the router feedback estimator (Eq. 11) — paced
 //!   off a shared timer wheel through one in-process strict-priority
 //!   router, answering NACKs with rate-charged base-layer repairs.
-//!   `pels serve` runs it for thousands of flows on batched UDP.
+//!   `pels serve` runs it for thousands of flows on UDP.
 //! * [`receiver`] — [`WireReceiver`], the decoding client of one flow:
 //!   reassembly, per-packet ACKs, the simulator's NACK/ARQ scheduler, and
 //!   the HELLO heartbeat that keeps the flow in the server's table.
@@ -63,7 +63,6 @@ pub mod serve;
 mod telemetry_names;
 pub mod transport;
 
-pub use batch::BatchedUdp;
 pub use chaos::{run_wire_matrix, WireCaseReport, WireChaosConfig, WireChaosReport};
 pub use codec::{WireAck, WireBye, WireData, WireHello, WireKind, WireNack};
 pub use faults::{FaultTransport, LiveFaults, WireFaultSpec, WireFaultTotals};
@@ -72,4 +71,6 @@ pub use live::{run_live, LiveBackend, LiveConfig, LiveOutcome, LiveStats};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
 pub use receiver::{HeartbeatConfig, WireReceiver, WireReceiverConfig};
 pub use serve::{run_serve, run_serve_with, FlowView, ServeConfig, ServeLoop, ServeReport};
+// `benchmark/src/wire.rs` imports the one UDP backend under both names.
+pub use transport::UdpTransport as BatchedUdp;
 pub use transport::{Datagram, MemHub, MemTransport, Transport, UdpTransport};

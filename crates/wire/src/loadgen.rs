@@ -2,11 +2,11 @@
 //!
 //! One socket multiplexes every flow: HELLOs are staggered over a ramp so
 //! registration is not a thundering herd, liveness HELLOs refresh each
-//! flow's table entry, received data packets are counted and (every
-//! `ack_every`-th per flow) answered with an ACK echoing the router's
-//! feedback label and the source's rate — closing the real MKC loop over
-//! loopback. At the end every flow says BYE, so a clean run leaves the
-//! server's flow table empty (the CI leak gate).
+//! flow's table entry, received data packets are counted and each is
+//! answered with an ACK echoing the router's feedback label and the
+//! source's rate — closing the real MKC loop over loopback. At the end
+//! every flow says BYE, so a clean run leaves the server's flow table empty
+//! (the CI leak gate).
 //!
 //! Delivered datagrams/s is measured over the *steady window* (after
 //! `warmup`), which is the honest throughput column of `BENCH_wire.json`:
@@ -14,18 +14,15 @@
 //! believes it sent. A flow counts as *sustained* if it received data in
 //! the final 500 ms.
 
-use crate::batch::BatchedUdp;
 use crate::codec::{packets, WireAck, WireBye, WireData, WireHello, ACK_BYTES, DATA_HEADER_BYTES};
-use crate::serve::{check_io_sizes, RX_SLOT_BYTES};
+use crate::serve::{AGGREGATE_BYTES, IO_BATCH, RX_SLOT_BYTES};
 use crate::transport::{Datagram, Transport, UdpTransport};
 use pels_netsim::clock::{Clock, MonotonicClock};
 use pels_netsim::packet::FlowId;
 use pels_netsim::time::{SimDuration, SimTime};
 use serde::Serialize;
 use std::io;
-use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr};
 
 /// Configuration of one `pels loadgen` run.
 #[derive(Debug, Clone)]
@@ -45,36 +42,25 @@ pub struct LoadgenConfig {
     pub warmup: SimDuration,
     /// Liveness HELLO refresh period per flow.
     pub hello_interval: SimDuration,
-    /// ACK every `ack_every`-th data packet per flow (1 = every packet).
-    pub ack_every: u32,
-    /// Use the batched UDP backend for the client socket too.
-    pub batch: bool,
-    /// Datagrams per batched I/O call.
-    pub batch_size: usize,
-    /// Coalescing cap for the batched path: ACKs/HELLOs/BYEs bound for the
-    /// server are packed back-to-back into container datagrams of at most
-    /// this many bytes (mirrors [`ServeConfig::aggregate_bytes`]
-    /// (crate::serve::ServeConfig::aggregate_bytes)). `0` disables;
-    /// `batch: false` never coalesces.
-    pub aggregate_bytes: usize,
 }
 
 impl LoadgenConfig {
-    /// Defaults: 256 flows, 5 s run with a 1 s ramp and 2 s warmup,
-    /// 100 ms HELLO refresh, ACK every packet, batching on.
+    /// Defaults: an ephemeral port on the unspecified address of the
+    /// server's family, 256 flows, 5 s run with a 1 s ramp and 2 s warmup,
+    /// 100 ms HELLO refresh.
     pub fn new(server: SocketAddr) -> Self {
+        let unspecified: IpAddr = match server {
+            SocketAddr::V4(_) => Ipv4Addr::UNSPECIFIED.into(),
+            SocketAddr::V6(_) => Ipv6Addr::UNSPECIFIED.into(),
+        };
         LoadgenConfig {
             server,
-            listen: SocketAddr::from(([127, 0, 0, 1], 0)),
+            listen: SocketAddr::new(unspecified, 0),
             flows: 256,
             duration: SimDuration::from_secs(5),
             ramp: SimDuration::from_secs(1),
             warmup: SimDuration::from_secs(2),
             hello_interval: SimDuration::from_millis(100),
-            ack_every: 1,
-            batch: true,
-            batch_size: 64,
-            aggregate_bytes: crate::serve::AGGREGATE_BYTES,
         }
     }
 }
@@ -125,31 +111,10 @@ struct ClientFlow {
 ///
 /// # Errors
 ///
-/// [`io::ErrorKind::InvalidInput`] for a `batch_size` outside
-/// `1..=`[`MAX_BATCH_SIZE`](crate::serve::MAX_BATCH_SIZE) or an
-/// `aggregate_bytes` above [`RX_SLOT_BYTES`]; otherwise propagates socket
-/// setup and hard transport failures.
+/// Propagates socket setup and hard transport failures.
 pub fn run_loadgen(cfg: LoadgenConfig) -> io::Result<LoadgenReport> {
-    check_io_sizes(cfg.batch_size, cfg.aggregate_bytes)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-    if cfg.batch {
-        let t = BatchedUdp::bind(cfg.listen)?;
-        t.expand_buffers(crate::serve::SOCKET_BUFFER_BYTES);
-        let drops = t.send_drops_handle();
-        run_on(cfg, t, Some(drops))
-    } else {
-        let t = UdpTransport::bind(cfg.listen)?;
-        t.expand_buffers(crate::serve::SOCKET_BUFFER_BYTES);
-        let drops = t.send_drops_handle();
-        run_on(cfg, t, Some(drops))
-    }
-}
-
-fn run_on<T: Transport>(
-    cfg: LoadgenConfig,
-    transport: T,
-    send_drops: Option<Arc<AtomicU64>>,
-) -> io::Result<LoadgenReport> {
+    let transport = UdpTransport::bind(cfg.listen)?;
+    transport.expand_buffers(crate::serve::SOCKET_BUFFER_BYTES);
     let clock = MonotonicClock::new();
     let n = cfg.flows.max(1);
     let mut flows = vec![ClientFlow::default(); n as usize];
@@ -169,15 +134,12 @@ fn run_on<T: Transport>(
     let steady_from = SimTime::ZERO + cfg.warmup;
     let ramp_step = SimDuration::from_nanos(cfg.ramp.as_nanos() / u64::from(n));
     let ring_cap = RX_SLOT_BYTES;
-    let mut ring: Vec<Datagram> =
-        (0..cfg.batch_size.max(1)).map(|_| Datagram::slot(ring_cap)).collect();
-    let agg = if cfg.batch { cfg.aggregate_bytes } else { 0 };
+    let mut ring: Vec<Datagram> = (0..IO_BATCH).map(|_| Datagram::slot(ring_cap)).collect();
     let mut out: Vec<Datagram> = Vec::new();
     let mut scratch: Vec<Vec<u8>> = Vec::new();
     // ACKs/HELLOs accumulate until a full batch (or the deadline below) so
     // each send_batch call amortizes its syscall over a real batch instead
     // of flushing whatever one poll pass produced.
-    let flush_batch = cfg.batch_size.max(1);
     let flush_interval = SimDuration::from_millis(1);
     let mut out_due = SimTime::ZERO;
 
@@ -191,7 +153,7 @@ fn run_on<T: Transport>(
                 break;
             }
             let flow = FlowId(registered + 1);
-            push(&mut out, &mut scratch, &WireHello { flow, seq: 0 }.encode(), cfg.server, agg);
+            push(&mut out, &mut scratch, &WireHello { flow, seq: 0 }.encode(), cfg.server);
             flows[registered as usize].registered = true;
             flows[registered as usize].next_hello = Some(now + cfg.hello_interval);
             registered += 1;
@@ -205,13 +167,7 @@ fn run_on<T: Transport>(
                 if f.registered && f.next_hello.is_some_and(|t| now >= t) {
                     let flow = FlowId(i as u32 + 1);
                     let seq = hellos_sent;
-                    push(
-                        &mut out,
-                        &mut scratch,
-                        &WireHello { flow, seq }.encode(),
-                        cfg.server,
-                        agg,
-                    );
+                    push(&mut out, &mut scratch, &WireHello { flow, seq }.encode(), cfg.server);
                     f.next_hello = Some(now + cfg.hello_interval);
                     hellos_sent += 1;
                     work = true;
@@ -226,8 +182,8 @@ fn run_on<T: Transport>(
             }
             let got = transport.recv_batch(&mut ring)?;
             // Each received datagram may be a container of several wire
-            // packets (the server coalesces departures on its batched
-            // path). Anything but a decodable data packet is an error.
+            // packets (the server coalesces departures). Anything but a
+            // decodable data packet is an error.
             for slot in ring.iter().take(got) {
                 for packet in packets(&slot.buf) {
                     let Ok(pkt) = packet.and_then(WireData::decode) else {
@@ -243,25 +199,23 @@ fn run_on<T: Transport>(
                     let Some(f) = flows.get_mut(idx) else { continue };
                     f.rx += 1;
                     f.last_rx = Some(now);
-                    if f.rx % u64::from(cfg.ack_every.max(1)) == 0 {
-                        let ack = WireAck {
-                            flow: pkt.flow,
-                            seq: pkt.seq,
-                            sent_at: pkt.sent_at,
-                            rate_echo: pkt.rate_echo,
-                            feedback: pkt.feedback,
-                        };
-                        push_with(&mut out, &mut scratch, ACK_BYTES, cfg.server, agg, |buf| {
-                            ack.append_to(buf)
-                        });
-                        acks_sent += 1;
-                    }
+                    let ack = WireAck {
+                        flow: pkt.flow,
+                        seq: pkt.seq,
+                        sent_at: pkt.sent_at,
+                        rate_echo: pkt.rate_echo,
+                        feedback: pkt.feedback,
+                    };
+                    push_with(&mut out, &mut scratch, ACK_BYTES, cfg.server, |buf| {
+                        ack.append_to(buf)
+                    });
+                    acks_sent += 1;
                 }
             }
             if got > 0 {
                 work = true;
             }
-            if out.len() >= flush_batch {
+            if out.len() >= IO_BATCH {
                 flush(&transport, &mut out, &mut scratch)?;
                 out_due = now + flush_interval;
             }
@@ -284,7 +238,7 @@ fn run_on<T: Transport>(
     for (i, f) in flows.iter().enumerate() {
         if f.registered {
             let bye = WireBye { flow: FlowId(i as u32 + 1) };
-            push(&mut out, &mut scratch, &bye.encode(), cfg.server, agg);
+            push(&mut out, &mut scratch, &bye.encode(), cfg.server);
             byes_sent += 1;
         }
     }
@@ -309,30 +263,27 @@ fn run_on<T: Transport>(
         acks_sent,
         byes_sent,
         decode_errors,
-        send_drops: send_drops.as_ref().map_or(0, |d| d.load(Ordering::Relaxed)),
+        send_drops: transport.send_drops(),
     })
 }
 
 /// Queues `need` encoded bytes (written by `write`) for the next batched
-/// flush. With a non-zero `agg` cap it coalesces: the packet is appended
-/// into the tail container while it fits and shares the destination, so
-/// an ACK storm for the server rides in ~agg/61-packet datagrams instead
-/// of one datagram each — and `write` targets the container directly, so
-/// the hot ACK path never allocates per packet.
+/// flush, coalescing: the packet is appended into the tail container while
+/// it fits under [`AGGREGATE_BYTES`] and shares the destination, so an ACK
+/// storm for the server rides in 24-packet datagrams instead of one
+/// datagram each — and `write` targets the container directly, so the hot
+/// ACK path never allocates per packet.
 fn push_with(
     out: &mut Vec<Datagram>,
     scratch: &mut Vec<Vec<u8>>,
     need: usize,
     addr: SocketAddr,
-    agg: usize,
     write: impl FnOnce(&mut Vec<u8>),
 ) {
-    if agg > 0 {
-        if let Some(last) = out.last_mut() {
-            if last.addr == addr && last.buf.len() + need <= agg {
-                write(&mut last.buf);
-                return;
-            }
+    if let Some(last) = out.last_mut() {
+        if last.addr == addr && last.buf.len() + need <= AGGREGATE_BYTES {
+            write(&mut last.buf);
+            return;
         }
     }
     let mut buf = scratch.pop().unwrap_or_default();
@@ -342,19 +293,13 @@ fn push_with(
 }
 
 /// [`push_with`] for pre-encoded packets.
-fn push(
-    out: &mut Vec<Datagram>,
-    scratch: &mut Vec<Vec<u8>>,
-    bytes: &[u8],
-    addr: SocketAddr,
-    agg: usize,
-) {
-    push_with(out, scratch, bytes.len(), addr, agg, |buf| buf.extend_from_slice(bytes));
+fn push(out: &mut Vec<Datagram>, scratch: &mut Vec<Vec<u8>>, bytes: &[u8], addr: SocketAddr) {
+    push_with(out, scratch, bytes.len(), addr, |buf| buf.extend_from_slice(bytes));
 }
 
 /// Sends everything queued in one batch and recycles the buffers.
-fn flush<T: Transport>(
-    transport: &T,
+fn flush(
+    transport: &UdpTransport,
     out: &mut Vec<Datagram>,
     scratch: &mut Vec<Vec<u8>>,
 ) -> io::Result<()> {
@@ -373,16 +318,38 @@ fn flush<T: Transport>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::{run_serve_with, ServeConfig};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
 
     #[test]
-    fn ring_and_container_sizes_are_bounded_before_any_socket_opens() {
-        let refused = |edit: fn(&mut LoadgenConfig)| {
-            let mut cfg = LoadgenConfig::new(SocketAddr::from(([127, 0, 0, 1], 9)));
-            edit(&mut cfg);
-            run_loadgen(cfg).unwrap_err().kind()
-        };
-        assert_eq!(refused(|c| c.batch_size = 0), io::ErrorKind::InvalidInput);
-        assert_eq!(refused(|c| c.batch_size = 1_000_000), io::ErrorKind::InvalidInput);
-        assert_eq!(refused(|c| c.aggregate_bytes = 4_096), io::ErrorKind::InvalidInput);
+    fn serve_and_loadgen_stream_over_ipv6_loopback() {
+        let listen: SocketAddr = "[::1]:0".parse().unwrap();
+        if std::net::UdpSocket::bind(listen).is_err() {
+            println!("skipped: this host has no IPv6 loopback");
+            return;
+        }
+        let stop = AtomicBool::new(false);
+        let (addr_tx, addr_rx) = std::sync::mpsc::channel();
+        let (srv, lg) = std::thread::scope(|s| {
+            let server = s.spawn(|| {
+                let on_ready = |addr| addr_tx.send(addr).unwrap();
+                run_serve_with(ServeConfig::new(listen), on_ready, || stop.load(Ordering::Relaxed))
+            });
+            let lg = run_loadgen(LoadgenConfig {
+                flows: 64,
+                duration: SimDuration::from_secs(1),
+                ramp: SimDuration::from_millis(250),
+                warmup: SimDuration::from_millis(500),
+                ..LoadgenConfig::new(addr_rx.recv_timeout(Duration::from_secs(10)).unwrap())
+            });
+            // Outlast the idle-eviction timeout, so a BYE lost on the way
+            // still leaves an empty table.
+            std::thread::sleep(Duration::from_millis(800));
+            stop.store(true, Ordering::Relaxed);
+            (server.join().unwrap().unwrap(), lg.unwrap())
+        });
+        assert_eq!((lg.flows_sustained, lg.decode_errors), (64, 0));
+        assert_eq!((srv.peak_flows, srv.decode_errors, srv.leaked_flows), (64, 0, 0));
     }
 }

@@ -1,7 +1,7 @@
 //! The wire stack's one server loop: thousands of PELS flows, or one.
 //!
 //! [`ServeLoop`] is the only place in this crate where the paper's control
-//! path is assembled. `pels serve` runs it on batched UDP for thousands of
+//! path is assembled. `pels serve` runs it on UDP for thousands of
 //! flows; `pels live` and the wire chaos matrix run the same loop for one
 //! flow against a [`WireReceiver`](crate::WireReceiver) (DESIGN.md §9):
 //!
@@ -22,11 +22,12 @@
 //!   payload bytes only (the simulator's packets have no header, so `r*`
 //!   and `p*` match it numerically), and stamps each departing packet
 //!   with the current label and its flow's current rate.
-//! * **Batched I/O** — departures leave and arrivals enter through
-//!   [`Transport::send_batch`]/[`Transport::recv_batch`]; with the
-//!   [`BatchedUdp`] backend that is one `sendmmsg`/`recvmmsg` per batch
-//!   instead of one syscall per datagram (`--no-batch` falls back to the
-//!   per-datagram loop for the baseline row).
+//! * **Batched, coalesced I/O** — departures to one destination are
+//!   packed into containers of at most `AGGREGATE_BYTES` and leave, as
+//!   arrivals enter, `IO_BATCH` datagrams at a time through
+//!   [`Transport::send_batch`]/[`Transport::recv_batch`]; on
+//!   [`UdpTransport`] that is one `sendmmsg`/`recvmmsg` per batch instead
+//!   of one syscall per datagram.
 //!
 //! The loop is strict about flows: data for an evicted flow is dropped,
 //! never forwarded to a stale address.
@@ -46,7 +47,6 @@
 //! past either are counted in [`ServeReport::nacks_ignored`]), and a repair
 //! still queued when its frame leaves the history is dropped.
 
-use crate::batch::BatchedUdp;
 use crate::codec::{packets, peek_kind, WireAck, WireBye, WireData, WireHello, WireKind, WireNack};
 use crate::codec::{patch_feedback, patch_rate_echo, DATA_HEADER_BYTES};
 use crate::flowtable::FlowTable;
@@ -103,20 +103,6 @@ pub struct ServeConfig {
     pub flow_idle_timeout: SimDuration,
     /// Hard cap on concurrent flows; HELLOs beyond it are refused.
     pub max_flows: usize,
-    /// Use the `recvmmsg`/`sendmmsg` batched UDP backend (`false` = the
-    /// per-datagram baseline).
-    pub batch: bool,
-    /// Datagrams per batched I/O call.
-    pub batch_size: usize,
-    /// Coalescing cap for the batched path: consecutive departures to the
-    /// same destination are packed back-to-back into container datagrams
-    /// of at most this many bytes before hitting the socket. Wire packets
-    /// are self-delimiting (see [`packet_len`](crate::codec::packet_len)),
-    /// so receivers split containers without framing bytes. `0` disables
-    /// coalescing; the per-datagram baseline (`batch: false`) never
-    /// coalesces regardless. At most [`RX_SLOT_BYTES`], or peers would
-    /// truncate containers on receive ([`ServeConfig::validate`]).
-    pub aggregate_bytes: usize,
     /// Emit per-flow telemetry series (`wire.serve.flow.<id>.rate`). Off
     /// by default: at thousands of flows every per-flow series multiplies
     /// the sink's cardinality, so the default records aggregates only.
@@ -127,7 +113,7 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// Serve defaults: 100 Mb/s shared capacity, 400-byte packets, a
-    /// 10 fps constant trace, paper control gains, batching on.
+    /// 10 fps constant trace, paper control gains.
     pub fn new(listen: SocketAddr) -> Self {
         ServeConfig {
             listen,
@@ -142,22 +128,17 @@ impl ServeConfig {
             color_limits: [8192, 8192, 2048],
             flow_idle_timeout: SimDuration::from_millis(500),
             max_flows: 4096,
-            batch: true,
-            batch_size: 64,
-            aggregate_bytes: AGGREGATE_BYTES,
             telemetry_per_flow: false,
             telemetry: Telemetry::disabled(),
         }
     }
 
-    /// Checks the sizes that arrive from a command line.
+    /// Checks the size that arrives from a command line.
     ///
     /// # Errors
     ///
-    /// Names the first size out of range: a data packet
-    /// ([`MAX_PACKET_BYTES`]) and a container must each fit a peer's receive
-    /// slot ([`RX_SLOT_BYTES`]), and `batch_size`, which sizes a ring of
-    /// such slots, must lie in `1..=`[`MAX_BATCH_SIZE`].
+    /// A data packet ([`MAX_PACKET_BYTES`]) must fit a peer's receive slot
+    /// ([`RX_SLOT_BYTES`]).
     pub fn validate(&self) -> Result<(), String> {
         if !(1..=MAX_PACKET_BYTES).contains(&self.packet_bytes) {
             return Err(format!(
@@ -166,21 +147,8 @@ impl ServeConfig {
                 self.packet_bytes
             ));
         }
-        check_io_sizes(self.batch_size, self.aggregate_bytes)
+        Ok(())
     }
-}
-
-/// Bounds the two I/O sizes `pels serve` and `pels loadgen` share.
-pub(crate) fn check_io_sizes(batch_size: usize, aggregate_bytes: usize) -> Result<(), String> {
-    if !(1..=MAX_BATCH_SIZE).contains(&batch_size) {
-        return Err(format!("batch_size {batch_size} outside 1..={MAX_BATCH_SIZE}"));
-    }
-    if aggregate_bytes > RX_SLOT_BYTES {
-        return Err(format!(
-            "aggregate_bytes {aggregate_bytes} exceeds the {RX_SLOT_BYTES}-byte receive slot"
-        ));
-    }
-    Ok(())
 }
 
 /// End-of-run summary of one serve session (the `pels serve` JSON output).
@@ -188,8 +156,6 @@ pub(crate) fn check_io_sizes(batch_size: usize, aggregate_bytes: usize) -> Resul
 pub struct ServeReport {
     /// Wall-clock seconds the loop ran.
     pub duration_secs: f64,
-    /// Whether the batched (`sendmmsg`/`recvmmsg`) backend was used.
-    pub batched: bool,
     /// High-water mark of concurrent flows.
     pub peak_flows: usize,
     /// Flow-table entries still present at exit — after every BYE and the
@@ -472,11 +438,15 @@ enum TimerEvent {
 /// tolerance.
 const FLUSH_INTERVAL: SimDuration = SimDuration::from_millis(1);
 
-/// Default coalescing cap — the classic maximum UDP payload on Ethernet
-/// (1500-byte MTU − 20 IP − 8 UDP), which fits three 478-byte data packets
-/// per container at the default 400-byte payload. Loopback would tolerate
-/// far larger datagrams, but the point of the bench is a number that
-/// transfers to real NICs, where anything past the MTU fragments.
+/// Coalescing cap: consecutive departures to one destination are packed
+/// back-to-back into container datagrams of at most this many bytes before
+/// hitting the socket. Wire packets are self-delimiting (see
+/// [`packet_len`](crate::codec::packet_len)), so receivers split containers
+/// without framing bytes. The value is the classic maximum UDP payload on
+/// Ethernet (1500-byte MTU − 20 IP − 8 UDP), which fits three 478-byte data
+/// packets per container at the default 400-byte payload. Loopback would
+/// tolerate far larger datagrams, but the point of the bench is a number
+/// that transfers to real NICs, where anything past the MTU fragments.
 ///
 /// Coalescing is the lever that actually moves datagrams/s on this path:
 /// on a kernel without mitigation overhead, syscall *entry* is nearly free
@@ -486,18 +456,18 @@ const FLUSH_INTERVAL: SimDuration = SimDuration::from_millis(1);
 /// `sendmmsg` alone only shaves the (cheap) entry.
 pub(crate) const AGGREGATE_BYTES: usize = 1472;
 
+/// Datagrams per batch I/O call: the size of the receive ring and the
+/// departure count that flushes without waiting for [`FLUSH_INTERVAL`].
+pub(crate) const IO_BATCH: usize = 64;
+
 /// Receive-slot capacity of every endpoint in this crate. Must hold the
-/// largest container a peer can send ([`AGGREGATE_BYTES`], plus headroom
-/// for configs that raise it); anything longer is truncated by the socket
-/// and surfaces as a decode error.
+/// largest container a peer can send ([`AGGREGATE_BYTES`]); anything longer
+/// is truncated by the socket and surfaces as a decode error.
 pub const RX_SLOT_BYTES: usize = 2048;
+const _: () = assert!(AGGREGATE_BYTES <= RX_SLOT_BYTES);
 
 /// Largest data payload whose packet still fits a receive slot.
 pub const MAX_PACKET_BYTES: u32 = (RX_SLOT_BYTES - DATA_HEADER_BYTES) as u32;
-
-/// Largest `batch_size`: it sizes a ring of [`RX_SLOT_BYTES`] slots (2 MiB
-/// at this bound) and the kernel caps `sendmmsg`/`recvmmsg` at 1024 anyway.
-pub const MAX_BATCH_SIZE: usize = 1024;
 
 /// Pacing admission stops while a color queue holds this many packets.
 /// Past it, admitting more only converts cheap pending entries into
@@ -758,7 +728,7 @@ impl<T: Transport> ServeLoop<T> {
     pub fn new(cfg: ServeConfig, transport: T, send_drops: Option<Arc<AtomicU64>>) -> Self {
         let router =
             ServeRouter::new(cfg.id, cfg.capacity, cfg.feedback_interval, 0.15, cfg.color_limits);
-        let rx_ring = (0..cfg.batch_size.max(1)).map(|_| Datagram::slot(RX_SLOT_BYTES)).collect();
+        let rx_ring = (0..IO_BATCH).map(|_| Datagram::slot(RX_SLOT_BYTES)).collect();
         let payload_pool = vec![0u8; cfg.packet_bytes as usize];
         let frame_interval = SimDuration::from_secs_f64(cfg.trace.frame_interval_secs());
         ServeLoop {
@@ -883,23 +853,21 @@ impl<T: Transport> ServeLoop<T> {
         if was_empty && !batch.is_empty() {
             self.flush_due = now + FLUSH_INTERVAL;
         }
-        let full = batch.len() >= self.cfg.batch_size.max(1);
+        let full = batch.len() >= IO_BATCH;
         if !batch.is_empty() && (full || now >= self.flush_due) {
             work = true;
             self.data_sent += batch.len() as u64;
             self.cfg.telemetry.counter_add(SERVE_TX, batch.len() as u64);
             // Coalesce consecutive same-destination packets into container
             // datagrams: the kernel charges per datagram, not per wire
-            // packet, so fewer-but-fuller datagrams is where the batched
-            // path's throughput comes from. The first packet of each run
-            // donates its buffer, so a run of one costs no copy at all —
-            // and with a zero cap (the per-datagram baseline) every run is
-            // a run of one.
-            let agg = if self.cfg.batch { self.cfg.aggregate_bytes } else { 0 };
+            // packet, so fewer-but-fuller datagrams is where the throughput
+            // comes from. The first packet of each run donates its buffer,
+            // so a run of one costs no copy at all.
             let mut packed = std::mem::take(&mut self.agg_batch);
             for d in batch.drain(..) {
+                let room = AGGREGATE_BYTES.saturating_sub(d.buf.len());
                 match packed.last_mut() {
-                    Some(last) if last.addr == d.addr && last.buf.len() + d.buf.len() <= agg => {
+                    Some(last) if last.addr == d.addr && last.buf.len() <= room => {
                         last.buf.extend_from_slice(&d.buf);
                         self.router.recycle(d.buf);
                     }
@@ -1157,7 +1125,6 @@ impl<T: Transport> ServeLoop<T> {
         let duration_secs = end.as_secs_f64().max(1e-9);
         ServeReport {
             duration_secs,
-            batched: self.cfg.batch,
             peak_flows: self.peak_flows,
             leaked_flows: self.flows.len(),
             hellos: self.hellos,
@@ -1186,12 +1153,11 @@ impl<T: Transport> ServeLoop<T> {
     }
 }
 
-/// Kernel socket-buffer request for the serve and loadgen sockets. Both
-/// modes get it (the comparison stays fair): the Linux default (~208 KiB)
-/// queues about 2 ms of traffic at serve rates, so HELLO-refresh waves and
-/// ACK floods from a thousand flows overflow it and the shed control
-/// datagrams surface as idle-eviction churn, not as any counted drop.
-/// 4 MiB sits at the stock `net.core.rmem_max` ceiling.
+/// Kernel socket-buffer request for the serve and loadgen sockets: the
+/// Linux default (~208 KiB) queues about 2 ms of traffic at serve rates, so
+/// HELLO-refresh waves and ACK floods from a thousand flows overflow it and
+/// the shed control datagrams surface as idle-eviction churn, not as any
+/// counted drop. 4 MiB sits at the stock `net.core.rmem_max` ceiling.
 pub(crate) const SOCKET_BUFFER_BYTES: usize = 4 << 20;
 
 /// Runs `pels serve` until its configured duration elapses.
@@ -1217,19 +1183,11 @@ pub fn run_serve_with(
     should_stop: impl FnMut() -> bool,
 ) -> io::Result<ServeReport> {
     cfg.validate().map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-    if cfg.batch {
-        let mut t = BatchedUdp::bind(cfg.listen)?;
-        t.set_telemetry(cfg.telemetry.clone());
-        t.expand_buffers(SOCKET_BUFFER_BYTES);
-        let drops = t.send_drops_handle();
-        drive(ServeLoop::new(cfg, t, Some(drops)), on_ready, should_stop)
-    } else {
-        let mut t = UdpTransport::bind(cfg.listen)?;
-        t.set_telemetry(cfg.telemetry.clone());
-        t.expand_buffers(SOCKET_BUFFER_BYTES);
-        let drops = t.send_drops_handle();
-        drive(ServeLoop::new(cfg, t, Some(drops)), on_ready, should_stop)
-    }
+    let mut t = UdpTransport::bind(cfg.listen)?;
+    t.set_telemetry(cfg.telemetry.clone());
+    t.expand_buffers(SOCKET_BUFFER_BYTES);
+    let drops = t.send_drops_handle();
+    drive(ServeLoop::new(cfg, t, Some(drops)), on_ready, should_stop)
 }
 
 fn drive<T: Transport>(
@@ -1698,41 +1656,24 @@ mod tests {
         assert!(lp.abandoned_packets > 0, "repairs nobody could pace expired");
     }
 
-    /// Establishes flow 1's pace chain with regular polls, then stalls
-    /// 200 ms: the tokens matured during the stall admit several packets
-    /// into one departure batch. Returns the datagrams of the whole run.
-    fn stalled_burst(cfg: ServeConfig) -> (ServeLoop<MemTransport>, Vec<Vec<u8>>) {
+    #[test]
+    fn batched_departures_coalesce_into_containers() {
         let hub = MemHub::new();
         let client = hub.endpoint(addr(2));
-        let mut lp = mem_loop(&hub, cfg);
+        let mut lp = mem_loop(&hub, serve_cfg());
+        // Establish flow 1's pace chain with regular polls, then stall
+        // 200 ms: the tokens matured during the stall admit several packets
+        // into one departure batch, whose flush must pack them into shared
+        // container datagrams.
         run_ms(&mut lp, &client, 0..51);
         run_ms(&mut lp, &client, 250..251);
         run_ms(&mut lp, &client, 252..253);
         let got = drain(&client);
-        assert!(!got.is_empty());
-        (lp, got)
-    }
-
-    #[test]
-    fn batched_departures_coalesce_into_containers() {
-        // The flush must pack the burst's same-destination packets into
-        // shared container datagrams.
-        let (lp, got) = stalled_burst(serve_cfg());
         assert!(got.iter().all(|d| d.len() <= AGGREGATE_BYTES), "container over the cap");
         let per_datagram = |d: &Vec<u8>| data_packets(std::slice::from_ref(d)).len();
         assert!(got.iter().map(per_datagram).max() > Some(1), "nothing was coalesced");
         let sent = got.iter().map(per_datagram).sum::<usize>() as u64;
         assert_eq!(sent, lp.data_sent, "data_sent counts wire packets, not datagrams");
-    }
-
-    #[test]
-    fn per_datagram_baseline_never_coalesces() {
-        let (lp, got) = stalled_burst(ServeConfig { batch: false, ..serve_cfg() });
-        // Strict one-packet-per-datagram: every datagram decodes whole.
-        for d in &got {
-            WireData::decode(d).unwrap();
-        }
-        assert_eq!(got.len() as u64, lp.data_sent);
     }
 
     #[test]
@@ -1751,9 +1692,6 @@ mod tests {
             (|c| c.packet_bytes = 0) as fn(&mut ServeConfig),
             |c| c.packet_bytes = 3_000,
             |c| c.packet_bytes = 4_000_000_000,
-            |c| c.aggregate_bytes = RX_SLOT_BYTES + 1,
-            |c| c.batch_size = 0,
-            |c| c.batch_size = MAX_BATCH_SIZE + 1,
         ] {
             assert_eq!(refused(bad).unwrap_err(), io::ErrorKind::InvalidInput);
         }

@@ -3,8 +3,7 @@
 //! The endpoints in this crate ([`crate::ServeLoop`], [`crate::WireReceiver`],
 //! the load generator) speak to the network only through the [`Transport`]
 //! trait — unreliable, unordered-capable datagram I/O addressed by
-//! [`SocketAddr`]. Two backends exist here ([`crate::BatchedUdp`] is the
-//! third):
+//! [`SocketAddr`]. Two backends exist:
 //!
 //! * [`MemHub`] / [`MemTransport`] — a process-local hub of per-endpoint
 //!   queues. Delivery is instantaneous and lossless in FIFO order, sends to
@@ -12,11 +11,15 @@
 //!   depends on wall time — paired with a
 //!   [`ManualClock`](pels_netsim::clock::ManualClock) it makes live-agent
 //!   runs bit-reproducible in tests.
-//! * [`UdpTransport`] — a non-blocking [`std::net::UdpSocket`], used by
-//!   `pels live` over loopback (and by any real deployment).
+//! * [`UdpTransport`] — a non-blocking [`std::net::UdpSocket`] whose batch
+//!   hooks are `recvmmsg`/`sendmmsg` where the socket allows
+//!   ([`crate::batch`]), used by `pels serve`, `pels loadgen` and `pels
+//!   live` over loopback (and by any real deployment).
 
 use crate::telemetry_names::UDP_SEND_DROPS;
 use pels_telemetry::Telemetry;
+#[cfg(target_os = "linux")]
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
@@ -106,17 +109,13 @@ pub trait Transport {
     /// every backend — including middleware like [`crate::FaultTransport`]
     /// and the deterministic [`MemHub`] — composes with batch-aware
     /// callers with *identical* semantics to one call per datagram.
-    /// Backends with real vectored syscalls ([`crate::BatchedUdp`])
-    /// override it.
+    /// [`UdpTransport`], which has real vectored syscalls, overrides it.
     ///
     /// # Errors
     ///
     /// Propagates backend I/O errors; per-datagram loss is not an error.
     fn send_batch(&self, batch: &[Datagram]) -> io::Result<()> {
-        for d in batch {
-            self.send_to(&d.buf, d.addr)?;
-        }
-        Ok(())
+        send_each(self, batch)
     }
 
     /// Receives up to `batch.len()` datagrams, filling slots from the
@@ -132,19 +131,33 @@ pub trait Transport {
     ///
     /// Propagates backend I/O errors other than "would block".
     fn recv_batch(&self, batch: &mut [Datagram]) -> io::Result<usize> {
-        let mut filled = 0;
-        for slot in batch.iter_mut() {
-            match self.try_recv(&mut slot.buf)? {
-                Some((n, from)) => {
-                    slot.buf.truncate(n);
-                    slot.addr = from;
-                    filled += 1;
-                }
-                None => break,
-            }
-        }
-        Ok(filled)
+        recv_each(self, batch)
     }
+}
+
+/// [`Transport::send_batch`]'s default: one [`Transport::send_to`] each.
+fn send_each<T: Transport + ?Sized>(t: &T, batch: &[Datagram]) -> io::Result<()> {
+    for d in batch {
+        t.send_to(&d.buf, d.addr)?;
+    }
+    Ok(())
+}
+
+/// [`Transport::recv_batch`]'s default: [`Transport::try_recv`] into each
+/// slot until the backend runs dry.
+fn recv_each<T: Transport + ?Sized>(t: &T, batch: &mut [Datagram]) -> io::Result<usize> {
+    let mut filled = 0;
+    for slot in batch.iter_mut() {
+        match t.try_recv(&mut slot.buf)? {
+            Some((n, from)) => {
+                slot.buf.truncate(n);
+                slot.addr = from;
+                filled += 1;
+            }
+            None => break,
+        }
+    }
+    Ok(filled)
 }
 
 type Queues = HashMap<SocketAddr, VecDeque<(SocketAddr, Vec<u8>)>>;
@@ -262,6 +275,10 @@ impl Transport for MemTransport {
 }
 
 /// A non-blocking UDP socket.
+///
+/// Single-owner by design: the `recvmmsg`/`sendmmsg` scratch vectors live
+/// in a `RefCell`, so the handle is `Send` but not `Sync` — exactly the
+/// shape of the event loops in this crate, which each own one socket.
 #[derive(Debug)]
 pub struct UdpTransport {
     socket: UdpSocket,
@@ -270,6 +287,8 @@ pub struct UdpTransport {
     /// analogue of [`MemHub::dropped`].
     send_drops: Arc<AtomicU64>,
     telemetry: Telemetry,
+    #[cfg(target_os = "linux")]
+    scratch: RefCell<crate::batch::sys::Scratch>,
 }
 
 impl UdpTransport {
@@ -288,10 +307,13 @@ impl UdpTransport {
             addr,
             send_drops: Arc::new(AtomicU64::new(0)),
             telemetry: Telemetry::disabled(),
+            #[cfg(target_os = "linux")]
+            scratch: RefCell::default(),
         })
     }
 
-    /// Attaches a telemetry handle; swallowed sends count into
+    /// Attaches a telemetry handle; swallowed sends (including `sendmmsg`
+    /// partial completions and short-writes) count into
     /// `wire.udp.send_drops`.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
@@ -303,14 +325,15 @@ impl UdpTransport {
         Arc::clone(&self.send_drops)
     }
 
-    /// Sends swallowed so far on `WouldBlock`/`ConnectionRefused`.
+    /// Sends swallowed so far — `WouldBlock`/refused sends on either path
+    /// plus `sendmmsg` short-writes.
     pub fn send_drops(&self) -> u64 {
         self.send_drops.load(Ordering::Relaxed)
     }
 
     /// Counts one swallowed send into the atomic counter and the
-    /// `wire.udp.send_drops` telemetry counter — shared with the batched
-    /// backend so `sendmmsg` partial completions land in the same ledger.
+    /// `wire.udp.send_drops` telemetry counter — `sendmmsg` partial
+    /// completions land in the same ledger.
     pub(crate) fn count_send_drop(&self) {
         self.send_drops.fetch_add(1, Ordering::Relaxed);
         self.telemetry.counter_add(UDP_SEND_DROPS, 1);
@@ -326,7 +349,7 @@ impl UdpTransport {
         crate::batch::expand_socket_buffers(&self.socket, bytes);
     }
 
-    /// The underlying socket, for the batched backend's raw-fd syscalls.
+    /// The underlying socket, for the raw-fd syscalls of [`crate::batch`].
     pub(crate) fn socket(&self) -> &UdpSocket {
         &self.socket
     }
@@ -364,6 +387,26 @@ impl Transport for UdpTransport {
             Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => Ok(None),
             Err(e) => Err(e),
         }
+    }
+
+    // `batch::sys` speaks `sockaddr_in` only, so it takes the batches of an
+    // IPv4 socket (whose peers are all IPv4) bound for IPv4 destinations;
+    // everything else goes one datagram at a time.
+
+    fn send_batch(&self, batch: &[Datagram]) -> io::Result<()> {
+        #[cfg(target_os = "linux")]
+        if self.addr.is_ipv4() && batch.iter().all(|d| d.addr.is_ipv4()) {
+            return crate::batch::sys::send_batch(self, &mut self.scratch.borrow_mut(), batch);
+        }
+        send_each(self, batch)
+    }
+
+    fn recv_batch(&self, batch: &mut [Datagram]) -> io::Result<usize> {
+        #[cfg(target_os = "linux")]
+        if self.addr.is_ipv4() {
+            return crate::batch::sys::recv_batch(self, &mut self.scratch.borrow_mut(), batch);
+        }
+        recv_each(self, batch)
     }
 }
 
@@ -464,6 +507,22 @@ mod tests {
         });
         assert!(arrived, "datagram never arrived on loopback");
         assert_eq!(a.send_drops(), 0);
+    }
+
+    #[test]
+    fn recv_batch_on_an_ipv6_socket_reports_the_senders_address() {
+        let bind = || UdpTransport::bind("[::1]:0".parse().unwrap());
+        let (Ok(a), Ok(b)) = (bind(), bind()) else {
+            println!("skipped: this host has no IPv6 loopback");
+            return;
+        };
+        a.send_batch(&[Datagram { buf: b"ping".to_vec(), addr: b.local_addr() }]).unwrap();
+        let mut ring = [Datagram::slot(16)];
+        let arrived = wait_for(Duration::from_secs(5), Duration::from_millis(1), || {
+            b.recv_batch(&mut ring).unwrap() == 1
+        });
+        assert!(arrived, "datagram never arrived on loopback");
+        assert_eq!((&ring[0].buf[..], ring[0].addr), (&b"ping"[..], a.local_addr()));
     }
 
     #[test]
