@@ -17,6 +17,14 @@ cargo check --release --offline --locked --manifest-path benchmark/Cargo.toml
 # `Scenario` through the `pels_core::parallel::ParallelScenario` re-export.
 cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
 
+echo "== benchmark smoke (benchmark/run.sh --smoke) =="
+# The repo's one benchmark at smoke size (~9 s): report digest identical at
+# 1 vs 2 workers and run to run, the five workloads on both stacks, the
+# correctness gate (no green drop, leaked flow, decode error or swallowed
+# send), and a working tree left as found. Numbers worth quoting come
+# from the full `benchmark/run.sh` and its `--compare`, not from here.
+bash benchmark/run.sh --smoke
+
 echo "== binary provenance gate (embedded commit vs HEAD) =="
 # Stale target/release binaries have survived rebuilds on some hosts;
 # refuse to record any result with a binary built from another commit.
@@ -28,25 +36,20 @@ case "$bin_version" in
      exit 1 ;;
 esac
 
-echo "== tracked bench reports validate (BENCH_scale.json, BENCH_wire.json) =="
-# The smokes below validate scratch copies; a stale schema at the root
-# would pass them.
-./target/release/pels bench --check BENCH_scale.json
-./target/release/pels bench --wire --check BENCH_wire.json
-
-echo "== docs name no removed flag =="
+echo "== docs name no removed flag, command or file =="
 # Spelled in halves so this file does not match itself.
-for flag in no-"batch" batch-"size" ack-"every"; do
-  if grep -n -e "--$flag" README.md DESIGN.md; then
-    echo "README.md/DESIGN.md still mention the removed --$flag" >&2; exit 1
+for gone in -"-no-batch" -"-batch-size" -"-ack-every" \
+    "pels be""nch " BENCH_"scale" BENCH_"wire" PELS_"BENCH_DIR" crit"erion" Crit"erion"; do
+  if grep -n -e "$gone" README.md DESIGN.md EXPERIMENTS.md; then
+    echo "the docs still mention the removed $gone" >&2; exit 1
   fi
 done
 
 echo "== cargo test (workspace) =="
 # --workspace again: the root package's `cargo test` alone skips every
-# member crate's unit tests (scalebench, CLI, netsim, ...).
+# member crate's unit tests (CLI, netsim, wire, ...).
 # Tests pick their output directories by argument; anything they change in
-# the tree (a rewritten BENCH_*.json, a results/ CSV) is a hermeticity bug.
+# the tree (a results/ CSV, say) is a hermeticity bug.
 # Compared before/after so the gate also works on uncommitted work; on a
 # clean checkout it is exactly "git status --porcelain prints nothing".
 tree_state() { git status --porcelain; git diff | cksum; }
@@ -59,8 +62,11 @@ echo "== run_all (every figure and ablation regenerates its tracked CSV) =="
 # Each binary asserts its own shape targets, and results/ is a function of
 # the code: a byte that moves here is a behaviour change to explain.
 ./target/release/run_all --jobs 2 > /dev/null
+# results/chaos.csv is the sim fault matrix at its default seed and 30 s.
+./target/release/pels chaos > /dev/null
 [ "$(tree_state)" = "$before_tests" ] || {
-  echo "run_all changed tracked results:" >&2; git diff --stat results/ >&2; exit 1; }
+  echo "run_all or pels chaos changed tracked results:" >&2
+  git diff --stat results/ >&2; exit 1; }
 
 echo "== pels live smoke (loopback UDP, 2 s) =="
 # Scratch results dir: the smoke must not clobber the checked-in
@@ -104,22 +110,13 @@ metrics_out="$(timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
   metrics "$tel_file")"
 printf '%s\n' "$metrics_out" | head -n 3
 
-echo "== pels bench smoke (scaling harness, short preset, 2 workers) =="
-bench_dir="$(mktemp -d -t pels_bench_XXXXXX)"
-trap 'rm -rf "$live_dir"; rm -f "$tel_file"; rm -rf "$bench_dir"' EXIT
-PELS_BENCH_DIR="$bench_dir" timeout 300 cargo run --release -q -p pels-cli --bin pels -- \
-  bench --short --workers 2
-# --check validates the rev-4 honesty gates: per-row effective_workers no
-# larger than the host/request/shard count, and every row byte-identical
-# to its serial digest.
-timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
-  bench --check "$bench_dir/BENCH_scale.json"
-
 echo "== parallel determinism gate (serial vs sharded report digest) =="
+scratch_dir="$(mktemp -d -t pels_ci_XXXXXX)"
+trap 'rm -rf "$live_dir"; rm -f "$tel_file"; rm -rf "$scratch_dir"' EXIT
 # The report must be a pure function of (config, seed): byte-identical
 # JSON whether one worker or many execute the shards (DESIGN.md §12).
-serial_json="$bench_dir/run_w1.json"
-parallel_json="$bench_dir/run_w2.json"
+serial_json="$scratch_dir/run_w1.json"
+parallel_json="$scratch_dir/run_w2.json"
 timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
   run --flows 8 --duration 10 --workers 1 --json > "$serial_json"
 timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
@@ -131,30 +128,30 @@ cmp "$serial_json" "$parallel_json" || {
 for w in 1 2; do
   timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
     run --mode besteffort --flows 8 --duration 10 --workers "$w" --json \
-    > "$bench_dir/be_w$w.json"
+    > "$scratch_dir/be_w$w.json"
 done
-cmp "$bench_dir/be_w1.json" "$bench_dir/be_w2.json" || {
+cmp "$scratch_dir/be_w1.json" "$scratch_dir/be_w2.json" || {
   echo "best-effort report diverges across worker counts" >&2; exit 1; }
 
 echo "== pels chaos determinism gate (six-case sim fault matrix, run twice) =="
 # Exits nonzero if a recovery invariant fails; the report (fault counters
 # included) must repeat byte for byte.
 for run in a b; do
-  timeout 300 cargo run --release -q -p pels-cli --bin pels -- \
-    chaos --duration 12 --json > "$bench_dir/chaos_$run.json"
+  PELS_RESULTS_DIR="$scratch_dir" timeout 300 cargo run --release -q -p pels-cli --bin pels -- \
+    chaos --duration 12 --json > "$scratch_dir/chaos_$run.json"
 done
-cmp "$bench_dir/chaos_a.json" "$bench_dir/chaos_b.json" || {
+cmp "$scratch_dir/chaos_a.json" "$scratch_dir/chaos_b.json" || {
   echo "pels chaos report is not byte-identical across runs" >&2; exit 1; }
 
 echo "== parallel determinism gate (two-AQM-hop chain, workers 1 vs 2) =="
 # The parking-lot chain is the paper's Section 5.2 multi-router shape (the
 # max-loss override between two AQM hops) on a delay-cut partition.
 for w in 1 2; do
-  PELS_RESULTS_DIR="$bench_dir" timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
+  PELS_RESULTS_DIR="$scratch_dir" timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
     run --topology parkinglot:segments=2,flows=4 --duration 5 --workers "$w" --json \
-    > "$bench_dir/chain_w$w.json"
+    > "$scratch_dir/chain_w$w.json"
 done
-cmp "$bench_dir/chain_w1.json" "$bench_dir/chain_w2.json" || {
+cmp "$scratch_dir/chain_w1.json" "$scratch_dir/chain_w2.json" || {
   echo "chain report diverges across worker counts" >&2; exit 1; }
 
 echo "== pels serve loopback smoke (256 flows, 2 s loadgen) =="
@@ -162,8 +159,8 @@ echo "== pels serve loopback smoke (256 flows, 2 s loadgen) =="
 # streams paced data, and says BYE. Gates: zero decode errors on the
 # serve socket, zero leaked flow-table entries after teardown, and — the
 # loadgen never NACKs — not one repair sent or refused.
-serve_json="$bench_dir/serve.json"
-serve_log="$bench_dir/serve.log"
+serve_json="$scratch_dir/serve.json"
+serve_log="$scratch_dir/serve.log"
 timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
   serve --listen 127.0.0.1:0 --duration 8 --json \
   > "$serve_json" 2> "$serve_log" &
@@ -177,9 +174,9 @@ done
 [ -n "$serve_addr" ] || { echo "serve never announced its address" >&2; exit 1; }
 timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
   loadgen --server "$serve_addr" --flows 256 --duration 2 --warmup 1 --json \
-  > "$bench_dir/loadgen.json"
+  > "$scratch_dir/loadgen.json"
 wait "$serve_pid"
-python3 - "$serve_json" "$bench_dir/loadgen.json" <<'PY'
+python3 - "$serve_json" "$scratch_dir/loadgen.json" <<'PY'
 import json, sys
 serve = json.load(open(sys.argv[1]))
 lg = json.load(open(sys.argv[2]))
@@ -204,34 +201,26 @@ print(f"serve smoke ok: peak {serve['peak_flows']} flows, "
       f"p99 pacing jitter {serve['pacing_jitter_p99_us']:.0f} us")
 PY
 
-echo "== pels bench --wire smoke (saturation harness, short preset) =="
-PELS_BENCH_DIR="$bench_dir" timeout 300 cargo run --release -q -p pels-cli --bin pels -- \
-  bench --wire --short
-# --check re-derives the rows digest; hand-edited or truncated reports
-# never validate.
-timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
-  bench --wire --check "$bench_dir/BENCH_wire.json"
-
 echo "== topo generator property tests =="
 cargo test -q -p pels-topo
 
 echo "== topo scenario smoke (fat-tree + random graph, workers 2) =="
 # Short multi-bottleneck runs on the sharded engine; results CSVs go to
 # the scratch dir so the checked-in 30 s artifacts stay untouched.
-PELS_RESULTS_DIR="$bench_dir" timeout 300 cargo run --release -q -p pels-cli --bin pels -- \
+PELS_RESULTS_DIR="$scratch_dir" timeout 300 cargo run --release -q -p pels-cli --bin pels -- \
   run --topology fattree:k=4,flows=8,seed=1 --duration 5 --workers 2 --json \
-  > "$bench_dir/topo_ft.json"
-PELS_RESULTS_DIR="$bench_dir" timeout 300 cargo run --release -q -p pels-cli --bin pels -- \
+  > "$scratch_dir/topo_ft.json"
+PELS_RESULTS_DIR="$scratch_dir" timeout 300 cargo run --release -q -p pels-cli --bin pels -- \
   run --topology waxman:routers=16,flows=8,seed=1 --duration 5 --workers 2 --json \
-  > "$bench_dir/topo_wx_w2.json"
+  > "$scratch_dir/topo_wx_w2.json"
 
 echo "== topo determinism gate (generated graph, workers 1 vs 2) =="
 # Same spec, different thread-pool size: the partition fixes the schedule,
 # so the reports must be byte-identical (DESIGN.md §12/§14).
-PELS_RESULTS_DIR="$bench_dir" timeout 300 cargo run --release -q -p pels-cli --bin pels -- \
+PELS_RESULTS_DIR="$scratch_dir" timeout 300 cargo run --release -q -p pels-cli --bin pels -- \
   run --topology waxman:routers=16,flows=8,seed=1 --duration 5 --workers 1 --json \
-  > "$bench_dir/topo_wx_w1.json"
-cmp "$bench_dir/topo_wx_w1.json" "$bench_dir/topo_wx_w2.json" || {
+  > "$scratch_dir/topo_wx_w1.json"
+cmp "$scratch_dir/topo_wx_w1.json" "$scratch_dir/topo_wx_w2.json" || {
   echo "topo report diverges across worker counts" >&2; exit 1; }
 
 echo "== cargo clippy (all targets, warnings are errors) =="

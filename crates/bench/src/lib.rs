@@ -1,9 +1,9 @@
-//! # pels-bench — the reproduction harness
+//! # pels-bench — the figure/ablation harness
 //!
 //! One binary per table/figure of the paper's evaluation (see DESIGN.md's
-//! experiment index), plus ablation binaries and Criterion micro/macro
-//! benchmarks. Every binary prints the series the paper reports and writes
-//! a CSV copy under `results/`.
+//! experiment index), plus ablation binaries. Every binary prints the series
+//! the paper reports and writes a CSV copy under `results/`. Timing is not
+//! measured here: `benchmark/run.sh` is the repo's one benchmark.
 //!
 //! | binary | paper artifact |
 //! |---|---|
@@ -21,17 +21,14 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod scalebench;
-pub mod wirebench;
-
 use pels_netsim::stats::TimeSeries;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// The directory named by environment variable `var`, if set. Binaries
-/// call this once in `main` (`PELS_RESULTS_DIR`, `PELS_BENCH_DIR`) and pass
-/// the answer down; nothing below `main` reads the environment, so tests
-/// choose their directories by argument and never race on process state.
+/// call this once in `main` (`PELS_RESULTS_DIR`) and pass the answer down;
+/// nothing below `main` reads the environment, so tests choose their
+/// directories by argument and never race on process state.
 pub fn env_dir(var: &str) -> Option<PathBuf> {
     std::env::var_os(var).map(PathBuf::from)
 }
@@ -57,20 +54,6 @@ pub fn results_dir(dir: Option<&Path>) -> PathBuf {
     let p = PathBuf::from("results");
     let _ = fs::create_dir_all(&p);
     p
-}
-
-/// Where a tracked `BENCH_*.json` report is written: `dir` when given
-/// (created if needed), else the workspace root, else the working
-/// directory.
-fn bench_report_path(dir: Option<&Path>, file: &str) -> PathBuf {
-    match (dir, workspace_root()) {
-        (Some(dir), _) => {
-            let _ = fs::create_dir_all(dir);
-            dir.join(file)
-        }
-        (None, Some(root)) => root.join(file),
-        (None, None) => PathBuf::from(file),
-    }
 }
 
 /// Writes `content` to `<dir>/<name>` and reports the path on stdout.
@@ -143,6 +126,25 @@ pub fn downsample(series: &TimeSeries, n: usize) -> Vec<(f64, f64)> {
 mod tests {
     use super::*;
 
+    /// A directory unique to this process and test, removed on drop: two
+    /// `cargo test` processes on one host never meet in a file.
+    struct TestDir(PathBuf);
+
+    impl TestDir {
+        fn new(test: &str) -> Self {
+            let name = format!("pels_bench_{test}_{}", std::process::id());
+            let dir = std::env::temp_dir().join(name);
+            fs::create_dir_all(&dir).unwrap();
+            TestDir(dir)
+        }
+    }
+
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
     #[test]
     fn downsample_preserves_endpoints_roughly() {
         let mut s = TimeSeries::new("x");
@@ -168,8 +170,9 @@ mod tests {
         // Anchored at the workspace root, not the process CWD.
         assert!(d.parent().unwrap().join("Cargo.toml").is_file());
 
-        let tmp = std::env::temp_dir().join("pels_bench_results_test");
-        assert_eq!(results_dir(Some(&tmp)), tmp);
-        assert!(tmp.is_dir());
+        let tmp = TestDir::new("results");
+        let sub = tmp.0.join("made_on_demand");
+        assert_eq!(results_dir(Some(&sub)), sub);
+        assert!(sub.is_dir());
     }
 }

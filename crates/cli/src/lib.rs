@@ -100,19 +100,6 @@ pub enum Command {
         /// OS threads running scenarios concurrently.
         workers: usize,
     },
-    /// Run the many-flow scaling benchmark and write `BENCH_scale.json`.
-    Bench {
-        /// Flow counts, one row each per worker count.
-        counts: Vec<usize>,
-        /// Worker-thread counts to sweep.
-        workers: Vec<usize>,
-        /// Topology family (`chained` decomposes into one shard per flow).
-        topology: pels_bench::scalebench::ScaleTopology,
-        /// Simulated seconds per row.
-        duration_s: f64,
-        /// Validate an existing report instead of running one.
-        check: Option<String>,
-    },
     /// Run the fault-injection matrix and report invariant verdicts.
     Chaos {
         /// Simulator seed.
@@ -182,15 +169,6 @@ pub enum Command {
         /// Emit the report as JSON instead of text.
         json: bool,
     },
-    /// Run the wire saturation benchmark and write `BENCH_wire.json`.
-    BenchWire {
-        /// Flow counts, one row each.
-        counts: Vec<u32>,
-        /// Loadgen wall-clock seconds per row.
-        duration_s: f64,
-        /// Validate an existing report instead of running one.
-        check: Option<String>,
-    },
     /// Summarize a telemetry snapshot file written by `--telemetry`.
     Metrics {
         /// Path to the JSON-lines snapshot file.
@@ -237,7 +215,7 @@ pub enum SweepTopology {
     /// rows exercise the degradation policy (DESIGN.md §11).
     Fixed,
     /// The wideband topology scaled to a ~10% FGS-layer operating point,
-    /// as used by the scaling benchmark.
+    /// as used by the benchmark's `sim_shared` workload.
     Wideband,
 }
 
@@ -266,11 +244,10 @@ impl std::fmt::Display for ParseArgsError {
 impl std::error::Error for ParseArgsError {}
 
 /// Every command, in `pels help` order: what follows `pels` on the command
-/// line (`bench` has two forms, told apart by `--wire`), the flags it reads
-/// — `name=METAVAR`, or a bare `name` for a switch — and a remark for the
-/// usage text. [`flag_map`] rejects a flag its command does not list, so a
-/// typo'd flag is an error instead of a silently ignored default, and
-/// [`usage`] renders the synopsis from the same rows.
+/// line, the flags it reads — `name=METAVAR`, or a bare `name` for a switch
+/// — and a remark for the usage text. [`flag_map`] rejects a flag its
+/// command does not list, so a typo'd flag is an error instead of a silently
+/// ignored default, and [`usage`] renders the synopsis from the same rows.
 const COMMANDS: &[(&str, &str, &str)] = &[
     (
         "run",
@@ -283,17 +260,6 @@ const COMMANDS: &[(&str, &str, &str)] = &[
         "flows-list=1,2,4,8 duration=SECS workers=N \
          topology=proportional|fixed|wideband|SHORTHAND topo-spec=FILE.json seed=S json",
         "",
-    ),
-    (
-        "bench",
-        "counts=1,8,64,256,512,1024 workers=1,8 topology=chained|shared|fattree|random \
-         duration=SECS short check=FILE",
-        "writes BENCH_scale.json",
-    ),
-    (
-        "bench --wire",
-        "wire counts=1024,2048,4096 duration=SECS short check=FILE",
-        "writes BENCH_wire.json",
     ),
     ("model", "p=LOSS h=PACKETS", ""),
     ("gamma", "p=LOSS p-thr=T sigma=S steps=K", ""),
@@ -325,9 +291,7 @@ fn flags_of(flags: &'static str) -> impl Iterator<Item = (&'static str, &'static
 
 /// Parses the `--name value` / `--switch` arguments of `pels <cmd>`.
 fn flag_map(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, ParseArgsError> {
-    let wire = cmd == "bench" && args.iter().any(|a| a == "--wire");
-    let form = if wire { "bench --wire" } else { cmd };
-    let known = COMMANDS.iter().find(|c| c.0 == form).map_or("", |c| c.1);
+    let known = COMMANDS.iter().find(|c| c.0 == cmd).map_or("", |c| c.1);
     let mut map = HashMap::new();
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
@@ -364,7 +328,7 @@ fn get_parsed<T: std::str::FromStr>(
 
 /// Largest flow count a command line may name. Every flow is allocated
 /// before a run starts, so an unbounded count aborts on allocation instead
-/// of reporting; the largest tracked artifact uses 4096 flows and ROADMAP's
+/// of reporting; the benchmark's largest workload has 4096 flows and ROADMAP's
 /// parked goal is 10⁵.
 const MAX_FLOWS: usize = 1 << 20;
 /// Largest `gamma --steps`: the trajectory is held whole, one line a step.
@@ -372,16 +336,16 @@ const MAX_STEPS: usize = 1 << 20;
 /// Largest `trace --frames`: the trace is held whole, one line a frame.
 const MAX_FRAMES: usize = 1 << 20;
 /// Largest generated topology, in routers: the Waxman generator weighs
-/// every pair of them (the benches stop at 512).
+/// every pair of them (the benchmark's Waxman workload has 64).
 const MAX_ROUTERS: usize = 1 << 12;
 
-/// Parses the comma-separated flow counts of `--<key>`, each in
+/// Parses the comma-separated flow counts of `--flows-list`, each in
 /// `1..=`[`MAX_FLOWS`].
-fn parse_flow_counts(list: &str, key: &str) -> Result<Vec<usize>, ParseArgsError> {
+fn parse_flow_counts(list: &str) -> Result<Vec<usize>, ParseArgsError> {
     let counts: Result<Vec<usize>, _> = list.split(',').map(|t| t.trim().parse()).collect();
-    let counts = counts.map_err(|_| ParseArgsError(format!("bad --{key} `{list}`")))?;
+    let counts = counts.map_err(|_| ParseArgsError(format!("bad --flows-list `{list}`")))?;
     if counts.is_empty() || counts.iter().any(|n| !(1..=MAX_FLOWS).contains(n)) {
-        return Err(ParseArgsError(format!("--{key} needs flow counts in 1..={MAX_FLOWS}")));
+        return Err(ParseArgsError(format!("--flows-list needs flow counts in 1..={MAX_FLOWS}")));
     }
     Ok(counts)
 }
@@ -457,25 +421,6 @@ fn parse_run_topo(map: &HashMap<String, String>) -> Result<Command, ParseArgsErr
         telemetry: map.get("telemetry").cloned(),
         workers,
     })
-}
-
-/// Parses `bench --wire` into [`Command::BenchWire`].
-fn parse_bench_wire(map: &HashMap<String, String>) -> Result<Command, ParseArgsError> {
-    let (mut counts, mut default_duration) = (pels_bench::wirebench::DEFAULT_COUNTS.to_vec(), 5.0);
-    if map.contains_key("short") {
-        // CI smoke preset; --counts / --duration still override it.
-        counts = vec![64, 128];
-        default_duration = 2.0;
-    }
-    if let Some(list) = map.get("counts") {
-        // `MAX_FLOWS` fits a u32.
-        counts = parse_flow_counts(list, "counts")?.into_iter().map(|n| n as u32).collect();
-    }
-    let duration_s: f64 = get_parsed(map, "duration", default_duration)?;
-    if !duration_s.is_finite() || duration_s <= 0.0 {
-        return Err(ParseArgsError("--duration must be positive".into()));
-    }
-    Ok(Command::BenchWire { counts, duration_s, check: map.get("check").cloned() })
 }
 
 /// Parses a command line (without the program name).
@@ -564,7 +509,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
         "sweep" => {
             let map = flag_map(cmd, rest)?;
             let list = map.get("flows-list").map_or("1,2,4,8", String::as_str);
-            let counts = parse_flow_counts(list, "flows-list")?;
+            let counts = parse_flow_counts(list)?;
             let duration_s: f64 = get_parsed(&map, "duration", 20.0)?;
             if !duration_s.is_finite() || duration_s <= 0.0 {
                 return Err(ParseArgsError("--duration must be positive".into()));
@@ -602,59 +547,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
                 topology,
                 json: map.contains_key("json"),
                 workers,
-            })
-        }
-        "bench" => {
-            let map = flag_map(cmd, rest)?;
-            if map.contains_key("wire") {
-                return parse_bench_wire(&map);
-            }
-            let (mut counts, mut default_duration) =
-                (pels_bench::scalebench::DEFAULT_COUNTS.to_vec(), 10.0);
-            if map.contains_key("short") {
-                // CI smoke preset; --counts / --duration still override it.
-                counts = vec![1, 8, 64];
-                default_duration = 2.0;
-            }
-            if let Some(list) = map.get("counts") {
-                counts = parse_flow_counts(list, "counts")?;
-            }
-            let duration_s: f64 = get_parsed(&map, "duration", default_duration)?;
-            if !duration_s.is_finite() || duration_s <= 0.0 {
-                return Err(ParseArgsError("--duration must be positive".into()));
-            }
-            let workers = match map.get("workers") {
-                Some(list) => {
-                    let parsed: Result<Vec<usize>, _> =
-                        list.split(',').map(|t| t.trim().parse::<usize>()).collect();
-                    let w =
-                        parsed.map_err(|_| ParseArgsError(format!("bad --workers `{list}`")))?;
-                    if w.is_empty() || w.contains(&0) {
-                        return Err(ParseArgsError("--workers needs positive counts".into()));
-                    }
-                    w
-                }
-                None => {
-                    // Default to a serial-vs-parallel comparison when the
-                    // machine has more than one core.
-                    let p = default_workers();
-                    if p > 1 {
-                        vec![1, p]
-                    } else {
-                        vec![1]
-                    }
-                }
-            };
-            let topology = match map.get("topology") {
-                None => pels_bench::scalebench::ScaleTopology::default(),
-                Some(v) => v.parse().map_err(ParseArgsError)?,
-            };
-            Ok(Command::Bench {
-                counts,
-                workers,
-                topology,
-                duration_s,
-                check: map.get("check").cloned(),
             })
         }
         "chaos" => {
@@ -818,9 +710,6 @@ pub struct OutputDirs {
     /// Directory for result CSVs (`$PELS_RESULTS_DIR`); `None` is the
     /// workspace's `results/`.
     pub results: Option<PathBuf>,
-    /// Directory for `BENCH_*.json` reports (`$PELS_BENCH_DIR`); `None` is
-    /// the workspace root.
-    pub bench: Option<PathBuf>,
 }
 
 /// Executes a parsed command, writing human-readable output to `out` and
@@ -914,35 +803,6 @@ pub fn execute(
             }
             Ok(())
         }
-        Command::Bench { counts, workers, topology, duration_s, check } => {
-            use pels_bench::scalebench::{
-                default_output_path, run_scale, validate_json, ScaleBenchConfig,
-            };
-            if let Some(path) = check {
-                let text = std::fs::read_to_string(&path)
-                    .map_err(|e| format!("cannot read {path}: {e}"))?;
-                let report = validate_json(&text).map_err(|e| format!("{path}: {e}"))?;
-                return w(
-                    out,
-                    format!("{path}: valid {} report, {} rows", report.schema, report.rows.len()),
-                );
-            }
-            w(
-                out,
-                format!(
-                    "scale bench: counts {counts:?}, workers {workers:?}, {topology:?} \
-                     topology, {duration_s} simulated s per row"
-                ),
-            )?;
-            let cfg =
-                ScaleBenchConfig { counts, workers, topology, duration_s, ..Default::default() };
-            let report = run_scale(&cfg);
-            let path = default_output_path(dirs.bench.as_deref());
-            let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-            std::fs::write(&path, &json)
-                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-            w(out, format!("[written {}]", path.display()))
-        }
         Command::Chaos { seed, duration_s, wire, short, json, telemetry } => {
             use pels_netsim::time::SimDuration;
             let tel = open_telemetry(telemetry.as_deref())?;
@@ -989,9 +849,9 @@ pub fn execute(
                     Err("wire chaos invariants violated".to_string())
                 };
             }
-            // Fault window scales with the run: onset at 1/3, lasting 1/20 of
-            // the run (the 30 s default reproduces the 10–11.5 s window used
-            // by the chaos bench binary).
+            // Fault window scales with the run so a short run still leaves
+            // room to measure recovery: onset at 1/3, lasting 1/20 of the run
+            // (the 30 s default gives `ChaosConfig::default`'s 10–11.5 s).
             let cfg = pels_core::chaos::ChaosConfig {
                 seed,
                 duration: SimDuration::from_secs_f64(duration_s),
@@ -1001,6 +861,11 @@ pub fn execute(
             };
             let report =
                 pels_core::chaos::run_matrix_instrumented(&cfg, &tel).map_err(|e| e.to_string())?;
+            pels_bench::write_result(
+                &pels_bench::results_dir(dirs.results.as_deref()),
+                "chaos.csv",
+                &pels_core::chaos::to_csv(&report),
+            );
             if json {
                 let j = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
                 return w(out, j);
@@ -1178,13 +1043,14 @@ pub fn execute(
                 out,
                 format!(
                     "  hellos {} (refused {})  byes {}  evictions {}  acks {}  \
-                     decode errors {}  leaked flows {}",
+                     decode errors {}  foreign control {}  leaked flows {}",
                     r.hellos,
                     r.hellos_refused,
                     r.byes,
                     r.evictions,
                     r.acks,
                     r.decode_errors,
+                    r.foreign_control,
                     r.leaked_flows
                 ),
             )?;
@@ -1245,28 +1111,6 @@ pub fn execute(
                     r.send_drops
                 ),
             )
-        }
-        Command::BenchWire { counts, duration_s, check } => {
-            use pels_bench::wirebench::{
-                default_output_path, run_wire, validate_json, WireBenchConfig,
-            };
-            if let Some(path) = check {
-                let text = std::fs::read_to_string(&path)
-                    .map_err(|e| format!("cannot read {path}: {e}"))?;
-                let report = validate_json(&text).map_err(|e| format!("{path}: {e}"))?;
-                return w(
-                    out,
-                    format!("{path}: valid {} report, {} rows", report.schema, report.rows.len()),
-                );
-            }
-            w(out, format!("wire bench: counts {counts:?}, {duration_s} s per row"))?;
-            let cfg = WireBenchConfig { counts, duration_s };
-            let report = run_wire(&cfg)?;
-            let path = default_output_path(dirs.bench.as_deref());
-            let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-            std::fs::write(&path, &json)
-                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-            w(out, format!("[written {}]", path.display()))
         }
         Command::Metrics { path } => {
             let text =
@@ -1485,10 +1329,6 @@ pub fn usage() -> String {
     for &(name, flags, note) in COMMANDS {
         let mut line = format!("  pels {name}");
         for (flag, metavar) in flags_of(flags) {
-            // `bench --wire` spells its selecting switch in the name.
-            if name.split_once(" --").is_some_and(|(_, switch)| switch == flag) {
-                continue;
-            }
             let item = match metavar {
                 "" => format!(" [--{flag}]"),
                 _ => format!(" [--{flag} {metavar}]"),
@@ -1510,8 +1350,7 @@ pub fn usage() -> String {
     text += &format!(
         "\n\
          --workers N defaults to the machine's available parallelism (nproc)\n\
-         and is clamped to min(nproc, shards) at run time; for `bench` the\n\
-         default sweep is `1,<nproc>` (just `1` on one core).\n\
+         and is clamped to min(nproc, shards) at run time.\n\
          --topo-spec and a --topology shorthand are alternatives. Shorthands:\n\
          parkinglot:segments=3,cross=1  fattree:k=4  waxman:routers=16 — common\n\
          keys flows, seed, tcp, budget (kb/s); at most {MAX_ROUTERS} routers.\n\
@@ -1532,9 +1371,35 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
+    /// A directory unique to this process and test, removed on drop: two
+    /// `cargo test` processes on one host never meet in a file.
+    struct TestDir(PathBuf);
+
+    impl TestDir {
+        fn new(test: &str) -> Self {
+            let name = format!("pels_cli_{test}_{}", std::process::id());
+            let dir = std::env::temp_dir().join(name);
+            std::fs::create_dir_all(&dir).unwrap();
+            TestDir(dir)
+        }
+    }
+
+    impl std::ops::Deref for TestDir {
+        type Target = std::path::Path;
+        fn deref(&self) -> &std::path::Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     /// Sends every artifact of a command to the test's own directory.
     fn scratch(dir: &std::path::Path) -> OutputDirs {
-        OutputDirs { results: Some(dir.to_path_buf()), bench: Some(dir.to_path_buf()) }
+        OutputDirs { results: Some(dir.to_path_buf()) }
     }
 
     #[test]
@@ -1593,8 +1458,6 @@ mod tests {
             ("run --duraton 5".to_string(), "--duraton"),
             (format!("run {removed}"), removed.as_str()),
             (format!("sweep {removed} --flows-list 2"), removed.as_str()),
-            (format!("bench {removed}"), removed.as_str()),
-            ("bench --wire --workers 2".to_string(), "--workers"),
             ("model --p 0.1 --json".to_string(), "--json"),
             (format!("serve {scalar}"), scalar.as_str()),
             (format!("loadgen {ring} 8"), ring.as_str()),
@@ -1604,16 +1467,20 @@ mod tests {
             assert!(err.contains("unknown flag") && err.contains(stray), "`{line}`: {err}");
         }
         assert!(parse_args(&args("sweep --flows-list 2 --seed 3")).is_err());
+        // Timing lives in `benchmark/run.sh`; there is no bench subcommand.
+        for line in ["bench", "bench --wire"] {
+            let err = parse_args(&args(line)).unwrap_err().0;
+            assert_eq!(err, "unknown command `bench`", "`{line}`");
+        }
     }
 
     #[test]
-    fn usage_renders_switches_metavars_and_both_bench_forms() {
+    fn usage_renders_switches_and_metavars() {
         let usage = usage();
         for item in ["[--capacity-mbps M]", "[--telemetry-per-flow]", "pels metrics FILE.jsonl"] {
             assert!(usage.contains(item), "{item} missing from:\n{usage}");
         }
-        assert!(usage.contains("pels bench --wire [--counts 1024,2048,4096]"), "{usage}");
-        assert!(!usage.contains("[--wire] [--counts"), "{usage}");
+        assert!(!usage.contains("bench"), "{usage}");
     }
 
     #[test]
@@ -1624,9 +1491,7 @@ mod tests {
             "run --flows 100000000",
             "sweep --flows-list 100000000",
             "sweep --flows-list 100000000 --topology fattree:k=4",
-            "bench --counts 100000000",
             "loadgen --flows 4000000000",
-            "bench --wire --counts 4000000000",
             "run --topology waxman:routers=100000000",
             "run --topology fattree:k=100000000",
             "run --topology parkinglot:segments=100000000",
@@ -1641,9 +1506,7 @@ mod tests {
             "trace --frames 1048576",
             "run --flows 1048576",
             "sweep --flows-list 4096,1048576",
-            "bench --counts 1048576",
             "loadgen --flows 1048576",
-            "bench --wire --counts 4096,1048576",
             "run --topology waxman:routers=4096",
         ] {
             parse_args(&args(line)).unwrap_or_else(|e| panic!("`{line}`: {e}"));
@@ -1717,82 +1580,6 @@ mod tests {
         let cmd = parse_args(&args("sweep --flows-list 2 --topology wideband")).unwrap();
         assert!(matches!(cmd, Command::Sweep { topology: SweepTopology::Wideband, .. }));
         assert!(parse_args(&args("sweep --flows-list 2 --topology mesh")).is_err());
-    }
-
-    #[test]
-    fn parses_bench_flags() {
-        let cmd = parse_args(&args("bench")).unwrap();
-        match cmd {
-            Command::Bench { counts, workers, topology, duration_s, check } => {
-                assert_eq!(counts, pels_bench::scalebench::DEFAULT_COUNTS);
-                assert_eq!(duration_s, 10.0);
-                assert!(check.is_none());
-                assert_eq!(workers[0], 1, "first workers group is the serial baseline");
-                assert_eq!(topology, pels_bench::scalebench::ScaleTopology::Chained);
-            }
-            other => panic!("{other:?}"),
-        }
-        let cmd = parse_args(&args("bench --workers 1,4 --topology shared")).unwrap();
-        match cmd {
-            Command::Bench { workers, topology, .. } => {
-                assert_eq!(workers, vec![1, 4]);
-                assert_eq!(topology, pels_bench::scalebench::ScaleTopology::Shared);
-            }
-            other => panic!("{other:?}"),
-        }
-        assert!(parse_args(&args("bench --workers 0,2")).is_err());
-        assert!(parse_args(&args("bench --workers x")).is_err());
-        assert!(parse_args(&args("bench --topology mesh")).is_err());
-        let cmd = parse_args(&args("bench --short")).unwrap();
-        match cmd {
-            Command::Bench { counts, duration_s, .. } => {
-                assert_eq!(counts, vec![1, 8, 64]);
-                assert_eq!(duration_s, 2.0);
-            }
-            other => panic!("{other:?}"),
-        }
-        let cmd = parse_args(&args("bench --short --counts 3,5 --duration 1.5")).unwrap();
-        match cmd {
-            Command::Bench { counts, duration_s, .. } => {
-                assert_eq!(counts, vec![3, 5]);
-                assert_eq!(duration_s, 1.5);
-            }
-            other => panic!("{other:?}"),
-        }
-        assert!(parse_args(&args("bench --counts 0,2")).is_err());
-        assert!(parse_args(&args("bench --counts x")).is_err());
-        assert!(parse_args(&args("bench --duration -1")).is_err());
-    }
-
-    #[test]
-    fn bench_command_writes_and_checks_a_report() {
-        let dir = std::env::temp_dir().join("pels_cli_bench_test");
-        let cmd = parse_args(&args("bench --counts 1 --duration 0.5")).unwrap();
-        let mut buf = Vec::new();
-        execute(cmd, &scratch(&dir), &mut buf).unwrap();
-        let path = dir.join("BENCH_scale.json");
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("BENCH_scale.json"), "{text}");
-        pels_bench::scalebench::validate_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
-
-        let cmd = parse_args(&args(&format!("bench --check {}", path.display()))).unwrap();
-        let mut buf = Vec::new();
-        execute(cmd, &OutputDirs::default(), &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("valid pels-bench-scale/4 report"), "{text}");
-
-        let bad = dir.join("bad.json");
-        std::fs::write(&bad, "{}").unwrap();
-        let cmd = parse_args(&args(&format!("bench --check {}", bad.display()))).unwrap();
-        assert!(execute(cmd, &OutputDirs::default(), &mut Vec::new()).is_err());
-        let cmd = Command::Bench {
-            counts: vec![1],
-            workers: vec![1],
-            topology: pels_bench::scalebench::ScaleTopology::Chained,
-            duration_s: 1.0,
-            check: Some("/nonexistent".into()),
-        };
-        assert!(execute(cmd, &OutputDirs::default(), &mut Vec::new()).is_err());
     }
 
     #[test]
@@ -1877,12 +1664,16 @@ mod tests {
 
     #[test]
     fn chaos_command_runs_matrix() {
+        let dir = TestDir::new("chaos");
         let cmd = parse_args(&args("chaos --seed 3 --duration 12 --json")).unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &OutputDirs::default(), &mut buf).unwrap();
+        execute(cmd, &scratch(&dir), &mut buf).unwrap();
         let v: serde_json::Value = serde_json::from_slice(&buf).unwrap();
         assert_eq!(v["cases"].as_array().unwrap().len(), 6);
         assert_eq!(v["all_ok"], serde_json::Value::Bool(true));
+        let csv = std::fs::read_to_string(dir.join("chaos.csv")).unwrap();
+        assert!(csv.starts_with("case,green_delivery,"), "{csv}");
+        assert_eq!(csv.lines().count(), 7, "header + one line per case: {csv}");
     }
 
     #[test]
@@ -1929,8 +1720,7 @@ mod tests {
 
     #[test]
     fn live_command_reads_a_fault_schedule() {
-        let dir = std::env::temp_dir().join("pels_cli_faults_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("faults");
         let path = dir.join("sched.json");
         let mut spec = pels_wire::LiveFaults::default();
         spec.server.tx.drop = 0.2;
@@ -1965,7 +1755,7 @@ mod tests {
 
     #[test]
     fn live_command_streams_in_memory_and_writes_csv() {
-        let dir = std::env::temp_dir().join("pels_cli_live_test");
+        let dir = TestDir::new("live");
         let cmd = parse_args(&args("live --duration 1 --mem --json")).unwrap();
         let mut buf = Vec::new();
         execute(cmd, &scratch(&dir), &mut buf).unwrap();
@@ -1979,8 +1769,7 @@ mod tests {
 
     #[test]
     fn run_with_telemetry_writes_parseable_snapshots_and_metrics_reads_them() {
-        let dir = std::env::temp_dir().join("pels_cli_tel_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("tel");
         let path = dir.join("run.jsonl");
         let cmd = parse_args(&args(&format!(
             "run --flows 1 --duration 3 --json --telemetry {}",
@@ -2013,8 +1802,7 @@ mod tests {
 
     #[test]
     fn live_with_telemetry_streams_snapshots() {
-        let dir = std::env::temp_dir().join("pels_cli_tel_live");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("tel_live");
         let path = dir.join("live.jsonl");
         let cmd = parse_args(&args(&format!(
             "live --duration 1 --mem --json --telemetry {}",
@@ -2036,8 +1824,7 @@ mod tests {
         assert!(parse_args(&args("metrics a.jsonl b.jsonl")).is_err());
         let cmd = Command::Metrics { path: "/nonexistent/pels.jsonl".into() };
         assert!(execute(cmd, &OutputDirs::default(), &mut Vec::new()).is_err());
-        let dir = std::env::temp_dir().join("pels_cli_tel_bad");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("tel_bad");
         let bad = dir.join("bad.jsonl");
         std::fs::write(&bad, "not json\n").unwrap();
         let cmd = parse_args(&args(&format!("metrics {}", bad.display()))).unwrap();
@@ -2075,8 +1862,7 @@ mod tests {
 
     #[test]
     fn topo_spec_file_parses_and_conflicts_with_shorthand() {
-        let dir = std::env::temp_dir().join("pels_cli_topo_spec");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("topo_spec");
         let path = dir.join("spec.json");
         std::fs::write(&path, r#"{"generator": {"FatTree": {"k": 4}}, "flows": 6}"#).unwrap();
         let cmd = parse_args(&args(&format!("run --topo-spec {}", path.display()))).unwrap();
@@ -2097,7 +1883,7 @@ mod tests {
 
     #[test]
     fn topo_run_executes_and_writes_the_results_csv() {
-        let dir = std::env::temp_dir().join("pels_cli_topo_run");
+        let dir = TestDir::new("topo_run");
         let cmd = parse_args(&args(
             "run --topology parkinglot:segments=2,cross=1,flows=3 --duration 2 --json",
         ))
@@ -2124,20 +1910,6 @@ mod tests {
         assert!(text.contains("1 flows on waxman"), "{text}");
         assert!(text.contains("2 flows on waxman"), "{text}");
         assert!(text.contains("max bottleneck dev"), "{text}");
-    }
-
-    #[test]
-    fn bench_accepts_generated_families() {
-        let cmd = parse_args(&args("bench --topology fattree --counts 2")).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Bench { topology: pels_bench::scalebench::ScaleTopology::FatTree, .. }
-        ));
-        let cmd = parse_args(&args("bench --topology random --counts 2")).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Bench { topology: pels_bench::scalebench::ScaleTopology::Random, .. }
-        ));
     }
 
     #[test]
@@ -2210,39 +1982,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_bench_wire_flags() {
-        let cmd = parse_args(&args("bench --wire")).unwrap();
-        match cmd {
-            Command::BenchWire { counts, duration_s, check } => {
-                assert_eq!(counts, pels_bench::wirebench::DEFAULT_COUNTS);
-                assert_eq!(duration_s, 5.0);
-                assert!(check.is_none());
-            }
-            other => panic!("{other:?}"),
-        }
-        let cmd = parse_args(&args("bench --wire --short")).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::BenchWire { ref counts, duration_s, .. }
-                if counts == &vec![64, 128] && duration_s == 2.0
-        ));
-        let cmd = parse_args(&args("bench --wire --counts 8,16 --duration 1.5")).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::BenchWire { ref counts, duration_s, .. }
-                if counts == &vec![8, 16] && duration_s == 1.5
-        ));
-        assert!(matches!(
-            parse_args(&args("bench --wire --check BENCH_wire.json")).unwrap(),
-            Command::BenchWire { check: Some(_), .. }
-        ));
-        assert!(parse_args(&args("bench --wire --counts 0,8")).is_err());
-        assert!(parse_args(&args("bench --wire --duration -1")).is_err());
-        // Without --wire the bench arm still parses scale-bench flags.
-        assert!(matches!(parse_args(&args("bench --short")).unwrap(), Command::Bench { .. }));
-    }
-
-    #[test]
     fn serve_command_executes_an_idle_server() {
         let cmd = parse_args(&args("serve --listen 127.0.0.1:0 --duration 0.3 --json")).unwrap();
         let mut buf = Vec::new();
@@ -2268,32 +2007,8 @@ mod tests {
     }
 
     #[test]
-    fn bench_wire_command_writes_and_checks_a_report() {
-        let dir = std::env::temp_dir().join("pels_cli_bench_wire_test");
-        let cmd = parse_args(&args("bench --wire --counts 2 --duration 1")).unwrap();
-        let mut buf = Vec::new();
-        execute(cmd, &scratch(&dir), &mut buf).unwrap();
-        let path = dir.join("BENCH_wire.json");
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("BENCH_wire.json"), "{text}");
-        pels_bench::wirebench::validate_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
-
-        let cmd = parse_args(&args(&format!("bench --wire --check {}", path.display()))).unwrap();
-        let mut buf = Vec::new();
-        execute(cmd, &OutputDirs::default(), &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("valid pels-bench-wire/2 report, 1 rows"), "{text}");
-
-        let bad = dir.join("bad.json");
-        std::fs::write(&bad, "{}").unwrap();
-        let cmd = parse_args(&args(&format!("bench --wire --check {}", bad.display()))).unwrap();
-        assert!(execute(cmd, &OutputDirs::default(), &mut Vec::new()).is_err());
-    }
-
-    #[test]
     fn run_rejects_each_malformed_config_value_with_one_line() {
-        let dir = std::env::temp_dir().join("pels_cli_bad_config_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("bad_config");
         let base = ScenarioConfig::default;
         let mut zero_fps = base().trace;
         zero_fps.fps = 0.0;
@@ -2319,8 +2034,7 @@ mod tests {
 
     #[test]
     fn config_file_roundtrip_via_disk() {
-        let dir = std::env::temp_dir().join("pels_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("config");
         let path = dir.join("cfg.json");
         let cfg = ScenarioConfig::default();
         std::fs::write(&path, serde_json::to_string(&cfg).unwrap()).unwrap();

@@ -9,10 +9,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let dirs = pels_cli::OutputDirs {
-        results: pels_bench::env_dir("PELS_RESULTS_DIR"),
-        bench: pels_bench::env_dir("PELS_BENCH_DIR"),
-    };
+    let dirs = pels_cli::OutputDirs { results: pels_bench::env_dir("PELS_RESULTS_DIR") };
     if let Err(e) = pels_cli::execute(cmd, &dirs, &mut std::io::stdout()) {
         eprintln!("error: {e}");
         std::process::exit(1);

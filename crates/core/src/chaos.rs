@@ -239,6 +239,26 @@ pub struct ChaosReport {
     pub all_ok: bool,
 }
 
+/// Renders a [`ChaosReport`] as the CSV layout of `results/chaos.csv`: one
+/// row per case, with `recovery_epochs` −1 for a flow that never re-entered
+/// the rate band.
+pub fn to_csv(report: &ChaosReport) -> String {
+    let mut out =
+        String::from("case,green_delivery,recovery_epochs,stale_decays,faults_applied,ok\n");
+    for c in &report.cases {
+        out.push_str(&format!(
+            "{},{:.4},{},{},{},{}\n",
+            c.name,
+            c.green_delivery,
+            c.recovery_epochs.map_or_else(|| "-1".to_string(), |e| e.to_string()),
+            c.stale_decays,
+            c.faults_applied,
+            c.ok
+        ));
+    }
+    out
+}
+
 /// The fault schedule `case` installs on the dumbbell under `cfg`'s window.
 pub fn schedule_for(case: ChaosCase, cfg: &ChaosConfig) -> FaultSchedule {
     let r1 = AgentId(0); // scenario layout: agent 0 is the AQM bottleneck

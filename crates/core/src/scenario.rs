@@ -78,8 +78,8 @@ pub enum Layout {
     /// (each with its own `n_tcp` cross-traffic flows and a private
     /// bottleneck of `bottleneck` rate). The chains never share a link, so
     /// the topology partitions into connected components and parallel
-    /// execution needs no synchronization at all — this is the scaling
-    /// layout of `pels bench`.
+    /// execution needs no synchronization at all — this is the layout of
+    /// the benchmark's `sim_chained` workload.
     ChainPerFlow,
 }
 

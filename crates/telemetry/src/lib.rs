@@ -218,6 +218,25 @@ impl fmt::Debug for Telemetry {
 mod tests {
     use super::*;
 
+    /// A directory unique to this process and test, removed on drop: two
+    /// `cargo test` processes on one host never meet in a file.
+    struct TestDir(std::path::PathBuf);
+
+    impl TestDir {
+        fn new(test: &str) -> Self {
+            let name = format!("pels_telemetry_{test}_{}", std::process::id());
+            let dir = std::env::temp_dir().join(name);
+            std::fs::create_dir_all(&dir).unwrap();
+            TestDir(dir)
+        }
+    }
+
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     #[test]
     fn disabled_handle_records_nothing() {
         let tel = Telemetry::disabled();
@@ -300,9 +319,8 @@ mod tests {
 
     #[test]
     fn json_lines_sink_writes_parseable_lines() {
-        let dir = std::env::temp_dir().join("pels-telemetry-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("stream.jsonl");
+        let dir = TestDir::new("jsonl");
+        let path = dir.0.join("stream.jsonl");
         let tel = Telemetry::new();
         tel.attach_sink(Box::new(JsonLinesSink::create(&path).unwrap()));
         tel.counter_add("c", 1);
@@ -313,14 +331,12 @@ mod tests {
         let lines = parse_snapshot_lines(&text).unwrap();
         assert_eq!(lines.len(), 2);
         assert_eq!(lines[1].snapshot.counters["c"], 2);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn csv_sink_rewrites_series_csv() {
-        let dir = std::env::temp_dir().join("pels-telemetry-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("series.csv");
+        let dir = TestDir::new("csv");
+        let path = dir.0.join("series.csv");
         let tel = Telemetry::new();
         tel.attach_sink(Box::new(CsvSink::new(&path)));
         tel.sample("a", 0.0, 1.0);
@@ -330,6 +346,5 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[0], "t,a,b");
         assert_eq!(lines.len(), 3);
-        std::fs::remove_file(&path).ok();
     }
 }

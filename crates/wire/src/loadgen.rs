@@ -9,10 +9,10 @@
 //! (the CI leak gate).
 //!
 //! Delivered datagrams/s is measured over the *steady window* (after
-//! `warmup`), which is the honest throughput column of `BENCH_wire.json`:
-//! it counts what actually crossed the socket pair, not what the server
-//! believes it sent. A flow counts as *sustained* if it received data in
-//! the final 500 ms.
+//! `warmup`), which is the honest throughput number — the benchmark's wire
+//! workloads read it: it counts what actually crossed the socket pair, not
+//! what the server believes it sent. A flow counts as *sustained* if it
+//! received data in the final 500 ms.
 
 use crate::codec::{packets, WireAck, WireBye, WireData, WireHello, ACK_BYTES, DATA_HEADER_BYTES};
 use crate::serve::{AGGREGATE_BYTES, IO_BATCH, RX_SLOT_BYTES};
@@ -80,7 +80,7 @@ pub struct LoadgenReport {
     pub bytes_received: u64,
     /// Data datagrams delivered inside the steady window.
     pub steady_data_received: u64,
-    /// Delivered datagrams/s over the steady window — the bench column.
+    /// Delivered datagrams/s over the steady window.
     pub steady_datagrams_per_sec: f64,
     /// HELLOs sent (registrations + refreshes).
     pub hellos_sent: u64,
@@ -322,34 +322,40 @@ mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
 
+    /// The real pair on both socket families: IPv4 takes the
+    /// `sendmmsg`/`recvmmsg` path, IPv6 the per-datagram one.
     #[test]
-    fn serve_and_loadgen_stream_over_ipv6_loopback() {
-        let listen: SocketAddr = "[::1]:0".parse().unwrap();
-        if std::net::UdpSocket::bind(listen).is_err() {
-            println!("skipped: this host has no IPv6 loopback");
-            return;
+    fn serve_and_loadgen_stream_over_ipv4_and_ipv6_loopback() {
+        for listen in ["127.0.0.1:0", "[::1]:0"] {
+            let listen: SocketAddr = listen.parse().unwrap();
+            if std::net::UdpSocket::bind(listen).is_err() {
+                println!("skipped {listen}: this host has no such loopback");
+                continue;
+            }
+            let stop = AtomicBool::new(false);
+            let (addr_tx, addr_rx) = std::sync::mpsc::channel();
+            let (srv, lg) = std::thread::scope(|s| {
+                let server = s.spawn(|| {
+                    let on_ready = |addr| addr_tx.send(addr).unwrap();
+                    let cfg = ServeConfig::new(listen);
+                    run_serve_with(cfg, on_ready, || stop.load(Ordering::Relaxed))
+                });
+                let lg = run_loadgen(LoadgenConfig {
+                    flows: 64,
+                    duration: SimDuration::from_secs(1),
+                    ramp: SimDuration::from_millis(250),
+                    warmup: SimDuration::from_millis(500),
+                    ..LoadgenConfig::new(addr_rx.recv_timeout(Duration::from_secs(10)).unwrap())
+                });
+                // Outlast the idle-eviction timeout, so a BYE lost on the way
+                // still leaves an empty table.
+                std::thread::sleep(Duration::from_millis(800));
+                stop.store(true, Ordering::Relaxed);
+                (server.join().unwrap().unwrap(), lg.unwrap())
+            });
+            assert_eq!((lg.flows_sustained, lg.decode_errors), (64, 0), "{listen}");
+            assert_eq!((srv.peak_flows, srv.decode_errors, srv.leaked_flows), (64, 0, 0));
+            assert_eq!(srv.foreign_control, 0, "{listen}: a flow's own frames were refused");
         }
-        let stop = AtomicBool::new(false);
-        let (addr_tx, addr_rx) = std::sync::mpsc::channel();
-        let (srv, lg) = std::thread::scope(|s| {
-            let server = s.spawn(|| {
-                let on_ready = |addr| addr_tx.send(addr).unwrap();
-                run_serve_with(ServeConfig::new(listen), on_ready, || stop.load(Ordering::Relaxed))
-            });
-            let lg = run_loadgen(LoadgenConfig {
-                flows: 64,
-                duration: SimDuration::from_secs(1),
-                ramp: SimDuration::from_millis(250),
-                warmup: SimDuration::from_millis(500),
-                ..LoadgenConfig::new(addr_rx.recv_timeout(Duration::from_secs(10)).unwrap())
-            });
-            // Outlast the idle-eviction timeout, so a BYE lost on the way
-            // still leaves an empty table.
-            std::thread::sleep(Duration::from_millis(800));
-            stop.store(true, Ordering::Relaxed);
-            (server.join().unwrap().unwrap(), lg.unwrap())
-        });
-        assert_eq!((lg.flows_sustained, lg.decode_errors), (64, 0));
-        assert_eq!((srv.peak_flows, srv.decode_errors, srv.leaked_flows), (64, 0, 0));
     }
 }

@@ -11,8 +11,7 @@
 //!   BYE (teardown, and the end of a stream) packets.
 //! * **Timer wheel** — frame emission and token-bucket pacing for every
 //!   flow hang off one hashed wheel with 1 ms slots; firing lateness
-//!   (actual minus scheduled) is the *pacing jitter* reported by
-//!   `pels bench --wire`.
+//!   (actual minus scheduled) is the *pacing jitter* of the report.
 //! * **Shared PELS router** — every paced packet passes through one
 //!   in-process strict-priority green/yellow/red discipline with a single
 //!   Eq. 11 [`FeedbackEstimator`] across all flows, so per-flow MKC rates
@@ -49,7 +48,7 @@
 
 use crate::codec::{packets, peek_kind, WireAck, WireBye, WireData, WireHello, WireKind, WireNack};
 use crate::codec::{patch_feedback, patch_rate_echo, DATA_HEADER_BYTES};
-use crate::flowtable::FlowTable;
+use crate::flowtable::{FlowEntry, FlowTable};
 use crate::telemetry_names::{
     serve_flow_rate_metric, SERVE_ACKS, SERVE_DECODE_ERRORS, SERVE_FLOWS, SERVE_PACING_JITTER,
     SERVE_TX,
@@ -178,6 +177,9 @@ pub struct ServeReport {
     pub retransmissions: u64,
     /// Undecodable datagrams at the serve socket.
     pub decode_errors: u64,
+    /// BYE/ACK/NACK frames dropped because they came from an address other
+    /// than the one their flow registered from.
+    pub foreign_control: u64,
     /// Video frames emitted across all flows.
     pub frames_emitted: u64,
     /// Packets abandoned because their frame interval expired unsent.
@@ -202,8 +204,7 @@ pub struct ServeReport {
     pub timer_events: u64,
     /// Median timer-event lateness, microseconds.
     pub pacing_jitter_p50_us: f64,
-    /// 99th-percentile timer-event lateness, microseconds — the bench
-    /// jitter column.
+    /// 99th-percentile timer-event lateness, microseconds.
     pub pacing_jitter_p99_us: f64,
     /// The shared router's Eq. 11 loss `p` when the report was taken.
     pub loss: f64,
@@ -445,7 +446,7 @@ const FLUSH_INTERVAL: SimDuration = SimDuration::from_millis(1);
 /// without framing bytes. The value is the classic maximum UDP payload on
 /// Ethernet (1500-byte MTU − 20 IP − 8 UDP), which fits three 478-byte data
 /// packets per container at the default 400-byte payload. Loopback would
-/// tolerate far larger datagrams, but the point of the bench is a number
+/// tolerate far larger datagrams, but the point is a throughput number
 /// that transfers to real NICs, where anything past the MTU fragments.
 ///
 /// Coalescing is the lever that actually moves datagrams/s on this path:
@@ -680,6 +681,24 @@ impl ServeRouter {
     }
 }
 
+/// The live entry of `flow` when `from` is the address it registered from.
+/// A BYE, ACK or NACK from anywhere else is counted in `foreign` and gets no
+/// entry: otherwise any host could tear a stream down or steer its rate and
+/// γ. (A HELLO still rebinds the address; see ROADMAP item 3's cookie.)
+fn owned_entry<'a>(
+    flows: &'a mut FlowTable<ServeFlow>,
+    foreign: &mut u64,
+    flow: FlowId,
+    from: SocketAddr,
+) -> Option<&'a mut FlowEntry<ServeFlow>> {
+    let entry = flows.get_mut(flow)?;
+    if entry.addr != from {
+        *foreign += 1;
+        return None;
+    }
+    Some(entry)
+}
+
 /// The serve event loop as a `poll(now)` state machine over any
 /// [`Transport`] — `run_serve` drives it against wall time on UDP, tests
 /// drive it deterministically on [`MemHub`](crate::transport::MemHub) with
@@ -709,6 +728,7 @@ pub struct ServeLoop<T: Transport> {
     peak_flows: usize,
     hellos: u64,
     hellos_refused: u64,
+    foreign_control: u64,
     byes: u64,
     evictions: u64,
     acks: u64,
@@ -751,6 +771,7 @@ impl<T: Transport> ServeLoop<T> {
             peak_flows: 0,
             hellos: 0,
             hellos_refused: 0,
+            foreign_control: 0,
             byes: 0,
             evictions: 0,
             acks: 0,
@@ -920,13 +941,15 @@ impl<T: Transport> ServeLoop<T> {
                 let Ok(ack) = WireAck::decode(buf) else {
                     return self.on_decode_error();
                 };
-                self.on_ack(now, &ack);
+                self.on_ack(now, &ack, from);
             }
             Ok(WireKind::Bye) => {
                 let Ok(bye) = WireBye::decode(buf) else {
                     return self.on_decode_error();
                 };
-                if self.flows.bye(bye.flow).is_some() {
+                if owned_entry(&mut self.flows, &mut self.foreign_control, bye.flow, from).is_some()
+                {
+                    self.flows.bye(bye.flow);
                     self.byes += 1;
                 }
             }
@@ -934,7 +957,7 @@ impl<T: Transport> ServeLoop<T> {
                 let Ok(nack) = WireNack::decode(buf) else {
                     return self.on_decode_error();
                 };
-                self.on_nack(now, &nack);
+                self.on_nack(now, &nack, from);
             }
             _ => self.on_decode_error(),
         }
@@ -945,8 +968,9 @@ impl<T: Transport> ServeLoop<T> {
         self.cfg.telemetry.counter_add(SERVE_DECODE_ERRORS, 1);
     }
 
-    fn on_ack(&mut self, now: SimTime, ack: &WireAck) {
-        let Some(entry) = self.flows.get_mut(ack.flow) else {
+    fn on_ack(&mut self, now: SimTime, ack: &WireAck, from: SocketAddr) {
+        let Some(entry) = owned_entry(&mut self.flows, &mut self.foreign_control, ack.flow, from)
+        else {
             return;
         };
         self.acks += 1;
@@ -970,8 +994,9 @@ impl<T: Transport> ServeLoop<T> {
 
     /// Queues a base-layer repair if the flow still holds the packet and
     /// its caps allow, and makes sure the flow's pacing chain is running.
-    fn on_nack(&mut self, now: SimTime, nack: &WireNack) {
-        let Some(entry) = self.flows.get_mut(nack.flow) else {
+    fn on_nack(&mut self, now: SimTime, nack: &WireNack, from: SocketAddr) {
+        let Some(entry) = owned_entry(&mut self.flows, &mut self.foreign_control, nack.flow, from)
+        else {
             return;
         };
         let s = &mut entry.state;
@@ -1135,6 +1160,7 @@ impl<T: Transport> ServeLoop<T> {
             nacks_ignored: self.nacks_ignored,
             retransmissions: self.retransmissions,
             decode_errors: self.decode_errors,
+            foreign_control: self.foreign_control,
             frames_emitted: self.frames_emitted,
             abandoned_packets: self.abandoned_packets,
             data_sent: self.data_sent,

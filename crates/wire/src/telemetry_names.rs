@@ -46,7 +46,7 @@ pub(crate) const SERVE_ACKS: &str = "wire.serve.acks";
 pub(crate) const SERVE_DECODE_ERRORS: &str = "wire.serve.decode_errors";
 
 /// `wire.serve.pacing_jitter` — timer-wheel event lateness in seconds
-/// (actual fire time minus scheduled deadline); p99 is the bench column.
+/// (actual fire time minus scheduled deadline).
 pub(crate) const SERVE_PACING_JITTER: &str = "wire.serve.pacing_jitter";
 
 /// `wire.serve.flow.<id>.rate` — per-flow MKC rate series. Allocates per

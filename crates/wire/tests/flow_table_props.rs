@@ -6,9 +6,9 @@
 use std::collections::HashMap;
 use std::net::SocketAddr;
 
-use pels_netsim::packet::{FlowId, FrameTag};
+use pels_netsim::packet::{AgentId, Feedback, FlowId, FrameTag};
 use pels_netsim::time::{SimDuration, SimTime};
-use pels_wire::codec::{WireBye, WireData, WireHello};
+use pels_wire::codec::{WireAck, WireBye, WireData, WireHello, WireNack};
 use pels_wire::{FlowTable, MemHub, ServeConfig, ServeLoop, Transport};
 use proptest::prelude::*;
 
@@ -25,15 +25,20 @@ enum Op {
     Bye { id: u32 },
     /// Advance time by `ms` and run idle eviction.
     Evict { ms: u64 },
+    /// BYE, ACK and NACK naming flow `id` from an address that never
+    /// registered it. The bare table has no sender to check: a no-op there.
+    Foreign { id: u32 },
 }
 
 fn op_strategy(max_flow: u32) -> impl Strategy<Value = Op> {
-    // Weighted 4:2:1 Hello/Bye/Evict mix; the vendored proptest stub has
-    // no `prop_oneof!`, so the weights ride on a plain range + `prop_map`.
-    (0u32..7, 1..=max_flow, 0u16..4, 1u64..400).prop_map(|(w, id, port_salt, ms)| match w {
+    // Weighted 4:2:1:1 Hello/Bye/Evict/Foreign mix; the vendored proptest
+    // stub has no `prop_oneof!`, so the weights ride on a plain range +
+    // `prop_map`.
+    (0u32..8, 1..=max_flow, 0u16..4, 1u64..400).prop_map(|(w, id, port_salt, ms)| match w {
         0..=3 => Op::Hello { id, port_salt },
         4..=5 => Op::Bye { id },
-        _ => Op::Evict { ms },
+        6 => Op::Evict { ms },
+        _ => Op::Foreign { id },
     })
 }
 
@@ -94,6 +99,7 @@ proptest! {
                     model.retain(|_, (_, last)| now_ms - *last <= TIMEOUT_MS);
                     prop_assert_eq!(evicted, (before - model.len()) as u64);
                 }
+                Op::Foreign { .. } => {}
             }
             prop_assert_eq!(table.len(), model.len(), "table leaked or lost entries");
         }
@@ -129,11 +135,14 @@ fn data(flow: u32, seq: u64, payload: &[u8]) -> Vec<u8> {
 
 /// Drives a [`ServeLoop`] through the same churn alphabet and checks that
 /// its table tracks the model (`registrations − byes − evictions = live
-/// flows`, exactly, at every step), with stray data packets interleaved
-/// and an idle drain at the end proving nothing leaks.
+/// flows`, exactly, at every step), with stray data packets and control
+/// frames from a foreign address interleaved, and an idle drain at the end
+/// proving nothing leaks.
 fn serve_churn(ops: &[Op]) {
     let hub = MemHub::new();
     let client = hub.endpoint(addr(11));
+    let intruder = hub.endpoint(addr(12));
+    let mut foreign = 0u64;
     let mut cfg = ServeConfig::new(addr(10));
     cfg.flow_idle_timeout = SimDuration::from_millis(TIMEOUT_MS);
     let tick_ms = cfg.feedback_interval.as_nanos() / 1_000_000;
@@ -166,11 +175,36 @@ fn serve_churn(ops: &[Op]) {
                 byes += u64::from(model.remove(&id).is_some());
             }
             Op::Evict { ms } => now_ms += ms,
+            Op::Foreign { id } => {
+                // Frames that would end the flow, steer its rate and γ (an
+                // unseen router's label passes the epoch filter), and queue
+                // a repair of its latest frame — had its owner sent them.
+                let flow = FlowId(id);
+                let before = lp.flow(flow);
+                let fb = Feedback { router: AgentId(99), epoch: seq, loss: 0.5, fgs_loss: 0.5 };
+                let ack = WireAck {
+                    flow,
+                    seq,
+                    sent_at: SimTime::ZERO,
+                    rate_echo: 64e3,
+                    feedback: Some(fb),
+                };
+                let frame = before.map_or(0, |v| v.frames_sent.saturating_sub(1));
+                let nack = WireNack { flow, tag: FrameTag { frame, index: 0, total: 1, base: 1 } };
+                for frame in [ack.encode(), nack.encode(), WireBye { flow }.encode()] {
+                    intruder.send_to(&frame, addr(10)).unwrap();
+                    // Polled at the instant of the last settle, so no timer
+                    // fires and only the frame can move the flow.
+                    lp.poll(SimTime::from_nanos(now_ms * 1_000_000)).unwrap();
+                    assert_eq!(lp.flow(flow), before, "a foreign address moved flow {id}");
+                }
+                foreign += 3 * u64::from(before.is_some());
+            }
         }
         settle(&mut lp, &mut now_ms, &mut model);
         let report = lp.report(SimTime::from_nanos(now_ms * 1_000_000));
         assert_eq!(lp.flows(), model.len(), "table and model disagree after {op:?}");
-        assert_eq!(report.byes, byes);
+        assert_eq!((report.byes, report.foreign_control), (byes, foreign));
         assert_eq!(registrations - byes - report.evictions, model.len() as u64, "{report:?}");
     }
     // Whatever survived churn, a quiet period past the timeout clears it,
