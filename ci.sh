@@ -58,6 +58,13 @@ cargo test -q --workspace
 [ "$(tree_state)" = "$before_tests" ] || {
   echo "cargo test changed the working tree:" >&2; git status --porcelain >&2; exit 1; }
 
+echo "== memory budget (live heap per flow, optimised layout) =="
+# tests/memory_budget.rs counts live heap with its own allocator: a chained
+# flow must stay under its budget at 30 simulated seconds and grow no
+# faster than 64-byte frame records explain. The workspace run above checks
+# the debug build; this is the layout benchmark/'s rss_kb_per_flow measures.
+cargo test -q --release --test memory_budget
+
 echo "== run_all (every figure and ablation regenerates its tracked CSV) =="
 # Each binary asserts its own shape targets, and results/ is a function of
 # the code: a byte that moves here is a behaviour change to explain.

@@ -1,13 +1,13 @@
 //! The PELS receiver agent.
 //!
-//! The receiver records every arriving video packet into per-frame
-//! reception maps (consumed after the run by the FGS prefix decoder),
+//! The receiver records every arriving video packet into its
+//! [`FrameLog`] (consumed after the run by the FGS prefix decoder),
 //! measures one-way delays per color (the paper's Fig. 8–9), and echoes the
 //! router feedback back to the source in a small ACK for every data packet
 //! (Section 5.2).
 
 use crate::source::{PROBE_FRAME, RETX_MARKER};
-use pels_fgs::decoder::{DecodedFrame, FrameReception, UtilityStats};
+use pels_fgs::decoder::{DecodedFrame, FrameLog, FrameReception, UtilityStats};
 use pels_netsim::packet::{FlowId, FrameTag, Packet, PacketKind};
 use pels_netsim::port::Port;
 use pels_netsim::sim::{Agent, Context};
@@ -101,27 +101,33 @@ impl NackTracker {
     }
 
     /// Returns the frame tags whose packets are due for a retransmission
-    /// request at the given frame `horizon`, inspecting the per-frame
-    /// reception maps in `frames`. The caller must send exactly one NACK
-    /// per returned tag; the tracker's counters assume it does.
+    /// request at the given frame `horizon`, looking each frame's record
+    /// up through `frames` (a receiver passes its
+    /// [`FrameLog::get`](pels_fgs::decoder::FrameLog::get)). The caller
+    /// must send exactly one NACK per returned tag; the tracker's counters
+    /// assume it does.
     ///
     /// `horizon` must be monotone across calls (the highest frame number
     /// seen in any data packet, late retransmissions excluded by the
     /// caller keeping its own running maximum).
-    pub fn due(&mut self, horizon: u64, frames: &BTreeMap<u64, FrameReception>) -> Vec<FrameTag> {
+    pub fn due<'a>(
+        &mut self,
+        horizon: u64,
+        frames: impl Fn(u64) -> Option<&'a FrameReception>,
+    ) -> Vec<FrameTag> {
         let cfg = self.cfg;
         let mut out = Vec::new();
         let lo = horizon.saturating_sub(4);
         for g in lo..horizon {
-            let Some(rx) = frames.get(&g) else { continue };
+            let Some(rx) = frames(g) else { continue };
             let (total, base) = (rx.total, rx.base_count);
-            let missing: Vec<u16> = (0..total).filter(|&i| !rx.is_received(i)).collect();
-            if missing.is_empty() {
+            let mut missing = rx.missing().peekable();
+            if missing.peek().is_none() {
                 continue;
             }
             let st = self.state.entry(g).or_insert_with(|| FrameNackState {
                 rounds: 0,
-                next_round_frame: g + cfg.backoff_base.max(1),
+                next_round_frame: g.saturating_add(cfg.backoff_base.max(1)),
                 per_packet: vec![0u8; total as usize],
             });
             if st.rounds >= cfg.max_rounds || horizon < st.next_round_frame {
@@ -147,12 +153,13 @@ impl NackTracker {
                 sent_this_round += 1;
             }
             st.rounds += 1;
-            st.next_round_frame = horizon + (cfg.backoff_base.max(1) << st.rounds.min(32));
+            st.next_round_frame =
+                horizon.saturating_add(cfg.backoff_base.max(1) << st.rounds.min(32));
         }
         // Evict far behind the 4-frame NACK window: a re-created entry can
         // never re-enter the active loop with reset counters because the
         // horizon is monotone.
-        self.state.retain(|&f, _| f + 64 > horizon);
+        self.state.retain(|&f, _| horizon.saturating_sub(f) < 64);
         out
     }
 }
@@ -164,7 +171,7 @@ pub struct PelsReceiver {
     port: Port,
     /// Source agent (learned from the first data packet; NACK destination).
     src_hint: pels_netsim::packet::AgentId,
-    frames: BTreeMap<u64, FrameReception>,
+    frames: FrameLog,
     /// Playout deadline: packets older than this on arrival are discarded
     /// as undecodable (video frames have strict decoding deadlines —
     /// paper Section 1). `None` = infinite buffer.
@@ -233,7 +240,7 @@ impl PelsReceiver {
             flow,
             port,
             src_hint: pels_netsim::packet::AgentId(u32::MAX),
-            frames: BTreeMap::new(),
+            frames: FrameLog::new(),
             deadline: None,
             delays: DelayRecorder::new(keep_delay_series),
             received_by_color: [0; 3],
@@ -284,7 +291,7 @@ impl PelsReceiver {
     /// still have gaps — one packet per tag the [`NackTracker`] grants.
     fn issue_nacks(&mut self, ctx: &mut Context<'_>) {
         let Some(tracker) = self.nack.as_mut() else { return };
-        for tag in tracker.due(self.max_frame_seen, &self.frames) {
+        for tag in tracker.due(self.max_frame_seen, |g| self.frames.get(g)) {
             let mut nack = Packet::data(self.flow, ctx.self_id, self.src_hint, 40)
                 .with_frame(tag)
                 .with_id(ctx.alloc_packet_id());
@@ -305,23 +312,15 @@ impl PelsReceiver {
         self.frames.len()
     }
 
-    /// Per-frame reception maps (frame index → reception).
-    pub fn receptions(&self) -> &BTreeMap<u64, FrameReception> {
-        &self.frames
-    }
-
-    /// Decodes every frame seen so far (prefix decoding, Section 3).
+    /// Decodes every frame seen so far, in frame order (prefix decoding,
+    /// Section 3).
     pub fn decode_all(&self) -> Vec<DecodedFrame> {
-        self.frames.values().map(|r| r.decode()).collect()
+        self.frames.decode_all()
     }
 
     /// Aggregate utility over all frames seen so far.
     pub fn utility(&self) -> UtilityStats {
-        let mut stats = UtilityStats::new();
-        for d in self.decode_all() {
-            stats.add(&d);
-        }
-        stats
+        self.frames.utility()
     }
 }
 
@@ -374,10 +373,9 @@ impl Agent for PelsReceiver {
         }
 
         if !late {
-            let entry = self.frames.entry(tag.frame).or_insert_with(|| {
-                FrameReception::with_counts(tag.frame, tag.total, tag.base, packet.size_bytes)
-            });
-            entry.mark_received_sized(tag.index, packet.size_bytes);
+            self.frames
+                .entry(tag.frame, tag.total, tag.base, packet.size_bytes)
+                .mark_received_sized(tag.index, packet.size_bytes);
         }
 
         // ACKs flow even for late packets: the feedback label is still

@@ -70,9 +70,7 @@ impl RoleIds {
     pub fn total_utility(&self, sim: &ShardedSimulator) -> UtilityStats {
         let mut total = UtilityStats::new();
         for &id in &self.receivers {
-            for d in sim.agent::<PelsReceiver>(id).decode_all() {
-                total.add(&d);
-            }
+            total.merge(&sim.agent::<PelsReceiver>(id).utility());
         }
         total
     }

@@ -29,6 +29,7 @@ use pels_netsim::sim::Agent;
 use pels_netsim::tcp::{TcpSink, TcpSource};
 use pels_netsim::time::{Rate, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Per-flow configuration inside a scenario.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -222,6 +223,8 @@ struct ScenarioParts {
 fn build_parts(cfg: &ScenarioConfig) -> Result<ScenarioParts, crate::SimError> {
     let n = cfg.flows.len();
     let n_tcp = cfg.n_tcp;
+    // One immutable trace, shared by every source.
+    let trace = Arc::new(cfg.trace.clone());
     let per_cluster = |flows: usize| 2 + 2 * flows + 2 * n_tcp;
     let empty = |total: usize| ScenarioParts {
         agents: Vec::with_capacity(total),
@@ -232,7 +235,7 @@ fn build_parts(cfg: &ScenarioConfig) -> Result<ScenarioParts, crate::SimError> {
         Layout::SharedDumbbell => {
             let mut parts = empty(per_cluster(n));
             let flow_ids: Vec<u32> = (0..n as u32).collect();
-            push_dumbbell(cfg, &cfg.flows, 0, &flow_ids, 1000, &mut parts)?;
+            push_dumbbell(cfg, &trace, &cfg.flows, 0, &flow_ids, 1000, &mut parts)?;
             Ok(parts)
         }
         Layout::ChainPerFlow => {
@@ -241,6 +244,7 @@ fn build_parts(cfg: &ScenarioConfig) -> Result<ScenarioParts, crate::SimError> {
             for i in 0..n {
                 push_dumbbell(
                     cfg,
+                    &trace,
                     std::slice::from_ref(&cfg.flows[i]),
                     (i * per_chain) as u32,
                     &[i as u32],
@@ -260,6 +264,7 @@ fn build_parts(cfg: &ScenarioConfig) -> Result<ScenarioParts, crate::SimError> {
 /// topology and the historical agent-id layout.
 fn push_dumbbell(
     cfg: &ScenarioConfig,
+    trace: &Arc<VideoTrace>,
     flows: &[FlowSpec],
     id_base: u32,
     flow_ids: &[u32],
@@ -343,7 +348,7 @@ fn push_dumbbell(
             dst: rcv_id(i),
             start_at: spec.start_at,
             stop_at: None,
-            trace: cfg.trace.clone(),
+            trace: Arc::clone(trace),
             cc: spec.cc,
             gamma: spec.gamma,
             packet_bytes: cfg.packet_bytes,

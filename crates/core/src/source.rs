@@ -25,6 +25,7 @@ use pels_netsim::time::SimDuration;
 use pels_telemetry::Telemetry;
 use std::any::Any;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// How the source marks its enhancement packets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -212,8 +213,9 @@ pub struct SourceConfig {
     /// departure schedules). `None` streams forever. Note the video trace
     /// loops, so trimming the trace cannot end a flow — only this can.
     pub stop_at: Option<pels_netsim::time::SimTime>,
-    /// The video being streamed (looped).
-    pub trace: VideoTrace,
+    /// The video being streamed (looped); immutable, so the sources of a
+    /// scenario share one.
+    pub trace: Arc<VideoTrace>,
     /// Congestion controller and its gains.
     pub cc: CcSpec,
     /// Partition-controller gains.
@@ -852,7 +854,7 @@ mod tests {
             dst,
             start_at: SimDuration::ZERO,
             stop_at: None,
-            trace: VideoTrace::constant(30, 10.0, 1_600, 10_000),
+            trace: Arc::new(VideoTrace::constant(30, 10.0, 1_600, 10_000)),
             cc: CcSpec::default(),
             gamma: GammaConfig::default(),
             packet_bytes: 500,
@@ -1165,7 +1167,7 @@ mod tests {
             Box::new(DropTail::new(QueueLimit::Packets(1000))),
         );
         let cfg = SourceConfig {
-            trace: foreman::trace(),
+            trace: Arc::new(foreman::trace()),
             cc: CcSpec::Mkc(MkcConfig {
                 initial: Rate::from_kbps(840.0), // exactly the base bitrate
                 ..Default::default()

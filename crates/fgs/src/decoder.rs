@@ -4,12 +4,30 @@
 //! single gap renders everything above it useless (paper Section 3, Fig. 3).
 //! The base layer requires *all* of its packets — motion compensation and
 //! VLC coding propagate any base-layer loss across the GOP.
+//!
+//! A receiver needs one fact per packet — did it arrive — so a frame's
+//! record ([`FrameReception`]) is a bitset and a packet size, 64 bytes
+//! whatever the frame, and a flow's records live in one [`FrameLog`] that
+//! both the simulated and the wire receiver own.
 
 use crate::packetize::{PacketPlan, Segment};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
+
+/// Packets whose receive flag lives inside the record itself.
+const INLINE_PACKETS: usize = 128;
+/// Odd-sized packets remembered inside the record itself: one short tail
+/// per segment (base, yellow, red) is what a packetized frame has.
+const INLINE_ODD: usize = 3;
 
 /// Reception record of one transmitted frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Packets are assumed to be one size except for a few odd ones (the short
+/// tail of each segment), so the record holds a receive bit per packet, one
+/// default size and the odd sizes by index. Frames of up to 128 packets with
+/// up to three odd sizes — every frame the paper's setup produces — cost no
+/// heap allocation; anything beyond goes to one boxed spill.
+#[derive(Debug, Clone)]
 pub struct FrameReception {
     /// Frame index.
     pub frame: u64,
@@ -17,41 +35,83 @@ pub struct FrameReception {
     pub total: u16,
     /// Number of those that were base-layer packets.
     pub base_count: u16,
-    /// Per-packet receive flag, indexed by packet index within the frame.
-    received: Vec<bool>,
-    /// Per-packet payload sizes, indexed by packet index (0 if unknown).
-    sizes: Vec<u32>,
+    /// Payload size of every packet not listed as odd.
+    default_bytes: u32,
+    /// Receive flags of packets `0..128`, bit `i % 64` of word `i / 64`.
+    /// Bits at or beyond `total` are never set.
+    bits: [u64; INLINE_PACKETS / 64],
+    /// `(index, bytes)` of the first `odd_len` odd-sized packets.
+    odd_index: [u16; INLINE_ODD],
+    odd_bytes: [u32; INLINE_ODD],
+    odd_len: u8,
+    /// Present when `total > 128` or a fourth odd size turned up.
+    spill: Option<Box<Spill>>,
+}
+
+/// What does not fit inside a [`FrameReception`].
+#[derive(Debug, Clone, Default)]
+struct Spill {
+    /// Receive flags of packets `128..total`.
+    bits: Vec<u64>,
+    /// Further odd sizes, sorted by packet index.
+    odd: Vec<(u16, u32)>,
+}
+
+impl Spill {
+    /// The size on record for packet `index`, if it has one here.
+    fn odd_size_mut(&mut self, index: u16) -> Option<&mut u32> {
+        let at = self.odd.binary_search_by_key(&index, |e| e.0).ok()?;
+        Some(&mut self.odd[at].1)
+    }
 }
 
 impl FrameReception {
     /// Creates an empty record for a frame transmitted as `plan`.
     pub fn from_plan(frame: u64, plan: &[PacketPlan]) -> Self {
-        FrameReception {
-            frame,
-            total: plan.len() as u16,
-            base_count: plan.iter().filter(|p| p.segment == Segment::Base).count() as u16,
-            received: vec![false; plan.len()],
-            sizes: plan.iter().map(|p| p.bytes).collect(),
+        // Tails are shorter than full packets, so the largest size is the
+        // common one.
+        let default_bytes = plan.iter().map(|p| p.bytes).max().unwrap_or(0);
+        let base_count = plan.iter().filter(|p| p.segment == Segment::Base).count() as u16;
+        let mut rec = Self::with_counts(frame, plan.len() as u16, base_count, default_bytes);
+        for (i, p) in plan.iter().enumerate() {
+            rec.set_size(i as u16, p.bytes);
         }
+        rec
     }
 
     /// Creates a record when only counts are known (packet sizes assumed
     /// uniform `packet_bytes`).
     pub fn with_counts(frame: u64, total: u16, base_count: u16, packet_bytes: u32) -> Self {
+        let spill = (total as usize > INLINE_PACKETS).then(|| {
+            let words = (total as usize - INLINE_PACKETS).div_ceil(64);
+            Box::new(Spill { bits: vec![0; words], odd: Vec::new() })
+        });
         FrameReception {
             frame,
             total,
             base_count,
-            received: vec![false; total as usize],
-            sizes: vec![packet_bytes; total as usize],
+            default_bytes: packet_bytes,
+            bits: [0; INLINE_PACKETS / 64],
+            odd_index: [0; INLINE_ODD],
+            odd_bytes: [0; INLINE_ODD],
+            odd_len: 0,
+            spill,
         }
     }
 
     /// Marks packet `index` as received. Out-of-range indices are ignored
     /// (they belong to a stale generation of the frame).
     pub fn mark_received(&mut self, index: u16) {
-        if let Some(slot) = self.received.get_mut(index as usize) {
-            *slot = true;
+        if index >= self.total {
+            return;
+        }
+        let (word, bit) = (index as usize / 64, 1u64 << (index % 64));
+        match self.bits.get_mut(word) {
+            Some(w) => *w |= bit,
+            None => {
+                let spill = self.spill.as_mut().expect("a frame over 128 packets has a spill");
+                spill.bits[word - INLINE_PACKETS / 64] |= bit;
+            }
         }
     }
 
@@ -59,42 +119,105 @@ impl FrameReception {
     /// (used by receivers that learn sizes from the wire, where tail packets
     /// of a segment may be shorter than the MTU).
     pub fn mark_received_sized(&mut self, index: u16, bytes: u32) {
-        if let Some(slot) = self.received.get_mut(index as usize) {
-            *slot = true;
-            self.sizes[index as usize] = bytes;
+        if index < self.total {
+            self.mark_received(index);
+            self.set_size(index, bytes);
         }
     }
 
     /// Whether packet `index` was received.
     pub fn is_received(&self, index: u16) -> bool {
-        self.received.get(index as usize).copied().unwrap_or(false)
+        index < self.total
+            && self.words().nth(index as usize / 64).is_some_and(|w| w >> (index % 64) & 1 == 1)
+    }
+
+    /// Indices of the packets not received yet, ascending.
+    pub fn missing(&self) -> impl Iterator<Item = u16> + '_ {
+        let total = self.total as usize;
+        self.words().enumerate().flat_map(move |(w, bits)| {
+            let lo = w * 64;
+            let valid = if total - lo >= 64 { u64::MAX } else { (1u64 << (total - lo)) - 1 };
+            let mut gaps = !bits & valid;
+            std::iter::from_fn(move || {
+                (gaps != 0).then(|| {
+                    let bit = gaps.trailing_zeros() as usize;
+                    gaps &= gaps - 1;
+                    (lo + bit) as u16
+                })
+            })
+        })
+    }
+
+    /// The receive-flag words covering packets `0..total`.
+    fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        let spilled = self.spill.as_deref().map_or(&[][..], |s| &s.bits);
+        self.bits.iter().chain(spilled).copied().take((self.total as usize).div_ceil(64))
+    }
+
+    /// Packets received among indices `0..end`.
+    fn received_below(&self, end: u16) -> u32 {
+        let end = end as usize;
+        self.words()
+            .enumerate()
+            .take_while(|&(w, _)| w * 64 < end)
+            .map(|(w, bits)| {
+                let keep = end - w * 64;
+                let mask = if keep >= 64 { u64::MAX } else { (1u64 << keep) - 1 };
+                (bits & mask).count_ones()
+            })
+            .sum()
+    }
+
+    /// The odd-sized packets on record, in no particular order.
+    fn odd(&self) -> impl Iterator<Item = (u16, u32)> + '_ {
+        let inline = self.odd_index.iter().copied().zip(self.odd_bytes).take(self.odd_len as usize);
+        inline.chain(self.spill.iter().flat_map(|s| s.odd.iter().copied()))
+    }
+
+    /// Records that packet `index` carries `bytes`.
+    fn set_size(&mut self, index: u16, bytes: u32) {
+        let n = self.odd_len as usize;
+        if let Some(i) = self.odd_index[..n].iter().position(|&x| x == index) {
+            self.odd_bytes[i] = bytes;
+        } else if let Some(known) = self.spill.as_mut().and_then(|s| s.odd_size_mut(index)) {
+            *known = bytes;
+        } else if bytes == self.default_bytes {
+            // Not on record, and nothing odd about it.
+        } else if n < INLINE_ODD {
+            self.odd_index[n] = index;
+            self.odd_bytes[n] = bytes;
+            self.odd_len += 1;
+        } else {
+            let spill = self.spill.get_or_insert_with(Box::default);
+            let at = spill.odd.partition_point(|e| e.0 < index);
+            spill.odd.insert(at, (index, bytes));
+        }
     }
 
     /// Decodes the frame (see [`DecodedFrame`]).
     pub fn decode(&self) -> DecodedFrame {
-        let base = self.base_count as usize;
-        let base_ok = self.received[..base].iter().all(|&r| r);
-        let mut useful_packets = 0u32;
-        let mut useful_bytes = 0u64;
-        let mut counting = true;
-        let mut received_packets = 0u32;
-        let mut received_bytes = 0u64;
-        for i in base..self.total as usize {
-            if self.received[i] {
-                received_packets += 1;
-                received_bytes += self.sizes[i] as u64;
-                if counting {
-                    useful_packets += 1;
-                    useful_bytes += self.sizes[i] as u64;
+        let (base, total) = (self.base_count.min(self.total), self.total);
+        let mut gaps = self.missing().peekable();
+        let base_ok = gaps.peek().is_none_or(|&i| i >= base);
+        // The decodable prefix ends at the first enhancement packet missing.
+        let prefix_end = gaps.find(|&i| i >= base).unwrap_or(total);
+        let received_packets = self.received_below(total) - self.received_below(base);
+        let useful_packets = u32::from(prefix_end - base);
+        let size = u64::from(self.default_bytes);
+        let mut received_bytes = u64::from(received_packets) * size;
+        let mut useful_bytes = u64::from(useful_packets) * size;
+        for (index, bytes) in self.odd() {
+            if index >= base && self.is_received(index) {
+                received_bytes = received_bytes + u64::from(bytes) - size;
+                if index < prefix_end {
+                    useful_bytes = useful_bytes + u64::from(bytes) - size;
                 }
-            } else {
-                counting = false;
             }
         }
         DecodedFrame {
             frame: self.frame,
             base_ok,
-            enh_sent_packets: self.total as u32 - self.base_count as u32,
+            enh_sent_packets: u32::from(total - base),
             enh_received_packets: received_packets,
             enh_received_bytes: received_bytes,
             enh_useful_packets: useful_packets,
@@ -154,7 +277,7 @@ impl DecodedFrame {
 /// stats.add(&rx.decode());
 /// assert_eq!(stats.utility(), 1.0); // the received prefix is consecutive
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct UtilityStats {
     /// Frames accumulated.
     pub frames: u64,
@@ -225,6 +348,114 @@ impl UtilityStats {
     }
 }
 
+/// Frames per [`FrameLog`] chunk: one bit each in [`Chunk::present`].
+const CHUNK_FRAMES: usize = 64;
+
+/// The records of 64 consecutive frames, `frame >> 6` in common.
+#[derive(Debug, Clone)]
+struct Chunk {
+    /// Bit `frame & 63` is set once that frame has a record.
+    present: u64,
+    records: [FrameReception; CHUNK_FRAMES],
+}
+
+impl Chunk {
+    /// The chunk key and the slot within the chunk of `frame`.
+    fn locate(frame: u64) -> (u64, usize) {
+        (frame / CHUNK_FRAMES as u64, (frame % CHUNK_FRAMES as u64) as usize)
+    }
+
+    fn has(&self, slot: usize) -> bool {
+        self.present >> slot & 1 == 1
+    }
+}
+
+/// Every frame a receiver has seen a packet of, by frame number.
+///
+/// Records sit in chunks of 64 consecutive frames, so a stream costs 64
+/// bytes per frame in 4 KiB allocations that are never moved or resized.
+/// A chunk is found by `frame >> 6` in an ordered map, so a frame number
+/// — which a wire receiver reads from an untrusted datagram — only ever
+/// selects a chunk; nothing is sized by it.
+#[derive(Debug, Clone, Default)]
+pub struct FrameLog {
+    chunks: BTreeMap<u64, Box<Chunk>>,
+    len: usize,
+}
+
+impl FrameLog {
+    /// Creates an empty log.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of frames on record.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no frame is on record.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The record of `frame`, if it has one.
+    pub fn get(&self, frame: u64) -> Option<&FrameReception> {
+        let (key, slot) = Chunk::locate(frame);
+        let chunk = self.chunks.get(&key)?;
+        chunk.has(slot).then(|| &chunk.records[slot])
+    }
+
+    /// The record of `frame`, created by [`FrameReception::with_counts`]
+    /// from the other arguments if it has none yet.
+    pub fn entry(
+        &mut self,
+        frame: u64,
+        total: u16,
+        base_count: u16,
+        packet_bytes: u32,
+    ) -> &mut FrameReception {
+        let (key, slot) = Chunk::locate(frame);
+        let chunk = self.chunks.entry(key).or_insert_with(|| {
+            let vacant = |_| FrameReception::with_counts(0, 0, 0, 0);
+            Box::new(Chunk { present: 0, records: std::array::from_fn(vacant) })
+        });
+        if !chunk.has(slot) {
+            chunk.present |= 1 << slot;
+            chunk.records[slot] =
+                FrameReception::with_counts(frame, total, base_count, packet_bytes);
+            self.len += 1;
+        }
+        &mut chunk.records[slot]
+    }
+
+    /// The records in ascending frame order.
+    pub fn iter(&self) -> impl Iterator<Item = &FrameReception> + '_ {
+        self.chunks.values().flat_map(|chunk| {
+            chunk
+                .records
+                .iter()
+                .enumerate()
+                .filter_map(|(slot, rec)| chunk.has(slot).then_some(rec))
+        })
+    }
+
+    /// Decodes every frame on record, in ascending frame order (prefix
+    /// decoding, paper Section 3).
+    pub fn decode_all(&self) -> Vec<DecodedFrame> {
+        self.iter().map(FrameReception::decode).collect()
+    }
+
+    /// Aggregate utility over every frame on record (paper Eq. 3).
+    pub fn utility(&self) -> UtilityStats {
+        let mut stats = UtilityStats::new();
+        for rec in self.iter() {
+            stats.add(&rec.decode());
+        }
+        stats
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,6 +523,23 @@ mod tests {
     }
 
     #[test]
+    fn a_record_is_64_bytes_whatever_the_frame() {
+        assert!(std::mem::size_of::<FrameReception>() <= 64);
+        assert!(std::mem::size_of::<Chunk>() <= CHUNK_FRAMES * 64 + 8);
+        // The paper's frame — 126 packets, a short tail per segment —
+        // fits without a spill.
+        let frame = ScaledFrame { base_bytes: 10_400, enhancement_bytes: 51_800 };
+        let plan = packetize(&frame, 30_100, 21_700, 500);
+        assert_eq!(plan.len(), 126);
+        let mut rx = FrameReception::from_plan(0, &plan);
+        for p in &plan {
+            rx.mark_received_sized(p.index, p.bytes);
+        }
+        assert!(rx.spill.is_none());
+        assert_eq!(rx.decode().enh_useful_bytes, 51_800);
+    }
+
+    #[test]
     fn out_of_range_marks_are_ignored() {
         let mut rx = reception(500, 500);
         rx.mark_received(200);
@@ -356,6 +604,121 @@ mod proptests {
     use crate::scaling::ScaledFrame;
     use proptest::prelude::*;
 
+    /// The record as it was before the bitset: a flag and a size per packet.
+    /// Kept as the oracle the compact record must agree with.
+    struct DenseReception {
+        frame: u64,
+        total: u16,
+        base_count: u16,
+        received: Vec<bool>,
+        sizes: Vec<u32>,
+    }
+
+    impl DenseReception {
+        fn from_plan(frame: u64, plan: &[PacketPlan]) -> Self {
+            DenseReception {
+                frame,
+                total: plan.len() as u16,
+                base_count: plan.iter().filter(|p| p.segment == Segment::Base).count() as u16,
+                received: vec![false; plan.len()],
+                sizes: plan.iter().map(|p| p.bytes).collect(),
+            }
+        }
+
+        fn with_counts(frame: u64, total: u16, base_count: u16, packet_bytes: u32) -> Self {
+            DenseReception {
+                frame,
+                total,
+                base_count,
+                received: vec![false; total as usize],
+                sizes: vec![packet_bytes; total as usize],
+            }
+        }
+
+        fn mark_received(&mut self, index: u16) {
+            if let Some(slot) = self.received.get_mut(index as usize) {
+                *slot = true;
+            }
+        }
+
+        fn mark_received_sized(&mut self, index: u16, bytes: u32) {
+            if let Some(slot) = self.received.get_mut(index as usize) {
+                *slot = true;
+                self.sizes[index as usize] = bytes;
+            }
+        }
+
+        fn is_received(&self, index: u16) -> bool {
+            self.received.get(index as usize).copied().unwrap_or(false)
+        }
+
+        fn decode(&self) -> DecodedFrame {
+            let base = self.base_count as usize;
+            let base_ok = self.received[..base].iter().all(|&r| r);
+            let mut useful_packets = 0u32;
+            let mut useful_bytes = 0u64;
+            let mut counting = true;
+            let mut received_packets = 0u32;
+            let mut received_bytes = 0u64;
+            for i in base..self.total as usize {
+                if self.received[i] {
+                    received_packets += 1;
+                    received_bytes += self.sizes[i] as u64;
+                    if counting {
+                        useful_packets += 1;
+                        useful_bytes += self.sizes[i] as u64;
+                    }
+                } else {
+                    counting = false;
+                }
+            }
+            DecodedFrame {
+                frame: self.frame,
+                base_ok,
+                enh_sent_packets: self.total as u32 - self.base_count as u32,
+                enh_received_packets: received_packets,
+                enh_received_bytes: received_bytes,
+                enh_useful_packets: useful_packets,
+                enh_useful_bytes: if base_ok { useful_bytes } else { 0 },
+            }
+        }
+    }
+
+    /// A mark: plain or sized, the index possibly past the frame's end.
+    fn marks(max_index: u16) -> impl Strategy<Value = Vec<(bool, u16, u32)>> {
+        // Few distinct sizes, so re-marking hits both "same" and "other".
+        let size = (0u32..4).prop_map(|k| [500, 500, 120, 0][k as usize]);
+        collection::vec((any::<bool>(), 0..max_index, size), 0..400)
+    }
+
+    /// Applies `ops` to both records, comparing them after every one.
+    fn mark_both(
+        ops: Vec<(bool, u16, u32)>,
+        compact: &mut FrameReception,
+        dense: &mut DenseReception,
+    ) {
+        for (sized, index, bytes) in ops {
+            if sized {
+                compact.mark_received_sized(index, bytes);
+                dense.mark_received_sized(index, bytes);
+            } else {
+                compact.mark_received(index);
+                dense.mark_received(index);
+            }
+            assert_agree(compact, dense);
+        }
+    }
+
+    fn assert_agree(compact: &FrameReception, dense: &DenseReception) {
+        prop_assert_eq!((compact.total, compact.base_count), (dense.total, dense.base_count));
+        for i in 0..dense.total.saturating_add(3) {
+            prop_assert_eq!(compact.is_received(i), dense.is_received(i), "packet {}", i);
+        }
+        let missing: Vec<u16> = (0..dense.total).filter(|&i| !dense.is_received(i)).collect();
+        prop_assert_eq!(compact.missing().collect::<Vec<_>>(), missing);
+        prop_assert_eq!(compact.decode(), dense.decode());
+    }
+
     proptest! {
         /// Useful packets are always a prefix: useful <= received, and if a
         /// packet at enhancement position k is useful then all positions
@@ -380,6 +743,101 @@ mod proptests {
             let d = rx.decode();
             prop_assert!(d.enh_useful_packets <= d.enh_received_packets);
             prop_assert_eq!(d.enh_useful_packets as usize, first_gap);
+        }
+
+        /// The compact record built from a packetized frame — up to 300
+        /// packets, so past the 128 inline flags — agrees with the dense
+        /// oracle after every mark.
+        #[test]
+        fn compact_record_matches_dense_oracle_on_packetized_frames(
+            base_bytes in 0u32..3_000,
+            yellow_bytes in 0u32..70_000,
+            red_bytes in 0u32..70_000,
+            packet_bytes in 450u32..1_500,
+            ops in marks(320),
+        ) {
+            let frame = ScaledFrame { base_bytes, enhancement_bytes: yellow_bytes + red_bytes };
+            let plan = packetize(&frame, yellow_bytes, red_bytes, packet_bytes);
+            let mut compact = FrameReception::from_plan(7, &plan);
+            let mut dense = DenseReception::from_plan(7, &plan);
+            assert_agree(&compact, &dense);
+            prop_assert!(compact.spill.as_ref().is_none_or(|s| s.odd.is_empty()),
+                "a packetized frame has at most one short tail per segment");
+            mark_both(ops, &mut compact, &mut dense);
+        }
+
+        /// The same for arbitrary plans (any size on any packet, so the odd
+        /// sizes spill) and for records built from counts alone.
+        #[test]
+        fn compact_record_matches_dense_oracle_on_arbitrary_plans(
+            sizes in collection::vec(0u32..4, 0..200),
+            base in 0usize..200,
+            from_counts in any::<bool>(),
+            ops in marks(210),
+        ) {
+            let base = base.min(sizes.len());
+            let plan: Vec<PacketPlan> = sizes
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| PacketPlan {
+                    index: i as u16,
+                    bytes: [500, 499, 120, 0][k as usize],
+                    segment: if i < base { Segment::Base } else { Segment::Yellow },
+                })
+                .collect();
+            let (mut compact, mut dense) = if from_counts {
+                let (total, base) = (plan.len() as u16, base as u16);
+                (
+                    FrameReception::with_counts(3, total, base, 500),
+                    DenseReception::with_counts(3, total, base, 500),
+                )
+            } else {
+                (FrameReception::from_plan(3, &plan), DenseReception::from_plan(3, &plan))
+            };
+            assert_agree(&compact, &dense);
+            mark_both(ops, &mut compact, &mut dense);
+        }
+
+        /// The log is a `BTreeMap` keyed by frame number: same `get`, same
+        /// insert-if-absent, same `len`, same iteration order, whatever the
+        /// arrival order — far-apart and extreme frame numbers included.
+        #[test]
+        fn frame_log_matches_btreemap(
+            arrivals in collection::vec((0u64..6, 0u64..200, 1u16..140, 0u16..140), 0..300),
+            probes in collection::vec((0u64..6, 0u64..200), 0..50),
+        ) {
+            let frame_no = |region: u64, offset: u64| match region {
+                0..=2 => offset,
+                3 => (1 << 60) + offset,
+                4 => u64::MAX - offset,
+                _ => offset << 6,
+            };
+            let mut log = FrameLog::new();
+            let mut map: BTreeMap<u64, DenseReception> = BTreeMap::new();
+            for (region, offset, total, index) in arrivals {
+                let frame = frame_no(region, offset);
+                log.entry(frame, total, 1, 500).mark_received(index);
+                map.entry(frame)
+                    .or_insert_with(|| DenseReception::with_counts(frame, total, 1, 500))
+                    .mark_received(index);
+                prop_assert_eq!(log.len(), map.len());
+            }
+            prop_assert_eq!(log.is_empty(), map.is_empty());
+            for (region, offset) in probes {
+                let frame = frame_no(region, offset);
+                prop_assert_eq!(log.get(frame).is_some(), map.contains_key(&frame));
+            }
+            prop_assert_eq!(log.iter().count(), map.len());
+            for (rec, (&frame, dense)) in log.iter().zip(&map) {
+                prop_assert_eq!(rec.frame, frame);
+                prop_assert_eq!(log.get(frame).map(|r| r.frame), Some(frame));
+                assert_agree(rec, dense);
+            }
+            let decoded: Vec<DecodedFrame> = map.values().map(DenseReception::decode).collect();
+            prop_assert_eq!(log.decode_all(), decoded.clone());
+            let mut stats = UtilityStats::new();
+            decoded.iter().for_each(|d| stats.add(d));
+            prop_assert_eq!(log.utility(), stats);
         }
     }
 }

@@ -50,7 +50,7 @@ pub mod scaling;
 pub mod trace_gen;
 
 pub use bitplane::{BitplaneConfig, BitplaneModel, QualityModel};
-pub use decoder::{DecodedFrame, FrameReception, UtilityStats};
+pub use decoder::{DecodedFrame, FrameLog, FrameReception, UtilityStats};
 pub use frame::{FrameSpec, VideoTrace};
 pub use gop::{propagate_base_loss, GopConfig};
 pub use packetize::{packetize, PacketPlan, Segment};

@@ -1,7 +1,7 @@
 //! A deterministic multiplicative hasher for small integer keys.
 //!
-//! The per-packet maps on the hot path (route tables, TCP `sent_times`,
-//! retransmission buffers) key on `u32`/`u64` ids. `std`'s default SipHash
+//! The per-packet maps on the hot path (route tables, retransmission
+//! buffers) key on `u32`/`u64` ids. `std`'s default SipHash
 //! showed up at ~8% of event-loop CPU in profiles, and its per-process
 //! random seed buys nothing here: none of these maps is ever iterated, so
 //! bucket order cannot leak into simulation results.

@@ -8,16 +8,61 @@
 //! triple-duplicate-ACK fast retransmit with fast recovery, and RTO with
 //! exponential backoff.
 
-use crate::fasthash::FastMap;
 use crate::packet::{AgentId, FlowId, Packet, PacketKind};
 use crate::port::Port;
 use crate::sim::{Agent, Context};
 use crate::time::{SimDuration, SimTime};
 use std::any::Any;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
 const INITIAL_RTO: SimDuration = SimDuration::from_millis(1000);
 const MIN_RTO: SimDuration = SimDuration::from_millis(200);
+
+/// First-transmission times of the segments in flight, by sequence number.
+///
+/// A map from sequence number to time whose keys only ever lie in
+/// `snd_una..next_seq`, so it is a ring indexed by `seq − snd_una`: the
+/// window slides by popping the front, and nothing is hashed or re-grown
+/// past the largest window the connection reached.
+#[derive(Debug, Default)]
+struct SendTimes {
+    /// Sequence number of `slots[0]` (the source's `snd_una`).
+    base: u64,
+    /// [`SendTimes::NONE`] where no time is on record: half the bytes of
+    /// an `Option` per segment in flight.
+    slots: VecDeque<SimTime>,
+}
+
+impl SendTimes {
+    /// No simulation runs to the end of time.
+    const NONE: SimTime = SimTime::MAX;
+
+    /// Records `now` for `seq` unless a time is already on record
+    /// (`seq` ≥ the base).
+    fn record(&mut self, seq: u64, now: SimTime) {
+        let at = (seq - self.base) as usize;
+        if at >= self.slots.len() {
+            self.slots.resize(at + 1, Self::NONE);
+        }
+        if self.slots[at] == Self::NONE {
+            self.slots[at] = now;
+        }
+    }
+
+    /// Removes and returns the time on record for `seq` (`seq` ≥ the base).
+    fn take(&mut self, seq: u64) -> Option<SimTime> {
+        let slot = self.slots.get_mut((seq - self.base) as usize)?;
+        let sent = std::mem::replace(slot, Self::NONE);
+        (sent != Self::NONE).then_some(sent)
+    }
+
+    /// Forgets every segment below `seq`, which becomes the base.
+    fn advance_to(&mut self, seq: u64) {
+        let acked = ((seq - self.base) as usize).min(self.slots.len());
+        self.slots.drain(..acked);
+        self.base = seq;
+    }
+}
 
 /// A greedy (always-backlogged) TCP Reno source.
 ///
@@ -40,7 +85,7 @@ pub struct TcpSource {
     in_recovery: bool,
     rto: SimDuration,
     rto_epoch: u64,
-    sent_times: FastMap<u64, SimTime>,
+    sent_times: SendTimes,
     srtt: Option<f64>,
     /// Total packets acknowledged (for goodput accounting).
     pub acked_packets: u64,
@@ -74,7 +119,7 @@ impl TcpSource {
             in_recovery: false,
             rto: INITIAL_RTO,
             rto_epoch: 0,
-            sent_times: FastMap::default(),
+            sent_times: SendTimes::default(),
             srtt: None,
             acked_packets: 0,
             timeouts: 0,
@@ -101,7 +146,7 @@ impl TcpSource {
             .with_seq(seq)
             .with_id(ctx.alloc_packet_id());
         pkt.sent_at = ctx.now;
-        self.sent_times.entry(seq).or_insert(ctx.now);
+        self.sent_times.record(seq, ctx.now);
         self.port.send(pkt, ctx);
     }
 
@@ -121,10 +166,13 @@ impl TcpSource {
     fn on_new_ack(&mut self, ack_no: u64, ctx: &mut Context<'_>) {
         let newly = ack_no - self.snd_una;
         self.acked_packets += newly;
-        // RTT sample from the oldest acknowledged packet (Karn's rule is
-        // approximated by only sampling never-retransmitted entries, which
-        // we drop on retransmit).
-        if let Some(t) = self.sent_times.remove(&self.snd_una) {
+        // RTT sample from the oldest acknowledged packet. A retransmitted
+        // segment *is* sampled, from its retransmission: the retransmit
+        // paths drop its entry and `transmit` records the new time. That is
+        // not Karn's rule (which would skip it), and an ACK of the original
+        // then reads as a short RTT; fixing it moves report digests, so it
+        // waits for ROADMAP item 3's deliberate re-baselining.
+        if let Some(t) = self.sent_times.take(self.snd_una) {
             let sample = ctx.now.duration_since(t).as_secs_f64();
             self.srtt = Some(match self.srtt {
                 None => sample,
@@ -133,9 +181,7 @@ impl TcpSource {
             let srtt = self.srtt.unwrap();
             self.rto = SimDuration::from_secs_f64((2.0 * srtt).max(MIN_RTO.as_secs_f64()));
         }
-        for seq in self.snd_una..ack_no {
-            self.sent_times.remove(&seq);
-        }
+        self.sent_times.advance_to(ack_no);
         self.snd_una = ack_no;
         self.dup_acks = 0;
         if self.in_recovery {
@@ -146,7 +192,7 @@ impl TcpSource {
             } else {
                 // NewReno partial ACK: the next hole is already lost —
                 // retransmit it immediately instead of waiting for an RTO.
-                self.sent_times.remove(&self.snd_una);
+                self.sent_times.take(self.snd_una);
                 self.transmit(self.snd_una, ctx);
             }
         } else if self.cwnd < self.ssthresh {
@@ -166,7 +212,7 @@ impl TcpSource {
             self.cwnd = self.ssthresh;
             self.in_recovery = true;
             self.recover = self.next_seq;
-            self.sent_times.remove(&self.snd_una);
+            self.sent_times.take(self.snd_una);
             self.transmit(self.snd_una, ctx);
         } else if self.in_recovery {
             // Window inflation: each further dup ACK signals a packet has
@@ -214,7 +260,7 @@ impl Agent for TcpSource {
         self.in_recovery = false;
         self.dup_acks = 0;
         self.rto = SimDuration::from_secs_f64((self.rto.as_secs_f64() * 2.0).min(60.0));
-        self.sent_times.remove(&self.snd_una);
+        self.sent_times.take(self.snd_una);
         self.transmit(self.snd_una, ctx);
         self.arm_rto(ctx);
     }
@@ -387,5 +433,62 @@ mod tests {
         // (2x 5 ms propagation + serialization means earliest > 10 ms).
         sim.run_until(SimTime::from_secs_f64(0.004));
         assert_eq!(sim.agent::<TcpSink>(sink).delivered(), 0);
+    }
+
+    mod send_times {
+        use super::super::SendTimes;
+        use crate::time::SimTime;
+        use proptest::prelude::*;
+        use std::collections::HashMap;
+
+        proptest! {
+            /// The ring is the hash map it replaced — `or_insert` on
+            /// transmit, remove before a retransmit, everything below the
+            /// ACK dropped — under any sequence of the source's four moves:
+            /// send new, cumulative ACK, fast/partial retransmit, RTO.
+            #[test]
+            fn ring_matches_hash_map(ops in collection::vec((0u8..4, 1u64..12), 0..400)) {
+                let mut ring = SendTimes::default();
+                let mut map: HashMap<u64, SimTime> = HashMap::new();
+                let (mut snd_una, mut next_seq) = (0u64, 0u64);
+                for (step, (op, n)) in ops.into_iter().enumerate() {
+                    let now = SimTime::from_nanos(step as u64);
+                    match op {
+                        // A window of new segments.
+                        0 => for _ in 0..n {
+                            ring.record(next_seq, now);
+                            map.entry(next_seq).or_insert(now);
+                            next_seq += 1;
+                        },
+                        // A cumulative ACK: sample the oldest, drop the rest.
+                        1 if next_seq > snd_una => {
+                            let ack_no = (snd_una + n).min(next_seq);
+                            prop_assert_eq!(ring.take(snd_una), map.remove(&snd_una));
+                            ring.advance_to(ack_no);
+                            for seq in snd_una..ack_no {
+                                map.remove(&seq);
+                            }
+                            snd_una = ack_no;
+                        }
+                        // Fast retransmit, partial ACK or RTO: forget the
+                        // hole's time, then transmit it again.
+                        2 | 3 if next_seq > snd_una => {
+                            prop_assert_eq!(ring.take(snd_una), map.remove(&snd_una));
+                            ring.record(snd_una, now);
+                            map.entry(snd_una).or_insert(now);
+                        }
+                        _ => {}
+                    }
+                    prop_assert_eq!(ring.base, snd_una);
+                    for seq in snd_una..next_seq + 2 {
+                        let at = (seq - ring.base) as usize;
+                        let in_ring = ring.slots.get(at).copied().filter(|&t| t != SendTimes::NONE);
+                        prop_assert_eq!(in_ring, map.get(&seq).copied(), "seq {}", seq);
+                    }
+                    prop_assert!(ring.slots.len() as u64 <= next_seq - snd_una);
+                    prop_assert!(map.keys().all(|&seq| seq >= snd_una));
+                }
+            }
+        }
     }
 }

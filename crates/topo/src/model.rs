@@ -32,6 +32,7 @@ use pels_netsim::sim::Agent;
 use pels_netsim::tcp::{TcpSink, TcpSource};
 use pels_netsim::time::{Rate, SimDuration, SimTime};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A bidirectional link between two routers. Rates and AQM designation are
 /// per direction; the propagation delay is shared (and must be positive so
@@ -407,6 +408,7 @@ pub fn compile(model: &TopoModel, spec: &TopoSpec) -> Result<CompiledTopo, SimEr
     }
 
     // --- Host agents, in host order (= global id order after routers). ---
+    let trace = Arc::new(default_trace());
     // Role of every host: (pair index, is_source).
     let mut role: Vec<Option<(usize, bool)>> = vec![None; n_hosts];
     for (pi, pair) in model.pairs.iter().enumerate() {
@@ -430,7 +432,7 @@ pub fn compile(model: &TopoModel, spec: &TopoSpec) -> Result<CompiledTopo, SimEr
                     dst: host_id(pair.dst_host),
                     start_at: start,
                     stop_at: stop.map(|d| SimTime::ZERO + d),
-                    trace: default_trace(),
+                    trace: Arc::clone(&trace),
                     cc: Default::default(),
                     gamma: Default::default(),
                     packet_bytes: 500,

@@ -2,7 +2,7 @@
 //!
 //! [`WireReceiver`] mirrors `pels_core::receiver::PelsReceiver` over real
 //! datagrams. Every data packet — one or several per datagram, the server
-//! coalesces — is recorded into a per-frame [`FrameReception`] and
+//! coalesces — is recorded into the receiver's [`FrameLog`] and
 //! immediately answered with a [`WireAck`] carrying the router's feedback
 //! label and the server's echoed rate back on the (uncongested) reverse
 //! path. The shared
@@ -18,12 +18,11 @@ use crate::serve::RX_SLOT_BYTES;
 use crate::telemetry_names::{rx_delay_metric, RX_HELLOS};
 use crate::transport::Transport;
 use pels_core::receiver::{NackConfig, NackTracker};
-use pels_fgs::decoder::{DecodedFrame, FrameReception, UtilityStats};
+use pels_fgs::decoder::{DecodedFrame, FrameLog, UtilityStats};
 use pels_netsim::packet::FlowId;
 use pels_netsim::stats::DelayRecorder;
 use pels_netsim::time::{SimDuration, SimTime};
 use pels_telemetry::Telemetry;
-use std::collections::BTreeMap;
 use std::io;
 use std::net::SocketAddr;
 
@@ -68,7 +67,7 @@ impl HeartbeatConfig {
 pub struct WireReceiver<T: Transport> {
     transport: T,
     cfg: WireReceiverConfig,
-    frames: BTreeMap<u64, FrameReception>,
+    frames: FrameLog,
     nack: Option<NackTracker>,
     max_frame_seen: u64,
     /// One-way delay statistics per color (uses the packet's embedded
@@ -94,7 +93,7 @@ impl<T: Transport> WireReceiver<T> {
         WireReceiver {
             transport,
             cfg,
-            frames: BTreeMap::new(),
+            frames: FrameLog::new(),
             nack,
             max_frame_seen: 0,
             delays: DelayRecorder::new(false),
@@ -124,24 +123,15 @@ impl<T: Transport> WireReceiver<T> {
         self.frames.len()
     }
 
-    /// Per-frame reception state, keyed by frame index.
-    pub fn receptions(&self) -> &BTreeMap<u64, FrameReception> {
-        &self.frames
-    }
-
-    /// Decodes every frame seen so far (FGS semantics: base all-or-
-    /// nothing, enhancement useful up to the first gap).
+    /// Decodes every frame seen so far, in frame order (FGS semantics:
+    /// base all-or-nothing, enhancement useful up to the first gap).
     pub fn decode_all(&self) -> Vec<DecodedFrame> {
-        self.frames.values().map(FrameReception::decode).collect()
+        self.frames.decode_all()
     }
 
     /// Aggregate decode utility over all frames seen.
     pub fn utility(&self) -> UtilityStats {
-        let mut stats = UtilityStats::new();
-        for d in self.decode_all() {
-            stats.add(&d);
-        }
-        stats
+        self.frames.utility()
     }
 
     /// NACKs actually emitted so far (base-layer requests only).
@@ -225,10 +215,9 @@ impl<T: Transport> WireReceiver<T> {
     fn on_data(&mut self, pkt: &WireData<'_>, now: SimTime) -> io::Result<()> {
         let tag = pkt.tag;
         self.max_frame_seen = self.max_frame_seen.max(tag.frame);
-        let rec = self.frames.entry(tag.frame).or_insert_with(|| {
-            FrameReception::with_counts(tag.frame, tag.total, tag.base, self.cfg.packet_bytes)
-        });
-        rec.mark_received_sized(tag.index, pkt.payload.len() as u32);
+        self.frames
+            .entry(tag.frame, tag.total, tag.base, self.cfg.packet_bytes)
+            .mark_received_sized(tag.index, pkt.payload.len() as u32);
         let class = pkt.class.min(2);
         self.received_by_color[class as usize] += 1;
         let delay_s = now.duration_since(pkt.sent_at).as_secs_f64();
@@ -251,7 +240,7 @@ impl<T: Transport> WireReceiver<T> {
 
     fn issue_nacks(&mut self) -> io::Result<()> {
         let Some(tracker) = self.nack.as_mut() else { return Ok(()) };
-        for tag in tracker.due(self.max_frame_seen, &self.frames) {
+        for tag in tracker.due(self.max_frame_seen, |g| self.frames.get(g)) {
             // Only base-layer packets are worth requesting: enhancement is
             // prefix-decodable loss-tolerant data (and the server would
             // refuse to repair it).
