@@ -39,9 +39,25 @@ esac
 echo "== docs name no removed flag, command or file =="
 # Spelled in halves so this file does not match itself.
 for gone in -"-no-batch" -"-batch-size" -"-ack-every" \
-    "pels be""nch " BENCH_"scale" BENCH_"wire" PELS_"BENCH_DIR" crit"erion" Crit"erion"; do
+    "pels be""nch " BENCH_"scale" BENCH_"wire" PELS_"BENCH_DIR" crit"erion" Crit"erion" \
+    W"fq" W"FQ"; do
   if grep -n -e "$gone" README.md DESIGN.md EXPERIMENTS.md; then
     echo "the docs still mention the removed $gone" >&2; exit 1
+  fi
+done
+
+echo "== the sender control path is wired once (pels_core::flow) =="
+# Eq. 8, the fresh-epoch bookkeeping, the watchdog, the epoch filter and
+# frame planning are called from `FlowControl` and nowhere else: a second
+# assembly in an adapter is how the stacks drifted before. Test modules
+# (everything from a file's `#[cfg(test)]` on) may call what they like.
+for f in $(find crates -path '*/src/*' -name '*.rs'); do
+  case "$f" in crates/core/src/flow.rs|crates/core/src/mkc.rs|crates/core/src/aimd.rs|\
+    crates/core/src/tfrc.rs|crates/core/src/gamma.rs|crates/core/src/feedback.rs) continue ;; esac
+  if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f" | grep -E \
+      '\.update_from\(|\.record_fresh\(|\.apply_staleness\(|EpochFilter::new|plan_frame\('; then
+    echo "$f assembles part of the sender control path; call pels_core::flow::FlowControl" >&2
+    exit 1
   fi
 done
 

@@ -2013,6 +2013,9 @@ mod tests {
         let mut zero_fps = base().trace;
         zero_fps.fps = 0.0;
         let no_frames = serde_json::from_str(r#"{"fps":10.0,"frames":[]}"#).unwrap();
+        // A frame with nothing to pace, and one whose 80 001 packets wrap
+        // the u16 packet index.
+        let one_frame = |base| pels_fgs::frame::VideoTrace::constant(1, 10.0, base, 0);
         let cases = [
             ("packet_bytes", ScenarioConfig { packet_bytes: 0, ..base() }),
             ("fps", ScenarioConfig { trace: zero_fps, ..base() }),
@@ -2020,6 +2023,8 @@ mod tests {
             ("access", ScenarioConfig { access: pels_netsim::time::Rate::ZERO, ..base() }),
             ("frames", ScenarioConfig { trace: no_frames, ..base() }),
             ("flows", ScenarioConfig { flows: vec![], ..base() }),
+            ("no_base", ScenarioConfig { trace: one_frame(0), ..base() }),
+            ("huge_frame", ScenarioConfig { trace: one_frame(40_000_000), ..base() }),
         ];
         for (what, cfg) in cases {
             let path = dir.join(format!("{what}.json"));

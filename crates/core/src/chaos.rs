@@ -341,7 +341,7 @@ pub fn run_case_instrumented(
     for i in 0..n {
         let src = s.source(i);
         green_sent += src.sent_by_color[0];
-        shed_frames += src.shed_red_frames + src.shed_yellow_frames;
+        shed_frames += src.control().shed_red_frames() + src.control().shed_yellow_frames();
         stale_decays += src.mkc().map_or(0, |m| m.stale_decays());
         green_received += s.receiver(i).received_by_color[0];
     }

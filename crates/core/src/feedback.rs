@@ -243,11 +243,13 @@ impl EpochFilter {
 
     /// Forgets the horizon so the next label is accepted unconditionally.
     ///
-    /// Sources call this when the staleness watchdog fires: if no feedback
-    /// has been fresh for a full timeout, the horizon itself is suspect — a
-    /// corrupted label may have jumped it past every genuine epoch, or the
-    /// router may have restarted with its epoch counter reset. Either way
-    /// the filter must re-anchor or the control loop stays deaf forever.
+    /// For when the staleness watchdog fires on a sender whose labels
+    /// cannot be old ([`FlowControl::reanchor`](crate::flow::FlowControl::reanchor)):
+    /// if no feedback has been fresh for a full timeout, the horizon itself
+    /// is suspect — a corrupted label may have jumped it past every genuine
+    /// epoch, or the router may have restarted with its epoch counter
+    /// reset. Either way the filter must re-anchor or the control loop
+    /// stays deaf forever.
     pub fn reset(&mut self) {
         self.last = None;
     }

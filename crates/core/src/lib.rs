@@ -11,8 +11,11 @@
 //!   the source-side freshness filter (Section 5.2).
 //! * [`router`] — the PELS AQM router (WRR + strict priority, Fig. 4) and
 //!   the uniform-loss best-effort comparator (Section 6.5).
-//! * [`source`] / [`receiver`] — streaming endpoints: rate scaling,
-//!   partitioning, packetization, pacing; prefix decoding, delay and
+//! * [`flow`] — the sender control core both stacks run: Eq. 4, Eq. 8, the
+//!   epoch filter, the stale-feedback watchdog, frame planning (rate
+//!   scaling, partitioning, packetization) and the planned-packet queue.
+//! * [`source`] / [`receiver`] — streaming endpoints: the timers, pacing,
+//!   ARQ and degradation policy around [`flow`]; prefix decoding, delay and
 //!   utility measurement.
 //! * [`scenario`] — the dumbbell evaluation topology (Fig. 6) with TCP
 //!   cross traffic on the sharded engine, plus serializable run reports;
@@ -41,6 +44,7 @@ pub mod aimd;
 pub mod chaos;
 pub mod color;
 pub mod feedback;
+pub mod flow;
 pub mod gamma;
 pub mod mkc;
 pub mod parallel;
@@ -56,6 +60,7 @@ pub mod tfrc;
 pub use aimd::{AimdConfig, AimdController};
 pub use color::Color;
 pub use feedback::{EpochFilter, FeedbackEstimator};
+pub use flow::{FlowControl, Planned};
 pub use gamma::{DelayedGammaController, GammaConfig, GammaController};
 pub use mkc::{MkcConfig, MkcController};
 pub use parallel::ParallelScenario;

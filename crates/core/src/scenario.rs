@@ -154,9 +154,9 @@ impl Default for ScenarioConfig {
 
 impl ScenarioConfig {
     /// Rejects values no scenario can run on — a zero link rate or packet
-    /// size, a frame rate that is not positive and finite, an empty trace
-    /// or flow list — before any of them reaches an agent that would
-    /// divide by it. (Delays are unsigned nanosecond counts: every
+    /// size, an empty flow list, a trace that fails
+    /// [`VideoTrace::validate`] — before any of them reaches an agent that
+    /// would divide by it. (Delays are unsigned nanosecond counts: every
     /// representable value is finite and non-negative.)
     pub fn validate(&self) -> Result<(), crate::SimError> {
         if self.flows.is_empty() {
@@ -170,13 +170,7 @@ impl ScenarioConfig {
         if self.packet_bytes == 0 || (self.n_tcp > 0 && self.tcp_packet_bytes == 0) {
             return Err(invalid_config("packet sizes must be positive"));
         }
-        if !(self.trace.fps.is_finite() && self.trace.fps > 0.0) {
-            return Err(invalid_config(format!("trace fps must be positive: {}", self.trace.fps)));
-        }
-        if self.trace.is_empty() {
-            return Err(invalid_config("a trace needs at least one frame"));
-        }
-        Ok(())
+        self.trace.validate(self.packet_bytes).map_err(invalid_config)
     }
 }
 
@@ -1027,6 +1021,7 @@ mod tests {
         let empty_trace: VideoTrace = serde_json::from_str(r#"{"fps":10.0,"frames":[]}"#).unwrap();
         let mut zero_fps = default_trace();
         zero_fps.fps = 0.0;
+        let frame_of = |base, enh| VideoTrace::constant(1, 10.0, base, enh);
         let bad: Vec<(&str, ScenarioConfig)> = vec![
             ("no flows", ScenarioConfig { flows: vec![], ..Default::default() }),
             ("bottleneck", ScenarioConfig { bottleneck: Rate::ZERO, ..Default::default() }),
@@ -1035,6 +1030,14 @@ mod tests {
             ("tcp_packet_bytes", ScenarioConfig { tcp_packet_bytes: 0, ..Default::default() }),
             ("fps", ScenarioConfig { trace: zero_fps, ..Default::default() }),
             ("frames", ScenarioConfig { trace: empty_trace, ..Default::default() }),
+            // Nothing to pace across the interval: the source would divide
+            // by a zero-packet plan.
+            ("no base layer", ScenarioConfig { trace: frame_of(0, 0), ..Default::default() }),
+            // 80 001 packets of 500 bytes wrap the u16 packet index.
+            (
+                "frame too big",
+                ScenarioConfig { trace: frame_of(40_000_000, 0), ..Default::default() },
+            ),
         ];
         for (what, cfg) in bad {
             let err = Scenario::try_build(cfg).expect_err(what);

@@ -7,15 +7,12 @@
 //! each *fresh* epoch (Section 5.2) drives one MKC step (Eq. 8) and one γ
 //! step (Eq. 4).
 
-use crate::aimd::{AimdConfig, AimdController};
 use crate::color::Color;
-use crate::feedback::EpochFilter;
-use crate::gamma::{GammaConfig, GammaController};
-use crate::mkc::{MkcConfig, MkcController};
-use crate::tfrc::{TfrcConfig, TfrcController};
-use pels_fgs::frame::{FrameSpec, VideoTrace};
-use pels_fgs::packetize::{packetize, PacketPlan};
-use pels_fgs::scaling::{partition_enhancement, scale_to_rate};
+pub use crate::flow::{CcSpec, SourceMode};
+use crate::flow::{FlowControl, Planned};
+use crate::gamma::GammaConfig;
+use crate::mkc::MkcController;
+use pels_fgs::frame::VideoTrace;
 use pels_netsim::fasthash::FastMap;
 use pels_netsim::packet::{AgentId, FlowId, FrameTag, Packet, PacketKind};
 use pels_netsim::port::Port;
@@ -24,84 +21,7 @@ use pels_netsim::stats::TimeSeries;
 use pels_netsim::time::SimDuration;
 use pels_telemetry::Telemetry;
 use std::any::Any;
-use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// How the source marks its enhancement packets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum SourceMode {
-    /// PELS: yellow/red partition driven by the γ controller.
-    Pels,
-    /// Best-effort comparator: the whole enhancement layer is one class
-    /// (yellow); γ is irrelevant.
-    BestEffort,
-}
-
-/// Which congestion controller a source runs. PELS itself is independent
-/// of the choice (paper Section 5) — AIMD is provided for the ablation
-/// demonstrating exactly that.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub enum CcSpec {
-    /// Max-min Kelly Control (the paper's choice).
-    Mkc(MkcConfig),
-    /// Additive increase, multiplicative decrease.
-    Aimd(AimdConfig),
-    /// TFRC-style equation-based control.
-    Tfrc(TfrcConfig),
-}
-
-impl Default for CcSpec {
-    fn default() -> Self {
-        CcSpec::Mkc(MkcConfig::default())
-    }
-}
-
-#[derive(Debug)]
-enum Cc {
-    Mkc(MkcController),
-    Aimd(AimdController),
-    Tfrc(TfrcController),
-}
-
-impl Cc {
-    fn new(spec: CcSpec) -> Self {
-        match spec {
-            CcSpec::Mkc(cfg) => Cc::Mkc(MkcController::new(cfg)),
-            CcSpec::Aimd(cfg) => Cc::Aimd(AimdController::new(cfg)),
-            CcSpec::Tfrc(cfg) => Cc::Tfrc(TfrcController::new(cfg)),
-        }
-    }
-
-    fn rate_bps(&self) -> f64 {
-        match self {
-            Cc::Mkc(m) => m.rate_bps(),
-            Cc::Aimd(a) => a.rate_bps(),
-            Cc::Tfrc(t) => t.rate_bps(),
-        }
-    }
-
-    fn update_from(&mut self, base_bps: f64, p: f64) -> f64 {
-        match self {
-            Cc::Mkc(m) => m.update_from(base_bps, p),
-            Cc::Aimd(a) => a.update(p),
-            Cc::Tfrc(t) => t.update(p),
-        }
-    }
-
-    fn mkc(&self) -> Option<&MkcController> {
-        match self {
-            Cc::Mkc(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    fn mkc_mut(&mut self) -> Option<&mut MkcController> {
-        match self {
-            Cc::Mkc(m) => Some(m),
-            _ => None,
-        }
-    }
-}
 
 /// Retransmission (ARQ) configuration for the comparator experiments.
 ///
@@ -246,61 +166,6 @@ const PROBE_TOKEN: u64 = 4;
 /// numbers are sequential from 0 and can never reach this value.
 pub const PROBE_FRAME: u64 = u64::MAX;
 
-/// Shed the red class when the controlled rate drops below this multiple of
-/// the current frame's base bitrate: close to the base floor, spending the
-/// scarce budget on droppable red packets only competes with the base layer
-/// on a degraded path. Public so the live wire source (`pels-wire`) applies
-/// the identical shedding policy.
-pub const RED_SHED_HEADROOM: f64 = 1.1;
-/// Within 5% of the base floor every enhancement byte is shed; only the
-/// base layer flows until the rate recovers.
-pub const YELLOW_SHED_HEADROOM: f64 = 1.05;
-
-/// What [`plan_frame`] shed from a frame that had it to lose.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Shed {
-    /// Nothing: the rate clears the base floor with headroom.
-    Nothing,
-    /// The red class ([`RED_SHED_HEADROOM`]).
-    Red,
-    /// All enhancement, yellow and red ([`YELLOW_SHED_HEADROOM`]).
-    Enhancement,
-}
-
-/// Plans one frame at the controlled rate — the one place Eq. 4's γ meets
-/// the packetizer, shared by the simulator source and both wire stacks:
-/// scale `spec` to `rate_bps`, split the enhancement into yellow and red by
-/// `gamma`, shed near the base floor, packetize.
-///
-/// Layer shedding: when the controlled rate collapses toward the
-/// base-layer floor (link failure, stale-feedback decay), the red class
-/// goes first and then all enhancement, so the base layer keeps flowing
-/// through the degraded path. It restores by itself once the rate recovers.
-pub fn plan_frame(
-    spec: &FrameSpec,
-    fps: f64,
-    rate_bps: f64,
-    gamma: f64,
-    packet_bytes: u32,
-) -> (Vec<PacketPlan>, Shed) {
-    let mut scaled = scale_to_rate(spec, rate_bps, fps);
-    let (mut yellow, mut red) = partition_enhancement(scaled.enhancement_bytes, gamma);
-    let base_floor_bps = f64::from(spec.base_bytes) * 8.0 * fps;
-    let mut shed = Shed::Nothing;
-    if rate_bps < YELLOW_SHED_HEADROOM * base_floor_bps {
-        if yellow > 0 || red > 0 {
-            shed = Shed::Enhancement;
-        }
-        yellow = 0;
-        red = 0;
-    } else if rate_bps < RED_SHED_HEADROOM * base_floor_bps && red > 0 {
-        shed = Shed::Red;
-        red = 0;
-    }
-    scaled.enhancement_bytes = yellow + red;
-    (packetize(&scaled, yellow, red, packet_bytes), shed)
-}
-
 /// Sentinel in [`Packet::ack_no`] marking a retransmitted data packet
 /// (whose `sent_at` is the original frame emission time and must not be
 /// refreshed at transmit time).
@@ -311,23 +176,15 @@ pub const RETX_MARKER: u64 = u64::MAX;
 pub struct PelsSource {
     cfg: SourceConfig,
     port: Port,
-    cc: Cc,
-    gamma: GammaController,
-    filter: EpochFilter,
-    frame_idx: u64,
+    /// Eq. 4, Eq. 8, the epoch filter, the watchdog, frame planning and the
+    /// planned-packet queue; this agent supplies the timers around it.
+    flow: FlowControl,
     seq: u64,
-    pending: VecDeque<Packet>,
     pace_gap: SimDuration,
     /// Packets sent per color (green, yellow, red).
     pub sent_by_color: [u64; 3],
     /// Frame packets that missed their interval and were abandoned.
     pub abandoned_packets: u64,
-    /// Frames whose red enhancement was shed because the rate collapsed
-    /// toward the base-layer floor.
-    pub shed_red_frames: u64,
-    /// Frames whose entire enhancement (yellow and red) was shed because
-    /// the rate fell below the base-layer floor.
-    pub shed_yellow_frames: u64,
     /// Retransmissions performed in response to NACKs.
     pub retransmissions: u64,
     /// Smoothed price p̂: EWMA of fresh feedback loss labels. `None` until
@@ -392,23 +249,16 @@ impl FlowMetricNames {
 impl PelsSource {
     /// Creates a source sending through `port` (its access link).
     pub fn new(cfg: SourceConfig, port: Port) -> Self {
-        let cc = Cc::new(cfg.cc);
-        let gamma = GammaController::new(cfg.gamma);
+        let flow = FlowControl::new(cfg.cc, cfg.gamma, cfg.mode);
         let metric = FlowMetricNames::new(cfg.flow);
         PelsSource {
             cfg,
             port,
-            cc,
-            gamma,
-            filter: EpochFilter::new(),
-            frame_idx: 0,
+            flow,
             seq: 0,
-            pending: VecDeque::new(),
             pace_gap: SimDuration::ZERO,
             sent_by_color: [0; 3],
             abandoned_packets: 0,
-            shed_red_frames: 0,
-            shed_yellow_frames: 0,
             retransmissions: 0,
             p_hat: None,
             below_floor_since: None,
@@ -437,12 +287,12 @@ impl PelsSource {
 
     /// The current congestion-controlled sending rate, bits/s.
     pub fn rate_bps(&self) -> f64 {
-        self.cc.rate_bps()
+        self.flow.rate_bps()
     }
 
     /// The current partition fraction γ.
     pub fn gamma(&self) -> f64 {
-        self.gamma.gamma()
+        self.flow.gamma()
     }
 
     /// Flow id of this source.
@@ -452,12 +302,17 @@ impl PelsSource {
 
     /// Number of frames emitted so far.
     pub fn frames_sent(&self) -> u64 {
-        self.frame_idx
+        self.flow.frames_planned()
+    }
+
+    /// The sender control core, read-only (shed counts, queue, MKC state).
+    pub fn control(&self) -> &FlowControl {
+        &self.flow
     }
 
     /// The MKC controller, when this source runs MKC (staleness state).
     pub fn mkc(&self) -> Option<&MkcController> {
-        self.cc.mkc()
+        self.flow.mkc()
     }
 
     /// Whether the degradation policy has starved this flow (DESIGN.md §11).
@@ -470,43 +325,46 @@ impl PelsSource {
         self.p_hat
     }
 
+    /// Stale-feedback watchdog cadence (MKC sources only): a quarter of the
+    /// timeout, so a fault is detected within 1.25 timeouts of the last
+    /// fresh epoch.
+    fn watchdog_period(&self) -> Option<SimDuration> {
+        self.flow.mkc().map(|m| m.config().stale_timeout / 4)
+    }
+
     /// Base bitrate of the frame about to be emitted, bits/s.
     fn current_base_floor_bps(&self) -> f64 {
         let trace = &self.cfg.trace;
-        f64::from(trace.frame(self.frame_idx).base_bytes) * 8.0 * trace.fps
+        f64::from(trace.frame(self.flow.frames_planned()).base_bytes) * 8.0 * trace.fps
     }
 
     /// Whether fresh feedback is currently steering the controller (the
     /// degradation policy stands down under stale feedback: the PR 1
     /// watchdog owns the rate there, and a stale p̂ must not starve flows).
     fn control_is_fresh(&self) -> bool {
-        self.p_hat.is_some() && self.cc.mkc().is_none_or(|m| !m.in_stale_fallback())
+        self.p_hat.is_some() && self.flow.mkc().is_none_or(|m| !m.in_stale_fallback())
     }
 
     fn emit_frame(&mut self, ctx: &mut Context<'_>) {
-        // Unsent packets from the previous frame interval have missed their
-        // deadline; drop them rather than let the backlog snowball.
-        self.abandoned_packets += self.pending.len() as u64;
-        self.pending.clear();
-
         // Departure: past `stop_at` the flow is gone — stop the frame clock
         // (and with it all emission) instead of rescheduling.
         if self.cfg.stop_at.is_some_and(|t| ctx.now >= t) {
+            self.abandoned_packets += self.flow.abandon();
             return;
         }
 
         let interval = SimDuration::from_secs_f64(self.cfg.trace.frame_interval_secs());
+        ctx.schedule_timer(interval, FRAME_TOKEN);
         if self.starved {
             // Starved: the frame clock keeps running so frame numbers stay
             // aligned with wall time, but nothing is emitted.
-            self.frame_idx += 1;
+            self.abandoned_packets += self.flow.skip_frame();
             self.starved_frames += 1;
-            ctx.schedule_timer(interval, FRAME_TOKEN);
             return;
         }
 
         let trace = &self.cfg.trace;
-        let spec = *trace.frame(self.frame_idx);
+        let base_bits = f64::from(trace.frame(self.flow.frames_planned()).base_bytes) * 8.0;
         // Base thinning: with the controlled rate pinned below the base
         // floor, emitting every base frame would overshoot the rate MKC
         // granted — exactly the aggregate overload behind the many-flow
@@ -516,70 +374,63 @@ impl PelsSource {
         // path, and blanking video on it would be self-inflicted damage.
         if self.cfg.degradation.enabled
             && self.control_is_fresh()
-            && self.cc.rate_bps() < f64::from(spec.base_bytes) * 8.0 * trace.fps
+            && self.flow.rate_bps() < base_bits * trace.fps
         {
-            self.base_credit_bits += self.cc.rate_bps() / trace.fps;
-            let base_bits = f64::from(spec.base_bytes) * 8.0;
+            self.base_credit_bits += self.flow.rate_bps() / trace.fps;
             if self.base_credit_bits < base_bits {
                 self.skipped_base_frames += 1;
-                self.frame_idx += 1;
-                ctx.schedule_timer(interval, FRAME_TOKEN);
+                self.abandoned_packets += self.flow.skip_frame();
                 return;
             }
             self.base_credit_bits -= base_bits;
         } else {
             self.base_credit_bits = 0.0;
         }
-        let gamma = match self.cfg.mode {
-            SourceMode::Pels => self.gamma.gamma(),
-            SourceMode::BestEffort => 0.0,
-        };
-        let (plan, shed) =
-            plan_frame(&spec, trace.fps, self.cc.rate_bps(), gamma, self.cfg.packet_bytes);
-        match shed {
-            Shed::Nothing => {}
-            Shed::Red => self.shed_red_frames += 1,
-            Shed::Enhancement => self.shed_yellow_frames += 1,
-        }
-        let total = plan.len() as u16;
-        let base = plan.iter().filter(|p| p.segment == pels_fgs::Segment::Base).count() as u16;
-        for pp in &plan {
-            let color = Color::from(pp.segment);
-            let mut pkt = Packet::data(self.cfg.flow, ctx.self_id, self.cfg.dst, pp.bytes)
-                .with_class(color.class())
-                .with_seq(self.seq)
-                .with_frame(FrameTag { frame: self.frame_idx, index: pp.index, total, base })
-                .with_id(ctx.alloc_packet_id());
-            pkt.sent_at = ctx.now; // refreshed at actual transmit time
-            self.seq += 1;
-            self.pending.push_back(pkt);
+        self.abandoned_packets += self.flow.plan_next(trace, self.cfg.packet_bytes);
+        let planned = self.flow.queued().len() as u64;
+        if planned == 0 {
+            return;
         }
         if let Some(arq) = self.cfg.arq {
-            let meta = plan.iter().map(|pp| (pp.bytes, Color::from(pp.segment).class())).collect();
-            self.retx_buffer.insert(self.frame_idx, (ctx.now, meta));
-            self.retx_buffer.retain(|&f, _| f + arq.buffer_frames > self.frame_idx);
+            let frame = self.flow.frames_planned() - 1;
+            let meta = self.flow.queued().map(|p| (p.bytes, p.class)).collect();
+            self.retx_buffer.insert(frame, (ctx.now, meta));
+            self.retx_buffer.retain(|&f, _| f + arq.buffer_frames > frame);
         }
-        self.frame_idx += 1;
         // Pace the frame's packets evenly across the interval (first packet
         // leaves immediately, the last one a gap before the next frame).
-        self.pace_gap = interval / plan.len() as u64;
+        self.pace_gap = interval / planned;
         ctx.schedule_timer(SimDuration::ZERO, PACE_TOKEN);
-        ctx.schedule_timer(interval, FRAME_TOKEN);
     }
 
+    /// Puts one data packet on the access link: this is where a planned
+    /// packet gets its id, sequence number, send time and the rate echo, as
+    /// the wire server builds its datagram at pace time.
+    fn transmit(&mut self, p: Planned, ctx: &mut Context<'_>) {
+        let mut pkt = Packet::data(self.cfg.flow, ctx.self_id, self.cfg.dst, p.bytes)
+            .with_class(p.class)
+            .with_seq(self.seq)
+            .with_frame(p.tag)
+            .with_id(ctx.alloc_packet_id());
+        self.seq += 1;
+        pkt.sent_at = p.repair_of.unwrap_or(ctx.now);
+        if p.repair_of.is_some() {
+            pkt.ack_no = RETX_MARKER;
+        }
+        pkt.rate_echo = self.flow.rate_bps();
+        self.port.send(pkt, ctx);
+    }
+
+    /// Releases the head of the queue.
     fn pace_one(&mut self, ctx: &mut Context<'_>) {
-        let Some(mut pkt) = self.pending.pop_front() else {
+        let Some(p) = self.flow.pop() else {
             return;
         };
-        if pkt.ack_no != RETX_MARKER {
-            pkt.sent_at = ctx.now;
-        }
-        pkt.rate_echo = self.cc.rate_bps();
-        if let Some(color) = Color::from_class(pkt.class) {
+        if let Some(color) = Color::from_class(p.class) {
             self.sent_by_color[color.class() as usize] += 1;
         }
-        self.port.send(pkt, ctx);
-        if !self.pending.is_empty() {
+        self.transmit(p, ctx);
+        if self.flow.head().is_some() {
             ctx.schedule_timer(self.pace_gap, PACE_TOKEN);
         }
     }
@@ -596,17 +447,9 @@ impl PelsSource {
         let Some(&(bytes, class)) = meta.get(tag.index as usize) else {
             return;
         };
-        let mut pkt = Packet::data(self.cfg.flow, ctx.self_id, self.cfg.dst, bytes)
-            .with_class(class)
-            .with_seq(self.seq)
-            .with_frame(tag)
-            .with_id(ctx.alloc_packet_id());
-        pkt.sent_at = *emitted_at;
-        pkt.ack_no = RETX_MARKER;
-        self.seq += 1;
         self.retransmissions += 1;
-        let was_idle = self.pending.is_empty();
-        self.pending.push_front(pkt);
+        let was_idle = self.flow.head().is_none();
+        self.flow.push_front(Planned { bytes, class, tag, repair_of: Some(*emitted_at) });
         if was_idle {
             ctx.schedule_timer(SimDuration::ZERO, PACE_TOKEN);
         }
@@ -654,7 +497,7 @@ impl PelsSource {
                 self.resume_ready_since = None;
             }
         } else {
-            let sustainable = self.cc.rate_bps() * (1.0 - p_hat.max(0.0));
+            let sustainable = self.flow.rate_bps() * (1.0 - p_hat.max(0.0));
             if sustainable < deg.floor_headroom * self.current_base_floor_bps() {
                 let since = *self.below_floor_since.get_or_insert(ctx.now);
                 let stagger = deg.patience_step.saturating_mul(id);
@@ -673,13 +516,13 @@ impl PelsSource {
     /// price implies unbounded goodput (spare capacity). Falls back to the
     /// flow's own `r·(1 − p̂)` for non-MKC controllers.
     fn implied_goodput_bps(&self, p_hat: f64) -> f64 {
-        match self.cc.mkc() {
+        match self.flow.mkc() {
             Some(m) if p_hat > 0.0 => {
                 let cfg = m.config();
                 cfg.alpha_bps / cfg.beta * (1.0 - p_hat) / p_hat
             }
             Some(_) => f64::INFINITY,
-            None => self.cc.rate_bps() * (1.0 - p_hat.max(0.0)),
+            None => self.flow.rate_bps() * (1.0 - p_hat.max(0.0)),
         }
     }
 
@@ -688,8 +531,7 @@ impl PelsSource {
         self.starve_events += 1;
         self.below_floor_since = None;
         self.resume_ready_since = None;
-        self.abandoned_packets += self.pending.len() as u64;
-        self.pending.clear();
+        self.abandoned_packets += self.flow.abandon();
         self.base_credit_bits = 0.0;
         if !self.probe_timer_armed {
             self.probe_timer_armed = true;
@@ -702,44 +544,32 @@ impl PelsSource {
     /// counting it as video data.
     fn send_probe(&mut self, ctx: &mut Context<'_>) {
         let tag = FrameTag { frame: PROBE_FRAME, index: 0, total: 1, base: 1 };
-        let mut pkt = Packet::data(self.cfg.flow, ctx.self_id, self.cfg.dst, self.cfg.packet_bytes)
-            .with_class(Color::Green.class())
-            .with_seq(self.seq)
-            .with_frame(tag)
-            .with_id(ctx.alloc_packet_id());
-        pkt.sent_at = ctx.now;
-        pkt.rate_echo = self.cc.rate_bps();
-        self.seq += 1;
+        let (bytes, class) = (self.cfg.packet_bytes, Color::Green.class());
         self.probes_sent += 1;
-        self.port.send(pkt, ctx);
+        self.transmit(Planned { bytes, class, tag, repair_of: None }, ctx);
     }
 
     fn apply_feedback(&mut self, pkt: &Packet, ctx: &mut Context<'_>) {
         let Some(fb) = pkt.feedback else { return };
-        if !self.filter.accept(&fb) {
+        // The rate echoed through the ACK is the one in effect when the
+        // acknowledged packet was sent.
+        if !self.flow.on_feedback(ctx.now, pkt.rate_echo, &fb) {
             return;
         }
-        // Eq. 8 base r(k - D): the rate echoed through the ACK, i.e. the
-        // rate in effect when the acknowledged packet was sent.
-        self.cc.update_from(pkt.rate_echo, fb.loss);
-        if let Some(m) = self.cc.mkc_mut() {
-            m.record_fresh(ctx.now);
-        }
         if self.cfg.mode == SourceMode::Pels {
-            self.gamma.update(fb.fgs_loss);
             self.update_degradation(fb.loss, ctx);
         }
         if self.cfg.keep_series {
             let t = ctx.now.as_secs_f64();
-            self.rate_series.push(t, self.cc.rate_bps() / 1_000.0);
-            self.gamma_series.push(t, self.gamma.gamma());
+            self.rate_series.push(t, self.flow.rate_bps() / 1_000.0);
+            self.gamma_series.push(t, self.flow.gamma());
             self.loss_series.push(t, fb.fgs_loss);
         }
         if self.telemetry.is_enabled() {
             let t = ctx.now.as_secs_f64();
             self.telemetry.counter_add(&self.metric.epochs, 1);
-            self.telemetry.sample(&self.metric.rate, t, self.cc.rate_bps() / 1_000.0);
-            self.telemetry.sample(&self.metric.gamma, t, self.gamma.gamma());
+            self.telemetry.sample(&self.metric.rate, t, self.flow.rate_bps() / 1_000.0);
+            self.telemetry.sample(&self.metric.gamma, t, self.flow.gamma());
             self.telemetry.sample(&self.metric.fgs_loss, t, fb.fgs_loss);
         }
     }
@@ -748,10 +578,7 @@ impl PelsSource {
 impl Agent for PelsSource {
     fn start(&mut self, ctx: &mut Context<'_>) {
         ctx.schedule_timer(self.cfg.start_at, START_TOKEN);
-        if let Some(m) = self.cc.mkc() {
-            // Stale-feedback watchdog: checked every quarter timeout so a
-            // fault is detected within 1.25 timeouts of the last fresh epoch.
-            let period = m.config().stale_timeout / 4;
+        if let Some(period) = self.watchdog_period() {
             ctx.schedule_timer(self.cfg.start_at + period, WATCHDOG_TOKEN);
         }
     }
@@ -780,23 +607,18 @@ impl Agent for PelsSource {
                 }
             }
             WATCHDOG_TOKEN => {
-                if let Some(m) = self.cc.mkc_mut() {
-                    let decayed = m.apply_staleness(ctx.now);
-                    let (rate, period) = (m.rate_bps(), m.config().stale_timeout / 4);
-                    if decayed {
-                        // A stale gap says nothing about the path: patience
-                        // accrued before it must not carry across.
-                        self.below_floor_since = None;
-                        if self.cfg.keep_series {
-                            self.rate_series.push(ctx.now.as_secs_f64(), rate / 1_000.0);
-                        }
-                        self.telemetry.counter_add(&self.metric.stale_decays, 1);
-                        self.telemetry.sample(
-                            &self.metric.rate,
-                            ctx.now.as_secs_f64(),
-                            rate / 1_000.0,
-                        );
+                if self.flow.on_stale_check(ctx.now) {
+                    // A stale gap says nothing about the path: patience
+                    // accrued before it must not carry across.
+                    self.below_floor_since = None;
+                    let (t, kbps) = (ctx.now.as_secs_f64(), self.flow.rate_bps() / 1_000.0);
+                    if self.cfg.keep_series {
+                        self.rate_series.push(t, kbps);
                     }
+                    self.telemetry.counter_add(&self.metric.stale_decays, 1);
+                    self.telemetry.sample(&self.metric.rate, t, kbps);
+                }
+                if let Some(period) = self.watchdog_period() {
                     ctx.schedule_timer(period, WATCHDOG_TOKEN);
                 }
             }
@@ -819,23 +641,23 @@ impl Agent for PelsSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mkc::MkcConfig;
     use pels_fgs::frame::foreman;
     use pels_netsim::disc::{DropTail, QueueLimit};
     use pels_netsim::packet::Feedback;
     use pels_netsim::sim::Simulator;
     use pels_netsim::time::{Rate, SimTime};
 
+    /// ACKs every data packet with the label `label(now)` gives it, if any.
     struct Recorder {
         got: Vec<Packet>,
-        reply_feedback: Option<Feedback>,
+        label: Box<dyn FnMut(SimTime) -> Option<Feedback> + Send>,
     }
     impl Agent for Recorder {
         fn on_packet(&mut self, p: Packet, ctx: &mut Context<'_>) {
             if p.kind == PacketKind::Data {
                 let mut ack = Packet::ack_for(&p, 40).with_id(ctx.alloc_packet_id());
-                if let Some(fb) = self.reply_feedback {
-                    ack.feedback = Some(fb);
-                }
+                ack.feedback = (self.label)(ctx.now);
                 ctx.deliver(ack.dst, SimDuration::from_millis(1), ack);
                 self.got.push(p);
             }
@@ -848,10 +670,10 @@ mod tests {
         }
     }
 
-    fn source_cfg(dst: AgentId) -> SourceConfig {
+    fn source_cfg() -> SourceConfig {
         SourceConfig {
             flow: FlowId(1),
-            dst,
+            dst: AgentId(1),
             start_at: SimDuration::ZERO,
             stop_at: None,
             trace: Arc::new(VideoTrace::constant(30, 10.0, 1_600, 10_000)),
@@ -865,21 +687,44 @@ mod tests {
         }
     }
 
-    fn build(mode: SourceMode, reply_feedback: Option<Feedback>) -> (Simulator, AgentId, AgentId) {
+    /// A source (agent 0) on a 10 Mb/s link to a [`Recorder`] (agent 1).
+    fn sim_with(
+        cfg: SourceConfig,
+        label: impl FnMut(SimTime) -> Option<Feedback> + Send + 'static,
+    ) -> Simulator {
         let mut sim = Simulator::new(5);
-        let src_id = AgentId(0);
-        let dst_id = AgentId(1);
         let port = Port::new(
             0,
-            dst_id,
+            cfg.dst,
             Rate::from_mbps(10.0),
             SimDuration::from_millis(1),
             Box::new(DropTail::new(QueueLimit::Packets(1000))),
         );
-        let cfg = SourceConfig { mode, ..source_cfg(dst_id) };
         sim.add_agent(Box::new(PelsSource::new(cfg, port)));
-        sim.add_agent(Box::new(Recorder { got: vec![], reply_feedback }));
-        (sim, src_id, dst_id)
+        sim.add_agent(Box::new(Recorder { got: vec![], label: Box::new(label) }));
+        sim
+    }
+
+    /// Every ACK carries the same label `reply_feedback`.
+    fn build(mode: SourceMode, reply_feedback: Option<Feedback>) -> (Simulator, AgentId, AgentId) {
+        let sim = sim_with(SourceConfig { mode, ..source_cfg() }, move |_| reply_feedback);
+        (sim, AgentId(0), AgentId(1))
+    }
+
+    /// Every ACK carries a fresh (incrementing) epoch; the loss label flips
+    /// from `loss_before` to `loss_after` at `switch_at_s`.
+    fn build_with_price(
+        degradation: DegradationConfig,
+        loss_before: f64,
+        loss_after: f64,
+        switch_at_s: f64,
+    ) -> Simulator {
+        let (mut epoch, switch_at) = (0, SimTime::from_secs_f64(switch_at_s));
+        sim_with(SourceConfig { degradation, ..source_cfg() }, move |now| {
+            epoch += 1;
+            let loss = if now < switch_at { loss_before } else { loss_after };
+            Some(Feedback::new(AgentId(7), epoch, loss, 0.0))
+        })
     }
 
     #[test]
@@ -937,7 +782,9 @@ mod tests {
     fn watchdog_decays_rate_when_feedback_goes_stale() {
         // One fresh epoch arrives early, then only duplicates: after the
         // stale timeout the watchdog multiplicatively decreases the rate
-        // down to the configured floor.
+        // down to the configured floor. The duplicates stay refused through
+        // every decay: the simulator's watchdog does not re-anchor the epoch
+        // filter (`FlowControl::reanchor` says why).
         let (mut sim, src, _dst) =
             build(SourceMode::Pels, Some(Feedback::new(AgentId(7), 5, -1.0, 0.0)));
         sim.run_until(SimTime::from_secs_f64(2.0));
@@ -950,99 +797,6 @@ mod tests {
             "decayed to the 64 kb/s floor, got {}",
             s.rate_bps()
         );
-    }
-
-    #[test]
-    fn sheds_red_then_yellow_as_rate_nears_base_floor() {
-        // Base bitrate is 128 kb/s (1600 B at 10 fps). At 135 kb/s the
-        // source is inside the red-shed band (< 1.1×base); at 130 kb/s it
-        // is inside the yellow-shed band (< 1.05×base).
-        for (kbps, expect_red_shed, expect_yellow_shed) in
-            [(135.0, true, false), (130.0, false, true)]
-        {
-            let mut sim = Simulator::new(5);
-            let dst_id = AgentId(1);
-            let port = Port::new(
-                0,
-                dst_id,
-                Rate::from_mbps(10.0),
-                SimDuration::from_millis(1),
-                Box::new(DropTail::new(QueueLimit::Packets(1000))),
-            );
-            let cfg = SourceConfig {
-                cc: CcSpec::Mkc(MkcConfig { initial: Rate::from_kbps(kbps), ..Default::default() }),
-                ..source_cfg(dst_id)
-            };
-            sim.add_agent(Box::new(PelsSource::new(cfg, port)));
-            sim.add_agent(Box::new(Recorder { got: vec![], reply_feedback: None }));
-            sim.run_until(SimTime::from_secs_f64(1.0));
-            let s = sim.agent::<PelsSource>(AgentId(0));
-            assert_eq!(s.sent_by_color[2], 0, "red shed at {kbps} kb/s");
-            assert_eq!(s.shed_red_frames > 0, expect_red_shed, "{kbps} kb/s");
-            assert_eq!(s.shed_yellow_frames > 0, expect_yellow_shed, "{kbps} kb/s");
-            if expect_red_shed {
-                assert!(s.sent_by_color[1] > 0, "yellow still flows in the red-shed band");
-            }
-            if expect_yellow_shed {
-                assert_eq!(s.sent_by_color[1], 0, "base-only below the yellow-shed floor");
-            }
-        }
-    }
-
-    /// ACKs every data packet with a fresh (incrementing) epoch; the loss
-    /// label flips from `loss_before` to `loss_after` at `switch_at`.
-    struct EpochRecorder {
-        got: Vec<Packet>,
-        epoch: u64,
-        loss_before: f64,
-        loss_after: f64,
-        switch_at: SimTime,
-    }
-    impl Agent for EpochRecorder {
-        fn on_packet(&mut self, p: Packet, ctx: &mut Context<'_>) {
-            if p.kind == PacketKind::Data {
-                self.epoch += 1;
-                let loss =
-                    if ctx.now < self.switch_at { self.loss_before } else { self.loss_after };
-                let mut ack = Packet::ack_for(&p, 40).with_id(ctx.alloc_packet_id());
-                ack.feedback = Some(Feedback::new(AgentId(7), self.epoch, loss, 0.0));
-                ctx.deliver(ack.dst, SimDuration::from_millis(1), ack);
-                self.got.push(p);
-            }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-    }
-
-    fn build_with_price(
-        degradation: DegradationConfig,
-        loss_before: f64,
-        loss_after: f64,
-        switch_at_s: f64,
-    ) -> Simulator {
-        let mut sim = Simulator::new(5);
-        let dst_id = AgentId(1);
-        let port = Port::new(
-            0,
-            dst_id,
-            Rate::from_mbps(10.0),
-            SimDuration::from_millis(1),
-            Box::new(DropTail::new(QueueLimit::Packets(1000))),
-        );
-        let cfg = SourceConfig { degradation, ..source_cfg(dst_id) };
-        sim.add_agent(Box::new(PelsSource::new(cfg, port)));
-        sim.add_agent(Box::new(EpochRecorder {
-            got: vec![],
-            epoch: 0,
-            loss_before,
-            loss_after,
-            switch_at: SimTime::from_secs_f64(switch_at_s),
-        }));
-        sim
     }
 
     #[test]
@@ -1085,7 +839,7 @@ mod tests {
         let s = sim.agent::<PelsSource>(AgentId(0));
         assert!(!s.is_starved(), "negative price resumes the flow");
         assert!(s.rate_bps() > 128_000.0, "rate recovered past the floor");
-        let got = &sim.agent::<EpochRecorder>(AgentId(1)).got;
+        let got = &sim.agent::<Recorder>(AgentId(1)).got;
         let resumed_video = got
             .iter()
             .filter(|p| p.frame.unwrap().frame != PROBE_FRAME)
@@ -1157,27 +911,17 @@ mod tests {
     fn paper_trace_base_is_21_green_packets() {
         // With the paper-literal Foreman trace, a base-only frame is 21
         // green packets of 500 bytes.
-        let mut sim = Simulator::new(5);
-        let dst_id = AgentId(1);
-        let port = Port::new(
-            0,
-            dst_id,
-            Rate::from_mbps(10.0),
-            SimDuration::from_millis(1),
-            Box::new(DropTail::new(QueueLimit::Packets(1000))),
-        );
         let cfg = SourceConfig {
             trace: Arc::new(foreman::trace()),
             cc: CcSpec::Mkc(MkcConfig {
                 initial: Rate::from_kbps(840.0), // exactly the base bitrate
                 ..Default::default()
             }),
-            ..source_cfg(dst_id)
+            ..source_cfg()
         };
-        sim.add_agent(Box::new(PelsSource::new(cfg, port)));
-        sim.add_agent(Box::new(Recorder { got: vec![], reply_feedback: None }));
+        let mut sim = sim_with(cfg, |_| None);
         sim.run_until(SimTime::from_secs_f64(0.55));
-        let got = &sim.agent::<Recorder>(dst_id).got;
+        let got = &sim.agent::<Recorder>(AgentId(1)).got;
         let frame0: Vec<_> = got.iter().filter(|p| p.frame.unwrap().frame == 0).collect();
         assert_eq!(frame0.len(), 21);
         assert!(frame0.iter().all(|p| p.class == 0 && p.size_bytes == 500));

@@ -66,6 +66,46 @@ impl VideoTrace {
         Self::new(fps, frames)
     }
 
+    /// Checks a trace that arrived from outside the program (a config file
+    /// deserializes around [`VideoTrace::new`]'s assertions) against the
+    /// packet size it will be cut into.
+    ///
+    /// # Errors
+    ///
+    /// `fps` must be positive and finite, there must be a frame, and every
+    /// frame needs a base layer (a sender paces a frame's packets across its
+    /// interval and a receiver decodes nothing without one) and, at full
+    /// size, must fit the `u16` packet index of a frame tag.
+    pub fn validate(&self, packet_bytes: u32) -> Result<(), String> {
+        if !(self.fps.is_finite() && self.fps > 0.0) {
+            return Err(format!("trace fps must be positive: {}", self.fps));
+        }
+        if self.frames.is_empty() {
+            return Err("a trace needs at least one frame".into());
+        }
+        if packet_bytes == 0 {
+            return Err("packet size must be positive".into());
+        }
+        for (i, f) in self.frames.iter().enumerate() {
+            if f.base_bytes == 0 {
+                return Err(format!("trace frame {i} has no base layer (base_bytes 0)"));
+            }
+            // Yellow and red are cut separately, so a split can add one
+            // packet to the two layers' own counts.
+            let packets = u64::from(f.base_bytes.div_ceil(packet_bytes))
+                + u64::from(f.enhancement_bytes.div_ceil(packet_bytes))
+                + 1;
+            if packets > u64::from(u16::MAX) {
+                return Err(format!(
+                    "trace frame {i} needs {packets} packets of {packet_bytes} bytes; \
+                     a frame holds at most {}",
+                    u16::MAX
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Number of frames.
     pub fn len(&self) -> usize {
         self.frames.len()

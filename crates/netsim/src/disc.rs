@@ -378,118 +378,6 @@ impl Discipline for Wrr {
     }
 }
 
-/// Random Early Detection (Floyd & Jacobson 1993), used as a classical AQM
-/// baseline. Operates on the EWMA of the queue length in packets.
-#[derive(Debug)]
-pub struct Red {
-    inner: DropTail,
-    /// EWMA weight `w_q`.
-    wq: f64,
-    min_th: f64,
-    max_th: f64,
-    max_p: f64,
-    avg: f64,
-    count_since_drop: i64,
-    rng: StdRng,
-    idle_since: Option<SimTime>,
-}
-
-impl Red {
-    /// Creates a RED queue with the classic parameterization.
-    ///
-    /// # Panics
-    ///
-    /// Panics if thresholds are not `0 < min_th < max_th` or probabilities
-    /// are out of `(0, 1]`.
-    pub fn new(limit: QueueLimit, min_th: f64, max_th: f64, max_p: f64, seed: u64) -> Self {
-        assert!(min_th > 0.0 && max_th > min_th, "need 0 < min_th < max_th");
-        assert!(max_p > 0.0 && max_p <= 1.0, "need max_p in (0,1]");
-        Red {
-            inner: DropTail::new(limit),
-            wq: 0.002,
-            min_th,
-            max_th,
-            max_p,
-            avg: 0.0,
-            count_since_drop: -1,
-            rng: StdRng::seed_from_u64(seed),
-            idle_since: None,
-        }
-    }
-
-    /// Current average queue estimate (packets).
-    pub fn avg_queue(&self) -> f64 {
-        self.avg
-    }
-
-    fn update_avg(&mut self, now: SimTime) {
-        if let Some(idle_start) = self.idle_since.take() {
-            // Decay the average across the idle period, approximating the
-            // number of packets that could have been transmitted.
-            let idle_slots = now.duration_since(idle_start).as_secs_f64() / 0.001;
-            self.avg *= (1.0 - self.wq).powf(idle_slots.min(1e6));
-        }
-        self.avg = (1.0 - self.wq) * self.avg + self.wq * self.inner.len_packets() as f64;
-    }
-
-    fn drop_probability(&self) -> f64 {
-        if self.avg < self.min_th {
-            0.0
-        } else if self.avg >= self.max_th {
-            1.0
-        } else {
-            self.max_p * (self.avg - self.min_th) / (self.max_th - self.min_th)
-        }
-    }
-}
-
-impl Discipline for Red {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn enqueue(&mut self, entry: QEntry, now: SimTime, dropped: &mut Vec<QEntry>) {
-        self.update_avg(now);
-        let pb = self.drop_probability();
-        let drop = if pb >= 1.0 {
-            true
-        } else if pb > 0.0 {
-            self.count_since_drop += 1;
-            let pa = pb / (1.0 - (self.count_since_drop as f64 * pb).min(0.9999));
-            self.rng.gen::<f64>() < pa
-        } else {
-            self.count_since_drop = -1;
-            false
-        };
-        if drop {
-            self.count_since_drop = 0;
-            dropped.push(entry);
-        } else {
-            self.inner.enqueue(entry, now, dropped);
-        }
-    }
-
-    fn dequeue(&mut self, now: SimTime) -> Option<QEntry> {
-        let entry = self.inner.dequeue(now);
-        if self.inner.is_empty() {
-            self.idle_since = Some(now);
-        }
-        entry
-    }
-
-    fn peek_size(&self) -> Option<u32> {
-        self.inner.peek_size()
-    }
-
-    fn len_packets(&self) -> usize {
-        self.inner.len_packets()
-    }
-
-    fn len_bytes(&self) -> u64 {
-        self.inner.len_bytes()
-    }
-}
-
 /// FIFO that drops arriving packets of class `>= protect_below` uniformly at
 /// random with a dynamically settable probability.
 ///
@@ -716,30 +604,6 @@ mod tests {
         let mut d = Vec::new();
         wrr.enqueue(ent(0, 0, 1500), SimTime::ZERO, &mut d);
         assert_eq!(wrr.dequeue(SimTime::ZERO).unwrap().size_bytes, 1500);
-    }
-
-    #[test]
-    fn red_drops_nothing_below_min_threshold() {
-        let mut red = Red::new(QueueLimit::Packets(100), 5.0, 15.0, 0.1, 7);
-        let mut d = Vec::new();
-        for i in 0..3u32 {
-            red.enqueue(ent(i, 0, 500), SimTime::ZERO, &mut d);
-            red.dequeue(SimTime::ZERO);
-        }
-        assert!(d.is_empty());
-    }
-
-    #[test]
-    fn red_drops_everything_above_max_threshold() {
-        let mut red = Red::new(QueueLimit::Packets(1000), 1.0, 5.0, 0.5, 7);
-        let mut d = Vec::new();
-        // Stuff the queue without draining: the average climbs past max_th
-        // and forced drops kick in.
-        for i in 0..5000u32 {
-            red.enqueue(ent(i, 0, 500), SimTime::ZERO, &mut d);
-        }
-        assert!(!d.is_empty(), "RED should eventually drop under sustained overload");
-        assert!(red.avg_queue() > 1.0);
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //!   byte-identical at every worker count ([`shard`]),
 //! * output ports that serialize one packet at a time over links with a
 //!   configurable rate and propagation delay ([`port`]),
-//! * composable queue disciplines — DropTail, RED, strict priority,
-//!   deficit-weighted round robin, a uniform-loss FIFO ([`disc`]), and
-//!   virtual-finish-time WFQ ([`wfq`]),
+//! * composable queue disciplines — DropTail, strict priority,
+//!   deficit-weighted round robin and a uniform-loss FIFO ([`disc`]),
 //! * a destination-routed store-and-forward router ([`router`]),
 //! * simplified TCP Reno cross traffic ([`tcp`]) and CBR load generators
 //!   ([`cbr`]),
@@ -85,7 +84,6 @@ pub mod sim;
 pub mod stats;
 pub mod tcp;
 pub mod time;
-pub mod wfq;
 
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use error::SimError;

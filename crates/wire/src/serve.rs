@@ -1,12 +1,13 @@
 //! The wire stack's one server loop: thousands of PELS flows, or one.
 //!
-//! [`ServeLoop`] is the only place in this crate where the paper's control
-//! path is assembled. `pels serve` runs it on UDP for thousands of
+//! [`ServeLoop`] is the only place in this crate that drives the paper's
+//! control path. `pels serve` runs it on UDP for thousands of
 //! flows; `pels live` and the wire chaos matrix run the same loop for one
 //! flow against a [`WireReceiver`](crate::WireReceiver) (DESIGN.md §9):
 //!
 //! * **Flow table** — a [`FlowTable`] keyed by flow id whose per-flow state
-//!   is a full MKC + γ control machine ([`ServeFlow`], Eq. 8 / Eq. 4),
+//!   ([`ServeFlow`]) wraps the one sender control core, `pels-core`'s
+//!   [`FlowControl`] (Eq. 8 / Eq. 4, epoch filter, watchdog, frame plan),
 //!   driven by client HELLO (register), ACK (feedback), NACK (repair) and
 //!   BYE (teardown, and the end of a stream) packets.
 //! * **Timer wheel** — frame emission and token-bucket pacing for every
@@ -54,11 +55,10 @@ use crate::telemetry_names::{
     SERVE_TX,
 };
 use crate::transport::{Datagram, Transport, UdpTransport};
-use pels_core::feedback::{EpochFilter, FeedbackEstimator};
-use pels_core::gamma::{GammaConfig, GammaController};
-use pels_core::mkc::{MkcConfig, MkcController};
-use pels_core::source::plan_frame;
-use pels_core::Color;
+use pels_core::feedback::FeedbackEstimator;
+use pels_core::flow::{CcSpec, FlowControl, Planned, SourceMode};
+use pels_core::gamma::GammaConfig;
+use pels_core::mkc::MkcConfig;
 use pels_fgs::frame::VideoTrace;
 use pels_netsim::clock::{Clock, MonotonicClock};
 use pels_netsim::hist::Histogram;
@@ -132,12 +132,13 @@ impl ServeConfig {
         }
     }
 
-    /// Checks the size that arrives from a command line.
+    /// Checks the values that arrive from a command line or a file.
     ///
     /// # Errors
     ///
     /// A data packet ([`MAX_PACKET_BYTES`]) must fit a peer's receive slot
-    /// ([`RX_SLOT_BYTES`]).
+    /// ([`RX_SLOT_BYTES`]), and the trace must pass
+    /// [`VideoTrace::validate`] at that packet size.
     pub fn validate(&self) -> Result<(), String> {
         if !(1..=MAX_PACKET_BYTES).contains(&self.packet_bytes) {
             return Err(format!(
@@ -146,7 +147,7 @@ impl ServeConfig {
                 self.packet_bytes
             ));
         }
-        Ok(())
+        self.trace.validate(self.packet_bytes)
     }
 }
 
@@ -227,14 +228,6 @@ pub struct FlowView {
     pub watchdog_trips: u64,
 }
 
-/// One planned-but-unsent packet of a flow's current frame.
-#[derive(Debug, Clone, Copy)]
-struct Pending {
-    bytes: u32,
-    class: u8,
-    tag: FrameTag,
-}
-
 /// Frames whose base layer a flow keeps repairable.
 pub const REPAIR_FRAMES: usize = 8;
 /// Repairs a flow grants per packet: a duplicated or replayed NACK cannot
@@ -249,26 +242,22 @@ pub const REPAIR_BUDGET: u64 = 65_536;
 #[derive(Debug, Default)]
 struct Repairs {
     /// Granted repairs awaiting tokens, each with its frame's emission
-    /// time. Not abandoned with `pending` at a frame boundary, but dropped
-    /// once their frame is [`REPAIR_FRAMES`] old.
-    queue: VecDeque<(Pending, SimTime)>,
+    /// time. Not abandoned with the frame plan at a frame boundary, but
+    /// dropped once their frame is [`REPAIR_FRAMES`] old.
+    queue: VecDeque<Planned>,
     /// Per history slot, the frame it counts for and the repairs granted
     /// per base packet of that frame.
     tries: [(u64, Vec<u8>); REPAIR_FRAMES],
     granted: u64,
 }
 
-/// Per-flow serve state: the full MKC + γ control machine plus the flow's
-/// pacing bucket and frame plan. Lives inside the [`FlowTable`] entry, so
-/// every byte here is paid per flow at registration.
+/// Per-flow serve state: the sender control core plus what is the wire's
+/// own — the pacing bucket and the repair ledger. Lives inside the
+/// [`FlowTable`] entry, so every byte here is paid per flow at registration.
 #[derive(Debug)]
 pub struct ServeFlow {
-    mkc: MkcController,
-    gamma: GammaController,
-    filter: EpochFilter,
-    frame_idx: u64,
+    flow: FlowControl,
     seq: u64,
-    pending: VecDeque<Pending>,
     /// When the latest frame was emitted. With the trace, that is all a
     /// repair needs remembered: the base layer is never scaled, so which
     /// base packets a frame had, and how long each was, follows from the
@@ -289,12 +278,8 @@ pub struct ServeFlow {
 impl ServeFlow {
     fn new(mkc: MkcConfig, gamma: GammaConfig) -> Self {
         ServeFlow {
-            mkc: MkcController::new(mkc),
-            gamma: GammaController::new(gamma),
-            filter: EpochFilter::new(),
-            frame_idx: 0,
+            flow: FlowControl::new(CcSpec::Mkc(mkc), gamma, SourceMode::Pels),
             seq: 0,
-            pending: VecDeque::new(),
             last_frame_at: SimTime::ZERO,
             repairs: None,
             tokens_bits: 0.0,
@@ -304,36 +289,22 @@ impl ServeFlow {
         }
     }
 
-    /// Plans the next frame at the current MKC rate ([`plan_frame`]).
-    /// Returns the packets abandoned: the previous interval's unsent ones
-    /// and the repairs that expired.
+    /// Plans the next frame at the current MKC rate. Returns the packets
+    /// abandoned: the previous interval's unsent ones and the repairs that
+    /// expired.
     fn emit_frame(&mut self, trace: &VideoTrace, packet_bytes: u32, now: SimTime) -> u64 {
-        let mut abandoned = self.pending.len() as u64;
-        self.pending.clear();
+        let mut abandoned = 0;
         // A repair still queued when its frame leaves the history has
         // missed every deadline it could have served: the queue holds at
         // most `REPAIR_TRIES` repairs of each base packet of the last
         // `REPAIR_FRAMES` frames, whatever the NACK stream.
         if let Some(r) = &mut self.repairs {
-            let queued = r.queue.len();
-            r.queue.retain(|(p, _)| p.tag.frame + REPAIR_FRAMES as u64 > self.frame_idx);
+            let (queued, next) = (r.queue.len(), self.flow.frames_planned());
+            r.queue.retain(|p| p.tag.frame + REPAIR_FRAMES as u64 > next);
             abandoned += (queued - r.queue.len()) as u64;
         }
-        let spec = *trace.frame(self.frame_idx);
-        let (plan, _shed) =
-            plan_frame(&spec, trace.fps, self.mkc.rate_bps(), self.gamma.gamma(), packet_bytes);
-        let total = plan.len() as u16;
-        let base = spec.base_bytes.div_ceil(packet_bytes) as u16;
-        for pp in &plan {
-            self.pending.push_back(Pending {
-                bytes: pp.bytes,
-                class: Color::from(pp.segment).class(),
-                tag: FrameTag { frame: self.frame_idx, index: pp.index, total, base },
-            });
-        }
         self.last_frame_at = now;
-        self.frame_idx += 1;
-        abandoned
+        abandoned + self.flow.plan_next(trace, packet_bytes)
     }
 
     /// Whether the pacer's next packet is a repair: repairs go out after the
@@ -341,23 +312,21 @@ impl ServeFlow {
     /// ahead of its enhancement, which is what they displace.
     fn repair_is_next(&self) -> bool {
         self.repairs.as_ref().is_some_and(|r| !r.queue.is_empty())
-            && self.pending.front().is_none_or(|p| p.class != 0)
+            && self.flow.head().is_none_or(|p| p.class != 0)
     }
 
-    /// The packet the pacer sends next, with its frame's emission time if
-    /// it is a repair.
-    fn head(&self) -> Option<(Pending, Option<SimTime>)> {
+    /// The packet the pacer sends next.
+    fn head(&self) -> Option<Planned> {
         if self.repair_is_next() {
-            let &(p, emitted_at) = self.repairs.as_ref()?.queue.front()?;
-            Some((p, Some(emitted_at)))
+            self.repairs.as_ref()?.queue.front().copied()
         } else {
-            self.pending.front().map(|&p| (p, None))
+            self.flow.head().copied()
         }
     }
 
     fn pop_head(&mut self) {
         if !self.repair_is_next() {
-            self.pending.pop_front();
+            self.flow.pop();
         } else if let Some(r) = &mut self.repairs {
             r.queue.pop_front();
         }
@@ -383,7 +352,7 @@ impl ServeFlow {
         frame_interval: SimDuration,
     ) -> Option<bool> {
         // Frames back from the latest one, if the history still holds it.
-        let age = self.frame_idx.checked_sub(1)?.checked_sub(tag.frame)?;
+        let age = self.flow.frames_planned().checked_sub(1)?.checked_sub(tag.frame)?;
         if age >= REPAIR_FRAMES as u64 {
             return None;
         }
@@ -415,7 +384,7 @@ impl ServeFlow {
         let emitted_at = SimTime::from_nanos(
             self.last_frame_at.as_nanos().saturating_sub(frame_interval.as_nanos() * age),
         );
-        repairs.queue.push_back((Pending { bytes, class: 0, tag }, emitted_at));
+        repairs.queue.push_back(Planned { bytes, class: 0, tag, repair_of: Some(emitted_at) });
         Some(true)
     }
 }
@@ -674,7 +643,7 @@ impl ServeRouter {
             // with a fresh label, the rate it was encoded with would fling
             // the controller back to wherever it was then.
             let _ = patch_feedback(&mut datagram, label);
-            let _ = patch_rate_echo(&mut datagram, entry.state.mkc.rate_bps());
+            let _ = patch_rate_echo(&mut datagram, entry.state.flow.rate_bps());
             self.tx_by_class[class] += 1;
             out.push(Datagram { buf: datagram, addr: entry.addr });
         }
@@ -800,11 +769,11 @@ impl<T: Transport> ServeLoop<T> {
     pub fn flow(&self, flow: FlowId) -> Option<FlowView> {
         let s = &self.flows.get(flow)?.state;
         Some(FlowView {
-            rate_bps: s.mkc.rate_bps(),
-            gamma: s.gamma.gamma(),
-            frames_sent: s.frame_idx,
+            rate_bps: s.flow.rate_bps(),
+            gamma: s.flow.gamma(),
+            frames_sent: s.flow.frames_planned(),
             retransmissions: s.retransmissions(),
-            watchdog_trips: s.mkc.stale_decays(),
+            watchdog_trips: s.flow.mkc().map_or(0, |m| m.stale_decays()),
         })
     }
 
@@ -976,18 +945,15 @@ impl<T: Transport> ServeLoop<T> {
         self.acks += 1;
         self.cfg.telemetry.counter_add(SERVE_ACKS, 1);
         let Some(fb) = ack.feedback else { return };
-        let s = &mut entry.state;
-        if !s.filter.accept(&fb) {
-            return;
-        }
-        s.mkc.update_from(ack.rate_echo, fb.loss);
-        s.mkc.record_fresh(now);
-        s.gamma.update(fb.fgs_loss);
-        if self.cfg.telemetry_per_flow && self.cfg.telemetry.is_enabled() {
+        let flow = &mut entry.state.flow;
+        if flow.on_feedback(now, ack.rate_echo, &fb)
+            && self.cfg.telemetry_per_flow
+            && self.cfg.telemetry.is_enabled()
+        {
             self.cfg.telemetry.sample(
                 &serve_flow_rate_metric(ack.flow.0),
                 now.as_secs_f64(),
-                s.mkc.rate_bps(),
+                flow.rate_bps(),
             );
         }
     }
@@ -1025,14 +991,14 @@ impl<T: Transport> ServeLoop<T> {
         let s = &mut entry.state;
         // One check per frame interval stands in for the source's
         // stale_timeout/4 watchdog cadence (same order of magnitude).
-        if s.mkc.apply_staleness(now) {
-            // A full timeout without fresh feedback means the epoch horizon
-            // itself may be wrong (a corrupted label that jumped it
-            // forward): re-anchor so the next genuine label is accepted.
-            s.filter.reset();
+        if s.flow.on_stale_check(now) {
+            // Labels are stamped at departure here, so none that arrives
+            // is old: a full timeout without a fresh one means the epoch
+            // horizon itself is wrong.
+            s.flow.reanchor();
         }
         let abandoned = s.emit_frame(&self.cfg.trace, self.cfg.packet_bytes, now);
-        let arm_pace = !s.pending.is_empty() && !s.pace_armed;
+        let arm_pace = s.flow.head().is_some() && !s.pace_armed;
         if arm_pace {
             s.pace_armed = true;
         }
@@ -1053,7 +1019,7 @@ impl<T: Transport> ServeLoop<T> {
         };
         let s = &mut entry.state;
         let packet_bits = f64::from(self.cfg.packet_bytes) * 8.0;
-        let rate = s.mkc.rate_bps();
+        let rate = s.flow.rate_bps();
         match s.last_pace {
             Some(last) => {
                 let dt = now.duration_since(last).as_secs_f64();
@@ -1081,7 +1047,7 @@ impl<T: Transport> ServeLoop<T> {
         }
         s.last_pace = Some(now);
         s.was_idle = false;
-        while let Some((p, repair_of)) = s.head() {
+        while let Some(p) = s.head() {
             let cost = f64::from(p.bytes) * 8.0;
             if s.tokens_bits < cost {
                 break;
@@ -1097,10 +1063,8 @@ impl<T: Transport> ServeLoop<T> {
                 seq: s.seq,
                 tag: p.tag,
                 class: p.class,
-                retransmission: repair_of.is_some(),
-                // A repair keeps its frame's emission time, so the
-                // receiver's delay accounting sees the full recovery latency.
-                sent_at: repair_of.unwrap_or(now),
+                retransmission: p.repair_of.is_some(),
+                sent_at: p.repair_of.unwrap_or(now),
                 rate_echo: rate,
                 feedback: None,
                 payload: &self.payload_pool[..p.bytes as usize],
@@ -1110,7 +1074,7 @@ impl<T: Transport> ServeLoop<T> {
             self.paced_by_class[usize::from(p.class.min(2))] += 1;
             self.router.enqueue(flow, datagram, p.class, p.bytes);
         }
-        if let Some((front, _)) = s.head() {
+        if let Some(front) = s.head() {
             let deficit_bits = (f64::from(front.bytes) * 8.0 - s.tokens_bits).max(0.0);
             let wait = SimDuration::from_secs_f64(deficit_bits / rate.max(1.0));
             self.wheel.schedule(now + wait, TimerEvent::Pace(flow));
@@ -1663,7 +1627,7 @@ mod tests {
             // most its depth (one frame interval's worth) plus what the
             // MKC rate refilled since.
             let flow = &lp.flows.get(FlowId(1)).unwrap().state;
-            assert_eq!(flow.mkc.rate_bps(), rate_bps);
+            assert_eq!(flow.flow.rate_bps(), rate_bps);
             let allowed = rate_bps * (0.1 + (ms + 1) as f64 / 1e3);
             assert!(bits as f64 <= allowed, "{bits} bits by {ms} ms, {allowed} allowed");
             // And it holds no more repairs than its history has packets to
@@ -1718,6 +1682,7 @@ mod tests {
             (|c| c.packet_bytes = 0) as fn(&mut ServeConfig),
             |c| c.packet_bytes = 3_000,
             |c| c.packet_bytes = 4_000_000_000,
+            |c| c.trace = VideoTrace::constant(1, 10.0, 0, 1_000),
         ] {
             assert_eq!(refused(bad).unwrap_err(), io::ErrorKind::InvalidInput);
         }

@@ -7,9 +7,15 @@
 //! the default gains (α = 20 kb/s, β = 0.5), `r* = 2 000 + 40 = 2 040 kb/s`.
 //! Both stacks must land within 5% of each other and of the closed form.
 
+use pels_core::receiver::NackConfig;
 use pels_core::scenario::{default_trace, FlowSpec, Scenario, ScenarioConfig};
-use pels_netsim::time::SimDuration;
+use pels_netsim::clock::{Clock, ManualClock};
+use pels_netsim::packet::FlowId;
+use pels_netsim::time::{Rate, SimDuration};
 use pels_wire::live::{run_live, LiveBackend, LiveConfig};
+use pels_wire::{
+    HeartbeatConfig, MemHub, ServeConfig, ServeLoop, WireReceiver, WireReceiverConfig,
+};
 
 /// The closed-form stationary rate for one flow at the default share/gains.
 const R_STAR_KBPS: f64 = 2_000.0 + 20.0 / 0.5;
@@ -53,6 +59,111 @@ fn wire_and_sim_agree_on_the_stationary_rate() {
         rel(wire_kbps, sim_kbps) < 0.05,
         "wire ({wire_kbps:.1} kb/s) and sim ({sim_kbps:.1} kb/s) disagree by more than 5%"
     );
+}
+
+/// Four flows share the same 2 Mb/s PELS capacity on both stacks: the first
+/// step of the sim↔wire differential oracle (end points, not yet the
+/// per-epoch trajectory). Lemma 6: `r* = C/N + α/β = 500 + 40 = 540 kb/s`.
+#[test]
+fn four_flows_find_the_same_fair_operating_point_on_both_stacks() {
+    const N: usize = 4;
+    const SECS: u64 = 30;
+    let r_star_kbps = 2_000.0 / N as f64 + 20.0 / 0.5;
+    let p_thr = pels_core::GammaConfig::default().p_thr;
+
+    // Simulator: the default dumbbell (4 Mb/s, 50 % PELS share), no TCP.
+    let mut scenario = Scenario::build(ScenarioConfig {
+        flows: vec![FlowSpec::default(); N],
+        n_tcp: 0,
+        keep_series: true,
+        ..ScenarioConfig::default()
+    });
+    scenario.run_for(SimDuration::from_secs(SECS));
+    let report = scenario.report();
+    let sim_kbps: Vec<f64> = (0..N)
+        .map(|i| {
+            let tail: Vec<f64> = scenario
+                .source(i)
+                .rate_series
+                .iter()
+                .filter(|(t, _)| *t >= (SECS - 1) as f64)
+                .map(|&(_, kbps)| kbps)
+                .collect();
+            tail.iter().sum::<f64>() / tail.len() as f64
+        })
+        .collect();
+    let sim_gamma: Vec<f64> = report.flows.iter().map(|f| f.final_gamma).collect();
+    let sim_gamma_star = report.router_final_fgs_loss / p_thr;
+
+    // Wire: one `ServeLoop` and four decoding receivers on the in-memory
+    // hub, polled every millisecond of a manual clock (receivers first, so
+    // a HELLO is queued before the server's poll — `live::Session`'s order).
+    let addr = |port: u16| -> std::net::SocketAddr { ([127, 0, 0, 1], port).into() };
+    let (hub, clock) = (MemHub::new(), ManualClock::new());
+    let mut server = ServeLoop::new(
+        ServeConfig {
+            capacity: Rate::from_mbps(2.0),
+            packet_bytes: 500,
+            trace: default_trace(),
+            color_limits: [200, 200, 50], // the simulated router's
+            ..ServeConfig::new(addr(9000))
+        },
+        hub.endpoint(addr(9000)),
+        None,
+    );
+    let mut receivers: Vec<_> = (1..=N as u32)
+        .map(|f| {
+            let cfg = WireReceiverConfig {
+                flow: FlowId(f),
+                feedback_to: addr(9000),
+                nack: Some(NackConfig::default()),
+                packet_bytes: 500,
+                heartbeat: Some(HeartbeatConfig::new(addr(9000))),
+            };
+            WireReceiver::new(cfg, hub.endpoint(addr(9000 + f as u16)))
+        })
+        .collect();
+    let mut tail_sum = [0.0; N];
+    for ms in 0..SECS * 1_000 {
+        let now = clock.now();
+        for rx in &mut receivers {
+            rx.poll(now).unwrap();
+        }
+        server.poll(now).unwrap();
+        if ms >= (SECS - 1) * 1_000 {
+            for (f, sum) in tail_sum.iter_mut().enumerate() {
+                *sum += server.flow(FlowId(f as u32 + 1)).expect("registered").rate_bps;
+            }
+        }
+        clock.advance(SimDuration::from_millis(1));
+    }
+    let wire_kbps = tail_sum.map(|sum| sum / 1_000.0 / 1_000.0);
+    let wire_gamma: Vec<f64> =
+        (1..=N as u32).map(|f| server.flow(FlowId(f)).unwrap().gamma).collect();
+    let wire_gamma_star = server.report(clock.now()).fgs_loss / p_thr;
+
+    let rel = |a: f64, b: f64| (a - b).abs() / b;
+    let jain = |x: &[f64]| {
+        x.iter().sum::<f64>().powi(2) / (N as f64 * x.iter().map(|v| v * v).sum::<f64>())
+    };
+    for f in 0..N {
+        let (sim, wire) = (sim_kbps[f], wire_kbps[f]);
+        assert!(rel(sim, r_star_kbps) < 0.05, "sim flow {f}: {sim:.1} vs r* {r_star_kbps}");
+        assert!(rel(wire, r_star_kbps) < 0.05, "wire flow {f}: {wire:.1} vs r* {r_star_kbps}");
+        assert!(rel(wire, sim) < 0.05, "flow {f}: wire {wire:.1} vs sim {sim:.1} kb/s");
+        assert!(
+            (sim_gamma[f] - sim_gamma_star).abs() < 0.05,
+            "sim γ {} vs {sim_gamma_star}",
+            sim_gamma[f]
+        );
+        assert!(
+            (wire_gamma[f] - wire_gamma_star).abs() < 0.05,
+            "wire γ {} vs {wire_gamma_star}",
+            wire_gamma[f]
+        );
+    }
+    assert!(jain(&sim_kbps) >= 0.99, "sim rates {sim_kbps:?}");
+    assert!(jain(&wire_kbps) >= 0.99, "wire rates {wire_kbps:?}");
 }
 
 #[test]
