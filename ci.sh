@@ -61,6 +61,21 @@ for f in $(find crates -path '*/src/*' -name '*.rs'); do
   fi
 done
 
+echo "== tx-completes are scheduled in one place (netsim::port) =="
+# A port schedules a completion only when a packet waits behind the one on
+# the wire (41 % of the shared bottleneck's events were idle completions
+# before). `Ev::Tx` is built by the queue's own conversions (event.rs), by
+# `Context::schedule_tx_complete_at` (sim.rs) and, through it, by `Port`
+# alone: a second, eager scheduling site must not come back.
+for f in $(find crates -path '*/src/*' -name '*.rs'); do
+  case "$f" in crates/netsim/src/event.rs|crates/netsim/src/sim.rs|crates/netsim/src/port.rs) continue ;; esac
+  if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f" | grep -E \
+      'Ev::Tx|schedule_tx_complete'; then
+    echo "$f schedules a tx-complete; only netsim::port::Port does" >&2
+    exit 1
+  fi
+done
+
 echo "== cargo test (workspace) =="
 # --workspace again: the root package's `cargo test` alone skips every
 # member crate's unit tests (CLI, netsim, wire, ...).
@@ -80,6 +95,14 @@ echo "== memory budget (live heap per flow, optimised layout) =="
 # faster than 64-byte frame records explain. The workspace run above checks
 # the debug build; this is the layout benchmark/'s rss_kb_per_flow measures.
 cargo test -q --release --test memory_budget
+
+echo "== report digests and event budget (optimised build) =="
+# tests/report_digests.rs pins the serialized reports of six small
+# configurations to digests recorded before ports stopped scheduling idle
+# completions; tests/event_budget.rs holds events per bottleneck packet at
+# or under 9. Both ran in the debug build above; a report must not depend
+# on the profile either, and release is what the benchmark runs.
+cargo test -q --release --test report_digests --test event_budget
 
 echo "== run_all (every figure and ablation regenerates its tracked CSV) =="
 # Each binary asserts its own shape targets, and results/ is a function of

@@ -1,8 +1,9 @@
 //! The discrete-event queue.
 //!
-//! Events are ordered by `(time, sequence)`: the sequence number is a
-//! monotone counter assigned at scheduling time, so events scheduled for the
-//! same instant fire in FIFO order. This makes every simulation run
+//! Events are ordered by `(time, sequence)`: the sequence number comes from
+//! a monotone counter at scheduling time (or ahead of it, see "Reserved
+//! sequence numbers"), so events scheduled for the same instant fire in
+//! FIFO order. This makes every simulation run
 //! bit-reproducible for a fixed seed — a hard invariant of this workspace
 //! (see the property tests in this module and in `tests/`).
 //!
@@ -17,10 +18,27 @@
 //! * **Arenas.** Packet payloads (~140 bytes) live in a free-list slab
 //!   and ride through the queue as a [`PacketSlot`] handle; the rare
 //!   fault actions live in a second slab. Heap sifts therefore move 32
-//!   bytes per swap instead of a whole packet, and a packet is copied
-//!   exactly twice on its way through a hop (once into the arena when the
-//!   source hands it over, once out on final delivery) — queue disciplines
-//!   and ports shuffle [`PacketSlot`]s, not payloads.
+//!   bytes per swap instead of a whole packet. A packet is copied twice
+//!   per hop: into the arena when [`crate::port::Port::send`] stashes it,
+//!   and out again when the arrival at the next agent is dispatched (the
+//!   agent gets the packet by value). In between — queued in a discipline,
+//!   serializing, propagating — only its [`PacketSlot`] moves.
+//!
+//! # Reserved sequence numbers
+//!
+//! A caller may take a sequence number now (`reserve_seq`) and schedule an
+//! event under it later (`schedule_ev_seq`), or never. An event scheduled
+//! late fires exactly where it would have fired had it been scheduled at
+//! reservation time, because its key is the same; an event never
+//! scheduled just leaves a gap, and a gap changes no comparison between
+//! the keys that remain. The queue also remembers the key of the last
+//! event popped, so "has the key I reserved fired yet?" (`has_fired`) has
+//! an answer without the event existing. Output ports are the user: the
+//! completion of a transmission that nothing queues behind is reserved,
+//! compared against, and never scheduled ([`crate::port`]), while every
+//! surviving event keeps the `(time, seq)` key — and so the place in the
+//! pop order, same-nanosecond ties included — that it had when each
+//! completion was an event.
 //!
 //! # Batched draining
 //!
@@ -218,6 +236,9 @@ pub struct EventQueue {
     packets: Slab<Packet>,
     fault_slab: Slab<FaultAction>,
     next_seq: u64,
+    /// One past the key of the last event popped: every key below it has
+    /// fired, every key at or above it has not. Zero until the first pop.
+    fired_fence: u128,
 }
 
 impl EventQueue {
@@ -291,8 +312,34 @@ impl EventQueue {
 
     /// Schedules a compact event (the allocation-free hot path).
     pub(crate) fn schedule_ev(&mut self, time: SimTime, ev: Ev) {
+        let seq = self.reserve_seq();
+        self.schedule_ev_seq(time, seq, ev);
+    }
+
+    /// Takes the next sequence number without scheduling anything. The
+    /// caller may later hand it to [`EventQueue::schedule_ev_seq`], or never:
+    /// a gap in the sequence changes no comparison between the keys that
+    /// remain (see the module docs, "Reserved sequence numbers").
+    pub(crate) fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    /// Whether the key `(time, seq)` lies at or before the last event
+    /// popped — during a dispatch, at or before the event being dispatched.
+    /// An event scheduled under that key would have fired by now.
+    pub(crate) fn has_fired(&self, time: SimTime, seq: u64) -> bool {
+        Self::key(time, seq) < self.fired_fence
+    }
+
+    /// Schedules a compact event under a sequence number taken earlier with
+    /// [`EventQueue::reserve_seq`]: it fires exactly where it would have had
+    /// it been scheduled at reservation time. Each reserved number may be
+    /// used once, and only while its key has not fired.
+    pub(crate) fn schedule_ev_seq(&mut self, time: SimTime, seq: u64, ev: Ev) {
+        debug_assert!(seq < self.next_seq, "sequence number {seq} was never reserved");
+        debug_assert!(!self.has_fired(time, seq), "scheduling into the past: {time:?} #{seq}");
         let entry = Entry { key: Self::key(time, seq), ev };
         if !self.run.is_empty() && entry.key < self.run_ceiling {
             // Fires before the fence: sorted insert into the hot run.
@@ -334,7 +381,13 @@ impl EventQueue {
         if self.run.is_empty() {
             self.refill();
         }
-        self.run.pop().map(|e| (e.time(), e.ev))
+        self.run.pop().map(|e| self.fire(e))
+    }
+
+    /// Marks a popped entry as fired and unpacks it.
+    fn fire(&mut self, e: Entry) -> (SimTime, Ev) {
+        self.fired_fence = e.key + 1;
+        (e.time(), e.ev)
     }
 
     /// Like [`EventQueue::pop_entry`], but only yields events at or before
@@ -354,7 +407,7 @@ impl EventQueue {
             u128::from(end.as_nanos()) << 64
         };
         match self.run.last() {
-            Some(e) if e.key < fence => self.run.pop().map(|e| (e.time(), e.ev)),
+            Some(e) if e.key < fence => self.run.pop().map(|e| self.fire(e)),
             _ => None,
         }
     }
@@ -564,6 +617,75 @@ mod proptests {
                 last_popped = t;
             }
             prop_assert!(q.is_empty());
+        }
+
+        /// Reserving a sequence number and scheduling under it late — at any
+        /// point before its key fires, interleaved with plain schedules and
+        /// pops — yields the pop sequence of a queue in which every reserved
+        /// event was scheduled at reservation time (minus the ones never
+        /// scheduled at all), and `has_fired` tracks the last popped key.
+        #[test]
+        fn late_scheduling_under_a_reserved_seq_pops_like_eager(
+            script in proptest::collection::vec((0u8..4, 0u64..40), 1..400)
+        ) {
+            let timer = |token: u64| Ev::Timer { agent: AgentId(0), token };
+            let mut lazy = EventQueue::new();
+            let mut eager = EventQueue::new();
+            // The model's own sequence counter, and each token's number.
+            let mut next_seq = 0u64;
+            let mut seq_of = std::collections::HashMap::new();
+            // Reserved and not yet scheduled: (time, seq, token).
+            let mut pending: Vec<(SimTime, u64, u64)> = Vec::new();
+            let mut never_scheduled: Vec<u64> = Vec::new();
+            let mut popped: Vec<(SimTime, Ev)> = Vec::new();
+            let mut last_key: Option<(SimTime, u64)> = None;
+            for (token, (op, arg)) in script.into_iter().enumerate() {
+                let token = token as u64;
+                let now = last_key.map_or(SimTime::ZERO, |(t, _)| t);
+                let at = SimTime::from_nanos(now.as_nanos() + arg);
+                match op {
+                    0 | 1 => {
+                        seq_of.insert(token, next_seq);
+                        if op == 0 {
+                            lazy.schedule_ev(at, timer(token));
+                        } else {
+                            let seq = lazy.reserve_seq();
+                            prop_assert_eq!(seq, next_seq);
+                            pending.push((at, seq, token));
+                        }
+                        eager.schedule_ev(at, timer(token));
+                        next_seq += 1;
+                    }
+                    2 if !pending.is_empty() => {
+                        let (at, seq, token) = pending.swap_remove(arg as usize % pending.len());
+                        let fired = last_key.is_some_and(|last| (at, seq) <= last);
+                        prop_assert_eq!(lazy.has_fired(at, seq), fired);
+                        if fired {
+                            never_scheduled.push(token);
+                        } else {
+                            lazy.schedule_ev_seq(at, seq, timer(token));
+                        }
+                    }
+                    2 => {}
+                    _ => {
+                        if let Some((t, ev)) = lazy.pop_entry() {
+                            let Ev::Timer { token, .. } = ev else { unreachable!() };
+                            last_key = Some((t, seq_of[&token]));
+                            popped.push((t, ev));
+                        }
+                    }
+                }
+            }
+            never_scheduled.extend(pending.iter().map(|p| p.2));
+            while let Some(e) = lazy.pop_entry() {
+                popped.push(e);
+            }
+            let reference: Vec<(SimTime, Ev)> = std::iter::from_fn(|| eager.pop_entry())
+                .filter(|(_, ev)| {
+                    !matches!(ev, Ev::Timer { token, .. } if never_scheduled.contains(token))
+                })
+                .collect();
+            prop_assert_eq!(popped, reference);
         }
     }
 }

@@ -26,7 +26,10 @@ pub enum EntryKind {
         /// Size in bytes.
         bytes: u32,
     },
-    /// A port of the target agent finished serializing a packet.
+    /// A port of the target agent finished serializing a packet while
+    /// another was waiting behind it. A transmission nobody queued behind
+    /// ends without an event ([`crate::port`]), so it leaves no entry; the
+    /// arrival of its packet at the far end is the record of it.
     TxComplete {
         /// Port index within the agent.
         port: usize,

@@ -36,7 +36,9 @@ pub trait Agent: Any + Send {
     /// Called when a timer scheduled with [`Context::schedule_timer`] fires.
     fn on_timer(&mut self, _token: u64, _ctx: &mut Context<'_>) {}
 
-    /// Called when output port `port` finishes serializing a packet.
+    /// Called when output port `port` finishes serializing a packet and
+    /// has another waiting; forward it to [`crate::port::Port::on_tx_complete`].
+    /// A port with nothing queued completes silently.
     fn on_tx_complete(&mut self, _port: usize, _ctx: &mut Context<'_>) {}
 
     /// Called when a scripted fault targets this agent (see
@@ -168,11 +170,25 @@ impl Context<'_> {
         self.queue.schedule_ev(at, Ev::Arrival { dst, slot });
     }
 
-    /// Schedules a transmit-complete callback for port `port` of the current
-    /// agent, `delay` from now. Used by [`crate::port::Port`].
-    pub fn schedule_tx_complete(&mut self, port: usize, delay: SimDuration) {
+    /// Reserves the event-queue sequence number a transmit-complete
+    /// scheduled now would take. [`crate::port::Port`] holds on to it and
+    /// schedules the event only if a packet ends up waiting.
+    pub(crate) fn reserve_seq(&mut self) -> u64 {
+        self.queue.reserve_seq()
+    }
+
+    /// Schedules the transmit-complete callback for port `port` of the
+    /// current agent at `at`, under a sequence number from
+    /// [`Context::reserve_seq`].
+    pub(crate) fn schedule_tx_complete_at(&mut self, port: usize, at: SimTime, seq: u64) {
         let port = u32::try_from(port).expect("port index overflow");
-        self.queue.schedule_ev(self.now + delay, Ev::Tx { agent: self.self_id, port });
+        self.queue.schedule_ev_seq(at, seq, Ev::Tx { agent: self.self_id, port });
+    }
+
+    /// Whether an event keyed `(at, seq)` would have fired by now: its key
+    /// is at or before that of the event being dispatched.
+    pub(crate) fn has_fired(&self, at: SimTime, seq: u64) -> bool {
+        self.queue.has_fired(at, seq)
     }
 
     /// Allocates a fresh globally-unique packet id.
@@ -394,7 +410,9 @@ impl Simulator {
         self.now
     }
 
-    /// Total number of events processed so far.
+    /// Total number of events processed so far: arrivals, timers, faults
+    /// and the transmit-completes that had a packet waiting. A transmission
+    /// that ends on an idle port is not an event ([`crate::port`]).
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }

@@ -526,10 +526,10 @@ pub fn bottlenecks(model: &TopoModel, spec: &TopoSpec) -> Vec<Bottleneck> {
                     }
                     _ => None,
                 })
-                // An empty f64 sum folds from -0.0; normalize so reports
-                // never print `-0`.
-                .sum::<f64>()
-                .max(0.0);
+                // `Iterator::sum` folds from -0.0, and whether
+                // `(-0.0).max(0.0)` keeps the sign depends on the build
+                // profile: fold from +0.0 so reports never print `-0`.
+                .fold(0.0, |sum, bps| sum + bps);
             let tcp_flows = model
                 .pairs
                 .iter()

@@ -104,7 +104,9 @@ pub struct TopoReport {
     pub cut_links: usize,
     /// Simulated horizon, seconds.
     pub duration_s: f64,
-    /// Events processed across all shards.
+    /// Events processed across all shards. Transmissions that end on an
+    /// idle port are not events (`pels_netsim::port`), so this counts
+    /// arrivals, timers and the completions that dequeue.
     pub events: u64,
     /// Mean decode utility across receivers (paper Eq. 3).
     pub mean_utility: f64,

@@ -1,0 +1,111 @@
+//! Byte-identity as a gate of its own (DESIGN.md, "Reserved sequence
+//! numbers").
+//!
+//! Every report is a pure function of (config, seed), and an engine change
+//! that claims to leave behaviour alone must leave every byte of it alone.
+//! The tracked `results/` CSVs show that only after `run_all`; these tests
+//! pin the FNV-1a digest of the serialized report for a handful of small
+//! configurations — the shared PELS dumbbell at 1 and 2 workers, the
+//! chained layout, best-effort mode, a run under a `FaultSchedule`, and a
+//! generated topology — so `cargo test` alone says whether a byte moved.
+//!
+//! The values were recorded on the commit *before* output ports stopped
+//! scheduling idle tx-completes. A digest that changes is a behaviour
+//! change: explain it in EXPERIMENTS.md and re-record, or fix the code.
+
+use pels_core::scenario::{
+    chained_proportional_config, pels_flows, to_best_effort, Scenario, ScenarioConfig,
+};
+use pels_netsim::faults::{FaultAction, FaultSchedule};
+use pels_netsim::packet::AgentId;
+use pels_netsim::time::SimTime;
+use pels_topo::{TopoScenario, TopoSpec};
+
+/// FNV-1a 64-bit, as `benchmark/`'s `report_digest` computes it.
+fn digest(serialized: &str) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in serialized.as_bytes() {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x1_0000_01b3);
+    }
+    format!("{h:016x}")
+}
+
+fn shared_dumbbell(n: usize) -> ScenarioConfig {
+    ScenarioConfig { flows: pels_flows(&vec![0.0; n]), keep_series: false, ..Default::default() }
+}
+
+fn scenario_digest(
+    cfg: ScenarioConfig,
+    workers: usize,
+    secs: f64,
+    faults: Option<&FaultSchedule>,
+) -> String {
+    let mut s = Scenario::build(cfg);
+    s.set_workers(workers);
+    if let Some(schedule) = faults {
+        s.install_faults(schedule);
+    }
+    s.run_until(SimTime::from_secs_f64(secs));
+    digest(&serde_json::to_string(&s.report()).expect("report serializes"))
+}
+
+#[test]
+fn shared_dumbbell_digest_is_pinned_at_one_and_two_workers() {
+    for workers in [1, 2] {
+        assert_eq!(
+            scenario_digest(shared_dumbbell(16), workers, 8.0, None),
+            "20a713565dfda98e",
+            "workers={workers}"
+        );
+    }
+}
+
+#[test]
+fn chained_digest_is_pinned() {
+    assert_eq!(scenario_digest(chained_proportional_config(8), 2, 8.0, None), "45ff602d0edc8703");
+}
+
+#[test]
+fn best_effort_digest_is_pinned() {
+    assert_eq!(
+        scenario_digest(to_best_effort(shared_dumbbell(8)), 2, 8.0, None),
+        "5090d98659383b8a"
+    );
+}
+
+/// The bottleneck port is cut mid-transmission, restored, flushed and
+/// degraded: every `Port` path besides plain sending (`set_link_up`,
+/// `restart`, `flush`, `set_rate_factor`) shapes this report.
+#[test]
+fn faulted_run_digest_is_pinned() {
+    let r1 = AgentId(0); // scenario layout: agent 0 is the AQM bottleneck
+    let at = SimTime::from_secs_f64;
+    let mut faults = FaultSchedule::new();
+    faults
+        .link_outage(r1, 0, at(2.0), at(2.6))
+        .flush_at(r1, at(3.5))
+        .degraded_window(r1, 0, 0.35, at(4.5), at(6.0))
+        .push(at(7.0), r1, FaultAction::LinkDown { port: 0 })
+        .push(at(7.0), r1, FaultAction::LinkUp { port: 0 });
+    assert_eq!(scenario_digest(shared_dumbbell(8), 2, 9.0, Some(&faults)), "71cccf57ef0578f7");
+}
+
+/// `TopoReport.events` is the one field of any report that counts events,
+/// and idle completions are no longer events; everything else — rates,
+/// deviations, utilities, TCP deliveries over multi-hop WRR routers — is
+/// pinned with that field zeroed.
+#[test]
+fn topo_digest_is_pinned_with_events_zeroed() {
+    let spec = TopoSpec::from_shorthand("waxman:routers=12,flows=8,seed=1").expect("valid spec");
+    let mut sc = TopoScenario::build(spec);
+    sc.set_workers(2);
+    sc.run_until(SimTime::from_secs_f64(5.0));
+    let mut report = sc.report();
+    assert!(report.events > 0);
+    report.events = 0;
+    assert_eq!(
+        digest(&serde_json::to_string(&report).expect("report serializes")),
+        "6e0f2dd91a6f578e"
+    );
+}
