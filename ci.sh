@@ -46,6 +46,10 @@ for gone in -"-no-batch" -"-batch-size" -"-ack-every" \
   fi
 done
 
+# A source file up to its test module (everything from `#[cfg(test)]` on may
+# call what it likes), each line prefixed with file and line number.
+non_test_code() { awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$1"; }
+
 echo "== the sender control path is wired once (pels_core::flow) =="
 # Eq. 8, the fresh-epoch bookkeeping, the watchdog, the epoch filter and
 # frame planning are called from `FlowControl` and nowhere else: a second
@@ -54,7 +58,7 @@ echo "== the sender control path is wired once (pels_core::flow) =="
 for f in $(find crates -path '*/src/*' -name '*.rs'); do
   case "$f" in crates/core/src/flow.rs|crates/core/src/mkc.rs|crates/core/src/aimd.rs|\
     crates/core/src/tfrc.rs|crates/core/src/gamma.rs|crates/core/src/feedback.rs) continue ;; esac
-  if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f" | grep -E \
+  if non_test_code "$f" | grep -E \
       '\.update_from\(|\.record_fresh\(|\.apply_staleness\(|EpochFilter::new|plan_frame\('; then
     echo "$f assembles part of the sender control path; call pels_core::flow::FlowControl" >&2
     exit 1
@@ -69,9 +73,23 @@ echo "== tx-completes are scheduled in one place (netsim::port) =="
 # alone: a second, eager scheduling site must not come back.
 for f in $(find crates -path '*/src/*' -name '*.rs'); do
   case "$f" in crates/netsim/src/event.rs|crates/netsim/src/sim.rs|crates/netsim/src/port.rs) continue ;; esac
-  if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f" | grep -E \
+  if non_test_code "$f" | grep -E \
       'Ev::Tx|schedule_tx_complete'; then
     echo "$f schedules a tx-complete; only netsim::port::Port does" >&2
+    exit 1
+  fi
+done
+
+echo "== packets reach another shard through the lane only (netsim::{shard,sim}) =="
+# A barrier batch is installed as the destination queue's lane and merged
+# at pop (netsim::event, "The cross-shard lane"); wrapping a packet in an
+# `Event` and injecting it — a stash, a heap push and a sift per packet,
+# 26 % of the shared bottleneck's events — must not come back beside it.
+# `Simulator::inject` is for routing faults to their shard.
+for f in crates/netsim/src/shard.rs crates/netsim/src/sim.rs; do
+  if non_test_code "$f" | grep -E \
+      'Event::PacketArrival'; then
+    echo "$f builds a packet-arrival event; cross-shard packets go through the lane" >&2
     exit 1
   fi
 done
@@ -96,13 +114,16 @@ echo "== memory budget (live heap per flow, optimised layout) =="
 # the debug build; this is the layout benchmark/'s rss_kb_per_flow measures.
 cargo test -q --release --test memory_budget
 
-echo "== report digests and event budget (optimised build) =="
-# tests/report_digests.rs pins the serialized reports of six small
+echo "== report digests, event budget and exchange budget (optimised build) =="
+# tests/report_digests.rs pins the serialized reports of seven small
 # configurations to digests recorded before ports stopped scheduling idle
-# completions; tests/event_budget.rs holds events per bottleneck packet at
-# or under 9. Both ran in the debug build above; a report must not depend
-# on the profile either, and release is what the benchmark runs.
-cargo test -q --release --test report_digests --test event_budget
+# completions (the run with control faults across the cut: before the
+# lane); tests/event_budget.rs holds events per bottleneck packet at or
+# under 9; tests/exchange_budget.rs pins the event, cross-event and barrier
+# counts of a cut dumbbell and bounds the arrivals that miss the lane. All
+# ran in the debug build above; a report must not depend on the profile
+# either, and release is what the benchmark runs.
+cargo test -q --release --test report_digests --test event_budget --test exchange_budget
 
 echo "== run_all (every figure and ablation regenerates its tracked CSV) =="
 # Each binary asserts its own shape targets, and results/ is a function of

@@ -51,9 +51,40 @@
 //! `RUN_BATCH` cache-hot entries) exactly when it must fire before the
 //! fence, and in the heap otherwise. Keys are unique, which makes the fence
 //! exact: total pop order is identical to a pure heap, bit for bit.
+//!
+//! # The cross-shard lane
+//!
+//! A shard of a [`crate::shard::ShardedSimulator`] receives the packets
+//! other shards sent it as one batch per window barrier, already sorted in
+//! merge order. Pushing such a batch through the heap — a stash, a push and
+//! a cache-cold sift per packet, all undone at most a window later — buys
+//! nothing, because the batch *is* a queue: `install_lane` numbers its
+//! entries with consecutive sequence numbers, front to back, and keeps the
+//! `Vec` as it came; a pop takes whichever of the lane's head and the run's
+//! tail has the smaller key, and a popped lane entry is stashed in the arena
+//! and leaves as the ordinary `Ev::Arrival`, so nothing downstream can
+//! tell where an arrival waited.
+//!
+//! *Equal keys, equal order.* The numbers an installed batch gets are the
+//! ones `schedule` would have handed out had each arrival been scheduled at
+//! the barrier, in batch order, so every entry holds the `(time, seq)` key
+//! it would hold in the heap. Sorted by time and numbered in that order, the
+//! batch ascends by key, so its head is its minimum; the run's tail is the
+//! minimum of everything else; keys are unique; the smaller of the two is
+//! the global minimum. Pop order is a function of the keys alone, which is
+//! why it is identical, ties included, to scheduling the batch.
+//!
+//! *Leftovers go through the heap.* A window can end with lane entries
+//! unfired (a cross link slower than the lookahead, or a `run_until` that
+//! stops mid-window). The next batch may interleave with them, and two
+//! sorted sequences are not one: `take_lane` schedules the leftovers into
+//! the heap under the keys they already hold — `schedule_ev_seq`, as for
+//! any reserved number — and hands back the emptied buffer for the next
+//! batch to arrive in.
 
 use crate::faults::FaultAction;
 use crate::packet::{AgentId, Packet};
+use crate::shard::CrossEvent;
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -209,6 +240,10 @@ impl PartialOrd for Entry {
 /// large enough to amortize the drain loop.
 const RUN_BATCH: usize = 128;
 
+/// Above every key an event can hold (sequence numbers stop short of
+/// `u64::MAX`): what an empty run or lane compares as.
+const NO_KEY: u128 = u128::MAX;
+
 /// Priority queue of pending events.
 ///
 /// # Examples
@@ -239,6 +274,10 @@ pub struct EventQueue {
     /// One past the key of the last event popped: every key below it has
     /// fired, every key at or above it has not. Zero until the first pop.
     fired_fence: u128,
+    /// The last barrier's cross-shard arrivals, ascending by `(time, seq)`
+    /// from `lane_head` on; entries before it have fired.
+    lane: Vec<CrossEvent>,
+    lane_head: usize,
 }
 
 impl EventQueue {
@@ -378,16 +417,7 @@ impl EventQueue {
 
     /// Removes and returns the earliest compact event, or `None` when empty.
     pub(crate) fn pop_entry(&mut self) -> Option<(SimTime, Ev)> {
-        if self.run.is_empty() {
-            self.refill();
-        }
-        self.run.pop().map(|e| self.fire(e))
-    }
-
-    /// Marks a popped entry as fired and unpacks it.
-    fn fire(&mut self, e: Entry) -> (SimTime, Ev) {
-        self.fired_fence = e.key + 1;
-        (e.time(), e.ev)
+        self.pop_below(NO_KEY)
     }
 
     /// Like [`EventQueue::pop_entry`], but only yields events at or before
@@ -398,50 +428,124 @@ impl EventQueue {
         end: SimTime,
         inclusive: bool,
     ) -> Option<(SimTime, Ev)> {
+        let end = u128::from(end.as_nanos()) + u128::from(inclusive);
+        self.pop_below(end << 64)
+    }
+
+    /// Pops the earliest event if its key is below `fence`: the smaller of
+    /// the run's tail and the lane's head.
+    fn pop_below(&mut self, fence: u128) -> Option<(SimTime, Ev)> {
         if self.run.is_empty() {
             self.refill();
         }
-        let fence = if inclusive {
-            (u128::from(end.as_nanos()) + 1) << 64
-        } else {
-            u128::from(end.as_nanos()) << 64
-        };
-        match self.run.last() {
-            Some(e) if e.key < fence => self.run.pop().map(|e| self.fire(e)),
-            _ => None,
+        let run = self.run.last().map_or(NO_KEY, |e| e.key);
+        let lane = self.lane.get(self.lane_head).map_or(NO_KEY, |e| Self::key(e.time, e.seq));
+        if run.min(lane) >= fence {
+            return None;
         }
+        if run < lane {
+            self.run.pop().map(|e| self.fire(e))
+        } else {
+            Some(self.pop_lane(lane))
+        }
+    }
+
+    /// Fires the lane's head (key `key`): the packet moves into the arena
+    /// and leaves as the arrival it would have been in the heap.
+    fn pop_lane(&mut self, key: u128) -> (SimTime, Ev) {
+        let head = &self.lane[self.lane_head];
+        let (dst, packet) = (head.dst, head.packet.clone());
+        self.lane_head += 1;
+        let ev = Ev::Arrival { dst, slot: self.stash_packet(packet) };
+        self.fire(Entry { key, ev })
+    }
+
+    /// Marks a popped entry as fired and unpacks it.
+    fn fire(&mut self, e: Entry) -> (SimTime, Ev) {
+        self.fired_fence = e.key + 1;
+        (e.time(), e.ev)
+    }
+
+    /// Empties the lane and returns its buffer (capacity kept) with the
+    /// number of arrivals that had not fired: those are scheduled through
+    /// the heap under the keys they hold (module docs, "The cross-shard
+    /// lane").
+    pub(crate) fn take_lane(&mut self) -> (Vec<CrossEvent>, usize) {
+        let mut lane = std::mem::take(&mut self.lane);
+        let head = std::mem::take(&mut self.lane_head);
+        let leftovers = lane.len() - head;
+        for e in lane.drain(..).skip(head) {
+            let slot = self.stash_packet(e.packet);
+            self.schedule_ev_seq(e.time, e.seq, Ev::Arrival { dst: e.dst, slot });
+        }
+        (lane, leftovers)
+    }
+
+    /// Makes `batch` — sorted by fire time, ties in the order they are to
+    /// fire — the lane: each entry's `seq` is overwritten with the next
+    /// sequence number, so it fires exactly where `schedule` at this moment
+    /// would have put it. The previous lane must have been taken
+    /// ([`EventQueue::take_lane`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch begins at or before the last event popped.
+    pub(crate) fn install_lane(&mut self, mut batch: Vec<CrossEvent>) {
+        debug_assert_eq!(self.lane.len(), self.lane_head, "the previous lane was not taken");
+        self.lane_head = 0;
+        for e in &mut batch {
+            e.seq = self.reserve_seq();
+        }
+        debug_assert!(batch.windows(2).all(|w| w[0].time <= w[1].time), "lane batch not sorted");
+        // The head is the batch's smallest key: one check covers them all.
+        if let Some(head) = batch.first() {
+            assert!(
+                !self.has_fired(head.time, head.seq),
+                "cross-shard arrival at {:?} lands in the past",
+                head.time
+            );
+        }
+        self.lane = batch;
     }
 
     /// Removes and returns the earliest event, or `None` when empty.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
         let (time, ev) = self.pop_entry()?;
-        let event = match ev {
+        Some((time, self.unpack(ev)))
+    }
+
+    /// Turns a popped compact event back into an [`Event`], taking its
+    /// payload out of the arenas.
+    fn unpack(&mut self, ev: Ev) -> Event {
+        match ev {
             Ev::Arrival { dst, slot } => {
                 Event::PacketArrival { dst, packet: self.take_packet(slot) }
             }
             Ev::Tx { agent, port } => Event::TxComplete { agent, port: port as usize },
             Ev::Timer { agent, token } => Event::Timer { agent, token },
             Ev::Fault { agent, idx } => Event::Fault { agent, action: self.take_fault(idx) },
-        };
-        Some((time, event))
+        }
     }
 
     /// Time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match self.run.last() {
+        let queued = match self.run.last() {
             Some(e) => Some(e.time()),
             None => self.heap.peek().map(Entry::time),
-        }
+        };
+        let lane = self.lane.get(self.lane_head).map(|e| e.time);
+        // `None` sorts first, so `min` alone would lose the other side.
+        queued.into_iter().chain(lane).min()
     }
 
-    /// Number of pending events.
+    /// Number of pending events, the lane's unfired arrivals included.
     pub fn len(&self) -> usize {
-        self.run.len() + self.heap.len()
+        self.run.len() + self.heap.len() + (self.lane.len() - self.lane_head)
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.run.is_empty() && self.heap.is_empty()
+        self.len() == 0
     }
 }
 
@@ -555,6 +659,107 @@ mod tests {
         }
         assert_eq!(seen.len(), 301);
         assert_eq!(seen[0], 900, "inserted event must fire in key order");
+    }
+}
+
+#[cfg(test)]
+mod lane_tests {
+    use super::*;
+    use crate::packet::{FlowId, PacketId};
+
+    pub(super) fn arrival(at: u64, id: u64) -> CrossEvent {
+        let packet = Packet::data(FlowId(0), AgentId(0), AgentId(1), 500).with_id(PacketId(id));
+        // Install numbers the batch itself: whatever `seq` held is gone.
+        CrossEvent {
+            time: SimTime::from_nanos(at),
+            src_shard: 0,
+            seq: u64::MAX - id,
+            dst: AgentId(1),
+            packet,
+        }
+    }
+
+    fn timer(token: u64) -> Event {
+        Event::Timer { agent: AgentId(0), token }
+    }
+
+    /// What fired, as the packet id of an arrival or the token of a timer.
+    fn label((t, ev): (SimTime, Event)) -> (u64, &'static str, u64) {
+        match ev {
+            Event::PacketArrival { packet, .. } => (t.as_nanos(), "pkt", packet.id.0),
+            Event::Timer { token, .. } => (t.as_nanos(), "timer", token),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn lane_and_heap_merge_by_key_with_ties_in_scheduling_order() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(20), timer(0)); // seq 0
+        q.install_lane(vec![arrival(10, 1), arrival(20, 2), arrival(20, 3), arrival(30, 4)]);
+        q.schedule(SimTime::from_nanos(20), timer(5)); // after the batch: fires behind it
+        q.schedule(SimTime::from_nanos(5), timer(6));
+        assert_eq!(q.len(), 7);
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(5)));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(label).collect();
+        assert_eq!(
+            order,
+            vec![
+                (5, "timer", 6),
+                (10, "pkt", 1),
+                (20, "timer", 0),
+                (20, "pkt", 2),
+                (20, "pkt", 3),
+                (20, "timer", 5),
+                (30, "pkt", 4),
+            ]
+        );
+        assert!(q.is_empty());
+        assert_eq!(q.live_packets(), 0, "every lane packet passed through the arena and left");
+    }
+
+    #[test]
+    fn the_lane_counts_as_pending_and_honours_the_pop_fence() {
+        let mut q = EventQueue::new();
+        q.install_lane(vec![arrival(10, 1), arrival(20, 2)]);
+        assert_eq!((q.len(), q.is_empty()), (2, false));
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(10)));
+        assert_eq!(q.live_packets(), 0, "a waiting lane entry holds no arena slot");
+        let at = SimTime::from_nanos;
+        assert!(q.pop_entry_before(at(10), false).is_none());
+        assert!(q.pop_entry_before(at(10), true).is_some());
+        assert!(q.has_fired(at(10), 0), "a lane pop moves the fired fence");
+        assert!(!q.has_fired(at(20), 1));
+        assert!(q.pop_entry_before(at(19), true).is_none());
+        assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    fn taking_the_lane_sends_leftovers_through_the_heap_under_their_keys() {
+        let mut q = EventQueue::new();
+        q.install_lane(vec![arrival(10, 1), arrival(40, 2), arrival(50, 3)]);
+        assert_eq!(label(q.pop().unwrap()), (10, "pkt", 1));
+        let (buffer, leftovers) = q.take_lane();
+        assert_eq!((buffer.len(), leftovers), (0, 2));
+        assert!(buffer.capacity() >= 3, "the buffer goes back to the exchange with its capacity");
+        assert_eq!((q.len(), q.live_packets()), (2, 2));
+        // The next batch interleaves with the leftovers; a tie goes to the
+        // leftover, which was numbered a barrier earlier.
+        q.install_lane(vec![arrival(30, 4), arrival(40, 5), arrival(60, 6)]);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(label).collect();
+        assert_eq!(
+            order,
+            vec![(30, "pkt", 4), (40, "pkt", 2), (40, "pkt", 5), (50, "pkt", 3), (60, "pkt", 6)]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "lands in the past")]
+    fn a_batch_that_begins_in_the_past_is_refused() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(50), timer(0));
+        q.pop();
+        q.install_lane(vec![arrival(40, 1)]);
     }
 }
 
@@ -686,6 +891,100 @@ mod proptests {
                 })
                 .collect();
             prop_assert_eq!(popped, reference);
+        }
+
+        /// The lane against its specification: any interleaving of plain
+        /// schedules, reserved numbers scheduled late, installed batches,
+        /// taken lanes and (bounded) pops yields the pop sequence of a queue
+        /// in which every batch entry was `schedule`d, in batch order, at
+        /// the moment its batch was installed — and the two queues agree on
+        /// `len` and `peek_time` after every step.
+        #[test]
+        fn the_lane_pops_like_scheduling_the_batch(
+            script in proptest::collection::vec(
+                (0u8..7, 0u64..40, proptest::collection::vec(0u64..30, 0..6)),
+                1..300,
+            )
+        ) {
+            let timer = |token: u64| Ev::Timer { agent: AgentId(0), token };
+            let mut lane = EventQueue::new();
+            let mut plain = EventQueue::new();
+            // Reserved on both queues and not yet scheduled: (time, seq, token).
+            let mut pending: Vec<(SimTime, u64, u64)> = Vec::new();
+            let mut now = SimTime::ZERO;
+            for (token, (op, arg, offsets)) in script.into_iter().enumerate() {
+                let token = token as u64;
+                let at = SimTime::from_nanos(now.as_nanos() + arg);
+                match op {
+                    0 => {
+                        lane.schedule_ev(at, timer(token));
+                        plain.schedule_ev(at, timer(token));
+                    }
+                    1 => {
+                        let seq = lane.reserve_seq();
+                        prop_assert_eq!(plain.reserve_seq(), seq);
+                        pending.push((at, seq, token));
+                    }
+                    2 if !pending.is_empty() => {
+                        let (at, seq, token) = pending.swap_remove(arg as usize % pending.len());
+                        prop_assert_eq!(lane.has_fired(at, seq), plain.has_fired(at, seq));
+                        if !lane.has_fired(at, seq) {
+                            lane.schedule_ev_seq(at, seq, timer(token));
+                            plain.schedule_ev_seq(at, seq, timer(token));
+                        }
+                    }
+                    3 => {
+                        // A barrier: leftovers to the heap, then a batch
+                        // sorted by time with plenty of ties.
+                        let (buffer, _) = lane.take_lane();
+                        prop_assert!(buffer.is_empty());
+                        let mut times: Vec<u64> =
+                            offsets.iter().map(|o| now.as_nanos() + o).collect();
+                        times.sort_unstable();
+                        let batch: Vec<CrossEvent> = times
+                            .iter()
+                            .enumerate()
+                            .map(|(i, &t)| super::lane_tests::arrival(t, token * 8 + i as u64))
+                            .collect();
+                        for e in &batch {
+                            let (dst, packet) = (e.dst, e.packet.clone());
+                            plain.schedule(e.time, Event::PacketArrival { dst, packet });
+                        }
+                        lane.install_lane(batch);
+                    }
+                    4 => {
+                        let before = lane.len();
+                        let (_, leftovers) = lane.take_lane();
+                        prop_assert!(leftovers <= before);
+                        prop_assert_eq!(lane.len(), before, "a taken lane loses nothing");
+                    }
+                    _ => {
+                        // 5: bounded pop, exclusive or inclusive; 6: plain pop.
+                        let (a, b) = if op == 5 {
+                            let inclusive = arg % 2 == 0;
+                            (
+                                lane.pop_entry_before(at, inclusive),
+                                plain.pop_entry_before(at, inclusive),
+                            )
+                        } else {
+                            (lane.pop_entry(), plain.pop_entry())
+                        };
+                        let a = a.map(|(t, ev)| (t, lane.unpack(ev)));
+                        let b = b.map(|(t, ev)| (t, plain.unpack(ev)));
+                        prop_assert_eq!(&a, &b);
+                        if let Some((t, _)) = a {
+                            now = t;
+                        }
+                    }
+                }
+                prop_assert_eq!(lane.len(), plain.len());
+                prop_assert_eq!(lane.peek_time(), plain.peek_time());
+                prop_assert_eq!(lane.is_empty(), plain.is_empty());
+            }
+            let rest: Vec<_> = std::iter::from_fn(|| lane.pop()).collect();
+            let reference: Vec<_> = std::iter::from_fn(|| plain.pop()).collect();
+            prop_assert_eq!(rest, reference);
+            prop_assert_eq!(lane.live_packets(), 0);
         }
     }
 }

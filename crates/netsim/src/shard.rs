@@ -17,7 +17,15 @@
 //!   interaction is at least `lookahead = min cross-shard link delay` in
 //!   the future. Shards then advance in lock-step windows of `lookahead`
 //!   simulated time, exchanging cross-shard packet arrivals between the
-//!   two barriers that close each window.
+//!   two barriers that close each window: every shard has a mailbox, a
+//!   window's senders hand it their outboxes before the first barrier (the
+//!   first buffer is swapped in whole, later ones append), and between the
+//!   barriers its owner swaps it for the emptied buffer of its event
+//!   queue's lane, sorts it in place and installs it as the new lane
+//!   ([`crate::event`], "The cross-shard lane"). A packet that crosses the
+//!   cut is never pushed through the destination's heap unless it is still
+//!   unfired when the next batch arrives
+//!   ([`ShardedSimulator::cross_spills`]).
 //!
 //! # Determinism
 //!
@@ -31,12 +39,12 @@
 //!   its agent id via SplitMix64 ([`stream_seed`]), so no draw can see the
 //!   partition; each shard allocates packet ids from a disjoint base.
 //! * Cross-shard events are exchanged only at window barriers: each
-//!   worker group takes exactly the events emitted in that window for its
-//!   own shards and schedules them in `(fire time, source shard, source
+//!   shard takes exactly the events emitted in that window for its own
+//!   agents and numbers them in `(fire time, source shard, source
 //!   sequence)` order ([`sort_cross_events`]). The key is unique per
 //!   event, so every destination queue sees one arrival order whatever
-//!   the thread scheduling or group layout — the same order a single
-//!   group sorting all shards' events together produces.
+//!   the thread scheduling or group layout — and the sequence numbers it
+//!   hands the batch are the ones scheduling it event by event would.
 //! * A single-shard partition degenerates to the plain serial
 //!   [`Simulator`] byte-for-byte: same streams, same packet ids, same
 //!   global event queue. Against it, a cut of the same topology gives
@@ -53,7 +61,7 @@ use crate::error::SimError;
 use crate::event::Event;
 use crate::faults::{FaultSchedule, FaultStats, GLOBAL};
 use crate::journal::Journal;
-use crate::packet::AgentId;
+use crate::packet::{AgentId, Packet};
 use crate::sim::{Agent, Simulator};
 use crate::time::{SimDuration, SimTime};
 use std::any::Any;
@@ -261,20 +269,22 @@ pub struct ShardMap {
     pub local_of: Vec<u32>,
 }
 
-/// A packet delivery crossing a shard boundary, buffered in the source
-/// shard's outbox until the next window barrier.
+/// A packet delivery crossing a shard boundary: buffered in the source
+/// shard's outbox until the next window barrier, then an entry of the
+/// destination queue's lane until it fires.
 #[derive(Debug, Clone)]
 pub struct CrossEvent {
     /// Absolute fire time (`emission time + link delay`).
     pub time: SimTime,
-    /// Destination shard.
-    pub dst_shard: u32,
     /// Source shard — part of the deterministic merge key.
     pub src_shard: u32,
-    /// Emission sequence within the source shard's window.
+    /// Emission sequence within the source shard until the barrier sort;
+    /// the destination queue's sequence number once installed in its lane.
     pub seq: u64,
-    /// The event to schedule at the destination.
-    pub event: Event,
+    /// Receiving agent.
+    pub dst: AgentId,
+    /// The arriving packet.
+    pub packet: Packet,
 }
 
 /// Sorts a barrier batch into the canonical deterministic merge order:
@@ -283,7 +293,7 @@ pub struct CrossEvent {
 /// the same FIFO tie-break sequence numbers regardless of how many worker
 /// threads produced the batch or in what order they posted it. The key is
 /// unique per event, so the unstable sort (in place, no merge buffer of
-/// ~200-byte events at every barrier) gives the one possible order.
+/// 168-byte events at every barrier) gives the one possible order.
 pub fn sort_cross_events(batch: &mut [CrossEvent]) {
     batch.sort_unstable_by_key(|e| (e.time, e.src_shard, e.seq));
 }
@@ -366,6 +376,11 @@ impl ShardedSimulator {
             agents.len()
         );
         let n_shards = partition.n_shards.max(1);
+        // A zero lookahead admits no window: treated as no cross link at all
+        // (`Partition::cut` never produces one), so a delivery that crosses
+        // shards anyway panics instead of waiting for a barrier that never
+        // comes.
+        let lookahead = partition.lookahead.filter(|d| !d.is_zero());
         let mut counters = vec![0u32; n_shards];
         let mut local_of = vec![0u32; agents.len()];
         for (g, &s) in partition.shard_of.iter().enumerate() {
@@ -381,8 +396,11 @@ impl ShardedSimulator {
             }
             vec![sim]
         } else {
-            let mut shards: Vec<Simulator> =
-                (0..n_shards).map(|s| Simulator::new_shard(seed, s as u32, map.clone())).collect();
+            // Shards of a cut post to each other; components never do.
+            let n_outboxes = if lookahead.is_some() { n_shards } else { 0 };
+            let mut shards: Vec<Simulator> = (0..n_shards)
+                .map(|s| Simulator::new_shard(seed, s as u32, map.clone(), n_outboxes))
+                .collect();
             for (g, a) in agents.into_iter().enumerate() {
                 shards[map.shard_of[g] as usize].add_shard_agent(AgentId(g as u32), a);
             }
@@ -391,7 +409,7 @@ impl ShardedSimulator {
         ShardedSimulator {
             shards,
             map,
-            lookahead: partition.lookahead,
+            lookahead,
             now: SimTime::ZERO,
             workers: 1,
             barriers: 0,
@@ -446,6 +464,15 @@ impl ShardedSimulator {
         self.cross_events
     }
 
+    /// Cross-shard events still unfired when the next batch reached their
+    /// shard, and so re-scheduled through its heap instead of popped from
+    /// the lane: a cross link slower than the lookahead (a port's
+    /// serialisation time counts), or a `run_until` deadline that cut a
+    /// window short.
+    pub fn cross_spills(&self) -> u64 {
+        self.shards.iter().map(Simulator::cross_spills).sum()
+    }
+
     /// Current simulation time (the committed horizon all shards reached).
     pub fn now(&self) -> SimTime {
         self.now
@@ -456,9 +483,9 @@ impl ShardedSimulator {
         self.shards.iter().map(Simulator::events_processed).sum()
     }
 
-    /// Deepest single-shard event-queue high-water mark. (Shards peak at
-    /// different instants, so the sum would overstate the simultaneous
-    /// working set.)
+    /// Deepest single-shard event-queue high-water mark, lane entries
+    /// included. (Shards peak at different instants, so the sum would
+    /// overstate the simultaneous working set.)
     pub fn peak_queue_depth(&self) -> usize {
         self.shards.iter().map(Simulator::peak_queue_depth).max().unwrap_or(0)
     }
@@ -576,13 +603,14 @@ impl ShardedSimulator {
         // The last group absorbs the remainder, so there can be fewer
         // groups than requested workers; the barrier counts actual groups.
         let n_groups = self.shards.len().div_ceil(chunk);
+        let n_mailboxes = if self.lookahead.is_some() { self.shards.len() } else { 0 };
         let shared = Windows {
             start: self.now,
             deadline,
             window: self.lookahead.unwrap_or(SimDuration::ZERO),
             chunk,
             barrier: Barrier::new(n_groups),
-            mailboxes: (0..n_groups).map(|_| Mutex::default()).collect(),
+            mailboxes: (0..n_mailboxes).map(|_| Mutex::default()).collect(),
             moved_total: AtomicU64::new(0),
             failed: AtomicBool::new(false),
         };
@@ -628,7 +656,7 @@ struct Windows {
     chunk: usize,
     barrier: Barrier,
     /// Cross-shard events emitted in the current window, by destination
-    /// group.
+    /// shard. Empty when `window` is zero: components exchange nothing.
     mailboxes: Vec<Mutex<Vec<CrossEvent>>>,
     /// Cross-shard events moved since the call began.
     moved_total: AtomicU64,
@@ -644,20 +672,20 @@ struct Windows {
 /// Per window each group runs its shards to the window end — exclusive
 /// while windows are interior (events at exactly the end belong to the
 /// next window, after the merge), inclusive on the deadline window — and
-/// posts their outboxes to the destination groups' mailboxes. Between the
+/// posts their outboxes to the destination shards' mailboxes. Between the
 /// two barriers every mailbox holds exactly the events emitted in this
-/// window for its group: the group takes them, sorts by
-/// `(time, src_shard, seq)` and injects. That key is unique per event, so
-/// each destination queue sees the same arrival order — and assigns the
-/// same FIFO tie-break numbers — however many groups produced the batch.
+/// window for its shard: the shard swaps it for its lane's emptied buffer
+/// (what the last window left unfired goes through the heap), sorts it by
+/// `(time, src_shard, seq)` and installs it as the lane. That key is unique
+/// per event, so each destination queue sees the same arrival order — and
+/// assigns the same FIFO tie-break numbers — however many groups produced
+/// the batch.
 ///
 /// The stop decision reads the cumulative moved counter between the
 /// barriers, where no `fetch_add` can be in flight (the next one lies
 /// beyond the second barrier), so every group reads the same value.
 fn run_group(group: &mut [Simulator], g: usize, w: &Windows) -> u64 {
     let base = g * w.chunk;
-    let mut outgoing: Vec<Vec<CrossEvent>> = w.mailboxes.iter().map(|_| Vec::new()).collect();
-    let mut inbox: Vec<CrossEvent> = Vec::new();
     let mut panicked = None;
     let (mut now, mut prev_total, mut windows) = (w.start, 0u64, 0u64);
     loop {
@@ -671,14 +699,19 @@ fn run_group(group: &mut [Simulator], g: usize, w: &Windows) -> u64 {
             let mut moved = 0u64;
             for shard in group.iter_mut() {
                 shard.run_window(target, last);
-                for ev in shard.drain_outbox() {
-                    moved += 1;
-                    outgoing[ev.dst_shard as usize / w.chunk].push(ev);
-                }
-            }
-            for (mailbox, batch) in w.mailboxes.iter().zip(&mut outgoing) {
-                if !batch.is_empty() {
-                    mailbox.lock().expect(MAILBOX).append(batch);
+                for (outbox, mailbox) in shard.outboxes_mut().iter_mut().zip(&w.mailboxes) {
+                    if outbox.is_empty() {
+                        continue;
+                    }
+                    moved += outbox.len() as u64;
+                    let mut mailbox = mailbox.lock().expect(MAILBOX);
+                    if mailbox.is_empty() {
+                        // The first poster's buffer becomes the mailbox: on
+                        // a two-shard cut no batch is ever copied.
+                        std::mem::swap(&mut *mailbox, outbox);
+                    } else {
+                        mailbox.append(outbox);
+                    }
                 }
             }
             w.moved_total.fetch_add(moved, Ordering::SeqCst);
@@ -702,15 +735,16 @@ fn run_group(group: &mut [Simulator], g: usize, w: &Windows) -> u64 {
         }
         prev_total = total;
         attempt(&mut panicked, || {
-            std::mem::swap(&mut *w.mailboxes[g].lock().expect(MAILBOX), &mut inbox);
-            sort_cross_events(&mut inbox);
-            for ev in inbox.drain(..) {
-                debug_assert!(
-                    ev.time >= target,
-                    "lookahead violation: cross-shard event at {:?} before barrier {target:?}",
-                    ev.time
-                );
-                group[ev.dst_shard as usize - base].inject(ev.time, ev.event);
+            for (shard, mailbox) in group.iter_mut().zip(&w.mailboxes[base..]) {
+                // Nobody posts between the barriers. With nothing to
+                // install, what waits in the lane may as well stay there.
+                if mailbox.lock().expect(MAILBOX).is_empty() {
+                    continue;
+                }
+                let mut batch = shard.take_lane();
+                std::mem::swap(&mut *mailbox.lock().expect(MAILBOX), &mut batch);
+                sort_cross_events(&mut batch);
+                shard.install_lane(batch, target);
             }
         });
         w.barrier.wait();
@@ -979,6 +1013,70 @@ mod tests {
         assert_eq!(stats.control_dropped, 2, "both ACKs, dropped in shard 0");
     }
 
+    #[test]
+    fn a_control_policy_sees_lane_acks_as_it_sees_local_ones() {
+        // 200 ACKs come back across the cut in the lane; on the serial loop
+        // the same ACKs are ordinary heap arrivals. The policy draws once
+        // per arriving ACK from the destination's stream, so the same ACKs
+        // in the same order mean the same drops, copies and delays — and
+        // the same (time, seq) history at the sender.
+        let policy = crate::faults::ControlFaultPolicy {
+            drop: 0.25,
+            duplicate: 0.25,
+            reorder: 0.25,
+            reorder_delay: ms(3),
+        };
+        let mut faults = FaultSchedule::new();
+        faults.control_fault_window(policy, SimTime::ZERO, SimTime::from_secs_f64(1.0));
+        let mut g = TopologyGraph::new(2);
+        g.add_link(AgentId(0), AgentId(1), ms(4));
+        let run = |p: &Partition| {
+            let mut sim = ShardedSimulator::new(3, p, pair(200, ms(4)));
+            sim.try_install_faults(&faults).expect("valid schedule");
+            sim.run_until(SimTime::from_secs_f64(2.0));
+            sim
+        };
+        let (cut, serial) = (run(&Partition::cut(&g)), run(&Partition::serial(2)));
+        assert_eq!((cut.n_shards(), serial.n_shards()), (2, 1));
+        assert_eq!(cut.cross_events(), 400, "every data packet and every ACK rode a lane");
+        let stats = cut.fault_stats();
+        assert!(
+            stats.control_dropped > 20
+                && stats.control_duplicated > 20
+                && stats.control_reordered > 20,
+            "{stats:?}"
+        );
+        assert_eq!(stats, serial.fault_stats());
+        assert_eq!(cut.agent::<Chatter>(AgentId(0)).got, serial.agent::<Chatter>(AgentId(0)).got);
+    }
+
+    #[test]
+    fn arrivals_that_outlive_a_window_spill_through_the_heap_and_still_arrive_in_order() {
+        // Shards {0} and {1, 2}: the 2 ms link sets the lookahead, the 7 ms
+        // link from 0 to 2 is slower, so what 0 sends to 2 is still in 2's
+        // lane when the next three barriers install their batches.
+        let mut g = TopologyGraph::new(3);
+        g.add_link(AgentId(0), AgentId(1), ms(2));
+        g.add_link(AgentId(0), AgentId(2), ms(7));
+        g.add_link(AgentId(1), AgentId(2), ms(1));
+        let p = Partition::cut(&g);
+        assert_eq!((p.shard_of.clone(), p.lookahead), (vec![0, 1, 1], Some(ms(2))));
+        let agents: Vec<Box<dyn Agent>> = vec![
+            Box::new(Chatter { peer: AgentId(2), n: 3, delay: ms(7), got: vec![] }),
+            Box::new(Chatter { peer: AgentId(0), n: 3, delay: ms(2), got: vec![] }),
+            Box::new(Chatter { peer: AgentId(0), n: 0, delay: ms(7), got: vec![] }),
+        ];
+        let mut sim = ShardedSimulator::new(1, &p, agents);
+        sim.run_until(SimTime::from_secs_f64(0.1));
+        assert_eq!(sim.cross_events(), 12, "3 data + 3 acks each way over both links");
+        assert!(sim.cross_spills() >= 3, "the 7 ms packets outlive their window");
+        let at = |n| SimTime::ZERO + ms(n);
+        assert_eq!(sim.agent::<Chatter>(AgentId(2)).got, vec![(at(7), 0), (at(7), 1), (at(7), 2)]);
+        // 1's data at 2 ms, then 2's ACKs at 14 ms; 0 ACKs 1's data itself.
+        let seen: Vec<SimTime> = sim.agent::<Chatter>(AgentId(0)).got.iter().map(|g| g.0).collect();
+        assert_eq!(seen, vec![at(2), at(2), at(2), at(14), at(14), at(14)]);
+    }
+
     /// Passes each packet on to `next` while its hop budget (`seq`) lasts.
     struct Relay {
         next: AgentId,
@@ -1118,6 +1216,9 @@ mod proptests {
 
     const LOCAL: SimDuration = SimDuration::from_millis(1);
     const CROSS: SimDuration = SimDuration::from_millis(4);
+    /// A chord slower than two windows: what it carries is still unfired
+    /// in the destination's lane when the next batches arrive.
+    const SLOW: SimDuration = SimDuration::from_millis(9);
 
     /// Floods `burst` packets down every link at start and forwards each
     /// arrival down an RNG-chosen link until its hop budget (`seq`) runs
@@ -1164,13 +1265,13 @@ mod proptests {
     }
 
     /// Clusters of 1 ms chains; when `connected`, a chain of 4 ms links
-    /// (plus `extra` chords) joins the clusters' first agents, so
-    /// `Partition::auto` cuts exactly there. Otherwise the clusters are
-    /// independent components.
+    /// (plus `extra` chords, 9 ms when flagged slow) joins the clusters'
+    /// first agents, so `Partition::auto` cuts exactly there with a 4 ms
+    /// lookahead. Otherwise the clusters are independent components.
     fn cluster_graph(
         sizes: &[usize],
         connected: bool,
-        extra: &[(usize, usize)],
+        extra: &[(usize, usize, bool)],
     ) -> (TopologyGraph, Vec<Vec<(AgentId, SimDuration)>>) {
         let firsts: Vec<u32> = sizes
             .iter()
@@ -1195,10 +1296,12 @@ mod proptests {
         }
         if connected {
             let s = sizes.len();
-            let chain = (1..s).map(|c| (c - 1, c));
-            for (a, b) in chain.chain(extra.iter().map(|&(a, b)| (a % s, b % s))) {
+            let chain = (1..s).map(|c| (c - 1, c, CROSS));
+            let chords =
+                extra.iter().map(|&(a, b, slow)| (a % s, b % s, if slow { SLOW } else { CROSS }));
+            for (a, b, delay) in chain.chain(chords) {
                 if a != b {
-                    link(firsts[a], firsts[b], CROSS);
+                    link(firsts[a], firsts[b], delay);
                 }
             }
         }
@@ -1211,12 +1314,16 @@ mod proptests {
         /// `run_until` chunking: same per-agent (time, packet id, sender)
         /// histories, same event count. (Both sides share the chunking:
         /// windows are laid from each call's start, so call boundaries
-        /// are part of the schedule.)
+        /// are part of the schedule.) Slices of 1–39 ms against a 4 ms
+        /// lookahead end mid-window more often than not, and 9 ms chords
+        /// keep arrivals in a lane across several barriers: both leave
+        /// lane entries for the next barrier to re-schedule through the
+        /// heap, and the count of those must not see the workers either.
         #[test]
         fn any_worker_count_matches_one_worker(
             sizes in collection::vec(1usize..=3, 2..=6),
             connected in any::<bool>(),
-            extra in collection::vec((0usize..6, 0usize..6), 0..4),
+            extra in collection::vec((0usize..6, 0usize..6, any::<bool>()), 0..4),
             burst in 1u32..=3,
             workers in 1usize..=8,
             chunks_ms in collection::vec(1u64..40, 1..6),
@@ -1248,14 +1355,17 @@ mod proptests {
             prop_assert_eq!(sim.now(), reference.now());
             prop_assert_eq!(sim.events_processed(), reference.events_processed());
             prop_assert_eq!(sim.cross_events(), reference.cross_events());
+            prop_assert_eq!(sim.cross_spills(), reference.cross_spills());
             let got = histories(&sim);
             prop_assert_eq!(&got, &histories(&reference));
 
-            // The merge order itself, not just its repeatability: every
-            // cross link has the same delay, so cross-shard arrivals that
-            // tie on time were emitted in one window and must appear in
-            // source-shard order.
-            for (agent, history) in got.iter().enumerate() {
+            // The merge order itself, not just its repeatability: while
+            // every cross link has the same delay, cross-shard arrivals
+            // that tie on time were emitted in one window and must appear
+            // in source-shard order. (A slow chord's arrival can tie with
+            // one emitted two windows later, which rightly fires behind.)
+            let uniform = extra.iter().all(|&(_, _, slow)| !slow);
+            for (agent, history) in got.iter().enumerate().filter(|_| uniform) {
                 let cross: Vec<_> = history
                     .iter()
                     .filter(|(_, _, src)| p.shard_of[src.0 as usize] != p.shard_of[agent])

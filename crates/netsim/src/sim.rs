@@ -65,8 +65,10 @@ pub(crate) struct ShardState {
     map: Arc<ShardMap>,
     /// Global id of each local slab slot.
     globals: Vec<AgentId>,
-    /// Cross-shard deliveries buffered until the next window barrier.
-    outbox: Vec<CrossEvent>,
+    /// Cross-shard deliveries buffered until the next window barrier, by
+    /// destination shard. Empty when the partition has no lookahead: no
+    /// link crosses its shards.
+    outboxes: Vec<Vec<CrossEvent>>,
     /// Emission counter: part of the deterministic barrier merge key.
     out_seq: u64,
 }
@@ -96,23 +98,32 @@ impl Context<'_> {
     /// exchanged at the next window barrier.
     pub fn deliver(&mut self, dst: AgentId, delay: SimDuration, packet: Packet) {
         let at = self.now + delay;
-        if let Some(s) = &mut self.shard {
-            let dst_shard = s.map.shard_of[dst.0 as usize];
-            if dst_shard != s.shard {
-                let seq = s.out_seq;
-                s.out_seq += 1;
-                s.outbox.push(CrossEvent {
-                    time: at,
-                    dst_shard,
-                    src_shard: s.shard,
-                    seq,
-                    event: Event::PacketArrival { dst, packet },
-                });
-                return;
+        match self.foreign_shard(dst) {
+            Some(dst_shard) => self.post_cross(at, dst_shard, dst, packet),
+            None => {
+                let slot = self.queue.stash_packet(packet);
+                self.queue.schedule_ev(at, Ev::Arrival { dst, slot });
             }
         }
-        let slot = self.queue.stash_packet(packet);
-        self.queue.schedule_ev(at, Ev::Arrival { dst, slot });
+    }
+
+    /// The shard that owns `dst`, when it is not the one running this agent.
+    fn foreign_shard(&self, dst: AgentId) -> Option<u32> {
+        let s = self.shard.as_ref()?;
+        let dst_shard = s.map.shard_of[dst.0 as usize];
+        (dst_shard != s.shard).then_some(dst_shard)
+    }
+
+    /// Buffers an arrival at `dst`, owned by shard `dst_shard`, in that
+    /// shard's outbox: the one way a packet leaves for another shard's queue.
+    fn post_cross(&mut self, at: SimTime, dst_shard: u32, dst: AgentId, packet: Packet) {
+        let s = self.shard.as_mut().expect("only a shard has foreign agents");
+        let seq = s.out_seq;
+        s.out_seq += 1;
+        s.outboxes
+            .get_mut(dst_shard as usize)
+            .expect("a partition without a lookahead has no cross-shard link")
+            .push(CrossEvent { time: at, src_shard: s.shard, seq, dst, packet });
     }
 
     /// Parks a packet payload in the event queue's arena, returning its
@@ -151,23 +162,13 @@ impl Context<'_> {
     /// Panics if the slot is vacant.
     pub fn deliver_slot(&mut self, dst: AgentId, delay: SimDuration, slot: PacketSlot) {
         let at = self.now + delay;
-        if let Some(s) = &mut self.shard {
-            let dst_shard = s.map.shard_of[dst.0 as usize];
-            if dst_shard != s.shard {
+        match self.foreign_shard(dst) {
+            Some(dst_shard) => {
                 let packet = self.queue.take_packet(slot);
-                let seq = s.out_seq;
-                s.out_seq += 1;
-                s.outbox.push(CrossEvent {
-                    time: at,
-                    dst_shard,
-                    src_shard: s.shard,
-                    seq,
-                    event: Event::PacketArrival { dst, packet },
-                });
-                return;
+                self.post_cross(at, dst_shard, dst, packet);
             }
+            None => self.queue.schedule_ev(at, Ev::Arrival { dst, slot }),
         }
-        self.queue.schedule_ev(at, Ev::Arrival { dst, slot });
     }
 
     /// Reserves the event-queue sequence number a transmit-complete
@@ -250,6 +251,8 @@ pub struct Simulator {
     control_policy: Option<ControlFaultPolicy>,
     fault_stats: FaultStats,
     shard: Option<ShardState>,
+    /// Cross-shard arrivals a barrier found unfired in the lane.
+    cross_spills: u64,
 }
 
 impl std::fmt::Debug for dyn Agent {
@@ -276,18 +279,26 @@ impl Simulator {
             control_policy: None,
             fault_stats: FaultStats::default(),
             shard: None,
+            cross_spills: 0,
         }
     }
 
     /// Creates a simulator that runs as shard `shard` of a
     /// [`crate::shard::ShardedSimulator`]: deliveries to agents owned by
-    /// other shards are buffered in an outbox instead of the local queue,
-    /// and packet ids are allocated from the disjoint base `shard << 40`.
-    pub(crate) fn new_shard(seed: u64, shard: u32, map: Arc<ShardMap>) -> Self {
+    /// other shards are buffered in one of `n_outboxes` outboxes (one per
+    /// shard of a partition with cross-shard links, none otherwise) instead
+    /// of the local queue, and packet ids are allocated from the disjoint
+    /// base `shard << 40`.
+    pub(crate) fn new_shard(seed: u64, shard: u32, map: Arc<ShardMap>, n_outboxes: usize) -> Self {
         let mut sim = Simulator::new(seed);
         sim.next_packet_id = u64::from(shard) << 40;
-        sim.shard =
-            Some(ShardState { shard, map, globals: Vec::new(), outbox: Vec::new(), out_seq: 0 });
+        sim.shard = Some(ShardState {
+            shard,
+            map,
+            globals: Vec::new(),
+            outboxes: vec![Vec::new(); n_outboxes],
+            out_seq: 0,
+        });
         sim
     }
 
@@ -417,9 +428,10 @@ impl Simulator {
         self.events_processed
     }
 
-    /// High-water mark of the event queue over the run so far. A proxy for
-    /// the working-set size of the engine; the scaling benchmark reports it
-    /// per flow count.
+    /// High-water mark of the event queue over the run so far, cross-shard
+    /// arrivals waiting in the lane included. A proxy for the working-set
+    /// size of the engine; `benchmark/` reports it as
+    /// `netsim.peak_queue_depth`.
     pub fn peak_queue_depth(&self) -> usize {
         self.peak_queue_depth
     }
@@ -684,14 +696,52 @@ impl Simulator {
         }
     }
 
-    /// Takes this shard's buffered cross-shard deliveries (the outbox keeps
-    /// its capacity for the next window). Empty for serial simulators.
-    pub(crate) fn drain_outbox(&mut self) -> impl Iterator<Item = CrossEvent> + '_ {
-        self.shard.iter_mut().flat_map(|s| s.outbox.drain(..))
+    /// This shard's buffered cross-shard deliveries, indexed by destination
+    /// shard, for the window executor to empty. None for a serial simulator
+    /// or a partition without cross-shard links.
+    pub(crate) fn outboxes_mut(&mut self) -> &mut [Vec<CrossEvent>] {
+        self.shard.as_mut().map_or(&mut [], |s| &mut s.outboxes)
     }
 
-    /// Schedules an externally produced event (barrier merges, fault
-    /// routing) into this simulator's queue.
+    /// Empties the queue's lane for the next barrier batch and returns its
+    /// buffer; arrivals the window left unfired are re-scheduled through
+    /// the heap and counted ([`Simulator::cross_spills`]).
+    pub(crate) fn take_lane(&mut self) -> Vec<CrossEvent> {
+        let (buffer, leftovers) = self.queue.take_lane();
+        self.cross_spills += leftovers as u64;
+        buffer
+    }
+
+    /// Installs the arrivals other shards emitted in the window that ended
+    /// at `window_end`, sorted in merge order, as the queue's lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch reaches into this shard's past: a link crossing
+    /// the cut is faster than the lookahead the windows were laid with.
+    pub(crate) fn install_lane(&mut self, batch: Vec<CrossEvent>, window_end: SimTime) {
+        debug_assert!(batch.iter().all(|e| e.time >= window_end), "lookahead violation");
+        // Sorted, so the head is the earliest: one check holds in release
+        // what the line above holds per event in debug.
+        if let Some(head) = batch.first() {
+            assert!(
+                head.time >= window_end,
+                "lookahead violation: cross-shard event at {:?} before barrier {window_end:?}",
+                head.time
+            );
+        }
+        self.queue.install_lane(batch);
+    }
+
+    /// Cross-shard arrivals that outlived the window after their barrier
+    /// and went through the heap after all.
+    pub(crate) fn cross_spills(&self) -> u64 {
+        self.cross_spills
+    }
+
+    /// Schedules an externally produced event into this simulator's queue:
+    /// how [`crate::shard::ShardedSimulator`] routes faults to the shard
+    /// that owns their target. Packets cross shards through the lane only.
     pub(crate) fn inject(&mut self, time: SimTime, event: Event) {
         self.queue.schedule(time, event);
     }

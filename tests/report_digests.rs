@@ -6,19 +6,22 @@
 //! The tracked `results/` CSVs show that only after `run_all`; these tests
 //! pin the FNV-1a digest of the serialized report for a handful of small
 //! configurations — the shared PELS dumbbell at 1 and 2 workers, the
-//! chained layout, best-effort mode, a run under a `FaultSchedule`, and a
-//! generated topology — so `cargo test` alone says whether a byte moved.
+//! chained layout, best-effort mode, a run under a `FaultSchedule`, one
+//! with ACKs mangled as they cross the cut, and a generated topology — so
+//! `cargo test` alone says whether a byte moved.
 //!
 //! The values were recorded on the commit *before* output ports stopped
-//! scheduling idle tx-completes. A digest that changes is a behaviour
-//! change: explain it in EXPERIMENTS.md and re-record, or fix the code.
+//! scheduling idle tx-completes (the mangled-ACK run: before cross-shard
+//! arrivals stopped going through the heap). A digest that changes is a
+//! behaviour change: explain it in EXPERIMENTS.md and re-record, or fix
+//! the code.
 
 use pels_core::scenario::{
     chained_proportional_config, pels_flows, to_best_effort, Scenario, ScenarioConfig,
 };
-use pels_netsim::faults::{FaultAction, FaultSchedule};
+use pels_netsim::faults::{ControlFaultPolicy, FaultAction, FaultSchedule};
 use pels_netsim::packet::AgentId;
-use pels_netsim::time::SimTime;
+use pels_netsim::time::{SimDuration, SimTime};
 use pels_topo::{TopoScenario, TopoSpec};
 
 /// FNV-1a 64-bit, as `benchmark/`'s `report_digest` computes it.
@@ -89,6 +92,40 @@ fn faulted_run_digest_is_pinned() {
         .push(at(7.0), r1, FaultAction::LinkDown { port: 0 })
         .push(at(7.0), r1, FaultAction::LinkUp { port: 0 });
     assert_eq!(scenario_digest(shared_dumbbell(8), 2, 9.0, Some(&faults)), "71cccf57ef0578f7");
+}
+
+/// ACKs are dropped, duplicated and reordered as they arrive across the
+/// cut: every ACK reaches the source's shard through the barrier exchange,
+/// and the control-fault policy draws once per arrival in pop order, so
+/// this report moves if the exchange hands the policy its ACKs in any other
+/// order. Recorded on the commit before cross-shard arrivals stopped going
+/// through the heap (`pels_netsim::event`, "The cross-shard lane").
+#[test]
+fn control_faults_across_the_cut_digest_is_pinned() {
+    let at = SimTime::from_secs_f64;
+    let policy = ControlFaultPolicy {
+        drop: 0.2,
+        duplicate: 0.1,
+        reorder: 0.3,
+        reorder_delay: SimDuration::from_millis(20),
+    };
+    let mut faults = FaultSchedule::new();
+    faults.control_fault_window(policy, at(2.0), at(5.0));
+    let mut s = Scenario::build(shared_dumbbell(8));
+    s.set_workers(2);
+    s.install_faults(&faults);
+    s.run_until(at(8.0));
+    let stats = s.sim.fault_stats();
+    assert!(
+        stats.control_dropped > 100
+            && stats.control_duplicated > 100
+            && stats.control_reordered > 100,
+        "the policy must act on the ACKs crossing the cut: {stats:?}"
+    );
+    assert_eq!(
+        digest(&serde_json::to_string(&s.report()).expect("report serializes")),
+        "6b8b762df007d935"
+    );
 }
 
 /// `TopoReport.events` is the one field of any report that counts events,
