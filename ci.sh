@@ -65,6 +65,26 @@ for f in $(find crates -path '*/src/*' -name '*.rs'); do
   fi
 done
 
+echo "== telemetry is scraped, never pushed (core::roles, wire::{serve,live}) =="
+# The engines record every value once, in their own state. A snapshot is
+# built from that state and published in three places — `RoleIds::scrape` /
+# `flush_telemetry` (roles.rs), `ServeLoop::scrape` and its driver
+# (serve.rs), and the one-flow session that adds its receiver's and fault
+# counters (live.rs) — and no per-packet, per-ACK or per-tick path holds a
+# handle to write through: the per-event mirror must not come back.
+for f in $(find crates/netsim/src crates/core/src crates/topo/src crates/wire/src -name '*.rs'); do
+  if non_test_code "$f" | grep -E 'set_telemetry|attach_telemetry'; then
+    echo "$f hands an engine a telemetry handle; scrape its state instead" >&2
+    exit 1
+  fi
+  case "$f" in crates/core/src/roles.rs|crates/wire/src/serve.rs|crates/wire/src/live.rs) continue ;; esac
+  if non_test_code "$f" | grep -E \
+      '\.(counter_add|gauge_set|observe|sample|publish|set_gauge|set_stat|set_series)\(|Snapshot'; then
+    echo "$f writes telemetry outside the scrape sites" >&2
+    exit 1
+  fi
+done
+
 echo "== tx-completes are scheduled in one place (netsim::port) =="
 # A port schedules a completion only when a packet waits behind the one on
 # the wire (41 % of the shared bottleneck's events were idle completions
@@ -176,6 +196,15 @@ test -s "$tel_file" || { echo "telemetry stream is empty" >&2; exit 1; }
 metrics_out="$(timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
   metrics "$tel_file")"
 printf '%s\n' "$metrics_out" | head -n 3
+# Only the line that ends a run carries histograms and series, so the file
+# is linear in the run: at most twice its last line (it was 15x, each line
+# repeating every series so far).
+timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
+  run --flows 64 --duration 30 --telemetry "$tel_file" > /dev/null
+tel_bytes="$(wc -c < "$tel_file")"
+last_bytes="$(tail -n 1 "$tel_file" | wc -c)"
+[ "$tel_bytes" -le $((2 * last_bytes)) ] || {
+  echo "telemetry file is $tel_bytes bytes, over twice its $last_bytes-byte last line" >&2; exit 1; }
 
 echo "== parallel determinism gate (serial vs sharded report digest) =="
 scratch_dir="$(mktemp -d -t pels_ci_XXXXXX)"
@@ -225,11 +254,14 @@ echo "== pels serve loopback smoke (256 flows, 2 s loadgen) =="
 # A real serve+loadgen pair over loopback UDP: every flow registers,
 # streams paced data, and says BYE. Gates: zero decode errors on the
 # serve socket, zero leaked flow-table entries after teardown, and — the
-# loadgen never NACKs — not one repair sent or refused.
+# loadgen never NACKs — not one repair sent or refused. The server's
+# driver scrapes the loop into the telemetry file once a second and at
+# exit: the last scrape must be the report.
 serve_json="$scratch_dir/serve.json"
 serve_log="$scratch_dir/serve.log"
+serve_tel="$scratch_dir/serve.jsonl"
 timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
-  serve --listen 127.0.0.1:0 --duration 8 --json \
+  serve --listen 127.0.0.1:0 --duration 8 --telemetry "$serve_tel" --json \
   > "$serve_json" 2> "$serve_log" &
 serve_pid=$!
 serve_addr=""
@@ -243,11 +275,17 @@ timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
   loadgen --server "$serve_addr" --flows 256 --duration 2 --warmup 1 --json \
   > "$scratch_dir/loadgen.json"
 wait "$serve_pid"
-python3 - "$serve_json" "$scratch_dir/loadgen.json" <<'PY'
+timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
+  metrics "$serve_tel" > "$scratch_dir/serve_metrics.txt"
+python3 - "$serve_json" "$scratch_dir/loadgen.json" "$scratch_dir/serve_metrics.txt" <<'PY'
 import json, sys
 serve = json.load(open(sys.argv[1]))
 lg = json.load(open(sys.argv[2]))
+metrics = dict(line.split()[:2] for line in open(sys.argv[3]) if line.startswith("  wire."))
 problems = []
+if serve["acks"] == 0 or metrics.get("wire.serve.acks") != str(serve["acks"]):
+    problems.append(f"last scrape has wire.serve.acks {metrics.get('wire.serve.acks')}, "
+                    f"the report {serve['acks']} acks")
 if serve["decode_errors"] != 0:
     problems.append(f"serve saw {serve['decode_errors']} decode errors")
 if serve["leaked_flows"] != 0:

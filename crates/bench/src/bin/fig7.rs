@@ -7,13 +7,10 @@
 //! sets in; red loss stabilizes at p_thr = 75% at *both* load levels, so
 //! yellow packets see (near-)zero loss.
 
-use pels_bench::{
-    downsample, env_dir, fmt, print_table, results_dir, telemetry_series, write_series,
-};
+use pels_bench::{downsample, env_dir, fmt, print_table, results_dir, write_series};
 use pels_core::scenario::{pels_flows, Scenario, ScenarioConfig};
 use pels_netsim::stats::TimeSeries;
 use pels_netsim::time::SimTime;
-use pels_telemetry::Telemetry;
 
 struct LoadResult {
     label: String,
@@ -27,21 +24,18 @@ struct LoadResult {
 }
 
 fn run(n_flows: usize) -> LoadResult {
-    // All figure data comes from the telemetry layer; the bespoke
-    // per-agent series stay off.
     let cfg = ScenarioConfig {
         flows: pels_flows(&vec![0.0; n_flows]),
-        keep_series: false,
+        keep_series: true,
         ..Default::default()
     };
-    let tel = Telemetry::new();
     let mut s = Scenario::build(cfg);
-    s.attach_telemetry(&tel);
     s.run_until(SimTime::from_secs_f64(60.0));
-    let gamma = telemetry_series(&tel, "sim.flow0.gamma", "gamma");
-    let red_loss = telemetry_series(&tel, "sim.router.p_red", "p_red");
-    let fgs_loss = telemetry_series(&tel, "sim.router.p_fgs", "p_fgs");
-    let yellow = telemetry_series(&tel, "sim.router.p_yellow", "p_yellow");
+    let gamma = s.source(0).gamma_series.clone();
+    let router = s.router();
+    let red_loss = router.red_loss_series.clone();
+    let fgs_loss = router.fgs_loss_series.clone();
+    let yellow = &router.yellow_loss_series;
     let settle = 30.0;
     LoadResult {
         label: format!("{n_flows} flows"),

@@ -12,27 +12,20 @@
 //! the whole 2 Mb/s PELS share in ~0.1 s; F2 joins at t = 10 s and both
 //! settle, without oscillation, at C/N + alpha/beta = 1.04 Mb/s (Lemma 6).
 
-use pels_bench::{
-    downsample, env_dir, fmt, print_table, results_dir, telemetry_series, write_series,
-};
+use pels_bench::{downsample, env_dir, fmt, print_table, results_dir, write_series};
 use pels_core::scenario::{pels_flows, Scenario, ScenarioConfig};
 use pels_netsim::time::SimTime;
-use pels_telemetry::Telemetry;
 use std::path::Path;
 
 fn red_delays(out: &Path) {
     println!("-- Fig. 9 (left): red packet delays, joins every 50 s --\n");
     let starts = [0.0, 0.0, 50.0, 50.0, 100.0, 100.0, 150.0, 150.0, 200.0, 200.0];
-    // All figure data comes from the telemetry layer; the bespoke
-    // per-agent series stay off.
     let cfg =
-        ScenarioConfig { flows: pels_flows(&starts), keep_series: false, ..Default::default() };
-    let tel = Telemetry::new();
+        ScenarioConfig { flows: pels_flows(&starts), keep_series: true, ..Default::default() };
     let mut s = Scenario::build(cfg);
-    s.attach_telemetry(&tel);
     s.run_until(SimTime::from_secs_f64(250.0));
-    // Historical CSV header: the receiver's class-indexed delay series.
-    let red_series = telemetry_series(&tel, "sim.flow0.delay.red", "class2");
+    let delays = &s.receiver(0).delays;
+    let red_series = &delays.series[2];
 
     let mut rows = Vec::new();
     for w in 0..5 {
@@ -50,37 +43,28 @@ fn red_delays(out: &Path) {
         rows.push(vec![format!("[{lo:>3.0},{hi:>3.0})"), active.to_string(), fmt(mean * 1e3, 0)]);
     }
     print_table(&["window(s)", "flows", "red delay (ms)"], &rows);
-    let snap = tel.snapshot();
-    let mean_ms = |name: &str| snap.stats.get(name).map_or(f64::NAN, |st| st.summary.mean() * 1e3);
-    let red = mean_ms("sim.flow0.delay.red");
-    let yellow = mean_ms("sim.flow0.delay.yellow");
+    let (red, yellow) = (delays.by_class[2].mean() * 1e3, delays.by_class[1].mean() * 1e3);
     println!("\nmean red delay {red:.0} ms vs yellow {yellow:.1} ms ({:.0}x)", red / yellow);
-    write_series(out, "fig9_red_delays.csv", &[&red_series]);
+    write_series(out, "fig9_red_delays.csv", &[red_series]);
     assert!(red > 10.0 * yellow, "red delays dominate by an order of magnitude");
 }
 
 fn mkc_convergence(out: &Path) {
     println!("\n-- Fig. 9 (right): MKC convergence and fairness --\n");
-    let cfg = ScenarioConfig {
-        flows: pels_flows(&[0.0, 10.0]),
-        keep_series: false,
-        ..Default::default()
-    };
-    let tel = Telemetry::new();
+    let cfg =
+        ScenarioConfig { flows: pels_flows(&[0.0, 10.0]), keep_series: true, ..Default::default() };
     let mut s = Scenario::build(cfg);
-    s.attach_telemetry(&tel);
     s.run_until(SimTime::from_secs_f64(30.0));
 
-    let f1 = telemetry_series(&tel, "sim.flow0.rate_kbps", "rate_kbps");
-    let f2 = telemetry_series(&tel, "sim.flow1.rate_kbps", "rate_kbps");
+    let (f1, f2) = (&s.source(0).rate_series, &s.source(1).rate_series);
     let mut rows = Vec::new();
-    for (t, v) in downsample(&f1, 20) {
+    for (t, v) in downsample(f1, 20) {
         let v2 =
             f2.points.iter().take_while(|&&(pt, _)| pt <= t).last().map(|&(_, v)| v).unwrap_or(0.0);
         rows.push(vec![fmt(t, 2), fmt(v, 0), fmt(v2, 0)]);
     }
     print_table(&["t(s)", "F1 (kb/s)", "F2 (kb/s)"], &rows);
-    write_series(out, "fig9_mkc_rates.csv", &[&f1, &f2]);
+    write_series(out, "fig9_mkc_rates.csv", &[f1, f2]);
 
     let r1 = s.source(0).rate_bps() / 1e3;
     let r2 = s.source(1).rate_bps() / 1e3;

@@ -70,21 +70,6 @@ pub fn write_series(dir: &Path, name: &str, series: &[&TimeSeries]) {
     write_result(dir, name, &pels_netsim::stats::to_csv(series));
 }
 
-/// Fetches a named series from a telemetry handle, renamed so figure CSVs
-/// keep their historical column headers (`gamma`, `p_red`, ...).
-///
-/// Returns an empty series under the CSV name when the metric was never
-/// sampled, so callers degrade to an empty column instead of panicking.
-pub fn telemetry_series(
-    tel: &pels_telemetry::Telemetry,
-    metric: &str,
-    csv_name: &str,
-) -> TimeSeries {
-    let mut s = tel.series(metric).unwrap_or_else(|| TimeSeries::new(csv_name));
-    s.name = csv_name.to_string();
-    s
-}
-
 /// Renders a simple aligned table to stdout.
 pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();

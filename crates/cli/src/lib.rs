@@ -5,9 +5,11 @@
 //! `pels help` prints every command with the flags it reads; both come
 //! from `COMMANDS`, the table the parser rejects unknown flags by.
 //!
-//! `run`, `chaos`, and `live` all accept `--telemetry FILE.jsonl`, which
-//! streams cumulative [`pels_telemetry`] snapshots to the file as JSON
-//! lines; `pels metrics` renders the last snapshot of such a file.
+//! `run`, `chaos`, `live` and `serve` all accept `--telemetry FILE.jsonl`,
+//! which scrapes the engines' state into the file as JSON lines of
+//! [`pels_telemetry`] snapshots — once a second (simulated for `run`, wall
+//! clock for `live` and `serve`, per case for `chaos`) and in full at exit;
+//! `pels metrics` renders the last snapshot of such a file.
 //!
 //! This module holds the argument parsing and command logic so it can be
 //! unit-tested; `main.rs` is a thin shim.
@@ -859,8 +861,7 @@ pub fn execute(
                 fault_to: SimDuration::from_secs_f64(duration_s / 3.0 + duration_s / 20.0),
                 ..Default::default()
             };
-            let report =
-                pels_core::chaos::run_matrix_instrumented(&cfg, &tel).map_err(|e| e.to_string())?;
+            let report = pels_core::chaos::run_matrix(&cfg, &tel).map_err(|e| e.to_string())?;
             pels_bench::write_result(
                 &pels_bench::results_dir(dirs.results.as_deref()),
                 "chaos.csv",
@@ -1120,7 +1121,8 @@ pub fn execute(
             let Some(last) = lines.last() else {
                 return Err(format!("{path} holds no snapshots"));
             };
-            // Snapshots are cumulative, so the last line summarizes the run.
+            // Every line is the engines' whole state when it was scraped, and
+            // the one that ends a run adds histograms and series.
             let s = &last.snapshot;
             w(out, format!("{path}: {} snapshot(s), last at t = {:.3} s", lines.len(), last.t))?;
             if !s.counters.is_empty() {
@@ -1132,7 +1134,7 @@ pub fn execute(
             if !s.gauges.is_empty() {
                 w(out, "gauges:".to_string())?;
                 for (k, g) in &s.gauges {
-                    w(out, format!("  {k:<36} {:<12.4} ({} updates)", g.value, g.updates))?;
+                    w(out, format!("  {k:<36} {:.4}", g.value))?;
                 }
             }
             if !s.stats.is_empty() {
@@ -1147,7 +1149,7 @@ pub fn execute(
                             su.mean(),
                             su.min().unwrap_or(f64::NAN),
                             su.max().unwrap_or(f64::NAN),
-                            st.hist.quantile(0.99).unwrap_or(f64::NAN),
+                            st.hist.as_ref().and_then(|h| h.quantile(0.99)).unwrap_or(f64::NAN),
                         ),
                     )?;
                 }
@@ -1164,15 +1166,19 @@ pub fn execute(
         Command::RunTopo { spec, duration_s, json, telemetry, workers } => {
             use pels_topo::scenario::{to_csv, TopoScenario};
             let tel = open_telemetry(telemetry.as_deref())?;
-            let mut s = TopoScenario::try_build(*spec).map_err(|e| e.to_string())?;
+            let mut spec = *spec;
+            // The series a full scrape publishes are the ones the agents keep.
+            if tel.is_enabled() {
+                spec.keep_series = Some(true);
+            }
+            let mut s = TopoScenario::try_build(spec).map_err(|e| e.to_string())?;
             s.set_workers(workers);
             if tel.is_enabled() {
-                s.attach_telemetry(&tel);
                 let mut t = 0.0;
                 while t < duration_s {
                     t = (t + 1.0).min(duration_s);
                     s.run_until(SimTime::from_secs_f64(t));
-                    s.flush_telemetry(&tel);
+                    s.flush_telemetry(&tel, t >= duration_s);
                 }
             } else {
                 s.run_until(SimTime::from_secs_f64(duration_s));
@@ -1268,20 +1274,22 @@ pub fn execute(
         }
         Command::Run { config, duration_s, json, telemetry, workers } => {
             let tel = open_telemetry(telemetry.as_deref())?;
+            let mut config = *config;
+            // The series a full scrape publishes are the ones the agents keep.
+            config.keep_series |= tel.is_enabled();
             // The partition is fixed by the topology, so --workers only
             // changes wall clock, never the report.
-            let mut s = Scenario::try_build(*config).map_err(|e| e.to_string())?;
+            let mut s = Scenario::try_build(config).map_err(|e| e.to_string())?;
             s.set_workers(workers);
             if tel.is_enabled() {
-                s.attach_telemetry(&tel);
-                // Flush a cumulative snapshot roughly once per simulated
-                // second so the stream shows the run's progression, not
-                // just its end state.
+                // Scrape once per simulated second so the stream shows the
+                // run's progression, not just its end state; the last
+                // scrape is the full one.
                 let mut t = 0.0;
                 while t < duration_s {
                     t = (t + 1.0).min(duration_s);
                     s.run_until(SimTime::from_secs_f64(t));
-                    s.flush_telemetry(&tel);
+                    s.flush_telemetry(&tel, t >= duration_s);
                 }
             } else {
                 s.run_until(SimTime::from_secs_f64(duration_s));
@@ -1772,7 +1780,7 @@ mod tests {
         let dir = TestDir::new("tel");
         let path = dir.join("run.jsonl");
         let cmd = parse_args(&args(&format!(
-            "run --flows 1 --duration 3 --json --telemetry {}",
+            "run --flows 2 --duration 3 --json --telemetry {}",
             path.display()
         )))
         .unwrap();
@@ -1784,20 +1792,42 @@ mod tests {
         execute(cmd, &OutputDirs::default(), &mut buf).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let lines = pels_telemetry::parse_snapshot_lines(&text).unwrap();
-        assert_eq!(lines.len(), 3, "one cumulative snapshot per simulated second");
+        assert_eq!(lines.len(), 3, "one scrape per simulated second");
         let last = &lines.last().unwrap().snapshot;
         assert!(last.counters["sim.flow0.feedback_epochs"] > 0);
-        assert!(last.series.contains_key("sim.flow0.rate_kbps"));
+        assert!(last.series.contains_key("sim.flow0.rate_kbps"), "--telemetry keeps series");
+        assert!(last.series.contains_key("sim.router0.p"));
+        assert!(last.stats["sim.flow1.delay.green"].hist.is_some());
         assert!(last.gauges.contains_key("sim.events"));
+        // Only the scrape that ends the run carries the bulk, so the file
+        // grows linearly with the run.
+        for periodic in &lines[..2] {
+            let s = &periodic.snapshot;
+            assert!(s.counters["sim.router0.feedback_ticks"] > 0);
+            assert!(s.series.is_empty() && s.stats.values().all(|st| st.hist.is_none()));
+        }
+        let last_line = text.lines().last().unwrap();
+        assert!(text.len() <= 2 * last_line.len(), "{} vs {}", text.len(), last_line.len());
 
         let cmd = parse_args(&args(&format!("metrics {}", path.display()))).unwrap();
         let mut buf = Vec::new();
         execute(cmd, &OutputDirs::default(), &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("3 snapshot(s)"), "{text}");
-        assert!(text.contains("counters:"), "{text}");
-        assert!(text.contains("sim.flow0.feedback_epochs"), "{text}");
-        assert!(text.contains("sim.flow0.rate_kbps"), "{text}");
+        for row in [
+            "counters:",
+            "sim.flow0.feedback_epochs",
+            "sim.router0.drops.red",
+            "gauges:",
+            "sim.router0.wrr_turns",
+            "distributions:",
+            "sim.flow0.delay.red",
+            "series:",
+            "sim.flow0.rate_kbps",
+            "sim.router0.p_red",
+        ] {
+            assert!(text.contains(row), "{row} missing from:\n{text}");
+        }
     }
 
     #[test]
@@ -1983,12 +2013,26 @@ mod tests {
 
     #[test]
     fn serve_command_executes_an_idle_server() {
-        let cmd = parse_args(&args("serve --listen 127.0.0.1:0 --duration 0.3 --json")).unwrap();
+        let dir = TestDir::new("tel_serve");
+        let path = dir.join("serve.jsonl");
+        let cmd = parse_args(&args(&format!(
+            "serve --listen 127.0.0.1:0 --duration 1.2 --json --telemetry {}",
+            path.display()
+        )))
+        .unwrap();
         let mut buf = Vec::new();
         execute(cmd, &OutputDirs::default(), &mut buf).unwrap();
         let v: serde_json::Value = serde_json::from_slice(&buf).unwrap();
         assert_eq!(v["peak_flows"].as_u64(), Some(0), "no clients registered");
         assert_eq!(v["leaked_flows"].as_u64(), Some(0));
+        // One scrape a second and one at exit, which is the report.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines = pels_telemetry::parse_snapshot_lines(&text).unwrap();
+        assert_eq!(lines.len(), 2, "{text}");
+        let last = &lines[1].snapshot.counters;
+        assert!(last["wire.serve.timer_events"] > 30, "the router ticks every 30 ms");
+        assert_eq!(Some(last["wire.serve.timer_events"]), v["timer_events"].as_u64());
+        assert_eq!(Some(last["wire.serve.acks"]), v["acks"].as_u64());
     }
 
     #[test]

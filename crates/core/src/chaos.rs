@@ -292,14 +292,9 @@ pub fn schedule_for(case: ChaosCase, cfg: &ChaosConfig) -> FaultSchedule {
     s
 }
 
-/// Runs one fault case and evaluates its invariants.
-pub fn run_case(case: ChaosCase, cfg: &ChaosConfig) -> Result<CaseReport, SimError> {
-    run_case_instrumented(case, cfg, &pels_telemetry::Telemetry::disabled())
-}
-
-/// [`run_case`] with a telemetry handle attached to every agent for the
-/// case's run; one cumulative snapshot is flushed when the case ends.
-pub fn run_case_instrumented(
+/// Runs one fault case and evaluates its invariants. The case's end state
+/// is scraped into `telemetry` (a disabled handle skips the scrape).
+pub fn run_case(
     case: ChaosCase,
     cfg: &ChaosConfig,
     telemetry: &pels_telemetry::Telemetry,
@@ -312,10 +307,9 @@ pub fn run_case_instrumented(
         ..Default::default()
     };
     let mut s = Scenario::try_build(sc)?;
-    s.attach_telemetry(telemetry);
     s.install_faults(&schedule_for(case, cfg));
     s.run_until(SimTime::from_secs_f64(cfg.duration.as_secs_f64()));
-    s.flush_telemetry(telemetry);
+    s.flush_telemetry(telemetry, true);
 
     let n = cfg.flows;
     let pels_capacity = s.config().bottleneck.scale(s.config().aqm.pels_share);
@@ -384,21 +378,16 @@ pub fn run_case_instrumented(
     })
 }
 
-/// Runs every [`ChaosCase`] and aggregates the verdicts.
-pub fn run_matrix(cfg: &ChaosConfig) -> Result<ChaosReport, SimError> {
-    run_matrix_instrumented(cfg, &pels_telemetry::Telemetry::disabled())
-}
-
-/// [`run_matrix`] with telemetry: all cases share the registry, so each
-/// flushed snapshot line is cumulative across the cases run so far.
-pub fn run_matrix_instrumented(
+/// Runs every [`ChaosCase`] and aggregates the verdicts. Each case is its
+/// own simulator, so `telemetry` receives one full scrape per case.
+pub fn run_matrix(
     cfg: &ChaosConfig,
     telemetry: &pels_telemetry::Telemetry,
 ) -> Result<ChaosReport, SimError> {
     cfg.validate()?;
     let mut cases = Vec::with_capacity(ChaosCase::ALL.len());
     for case in ChaosCase::ALL {
-        cases.push(run_case_instrumented(case, cfg, telemetry)?);
+        cases.push(run_case(case, cfg, telemetry)?);
     }
     let all_ok = cases.iter().all(|c| c.ok);
     Ok(ChaosReport { seed: cfg.seed, duration_s: cfg.duration.as_secs_f64(), cases, all_ok })
@@ -407,6 +396,7 @@ pub fn run_matrix_instrumented(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pels_telemetry::Telemetry;
 
     fn short_cfg() -> ChaosConfig {
         ChaosConfig {
@@ -420,7 +410,7 @@ mod tests {
 
     #[test]
     fn baseline_invariants_hold() {
-        let r = run_case(ChaosCase::Baseline, &short_cfg()).unwrap();
+        let r = run_case(ChaosCase::Baseline, &short_cfg(), &Telemetry::disabled()).unwrap();
         assert!(r.ok, "{r:?}");
         assert_eq!(r.faults_applied, 0);
         assert_eq!(r.stale_decays, 0);
@@ -428,7 +418,7 @@ mod tests {
 
     #[test]
     fn link_outage_recovers_and_keeps_green() {
-        let r = run_case(ChaosCase::LinkOutage, &short_cfg()).unwrap();
+        let r = run_case(ChaosCase::LinkOutage, &short_cfg(), &Telemetry::disabled()).unwrap();
         assert!(r.rate_ok, "{r:?}");
         assert!(r.green_ok, "green delivery {}", r.green_delivery);
         assert!(r.recovery_ok, "recovery epochs {:?}", r.recovery_epochs);
@@ -437,7 +427,7 @@ mod tests {
 
     #[test]
     fn stale_feedback_decays_then_recovers() {
-        let r = run_case(ChaosCase::StaleFeedback, &short_cfg()).unwrap();
+        let r = run_case(ChaosCase::StaleFeedback, &short_cfg(), &Telemetry::disabled()).unwrap();
         assert!(r.ok, "{r:?}");
         assert!(r.stale_decays > 0);
         assert!(r.control_dropped > 0);
@@ -446,8 +436,12 @@ mod tests {
     #[test]
     fn case_reports_are_deterministic() {
         let cfg = short_cfg();
-        let a = serde_json::to_string(&run_case(ChaosCase::FeedbackMangling, &cfg).unwrap());
-        let b = serde_json::to_string(&run_case(ChaosCase::FeedbackMangling, &cfg).unwrap());
+        let a = serde_json::to_string(
+            &run_case(ChaosCase::FeedbackMangling, &cfg, &Telemetry::disabled()).unwrap(),
+        );
+        let b = serde_json::to_string(
+            &run_case(ChaosCase::FeedbackMangling, &cfg, &Telemetry::disabled()).unwrap(),
+        );
         assert_eq!(a.unwrap(), b.unwrap());
     }
 
@@ -455,12 +449,12 @@ mod tests {
     fn rejects_degenerate_windows() {
         let mut cfg = short_cfg();
         cfg.fault_to = cfg.fault_from;
-        assert!(run_case(ChaosCase::Baseline, &cfg).is_err());
+        assert!(run_case(ChaosCase::Baseline, &cfg, &Telemetry::disabled()).is_err());
         let mut cfg = short_cfg();
         cfg.fault_to = cfg.duration + SimDuration::from_secs_f64(1.0);
-        assert!(run_matrix(&cfg).is_err());
+        assert!(run_matrix(&cfg, &Telemetry::disabled()).is_err());
         let mut cfg = short_cfg();
         cfg.flows = 0;
-        assert!(run_matrix(&cfg).is_err());
+        assert!(run_matrix(&cfg, &Telemetry::disabled()).is_err());
     }
 }

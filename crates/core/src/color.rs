@@ -53,6 +53,15 @@ impl Color {
         }
     }
 
+    /// The lower-case name metrics carry (`drops.red`, `delay.green`).
+    pub const fn name(self) -> &'static str {
+        match self {
+            Color::Green => "green",
+            Color::Yellow => "yellow",
+            Color::Red => "red",
+        }
+    }
+
     /// Whether a wire class is PELS video traffic.
     pub const fn is_pels_class(class: u8) -> bool {
         class < 3

@@ -13,7 +13,6 @@ use pels_netsim::port::Port;
 use pels_netsim::sim::{Agent, Context};
 use pels_netsim::stats::DelayRecorder;
 use pels_netsim::time::SimDuration;
-use pels_telemetry::Telemetry;
 use std::any::Any;
 use std::collections::BTreeMap;
 
@@ -196,36 +195,6 @@ pub struct PelsReceiver {
     pub recovered_late: u64,
     /// Starvation probes acknowledged (not video data; see DESIGN.md §11).
     pub probes_acked: u64,
-    telemetry: Telemetry,
-    metric: RxMetricNames,
-}
-
-/// Per-flow telemetry metric names, formatted once at construction so the
-/// per-packet instrumentation never allocates.
-#[derive(Debug)]
-struct RxMetricNames {
-    /// Delay names per color: used both as a raw `(t, delay)` series and as
-    /// a streaming distribution (the registry namespaces kinds separately).
-    delay: [String; 3],
-    nacks: String,
-    recovered: String,
-    late: String,
-}
-
-impl RxMetricNames {
-    fn new(flow: FlowId) -> Self {
-        let f = flow.0;
-        RxMetricNames {
-            delay: [
-                format!("sim.flow{f}.delay.green"),
-                format!("sim.flow{f}.delay.yellow"),
-                format!("sim.flow{f}.delay.red"),
-            ],
-            nacks: format!("sim.flow{f}.nacks"),
-            recovered: format!("sim.flow{f}.recovered"),
-            late: format!("sim.flow{f}.late_packets"),
-        }
-    }
 }
 
 impl PelsReceiver {
@@ -235,7 +204,6 @@ impl PelsReceiver {
     /// `keep_delay_series` retains raw per-packet delay samples for
     /// plotting; aggregates are always kept.
     pub fn new(flow: FlowId, port: Port, keep_delay_series: bool) -> Self {
-        let metric = RxMetricNames::new(flow);
         PelsReceiver {
             flow,
             port,
@@ -251,15 +219,7 @@ impl PelsReceiver {
             recovered_on_time: 0,
             recovered_late: 0,
             probes_acked: 0,
-            telemetry: Telemetry::disabled(),
-            metric,
         }
-    }
-
-    /// Attaches a telemetry handle. A disabled handle (the default) keeps
-    /// every instrumentation point a single-branch no-op.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
     }
 
     /// Sets a playout deadline (builder style): packets whose one-way delay
@@ -298,7 +258,6 @@ impl PelsReceiver {
             nack.kind = PacketKind::Nack;
             nack.sent_at = ctx.now;
             self.port.send(nack, ctx);
-            self.telemetry.counter_add(&self.metric.nacks, 1);
         }
     }
 
@@ -351,7 +310,6 @@ impl Agent for PelsReceiver {
                 self.recovered_late += 1;
             } else {
                 self.recovered_on_time += 1;
-                self.telemetry.counter_add(&self.metric.recovered, 1);
             }
         }
         if self.nack.is_some() {
@@ -360,17 +318,11 @@ impl Agent for PelsReceiver {
         if (packet.class as usize) < 3 {
             if late {
                 self.late_by_color[packet.class as usize] += 1;
-                self.telemetry.counter_add(&self.metric.late, 1);
             } else {
                 self.received_by_color[packet.class as usize] += 1;
             }
         }
         self.delays.record(packet.class, ctx.now.as_secs_f64(), delay.as_secs_f64());
-        if self.telemetry.is_enabled() && (packet.class as usize) < 3 {
-            let name = &self.metric.delay[packet.class as usize];
-            self.telemetry.sample(name, ctx.now.as_secs_f64(), delay.as_secs_f64());
-            self.telemetry.observe(name, delay.as_secs_f64());
-        }
 
         if !late {
             self.frames

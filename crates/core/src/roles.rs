@@ -6,13 +6,15 @@
 //! endpoints. What can be said about a run from those two alone is written
 //! here once.
 
+use crate::color::Color;
 use crate::receiver::PelsReceiver;
 use crate::router::AqmRouter;
 use crate::source::PelsSource;
 use pels_fgs::decoder::UtilityStats;
+use pels_netsim::disc::Wrr;
 use pels_netsim::packet::AgentId;
 use pels_netsim::shard::ShardedSimulator;
-use pels_telemetry::Telemetry;
+use pels_telemetry::{Snapshot, Telemetry};
 
 /// Agent ids of every role in a built scenario.
 #[derive(Debug, Clone, Default)]
@@ -33,37 +35,82 @@ pub struct RoleIds {
 }
 
 impl RoleIds {
-    /// Attaches a telemetry handle to every instrumented agent: the AQM
-    /// routers and each video source and receiver share (clones of) the
-    /// same registry. Disabled handles keep all hot paths single-branch
-    /// no-ops.
-    pub fn attach_telemetry(&self, sim: &mut ShardedSimulator, telemetry: &Telemetry) {
+    /// Reads the state the agents already keep into one snapshot — the
+    /// simulator's one scrape. Every metric is named after its agent:
+    /// `sim.router<id>.*` by the AQM router's [`AgentId`] (Eq. 11's `p` is a
+    /// per-router quantity), `sim.flow<f>.*` by flow id. A `full` scrape adds
+    /// the delay histograms and every series the agents kept
+    /// (`keep_series`); without it the cost is a few integers per agent.
+    pub fn scrape(&self, sim: &ShardedSimulator, full: bool) -> Snapshot {
+        let mut snap = Snapshot::default();
+        snap.set_gauge("sim.events", sim.events_processed() as f64);
         for &id in &self.aqm_routers {
-            sim.agent_mut::<AqmRouter>(id).set_telemetry(telemetry.clone());
+            let r = sim.agent::<AqmRouter>(id);
+            let name = |metric: &str| format!("sim.router{}.{metric}", id.0);
+            let port = r.port(0);
+            snap.counters.insert(name("feedback_ticks"), r.estimator().epoch());
+            snap.counters.insert(name("random_drops"), r.random_drops);
+            for color in Color::ALL {
+                let drops = port.stats.drops_by_class[color.class() as usize];
+                snap.counters.insert(name(&format!("drops.{}", color.name())), drops);
+            }
+            snap.set_gauge(name("queue_pkts"), port.discipline().len_packets() as f64);
+            if let Some(wrr) = port.discipline().as_any().downcast_ref::<Wrr>() {
+                snap.set_gauge(name("wrr_turns"), wrr.turns as f64);
+            }
+            if full {
+                for (metric, series) in [
+                    ("p", &r.feedback_series),
+                    ("p_fgs", &r.fgs_loss_series),
+                    ("p_green", &r.green_loss_series),
+                    ("p_yellow", &r.yellow_loss_series),
+                    ("p_red", &r.red_loss_series),
+                    ("backlog_pkts", &r.backlog_series),
+                    ("red_backlog_pkts", &r.red_backlog_series),
+                ] {
+                    snap.set_series(name(metric), series);
+                }
+            }
         }
         for &id in &self.sources {
-            sim.agent_mut::<PelsSource>(id).set_telemetry(telemetry.clone());
+            let s = sim.agent::<PelsSource>(id);
+            let name = |metric: &str| format!("sim.flow{}.{metric}", s.flow().0);
+            if let Some(mkc) = s.mkc() {
+                snap.counters.insert(name("feedback_epochs"), mkc.updates());
+                snap.counters.insert(name("stale_decays"), mkc.stale_decays());
+            }
+            if full {
+                snap.set_series(name("rate_kbps"), &s.rate_series);
+                snap.set_series(name("gamma"), &s.gamma_series);
+                snap.set_series(name("fgs_loss"), &s.loss_series);
+            }
         }
         for &id in &self.receivers {
-            sim.agent_mut::<PelsReceiver>(id).set_telemetry(telemetry.clone());
+            let r = sim.agent::<PelsReceiver>(id);
+            let name = |metric: &str| format!("sim.flow{}.{metric}", r.flow().0);
+            snap.counters.insert(name("nacks"), r.nacks_sent());
+            snap.counters.insert(name("recovered"), r.recovered_on_time);
+            snap.counters.insert(name("late_packets"), r.late_by_color.iter().sum());
+            for color in Color::ALL {
+                let (class, delay) =
+                    (color.class() as usize, name(&format!("delay.{}", color.name())));
+                let hist = r.delays.hist_by_class[class].as_ref().filter(|_| full);
+                snap.set_stat(delay.as_str(), &r.delays.by_class[class], hist);
+                if full {
+                    snap.set_series(delay, &r.delays.series[class]);
+                }
+            }
         }
+        snap
     }
 
-    /// Scrapes engine-level gauges (event-loop progress, AQM queue
-    /// occupancy) into `telemetry` and flushes one snapshot stamped with
-    /// the current simulation time to every attached sink.
-    pub fn flush_telemetry(&self, sim: &ShardedSimulator, telemetry: &Telemetry) {
-        if !telemetry.is_enabled() {
-            return;
+    /// Publishes one [`RoleIds::scrape`], stamped with the current simulation
+    /// time, to `telemetry` and its sinks. The flush that ends a run is
+    /// `full`.
+    pub fn flush_telemetry(&self, sim: &ShardedSimulator, telemetry: &Telemetry, full: bool) {
+        if telemetry.is_enabled() {
+            telemetry.publish(sim.now().as_secs_f64(), self.scrape(sim, full));
         }
-        telemetry.gauge_set("sim.events", sim.events_processed() as f64);
-        let queued: usize = self
-            .aqm_routers
-            .iter()
-            .map(|&r| sim.agent::<AqmRouter>(r).port(0).discipline().len_packets())
-            .sum();
-        telemetry.gauge_set("sim.router.queue_pkts", queued as f64);
-        telemetry.flush(sim.now().as_secs_f64());
     }
 
     /// Aggregate decode utility across all video flows.

@@ -28,7 +28,6 @@ use pels_netsim::router::RouteTable;
 use pels_netsim::sim::{Agent, Context};
 use pels_netsim::stats::TimeSeries;
 use pels_netsim::time::SimDuration;
-use pels_telemetry::Telemetry;
 use rand::Rng;
 use std::any::Any;
 
@@ -90,17 +89,6 @@ impl Default for AqmConfig {
 
 const TICK_TOKEN: u64 = 0;
 
-/// `sim.router.drops.<color>` — static names so the per-packet drop path
-/// never allocates.
-fn drop_metric(class: usize) -> &'static str {
-    match class {
-        0 => "sim.router.drops.green",
-        1 => "sim.router.drops.yellow",
-        2 => "sim.router.drops.red",
-        _ => "sim.router.drops.other",
-    }
-}
-
 fn wrr_classify(e: &QEntry) -> usize {
     if Color::is_pels_class(e.class) {
         0
@@ -144,7 +132,6 @@ pub struct AqmRouter {
     /// Red-band backlog in packets per feedback tick.
     pub red_backlog_series: TimeSeries,
     keep_series: bool,
-    telemetry: Telemetry,
 }
 
 impl AqmRouter {
@@ -220,7 +207,6 @@ impl AqmRouter {
             backlog_series: TimeSeries::new("video_backlog_pkts"),
             red_backlog_series: TimeSeries::new("red_backlog_pkts"),
             keep_series,
-            telemetry: Telemetry::disabled(),
         })
     }
 
@@ -262,12 +248,6 @@ impl AqmRouter {
         &self.cfg
     }
 
-    /// Attaches a telemetry handle. A disabled handle (the default) keeps
-    /// every instrumentation point a single-branch no-op.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
-    }
-
     /// Returns `true` when the packet was consumed by a uniform random drop.
     fn record_bottleneck(&mut self, pkt: &mut Packet, ctx: &mut Context<'_>) -> bool {
         // Only PELS data packets feed the estimator and carry feedback.
@@ -292,22 +272,18 @@ impl AqmRouter {
         {
             self.random_drops += 1;
             self.window_drops[pkt.class.min(3) as usize] += 1;
-            self.telemetry.counter_add("sim.router.random_drops", 1);
             return true;
         }
         false
     }
 
     fn push_loss_window(&mut self, now_s: f64) {
-        let names = ["sim.router.p_green", "sim.router.p_yellow", "sim.router.p_red"];
         let series =
             [&mut self.green_loss_series, &mut self.yellow_loss_series, &mut self.red_loss_series];
         for (class, s) in series.into_iter().enumerate() {
             let a = self.window_arrivals[class];
             if a > 0 {
-                let loss = self.window_drops[class] as f64 / a as f64;
-                s.push(now_s, loss);
-                self.telemetry.sample(names[class], now_s, loss);
+                s.push(now_s, self.window_drops[class] as f64 / a as f64);
             }
         }
         self.window_arrivals = [0; 4];
@@ -334,9 +310,7 @@ impl Agent for AqmRouter {
         if is_bottleneck_video {
             // Tail drops (queue overflow) per class.
             for d in dropped {
-                let class = d.class.min(3) as usize;
-                self.window_drops[class] += 1;
-                self.telemetry.counter_add(drop_metric(class), 1);
+                self.window_drops[d.class.min(3) as usize] += 1;
             }
         }
     }
@@ -344,8 +318,7 @@ impl Agent for AqmRouter {
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
         debug_assert_eq!(token, TICK_TOKEN);
         let fb = self.estimator.tick(self.self_id);
-        let tel_on = self.telemetry.is_enabled();
-        if self.keep_series || tel_on {
+        if self.keep_series {
             let t = ctx.now.as_secs_f64();
             // Sample the video queue's backlog (and its red band when the
             // discipline is the PELS composite).
@@ -355,29 +328,13 @@ impl Agent for AqmRouter {
             let red_backlog = wrr
                 .and_then(|w| w.child(0).as_any().downcast_ref::<StrictPriority>())
                 .map(|sp| sp.band_len_packets(2) as f64);
-            if self.keep_series {
-                self.feedback_series.push(t, fb.loss);
-                self.fgs_loss_series.push(t, fb.fgs_loss);
-                if let Some(b) = backlog {
-                    self.backlog_series.push(t, b);
-                }
-                if let Some(rb) = red_backlog {
-                    self.red_backlog_series.push(t, rb);
-                }
+            self.feedback_series.push(t, fb.loss);
+            self.fgs_loss_series.push(t, fb.fgs_loss);
+            if let Some(b) = backlog {
+                self.backlog_series.push(t, b);
             }
-            if tel_on {
-                self.telemetry.counter_add("sim.router.feedback_ticks", 1);
-                self.telemetry.sample("sim.router.p", t, fb.loss);
-                self.telemetry.sample("sim.router.p_fgs", t, fb.fgs_loss);
-                if let Some(b) = backlog {
-                    self.telemetry.sample("sim.router.backlog_pkts", t, b);
-                }
-                if let Some(rb) = red_backlog {
-                    self.telemetry.sample("sim.router.red_backlog_pkts", t, rb);
-                }
-                if let Some(w) = wrr {
-                    self.telemetry.gauge_set("sim.router.wrr_turns", w.turns as f64);
-                }
+            if let Some(rb) = red_backlog {
+                self.red_backlog_series.push(t, rb);
             }
         }
         self.ticks_in_window += 1;

@@ -461,14 +461,9 @@ impl Scenario {
         self.sim.try_install_faults(schedule).unwrap_or_else(|e| panic!("{e}"));
     }
 
-    /// See [`RoleIds::attach_telemetry`].
-    pub fn attach_telemetry(&mut self, telemetry: &pels_telemetry::Telemetry) {
-        self.ids.attach_telemetry(&mut self.sim, telemetry);
-    }
-
     /// See [`RoleIds::flush_telemetry`].
-    pub fn flush_telemetry(&self, telemetry: &pels_telemetry::Telemetry) {
-        self.ids.flush_telemetry(&self.sim, telemetry);
+    pub fn flush_telemetry(&self, telemetry: &pels_telemetry::Telemetry, full: bool) {
+        self.ids.flush_telemetry(&self.sim, telemetry, full);
     }
 
     /// Runs the scenario until `t` (absolute simulation time).
@@ -879,46 +874,68 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_mirrors_bespoke_series_and_counts_hot_paths() {
+    fn scraped_snapshot_equals_engine_state() {
         let (cfg, t) = short_cfg(2, 10);
         let mut s = Scenario::build(cfg);
-        let tel = pels_telemetry::Telemetry::new();
-        s.attach_telemetry(&tel);
         s.run_until(t);
-        s.flush_telemetry(&tel);
+        let snap = s.ids().scrape(&s.sim, true);
 
-        // The telemetry series are recorded at the same code points as the
-        // agents' bespoke series, so they must be identical sample-for-sample.
-        let rate = tel.series("sim.flow0.rate_kbps").expect("rate series recorded");
-        assert_eq!(rate.points, s.source(0).rate_series.points);
-        let gamma = tel.series("sim.flow0.gamma").expect("gamma series recorded");
-        assert_eq!(gamma.points, s.source(0).gamma_series.points);
-        let p = tel.series("sim.router.p").expect("router feedback recorded");
-        assert_eq!(p.points, s.router().feedback_series.points);
-        let p_red = tel.series("sim.router.p_red").expect("red loss recorded");
-        assert_eq!(p_red.points, s.router().red_loss_series.points);
-        let delays = tel.series("sim.flow0.delay.green").expect("delays recorded");
-        assert_eq!(delays.points, s.receiver(0).delays.series[0].points);
+        // The shared dumbbell builds its AQM router first: one name whatever
+        // the flow count.
+        let router = format!("sim.router{}", s.router_ids()[0].0);
+        assert_eq!(router, "sim.router0");
+        let of_router = |metric: &str| format!("{router}.{metric}");
 
-        // Counters and scraped gauges moved.
-        assert!(tel.counter("sim.flow0.feedback_epochs") > 100, "epochs drive MKC");
-        assert!(tel.counter("sim.router.feedback_ticks") > 100, "T = 30 ms over 10 s");
-        assert!(tel.counter("sim.router.drops.red") > 0, "red sheds under congestion");
-        assert!(tel.gauge("sim.events").unwrap_or(0.0) > 1_000.0);
-        assert!(tel.gauge("sim.router.wrr_turns").unwrap_or(0.0) > 0.0);
+        // Every series is the agent's own, read once.
+        assert_eq!(snap.series["sim.flow0.rate_kbps"], s.source(0).rate_series.points);
+        assert_eq!(snap.series["sim.flow0.gamma"], s.source(0).gamma_series.points);
+        assert_eq!(snap.series["sim.flow1.fgs_loss"], s.source(1).loss_series.points);
+        assert_eq!(snap.series[&of_router("p")], s.router().feedback_series.points);
+        assert_eq!(snap.series[&of_router("p_red")], s.router().red_loss_series.points);
+        assert_eq!(snap.series["sim.flow0.delay.green"], s.receiver(0).delays.series[0].points);
+
+        // So is every count and distribution.
+        let epochs = s.source(0).mkc().expect("flows run MKC").updates();
+        assert!(epochs > 100, "epochs drive MKC");
+        assert_eq!(snap.counters["sim.flow0.feedback_epochs"], epochs);
+        let ticks = s.router().estimator().epoch();
+        assert!(ticks > 100, "T = 30 ms over 10 s");
+        assert_eq!(snap.counters[&of_router("feedback_ticks")], ticks);
+        let red_drops = s.report().bottleneck_drops_by_class[2];
+        assert!(red_drops > 0, "red sheds under congestion");
+        assert_eq!(snap.counters[&of_router("drops.red")], red_drops);
+        assert_eq!(snap.gauges["sim.events"].value, s.sim.events_processed() as f64);
+        assert!(snap.gauges[&of_router("wrr_turns")].value > 0.0);
+        let red = &snap.stats["sim.flow0.delay.red"];
+        let kept = &s.receiver(0).delays;
+        assert_eq!(red.summary.count(), kept.by_class[2].count());
+        assert_eq!(red.summary.mean(), kept.by_class[2].mean());
+        assert_eq!(red.hist, kept.hist_by_class[2]);
+
+        // A periodic scrape is the same counts without the bulk.
+        let periodic = s.ids().scrape(&s.sim, false);
+        assert_eq!(periodic.counters, snap.counters);
+        assert!(periodic.series.is_empty());
+        assert!(periodic.stats.values().all(|st| st.hist.is_none()));
     }
 
     #[test]
-    fn disabled_telemetry_changes_nothing() {
+    fn flushing_every_second_changes_nothing() {
         let (cfg, t) = short_cfg(1, 5);
         let mut plain = Scenario::build(cfg.clone());
         plain.run_until(t);
-        let mut instrumented = Scenario::build(cfg);
-        instrumented.attach_telemetry(&pels_telemetry::Telemetry::disabled());
-        instrumented.run_until(t);
+        let tel = pels_telemetry::Telemetry::new();
+        let mem = pels_telemetry::MemorySink::new();
+        tel.attach_sink(Box::new(mem.clone()));
+        let mut flushed = Scenario::build(cfg);
+        for sec in 1..=5 {
+            flushed.run_until(SimTime::from_secs_f64(f64::from(sec)));
+            flushed.flush_telemetry(&tel, sec == 5);
+        }
+        assert_eq!(mem.snapshots().len(), 5);
         let a = serde_json::to_string(&plain.report()).expect("serialize");
-        let b = serde_json::to_string(&instrumented.report()).expect("serialize");
-        assert_eq!(a, b, "a disabled handle must not perturb the run");
+        let b = serde_json::to_string(&flushed.report()).expect("serialize");
+        assert_eq!(a, b, "a scrape reads; it must not perturb the run");
     }
 
     #[test]

@@ -19,7 +19,6 @@ use pels_netsim::port::Port;
 use pels_netsim::sim::{Agent, Context};
 use pels_netsim::stats::TimeSeries;
 use pels_netsim::time::SimDuration;
-use pels_telemetry::Telemetry;
 use std::any::Any;
 use std::sync::Arc;
 
@@ -218,39 +217,12 @@ pub struct PelsSource {
     pub gamma_series: TimeSeries,
     /// `(t, fgs loss)` as fed to the γ controller.
     pub loss_series: TimeSeries,
-    telemetry: Telemetry,
-    metric: FlowMetricNames,
-}
-
-/// Per-flow telemetry metric names, formatted once at construction so the
-/// per-update instrumentation never allocates.
-#[derive(Debug)]
-struct FlowMetricNames {
-    rate: String,
-    gamma: String,
-    fgs_loss: String,
-    epochs: String,
-    stale_decays: String,
-}
-
-impl FlowMetricNames {
-    fn new(flow: FlowId) -> Self {
-        let f = flow.0;
-        FlowMetricNames {
-            rate: format!("sim.flow{f}.rate_kbps"),
-            gamma: format!("sim.flow{f}.gamma"),
-            fgs_loss: format!("sim.flow{f}.fgs_loss"),
-            epochs: format!("sim.flow{f}.feedback_epochs"),
-            stale_decays: format!("sim.flow{f}.stale_decays"),
-        }
-    }
 }
 
 impl PelsSource {
     /// Creates a source sending through `port` (its access link).
     pub fn new(cfg: SourceConfig, port: Port) -> Self {
         let flow = FlowControl::new(cfg.cc, cfg.gamma, cfg.mode);
-        let metric = FlowMetricNames::new(cfg.flow);
         PelsSource {
             cfg,
             port,
@@ -274,15 +246,7 @@ impl PelsSource {
             rate_series: TimeSeries::new("rate_kbps"),
             gamma_series: TimeSeries::new("gamma"),
             loss_series: TimeSeries::new("fgs_loss"),
-            telemetry: Telemetry::disabled(),
-            metric,
         }
-    }
-
-    /// Attaches a telemetry handle. A disabled handle (the default) keeps
-    /// every instrumentation point a single-branch no-op.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
     }
 
     /// The current congestion-controlled sending rate, bits/s.
@@ -565,13 +529,6 @@ impl PelsSource {
             self.gamma_series.push(t, self.flow.gamma());
             self.loss_series.push(t, fb.fgs_loss);
         }
-        if self.telemetry.is_enabled() {
-            let t = ctx.now.as_secs_f64();
-            self.telemetry.counter_add(&self.metric.epochs, 1);
-            self.telemetry.sample(&self.metric.rate, t, self.flow.rate_bps() / 1_000.0);
-            self.telemetry.sample(&self.metric.gamma, t, self.flow.gamma());
-            self.telemetry.sample(&self.metric.fgs_loss, t, fb.fgs_loss);
-        }
     }
 }
 
@@ -611,12 +568,10 @@ impl Agent for PelsSource {
                     // A stale gap says nothing about the path: patience
                     // accrued before it must not carry across.
                     self.below_floor_since = None;
-                    let (t, kbps) = (ctx.now.as_secs_f64(), self.flow.rate_bps() / 1_000.0);
                     if self.cfg.keep_series {
-                        self.rate_series.push(t, kbps);
+                        self.rate_series
+                            .push(ctx.now.as_secs_f64(), self.flow.rate_bps() / 1_000.0);
                     }
-                    self.telemetry.counter_add(&self.metric.stale_decays, 1);
-                    self.telemetry.sample(&self.metric.rate, t, kbps);
                 }
                 if let Some(period) = self.watchdog_period() {
                     ctx.schedule_timer(period, WATCHDOG_TOKEN);

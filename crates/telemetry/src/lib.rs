@@ -1,77 +1,75 @@
-//! Unified telemetry for the PELS simulation and wire stacks.
+//! Telemetry for the PELS simulation and wire stacks: a registry that is
+//! filled by scrapes.
 //!
-//! One lightweight handle, [`Telemetry`], is threaded through the hot paths
-//! of the simulator, the controllers, and the live UDP agents. It is
-//! **zero-cost when disabled**: the default handle holds no allocation and
-//! every recording call is a single `Option` check. When enabled, metrics
-//! accumulate in a registry of:
+//! The engines record every value once, in their own state — plain
+//! counters, [`Summary`](pels_netsim::stats::Summary)s, histograms and
+//! [`TimeSeries`](pels_netsim::stats::TimeSeries) — and never see a
+//! telemetry handle. Whoever drives a run holds the [`Telemetry`] handle and
+//! *scrapes*: it reads the engines' state into a [`Snapshot`] and
+//! [`Telemetry::publish`]es it, once a second and at exit. Between scrapes
+//! telemetry costs nothing, and because a snapshot is a function of engine
+//! state alone it is as deterministic as the run. The two scrapes are
+//! `pels_core::roles::RoleIds::scrape` (simulator) and
+//! `pels_wire::serve::ServeLoop::scrape` (wire; a one-flow session adds its
+//! receiver and fault counters).
 //!
-//! - **counters** — monotone event counts (`counter_add`),
-//! - **gauges** — last-value metrics with update counts (`gauge_set`),
-//! - **stats** — streaming distributions: Welford moments + log-bucket
-//!   histogram (`observe`),
-//! - **series** — named `(t, v)` sample scopes (`sample`).
+//! A snapshot holds four kinds of metric:
 //!
-//! Metric names are dotted scopes: `flow0.rate_kbps`, `router.p_red`,
+//! - **counters** — monotone event counts,
+//! - **gauges** — last-value metrics,
+//! - **stats** — distributions: Welford moments, plus a log-bucket
+//!   histogram on a full scrape,
+//! - **series** — named `(t, v)` sample streams, on a full scrape only.
+//!
+//! Metric names are dotted scopes: `sim.flow0.rate_kbps`, `sim.router3.p`,
 //! `wire.rx.decode_errors`. See DESIGN.md §10 for the full naming scheme.
 //!
-//! Snapshots of the registry ([`Snapshot`]) merge associatively and
-//! order-insensitively, so parallel runs can be folded in any order.
-//! Pluggable sinks ([`Sink`]) receive cumulative snapshots on
-//! [`Telemetry::flush`]: JSON-lines for `--telemetry <path>`, CSV via the
-//! shared `stats::to_csv`, or in-memory for tests.
+//! Pluggable sinks ([`Sink`]) receive every published snapshot: JSON-lines
+//! for `--telemetry <path>`, CSV via the shared `stats::to_csv`, or
+//! in-memory for tests.
 //!
 //! # Examples
 //!
 //! ```
-//! use pels_telemetry::Telemetry;
+//! use pels_telemetry::{MemorySink, Snapshot, Telemetry};
 //!
 //! let tel = Telemetry::new();
-//! tel.counter_add("router.drops.red", 1);
-//! tel.gauge_set("flow0.gamma", 0.8);
-//! tel.observe("flow0.rate_kbps", 1040.0);
-//! tel.sample("router.p", 1.0, 0.02);
+//! let mem = MemorySink::new();
+//! tel.attach_sink(Box::new(mem.clone()));
 //!
-//! let snap = tel.snapshot();
-//! assert_eq!(snap.counters["router.drops.red"], 1);
+//! let mut snap = Snapshot::default();
+//! snap.counters.insert("sim.router0.drops.red".into(), 7);
+//! snap.set_gauge("sim.events", 1e6);
+//! tel.publish(1.0, snap);
 //!
-//! // Disabled handles record nothing and cost one branch per call.
+//! assert_eq!(tel.counter("sim.router0.drops.red"), 7);
+//! assert_eq!(mem.last().unwrap().0, 1.0);
+//!
+//! // A disabled handle keeps nothing and reaches no sink.
 //! let off = Telemetry::disabled();
-//! off.counter_add("router.drops.red", 1);
-//! assert!(off.snapshot().is_empty());
+//! off.publish(1.0, Snapshot::default());
+//! assert!(!off.is_enabled());
 //! ```
 
 pub mod sink;
 pub mod snapshot;
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
-
-use pels_netsim::stats::TimeSeries;
 
 pub use sink::{parse_snapshot_lines, CsvSink, JsonLinesSink, MemorySink, Sink, SnapshotLine};
 pub use snapshot::{Gauge, Snapshot, Stat};
 
-/// Live metric state behind an enabled handle.
-#[derive(Default)]
-struct Registry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, Gauge>,
-    stats: BTreeMap<String, Stat>,
-    series: BTreeMap<String, Vec<(f64, f64)>>,
-}
-
 struct Inner {
-    registry: Mutex<Registry>,
+    /// The latest published snapshot.
+    registry: Mutex<Snapshot>,
     sinks: Mutex<Vec<Box<dyn Sink>>>,
 }
 
 /// A cloneable telemetry handle. Clones share one registry.
 ///
-/// The default handle is disabled: it holds no allocation and every
-/// recording method returns after one branch, so instrumented hot paths pay
-/// nothing when telemetry is off.
+/// The default handle is disabled: it holds no allocation, keeps nothing
+/// and reaches no sink.
 #[derive(Clone, Default)]
 pub struct Telemetry {
     inner: Option<Arc<Inner>>,
@@ -88,7 +86,7 @@ impl Telemetry {
     pub fn new() -> Self {
         Telemetry {
             inner: Some(Arc::new(Inner {
-                registry: Mutex::new(Registry::default()),
+                registry: Mutex::new(Snapshot::default()),
                 sinks: Mutex::new(Vec::new()),
             })),
         }
@@ -99,12 +97,14 @@ impl Telemetry {
         Telemetry { inner: None }
     }
 
-    /// Whether this handle records anything.
+    /// Whether this handle keeps anything. Check it before a scrape: a
+    /// disabled handle would drop the snapshot unread.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }
 
-    /// Adds `delta` to counter `name`.
+    /// Adds `delta` to counter `name` — the one direct write, for a caller
+    /// with no state of its own to scrape. The engines do not call it.
     pub fn counter_add(&self, name: &str, delta: u64) {
         let Some(inner) = &self.inner else { return };
         let mut reg = lock(&inner.registry);
@@ -116,45 +116,14 @@ impl Telemetry {
         }
     }
 
-    /// Sets gauge `name` to `v`.
-    pub fn gauge_set(&self, name: &str, v: f64) {
+    /// Makes `snap` — one scrape of the engines' state as of time `t`, in
+    /// seconds — the registry's content and hands it to every attached sink.
+    pub fn publish(&self, t: f64, snap: Snapshot) {
         let Some(inner) = &self.inner else { return };
-        let mut reg = lock(&inner.registry);
-        match reg.gauges.get_mut(name) {
-            Some(g) => {
-                g.updates += 1;
-                g.value = v;
-            }
-            None => {
-                reg.gauges.insert(name.to_owned(), Gauge { updates: 1, value: v });
-            }
+        for sink in lock(&inner.sinks).iter_mut() {
+            sink.emit(t, &snap);
         }
-    }
-
-    /// Records `v` into the streaming distribution `name`.
-    pub fn observe(&self, name: &str, v: f64) {
-        let Some(inner) = &self.inner else { return };
-        let mut reg = lock(&inner.registry);
-        match reg.stats.get_mut(name) {
-            Some(s) => s.record(v),
-            None => {
-                let mut s = Stat::default();
-                s.record(v);
-                reg.stats.insert(name.to_owned(), s);
-            }
-        }
-    }
-
-    /// Appends `(t, v)` to the time-series scope `scope`.
-    pub fn sample(&self, scope: &str, t: f64, v: f64) {
-        let Some(inner) = &self.inner else { return };
-        let mut reg = lock(&inner.registry);
-        match reg.series.get_mut(scope) {
-            Some(pts) => pts.push((t, v)),
-            None => {
-                reg.series.insert(scope.to_owned(), vec![(t, v)]);
-            }
-        }
+        *lock(&inner.registry) = snap;
     }
 
     /// Current value of counter `name` (0 if absent or disabled).
@@ -163,48 +132,17 @@ impl Telemetry {
         lock(&inner.registry).counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Current value of gauge `name`.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        let inner = self.inner.as_ref()?;
-        lock(&inner.registry).gauges.get(name).map(|g| g.value)
-    }
-
-    /// A copy of the series scope `name`, as a plottable [`TimeSeries`].
-    pub fn series(&self, name: &str) -> Option<TimeSeries> {
-        let inner = self.inner.as_ref()?;
-        lock(&inner.registry)
-            .series
-            .get(name)
-            .map(|pts| TimeSeries { name: name.to_owned(), points: pts.clone() })
-    }
-
-    /// A point-in-time copy of every metric (empty when disabled).
+    /// A copy of the latest published snapshot (empty when disabled).
     pub fn snapshot(&self) -> Snapshot {
         let Some(inner) = &self.inner else { return Snapshot::default() };
-        let reg = lock(&inner.registry);
-        Snapshot {
-            counters: reg.counters.clone(),
-            gauges: reg.gauges.clone(),
-            stats: reg.stats.clone(),
-            series: reg.series.clone(),
-        }
+        lock(&inner.registry).clone()
     }
 
-    /// Attaches a sink; it receives every subsequent [`Telemetry::flush`].
+    /// Attaches a sink; it receives every subsequent [`Telemetry::publish`].
     /// No-op on a disabled handle.
     pub fn attach_sink(&self, sink: Box<dyn Sink>) {
         let Some(inner) = &self.inner else { return };
         lock(&inner.sinks).push(sink);
-    }
-
-    /// Emits the cumulative snapshot (stamped with time `t`, in seconds) to
-    /// every attached sink.
-    pub fn flush(&self, t: f64) {
-        let Some(inner) = &self.inner else { return };
-        let snap = self.snapshot();
-        for sink in lock(&inner.sinks).iter_mut() {
-            sink.emit(t, &snap);
-        }
     }
 }
 
@@ -217,6 +155,8 @@ impl fmt::Debug for Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pels_netsim::hist::Histogram;
+    use pels_netsim::stats::{Summary, TimeSeries};
 
     /// A directory unique to this process and test, removed on drop: two
     /// `cargo test` processes on one host never meet in a file.
@@ -237,19 +177,20 @@ mod tests {
         }
     }
 
+    fn counters(c: u64) -> Snapshot {
+        let mut snap = Snapshot::default();
+        snap.counters.insert("c".into(), c);
+        snap
+    }
+
     #[test]
-    fn disabled_handle_records_nothing() {
+    fn disabled_handle_keeps_nothing() {
         let tel = Telemetry::disabled();
         tel.counter_add("c", 5);
-        tel.gauge_set("g", 1.0);
-        tel.observe("s", 2.0);
-        tel.sample("ts", 0.0, 3.0);
-        tel.flush(1.0);
+        tel.publish(1.0, counters(5));
         assert!(!tel.is_enabled());
         assert!(tel.snapshot().is_empty());
         assert_eq!(tel.counter("c"), 0);
-        assert_eq!(tel.gauge("g"), None);
-        assert!(tel.series("ts").is_none());
     }
 
     #[test]
@@ -262,59 +203,54 @@ mod tests {
     }
 
     #[test]
-    fn registry_round_trip() {
-        let tel = Telemetry::new();
-        tel.counter_add("wire.rx.decode_errors", 2);
-        tel.gauge_set("flow0.gamma", 0.7);
-        tel.gauge_set("flow0.gamma", 0.9);
-        for v in [1.0, 2.0, 3.0] {
-            tel.observe("flow0.rate_kbps", v * 100.0);
-        }
-        tel.sample("router.p", 0.5, 0.01);
-        tel.sample("router.p", 1.0, 0.02);
-
-        let snap = tel.snapshot();
-        assert_eq!(snap.counters["wire.rx.decode_errors"], 2);
-        assert_eq!(snap.gauges["flow0.gamma"], Gauge { updates: 2, value: 0.9 });
-        assert_eq!(snap.stats["flow0.rate_kbps"].summary.count(), 3);
-        assert_eq!(snap.series["router.p"].len(), 2);
-        let series = tel.series("router.p").unwrap();
-        assert_eq!(series.name, "router.p");
-        assert_eq!(series.last_value(), Some(0.02));
-    }
-
-    #[test]
-    fn memory_sink_sees_cumulative_snapshots() {
+    fn a_publish_replaces_the_registry_and_reaches_every_sink() {
         let tel = Telemetry::new();
         let mem = MemorySink::new();
         tel.attach_sink(Box::new(mem.clone()));
-        tel.counter_add("c", 1);
-        tel.flush(1.0);
-        tel.counter_add("c", 1);
-        tel.flush(2.0);
+        tel.publish(1.0, counters(1));
+        let mut second = counters(2);
+        second.set_gauge("g", 0.5);
+        tel.publish(2.0, second);
         let snaps = mem.snapshots();
         assert_eq!(snaps.len(), 2);
         assert_eq!(snaps[0].1.counters["c"], 1);
+        assert!(snaps[0].1.gauges.is_empty());
         assert_eq!(snaps[1].1.counters["c"], 2);
         assert_eq!(mem.last().unwrap().0, 2.0);
+        // A scrape is the engines' whole state, not an increment.
+        assert_eq!(tel.counter("c"), 2);
+        assert_eq!(tel.snapshot().gauges["g"].value, 0.5);
     }
 
     #[test]
     fn snapshot_serializes_to_json_lines_and_back() {
-        let tel = Telemetry::new();
-        tel.counter_add("c", 7);
-        tel.gauge_set("g", 2.5);
-        tel.observe("o", 0.125);
-        tel.sample("ts", 0.0, 1.0);
-        let line = SnapshotLine { t: 3.0, snapshot: tel.snapshot() };
+        let mut summary = Summary::new();
+        summary.record(0.125);
+        let mut hist = Histogram::for_delays();
+        hist.record(0.125);
+        let mut ts = TimeSeries::new("ts");
+        ts.push(0.0, 1.0);
+        let mut snap = counters(7);
+        snap.set_gauge("g", 2.5);
+        snap.set_stat("periodic", &summary, None);
+        snap.set_stat("full", &summary, Some(&hist));
+        snap.set_stat("never observed", &Summary::new(), None);
+        snap.set_series("ts", &ts);
+        snap.set_series("never sampled", &TimeSeries::new("empty"));
+        let line = SnapshotLine { t: 3.0, snapshot: snap };
         let json = serde_json::to_string(&line).unwrap();
         let parsed = parse_snapshot_lines(&format!("{json}\n{json}\n")).unwrap();
         assert_eq!(parsed.len(), 2);
+        let s = &parsed[1].snapshot;
         assert_eq!(parsed[1].t, 3.0);
-        assert_eq!(parsed[1].snapshot.counters["c"], 7);
-        assert_eq!(parsed[1].snapshot.gauges["g"].value, 2.5);
-        assert_eq!(parsed[1].snapshot.stats["o"].summary.count(), 1);
-        assert_eq!(parsed[1].snapshot.series["ts"], vec![(0.0, 1.0)]);
+        assert_eq!(s.counters["c"], 7);
+        assert_eq!(s.gauges["g"].value, 2.5);
+        assert_eq!(s.stats.len(), 2, "an empty distribution is no row");
+        assert_eq!(s.stats["periodic"].summary.count(), 1);
+        assert!(s.stats["periodic"].hist.is_none());
+        assert_eq!(s.stats["full"].hist, Some(hist));
+        assert_eq!(s.series.len(), 1, "an empty series is no row");
+        assert_eq!(s.series["ts"], vec![(0.0, 1.0)]);
     }
 
     #[test]
@@ -323,10 +259,8 @@ mod tests {
         let path = dir.0.join("stream.jsonl");
         let tel = Telemetry::new();
         tel.attach_sink(Box::new(JsonLinesSink::create(&path).unwrap()));
-        tel.counter_add("c", 1);
-        tel.flush(0.5);
-        tel.counter_add("c", 1);
-        tel.flush(1.5);
+        tel.publish(0.5, counters(1));
+        tel.publish(1.5, counters(2));
         let text = std::fs::read_to_string(&path).unwrap();
         let lines = parse_snapshot_lines(&text).unwrap();
         assert_eq!(lines.len(), 2);
@@ -339,9 +273,10 @@ mod tests {
         let path = dir.0.join("series.csv");
         let tel = Telemetry::new();
         tel.attach_sink(Box::new(CsvSink::new(&path)));
-        tel.sample("a", 0.0, 1.0);
-        tel.sample("b", 0.5, 2.0);
-        tel.flush(1.0);
+        let mut snap = Snapshot::default();
+        snap.series.insert("a".into(), vec![(0.0, 1.0)]);
+        snap.series.insert("b".into(), vec![(0.5, 2.0)]);
+        tel.publish(1.0, snap);
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[0], "t,a,b");

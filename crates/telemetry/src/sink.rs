@@ -1,8 +1,8 @@
-//! Snapshot sinks: where flushed telemetry goes.
+//! Snapshot sinks: where published telemetry goes.
 //!
-//! Sinks receive the *cumulative* snapshot at every flush. File sinks are
-//! best-effort: I/O errors after a successful open are counted, not raised,
-//! so a full disk can never take down a live streaming session.
+//! Sinks receive every published snapshot. File sinks are best-effort: I/O
+//! errors after a successful open are counted, not raised, so a full disk
+//! can never take down a live streaming session.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -14,19 +14,20 @@ use serde::{Deserialize, Serialize};
 
 use crate::snapshot::Snapshot;
 
-/// A destination for flushed snapshots.
+/// A destination for published snapshots.
 pub trait Sink: Send {
-    /// Receives the cumulative snapshot as of time `t` (seconds).
+    /// Receives the snapshot scraped at time `t` (seconds).
     fn emit(&mut self, t: f64, snap: &Snapshot);
 }
 
-/// One line of a JSON-lines telemetry stream: the flush time plus the
-/// cumulative snapshot at that time.
+/// One line of a JSON-lines telemetry stream: the scrape time plus the
+/// snapshot scraped then. Periodic lines carry counters, gauges and stat
+/// summaries; the last line of a run adds histograms and series.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SnapshotLine {
-    /// Flush time in seconds (sim time or wall-clock run time).
+    /// Scrape time in seconds (sim time or wall-clock run time).
     pub t: f64,
-    /// Cumulative snapshot at `t`.
+    /// The engines' state at `t`.
     pub snapshot: Snapshot,
 }
 
@@ -35,11 +36,11 @@ pub fn parse_snapshot_lines(text: &str) -> Result<Vec<SnapshotLine>, serde::Erro
     text.lines().map(str::trim).filter(|l| !l.is_empty()).map(serde_json::from_str).collect()
 }
 
-/// Appends one JSON object per flush to a file — the `--telemetry <path>`
+/// Appends one JSON object per published snapshot to a file — the `--telemetry <path>`
 /// format. Each line is a self-contained [`SnapshotLine`].
 pub struct JsonLinesSink {
     w: BufWriter<File>,
-    /// Flushes that failed to serialize or write.
+    /// Snapshots that failed to serialize or write.
     errors: u64,
 }
 
@@ -49,7 +50,7 @@ impl JsonLinesSink {
         Ok(JsonLinesSink { w: BufWriter::new(File::create(path)?), errors: 0 })
     }
 
-    /// Flushes that failed to serialize or write.
+    /// Snapshots that failed to serialize or write.
     pub fn errors(&self) -> u64 {
         self.errors
     }
@@ -70,23 +71,23 @@ impl Sink for JsonLinesSink {
     }
 }
 
-/// Rewrites a CSV file from the snapshot's time series on every flush,
+/// Rewrites a CSV file from the snapshot's time series on every publish,
 /// reusing [`pels_netsim::stats::to_csv`] so rows merge on sample time.
-/// Because snapshots are cumulative, the last write always holds the whole
-/// run.
+/// Series arrive with the full scrape that ends a run, so the last write
+/// holds the whole run.
 pub struct CsvSink {
     path: std::path::PathBuf,
-    /// Flushes that failed to write.
+    /// Snapshots that failed to write.
     errors: u64,
 }
 
 impl CsvSink {
-    /// Creates a sink writing to `path` (file is created on first flush).
+    /// Creates a sink writing to `path` (file is created on first publish).
     pub fn new(path: impl Into<std::path::PathBuf>) -> Self {
         CsvSink { path: path.into(), errors: 0 }
     }
 
-    /// Flushes that failed to write.
+    /// Snapshots that failed to write.
     pub fn errors(&self) -> u64 {
         self.errors
     }
@@ -106,7 +107,7 @@ impl Sink for CsvSink {
     }
 }
 
-/// Retains every flushed snapshot in memory; clone the sink to keep a
+/// Retains every published snapshot in memory; clone the sink to keep a
 /// reading handle after attaching it.
 #[derive(Clone, Default)]
 pub struct MemorySink {
@@ -119,12 +120,12 @@ impl MemorySink {
         Self::default()
     }
 
-    /// All `(t, snapshot)` pairs flushed so far.
+    /// All `(t, snapshot)` pairs published so far.
     pub fn snapshots(&self) -> Vec<(f64, Snapshot)> {
         self.store.lock().map(|g| g.clone()).unwrap_or_default()
     }
 
-    /// The most recent flushed snapshot, if any.
+    /// The most recent published snapshot, if any.
     pub fn last(&self) -> Option<(f64, Snapshot)> {
         self.store.lock().ok().and_then(|g| g.last().cloned())
     }

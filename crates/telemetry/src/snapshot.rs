@@ -1,16 +1,17 @@
-//! Point-in-time snapshots of a telemetry registry, and their merge law.
+//! Point-in-time snapshots of engine state, and their merge law.
 //!
-//! A [`Snapshot`] is a plain value: it can be serialized to JSON, shipped
-//! between processes, and combined with [`Snapshot::merge`]. Merging is
-//! designed to be associative and order-insensitive (up to floating-point
-//! rounding in the Welford summary combine), so snapshots taken from
-//! parallel runs — or flushed incrementally — can be folded in any order.
+//! A [`Snapshot`] is a plain value: a scrape builds one from the state an
+//! engine already keeps, and it can be serialized to JSON, shipped between
+//! processes, and combined with [`Snapshot::merge`]. Merging is designed to
+//! be associative and order-insensitive (up to floating-point rounding in
+//! the Welford summary combine), so snapshots taken from parallel runs can
+//! be folded in any order.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use pels_netsim::hist::Histogram;
-use pels_netsim::stats::Summary;
+use pels_netsim::stats::{Summary, TimeSeries};
 use serde::{Deserialize, Serialize};
 
 /// Last-written value of a gauge, with a monotone update counter.
@@ -38,42 +39,24 @@ impl Gauge {
     }
 }
 
-/// Streaming distribution of an observed metric: Welford moments plus a
-/// log-bucket histogram for quantiles.
+/// Distribution of an observed metric: Welford moments, and on a full
+/// scrape the log-bucket histogram quantiles are read from.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Stat {
     /// Count / mean / variance / extrema.
     pub summary: Summary,
-    /// Log-bucket histogram (shared parameters across the whole layer, so
-    /// snapshots always merge cleanly).
-    pub hist: Histogram,
+    /// Log-bucket histogram; `None` in a periodic scrape, which a few
+    /// hundred histograms a second would otherwise dominate.
+    pub hist: Option<Histogram>,
 }
 
-/// Histogram floor for observed metrics. Wide enough to cover sub-nanosecond
-/// delays up to multi-megabit rates with ~15% bucket resolution.
-pub(crate) const OBSERVE_V_MIN: f64 = 1e-9;
-/// Histogram bucket growth factor for observed metrics.
-pub(crate) const OBSERVE_GROWTH: f64 = 1.15;
-
-impl Default for Stat {
-    fn default() -> Self {
-        Stat { summary: Summary::new(), hist: Histogram::new(OBSERVE_V_MIN, OBSERVE_GROWTH) }
-    }
-}
-
-impl Stat {
-    /// Records one observation into both the summary and the histogram.
-    pub fn record(&mut self, v: f64) {
-        self.summary.record(v);
-        self.hist.record(v);
-    }
-}
-
-/// A point-in-time copy of every metric in a telemetry registry.
+/// A point-in-time copy of every metric one scrape read.
 ///
-/// Snapshots are cumulative: each one holds the full state since the start
-/// of the run, so a JSON-lines stream of snapshots can be truncated at any
-/// line and the last surviving line still summarizes the run so far.
+/// Counters, gauges and stat summaries are cumulative: each snapshot holds
+/// their state since the start of the run, so a JSON-lines stream of
+/// snapshots can be truncated at any line and the last surviving line still
+/// summarizes the run so far. Histograms and series are in a full scrape —
+/// the last of a run — only.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Snapshot {
     /// Monotone event counts, merged by summation.
@@ -87,6 +70,33 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
+    /// Sets gauge `name` to `v` (one update: a scrape reads a gauge once).
+    pub fn set_gauge(&mut self, name: impl Into<String>, v: f64) {
+        self.gauges.insert(name.into(), Gauge { updates: 1, value: v });
+    }
+
+    /// Publishes a distribution an engine keeps as stat `name`, with its
+    /// histogram on a full scrape. One that has seen no observation is no
+    /// row.
+    pub fn set_stat(
+        &mut self,
+        name: impl Into<String>,
+        summary: &Summary,
+        hist: Option<&Histogram>,
+    ) {
+        if summary.count() > 0 {
+            self.stats.insert(name.into(), Stat { summary: summary.clone(), hist: hist.cloned() });
+        }
+    }
+
+    /// Publishes the points of a series an engine keeps under `name`. An
+    /// empty one (never sampled, or not kept) is no row.
+    pub fn set_series(&mut self, name: impl Into<String>, series: &TimeSeries) {
+        if !series.is_empty() {
+            self.series.insert(name.into(), series.points.clone());
+        }
+    }
+
     /// Folds `other` into `self`.
     ///
     /// Counters add, gauges keep the most-updated writer, stats combine
@@ -105,9 +115,15 @@ impl Snapshot {
             match self.stats.get_mut(k) {
                 Some(mine) => {
                     mine.summary.merge(&s.summary);
-                    // All stats in this layer share histogram parameters;
-                    // a foreign snapshot with different ones keeps ours.
-                    let _ = mine.hist.try_merge(&s.hist);
+                    match (&mut mine.hist, &s.hist) {
+                        // Stats of one name share histogram parameters; a
+                        // foreign snapshot with different ones keeps ours.
+                        (Some(h), Some(other)) => {
+                            let _ = h.try_merge(other);
+                        }
+                        (None, Some(other)) => mine.hist = Some(other.clone()),
+                        (_, None) => {}
+                    }
                 }
                 None => {
                     self.stats.insert(k.clone(), s.clone());
@@ -128,6 +144,17 @@ impl Snapshot {
             && self.stats.is_empty()
             && self.series.is_empty()
     }
+}
+
+/// A stat as a full scrape would publish it after observing `vals`.
+#[cfg(test)]
+fn stat_of(vals: &[f64]) -> Stat {
+    let (mut summary, mut hist) = (Summary::new(), Histogram::for_delays());
+    for &v in vals {
+        summary.record(v);
+        hist.record(v);
+    }
+    Stat { summary, hist: Some(hist) }
 }
 
 #[cfg(test)]
@@ -160,19 +187,14 @@ mod tests {
     #[test]
     fn merge_combines_stats_exactly_on_counts() {
         let mut a = Snapshot::default();
-        let mut sa = Stat::default();
-        sa.record(1.0);
-        sa.record(3.0);
-        a.stats.insert("d".into(), sa);
+        a.stats.insert("d".into(), stat_of(&[1.0, 3.0]));
         let mut b = Snapshot::default();
-        let mut sb = Stat::default();
-        sb.record(2.0);
-        b.stats.insert("d".into(), sb);
+        b.stats.insert("d".into(), stat_of(&[2.0]));
         a.merge(&b);
         let s = &a.stats["d"];
         assert_eq!(s.summary.count(), 3);
         assert!((s.summary.mean() - 2.0).abs() < 1e-12);
-        assert_eq!(s.hist.count(), 3);
+        assert_eq!(s.hist.as_ref().map(Histogram::count), Some(3));
     }
 }
 
@@ -204,11 +226,12 @@ mod proptests {
             g.updates += 1;
             g.value = v;
         }
+        let mut observed: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
         for (k, vals) in stats {
-            let s = snap.stats.entry(KEYS[k as usize].into()).or_default();
-            for v in vals {
-                s.record(v);
-            }
+            observed.entry(KEYS[k as usize]).or_default().extend(vals);
+        }
+        for (k, vals) in observed {
+            snap.stats.insert(k.into(), stat_of(&vals));
         }
         for (k, t, v) in series {
             snap.series.entry(KEYS[k as usize].into()).or_default().push((t, v));

@@ -233,14 +233,9 @@ impl TopoScenario {
         self.ids.mean_rate_kbps(&self.sim)
     }
 
-    /// See [`RoleIds::attach_telemetry`].
-    pub fn attach_telemetry(&mut self, telemetry: &pels_telemetry::Telemetry) {
-        self.ids.attach_telemetry(&mut self.sim, telemetry);
-    }
-
     /// See [`RoleIds::flush_telemetry`].
-    pub fn flush_telemetry(&self, telemetry: &pels_telemetry::Telemetry) {
-        self.ids.flush_telemetry(&self.sim, telemetry);
+    pub fn flush_telemetry(&self, telemetry: &pels_telemetry::Telemetry, full: bool) {
+        self.ids.flush_telemetry(&self.sim, telemetry, full);
     }
 
     /// The max-min + offset prediction at the current horizon.
@@ -460,5 +455,26 @@ mod tests {
             })
             .collect();
         assert_eq!(reports[0], reports[1]);
+    }
+
+    #[test]
+    fn every_aqm_router_is_scraped_under_its_own_name() {
+        use pels_core::router::AqmRouter;
+        let mut spec = TopoSpec::from_shorthand("parkinglot:segments=2,flows=4").unwrap();
+        spec.keep_series = Some(true);
+        let mut sc = TopoScenario::build(spec);
+        sc.run_until(SimTime::from_secs_f64(5.0));
+        let snap = sc.ids().scrape(&sc.sim, true);
+        let routers = &sc.ids().aqm_routers;
+        assert_eq!(routers.len(), 2);
+        // Eq. 11's price is per router: one series each, point for point the
+        // router's own, and the two segments do not share a price.
+        let p = |i: usize| &snap.series[&format!("sim.router{}.p", routers[i].0)];
+        for (i, &id) in routers.iter().enumerate() {
+            let own = &sc.sim.agent::<AqmRouter>(id).feedback_series;
+            assert!(own.len() > 100, "T = 30 ms over 5 s");
+            assert_eq!(p(i), &own.points, "router {}", id.0);
+        }
+        assert_ne!(p(0), p(1));
     }
 }

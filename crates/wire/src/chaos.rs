@@ -404,7 +404,8 @@ pub fn run_wire_case(
     })
 }
 
-/// Runs all six cases of [`WireChaosCase::ALL`] under one telemetry handle.
+/// Runs all six cases of [`WireChaosCase::ALL`]; each case's session
+/// publishes its own scrapes to `telemetry`.
 ///
 /// # Errors
 ///

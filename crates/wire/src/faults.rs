@@ -18,11 +18,9 @@
 //! before touching the RNG or the lock, which is how `pels live` without
 //! `--faults` stays byte-identical to an unwrapped transport.
 
-use crate::telemetry_names::fault_metric;
 use crate::transport::Transport;
 use pels_netsim::clock::Clock;
 use pels_netsim::time::{SimDuration, SimTime};
-use pels_telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -330,6 +328,10 @@ struct FaultState {
     rx_held: VecDeque<Held>,
 }
 
+fn count(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
 fn pop_due(held: &mut VecDeque<Held>, now: SimTime) -> Option<Held> {
     let idx = held.iter().position(|h| h.release_at <= now)?;
     held.remove(idx)
@@ -380,7 +382,6 @@ pub struct FaultTransport<T: Transport, C: Clock> {
     passthrough: bool,
     state: Mutex<FaultState>,
     stats: Arc<WireFaultStats>,
-    telemetry: Telemetry,
 }
 
 impl<T: Transport, C: Clock> FaultTransport<T, C> {
@@ -413,24 +414,13 @@ impl<T: Transport, C: Clock> FaultTransport<T, C> {
                 rx_held: VecDeque::new(),
             }),
             stats: Arc::new(WireFaultStats::default()),
-            telemetry: Telemetry::disabled(),
         }
-    }
-
-    /// Attaches a telemetry handle; `wire.fault.*` counters record into it.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
     }
 
     /// The shared fault counters; clone the `Arc` before moving the
     /// transport into an agent.
     pub fn stats(&self) -> Arc<WireFaultStats> {
         Arc::clone(&self.stats)
-    }
-
-    fn count(&self, counter: &AtomicU64, metric: usize) {
-        counter.fetch_add(1, Ordering::Relaxed);
-        self.telemetry.counter_add(fault_metric(metric), 1);
     }
 
     fn in_blackout(&self, dir: FaultDirection, now: SimTime) -> bool {
@@ -459,7 +449,7 @@ impl<T: Transport, C: Clock> Transport for FaultTransport<T, C> {
         if self.in_blackout(FaultDirection::Tx, now) {
             // The link is severed: the new datagram is lost and held
             // traffic stays queued until the blackout lifts.
-            self.count(&self.stats.blackout_dropped, 6);
+            count(&self.stats.blackout_dropped);
             return Ok(());
         }
         // Due held datagrams re-enter the stream at their release time,
@@ -472,22 +462,22 @@ impl<T: Transport, C: Clock> Transport for FaultTransport<T, C> {
         };
         match fate {
             Fate::Pass => self.inner.send_to(buf, to)?,
-            Fate::Drop => self.count(&self.stats.dropped, 0),
+            Fate::Drop => count(&self.stats.dropped),
             Fate::Duplicate => {
                 self.inner.send_to(buf, to)?;
                 let release_at = now.saturating_add(self.spec.tx.reorder_by);
                 st.tx_held.push_back(Held { release_at, addr: to, bytes: buf.to_vec() });
-                self.count(&self.stats.duplicated, 1);
+                count(&self.stats.duplicated);
             }
             Fate::Reorder => {
                 let release_at = now.saturating_add(self.spec.tx.reorder_by);
                 st.tx_held.push_back(Held { release_at, addr: to, bytes: buf.to_vec() });
-                self.count(&self.stats.reordered, 2);
+                count(&self.stats.reordered);
             }
             Fate::Delay => {
                 let release_at = now.saturating_add(self.spec.tx.delay_by);
                 st.tx_held.push_back(Held { release_at, addr: to, bytes: buf.to_vec() });
-                self.count(&self.stats.delayed, 3);
+                count(&self.stats.delayed);
             }
             Fate::Truncate => {
                 if buf.is_empty() {
@@ -495,14 +485,14 @@ impl<T: Transport, C: Clock> Transport for FaultTransport<T, C> {
                 } else {
                     let keep = st.tx_rng.gen_range(0..buf.len());
                     self.inner.send_to(&buf[..keep], to)?;
-                    self.count(&self.stats.truncated, 4);
+                    count(&self.stats.truncated);
                 }
             }
             Fate::Corrupt => {
                 let mut mutated = buf.to_vec();
                 corrupt_in_place(&mut st.tx_rng, &mut mutated, self.spec.tx.corrupt_flips);
                 self.inner.send_to(&mutated, to)?;
-                self.count(&self.stats.corrupted, 5);
+                count(&self.stats.corrupted);
             }
         }
         Ok(())
@@ -530,7 +520,7 @@ impl<T: Transport, C: Clock> Transport for FaultTransport<T, C> {
                 return Ok(None);
             };
             if self.in_blackout(FaultDirection::Rx, now) {
-                self.count(&self.stats.blackout_dropped, 6);
+                count(&self.stats.blackout_dropped);
                 continue;
             }
             let fate = if self.spec.rx.active(now) {
@@ -541,25 +531,25 @@ impl<T: Transport, C: Clock> Transport for FaultTransport<T, C> {
             match fate {
                 Fate::Pass => return Ok(Some((n, from))),
                 Fate::Drop => {
-                    self.count(&self.stats.dropped, 0);
+                    count(&self.stats.dropped);
                     continue;
                 }
                 Fate::Duplicate => {
                     let release_at = now.saturating_add(self.spec.rx.reorder_by);
                     st.rx_held.push_back(Held { release_at, addr: from, bytes: buf[..n].to_vec() });
-                    self.count(&self.stats.duplicated, 1);
+                    count(&self.stats.duplicated);
                     return Ok(Some((n, from)));
                 }
                 Fate::Reorder => {
                     let release_at = now.saturating_add(self.spec.rx.reorder_by);
                     st.rx_held.push_back(Held { release_at, addr: from, bytes: buf[..n].to_vec() });
-                    self.count(&self.stats.reordered, 2);
+                    count(&self.stats.reordered);
                     continue;
                 }
                 Fate::Delay => {
                     let release_at = now.saturating_add(self.spec.rx.delay_by);
                     st.rx_held.push_back(Held { release_at, addr: from, bytes: buf[..n].to_vec() });
-                    self.count(&self.stats.delayed, 3);
+                    count(&self.stats.delayed);
                     continue;
                 }
                 Fate::Truncate => {
@@ -567,12 +557,12 @@ impl<T: Transport, C: Clock> Transport for FaultTransport<T, C> {
                         return Ok(Some((n, from)));
                     }
                     let keep = st.rx_rng.gen_range(0..n);
-                    self.count(&self.stats.truncated, 4);
+                    count(&self.stats.truncated);
                     return Ok(Some((keep, from)));
                 }
                 Fate::Corrupt => {
                     corrupt_in_place(&mut st.rx_rng, &mut buf[..n], self.spec.rx.corrupt_flips);
-                    self.count(&self.stats.corrupted, 5);
+                    count(&self.stats.corrupted);
                     return Ok(Some((n, from)));
                 }
             }

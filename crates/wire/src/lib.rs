@@ -60,7 +60,6 @@ pub mod live;
 pub mod loadgen;
 pub mod receiver;
 pub mod serve;
-mod telemetry_names;
 pub mod transport;
 
 pub use chaos::{run_wire_matrix, WireCaseReport, WireChaosConfig, WireChaosReport};

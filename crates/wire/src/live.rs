@@ -12,18 +12,21 @@
 
 use crate::faults::{FaultTransport, LiveFaults, WireFaultSpec, WireFaultStats, WireFaultTotals};
 use crate::receiver::{HeartbeatConfig, WireReceiver, WireReceiverConfig};
-use crate::serve::{FlowView, ServeConfig, ServeLoop, ServeReport, SOCKET_BUFFER_BYTES};
+use crate::serve::{
+    FlowView, ServeConfig, ServeLoop, ServeReport, SCRAPE_INTERVAL, SOCKET_BUFFER_BYTES,
+};
 use crate::transport::{MemHub, Transport, UdpTransport};
+use pels_core::color::Color;
 use pels_core::receiver::NackConfig;
 use pels_core::scenario::{FlowReport, ScenarioReport};
 use pels_fgs::frame::VideoTrace;
 use pels_netsim::clock::{Clock, ManualClock, MonotonicClock};
 use pels_netsim::packet::FlowId;
 use pels_netsim::time::{Rate, SimDuration, SimTime};
-use pels_telemetry::Telemetry;
+use pels_telemetry::{Snapshot, Telemetry};
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Which transport carries the packets.
@@ -51,10 +54,9 @@ pub struct LiveConfig {
     pub trace: VideoTrace,
     /// Transport backend.
     pub backend: LiveBackend,
-    /// Telemetry handle shared by both endpoints; snapshots are flushed
-    /// to its sinks roughly once per second of run time. The default
-    /// (disabled) handle keeps every instrumentation point a one-branch
-    /// no-op.
+    /// Where the session publishes a scrape of both endpoints, once per
+    /// second of run time and at exit. The default (disabled) handle skips
+    /// the scrape; the endpoints never see it.
     pub telemetry: Telemetry,
     /// Scripted per-endpoint fault injection (`pels live --faults FILE`).
     /// `None` — and `Some(LiveFaults::default())` — leave every datagram
@@ -168,18 +170,16 @@ pub fn run_live(cfg: &LiveConfig) -> io::Result<LiveOutcome> {
         }
         LiveBackend::UdpLoopback => {
             let bind = || -> io::Result<UdpTransport> {
-                let mut sock = UdpTransport::bind("127.0.0.1:0".parse().expect("static addr"))?;
-                sock.set_telemetry(cfg.telemetry.clone());
+                let sock = UdpTransport::bind("127.0.0.1:0".parse().expect("static addr"))?;
                 sock.expand_buffers(SOCKET_BUFFER_BYTES);
                 Ok(sock)
             };
             let (server, rx) = (bind()?, bind()?);
-            let drops = [server.send_drops_handle(), rx.send_drops_handle()];
+            let drops = vec![server.send_drops_handle(), rx.send_drops_handle()];
             let mut session = Session::wire_up(cfg, MonotonicClock::new(), server, rx)?;
+            session.udp_drops = drops;
             session.run(|_, _| Ok(()))?;
-            let mut outcome = session.outcome();
-            outcome.stats.udp_send_drops = drops.iter().map(|h| h.load(Ordering::Relaxed)).sum();
-            Ok(outcome)
+            Ok(session.outcome())
         }
     }
 }
@@ -233,6 +233,8 @@ pub(crate) struct Session<T: Transport, C: RunClock> {
     rx_faults: WireFaultSpec,
     /// Fault counters of every endpoint the session has opened.
     fault_stats: Vec<Arc<WireFaultStats>>,
+    /// Swallowed-send counters of the session's sockets (UDP backend only).
+    udp_drops: Vec<Arc<AtomicU64>>,
     /// Counters of the flow's earlier incarnations: an evicted flow that
     /// registers again starts from fresh server state.
     past: FlowView,
@@ -262,8 +264,7 @@ impl<T: Transport, C: RunClock> Session<T, C> {
     pub fn wire_up(cfg: &LiveConfig, clock: C, server_ep: T, rx_ep: T) -> io::Result<Self> {
         let faults = cfg.faults.clone().unwrap_or_default();
         faults.validate().map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-        let mut server_ep = FaultTransport::new(server_ep, clock.clone(), faults.server);
-        server_ep.set_telemetry(cfg.telemetry.clone());
+        let server_ep = FaultTransport::new(server_ep, clock.clone(), faults.server);
         let fault_stats = vec![server_ep.stats()];
         let server = ServeLoop::new(
             ServeConfig {
@@ -288,6 +289,7 @@ impl<T: Transport, C: RunClock> Session<T, C> {
             receiver: None,
             rx_faults: faults.receiver,
             fault_stats,
+            udp_drops: Vec::new(),
             past: FlowView::default(),
             last: FlowView::default(),
             stopped: None,
@@ -298,8 +300,7 @@ impl<T: Transport, C: RunClock> Session<T, C> {
 
     /// Starts a receiver on `rx_ep` (the first, or a churn replacement).
     pub fn start_receiver(&mut self, rx_ep: T) {
-        let mut rx_ep = FaultTransport::new(rx_ep, self.clock.clone(), self.rx_faults.clone());
-        rx_ep.set_telemetry(self.cfg.telemetry.clone());
+        let rx_ep = FaultTransport::new(rx_ep, self.clock.clone(), self.rx_faults.clone());
         self.fault_stats.push(rx_ep.stats());
         let server_addr = self.server.local_addr();
         let rx_cfg = WireReceiverConfig {
@@ -309,9 +310,7 @@ impl<T: Transport, C: RunClock> Session<T, C> {
             packet_bytes: PACKET_BYTES,
             heartbeat: Some(HeartbeatConfig::new(server_addr)),
         };
-        let mut rx = WireReceiver::new(rx_cfg, rx_ep);
-        rx.set_telemetry(self.cfg.telemetry.clone());
-        self.receiver = Some(rx);
+        self.receiver = Some(WireReceiver::new(rx_cfg, rx_ep));
     }
 
     /// The flow's rate and γ as last observed — frozen at the stop
@@ -377,8 +376,7 @@ impl<T: Transport, C: RunClock> Session<T, C> {
         // overshoot and slow iterations shorten the next wait instead of
         // pushing every later poll back (unbounded drift).
         let mut next_poll = self.clock.now().saturating_add(POLL_INTERVAL);
-        let flush_every = SimDuration::from_secs(1);
-        let mut next_flush = self.clock.now().saturating_add(flush_every);
+        let mut next_scrape = self.clock.now().saturating_add(SCRAPE_INTERVAL);
         loop {
             let now = self.clock.now();
             if self.stopped.is_none() && now >= deadline {
@@ -400,17 +398,62 @@ impl<T: Transport, C: RunClock> Session<T, C> {
                 self.observe_flow();
             }
             after_poll(now, self)?;
-            if telemetry.is_enabled() && now >= next_flush {
-                telemetry.flush(now.as_secs_f64());
-                next_flush = next_flush.saturating_add(flush_every);
+            if telemetry.is_enabled() && now >= next_scrape {
+                telemetry.publish(now.as_secs_f64(), self.scrape(now, false));
+                next_scrape = next_scrape.saturating_add(SCRAPE_INTERVAL);
             }
             self.clock.wait_until(next_poll);
             next_poll = next_poll.saturating_add(POLL_INTERVAL);
         }
         if telemetry.is_enabled() {
-            telemetry.flush(self.clock.now().as_secs_f64());
+            let now = self.clock.now();
+            telemetry.publish(now.as_secs_f64(), self.scrape(now, true));
         }
         Ok(())
+    }
+
+    /// Swallowed sends over the session's sockets.
+    fn udp_send_drops(&self) -> u64 {
+        self.udp_drops.iter().map(|h| h.load(Ordering::Relaxed)).sum()
+    }
+
+    /// The server's scrape plus what only a session has: the receiver's
+    /// `wire.rx.*` counts and delay distributions (histograms when `full`),
+    /// the `wire.fault.*` decisions of every endpoint, and the swallowed
+    /// sends of both sockets.
+    fn scrape(&self, now: SimTime, full: bool) -> Snapshot {
+        let mut snap = self.server.scrape(now);
+        snap.counters.insert("wire.udp.send_drops".to_owned(), self.udp_send_drops());
+        let f = self.fault_totals();
+        for (name, count) in [
+            ("wire.fault.dropped", f.dropped),
+            ("wire.fault.duplicated", f.duplicated),
+            ("wire.fault.reordered", f.reordered),
+            ("wire.fault.delayed", f.delayed),
+            ("wire.fault.truncated", f.truncated),
+            ("wire.fault.corrupted", f.corrupted),
+            ("wire.fault.blackout", f.blackout_dropped),
+        ] {
+            snap.counters.insert(name.to_owned(), count);
+        }
+        // Absent while a churn script has the receiver crashed; its
+        // replacement counts from zero.
+        let Some(rx) = &self.receiver else { return snap };
+        for (name, count) in [
+            ("wire.rx.hellos", rx.hellos_sent()),
+            ("wire.rx.nacks", rx.nacks_sent()),
+            ("wire.rx.recovered", rx.recovered_packets),
+            ("wire.rx.decode_errors", rx.decode_errors),
+        ] {
+            snap.counters.insert(name.to_owned(), count);
+        }
+        for color in Color::ALL {
+            let class = color.class() as usize;
+            let hist = rx.delays.hist_by_class[class].as_ref().filter(|_| full);
+            let name = format!("wire.rx.delay.{}", color.name());
+            snap.set_stat(name, &rx.delays.by_class[class], hist);
+        }
+        snap
     }
 
     /// The simulator-schema report of a finished run.
@@ -448,8 +491,7 @@ impl<T: Transport, C: RunClock> Session<T, C> {
             decode_errors: server.decode_errors + rx.decode_errors,
             abandoned_packets: server.abandoned_packets,
             faults: self.fault_totals(),
-            // Only the UDP backend has these; `run_live` fills them in.
-            udp_send_drops: 0,
+            udp_send_drops: self.udp_send_drops(),
         };
         let [tx_g, tx_y, tx_r] = server.tx_by_class;
         let [drop_g, drop_y, drop_r] = server.queue_drops_by_class;
@@ -597,16 +639,22 @@ mod tests {
         let cfg = LiveConfig { telemetry: tel.clone(), ..short_mem_cfg() };
         let out = run_live(&cfg).unwrap();
         let snaps = mem.snapshots();
-        assert!(snaps.len() >= 2, "periodic flushes plus the final one, got {}", snaps.len());
+        assert!(snaps.len() >= 2, "periodic scrapes plus the final one, got {}", snaps.len());
         assert!(tel.counter("wire.serve.acks") > 0, "feedback drove MKC");
-        // The final cumulative snapshot agrees with the report's counters.
+        // The final scrape agrees with the report's counters.
         let last = &snaps.last().unwrap().1;
         assert_eq!(
-            last.counters.get("wire.serve.tx").copied().unwrap_or(0),
+            last.counters["wire.serve.tx"],
             out.report.bottleneck_tx_by_class.iter().sum::<u64>(),
         );
-        assert!(last.series.contains_key("wire.serve.flow.1.rate"), "rate series recorded");
-        assert!(last.stats.contains_key("wire.rx.delay.green"), "delay distribution recorded");
+        assert_eq!(last.counters["wire.rx.nacks"], out.stats.nacks_sent);
+        assert_eq!(last.counters["wire.fault.dropped"], 0);
+        assert!(last.stats["wire.rx.delay.green"].hist.is_some(), "the full scrape ends the run");
+        // A one-flow session scrapes its flow while it is registered.
+        let first = &snaps[0].1;
+        assert!(first.gauges["wire.serve.flow.1.rate"].value > 128_000.0, "MKC left its floor");
+        assert!(first.gauges.contains_key("wire.serve.flow.1.gamma"));
+        assert!(first.stats["wire.rx.delay.green"].hist.is_none(), "periodic: summaries only");
     }
 
     #[test]

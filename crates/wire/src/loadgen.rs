@@ -319,11 +319,14 @@ fn flush(
 mod tests {
     use super::*;
     use crate::serve::{run_serve_with, ServeConfig};
+    use pels_telemetry::{MemorySink, Telemetry};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
 
     /// The real pair on both socket families: IPv4 takes the
-    /// `sendmmsg`/`recvmmsg` path, IPv6 the per-datagram one.
+    /// `sendmmsg`/`recvmmsg` path, IPv6 the per-datagram one. The server's
+    /// driver scrapes the loop once a second and at exit, and the last
+    /// scrape is the report.
     #[test]
     fn serve_and_loadgen_stream_over_ipv4_and_ipv6_loopback() {
         for listen in ["127.0.0.1:0", "[::1]:0"] {
@@ -334,10 +337,12 @@ mod tests {
             }
             let stop = AtomicBool::new(false);
             let (addr_tx, addr_rx) = std::sync::mpsc::channel();
+            let (tel, scrapes) = (Telemetry::new(), MemorySink::new());
+            tel.attach_sink(Box::new(scrapes.clone()));
             let (srv, lg) = std::thread::scope(|s| {
                 let server = s.spawn(|| {
                     let on_ready = |addr| addr_tx.send(addr).unwrap();
-                    let cfg = ServeConfig::new(listen);
+                    let cfg = ServeConfig { telemetry: tel.clone(), ..ServeConfig::new(listen) };
                     run_serve_with(cfg, on_ready, || stop.load(Ordering::Relaxed))
                 });
                 let lg = run_loadgen(LoadgenConfig {
@@ -356,6 +361,14 @@ mod tests {
             assert_eq!((lg.flows_sustained, lg.decode_errors), (64, 0), "{listen}");
             assert_eq!((srv.peak_flows, srv.decode_errors, srv.leaked_flows), (64, 0, 0));
             assert_eq!(srv.foreign_control, 0, "{listen}: a flow's own frames were refused");
+            let scrapes = scrapes.snapshots();
+            assert!(scrapes.len() >= 2, "{listen}: one a second, one at exit: {}", scrapes.len());
+            let last = &scrapes.last().unwrap().1.counters;
+            assert!(srv.acks > 0 && srv.data_sent > 0, "{listen}: {srv:?}");
+            assert_eq!(last["wire.serve.acks"], srv.acks, "{listen}");
+            assert_eq!(last["wire.serve.tx"], srv.data_sent, "{listen}");
+            assert_eq!(last["wire.udp.send_drops"], srv.send_drops, "{listen}");
+            assert!(scrapes[0].1.counters["wire.serve.hellos"] >= 64, "{listen}: mid-run scrape");
         }
     }
 }

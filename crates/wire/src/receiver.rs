@@ -15,14 +15,12 @@
 
 use crate::codec::{packets, WireAck, WireBye, WireData, WireHello, WireNack};
 use crate::serve::RX_SLOT_BYTES;
-use crate::telemetry_names::{rx_delay_metric, RX_HELLOS};
 use crate::transport::Transport;
 use pels_core::receiver::{NackConfig, NackTracker};
 use pels_fgs::decoder::{DecodedFrame, FrameLog, UtilityStats};
 use pels_netsim::packet::FlowId;
 use pels_netsim::stats::DelayRecorder;
 use pels_netsim::time::{SimDuration, SimTime};
-use pels_telemetry::Telemetry;
 use std::io;
 use std::net::SocketAddr;
 
@@ -83,7 +81,6 @@ pub struct WireReceiver<T: Transport> {
     hellos_sent: u64,
     next_hello_at: Option<SimTime>,
     recv_buf: Vec<u8>,
-    telemetry: Telemetry,
 }
 
 impl<T: Transport> WireReceiver<T> {
@@ -104,13 +101,7 @@ impl<T: Transport> WireReceiver<T> {
             hellos_sent: 0,
             next_hello_at: Some(SimTime::ZERO),
             recv_buf: vec![0u8; RX_SLOT_BYTES],
-            telemetry: Telemetry::disabled(),
         }
-    }
-
-    /// Attaches a telemetry handle; `wire.rx.*` metrics record into it.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
     }
 
     /// The address the router should forward data packets to.
@@ -169,7 +160,6 @@ impl<T: Transport> WireReceiver<T> {
         let hello = WireHello { flow: self.cfg.flow, seq: self.hellos_sent }.encode();
         self.transport.send_to(&hello, hb.router)?;
         self.hellos_sent += 1;
-        self.telemetry.counter_add(RX_HELLOS, 1);
         self.next_hello_at = Some(now.saturating_add(hb.interval));
         Ok(())
     }
@@ -203,10 +193,7 @@ impl<T: Transport> WireReceiver<T> {
                 // kind, another flow — is counted and skipped.
                 match packet.and_then(WireData::decode) {
                     Ok(pkt) if pkt.flow == self.cfg.flow => self.on_data(&pkt, now)?,
-                    _ => {
-                        self.decode_errors += 1;
-                        self.telemetry.counter_add("wire.rx.decode_errors", 1);
-                    }
+                    _ => self.decode_errors += 1,
                 }
             }
         }
@@ -222,10 +209,8 @@ impl<T: Transport> WireReceiver<T> {
         self.received_by_color[class as usize] += 1;
         let delay_s = now.duration_since(pkt.sent_at).as_secs_f64();
         self.delays.record(class, now.as_secs_f64(), delay_s);
-        self.telemetry.observe(rx_delay_metric(class), delay_s);
         if pkt.retransmission {
             self.recovered_packets += 1;
-            self.telemetry.counter_add("wire.rx.recovered", 1);
         }
         let ack = WireAck {
             flow: pkt.flow,
@@ -250,7 +235,6 @@ impl<T: Transport> WireReceiver<T> {
             let nack = WireNack { flow: self.cfg.flow, tag };
             self.transport.send_to(&nack.encode(), self.cfg.feedback_to)?;
             self.nacks_sent += 1;
-            self.telemetry.counter_add("wire.rx.nacks", 1);
         }
         Ok(())
     }

@@ -50,11 +50,8 @@
 use crate::codec::{packets, peek_kind, WireAck, WireBye, WireData, WireHello, WireKind, WireNack};
 use crate::codec::{patch_feedback, patch_rate_echo, DATA_HEADER_BYTES};
 use crate::flowtable::{FlowEntry, FlowTable};
-use crate::telemetry_names::{
-    serve_flow_rate_metric, SERVE_ACKS, SERVE_DECODE_ERRORS, SERVE_FLOWS, SERVE_PACING_JITTER,
-    SERVE_TX,
-};
 use crate::transport::{Datagram, Transport, UdpTransport};
+use pels_core::color::Color;
 use pels_core::feedback::FeedbackEstimator;
 use pels_core::flow::{CcSpec, FlowControl, Planned, SourceMode};
 use pels_core::gamma::GammaConfig;
@@ -64,7 +61,7 @@ use pels_netsim::clock::{Clock, MonotonicClock};
 use pels_netsim::hist::Histogram;
 use pels_netsim::packet::{AgentId, FlowId, FrameTag};
 use pels_netsim::time::{Rate, SimDuration, SimTime};
-use pels_telemetry::Telemetry;
+use pels_telemetry::{Snapshot, Telemetry};
 use serde::Serialize;
 use std::collections::VecDeque;
 use std::io;
@@ -102,11 +99,12 @@ pub struct ServeConfig {
     pub flow_idle_timeout: SimDuration,
     /// Hard cap on concurrent flows; HELLOs beyond it are refused.
     pub max_flows: usize,
-    /// Emit per-flow telemetry series (`wire.serve.flow.<id>.rate`). Off
-    /// by default: at thousands of flows every per-flow series multiplies
-    /// the sink's cardinality, so the default records aggregates only.
+    /// Include per-flow gauges (`wire.serve.flow.<id>.rate` / `.gamma`) in
+    /// every scrape. Off by default: at thousands of flows they multiply
+    /// each snapshot's size, so the default publishes aggregates only.
     pub telemetry_per_flow: bool,
-    /// Telemetry handle for the aggregate `wire.serve.*` metrics.
+    /// Where the driver of this loop publishes [`ServeLoop::scrape`], once
+    /// a second and at exit. The loop itself never touches it.
     pub telemetry: Telemetry,
 }
 
@@ -847,7 +845,6 @@ impl<T: Transport> ServeLoop<T> {
         if !batch.is_empty() && (full || now >= self.flush_due) {
             work = true;
             self.data_sent += batch.len() as u64;
-            self.cfg.telemetry.counter_add(SERVE_TX, batch.len() as u64);
             // Coalesce consecutive same-destination packets into container
             // datagrams: the kernel charges per datagram, not per wire
             // packet, so fewer-but-fuller datagrams is where the throughput
@@ -934,7 +931,6 @@ impl<T: Transport> ServeLoop<T> {
 
     fn on_decode_error(&mut self) {
         self.decode_errors += 1;
-        self.cfg.telemetry.counter_add(SERVE_DECODE_ERRORS, 1);
     }
 
     fn on_ack(&mut self, now: SimTime, ack: &WireAck, from: SocketAddr) {
@@ -943,18 +939,8 @@ impl<T: Transport> ServeLoop<T> {
             return;
         };
         self.acks += 1;
-        self.cfg.telemetry.counter_add(SERVE_ACKS, 1);
-        let Some(fb) = ack.feedback else { return };
-        let flow = &mut entry.state.flow;
-        if flow.on_feedback(now, ack.rate_echo, &fb)
-            && self.cfg.telemetry_per_flow
-            && self.cfg.telemetry.is_enabled()
-        {
-            self.cfg.telemetry.sample(
-                &serve_flow_rate_metric(ack.flow.0),
-                now.as_secs_f64(),
-                flow.rate_bps(),
-            );
+        if let Some(fb) = ack.feedback {
+            entry.state.flow.on_feedback(now, ack.rate_echo, &fb);
         }
     }
 
@@ -1084,8 +1070,8 @@ impl<T: Transport> ServeLoop<T> {
         }
     }
 
-    /// Router tick: close the Eq. 11 interval, run idle eviction, publish
-    /// aggregate gauges, and re-arm.
+    /// Router tick: close the Eq. 11 interval, run idle eviction, and
+    /// re-arm.
     fn on_tick(&mut self, now: SimTime) {
         // Close the Eq. 11 window against the time it actually covered:
         // under load this tick fires late, and arrivals divided by the
@@ -1096,16 +1082,6 @@ impl<T: Transport> ServeLoop<T> {
         self.last_tick = Some(now);
         self.router.estimator.tick_elapsed(self.cfg.id, elapsed);
         self.evictions += self.flows.evict_idle(now, self.cfg.flow_idle_timeout);
-        let tel = &self.cfg.telemetry;
-        if tel.is_enabled() {
-            let t = now.as_secs_f64();
-            tel.gauge_set(SERVE_FLOWS, self.flows.len() as f64);
-            tel.sample("wire.serve.p", t, self.router.estimator.loss());
-            tel.sample("wire.serve.p_fgs", t, self.router.estimator.fgs_loss());
-            if let Some(p99) = self.jitter.quantile(0.99) {
-                tel.gauge_set(SERVE_PACING_JITTER, p99);
-            }
-        }
         self.wheel.schedule(now + self.cfg.feedback_interval, TimerEvent::Tick);
     }
 
@@ -1141,7 +1117,62 @@ impl<T: Transport> ServeLoop<T> {
             fgs_loss: self.router.estimator.fgs_loss(),
         }
     }
+
+    /// [`Self::report`] as a `wire.serve.*` snapshot (plus
+    /// `wire.udp.send_drops`) — the wire stack's one scrape, read from the
+    /// counters the loop keeps anyway. With
+    /// [`ServeConfig::telemetry_per_flow`] every registered flow adds its
+    /// rate (bits/s) and γ as `wire.serve.flow.<id>.*` gauges.
+    pub fn scrape(&self, now: SimTime) -> Snapshot {
+        let r = self.report(now);
+        let mut snap = Snapshot::default();
+        for (name, count) in [
+            ("wire.serve.hellos", r.hellos),
+            ("wire.serve.hellos_refused", r.hellos_refused),
+            ("wire.serve.byes", r.byes),
+            ("wire.serve.evictions", r.evictions),
+            ("wire.serve.acks", r.acks),
+            ("wire.serve.nacks_ignored", r.nacks_ignored),
+            ("wire.serve.retransmissions", r.retransmissions),
+            ("wire.serve.decode_errors", r.decode_errors),
+            ("wire.serve.foreign_control", r.foreign_control),
+            ("wire.serve.frames_emitted", r.frames_emitted),
+            ("wire.serve.abandoned_packets", r.abandoned_packets),
+            ("wire.serve.tx", r.data_sent),
+            ("wire.serve.unregistered_drops", r.unregistered_drops),
+            ("wire.serve.timer_events", r.timer_events),
+            ("wire.udp.send_drops", r.send_drops),
+        ] {
+            snap.counters.insert(name.to_owned(), count);
+        }
+        for color in Color::ALL {
+            for (metric, by_class) in [
+                ("paced", r.paced_by_class),
+                ("tx", r.tx_by_class),
+                ("queue_drops", r.queue_drops_by_class),
+            ] {
+                let name = format!("wire.serve.{metric}.{}", color.name());
+                snap.counters.insert(name, by_class[color.class() as usize]);
+            }
+        }
+        snap.set_gauge("wire.serve.flows", self.flows.len() as f64);
+        snap.set_gauge("wire.serve.peak_flows", r.peak_flows as f64);
+        snap.set_gauge("wire.serve.p", r.loss);
+        snap.set_gauge("wire.serve.p_fgs", r.fgs_loss);
+        snap.set_gauge("wire.serve.pacing_jitter", r.pacing_jitter_p99_us / 1e6);
+        if self.cfg.telemetry_per_flow {
+            for (id, entry) in self.flows.iter() {
+                let flow = &entry.state.flow;
+                snap.set_gauge(format!("wire.serve.flow.{}.rate", id.0), flow.rate_bps());
+                snap.set_gauge(format!("wire.serve.flow.{}.gamma", id.0), flow.gamma());
+            }
+        }
+        snap
+    }
 }
+
+/// How often the driver of a [`ServeLoop`] publishes its scrape.
+pub(crate) const SCRAPE_INTERVAL: SimDuration = SimDuration::from_secs(1);
 
 /// Kernel socket-buffer request for the serve and loadgen sockets: the
 /// Linux default (~208 KiB) queues about 2 ms of traffic at serve rates, so
@@ -1173,8 +1204,7 @@ pub fn run_serve_with(
     should_stop: impl FnMut() -> bool,
 ) -> io::Result<ServeReport> {
     cfg.validate().map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-    let mut t = UdpTransport::bind(cfg.listen)?;
-    t.set_telemetry(cfg.telemetry.clone());
+    let t = UdpTransport::bind(cfg.listen)?;
     t.expand_buffers(SOCKET_BUFFER_BYTES);
     let drops = t.send_drops_handle();
     drive(ServeLoop::new(cfg, t, Some(drops)), on_ready, should_stop)
@@ -1187,6 +1217,8 @@ fn drive<T: Transport>(
 ) -> io::Result<ServeReport> {
     let clock = MonotonicClock::new();
     let duration = lp.cfg.duration;
+    let telemetry = lp.cfg.telemetry.clone();
+    let mut next_scrape = SimTime::ZERO + SCRAPE_INTERVAL;
     on_ready(lp.local_addr());
     let mut now = clock.now();
     loop {
@@ -1194,6 +1226,10 @@ fn drive<T: Transport>(
             break;
         }
         let worked = lp.poll(now)?;
+        if telemetry.is_enabled() && now >= next_scrape {
+            telemetry.publish(now.as_secs_f64(), lp.scrape(now));
+            next_scrape += SCRAPE_INTERVAL;
+        }
         if !worked {
             // Idle: nothing on the socket, no due timers. A short sleep
             // keeps a co-located loadgen (1-core CI) schedulable without
@@ -1201,6 +1237,9 @@ fn drive<T: Transport>(
             std::thread::sleep(std::time::Duration::from_micros(100));
         }
         now = clock.now();
+    }
+    if telemetry.is_enabled() {
+        telemetry.publish(now.as_secs_f64(), lp.scrape(now));
     }
     Ok(lp.report(now))
 }

@@ -16,8 +16,6 @@
 //!   ([`crate::batch`]), used by `pels serve`, `pels loadgen` and `pels
 //!   live` over loopback (and by any real deployment).
 
-use crate::telemetry_names::UDP_SEND_DROPS;
-use pels_telemetry::Telemetry;
 #[cfg(target_os = "linux")]
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -286,7 +284,6 @@ pub struct UdpTransport {
     /// Sends the socket swallowed (full buffer, refused peer) — the UDP
     /// analogue of [`MemHub::dropped`].
     send_drops: Arc<AtomicU64>,
-    telemetry: Telemetry,
     #[cfg(target_os = "linux")]
     scratch: RefCell<crate::batch::sys::Scratch>,
 }
@@ -306,17 +303,9 @@ impl UdpTransport {
             socket,
             addr,
             send_drops: Arc::new(AtomicU64::new(0)),
-            telemetry: Telemetry::disabled(),
             #[cfg(target_os = "linux")]
             scratch: RefCell::default(),
         })
-    }
-
-    /// Attaches a telemetry handle; swallowed sends (including `sendmmsg`
-    /// partial completions and short-writes) count into
-    /// `wire.udp.send_drops`.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
     }
 
     /// Shared handle to the swallowed-send counter; clone before moving
@@ -331,12 +320,10 @@ impl UdpTransport {
         self.send_drops.load(Ordering::Relaxed)
     }
 
-    /// Counts one swallowed send into the atomic counter and the
-    /// `wire.udp.send_drops` telemetry counter — `sendmmsg` partial
-    /// completions land in the same ledger.
+    /// Counts one swallowed send — `sendmmsg` partial completions land in
+    /// the same ledger.
     pub(crate) fn count_send_drop(&self) {
         self.send_drops.fetch_add(1, Ordering::Relaxed);
-        self.telemetry.counter_add(UDP_SEND_DROPS, 1);
     }
 
     /// Best-effort request to grow the socket's kernel receive and send

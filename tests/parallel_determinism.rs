@@ -81,6 +81,28 @@ fn chained_topology_reports_are_worker_invariant() {
     }
 }
 
+/// A scrape reads engine state and nothing else, so the full snapshot —
+/// every counter, distribution and kept series of every agent — is as
+/// worker-invariant as the report: across the cut of the shared dumbbell and
+/// over one shard per chain.
+#[test]
+fn scraped_snapshots_are_worker_invariant() {
+    let scrape_json = |mut cfg: ScenarioConfig, workers: usize| {
+        cfg.keep_series = true;
+        let mut s = Scenario::build(cfg);
+        s.set_workers(workers);
+        s.run_until(SimTime::from_secs_f64(HORIZON_S));
+        let snap = s.ids().scrape(&s.sim, true);
+        assert!(snap.series.len() >= 6 * s.config().flows.len(), "series are kept and scraped");
+        serde_json::to_string(&snap).expect("snapshot serializes")
+    };
+    for (what, cfg) in
+        [("cut dumbbell", shared_dumbbell(8)), ("chained", chained_proportional_config(8))]
+    {
+        assert_eq!(scrape_json(cfg.clone(), 1), scrape_json(cfg, 2), "{what}: workers 1 vs 2");
+    }
+}
+
 /// Running the same config twice at the same worker count must also be
 /// stable — no wall-clock, thread-id, or iteration-order leakage into
 /// results.
