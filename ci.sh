@@ -40,7 +40,7 @@ echo "== docs name no removed flag, command or file =="
 # Spelled in halves so this file does not match itself.
 for gone in -"-no-batch" -"-batch-size" -"-ack-every" \
     "pels be""nch " BENCH_"scale" BENCH_"wire" PELS_"BENCH_DIR" crit"erion" Crit"erion" \
-    W"fq" W"FQ"; do
+    W"fq" W"FQ" ADMIT_"HIGH_WATER"; do
   if grep -n -e "$gone" README.md DESIGN.md EXPERIMENTS.md; then
     echo "the docs still mention the removed $gone" >&2; exit 1
   fi
@@ -84,6 +84,22 @@ for f in $(find crates/netsim/src crates/core/src crates/topo/src crates/wire/sr
     exit 1
   fi
 done
+
+echo "== the pacer does not look at the router (wire::serve) =="
+# Eq. 11 measures the offered load: `ServeRouter::admit` is the one place an
+# arrival is counted and a drop decided, and the sender side paces by its
+# own token bucket. A pacer that holds packets back while a queue is deep
+# hides the overload from the estimator and every flow runs away to
+# `max_rate` (tests/wire_budget.rs); that coupling must not come back.
+arrival_sites="$(non_test_code crates/wire/src/serve.rs | grep -c 'estimator\.on_arrival(' || true)"
+[ "$arrival_sites" -eq 1 ] || {
+  echo "crates/wire/src/serve.rs counts Eq. 11 arrivals in $arrival_sites places; only ServeRouter::admit does" >&2
+  exit 1; }
+if awk '/^    fn on_(pace|frame)\(/{on=1} on{print FILENAME":"FNR": "$0} on&&/^    }$/{on=0}' \
+    crates/wire/src/serve.rs | grep -E 'queue_depth|router\.queues'; then
+  echo "on_pace / on_frame read the shared router's queues; the sender never looks" >&2
+  exit 1
+fi
 
 echo "== tx-completes are scheduled in one place (netsim::port) =="
 # A port schedules a completion only when a packet waits behind the one on
@@ -144,6 +160,10 @@ echo "== report digests, event budget and exchange budget (optimised build) =="
 # ran in the debug build above; a report must not depend on the profile
 # either, and release is what the benchmark runs.
 cargo test -q --release --test report_digests --test event_budget --test exchange_budget
+# The wire's counterpart (crates/wire/tests/wire_budget.rs): 64 and 512
+# paced flows on a stepped clock sit on Lemma 6 with only red shed, and the
+# 64-flow run's packet, timer-event, abandon and drop counts are pinned.
+cargo test -q --release -p pels-wire --test wire_budget
 
 echo "== run_all (every figure and ablation regenerates its tracked CSV) =="
 # Each binary asserts its own shape targets, and results/ is a function of
@@ -256,7 +276,8 @@ echo "== pels serve loopback smoke (256 flows, 2 s loadgen) =="
 # serve socket, zero leaked flow-table entries after teardown, and — the
 # loadgen never NACKs — not one repair sent or refused. The server's
 # driver scrapes the loop into the telemetry file once a second and at
-# exit: the last scrape must be the report.
+# exit: the last scrape must be the report, and the last periodic one must
+# carry the flow-table gauges an operator watches for a runaway.
 serve_json="$scratch_dir/serve.json"
 serve_log="$scratch_dir/serve.log"
 serve_tel="$scratch_dir/serve.jsonl"
@@ -277,12 +298,18 @@ timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
 wait "$serve_pid"
 timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
   metrics "$serve_tel" > "$scratch_dir/serve_metrics.txt"
-python3 - "$serve_json" "$scratch_dir/loadgen.json" "$scratch_dir/serve_metrics.txt" <<'PY'
+python3 - "$serve_json" "$scratch_dir/loadgen.json" "$scratch_dir/serve_metrics.txt" \
+    "$serve_tel" <<'PY'
 import json, sys
 serve = json.load(open(sys.argv[1]))
 lg = json.load(open(sys.argv[2]))
 metrics = dict(line.split()[:2] for line in open(sys.argv[3]) if line.startswith("  wire."))
+periodic = json.loads(open(sys.argv[4]).read().splitlines()[-2])["snapshot"]["gauges"]
 problems = []
+for gauge in ("rate_mean", "gamma_mean", "flows_at_max_rate"):
+    if f"wire.serve.{gauge}" not in periodic or f"wire.serve.{gauge}" not in metrics:
+        problems.append(f"wire.serve.{gauge} missing from the last periodic scrape "
+                        "or from `pels metrics`")
 if serve["acks"] == 0 or metrics.get("wire.serve.acks") != str(serve["acks"]):
     problems.append(f"last scrape has wire.serve.acks {metrics.get('wire.serve.acks')}, "
                     f"the report {serve['acks']} acks")

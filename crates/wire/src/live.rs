@@ -273,8 +273,11 @@ impl<T: Transport, C: RunClock> Session<T, C> {
                 trace: cfg.trace.clone(),
                 // One flow's worth of queue: the red class holds ~100 ms of
                 // the PELS share, not the seconds a 4096-flow server's
-                // limits would let a single flow queue.
+                // limits would let a single flow queue — and one admissible
+                // flow, so the green floor stays under the simulated
+                // router's 200.
                 color_limits: [200, 200, 50],
+                max_flows: 1,
                 telemetry_per_flow: true,
                 telemetry: cfg.telemetry.clone(),
                 ..ServeConfig::new(server_ep.local_addr())

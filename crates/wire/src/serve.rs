@@ -17,7 +17,9 @@
 //!   in-process strict-priority green/yellow/red discipline with a single
 //!   Eq. 11 [`FeedbackEstimator`] across all flows, so per-flow MKC rates
 //!   converge to the `C/N + α/β` contended operating point exactly as they
-//!   would behind a physical bottleneck. The router serves at exactly its
+//!   would behind a physical bottleneck. No flow's pacer looks at the
+//!   router: it counts every paced packet as an arrival and sheds what a
+//!   full color queue cannot hold. The router serves at exactly its
 //!   configured capacity (it has no cross traffic to borrow from), counts
 //!   payload bytes only (the simulator's packets have no header, so `r*`
 //!   and `p*` match it numerically), and stamps each departing packet
@@ -93,7 +95,9 @@ pub struct ServeConfig {
     pub gamma: GammaConfig,
     /// Eq. 11 measurement interval of the shared router.
     pub feedback_interval: SimDuration,
-    /// Shared router queue limits in packets per color.
+    /// Shared router queue limits in packets per color. The green one is a
+    /// minimum: [`ServeLoop::new`] raises it to a frame of base layer from
+    /// every admissible flow, so the router never sheds the base layer.
     pub color_limits: [usize; 3],
     /// Flow-table idle eviction timeout (HELLO refresh keeps a flow live).
     pub flow_idle_timeout: SimDuration,
@@ -122,7 +126,7 @@ impl ServeConfig {
             mkc: MkcConfig::default(),
             gamma: GammaConfig::default(),
             feedback_interval: SimDuration::from_millis(30),
-            color_limits: [8192, 8192, 2048],
+            color_limits: [0, 8192, 2048],
             flow_idle_timeout: SimDuration::from_millis(500),
             max_flows: 4096,
             telemetry_per_flow: false,
@@ -437,15 +441,6 @@ const _: () = assert!(AGGREGATE_BYTES <= RX_SLOT_BYTES);
 /// Largest data payload whose packet still fits a receive slot.
 pub const MAX_PACKET_BYTES: u32 = (RX_SLOT_BYTES - DATA_HEADER_BYTES) as u32;
 
-/// Pacing admission stops while a color queue holds this many packets.
-/// Past it, admitting more only converts cheap pending entries into
-/// encoded multi-megabyte queue contents that thrash the cache and, at
-/// the color cap, get dropped after paying for their encode. The backlog
-/// stays unencoded in each flow's pending list (where the frame watchdog
-/// can still abandon it) and admission retries next wheel tick. Sized at
-/// several polls' worth of drain so backpressure never starves the link.
-const ADMIT_HIGH_WATER: usize = 2048;
-
 /// Slots in the hashed wheel; at 1 ms granularity this is a ~2 s horizon,
 /// far beyond the longest schedule (one frame interval). Deadlines past
 /// the horizon still fire correctly — they stay in their slot until their
@@ -498,8 +493,8 @@ impl TimerWheel {
     /// Firing anything in the current tick would release events up to a
     /// tick *early*; a pacing chain whose token deficit matures mid-tick
     /// then fires before the tokens exist, re-arms another sub-tick
-    /// deadline, and spins at poll frequency (measured: ~9 timer events
-    /// per packet sent before this guard; ~1 after). Not-yet-due events
+    /// deadline, and spins at poll frequency (`tests/wire_budget.rs` holds
+    /// the loop to 1.5 timer events per packet sent). Not-yet-due events
     /// stay in the cursor's slot, which every advance rescans.
     fn advance(&mut self, now: SimTime, fired: &mut Vec<(SimTime, TimerEvent)>) {
         let target = self.tick_of(now);
@@ -527,6 +522,10 @@ impl TimerWheel {
 
 /// The shared in-process PELS router: one Eq. 11 estimator and one
 /// green/yellow/red strict-priority discipline across all flows.
+///
+/// [`admit`](Self::admit) alone counts Eq. 11 arrivals and decides drops: a
+/// packet that meets a full color queue is shed before it is encoded. No
+/// sender reads the queues; overload reaches the flows as `p`.
 #[derive(Debug)]
 struct ServeRouter {
     id: AgentId,
@@ -573,28 +572,25 @@ impl ServeRouter {
         self.free.pop().unwrap_or_default()
     }
 
-    /// Packets queued in `class`, for admission backpressure.
-    fn queue_depth(&self, class: u8) -> usize {
-        self.queues[class.min(2) as usize].len()
-    }
-
     fn recycle(&mut self, buf: Vec<u8>) {
         if self.free.len() < self.color_limits.iter().sum() {
             self.free.push(buf);
         }
     }
 
-    /// Admits one paced packet into its color queue, measuring the arrival
-    /// (payload bits) for the Eq. 11 estimate.
-    fn enqueue(&mut self, flow: FlowId, datagram: Vec<u8>, class: u8, payload_bytes: u32) {
+    /// Counts one paced packet's arrival (payload bits) for Eq. 11; `false`
+    /// means its color queue is full and the packet is dropped, unencoded.
+    fn admit(&mut self, class: u8, payload_bytes: u32) -> bool {
         self.estimator.on_arrival(payload_bytes, class);
         let c = class.min(2) as usize;
-        if self.queues[c].len() >= self.color_limits[c] {
-            self.drops_by_class[c] += 1;
-            self.recycle(datagram);
-        } else {
-            self.queues[c].push_back((flow, datagram));
-        }
+        let full = self.queues[c].len() >= self.color_limits[c];
+        self.drops_by_class[c] += u64::from(full);
+        !full
+    }
+
+    /// Queues the encoded form of a packet [`admit`](Self::admit) accepted.
+    fn enqueue(&mut self, flow: FlowId, datagram: Vec<u8>, class: u8) {
+        self.queues[class.min(2) as usize].push_back((flow, datagram));
     }
 
     /// Serves the color queues in strict priority within the accumulated
@@ -713,8 +709,15 @@ impl<T: Transport> ServeLoop<T> {
     /// Wraps `transport` in a serve loop. `send_drops` is the transport's
     /// swallowed-send counter when it has one (UDP backends).
     pub fn new(cfg: ServeConfig, transport: T, send_drops: Option<Arc<AtomicU64>>) -> Self {
+        // After a host stall every flow's frame timer can come due in one
+        // poll; the green queue must hold all of those base layers, or the
+        // shared router drops what PELS exists to protect.
+        let base_packets = cfg.trace.iter().map(|f| f.base_bytes).max().unwrap_or(0);
+        let base_packets = base_packets.div_ceil(cfg.packet_bytes.max(1)) as usize;
+        let [green, yellow, red] = cfg.color_limits;
+        let color_limits = [green.max(cfg.max_flows.saturating_mul(base_packets)), yellow, red];
         let router =
-            ServeRouter::new(cfg.id, cfg.capacity, cfg.feedback_interval, 0.15, cfg.color_limits);
+            ServeRouter::new(cfg.id, cfg.capacity, cfg.feedback_interval, 0.15, color_limits);
         let rx_ring = (0..IO_BATCH).map(|_| Datagram::slot(RX_SLOT_BYTES)).collect();
         let payload_pool = vec![0u8; cfg.packet_bytes as usize];
         let frame_interval = SimDuration::from_secs_f64(cfg.trace.frame_interval_secs());
@@ -996,9 +999,9 @@ impl<T: Transport> ServeLoop<T> {
         }
     }
 
-    /// Pace deadline: refill the flow's token bucket and admit affordable
-    /// packets into the shared router, then re-arm for the moment the next
-    /// packet's tokens mature.
+    /// Pace deadline: refill the flow's token bucket and send every packet
+    /// it affords into the shared router, then re-arm for the moment the
+    /// next packet's tokens mature.
     fn on_pace(&mut self, now: SimTime, flow: FlowId) {
         let Some(entry) = self.flows.get_mut(flow) else {
             return;
@@ -1038,15 +1041,20 @@ impl<T: Transport> ServeLoop<T> {
             if s.tokens_bits < cost {
                 break;
             }
-            if self.router.queue_depth(p.class) >= ADMIT_HIGH_WATER {
-                break;
-            }
             s.pop_head();
             s.tokens_bits -= cost;
+            // A packet the router sheds was still sent: its sequence
+            // number goes with it and the receiver sees the gap.
+            let seq = s.seq;
+            s.seq += 1;
+            self.paced_by_class[usize::from(p.class.min(2))] += 1;
+            if !self.router.admit(p.class, p.bytes) {
+                continue;
+            }
             let mut datagram = self.router.take_buf();
             WireData {
                 flow,
-                seq: s.seq,
+                seq,
                 tag: p.tag,
                 class: p.class,
                 retransmission: p.repair_of.is_some(),
@@ -1056,9 +1064,7 @@ impl<T: Transport> ServeLoop<T> {
                 payload: &self.payload_pool[..p.bytes as usize],
             }
             .encode_into(&mut datagram);
-            s.seq += 1;
-            self.paced_by_class[usize::from(p.class.min(2))] += 1;
-            self.router.enqueue(flow, datagram, p.class, p.bytes);
+            self.router.enqueue(flow, datagram, p.class);
         }
         if let Some(front) = s.head() {
             let deficit_bits = (f64::from(front.bytes) * 8.0 - s.tokens_bits).max(0.0);
@@ -1120,7 +1126,9 @@ impl<T: Transport> ServeLoop<T> {
 
     /// [`Self::report`] as a `wire.serve.*` snapshot (plus
     /// `wire.udp.send_drops`) — the wire stack's one scrape, read from the
-    /// counters the loop keeps anyway. With
+    /// counters the loop keeps anyway — and, from one walk of the flow
+    /// table, the registered flows' mean rate (bits/s), mean γ and how many
+    /// sit at `MkcConfig::max_rate`. With
     /// [`ServeConfig::telemetry_per_flow`] every registered flow adds its
     /// rate (bits/s) and γ as `wire.serve.flow.<id>.*` gauges.
     pub fn scrape(&self, now: SimTime) -> Snapshot {
@@ -1160,13 +1168,26 @@ impl<T: Transport> ServeLoop<T> {
         snap.set_gauge("wire.serve.p", r.loss);
         snap.set_gauge("wire.serve.p_fgs", r.fgs_loss);
         snap.set_gauge("wire.serve.pacing_jitter", r.pacing_jitter_p99_us / 1e6);
-        if self.cfg.telemetry_per_flow {
-            for (id, entry) in self.flows.iter() {
-                let flow = &entry.state.flow;
+        // The flows are gone from the table by the time a report is taken,
+        // so what the controllers are doing is visible only here: a mean
+        // rate far from `C/N + α/β`, or flows pinned at `max_rate`, is a
+        // control loop that has lost its feedback.
+        let max_rate_bps = self.cfg.mkc.max_rate.as_bps() as f64;
+        let (mut rate_sum, mut gamma_sum, mut at_max_rate) = (0.0, 0.0, 0u32);
+        for (id, entry) in self.flows.iter() {
+            let flow = &entry.state.flow;
+            rate_sum += flow.rate_bps();
+            gamma_sum += flow.gamma();
+            at_max_rate += u32::from(flow.rate_bps() >= max_rate_bps);
+            if self.cfg.telemetry_per_flow {
                 snap.set_gauge(format!("wire.serve.flow.{}.rate", id.0), flow.rate_bps());
                 snap.set_gauge(format!("wire.serve.flow.{}.gamma", id.0), flow.gamma());
             }
         }
+        let n = self.flows.len().max(1) as f64;
+        snap.set_gauge("wire.serve.rate_mean", rate_sum / n);
+        snap.set_gauge("wire.serve.gamma_mean", gamma_sum / n);
+        snap.set_gauge("wire.serve.flows_at_max_rate", f64::from(at_max_rate));
         snap
     }
 }
@@ -1390,7 +1411,7 @@ mod tests {
         // A red packet encoded at 128 kb/s sits in the shared router — in
         // service it can wait out seconds of yellow backlog — while
         // feedback moves the flow's rate to 212 kb/s.
-        lp.router.enqueue(FlowId(1), encoded(1, 2, 400), 2, 400);
+        offer(&mut lp.router, 1, 2, 400);
         let ack = |epoch: u64, rate_echo: f64, loss: f64| {
             let feedback = Some(Feedback::new(AgentId(9), epoch, loss, 0.0));
             WireAck { flow: FlowId(1), seq: 0, sent_at: SimTime::ZERO, rate_echo, feedback }
@@ -1491,6 +1512,13 @@ mod tests {
         .encode()
     }
 
+    /// What `on_pace` does with a packet its bucket affords.
+    fn offer(r: &mut ServeRouter, flow: u32, class: u8, payload: usize) {
+        if r.admit(class, payload as u32) {
+            r.enqueue(FlowId(flow), encoded(flow, class, payload), class);
+        }
+    }
+
     fn router(capacity: Rate, color_limits: [usize; 3]) -> ServeRouter {
         ServeRouter::new(AgentId(1), capacity, SimDuration::from_millis(30), 0.15, color_limits)
     }
@@ -1511,7 +1539,7 @@ mod tests {
         // the greens must all leave first.
         for _ in 0..4 {
             for class in [2, 1, 0] {
-                r.enqueue(FlowId(1), encoded(1, class, 400), class, 400);
+                offer(&mut r, 1, class, 400);
             }
         }
         let flows = one_flow();
@@ -1524,25 +1552,45 @@ mod tests {
             assert_eq!((WireData::decode(&d.buf).unwrap().class, d.addr), (0, addr(2)));
         }
         assert_eq!(r.tx_by_class, [3, 0, 0]);
-        assert_eq!([0, 1, 2].map(|c| r.queue_depth(c)), [1, 4, 4]);
+        assert_eq!([0, 1, 2].map(|c| r.queues[c].len()), [1, 4, 4]);
     }
 
     #[test]
     fn full_color_queue_drops_only_that_color() {
         let mut r = router(Rate::from_kbps(64.0), [2, 2, 1]);
         for _ in 0..3 {
-            r.enqueue(FlowId(1), encoded(1, 2, 100), 2, 100);
-            r.enqueue(FlowId(1), encoded(1, 0, 100), 0, 100);
+            offer(&mut r, 1, 2, 100);
+            offer(&mut r, 1, 0, 100);
         }
         assert_eq!(r.drops_by_class, [1, 0, 2]);
+    }
+
+    #[test]
+    fn a_stall_that_matures_every_flows_base_layer_at_once_loses_no_green() {
+        let hub = MemHub::new();
+        let client = hub.endpoint(addr(2));
+        let cfg = ServeConfig::new(addr(1));
+        let flows = cfg.max_flows as u64;
+        let mut lp = mem_loop(&hub, cfg);
+        for f in 1..=flows {
+            hello(&client, f as u32);
+        }
+        // Every admissible flow registers and paces the first packet of its
+        // first frame; then the host stalls for a frame interval and the
+        // other three mature in all 4096 buckets at once.
+        run_ms(&mut lp, &client, 0..2);
+        let before = lp.paced_by_class[0];
+        run_ms(&mut lp, &client, 99..100);
+        assert_eq!(lp.paced_by_class[0] - before, 3 * flows, "green paced in one poll");
+        assert_eq!(lp.router.drops_by_class, [0; 3]);
     }
 
     #[test]
     fn dead_flows_packets_are_dropped_without_spending_budget() {
         let mut r = router(Rate::from_mbps(10.0), [8, 8, 8]);
         // Flow 9 was never registered (or said BYE with this still queued).
-        r.enqueue(FlowId(9), encoded(9, 0, 100), 0, 100);
-        r.enqueue(FlowId(1), encoded(1, 0, 100), 0, 100);
+        offer(&mut r, 9, 0, 100);
+        offer(&mut r, 1, 0, 100);
         let flows = one_flow();
         let mut out = Vec::new();
         r.drain(SimTime::ZERO, &flows, &mut out);

@@ -61,26 +61,40 @@ fn wire_and_sim_agree_on_the_stationary_rate() {
     );
 }
 
-/// Four flows share the same 2 Mb/s PELS capacity on both stacks: the first
+/// N flows share `N × 500 kb/s` of PELS capacity on both stacks: the first
 /// step of the sim↔wire differential oracle (end points, not yet the
 /// per-epoch trajectory). Lemma 6: `r* = C/N + α/β = 500 + 40 = 540 kb/s`.
+/// At N = 4 the wire's shared router has the simulated router's queue
+/// limits; at N = 64 it has `ServeConfig::new`'s, the ones `pels serve`
+/// runs with.
 #[test]
 fn four_flows_find_the_same_fair_operating_point_on_both_stacks() {
-    const N: usize = 4;
+    flows_find_the_same_fair_operating_point(4, [200, 200, 50]);
+}
+
+#[test]
+fn sixty_four_flows_find_the_same_fair_operating_point_on_both_stacks() {
+    let serve_defaults = ServeConfig::new(([127, 0, 0, 1], 9000).into());
+    flows_find_the_same_fair_operating_point(64, serve_defaults.color_limits);
+}
+
+fn flows_find_the_same_fair_operating_point(n: usize, wire_color_limits: [usize; 3]) {
     const SECS: u64 = 30;
-    let r_star_kbps = 2_000.0 / N as f64 + 20.0 / 0.5;
+    let r_star_kbps = 500.0 + 20.0 / 0.5;
     let p_thr = pels_core::GammaConfig::default().p_thr;
 
-    // Simulator: the default dumbbell (4 Mb/s, 50 % PELS share), no TCP.
+    // Simulator: the default dumbbell (1 Mb/s per flow, 50 % PELS share),
+    // no TCP.
     let mut scenario = Scenario::build(ScenarioConfig {
-        flows: vec![FlowSpec::default(); N],
+        bottleneck: Rate::from_mbps(n as f64),
+        flows: vec![FlowSpec::default(); n],
         n_tcp: 0,
         keep_series: true,
         ..ScenarioConfig::default()
     });
     scenario.run_for(SimDuration::from_secs(SECS));
     let report = scenario.report();
-    let sim_kbps: Vec<f64> = (0..N)
+    let sim_kbps: Vec<f64> = (0..n)
         .map(|i| {
             let tail: Vec<f64> = scenario
                 .source(i)
@@ -95,23 +109,24 @@ fn four_flows_find_the_same_fair_operating_point_on_both_stacks() {
     let sim_gamma: Vec<f64> = report.flows.iter().map(|f| f.final_gamma).collect();
     let sim_gamma_star = report.router_final_fgs_loss / p_thr;
 
-    // Wire: one `ServeLoop` and four decoding receivers on the in-memory
+    // Wire: one `ServeLoop` and N decoding receivers on the in-memory
     // hub, polled every millisecond of a manual clock (receivers first, so
     // a HELLO is queued before the server's poll — `live::Session`'s order).
     let addr = |port: u16| -> std::net::SocketAddr { ([127, 0, 0, 1], port).into() };
     let (hub, clock) = (MemHub::new(), ManualClock::new());
     let mut server = ServeLoop::new(
         ServeConfig {
-            capacity: Rate::from_mbps(2.0),
+            capacity: Rate::from_mbps(n as f64 / 2.0),
             packet_bytes: 500,
             trace: default_trace(),
-            color_limits: [200, 200, 50], // the simulated router's
+            color_limits: wire_color_limits,
+            max_flows: n,
             ..ServeConfig::new(addr(9000))
         },
         hub.endpoint(addr(9000)),
         None,
     );
-    let mut receivers: Vec<_> = (1..=N as u32)
+    let mut receivers: Vec<_> = (1..=n as u32)
         .map(|f| {
             let cfg = WireReceiverConfig {
                 flow: FlowId(f),
@@ -123,7 +138,7 @@ fn four_flows_find_the_same_fair_operating_point_on_both_stacks() {
             WireReceiver::new(cfg, hub.endpoint(addr(9000 + f as u16)))
         })
         .collect();
-    let mut tail_sum = [0.0; N];
+    let mut tail_sum = vec![0.0; n];
     for ms in 0..SECS * 1_000 {
         let now = clock.now();
         for rx in &mut receivers {
@@ -137,16 +152,16 @@ fn four_flows_find_the_same_fair_operating_point_on_both_stacks() {
         }
         clock.advance(SimDuration::from_millis(1));
     }
-    let wire_kbps = tail_sum.map(|sum| sum / 1_000.0 / 1_000.0);
+    let wire_kbps: Vec<f64> = tail_sum.iter().map(|sum| sum / 1_000.0 / 1_000.0).collect();
     let wire_gamma: Vec<f64> =
-        (1..=N as u32).map(|f| server.flow(FlowId(f)).unwrap().gamma).collect();
+        (1..=n as u32).map(|f| server.flow(FlowId(f)).unwrap().gamma).collect();
     let wire_gamma_star = server.report(clock.now()).fgs_loss / p_thr;
 
     let rel = |a: f64, b: f64| (a - b).abs() / b;
     let jain = |x: &[f64]| {
-        x.iter().sum::<f64>().powi(2) / (N as f64 * x.iter().map(|v| v * v).sum::<f64>())
+        x.iter().sum::<f64>().powi(2) / (n as f64 * x.iter().map(|v| v * v).sum::<f64>())
     };
-    for f in 0..N {
+    for f in 0..n {
         let (sim, wire) = (sim_kbps[f], wire_kbps[f]);
         assert!(rel(sim, r_star_kbps) < 0.05, "sim flow {f}: {sim:.1} vs r* {r_star_kbps}");
         assert!(rel(wire, r_star_kbps) < 0.05, "wire flow {f}: {wire:.1} vs r* {r_star_kbps}");
@@ -164,6 +179,15 @@ fn four_flows_find_the_same_fair_operating_point_on_both_stacks() {
     }
     assert!(jain(&sim_kbps) >= 0.99, "sim rates {sim_kbps:?}");
     assert!(jain(&wire_kbps) >= 0.99, "wire rates {wire_kbps:?}");
+    let mean = |x: &[f64]| x.iter().sum::<f64>() / n as f64;
+    println!(
+        "{n} flows, r* {r_star_kbps} kb/s: sim {:.1} kb/s, γ {:.3} (γ* {sim_gamma_star:.3}); \
+         wire {:.1} kb/s, γ {:.3} (γ* {wire_gamma_star:.3})",
+        mean(&sim_kbps),
+        mean(&sim_gamma),
+        mean(&wire_kbps),
+        mean(&wire_gamma)
+    );
 }
 
 #[test]
