@@ -40,7 +40,7 @@ echo "== docs name no removed flag, command or file =="
 # Spelled in halves so this file does not match itself.
 for gone in -"-no-batch" -"-batch-size" -"-ack-every" \
     "pels be""nch " BENCH_"scale" BENCH_"wire" PELS_"BENCH_DIR" crit"erion" Crit"erion" \
-    W"fq" W"FQ" ADMIT_"HIGH_WATER"; do
+    W"fq" W"FQ" ADMIT_"HIGH_WATER" patch_"feedback" patch_"rate_echo"; do
   if grep -n -e "$gone" README.md DESIGN.md EXPERIMENTS.md; then
     echo "the docs still mention the removed $gone" >&2; exit 1
   fi
@@ -101,6 +101,30 @@ if awk '/^    fn on_(pace|frame)\(/{on=1} on{print FILENAME":"FNR": "$0} on&&/^ 
   exit 1
 fi
 
+echo "== a data packet is encoded once, at departure (wire::{serve,transport}) =="
+# The shared router queues plans (`Departure`, 64 bytes) and
+# `ServeRouter::drain` encodes each packet as it leaves, with the label and
+# rate of that moment, into the container `transport::Outbox` builds. A
+# second `WireData` literal in serve.rs is a packet encoded before it is
+# due; a byte buffer in the router is a queue of encodings; a second
+# comparison with the container cap is a second container builder.
+wire_literals="$(non_test_code crates/wire/src/serve.rs | grep -c 'WireData {' || true)"
+in_drain="$(awk '/^    fn drain\(/{on=1} on&&/WireData \{/{n++} on&&/^    }$/{on=0} END{print n+0}' \
+  crates/wire/src/serve.rs)"
+[ "$wire_literals" -eq 1 ] && [ "$in_drain" -eq 1 ] || {
+  echo "crates/wire/src/serve.rs builds $wire_literals data packets ($in_drain in ServeRouter::drain); drain builds the only one" >&2
+  exit 1; }
+if awk '/^struct ServeRouter \{/{on=1} on{print FILENAME":"FNR": "$0} on&&/^}$/{on=0}' \
+    crates/wire/src/serve.rs | grep 'Vec<u8>'; then
+  echo "ServeRouter holds encoded bytes; it queues plans" >&2
+  exit 1
+fi
+cap_sites="$(for f in crates/wire/src/*.rs; do non_test_code "$f"; done \
+  | grep -E 'len\(\).*AGGREGATE_BYTES|AGGREGATE_BYTES.*len\(\)' | cut -d: -f1 | sort | uniq -c | xargs)"
+[ "$cap_sites" = "1 crates/wire/src/transport.rs" ] || {
+  echo "container cap compared with a buffer length at: ${cap_sites:-nowhere}; only transport::Outbox::push does" >&2
+  exit 1; }
+
 echo "== tx-completes are scheduled in one place (netsim::port) =="
 # A port schedules a completion only when a packet waits behind the one on
 # the wire (41 % of the shared bottleneck's events were idle completions
@@ -160,10 +184,13 @@ echo "== report digests, event budget and exchange budget (optimised build) =="
 # ran in the debug build above; a report must not depend on the profile
 # either, and release is what the benchmark runs.
 cargo test -q --release --test report_digests --test event_budget --test exchange_budget
-# The wire's counterpart (crates/wire/tests/wire_budget.rs): 64 and 512
+# The wire's counterparts. crates/wire/tests/wire_budget.rs: 64 and 512
 # paced flows on a stepped clock sit on Lemma 6 with only red shed, and the
-# 64-flow run's packet, timer-event, abandon and drop counts are pinned.
-cargo test -q --release -p pels-wire --test wire_budget
+# 64-flow run's packet, timer-event, abandon, drop, container and
+# send_batch counts are pinned. crates/wire/tests/serve_memory.rs (ignored
+# in the debug run above): the serve loop's live heap per flow at 512
+# flows, under its budget at 10 s and flat from 60 s to 90 s.
+cargo test -q --release -p pels-wire --test wire_budget --test serve_memory
 
 echo "== run_all (every figure and ablation regenerates its tracked CSV) =="
 # Each binary asserts its own shape targets, and results/ is a function of

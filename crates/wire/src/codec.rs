@@ -6,9 +6,9 @@
 //!
 //! * **Data** ([`WireData`]) — one video packet: flow, sequence number,
 //!   frame tag, color class, pacing metadata (send timestamp, rate echo),
-//!   an always-reserved feedback block that routers stamp *in place* (see
-//!   [`patch_feedback`]), and the payload. Decoding is zero-copy: the
-//!   payload borrows from the receive buffer.
+//!   a fixed-size feedback block holding the shared router's label, and
+//!   the payload. Decoding is zero-copy: the payload borrows from the
+//!   receive buffer.
 //! * **Ack** ([`WireAck`]) — the receiver's echo of a data packet's control
 //!   fields back to the source: sequence, send timestamp, rate echo, and
 //!   the router feedback label `(router, z, p, p_fgs)` (Eq. 11).
@@ -44,8 +44,12 @@
 //! | 78 | n | payload |
 //!
 //! The 28-byte feedback block is *always* present (reserved when the valid
-//! flag is clear) so a router can stamp its label into a forwarded packet by
-//! patching bytes 31/48..76 without re-encoding or shifting the payload.
+//! flag is clear), so a header is written in one pass and a label costs no
+//! framing. The label and the rate echo are written when the packet leaves
+//! the shared router (`ServeRouter::drain` encodes it then, once). The wire
+//! has one router, so Eq. 12's max-loss override has one implementation:
+//! [`pels_netsim::packet::Packet::stamp_feedback`], in the simulator, where
+//! a packet can cross several.
 //!
 //! ## Ack layout (61 bytes)
 //!
@@ -399,11 +403,16 @@ impl<'a> WireData<'a> {
         buf
     }
 
-    /// Encodes into `buf`, clearing it first. Senders on the per-packet
-    /// hot path keep one scratch buffer and reuse its capacity instead of
-    /// allocating a fresh `Vec` per datagram.
+    /// Encodes into `buf`, clearing it first.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.clear();
+        self.append_to(buf);
+    }
+
+    /// Appends the encoded packet to `buf` without clearing it: the shared
+    /// router encodes each departure straight into the container datagram
+    /// it leaves in.
+    pub fn append_to(&self, buf: &mut Vec<u8>) {
         buf.reserve(DATA_HEADER_BYTES + self.payload.len());
         put_header(buf, WireKind::Data);
         buf.extend_from_slice(&self.flow.0.to_be_bytes());
@@ -628,54 +637,6 @@ impl WireBye {
     }
 }
 
-/// Stamps a feedback label into an *encoded* data packet in place — the wire
-/// analogue of [`pels_netsim::packet::Packet::stamp_feedback`], with the same
-/// max-loss override semantics (Eq. 12): a packet with no label takes the
-/// new one; the same router always refreshes its own label; a different
-/// router overrides only with a strictly larger loss. The payload is never
-/// touched, so a router forwards without re-encoding.
-///
-/// # Errors
-///
-/// Fails if `buf` is not a valid data packet header (the feedback block
-/// itself is not validated — the router is about to overwrite it).
-pub fn patch_feedback(buf: &mut [u8], label: Feedback) -> Result<(), CodecError> {
-    expect_kind(buf, WireKind::Data)?;
-    if buf.len() < DATA_HEADER_BYTES {
-        return Err(CodecError::Truncated { need: DATA_HEADER_BYTES, got: buf.len() });
-    }
-    if get_u8(buf, 31)? & FLAG_FEEDBACK != 0 {
-        let cur_router = AgentId(get_u32(buf, 48)?);
-        let cur_loss = get_f64(buf, 60)?;
-        let overrides = label.loss.partial_cmp(&cur_loss) == Some(std::cmp::Ordering::Greater);
-        if cur_router != label.router && !overrides {
-            return Ok(());
-        }
-    }
-    buf[31] |= FLAG_FEEDBACK;
-    buf[48..52].copy_from_slice(&label.router.0.to_be_bytes());
-    buf[52..60].copy_from_slice(&label.epoch.to_be_bytes());
-    buf[60..68].copy_from_slice(&label.loss.to_be_bytes());
-    buf[68..76].copy_from_slice(&label.fgs_loss.to_be_bytes());
-    Ok(())
-}
-
-/// Overwrites the rate echo of an *encoded* data packet in place, for a
-/// sender whose packets queue between encoding and transmission: the echo
-/// is "the rate in effect at transmission" ([`WireData::rate_echo`]).
-///
-/// # Errors
-///
-/// Fails if `buf` is not a valid data packet header.
-pub fn patch_rate_echo(buf: &mut [u8], rate_bps: f64) -> Result<(), CodecError> {
-    expect_kind(buf, WireKind::Data)?;
-    if buf.len() < DATA_HEADER_BYTES {
-        return Err(CodecError::Truncated { need: DATA_HEADER_BYTES, got: buf.len() });
-    }
-    buf[40..48].copy_from_slice(&rate_bps.to_be_bytes());
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -769,6 +730,10 @@ mod tests {
         for part in [&d, &ack, &hello, &bye] {
             container.extend_from_slice(part);
         }
+        // Appending encodes the same bytes where they are to leave from.
+        let mut appended = d.clone();
+        data(&payload).append_to(&mut appended);
+        assert_eq!(appended, [&d[..], &d[..]].concat());
         let mut walked = 0;
         let mut kinds = Vec::new();
         for pkt in packets(&container) {
@@ -853,32 +818,7 @@ mod tests {
             assert!(WireNack::decode(&buf).is_err());
             assert!(WireHello::decode(&buf).is_err());
             assert!(WireBye::decode(&buf).is_err());
-            let mut patchable = buf.clone();
-            assert!(patch_feedback(&mut patchable, Feedback::new(AgentId(1), 1, 0.1, 0.1)).is_err());
-            assert!(patch_rate_echo(&mut patchable, 1.0).is_err());
         }
-    }
-
-    #[test]
-    fn patch_feedback_max_loss_override() {
-        let mut buf = WireData { feedback: None, ..data(&[5; 10]) }.encode();
-        patch_feedback(&mut buf, Feedback::new(AgentId(1), 1, 0.10, 0.1)).unwrap();
-        // A different router with smaller loss must NOT override.
-        patch_feedback(&mut buf, Feedback::new(AgentId(2), 8, 0.05, 0.05)).unwrap();
-        assert_eq!(WireData::decode(&buf).unwrap().feedback.unwrap().router, AgentId(1));
-        // A different router with larger loss overrides.
-        patch_feedback(&mut buf, Feedback::new(AgentId(2), 9, 0.20, 0.2)).unwrap();
-        assert_eq!(WireData::decode(&buf).unwrap().feedback.unwrap().router, AgentId(2));
-        // The same router always refreshes, even downward.
-        patch_feedback(&mut buf, Feedback::new(AgentId(2), 10, 0.01, 0.0)).unwrap();
-        let fb = WireData::decode(&buf).unwrap().feedback.unwrap();
-        assert_eq!(fb.epoch, 10);
-        assert!((fb.loss - 0.01).abs() < 1e-12);
-        // The rate echo patches the same way; neither disturbs the rest.
-        patch_rate_echo(&mut buf, 640_000.0).unwrap();
-        let patched = WireData::decode(&buf).unwrap();
-        assert_eq!((patched.rate_echo, patched.feedback), (640_000.0, Some(fb)));
-        assert_eq!(patched.payload, &[5; 10]);
     }
 }
 
@@ -887,8 +827,8 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Runs every decoder (and the in-place patcher) over a buffer; the
-    /// property under test is simply "no panic" — any `Err` is fine.
+    /// Runs every decoder over a buffer; the property under test is simply
+    /// "no panic" — any `Err` is fine.
     fn exercise_decoders(buf: &[u8]) {
         let _ = peek_kind(buf);
         let _ = WireData::decode(buf);
@@ -896,9 +836,6 @@ mod proptests {
         let _ = WireNack::decode(buf);
         let _ = WireHello::decode(buf);
         let _ = WireBye::decode(buf);
-        let mut patchable = buf.to_vec();
-        let _ = patch_feedback(&mut patchable, Feedback::new(AgentId(3), 7, 0.2, 0.1));
-        let _ = patch_rate_echo(&mut patchable, 1.0);
     }
 
     proptest! {

@@ -5,8 +5,8 @@
 //! This crate runs the same control laws in real time:
 //!
 //! * [`codec`] — versioned, big-endian on-the-wire formats for data
-//!   packets (with an in-place-patchable feedback block implementing the
-//!   Eq. 12 max-loss override), ACKs carrying the MKC feedback triplet
+//!   packets (with a fixed-size block for the shared router's Eq. 11
+//!   label), ACKs carrying the MKC feedback triplet
 //!   `(p, z, router)`, NACKs, and the HELLO/BYE session frames. Packets
 //!   are self-delimiting, so several ride one datagram;
 //!   [`codec::packets`] is the one walk every receive path uses. Decoding
@@ -68,7 +68,7 @@ pub use faults::{FaultTransport, LiveFaults, WireFaultSpec, WireFaultTotals};
 pub use flowtable::FlowTable;
 pub use live::{run_live, LiveBackend, LiveConfig, LiveOutcome, LiveStats};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
-pub use receiver::{HeartbeatConfig, WireReceiver, WireReceiverConfig};
+pub use receiver::{WireReceiver, WireReceiverConfig, HELLO_INTERVAL};
 pub use serve::{run_serve, run_serve_with, FlowView, ServeConfig, ServeLoop, ServeReport};
 // `benchmark/src/wire.rs` imports the one UDP backend under both names.
 pub use transport::UdpTransport as BatchedUdp;

@@ -11,7 +11,7 @@
 //! [`Session`] with a fault script and an observer.
 
 use crate::faults::{FaultTransport, LiveFaults, WireFaultSpec, WireFaultStats, WireFaultTotals};
-use crate::receiver::{HeartbeatConfig, WireReceiver, WireReceiverConfig};
+use crate::receiver::{WireReceiver, WireReceiverConfig};
 use crate::serve::{
     FlowView, ServeConfig, ServeLoop, ServeReport, SCRAPE_INTERVAL, SOCKET_BUFFER_BYTES,
 };
@@ -305,13 +305,12 @@ impl<T: Transport, C: RunClock> Session<T, C> {
     pub fn start_receiver(&mut self, rx_ep: T) {
         let rx_ep = FaultTransport::new(rx_ep, self.clock.clone(), self.rx_faults.clone());
         self.fault_stats.push(rx_ep.stats());
-        let server_addr = self.server.local_addr();
         let rx_cfg = WireReceiverConfig {
             flow: FLOW,
-            feedback_to: server_addr,
+            server: self.server.local_addr(),
             nack: Some(NackConfig::default()),
             packet_bytes: PACKET_BYTES,
-            heartbeat: Some(HeartbeatConfig::new(server_addr)),
+            heartbeat: true,
         };
         self.receiver = Some(WireReceiver::new(rx_cfg, rx_ep));
     }

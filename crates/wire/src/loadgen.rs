@@ -15,8 +15,9 @@
 //! received data in the final 500 ms.
 
 use crate::codec::{packets, WireAck, WireBye, WireData, WireHello, ACK_BYTES, DATA_HEADER_BYTES};
-use crate::serve::{AGGREGATE_BYTES, IO_BATCH, RX_SLOT_BYTES};
-use crate::transport::{Datagram, Transport, UdpTransport};
+use crate::receiver::HELLO_INTERVAL;
+use crate::serve::{IO_BATCH, RX_SLOT_BYTES};
+use crate::transport::{Datagram, Outbox, Transport, UdpTransport};
 use pels_netsim::clock::{Clock, MonotonicClock};
 use pels_netsim::packet::FlowId;
 use pels_netsim::time::{SimDuration, SimTime};
@@ -40,14 +41,12 @@ pub struct LoadgenConfig {
     /// Time excluded from the delivered-rate measurement (ramp + MKC
     /// convergence).
     pub warmup: SimDuration,
-    /// Liveness HELLO refresh period per flow.
-    pub hello_interval: SimDuration,
 }
 
 impl LoadgenConfig {
     /// Defaults: an ephemeral port on the unspecified address of the
-    /// server's family, 256 flows, 5 s run with a 1 s ramp and 2 s warmup,
-    /// 100 ms HELLO refresh.
+    /// server's family, 256 flows, 5 s run with a 1 s ramp and 2 s warmup.
+    /// Every flow refreshes its HELLO each [`HELLO_INTERVAL`].
     pub fn new(server: SocketAddr) -> Self {
         let unspecified: IpAddr = match server {
             SocketAddr::V4(_) => Ipv4Addr::UNSPECIFIED.into(),
@@ -60,7 +59,6 @@ impl LoadgenConfig {
             duration: SimDuration::from_secs(5),
             ramp: SimDuration::from_secs(1),
             warmup: SimDuration::from_secs(2),
-            hello_interval: SimDuration::from_millis(100),
         }
     }
 }
@@ -128,18 +126,18 @@ pub fn run_loadgen(cfg: LoadgenConfig) -> io::Result<LoadgenReport> {
     // Due-refresh scans run at interval/8 granularity: coarse enough that
     // the O(flows) sweep is negligible, fine enough that a deadline slips
     // by at most a few milliseconds against the 500 ms eviction timeout.
-    let scan_step = SimDuration::from_nanos((cfg.hello_interval.as_nanos() / 8).max(1));
+    let scan_step = SimDuration::from_nanos(HELLO_INTERVAL.as_nanos() / 8);
     let mut next_scan = SimTime::ZERO + scan_step;
     let end = SimTime::ZERO + cfg.duration;
     let steady_from = SimTime::ZERO + cfg.warmup;
     let ramp_step = SimDuration::from_nanos(cfg.ramp.as_nanos() / u64::from(n));
     let ring_cap = RX_SLOT_BYTES;
     let mut ring: Vec<Datagram> = (0..IO_BATCH).map(|_| Datagram::slot(ring_cap)).collect();
-    let mut out: Vec<Datagram> = Vec::new();
-    let mut scratch: Vec<Vec<u8>> = Vec::new();
-    // ACKs/HELLOs accumulate until a full batch (or the deadline below) so
-    // each send_batch call amortizes its syscall over a real batch instead
-    // of flushing whatever one poll pass produced.
+    // ACKs/HELLOs accumulate — an ACK storm rides in 24-packet containers —
+    // until a full batch of containers (or the deadline below) so each
+    // send_batch call amortizes its syscall over a real batch instead of
+    // flushing whatever one poll pass produced.
+    let mut out = Outbox::default();
     let flush_interval = SimDuration::from_millis(1);
     let mut out_due = SimTime::ZERO;
 
@@ -153,9 +151,10 @@ pub fn run_loadgen(cfg: LoadgenConfig) -> io::Result<LoadgenReport> {
                 break;
             }
             let flow = FlowId(registered + 1);
-            push(&mut out, &mut scratch, &WireHello { flow, seq: 0 }.encode(), cfg.server);
+            let hello = WireHello { flow, seq: 0 }.encode();
+            out.push(hello.len(), cfg.server, |buf| buf.extend_from_slice(&hello));
             flows[registered as usize].registered = true;
-            flows[registered as usize].next_hello = Some(now + cfg.hello_interval);
+            flows[registered as usize].next_hello = Some(now + HELLO_INTERVAL);
             registered += 1;
             hellos_sent += 1;
             work = true;
@@ -166,9 +165,9 @@ pub fn run_loadgen(cfg: LoadgenConfig) -> io::Result<LoadgenReport> {
             for (i, f) in flows.iter_mut().enumerate().take(registered as usize) {
                 if f.registered && f.next_hello.is_some_and(|t| now >= t) {
                     let flow = FlowId(i as u32 + 1);
-                    let seq = hellos_sent;
-                    push(&mut out, &mut scratch, &WireHello { flow, seq }.encode(), cfg.server);
-                    f.next_hello = Some(now + cfg.hello_interval);
+                    let hello = WireHello { flow, seq: hellos_sent }.encode();
+                    out.push(hello.len(), cfg.server, |buf| buf.extend_from_slice(&hello));
+                    f.next_hello = Some(now + HELLO_INTERVAL);
                     hellos_sent += 1;
                     work = true;
                 }
@@ -206,25 +205,23 @@ pub fn run_loadgen(cfg: LoadgenConfig) -> io::Result<LoadgenReport> {
                         rate_echo: pkt.rate_echo,
                         feedback: pkt.feedback,
                     };
-                    push_with(&mut out, &mut scratch, ACK_BYTES, cfg.server, |buf| {
-                        ack.append_to(buf)
-                    });
+                    out.push(ACK_BYTES, cfg.server, |buf| ack.append_to(buf));
                     acks_sent += 1;
                 }
             }
             if got > 0 {
                 work = true;
             }
-            if out.len() >= IO_BATCH {
-                flush(&transport, &mut out, &mut scratch)?;
+            if out.containers() >= IO_BATCH {
+                out.flush(&transport)?;
                 out_due = now + flush_interval;
             }
             if got < ring.len() {
                 break;
             }
         }
-        if !out.is_empty() && now >= out_due {
-            flush(&transport, &mut out, &mut scratch)?;
+        if out.packets() > 0 && now >= out_due {
+            out.flush(&transport)?;
             out_due = now + flush_interval;
         }
         if !work {
@@ -237,12 +234,12 @@ pub fn run_loadgen(cfg: LoadgenConfig) -> io::Result<LoadgenReport> {
     let mut byes_sent = 0u64;
     for (i, f) in flows.iter().enumerate() {
         if f.registered {
-            let bye = WireBye { flow: FlowId(i as u32 + 1) };
-            push(&mut out, &mut scratch, &bye.encode(), cfg.server);
+            let bye = WireBye { flow: FlowId(i as u32 + 1) }.encode();
+            out.push(bye.len(), cfg.server, |buf| buf.extend_from_slice(&bye));
             byes_sent += 1;
         }
     }
-    flush(&transport, &mut out, &mut scratch)?;
+    out.flush(&transport)?;
 
     let final_now = clock.now();
     let sustain_horizon = SimDuration::from_millis(500);
@@ -265,54 +262,6 @@ pub fn run_loadgen(cfg: LoadgenConfig) -> io::Result<LoadgenReport> {
         decode_errors,
         send_drops: transport.send_drops(),
     })
-}
-
-/// Queues `need` encoded bytes (written by `write`) for the next batched
-/// flush, coalescing: the packet is appended into the tail container while
-/// it fits under [`AGGREGATE_BYTES`] and shares the destination, so an ACK
-/// storm for the server rides in 24-packet datagrams instead of one
-/// datagram each — and `write` targets the container directly, so the hot
-/// ACK path never allocates per packet.
-fn push_with(
-    out: &mut Vec<Datagram>,
-    scratch: &mut Vec<Vec<u8>>,
-    need: usize,
-    addr: SocketAddr,
-    write: impl FnOnce(&mut Vec<u8>),
-) {
-    if let Some(last) = out.last_mut() {
-        if last.addr == addr && last.buf.len() + need <= AGGREGATE_BYTES {
-            write(&mut last.buf);
-            return;
-        }
-    }
-    let mut buf = scratch.pop().unwrap_or_default();
-    buf.clear();
-    write(&mut buf);
-    out.push(Datagram { buf, addr });
-}
-
-/// [`push_with`] for pre-encoded packets.
-fn push(out: &mut Vec<Datagram>, scratch: &mut Vec<Vec<u8>>, bytes: &[u8], addr: SocketAddr) {
-    push_with(out, scratch, bytes.len(), addr, |buf| buf.extend_from_slice(bytes));
-}
-
-/// Sends everything queued in one batch and recycles the buffers.
-fn flush(
-    transport: &UdpTransport,
-    out: &mut Vec<Datagram>,
-    scratch: &mut Vec<Vec<u8>>,
-) -> io::Result<()> {
-    if out.is_empty() {
-        return Ok(());
-    }
-    let res = transport.send_batch(out);
-    for d in out.drain(..) {
-        if scratch.len() < 4096 {
-            scratch.push(d.buf);
-        }
-    }
-    res
 }
 
 #[cfg(test)]

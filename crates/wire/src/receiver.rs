@@ -29,36 +29,26 @@ use std::net::SocketAddr;
 pub struct WireReceiverConfig {
     /// The flow this receiver accepts.
     pub flow: FlowId,
-    /// Where ACKs and NACKs go (the server — the reverse path bypasses
-    /// its bottleneck router, like the paper's feedback channel).
-    pub feedback_to: SocketAddr,
+    /// The server: where HELLOs, ACKs, NACKs and the BYE go (the reverse
+    /// path bypasses its bottleneck router, like the paper's feedback
+    /// channel).
+    pub server: SocketAddr,
     /// ARQ scheduling; `None` disables NACKs.
     pub nack: Option<NackConfig>,
     /// Wire packet payload size, used to size reassembly buffers.
     pub packet_bytes: u32,
-    /// Session liveness: periodic HELLO heartbeats into the server's flow
-    /// table, which streams only to registered flows. `None` sends none.
-    pub heartbeat: Option<HeartbeatConfig>,
+    /// Session liveness: a HELLO into the server's flow table — it streams
+    /// only to registered flows — on the first poll, so the flow registers
+    /// before any data arrives, and every [`HELLO_INTERVAL`] after. Off, the
+    /// receiver sends no HELLO and no BYE.
+    pub heartbeat: bool,
 }
 
-/// Heartbeat parameters for a [`WireReceiver`].
-#[derive(Debug, Clone, Copy)]
-pub struct HeartbeatConfig {
-    /// The server whose flow table this receiver keeps itself alive in.
-    pub router: SocketAddr,
-    /// Interval between HELLO frames. The first HELLO goes out on the
-    /// first poll so the flow registers before any data arrives.
-    pub interval: SimDuration,
-}
-
-impl HeartbeatConfig {
-    /// Heartbeats to `router` at the default 100 ms cadence — a fifth of
-    /// the server's default idle timeout, so a healthy session survives
-    /// several consecutive lost heartbeats before eviction.
-    pub fn new(router: SocketAddr) -> Self {
-        HeartbeatConfig { router, interval: SimDuration::from_millis(100) }
-    }
-}
+/// How often a client refreshes a flow's HELLO: a fifth of
+/// [`ServeConfig::flow_idle_timeout`](crate::ServeConfig::flow_idle_timeout)'s
+/// default, so a healthy session survives several consecutive lost
+/// heartbeats before eviction.
+pub const HELLO_INTERVAL: SimDuration = SimDuration::from_millis(100);
 
 /// The live receiving agent.
 #[derive(Debug)]
@@ -87,6 +77,7 @@ impl<T: Transport> WireReceiver<T> {
     /// Creates a receiver listening on `transport`.
     pub fn new(cfg: WireReceiverConfig, transport: T) -> Self {
         let nack = cfg.nack.map(NackTracker::new);
+        let next_hello_at = cfg.heartbeat.then_some(SimTime::ZERO);
         WireReceiver {
             transport,
             cfg,
@@ -99,7 +90,7 @@ impl<T: Transport> WireReceiver<T> {
             decode_errors: 0,
             nacks_sent: 0,
             hellos_sent: 0,
-            next_hello_at: Some(SimTime::ZERO),
+            next_hello_at,
             recv_buf: vec![0u8; RX_SLOT_BYTES],
         }
     }
@@ -135,7 +126,7 @@ impl<T: Transport> WireReceiver<T> {
         self.hellos_sent
     }
 
-    /// Ends the stream: a BYE to the heartbeat router, so its flow-table
+    /// Ends the stream: a BYE to the server, so its flow-table
     /// entry dies immediately instead of idling out, and no further HELLO
     /// (which would register the flow again). Packets already in flight
     /// are still received and acknowledged. A no-op when heartbeats are
@@ -145,22 +136,23 @@ impl<T: Transport> WireReceiver<T> {
     ///
     /// Propagates hard transport failures.
     pub fn send_bye(&mut self) -> io::Result<()> {
-        let Some(hb) = self.cfg.heartbeat else { return Ok(()) };
+        if !self.cfg.heartbeat {
+            return Ok(());
+        }
         self.next_hello_at = None;
         let bye = WireBye { flow: self.cfg.flow }.encode();
-        self.transport.send_to(&bye, hb.router)
+        self.transport.send_to(&bye, self.cfg.server)
     }
 
     fn send_due_hello(&mut self, now: SimTime) -> io::Result<()> {
-        let Some(hb) = self.cfg.heartbeat else { return Ok(()) };
         let Some(due) = self.next_hello_at else { return Ok(()) };
         if now < due {
             return Ok(());
         }
         let hello = WireHello { flow: self.cfg.flow, seq: self.hellos_sent }.encode();
-        self.transport.send_to(&hello, hb.router)?;
+        self.transport.send_to(&hello, self.cfg.server)?;
         self.hellos_sent += 1;
-        self.next_hello_at = Some(now.saturating_add(hb.interval));
+        self.next_hello_at = Some(now.saturating_add(HELLO_INTERVAL));
         Ok(())
     }
 
@@ -220,7 +212,7 @@ impl<T: Transport> WireReceiver<T> {
             feedback: pkt.feedback,
         }
         .encode();
-        self.transport.send_to(&ack, self.cfg.feedback_to)
+        self.transport.send_to(&ack, self.cfg.server)
     }
 
     fn issue_nacks(&mut self) -> io::Result<()> {
@@ -233,7 +225,7 @@ impl<T: Transport> WireReceiver<T> {
                 continue;
             }
             let nack = WireNack { flow: self.cfg.flow, tag };
-            self.transport.send_to(&nack.encode(), self.cfg.feedback_to)?;
+            self.transport.send_to(&nack.encode(), self.cfg.server)?;
             self.nacks_sent += 1;
         }
         Ok(())
@@ -251,14 +243,8 @@ mod tests {
         format!("127.0.0.1:{port}").parse().unwrap()
     }
 
-    fn rx_cfg(feedback_to: SocketAddr, nack: Option<NackConfig>) -> WireReceiverConfig {
-        WireReceiverConfig {
-            flow: FlowId(1),
-            feedback_to,
-            nack,
-            packet_bytes: 500,
-            heartbeat: None,
-        }
+    fn rx_cfg(server: SocketAddr, nack: Option<NackConfig>) -> WireReceiverConfig {
+        WireReceiverConfig { flow: FlowId(1), server, nack, packet_bytes: 500, heartbeat: false }
     }
 
     fn data(frame: u64, index: u16, total: u16, base: u16, class: u8) -> Vec<u8> {
@@ -383,8 +369,7 @@ mod tests {
         let hub = MemHub::new();
         let router = hub.endpoint(addr(2));
         let rx_ep = hub.endpoint(addr(3));
-        let mut cfg = rx_cfg(addr(1), None);
-        cfg.heartbeat = Some(HeartbeatConfig::new(addr(2)));
+        let cfg = WireReceiverConfig { heartbeat: true, ..rx_cfg(addr(2), None) };
         let mut rx = WireReceiver::new(cfg, rx_ep);
         // First poll emits immediately; polling again inside the interval
         // does not.
@@ -398,7 +383,7 @@ mod tests {
         assert_eq!(hellos.len(), 3);
         assert_eq!(hellos[0], WireHello { flow: FlowId(1), seq: 0 });
         assert_eq!(hellos[2].seq, 2);
-        // BYE goes to the same router, and ends the heartbeat with it.
+        // BYE goes to the same address, and ends the heartbeat with it.
         rx.send_bye().unwrap();
         rx.poll(SimTime::from_nanos(900_000_000)).unwrap();
         let byes = drain(&router);
@@ -407,11 +392,11 @@ mod tests {
     }
 
     #[test]
-    fn no_heartbeat_config_means_silence() {
+    fn heartbeat_off_means_silence() {
         let hub = MemHub::new();
         let router = hub.endpoint(addr(2));
         let rx_ep = hub.endpoint(addr(3));
-        let mut rx = WireReceiver::new(rx_cfg(addr(1), None), rx_ep);
+        let mut rx = WireReceiver::new(rx_cfg(addr(2), None), rx_ep);
         rx.poll(SimTime::ZERO).unwrap();
         rx.poll(SimTime::from_secs_f64(10.0)).unwrap();
         rx.send_bye().unwrap();

@@ -22,11 +22,13 @@
 //!   full color queue cannot hold. The router serves at exactly its
 //!   configured capacity (it has no cross traffic to borrow from), counts
 //!   payload bytes only (the simulator's packets have no header, so `r*`
-//!   and `p*` match it numerically), and stamps each departing packet
-//!   with the current label and its flow's current rate.
-//! * **Batched, coalesced I/O** — departures to one destination are
-//!   packed into containers of at most `AGGREGATE_BYTES` and leave, as
-//!   arrivals enter, `IO_BATCH` datagrams at a time through
+//!   and `p*` match it numerically). It queues what the pacer decided
+//!   about a packet, not its bytes: a packet is encoded once, as it
+//!   departs, with the current label and its flow's current rate.
+//! * **Batched, coalesced I/O** — a departure is encoded straight into
+//!   the container datagram it leaves in (consecutive departures to one
+//!   destination share one, up to `AGGREGATE_BYTES`), and containers
+//!   leave, as arrivals enter, a batch at a time through
 //!   [`Transport::send_batch`]/[`Transport::recv_batch`]; on
 //!   [`UdpTransport`] that is one `sendmmsg`/`recvmmsg` per batch instead
 //!   of one syscall per datagram.
@@ -49,10 +51,10 @@
 //! past either are counted in [`ServeReport::nacks_ignored`]), and a repair
 //! still queued when its frame leaves the history is dropped.
 
+use crate::codec::DATA_HEADER_BYTES;
 use crate::codec::{packets, peek_kind, WireAck, WireBye, WireData, WireHello, WireKind, WireNack};
-use crate::codec::{patch_feedback, patch_rate_echo, DATA_HEADER_BYTES};
 use crate::flowtable::{FlowEntry, FlowTable};
-use crate::transport::{Datagram, Transport, UdpTransport};
+use crate::transport::{Datagram, Outbox, Transport, UdpTransport, AGGREGATE_BYTES};
 use pels_core::color::Color;
 use pels_core::feedback::FeedbackEstimator;
 use pels_core::flow::{CcSpec, FlowControl, Planned, SourceMode};
@@ -187,10 +189,15 @@ pub struct ServeReport {
     pub frames_emitted: u64,
     /// Packets abandoned because their frame interval expired unsent.
     pub abandoned_packets: u64,
-    /// Data datagrams handed to the socket, all flows.
+    /// Data packets that left the shared router, all flows: wire packets,
+    /// counted before they share container datagrams.
     pub data_sent: u64,
-    /// `data_sent / duration_secs`.
+    /// `data_sent / duration_secs`: packets, not datagrams, per second.
     pub datagrams_per_sec: f64,
+    /// Container datagrams handed to [`Transport::send_batch`].
+    pub containers_sent: u64,
+    /// [`Transport::send_batch`] calls that carried them.
+    pub send_batches: u64,
     /// Packets paced into the shared router per color class (green,
     /// yellow, red), repairs included: what the flows sent.
     pub paced_by_class: [u64; 3],
@@ -410,26 +417,9 @@ enum TimerEvent {
 /// tolerance.
 const FLUSH_INTERVAL: SimDuration = SimDuration::from_millis(1);
 
-/// Coalescing cap: consecutive departures to one destination are packed
-/// back-to-back into container datagrams of at most this many bytes before
-/// hitting the socket. Wire packets are self-delimiting (see
-/// [`packet_len`](crate::codec::packet_len)), so receivers split containers
-/// without framing bytes. The value is the classic maximum UDP payload on
-/// Ethernet (1500-byte MTU − 20 IP − 8 UDP), which fits three 478-byte data
-/// packets per container at the default 400-byte payload. Loopback would
-/// tolerate far larger datagrams, but the point is a throughput number
-/// that transfers to real NICs, where anything past the MTU fragments.
-///
-/// Coalescing is the lever that actually moves datagrams/s on this path:
-/// on a kernel without mitigation overhead, syscall *entry* is nearly free
-/// and the ~1 µs per datagram is loopback stack traversal, paid per
-/// datagram whether it was submitted via `sendmmsg` or `sendto`. Packing
-/// ~3 wire packets per container divides that per-datagram cost by ~3;
-/// `sendmmsg` alone only shaves the (cheap) entry.
-pub(crate) const AGGREGATE_BYTES: usize = 1472;
-
 /// Datagrams per batch I/O call: the size of the receive ring and the
-/// departure count that flushes without waiting for [`FLUSH_INTERVAL`].
+/// count of departed packets that flushes without waiting for
+/// [`FLUSH_INTERVAL`].
 pub(crate) const IO_BATCH: usize = 64;
 
 /// Receive-slot capacity of every endpoint in this crate. Must hold the
@@ -515,24 +505,43 @@ impl TimerWheel {
                     j += 1;
                 }
             }
+            // A drained slot gives its buffer back: the wheel holds at most
+            // two live events per flow, while a slot's high-water mark is the
+            // largest burst that ever shared its millisecond (every flow at
+            // once after a host stall), and 2048 slots keeping theirs is 18
+            // to 26 KiB per flow at 4096 flows, by where the stalls fell.
+            if slot.is_empty() {
+                slot.shrink_to_fit();
+            }
         }
         self.cursor = target;
     }
+}
+
+/// What the pacer decided about one packet, waiting in the shared router:
+/// 64 bytes, where its encoding is 78 plus the payload.
+#[derive(Debug, Clone, Copy)]
+struct Departure {
+    flow: FlowId,
+    seq: u64,
+    /// When the flow paced it, or — a repair — when its frame was emitted.
+    sent_at: SimTime,
+    plan: Planned,
 }
 
 /// The shared in-process PELS router: one Eq. 11 estimator and one
 /// green/yellow/red strict-priority discipline across all flows.
 ///
 /// [`admit`](Self::admit) alone counts Eq. 11 arrivals and decides drops: a
-/// packet that meets a full color queue is shed before it is encoded. No
-/// sender reads the queues; overload reaches the flows as `p`.
+/// packet that meets a full color queue is shed before any work is done on
+/// it. No sender reads the queues; overload reaches the flows as `p`. The
+/// queues hold [`Departure`]s — plans, not bytes — and
+/// [`drain`](Self::drain) is the one place a data packet is encoded.
 #[derive(Debug)]
 struct ServeRouter {
     id: AgentId,
     estimator: FeedbackEstimator,
-    queues: [VecDeque<(FlowId, Vec<u8>)>; 3],
-    /// Recycled datagram buffers shared with the departure batch.
-    free: Vec<Vec<u8>>,
+    queues: [VecDeque<Departure>; 3],
     budget_bits: f64,
     last_drain: Option<SimTime>,
     capacity_bps: f64,
@@ -555,7 +564,6 @@ impl ServeRouter {
             id,
             estimator: FeedbackEstimator::with_smoothing(capacity, interval, smoothing),
             queues: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
-            free: Vec::new(),
             budget_bits: 0.0,
             last_drain: None,
             capacity_bps: capacity.as_bps() as f64,
@@ -567,38 +575,30 @@ impl ServeRouter {
         }
     }
 
-    /// A recycled (or fresh) buffer to encode the next datagram into.
-    fn take_buf(&mut self) -> Vec<u8> {
-        self.free.pop().unwrap_or_default()
-    }
-
-    fn recycle(&mut self, buf: Vec<u8>) {
-        if self.free.len() < self.color_limits.iter().sum() {
-            self.free.push(buf);
+    /// Counts one paced packet's arrival (payload bits) for Eq. 11 and
+    /// queues it, or drops it if its color queue is full.
+    fn admit(&mut self, packet: Departure) {
+        self.estimator.on_arrival(packet.plan.bytes, packet.plan.class);
+        let c = packet.plan.class.min(2) as usize;
+        if self.queues[c].len() >= self.color_limits[c] {
+            self.drops_by_class[c] += 1;
+        } else {
+            self.queues[c].push_back(packet);
         }
     }
 
-    /// Counts one paced packet's arrival (payload bits) for Eq. 11; `false`
-    /// means its color queue is full and the packet is dropped, unencoded.
-    fn admit(&mut self, class: u8, payload_bytes: u32) -> bool {
-        self.estimator.on_arrival(payload_bytes, class);
-        let c = class.min(2) as usize;
-        let full = self.queues[c].len() >= self.color_limits[c];
-        self.drops_by_class[c] += u64::from(full);
-        !full
-    }
-
-    /// Queues the encoded form of a packet [`admit`](Self::admit) accepted.
-    fn enqueue(&mut self, flow: FlowId, datagram: Vec<u8>, class: u8) {
-        self.queues[class.min(2) as usize].push_back((flow, datagram));
-    }
-
     /// Serves the color queues in strict priority within the accumulated
-    /// byte budget, stamping the current label and the flow's rate at
-    /// departure and resolving each packet's destination through the flow
-    /// table (strict: a dead flow's packet is dropped, costing no budget).
-    /// Departures are pushed into `out` for one batched send.
-    fn drain(&mut self, now: SimTime, flows: &FlowTable<ServeFlow>, out: &mut Vec<Datagram>) {
+    /// byte budget, resolving each packet's destination through the flow
+    /// table (strict: a dead flow's packet is dropped, costing no budget)
+    /// and encoding it — with the current label, the flow's current rate
+    /// and `payload`'s bytes — into `out` for one batched send.
+    fn drain(
+        &mut self,
+        now: SimTime,
+        flows: &FlowTable<ServeFlow>,
+        payload: &[u8],
+        out: &mut Outbox,
+    ) {
         if let Some(last) = self.last_drain {
             let dt = now.duration_since(last).as_secs_f64();
             // Credit is capped at one interval's worth so an idle spell
@@ -616,30 +616,36 @@ impl ServeRouter {
             let Some(class) = (0..3).find(|&c| !self.queues[c].is_empty()) else {
                 return;
             };
-            let cost = self.queues[class]
-                .front()
-                .map_or(0.0, |(_, d)| d.len().saturating_sub(DATA_HEADER_BYTES) as f64 * 8.0);
+            let Departure { flow, seq, sent_at, plan } = self.queues[class][0];
+            let cost = f64::from(plan.bytes) * 8.0;
             if self.budget_bits < cost {
                 return;
             }
-            let Some((flow, mut datagram)) = self.queues[class].pop_front() else {
-                return;
-            };
+            self.queues[class].pop_front();
             let Some(entry) = flows.get(flow) else {
                 self.unregistered_drops += 1;
-                self.recycle(datagram);
                 continue;
             };
             self.budget_bits -= cost;
-            // The label and the rate it will be applied to leave together:
-            // Eq. 8 steps from the rate in effect when `p` was measured, and
-            // a red packet can wait out seconds of yellow backlog — paired
-            // with a fresh label, the rate it was encoded with would fling
-            // the controller back to wherever it was then.
-            let _ = patch_feedback(&mut datagram, label);
-            let _ = patch_rate_echo(&mut datagram, entry.state.flow.rate_bps());
             self.tx_by_class[class] += 1;
-            out.push(Datagram { buf: datagram, addr: entry.addr });
+            let packet = WireData {
+                flow,
+                seq,
+                tag: plan.tag,
+                class: plan.class,
+                retransmission: plan.repair_of.is_some(),
+                sent_at,
+                // The label and the rate it will be applied to leave
+                // together: Eq. 8 steps from the rate in effect when `p` was
+                // measured, and a red packet can wait out seconds of yellow
+                // backlog — paired with a fresh label, the rate it was paced
+                // at would fling the controller back to wherever it was then.
+                rate_echo: entry.state.flow.rate_bps(),
+                feedback: Some(label),
+                payload: &payload[..plan.bytes as usize],
+            };
+            let len = DATA_HEADER_BYTES + packet.payload.len();
+            out.push(len, entry.addr, |buf| packet.append_to(buf));
         }
     }
 }
@@ -675,11 +681,10 @@ pub struct ServeLoop<T: Transport> {
     router: ServeRouter,
     jitter: Histogram,
     rx_ring: Vec<Datagram>,
-    tx_batch: Vec<Datagram>,
-    /// Scratch for the (coalesced) datagrams of one flush, reused.
-    agg_batch: Vec<Datagram>,
-    /// Deadline for flushing a part-full `tx_batch` (armed when the batch
-    /// goes non-empty; see [`FLUSH_INTERVAL`]).
+    /// Departed packets, in their containers, awaiting one batched send.
+    outbox: Outbox,
+    /// Deadline for flushing a part-full `outbox` (armed when it goes
+    /// non-empty; see [`FLUSH_INTERVAL`]).
     flush_due: SimTime,
     fired: Vec<(SimTime, TimerEvent)>,
     /// When the last Eq. 11 tick closed, for measured-window feedback.
@@ -729,8 +734,7 @@ impl<T: Transport> ServeLoop<T> {
             router,
             jitter: Histogram::for_delays(),
             rx_ring,
-            tx_batch: Vec::new(),
-            agg_batch: Vec::new(),
+            outbox: Outbox::default(),
             flush_due: SimTime::ZERO,
             fired: Vec::new(),
             last_tick: None,
@@ -835,44 +839,19 @@ impl<T: Transport> ServeLoop<T> {
         work |= !fired.is_empty();
         fired.clear();
         self.fired = fired;
-        // Departures: strict-priority drain, accumulated until the batch
-        // fills (or its flush deadline passes) so each send_batch call
-        // actually carries a batch worth amortizing a syscall over.
-        let mut batch = std::mem::take(&mut self.tx_batch);
-        let was_empty = batch.is_empty();
-        self.router.drain(now, &self.flows, &mut batch);
-        if was_empty && !batch.is_empty() {
+        // Departures: strict-priority drain, accumulated until a batch's
+        // worth of packets has left (or the flush deadline passes) so each
+        // send_batch call carries enough to amortize a syscall over.
+        let was_empty = self.outbox.packets() == 0;
+        self.router.drain(now, &self.flows, &self.payload_pool, &mut self.outbox);
+        let departed = self.outbox.packets();
+        if was_empty && departed > 0 {
             self.flush_due = now + FLUSH_INTERVAL;
         }
-        let full = batch.len() >= IO_BATCH;
-        if !batch.is_empty() && (full || now >= self.flush_due) {
+        if departed > 0 && (departed >= IO_BATCH || now >= self.flush_due) {
             work = true;
-            self.data_sent += batch.len() as u64;
-            // Coalesce consecutive same-destination packets into container
-            // datagrams: the kernel charges per datagram, not per wire
-            // packet, so fewer-but-fuller datagrams is where the throughput
-            // comes from. The first packet of each run donates its buffer,
-            // so a run of one costs no copy at all.
-            let mut packed = std::mem::take(&mut self.agg_batch);
-            for d in batch.drain(..) {
-                let room = AGGREGATE_BYTES.saturating_sub(d.buf.len());
-                match packed.last_mut() {
-                    Some(last) if last.addr == d.addr && last.buf.len() <= room => {
-                        last.buf.extend_from_slice(&d.buf);
-                        self.router.recycle(d.buf);
-                    }
-                    _ => packed.push(d),
-                }
-            }
-            let res = self.transport.send_batch(&packed);
-            for d in packed.drain(..) {
-                self.router.recycle(d.buf);
-            }
-            self.agg_batch = packed;
-            self.tx_batch = batch;
-            res?;
-        } else {
-            self.tx_batch = batch;
+            self.data_sent += departed as u64;
+            self.outbox.flush(&self.transport)?;
         }
         Ok(work)
     }
@@ -1048,23 +1027,8 @@ impl<T: Transport> ServeLoop<T> {
             let seq = s.seq;
             s.seq += 1;
             self.paced_by_class[usize::from(p.class.min(2))] += 1;
-            if !self.router.admit(p.class, p.bytes) {
-                continue;
-            }
-            let mut datagram = self.router.take_buf();
-            WireData {
-                flow,
-                seq,
-                tag: p.tag,
-                class: p.class,
-                retransmission: p.repair_of.is_some(),
-                sent_at: p.repair_of.unwrap_or(now),
-                rate_echo: rate,
-                feedback: None,
-                payload: &self.payload_pool[..p.bytes as usize],
-            }
-            .encode_into(&mut datagram);
-            self.router.enqueue(flow, datagram, p.class);
+            let sent_at = p.repair_of.unwrap_or(now);
+            self.router.admit(Departure { flow, seq, sent_at, plan: p });
         }
         if let Some(front) = s.head() {
             let deficit_bits = (f64::from(front.bytes) * 8.0 - s.tokens_bits).max(0.0);
@@ -1111,6 +1075,8 @@ impl<T: Transport> ServeLoop<T> {
             abandoned_packets: self.abandoned_packets,
             data_sent: self.data_sent,
             datagrams_per_sec: self.data_sent as f64 / duration_secs,
+            containers_sent: self.outbox.containers_sent(),
+            send_batches: self.outbox.batches_sent(),
             paced_by_class: self.paced_by_class,
             tx_by_class: self.router.tx_by_class,
             queue_drops_by_class: self.router.drops_by_class,
@@ -1147,6 +1113,8 @@ impl<T: Transport> ServeLoop<T> {
             ("wire.serve.frames_emitted", r.frames_emitted),
             ("wire.serve.abandoned_packets", r.abandoned_packets),
             ("wire.serve.tx", r.data_sent),
+            ("wire.serve.containers", r.containers_sent),
+            ("wire.serve.send_batches", r.send_batches),
             ("wire.serve.unregistered_drops", r.unregistered_drops),
             ("wire.serve.timer_events", r.timer_events),
             ("wire.udp.send_drops", r.send_drops),
@@ -1408,7 +1376,7 @@ mod tests {
         let client = hub.endpoint(addr(2));
         let mut lp = mem_loop(&hub, serve_cfg());
         run_ms(&mut lp, &client, 0..1);
-        // A red packet encoded at 128 kb/s sits in the shared router — in
+        // A red packet paced at 128 kb/s sits in the shared router — in
         // service it can wait out seconds of yellow backlog — while
         // feedback moves the flow's rate to 212 kb/s.
         offer(&mut lp.router, 1, 2, 400);
@@ -1497,26 +1465,24 @@ mod tests {
         assert!(got.last().unwrap().feedback.unwrap().loss > 0.0);
     }
 
-    fn encoded(flow: u32, class: u8, payload: usize) -> Vec<u8> {
-        WireData {
-            flow: FlowId(flow),
-            seq: 0,
-            tag: FrameTag { frame: 0, index: 0, total: 1, base: 1 },
-            class,
-            retransmission: false,
-            sent_at: SimTime::ZERO,
-            rate_echo: 128_000.0,
-            feedback: None,
-            payload: &vec![0u8; payload],
-        }
-        .encode()
+    /// What `on_pace` does with a packet its bucket affords.
+    fn offer(r: &mut ServeRouter, flow: u32, class: u8, bytes: u32) {
+        let tag = FrameTag { frame: 0, index: 0, total: 1, base: 1 };
+        let plan = Planned { bytes, class, tag, repair_of: None };
+        r.admit(Departure { flow: FlowId(flow), seq: 0, sent_at: SimTime::ZERO, plan });
     }
 
-    /// What `on_pace` does with a packet its bucket affords.
-    fn offer(r: &mut ServeRouter, flow: u32, class: u8, payload: usize) {
-        if r.admit(class, payload as u32) {
-            r.enqueue(FlowId(flow), encoded(flow, class, payload), class);
+    /// Drains `r` at `now` into an outbox flushed at `addr(2)`'s endpoint:
+    /// the datagrams that client receives.
+    fn departures(r: &mut ServeRouter, now: &[u64], flows: &FlowTable<ServeFlow>) -> Vec<Vec<u8>> {
+        let hub = MemHub::new();
+        let (server, client) = (hub.endpoint(addr(1)), hub.endpoint(addr(2)));
+        let mut out = Outbox::default();
+        for &ns in now {
+            r.drain(SimTime::from_nanos(ns), flows, &[0u8; 400], &mut out);
         }
+        out.flush(&server).unwrap();
+        drain(&client)
     }
 
     fn router(capacity: Rate, color_limits: [usize; 3]) -> ServeRouter {
@@ -1542,15 +1508,11 @@ mod tests {
                 offer(&mut r, 1, class, 400);
             }
         }
-        let flows = one_flow();
-        let mut out = Vec::new();
-        r.drain(SimTime::ZERO, &flows, &mut out);
-        // 1 Mb/s × 10 ms = 10_000 bits ≈ 3.1 packets of 400 payload bytes.
-        r.drain(SimTime::from_nanos(10_000_000), &flows, &mut out);
-        assert_eq!(out.len(), 3);
-        for d in &out {
-            assert_eq!((WireData::decode(&d.buf).unwrap().class, d.addr), (0, addr(2)));
-        }
+        // 1 Mb/s × 10 ms = 10_000 bits ≈ 3.1 packets of 400 payload bytes,
+        // which leave for the flow's address in one container.
+        let out = departures(&mut r, &[0, 10_000_000], &one_flow());
+        assert_eq!(out.len(), 1);
+        assert_eq!(data_packets(&out).iter().map(|p| p.class).collect::<Vec<_>>(), [0, 0, 0]);
         assert_eq!(r.tx_by_class, [3, 0, 0]);
         assert_eq!([0, 1, 2].map(|c| r.queues[c].len()), [1, 4, 4]);
     }
@@ -1591,13 +1553,10 @@ mod tests {
         // Flow 9 was never registered (or said BYE with this still queued).
         offer(&mut r, 9, 0, 100);
         offer(&mut r, 1, 0, 100);
-        let flows = one_flow();
-        let mut out = Vec::new();
-        r.drain(SimTime::ZERO, &flows, &mut out);
-        r.drain(SimTime::from_nanos(80_000), &flows, &mut out);
         // 10 Mb/s × 80 µs = 800 bits: exactly the one registered packet.
+        let out = departures(&mut r, &[0, 80_000], &one_flow());
         assert_eq!((r.unregistered_drops, out.len(), r.tx_by_class), (1, 1, [1, 0, 0]));
-        assert_eq!(WireData::decode(&out[0].buf).unwrap().flow, FlowId(1));
+        assert_eq!(WireData::decode(&out[0]).unwrap().flow, FlowId(1));
     }
 
     #[test]

@@ -13,9 +13,7 @@ use pels_netsim::clock::{Clock, ManualClock};
 use pels_netsim::packet::FlowId;
 use pels_netsim::time::{Rate, SimDuration};
 use pels_wire::live::{run_live, LiveBackend, LiveConfig};
-use pels_wire::{
-    HeartbeatConfig, MemHub, ServeConfig, ServeLoop, WireReceiver, WireReceiverConfig,
-};
+use pels_wire::{MemHub, ServeConfig, ServeLoop, WireReceiver, WireReceiverConfig};
 
 /// The closed-form stationary rate for one flow at the default share/gains.
 const R_STAR_KBPS: f64 = 2_000.0 + 20.0 / 0.5;
@@ -130,10 +128,10 @@ fn flows_find_the_same_fair_operating_point(n: usize, wire_color_limits: [usize;
         .map(|f| {
             let cfg = WireReceiverConfig {
                 flow: FlowId(f),
-                feedback_to: addr(9000),
+                server: addr(9000),
                 nack: Some(NackConfig::default()),
                 packet_bytes: 500,
-                heartbeat: Some(HeartbeatConfig::new(addr(9000))),
+                heartbeat: true,
             };
             WireReceiver::new(cfg, hub.endpoint(addr(9000 + f as u16)))
         })

@@ -14,8 +14,7 @@ use pels_netsim::time::{SimDuration, SimTime};
 use pels_wire::codec::{WireAck, WireBye, WireData, WireHello, WireNack};
 use pels_wire::faults::{Blackout, FaultDirection, FaultWindow, WireFaultPolicy, WireFaultSpec};
 use pels_wire::{
-    FaultTransport, HeartbeatConfig, MemHub, ServeConfig, ServeLoop, Transport, WireReceiver,
-    WireReceiverConfig,
+    FaultTransport, MemHub, ServeConfig, ServeLoop, Transport, WireReceiver, WireReceiverConfig,
 };
 use proptest::prelude::*;
 
@@ -132,10 +131,10 @@ proptest! {
         let mut receiver = WireReceiver::new(
             WireReceiverConfig {
                 flow: FlowId(1),
-                feedback_to: server_addr,
+                server: server_addr,
                 nack: Some(NackConfig::default()),
                 packet_bytes: 500,
-                heartbeat: Some(HeartbeatConfig::new(server_addr)),
+                heartbeat: true,
             },
             hub.endpoint(rx_addr),
         );

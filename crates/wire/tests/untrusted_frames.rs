@@ -131,10 +131,10 @@ fn hostile_frame_tags_cost_bounded_bytes_and_never_panic() {
         let server = hub.endpoint(addr(1));
         let cfg = WireReceiverConfig {
             flow: FlowId(1),
-            feedback_to: addr(1),
+            server: addr(1),
             nack,
             packet_bytes: 500,
-            heartbeat: None,
+            heartbeat: false,
         };
         let mut rx = WireReceiver::new(cfg, hub.endpoint(addr(2)));
         let mut buf = [0u8; 2048];

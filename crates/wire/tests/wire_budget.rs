@@ -3,20 +3,24 @@
 //!
 //! `ServeLoop` over `MemHub` on a clock stepped one millisecond at a time,
 //! against one client that answers every data packet with an ACK echoing
-//! its label and rate (what `pels loadgen` does), at `ServeConfig::new`'s
-//! own queue limits. Two shapes with the same Lemma 6 operating point
-//! `r* = C/N + α/β = 195.3 + 40 = 235.3 kb/s`: 64 flows at 12.5 Mb/s and
+//! its label and rate (what `pels loadgen` does; `common`), at
+//! `ServeConfig::new`'s own queue limits. Two shapes with the same Lemma 6
+//! operating point `r* = C/N + α/β = 195.3 + 40 = 235.3 kb/s`: 64 flows at
+//! 12.5 Mb/s and
 //! 512 at 100 Mb/s (the benchmark's `wire_paced`). Every flow asks for the
 //! whole 928 kb/s trace, so the shared router is overloaded four times over
 //! and Eq. 8, Eq. 4 and Eq. 11 have to do all the work: the rates must sit
 //! on `r*`, γ on `p_fgs / p_thr`, the router must shed red and nothing
-//! else, and the pacer must spend about one timer event per packet.
+//! else, the pacer must spend about one timer event per packet, and —
+//! every flow behind one client address — the packets must leave sharing
+//! containers.
+
+mod common;
 
 use pels_netsim::clock::{Clock, ManualClock};
 use pels_netsim::packet::FlowId;
 use pels_netsim::time::{Rate, SimDuration};
-use pels_wire::codec::{packets, WireAck, WireData, WireHello};
-use pels_wire::{MemHub, ServeConfig, ServeLoop, ServeReport, Transport};
+use pels_wire::{MemHub, ServeConfig, ServeLoop, ServeReport};
 use std::net::SocketAddr;
 
 const SECS: u64 = 6;
@@ -46,30 +50,15 @@ fn run(flows: u32, capacity_mbps: f64) -> Outcome {
     let mut server = ServeLoop::new(cfg, hub.endpoint(addr(1)), None);
     let client = hub.endpoint(addr(2));
 
-    let mut buf = [0u8; 2048];
     let mut tail_bps = vec![0.0; flows as usize];
     let mut tail_fgs_loss = 0.0;
     let (mut rate_mean_kbps, mut gamma_mean) = (0.0, 0.0);
     for ms in 0..SECS * 1_000 {
         let now = clock.now();
         if ms % 100 == 0 {
-            for f in 1..=flows {
-                client.send_to(&WireHello { flow: FlowId(f), seq: 0 }.encode(), addr(1)).unwrap();
-            }
+            common::hello_all(&client, flows, addr(1));
         }
-        while let Some((n, _)) = client.try_recv(&mut buf).unwrap() {
-            for packet in packets(&buf[..n]) {
-                let data = WireData::decode(packet.unwrap()).unwrap();
-                let ack = WireAck {
-                    flow: data.flow,
-                    seq: data.seq,
-                    sent_at: data.sent_at,
-                    rate_echo: data.rate_echo,
-                    feedback: data.feedback,
-                };
-                client.send_to(&ack.encode(), addr(1)).unwrap();
-            }
-        }
+        common::echo_acks(&client, addr(1));
         server.poll(now).unwrap();
         if ms >= (SECS - 1) * 1_000 {
             for (f, sum) in tail_bps.iter_mut().enumerate() {
@@ -132,11 +121,19 @@ fn check(o: &Outcome, r_star_kbps: f64) {
     assert!(abandoned <= 0.05, "{abandoned:.3} of planned packets abandoned");
     let events_per_pkt = r.timer_events as f64 / r.data_sent as f64;
     assert!(events_per_pkt <= 1.5, "{events_per_pkt:.2} timer events per packet sent");
+    // One client address, so only the 1472-byte cap (three 478-byte
+    // packets) and the 1 ms flush end a container.
+    let pkts_per_container = r.data_sent as f64 / r.containers_sent as f64;
+    assert!(pkts_per_container >= 2.5, "{pkts_per_container:.2} packets per container");
     println!(
         "{n} flows: rate {mean:.1} kb/s (r* {r_star_kbps:.1}), Jain {jain:.4}, γ {:.3} \
          (p_fgs / p_thr {:.3}), p {:.3}, drops {drops:?}, abandoned {abandoned:.4}, \
-         {events_per_pkt:.3} timer events per packet",
-        o.gamma_mean, o.tail_gamma_star, r.loss
+         {events_per_pkt:.3} timer events per packet, {pkts_per_container:.2} packets per \
+         container, {:.1} per send_batch",
+        o.gamma_mean,
+        o.tail_gamma_star,
+        r.loss,
+        r.data_sent as f64 / r.send_batches as f64
     );
 }
 
@@ -147,9 +144,11 @@ fn sixty_four_paced_flows_stay_inside_the_wire_budget() {
     // Exact on a stepped clock: a change that moves one of these states its
     // new value, as the simulator's budgets do.
     let r = &o.report;
+    let io = (r.containers_sent, r.send_batches);
     assert_eq!(
-        (r.data_sent, r.timer_events, r.abandoned_packets, r.queue_drops_by_class),
-        (25_344, 34_786, 590, [0, 0, 3_648]),
+        (r.data_sent, r.timer_events, r.abandoned_packets, r.queue_drops_by_class, io),
+        // 2.76 packets per container, 8.5 per `send_batch`.
+        (25_344, 34_786, 590, [0, 0, 3_648], (9_185, 2_980)),
         "pinned counts moved"
     );
 }
