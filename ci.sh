@@ -65,6 +65,29 @@ for f in $(find crates -path '*/src/*' -name '*.rs'); do
   fi
 done
 
+echo "== a frame is planned, not materialised (core::flow, fgs::packetize) =="
+# `FlowControl` holds the frame being sent as its three segment byte counts
+# and a cursor, and cuts each packet when the pacer asks for it through
+# `pels_fgs::packetize::FramePackets`, the one packetization rule. A queue
+# of planned packets kept the capacity of the largest frame a flow ever
+# planned (5 KiB per `sim_shared` flow); a list from `packetize(` in a
+# sender is that queue again. `Packet::acks` was read by nothing but its own
+# test and cost every packet 16 bytes (tests/memory_budget.rs).
+if non_test_code crates/core/src/flow.rs | grep 'VecDeque<Planned>'; then
+  echo "FlowControl queues planned packets; keep the frame as its byte counts" >&2
+  exit 1
+fi
+for f in $(find crates/core/src crates/wire/src -name '*.rs'); do
+  if non_test_code "$f" | grep 'packetize('; then
+    echo "$f builds a packet list; cut packets through FramePackets" >&2
+    exit 1
+  fi
+done
+if grep -n 'pub acks' crates/netsim/src/packet.rs; then
+  echo "Packet carries an acks field again; nothing reads it" >&2
+  exit 1
+fi
+
 echo "== telemetry is scraped, never pushed (core::roles, wire::{serve,live}) =="
 # The engines record every value once, in their own state. A snapshot is
 # built from that state and published in three places — `RoleIds::scrape` /
@@ -170,7 +193,8 @@ cargo test -q --workspace
 echo "== memory budget (live heap per flow, optimised layout) =="
 # tests/memory_budget.rs counts live heap with its own allocator: a chained
 # flow must stay under its budget at 30 simulated seconds and grow no
-# faster than 64-byte frame records explain. The workspace run above checks
+# faster than 64-byte frame records explain, and a flow of the shared
+# dumbbell (256 flows, 9 s) under its own. The workspace run above checks
 # the debug build; this is the layout benchmark/'s rss_kb_per_flow measures.
 cargo test -q --release --test memory_budget
 

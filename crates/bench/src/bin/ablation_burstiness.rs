@@ -12,7 +12,7 @@ use pels_analysis::lossmodel::{BernoulliChannel, BurstStats, GilbertElliott};
 use pels_analysis::useful::expected_useful_fixed;
 use pels_bench::{env_dir, fmt, print_table, results_dir, write_result};
 use pels_fgs::decoder::UtilityStats;
-use pels_fgs::packetize::packetize;
+use pels_fgs::packetize::FramePackets;
 use pels_fgs::scaling::ScaledFrame;
 use pels_fgs::FrameReception;
 
@@ -20,9 +20,10 @@ fn decode_with(mut lose: impl FnMut() -> bool, h: u32, frames: u64) -> (UtilityS
     let mut stats = UtilityStats::new();
     let mut flags = Vec::new();
     let frame = ScaledFrame { base_bytes: 500, enhancement_bytes: h * 500 };
-    let plan = packetize(&frame, h * 500, 0, 500);
+    // Every packet is a full 500 bytes, so the counts are the whole record.
+    let plan = FramePackets::new(&frame, h * 500, 0, 500);
     for f in 0..frames {
-        let mut rx = FrameReception::from_plan(f, &plan);
+        let mut rx = FrameReception::with_counts(f, plan.len(), plan.base_count(), 500);
         rx.mark_received(0);
         for pkt in plan.iter().skip(1) {
             let lost = lose();

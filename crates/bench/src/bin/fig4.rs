@@ -6,7 +6,7 @@
 
 use pels_bench::{env_dir, print_table, results_dir, write_result};
 use pels_core::color::Color;
-use pels_fgs::packetize::packetize;
+use pels_fgs::packetize::{FramePackets, Segment};
 use pels_fgs::scaling::{partition_enhancement, scale_to_rate};
 use pels_netsim::disc::{Discipline, DropTail, QEntry, QueueLimit, StrictPriority, Wrr};
 use pels_netsim::event::PacketSlot;
@@ -30,7 +30,7 @@ fn main() {
     let scaled = scale_to_rate(trace.frame(0), 1_500_000.0, trace.fps);
     let gamma = 0.25;
     let (yellow, red) = partition_enhancement(scaled.enhancement_bytes, gamma);
-    let plan = packetize(&scaled, yellow, red, 500);
+    let plan = FramePackets::new(&scaled, yellow, red, 500);
     let color_map: String = plan
         .iter()
         .map(|p| match Color::from(p.segment) {
@@ -43,9 +43,9 @@ fn main() {
     println!("  {color_map}");
     println!(
         "  {} green (base), {} yellow ((1-gamma)x), {} red (gamma x)\n",
-        plan.iter().filter(|p| p.segment == pels_fgs::Segment::Base).count(),
-        plan.iter().filter(|p| p.segment == pels_fgs::Segment::Yellow).count(),
-        plan.iter().filter(|p| p.segment == pels_fgs::Segment::Red).count(),
+        plan.base_count(),
+        plan.iter().filter(|p| p.segment == Segment::Yellow).count(),
+        plan.iter().filter(|p| p.segment == Segment::Red).count(),
     );
 
     println!("== Fig. 4 (left): router queues — WRR{{strict priority[G,Y,R] | FIFO}} ==\n");

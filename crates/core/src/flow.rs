@@ -16,11 +16,10 @@ use crate::gamma::{GammaConfig, GammaController};
 use crate::mkc::{MkcConfig, MkcController};
 use crate::tfrc::{TfrcConfig, TfrcController};
 use pels_fgs::frame::VideoTrace;
-use pels_fgs::packetize::packetize;
+use pels_fgs::packetize::FramePackets;
 use pels_fgs::scaling::{partition_enhancement, scale_to_rate};
 use pels_netsim::packet::{Feedback, FrameTag};
 use pels_netsim::time::SimTime;
-use std::collections::VecDeque;
 
 /// How the source marks its enhancement packets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -110,6 +109,11 @@ pub struct Planned {
 }
 
 /// The per-flow sender machine shared by the simulator and the wire server.
+///
+/// The frame being sent is held as what the paper sends it as — base,
+/// yellow and red byte counts (Section 4, Eq. 4) — plus a cursor, and each
+/// [`Planned`] packet is computed as the pacer asks for it: a flow's queue
+/// costs the same at 1 packet per frame as at 126.
 #[derive(Debug)]
 pub struct FlowControl {
     cc: Cc,
@@ -117,7 +121,17 @@ pub struct FlowControl {
     filter: EpochFilter,
     mode: SourceMode,
     frame_idx: u64,
-    queue: VecDeque<Planned>,
+    /// The latest planned frame (number `frame_idx − 1`).
+    frame: FramePackets,
+    /// Its packet count and base-layer packet count: the tag's `total` and
+    /// `base`.
+    total: u16,
+    base: u16,
+    /// Its next packet to send; `total` once every one is sent or abandoned.
+    cursor: u16,
+    /// Retransmissions queued ahead of the frame: a stack, since each one
+    /// goes ahead of everything queued, so the last pushed is sent first.
+    repairs: Vec<Planned>,
     shed_red_frames: u64,
     shed_yellow_frames: u64,
 }
@@ -131,7 +145,11 @@ impl FlowControl {
             filter: EpochFilter::new(),
             mode,
             frame_idx: 0,
-            queue: VecDeque::new(),
+            frame: FramePackets::default(),
+            total: 0,
+            base: 0,
+            cursor: 0,
+            repairs: Vec::new(),
             shed_red_frames: 0,
             shed_yellow_frames: 0,
         }
@@ -184,8 +202,9 @@ impl FlowControl {
     /// Drops every queued packet (a missed frame interval, a flow that
     /// stops) and returns how many there were.
     pub fn abandon(&mut self) -> u64 {
-        let n = self.queue.len() as u64;
-        self.queue.clear();
+        let n = self.queued_len() as u64;
+        self.repairs.clear();
+        self.cursor = self.total;
         n
     }
 
@@ -220,19 +239,22 @@ impl FlowControl {
             red = 0;
         }
         scaled.enhancement_bytes = yellow + red;
-        let plan = packetize(&scaled, yellow, red, packet_bytes);
+        self.frame = FramePackets::new(&scaled, yellow, red, packet_bytes);
         // `VideoTrace::validate` bounds both counts by `u16::MAX`.
-        let total = plan.len() as u16;
-        let base = spec.base_bytes.div_ceil(packet_bytes) as u16;
-        let frame = self.frame_idx;
-        self.queue.extend(plan.iter().map(|pp| Planned {
-            bytes: pp.bytes,
-            class: Color::from(pp.segment).class(),
-            tag: FrameTag { frame, index: pp.index, total, base },
-            repair_of: None,
-        }));
+        (self.total, self.base, self.cursor) = (self.frame.len(), self.frame.base_count(), 0);
         self.frame_idx += 1;
         abandoned
+    }
+
+    /// Packet `index` of the latest planned frame, tagged.
+    fn planned(&self, index: u16) -> Planned {
+        let pp = self.frame.get(index).expect("the cursor stays below the packet count");
+        Planned {
+            bytes: pp.bytes,
+            class: Color::from(pp.segment).class(),
+            tag: FrameTag { frame: self.frame_idx - 1, index, total: self.total, base: self.base },
+            repair_of: None,
+        }
     }
 
     /// Advances the frame clock without planning anything (base thinning,
@@ -244,23 +266,36 @@ impl FlowControl {
     }
 
     /// The packet the pacer sends next.
-    pub fn head(&self) -> Option<&Planned> {
-        self.queue.front()
+    pub fn head(&self) -> Option<Planned> {
+        match self.repairs.last() {
+            Some(&p) => Some(p),
+            None => (self.cursor < self.total).then(|| self.planned(self.cursor)),
+        }
     }
 
     /// Takes the packet the pacer sends next.
     pub fn pop(&mut self) -> Option<Planned> {
-        self.queue.pop_front()
+        let p = self.head()?;
+        if self.repairs.pop().is_none() {
+            self.cursor += 1;
+        }
+        Some(p)
     }
 
     /// Queues `p` ahead of everything planned (a retransmission).
     pub fn push_front(&mut self, p: Planned) {
-        self.queue.push_front(p);
+        self.repairs.push(p);
     }
 
-    /// The queued packets in sending order.
-    pub fn queued(&self) -> impl ExactSizeIterator<Item = &Planned> {
-        self.queue.iter()
+    /// How many packets are queued.
+    pub fn queued_len(&self) -> usize {
+        self.repairs.len() + usize::from(self.total - self.cursor)
+    }
+
+    /// The packets of the latest planned frame, sent or not: what a
+    /// retransmission of one of them is cut from.
+    pub fn planned_frame(&self) -> FramePackets {
+        self.frame
     }
 
     /// The congestion-controlled sending rate, bits/s.
@@ -366,29 +401,40 @@ mod tests {
         assert!(f.mkc().is_none());
     }
 
+    /// Pops until the queue is empty.
+    fn drain(f: &mut FlowControl) -> Vec<Planned> {
+        std::iter::from_fn(|| f.pop()).collect()
+    }
+
     #[test]
     fn plan_next_tags_the_frame_and_abandons_the_last_one() {
         let trace = VideoTrace::constant(3, 10.0, 1_600, 10_000);
         let mut f = flow_at(256.0);
         assert_eq!(f.plan_next(&trace, 500), 0);
+        assert_eq!(f.queued_len(), 8);
         // 256 kb/s at 10 fps: 3200 B = 1600 base (3 × 500 + 100) + 800
         // yellow + 800 red at γ = 0.5.
-        let plan: Vec<Planned> = f.queued().copied().collect();
+        let plan = drain(&mut f);
         assert_eq!(plan.iter().map(|p| p.bytes).sum::<u32>(), 3_200);
         assert_eq!(plan.iter().map(|p| p.class).collect::<Vec<_>>(), [0, 0, 0, 0, 1, 1, 2, 2]);
         for (i, p) in plan.iter().enumerate() {
             assert_eq!(p.tag, FrameTag { frame: 0, index: i as u16, total: 8, base: 4 });
             assert_eq!(p.repair_of, None);
         }
-        assert_eq!(f.pop(), Some(plan[0]));
+        assert_eq!(f.planned_frame().get(7).map(|p| p.bytes), Some(plan[7].bytes));
         let repair = Planned { repair_of: Some(SimTime::ZERO), ..plan[0] };
         f.push_front(repair);
-        assert_eq!(f.head(), Some(&repair));
-        assert_eq!(f.plan_next(&trace, 500), 8, "the unsent interval is abandoned");
-        assert_eq!(f.queued().len(), 8);
+        assert_eq!((f.head(), f.queued_len()), (Some(repair), 1));
+        assert_eq!(f.plan_next(&trace, 500), 1, "the unsent repair is abandoned");
+        assert_eq!(f.pop().map(|p| p.tag.frame), Some(1));
+        f.push_front(repair);
+        assert_eq!(f.pop(), Some(repair), "a repair goes ahead of the frame");
+        assert_eq!(f.head().map(|p| p.tag.index), Some(1));
+        assert_eq!(f.plan_next(&trace, 500), 7, "the unsent interval is abandoned");
+        assert_eq!(f.queued_len(), 8);
         assert_eq!(f.skip_frame(), 8);
-        assert_eq!((f.frames_planned(), f.queued().len()), (3, 0));
-        assert_eq!(f.head(), None);
+        assert_eq!((f.frames_planned(), f.queued_len()), (4, 0));
+        assert_eq!((f.head(), f.pop()), (None, None));
     }
 
     #[test]
@@ -400,8 +446,9 @@ mod tests {
             let mut f = flow_at(kbps);
             f.plan_next(&trace, 500);
             assert_eq!((f.shed_red_frames(), f.shed_yellow_frames()), (red, yellow), "{kbps}");
-            assert_eq!(f.queued().any(|p| p.class == 2), red + yellow == 0, "{kbps}");
-            assert_eq!(f.queued().any(|p| p.class == 1), yellow == 0, "yellow flows at {kbps}");
+            let plan = drain(&mut f);
+            assert_eq!(plan.iter().any(|p| p.class == 2), red + yellow == 0, "{kbps}");
+            assert_eq!(plan.iter().any(|p| p.class == 1), yellow == 0, "yellow flows at {kbps}");
         }
     }
 
@@ -410,6 +457,74 @@ mod tests {
         let empty = VideoTrace::constant(1, 10.0, 0, 0);
         let mut f = flow_at(128.0);
         assert_eq!(f.plan_next(&empty, 500), 0);
-        assert_eq!((f.queued().len(), f.frames_planned()), (0, 1));
+        assert_eq!((f.queued_len(), f.frames_planned(), f.head()), (0, 1, None));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use pels_netsim::time::Rate;
+    use proptest::prelude::*;
+
+    /// The frame as a list, cut one packet at a time — what `plan_next`
+    /// queued before it kept a frame as byte counts. Kept as the oracle.
+    fn eager_plan(frame: u64, segments: [u32; 3], packet_bytes: u32) -> Vec<Planned> {
+        let mut out = Vec::new();
+        for (class, mut remaining) in (0u8..).zip(segments) {
+            while remaining > 0 {
+                let bytes = remaining.min(packet_bytes);
+                let tag = FrameTag { frame, index: out.len() as u16, total: 0, base: 0 };
+                out.push(Planned { bytes, class, tag, repair_of: None });
+                remaining -= bytes;
+            }
+        }
+        let (total, base) = (out.len() as u16, segments[0].div_ceil(packet_bytes) as u16);
+        out.iter_mut().for_each(|p| (p.tag.total, p.tag.base) = (total, base));
+        out
+    }
+
+    proptest! {
+        /// `plan_next` then pop-until-empty yields what the eager packetizer
+        /// cuts from the same rate, γ and shedding rule — across frames, and
+        /// with an interval stopped part-way, whose rest is abandoned.
+        #[test]
+        fn popping_a_planned_frame_matches_the_eager_packetizer(
+            frames in proptest::collection::vec((0u32..12_000, 0u32..60_000), 1..6),
+            kbps in 1.0f64..4_000.0,
+            packet_bytes in 100u32..1_500,
+            best_effort in any::<bool>(),
+            sent in proptest::collection::vec(0usize..1_000, 6),
+        ) {
+            let specs = frames.iter().enumerate().map(|(i, &(base_bytes, enhancement_bytes))| {
+                pels_fgs::frame::FrameSpec { index: i as u64, base_bytes, enhancement_bytes }
+            });
+            let trace = VideoTrace::new(10.0, specs.collect());
+            let mode = if best_effort { SourceMode::BestEffort } else { SourceMode::Pels };
+            let mkc = MkcConfig { initial: Rate::from_kbps(kbps), ..Default::default() };
+            let mut f = FlowControl::new(CcSpec::Mkc(mkc), GammaConfig::default(), mode);
+            let mut left = 0;
+            for (frame, &sent) in (0u64..frames.len() as u64).zip(&sent) {
+                let spec = trace.frame(frame);
+                let rate = f.rate_bps();
+                let gamma = if best_effort { 0.0 } else { f.gamma() };
+                let x = scale_to_rate(spec, rate, trace.fps).enhancement_bytes;
+                let (mut yellow, mut red) = partition_enhancement(x, gamma);
+                let floor = f64::from(spec.base_bytes) * 8.0 * trace.fps;
+                if rate < YELLOW_SHED_HEADROOM * floor {
+                    (yellow, red) = (0, 0);
+                } else if rate < RED_SHED_HEADROOM * floor {
+                    red = 0;
+                }
+                let expected = eager_plan(frame, [spec.base_bytes, yellow, red], packet_bytes);
+                prop_assert_eq!(f.plan_next(&trace, packet_bytes), left);
+                prop_assert_eq!(f.queued_len(), expected.len());
+                let popped: Vec<Planned> =
+                    std::iter::from_fn(|| f.pop()).take(sent.min(expected.len())).collect();
+                prop_assert_eq!(&popped[..], &expected[..popped.len()]);
+                prop_assert_eq!(f.head().as_ref(), expected.get(popped.len()));
+                left = (expected.len() - popped.len()) as u64;
+            }
+        }
     }
 }

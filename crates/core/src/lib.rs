@@ -13,7 +13,8 @@
 //!   the uniform-loss best-effort comparator (Section 6.5).
 //! * [`flow`] — the sender control core both stacks run: Eq. 4, Eq. 8, the
 //!   epoch filter, the stale-feedback watchdog, frame planning (rate
-//!   scaling, partitioning, packetization) and the planned-packet queue.
+//!   scaling, partitioning) and the frame being sent, held as its three
+//!   segment byte counts and a cursor that cuts each packet when it is sent.
 //! * [`source`] / [`receiver`] — streaming endpoints: the timers, pacing,
 //!   ARQ and degradation policy around [`flow`]; prefix decoding, delay and
 //!   utility measurement.

@@ -13,6 +13,7 @@ use crate::flow::{FlowControl, Planned};
 use crate::gamma::GammaConfig;
 use crate::mkc::MkcController;
 use pels_fgs::frame::VideoTrace;
+use pels_fgs::packetize::FramePackets;
 use pels_netsim::fasthash::FastMap;
 use pels_netsim::packet::{AgentId, FlowId, FrameTag, Packet, PacketKind};
 use pels_netsim::port::Port;
@@ -176,7 +177,7 @@ pub struct PelsSource {
     cfg: SourceConfig,
     port: Port,
     /// Eq. 4, Eq. 8, the epoch filter, the watchdog, frame planning and the
-    /// planned-packet queue; this agent supplies the timers around it.
+    /// frame being sent; this agent supplies the timers around it.
     flow: FlowControl,
     seq: u64,
     pace_gap: SimDuration,
@@ -209,8 +210,8 @@ pub struct PelsSource {
     pub probes_sent: u64,
     /// Times the flow entered the starved state.
     pub starve_events: u64,
-    /// Retransmission buffer: frame -> (emitted_at, per-packet (bytes, class)).
-    retx_buffer: FastMap<u64, (pels_netsim::time::SimTime, Vec<(u32, u8)>)>,
+    /// Retransmission buffer: frame -> (emitted_at, the frame's packets).
+    retx_buffer: FastMap<u64, (pels_netsim::time::SimTime, FramePackets)>,
     /// `(t, rate kb/s)` after each applied control step.
     pub rate_series: TimeSeries,
     /// `(t, γ)` after each applied control step.
@@ -351,14 +352,13 @@ impl PelsSource {
             self.base_credit_bits = 0.0;
         }
         self.abandoned_packets += self.flow.plan_next(trace, self.cfg.packet_bytes);
-        let planned = self.flow.queued().len() as u64;
+        let planned = self.flow.queued_len() as u64;
         if planned == 0 {
             return;
         }
         if let Some(arq) = self.cfg.arq {
             let frame = self.flow.frames_planned() - 1;
-            let meta = self.flow.queued().map(|p| (p.bytes, p.class)).collect();
-            self.retx_buffer.insert(frame, (ctx.now, meta));
+            self.retx_buffer.insert(frame, (ctx.now, self.flow.planned_frame()));
             self.retx_buffer.retain(|&f, _| f + arq.buffer_frames > frame);
         }
         // Pace the frame's packets evenly across the interval (first packet
@@ -394,7 +394,7 @@ impl PelsSource {
             self.sent_by_color[color.class() as usize] += 1;
         }
         self.transmit(p, ctx);
-        if self.flow.head().is_some() {
+        if self.flow.queued_len() > 0 {
             ctx.schedule_timer(self.pace_gap, PACE_TOKEN);
         }
     }
@@ -405,15 +405,16 @@ impl PelsSource {
     /// sees the full decode latency (original wait + NACK round trip).
     fn handle_nack(&mut self, nack: &Packet, ctx: &mut Context<'_>) {
         let Some(tag) = nack.frame else { return };
-        let Some((emitted_at, meta)) = self.retx_buffer.get(&tag.frame) else {
+        let Some(&(emitted_at, packets)) = self.retx_buffer.get(&tag.frame) else {
             return; // frame already evicted: the data is gone
         };
-        let Some(&(bytes, class)) = meta.get(tag.index as usize) else {
+        let Some(pp) = packets.get(tag.index) else {
             return;
         };
         self.retransmissions += 1;
-        let was_idle = self.flow.head().is_none();
-        self.flow.push_front(Planned { bytes, class, tag, repair_of: Some(*emitted_at) });
+        let was_idle = self.flow.queued_len() == 0;
+        let (bytes, class) = (pp.bytes, Color::from(pp.segment).class());
+        self.flow.push_front(Planned { bytes, class, tag, repair_of: Some(emitted_at) });
         if was_idle {
             ctx.schedule_timer(SimDuration::ZERO, PACE_TOKEN);
         }

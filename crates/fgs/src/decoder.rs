@@ -349,13 +349,13 @@ impl UtilityStats {
 }
 
 /// Frames per [`FrameLog`] chunk: one bit each in [`Chunk::present`].
-const CHUNK_FRAMES: usize = 64;
+const CHUNK_FRAMES: usize = 16;
 
-/// The records of 64 consecutive frames, `frame >> 6` in common.
+/// The records of 16 consecutive frames, `frame >> 4` in common.
 #[derive(Debug, Clone)]
 struct Chunk {
-    /// Bit `frame & 63` is set once that frame has a record.
-    present: u64,
+    /// Bit `frame & 15` is set once that frame has a record.
+    present: u16,
     records: [FrameReception; CHUNK_FRAMES],
 }
 
@@ -372,9 +372,10 @@ impl Chunk {
 
 /// Every frame a receiver has seen a packet of, by frame number.
 ///
-/// Records sit in chunks of 64 consecutive frames, so a stream costs 64
-/// bytes per frame in 4 KiB allocations that are never moved or resized.
-/// A chunk is found by `frame >> 6` in an ordered map, so a frame number
+/// Records sit in chunks of 16 consecutive frames, so a stream costs 64
+/// bytes per frame in 1 KiB allocations that are never moved or resized,
+/// and a flow's newest chunk holds at most 15 frames it has not reached.
+/// A chunk is found by `frame >> 4` in an ordered map, so a frame number
 /// — which a wire receiver reads from an untrusted datagram — only ever
 /// selects a chunk; nothing is sized by it.
 #[derive(Debug, Clone, Default)]

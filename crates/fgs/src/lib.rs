@@ -53,6 +53,6 @@ pub use bitplane::{BitplaneConfig, BitplaneModel, QualityModel};
 pub use decoder::{DecodedFrame, FrameLog, FrameReception, UtilityStats};
 pub use frame::{FrameSpec, VideoTrace};
 pub use gop::{propagate_base_loss, GopConfig};
-pub use packetize::{packetize, PacketPlan, Segment};
+pub use packetize::{packetize, FramePackets, PacketPlan, Segment};
 pub use psnr::{RdConfig, RdModel};
 pub use scaling::{partition_enhancement, scale_to_rate, ScaledFrame};

@@ -4,6 +4,10 @@
 //! then the yellow (lower-enhancement) bytes, then the red
 //! (upper-enhancement) bytes — the order matters because the receiver can
 //! only use a *consecutive prefix* of the enhancement layer.
+//!
+//! The rule lives in one place, [`FramePackets`]: a frame is its three
+//! segment byte counts and a packet size, and packet `i` is computed from
+//! them. [`packetize`] is that descriptor collected into a list.
 
 use crate::scaling::ScaledFrame;
 use serde::{Deserialize, Serialize};
@@ -30,18 +34,23 @@ pub struct PacketPlan {
     pub segment: Segment,
 }
 
-/// Packetizes a frame: base bytes, then `yellow_bytes` of enhancement, then
-/// `red_bytes`, each cut into `packet_bytes`-sized packets (the final packet
-/// of each segment may be short).
+/// The packets of one frame, held as the byte counts they are cut from:
+/// base bytes, then the yellow prefix of the enhancement, then its red
+/// suffix, each cut into `packet_bytes`-sized packets (the final packet of
+/// each segment may be short). Packet `i` is computed when asked for, so a
+/// frame costs 16 bytes however many packets it has.
 ///
 /// # Examples
 ///
 /// ```
-/// use pels_fgs::packetize::{packetize, Segment};
+/// use pels_fgs::packetize::{FramePackets, PacketPlan, Segment};
 /// use pels_fgs::scaling::ScaledFrame;
 ///
 /// let frame = ScaledFrame { base_bytes: 1_000, enhancement_bytes: 1_200 };
-/// let pkts = packetize(&frame, 900, 300, 500);
+/// let pkts = FramePackets::new(&frame, 900, 300, 500);
+/// assert_eq!((pkts.len(), pkts.base_count()), (5, 2));
+/// assert_eq!(pkts.get(3), Some(PacketPlan { index: 3, bytes: 400, segment: Segment::Yellow }));
+/// assert_eq!(pkts.get(5), None);
 /// let segs: Vec<Segment> = pkts.iter().map(|p| p.segment).collect();
 /// assert_eq!(segs, vec![
 ///     Segment::Base, Segment::Base,
@@ -51,50 +60,87 @@ pub struct PacketPlan {
 /// let total: u32 = pkts.iter().map(|p| p.bytes).sum();
 /// assert_eq!(total, 2_200);
 /// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FramePackets {
+    /// Bytes of the base, yellow and red segments, in sending order.
+    segments: [u32; 3],
+    /// Full packet size; zero only in the empty [`Default`] frame.
+    packet_bytes: u32,
+}
+
+impl FramePackets {
+    const ORDER: [Segment; 3] = [Segment::Base, Segment::Yellow, Segment::Red];
+
+    /// Cuts `frame` with `yellow_bytes` of yellow and `red_bytes` of red
+    /// enhancement.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `packet_bytes == 0` or `yellow_bytes + red_bytes` does not
+    /// equal the frame's enhancement bytes.
+    pub fn new(frame: &ScaledFrame, yellow_bytes: u32, red_bytes: u32, packet_bytes: u32) -> Self {
+        assert!(packet_bytes > 0, "packet size must be positive");
+        assert_eq!(
+            yellow_bytes + red_bytes,
+            frame.enhancement_bytes,
+            "partition must cover the enhancement layer exactly"
+        );
+        FramePackets { segments: [frame.base_bytes, yellow_bytes, red_bytes], packet_bytes }
+    }
+
+    /// Packets in segment `s`.
+    fn count(&self, s: usize) -> u16 {
+        self.segments[s].div_ceil(self.packet_bytes.max(1)) as u16
+    }
+
+    /// Number of packets.
+    pub fn len(&self) -> u16 {
+        self.count(0) + self.count(1) + self.count(2)
+    }
+
+    /// Whether the frame has no packet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Number of base-layer packets (they come first).
+    pub fn base_count(&self) -> u16 {
+        self.count(0)
+    }
+
+    /// Packet `index`, if the frame has one.
+    pub fn get(&self, index: u16) -> Option<PacketPlan> {
+        let mut i = index;
+        for (s, segment) in Self::ORDER.into_iter().enumerate() {
+            let n = self.count(s);
+            if i < n {
+                let size = u64::from(self.packet_bytes);
+                let bytes = (u64::from(self.segments[s]) - u64::from(i) * size).min(size);
+                return Some(PacketPlan { index, bytes: bytes as u32, segment });
+            }
+            i -= n;
+        }
+        None
+    }
+
+    /// The packets in sending order.
+    pub fn iter(self) -> impl ExactSizeIterator<Item = PacketPlan> {
+        (0..self.len()).map(move |i| self.get(i).expect("index below len"))
+    }
+}
+
+/// Packetizes a frame into a list: [`FramePackets`], collected.
 ///
 /// # Panics
 ///
-/// Panics if `packet_bytes == 0` or `yellow_bytes + red_bytes` does not
-/// equal the frame's enhancement bytes.
+/// As [`FramePackets::new`].
 pub fn packetize(
     frame: &ScaledFrame,
     yellow_bytes: u32,
     red_bytes: u32,
     packet_bytes: u32,
 ) -> Vec<PacketPlan> {
-    assert!(packet_bytes > 0, "packet size must be positive");
-    assert_eq!(
-        yellow_bytes + red_bytes,
-        frame.enhancement_bytes,
-        "partition must cover the enhancement layer exactly"
-    );
-    let mut out =
-        Vec::with_capacity(usize::from(packet_count(frame, yellow_bytes, red_bytes, packet_bytes)));
-    let mut index: u16 = 0;
-    let mut push_segment = |seg: Segment, mut remaining: u32, out: &mut Vec<PacketPlan>| {
-        while remaining > 0 {
-            let bytes = remaining.min(packet_bytes);
-            out.push(PacketPlan { index, bytes, segment: seg });
-            index += 1;
-            remaining -= bytes;
-        }
-    };
-    push_segment(Segment::Base, frame.base_bytes, &mut out);
-    push_segment(Segment::Yellow, yellow_bytes, &mut out);
-    push_segment(Segment::Red, red_bytes, &mut out);
-    out
-}
-
-/// Count of packets a frame would produce without materializing the plan.
-pub fn packet_count(
-    frame: &ScaledFrame,
-    yellow_bytes: u32,
-    red_bytes: u32,
-    packet_bytes: u32,
-) -> u16 {
-    let ceil = |b: u32| b.div_ceil(packet_bytes) as u16;
-    debug_assert_eq!(yellow_bytes + red_bytes, frame.enhancement_bytes);
-    ceil(frame.base_bytes) + ceil(yellow_bytes) + ceil(red_bytes)
+    FramePackets::new(frame, yellow_bytes, red_bytes, packet_bytes).iter().collect()
 }
 
 #[cfg(test)]
@@ -143,14 +189,20 @@ mod tests {
     }
 
     #[test]
-    fn packet_count_matches_plan() {
+    fn counts_and_indexing_match_the_list() {
         for (base, y, r) in [(10_500u32, 40_000u32, 12_500u32), (750, 450, 150), (1_000, 0, 0)] {
             let frame = ScaledFrame { base_bytes: base, enhancement_bytes: y + r };
-            assert_eq!(
-                packet_count(&frame, y, r, 500) as usize,
-                packetize(&frame, y, r, 500).len()
-            );
+            let (pkts, list) = (FramePackets::new(&frame, y, r, 500), packetize(&frame, y, r, 500));
+            assert_eq!(usize::from(pkts.len()), list.len());
+            let base_count = list.iter().filter(|p| p.segment == Segment::Base).count();
+            assert_eq!(usize::from(pkts.base_count()), base_count);
+            for p in &list {
+                assert_eq!(pkts.get(p.index), Some(*p));
+            }
+            assert_eq!(pkts.get(pkts.len()), None);
         }
+        let empty = FramePackets::default();
+        assert_eq!((empty.len(), empty.get(0), empty.iter().len()), (0, None, 0));
     }
 
     #[test]
@@ -182,6 +234,8 @@ mod proptests {
             prop_assert!(pkts.windows(2).all(|w| rank(w[0].segment) <= rank(w[1].segment)));
             // Every packet is non-empty and within the MTU.
             prop_assert!(pkts.iter().all(|p| p.bytes > 0 && p.bytes <= 500));
+            // Indices are contiguous from 0 in sending order.
+            prop_assert!(pkts.iter().enumerate().all(|(i, p)| usize::from(p.index) == i));
         }
     }
 }

@@ -148,8 +148,6 @@ pub struct Packet {
     /// Congestion feedback stamped by routers along the path (data packets)
     /// or echoed back to the source (ACKs).
     pub feedback: Option<Feedback>,
-    /// For ACKs: the id of the data packet being acknowledged.
-    pub acks: Option<PacketId>,
     /// For ACKs: cumulative acknowledgment number (used by the TCP model).
     pub ack_no: u64,
     /// The sender's rate (bits/s) when this packet left the source, echoed
@@ -174,7 +172,6 @@ impl Packet {
             frame: None,
             sent_at: SimTime::ZERO,
             feedback: None,
-            acks: None,
             ack_no: 0,
             rate_echo: 0.0,
         }
@@ -197,7 +194,6 @@ impl Packet {
             frame: data.frame,
             sent_at: SimTime::ZERO,
             feedback: data.feedback,
-            acks: Some(data.id),
             ack_no: 0,
             rate_echo: data.rate_echo,
         }
@@ -275,11 +271,17 @@ mod tests {
         assert_eq!(ack.src, p.dst);
         assert_eq!(ack.dst, p.src);
         assert_eq!(ack.kind, PacketKind::Ack);
-        assert_eq!(ack.acks, Some(PacketId(42)));
         assert_eq!(ack.seq, 9);
         let fb = ack.feedback.expect("ack echoes feedback");
         assert_eq!(fb.epoch, 3);
         assert_eq!(fb.router, AgentId(5));
+    }
+
+    #[test]
+    fn a_packet_is_at_most_128_bytes() {
+        // Every hop copies a packet into the arena and out again, and the
+        // cross-shard lane and the shard outboxes hold them by value.
+        assert!(std::mem::size_of::<Packet>() <= 128, "{}", std::mem::size_of::<Packet>());
     }
 
     #[test]

@@ -329,7 +329,7 @@ impl ServeFlow {
         if self.repair_is_next() {
             self.repairs.as_ref()?.queue.front().copied()
         } else {
-            self.flow.head().copied()
+            self.flow.head()
         }
     }
 
@@ -966,7 +966,7 @@ impl<T: Transport> ServeLoop<T> {
             s.flow.reanchor();
         }
         let abandoned = s.emit_frame(&self.cfg.trace, self.cfg.packet_bytes, now);
-        let arm_pace = s.flow.head().is_some() && !s.pace_armed;
+        let arm_pace = s.flow.queued_len() > 0 && !s.pace_armed;
         if arm_pace {
             s.pace_armed = true;
         }

@@ -44,15 +44,16 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 const FLOWS: u32 = 512;
-/// Live heap per flow at 10 simulated seconds: 7.6 KiB measured (the hub's
-/// datagram pool included), 34.9 at the parent of the PR that added this
-/// test. That router queued each packet's 478 encoded bytes in a pooled
-/// buffer of its own where this one queues a 64-byte plan (20.9 KiB with
-/// that alone), and that timer wheel kept every slot's high-water capacity
-/// where this one frees a slot it has drained.
-const BUDGET_KIB_PER_FLOW: f64 = 9.0;
-/// Growth of the live heap between 60 s and 90 s: 0.4 % measured (8.09 to
-/// 8.12 KiB per flow).
+/// Live heap per flow at 10 simulated seconds: 6.84 KiB measured (the hub's
+/// datagram pool included). A flow that kept each frame as a list of
+/// 40-byte planned packets, with the capacity of its largest frame, read
+/// 7.62; 34.9 when the router queued each packet's 478 encoded bytes in a
+/// pooled buffer of its own where this one queues a 64-byte plan (20.9 KiB
+/// with that alone) and the timer wheel kept every slot's high-water
+/// capacity where this one frees a slot it has drained.
+const BUDGET_KIB_PER_FLOW: f64 = 7.2;
+/// Growth of the live heap between 60 s and 90 s: 0.4 % measured (7.30 to
+/// 7.33 KiB per flow).
 ///
 /// This harness is the wheel's worst case: all 512 flows register in one
 /// poll and are fed identical feedback, so they stay in phase and every

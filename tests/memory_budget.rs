@@ -1,11 +1,12 @@
-//! Bytes per flow as a test: the live heap of a chained scenario, counted
-//! by this file's own global allocator, must stay under a budget and must
-//! not grow faster than the receiver's 64-byte frame records explain.
+//! Bytes per flow as a test: the live heap of a chained scenario and of the
+//! shared dumbbell, counted by this file's own global allocator, must stay
+//! under a budget, and the chained one must not grow faster than the
+//! receiver's 64-byte frame records explain.
 //!
 //! One `#[test]` only: the counter is process-wide, and a second test
 //! running beside it would be counted too.
 
-use pels_core::scenario::{wideband_chained_config, Scenario};
+use pels_core::scenario::{wideband_chained_config, wideband_scaled_config, Scenario};
 use pels_netsim::time::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
@@ -38,13 +39,28 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 const FLOWS: usize = 8;
-/// Live heap per flow after 30 simulated seconds (the parent of the PR
-/// that added this test measured 280 KiB).
-const BUDGET_KIB_PER_FLOW: f64 = 190.0;
+/// Live heap per chained flow after 30 simulated seconds: 128.0 KiB
+/// measured. A sender that kept each frame as a list of planned packets,
+/// a frame log that grew in 4 KiB chunks and a 144-byte packet read 141.2;
+/// the parent of the PR that added this test read 280.
+const BUDGET_KIB_PER_FLOW: f64 = 140.0;
 /// Growth per flow per simulated second between 10 s and 30 s. A frame
 /// record is 64 B and the trace runs at 10 fps, so 0.63 KiB/s is the floor;
 /// the parent grew 4.2.
 const MAX_GROWTH_KIB_PER_FLOW_S: f64 = 1.0;
+
+/// Flows on the shared dumbbell (the benchmark's `sim_shared` runs 1024).
+const SHARED_FLOWS: usize = 256;
+const SHARED_HORIZON_S: f64 = 9.0;
+/// Live heap per shared-dumbbell flow at 9 s: 18.9 KiB measured, 26.6 with
+/// the planned-packet list, the 4 KiB log chunks and the 144-byte packet.
+/// Most of it is the frame log (90 frames of 64 B) and the event queue's
+/// share of the bottleneck's backlog.
+const SHARED_BUDGET_KIB_PER_FLOW: f64 = 21.0;
+
+fn kib_per_flow(before: isize, flows: usize) -> f64 {
+    (LIVE.load(Ordering::Relaxed) - before) as f64 / 1024.0 / flows as f64
+}
 
 #[test]
 fn chained_flows_stay_inside_their_memory_budget() {
@@ -53,14 +69,28 @@ fn chained_flows_stay_inside_their_memory_budget() {
     sc.set_workers(1);
     let mut kib_per_flow_at = |secs: f64| {
         sc.run_until(SimTime::from_secs_f64(secs));
-        (LIVE.load(Ordering::Relaxed) - before) as f64 / 1024.0 / FLOWS as f64
+        kib_per_flow(before, FLOWS)
     };
     let at_10 = kib_per_flow_at(10.0);
     let at_30 = kib_per_flow_at(30.0);
     let growth = (at_30 - at_10) / 20.0;
     println!(
-        "live heap per flow: {at_10:.1} KiB at 10 s, {at_30:.1} KiB at 30 s, {growth:.2} KiB/s"
+        "live heap per chained flow: {at_10:.1} KiB at 10 s, {at_30:.1} KiB at 30 s, \
+         {growth:.2} KiB/s"
     );
-    assert!(at_30 <= BUDGET_KIB_PER_FLOW, "{at_30:.1} KiB per flow at 30 s");
+    drop(sc);
+
+    let before = LIVE.load(Ordering::Relaxed);
+    let mut shared = Scenario::build(wideband_scaled_config(SHARED_FLOWS, 0.10));
+    shared.set_workers(1);
+    shared.run_until(SimTime::from_secs_f64(SHARED_HORIZON_S));
+    let shared_kib = kib_per_flow(before, SHARED_FLOWS);
+    println!("live heap per shared-dumbbell flow: {shared_kib:.2} KiB at {SHARED_HORIZON_S} s");
+
+    assert!(at_30 <= BUDGET_KIB_PER_FLOW, "{at_30:.1} KiB per chained flow at 30 s");
     assert!(growth <= MAX_GROWTH_KIB_PER_FLOW_S, "{growth:.2} KiB per flow per simulated second");
+    assert!(
+        shared_kib <= SHARED_BUDGET_KIB_PER_FLOW,
+        "{shared_kib:.2} KiB per shared-dumbbell flow at {SHARED_HORIZON_S} s"
+    );
 }
