@@ -50,6 +50,16 @@ done
 # call what it likes), each line prefixed with file and line number.
 non_test_code() { awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$1"; }
 
+echo "== pels parses into the configs it runs (crates/cli line ratchet) =="
+# Each command carries the config of the library it drives, built by that
+# library's constructor and checked by its own `validate`; the parser
+# restates no default, bound or check. That took crates/cli/src from 1,390
+# non-test lines to 1,163. A restated default or a second copy of a check
+# shows up here first: the count may fall, never rise.
+cli_lines="$(for f in crates/cli/src/*.rs; do non_test_code "$f"; done | wc -l)"
+[ "$cli_lines" -le 1163 ] || {
+  echo "crates/cli/src has $cli_lines non-test lines, over its ratchet of 1163" >&2; exit 1; }
+
 echo "== the sender control path is wired once (pels_core::flow) =="
 # Eq. 8, the fresh-epoch bookkeeping, the watchdog, the epoch filter and
 # frame planning are called from `FlowControl` and nowhere else: a second
@@ -181,7 +191,9 @@ echo "== cargo test (workspace) =="
 # --workspace again: the root package's `cargo test` alone skips every
 # member crate's unit tests (CLI, netsim, wire, ...).
 # Tests pick their output directories by argument; anything they change in
-# the tree (a results/ CSV, say) is a hermeticity bug.
+# the tree (a results/ CSV, say) is a hermeticity bug. This includes
+# crates/cli/tests/byte_identity.rs, which pins the stdout and files of the
+# `pels` binary for one command line per subcommand.
 # Compared before/after so the gate also works on uncommitted work; on a
 # clean checkout it is exactly "git status --porcelain prints nothing".
 tree_state() { git status --porcelain; git diff | cksum; }
@@ -208,6 +220,7 @@ echo "== report digests, event budget and exchange budget (optimised build) =="
 # ran in the debug build above; a report must not depend on the profile
 # either, and release is what the benchmark runs.
 cargo test -q --release --test report_digests --test event_budget --test exchange_budget
+cargo test -q --release -p pels-cli --test byte_identity
 # The wire's counterparts. crates/wire/tests/wire_budget.rs: 64 and 512
 # paced flows on a stepped clock sit on Lemma 6 with only red shed, and the
 # 64-flow run's packet, timer-event, abandon, drop, container and

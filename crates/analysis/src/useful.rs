@@ -45,10 +45,12 @@ pub fn expected_useful_general(p: f64, pmf: &[f64]) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics if `p` is outside `(0, 1]` or `H == 0`.
+/// Panics if `p` is outside `(0, 1]`, `H == 0`, or `H > i32::MAX` (the
+/// largest exponent `powi` takes).
 pub fn expected_useful_fixed(p: f64, h: u32) -> f64 {
     assert!(p > 0.0 && p <= 1.0, "loss must be in (0,1]: {p}");
     assert!(h > 0, "frame size must be positive");
+    assert!(h <= i32::MAX as u32, "frame size {h} exceeds i32::MAX");
     let q = 1.0 - p;
     q / p * (1.0 - q.powi(h as i32))
 }
@@ -64,10 +66,12 @@ pub fn useful_saturation(p: f64) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics if `p` is outside `(0, 1]` or `H == 0`.
+/// Panics if `p` is outside `(0, 1]`, `H == 0`, or `H > i32::MAX` (the
+/// largest exponent `powi` takes).
 pub fn best_effort_utility(p: f64, h: u32) -> f64 {
     assert!(p > 0.0 && p <= 1.0, "loss must be in (0,1]: {p}");
     assert!(h > 0, "frame size must be positive");
+    assert!(h <= i32::MAX as u32, "frame size {h} exceeds i32::MAX");
     (1.0 - (1.0 - p).powi(h as i32)) / (h as f64 * p)
 }
 
@@ -192,6 +196,13 @@ mod tests {
         assert!((gamma_fixed_point(0.5, 0.75) - 2.0 / 3.0).abs() < 1e-12);
         // Clamps when loss exceeds the threshold.
         assert_eq!(gamma_fixed_point(0.9, 0.75), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds i32::MAX")]
+    fn frame_sizes_past_the_powi_exponent_panic() {
+        // `powi(h as i32)` would wrap to a negative exponent and return -inf.
+        let _ = best_effort_utility(0.1, 1 << 31);
     }
 
     #[test]

@@ -5,6 +5,11 @@
 //! `pels help` prints every command with the flags it reads; both come
 //! from `COMMANDS`, the table the parser rejects unknown flags by.
 //!
+//! A command that drives a library carries that library's config:
+//! [`parse_args`] starts from the library's own constructor, applies only
+//! the flags given and checks the result with the library's own `validate`
+//! where one exists, and [`execute`] runs the config as it is.
+//!
 //! `run`, `chaos`, `live` and `serve` all accept `--telemetry FILE.jsonl`,
 //! which scrapes the engines' state into the file as JSON lines of
 //! [`pels_telemetry`] snapshots — once a second (simulated for `run`, wall
@@ -17,13 +22,25 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use pels_core::chaos::ChaosConfig;
 use pels_core::router::QueueMode;
-use pels_core::scenario::{pels_flows, to_best_effort, Scenario, ScenarioConfig};
+use pels_core::scenario::{
+    pels_flows, proportional_config, to_best_effort, wideband_scaled_config, Scenario,
+    ScenarioConfig,
+};
 use pels_core::source::SourceMode;
-use pels_netsim::time::SimTime;
+use pels_fgs::trace_gen::TraceGenConfig;
+use pels_netsim::time::{Rate, SimDuration, SimTime};
+use pels_telemetry::Telemetry;
+use pels_topo::spec::TopoSpec;
 use pels_wire::serve::{MAX_PACKET_BYTES, RX_SLOT_BYTES};
+use pels_wire::{LiveBackend, LiveConfig, LiveFaults, LoadgenConfig, ServeConfig, WireChaosConfig};
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::error::Error;
+use std::io::Write;
+use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4};
+use std::path::Path;
+use std::str::FromStr;
 
 /// A parsed command line.
 #[derive(Debug, Clone)]
@@ -47,7 +64,7 @@ pub enum Command {
     RunTopo {
         /// Parsed topology spec (from `--topo-spec FILE.json` or a
         /// `--topology family:key=value,...` shorthand).
-        spec: Box<pels_topo::spec::TopoSpec>,
+        spec: Box<TopoSpec>,
         /// Simulated seconds.
         duration_s: f64,
         /// Emit the report as JSON instead of text.
@@ -60,10 +77,8 @@ pub enum Command {
     },
     /// Sweep flow counts over one generated topology family.
     SweepTopo {
-        /// Flow counts to run.
-        counts: Vec<usize>,
-        /// The base spec; each count overrides `flows`.
-        spec: Box<pels_topo::spec::TopoSpec>,
+        /// One spec per flow count: the base spec with `flows` set.
+        specs: Vec<TopoSpec>,
         /// Simulated seconds per run.
         duration_s: f64,
         /// Emit JSON reports.
@@ -91,28 +106,30 @@ pub enum Command {
     },
     /// Sweep flow counts in parallel and summarize.
     Sweep {
-        /// Flow counts to run.
-        counts: Vec<usize>,
+        /// One dumbbell per flow count, built by the `--topology` family.
+        configs: Vec<ScenarioConfig>,
         /// Simulated seconds per run.
         duration_s: f64,
-        /// Topology family built for each flow count.
-        topology: SweepTopology,
         /// Emit JSON reports.
         json: bool,
         /// OS threads running scenarios concurrently.
         workers: usize,
     },
-    /// Run the fault-injection matrix and report invariant verdicts.
+    /// Run the simulator's fault-injection matrix and report invariant
+    /// verdicts.
     Chaos {
-        /// Simulator seed.
-        seed: u64,
-        /// Simulated seconds per fault case.
-        duration_s: f64,
-        /// Run the wire recovery matrix (fault-injecting transports around
-        /// the real wire agents) instead of the simulator matrix.
-        wire: bool,
-        /// Use the CI-sized wire preset (10 s cases; implies `--wire`).
-        short: bool,
+        /// Seed, case length and fault window.
+        config: ChaosConfig,
+        /// Emit the report as JSON instead of text.
+        json: bool,
+        /// Write telemetry snapshots (JSON lines) to this path.
+        telemetry: Option<String>,
+    },
+    /// Run the wire recovery matrix (fault-injecting transports around the
+    /// real wire agents): `pels chaos --wire` or `--short`.
+    WireChaos {
+        /// The validated schedule.
+        config: WireChaosConfig,
         /// Emit the report as JSON instead of text.
         json: bool,
         /// Write telemetry snapshots (JSON lines) to this path.
@@ -120,37 +137,18 @@ pub enum Command {
     },
     /// Stream one live PELS flow over a real transport and report.
     Live {
-        /// Streaming seconds (wall time on the UDP backend).
-        duration_s: f64,
-        /// Full bottleneck capacity in Mb/s.
-        bottleneck_mbps: f64,
-        /// Fraction of the bottleneck reserved for PELS.
-        share: f64,
-        /// Use the deterministic in-memory transport instead of UDP.
-        mem: bool,
-        /// Path to a JSON fault schedule (`pels_wire::faults::LiveFaults`).
-        faults: Option<String>,
+        /// The session, fault schedule included; [`execute`] attaches the
+        /// telemetry handle.
+        config: Box<LiveConfig>,
         /// Emit the report as JSON instead of text.
         json: bool,
         /// Write telemetry snapshots (JSON lines) to this path.
         telemetry: Option<String>,
     },
-    /// Run the multi-flow wire server (`pels serve`) over loopback UDP.
+    /// Run the multi-flow wire server (`pels serve`) over UDP.
     Serve {
-        /// Socket to bind (port 0 picks an ephemeral port, announced on
-        /// stderr).
-        listen: std::net::SocketAddr,
-        /// Wall-clock seconds to serve before reporting.
-        duration_s: f64,
-        /// Shared router capacity across all flows, in Mb/s.
-        capacity_mbps: f64,
-        /// Flow-table registration cap; HELLOs beyond it are refused.
-        max_flows: usize,
-        /// Data packet size in bytes.
-        packet_bytes: u32,
-        /// Emit per-flow MKC rate series (high cardinality; aggregate
-        /// metrics only by default).
-        telemetry_per_flow: bool,
+        /// The validated server; [`execute`] attaches the telemetry handle.
+        config: Box<ServeConfig>,
         /// Write telemetry snapshots (JSON lines) to this path.
         telemetry: Option<String>,
         /// Emit the report as JSON instead of text.
@@ -158,16 +156,8 @@ pub enum Command {
     },
     /// Ramp concurrent flows against a live `pels serve`.
     Loadgen {
-        /// The serve socket to register flows at.
-        server: std::net::SocketAddr,
-        /// Concurrent flows to ramp up.
-        flows: u32,
-        /// Wall-clock seconds to run before tearing down with BYEs.
-        duration_s: f64,
-        /// Seconds the initial HELLOs are staggered over.
-        ramp_s: f64,
-        /// Seconds excluded from the steady delivered-rate window.
-        warmup_s: f64,
+        /// Server address, flow count, and the run's length, ramp and warmup.
+        config: LoadgenConfig,
         /// Emit the report as JSON instead of text.
         json: bool,
     },
@@ -178,10 +168,8 @@ pub enum Command {
     },
     /// Generate a synthetic frame-size trace as CSV on stdout.
     Trace {
-        /// Number of frames.
-        frames: usize,
-        /// Coefficient of variation of enhancement sizes.
-        cv: f64,
+        /// Frame count and enhancement-size variability.
+        config: TraceGenConfig,
         /// Generator seed.
         seed: u64,
     },
@@ -193,44 +181,6 @@ pub enum Command {
     Version,
     /// Print usage.
     Help,
-}
-
-/// The version line: crate version, the git commit the binary was built
-/// from, and the build timestamp (both embedded by `build.rs`).
-pub fn version_string() -> String {
-    format!(
-        "pels {} (commit {}, built {})",
-        env!("CARGO_PKG_VERSION"),
-        env!("PELS_GIT_COMMIT"),
-        env!("PELS_BUILD_UNIX_TIME"),
-    )
-}
-
-/// Topology family used by `pels sweep` for each flow count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepTopology {
-    /// Bottleneck capacity grows with the flow count (800 kb/s per flow),
-    /// so Lemma 6 predicts the same per-flow rate at every N. The default:
-    /// scaling artifacts show up as deviations, not as capacity math.
-    Proportional,
-    /// The default fixed dumbbell regardless of flow count — overloaded
-    /// rows exercise the degradation policy (DESIGN.md §11).
-    Fixed,
-    /// The wideband topology scaled to a ~10% FGS-layer operating point,
-    /// as used by the benchmark's `sim_shared` workload.
-    Wideband,
-}
-
-impl std::str::FromStr for SweepTopology {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "proportional" => Ok(SweepTopology::Proportional),
-            "fixed" => Ok(SweepTopology::Fixed),
-            "wideband" => Ok(SweepTopology::Wideband),
-            other => Err(format!("unknown topology `{other}` (proportional|fixed|wideband)")),
-        }
-    }
 }
 
 /// Errors produced while parsing arguments.
@@ -291,8 +241,12 @@ fn flags_of(flags: &'static str) -> impl Iterator<Item = (&'static str, &'static
     flags.split_whitespace().map(|f| f.split_once('=').unwrap_or((f, "")))
 }
 
+/// A command's flags: `--name value` as `name → value`, a switch as
+/// `name → "true"`.
+type Flags = HashMap<String, String>;
+
 /// Parses the `--name value` / `--switch` arguments of `pels <cmd>`.
-fn flag_map(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, ParseArgsError> {
+fn flag_map(cmd: &str, args: &[String]) -> Result<Flags, ParseArgsError> {
     let known = COMMANDS.iter().find(|c| c.0 == cmd).map_or("", |c| c.1);
     let mut map = HashMap::new();
     let mut it = args.iter().peekable();
@@ -315,17 +269,53 @@ fn flag_map(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, Parse
     Ok(map)
 }
 
-fn get_parsed<T: std::str::FromStr>(
-    map: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, ParseArgsError> {
+fn get_parsed<T: FromStr>(map: &Flags, key: &str, default: T) -> Result<T, ParseArgsError> {
     match map.get(key) {
         None => Ok(default),
         Some(v) => {
             v.parse().map_err(|_| ParseArgsError(format!("invalid value for --{key}: `{v}`")))
         }
     }
+}
+
+/// `--key`, or `default`: finite and positive either way.
+fn get_positive(map: &Flags, key: &str, default: f64) -> Result<f64, ParseArgsError> {
+    let v: f64 = get_parsed(map, key, default)?;
+    if v.is_finite() && v > 0.0 {
+        return Ok(v);
+    }
+    Err(ParseArgsError(format!("--{key} must be positive")))
+}
+
+/// `chaos --duration` in seconds, or the matrix's own `default`: at least
+/// 5 s either way, or there is no recovery to measure.
+fn chaos_secs(map: &Flags, default: SimDuration) -> Result<f64, ParseArgsError> {
+    let secs: f64 = get_parsed(map, "duration", default.as_secs_f64())?;
+    if secs.is_finite() && secs >= 5.0 {
+        return Ok(secs);
+    }
+    Err(ParseArgsError("--duration must be at least 5 seconds to measure recovery".into()))
+}
+
+/// `--workers`, by default the machine's available parallelism; at least 1.
+fn get_workers(map: &Flags) -> Result<usize, ParseArgsError> {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    match get_parsed(map, "workers", nproc)? {
+        0 => Err(ParseArgsError("--workers must be at least 1".into())),
+        n => Ok(n),
+    }
+}
+
+/// `--flows`, or `default`: a count in `1..=`[`MAX_FLOWS`].
+fn get_flows(map: &Flags, default: usize) -> Result<usize, ParseArgsError> {
+    match get_parsed(map, "flows", default)? {
+        n @ 1..=MAX_FLOWS => Ok(n),
+        _ => Err(ParseArgsError(format!("--flows must be in 1..={MAX_FLOWS}"))),
+    }
+}
+
+fn read_file(path: &str) -> Result<String, ParseArgsError> {
+    std::fs::read_to_string(path).map_err(|e| ParseArgsError(format!("cannot read {path}: {e}")))
 }
 
 /// Largest flow count a command line may name. Every flow is allocated
@@ -340,6 +330,8 @@ const MAX_FRAMES: usize = 1 << 20;
 /// Largest generated topology, in routers: the Waxman generator weighs
 /// every pair of them (the benchmark's Waxman workload has 64).
 const MAX_ROUTERS: usize = 1 << 12;
+/// Where `pels serve` listens and `pels loadgen` sends by default.
+const SERVE_ADDR: SocketAddr = SocketAddr::V4(SocketAddrV4::new(Ipv4Addr::LOCALHOST, 9500));
 
 /// Parses the comma-separated flow counts of `--flows-list`, each in
 /// `1..=`[`MAX_FLOWS`].
@@ -352,37 +344,22 @@ fn parse_flow_counts(list: &str) -> Result<Vec<usize>, ParseArgsError> {
     Ok(counts)
 }
 
-/// Default worker-thread count: the machine's available parallelism.
-fn default_workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Loads a [`pels_topo::spec::TopoSpec`] from `--topo-spec FILE.json` or a
+/// Loads a [`TopoSpec`] from `--topo-spec FILE.json` or a
 /// `--topology family:key=value,...` shorthand, applying a `--seed`
 /// override when given.
-fn parse_topo_spec(
-    map: &HashMap<String, String>,
-) -> Result<pels_topo::spec::TopoSpec, ParseArgsError> {
-    use pels_topo::spec::TopoSpec;
+fn parse_topo_spec(map: &Flags) -> Result<TopoSpec, ParseArgsError> {
     let mut spec = match (map.get("topo-spec"), map.get("topology")) {
         (Some(_), Some(_)) => {
             return Err(ParseArgsError("--topo-spec and --topology are mutually exclusive".into()))
         }
-        (Some(path), None) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| ParseArgsError(format!("cannot read {path}: {e}")))?;
-            TopoSpec::from_json(&text)
-                .map_err(|e| ParseArgsError(format!("bad topo spec {path}: {e}")))?
-        }
+        (Some(path), None) => TopoSpec::from_json(&read_file(path)?)
+            .map_err(|e| ParseArgsError(format!("bad topo spec {path}: {e}")))?,
         (None, Some(s)) => TopoSpec::from_shorthand(s)
             .map_err(|e| ParseArgsError(format!("bad --topology `{s}`: {e}")))?,
         (None, None) => unreachable!("caller checked for one of the flags"),
     };
-    if let Some(seed) = map.get("seed") {
-        let parsed = seed
-            .parse()
-            .map_err(|_| ParseArgsError(format!("invalid value for --seed: `{seed}`")))?;
-        spec.seed = Some(parsed);
+    if map.contains_key("seed") {
+        spec.seed = Some(get_parsed(map, "seed", 0)?);
     }
     use pels_topo::spec::GeneratorSpec;
     let routers = match spec.generator {
@@ -398,33 +375,6 @@ fn parse_topo_spec(
     Ok(spec)
 }
 
-/// Parses `run --topo-spec`/`run --topology` into [`Command::RunTopo`].
-fn parse_run_topo(map: &HashMap<String, String>) -> Result<Command, ParseArgsError> {
-    for bad in ["config", "mode", "flows"] {
-        if map.contains_key(bad) {
-            return Err(ParseArgsError(format!(
-                "--{bad} does not apply to generated topologies (encode flows in the spec)"
-            )));
-        }
-    }
-    let spec = parse_topo_spec(map)?;
-    let duration_s: f64 = get_parsed(map, "duration", 30.0)?;
-    if !duration_s.is_finite() || duration_s <= 0.0 {
-        return Err(ParseArgsError("--duration must be positive".into()));
-    }
-    let workers: usize = get_parsed(map, "workers", default_workers())?;
-    if workers == 0 {
-        return Err(ParseArgsError("--workers must be at least 1".into()));
-    }
-    Ok(Command::RunTopo {
-        spec: Box::new(spec),
-        duration_s,
-        json: map.contains_key("json"),
-        telemetry: map.get("telemetry").cloned(),
-        workers,
-    })
-}
-
 /// Parses a command line (without the program name).
 ///
 /// # Errors
@@ -438,21 +388,34 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
     match cmd.as_str() {
         "run" => {
             let map = flag_map(cmd, rest)?;
+            let duration_s = get_positive(&map, "duration", 30.0)?;
+            let (json, telemetry) = (map.contains_key("json"), map.get("telemetry").cloned());
+            let workers = get_workers(&map)?;
             if map.contains_key("topo-spec") || map.contains_key("topology") {
-                return parse_run_topo(&map);
-            }
-            let mut config = if let Some(path) = map.get("config") {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| ParseArgsError(format!("cannot read {path}: {e}")))?;
-                serde_json::from_str::<ScenarioConfig>(&text)
-                    .map_err(|e| ParseArgsError(format!("bad config {path}: {e}")))?
-            } else {
-                let n: usize = get_parsed(&map, "flows", 2)?;
-                if !(1..=MAX_FLOWS).contains(&n) {
-                    return Err(ParseArgsError(format!("--flows must be in 1..={MAX_FLOWS}")));
+                if let Some(bad) =
+                    ["config", "mode", "flows"].into_iter().find(|f| map.contains_key(*f))
+                {
+                    return Err(ParseArgsError(format!(
+                        "--{bad} does not apply to generated topologies (encode flows in the spec)"
+                    )));
                 }
-                ScenarioConfig { flows: pels_flows(&vec![0.0; n]), ..Default::default() }
+                let spec = Box::new(parse_topo_spec(&map)?);
+                return Ok(Command::RunTopo { spec, duration_s, json, telemetry, workers });
+            }
+            let mut config: ScenarioConfig = match map.get("config") {
+                Some(_) if map.contains_key("flows") => {
+                    return Err(ParseArgsError(
+                        "--config and --flows are mutually exclusive: the file lists the flows"
+                            .into(),
+                    ))
+                }
+                Some(path) => serde_json::from_str(&read_file(path)?)
+                    .map_err(|e| ParseArgsError(format!("bad config {path}: {e}")))?,
+                None => ScenarioConfig::default(),
             };
+            if map.contains_key("flows") {
+                config.flows = pels_flows(&vec![0.0; get_flows(&map, config.flows.len())?]);
+            }
             config.seed = get_parsed(&map, "seed", config.seed)?;
             match map.get("mode").map(String::as_str) {
                 None | Some("pels") => {}
@@ -469,28 +432,15 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
                     )))
                 }
             }
-            let duration_s: f64 = get_parsed(&map, "duration", 30.0)?;
-            if !duration_s.is_finite() || duration_s <= 0.0 {
-                return Err(ParseArgsError("--duration must be positive".into()));
-            }
-            let workers: usize = get_parsed(&map, "workers", default_workers())?;
-            if workers == 0 {
-                return Err(ParseArgsError("--workers must be at least 1".into()));
-            }
-            Ok(Command::Run {
-                config: Box::new(config),
-                duration_s,
-                json: map.contains_key("json"),
-                telemetry: map.get("telemetry").cloned(),
-                workers,
-            })
+            Ok(Command::Run { config: Box::new(config), duration_s, json, telemetry, workers })
         }
         "model" => {
             let map = flag_map(cmd, rest)?;
             let p: f64 = get_parsed(&map, "p", 0.1)?;
             let h: u32 = get_parsed(&map, "h", 100)?;
-            if !(0.0 < p && p < 1.0) || h == 0 {
-                return Err(ParseArgsError("need 0 < p < 1 and h >= 1".into()));
+            // A frame holds at most 65 535 packets (`VideoTrace::validate`).
+            if !(0.0 < p && p < 1.0 && (1..=u32::from(u16::MAX)).contains(&h)) {
+                return Err(ParseArgsError(format!("need 0 < p < 1 and h in 1..={}", u16::MAX)));
             }
             Ok(Command::Model { p, h })
         }
@@ -510,153 +460,147 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
         }
         "sweep" => {
             let map = flag_map(cmd, rest)?;
-            let list = map.get("flows-list").map_or("1,2,4,8", String::as_str);
-            let counts = parse_flow_counts(list)?;
-            let duration_s: f64 = get_parsed(&map, "duration", 20.0)?;
-            if !duration_s.is_finite() || duration_s <= 0.0 {
-                return Err(ParseArgsError("--duration must be positive".into()));
-            }
-            let workers: usize = get_parsed(&map, "workers", default_workers())?;
-            if workers == 0 {
-                return Err(ParseArgsError("--workers must be at least 1".into()));
-            }
+            let counts =
+                parse_flow_counts(map.get("flows-list").map_or("1,2,4,8", String::as_str))?;
+            let duration_s = get_positive(&map, "duration", 20.0)?;
+            let workers = get_workers(&map)?;
+            let json = map.contains_key("json");
             // A generated-topology sweep: `--topo-spec FILE.json`, or a
             // `--topology` value in shorthand form (`family:key=value`).
-            let shorthand =
-                map.get("topology").is_some_and(|v| pels_topo::spec::TopoSpec::is_shorthand(v));
-            if map.contains_key("topo-spec") || shorthand {
+            let topology = map.get("topology").map_or("proportional", String::as_str);
+            if map.contains_key("topo-spec") || TopoSpec::is_shorthand(topology) {
                 let spec = parse_topo_spec(&map)?;
-                return Ok(Command::SweepTopo {
-                    counts,
-                    spec: Box::new(spec),
-                    duration_s,
-                    json: map.contains_key("json"),
-                    workers,
-                });
+                let specs = counts
+                    .into_iter()
+                    .map(|n| TopoSpec { flows: Some(n), ..spec.clone() })
+                    .collect();
+                return Ok(Command::SweepTopo { specs, duration_s, json, workers });
             }
             if map.contains_key("seed") {
                 return Err(ParseArgsError(
                     "--seed applies only to generated-topology sweeps".into(),
                 ));
             }
-            let topology = match map.get("topology") {
-                None => SweepTopology::Proportional,
-                Some(v) => v.parse().map_err(ParseArgsError)?,
+            let dumbbell: fn(usize) -> ScenarioConfig = match topology {
+                // 800 kb/s of capacity a flow: Lemma 6's rate at every N.
+                "proportional" => proportional_config,
+                // Overloaded rows exercise the degradation policy (DESIGN.md §11).
+                "fixed" => |n| ScenarioConfig {
+                    flows: pels_flows(&vec![0.0; n]),
+                    keep_series: false,
+                    ..Default::default()
+                },
+                // The benchmark's `sim_shared`: a ~10% FGS-layer operating point.
+                "wideband" => |n| wideband_scaled_config(n, 0.10),
+                other => {
+                    return Err(ParseArgsError(format!(
+                        "unknown topology `{other}` (proportional|fixed|wideband)"
+                    )))
+                }
             };
-            Ok(Command::Sweep {
-                counts,
-                duration_s,
-                topology,
-                json: map.contains_key("json"),
-                workers,
-            })
+            let configs = counts.into_iter().map(dumbbell).collect();
+            Ok(Command::Sweep { configs, duration_s, json, workers })
         }
         "chaos" => {
             let map = flag_map(cmd, rest)?;
-            let seed: u64 = get_parsed(&map, "seed", 1)?;
-            let short = map.contains_key("short");
+            let (json, telemetry) = (map.contains_key("json"), map.get("telemetry").cloned());
             // `--short` names the wire CI preset, so it implies `--wire`.
-            let wire = map.contains_key("wire") || short;
-            // The wire matrix needs its own default: 12 s cases (4.5 s
-            // transient + 1.5 s fault + 6 s observed recovery).
-            let duration_s: f64 = get_parsed(&map, "duration", if wire { 12.0 } else { 30.0 })?;
-            if !duration_s.is_finite() || duration_s < 5.0 {
-                return Err(ParseArgsError(
-                    "--duration must be at least 5 seconds to measure recovery".into(),
-                ));
+            let short = map.contains_key("short");
+            if short && map.contains_key("duration") {
+                return Err(ParseArgsError("--short is the 10 s preset: drop --duration".into()));
             }
-            Ok(Command::Chaos {
-                seed,
-                duration_s,
-                wire,
-                short,
-                json: map.contains_key("json"),
-                telemetry: map.get("telemetry").cloned(),
-            })
+            if short || map.contains_key("wire") {
+                let mut config =
+                    if short { WireChaosConfig::short() } else { WireChaosConfig::default() };
+                config.seed = get_parsed(&map, "seed", config.seed)?;
+                config.duration = SimDuration::from_secs_f64(chaos_secs(&map, config.duration)?);
+                config
+                    .validate()
+                    .map_err(|e| ParseArgsError(format!("bad wire chaos schedule: {e}")))?;
+                return Ok(Command::WireChaos { config, json, telemetry });
+            }
+            let mut config = ChaosConfig::default();
+            config.seed = get_parsed(&map, "seed", config.seed)?;
+            // The fault window scales with the run so a short run still
+            // leaves room to measure recovery: onset at 1/3, lasting 1/20
+            // of the run (the 30 s default gives the library's 10–11.5 s).
+            let secs = chaos_secs(&map, config.duration)?;
+            config.duration = SimDuration::from_secs_f64(secs);
+            config.fault_from = SimDuration::from_secs_f64(secs / 3.0);
+            config.fault_to = SimDuration::from_secs_f64(secs / 3.0 + secs / 20.0);
+            Ok(Command::Chaos { config, json, telemetry })
         }
         "serve" => {
             let map = flag_map(cmd, rest)?;
-            let listen =
-                get_parsed(&map, "listen", std::net::SocketAddr::from(([127, 0, 0, 1], 9500)))?;
-            let duration_s: f64 = get_parsed(&map, "duration", 10.0)?;
-            if !duration_s.is_finite() || duration_s <= 0.0 {
-                return Err(ParseArgsError("--duration must be positive".into()));
-            }
-            let capacity_mbps: f64 = get_parsed(&map, "capacity-mbps", 100.0)?;
-            if !capacity_mbps.is_finite() || capacity_mbps <= 0.0 {
-                return Err(ParseArgsError("--capacity-mbps must be positive".into()));
-            }
-            let max_flows: usize = get_parsed(&map, "max-flows", 4096)?;
-            let packet_bytes: u32 = get_parsed(&map, "packet-bytes", 400)?;
-            if max_flows == 0 {
+            let mut config = ServeConfig::new(get_parsed(&map, "listen", SERVE_ADDR)?);
+            // The command serves 10 s by default, twice the library's run.
+            config.duration = SimDuration::from_secs_f64(get_positive(&map, "duration", 10.0)?);
+            let mbps = get_positive(&map, "capacity-mbps", config.capacity.as_mbps())?;
+            config.capacity = Rate::from_mbps(mbps);
+            config.max_flows = get_parsed(&map, "max-flows", config.max_flows)?;
+            if config.max_flows == 0 {
                 return Err(ParseArgsError("--max-flows must be at least 1".into()));
             }
-            if !(1..=MAX_PACKET_BYTES).contains(&packet_bytes) {
-                return Err(ParseArgsError(format!(
-                    "--packet-bytes must be in 1..={MAX_PACKET_BYTES}: header + payload must \
-                     fit the {RX_SLOT_BYTES}-byte slot every peer receives into"
-                )));
-            }
+            config.packet_bytes = get_parsed(&map, "packet-bytes", config.packet_bytes)?;
+            config.telemetry_per_flow = map.contains_key("telemetry-per-flow");
+            config.validate().map_err(|e| ParseArgsError(format!("bad serve config: {e}")))?;
             Ok(Command::Serve {
-                listen,
-                duration_s,
-                capacity_mbps,
-                max_flows,
-                packet_bytes,
-                telemetry_per_flow: map.contains_key("telemetry-per-flow"),
+                config: Box::new(config),
                 telemetry: map.get("telemetry").cloned(),
                 json: map.contains_key("json"),
             })
         }
         "loadgen" => {
             let map = flag_map(cmd, rest)?;
-            let server =
-                get_parsed(&map, "server", std::net::SocketAddr::from(([127, 0, 0, 1], 9500)))?;
-            let flows: u32 = get_parsed(&map, "flows", 256)?;
-            if !(1..=MAX_FLOWS as u32).contains(&flows) {
-                return Err(ParseArgsError(format!("--flows must be in 1..={MAX_FLOWS}")));
-            }
-            let duration_s: f64 = get_parsed(&map, "duration", 5.0)?;
-            if !duration_s.is_finite() || duration_s <= 0.0 {
-                return Err(ParseArgsError("--duration must be positive".into()));
-            }
-            let ramp_s: f64 = get_parsed(&map, "ramp", (duration_s / 4.0).min(1.0))?;
-            let warmup_s: f64 = get_parsed(&map, "warmup", (duration_s / 2.0).min(2.0))?;
+            let mut config = LoadgenConfig::new(get_parsed(&map, "server", SERVE_ADDR)?);
+            config.flows = get_flows(&map, config.flows as usize)? as u32;
+            let duration_s = get_positive(&map, "duration", config.duration.as_secs_f64())?;
+            // A short run shrinks the ramp and the warmup to a quarter and a
+            // half of it.
+            let ramp_s = (duration_s / 4.0).min(config.ramp.as_secs_f64());
+            let ramp_s: f64 = get_parsed(&map, "ramp", ramp_s)?;
+            let warmup_s = (duration_s / 2.0).min(config.warmup.as_secs_f64());
+            let warmup_s: f64 = get_parsed(&map, "warmup", warmup_s)?;
             if !ramp_s.is_finite() || ramp_s < 0.0 || !warmup_s.is_finite() || warmup_s < 0.0 {
                 return Err(ParseArgsError("--ramp and --warmup must be non-negative".into()));
             }
             if warmup_s >= duration_s {
                 return Err(ParseArgsError("--warmup must be shorter than --duration".into()));
             }
-            Ok(Command::Loadgen {
-                server,
-                flows,
-                duration_s,
-                ramp_s,
-                warmup_s,
-                json: map.contains_key("json"),
-            })
+            [config.duration, config.ramp, config.warmup] =
+                [duration_s, ramp_s, warmup_s].map(SimDuration::from_secs_f64);
+            Ok(Command::Loadgen { config, json: map.contains_key("json") })
         }
         "live" => {
             let map = flag_map(cmd, rest)?;
-            let duration_s: f64 = get_parsed(&map, "duration", 6.0)?;
-            let bottleneck_mbps: f64 = get_parsed(&map, "bottleneck-mbps", 4.0)?;
-            let share: f64 = get_parsed(&map, "share", 0.5)?;
-            if !duration_s.is_finite() || duration_s <= 0.0 {
-                return Err(ParseArgsError("--duration must be positive".into()));
-            }
-            if !bottleneck_mbps.is_finite() || bottleneck_mbps <= 0.0 {
-                return Err(ParseArgsError("--bottleneck-mbps must be positive".into()));
-            }
-            if !(share > 0.0 && share <= 1.0) {
+            let mut config = LiveConfig::default();
+            let secs = get_positive(&map, "duration", config.duration.as_secs_f64())?;
+            config.duration = SimDuration::from_secs_f64(secs);
+            let mbps = get_positive(&map, "bottleneck-mbps", config.bottleneck.as_mbps())?;
+            config.bottleneck = Rate::from_mbps(mbps);
+            config.pels_share = get_parsed(&map, "share", config.pels_share)?;
+            if !(config.pels_share > 0.0 && config.pels_share <= 1.0) {
                 return Err(ParseArgsError("--share must be in (0, 1]".into()));
             }
+            if map.contains_key("mem") {
+                config.backend = LiveBackend::Memory;
+            }
+            if let Some(path) = map.get("faults") {
+                // Files for the former three-endpoint schema (`source`,
+                // `router`, `receiver`) fail with `server` missing.
+                let bad = |e: String| {
+                    ParseArgsError(format!(
+                        "bad fault schedule {path}: {e} (the schema has one fault spec \
+                         under each of the keys `server` and `receiver`)"
+                    ))
+                };
+                let faults: LiveFaults =
+                    serde_json::from_str(&read_file(path)?).map_err(|e| bad(e.to_string()))?;
+                faults.validate().map_err(bad)?;
+                config.faults = Some(faults);
+            }
             Ok(Command::Live {
-                duration_s,
-                bottleneck_mbps,
-                share,
-                mem: map.contains_key("mem"),
-                faults: map.get("faults").cloned(),
+                config: Box::new(config),
                 json: map.contains_key("json"),
                 telemetry: map.get("telemetry").cloned(),
             })
@@ -672,15 +616,15 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
         }
         "trace" => {
             let map = flag_map(cmd, rest)?;
-            let frames: usize = get_parsed(&map, "frames", 300)?;
-            let cv: f64 = get_parsed(&map, "cv", 0.15)?;
-            let seed: u64 = get_parsed(&map, "seed", 1)?;
-            if !(1..=MAX_FRAMES).contains(&frames) || !(0.0..1.0).contains(&cv) {
+            let mut config = TraceGenConfig::default();
+            config.n_frames = get_parsed(&map, "frames", config.n_frames)?;
+            config.cv = get_parsed(&map, "cv", config.cv)?;
+            if !(1..=MAX_FRAMES).contains(&config.n_frames) || !(0.0..1.0).contains(&config.cv) {
                 return Err(ParseArgsError(format!(
                     "need frames in 1..={MAX_FRAMES} and cv in [0,1)"
                 )));
             }
-            Ok(Command::Trace { frames, cv, seed })
+            Ok(Command::Trace { config, seed: get_parsed(&map, "seed", 1)? })
         }
         "config-template" => Ok(Command::ConfigTemplate),
         "version" | "--version" | "-V" => Ok(Command::Version),
@@ -691,12 +635,11 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
 
 /// Opens a telemetry handle for `--telemetry PATH`: disabled when no path
 /// was given, otherwise enabled with a JSON-lines sink on the file.
-fn open_telemetry(path: Option<&str>) -> Result<pels_telemetry::Telemetry, String> {
-    use pels_telemetry::{JsonLinesSink, Telemetry};
+fn open_telemetry(path: Option<&str>) -> Result<Telemetry, String> {
     match path {
         None => Ok(Telemetry::disabled()),
         Some(p) => {
-            let sink = JsonLinesSink::create(p)
+            let sink = pels_telemetry::JsonLinesSink::create(p)
                 .map_err(|e| format!("cannot create telemetry file {p}: {e}"))?;
             let tel = Telemetry::new();
             tel.attach_sink(Box::new(sink));
@@ -705,245 +648,170 @@ fn open_telemetry(path: Option<&str>) -> Result<pels_telemetry::Telemetry, Strin
     }
 }
 
-/// Where a command's artifacts land. `main` fills this from the
-/// environment once; everything below takes it as an argument.
-#[derive(Debug, Clone, Default)]
-pub struct OutputDirs {
-    /// Directory for result CSVs (`$PELS_RESULTS_DIR`); `None` is the
-    /// workspace's `results/`.
-    pub results: Option<PathBuf>,
+/// The simulated times a run stops at, each with whether it is the last:
+/// once a second with telemetry on, so the stream shows the run's
+/// progression (the last stop takes the full scrape), else only the end.
+fn stops(duration_s: f64, tel: &Telemetry) -> impl Iterator<Item = (SimTime, bool)> {
+    let step = if tel.is_enabled() { 1.0 } else { duration_s };
+    let next = move |t: &f64| (*t < duration_s).then(|| (t + step).min(duration_s));
+    std::iter::successors(next(&0.0), next)
+        .map(move |t| (SimTime::from_secs_f64(t), t >= duration_s))
 }
 
-/// Executes a parsed command, writing human-readable output to `out` and
-/// artifacts under `dirs`.
+/// Writes `value` to `out` as pretty-printed JSON.
+fn write_json(out: &mut impl Write, value: &impl serde::Serialize) -> Result<(), Box<dyn Error>> {
+    Ok(writeln!(out, "{}", serde_json::to_string_pretty(value)?)?)
+}
+
+/// Executes a parsed command, writing its report to `out` and any result
+/// CSV under `results` (`None`: the workspace's `results/`).
 ///
 /// # Errors
 ///
-/// Returns an error string suitable for printing to stderr.
+/// Returns a one-line message suitable for printing to stderr.
 pub fn execute(
     cmd: Command,
-    dirs: &OutputDirs,
-    out: &mut impl std::io::Write,
-) -> Result<(), String> {
-    let w =
-        |out: &mut dyn std::io::Write, s: String| writeln!(out, "{s}").map_err(|e| e.to_string());
+    results: Option<&Path>,
+    out: &mut impl Write,
+) -> Result<(), Box<dyn Error>> {
+    let save = |name: &str, content: &str| {
+        pels_bench::write_result(&pels_bench::results_dir(results), name, content)
+    };
     match cmd {
-        Command::Version => w(out, version_string()),
-        Command::Help => w(out, usage()),
-        Command::Trace { frames, cv, seed } => {
-            let cfg =
-                pels_fgs::trace_gen::TraceGenConfig { n_frames: frames, cv, ..Default::default() };
-            let trace = pels_fgs::trace_gen::generate(&cfg, seed);
-            w(out, trace.to_csv().trim_end().to_string())
+        // The commit and the build time are embedded by `build.rs`.
+        Command::Version => writeln!(
+            out,
+            "pels {} (commit {}, built {})",
+            env!("CARGO_PKG_VERSION"),
+            env!("PELS_GIT_COMMIT"),
+            env!("PELS_BUILD_UNIX_TIME"),
+        )?,
+        Command::Help => writeln!(out, "{}", usage())?,
+        Command::Trace { config, seed } => {
+            let trace = pels_fgs::trace_gen::generate(&config, seed);
+            writeln!(out, "{}", trace.to_csv().trim_end())?;
         }
-        Command::ConfigTemplate => {
-            let cfg = ScenarioConfig::default();
-            let json = serde_json::to_string_pretty(&cfg).map_err(|e| e.to_string())?;
-            w(out, json)
-        }
+        Command::ConfigTemplate => write_json(out, &ScenarioConfig::default())?,
         Command::Model { p, h } => {
             let ey = pels_analysis::useful::expected_useful_fixed(p, h);
             let u = pels_analysis::useful::best_effort_utility(p, h);
             let opt = pels_analysis::useful::optimal_useful(p, h);
             let bound = pels_analysis::useful::pels_utility_lower_bound(p.min(0.74), 0.75);
-            w(
+            writeln!(
                 out,
-                format!(
-                    "p = {p}, H = {h}\n\
-                     best-effort useful packets E[Y]  = {ey:.3}\n\
-                     best-effort utility (Eq. 3)      = {u:.4}\n\
-                     optimal useful packets H(1-p)    = {opt:.1}\n\
-                     PELS utility bound (Eq. 6, 0.75) = {bound:.4}"
-                ),
-            )
+                "p = {p}, H = {h}\n\
+                 best-effort useful packets E[Y]  = {ey:.3}\n\
+                 best-effort utility (Eq. 3)      = {u:.4}\n\
+                 optimal useful packets H(1-p)    = {opt:.1}\n\
+                 PELS utility bound (Eq. 6, 0.75) = {bound:.4}"
+            )?;
         }
         Command::Gamma { p, p_thr, sigma, steps } => {
             let traj =
                 pels_analysis::stability::gamma_trajectory(0.5, sigma, p_thr, 1, steps, |_| p);
             for (k, g) in traj.iter().enumerate() {
-                w(out, format!("{k:>4}  {g:.6}"))?;
+                writeln!(out, "{k:>4}  {g:.6}")?;
             }
-            w(out, format!("fixed point p/p_thr = {:.6}", p / p_thr))
+            writeln!(out, "fixed point p/p_thr = {:.6}", p / p_thr)?;
         }
-        Command::Sweep { counts, duration_s, topology, json, workers } => {
-            use pels_core::scenario::{proportional_config, wideband_scaled_config};
-            let configs: Vec<ScenarioConfig> = counts
-                .iter()
-                .map(|&n| match topology {
-                    SweepTopology::Proportional => proportional_config(n),
-                    SweepTopology::Wideband => wideband_scaled_config(n, 0.10),
-                    SweepTopology::Fixed => ScenarioConfig {
-                        flows: pels_flows(&vec![0.0; n]),
-                        keep_series: false,
-                        ..Default::default()
-                    },
-                })
-                .collect();
+        Command::Sweep { configs, duration_s, json, workers } => {
             let reports = pels_core::sweep::run_parallel(configs, duration_s, workers);
             if json {
-                let j = serde_json::to_string_pretty(&reports).map_err(|e| e.to_string())?;
-                return w(out, j);
+                return write_json(out, &reports);
             }
-            for (n, r) in counts.iter().zip(&reports) {
+            for r in &reports {
+                let n = r.flows.len();
                 let mean_rate: f64 =
-                    r.flows.iter().map(|f| f.final_rate_kbps).sum::<f64>() / *n as f64;
-                let utility: f64 = r.flows.iter().map(|f| f.utility).sum::<f64>() / *n as f64;
+                    r.flows.iter().map(|f| f.final_rate_kbps).sum::<f64>() / n as f64;
+                let utility: f64 = r.flows.iter().map(|f| f.utility).sum::<f64>() / n as f64;
                 let lemma6 = match r.lemma6_kbps {
                     Some(l) => {
                         format!("Lemma 6 {l:.0} kb/s, dev {:+.1}%", 100.0 * (mean_rate - l) / l)
                     }
                     None => "Lemma 6 n/a".to_string(),
                 };
-                w(
+                writeln!(
                     out,
-                    format!(
-                        "{n:>4} flows: mean rate {mean_rate:>7.0} kb/s  utility {utility:.3}  \
-                         green drops {:>4}  admitted {:>4}/{n}  ({lemma6})",
-                        r.green_drops, r.admitted_flows
-                    ),
+                    "{n:>4} flows: mean rate {mean_rate:>7.0} kb/s  utility {utility:.3}  \
+                     green drops {:>4}  admitted {:>4}/{n}  ({lemma6})",
+                    r.green_drops, r.admitted_flows
                 )?;
-            }
-            Ok(())
-        }
-        Command::Chaos { seed, duration_s, wire, short, json, telemetry } => {
-            use pels_netsim::time::SimDuration;
-            let tel = open_telemetry(telemetry.as_deref())?;
-            if wire {
-                use pels_wire::chaos::{run_wire_matrix, WireChaosConfig};
-                let cfg = if short {
-                    WireChaosConfig { seed, ..WireChaosConfig::short() }
-                } else {
-                    WireChaosConfig {
-                        seed,
-                        duration: SimDuration::from_secs_f64(duration_s),
-                        ..WireChaosConfig::default()
-                    }
-                };
-                cfg.validate().map_err(|e| format!("bad wire chaos schedule: {e}"))?;
-                let report = run_wire_matrix(&cfg, &tel).map_err(|e| e.to_string())?;
-                if json {
-                    let j = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-                    return w(out, j);
-                }
-                w(
-                    out,
-                    format!("wire chaos matrix: seed {seed}, {:.0} s per case", report.duration_s),
-                )?;
-                for c in &report.cases {
-                    w(
-                        out,
-                        format!(
-                            "  {:<18} rate {:>7.1}/{:.1} kb/s  green {:.4}  recovery {:>6}  \
-                             faults {:>4}  {}",
-                            c.name,
-                            c.final_rate_kbps,
-                            c.r_star_kbps,
-                            c.green_delivery_post_fault,
-                            c.recovery_s.map_or("-".to_string(), |s| format!("{s:.2}s")),
-                            c.faults.total(),
-                            if c.ok { "ok" } else { "FAIL" }
-                        ),
-                    )?;
-                }
-                return if report.all_ok {
-                    w(out, "all wire invariants held".to_string())
-                } else {
-                    Err("wire chaos invariants violated".to_string())
-                };
-            }
-            // Fault window scales with the run so a short run still leaves
-            // room to measure recovery: onset at 1/3, lasting 1/20 of the run
-            // (the 30 s default gives `ChaosConfig::default`'s 10–11.5 s).
-            let cfg = pels_core::chaos::ChaosConfig {
-                seed,
-                duration: SimDuration::from_secs_f64(duration_s),
-                fault_from: SimDuration::from_secs_f64(duration_s / 3.0),
-                fault_to: SimDuration::from_secs_f64(duration_s / 3.0 + duration_s / 20.0),
-                ..Default::default()
-            };
-            let report = pels_core::chaos::run_matrix(&cfg, &tel).map_err(|e| e.to_string())?;
-            pels_bench::write_result(
-                &pels_bench::results_dir(dirs.results.as_deref()),
-                "chaos.csv",
-                &pels_core::chaos::to_csv(&report),
-            );
-            if json {
-                let j = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-                return w(out, j);
-            }
-            w(out, format!("chaos matrix: seed {seed}, {duration_s} s per case"))?;
-            for c in &report.cases {
-                w(
-                    out,
-                    format!(
-                        "  {:<18} green {:.4}  recovery {:>4}  decays {:>3}  faults {:>3}  {}",
-                        c.name,
-                        c.green_delivery,
-                        c.recovery_epochs.map_or("-".to_string(), |e| e.to_string()),
-                        c.stale_decays,
-                        c.faults_applied,
-                        if c.ok { "ok" } else { "FAIL" }
-                    ),
-                )?;
-            }
-            if report.all_ok {
-                w(out, "all invariants held".to_string())
-            } else {
-                Err("chaos invariants violated".to_string())
             }
         }
-        Command::Live { duration_s, bottleneck_mbps, share, mem, faults, json, telemetry } => {
-            use pels_netsim::time::{Rate, SimDuration};
-            use pels_wire::live::{run_live, to_csv, LiveBackend, LiveConfig};
-            use pels_wire::LiveFaults;
+        Command::WireChaos { config, json, telemetry } => {
             let tel = open_telemetry(telemetry.as_deref())?;
-            let fault_spec: Option<LiveFaults> = match &faults {
-                None => None,
-                Some(path) => {
-                    let text = std::fs::read_to_string(path)
-                        .map_err(|e| format!("cannot read {path}: {e}"))?;
-                    // Files for the former three-endpoint schema (`source`,
-                    // `router`, `receiver`) fail with `server` missing.
-                    let bad = |e: String| {
-                        format!(
-                            "bad fault schedule {path}: {e} (the schema has one fault spec \
-                             under each of the keys `server` and `receiver`)"
-                        )
-                    };
-                    let spec: LiveFaults =
-                        serde_json::from_str(&text).map_err(|e| bad(e.to_string()))?;
-                    spec.validate().map_err(bad)?;
-                    Some(spec)
-                }
-            };
-            let cfg = LiveConfig {
-                duration: SimDuration::from_secs_f64(duration_s),
-                bottleneck: Rate::from_mbps(bottleneck_mbps),
-                pels_share: share,
-                backend: if mem { LiveBackend::Memory } else { LiveBackend::UdpLoopback },
-                faults: fault_spec.clone(),
-                telemetry: tel,
-                ..LiveConfig::default()
-            };
-            let outcome = run_live(&cfg).map_err(|e| format!("live run failed: {e}"))?;
-            pels_bench::write_result(
-                &pels_bench::results_dir(dirs.results.as_deref()),
-                "live.csv",
-                &to_csv(&outcome),
-            );
+            let report = pels_wire::run_wire_matrix(&config, &tel)?;
             if json {
-                let j = serde_json::to_string_pretty(&outcome.report).map_err(|e| e.to_string())?;
-                return w(out, j);
+                return write_json(out, &report);
             }
-            let backend = if mem { "in-memory" } else { "loopback UDP" };
-            let r = &outcome.report;
-            let s = &outcome.stats;
-            w(
+            writeln!(
                 out,
-                format!(
-                    "streamed {duration_s} s over {backend}: router p {:+.4}",
-                    r.router_final_loss
-                ),
+                "wire chaos matrix: seed {}, {:.0} s per case",
+                config.seed, report.duration_s
+            )?;
+            for c in &report.cases {
+                writeln!(
+                    out,
+                    "  {:<18} rate {:>7.1}/{:.1} kb/s  green {:.4}  recovery {:>6}  \
+                     faults {:>4}  {}",
+                    c.name,
+                    c.final_rate_kbps,
+                    c.r_star_kbps,
+                    c.green_delivery_post_fault,
+                    c.recovery_s.map_or("-".to_string(), |s| format!("{s:.2}s")),
+                    c.faults.total(),
+                    if c.ok { "ok" } else { "FAIL" }
+                )?;
+            }
+            if !report.all_ok {
+                return Err("wire chaos invariants violated".into());
+            }
+            writeln!(out, "all wire invariants held")?;
+        }
+        Command::Chaos { config, json, telemetry } => {
+            let tel = open_telemetry(telemetry.as_deref())?;
+            let report = pels_core::chaos::run_matrix(&config, &tel)?;
+            save("chaos.csv", &pels_core::chaos::to_csv(&report));
+            if json {
+                return write_json(out, &report);
+            }
+            let secs = config.duration.as_secs_f64();
+            writeln!(out, "chaos matrix: seed {}, {secs} s per case", config.seed)?;
+            for c in &report.cases {
+                writeln!(
+                    out,
+                    "  {:<18} green {:.4}  recovery {:>4}  decays {:>3}  faults {:>3}  {}",
+                    c.name,
+                    c.green_delivery,
+                    c.recovery_epochs.map_or("-".to_string(), |e| e.to_string()),
+                    c.stale_decays,
+                    c.faults_applied,
+                    if c.ok { "ok" } else { "FAIL" }
+                )?;
+            }
+            if !report.all_ok {
+                return Err("chaos invariants violated".into());
+            }
+            writeln!(out, "all invariants held")?;
+        }
+        Command::Live { mut config, json, telemetry } => {
+            config.telemetry = open_telemetry(telemetry.as_deref())?;
+            let outcome =
+                pels_wire::run_live(&config).map_err(|e| format!("live run failed: {e}"))?;
+            save("live.csv", &pels_wire::live::to_csv(&outcome));
+            if json {
+                return write_json(out, &outcome.report);
+            }
+            let backend = match config.backend {
+                LiveBackend::Memory => "in-memory",
+                LiveBackend::UdpLoopback => "loopback UDP",
+            };
+            let (r, s) = (&outcome.report, &outcome.stats);
+            writeln!(
+                out,
+                "streamed {} s over {backend}: router p {:+.4}",
+                config.duration.as_secs_f64(),
+                r.router_final_loss
             )?;
             for f in &r.flows {
                 let green_ratio = if f.sent_by_color[0] > 0 {
@@ -951,167 +819,120 @@ pub fn execute(
                 } else {
                     0.0
                 };
-                w(
+                writeln!(
                     out,
-                    format!(
-                        "  flow {}: rate {:>7.0} kb/s  gamma {:.3}  utility {:.3}  \
-                         frames {}/{}  green delivery {:.4}\n\
-                         \x20          delay G/Y/R {:>4.0}/{:>4.0}/{:>6.0} ms",
-                        f.flow,
-                        f.final_rate_kbps,
-                        f.final_gamma,
-                        f.utility,
-                        f.frames_seen,
-                        f.frames_sent,
-                        green_ratio,
-                        f.mean_delay_s[0] * 1e3,
-                        f.mean_delay_s[1] * 1e3,
-                        f.mean_delay_s[2] * 1e3
-                    ),
+                    "  flow {}: rate {:>7.0} kb/s  gamma {:.3}  utility {:.3}  \
+                     frames {}/{}  green delivery {:.4}\n\
+                     \x20          delay G/Y/R {:>4.0}/{:>4.0}/{:>6.0} ms",
+                    f.flow,
+                    f.final_rate_kbps,
+                    f.final_gamma,
+                    f.utility,
+                    f.frames_seen,
+                    f.frames_sent,
+                    green_ratio,
+                    f.mean_delay_s[0] * 1e3,
+                    f.mean_delay_s[1] * 1e3,
+                    f.mean_delay_s[2] * 1e3
                 )?;
             }
-            w(
+            writeln!(
                 out,
-                format!(
-                    "  wire: {} nacks, {} retx, {} recovered, {} abandoned, {} decode errors",
-                    s.nacks_sent,
-                    s.retransmissions,
-                    s.recovered_packets,
-                    s.abandoned_packets,
-                    s.decode_errors
-                ),
+                "  wire: {} nacks, {} retx, {} recovered, {} abandoned, {} decode errors",
+                s.nacks_sent,
+                s.retransmissions,
+                s.recovered_packets,
+                s.abandoned_packets,
+                s.decode_errors
             )?;
             // Only faulted runs print this line: the default text output
             // must stay byte-identical to the fault-free binary.
-            if fault_spec.is_some() {
+            if config.faults.is_some() {
                 let f = &s.faults;
-                w(
+                writeln!(
                     out,
-                    format!(
-                        "  faults: {} dropped, {} dup, {} reordered, {} delayed, \
-                         {} truncated, {} corrupted, {} blackout, {} udp send drops",
-                        f.dropped,
-                        f.duplicated,
-                        f.reordered,
-                        f.delayed,
-                        f.truncated,
-                        f.corrupted,
-                        f.blackout_dropped,
-                        s.udp_send_drops
-                    ),
+                    "  faults: {} dropped, {} dup, {} reordered, {} delayed, \
+                     {} truncated, {} corrupted, {} blackout, {} udp send drops",
+                    f.dropped,
+                    f.duplicated,
+                    f.reordered,
+                    f.delayed,
+                    f.truncated,
+                    f.corrupted,
+                    f.blackout_dropped,
+                    s.udp_send_drops
                 )?;
             }
-            Ok(())
         }
-        Command::Serve {
-            listen,
-            duration_s,
-            capacity_mbps,
-            max_flows,
-            packet_bytes,
-            telemetry_per_flow,
-            telemetry,
-            json,
-        } => {
-            use pels_netsim::time::{Rate, SimDuration};
-            use pels_wire::{run_serve_with, ServeConfig};
-            let tel = open_telemetry(telemetry.as_deref())?;
-            let mut cfg = ServeConfig::new(listen);
-            cfg.duration = SimDuration::from_secs_f64(duration_s);
-            cfg.capacity = Rate::from_mbps(capacity_mbps);
-            cfg.max_flows = max_flows;
-            cfg.packet_bytes = packet_bytes;
-            cfg.telemetry_per_flow = telemetry_per_flow;
-            cfg.telemetry = tel;
+        Command::Serve { mut config, telemetry, json } => {
+            config.telemetry = open_telemetry(telemetry.as_deref())?;
             // Announce the bound address on stderr (stdout stays report-only,
             // and with `--listen :0` the port is otherwise unknowable).
-            let report =
-                run_serve_with(cfg, |addr| eprintln!("pels serve: listening on {addr}"), || false)
-                    .map_err(|e| format!("serve failed: {e}"))?;
+            let announce = |addr: SocketAddr| eprintln!("pels serve: listening on {addr}");
+            let r = pels_wire::run_serve_with(*config, announce, || false)
+                .map_err(|e| format!("serve failed: {e}"))?;
             if json {
-                let j = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-                return w(out, j);
+                return write_json(out, &r);
             }
-            let r = &report;
-            w(
+            writeln!(
                 out,
-                format!(
-                    "served {:.1} s: peak {} flows, {} data datagrams ({:.0}/s)",
-                    r.duration_secs, r.peak_flows, r.data_sent, r.datagrams_per_sec
-                ),
+                "served {:.1} s: peak {} flows, {} data datagrams ({:.0}/s)",
+                r.duration_secs, r.peak_flows, r.data_sent, r.datagrams_per_sec
             )?;
-            w(
+            writeln!(
                 out,
-                format!(
-                    "  hellos {} (refused {})  byes {}  evictions {}  acks {}  \
-                     decode errors {}  foreign control {}  leaked flows {}",
-                    r.hellos,
-                    r.hellos_refused,
-                    r.byes,
-                    r.evictions,
-                    r.acks,
-                    r.decode_errors,
-                    r.foreign_control,
-                    r.leaked_flows
-                ),
+                "  hellos {} (refused {})  byes {}  evictions {}  acks {}  \
+                 decode errors {}  foreign control {}  leaked flows {}",
+                r.hellos,
+                r.hellos_refused,
+                r.byes,
+                r.evictions,
+                r.acks,
+                r.decode_errors,
+                r.foreign_control,
+                r.leaked_flows
             )?;
-            w(
+            writeln!(
                 out,
-                format!(
-                    "  tx G/Y/R {}/{}/{}  queue drops G/Y/R {}/{}/{}  send drops {}",
-                    r.tx_by_class[0],
-                    r.tx_by_class[1],
-                    r.tx_by_class[2],
-                    r.queue_drops_by_class[0],
-                    r.queue_drops_by_class[1],
-                    r.queue_drops_by_class[2],
-                    r.send_drops
-                ),
+                "  tx G/Y/R {}/{}/{}  queue drops G/Y/R {}/{}/{}  send drops {}",
+                r.tx_by_class[0],
+                r.tx_by_class[1],
+                r.tx_by_class[2],
+                r.queue_drops_by_class[0],
+                r.queue_drops_by_class[1],
+                r.queue_drops_by_class[2],
+                r.send_drops
             )?;
-            w(
+            writeln!(
                 out,
-                format!(
-                    "  pacing jitter p50/p99 {:.0}/{:.0} us over {} timer events",
-                    r.pacing_jitter_p50_us, r.pacing_jitter_p99_us, r.timer_events
-                ),
-            )
+                "  pacing jitter p50/p99 {:.0}/{:.0} us over {} timer events",
+                r.pacing_jitter_p50_us, r.pacing_jitter_p99_us, r.timer_events
+            )?;
         }
-        Command::Loadgen { server, flows, duration_s, ramp_s, warmup_s, json } => {
-            use pels_netsim::time::SimDuration;
-            use pels_wire::{run_loadgen, LoadgenConfig};
-            let mut cfg = LoadgenConfig::new(server);
-            cfg.flows = flows;
-            cfg.duration = SimDuration::from_secs_f64(duration_s);
-            cfg.ramp = SimDuration::from_secs_f64(ramp_s);
-            cfg.warmup = SimDuration::from_secs_f64(warmup_s);
-            let report = run_loadgen(cfg).map_err(|e| format!("loadgen failed: {e}"))?;
+        Command::Loadgen { config, json } => {
+            let server = config.server;
+            let r = pels_wire::run_loadgen(config).map_err(|e| format!("loadgen failed: {e}"))?;
             if json {
-                let j = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-                return w(out, j);
+                return write_json(out, &r);
             }
-            let r = &report;
-            w(
+            writeln!(
                 out,
-                format!(
-                    "loadgen {} flows against {server} for {:.1} s: \
-                     {} data datagrams, steady {:.0}/s",
-                    r.flows, r.duration_secs, r.data_received, r.steady_datagrams_per_sec
-                ),
+                "loadgen {} flows against {server} for {:.1} s: \
+                 {} data datagrams, steady {:.0}/s",
+                r.flows, r.duration_secs, r.data_received, r.steady_datagrams_per_sec
             )?;
-            w(
+            writeln!(
                 out,
-                format!(
-                    "  sustained {}/{}  hellos {}  acks {}  byes {}  \
-                     decode errors {}  send drops {}",
-                    r.flows_sustained,
-                    r.flows,
-                    r.hellos_sent,
-                    r.acks_sent,
-                    r.byes_sent,
-                    r.decode_errors,
-                    r.send_drops
-                ),
-            )
+                "  sustained {}/{}  hellos {}  acks {}  byes {}  \
+                 decode errors {}  send drops {}",
+                r.flows_sustained,
+                r.flows,
+                r.hellos_sent,
+                r.acks_sent,
+                r.byes_sent,
+                r.decode_errors,
+                r.send_drops
+            )?;
         }
         Command::Metrics { path } => {
             let text =
@@ -1119,216 +940,168 @@ pub fn execute(
             let lines = pels_telemetry::parse_snapshot_lines(&text)
                 .map_err(|e| format!("bad telemetry in {path}: {e}"))?;
             let Some(last) = lines.last() else {
-                return Err(format!("{path} holds no snapshots"));
+                return Err(format!("{path} holds no snapshots").into());
             };
             // Every line is the engines' whole state when it was scraped, and
             // the one that ends a run adds histograms and series.
             let s = &last.snapshot;
-            w(out, format!("{path}: {} snapshot(s), last at t = {:.3} s", lines.len(), last.t))?;
+            writeln!(out, "{path}: {} snapshot(s), last at t = {:.3} s", lines.len(), last.t)?;
             if !s.counters.is_empty() {
-                w(out, "counters:".to_string())?;
+                writeln!(out, "counters:")?;
                 for (k, v) in &s.counters {
-                    w(out, format!("  {k:<36} {v}"))?;
+                    writeln!(out, "  {k:<36} {v}")?;
                 }
             }
             if !s.gauges.is_empty() {
-                w(out, "gauges:".to_string())?;
+                writeln!(out, "gauges:")?;
                 for (k, g) in &s.gauges {
-                    w(out, format!("  {k:<36} {:.4}", g.value))?;
+                    writeln!(out, "  {k:<36} {:.4}", g.value)?;
                 }
             }
             if !s.stats.is_empty() {
-                w(out, "distributions:".to_string())?;
+                writeln!(out, "distributions:")?;
                 for (k, st) in &s.stats {
                     let su = &st.summary;
-                    w(
+                    writeln!(
                         out,
-                        format!(
-                            "  {k:<36} n {:>7}  mean {:.4}  min {:.4}  max {:.4}  p99 {:.4}",
-                            su.count(),
-                            su.mean(),
-                            su.min().unwrap_or(f64::NAN),
-                            su.max().unwrap_or(f64::NAN),
-                            st.hist.as_ref().and_then(|h| h.quantile(0.99)).unwrap_or(f64::NAN),
-                        ),
+                        "  {k:<36} n {:>7}  mean {:.4}  min {:.4}  max {:.4}  p99 {:.4}",
+                        su.count(),
+                        su.mean(),
+                        su.min().unwrap_or(f64::NAN),
+                        su.max().unwrap_or(f64::NAN),
+                        st.hist.as_ref().and_then(|h| h.quantile(0.99)).unwrap_or(f64::NAN),
                     )?;
                 }
             }
             if !s.series.is_empty() {
-                w(out, "series:".to_string())?;
+                writeln!(out, "series:")?;
                 for (k, pts) in &s.series {
                     let last_v = pts.last().map_or(f64::NAN, |p| p.1);
-                    w(out, format!("  {k:<36} {:>7} samples  last {last_v:.4}", pts.len()))?;
+                    writeln!(out, "  {k:<36} {:>7} samples  last {last_v:.4}", pts.len())?;
                 }
             }
-            Ok(())
         }
-        Command::RunTopo { spec, duration_s, json, telemetry, workers } => {
+        Command::RunTopo { mut spec, duration_s, json, telemetry, workers } => {
             use pels_topo::scenario::{to_csv, TopoScenario};
             let tel = open_telemetry(telemetry.as_deref())?;
-            let mut spec = *spec;
             // The series a full scrape publishes are the ones the agents keep.
             if tel.is_enabled() {
                 spec.keep_series = Some(true);
             }
-            let mut s = TopoScenario::try_build(spec).map_err(|e| e.to_string())?;
+            let mut s = TopoScenario::try_build(*spec)?;
             s.set_workers(workers);
-            if tel.is_enabled() {
-                let mut t = 0.0;
-                while t < duration_s {
-                    t = (t + 1.0).min(duration_s);
-                    s.run_until(SimTime::from_secs_f64(t));
-                    s.flush_telemetry(&tel, t >= duration_s);
-                }
-            } else {
-                s.run_until(SimTime::from_secs_f64(duration_s));
+            for (t, last) in stops(duration_s, &tel) {
+                s.run_until(t);
+                s.flush_telemetry(&tel, last);
             }
             let report = s.report();
-            pels_bench::write_result(
-                &pels_bench::results_dir(dirs.results.as_deref()),
-                &format!("topo_{}.csv", report.family),
-                &to_csv(&report),
-            );
+            save(&format!("topo_{}.csv", report.family), &to_csv(&report));
             if json {
-                let j = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-                return w(out, j);
+                return write_json(out, &report);
             }
-            w(
+            writeln!(
                 out,
-                format!(
-                    "{} topology (seed {}): {} routers ({} AQM), {} hosts, \
-                     {} video flows, {} tcp",
-                    report.family,
-                    report.seed,
-                    report.n_routers,
-                    report.n_aqm,
-                    report.n_hosts,
-                    report.n_flows,
-                    report.n_tcp
-                ),
+                "{} topology (seed {}): {} routers ({} AQM), {} hosts, \
+                 {} video flows, {} tcp",
+                report.family,
+                report.seed,
+                report.n_routers,
+                report.n_aqm,
+                report.n_hosts,
+                report.n_flows,
+                report.n_tcp
             )?;
-            w(
+            writeln!(
                 out,
-                format!(
-                    "partition: {} shards, lookahead {} us, {} cut links",
-                    report.n_shards, report.lookahead_us, report.cut_links
-                ),
+                "partition: {} shards, lookahead {} us, {} cut links",
+                report.n_shards, report.lookahead_us, report.cut_links
             )?;
-            w(
+            writeln!(
                 out,
-                format!(
-                    "ran {duration_s} s: {} events, mean utility {:.4}, offset a/b {:.0} kb/s",
-                    report.events, report.mean_utility, report.offset_kbps
-                ),
+                "ran {duration_s} s: {} events, mean utility {:.4}, offset a/b {:.0} kb/s",
+                report.events, report.mean_utility, report.offset_kbps
             )?;
             for b in &report.bottlenecks {
-                w(
+                writeln!(
                     out,
-                    format!(
-                        "  bottleneck {:>3}->{:<3} cap {:>7.0} kb/s  cbr {:>5.0}  \
-                         flows {:>3} (bound {:>3})  predicted {:>6.0}  measured {:>6.0}  \
-                         dev {:>5.1}%",
-                        b.router,
-                        b.next_hop,
-                        b.pels_capacity_kbps,
-                        b.cbr_load_kbps,
-                        b.n_video,
-                        b.n_bound,
-                        b.predicted_kbps,
-                        b.measured_kbps,
-                        b.deviation_pct
-                    ),
+                    "  bottleneck {:>3}->{:<3} cap {:>7.0} kb/s  cbr {:>5.0}  \
+                     flows {:>3} (bound {:>3})  predicted {:>6.0}  measured {:>6.0}  \
+                     dev {:>5.1}%",
+                    b.router,
+                    b.next_hop,
+                    b.pels_capacity_kbps,
+                    b.cbr_load_kbps,
+                    b.n_video,
+                    b.n_bound,
+                    b.predicted_kbps,
+                    b.measured_kbps,
+                    b.deviation_pct
                 )?;
             }
-            w(
-                out,
-                format!("max |deviation| across bottlenecks: {:.1}%", report.max_abs_deviation_pct),
-            )
+            let worst = report.max_abs_deviation_pct;
+            writeln!(out, "max |deviation| across bottlenecks: {worst:.1}%")?;
         }
-        Command::SweepTopo { counts, spec, duration_s, json, workers } => {
-            use pels_topo::scenario::TopoScenario;
-            let mut reports = Vec::with_capacity(counts.len());
-            for &n in &counts {
-                let mut s = spec.clone();
-                s.flows = Some(n);
-                let mut sc = TopoScenario::try_build(*s).map_err(|e| e.to_string())?;
-                sc.set_workers(workers);
-                sc.run_until(SimTime::from_secs_f64(duration_s));
-                reports.push(sc.report());
+        Command::SweepTopo { specs, duration_s, json, workers } => {
+            let mut reports = Vec::with_capacity(specs.len());
+            for spec in &specs {
+                let mut s = pels_topo::scenario::TopoScenario::try_build(spec.clone())?;
+                s.set_workers(workers);
+                s.run_until(SimTime::from_secs_f64(duration_s));
+                reports.push(s.report());
             }
             if json {
-                let j = serde_json::to_string_pretty(&reports).map_err(|e| e.to_string())?;
-                return w(out, j);
+                return write_json(out, &reports);
             }
-            for (n, r) in counts.iter().zip(&reports) {
-                w(
+            for (spec, r) in specs.iter().zip(&reports) {
+                let n = spec.flows();
+                writeln!(
                     out,
-                    format!(
-                        "{n:>4} flows on {}: {} routers, {} shards, utility {:.3}, \
-                         max bottleneck dev {:.1}%",
-                        r.family, r.n_routers, r.n_shards, r.mean_utility, r.max_abs_deviation_pct
-                    ),
+                    "{n:>4} flows on {}: {} routers, {} shards, utility {:.3}, \
+                     max bottleneck dev {:.1}%",
+                    r.family, r.n_routers, r.n_shards, r.mean_utility, r.max_abs_deviation_pct
                 )?;
             }
-            Ok(())
         }
-        Command::Run { config, duration_s, json, telemetry, workers } => {
+        Command::Run { mut config, duration_s, json, telemetry, workers } => {
             let tel = open_telemetry(telemetry.as_deref())?;
-            let mut config = *config;
             // The series a full scrape publishes are the ones the agents keep.
             config.keep_series |= tel.is_enabled();
             // The partition is fixed by the topology, so --workers only
             // changes wall clock, never the report.
-            let mut s = Scenario::try_build(config).map_err(|e| e.to_string())?;
+            let mut s = Scenario::try_build(*config)?;
             s.set_workers(workers);
-            if tel.is_enabled() {
-                // Scrape once per simulated second so the stream shows the
-                // run's progression, not just its end state; the last
-                // scrape is the full one.
-                let mut t = 0.0;
-                while t < duration_s {
-                    t = (t + 1.0).min(duration_s);
-                    s.run_until(SimTime::from_secs_f64(t));
-                    s.flush_telemetry(&tel, t >= duration_s);
-                }
-            } else {
-                s.run_until(SimTime::from_secs_f64(duration_s));
+            for (t, last) in stops(duration_s, &tel) {
+                s.run_until(t);
+                s.flush_telemetry(&tel, last);
             }
             let report = s.report();
             if json {
-                let j = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-                w(out, j)
-            } else {
-                let u = s.total_utility();
-                w(
+                return write_json(out, &report);
+            }
+            writeln!(
+                out,
+                "ran {duration_s} s: {} flows, utility {:.4}, router p {:+.4}",
+                report.flows.len(),
+                s.total_utility().utility(),
+                report.router_final_loss
+            )?;
+            for f in &report.flows {
+                writeln!(
                     out,
-                    format!(
-                        "ran {duration_s} s: {} flows, utility {:.4}, router p {:+.4}",
-                        report.flows.len(),
-                        u.utility(),
-                        report.router_final_loss
-                    ),
+                    "  flow {}: rate {:>7.0} kb/s  gamma {:.3}  utility {:.3}  \
+                     delay G/Y/R {:>4.0}/{:>4.0}/{:>6.0} ms",
+                    f.flow,
+                    f.final_rate_kbps,
+                    f.final_gamma,
+                    f.utility,
+                    f.mean_delay_s[0] * 1e3,
+                    f.mean_delay_s[1] * 1e3,
+                    f.mean_delay_s[2] * 1e3
                 )?;
-                for f in &report.flows {
-                    w(
-                        out,
-                        format!(
-                            "  flow {}: rate {:>7.0} kb/s  gamma {:.3}  utility {:.3}  \
-                             delay G/Y/R {:>4.0}/{:>4.0}/{:>6.0} ms",
-                            f.flow,
-                            f.final_rate_kbps,
-                            f.final_gamma,
-                            f.utility,
-                            f.mean_delay_s[0] * 1e3,
-                            f.mean_delay_s[1] * 1e3,
-                            f.mean_delay_s[2] * 1e3
-                        ),
-                    )?;
-                }
-                Ok(())
             }
         }
     }
+    Ok(())
 }
 
 /// The usage text: one synopsis per row of [`COMMANDS`], then the notes.
@@ -1374,6 +1147,7 @@ pub fn usage() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -1405,9 +1179,9 @@ mod tests {
         }
     }
 
-    /// Sends every artifact of a command to the test's own directory.
-    fn scratch(dir: &std::path::Path) -> OutputDirs {
-        OutputDirs { results: Some(dir.to_path_buf()) }
+    /// Runs `cmd` and returns its error as text.
+    fn failure(cmd: Command) -> String {
+        execute(cmd, None, &mut Vec::new()).expect_err("the command must fail").to_string()
     }
 
     #[test]
@@ -1453,6 +1227,10 @@ mod tests {
         assert!(parse_args(&args("frobnicate")).is_err());
         assert!(parse_args(&args("run --flows")).is_err());
         assert!(parse_args(&args("model --p 1.5")).is_err());
+        // A config file lists its own flows; a --flows beside it is refused
+        // before the file is read.
+        let err = parse_args(&args("run --config cfg.json --flows 3")).unwrap_err().0;
+        assert!(err.contains("--flows") && !err.contains('\n'), "{err}");
     }
 
     #[test]
@@ -1504,6 +1282,10 @@ mod tests {
             "run --topology fattree:k=100000000",
             "run --topology parkinglot:segments=100000000",
             "run --topology fattree:k=4,flows=100000000",
+            // Past `i32::MAX` the closed forms' `powi` wraps to -inf.
+            "model --p 0.1 --h 2147483648",
+            "model --h 65536",
+            "model --h 0",
         ] {
             let err = parse_args(&args(line)).expect_err(line).0;
             assert!(!err.is_empty() && !err.contains('\n'), "`{line}`: {err:?}");
@@ -1516,6 +1298,7 @@ mod tests {
             "sweep --flows-list 4096,1048576",
             "loadgen --flows 1048576",
             "run --topology waxman:routers=4096",
+            "model --h 65535",
         ] {
             parse_args(&args(line)).unwrap_or_else(|e| panic!("`{line}`: {e}"));
         }
@@ -1548,7 +1331,7 @@ mod tests {
     fn model_command_prints_closed_forms() {
         let cmd = parse_args(&args("model --p 0.1 --h 100")).unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &OutputDirs::default(), &mut buf).unwrap();
+        execute(cmd, None, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         // E[Y](0.1, 100) = 8.9998 -> "9.000"; U = 0.09999 -> "0.1000".
         assert!(text.contains("9.000"), "{text}");
@@ -1560,7 +1343,7 @@ mod tests {
     fn gamma_command_converges() {
         let cmd = parse_args(&args("gamma --p 0.3 --steps 60")).unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &OutputDirs::default(), &mut buf).unwrap();
+        execute(cmd, None, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.trim_end().ends_with("0.400000"), "{text}");
     }
@@ -1568,9 +1351,8 @@ mod tests {
     #[test]
     fn sweep_parses_and_runs() {
         let cmd = parse_args(&args("sweep --flows-list 1,2 --duration 2")).unwrap();
-        assert!(matches!(cmd, Command::Sweep { topology: SweepTopology::Proportional, .. }));
         let mut buf = Vec::new();
-        execute(cmd, &OutputDirs::default(), &mut buf).unwrap();
+        execute(cmd, None, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("1 flows"), "{text}");
         assert!(text.contains("2 flows"), "{text}");
@@ -1583,10 +1365,24 @@ mod tests {
 
     #[test]
     fn sweep_topology_flag_selects_the_family() {
-        let cmd = parse_args(&args("sweep --flows-list 2 --topology fixed")).unwrap();
-        assert!(matches!(cmd, Command::Sweep { topology: SweepTopology::Fixed, .. }));
-        let cmd = parse_args(&args("sweep --flows-list 2 --topology wideband")).unwrap();
-        assert!(matches!(cmd, Command::Sweep { topology: SweepTopology::Wideband, .. }));
+        use pels_core::scenario::{proportional_config, wideband_scaled_config};
+        let fixed = ScenarioConfig {
+            flows: pels_flows(&[0.0; 2]),
+            keep_series: false,
+            ..Default::default()
+        };
+        for (family, want) in [
+            ("", proportional_config(2)),
+            ("--topology proportional", proportional_config(2)),
+            ("--topology fixed", fixed),
+            ("--topology wideband", wideband_scaled_config(2, 0.10)),
+        ] {
+            let cmd = parse_args(&args(&format!("sweep --flows-list 2 {family}"))).unwrap();
+            let Command::Sweep { configs, .. } = cmd else { panic!("{family}: {cmd:?}") };
+            let json = |c: &ScenarioConfig| serde_json::to_string(c).unwrap();
+            assert_eq!(configs.len(), 1, "{family}");
+            assert_eq!(json(&configs[0]), json(&want), "{family}");
+        }
         assert!(parse_args(&args("sweep --flows-list 2 --topology mesh")).is_err());
     }
 
@@ -1594,7 +1390,7 @@ mod tests {
     fn trace_command_emits_loadable_csv() {
         let cmd = parse_args(&args("trace --frames 10 --cv 0.2 --seed 3")).unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &OutputDirs::default(), &mut buf).unwrap();
+        execute(cmd, None, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         let trace = pels_fgs::frame::VideoTrace::from_csv(&text).unwrap();
         assert_eq!(trace.len(), 10);
@@ -1607,7 +1403,7 @@ mod tests {
             assert!(matches!(parse_args(&args(spelling)).unwrap(), Command::Version));
         }
         let mut buf = Vec::new();
-        execute(Command::Version, &OutputDirs::default(), &mut buf).unwrap();
+        execute(Command::Version, None, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains(env!("CARGO_PKG_VERSION")), "{text}");
         assert!(text.contains("commit "), "{text}");
@@ -1620,7 +1416,7 @@ mod tests {
     #[test]
     fn config_template_roundtrips() {
         let mut buf = Vec::new();
-        execute(Command::ConfigTemplate, &OutputDirs::default(), &mut buf).unwrap();
+        execute(Command::ConfigTemplate, None, &mut buf).unwrap();
         let cfg: ScenarioConfig = serde_json::from_slice(&buf).unwrap();
         assert_eq!(cfg.flows.len(), 2);
     }
@@ -1629,7 +1425,7 @@ mod tests {
     fn run_command_executes_small_scenario() {
         let cmd = parse_args(&args("run --flows 1 --duration 2 --json")).unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &OutputDirs::default(), &mut buf).unwrap();
+        execute(cmd, None, &mut buf).unwrap();
         let v: serde_json::Value = serde_json::from_slice(&buf).unwrap();
         assert_eq!(v["flows"].as_array().unwrap().len(), 1);
     }
@@ -1638,11 +1434,12 @@ mod tests {
     fn parses_chaos_flags() {
         let cmd = parse_args(&args("chaos --seed 9 --duration 12 --json")).unwrap();
         match cmd {
-            Command::Chaos { seed, duration_s, wire, short, json, telemetry } => {
-                assert_eq!(seed, 9);
-                assert_eq!(duration_s, 12.0);
-                assert!(!wire);
-                assert!(!short);
+            Command::Chaos { config, json, telemetry } => {
+                assert_eq!(config.seed, 9);
+                assert_eq!(config.duration, SimDuration::from_secs(12));
+                // The fault window scales with the run: onset at 1/3, 1/20 long.
+                assert_eq!(config.fault_from, SimDuration::from_secs(4));
+                assert_eq!(config.fault_to, SimDuration::from_secs_f64(4.6));
                 assert!(json);
                 assert!(telemetry.is_none());
             }
@@ -1654,20 +1451,24 @@ mod tests {
 
     #[test]
     fn parses_wire_chaos_flags() {
-        // `--wire` picks the 12 s wire default; `--short` implies `--wire`.
+        // `--wire` picks the library's 12 s default; `--short` implies `--wire`.
         assert!(matches!(
             parse_args(&args("chaos --wire")).unwrap(),
-            Command::Chaos { wire: true, short: false, duration_s, .. } if duration_s == 12.0
+            Command::WireChaos { config, .. } if config.duration == SimDuration::from_secs(12)
         ));
         assert!(matches!(
-            parse_args(&args("chaos --short")).unwrap(),
-            Command::Chaos { wire: true, short: true, .. }
+            parse_args(&args("chaos --short --seed 4")).unwrap(),
+            Command::WireChaos { config, .. }
+                if config.duration == SimDuration::from_secs(10) && config.seed == 4
         ));
-        // An explicit duration too small for the wire schedule is caught at
-        // execution, not parse (parse only enforces the shared 5 s floor).
-        let cmd = parse_args(&args("chaos --wire --duration 6")).unwrap();
-        let err = execute(cmd, &OutputDirs::default(), &mut Vec::new()).unwrap_err();
-        assert!(err.contains("bad wire chaos schedule"), "{err}");
+        // The preset fixes its own length: a --duration beside it is refused,
+        // not silently ignored.
+        let err = parse_args(&args("chaos --short --duration 30")).unwrap_err().0;
+        assert!(err.contains("--duration") && !err.contains('\n'), "{err}");
+        // A duration past the 5 s floor but too small for the wire schedule
+        // fails `WireChaosConfig::validate` at parse time.
+        let err = parse_args(&args("chaos --wire --duration 6")).unwrap_err().0;
+        assert!(err.contains("bad wire chaos schedule") && !err.contains('\n'), "{err}");
     }
 
     #[test]
@@ -1675,7 +1476,7 @@ mod tests {
         let dir = TestDir::new("chaos");
         let cmd = parse_args(&args("chaos --seed 3 --duration 12 --json")).unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &scratch(&dir), &mut buf).unwrap();
+        execute(cmd, Some(&*dir), &mut buf).unwrap();
         let v: serde_json::Value = serde_json::from_slice(&buf).unwrap();
         assert_eq!(v["cases"].as_array().unwrap().len(), 6);
         assert_eq!(v["all_ok"], serde_json::Value::Bool(true));
@@ -1690,12 +1491,12 @@ mod tests {
             parse_args(&args("live --duration 2 --bottleneck-mbps 8 --share 0.25 --mem --json"))
                 .unwrap();
         match cmd {
-            Command::Live { duration_s, bottleneck_mbps, share, mem, faults, json, telemetry } => {
-                assert_eq!(duration_s, 2.0);
-                assert_eq!(bottleneck_mbps, 8.0);
-                assert_eq!(share, 0.25);
-                assert!(mem);
-                assert!(faults.is_none());
+            Command::Live { config, json, telemetry } => {
+                assert_eq!(config.duration, SimDuration::from_secs(2));
+                assert_eq!(config.bottleneck, Rate::from_mbps(8.0));
+                assert_eq!(config.pels_share, 0.25);
+                assert_eq!(config.backend, LiveBackend::Memory);
+                assert!(config.faults.is_none());
                 assert!(json);
                 assert!(telemetry.is_none());
             }
@@ -1703,23 +1504,21 @@ mod tests {
         }
         assert!(matches!(
             parse_args(&args("live")).unwrap(),
-            Command::Live { mem: false, json: false, .. }
-        ));
-        assert!(matches!(
-            parse_args(&args("live --faults sched.json")).unwrap(),
-            Command::Live { faults: Some(p), .. } if p == "sched.json"
+            Command::Live { config, json: false, .. } if config.backend == LiveBackend::UdpLoopback
         ));
         assert!(parse_args(&args("live --share 0")).is_err());
         assert!(parse_args(&args("live --share 1.5")).is_err());
         assert!(parse_args(&args("live --duration -1")).is_err());
         assert!(parse_args(&args("live --bottleneck-mbps 0")).is_err());
+        let err = parse_args(&args("live --faults /nonexistent/sched.json")).unwrap_err().0;
+        assert!(err.starts_with("cannot read /nonexistent/sched.json"), "{err}");
     }
 
     #[test]
     fn wire_chaos_command_runs_matrix() {
         let cmd = parse_args(&args("chaos --short --json")).unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &OutputDirs::default(), &mut buf).unwrap();
+        execute(cmd, None, &mut buf).unwrap();
         let v: serde_json::Value = serde_json::from_slice(&buf).unwrap();
         assert_eq!(v["cases"].as_array().unwrap().len(), 6);
         assert_eq!(v["all_ok"], serde_json::Value::Bool(true));
@@ -1730,34 +1529,31 @@ mod tests {
     fn live_command_reads_a_fault_schedule() {
         let dir = TestDir::new("faults");
         let path = dir.join("sched.json");
+        let line = format!("live --duration 2 --mem --faults {}", path.display());
         let mut spec = pels_wire::LiveFaults::default();
         spec.server.tx.drop = 0.2;
         std::fs::write(&path, serde_json::to_string(&spec).unwrap()).unwrap();
-        let cmd =
-            parse_args(&args(&format!("live --duration 2 --mem --faults {}", path.display())))
-                .unwrap();
+        let cmd = parse_args(&args(&line)).unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &scratch(&dir), &mut buf).unwrap();
+        execute(cmd, Some(&*dir), &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         let fault_line = text.lines().find(|l| l.trim_start().starts_with("faults:"));
         let Some(fault_line) = fault_line else { panic!("no faults line in:\n{text}") };
         assert!(!fault_line.contains(" 0 dropped"), "20% tx drop must fire: {fault_line}");
 
-        // An invalid schedule is rejected before the run starts, and so is
-        // one written for the former `source`/`router`/`receiver` schema;
-        // both messages name the keys a schedule has.
+        // An invalid schedule is rejected on the command line, and so is one
+        // written for the former `source`/`router`/`receiver` schema; both
+        // messages name the keys a schedule has.
         spec.server.tx.drop = 1.5;
         let invalid = serde_json::to_string(&spec).unwrap();
         spec.server.tx.drop = 0.2;
         let former = serde_json::to_string(&spec).unwrap().replace("\"server\"", "\"source\"");
         for text in [invalid, former] {
             std::fs::write(&path, text).unwrap();
-            let cmd =
-                parse_args(&args(&format!("live --duration 2 --mem --faults {}", path.display())))
-                    .unwrap();
-            let err = execute(cmd, &OutputDirs::default(), &mut Vec::new()).unwrap_err();
+            let err = parse_args(&args(&line)).unwrap_err().0;
             assert!(err.contains("bad fault schedule"), "{err}");
             assert!(err.contains("`server` and `receiver`"), "{err}");
+            assert!(!err.contains('\n'), "{err}");
         }
     }
 
@@ -1766,7 +1562,7 @@ mod tests {
         let dir = TestDir::new("live");
         let cmd = parse_args(&args("live --duration 1 --mem --json")).unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &scratch(&dir), &mut buf).unwrap();
+        execute(cmd, Some(&*dir), &mut buf).unwrap();
         let v: serde_json::Value = serde_json::from_slice(&buf).unwrap();
         let flows = v["flows"].as_array().unwrap();
         assert_eq!(flows.len(), 1);
@@ -1789,7 +1585,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         let mut buf = Vec::new();
-        execute(cmd, &OutputDirs::default(), &mut buf).unwrap();
+        execute(cmd, None, &mut buf).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let lines = pels_telemetry::parse_snapshot_lines(&text).unwrap();
         assert_eq!(lines.len(), 3, "one scrape per simulated second");
@@ -1811,7 +1607,7 @@ mod tests {
 
         let cmd = parse_args(&args(&format!("metrics {}", path.display()))).unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &OutputDirs::default(), &mut buf).unwrap();
+        execute(cmd, None, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("3 snapshot(s)"), "{text}");
         for row in [
@@ -1840,7 +1636,7 @@ mod tests {
         )))
         .unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &scratch(&dir), &mut buf).unwrap();
+        execute(cmd, Some(&*dir), &mut buf).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let lines = pels_telemetry::parse_snapshot_lines(&text).unwrap();
         let last = &lines.last().unwrap().snapshot;
@@ -1852,17 +1648,14 @@ mod tests {
     fn metrics_rejects_missing_and_bad_files() {
         assert!(parse_args(&args("metrics")).is_err());
         assert!(parse_args(&args("metrics a.jsonl b.jsonl")).is_err());
-        let cmd = Command::Metrics { path: "/nonexistent/pels.jsonl".into() };
-        assert!(execute(cmd, &OutputDirs::default(), &mut Vec::new()).is_err());
+        failure(Command::Metrics { path: "/nonexistent/pels.jsonl".into() });
         let dir = TestDir::new("tel_bad");
         let bad = dir.join("bad.jsonl");
         std::fs::write(&bad, "not json\n").unwrap();
-        let cmd = parse_args(&args(&format!("metrics {}", bad.display()))).unwrap();
-        assert!(execute(cmd, &OutputDirs::default(), &mut Vec::new()).is_err());
+        failure(parse_args(&args(&format!("metrics {}", bad.display()))).unwrap());
         let empty = dir.join("empty.jsonl");
         std::fs::write(&empty, "").unwrap();
-        let cmd = parse_args(&args(&format!("metrics {}", empty.display()))).unwrap();
-        assert!(execute(cmd, &OutputDirs::default(), &mut Vec::new()).is_err());
+        failure(parse_args(&args(&format!("metrics {}", empty.display()))).unwrap());
     }
 
     #[test]
@@ -1885,8 +1678,7 @@ mod tests {
         assert!(parse_args(&args("run --topology fattree:k=4 --mode fifo")).is_err());
         assert!(parse_args(&args("run --topology nonsense:x=1")).is_err());
         // Generator invariants (odd fat-tree arity) surface at build time.
-        let cmd = parse_args(&args("run --topology fattree:k=3 --duration 1")).unwrap();
-        assert!(execute(cmd, &OutputDirs::default(), &mut Vec::new()).is_err());
+        failure(parse_args(&args("run --topology fattree:k=3 --duration 1")).unwrap());
         assert!(parse_args(&args("run --topo-spec /nonexistent.json")).is_err());
     }
 
@@ -1919,7 +1711,7 @@ mod tests {
         ))
         .unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &scratch(&dir), &mut buf).unwrap();
+        execute(cmd, Some(&*dir), &mut buf).unwrap();
         let v: serde_json::Value = serde_json::from_slice(&buf).unwrap();
         assert_eq!(v["family"].as_str(), Some("parkinglot"));
         assert_eq!(v["bottlenecks"].as_array().unwrap().len(), 2);
@@ -1933,47 +1725,98 @@ mod tests {
         let cmd =
             parse_args(&args("sweep --flows-list 1,2 --topology waxman:routers=8 --duration 1"))
                 .unwrap();
-        assert!(matches!(cmd, Command::SweepTopo { ref counts, .. } if counts == &vec![1, 2]));
+        let Command::SweepTopo { specs, .. } = &cmd else { panic!("{cmd:?}") };
+        let flows: Vec<usize> = specs.iter().map(TopoSpec::flows).collect();
+        assert_eq!(flows, [1, 2]);
         let mut buf = Vec::new();
-        execute(cmd, &OutputDirs::default(), &mut buf).unwrap();
+        execute(cmd, None, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("1 flows on waxman"), "{text}");
         assert!(text.contains("2 flows on waxman"), "{text}");
         assert!(text.contains("max bottleneck dev"), "{text}");
     }
 
+    /// Every default a command shares with the library it drives is the
+    /// library's own: the parser restates none of them.
+    #[test]
+    fn defaults_are_the_library_constructors() {
+        let Command::Serve { config: serve, telemetry, json } = parse_args(&args("serve")).unwrap()
+        else {
+            panic!("serve")
+        };
+        let lib = ServeConfig::new(SERVE_ADDR);
+        assert_eq!(serve.listen, lib.listen);
+        assert_eq!(serve.capacity, lib.capacity);
+        assert_eq!(serve.max_flows, lib.max_flows);
+        assert_eq!(serve.packet_bytes, lib.packet_bytes);
+        assert_eq!(serve.telemetry_per_flow, lib.telemetry_per_flow);
+        assert_eq!(serve.trace, lib.trace);
+        assert_eq!(serve.color_limits, lib.color_limits);
+        assert!(telemetry.is_none() && !json && !serve.telemetry.is_enabled());
+
+        let Command::Loadgen { config: loadgen, .. } = parse_args(&args("loadgen")).unwrap() else {
+            panic!("loadgen")
+        };
+        let lib = LoadgenConfig::new(SERVE_ADDR);
+        assert_eq!(loadgen.server, lib.server);
+        assert_eq!(loadgen.listen, lib.listen);
+        assert_eq!(loadgen.flows, lib.flows);
+        assert_eq!(loadgen.duration, lib.duration);
+        assert_eq!(loadgen.ramp, lib.ramp);
+        assert_eq!(loadgen.warmup, lib.warmup);
+
+        let Command::Live { config: live, .. } = parse_args(&args("live")).unwrap() else {
+            panic!("live")
+        };
+        let lib = LiveConfig::default();
+        assert_eq!(live.duration, lib.duration);
+        assert_eq!(live.bottleneck, lib.bottleneck);
+        assert_eq!(live.pels_share, lib.pels_share);
+        assert_eq!(live.backend, lib.backend);
+        assert_eq!(live.trace, lib.trace);
+        assert!(live.faults.is_none() && lib.faults.is_none());
+
+        let Command::Trace { config, .. } = parse_args(&args("trace")).unwrap() else {
+            panic!("trace")
+        };
+        assert_eq!(config, TraceGenConfig::default());
+        let Command::WireChaos { config, .. } = parse_args(&args("chaos --wire")).unwrap() else {
+            panic!("chaos --wire")
+        };
+        let lib = WireChaosConfig::default();
+        assert_eq!((config.seed, config.duration), (lib.seed, lib.duration));
+        let Command::Chaos { config, .. } = parse_args(&args("chaos")).unwrap() else {
+            panic!("chaos")
+        };
+        let lib = ChaosConfig::default();
+        assert_eq!((config.seed, config.duration), (lib.seed, lib.duration));
+        assert_eq!((config.fault_from, config.fault_to), (lib.fault_from, lib.fault_to));
+    }
+
     #[test]
     fn parses_serve_flags() {
-        let cmd = parse_args(&args("serve")).unwrap();
-        match cmd {
-            Command::Serve {
-                listen,
-                duration_s,
-                capacity_mbps,
-                max_flows,
-                packet_bytes,
-                telemetry_per_flow,
-                telemetry,
-                json,
-            } => {
-                assert_eq!(listen, std::net::SocketAddr::from(([127, 0, 0, 1], 9500)));
-                assert_eq!(duration_s, 10.0);
-                assert_eq!(capacity_mbps, 100.0);
-                assert_eq!(max_flows, 4096);
-                assert_eq!(packet_bytes, 400);
-                assert!(!telemetry_per_flow, "per-flow series are opt-in");
-                assert!(telemetry.is_none());
-                assert!(!json);
+        match parse_args(&args("serve")).unwrap() {
+            // The command serves twice as long as the library's default run.
+            Command::Serve { config, .. } => {
+                assert_eq!(config.duration, SimDuration::from_secs(10))
             }
             other => panic!("{other:?}"),
         }
-        let cmd =
-            parse_args(&args("serve --listen [::1]:0 --duration 2 --telemetry-per-flow --json"))
-                .unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Serve { listen, telemetry_per_flow: true, json: true, .. } if listen.is_ipv6()
-        ));
+        let cmd = parse_args(&args(
+            "serve --listen [::1]:0 --duration 2 --capacity-mbps 50 --max-flows 8 \
+             --packet-bytes 1000 --telemetry-per-flow --json",
+        ))
+        .unwrap();
+        match cmd {
+            Command::Serve { config, json, .. } => {
+                assert!(config.listen.is_ipv6());
+                assert_eq!(config.duration, SimDuration::from_secs(2));
+                assert_eq!(config.capacity, Rate::from_mbps(50.0));
+                assert_eq!((config.max_flows, config.packet_bytes), (8, 1000));
+                assert!(config.telemetry_per_flow && json);
+            }
+            other => panic!("{other:?}"),
+        }
         assert!(parse_args(&args("serve --listen nonsense")).is_err());
         assert!(parse_args(&args("serve --duration 0")).is_err());
         assert!(parse_args(&args("serve --capacity-mbps -1")).is_err());
@@ -1983,31 +1826,24 @@ mod tests {
         assert!(parse_args(&args("serve --packet-bytes 1970")).is_ok());
         for bad in ["--packet-bytes 0", "--packet-bytes 3000", "--packet-bytes 4000000000"] {
             let err = parse_args(&args(&format!("serve {bad}"))).unwrap_err();
-            assert!(err.0.contains("1..=1970"), "{bad}: {}", err.0);
+            assert!(err.0.contains("1..=1970") && !err.0.contains('\n'), "{bad}: {}", err.0);
         }
     }
 
     #[test]
     fn parses_loadgen_flags() {
-        let cmd = parse_args(&args("loadgen")).unwrap();
-        match cmd {
-            Command::Loadgen { server, flows, duration_s, ramp_s, warmup_s, .. } => {
-                assert_eq!(server, std::net::SocketAddr::from(([127, 0, 0, 1], 9500)));
-                assert_eq!(flows, 256);
-                assert_eq!(duration_s, 5.0);
-                assert_eq!(ramp_s, 1.0);
-                assert_eq!(warmup_s, 2.0);
-            }
-            other => panic!("{other:?}"),
-        }
         // Short runs shrink the derived ramp/warmup defaults.
-        let cmd = parse_args(&args("loadgen --duration 2")).unwrap();
+        let cmd = parse_args(&args("loadgen --duration 2 --flows 9")).unwrap();
         assert!(matches!(
             cmd,
-            Command::Loadgen { ramp_s, warmup_s, .. } if ramp_s == 0.5 && warmup_s == 1.0
+            Command::Loadgen { config, .. } if config.flows == 9
+                && config.duration == SimDuration::from_secs(2)
+                && config.ramp == SimDuration::from_millis(500)
+                && config.warmup == SimDuration::from_secs(1)
         ));
         assert!(parse_args(&args("loadgen --flows 0")).is_err());
         assert!(parse_args(&args("loadgen --warmup 5 --duration 4")).is_err());
+        assert!(parse_args(&args("loadgen --ramp -1")).is_err());
         assert!(parse_args(&args("loadgen --server nowhere")).is_err());
     }
 
@@ -2021,7 +1857,7 @@ mod tests {
         )))
         .unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &OutputDirs::default(), &mut buf).unwrap();
+        execute(cmd, None, &mut buf).unwrap();
         let v: serde_json::Value = serde_json::from_slice(&buf).unwrap();
         assert_eq!(v["peak_flows"].as_u64(), Some(0), "no clients registered");
         assert_eq!(v["leaked_flows"].as_u64(), Some(0));
@@ -2044,7 +1880,7 @@ mod tests {
         ))
         .unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &OutputDirs::default(), &mut buf).unwrap();
+        execute(cmd, None, &mut buf).unwrap();
         let v: serde_json::Value = serde_json::from_slice(&buf).unwrap();
         assert_eq!(v["flows_sustained"].as_u64(), Some(0), "{v}");
         assert_eq!(v["data_received"].as_u64(), Some(0), "{v}");
@@ -2075,8 +1911,7 @@ mod tests {
             std::fs::write(&path, serde_json::to_string(&cfg).unwrap()).unwrap();
             let cmd = parse_args(&args(&format!("run --config {} --duration 1", path.display())))
                 .unwrap_or_else(|e| panic!("{what} must parse as JSON: {e}"));
-            let err = execute(cmd, &OutputDirs::default(), &mut Vec::new())
-                .expect_err("a malformed value must not run");
+            let err = failure(cmd);
             assert!(!err.is_empty() && !err.contains('\n'), "{what}: {err:?}");
         }
     }

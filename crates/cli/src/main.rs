@@ -9,8 +9,8 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let dirs = pels_cli::OutputDirs { results: pels_bench::env_dir("PELS_RESULTS_DIR") };
-    if let Err(e) = pels_cli::execute(cmd, &dirs, &mut std::io::stdout()) {
+    let results = pels_bench::env_dir("PELS_RESULTS_DIR");
+    if let Err(e) = pels_cli::execute(cmd, results.as_deref(), &mut std::io::stdout()) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }

@@ -1,0 +1,120 @@
+//! `pels` prints the same bytes for the same command line.
+//!
+//! Each case runs the built `pels` binary in a directory of its own (also
+//! its `$PELS_RESULTS_DIR`) and pins the FNV-1a digest of its stdout and of
+//! every file it leaves there. The directory's path is replaced by `$DIR`
+//! before hashing, so `[written …]` notices and `pels metrics` headers hash
+//! the same everywhere. The digests were recorded before the parser was
+//! rebuilt on the library configs; a digest that moves is an output change.
+
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+/// FNV-1a 64-bit, as `tests/report_digests.rs` computes it.
+fn digest(bytes: &[u8]) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in bytes {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x1_0000_01b3);
+    }
+    format!("{h:016x}")
+}
+
+/// A directory unique to this process and case, removed on drop.
+struct CaseDir(PathBuf);
+
+impl CaseDir {
+    fn new(case: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("pels_bytes_{case}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        CaseDir(dir)
+    }
+}
+
+impl Drop for CaseDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Runs each command line (`{dir}` stands for the case directory) and
+/// returns `(artifact, digest)` for every stdout, in order, then for every
+/// file the commands left, by name.
+fn artifacts(case: &str, lines: &[&str]) -> Vec<(String, String)> {
+    let dir = CaseDir::new(case);
+    let shown = dir.0.display().to_string();
+    let mut found = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        let args: Vec<String> =
+            line.split_whitespace().map(|a| a.replace("{dir}", &shown)).collect();
+        let run = Command::new(env!("CARGO_BIN_EXE_pels"))
+            .args(&args)
+            .env("PELS_RESULTS_DIR", &dir.0)
+            .output()
+            .unwrap();
+        assert!(run.status.success(), "`pels {line}`: {}", String::from_utf8_lossy(&run.stderr));
+        let stdout = String::from_utf8(run.stdout).unwrap().replace(&shown, "$DIR");
+        found.push((format!("stdout{i}"), digest(stdout.as_bytes())));
+    }
+    let mut files: Vec<PathBuf> =
+        std::fs::read_dir(&dir.0).unwrap().map(|e| e.unwrap().path()).collect();
+    files.sort();
+    for path in files {
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap().to_string();
+        found.push((name, digest(&std::fs::read(Path::new(&path)).unwrap())));
+    }
+    found
+}
+
+/// A case's name, the command lines it runs, and `(artifact, digest)` for
+/// everything they print and write.
+type Case = (&'static str, &'static [&'static str], &'static [(&'static str, &'static str)]);
+
+#[test]
+fn every_listed_command_prints_its_pinned_bytes() {
+    let cases: &[Case] = &[
+        ("help", &["help"], &[("stdout0", "af4c45f641c15f94")]),
+        ("model", &["model"], &[("stdout0", "6b70416d8c2b93f4")]),
+        ("gamma", &["gamma"], &[("stdout0", "20173700b2dba6ce")]),
+        ("trace", &["trace --frames 10 --seed 3"], &[("stdout0", "e50766a0a5d8745f")]),
+        ("template", &["config-template"], &[("stdout0", "b18bf0c22fc356f1")]),
+        ("run_text", &["run --flows 2 --duration 3"], &[("stdout0", "03107553d69e4152")]),
+        ("run_json", &["run --flows 2 --duration 3 --json"], &[("stdout0", "f055119963d8678c")]),
+        (
+            "topo",
+            &["run --topology parkinglot:segments=2,cross=1,flows=3 --duration 2"],
+            &[("stdout0", "f88a95c1202c1a3c"), ("topo_parkinglot.csv", "ca0ac8275e6e13e9")],
+        ),
+        ("sweep", &["sweep --flows-list 1,2 --duration 2"], &[("stdout0", "7f63968b20ef8f2b")]),
+        (
+            "chaos",
+            &["chaos --seed 3 --duration 12"],
+            &[("stdout0", "9e0118cb212ba009"), ("chaos.csv", "396963d2d82a7c85")],
+        ),
+        (
+            "live",
+            &["live --mem --duration 2"],
+            &[("stdout0", "407e33bbb492f705"), ("live.csv", "5fdb094f4f6b3268")],
+        ),
+        (
+            "metrics",
+            &["run --flows 2 --duration 3 --telemetry {dir}/run.jsonl", "metrics {dir}/run.jsonl"],
+            &[
+                ("stdout0", "03107553d69e4152"),
+                ("stdout1", "7b00da10fc81fbca"),
+                ("run.jsonl", "255c27eb6c97be61"),
+            ],
+        ),
+    ];
+    let mut moved = Vec::new();
+    for (case, lines, pinned) in cases {
+        let found = artifacts(case, lines);
+        let want: Vec<(String, String)> =
+            pinned.iter().map(|(a, d)| (a.to_string(), d.to_string())).collect();
+        if found != want {
+            moved.push(format!("{case}: {found:?}"));
+        }
+    }
+    assert!(moved.is_empty(), "digests moved:\n{}", moved.join("\n"));
+}
