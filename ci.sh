@@ -40,7 +40,8 @@ echo "== docs name no removed flag, command or file =="
 # Spelled in halves so this file does not match itself.
 for gone in -"-no-batch" -"-batch-size" -"-ack-every" \
     "pels be""nch " BENCH_"scale" BENCH_"wire" PELS_"BENCH_DIR" crit"erion" Crit"erion" \
-    W"fq" W"FQ" ADMIT_"HIGH_WATER" patch_"feedback" patch_"rate_echo"; do
+    W"fq" W"FQ" ADMIT_"HIGH_WATER" patch_"feedback" patch_"rate_echo" \
+    -"-bin fig" -"-bin table1" -"-bin ablation_"; do
   if grep -n -e "$gone" README.md DESIGN.md EXPERIMENTS.md; then
     echo "the docs still mention the removed $gone" >&2; exit 1
   fi
@@ -59,6 +60,17 @@ echo "== pels parses into the configs it runs (crates/cli line ratchet) =="
 cli_lines="$(for f in crates/cli/src/*.rs; do non_test_code "$f"; done | wc -l)"
 [ "$cli_lines" -le 1163 ] || {
   echo "crates/cli/src has $cli_lines non-test lines, over its ratchet of 1163" >&2; exit 1; }
+
+echo "== one experiment table (crates/bench line ratchet) =="
+# Every table, figure and ablation is a row of pels_bench::EXPERIMENTS: a
+# function returning its files and its checks, run in-process by run_all
+# and by tests/experiments.rs. That took crates/bench/src from 2,218
+# non-test lines (22 binaries, each with its own stdout table and asserts)
+# to 1,298. A per-row printer or a second harness shows up here first: the
+# count may fall, never rise.
+bench_lines="$(for f in $(find crates/bench/src -name '*.rs'); do non_test_code "$f"; done | wc -l)"
+[ "$bench_lines" -le 1298 ] || {
+  echo "crates/bench/src has $bench_lines non-test lines, over its ratchet of 1298" >&2; exit 1; }
 
 echo "== the sender control path is wired once (pels_core::flow) =="
 # Eq. 8, the fresh-epoch bookkeeping, the watchdog, the epoch filter and
@@ -193,7 +205,9 @@ echo "== cargo test (workspace) =="
 # Tests pick their output directories by argument; anything they change in
 # the tree (a results/ CSV, say) is a hermeticity bug. This includes
 # crates/cli/tests/byte_identity.rs, which pins the stdout and files of the
-# `pels` binary for one command line per subcommand.
+# `pels` binary for one command line per subcommand, and tests/experiments.rs,
+# which runs every figure and ablation row and compares its files with
+# results/ without writing them.
 # Compared before/after so the gate also works on uncommitted work; on a
 # clean checkout it is exactly "git status --porcelain prints nothing".
 tree_state() { git status --porcelain; git diff | cksum; }
@@ -229,14 +243,13 @@ cargo test -q --release -p pels-cli --test byte_identity
 # flows, under its budget at 10 s and flat from 60 s to 90 s.
 cargo test -q --release -p pels-wire --test wire_budget --test serve_memory
 
-echo "== run_all (every figure and ablation regenerates its tracked CSV) =="
-# Each binary asserts its own shape targets, and results/ is a function of
-# the code: a byte that moves here is a behaviour change to explain.
-./target/release/run_all --jobs 2 > /dev/null
+echo "== pels chaos regenerates its tracked CSV =="
 # results/chaos.csv is the sim fault matrix at its default seed and 30 s.
+# (Every figure and ablation CSV is checked byte for byte, in-process, by
+# tests/experiments.rs in the test run above.)
 ./target/release/pels chaos > /dev/null
 [ "$(tree_state)" = "$before_tests" ] || {
-  echo "run_all or pels chaos changed tracked results:" >&2
+  echo "pels chaos changed tracked results:" >&2
   git diff --stat results/ >&2; exit 1; }
 
 echo "== pels live smoke (loopback UDP, 2 s) =="

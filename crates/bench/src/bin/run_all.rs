@@ -1,138 +1,63 @@
-//! Runs every table/figure/ablation binary and reports a summary.
-//! Binaries are located next to this executable (build the whole package
-//! first: `cargo build --release -p pels-bench`).
-//!
-//! With `--jobs N` the experiments fan out over `N` worker threads. Each
-//! experiment's output is captured and printed as one contiguous block the
-//! moment it finishes, so blocks never interleave (their order then follows
-//! completion, not the list below; the final summary is always ordered).
+//! Runs the experiment table (`pels_bench::EXPERIMENTS`) in-process and
+//! writes each row's files under `$PELS_RESULTS_DIR` (default: the
+//! workspace's `results/`), printing a line per file and per check.
 
-use std::process::{Command, ExitCode};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
-
-const BINARIES: &[&str] = &[
-    "table1",
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "ablation_sigma",
-    "ablation_beta",
-    "ablation_pthr",
-    "ablation_scheduler",
-    "ablation_cc",
-    "ablation_colors",
-    "ablation_deadline",
-    "ablation_rd_scaling",
-    "ablation_retransmission",
-    "ablation_scale",
-    "ablation_burstiness",
-    "ablation_marking",
-];
-
-const USAGE: &str = "run_all — run every PELS reproduction experiment\n\
-     \n\
-     USAGE:\n\
-       run_all [--jobs N]\n\
-     \n\
-     OPTIONS:\n\
-       --jobs N   run N experiments concurrently (default 1; experiments\n\
-                  are independent processes, so any N up to the core count\n\
-                  is safe — output blocks are printed whole, in completion\n\
-                  order)\n\
-       --help     show this text";
-
-fn parse_jobs() -> Result<usize, String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut jobs = 1usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a value")?;
-                jobs = v.parse().map_err(|_| format!("invalid --jobs value `{v}`"))?;
-                if jobs == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-            }
-            other => return Err(format!("unknown argument `{other}` (see --help)")),
-        }
-    }
-    Ok(jobs)
-}
+use pels_bench::{results_dir, run_rows, write_result, EXPERIMENTS};
+use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let jobs = match parse_jobs() {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let me = std::env::current_exe().expect("current_exe");
-    let dir = me.parent().expect("binary directory").to_path_buf();
+    let Err(e) = run() else { return ExitCode::SUCCESS };
+    eprintln!("run_all: {e}");
+    ExitCode::FAILURE
+}
 
-    // Workers pull the next experiment index from a shared counter; the
-    // print lock keeps each finished block contiguous on stdout.
-    let next = AtomicUsize::new(0);
-    let failures: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-    let print_lock = Mutex::new(());
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(BINARIES.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&name) = BINARIES.get(i) else { return };
-                let path = dir.join(name);
-                if !path.exists() {
-                    let _guard = print_lock.lock().unwrap();
-                    eprintln!("[{name}] missing — run `cargo build --release -p pels-bench` first");
-                    failures.lock().unwrap().push(name);
-                    continue;
+/// Runs what the command line asks for; fails on a bad command line, a
+/// failed check or a file that cannot be written.
+fn run() -> Result<(), String> {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|&(name, _)| name).collect();
+    let usage = format!("usage: run_all [--jobs N] [NAME…]\nNAME: {}", names.join(" "));
+    let (mut jobs, mut rows) = (1, Vec::new());
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--help" | "-h" => {
+                println!("{usage}");
+                return Ok(());
+            }
+            "--jobs" => {
+                let n = args.next().and_then(|v| v.parse().ok()).filter(|&j| j > 0);
+                jobs = n.ok_or(format!("--jobs needs a count of at least 1\n{usage}"))?;
+            }
+            name => match EXPERIMENTS.iter().find(|row| row.0 == name) {
+                Some(&row) => rows.push(row),
+                None => return Err(format!("unknown experiment or flag `{name}`\n{usage}")),
+            },
+        }
+    }
+    if rows.is_empty() {
+        rows = EXPERIMENTS.to_vec();
+    }
+    // The environment is read here, once; the library takes directories.
+    let asked = std::env::var_os("PELS_RESULTS_DIR").map(std::path::PathBuf::from);
+    let dir = results_dir(asked.as_deref()).map_err(|e| e.to_string())?;
+    let mut failed = 0;
+    run_rows(&rows, jobs, |row, outcome| {
+        for (name, contents) in &outcome.files {
+            match write_result(&dir, name, contents) {
+                Ok(path) => println!("[written {}]", path.display()),
+                Err(e) => {
+                    eprintln!("run_all: {row}: {e}");
+                    failed += 1;
                 }
-                let start = Instant::now();
-                let output = Command::new(&path).output();
-                let _guard = print_lock.lock().unwrap();
-                println!("\n================ {name} ================");
-                match output {
-                    Ok(out) => {
-                        print!("{}", String::from_utf8_lossy(&out.stdout));
-                        eprint!("{}", String::from_utf8_lossy(&out.stderr));
-                        if out.status.success() {
-                            println!("[{name} ok in {:.1}s]", start.elapsed().as_secs_f64());
-                        } else {
-                            eprintln!("[{name} FAILED: {}]", out.status);
-                            failures.lock().unwrap().push(name);
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("[{name} could not start: {e}]");
-                        failures.lock().unwrap().push(name);
-                    }
-                }
-            });
+            }
+        }
+        for check in &outcome.checks {
+            println!("{row:<24} {check}");
+            failed += usize::from(!check.ok());
         }
     });
-
-    println!("\n================ summary ================");
-    let mut failed = failures.into_inner().unwrap();
-    if failed.is_empty() {
-        println!("all {} experiments reproduced their target shapes", BINARIES.len());
-        ExitCode::SUCCESS
-    } else {
-        // Report in list order regardless of completion order.
-        failed.sort_by_key(|n| BINARIES.iter().position(|b| b == n));
-        println!("FAILED: {failed:?}");
-        ExitCode::FAILURE
+    match failed {
+        0 => Ok(()),
+        n => Err(format!("{n} failed checks or writes")),
     }
 }

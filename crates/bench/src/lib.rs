@@ -1,36 +1,193 @@
 //! # pels-bench — the figure/ablation harness
 //!
-//! One binary per table/figure of the paper's evaluation (see DESIGN.md's
-//! experiment index), plus ablation binaries. Every binary prints the series
-//! the paper reports and writes a CSV copy under `results/`. Timing is not
-//! measured here: `benchmark/run.sh` is the repo's one benchmark.
-//!
-//! | binary | paper artifact |
-//! |---|---|
-//! | `table1` | Table 1 — expected useful packets, model vs simulation |
-//! | `fig2`   | Fig. 2 — useful packets & utility vs frame size |
-//! | `fig3`   | Fig. 3 — random vs ideal per-frame drop patterns |
-//! | `fig5`   | Fig. 5 — γ(k) stability for σ = 0.5 vs σ = 3 |
-//! | `fig7`   | Fig. 7 — γ evolution and red loss under two load levels |
-//! | `fig8`   | Fig. 8 — green/yellow packet delays as flows join |
-//! | `fig9`   | Fig. 9 — red delays; MKC convergence and fairness |
-//! | `fig10`  | Fig. 10 — PSNR of Foreman at ~10% and ~19% loss |
-//! | `ablation_*` | design-choice ablations (DESIGN.md §6) |
-//! | `run_all` | runs everything above in sequence |
+//! One table, [`EXPERIMENTS`], with one row per table/figure of the paper's
+//! evaluation (see DESIGN.md's experiment index) and per ablation. A row
+//! builds its configs, runs them, and returns an [`Outcome`]: the files it
+//! produces (the tracked copies live under `results/`) and its checks of
+//! the paper's claims, each a measured value against its bound. `run_all
+//! [--jobs N] [NAME…]` runs rows on threads and writes their files;
+//! `tests/experiments.rs` runs every row and compares its files with
+//! `results/`. Timing is not measured here: `benchmark/run.sh` is the
+//! repo's one benchmark.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use pels_core::scenario::{Scenario, ScenarioConfig};
+use pels_fgs::gop::{decodable_fraction, GopConfig};
+use pels_fgs::UtilityStats;
 use pels_netsim::stats::TimeSeries;
+use pels_netsim::time::SimTime;
+use std::fmt;
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-/// The directory named by environment variable `var`, if set. Binaries
-/// call this once in `main` (`PELS_RESULTS_DIR`) and pass the answer down;
-/// nothing below `main` reads the environment, so tests choose their
-/// directories by argument and never race on process state.
-pub fn env_dir(var: &str) -> Option<PathBuf> {
-    std::env::var_os(var).map(PathBuf::from)
+mod ablations;
+mod figures;
+
+/// A row of [`EXPERIMENTS`]: its name and the function that runs it.
+pub type Experiment = (&'static str, fn() -> Outcome);
+
+/// Every experiment, by the name `run_all` takes, in the order it runs them.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("table1", figures::table1), // expected useful packets, model vs simulation
+    ("fig1", figures::fig1),     // fixed vs R-D-driven FGS rate scaling
+    ("fig2", figures::fig2),     // useful packets & utility vs frame size
+    ("fig3", figures::fig3),     // random vs ideal per-frame drop patterns
+    ("fig4", figures::fig4),     // frame coloring and the router's queue structure
+    ("fig5", figures::fig5),     // γ(k) stability for σ = 0.5 vs σ = 3
+    ("fig7", figures::fig7),     // γ evolution and red loss under two load levels
+    ("fig8", figures::fig8),     // green/yellow packet delays as flows join
+    ("fig9", figures::fig9),     // red delays; MKC convergence and fairness
+    ("fig10", figures::fig10),   // PSNR of Foreman at ~10% and ~19% loss
+    ("ablation_sigma", ablations::ablation_sigma),
+    ("ablation_beta", ablations::ablation_beta),
+    ("ablation_pthr", ablations::ablation_pthr),
+    ("ablation_scheduler", ablations::ablation_scheduler),
+    ("ablation_cc", ablations::ablation_cc),
+    ("ablation_colors", ablations::ablation_colors),
+    ("ablation_deadline", ablations::ablation_deadline),
+    ("ablation_rd_scaling", ablations::ablation_rd_scaling),
+    ("ablation_retransmission", ablations::ablation_retransmission),
+    ("ablation_scale", ablations::ablation_scale),
+    ("ablation_burstiness", ablations::ablation_burstiness),
+    ("ablation_marking", ablations::ablation_marking),
+];
+
+/// What a row produces: its files and its checks.
+#[derive(Debug, Default)]
+pub struct Outcome {
+    /// The files, as `(name under the results directory, contents)`.
+    pub files: Vec<(String, String)>,
+    /// The checks, in the order the row made them.
+    pub checks: Vec<Check>,
+}
+
+impl Outcome {
+    /// Adds a file.
+    pub fn file(&mut self, name: &str, contents: String) {
+        self.files.push((name.to_string(), contents));
+    }
+
+    /// An outcome whose first file is the CSV `name`, started with its
+    /// `header` line; [`Outcome::line`] adds rows.
+    pub fn with_csv(name: &str, header: &str) -> Self {
+        Outcome { files: vec![(name.to_string(), format!("{header}\n"))], checks: Vec::new() }
+    }
+
+    /// Appends `row` as a line to the file added last.
+    pub fn line(&mut self, row: String) {
+        let (_, contents) = self.files.last_mut().expect("a file to append to");
+        contents.push_str(&row);
+        contents.push('\n');
+    }
+
+    /// Adds a file holding `series` as CSV (`t,<name1>,<name2>,...`).
+    pub fn series(&mut self, name: &str, series: &[&TimeSeries]) {
+        self.file(name, pels_netsim::stats::to_csv(series));
+    }
+
+    /// Adds a check that `measured` lies within `bound`.
+    pub fn check(&mut self, name: impl Into<String>, measured: f64, bound: Bound) {
+        self.checks.push(Check { name: name.into(), measured, bound });
+    }
+}
+
+/// One claim of a row: a measured value and the bound it must lie within.
+#[derive(Debug)]
+pub struct Check {
+    /// What is measured.
+    pub name: String,
+    /// The measured value.
+    pub measured: f64,
+    /// The bound it must lie within.
+    pub bound: Bound,
+}
+
+impl Check {
+    /// Whether the measured value lies within the bound (never for NaN).
+    pub fn ok(&self) -> bool {
+        self.bound.judge(self.measured).1
+    }
+}
+
+impl fmt::Display for Check {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (bound, ok) = self.bound.judge(self.measured);
+        let verdict = if ok { "ok" } else { "FAIL" };
+        write!(f, "{:<56} {:>22} {bound:<24} {verdict}", self.name, self.measured)
+    }
+}
+
+/// The bound a measured value must lie within.
+#[derive(Clone, Copy, Debug)]
+pub enum Bound {
+    /// Strictly below.
+    Lt(f64),
+    /// At most.
+    Le(f64),
+    /// Strictly above.
+    Gt(f64),
+    /// At least.
+    Ge(f64),
+    /// Exactly.
+    Is(f64),
+}
+
+impl Bound {
+    /// The bound as printed, and whether `v` lies within it.
+    fn judge(self, v: f64) -> (String, bool) {
+        match self {
+            Bound::Lt(b) => (format!("< {b}"), v < b),
+            Bound::Le(b) => (format!("<= {b}"), v <= b),
+            Bound::Gt(b) => (format!("> {b}"), v > b),
+            Bound::Ge(b) => (format!(">= {b}"), v >= b),
+            Bound::Is(b) => (format!("== {b}"), v == b),
+        }
+    }
+}
+
+/// Runs `rows` on `jobs` threads and hands each outcome to `done` as its
+/// row finishes, one at a time.
+pub fn run_rows(rows: &[Experiment], jobs: usize, done: impl FnMut(&'static str, Outcome) + Send) {
+    let (next, done) = (AtomicUsize::new(0), Mutex::new(done));
+    std::thread::scope(|scope| {
+        for _ in 0..jobs.clamp(1, rows.len().max(1)) {
+            scope.spawn(|| {
+                while let Some(&(name, row)) = rows.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let outcome = row();
+                    (done.lock().unwrap())(name, outcome);
+                }
+            });
+        }
+    });
+}
+
+/// Builds the scenario `cfg` describes and runs it for `secs` simulated seconds.
+pub fn simulate(cfg: ScenarioConfig, secs: f64) -> Scenario {
+    let mut s = Scenario::build(cfg);
+    s.run_until(SimTime::from_secs_f64(secs));
+    s
+}
+
+/// Steady-state decoding across every receiver, skipping the join
+/// transient: the utility of frames `from` on, and the share of them that
+/// still decodes after GOP loss propagation (paper Section 6.5: base loss
+/// corrupts the rest of the GOP).
+pub fn steady(s: &Scenario, from: u64) -> (UtilityStats, f64) {
+    let mut u = UtilityStats::new();
+    let (mut gop_num, mut gop_den) = (0.0, 0.0);
+    for i in 0..s.config().flows.len() {
+        let decoded: Vec<_> =
+            s.receiver(i).decode_all().into_iter().filter(|d| d.frame >= from).collect();
+        decoded.iter().for_each(|d| u.add(d));
+        gop_num += decodable_fraction(&decoded, GopConfig::default()) * decoded.len() as f64;
+        gop_den += decoded.len() as f64;
+    }
+    (u, gop_num / f64::max(gop_den, 1.0))
 }
 
 /// The workspace root, anchored via this crate's `CARGO_MANIFEST_DIR` so
@@ -42,69 +199,28 @@ fn workspace_root() -> Option<&'static Path> {
 
 /// Directory where experiment outputs are written, created if needed:
 /// `dir` when given, else `<workspace root>/results`, else `./results`.
-pub fn results_dir(dir: Option<&Path>) -> PathBuf {
-    let candidates =
-        [dir.map(Path::to_path_buf), workspace_root().map(|root| root.join("results"))];
-    for p in candidates.into_iter().flatten() {
-        let _ = fs::create_dir_all(&p);
-        if p.is_dir() {
-            return p;
-        }
-    }
-    let p = PathBuf::from("results");
-    let _ = fs::create_dir_all(&p);
-    p
-}
-
-/// Writes `content` to `<dir>/<name>` and reports the path on stdout.
-pub fn write_result(dir: &Path, name: &str, content: &str) {
-    let path = dir.join(name);
-    match fs::write(&path, content) {
-        Ok(()) => println!("[written {}]", path.display()),
-        Err(e) => eprintln!("[could not write {}: {e}]", path.display()),
-    }
-}
-
-/// Writes a set of time series as CSV to `<dir>/<name>`.
-pub fn write_series(dir: &Path, name: &str, series: &[&TimeSeries]) {
-    write_result(dir, name, &pels_netsim::stats::to_csv(series));
-}
-
-/// Renders a simple aligned table to stdout.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
-        }
-    }
-    let line = |cells: Vec<String>| {
-        let mut out = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            out.push_str(&format!("{:>w$}  ", c, w = widths[i]));
-        }
-        println!("{}", out.trim_end());
+/// Fails, naming the path, when the directory cannot be created: a
+/// directory that was asked for is never swapped for another one.
+pub fn results_dir(dir: Option<&Path>) -> io::Result<PathBuf> {
+    let p = match (dir, workspace_root()) {
+        (Some(dir), _) => dir.to_path_buf(),
+        (None, Some(root)) => root.join("results"),
+        (None, None) => PathBuf::from("results"),
     };
-    line(headers.iter().map(|h| h.to_string()).collect());
-    line(widths.iter().map(|w| "-".repeat(*w)).collect());
-    for row in rows {
-        line(row.clone());
-    }
+    fs::create_dir_all(&p).map_err(|e| with_path(e, "cannot create", &p))?;
+    Ok(p)
 }
 
-/// Formats a float with the given precision.
-pub fn fmt(v: f64, prec: usize) -> String {
-    format!("{v:.prec$}")
+/// Writes `content` to `<dir>/<name>` and returns the path written; fails,
+/// naming the path, when the file cannot be written.
+pub fn write_result(dir: &Path, name: &str, content: &str) -> io::Result<PathBuf> {
+    let path = dir.join(name);
+    fs::write(&path, content).map_err(|e| with_path(e, "cannot write", &path))?;
+    Ok(path)
 }
 
-/// Downsamples a series to at most `n` evenly spaced points (for compact
-/// stdout rendering; the CSV keeps everything).
-pub fn downsample(series: &TimeSeries, n: usize) -> Vec<(f64, f64)> {
-    if series.points.len() <= n {
-        return series.points.clone();
-    }
-    let step = series.points.len() as f64 / n as f64;
-    (0..n).map(|i| series.points[(i as f64 * step) as usize]).collect()
+fn with_path(e: io::Error, what: &str, path: &Path) -> io::Error {
+    io::Error::new(e.kind(), format!("{what} {}: {e}", path.display()))
 }
 
 #[cfg(test)]
@@ -131,25 +247,8 @@ mod tests {
     }
 
     #[test]
-    fn downsample_preserves_endpoints_roughly() {
-        let mut s = TimeSeries::new("x");
-        for i in 0..1000 {
-            s.push(i as f64, i as f64);
-        }
-        let d = downsample(&s, 10);
-        assert_eq!(d.len(), 10);
-        assert_eq!(d[0].0, 0.0);
-        assert!(d[9].0 >= 900.0);
-    }
-
-    #[test]
-    fn fmt_precision() {
-        assert_eq!(fmt(1.23456, 2), "1.23");
-    }
-
-    #[test]
     fn results_dir_is_cwd_independent_and_overridable() {
-        let d = results_dir(None);
+        let d = results_dir(None).unwrap();
         assert!(d.is_dir());
         assert!(d.ends_with("results"));
         // Anchored at the workspace root, not the process CWD.
@@ -157,7 +256,62 @@ mod tests {
 
         let tmp = TestDir::new("results");
         let sub = tmp.0.join("made_on_demand");
-        assert_eq!(results_dir(Some(&sub)), sub);
+        assert_eq!(results_dir(Some(&sub)).unwrap(), sub);
         assert!(sub.is_dir());
+    }
+
+    #[test]
+    fn results_dir_fails_rather_than_falling_back_to_the_tracked_tree() {
+        let tmp = TestDir::new("not_a_dir");
+        let file = tmp.0.join("plain_file");
+        fs::write(&file, "x").unwrap();
+        for asked in [file.clone(), file.join("below")] {
+            let err = results_dir(Some(&asked)).expect_err("a regular file is no directory");
+            assert!(err.to_string().contains(&*file.to_string_lossy()), "{err}");
+        }
+    }
+
+    #[test]
+    fn write_result_returns_the_path_or_the_error() {
+        let tmp = TestDir::new("write");
+        let path = write_result(&tmp.0, "a.csv", "x,y\n").unwrap();
+        assert_eq!(path, tmp.0.join("a.csv"));
+        assert_eq!(fs::read_to_string(&path).unwrap(), "x,y\n");
+        let missing = tmp.0.join("missing");
+        let err = write_result(&missing, "a.csv", "x").expect_err("no such directory");
+        assert!(err.to_string().contains("missing"), "{err}");
+    }
+
+    #[test]
+    fn checks_hold_only_inside_their_bounds() {
+        let c = |measured, bound| Check { name: "c".into(), measured, bound };
+        assert!(c(1.0, Bound::Lt(2.0)).ok() && !c(2.0, Bound::Lt(2.0)).ok());
+        assert!(c(2.0, Bound::Le(2.0)).ok() && !c(2.1, Bound::Le(2.0)).ok());
+        assert!(c(3.0, Bound::Gt(2.0)).ok() && !c(2.0, Bound::Gt(2.0)).ok());
+        assert!(c(2.0, Bound::Ge(2.0)).ok() && !c(1.9, Bound::Ge(2.0)).ok());
+        assert!(c(0.0, Bound::Is(0.0)).ok() && !c(1.0, Bound::Is(0.0)).ok());
+        assert!(!c(f64::NAN, Bound::Lt(1.0)).ok() && !c(f64::NAN, Bound::Ge(1.0)).ok());
+        assert!(c(f64::NAN, Bound::Le(0.0)).to_string().ends_with("FAIL"));
+    }
+
+    #[test]
+    fn run_rows_hands_every_row_back_once() {
+        fn one() -> Outcome {
+            let mut o = Outcome::default();
+            o.file("one.csv", "1\n".into());
+            o
+        }
+        fn two() -> Outcome {
+            let mut o = Outcome::default();
+            o.check("two", 2.0, Bound::Is(2.0));
+            o
+        }
+        let rows: &[Experiment] = &[("one", one), ("two", two), ("one_again", one)];
+        for jobs in [1, 2, 8] {
+            let mut seen = Vec::new();
+            run_rows(rows, jobs, |name, o| seen.push((name, o.files.len(), o.checks.len())));
+            seen.sort();
+            assert_eq!(seen, [("one", 1, 0), ("one_again", 1, 0), ("two", 0, 1)]);
+        }
     }
 }

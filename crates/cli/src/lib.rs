@@ -270,12 +270,9 @@ fn flag_map(cmd: &str, args: &[String]) -> Result<Flags, ParseArgsError> {
 }
 
 fn get_parsed<T: FromStr>(map: &Flags, key: &str, default: T) -> Result<T, ParseArgsError> {
-    match map.get(key) {
-        None => Ok(default),
-        Some(v) => {
-            v.parse().map_err(|_| ParseArgsError(format!("invalid value for --{key}: `{v}`")))
-        }
-    }
+    map.get(key).map_or(Ok(default), |v| {
+        v.parse().map_err(|_| ParseArgsError(format!("invalid value for --{key}: `{v}`")))
+    })
 }
 
 /// `--key`, or `default`: finite and positive either way.
@@ -674,8 +671,11 @@ pub fn execute(
     results: Option<&Path>,
     out: &mut impl Write,
 ) -> Result<(), Box<dyn Error>> {
-    let save = |name: &str, content: &str| {
-        pels_bench::write_result(&pels_bench::results_dir(results), name, content)
+    // Writes a result CSV and returns the notice naming it; only text mode
+    // prints the notice, so a `--json` report is the whole of stdout.
+    let save = |name: &str, content: &str| -> std::io::Result<String> {
+        let path = pels_bench::write_result(&pels_bench::results_dir(results)?, name, content)?;
+        Ok(format!("[written {}]\n", path.display()))
     };
     match cmd {
         // The commit and the build time are embedded by `build.rs`.
@@ -771,12 +771,12 @@ pub fn execute(
         Command::Chaos { config, json, telemetry } => {
             let tel = open_telemetry(telemetry.as_deref())?;
             let report = pels_core::chaos::run_matrix(&config, &tel)?;
-            save("chaos.csv", &pels_core::chaos::to_csv(&report));
+            let written = save("chaos.csv", &pels_core::chaos::to_csv(&report))?;
             if json {
                 return write_json(out, &report);
             }
             let secs = config.duration.as_secs_f64();
-            writeln!(out, "chaos matrix: seed {}, {secs} s per case", config.seed)?;
+            writeln!(out, "{written}chaos matrix: seed {}, {secs} s per case", config.seed)?;
             for c in &report.cases {
                 writeln!(
                     out,
@@ -798,7 +798,7 @@ pub fn execute(
             config.telemetry = open_telemetry(telemetry.as_deref())?;
             let outcome =
                 pels_wire::run_live(&config).map_err(|e| format!("live run failed: {e}"))?;
-            save("live.csv", &pels_wire::live::to_csv(&outcome));
+            let written = save("live.csv", &pels_wire::live::to_csv(&outcome))?;
             if json {
                 return write_json(out, &outcome.report);
             }
@@ -809,7 +809,7 @@ pub fn execute(
             let (r, s) = (&outcome.report, &outcome.stats);
             writeln!(
                 out,
-                "streamed {} s over {backend}: router p {:+.4}",
+                "{written}streamed {} s over {backend}: router p {:+.4}",
                 config.duration.as_secs_f64(),
                 r.router_final_loss
             )?;
@@ -995,13 +995,13 @@ pub fn execute(
                 s.flush_telemetry(&tel, last);
             }
             let report = s.report();
-            save(&format!("topo_{}.csv", report.family), &to_csv(&report));
+            let written = save(&format!("topo_{}.csv", report.family), &to_csv(&report))?;
             if json {
                 return write_json(out, &report);
             }
             writeln!(
                 out,
-                "{} topology (seed {}): {} routers ({} AQM), {} hosts, \
+                "{written}{} topology (seed {}): {} routers ({} AQM), {} hosts, \
                  {} video flows, {} tcp",
                 report.family,
                 report.seed,

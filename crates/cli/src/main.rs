@@ -9,7 +9,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let results = pels_bench::env_dir("PELS_RESULTS_DIR");
+    let results = std::env::var_os("PELS_RESULTS_DIR").map(std::path::PathBuf::from);
     if let Err(e) = pels_cli::execute(cmd, results.as_deref(), &mut std::io::stdout()) {
         eprintln!("error: {e}");
         std::process::exit(1);

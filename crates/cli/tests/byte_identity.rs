@@ -118,3 +118,30 @@ fn every_listed_command_prints_its_pinned_bytes() {
     }
     assert!(moved.is_empty(), "digests moved:\n{}", moved.join("\n"));
 }
+
+/// With `--json`, stdout is the report and nothing else, also for the
+/// commands that write a results CSV beside it.
+#[test]
+fn json_stdout_parses_as_json() {
+    let lines = [
+        "live --mem --duration 2 --json",
+        "chaos --seed 3 --duration 12 --json",
+        "run --topology parkinglot:segments=2,cross=1,flows=3 --duration 2 --json",
+    ];
+    for (i, line) in lines.iter().enumerate() {
+        let dir = CaseDir::new(&format!("json{i}"));
+        let run = Command::new(env!("CARGO_BIN_EXE_pels"))
+            .args(line.split_whitespace())
+            .env("PELS_RESULTS_DIR", &dir.0)
+            .output()
+            .unwrap();
+        assert!(run.status.success(), "`pels {line}`: {}", String::from_utf8_lossy(&run.stderr));
+        if let Err(e) = serde_json::from_slice::<serde_json::Value>(&run.stdout) {
+            panic!(
+                "`pels {line}` stdout is not JSON ({e}):\n{}",
+                String::from_utf8_lossy(&run.stdout)
+            );
+        }
+        assert_eq!(std::fs::read_dir(&dir.0).unwrap().count(), 1, "`pels {line}` wrote its CSV");
+    }
+}

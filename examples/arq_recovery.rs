@@ -77,7 +77,7 @@ fn main() {
     assert!(journey.windows(2).all(|w| w[0].time < w[1].time), "hops in time order");
 
     println!(
-        "\ncompare: `cargo run -p pels-bench --bin ablation_retransmission` shows the\n\
+        "\ncompare: `run_all ablation_retransmission` (crates/bench) shows the\n\
          same machinery over a bloated buffer, where 100% of recoveries miss the\n\
          deadline — the paper's argument for a retransmission-free design."
     );
