@@ -4,8 +4,8 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 echo "== cargo build --release --workspace =="
-# --workspace matters: a bare `cargo build --release` skips workspace
-# members the root package does not depend on, leaving stale binaries.
+# The root Cargo.toml's default-members already name every crate; the flag
+# keeps this step right should they ever narrow.
 cargo build --release --workspace
 
 echo "== benchmark package check (out-of-workspace consumer of pels-wire) =="

@@ -539,7 +539,7 @@ fn decode_with(mut lose: impl FnMut() -> bool, h: u32, frames: u64) -> (UtilityS
     // Every packet is a full 500 bytes, so the counts are the whole record.
     let plan = FramePackets::new(&frame, h * 500, 0, 500);
     for f in 0..frames {
-        let mut rx = FrameReception::with_counts(f, plan.len(), plan.base_count(), 500);
+        let mut rx = FrameReception::with_counts(plan.len(), plan.base_count(), 500);
         rx.mark_received(0);
         for pkt in plan.iter().skip(1) {
             let lost = lose();
@@ -548,7 +548,7 @@ fn decode_with(mut lose: impl FnMut() -> bool, h: u32, frames: u64) -> (UtilityS
                 rx.mark_received(pkt.index);
             }
         }
-        stats.add(&rx.decode());
+        stats.add(&rx.decode(f));
     }
     (stats, BurstStats::from_sequence(flags))
 }

@@ -6,7 +6,7 @@
 //! router feedback back to the source in a small ACK for every data packet
 //! (Section 5.2).
 
-use crate::source::{PROBE_FRAME, RETX_MARKER};
+use crate::source::PROBE_FRAME;
 use pels_fgs::decoder::{DecodedFrame, FrameLog, FrameReception, UtilityStats};
 use pels_netsim::packet::{FlowId, FrameTag, Packet, PacketKind};
 use pels_netsim::port::Port;
@@ -288,7 +288,7 @@ impl Agent for PelsReceiver {
         if packet.kind != PacketKind::Data || packet.flow != self.flow {
             return;
         }
-        let Some(tag) = packet.frame else { return };
+        let Some(tag) = packet.frame() else { return };
         self.src_hint = packet.src;
         if tag.frame == PROBE_FRAME {
             // A starved source probing the path (DESIGN.md §11): solicit a
@@ -305,7 +305,7 @@ impl Agent for PelsReceiver {
         self.max_frame_seen = self.max_frame_seen.max(tag.frame);
         let delay = ctx.now.duration_since(packet.sent_at);
         let late = self.deadline.is_some_and(|d| delay > d);
-        if packet.ack_no == RETX_MARKER {
+        if packet.is_retransmission() {
             if late {
                 self.recovered_late += 1;
             } else {
@@ -397,7 +397,7 @@ mod tests {
         let mut p = Packet::data(FlowId(1), AgentId(2), AgentId(0), 500)
             .with_class(class)
             .with_frame(FrameTag { frame, index, total, base });
-        p.feedback = Some(Feedback::new(AgentId(5), 3, 0.1, 0.2));
+        p.set_feedback(Some(Feedback::new(AgentId(5), 3, 0.1, 0.2)));
         p
     }
 
@@ -447,7 +447,7 @@ mod tests {
         for a in &sink.acks {
             assert_eq!(a.kind, PacketKind::Ack);
             assert_eq!(a.size_bytes, ACK_BYTES);
-            let fb = a.feedback.expect("ACK echoes the feedback label");
+            let fb = a.feedback().expect("ACK echoes the feedback label");
             assert_eq!(fb.epoch, 3);
         }
     }
@@ -542,7 +542,7 @@ mod tests {
             sim.agent::<AckSink>(acks).acks.iter().filter(|p| p.kind == PacketKind::Nack).collect();
         assert_eq!(nacks.len(), 2);
         for n in &nacks {
-            let tag = n.frame.expect("NACK carries the missing packet's tag");
+            let tag = n.frame().expect("NACK carries the missing packet's tag");
             assert_eq!((tag.frame, tag.index), (0, 1));
         }
     }
@@ -559,7 +559,7 @@ mod tests {
         // Duplicate retransmission of frame 10 index 2, arriving last with
         // an old tag (frame 14 window under the legacy gating).
         let mut dup = video_packet(14, 0, 1, 1, 0);
-        dup.ack_no = RETX_MARKER;
+        dup.mark_retransmission();
         pkts.push(dup);
         let (mut sim, rx, _acks) = build_nack(pkts, NackConfig::default());
         sim.run_until(SimTime::from_secs_f64(1.0));

@@ -411,9 +411,9 @@ mod tests {
             let mut pkt = Packet::data(FlowId(1), ctx.self_id, self.dst, 500)
                 .with_class(class)
                 .with_seq(self.sent)
+                .with_frame(FrameTag { frame: 0, index: 0, total: 1, base: 0 })
                 .with_id(ctx.alloc_packet_id());
             pkt.sent_at = ctx.now;
-            pkt.frame = Some(FrameTag { frame: 0, index: 0, total: 1, base: 0 });
             ctx.deliver(self.router, SimDuration::from_micros(10), pkt);
             self.sent += 1;
             ctx.schedule_timer(self.gap, 0);
@@ -477,12 +477,12 @@ mod tests {
         let got: Vec<&Packet> =
             sim.agent::<Sink>(sink).got.iter().filter(|p| Color::is_pels_class(p.class)).collect();
         assert!(!got.is_empty());
-        let epochs: Vec<u64> = got.iter().filter_map(|p| p.feedback.map(|f| f.epoch)).collect();
+        let epochs: Vec<u64> = got.iter().filter_map(|p| p.feedback().map(|f| f.epoch)).collect();
         assert_eq!(epochs.len(), got.len(), "every video packet is stamped");
         assert!(epochs.windows(2).all(|w| w[0] <= w[1]), "epochs non-decreasing");
         assert!(*epochs.last().unwrap() > 20, "epochs advance with T=30 ms");
         // Overloaded 2:1 -> p ~ 0.5 once measured.
-        let last_loss = got.last().unwrap().feedback.unwrap().loss;
+        let last_loss = got.last().unwrap().feedback().unwrap().loss;
         assert!((last_loss - 0.5).abs() < 0.05, "loss {last_loss}");
     }
 

@@ -166,11 +166,6 @@ const PROBE_TOKEN: u64 = 4;
 /// numbers are sequential from 0 and can never reach this value.
 pub const PROBE_FRAME: u64 = u64::MAX;
 
-/// Sentinel in [`Packet::ack_no`] marking a retransmitted data packet
-/// (whose `sent_at` is the original frame emission time and must not be
-/// refreshed at transmit time).
-pub const RETX_MARKER: u64 = u64::MAX;
-
 /// The streaming source agent.
 #[derive(Debug)]
 pub struct PelsSource {
@@ -379,7 +374,7 @@ impl PelsSource {
         self.seq += 1;
         pkt.sent_at = p.repair_of.unwrap_or(ctx.now);
         if p.repair_of.is_some() {
-            pkt.ack_no = RETX_MARKER;
+            pkt.mark_retransmission();
         }
         pkt.rate_echo = self.flow.rate_bps();
         self.port.send(pkt, ctx);
@@ -404,7 +399,7 @@ impl PelsSource {
     /// emission time as `sent_at`, so receiver-side deadline accounting
     /// sees the full decode latency (original wait + NACK round trip).
     fn handle_nack(&mut self, nack: &Packet, ctx: &mut Context<'_>) {
-        let Some(tag) = nack.frame else { return };
+        let Some(tag) = nack.frame() else { return };
         let Some(&(emitted_at, packets)) = self.retx_buffer.get(&tag.frame) else {
             return; // frame already evicted: the data is gone
         };
@@ -515,7 +510,7 @@ impl PelsSource {
     }
 
     fn apply_feedback(&mut self, pkt: &Packet, ctx: &mut Context<'_>) {
-        let Some(fb) = pkt.feedback else { return };
+        let Some(fb) = pkt.feedback() else { return };
         // The rate echoed through the ACK is the one in effect when the
         // acknowledged packet was sent.
         if !self.flow.on_feedback(ctx.now, pkt.rate_echo, &fb) {
@@ -613,7 +608,7 @@ mod tests {
         fn on_packet(&mut self, p: Packet, ctx: &mut Context<'_>) {
             if p.kind == PacketKind::Data {
                 let mut ack = Packet::ack_for(&p, 40).with_id(ctx.alloc_packet_id());
-                ack.feedback = (self.label)(ctx.now);
+                ack.set_feedback((self.label)(ctx.now));
                 ctx.deliver(ack.dst, SimDuration::from_millis(1), ack);
                 self.got.push(p);
             }
@@ -692,7 +687,7 @@ mod tests {
         let got = &sim.agent::<Recorder>(dst).got;
         // Initial rate 128 kb/s == base bitrate: base-only frames.
         let frames: std::collections::HashSet<u64> =
-            got.iter().map(|p| p.frame.unwrap().frame).collect();
+            got.iter().map(|p| p.frame().unwrap().frame).collect();
         assert!(frames.len() >= 10);
         assert!(got.iter().all(|p| p.class == 0), "base-only at 128 kb/s");
     }
@@ -702,7 +697,7 @@ mod tests {
         let (mut sim, _src, dst) = build(SourceMode::Pels, None);
         sim.run_until(SimTime::from_secs_f64(0.5));
         for p in &sim.agent::<Recorder>(dst).got {
-            let tag = p.frame.expect("video packets carry frame tags");
+            let tag = p.frame().expect("video packets carry frame tags");
             assert!(tag.index < tag.total);
             assert!(tag.base <= tag.total);
         }
@@ -798,7 +793,7 @@ mod tests {
         let got = &sim.agent::<Recorder>(AgentId(1)).got;
         let resumed_video = got
             .iter()
-            .filter(|p| p.frame.unwrap().frame != PROBE_FRAME)
+            .filter(|p| p.frame().unwrap().frame != PROBE_FRAME)
             .any(|p| p.sent_at > SimTime::from_secs_f64(8.0));
         assert!(resumed_video, "video flows again after resume");
     }
@@ -855,7 +850,7 @@ mod tests {
         // Packets of frame 1 (t in [0.1, 0.2)) are spaced, not a burst.
         let f1: Vec<f64> = got
             .iter()
-            .filter(|p| p.frame.unwrap().frame == 1)
+            .filter(|p| p.frame().unwrap().frame == 1)
             .map(|p| p.sent_at.as_secs_f64())
             .collect();
         assert!(f1.len() >= 3);
@@ -878,7 +873,7 @@ mod tests {
         let mut sim = sim_with(cfg, |_| None);
         sim.run_until(SimTime::from_secs_f64(0.55));
         let got = &sim.agent::<Recorder>(AgentId(1)).got;
-        let frame0: Vec<_> = got.iter().filter(|p| p.frame.unwrap().frame == 0).collect();
+        let frame0: Vec<_> = got.iter().filter(|p| p.frame().unwrap().frame == 0).collect();
         assert_eq!(frame0.len(), 21);
         assert!(frame0.iter().all(|p| p.class == 0 && p.size_bytes == 500));
     }

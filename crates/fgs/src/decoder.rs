@@ -6,9 +6,10 @@
 //! VLC coding propagate any base-layer loss across the GOP.
 //!
 //! A receiver needs one fact per packet — did it arrive — so a frame's
-//! record ([`FrameReception`]) is a bitset and a packet size, 64 bytes
+//! record ([`FrameReception`]) is a bitset and a packet size, 40 bytes
 //! whatever the frame, and a flow's records live in one [`FrameLog`] that
-//! both the simulated and the wire receiver own.
+//! both the simulated and the wire receiver own. The log's chunk key and
+//! slot say which frame a record belongs to, so the record does not.
 
 use crate::packetize::{PacketPlan, Segment};
 use serde::{Deserialize, Serialize};
@@ -25,26 +26,28 @@ const INLINE_ODD: usize = 3;
 /// Packets are assumed to be one size except for a few odd ones (the short
 /// tail of each segment), so the record holds a receive bit per packet, one
 /// default size and the odd sizes by index. Frames of up to 128 packets with
-/// up to three odd sizes — every frame the paper's setup produces — cost no
-/// heap allocation; anything beyond goes to one boxed spill.
+/// up to three odd sizes below 64 KiB — every frame the paper's setup
+/// produces — cost no heap allocation; anything beyond goes to one boxed
+/// spill.
 #[derive(Debug, Clone)]
 pub struct FrameReception {
-    /// Frame index.
-    pub frame: u64,
     /// Number of packets the frame was transmitted with.
     pub total: u16,
     /// Number of those that were base-layer packets.
     pub base_count: u16,
-    /// Payload size of every packet not listed as odd.
-    default_bytes: u32,
+    /// Payload size of every packet not listed as odd. A common size of
+    /// 64 KiB or more does not fit, so the default is then 0 and every
+    /// packet of another size is listed.
+    default_bytes: u16,
     /// Receive flags of packets `0..128`, bit `i % 64` of word `i / 64`.
     /// Bits at or beyond `total` are never set.
     bits: [u64; INLINE_PACKETS / 64],
-    /// `(index, bytes)` of the first `odd_len` odd-sized packets.
-    odd_index: [u16; INLINE_ODD],
-    odd_bytes: [u32; INLINE_ODD],
+    /// `(index, bytes)` of the first `odd_len` odd-sized packets whose index
+    /// fits a byte and size 16 bits; the others are in the spill.
+    odd_index: [u8; INLINE_ODD],
+    odd_bytes: [u16; INLINE_ODD],
     odd_len: u8,
-    /// Present when `total > 128` or a fourth odd size turned up.
+    /// Present when `total > 128` or an odd size did not fit inline.
     spill: Option<Box<Spill>>,
 }
 
@@ -67,12 +70,12 @@ impl Spill {
 
 impl FrameReception {
     /// Creates an empty record for a frame transmitted as `plan`.
-    pub fn from_plan(frame: u64, plan: &[PacketPlan]) -> Self {
+    pub fn from_plan(plan: &[PacketPlan]) -> Self {
         // Tails are shorter than full packets, so the largest size is the
         // common one.
         let default_bytes = plan.iter().map(|p| p.bytes).max().unwrap_or(0);
         let base_count = plan.iter().filter(|p| p.segment == Segment::Base).count() as u16;
-        let mut rec = Self::with_counts(frame, plan.len() as u16, base_count, default_bytes);
+        let mut rec = Self::with_counts(plan.len() as u16, base_count, default_bytes);
         for (i, p) in plan.iter().enumerate() {
             rec.set_size(i as u16, p.bytes);
         }
@@ -81,22 +84,27 @@ impl FrameReception {
 
     /// Creates a record when only counts are known (packet sizes assumed
     /// uniform `packet_bytes`).
-    pub fn with_counts(frame: u64, total: u16, base_count: u16, packet_bytes: u32) -> Self {
+    pub fn with_counts(total: u16, base_count: u16, packet_bytes: u32) -> Self {
         let spill = (total as usize > INLINE_PACKETS).then(|| {
             let words = (total as usize - INLINE_PACKETS).div_ceil(64);
             Box::new(Spill { bits: vec![0; words], odd: Vec::new() })
         });
-        FrameReception {
-            frame,
+        let mut rec = FrameReception {
             total,
             base_count,
-            default_bytes: packet_bytes,
+            default_bytes: u16::try_from(packet_bytes).unwrap_or(0),
             bits: [0; INLINE_PACKETS / 64],
             odd_index: [0; INLINE_ODD],
             odd_bytes: [0; INLINE_ODD],
             odd_len: 0,
             spill,
+        };
+        if u32::from(rec.default_bytes) != packet_bytes {
+            for index in 0..total {
+                rec.set_size(index, packet_bytes);
+            }
         }
+        rec
     }
 
     /// Marks packet `index` as received. Out-of-range indices are ignored
@@ -170,32 +178,49 @@ impl FrameReception {
 
     /// The odd-sized packets on record, in no particular order.
     fn odd(&self) -> impl Iterator<Item = (u16, u32)> + '_ {
-        let inline = self.odd_index.iter().copied().zip(self.odd_bytes).take(self.odd_len as usize);
+        let inline = self.odd_index.iter().zip(self.odd_bytes).take(self.odd_len as usize);
+        let inline = inline.map(|(&i, b)| (u16::from(i), u32::from(b)));
         inline.chain(self.spill.iter().flat_map(|s| s.odd.iter().copied()))
     }
 
     /// Records that packet `index` carries `bytes`.
     fn set_size(&mut self, index: u16, bytes: u32) {
         let n = self.odd_len as usize;
-        if let Some(i) = self.odd_index[..n].iter().position(|&x| x == index) {
-            self.odd_bytes[i] = bytes;
+        let narrow = u16::try_from(bytes).ok();
+        if let Some(i) = self.odd_index[..n].iter().position(|&x| u16::from(x) == index) {
+            if let Some(b) = narrow {
+                self.odd_bytes[i] = b;
+                return;
+            }
+            // Too wide to stay inline: the entry moves to the spill.
+            self.odd_index.copy_within(i + 1..n, i);
+            self.odd_bytes.copy_within(i + 1..n, i);
+            self.odd_len -= 1;
         } else if let Some(known) = self.spill.as_mut().and_then(|s| s.odd_size_mut(index)) {
             *known = bytes;
-        } else if bytes == self.default_bytes {
+            return;
+        } else if bytes == u32::from(self.default_bytes) {
             // Not on record, and nothing odd about it.
-        } else if n < INLINE_ODD {
-            self.odd_index[n] = index;
-            self.odd_bytes[n] = bytes;
-            self.odd_len += 1;
-        } else {
-            let spill = self.spill.get_or_insert_with(Box::default);
-            let at = spill.odd.partition_point(|e| e.0 < index);
-            spill.odd.insert(at, (index, bytes));
+            return;
+        }
+        match (u8::try_from(index), narrow) {
+            (Ok(i), Some(b)) if (self.odd_len as usize) < INLINE_ODD => {
+                let n = self.odd_len as usize;
+                self.odd_index[n] = i;
+                self.odd_bytes[n] = b;
+                self.odd_len += 1;
+            }
+            _ => {
+                let spill = self.spill.get_or_insert_with(Box::default);
+                let at = spill.odd.partition_point(|e| e.0 < index);
+                spill.odd.insert(at, (index, bytes));
+            }
         }
     }
 
-    /// Decodes the frame (see [`DecodedFrame`]).
-    pub fn decode(&self) -> DecodedFrame {
+    /// Decodes the frame, which is frame number `frame` of its stream (see
+    /// [`DecodedFrame`]).
+    pub fn decode(&self, frame: u64) -> DecodedFrame {
         let (base, total) = (self.base_count.min(self.total), self.total);
         let mut gaps = self.missing().peekable();
         let base_ok = gaps.peek().is_none_or(|&i| i >= base);
@@ -215,7 +240,7 @@ impl FrameReception {
             }
         }
         DecodedFrame {
-            frame: self.frame,
+            frame,
             base_ok,
             enh_sent_packets: u32::from(total - base),
             enh_received_packets: received_packets,
@@ -271,10 +296,10 @@ impl DecodedFrame {
 ///
 /// let frame = ScaledFrame { base_bytes: 500, enhancement_bytes: 1_500 };
 /// let plan = packetize(&frame, 1_500, 0, 500);
-/// let mut rx = FrameReception::from_plan(0, &plan);
+/// let mut rx = FrameReception::from_plan(&plan);
 /// for i in [0u16, 1, 2] { rx.mark_received(i); } // lose the last packet
 /// let mut stats = UtilityStats::new();
-/// stats.add(&rx.decode());
+/// stats.add(&rx.decode(0));
 /// assert_eq!(stats.utility(), 1.0); // the received prefix is consecutive
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -372,8 +397,8 @@ impl Chunk {
 
 /// Every frame a receiver has seen a packet of, by frame number.
 ///
-/// Records sit in chunks of 16 consecutive frames, so a stream costs 64
-/// bytes per frame in 1 KiB allocations that are never moved or resized,
+/// Records sit in chunks of 16 consecutive frames, so a stream costs 40
+/// bytes per frame in 648-byte allocations that are never moved or resized,
 /// and a flow's newest chunk holds at most 15 frames it has not reached.
 /// A chunk is found by `frame >> 4` in an ordered map, so a frame number
 /// — which a wire receiver reads from an untrusted datagram — only ever
@@ -385,6 +410,10 @@ pub struct FrameLog {
 }
 
 impl FrameLog {
+    /// Bytes of one chunk: 16 records and the occupancy word. A stream's
+    /// log is one such allocation per 16 frames, plus its map node.
+    pub const CHUNK_BYTES: usize = std::mem::size_of::<Chunk>();
+
     /// Creates an empty log.
     pub fn new() -> Self {
         Self::default()
@@ -418,40 +447,39 @@ impl FrameLog {
     ) -> &mut FrameReception {
         let (key, slot) = Chunk::locate(frame);
         let chunk = self.chunks.entry(key).or_insert_with(|| {
-            let vacant = |_| FrameReception::with_counts(0, 0, 0, 0);
+            let vacant = |_| FrameReception::with_counts(0, 0, 0);
             Box::new(Chunk { present: 0, records: std::array::from_fn(vacant) })
         });
         if !chunk.has(slot) {
             chunk.present |= 1 << slot;
-            chunk.records[slot] =
-                FrameReception::with_counts(frame, total, base_count, packet_bytes);
+            chunk.records[slot] = FrameReception::with_counts(total, base_count, packet_bytes);
             self.len += 1;
         }
         &mut chunk.records[slot]
     }
 
-    /// The records in ascending frame order.
-    pub fn iter(&self) -> impl Iterator<Item = &FrameReception> + '_ {
-        self.chunks.values().flat_map(|chunk| {
-            chunk
-                .records
-                .iter()
-                .enumerate()
-                .filter_map(|(slot, rec)| chunk.has(slot).then_some(rec))
+    /// The frame numbers and their records, in ascending frame order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &FrameReception)> + '_ {
+        self.chunks.iter().flat_map(|(&key, chunk)| {
+            let first = key * CHUNK_FRAMES as u64;
+            let slots = chunk.records.iter().enumerate();
+            slots.filter_map(move |(slot, rec)| {
+                chunk.has(slot).then_some((first + slot as u64, rec))
+            })
         })
     }
 
     /// Decodes every frame on record, in ascending frame order (prefix
     /// decoding, paper Section 3).
     pub fn decode_all(&self) -> Vec<DecodedFrame> {
-        self.iter().map(FrameReception::decode).collect()
+        self.iter().map(|(frame, rec)| rec.decode(frame)).collect()
     }
 
     /// Aggregate utility over every frame on record (paper Eq. 3).
     pub fn utility(&self) -> UtilityStats {
         let mut stats = UtilityStats::new();
-        for rec in self.iter() {
-            stats.add(&rec.decode());
+        for (frame, rec) in self.iter() {
+            stats.add(&rec.decode(frame));
         }
         stats
     }
@@ -466,7 +494,7 @@ mod tests {
     fn reception(base: u32, enh: u32) -> FrameReception {
         let frame = ScaledFrame { base_bytes: base, enhancement_bytes: enh };
         let plan = packetize(&frame, enh, 0, 500);
-        FrameReception::from_plan(0, &plan)
+        FrameReception::from_plan(&plan)
     }
 
     #[test]
@@ -475,7 +503,7 @@ mod tests {
         for i in 0..rx.total {
             rx.mark_received(i);
         }
-        let d = rx.decode();
+        let d = rx.decode(0);
         assert!(d.base_ok);
         assert_eq!(d.enh_useful_packets, 10);
         assert_eq!(d.enh_useful_bytes, 5_000);
@@ -489,7 +517,7 @@ mod tests {
         for i in [1u16, 2, 3, /* gap at 4 */ 5, 6, 7, 8, 9, 10] {
             rx.mark_received(i);
         }
-        let d = rx.decode();
+        let d = rx.decode(0);
         assert!(d.base_ok);
         assert_eq!(d.enh_received_packets, 9);
         assert_eq!(d.enh_useful_packets, 3);
@@ -504,7 +532,7 @@ mod tests {
         for i in 2..6u16 {
             rx.mark_received(i);
         }
-        let d = rx.decode();
+        let d = rx.decode(0);
         assert!(!d.base_ok);
         assert_eq!(d.enh_useful_bytes, 0);
         // Packet-level prefix accounting is still reported for diagnostics.
@@ -518,26 +546,26 @@ mod tests {
         for i in 2..5u16 {
             rx.mark_received(i); // index 1 (first enhancement) missing
         }
-        let d = rx.decode();
+        let d = rx.decode(0);
         assert_eq!(d.enh_useful_packets, 0);
         assert_eq!(d.utility(), Some(0.0));
     }
 
     #[test]
-    fn a_record_is_64_bytes_whatever_the_frame() {
-        assert!(std::mem::size_of::<FrameReception>() <= 64);
-        assert!(std::mem::size_of::<Chunk>() <= CHUNK_FRAMES * 64 + 8);
+    fn a_record_is_40_bytes_whatever_the_frame() {
+        assert!(std::mem::size_of::<FrameReception>() <= 40);
+        assert!(std::mem::size_of::<Chunk>() <= CHUNK_FRAMES * 40 + 8);
         // The paper's frame — 126 packets, a short tail per segment —
         // fits without a spill.
         let frame = ScaledFrame { base_bytes: 10_400, enhancement_bytes: 51_800 };
         let plan = packetize(&frame, 30_100, 21_700, 500);
         assert_eq!(plan.len(), 126);
-        let mut rx = FrameReception::from_plan(0, &plan);
+        let mut rx = FrameReception::from_plan(&plan);
         for p in &plan {
             rx.mark_received_sized(p.index, p.bytes);
         }
         assert!(rx.spill.is_none());
-        assert_eq!(rx.decode().enh_useful_bytes, 51_800);
+        assert_eq!(rx.decode(0).enh_useful_bytes, 51_800);
     }
 
     #[test]
@@ -545,7 +573,7 @@ mod tests {
         let mut rx = reception(500, 500);
         rx.mark_received(200);
         assert!(!rx.is_received(200));
-        assert_eq!(rx.decode().enh_received_packets, 0);
+        assert_eq!(rx.decode(0).enh_received_packets, 0);
     }
 
     #[test]
@@ -581,14 +609,14 @@ mod tests {
         for i in 0..rx.total {
             rx.mark_received(i);
         }
-        stats.add(&rx.decode());
+        stats.add(&rx.decode(0));
         // Frame 2: half the enhancement received, prefix of 1.
         let mut rx = reception(500, 2_500);
         rx.mark_received(0);
         rx.mark_received(1);
         rx.mark_received(3);
         rx.mark_received(5);
-        stats.add(&rx.decode());
+        stats.add(&rx.decode(0));
         assert_eq!(stats.frames, 2);
         assert_eq!(stats.enh_sent, 10);
         assert_eq!(stats.enh_received, 8);
@@ -717,7 +745,7 @@ mod proptests {
         }
         let missing: Vec<u16> = (0..dense.total).filter(|&i| !dense.is_received(i)).collect();
         prop_assert_eq!(compact.missing().collect::<Vec<_>>(), missing);
-        prop_assert_eq!(compact.decode(), dense.decode());
+        prop_assert_eq!(compact.decode(dense.frame), dense.decode());
     }
 
     proptest! {
@@ -731,7 +759,7 @@ mod proptests {
         ) {
             let frame = ScaledFrame { base_bytes: 500, enhancement_bytes: (enh_packets as u32) * 500 };
             let plan = packetize(&frame, frame.enhancement_bytes, 0, 500);
-            let mut rx = FrameReception::from_plan(0, &plan);
+            let mut rx = FrameReception::from_plan(&plan);
             rx.mark_received(0); // keep base intact
             let mut first_gap = enh_packets;
             for (k, &was_lost) in lost.iter().enumerate().take(enh_packets) {
@@ -741,7 +769,7 @@ mod proptests {
                     first_gap = k;
                 }
             }
-            let d = rx.decode();
+            let d = rx.decode(0);
             prop_assert!(d.enh_useful_packets <= d.enh_received_packets);
             prop_assert_eq!(d.enh_useful_packets as usize, first_gap);
         }
@@ -759,7 +787,7 @@ mod proptests {
         ) {
             let frame = ScaledFrame { base_bytes, enhancement_bytes: yellow_bytes + red_bytes };
             let plan = packetize(&frame, yellow_bytes, red_bytes, packet_bytes);
-            let mut compact = FrameReception::from_plan(7, &plan);
+            let mut compact = FrameReception::from_plan(&plan);
             let mut dense = DenseReception::from_plan(7, &plan);
             assert_agree(&compact, &dense);
             prop_assert!(compact.spill.as_ref().is_none_or(|s| s.odd.is_empty()),
@@ -789,13 +817,48 @@ mod proptests {
             let (mut compact, mut dense) = if from_counts {
                 let (total, base) = (plan.len() as u16, base as u16);
                 (
-                    FrameReception::with_counts(3, total, base, 500),
+                    FrameReception::with_counts(total, base, 500),
                     DenseReception::with_counts(3, total, base, 500),
                 )
             } else {
-                (FrameReception::from_plan(3, &plan), DenseReception::from_plan(3, &plan))
+                (FrameReception::from_plan(&plan), DenseReception::from_plan(3, &plan))
             };
             assert_agree(&compact, &dense);
+            mark_both(ops, &mut compact, &mut dense);
+        }
+
+        /// The same with sizes that do not fit 16 bits — as odd sizes and as
+        /// the common one — and odd sizes past packet 255, so everything a
+        /// record cannot hold inline goes to its spill.
+        #[test]
+        fn compact_record_matches_dense_oracle_on_wide_sizes(
+            sizes in collection::vec(0u32..4, 0..300),
+            base in 0usize..300,
+            from_counts in any::<bool>(),
+            ops in collection::vec((any::<bool>(), 0u16..310, 0u32..4), 0..400),
+        ) {
+            let size = |k: u32| [70_000, 65_535, 65_536, 120][k as usize];
+            let base = base.min(sizes.len());
+            let plan: Vec<PacketPlan> = sizes
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| PacketPlan {
+                    index: i as u16,
+                    bytes: size(k),
+                    segment: if i < base { Segment::Base } else { Segment::Red },
+                })
+                .collect();
+            let (mut compact, mut dense) = if from_counts {
+                let (total, base) = (plan.len() as u16, base as u16);
+                (
+                    FrameReception::with_counts(total, base, 70_000),
+                    DenseReception::with_counts(5, total, base, 70_000),
+                )
+            } else {
+                (FrameReception::from_plan(&plan), DenseReception::from_plan(5, &plan))
+            };
+            assert_agree(&compact, &dense);
+            let ops = ops.into_iter().map(|(sized, index, k)| (sized, index, size(k))).collect();
             mark_both(ops, &mut compact, &mut dense);
         }
 
@@ -829,10 +892,10 @@ mod proptests {
                 prop_assert_eq!(log.get(frame).is_some(), map.contains_key(&frame));
             }
             prop_assert_eq!(log.iter().count(), map.len());
-            for (rec, (&frame, dense)) in log.iter().zip(&map) {
-                prop_assert_eq!(rec.frame, frame);
-                prop_assert_eq!(log.get(frame).map(|r| r.frame), Some(frame));
+            for ((at, rec), (&frame, dense)) in log.iter().zip(&map) {
+                prop_assert_eq!(at, frame);
                 assert_agree(rec, dense);
+                assert_agree(log.get(frame).expect("on record"), dense);
             }
             let decoded: Vec<DecodedFrame> = map.values().map(DenseReception::decode).collect();
             prop_assert_eq!(log.decode_all(), decoded.clone());

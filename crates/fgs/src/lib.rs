@@ -28,11 +28,11 @@
 //! let (yellow, red) = partition_enhancement(scaled.enhancement_bytes, 0.2);
 //! let plan = packetize(&scaled, yellow, red, foreman::PACKET_BYTES);
 //!
-//! let mut rx = FrameReception::from_plan(0, &plan);
+//! let mut rx = FrameReception::from_plan(&plan);
 //! for p in &plan {
 //!     if p.index % 10 != 9 { rx.mark_received(p.index); } // drop every 10th
 //! }
-//! let decoded = rx.decode();
+//! let decoded = rx.decode(0);
 //! assert!(decoded.enh_useful_packets <= decoded.enh_received_packets);
 //! ```
 

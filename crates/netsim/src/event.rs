@@ -15,7 +15,7 @@
 //!   paired with a `u128` ordering key — 32 bytes total, stored *by value*
 //!   in the heap and the sorted run. Timers and tx-completes carry their
 //!   whole payload inline; nothing is allocated for them.
-//! * **Arenas.** Packet payloads (128 bytes) live in a free-list slab
+//! * **Arenas.** Packet payloads (96 bytes) live in a free-list slab
 //!   and ride through the queue as a [`PacketSlot`] handle; the rare
 //!   fault actions live in a second slab. Heap sifts therefore move 32
 //!   bytes per swap instead of a whole packet. A packet is copied twice

@@ -110,7 +110,17 @@ pub struct FrameTag {
     pub base: u16,
 }
 
+/// Bits of [`Packet`]'s flags byte.
+const HAS_FRAME: u8 = 1;
+const HAS_FEEDBACK: u8 = 2;
+const RETRANSMISSION: u8 = 4;
+
 /// A simulated packet.
+///
+/// The frame tag and the feedback label are stored field by field, each
+/// present when its bit in one flags byte is set, so a packet is 96 bytes
+/// rather than the 128 two `Option`s of their padded structs would make it.
+/// [`Packet::frame`] and [`Packet::feedback`] return them whole.
 ///
 /// # Examples
 ///
@@ -139,22 +149,29 @@ pub struct Packet {
     /// Convention in this workspace: 0 = green, 1 = yellow, 2 = red,
     /// 3 = best-effort Internet traffic.
     pub class: u8,
-    /// Per-flow sequence number.
+    /// Per-flow sequence number; on a TCP ACK, the cumulative
+    /// acknowledgment (the next sequence number the sink expects).
     pub seq: u64,
-    /// Video-frame tag, when the packet carries FGS data.
-    pub frame: Option<FrameTag>,
     /// Time the packet left its source.
     pub sent_at: SimTime,
-    /// Congestion feedback stamped by routers along the path (data packets)
-    /// or echoed back to the source (ACKs).
-    pub feedback: Option<Feedback>,
-    /// For ACKs: cumulative acknowledgment number (used by the TCP model).
-    pub ack_no: u64,
     /// The sender's rate (bits/s) when this packet left the source, echoed
     /// back in ACKs. MKC applies its update to this *old* rate — the
     /// `r(k − D)` base of Eq. 8, which is what makes its stability
     /// independent of feedback delay (paper reference [34]).
     pub rate_echo: f64,
+    /// `HAS_FRAME`, `HAS_FEEDBACK` and `RETRANSMISSION`. The fields of an
+    /// absent tag or label are zero.
+    flags: u8,
+    /// The video-frame tag's fields ([`FrameTag`]).
+    frame_no: u64,
+    index: u16,
+    total: u16,
+    base: u16,
+    /// The feedback label's fields ([`Feedback`]).
+    router: AgentId,
+    epoch: u64,
+    loss: f64,
+    fgs_loss: f64,
 }
 
 impl Packet {
@@ -169,33 +186,35 @@ impl Packet {
             kind: PacketKind::Data,
             class: 3,
             seq: 0,
-            frame: None,
             sent_at: SimTime::ZERO,
-            feedback: None,
-            ack_no: 0,
             rate_echo: 0.0,
+            flags: 0,
+            frame_no: 0,
+            index: 0,
+            total: 0,
+            base: 0,
+            router: AgentId(0),
+            epoch: 0,
+            loss: 0.0,
+            fgs_loss: 0.0,
         }
     }
 
     /// Creates an ACK for `data`, addressed back to its source.
     ///
-    /// The ACK echoes the data packet's feedback label so that the source
-    /// receives the freshest router state (paper Section 5.2).
+    /// The ACK echoes the data packet's frame tag and feedback label, so
+    /// that the source receives the freshest router state (paper Section
+    /// 5.2), but is no retransmission itself.
     pub fn ack_for(data: &Packet, size_bytes: u32) -> Self {
         Packet {
             id: PacketId(0),
-            flow: data.flow,
             src: data.dst,
             dst: data.src,
             size_bytes,
             kind: PacketKind::Ack,
-            class: data.class,
-            seq: data.seq,
-            frame: data.frame,
             sent_at: SimTime::ZERO,
-            feedback: data.feedback,
-            ack_no: 0,
-            rate_echo: data.rate_echo,
+            flags: data.flags & !RETRANSMISSION,
+            ..data.clone()
         }
     }
 
@@ -219,8 +238,51 @@ impl Packet {
 
     /// Sets the frame tag (builder style).
     pub fn with_frame(mut self, tag: FrameTag) -> Self {
-        self.frame = Some(tag);
+        self.flags |= HAS_FRAME;
+        (self.frame_no, self.index, self.total, self.base) =
+            (tag.frame, tag.index, tag.total, tag.base);
         self
+    }
+
+    /// Video-frame tag, when the packet carries FGS data.
+    pub fn frame(&self) -> Option<FrameTag> {
+        (self.flags & HAS_FRAME != 0).then_some(FrameTag {
+            frame: self.frame_no,
+            index: self.index,
+            total: self.total,
+            base: self.base,
+        })
+    }
+
+    /// Congestion feedback stamped by routers along the path (data packets)
+    /// or echoed back to the source (ACKs).
+    pub fn feedback(&self) -> Option<Feedback> {
+        (self.flags & HAS_FEEDBACK != 0).then_some(Feedback {
+            router: self.router,
+            epoch: self.epoch,
+            loss: self.loss,
+            fgs_loss: self.fgs_loss,
+        })
+    }
+
+    /// Replaces the feedback label, or removes it.
+    pub fn set_feedback(&mut self, label: Option<Feedback>) {
+        let none = Feedback { router: AgentId(0), epoch: 0, loss: 0.0, fgs_loss: 0.0 };
+        let Feedback { router, epoch, loss, fgs_loss } = label.unwrap_or(none);
+        (self.router, self.epoch, self.loss, self.fgs_loss) = (router, epoch, loss, fgs_loss);
+        self.flags =
+            if label.is_some() { self.flags | HAS_FEEDBACK } else { self.flags & !HAS_FEEDBACK };
+    }
+
+    /// Whether this data packet repeats one sent before (answering a NACK);
+    /// its `sent_at` is then the original frame emission time.
+    pub fn is_retransmission(&self) -> bool {
+        self.flags & RETRANSMISSION != 0
+    }
+
+    /// Marks this data packet as a retransmission.
+    pub fn mark_retransmission(&mut self) {
+        self.flags |= RETRANSMISSION;
     }
 
     /// Size of the packet in bits.
@@ -237,11 +299,8 @@ impl Packet {
     /// compares its `p_l` with that inside arriving packets and overrides the
     /// existing value only if its packet loss is larger".
     pub fn stamp_feedback(&mut self, label: Feedback) {
-        match self.feedback {
-            None => self.feedback = Some(label),
-            Some(cur) if cur.router == label.router => self.feedback = Some(label),
-            Some(cur) if label.loss > cur.loss => self.feedback = Some(label),
-            Some(_) => {}
+        if self.flags & HAS_FEEDBACK == 0 || self.router == label.router || label.loss > self.loss {
+            self.set_feedback(Some(label));
         }
     }
 }
@@ -260,7 +319,7 @@ mod tests {
         assert_eq!(p.kind, PacketKind::Data);
         assert_eq!(p.class, 3);
         assert_eq!(p.size_bits(), 4000);
-        assert!(p.feedback.is_none());
+        assert!(p.feedback().is_none());
     }
 
     #[test]
@@ -272,16 +331,33 @@ mod tests {
         assert_eq!(ack.dst, p.src);
         assert_eq!(ack.kind, PacketKind::Ack);
         assert_eq!(ack.seq, 9);
-        let fb = ack.feedback.expect("ack echoes feedback");
+        let fb = ack.feedback().expect("ack echoes feedback");
         assert_eq!(fb.epoch, 3);
         assert_eq!(fb.router, AgentId(5));
     }
 
     #[test]
-    fn a_packet_is_at_most_128_bytes() {
+    fn a_packet_is_at_most_96_bytes() {
         // Every hop copies a packet into the arena and out again, and the
         // cross-shard lane and the shard outboxes hold them by value.
-        assert!(std::mem::size_of::<Packet>() <= 128, "{}", std::mem::size_of::<Packet>());
+        assert!(std::mem::size_of::<Packet>() <= 96, "{}", std::mem::size_of::<Packet>());
+    }
+
+    #[test]
+    fn ack_echoes_the_tag_but_is_no_retransmission() {
+        let tag = FrameTag { frame: 3, index: 5, total: 126, base: 21 };
+        let mut p = pkt().with_frame(tag);
+        assert!(!p.is_retransmission());
+        p.mark_retransmission();
+        assert!(p.is_retransmission());
+        let ack = Packet::ack_for(&p, 40);
+        assert_eq!(ack.frame(), Some(tag));
+        assert!(!ack.is_retransmission() && ack.feedback().is_none());
+        // A removed label leaves the packet as if it never had one.
+        let before = p.clone();
+        p.set_feedback(Some(Feedback::new(AgentId(4), 2, 0.5, 0.5)));
+        p.set_feedback(None);
+        assert_eq!(p, before);
     }
 
     #[test]
@@ -290,13 +366,13 @@ mod tests {
         p.stamp_feedback(Feedback::new(AgentId(1), 1, 0.10, 0.1));
         // A different router with smaller loss must NOT override.
         p.stamp_feedback(Feedback::new(AgentId(2), 8, 0.05, 0.05));
-        assert_eq!(p.feedback.unwrap().router, AgentId(1));
+        assert_eq!(p.feedback().unwrap().router, AgentId(1));
         // A different router with larger loss overrides.
         p.stamp_feedback(Feedback::new(AgentId(2), 9, 0.20, 0.2));
-        assert_eq!(p.feedback.unwrap().router, AgentId(2));
+        assert_eq!(p.feedback().unwrap().router, AgentId(2));
         // The same router always refreshes its own label, even downward.
         p.stamp_feedback(Feedback::new(AgentId(2), 10, 0.01, 0.0));
-        let fb = p.feedback.unwrap();
+        let fb = p.feedback().unwrap();
         assert_eq!(fb.epoch, 10);
         assert!((fb.loss - 0.01).abs() < 1e-12);
     }
@@ -313,7 +389,7 @@ mod tests {
         let p = pkt().with_class(1).with_seq(77).with_frame(tag).with_id(PacketId(8));
         assert_eq!(p.class, 1);
         assert_eq!(p.seq, 77);
-        assert_eq!(p.frame, Some(tag));
+        assert_eq!(p.frame(), Some(tag));
         assert_eq!(p.id, PacketId(8));
     }
 }

@@ -293,7 +293,7 @@ pub struct CrossEvent {
 /// the same FIFO tie-break sequence numbers regardless of how many worker
 /// threads produced the batch or in what order they posted it. The key is
 /// unique per event, so the unstable sort (in place, no merge buffer of
-/// 168-byte events at every barrier) gives the one possible order.
+/// 120-byte events at every barrier) gives the one possible order.
 pub fn sort_cross_events(batch: &mut [CrossEvent]) {
     batch.sort_unstable_by_key(|e| (e.time, e.src_shard, e.seq));
 }
@@ -780,6 +780,14 @@ mod tests {
 
     fn ms(n: u64) -> SimDuration {
         SimDuration::from_millis(n)
+    }
+
+    #[test]
+    fn a_cross_event_is_at_most_120_bytes() {
+        // Outboxes, barrier batches and lanes hold every packet that crosses
+        // a cut by value: a 96-byte packet and the merge key.
+        let size = std::mem::size_of::<CrossEvent>();
+        assert!(size <= 120, "{size}");
     }
 
     /// Sends `n` packets to `peer` at start, replies to everything it

@@ -233,7 +233,8 @@ impl Agent for TcpSource {
         if packet.kind != PacketKind::Ack || packet.flow != self.flow {
             return;
         }
-        let ack_no = packet.ack_no;
+        // A sink's ACK carries its cumulative acknowledgment in `seq`.
+        let ack_no = packet.seq;
         if ack_no > self.snd_una {
             self.on_new_ack(ack_no, ctx);
         } else if ack_no == self.snd_una && self.inflight() > 0 {
@@ -315,7 +316,7 @@ impl Agent for TcpSink {
             self.out_of_order.insert(packet.seq);
         }
         let mut ack = Packet::ack_for(&packet, 40).with_id(ctx.alloc_packet_id());
-        ack.ack_no = self.next_expected;
+        ack.seq = self.next_expected;
         ack.sent_at = ctx.now;
         self.port.send(ack, ctx);
     }

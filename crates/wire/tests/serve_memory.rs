@@ -63,9 +63,10 @@ const BUDGET_KIB_PER_FLOW: f64 = 7.2;
 /// 60 s to 90 s, flat only past 150 s. A heap that grows now is a leak.
 const MAX_LATE_GROWTH: f64 = 0.02;
 
-// A debug build steps these 90 s in a minute or more; ci.sh runs this in
-// release.
-#[cfg_attr(debug_assertions, ignore)]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "a debug build steps these 90 s in a minute or more; run it with --release"
+)]
 #[test]
 fn serve_stays_inside_its_memory_budget_and_goes_flat() {
     let addr = |port: u16| -> SocketAddr { ([127, 0, 0, 1], port).into() };

@@ -1,7 +1,9 @@
 //! Frame numbers and packet counts arrive in datagrams, so they are
 //! hostile: whatever a tag says, the receiver must not panic and one packet
 //! may cost only a bounded number of bytes — a log chunk and, for a frame
-//! claiming more than 128 packets, its boxed bitset.
+//! claiming more than 128 packets, its boxed bitset. The chunk's size is
+//! the log's own, pinned here at 16 records of 40 bytes and its occupancy
+//! word.
 //!
 //! One `#[test]` only: the byte counter is process-wide.
 
@@ -47,8 +49,8 @@ fn live() -> isize {
     LIVE.load(Ordering::Relaxed)
 }
 
-/// 64 records of 64 bytes and the chunk's occupancy word.
-const CHUNK_BYTES: isize = 64 * 64 + 8;
+/// One chunk of the frame log.
+const CHUNK_BYTES: isize = FrameLog::CHUNK_BYTES as isize;
 /// Receive flags of packets 128..65 535, and the box that holds them.
 const BITSET_BYTES: isize = (65_535 - 128 + 63) / 64 * 8 + 48;
 /// A node of the chunk map, a grown queue: small change.
@@ -96,6 +98,7 @@ fn datagram(tag: FrameTag) -> Vec<u8> {
 
 #[test]
 fn hostile_frame_tags_cost_bounded_bytes_and_never_panic() {
+    const { assert!(CHUNK_BYTES <= 16 * 40 + 8, "a log chunk outgrew 16 records of 40 bytes") };
     // The log itself, which takes any tag — even ones the codec refuses.
     let mut log = FrameLog::new();
     for (n, tag) in hostile_tags().into_iter().enumerate() {
@@ -108,7 +111,7 @@ fn hostile_frame_tags_cost_bounded_bytes_and_never_panic() {
     assert_eq!(log.len(), 7);
     assert_eq!(log.decode_all().len(), 7);
     assert_eq!(log.utility().frames, 7);
-    assert!(log.iter().map(|rec| rec.frame).eq([
+    assert!(log.iter().map(|(frame, _)| frame).eq([
         0,
         1,
         5,

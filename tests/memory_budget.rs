@@ -1,15 +1,17 @@
-//! Bytes per flow as a test: the live heap of a chained scenario and of the
-//! shared dumbbell, counted by this file's own global allocator, must stay
-//! under a budget, and the chained one must not grow faster than the
-//! receiver's 64-byte frame records explain.
+//! Bytes per flow as a test: the live heap of a chained scenario, of the
+//! shared dumbbell and of a generated Waxman graph, counted by this file's
+//! own global allocator, must stay under a budget, and the chained one must
+//! not grow much faster than the receiver's 40-byte frame records explain.
 //!
 //! One `#[test]` only: the counter is process-wide, and a second test
 //! running beside it would be counted too.
 
 use pels_core::scenario::{wideband_chained_config, wideband_scaled_config, Scenario};
 use pels_netsim::time::SimTime;
+use pels_topo::{TopoScenario, TopoSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
+use std::time::Instant;
 
 /// Bytes allocated and not yet freed.
 static LIVE: AtomicIsize = AtomicIsize::new(0);
@@ -39,24 +41,36 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 const FLOWS: usize = 8;
-/// Live heap per chained flow after 30 simulated seconds: 128.0 KiB
-/// measured. A sender that kept each frame as a list of planned packets,
-/// a frame log that grew in 4 KiB chunks and a 144-byte packet read 141.2;
-/// the parent of the PR that added this test read 280.
-const BUDGET_KIB_PER_FLOW: f64 = 140.0;
-/// Growth per flow per simulated second between 10 s and 30 s. A frame
-/// record is 64 B and the trace runs at 10 fps, so 0.63 KiB/s is the floor;
-/// the parent grew 4.2.
-const MAX_GROWTH_KIB_PER_FLOW_S: f64 = 1.0;
+/// Live heap per chained flow after 30 simulated seconds: 104.9 KiB
+/// measured. With 64-byte frame records and a 128-byte packet it read
+/// 128.0; a sender that kept each frame as a list of planned packets, a
+/// frame log that grew in 4 KiB chunks and a 144-byte packet read 141.2,
+/// and the first version of this test measured 280.
+const BUDGET_KIB_PER_FLOW: f64 = 112.0;
+/// Growth per flow per simulated second between 10 s and 30 s: 0.48
+/// measured. A frame record is 40 B and the trace runs at 10 fps, so
+/// 0.39 KiB/s is the floor; 64-byte records grew 0.71.
+const MAX_GROWTH_KIB_PER_FLOW_S: f64 = 0.6;
 
 /// Flows on the shared dumbbell (the benchmark's `sim_shared` runs 1024).
 const SHARED_FLOWS: usize = 256;
 const SHARED_HORIZON_S: f64 = 9.0;
-/// Live heap per shared-dumbbell flow at 9 s: 18.9 KiB measured, 26.6 with
-/// the planned-packet list, the 4 KiB log chunks and the 144-byte packet.
-/// Most of it is the frame log (90 frames of 64 B) and the event queue's
-/// share of the bottleneck's backlog.
-const SHARED_BUDGET_KIB_PER_FLOW: f64 = 21.0;
+/// Live heap per shared-dumbbell flow at 9 s: 15.3 KiB measured; 18.9 with
+/// 64-byte frame records and a 128-byte packet, 26.6 with the
+/// planned-packet list, the 4 KiB log chunks and the 144-byte packet. Most
+/// of it is the frame log (90 frames of 40 B) and the event queue's share
+/// of the bottleneck's backlog.
+const SHARED_BUDGET_KIB_PER_FLOW: f64 = 16.5;
+
+/// A generated graph, smaller than the benchmark's `sim_waxman` (512 flows
+/// over 64 routers): video flows over several hops, Reno herds on some
+/// links. About 3 s of wall time in a debug build, 1.6 s in release.
+const WAXMAN: &str = "waxman:routers=32,flows=64,seed=1";
+const WAXMAN_FLOWS: usize = 64;
+const WAXMAN_HORIZON_S: f64 = 40.0;
+/// Live heap per Waxman flow at 40 s: 45.9 KiB measured, 59.6 with 64-byte
+/// frame records and a 128-byte packet. Its 400 frames of 40 B are 15.6.
+const WAXMAN_BUDGET_KIB_PER_FLOW: f64 = 50.0;
 
 fn kib_per_flow(before: isize, flows: usize) -> f64 {
     (LIVE.load(Ordering::Relaxed) - before) as f64 / 1024.0 / flows as f64
@@ -87,10 +101,26 @@ fn chained_flows_stay_inside_their_memory_budget() {
     let shared_kib = kib_per_flow(before, SHARED_FLOWS);
     println!("live heap per shared-dumbbell flow: {shared_kib:.2} KiB at {SHARED_HORIZON_S} s");
 
+    let before = LIVE.load(Ordering::Relaxed);
+    let started = Instant::now();
+    let spec = TopoSpec::from_shorthand(WAXMAN).expect("valid spec");
+    let mut waxman = TopoScenario::build(spec);
+    waxman.set_workers(1);
+    waxman.run_until(SimTime::from_secs_f64(WAXMAN_HORIZON_S));
+    let waxman_kib = kib_per_flow(before, WAXMAN_FLOWS);
+    println!(
+        "live heap per Waxman flow: {waxman_kib:.2} KiB at {WAXMAN_HORIZON_S} s ({:.2} s wall)",
+        started.elapsed().as_secs_f64()
+    );
+
     assert!(at_30 <= BUDGET_KIB_PER_FLOW, "{at_30:.1} KiB per chained flow at 30 s");
     assert!(growth <= MAX_GROWTH_KIB_PER_FLOW_S, "{growth:.2} KiB per flow per simulated second");
     assert!(
         shared_kib <= SHARED_BUDGET_KIB_PER_FLOW,
         "{shared_kib:.2} KiB per shared-dumbbell flow at {SHARED_HORIZON_S} s"
+    );
+    assert!(
+        waxman_kib <= WAXMAN_BUDGET_KIB_PER_FLOW,
+        "{waxman_kib:.2} KiB per Waxman flow at {WAXMAN_HORIZON_S} s"
     );
 }

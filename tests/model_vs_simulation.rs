@@ -20,14 +20,14 @@ fn decode_through_channel(p: f64, h: u32, frames: u64, seed: u64) -> UtilityStat
     let frame = ScaledFrame { base_bytes: 500, enhancement_bytes: h * 500 };
     let plan = packetize(&frame, h * 500, 0, 500);
     for f in 0..frames {
-        let mut rx = FrameReception::from_plan(f, &plan);
+        let mut rx = FrameReception::from_plan(&plan);
         rx.mark_received(0); // base protected, as in the paper's comparator
         for pkt in plan.iter().skip(1) {
             if !channel.is_lost() {
                 rx.mark_received(pkt.index);
             }
         }
-        stats.add(&rx.decode());
+        stats.add(&rx.decode(f));
     }
     stats
 }
@@ -124,14 +124,14 @@ fn lemma1_general_pmf_matches_variable_size_traces() {
     for spec in trace.iter() {
         let frame = ScaledFrame { base_bytes: 500, enhancement_bytes: spec.enhancement_bytes };
         let plan = packetize(&frame, spec.enhancement_bytes, 0, 500);
-        let mut rx = FrameReception::from_plan(spec.index, &plan);
+        let mut rx = FrameReception::from_plan(&plan);
         rx.mark_received(0);
         for pkt in plan.iter().skip(1) {
             if !channel.is_lost() {
                 rx.mark_received(pkt.index);
             }
         }
-        stats.add(&rx.decode());
+        stats.add(&rx.decode(spec.index));
     }
     let measured = stats.mean_useful_per_frame();
     assert!(
