@@ -48,29 +48,14 @@ for gone in -"-no-batch" -"-batch-size" -"-ack-every" \
 done
 
 # A source file up to its test module (everything from `#[cfg(test)]` on may
-# call what it likes), each line prefixed with file and line number.
+# call what it likes), each line prefixed with file and line number. The line
+# ratchets on the same rule are tests/architecture.rs. The determinism of
+# every report is tier-1 too: live and chaos runs repeat in
+# `live::tests::memory_run_is_deterministic`,
+# `wire::chaos::tests::matrix_is_deterministic` and byte_identity.rs, worker
+# counts in report_digests.rs, parallel_determinism.rs and the topo
+# scenario tests.
 non_test_code() { awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$1"; }
-
-echo "== pels parses into the configs it runs (crates/cli line ratchet) =="
-# Each command carries the config of the library it drives, built by that
-# library's constructor and checked by its own `validate`; the parser
-# restates no default, bound or check. That took crates/cli/src from 1,390
-# non-test lines to 1,163. A restated default or a second copy of a check
-# shows up here first: the count may fall, never rise.
-cli_lines="$(for f in crates/cli/src/*.rs; do non_test_code "$f"; done | wc -l)"
-[ "$cli_lines" -le 1163 ] || {
-  echo "crates/cli/src has $cli_lines non-test lines, over its ratchet of 1163" >&2; exit 1; }
-
-echo "== one experiment table (crates/bench line ratchet) =="
-# Every table, figure and ablation is a row of pels_bench::EXPERIMENTS: a
-# function returning its files and its checks, run in-process by run_all
-# and by tests/experiments.rs. That took crates/bench/src from 2,218
-# non-test lines (22 binaries, each with its own stdout table and asserts)
-# to 1,298. A per-row printer or a second harness shows up here first: the
-# count may fall, never rise.
-bench_lines="$(for f in $(find crates/bench/src -name '*.rs'); do non_test_code "$f"; done | wc -l)"
-[ "$bench_lines" -le 1298 ] || {
-  echo "crates/bench/src has $bench_lines non-test lines, over its ratchet of 1298" >&2; exit 1; }
 
 echo "== the sender control path is wired once (pels_core::flow) =="
 # Eq. 8, the fresh-epoch bookkeeping, the watchdog, the epoch filter and
@@ -260,29 +245,6 @@ trap 'rm -rf "$live_dir"' EXIT
 PELS_RESULTS_DIR="$live_dir" timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
   live --duration 2
 
-echo "== pels live determinism gate (in-memory transport) =="
-# The serve loop on MemHub and a mock clock: byte-identical run to run, or
-# the wire stack's deterministic backend is no longer deterministic.
-PELS_RESULTS_DIR="$live_dir" timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
-  live --duration 2 --mem --json > "$live_dir/live_mem_a.json"
-PELS_RESULTS_DIR="$live_dir" timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
-  live --duration 2 --mem --json > "$live_dir/live_mem_b.json"
-cmp "$live_dir/live_mem_a.json" "$live_dir/live_mem_b.json" || {
-  echo "pels live --mem output is not byte-identical across runs" >&2; exit 1; }
-
-echo "== pels chaos wire determinism gate (fault matrix, CI preset, run twice) =="
-# Six fault cases against the serve loop and its receiver: every recovery
-# invariant (rate re-convergence, green floor, budget) must hold, and the
-# report must repeat byte for byte.
-for run in a b; do
-  timeout 300 cargo run --release -q -p pels-cli --bin pels -- \
-    chaos --wire --short --json > "$live_dir/wire_chaos_$run.json"
-done
-grep -q '"all_ok": true' "$live_dir/wire_chaos_a.json" || {
-  echo "wire chaos invariants violated" >&2; cat "$live_dir/wire_chaos_a.json" >&2; exit 1; }
-cmp "$live_dir/wire_chaos_a.json" "$live_dir/wire_chaos_b.json" || {
-  echo "pels chaos --wire report is not byte-identical across runs" >&2; exit 1; }
-
 echo "== pels run telemetry smoke (JSON-lines stream) =="
 tel_file="$(mktemp -t pels_telemetry_XXXXXX.jsonl)"
 trap 'rm -rf "$live_dir"; rm -f "$tel_file"' EXIT
@@ -303,51 +265,9 @@ last_bytes="$(tail -n 1 "$tel_file" | wc -c)"
 [ "$tel_bytes" -le $((2 * last_bytes)) ] || {
   echo "telemetry file is $tel_bytes bytes, over twice its $last_bytes-byte last line" >&2; exit 1; }
 
-echo "== parallel determinism gate (serial vs sharded report digest) =="
+echo "== pels serve loopback smoke (256 flows, 2 s loadgen) =="
 scratch_dir="$(mktemp -d -t pels_ci_XXXXXX)"
 trap 'rm -rf "$live_dir"; rm -f "$tel_file"; rm -rf "$scratch_dir"' EXIT
-# The report must be a pure function of (config, seed): byte-identical
-# JSON whether one worker or many execute the shards (DESIGN.md §12).
-serial_json="$scratch_dir/run_w1.json"
-parallel_json="$scratch_dir/run_w2.json"
-timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
-  run --flows 8 --duration 10 --workers 1 --json > "$serial_json"
-timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
-  run --flows 8 --duration 10 --workers 2 --json > "$parallel_json"
-cmp "$serial_json" "$parallel_json" || {
-  echo "parallel report diverges from serial report" >&2; exit 1; }
-# The same in best-effort mode, whose router draws a random number per
-# FGS packet: draws come from per-agent streams, not per-shard ones.
-for w in 1 2; do
-  timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
-    run --mode besteffort --flows 8 --duration 10 --workers "$w" --json \
-    > "$scratch_dir/be_w$w.json"
-done
-cmp "$scratch_dir/be_w1.json" "$scratch_dir/be_w2.json" || {
-  echo "best-effort report diverges across worker counts" >&2; exit 1; }
-
-echo "== pels chaos determinism gate (six-case sim fault matrix, run twice) =="
-# Exits nonzero if a recovery invariant fails; the report (fault counters
-# included) must repeat byte for byte.
-for run in a b; do
-  PELS_RESULTS_DIR="$scratch_dir" timeout 300 cargo run --release -q -p pels-cli --bin pels -- \
-    chaos --duration 12 --json > "$scratch_dir/chaos_$run.json"
-done
-cmp "$scratch_dir/chaos_a.json" "$scratch_dir/chaos_b.json" || {
-  echo "pels chaos report is not byte-identical across runs" >&2; exit 1; }
-
-echo "== parallel determinism gate (two-AQM-hop chain, workers 1 vs 2) =="
-# The parking-lot chain is the paper's Section 5.2 multi-router shape (the
-# max-loss override between two AQM hops) on a delay-cut partition.
-for w in 1 2; do
-  PELS_RESULTS_DIR="$scratch_dir" timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
-    run --topology parkinglot:segments=2,flows=4 --duration 5 --workers "$w" --json \
-    > "$scratch_dir/chain_w$w.json"
-done
-cmp "$scratch_dir/chain_w1.json" "$scratch_dir/chain_w2.json" || {
-  echo "chain report diverges across worker counts" >&2; exit 1; }
-
-echo "== pels serve loopback smoke (256 flows, 2 s loadgen) =="
 # A real serve+loadgen pair over loopback UDP: every flow registers,
 # streams paced data, and says BYE. Gates: zero decode errors on the
 # serve socket, zero leaked flow-table entries after teardown, and — the
@@ -412,25 +332,6 @@ PY
 
 echo "== topo generator property tests =="
 cargo test -q -p pels-topo
-
-echo "== topo scenario smoke (fat-tree + random graph, workers 2) =="
-# Short multi-bottleneck runs on the sharded engine; results CSVs go to
-# the scratch dir so the checked-in 30 s artifacts stay untouched.
-PELS_RESULTS_DIR="$scratch_dir" timeout 300 cargo run --release -q -p pels-cli --bin pels -- \
-  run --topology fattree:k=4,flows=8,seed=1 --duration 5 --workers 2 --json \
-  > "$scratch_dir/topo_ft.json"
-PELS_RESULTS_DIR="$scratch_dir" timeout 300 cargo run --release -q -p pels-cli --bin pels -- \
-  run --topology waxman:routers=16,flows=8,seed=1 --duration 5 --workers 2 --json \
-  > "$scratch_dir/topo_wx_w2.json"
-
-echo "== topo determinism gate (generated graph, workers 1 vs 2) =="
-# Same spec, different thread-pool size: the partition fixes the schedule,
-# so the reports must be byte-identical (DESIGN.md §12/§14).
-PELS_RESULTS_DIR="$scratch_dir" timeout 300 cargo run --release -q -p pels-cli --bin pels -- \
-  run --topology waxman:routers=16,flows=8,seed=1 --duration 5 --workers 1 --json \
-  > "$scratch_dir/topo_wx_w1.json"
-cmp "$scratch_dir/topo_wx_w1.json" "$scratch_dir/topo_wx_w2.json" || {
-  echo "topo report diverges across worker counts" >&2; exit 1; }
 
 echo "== cargo clippy (all targets, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings

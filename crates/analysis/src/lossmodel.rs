@@ -42,11 +42,6 @@ impl BernoulliChannel {
     pub fn is_lost(&mut self) -> bool {
         self.rng.gen::<f64>() < self.p
     }
-
-    /// The configured loss probability.
-    pub fn loss_probability(&self) -> f64 {
-        self.p
-    }
 }
 
 /// Distribution of loss-burst lengths observed in a loss indicator sequence.

@@ -7,7 +7,6 @@ use pels_analysis::lossmodel::{BernoulliChannel, BurstStats, GilbertElliott};
 use pels_analysis::queueing::jain_index;
 use pels_analysis::stability::{gamma_stability_scan, mkc_stability_scan};
 use pels_analysis::useful::{expected_useful_fixed, pels_utility_lower_bound};
-use pels_core::aimd::AimdConfig;
 use pels_core::gamma::GammaConfig;
 use pels_core::mkc::MkcConfig;
 use pels_core::receiver::NackConfig;
@@ -16,7 +15,6 @@ use pels_core::scenario::{lemma6_kbps_for, pels_flows, wideband_config, FlowSpec
 use pels_core::source::{ArqConfig, CcSpec, SourceMode};
 use pels_core::sweep::run_parallel;
 use pels_core::tcm::TcmConfig;
-use pels_core::tfrc::TfrcConfig;
 use pels_fgs::packetize::FramePackets;
 use pels_fgs::psnr::{RdConfig, RdModel};
 use pels_fgs::rd_scaling::{
@@ -215,11 +213,7 @@ pub fn ablation_scheduler() -> Outcome {
 pub fn ablation_cc() -> Outcome {
     let header = "controller,utility,mean_rate,rate_cv,yellow_loss";
     let mut o = Outcome::with_csv("ablation_cc.csv", header);
-    let controllers = [
-        ("MKC", CcSpec::default()),
-        ("AIMD", CcSpec::Aimd(AimdConfig::default())),
-        ("TFRC", CcSpec::Tfrc(TfrcConfig::default())),
-    ];
+    let controllers = [("MKC", CcSpec::default()), ("AIMD", CcSpec::Aimd), ("TFRC", CcSpec::Tfrc)];
     // Each controller's steady-state utility and flow 0's rate CV after 20 s.
     let [(mkc_u, mkc_cv), (aimd_u, aimd_cv), (tfrc_u, tfrc_cv)] = controllers.map(|(name, cc)| {
         let flow = FlowSpec { cc, ..Default::default() };

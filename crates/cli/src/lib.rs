@@ -576,9 +576,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
             let mbps = get_positive(&map, "bottleneck-mbps", config.bottleneck.as_mbps())?;
             config.bottleneck = Rate::from_mbps(mbps);
             config.pels_share = get_parsed(&map, "share", config.pels_share)?;
-            if !(config.pels_share > 0.0 && config.pels_share <= 1.0) {
-                return Err(ParseArgsError("--share must be in (0, 1]".into()));
-            }
             if map.contains_key("mem") {
                 config.backend = LiveBackend::Memory;
             }
@@ -593,9 +590,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
                 };
                 let faults: LiveFaults =
                     serde_json::from_str(&read_file(path)?).map_err(|e| bad(e.to_string()))?;
-                faults.validate().map_err(bad)?;
                 config.faults = Some(faults);
             }
+            config.validate().map_err(|e| ParseArgsError(format!("bad live config: {e}")))?;
             Ok(Command::Live {
                 config: Box::new(config),
                 json: map.contains_key("json"),
@@ -1231,6 +1228,15 @@ mod tests {
         // before the file is read.
         let err = parse_args(&args("run --config cfg.json --flows 3")).unwrap_err().0;
         assert!(err.contains("--flows") && !err.contains('\n'), "{err}");
+        // A rate that rounds to 0 b/s fails its library's `validate` here,
+        // before the run could divide by it.
+        for (line, why) in [
+            ("serve --listen 127.0.0.1:0 --capacity-mbps 0.0000001 --duration 1", "capacity"),
+            ("live --mem --bottleneck-mbps 0.0000001 --duration 1", "rounds to 0 b/s"),
+        ] {
+            let err = parse_args(&args(line)).unwrap_err().0;
+            assert!(err.contains(why) && !err.contains('\n'), "`{line}`: {err}");
+        }
     }
 
     #[test]
@@ -1541,20 +1547,26 @@ mod tests {
         let Some(fault_line) = fault_line else { panic!("no faults line in:\n{text}") };
         assert!(!fault_line.contains(" 0 dropped"), "20% tx drop must fire: {fault_line}");
 
-        // An invalid schedule is rejected on the command line, and so is one
-        // written for the former `source`/`router`/`receiver` schema; both
-        // messages name the keys a schedule has.
-        spec.server.tx.drop = 1.5;
-        let invalid = serde_json::to_string(&spec).unwrap();
-        spec.server.tx.drop = 0.2;
-        let former = serde_json::to_string(&spec).unwrap().replace("\"server\"", "\"source\"");
-        for text in [invalid, former] {
+        // An invalid schedule is rejected on the command line by
+        // `LiveConfig::validate`, naming the endpoint and direction; one
+        // written for the former `source`/`router`/`receiver` schema names
+        // the keys a schedule has.
+        let rejected = |text: String| {
             std::fs::write(&path, text).unwrap();
             let err = parse_args(&args(&line)).unwrap_err().0;
-            assert!(err.contains("bad fault schedule"), "{err}");
-            assert!(err.contains("`server` and `receiver`"), "{err}");
             assert!(!err.contains('\n'), "{err}");
-        }
+            err
+        };
+        spec.server.tx.drop = 1.5;
+        let err = rejected(serde_json::to_string(&spec).unwrap());
+        assert!(err.contains("bad live config: server: tx:"), "{err}");
+        spec.server.tx.drop = 0.2;
+        let err =
+            rejected(serde_json::to_string(&spec).unwrap().replace("\"server\"", "\"source\""));
+        assert!(
+            err.contains("bad fault schedule") && err.contains("`server` and `receiver`"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1900,7 +1912,6 @@ mod tests {
             ("packet_bytes", ScenarioConfig { packet_bytes: 0, ..base() }),
             ("fps", ScenarioConfig { trace: zero_fps, ..base() }),
             ("bottleneck", ScenarioConfig { bottleneck: pels_netsim::time::Rate::ZERO, ..base() }),
-            ("access", ScenarioConfig { access: pels_netsim::time::Rate::ZERO, ..base() }),
             ("frames", ScenarioConfig { trace: no_frames, ..base() }),
             ("flows", ScenarioConfig { flows: vec![], ..base() }),
             ("no_base", ScenarioConfig { trace: one_frame(0), ..base() }),

@@ -6,48 +6,27 @@
 //! AIMD's "unacceptable" rate fluctuations for video. This controller lets
 //! the benchmark harness demonstrate both claims: PELS keeps utility high
 //! under AIMD too, while AIMD's rate variance is far larger than MKC's.
+//! It starts, floors and caps its rate where MKC does by default
+//! ([`INITIAL_RATE`], [`MIN_RATE`], [`MAX_RATE`]).
 
-use pels_netsim::time::Rate;
+use crate::mkc::{INITIAL_RATE, MAX_RATE, MIN_RATE};
 use serde::{Deserialize, Serialize};
 
-/// Configuration of [`AimdController`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AimdConfig {
-    /// Additive increase per control step when no congestion, bits/s.
-    pub increase_bps: f64,
-    /// Multiplicative decrease factor applied on congestion (e.g. 0.5).
-    pub decrease: f64,
-    /// Loss level above which a step counts as congested.
-    pub loss_threshold: f64,
-    /// Initial rate.
-    pub initial: Rate,
-    /// Rate floor.
-    pub min_rate: Rate,
-    /// Rate ceiling.
-    pub max_rate: Rate,
-}
-
-impl Default for AimdConfig {
-    fn default() -> Self {
-        AimdConfig {
-            increase_bps: 20_000.0,
-            decrease: 0.5,
-            loss_threshold: 0.0,
-            initial: Rate::from_kbps(128.0),
-            min_rate: Rate::from_kbps(64.0),
-            max_rate: Rate::from_mbps(10.0),
-        }
-    }
-}
+/// Additive increase per control step when no congestion, bits/s (MKC's α).
+const INCREASE_BPS: f64 = 20_000.0;
+/// Multiplicative decrease factor applied on congestion.
+const DECREASE: f64 = 0.5;
+/// Loss level above which a step counts as congested: any positive `p`.
+const LOSS_THRESHOLD: f64 = 0.0;
 
 /// Additive-increase / multiplicative-decrease rate control.
 ///
 /// # Examples
 ///
 /// ```
-/// use pels_core::aimd::{AimdConfig, AimdController};
+/// use pels_core::aimd::AimdController;
 ///
-/// let mut aimd = AimdController::new(AimdConfig::default());
+/// let mut aimd = AimdController::default();
 /// aimd.update(0.0);  // no loss: +20 kb/s
 /// assert_eq!(aimd.rate_bps(), 148_000.0);
 /// aimd.update(0.2);  // loss: halve
@@ -55,33 +34,19 @@ impl Default for AimdConfig {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AimdController {
-    cfg: AimdConfig,
     rate_bps: f64,
     updates: u64,
     /// Congestion (decrease) events so far.
     pub backoffs: u64,
 }
 
-impl AimdController {
-    /// Creates a controller.
-    ///
-    /// # Panics
-    ///
-    /// Panics if gains are out of range (`increase <= 0`, `decrease`
-    /// outside `(0, 1)`) or the rate bounds are inconsistent.
-    pub fn new(cfg: AimdConfig) -> Self {
-        assert!(cfg.increase_bps > 0.0, "increase must be positive");
-        assert!(
-            cfg.decrease > 0.0 && cfg.decrease < 1.0,
-            "decrease must be in (0,1): {}",
-            cfg.decrease
-        );
-        assert!(cfg.min_rate <= cfg.max_rate, "min_rate must not exceed max_rate");
-        let rate = (cfg.initial.as_bps() as f64)
-            .clamp(cfg.min_rate.as_bps() as f64, cfg.max_rate.as_bps() as f64);
-        AimdController { cfg, rate_bps: rate, updates: 0, backoffs: 0 }
+impl Default for AimdController {
+    fn default() -> Self {
+        AimdController { rate_bps: INITIAL_RATE.as_bps() as f64, updates: 0, backoffs: 0 }
     }
+}
 
+impl AimdController {
     /// Current rate, bits/s.
     pub fn rate_bps(&self) -> f64 {
         self.rate_bps
@@ -96,14 +61,13 @@ impl AimdController {
     /// multiplicatively when `p` exceeds the loss threshold, otherwise
     /// increase additively. Returns the new rate.
     pub fn update(&mut self, p: f64) -> f64 {
-        let next = if p.is_finite() && p > self.cfg.loss_threshold {
+        let next = if p.is_finite() && p > LOSS_THRESHOLD {
             self.backoffs += 1;
-            self.rate_bps * self.cfg.decrease
+            self.rate_bps * DECREASE
         } else {
-            self.rate_bps + self.cfg.increase_bps
+            self.rate_bps + INCREASE_BPS
         };
-        self.rate_bps =
-            next.clamp(self.cfg.min_rate.as_bps() as f64, self.cfg.max_rate.as_bps() as f64);
+        self.rate_bps = next.clamp(MIN_RATE.as_bps() as f64, MAX_RATE.as_bps() as f64);
         self.updates += 1;
         self.rate_bps
     }
@@ -115,7 +79,7 @@ mod tests {
 
     #[test]
     fn sawtooth_behaviour() {
-        let mut a = AimdController::new(AimdConfig::default());
+        let mut a = AimdController::default();
         for _ in 0..10 {
             a.update(0.0);
         }
@@ -129,7 +93,7 @@ mod tests {
     fn oscillates_forever_unlike_mkc() {
         // Feed self-consistent feedback: AIMD has no fixed point above the
         // knee — it must oscillate.
-        let mut a = AimdController::new(AimdConfig::default());
+        let mut a = AimdController::default();
         let c = 2_000_000.0;
         let mut rates = Vec::new();
         for _ in 0..2_000 {
@@ -146,7 +110,7 @@ mod tests {
 
     #[test]
     fn respects_bounds() {
-        let mut a = AimdController::new(AimdConfig::default());
+        let mut a = AimdController::default();
         for _ in 0..100 {
             a.update(0.9);
         }
@@ -155,11 +119,5 @@ mod tests {
             a.update(-1.0);
         }
         assert_eq!(a.rate_bps(), 10_000_000.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "decrease must be in")]
-    fn rejects_bad_decrease() {
-        let _ = AimdController::new(AimdConfig { decrease: 1.0, ..Default::default() });
     }
 }

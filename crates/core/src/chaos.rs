@@ -142,13 +142,14 @@ impl ChaosCase {
     }
 }
 
+/// PELS video flows in every case.
+const FLOWS: usize = 2;
+
 /// Parameters shared by every case of a chaos run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ChaosConfig {
     /// Simulator seed (the whole report is a pure function of it).
     pub seed: u64,
-    /// Number of PELS video flows.
-    pub flows: usize,
     /// Total simulated time per case.
     pub duration: SimDuration,
     /// When the fault begins.
@@ -161,7 +162,6 @@ impl Default for ChaosConfig {
     fn default() -> Self {
         ChaosConfig {
             seed: 1,
-            flows: 2,
             duration: SimDuration::from_secs_f64(30.0),
             fault_from: SimDuration::from_secs_f64(10.0),
             fault_to: SimDuration::from_secs_f64(11.5),
@@ -171,9 +171,6 @@ impl Default for ChaosConfig {
 
 impl ChaosConfig {
     fn validate(&self) -> Result<(), SimError> {
-        if self.flows == 0 {
-            return Err(invalid_config("chaos needs at least one flow"));
-        }
         if self.fault_from >= self.fault_to {
             return Err(invalid_config("fault window must end after it starts"));
         }
@@ -302,7 +299,7 @@ pub fn run_case(
     cfg.validate()?;
     let sc = ScenarioConfig {
         seed: cfg.seed,
-        flows: pels_flows(&vec![0.0; cfg.flows]),
+        flows: pels_flows(&[0.0; FLOWS]),
         keep_series: true,
         ..Default::default()
     };
@@ -311,7 +308,7 @@ pub fn run_case(
     s.run_until(SimTime::from_secs_f64(cfg.duration.as_secs_f64()));
     s.flush_telemetry(telemetry, true);
 
-    let n = cfg.flows;
+    let n = FLOWS;
     let pels_capacity = s.config().bottleneck.scale(s.config().aqm.pels_share);
     let r_star = s
         .source(0)
@@ -404,7 +401,6 @@ mod tests {
             duration: SimDuration::from_secs_f64(14.0),
             fault_from: SimDuration::from_secs_f64(6.0),
             fault_to: SimDuration::from_secs_f64(7.5),
-            ..Default::default()
         }
     }
 
@@ -452,9 +448,6 @@ mod tests {
         assert!(run_case(ChaosCase::Baseline, &cfg, &Telemetry::disabled()).is_err());
         let mut cfg = short_cfg();
         cfg.fault_to = cfg.duration + SimDuration::from_secs_f64(1.0);
-        assert!(run_matrix(&cfg, &Telemetry::disabled()).is_err());
-        let mut cfg = short_cfg();
-        cfg.flows = 0;
         assert!(run_matrix(&cfg, &Telemetry::disabled()).is_err());
     }
 }

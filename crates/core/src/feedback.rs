@@ -23,10 +23,9 @@ use serde::{Deserialize, Serialize};
 /// use pels_netsim::time::{Rate, SimDuration};
 ///
 /// // 2 Mb/s of PELS capacity, 30 ms measurement interval.
-/// // (smoothing 1.0 = the paper's literal per-window Eq. 11)
-/// let mut est = FeedbackEstimator::with_smoothing(
-///     Rate::from_mbps(2.0), SimDuration::from_millis(30), 1.0);
-/// // 9,000 bytes in 30 ms = 2.4 Mb/s: 1/6 overload.
+/// let mut est = FeedbackEstimator::new(Rate::from_mbps(2.0), SimDuration::from_millis(30));
+/// // 9,000 bytes in 30 ms = 2.4 Mb/s: 1/6 overload (the first window is
+/// // taken as measured; later ones are smoothed).
 /// for _ in 0..18 { est.on_arrival(500, 1); }
 /// let fb = est.tick(AgentId(1));
 /// assert!((fb.loss - 1.0 / 6.0).abs() < 1e-9);
@@ -36,13 +35,6 @@ use serde::{Deserialize, Serialize};
 pub struct FeedbackEstimator {
     capacity: Rate,
     interval: SimDuration,
-    /// EWMA weight applied to each new window's rate measurement, in
-    /// `(0, 1]`. 1 = raw per-window rates (the paper's literal Eq. 11);
-    /// smaller values damp the quantization noise a `T`-sized window picks
-    /// up from frame-paced sources (packets arrive every few ms, so a 30 ms
-    /// window miscounts by ±1–2 packets, which MKC would otherwise amplify
-    /// into a rate limit cycle).
-    smoothing: f64,
     epoch: u64,
     bytes_total: u64,
     bytes_green: u64,
@@ -55,51 +47,46 @@ pub struct FeedbackEstimator {
 }
 
 /// Loss reported while the queue sees no arrivals at all (maximum spare
-/// capacity; the value is clamped by each controller's `min_feedback`).
+/// capacity; the value is clamped by each controller's
+/// [`MIN_FEEDBACK`](crate::mkc::MIN_FEEDBACK)).
 const IDLE_LOSS: f64 = -100.0;
+
+/// The feedback interval `T` of Eq. 11 (paper: 30 ms), on both stacks: the
+/// simulator's default [`AqmConfig::feedback_interval`](crate::router::AqmConfig)
+/// and the wire server's shared router.
+pub const FEEDBACK_INTERVAL: SimDuration = SimDuration::from_millis(30);
+
+/// EWMA weight applied to each new window's rate measurement after the
+/// first, on both stacks. 1 would be raw per-window rates (the paper's
+/// literal Eq. 11); a smaller weight damps the quantization noise a
+/// `T`-sized window picks up from frame-paced sources (packets arrive every
+/// few ms, so a 30 ms window miscounts by ±1–2 packets, which MKC would
+/// otherwise amplify into a rate limit cycle).
+pub const FEEDBACK_SMOOTHING: f64 = 0.15;
 
 impl FeedbackEstimator {
     /// Creates an estimator for a queue served at `capacity`, measuring
-    /// over `interval` (`T` in the paper; simulations use 30 ms).
+    /// over `interval` (`T` in the paper; [`FEEDBACK_INTERVAL`]).
     ///
     /// # Panics
     ///
     /// Panics if the capacity is zero or the interval is zero.
     pub fn new(capacity: Rate, interval: SimDuration) -> Self {
-        Self::with_smoothing(capacity, interval, 0.15)
+        Self::try_new(capacity, interval).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Creates an estimator with an explicit EWMA smoothing weight
-    /// (see the field documentation; `1.0` disables smoothing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacity or interval is zero, or `smoothing` is outside
-    /// `(0, 1]`.
-    pub fn with_smoothing(capacity: Rate, interval: SimDuration, smoothing: f64) -> Self {
-        Self::try_with_smoothing(capacity, interval, smoothing).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`FeedbackEstimator::with_smoothing`]: returns
+    /// Fallible variant of [`FeedbackEstimator::new`]: returns
     /// [`SimError::InvalidConfig`] instead of panicking.
-    pub fn try_with_smoothing(
-        capacity: Rate,
-        interval: SimDuration,
-        smoothing: f64,
-    ) -> Result<Self, SimError> {
+    pub fn try_new(capacity: Rate, interval: SimDuration) -> Result<Self, SimError> {
         if capacity.as_bps() == 0 {
             return Err(invalid_config("capacity must be positive"));
         }
         if interval.is_zero() {
             return Err(invalid_config("interval must be positive"));
         }
-        if !(smoothing > 0.0 && smoothing <= 1.0) {
-            return Err(invalid_config(format!("smoothing must be in (0,1]: {smoothing}")));
-        }
         Ok(FeedbackEstimator {
             capacity,
             interval,
-            smoothing,
             epoch: 0,
             bytes_total: 0,
             bytes_green: 0,
@@ -146,7 +133,7 @@ impl FeedbackEstimator {
         let w_green = self.bytes_green as f64 * 8.0 / t;
         let w_enh = self.bytes_enh as f64 * 8.0 / t;
 
-        let a = self.smoothing;
+        let a = FEEDBACK_SMOOTHING;
         let (r_total, r_green, r_enh) = match self.rate_total {
             None => (w_total, w_green, w_enh),
             Some(prev_total) => (
@@ -261,8 +248,7 @@ mod tests {
 
     fn est() -> FeedbackEstimator {
         // 40 ms interval: 1 Mb/s = exactly ten 500-byte packets.
-        // Smoothing 1.0 so each window's closed form is exact.
-        FeedbackEstimator::with_smoothing(Rate::from_mbps(2.0), SimDuration::from_millis(40), 1.0)
+        FeedbackEstimator::new(Rate::from_mbps(2.0), SimDuration::from_millis(40))
     }
 
     #[test]
@@ -283,12 +269,14 @@ mod tests {
         let fb = e.tick(AgentId(1));
         assert!((fb.loss + 1.0).abs() < 1e-9, "loss {}", fb.loss);
 
-        // 4 Mb/s arrival: p = 0.5.
+        // A 4 Mb/s window moves the smoothed rate by the EWMA weight:
+        // R = 1 + 0.15 · (4 − 1) = 1.45 Mb/s, p = (1.45 − 2) / 1.45.
         for _ in 0..40 {
             e.on_arrival(500, 1);
         }
         let fb = e.tick(AgentId(1));
-        assert!((fb.loss - 0.5).abs() < 1e-9, "loss {}", fb.loss);
+        let r = 1.0 + FEEDBACK_SMOOTHING * 3.0;
+        assert!((fb.loss - (r - 2.0) / r).abs() < 1e-9, "loss {}", fb.loss);
     }
 
     #[test]
@@ -321,11 +309,7 @@ mod tests {
 
     #[test]
     fn smoothing_damps_window_noise() {
-        let mut e = FeedbackEstimator::with_smoothing(
-            Rate::from_mbps(2.0),
-            SimDuration::from_millis(40),
-            0.25,
-        );
+        let mut e = est();
         // Alternating 1 Mb/s and 3 Mb/s windows (mean = capacity). Raw
         // windows would report p in {-1, +1/3}; the smoothed estimate
         // converges near 0.
@@ -422,7 +406,7 @@ mod proptests {
         /// closed-form (R-C)/R for any arrival pattern.
         #[test]
         fn loss_matches_closed_form(packets in proptest::collection::vec((100u32..1500, 0u8..3), 0..500)) {
-            let mut e = FeedbackEstimator::with_smoothing(Rate::from_mbps(2.0), SimDuration::from_millis(30), 1.0);
+            let mut e = FeedbackEstimator::new(Rate::from_mbps(2.0), SimDuration::from_millis(30));
             let mut total = 0u64;
             for &(bytes, class) in &packets {
                 e.on_arrival(bytes, class);

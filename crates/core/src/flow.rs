@@ -9,12 +9,12 @@
 //! server's `ServeFlow` are adapters that decide *when* to call it and how
 //! a planned packet becomes bytes on a link.
 
-use crate::aimd::{AimdConfig, AimdController};
+use crate::aimd::AimdController;
 use crate::color::Color;
 use crate::feedback::EpochFilter;
 use crate::gamma::{GammaConfig, GammaController};
 use crate::mkc::{MkcConfig, MkcController};
-use crate::tfrc::{TfrcConfig, TfrcController};
+use crate::tfrc::TfrcController;
 use pels_fgs::frame::VideoTrace;
 use pels_fgs::packetize::FramePackets;
 use pels_fgs::scaling::{partition_enhancement, scale_to_rate};
@@ -39,9 +39,9 @@ pub enum CcSpec {
     /// Max-min Kelly Control (the paper's choice).
     Mkc(MkcConfig),
     /// Additive increase, multiplicative decrease.
-    Aimd(AimdConfig),
+    Aimd,
     /// TFRC-style equation-based control.
-    Tfrc(TfrcConfig),
+    Tfrc,
 }
 
 impl Default for CcSpec {
@@ -61,8 +61,8 @@ impl Cc {
     fn new(spec: CcSpec) -> Self {
         match spec {
             CcSpec::Mkc(cfg) => Cc::Mkc(MkcController::new(cfg)),
-            CcSpec::Aimd(cfg) => Cc::Aimd(AimdController::new(cfg)),
-            CcSpec::Tfrc(cfg) => Cc::Tfrc(TfrcController::new(cfg)),
+            CcSpec::Aimd => Cc::Aimd(AimdController::default()),
+            CcSpec::Tfrc => Cc::Tfrc(TfrcController::default()),
         }
     }
 
@@ -391,11 +391,7 @@ mod tests {
 
     #[test]
     fn only_mkc_has_a_stale_watchdog() {
-        let mut f = FlowControl::new(
-            CcSpec::Aimd(AimdConfig::default()),
-            GammaConfig::default(),
-            SourceMode::Pels,
-        );
+        let mut f = FlowControl::new(CcSpec::Aimd, GammaConfig::default(), SourceMode::Pels);
         f.on_feedback(SimTime::ZERO, 0.0, &label(1));
         assert!(!f.on_stale_check(SimTime::from_secs_f64(10.0)));
         assert!(f.mkc().is_none());

@@ -9,7 +9,7 @@
 //! which is stable iff `0 < σ < 2` (Lemma 2; Lemma 3 extends this to
 //! arbitrary feedback delay) and converges `p_R → p_thr` under stationary
 //! loss (Lemma 4). The production controller here clamps γ to
-//! `[gamma_low, 1]` as the paper's simulations do (Fig. 7: γ falls to
+//! `[GAMMA_LOW, 1]` as the paper's simulations do (Fig. 7: γ falls to
 //! `γ_low = 0.05` while there is no loss).
 //!
 //! Robustness: when a loss sample is missing or garbled (non-finite) — as
@@ -21,6 +21,11 @@ use crate::SimError;
 use pels_netsim::error::invalid_config;
 use serde::{Deserialize, Serialize};
 
+/// Initial partition fraction.
+pub const GAMMA0: f64 = 0.5;
+/// Lower clamp `γ_low` — a minimum red probe share is always kept.
+pub const GAMMA_LOW: f64 = 0.05;
+
 /// Configuration of [`GammaController`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GammaConfig {
@@ -29,15 +34,11 @@ pub struct GammaConfig {
     /// Target red-queue loss `p_thr` (the paper stabilizes 0.70–0.90;
     /// simulations use 0.75).
     pub p_thr: f64,
-    /// Initial partition fraction.
-    pub gamma0: f64,
-    /// Lower clamp `γ_low` — a minimum red probe share is always kept.
-    pub gamma_low: f64,
 }
 
 impl Default for GammaConfig {
     fn default() -> Self {
-        GammaConfig { sigma: 0.5, p_thr: 0.75, gamma0: 0.5, gamma_low: 0.05 }
+        GammaConfig { sigma: 0.5, p_thr: 0.75 }
     }
 }
 
@@ -69,9 +70,8 @@ impl GammaController {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is out of range (`σ <= 0`,
-    /// `p_thr` outside `(0, 1]`, `γ0`/`γ_low` outside `[0, 1]`, or
-    /// `γ_low > γ0`).
+    /// Panics if the configuration is out of range (`σ <= 0` or `p_thr`
+    /// outside `(0, 1]`).
     pub fn new(cfg: GammaConfig) -> Self {
         Self::try_new(cfg).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -85,13 +85,7 @@ impl GammaController {
         if !(cfg.p_thr > 0.0 && cfg.p_thr <= 1.0) {
             return Err(invalid_config(format!("p_thr must be in (0,1]: {}", cfg.p_thr)));
         }
-        if !((0.0..=1.0).contains(&cfg.gamma0) && (0.0..=1.0).contains(&cfg.gamma_low)) {
-            return Err(invalid_config("gamma bounds must be in [0,1]"));
-        }
-        if cfg.gamma_low > cfg.gamma0 {
-            return Err(invalid_config("gamma_low must not exceed gamma0"));
-        }
-        Ok(GammaController { cfg, gamma: cfg.gamma0, updates: 0, held: 0 })
+        Ok(GammaController { cfg, gamma: GAMMA0, updates: 0, held: 0 })
     }
 
     /// The current partition fraction γ.
@@ -119,17 +113,17 @@ impl GammaController {
         }
         let p = p.clamp(0.0, 1.0);
         let raw = self.gamma + self.cfg.sigma * (p / self.cfg.p_thr - self.gamma);
-        self.gamma = raw.clamp(self.cfg.gamma_low, 1.0);
+        self.gamma = raw.clamp(GAMMA_LOW, 1.0);
         self.updates += 1;
         self.gamma
     }
 
     /// Explicitly holds the last stable γ for one control interval whose
     /// loss sample is missing (feedback lost or stale). The clamp to
-    /// `[gamma_low, 1]` is re-applied defensively; the update counter does
+    /// `[GAMMA_LOW, 1]` is re-applied defensively; the update counter does
     /// not advance, but the hold is counted in [`GammaController::held`].
     pub fn hold(&mut self) -> f64 {
-        self.gamma = self.gamma.clamp(self.cfg.gamma_low, 1.0);
+        self.gamma = self.gamma.clamp(GAMMA_LOW, 1.0);
         self.held += 1;
         self.gamma
     }
@@ -142,7 +136,7 @@ impl GammaController {
     /// The fixed point γ* = p/p_thr the controller converges to under
     /// stationary loss `p` (Lemma 4), respecting the clamp.
     pub fn fixed_point(&self, p: f64) -> f64 {
-        (p / self.cfg.p_thr).clamp(self.cfg.gamma_low, 1.0)
+        (p / self.cfg.p_thr).clamp(GAMMA_LOW, 1.0)
     }
 }
 
@@ -189,7 +183,7 @@ impl DelayedGammaController {
         let _ = GammaController::try_new(cfg)?;
         Ok(DelayedGammaController {
             cfg,
-            gamma_hist: vec![cfg.gamma0; delay],
+            gamma_hist: vec![GAMMA0; delay],
             p_hist: vec![0.0; delay - 1],
             next_gamma: 0,
             next_p: 0,
@@ -223,7 +217,7 @@ impl DelayedGammaController {
             used
         };
         let raw = old_gamma + self.cfg.sigma * (old_p / self.cfg.p_thr - old_gamma);
-        let gamma = raw.clamp(self.cfg.gamma_low, 1.0);
+        let gamma = raw.clamp(GAMMA_LOW, 1.0);
         self.gamma_hist[self.next_gamma] = gamma;
         self.next_gamma = (self.next_gamma + 1) % self.gamma_hist.len();
         self.updates += 1;
@@ -390,7 +384,7 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        /// γ always stays within [gamma_low, 1] for any input sequence.
+        /// γ always stays within [GAMMA_LOW, 1] for any input sequence.
         #[test]
         fn gamma_always_in_bounds(
             inputs in proptest::collection::vec(-2.0f64..2.0, 1..200),

@@ -58,7 +58,7 @@ pub mod sweep;
 pub mod tcm;
 pub mod tfrc;
 
-pub use aimd::{AimdConfig, AimdController};
+pub use aimd::AimdController;
 pub use color::Color;
 pub use feedback::{EpochFilter, FeedbackEstimator};
 pub use flow::{FlowControl, Planned};
@@ -72,4 +72,4 @@ pub use router::{AqmConfig, AqmRouter, QueueMode};
 pub use scenario::{FlowSpec, Scenario, ScenarioConfig, ScenarioReport};
 pub use source::{ArqConfig, CcSpec, PelsSource, SourceConfig, SourceMode};
 pub use tcm::{SrTcm, TcmConfig};
-pub use tfrc::{TfrcConfig, TfrcController};
+pub use tfrc::TfrcController;

@@ -16,16 +16,35 @@
 //! fails (link cut, ACK loss), the last `p` becomes arbitrarily stale and
 //! holding the last rate can overload a recovering network. The controller
 //! therefore tracks the arrival time of the freshest accepted epoch: once
-//! the age exceeds [`MkcConfig::stale_timeout`], each watchdog check applies
-//! a multiplicative decrease ([`MkcConfig::stale_decay`]) toward
-//! [`MkcConfig::min_rate`] — TCP-like conservatism under silence. The first
-//! fresh epoch exits fallback, and Lemma 6 guarantees reconvergence to
-//! `r* = C/N + α/β` from whatever rate the decay reached.
+//! the age exceeds [`STALE_TIMEOUT`], each watchdog check applies a
+//! multiplicative decrease ([`STALE_DECAY`]) toward [`MIN_RATE`] — TCP-like
+//! conservatism under silence. The first fresh epoch exits fallback, and
+//! Lemma 6 guarantees reconvergence to `r* = C/N + α/β` from whatever rate
+//! the decay reached.
 
 use crate::SimError;
 use pels_netsim::error::invalid_config;
 use pels_netsim::time::{Rate, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+
+/// Initial rate of every controller (paper: 128 kb/s — the base-layer
+/// rate) unless an MKC flow sets its own.
+pub const INITIAL_RATE: Rate = Rate::from_bps(128_000);
+/// Floor below which no controller's rate falls (the base layer must flow).
+pub const MIN_RATE: Rate = Rate::from_bps(64_000);
+/// Default cap on the sending rate: the paper's 10 Mb/s access link.
+pub const MAX_RATE: Rate = Rate::from_bps(10_000_000);
+/// Clamp on how negative the feedback may be treated (bounds the
+/// multiplicative ramp when the link is nearly idle).
+pub const MIN_FEEDBACK: f64 = -10.0;
+/// Feedback older than this is considered stale and triggers the
+/// multiplicative-decrease fallback (10 feedback epochs at the 30 ms
+/// interval). Staleness is only declared after at least one fresh epoch has
+/// ever arrived, so a source that never hears feedback — e.g. a best-effort
+/// comparator run — keeps its initial rate.
+pub const STALE_TIMEOUT: SimDuration = SimDuration::from_millis(300);
+/// Multiplicative decrease applied per watchdog check while stale.
+pub const STALE_DECAY: f64 = 0.85;
 
 /// Configuration of [`MkcController`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -36,36 +55,13 @@ pub struct MkcConfig {
     pub beta: f64,
     /// Initial rate (paper: 128 kb/s — the base-layer rate).
     pub initial: Rate,
-    /// Floor below which the rate never falls (the base layer must flow).
-    pub min_rate: Rate,
     /// Cap on the sending rate (e.g. the access-link speed).
     pub max_rate: Rate,
-    /// Clamp on how negative the feedback may be treated (bounds the
-    /// multiplicative ramp when the link is nearly idle).
-    pub min_feedback: f64,
-    /// Feedback older than this is considered stale and triggers the
-    /// multiplicative-decrease fallback (10 feedback epochs at the default
-    /// 30 ms interval). Staleness is only declared after at least one fresh
-    /// epoch has ever arrived, so a source that never hears feedback —
-    /// e.g. a best-effort comparator run — keeps its initial rate.
-    pub stale_timeout: SimDuration,
-    /// Multiplicative decrease applied per watchdog check while stale.
-    /// Must be in `(0, 1)`.
-    pub stale_decay: f64,
 }
 
 impl Default for MkcConfig {
     fn default() -> Self {
-        MkcConfig {
-            alpha_bps: 20_000.0,
-            beta: 0.5,
-            initial: Rate::from_kbps(128.0),
-            min_rate: Rate::from_kbps(64.0),
-            max_rate: Rate::from_mbps(10.0),
-            min_feedback: -10.0,
-            stale_timeout: SimDuration::from_millis(300),
-            stale_decay: 0.85,
-        }
+        MkcConfig { alpha_bps: 20_000.0, beta: 0.5, initial: INITIAL_RATE, max_rate: MAX_RATE }
     }
 }
 
@@ -116,20 +112,11 @@ impl MkcController {
         if !(cfg.beta > 0.0 && cfg.beta < 2.0) {
             return Err(invalid_config("beta must be in (0,2) for stability"));
         }
-        if cfg.min_rate > cfg.max_rate {
-            return Err(invalid_config("min_rate must not exceed max_rate"));
-        }
-        if cfg.min_feedback >= 0.0 {
-            return Err(invalid_config("min_feedback must be negative"));
-        }
-        if !(cfg.stale_decay > 0.0 && cfg.stale_decay < 1.0) {
-            return Err(invalid_config("stale_decay must be in (0,1)"));
-        }
-        if cfg.stale_timeout.is_zero() {
-            return Err(invalid_config("stale_timeout must be positive"));
+        if cfg.max_rate < MIN_RATE {
+            return Err(invalid_config("max_rate must not be below the 64 kb/s floor"));
         }
         let rate = (cfg.initial.as_bps() as f64)
-            .clamp(cfg.min_rate.as_bps() as f64, cfg.max_rate.as_bps() as f64);
+            .clamp(MIN_RATE.as_bps() as f64, cfg.max_rate.as_bps() as f64);
         Ok(MkcController {
             cfg,
             rate_bps: rate,
@@ -176,11 +163,10 @@ impl MkcController {
     /// Non-positive or non-finite bases fall back to the current rate.
     /// Returns the new rate in bits/s.
     pub fn update_from(&mut self, base_bps: f64, p: f64) -> f64 {
-        let p = if p.is_finite() { p.clamp(self.cfg.min_feedback, 1.0) } else { 0.0 };
+        let p = if p.is_finite() { p.clamp(MIN_FEEDBACK, 1.0) } else { 0.0 };
         let base = if base_bps.is_finite() && base_bps > 0.0 { base_bps } else { self.rate_bps };
         let next = base + self.cfg.alpha_bps - self.cfg.beta * base * p;
-        self.rate_bps =
-            next.clamp(self.cfg.min_rate.as_bps() as f64, self.cfg.max_rate.as_bps() as f64);
+        self.rate_bps = next.clamp(MIN_RATE.as_bps() as f64, self.cfg.max_rate.as_bps() as f64);
         self.updates += 1;
         self.rate_bps
     }
@@ -201,13 +187,13 @@ impl MkcController {
     }
 
     /// Whether feedback is stale at `now`: some epoch has arrived before,
-    /// and the freshest one is older than [`MkcConfig::stale_timeout`].
+    /// and the freshest one is older than [`STALE_TIMEOUT`].
     pub fn is_stale(&self, now: SimTime) -> bool {
-        self.last_fresh.is_some_and(|t| now.duration_since(t) > self.cfg.stale_timeout)
+        self.last_fresh.is_some_and(|t| now.duration_since(t) > STALE_TIMEOUT)
     }
 
     /// Watchdog hook: if feedback is stale at `now`, applies one
-    /// multiplicative decrease `r ← max(r · stale_decay, min_rate)` and
+    /// multiplicative decrease `r ← max(r · STALE_DECAY, MIN_RATE)` and
     /// returns `true`. Invoke periodically (the PELS source does so every
     /// quarter of the stale timeout); the first fresh epoch after the fault
     /// clears ends the fallback and MKC reconverges to `r*` per Lemma 6.
@@ -217,8 +203,7 @@ impl MkcController {
         }
         self.in_fallback = true;
         self.stale_decays += 1;
-        self.rate_bps =
-            (self.rate_bps * self.cfg.stale_decay).max(self.cfg.min_rate.as_bps() as f64);
+        self.rate_bps = (self.rate_bps * STALE_DECAY).max(MIN_RATE.as_bps() as f64);
         true
     }
 
@@ -330,7 +315,8 @@ mod tests {
     fn try_new_reports_invalid_configs() {
         use pels_netsim::SimError;
         assert!(MkcController::try_new(MkcConfig::default()).is_ok());
-        let bad = MkcController::try_new(MkcConfig { stale_decay: 1.5, ..Default::default() });
+        let max_rate = Rate::from_kbps(32.0);
+        let bad = MkcController::try_new(MkcConfig { max_rate, ..Default::default() });
         assert!(matches!(bad, Err(SimError::InvalidConfig(_))));
         let bad = MkcController::try_new(MkcConfig { alpha_bps: -1.0, ..Default::default() });
         assert_eq!(bad.unwrap_err().to_string(), "alpha must be positive");

@@ -19,29 +19,26 @@ use std::collections::BTreeMap;
 /// Size of the acknowledgment packets, bytes.
 pub const ACK_BYTES: u32 = 40;
 
-/// Receiver-side NACK configuration for the ARQ comparator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct NackConfig {
-    /// How many NACK rounds each frame may trigger. The same value caps how
-    /// often any single packet may be requested, so a duplicate or late
-    /// retransmission can never restart a frame's rounds.
-    pub max_rounds: u8,
-    /// Cap on NACKs per frame per round.
-    pub max_per_round: usize,
-    /// Frames to wait before the first retry round; the wait doubles every
-    /// round (exponential backoff).
-    pub backoff_base: u64,
-    /// Lifetime cap on NACKs this receiver may send. Requests beyond the
-    /// budget are counted in [`PelsReceiver::nacks_suppressed`] instead of
-    /// transmitted, bounding reverse-path load under pathological loss.
-    pub retry_budget: u64,
-}
+/// Receiver-side NACKing for the ARQ comparator: a config's
+/// `nack: Some(NackConfig {})` runs a [`NackTracker`]. NACKing has no
+/// settings; the struct keeps a config file's `"nack": {…}` meaning on and
+/// `"nack": null` off.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub struct NackConfig {}
 
-impl Default for NackConfig {
-    fn default() -> Self {
-        NackConfig { max_rounds: 2, max_per_round: 64, backoff_base: 1, retry_budget: 65_536 }
-    }
-}
+/// How many NACK rounds each frame may trigger. The same value caps how
+/// often any single packet may be requested, so a duplicate or late
+/// retransmission can never restart a frame's rounds.
+const MAX_ROUNDS: u8 = 2;
+/// Cap on NACKs per frame per round.
+const MAX_PER_ROUND: usize = 64;
+/// Frames to wait before the first retry round; the wait doubles every
+/// round (exponential backoff).
+const BACKOFF_BASE: u64 = 1;
+/// Lifetime cap on NACKs a receiver may send. Requests beyond the budget are
+/// counted in [`PelsReceiver::nacks_suppressed`] instead of transmitted,
+/// bounding reverse-path load under pathological loss.
+pub const RETRY_BUDGET: u64 = 65_536;
 
 /// Per-frame retransmission-request bookkeeping.
 #[derive(Debug, Clone)]
@@ -64,14 +61,13 @@ struct FrameNackState {
 ///
 /// Round pacing is exponential: round `r` of frame `g` fires only once the
 /// (monotone) frame horizon reaches the backoff gate set when round `r−1`
-/// fired (`backoff_base · 2^r` frames past that horizon). Every request is
-/// charged against a per-packet cap of `max_rounds` and a lifetime
-/// `retry_budget`, so duplicate NACK responses — which re-enter the receive
-/// path with *old* frame tags — can neither rewind the window nor reset any
-/// counter.
-#[derive(Debug, Clone)]
+/// fired (`BACKOFF_BASE · 2^r` frames past that horizon). Every request is
+/// charged against a per-packet cap of `MAX_ROUNDS` and a lifetime
+/// [`RETRY_BUDGET`], so duplicate NACK responses — which re-enter the
+/// receive path with *old* frame tags — can neither rewind the window nor
+/// reset any counter.
+#[derive(Debug, Clone, Default)]
 pub struct NackTracker {
-    cfg: NackConfig,
     /// Per-frame NACK state (rounds, backoff gate, per-packet counts).
     state: BTreeMap<u64, FrameNackState>,
     nacks_sent: u64,
@@ -79,16 +75,6 @@ pub struct NackTracker {
 }
 
 impl NackTracker {
-    /// Creates a tracker with the given policy.
-    pub fn new(cfg: NackConfig) -> Self {
-        NackTracker { cfg, state: BTreeMap::new(), nacks_sent: 0, nacks_suppressed: 0 }
-    }
-
-    /// The configured policy.
-    pub fn config(&self) -> &NackConfig {
-        &self.cfg
-    }
-
     /// NACK requests granted so far (each charged against the budget).
     pub fn nacks_sent(&self) -> u64 {
         self.nacks_sent
@@ -114,7 +100,6 @@ impl NackTracker {
         horizon: u64,
         frames: impl Fn(u64) -> Option<&'a FrameReception>,
     ) -> Vec<FrameTag> {
-        let cfg = self.cfg;
         let mut out = Vec::new();
         let lo = horizon.saturating_sub(4);
         for g in lo..horizon {
@@ -126,21 +111,21 @@ impl NackTracker {
             }
             let st = self.state.entry(g).or_insert_with(|| FrameNackState {
                 rounds: 0,
-                next_round_frame: g.saturating_add(cfg.backoff_base.max(1)),
+                next_round_frame: g.saturating_add(BACKOFF_BASE),
                 per_packet: vec![0u8; total as usize],
             });
-            if st.rounds >= cfg.max_rounds || horizon < st.next_round_frame {
+            if st.rounds >= MAX_ROUNDS || horizon < st.next_round_frame {
                 continue;
             }
             let mut sent_this_round = 0usize;
             for index in missing {
-                if sent_this_round >= cfg.max_per_round {
+                if sent_this_round >= MAX_PER_ROUND {
                     break;
                 }
-                if st.per_packet.get(index as usize).is_some_and(|&c| c >= cfg.max_rounds) {
+                if st.per_packet.get(index as usize).is_some_and(|&c| c >= MAX_ROUNDS) {
                     continue;
                 }
-                if self.nacks_sent >= cfg.retry_budget {
+                if self.nacks_sent >= RETRY_BUDGET {
                     self.nacks_suppressed += 1;
                     continue;
                 }
@@ -152,8 +137,7 @@ impl NackTracker {
                 sent_this_round += 1;
             }
             st.rounds += 1;
-            st.next_round_frame =
-                horizon.saturating_add(cfg.backoff_base.max(1) << st.rounds.min(32));
+            st.next_round_frame = horizon.saturating_add(BACKOFF_BASE << st.rounds.min(32));
         }
         // Evict far behind the 4-frame NACK window: a re-created entry can
         // never re-enter the active loop with reset counters because the
@@ -232,8 +216,8 @@ impl PelsReceiver {
 
     /// Enables NACK-based retransmission requests (builder style; the
     /// source must have ARQ enabled to answer them).
-    pub fn with_nack(mut self, cfg: NackConfig) -> Self {
-        self.nack = Some(NackTracker::new(cfg));
+    pub fn with_nack(mut self) -> Self {
+        self.nack = Some(NackTracker::default());
         self
     }
 
@@ -507,7 +491,7 @@ mod tests {
         assert_eq!(sim.agent::<AckSink>(ack_sink_id).acks.len(), 2);
     }
 
-    fn build_nack(packets: Vec<Packet>, cfg: NackConfig) -> (Simulator, AgentId, AgentId) {
+    fn build_nack(packets: Vec<Packet>) -> (Simulator, AgentId, AgentId) {
         let mut sim = Simulator::new(1);
         let rx_id = AgentId(0);
         let ack_sink_id = AgentId(1);
@@ -518,7 +502,7 @@ mod tests {
             SimDuration::from_millis(1),
             Box::new(DropTail::new(QueueLimit::Packets(100))),
         );
-        sim.add_agent(Box::new(PelsReceiver::new(FlowId(1), port, true).with_nack(cfg)));
+        sim.add_agent(Box::new(PelsReceiver::new(FlowId(1), port, true).with_nack()));
         sim.add_agent(Box::new(AckSink { acks: vec![] }));
         sim.add_agent(Box::new(Feeder { rx: rx_id, packets }));
         (sim, rx_id, ack_sink_id)
@@ -531,7 +515,7 @@ mod tests {
         for f in 1..=8u64 {
             pkts.push(video_packet(f, 0, 1, 1, 0));
         }
-        let (mut sim, rx, acks) = build_nack(pkts, NackConfig::default());
+        let (mut sim, rx, acks) = build_nack(pkts);
         sim.run_until(SimTime::from_secs_f64(1.0));
         let r = sim.agent::<PelsReceiver>(rx);
         // Round 0 fires at horizon 1, then backoff gates round 1 to
@@ -561,7 +545,7 @@ mod tests {
         let mut dup = video_packet(14, 0, 1, 1, 0);
         dup.mark_retransmission();
         pkts.push(dup);
-        let (mut sim, rx, _acks) = build_nack(pkts, NackConfig::default());
+        let (mut sim, rx, _acks) = build_nack(pkts);
         sim.run_until(SimTime::from_secs_f64(1.0));
         let r = sim.agent::<PelsReceiver>(rx);
         assert_eq!(
@@ -573,19 +557,18 @@ mod tests {
 
     #[test]
     fn retry_budget_suppresses_excess_nacks() {
-        // Frame 0 misses indices 1 and 2 of 3; budget allows only one NACK.
-        let pkts = vec![
-            video_packet(0, 0, 3, 1, 0),
-            video_packet(1, 0, 1, 1, 0),
-            video_packet(2, 0, 1, 1, 0),
-            video_packet(3, 0, 1, 1, 0),
-        ];
-        let cfg = NackConfig { retry_budget: 1, ..NackConfig::default() };
-        let (mut sim, rx, _acks) = build_nack(pkts, cfg);
-        sim.run_until(SimTime::from_secs_f64(1.0));
-        let r = sim.agent::<PelsReceiver>(rx);
-        assert_eq!(r.nacks_sent(), 1, "budget caps lifetime NACKs");
-        assert!(r.nacks_suppressed() >= 1, "suppressed requests are counted");
+        // Every frame misses all 64 of its packets, so each grants two
+        // rounds of 64 NACKs: 520 frames ask for more than the lifetime
+        // budget, which sends exactly its 65 536 and counts the rest.
+        let rx = FrameReception::with_counts(64, 1, 500);
+        let mut tracker = NackTracker::default();
+        let mut sent = 0u64;
+        for horizon in 1..=520 {
+            sent += tracker.due(horizon, |_| Some(&rx)).len() as u64;
+        }
+        assert_eq!(sent, RETRY_BUDGET, "budget caps lifetime NACKs");
+        assert_eq!(tracker.nacks_sent(), RETRY_BUDGET);
+        assert!(tracker.nacks_suppressed() > 0, "suppressed requests are counted");
     }
 
     #[test]

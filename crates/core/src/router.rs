@@ -15,8 +15,8 @@
 //! data packet with the max-loss override rule, so MKC congestion control
 //! works identically in both modes.
 
-use crate::color::{Color, INTERNET_CLASS};
-use crate::feedback::FeedbackEstimator;
+use crate::color::Color;
+use crate::feedback::{FeedbackEstimator, FEEDBACK_INTERVAL};
 use crate::tcm::{SrTcm, TcmConfig};
 use crate::SimError;
 use pels_netsim::disc::{Discipline, DropTail, QEntry, QueueLimit, StrictPriority, Wrr};
@@ -59,12 +59,6 @@ pub struct AqmConfig {
     pub internet_limit: usize,
     /// Video FIFO limit in best-effort mode, packets.
     pub best_effort_limit: usize,
-    /// How many feedback ticks to aggregate into one sample of the measured
-    /// red-loss series (smooths the 30 ms windows; ~1 s by default).
-    pub red_loss_window_ticks: u32,
-    /// EWMA smoothing of the feedback estimator's rate measurements
-    /// (see [`crate::feedback::FeedbackEstimator::with_smoothing`]).
-    pub feedback_smoothing: f64,
     /// Optional DiffServ-style ingress re-marking: video data packets are
     /// re-colored by a single-rate three-color marker *before* queueing,
     /// overriding the application's colors (the Section 2.1 comparison).
@@ -76,18 +70,20 @@ impl Default for AqmConfig {
         AqmConfig {
             mode: QueueMode::Pels,
             pels_share: 0.5,
-            feedback_interval: SimDuration::from_millis(30),
+            feedback_interval: FEEDBACK_INTERVAL,
             color_limits: [200, 200, 50],
             internet_limit: 50,
             best_effort_limit: 100,
-            red_loss_window_ticks: 33,
-            feedback_smoothing: 0.15,
             ingress_tcm: None,
         }
     }
 }
 
 const TICK_TOKEN: u64 = 0;
+
+/// How many feedback ticks aggregate into one sample of the measured
+/// per-color loss series: ~1 s of 30 ms windows, which smooths them.
+const LOSS_WINDOW_TICKS: u32 = 33;
 
 fn wrr_classify(e: &QEntry) -> usize {
     if Color::is_pels_class(e.class) {
@@ -187,11 +183,7 @@ impl AqmRouter {
             ports,
             routes,
             cfg,
-            estimator: FeedbackEstimator::try_with_smoothing(
-                pels_capacity,
-                cfg.feedback_interval,
-                cfg.feedback_smoothing,
-            )?,
+            estimator: FeedbackEstimator::try_new(pels_capacity, cfg.feedback_interval)?,
             self_id: AgentId(u32::MAX),
             no_route_drops: 0,
             random_drops: 0,
@@ -208,11 +200,6 @@ impl AqmRouter {
             red_backlog_series: TimeSeries::new("red_backlog_pkts"),
             keep_series,
         })
-    }
-
-    /// The ingress marker's per-color counts, when configured.
-    pub fn tcm_marked(&self) -> Option<[u64; 3]> {
-        self.tcm.as_ref().map(|t| t.marked)
     }
 
     fn build_discipline(cfg: &AqmConfig) -> Box<dyn Discipline> {
@@ -338,7 +325,7 @@ impl Agent for AqmRouter {
             }
         }
         self.ticks_in_window += 1;
-        if self.ticks_in_window >= self.cfg.red_loss_window_ticks {
+        if self.ticks_in_window >= LOSS_WINDOW_TICKS {
             self.ticks_in_window = 0;
             let now_s = ctx.now.as_secs_f64();
             self.push_loss_window(now_s);
@@ -360,11 +347,6 @@ impl Agent for AqmRouter {
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
-}
-
-/// Marker: classes used by the Internet queue.
-pub const fn internet_class() -> u8 {
-    INTERNET_CLASS
 }
 
 #[cfg(test)]

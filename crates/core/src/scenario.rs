@@ -48,10 +48,6 @@ pub struct FlowSpec {
     pub extra_delay: SimDuration,
     /// Optional ARQ retransmission (for the comparator experiments).
     pub arq: Option<crate::source::ArqConfig>,
-    /// Floor-aware degradation policy for the many-flow regime
-    /// (DESIGN.md §11). Defaults to enabled.
-    #[serde(default)]
-    pub degradation: crate::source::DegradationConfig,
 }
 
 impl Default for FlowSpec {
@@ -63,7 +59,6 @@ impl Default for FlowSpec {
             mode: SourceMode::Pels,
             extra_delay: SimDuration::ZERO,
             arq: None,
-            degradation: crate::source::DegradationConfig::default(),
         }
     }
 }
@@ -91,12 +86,8 @@ pub struct ScenarioConfig {
     pub seed: u64,
     /// Bottleneck link rate (paper: 4 Mb/s).
     pub bottleneck: Rate,
-    /// Access link rate (paper: 10 Mb/s).
-    pub access: Rate,
     /// One-way propagation delay of each access link.
     pub access_delay: SimDuration,
-    /// One-way propagation delay of the bottleneck link.
-    pub bottleneck_delay: SimDuration,
     /// AQM configuration of the bottleneck router.
     pub aqm: AqmConfig,
     /// The video trace streamed by every flow.
@@ -107,8 +98,6 @@ pub struct ScenarioConfig {
     pub flows: Vec<FlowSpec>,
     /// Number of greedy TCP Reno cross-traffic flows in the Internet queue.
     pub n_tcp: usize,
-    /// TCP packet size, bytes.
-    pub tcp_packet_bytes: u32,
     /// Whether to retain full time series (rates, γ, delays, feedback).
     pub keep_series: bool,
     /// Optional playout deadline at every receiver: packets older than this
@@ -121,6 +110,18 @@ pub struct ScenarioConfig {
     #[serde(default)]
     pub layout: Layout,
 }
+
+/// Wire packet size for video (paper Section 6.1: 500 bytes): the default
+/// of [`ScenarioConfig::packet_bytes`], every generated topology's video
+/// and CBR packet, and the TFRC comparator's packet size.
+pub const VIDEO_PACKET_BYTES: u32 = 500;
+/// TCP packet size, bytes, on the dumbbell and on every generated topology.
+pub const TCP_PACKET_BYTES: u32 = 1_000;
+/// Access link rate (paper Section 6.1: 10 Mb/s), which is also every
+/// controller's default rate cap.
+pub const ACCESS_RATE: Rate = crate::mkc::MAX_RATE;
+/// One-way propagation delay of the dumbbell's bottleneck link.
+pub const BOTTLENECK_DELAY: SimDuration = SimDuration::from_millis(5);
 
 /// The paper's video profile adjusted so the base layer matches the stated
 /// 128 kb/s initial rate: 1,600 base bytes per frame at 10 fps (4 packets),
@@ -135,15 +136,12 @@ impl Default for ScenarioConfig {
         ScenarioConfig {
             seed: 1,
             bottleneck: Rate::from_mbps(4.0),
-            access: Rate::from_mbps(10.0),
             access_delay: SimDuration::from_millis(1),
-            bottleneck_delay: SimDuration::from_millis(5),
             aqm: AqmConfig::default(),
             trace: default_trace(),
-            packet_bytes: 500,
+            packet_bytes: VIDEO_PACKET_BYTES,
             flows: vec![FlowSpec::default(), FlowSpec::default()],
             n_tcp: 2,
-            tcp_packet_bytes: 1_000,
             keep_series: true,
             playout_deadline: None,
             nack: None,
@@ -153,8 +151,8 @@ impl Default for ScenarioConfig {
 }
 
 impl ScenarioConfig {
-    /// Rejects values no scenario can run on — a zero link rate or packet
-    /// size, an empty flow list, a trace that fails
+    /// Rejects values no scenario can run on — a zero bottleneck rate or
+    /// packet size, an empty flow list, a trace that fails
     /// [`VideoTrace::validate`] — before any of them reaches an agent that
     /// would divide by it. (Delays are unsigned nanosecond counts: every
     /// representable value is finite and non-negative.)
@@ -162,13 +160,11 @@ impl ScenarioConfig {
         if self.flows.is_empty() {
             return Err(invalid_config("a scenario needs at least one video flow"));
         }
-        for (name, rate) in [("bottleneck", self.bottleneck), ("access", self.access)] {
-            if rate.as_bps() == 0 {
-                return Err(invalid_config(format!("{name} rate must be positive")));
-            }
+        if self.bottleneck.as_bps() == 0 {
+            return Err(invalid_config("bottleneck rate must be positive"));
         }
-        if self.packet_bytes == 0 || (self.n_tcp > 0 && self.tcp_packet_bytes == 0) {
-            return Err(invalid_config("packet sizes must be positive"));
+        if self.packet_bytes == 0 {
+            return Err(invalid_config("packet size must be positive"));
         }
         self.trace.validate(self.packet_bytes).map_err(invalid_config)
     }
@@ -285,8 +281,8 @@ fn push_dumbbell(
     let q = |limit: usize| Box::new(DropTail::new(QueueLimit::Packets(limit)));
 
     // --- R1: the AQM bottleneck router ---
-    let bottleneck_port = Port::new(0, r2, cfg.bottleneck, cfg.bottleneck_delay, q(1));
-    parts.graph.add_link(r1, r2, cfg.bottleneck_delay);
+    let bottleneck_port = Port::new(0, r2, cfg.bottleneck, BOTTLENECK_DELAY, q(1));
+    parts.graph.add_link(r1, r2, BOTTLENECK_DELAY);
     let mut r1_reverse = Vec::new();
     let mut r1_routes = RouteTable::new();
     for (i, flow) in flows.iter().enumerate() {
@@ -294,14 +290,14 @@ fn push_dumbbell(
         let port_idx = 1 + i;
         r1_routes.add(src_id(i), port_idx);
         let delay = cfg.access_delay + flow.extra_delay;
-        r1_reverse.push(Port::new(port_idx, src_id(i), cfg.access, delay, q(200)));
+        r1_reverse.push(Port::new(port_idx, src_id(i), ACCESS_RATE, delay, q(200)));
         parts.graph.add_link(src_id(i), r1, delay);
     }
     for j in 0..n_tcp {
         r1_routes.add(tcp_sink_id(j), 0);
         let port_idx = 1 + n + j;
         r1_routes.add(tcp_src_id(j), port_idx);
-        r1_reverse.push(Port::new(port_idx, tcp_src_id(j), cfg.access, cfg.access_delay, q(200)));
+        r1_reverse.push(Port::new(port_idx, tcp_src_id(j), ACCESS_RATE, cfg.access_delay, q(200)));
         parts.graph.add_link(tcp_src_id(j), r1, cfg.access_delay);
     }
     parts.agents.push(Box::new(AqmRouter::try_new(
@@ -315,20 +311,20 @@ fn push_dumbbell(
     parts.ids.aqm_routers.push(r1);
 
     // --- R2: plain far-side router ---
-    let mut r2_ports = vec![Port::new(0, r1, cfg.bottleneck, cfg.bottleneck_delay, q(200))];
+    let mut r2_ports = vec![Port::new(0, r1, cfg.bottleneck, BOTTLENECK_DELAY, q(200))];
     let mut r2_routes = RouteTable::new();
     for i in 0..n {
         r2_routes.add(src_id(i), 0);
         let port_idx = 1 + i;
         r2_routes.add(rcv_id(i), port_idx);
-        r2_ports.push(Port::new(port_idx, rcv_id(i), cfg.access, cfg.access_delay, q(200)));
+        r2_ports.push(Port::new(port_idx, rcv_id(i), ACCESS_RATE, cfg.access_delay, q(200)));
         parts.graph.add_link(r2, rcv_id(i), cfg.access_delay);
     }
     for j in 0..n_tcp {
         r2_routes.add(tcp_src_id(j), 0);
         let port_idx = 1 + n + j;
         r2_routes.add(tcp_sink_id(j), port_idx);
-        r2_ports.push(Port::new(port_idx, tcp_sink_id(j), cfg.access, cfg.access_delay, q(200)));
+        r2_ports.push(Port::new(port_idx, tcp_sink_id(j), ACCESS_RATE, cfg.access_delay, q(200)));
         parts.graph.add_link(r2, tcp_sink_id(j), cfg.access_delay);
     }
     parts.agents.push(Box::new(Router::new(r2_ports, r2_routes)));
@@ -336,7 +332,7 @@ fn push_dumbbell(
     // --- Video sources ---
     for (i, spec) in flows.iter().enumerate() {
         let delay = cfg.access_delay + spec.extra_delay;
-        let port = Port::new(0, r1, cfg.access, delay, q(400));
+        let port = Port::new(0, r1, ACCESS_RATE, delay, q(400));
         let sc = SourceConfig {
             flow: FlowId(flow_ids[i]),
             dst: rcv_id(i),
@@ -347,8 +343,7 @@ fn push_dumbbell(
             gamma: spec.gamma,
             packet_bytes: cfg.packet_bytes,
             mode: spec.mode,
-            arq: spec.arq,
-            degradation: spec.degradation,
+            arq: spec.arq.is_some(),
             keep_series: cfg.keep_series,
         };
         parts.agents.push(Box::new(PelsSource::new(sc, port)));
@@ -357,13 +352,13 @@ fn push_dumbbell(
 
     // --- Video receivers ---
     for (i, &flow_id) in flow_ids.iter().enumerate() {
-        let port = Port::new(0, r2, cfg.access, cfg.access_delay, q(400));
+        let port = Port::new(0, r2, ACCESS_RATE, cfg.access_delay, q(400));
         let mut rx = PelsReceiver::new(FlowId(flow_id), port, cfg.keep_series);
         if let Some(d) = cfg.playout_deadline {
             rx = rx.with_deadline(d);
         }
-        if let Some(nc) = cfg.nack {
-            rx = rx.with_nack(nc);
+        if cfg.nack.is_some() {
+            rx = rx.with_nack();
         }
         parts.agents.push(Box::new(rx));
         parts.ids.receivers.push(rcv_id(i));
@@ -371,18 +366,18 @@ fn push_dumbbell(
 
     // --- TCP cross traffic ---
     for j in 0..n_tcp {
-        let port = Port::new(0, r1, cfg.access, cfg.access_delay, q(400));
+        let port = Port::new(0, r1, ACCESS_RATE, cfg.access_delay, q(400));
         parts.agents.push(Box::new(TcpSource::new(
             port,
             FlowId(tcp_flow_base + j as u32),
             tcp_sink_id(j),
-            cfg.tcp_packet_bytes,
+            TCP_PACKET_BYTES,
             SimDuration::ZERO,
         )));
         parts.ids.tcp_sources.push(tcp_src_id(j));
     }
     for j in 0..n_tcp {
-        let port = Port::new(0, r2, cfg.access, cfg.access_delay, q(400));
+        let port = Port::new(0, r2, ACCESS_RATE, cfg.access_delay, q(400));
         parts.agents.push(Box::new(TcpSink::new(port, FlowId(tcp_flow_base + j as u32))));
         parts.ids.tcp_sinks.push(tcp_sink_id(j));
     }
@@ -504,16 +499,6 @@ impl Scenario {
     /// Typed access to the (first) bottleneck AQM router.
     pub fn router(&self) -> &AqmRouter {
         self.sim.agent::<AqmRouter>(self.ids.aqm_routers[0])
-    }
-
-    /// Typed access to TCP source `j`.
-    pub fn tcp_source(&self, j: usize) -> &TcpSource {
-        self.sim.agent::<TcpSource>(self.ids.tcp_sources[j])
-    }
-
-    /// Typed access to TCP sink `j`.
-    pub fn tcp_sink(&self, j: usize) -> &TcpSink {
-        self.sim.agent::<TcpSink>(self.ids.tcp_sinks[j])
     }
 
     /// Summarizes the run into a serializable report.
@@ -1042,9 +1027,7 @@ mod tests {
         let bad: Vec<(&str, ScenarioConfig)> = vec![
             ("no flows", ScenarioConfig { flows: vec![], ..Default::default() }),
             ("bottleneck", ScenarioConfig { bottleneck: Rate::ZERO, ..Default::default() }),
-            ("access", ScenarioConfig { access: Rate::ZERO, ..Default::default() }),
             ("packet_bytes", ScenarioConfig { packet_bytes: 0, ..Default::default() }),
-            ("tcp_packet_bytes", ScenarioConfig { tcp_packet_bytes: 0, ..Default::default() }),
             ("fps", ScenarioConfig { trace: zero_fps, ..Default::default() }),
             ("frames", ScenarioConfig { trace: empty_trace, ..Default::default() }),
             // Nothing to pace across the interval: the source would divide

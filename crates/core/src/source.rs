@@ -11,7 +11,7 @@ use crate::color::Color;
 pub use crate::flow::{CcSpec, SourceMode};
 use crate::flow::{FlowControl, Planned};
 use crate::gamma::GammaConfig;
-use crate::mkc::MkcController;
+use crate::mkc::{MkcController, STALE_TIMEOUT};
 use pels_fgs::frame::VideoTrace;
 use pels_fgs::packetize::FramePackets;
 use pels_netsim::fasthash::FastMap;
@@ -23,101 +23,78 @@ use pels_netsim::time::SimDuration;
 use std::any::Any;
 use std::sync::Arc;
 
-/// Retransmission (ARQ) configuration for the comparator experiments.
+/// Retransmission (ARQ) for the comparator experiments: a flow spec's
+/// `arq: Some(ArqConfig {})` answers NACKs from the last
+/// [`REPAIR_FRAMES`] frames.
 ///
 /// The paper argues *against* retransmission-based streaming (Section 1:
 /// under congestion "even the retransmitted packets are dropped in the same
 /// congested queues ... [and] miss their decoding deadlines"). Enabling ARQ
-/// lets the harness measure exactly that.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct ArqConfig {
-    /// How many recent frames to keep retransmittable.
-    pub buffer_frames: u64,
-}
+/// lets the harness measure exactly that. ARQ has no settings; the struct
+/// keeps a config file's `"arq": {…}` meaning on and `"arq": null` off.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub struct ArqConfig {}
 
-impl Default for ArqConfig {
-    fn default() -> Self {
-        ArqConfig { buffer_frames: 8 }
-    }
-}
+/// Frames a sender keeps retransmittable, on both stacks: the simulator's
+/// ARQ source and the wire server's base-layer repair.
+pub const REPAIR_FRAMES: usize = 8;
 
-/// Graceful degradation for the many-flow regime (DESIGN.md §11).
-///
-/// When the fair share `C/N` falls below the base-layer floor, MKC pins at
-/// its minimum rate while the source keeps emitting the full base layer —
-/// the aggregate green load exceeds the bottleneck, green packets tail-drop,
-/// and *every* flow's base layer is corrupted (the N≳32 collapse). Two
-/// stages extend PR 1's red-then-yellow shedding past the floor:
-///
-/// 1. **Base thinning** — while fresh feedback shows the controlled rate
-///    below the base floor, frames are emitted on a byte budget so the
-///    green load tracks the controlled rate instead of overshooting it.
-/// 2. **Starvation (self-admission)** — a flow whose sustainable goodput
-///    `r·(1 − p̂)` stays below the floor for `patience` stops emitting
-///    entirely and probes the path at `probe_interval`; it resumes once the
-///    goodput the smoothed price *implies*, `(α/β)·(1 − p̂)/p̂` (which at
-///    the MKC fixed point equals the fair share `C/M` of the admitted set,
-///    independent of the starved flow's own decayed rate), clears the floor
-///    by `resume_headroom` for `resume_hold`. Patience and resume are
-///    staggered by flow id so flows yield (and return) one at a time
-///    instead of oscillating in lockstep.
-///
-/// Both stages act only on *fresh* feedback epochs; under stale feedback
-/// the PR 1 watchdog owns the rate and the policy stands down.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct DegradationConfig {
-    /// Master switch; disabled reproduces the pre-PR 4 collapse.
-    pub enabled: bool,
-    /// EWMA weight for the smoothed price p̂ (per fresh epoch).
-    pub smoothing: f64,
-    /// Starve when sustainable goodput stays below `floor_headroom ×` the
-    /// base floor. Keep at 1.0: the admission boundary is exactly "the base
-    /// layer no longer fits", and a lower value strands perpetual green
-    /// drops while a higher one starves flows the bottleneck could carry.
-    pub floor_headroom: f64,
-    /// How long the sustainable rate must sit below the floor before the
-    /// flow starves itself.
-    pub patience: SimDuration,
-    /// Per-flow-id stagger added to `patience`, breaking the symmetry of
-    /// simultaneous starve decisions so flows shed one at a time and the
-    /// survivors' recovering price can halt the shedding.
-    pub patience_step: SimDuration,
-    /// Interval between path probes while starved.
-    pub probe_interval: SimDuration,
-    /// How long the price-implied goodput must clear the resume threshold
-    /// before a starved flow resumes.
-    pub resume_hold: SimDuration,
-    /// Per-flow-id stagger added to `resume_hold`. Much larger than
-    /// `patience_step` by design — shed fast, rejoin slow: when a capacity
-    /// event starves many flows at once they all see the same recovered
-    /// price, and only a rejoin spacing longer than one probe interval lets
-    /// each returning flow's price impact reach the rest before the next
-    /// one decides, preventing a mass rejoin → collapse → mass starve
-    /// oscillation.
-    pub resume_step: SimDuration,
-    /// A starved flow resumes when the price-implied goodput reaches
-    /// `resume_headroom ×` the base floor. Keeping this above
-    /// `floor_headroom` opens a hysteresis band: the admitted set settles
-    /// where newcomers no longer see enough margin to rejoin, instead of
-    /// flapping across a single shared boundary.
-    pub resume_headroom: f64,
-}
+// Graceful degradation for the many-flow regime (DESIGN.md §11).
+//
+// When the fair share `C/N` falls below the base-layer floor, MKC pins at
+// its minimum rate while the source keeps emitting the full base layer —
+// the aggregate green load exceeds the bottleneck, green packets tail-drop,
+// and *every* flow's base layer is corrupted (the N≳32 collapse). Two
+// stages extend the red-then-yellow shedding past the floor:
+//
+// 1. **Base thinning** — while fresh feedback shows the controlled rate
+//    below the base floor, frames are emitted on a byte budget so the
+//    green load tracks the controlled rate instead of overshooting it.
+// 2. **Starvation (self-admission)** — a flow whose sustainable goodput
+//    `r·(1 − p̂)` stays below the floor for `PATIENCE` stops emitting
+//    entirely and probes the path every `PROBE_INTERVAL`; it resumes once
+//    the goodput the smoothed price *implies*, `(α/β)·(1 − p̂)/p̂` (which at
+//    the MKC fixed point equals the fair share `C/M` of the admitted set,
+//    independent of the starved flow's own decayed rate), clears the floor
+//    by `RESUME_HEADROOM` for `RESUME_HOLD`. Patience and resume are
+//    staggered by flow id so flows yield (and return) one at a time
+//    instead of oscillating in lockstep.
+//
+// Both stages act only on *fresh* feedback epochs; under stale feedback
+// the watchdog owns the rate and the policy stands down.
 
-impl Default for DegradationConfig {
-    fn default() -> Self {
-        DegradationConfig {
-            enabled: true,
-            smoothing: 0.2,
-            floor_headroom: 1.0,
-            patience: SimDuration::from_millis(1_000),
-            patience_step: SimDuration::from_millis(25),
-            probe_interval: SimDuration::from_millis(500),
-            resume_hold: SimDuration::from_millis(500),
-            resume_step: SimDuration::from_millis(500),
-            resume_headroom: 1.35,
-        }
-    }
-}
+/// EWMA weight for the smoothed price p̂ (per fresh epoch).
+const PRICE_SMOOTHING: f64 = 0.2;
+/// Starve when sustainable goodput stays below `FLOOR_HEADROOM ×` the base
+/// floor. Kept at 1.0: the admission boundary is exactly "the base layer no
+/// longer fits", and a lower value strands perpetual green drops while a
+/// higher one starves flows the bottleneck could carry.
+const FLOOR_HEADROOM: f64 = 1.0;
+/// How long the sustainable rate must sit below the floor before the flow
+/// starves itself.
+const PATIENCE: SimDuration = SimDuration::from_millis(1_000);
+/// Per-flow-id stagger added to [`PATIENCE`], breaking the symmetry of
+/// simultaneous starve decisions so flows shed one at a time and the
+/// survivors' recovering price can halt the shedding.
+const PATIENCE_STEP: SimDuration = SimDuration::from_millis(25);
+/// Interval between path probes while starved.
+const PROBE_INTERVAL: SimDuration = SimDuration::from_millis(500);
+/// How long the price-implied goodput must clear the resume threshold
+/// before a starved flow resumes.
+const RESUME_HOLD: SimDuration = SimDuration::from_millis(500);
+/// Per-flow-id stagger added to [`RESUME_HOLD`]. Much larger than
+/// [`PATIENCE_STEP`] by design — shed fast, rejoin slow: when a capacity
+/// event starves many flows at once they all see the same recovered price,
+/// and only a rejoin spacing longer than one probe interval lets each
+/// returning flow's price impact reach the rest before the next one
+/// decides, preventing a mass rejoin → collapse → mass starve oscillation.
+const RESUME_STEP: SimDuration = SimDuration::from_millis(500);
+/// A starved flow resumes when the price-implied goodput reaches
+/// `RESUME_HEADROOM ×` the base floor. Keeping this above
+/// [`FLOOR_HEADROOM`] opens a hysteresis band: the admitted set settles
+/// where newcomers no longer see enough margin to rejoin, instead of
+/// flapping across a single shared boundary.
+const RESUME_HEADROOM: f64 = 1.35;
 
 /// Configuration of a [`PelsSource`].
 #[derive(Debug, Clone)]
@@ -144,10 +121,8 @@ pub struct SourceConfig {
     pub packet_bytes: u32,
     /// Marking mode.
     pub mode: SourceMode,
-    /// Optional ARQ: answer NACKs with retransmissions.
-    pub arq: Option<ArqConfig>,
-    /// Floor-aware degradation for the many-flow regime.
-    pub degradation: DegradationConfig,
+    /// ARQ: answer NACKs with retransmissions.
+    pub arq: bool,
     /// Whether to retain per-step time series (rate, γ, feedback).
     pub keep_series: bool,
 }
@@ -289,7 +264,7 @@ impl PelsSource {
     /// timeout, so a fault is detected within 1.25 timeouts of the last
     /// fresh epoch.
     fn watchdog_period(&self) -> Option<SimDuration> {
-        self.flow.mkc().map(|m| m.config().stale_timeout / 4)
+        self.flow.mkc().map(|_| STALE_TIMEOUT / 4)
     }
 
     /// Base bitrate of the frame about to be emitted, bits/s.
@@ -332,10 +307,7 @@ impl PelsSource {
         // and skip frames the budget cannot cover. Only fresh feedback may
         // thin: a decayed rate under stale feedback says nothing about the
         // path, and blanking video on it would be self-inflicted damage.
-        if self.cfg.degradation.enabled
-            && self.control_is_fresh()
-            && self.flow.rate_bps() < base_bits * trace.fps
-        {
+        if self.control_is_fresh() && self.flow.rate_bps() < base_bits * trace.fps {
             self.base_credit_bits += self.flow.rate_bps() / trace.fps;
             if self.base_credit_bits < base_bits {
                 self.skipped_base_frames += 1;
@@ -351,10 +323,10 @@ impl PelsSource {
         if planned == 0 {
             return;
         }
-        if let Some(arq) = self.cfg.arq {
+        if self.cfg.arq {
             let frame = self.flow.frames_planned() - 1;
             self.retx_buffer.insert(frame, (ctx.now, self.flow.planned_frame()));
-            self.retx_buffer.retain(|&f, _| f + arq.buffer_frames > frame);
+            self.retx_buffer.retain(|&f, _| f + REPAIR_FRAMES as u64 > frame);
         }
         // Pace the frame's packets evenly across the interval (first packet
         // leaves immediately, the last one a gap before the next frame).
@@ -418,11 +390,11 @@ impl PelsSource {
     /// Advances the starvation state machine on one fresh feedback epoch.
     ///
     /// A flow starves itself when its *sustainable* goodput `r·(1 − p̂)`
-    /// sits below the base floor for the configured patience: the
+    /// sits below the base floor for [`PATIENCE`]: the
     /// bottleneck cannot carry even its base layer, and continuing to emit
     /// green only corrupts every other flow's base. Starved flows probe the
     /// path and resume once the goodput the smoothed price implies clears
-    /// the floor with `resume_headroom` margin. The implied goodput
+    /// the floor with [`RESUME_HEADROOM`] margin. The implied goodput
     /// `(α/β)·(1 − p̂)/p̂` is used rather than the flow's own `r·(1 − p̂)`:
     /// probes arrive slower than the stale timeout, so the watchdog pins a
     /// starved flow's rate near the minimum, while at the MKC fixed point
@@ -430,24 +402,18 @@ impl PelsSource {
     /// An admitted-set equilibrium at capacity keeps `C/M` below the resume
     /// threshold, so the set is stable rather than oscillating.
     fn update_degradation(&mut self, loss: f64, ctx: &mut Context<'_>) {
-        let deg = self.cfg.degradation;
-        if !deg.enabled {
-            return;
-        }
         let sample = loss.clamp(-1.0, 1.0);
         let p_hat = match self.p_hat {
-            Some(prev) => prev + deg.smoothing * (sample - prev),
+            Some(prev) => prev + PRICE_SMOOTHING * (sample - prev),
             None => sample,
         };
         self.p_hat = Some(p_hat);
         let id = u64::from(self.cfg.flow.0);
         if self.starved {
-            if self.implied_goodput_bps(p_hat)
-                >= deg.resume_headroom * self.current_base_floor_bps()
-            {
+            if self.implied_goodput_bps(p_hat) >= RESUME_HEADROOM * self.current_base_floor_bps() {
                 let since = *self.resume_ready_since.get_or_insert(ctx.now);
-                let stagger = deg.resume_step.saturating_mul(id);
-                if ctx.now.duration_since(since) >= deg.resume_hold + stagger {
+                let stagger = RESUME_STEP.saturating_mul(id);
+                if ctx.now.duration_since(since) >= RESUME_HOLD + stagger {
                     self.starved = false;
                     self.resume_ready_since = None;
                     self.base_credit_bits = 0.0;
@@ -458,10 +424,10 @@ impl PelsSource {
             }
         } else {
             let sustainable = self.flow.rate_bps() * (1.0 - p_hat.max(0.0));
-            if sustainable < deg.floor_headroom * self.current_base_floor_bps() {
+            if sustainable < FLOOR_HEADROOM * self.current_base_floor_bps() {
                 let since = *self.below_floor_since.get_or_insert(ctx.now);
-                let stagger = deg.patience_step.saturating_mul(id);
-                if ctx.now.duration_since(since) >= deg.patience + stagger {
+                let stagger = PATIENCE_STEP.saturating_mul(id);
+                if ctx.now.duration_since(since) >= PATIENCE + stagger {
                     self.starve(ctx);
                 }
             } else {
@@ -495,7 +461,7 @@ impl PelsSource {
         self.base_credit_bits = 0.0;
         if !self.probe_timer_armed {
             self.probe_timer_armed = true;
-            ctx.schedule_timer(self.cfg.degradation.probe_interval, PROBE_TOKEN);
+            ctx.schedule_timer(PROBE_INTERVAL, PROBE_TOKEN);
         }
     }
 
@@ -542,7 +508,7 @@ impl Agent for PelsSource {
         }
         match packet.kind {
             PacketKind::Ack => self.apply_feedback(&packet, ctx),
-            PacketKind::Nack if self.cfg.arq.is_some() => self.handle_nack(&packet, ctx),
+            PacketKind::Nack if self.cfg.arq => self.handle_nack(&packet, ctx),
             _ => {}
         }
     }
@@ -554,7 +520,7 @@ impl Agent for PelsSource {
             PROBE_TOKEN => {
                 if self.starved {
                     self.send_probe(ctx);
-                    ctx.schedule_timer(self.cfg.degradation.probe_interval, PROBE_TOKEN);
+                    ctx.schedule_timer(PROBE_INTERVAL, PROBE_TOKEN);
                 } else {
                     self.probe_timer_armed = false;
                 }
@@ -632,8 +598,7 @@ mod tests {
             gamma: GammaConfig::default(),
             packet_bytes: 500,
             mode: SourceMode::Pels,
-            arq: None,
-            degradation: DegradationConfig::default(),
+            arq: false,
             keep_series: true,
         }
     }
@@ -664,14 +629,9 @@ mod tests {
 
     /// Every ACK carries a fresh (incrementing) epoch; the loss label flips
     /// from `loss_before` to `loss_after` at `switch_at_s`.
-    fn build_with_price(
-        degradation: DegradationConfig,
-        loss_before: f64,
-        loss_after: f64,
-        switch_at_s: f64,
-    ) -> Simulator {
+    fn build_with_price(loss_before: f64, loss_after: f64, switch_at_s: f64) -> Simulator {
         let (mut epoch, switch_at) = (0, SimTime::from_secs_f64(switch_at_s));
-        sim_with(SourceConfig { degradation, ..source_cfg() }, move |now| {
+        sim_with(source_cfg(), move |now| {
             epoch += 1;
             let loss = if now < switch_at { loss_before } else { loss_after };
             Some(Feedback::new(AgentId(7), epoch, loss, 0.0))
@@ -752,21 +712,21 @@ mod tests {
 
     #[test]
     fn thins_base_frames_when_rate_pinned_below_floor() {
-        // A constant price p = 0.5 pins MKC at its 80 kb/s fixed point
-        // (r = 0.75·r + 20k), below the 128 kb/s base floor. With
-        // starvation patience pushed out of reach, base thinning must hold
-        // the emitted green load to the controlled rate by skipping frames.
-        let deg =
-            DegradationConfig { patience: SimDuration::from_secs_f64(1e6), ..Default::default() };
-        let mut sim = build_with_price(deg, 0.5, 0.5, f64::MAX);
-        sim.run_until(SimTime::from_secs_f64(10.0));
+        // A constant price p = 0.5 drives MKC toward its 80 kb/s fixed point
+        // (r = 0.75·r + 20k), below the 128 kb/s base floor. Observed
+        // before the 1 s patience lets the flow starve itself, base thinning
+        // must hold the emitted green load to the controlled rate by
+        // skipping frames.
+        let mut sim = build_with_price(0.5, 0.5, f64::MAX);
+        sim.run_until(SimTime::from_secs_f64(0.95));
         let s = sim.agent::<PelsSource>(AgentId(0));
-        assert!((s.rate_bps() - 80_000.0).abs() < 8_000.0, "rate {}", s.rate_bps());
-        assert!(!s.is_starved(), "patience out of reach");
-        // ~100 frame slots at 10 fps; the 80/128 byte budget passes ~62.
+        assert!(s.rate_bps() < 100_000.0, "rate {}", s.rate_bps());
+        assert!(!s.is_starved(), "still inside the patience");
+        // 10 frame slots; the byte budget (below 128 kb/s after the first
+        // frame) passes about two in three.
         let emitted = s.frames_sent() - s.skipped_base_frames;
-        assert!(s.skipped_base_frames > 20, "skipped {}", s.skipped_base_frames);
-        assert!((45..80).contains(&emitted), "emitted {emitted}");
+        assert!(s.skipped_base_frames >= 2, "skipped {}", s.skipped_base_frames);
+        assert!((5..9).contains(&emitted), "emitted {emitted}");
     }
 
     #[test]
@@ -776,7 +736,7 @@ mod tests {
         // must starve itself and switch to probing. When the price turns
         // negative (spare capacity) at t = 3 s, the probes see it and the
         // flow must resume.
-        let mut sim = build_with_price(DegradationConfig::default(), 0.5, -0.5, 3.0);
+        let mut sim = build_with_price(0.5, -0.5, 3.0);
         sim.run_until(SimTime::from_secs_f64(2.5));
         {
             let s = sim.agent::<PelsSource>(AgentId(0));
@@ -816,17 +776,6 @@ mod tests {
         assert_eq!(s.skipped_base_frames, skipped_while_fresh, "no thinning once stale");
         assert!(!s.is_starved(), "no starvation under stale feedback");
         assert_eq!(s.frames_sent(), 41, "the frame clock keeps running");
-    }
-
-    #[test]
-    fn disabled_degradation_reproduces_the_collapse_behavior() {
-        let deg = DegradationConfig { enabled: false, ..Default::default() };
-        let mut sim = build_with_price(deg, 0.5, 0.5, f64::MAX);
-        sim.run_until(SimTime::from_secs_f64(5.0));
-        let s = sim.agent::<PelsSource>(AgentId(0));
-        assert_eq!(s.skipped_base_frames, 0);
-        assert_eq!(s.starve_events, 0);
-        assert!(!s.is_starved());
     }
 
     #[test]

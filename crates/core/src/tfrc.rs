@@ -10,50 +10,28 @@
 //!
 //! `r = s / (R·sqrt(2p/3) + t_RTO·(3·sqrt(3p/8))·p·(1 + 32p²))`
 //!
-//! with `s` the packet size, `R` the RTT estimate and `t_RTO = 4R`.
+//! with `s` the packet size, `R` the RTT estimate and `t_RTO = 4R`. The
+//! rate starts, floors and caps where MKC's does by default
+//! ([`INITIAL_RATE`], [`MIN_RATE`], [`MAX_RATE`]).
 
-use pels_netsim::time::Rate;
+use crate::mkc::{INITIAL_RATE, MAX_RATE, MIN_RATE};
+use crate::scenario::VIDEO_PACKET_BYTES;
 use serde::{Deserialize, Serialize};
 
-/// Configuration of [`TfrcController`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TfrcConfig {
-    /// Packet size `s`, bytes.
-    pub packet_bytes: u32,
-    /// Round-trip time estimate, seconds (static in this model; the
-    /// simulator's dumbbell RTT is ~15 ms plus queueing).
-    pub rtt_s: f64,
-    /// EWMA weight of new loss samples in the loss-event estimate.
-    pub loss_smoothing: f64,
-    /// Initial rate.
-    pub initial: Rate,
-    /// Rate floor.
-    pub min_rate: Rate,
-    /// Rate ceiling.
-    pub max_rate: Rate,
-}
-
-impl Default for TfrcConfig {
-    fn default() -> Self {
-        TfrcConfig {
-            packet_bytes: 500,
-            rtt_s: 0.03,
-            loss_smoothing: 0.1,
-            initial: Rate::from_kbps(128.0),
-            min_rate: Rate::from_kbps(64.0),
-            max_rate: Rate::from_mbps(10.0),
-        }
-    }
-}
+/// Round-trip time estimate, seconds (static in this model; the
+/// simulator's dumbbell RTT is ~15 ms plus queueing).
+const RTT_S: f64 = 0.03;
+/// EWMA weight of new loss samples in the loss-event estimate.
+const LOSS_SMOOTHING: f64 = 0.1;
 
 /// The TFRC-like controller.
 ///
 /// # Examples
 ///
 /// ```
-/// use pels_core::tfrc::{TfrcConfig, TfrcController};
+/// use pels_core::tfrc::TfrcController;
 ///
-/// let mut t = TfrcController::new(TfrcConfig::default());
+/// let mut t = TfrcController::default();
 /// for _ in 0..200 { t.update(0.02); }
 /// // The TCP equation at p ~ 2%, RTT 30 ms, 500 B packets: ~ 750 kb/s.
 /// let r = t.rate_bps();
@@ -61,32 +39,18 @@ impl Default for TfrcConfig {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TfrcController {
-    cfg: TfrcConfig,
     rate_bps: f64,
     loss_avg: f64,
     updates: u64,
 }
 
-impl TfrcController {
-    /// Creates a controller.
-    ///
-    /// # Panics
-    ///
-    /// Panics if parameters are out of range (non-positive packet size or
-    /// RTT, smoothing outside `(0, 1]`, inconsistent rate bounds).
-    pub fn new(cfg: TfrcConfig) -> Self {
-        assert!(cfg.packet_bytes > 0, "packet size must be positive");
-        assert!(cfg.rtt_s > 0.0 && cfg.rtt_s.is_finite(), "rtt must be positive");
-        assert!(
-            cfg.loss_smoothing > 0.0 && cfg.loss_smoothing <= 1.0,
-            "smoothing must be in (0,1]"
-        );
-        assert!(cfg.min_rate <= cfg.max_rate, "min_rate must not exceed max_rate");
-        let rate = (cfg.initial.as_bps() as f64)
-            .clamp(cfg.min_rate.as_bps() as f64, cfg.max_rate.as_bps() as f64);
-        TfrcController { cfg, rate_bps: rate, loss_avg: 0.0, updates: 0 }
+impl Default for TfrcController {
+    fn default() -> Self {
+        TfrcController { rate_bps: INITIAL_RATE.as_bps() as f64, loss_avg: 0.0, updates: 0 }
     }
+}
 
+impl TfrcController {
     /// Current rate, bits/s.
     pub fn rate_bps(&self) -> f64 {
         self.rate_bps
@@ -97,10 +61,11 @@ impl TfrcController {
         self.loss_avg
     }
 
-    /// The TCP throughput equation in bits/s at loss-event rate `p`.
+    /// The TCP throughput equation in bits/s at loss-event rate `p`, for
+    /// the paper's 500-byte video packets.
     fn equation(&self, p: f64) -> f64 {
-        let s = self.cfg.packet_bytes as f64 * 8.0;
-        let r = self.cfg.rtt_s;
+        let s = f64::from(VIDEO_PACKET_BYTES) * 8.0;
+        let r = RTT_S;
         let t_rto = 4.0 * r;
         let denom = r * (2.0 * p / 3.0).sqrt()
             + t_rto * 3.0 * (3.0 * p / 8.0).sqrt() * p * (1.0 + 32.0 * p * p);
@@ -113,7 +78,7 @@ impl TfrcController {
     /// updates, TFRC-style.
     pub fn update(&mut self, p: f64) -> f64 {
         let sample = if p.is_finite() { p.max(0.0) } else { 0.0 };
-        let a = self.cfg.loss_smoothing;
+        let a = LOSS_SMOOTHING;
         self.loss_avg = (1.0 - a) * self.loss_avg + a * sample;
         let target = if self.loss_avg > 1e-6 {
             self.equation(self.loss_avg)
@@ -122,8 +87,7 @@ impl TfrcController {
         };
         // Rate moves toward the equation value, capped at doubling.
         let next = target.min(self.rate_bps * 2.0).max(self.rate_bps * 0.2);
-        self.rate_bps =
-            next.clamp(self.cfg.min_rate.as_bps() as f64, self.cfg.max_rate.as_bps() as f64);
+        self.rate_bps = next.clamp(MIN_RATE.as_bps() as f64, MAX_RATE.as_bps() as f64);
         self.updates += 1;
         self.rate_bps
     }
@@ -135,7 +99,7 @@ mod tests {
 
     #[test]
     fn equation_scales_inverse_sqrt_p() {
-        let t = TfrcController::new(TfrcConfig::default());
+        let t = TfrcController::default();
         let r1 = t.equation(0.01);
         let r4 = t.equation(0.04);
         // rate ~ 1/sqrt(p) plus an RTO term that grows with p: the ratio
@@ -145,7 +109,7 @@ mod tests {
 
     #[test]
     fn no_loss_doubles_until_cap() {
-        let mut t = TfrcController::new(TfrcConfig::default());
+        let mut t = TfrcController::default();
         for _ in 0..20 {
             t.update(0.0);
         }
@@ -154,7 +118,7 @@ mod tests {
 
     #[test]
     fn loss_brings_rate_to_equation_value() {
-        let mut t = TfrcController::new(TfrcConfig::default());
+        let mut t = TfrcController::default();
         for _ in 0..300 {
             t.update(0.05);
         }
@@ -167,7 +131,7 @@ mod tests {
         // A single loss spike moves the loss-event estimate by only the
         // EWMA weight, and the per-step rate change is bounded (no halving
         // cascade as in AIMD).
-        let mut t = TfrcController::new(TfrcConfig::default());
+        let mut t = TfrcController::default();
         for _ in 0..50 {
             t.update(0.01);
         }
@@ -180,11 +144,5 @@ mod tests {
             t.update(0.01);
         }
         assert!((t.loss_estimate() - 0.01).abs() < 0.005);
-    }
-
-    #[test]
-    #[should_panic(expected = "rtt must be positive")]
-    fn rejects_bad_rtt() {
-        let _ = TfrcController::new(TfrcConfig { rtt_s: 0.0, ..Default::default() });
     }
 }

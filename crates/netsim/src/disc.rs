@@ -191,11 +191,6 @@ impl StrictPriority {
     pub fn band_len_packets(&self, i: usize) -> usize {
         self.bands[i].len_packets()
     }
-
-    /// Queued bytes in band `i`.
-    pub fn band_len_bytes(&self, i: usize) -> u64 {
-        self.bands[i].len_bytes()
-    }
 }
 
 impl Discipline for StrictPriority {
@@ -296,19 +291,9 @@ impl Wrr {
         self.children[i].disc.len_packets()
     }
 
-    /// Queued bytes in child `i`.
-    pub fn child_len_bytes(&self, i: usize) -> u64 {
-        self.children[i].disc.len_bytes()
-    }
-
     /// Access to child `i`'s discipline for inspection.
     pub fn child(&self, i: usize) -> &dyn Discipline {
         self.children[i].disc.as_ref()
-    }
-
-    /// Mutable access to child `i`'s discipline.
-    pub fn child_mut(&mut self, i: usize) -> &mut dyn Discipline {
-        self.children[i].disc.as_mut()
     }
 }
 

@@ -183,10 +183,6 @@ impl<T> Slab<T> {
         self.slots[i as usize].as_ref().expect("empty slab slot")
     }
 
-    fn get_mut(&mut self, i: u32) -> &mut T {
-        self.slots[i as usize].as_mut().expect("empty slab slot")
-    }
-
     fn len(&self) -> usize {
         self.slots.len() - self.free.len()
     }
@@ -311,15 +307,6 @@ impl EventQueue {
     /// Panics if the slot is vacant.
     pub fn packet(&self, slot: PacketSlot) -> &Packet {
         self.packets.get(slot.0)
-    }
-
-    /// The packet parked at `slot`, mutably (feedback stamping in place).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is vacant.
-    pub fn packet_mut(&mut self, slot: PacketSlot) -> &mut Packet {
-        self.packets.get_mut(slot.0)
     }
 
     /// Number of packets currently parked in the arena (queued in

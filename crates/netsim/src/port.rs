@@ -132,11 +132,6 @@ impl Port {
         self.tx.is_some_and(|tx| !ctx.has_fired(tx.free_at, tx.seq))
     }
 
-    /// Whether the link is up (it is unless fault injection cut it).
-    pub fn link_up(&self) -> bool {
-        self.up
-    }
-
     /// Cuts or restores the link. While down, offered packets queue (and may
     /// be dropped by the discipline) but nothing serializes. Restoring does
     /// not by itself resume transmission — call [`Port::restart`] from a
@@ -189,12 +184,6 @@ impl Port {
     /// The queue discipline, for inspection.
     pub fn discipline(&self) -> &dyn Discipline {
         self.disc.as_ref()
-    }
-
-    /// The queue discipline, for reconfiguration (e.g. updating a drop
-    /// probability).
-    pub fn discipline_mut(&mut self) -> &mut dyn Discipline {
-        self.disc.as_mut()
     }
 
     /// Replaces the queue discipline (only sensible before traffic flows).

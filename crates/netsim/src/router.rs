@@ -70,16 +70,6 @@ impl Router {
     pub fn port(&self, i: usize) -> &Port {
         &self.ports[i]
     }
-
-    /// Mutable access to a port.
-    pub fn port_mut(&mut self, i: usize) -> &mut Port {
-        &mut self.ports[i]
-    }
-
-    /// Number of ports.
-    pub fn num_ports(&self) -> usize {
-        self.ports.len()
-    }
 }
 
 impl Agent for Router {

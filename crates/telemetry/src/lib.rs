@@ -25,8 +25,7 @@
 //! `wire.rx.decode_errors`. See DESIGN.md §10 for the full naming scheme.
 //!
 //! Pluggable sinks ([`Sink`]) receive every published snapshot: JSON-lines
-//! for `--telemetry <path>`, CSV via the shared `stats::to_csv`, or
-//! in-memory for tests.
+//! for `--telemetry <path>`, or in-memory for tests.
 //!
 //! # Examples
 //!
@@ -57,7 +56,7 @@ pub mod snapshot;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-pub use sink::{parse_snapshot_lines, CsvSink, JsonLinesSink, MemorySink, Sink, SnapshotLine};
+pub use sink::{parse_snapshot_lines, JsonLinesSink, MemorySink, Sink, SnapshotLine};
 pub use snapshot::{Gauge, Snapshot, Stat};
 
 struct Inner {
@@ -265,21 +264,5 @@ mod tests {
         let lines = parse_snapshot_lines(&text).unwrap();
         assert_eq!(lines.len(), 2);
         assert_eq!(lines[1].snapshot.counters["c"], 2);
-    }
-
-    #[test]
-    fn csv_sink_rewrites_series_csv() {
-        let dir = TestDir::new("csv");
-        let path = dir.0.join("series.csv");
-        let tel = Telemetry::new();
-        tel.attach_sink(Box::new(CsvSink::new(&path)));
-        let mut snap = Snapshot::default();
-        snap.series.insert("a".into(), vec![(0.0, 1.0)]);
-        snap.series.insert("b".into(), vec![(0.5, 2.0)]);
-        tel.publish(1.0, snap);
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[0], "t,a,b");
-        assert_eq!(lines.len(), 3);
     }
 }

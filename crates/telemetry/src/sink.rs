@@ -9,7 +9,6 @@ use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use pels_netsim::stats::{to_csv, TimeSeries};
 use serde::{Deserialize, Serialize};
 
 use crate::snapshot::Snapshot;
@@ -67,42 +66,6 @@ impl Sink for JsonLinesSink {
                 }
             }
             Err(_) => self.errors += 1,
-        }
-    }
-}
-
-/// Rewrites a CSV file from the snapshot's time series on every publish,
-/// reusing [`pels_netsim::stats::to_csv`] so rows merge on sample time.
-/// Series arrive with the full scrape that ends a run, so the last write
-/// holds the whole run.
-pub struct CsvSink {
-    path: std::path::PathBuf,
-    /// Snapshots that failed to write.
-    errors: u64,
-}
-
-impl CsvSink {
-    /// Creates a sink writing to `path` (file is created on first publish).
-    pub fn new(path: impl Into<std::path::PathBuf>) -> Self {
-        CsvSink { path: path.into(), errors: 0 }
-    }
-
-    /// Snapshots that failed to write.
-    pub fn errors(&self) -> u64 {
-        self.errors
-    }
-}
-
-impl Sink for CsvSink {
-    fn emit(&mut self, _t: f64, snap: &Snapshot) {
-        let series: Vec<TimeSeries> = snap
-            .series
-            .iter()
-            .map(|(name, pts)| TimeSeries { name: name.clone(), points: pts.clone() })
-            .collect();
-        let refs: Vec<&TimeSeries> = series.iter().collect();
-        if std::fs::write(&self.path, to_csv(&refs)).is_err() {
-            self.errors += 1;
         }
     }
 }

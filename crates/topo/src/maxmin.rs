@@ -20,7 +20,7 @@
 
 use crate::model::{Bottleneck, TopoModel, TrafficKind};
 use crate::spec::TopoSpec;
-use pels_core::mkc::MkcConfig;
+use pels_core::mkc::{MkcConfig, MIN_RATE};
 use pels_netsim::time::SimDuration;
 
 /// The stationary-rate fixed point for one generated scenario.
@@ -61,7 +61,7 @@ fn bottleneck_rate(m: f64, c: f64, f: f64, offset: f64) -> f64 {
 /// Iteratively: every bottleneck's candidate rate is its fixed point over
 /// its unbound active flows given already-bound transit; the globally
 /// lowest candidate binds its flows; repeat. Final rates are clamped to the
-/// controller's `[min_rate, max_rate]`.
+/// controller's `[MIN_RATE, max_rate]`.
 pub fn predict(
     model: &TopoModel,
     spec: &TopoSpec,
@@ -109,7 +109,7 @@ pub fn predict(
         }
     }
 
-    let min_bps = cc.min_rate.as_bps() as f64;
+    let min_bps = MIN_RATE.as_bps() as f64;
     let max_bps = cc.max_rate.as_bps() as f64;
     let flow_kbps = (0..n_video)
         .map(|v| {

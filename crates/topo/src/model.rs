@@ -18,7 +18,7 @@ use crate::spec::TopoSpec;
 use pels_core::receiver::PelsReceiver;
 use pels_core::roles::RoleIds;
 use pels_core::router::AqmRouter;
-use pels_core::scenario::default_trace;
+use pels_core::scenario::{default_trace, TCP_PACKET_BYTES, VIDEO_PACKET_BYTES};
 use pels_core::source::{PelsSource, SourceConfig};
 use pels_core::SimError;
 use pels_netsim::cbr::{CbrConfig, CbrSource, NullSink, PoissonSource};
@@ -435,10 +435,9 @@ pub fn compile(model: &TopoModel, spec: &TopoSpec) -> Result<CompiledTopo, SimEr
                     trace: Arc::clone(&trace),
                     cc: Default::default(),
                     gamma: Default::default(),
-                    packet_bytes: 500,
+                    packet_bytes: VIDEO_PACKET_BYTES,
                     mode: pels_core::source::SourceMode::Pels,
-                    arq: None,
-                    degradation: Default::default(),
+                    arq: false,
                     keep_series: spec.keep_series(),
                 };
                 ids.sources.push(host_id(h));
@@ -454,7 +453,7 @@ pub fn compile(model: &TopoModel, spec: &TopoSpec) -> Result<CompiledTopo, SimEr
                     port,
                     FlowId(flow),
                     host_id(pair.dst_host),
-                    1_000,
+                    TCP_PACKET_BYTES,
                     SimDuration::ZERO,
                 ))
             }
@@ -467,7 +466,7 @@ pub fn compile(model: &TopoModel, spec: &TopoSpec) -> Result<CompiledTopo, SimEr
                     flow: FlowId(flow),
                     dst: host_id(pair.dst_host),
                     rate,
-                    packet_bytes: 500,
+                    packet_bytes: VIDEO_PACKET_BYTES,
                     class,
                     start_at: start,
                     stop_at: stop,

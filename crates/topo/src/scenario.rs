@@ -444,17 +444,21 @@ mod tests {
 
     #[test]
     fn fat_tree_end_to_end_byte_identical_across_workers() {
-        let spec = TopoSpec::from_shorthand("fattree:k=4,flows=8,seed=3").unwrap();
-        let reports: Vec<String> = [1usize, 2]
-            .iter()
-            .map(|&w| {
-                let mut sc = TopoScenario::build(spec.clone());
-                sc.set_workers(w);
-                sc.run_until(SimTime::from_secs_f64(5.0));
-                serde_json::to_string(&sc.report()).unwrap()
-            })
-            .collect();
-        assert_eq!(reports[0], reports[1]);
+        // The parking lot is the paper's Section 5.2 multi-router shape (the
+        // max-loss override between two AQM hops) on a delay-cut partition.
+        for shape in ["fattree:k=4,flows=8,seed=3", "parkinglot:segments=2,flows=4"] {
+            let spec = TopoSpec::from_shorthand(shape).unwrap();
+            let reports: Vec<String> = [1usize, 2]
+                .iter()
+                .map(|&w| {
+                    let mut sc = TopoScenario::build(spec.clone());
+                    sc.set_workers(w);
+                    sc.run_until(SimTime::from_secs_f64(5.0));
+                    serde_json::to_string(&sc.report()).unwrap()
+                })
+                .collect();
+            assert_eq!(reports[0], reports[1], "{shape}");
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::transport::MemHub;
 use pels_core::chaos::{RecoveryInvariants, WireChaosCase};
 use pels_core::mkc::{MkcConfig, MkcController};
 use pels_netsim::clock::ManualClock;
-use pels_netsim::time::{Rate, SimDuration, SimTime};
+use pels_netsim::time::{SimDuration, SimTime};
 use pels_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -76,10 +76,6 @@ pub struct WireChaosConfig {
     pub fault_from: SimTime,
     /// Fault window end; recovery is measured from here.
     pub fault_to: SimTime,
-    /// Full bottleneck capacity; PELS gets `pels_share` of it.
-    pub bottleneck: Rate,
-    /// Fraction of the bottleneck reserved for PELS (paper: 0.5).
-    pub pels_share: f64,
 }
 
 impl Default for WireChaosConfig {
@@ -92,8 +88,6 @@ impl Default for WireChaosConfig {
             duration: SimDuration::from_secs(12),
             fault_from: SimTime::from_secs_f64(4.5),
             fault_to: SimTime::from_secs_f64(6.0),
-            bottleneck: Rate::from_mbps(4.0),
-            pels_share: 0.5,
         }
     }
 }
@@ -139,9 +133,6 @@ impl WireChaosConfig {
                 self.duration.as_secs_f64(),
                 needed.as_secs_f64()
             ));
-        }
-        if !(self.pels_share > 0.0 && self.pels_share <= 1.0) {
-            return Err(format!("pels_share must be in (0, 1]: {}", self.pels_share));
         }
         Ok(())
     }
@@ -271,8 +262,6 @@ pub fn run_wire_case(
     // Everything the config does not name is `pels live`'s default stream.
     let live = LiveConfig {
         duration: cfg.duration,
-        bottleneck: cfg.bottleneck,
-        pels_share: cfg.pels_share,
         backend: LiveBackend::Memory,
         telemetry: telemetry.clone(),
         faults: Some(script_for(case, cfg)),
@@ -446,9 +435,6 @@ mod tests {
         let mut bad = cfg();
         bad.duration = SimDuration::from_secs(5);
         assert!(bad.validate().is_err(), "no room for recovery");
-        let mut bad = cfg();
-        bad.pels_share = 0.0;
-        assert!(bad.validate().is_err(), "zero share");
         assert!(cfg().validate().is_ok());
     }
 

@@ -82,23 +82,19 @@ pub struct WireFaultPolicy {
     /// Probability the datagram is silently discarded.
     pub drop: f64,
     /// Probability the datagram is delivered now *and* again after
-    /// `reorder_by`.
+    /// `REORDER_BY`.
     pub duplicate: f64,
-    /// Probability the datagram is held for `reorder_by`, letting later
+    /// Probability the datagram is held for `REORDER_BY`, letting later
     /// traffic overtake it.
     pub reorder: f64,
     /// Probability the datagram is held for `delay_by`.
     pub delay: f64,
     /// Probability the datagram is clipped to a random proper prefix.
     pub truncate: f64,
-    /// Probability 1..=`corrupt_flips` random bits are flipped.
+    /// Probability 1..=`CORRUPT_FLIPS` random bits are flipped.
     pub corrupt: f64,
-    /// Hold time for reordered datagrams and duplicate copies.
-    pub reorder_by: SimDuration,
     /// Hold time for delayed datagrams.
     pub delay_by: SimDuration,
-    /// Maximum bit flips per corrupted datagram (at least 1).
-    pub corrupt_flips: u32,
     /// Restricts the probabilistic faults to a time window; `None`
     /// applies them for the whole run. ([`Blackout`]s carry their own
     /// windows and are unaffected.)
@@ -106,8 +102,8 @@ pub struct WireFaultPolicy {
 }
 
 impl Default for WireFaultPolicy {
-    /// All probabilities zero (no faults), with the hold times and flip
-    /// count at usable defaults so a spec only has to raise probabilities.
+    /// All probabilities zero (no faults), with the delay hold at a usable
+    /// default so a spec only has to raise probabilities.
     fn default() -> Self {
         WireFaultPolicy {
             drop: 0.0,
@@ -116,13 +112,16 @@ impl Default for WireFaultPolicy {
             delay: 0.0,
             truncate: 0.0,
             corrupt: 0.0,
-            reorder_by: SimDuration::from_millis(5),
             delay_by: SimDuration::from_millis(40),
-            corrupt_flips: 8,
             window: None,
         }
     }
 }
+
+/// Hold time for reordered datagrams and duplicate copies.
+const REORDER_BY: SimDuration = SimDuration::from_millis(5);
+/// Maximum bit flips per corrupted datagram.
+const CORRUPT_FLIPS: u32 = 8;
 
 impl WireFaultPolicy {
     fn fractions(&self) -> [f64; 6] {
@@ -138,8 +137,7 @@ impl WireFaultPolicy {
     ///
     /// # Errors
     ///
-    /// Each probability must be in `[0, 1]`, their sum at most 1, and
-    /// `corrupt_flips` at least 1 when corruption is enabled.
+    /// Each probability must be in `[0, 1]` and their sum at most 1.
     pub fn validate(&self) -> Result<(), String> {
         for f in self.fractions() {
             if !(0.0..=1.0).contains(&f) {
@@ -149,9 +147,6 @@ impl WireFaultPolicy {
         let sum: f64 = self.fractions().iter().sum();
         if sum > 1.0 {
             return Err(format!("fault probabilities sum to {sum} > 1"));
-        }
-        if self.corrupt > 0.0 && self.corrupt_flips == 0 {
-            return Err("corrupt_flips must be at least 1 when corrupt > 0".into());
         }
         if let Some(w) = self.window {
             if w.from >= w.to {
@@ -337,11 +332,11 @@ fn pop_due(held: &mut VecDeque<Held>, now: SimTime) -> Option<Held> {
     held.remove(idx)
 }
 
-fn corrupt_in_place(rng: &mut StdRng, buf: &mut [u8], max_flips: u32) {
+fn corrupt_in_place(rng: &mut StdRng, buf: &mut [u8]) {
     if buf.is_empty() {
         return;
     }
-    let flips = rng.gen_range(1..=max_flips.max(1));
+    let flips = rng.gen_range(1..=CORRUPT_FLIPS);
     for _ in 0..flips {
         let bit = rng.gen_range(0..buf.len() * 8);
         buf[bit / 8] ^= 1 << (bit % 8);
@@ -465,12 +460,12 @@ impl<T: Transport, C: Clock> Transport for FaultTransport<T, C> {
             Fate::Drop => count(&self.stats.dropped),
             Fate::Duplicate => {
                 self.inner.send_to(buf, to)?;
-                let release_at = now.saturating_add(self.spec.tx.reorder_by);
+                let release_at = now.saturating_add(REORDER_BY);
                 st.tx_held.push_back(Held { release_at, addr: to, bytes: buf.to_vec() });
                 count(&self.stats.duplicated);
             }
             Fate::Reorder => {
-                let release_at = now.saturating_add(self.spec.tx.reorder_by);
+                let release_at = now.saturating_add(REORDER_BY);
                 st.tx_held.push_back(Held { release_at, addr: to, bytes: buf.to_vec() });
                 count(&self.stats.reordered);
             }
@@ -490,7 +485,7 @@ impl<T: Transport, C: Clock> Transport for FaultTransport<T, C> {
             }
             Fate::Corrupt => {
                 let mut mutated = buf.to_vec();
-                corrupt_in_place(&mut st.tx_rng, &mut mutated, self.spec.tx.corrupt_flips);
+                corrupt_in_place(&mut st.tx_rng, &mut mutated);
                 self.inner.send_to(&mutated, to)?;
                 count(&self.stats.corrupted);
             }
@@ -535,13 +530,13 @@ impl<T: Transport, C: Clock> Transport for FaultTransport<T, C> {
                     continue;
                 }
                 Fate::Duplicate => {
-                    let release_at = now.saturating_add(self.spec.rx.reorder_by);
+                    let release_at = now.saturating_add(REORDER_BY);
                     st.rx_held.push_back(Held { release_at, addr: from, bytes: buf[..n].to_vec() });
                     count(&self.stats.duplicated);
                     return Ok(Some((n, from)));
                 }
                 Fate::Reorder => {
-                    let release_at = now.saturating_add(self.spec.rx.reorder_by);
+                    let release_at = now.saturating_add(REORDER_BY);
                     st.rx_held.push_back(Held { release_at, addr: from, bytes: buf[..n].to_vec() });
                     count(&self.stats.reordered);
                     continue;
@@ -561,7 +556,7 @@ impl<T: Transport, C: Clock> Transport for FaultTransport<T, C> {
                     return Ok(Some((keep, from)));
                 }
                 Fate::Corrupt => {
-                    corrupt_in_place(&mut st.rx_rng, &mut buf[..n], self.spec.rx.corrupt_flips);
+                    corrupt_in_place(&mut st.rx_rng, &mut buf[..n]);
                     count(&self.stats.corrupted);
                     return Ok(Some((n, from)));
                 }
@@ -787,12 +782,6 @@ mod tests {
         assert!(spec_with(|s| {
             s.rx.drop = 0.7;
             s.rx.corrupt = 0.7;
-        })
-        .validate()
-        .is_err());
-        assert!(spec_with(|s| {
-            s.tx.corrupt = 0.1;
-            s.tx.corrupt_flips = 0;
         })
         .validate()
         .is_err());

@@ -84,22 +84,26 @@ impl Default for LiveConfig {
 }
 
 impl LiveConfig {
+    /// Checks the values that arrive from a command line or a file.
+    ///
+    /// # Errors
+    ///
+    /// `pels_share` must be in `(0, 1]`, the PELS share of the bottleneck
+    /// must not round to 0 b/s, and the fault spec must pass
+    /// [`LiveFaults::validate`].
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.pels_share > 0.0 && self.pels_share <= 1.0) {
+            return Err(format!("pels_share must be in (0, 1]: {}", self.pels_share));
+        }
+        if self.pels_capacity().as_bps() == 0 {
+            return Err("the PELS share of the bottleneck rounds to 0 b/s".into());
+        }
+        self.faults.as_ref().map_or(Ok(()), LiveFaults::validate)
+    }
+
     /// The PELS share of the bottleneck: the server's capacity `C`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pels_share` is outside `(0, 1]` or the share rounds to
-    /// zero.
     pub(crate) fn pels_capacity(&self) -> Rate {
-        assert!(
-            self.pels_share > 0.0 && self.pels_share <= 1.0,
-            "pels_share must be in (0, 1]: {}",
-            self.pels_share
-        );
-        let capacity =
-            Rate::from_bps((self.bottleneck.as_bps() as f64 * self.pels_share).round() as u64);
-        assert!(capacity.as_bps() > 0, "PELS share of the bottleneck is zero");
-        capacity
+        Rate::from_bps((self.bottleneck.as_bps() as f64 * self.pels_share).round() as u64)
     }
 }
 
@@ -152,13 +156,8 @@ const DRAIN: SimDuration = SimDuration::from_millis(300);
 /// # Errors
 ///
 /// Propagates socket errors (UDP backend only; the in-memory hub cannot
-/// fail), and rejects an invalid fault spec as
+/// fail), and rejects a config that fails [`LiveConfig::validate`] as
 /// [`io::ErrorKind::InvalidInput`].
-///
-/// # Panics
-///
-/// Panics if `pels_share` is outside `(0, 1]` or the configured capacity
-/// rounds to zero.
 pub fn run_live(cfg: &LiveConfig) -> io::Result<LiveOutcome> {
     match cfg.backend {
         LiveBackend::Memory => {
@@ -255,15 +254,11 @@ impl<T: Transport, C: RunClock> Session<T, C> {
     ///
     /// # Errors
     ///
-    /// [`io::ErrorKind::InvalidInput`] for an invalid fault spec.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pels_share` is outside `(0, 1]` or the configured
-    /// capacity rounds to zero.
+    /// [`io::ErrorKind::InvalidInput`] for a config that fails
+    /// [`LiveConfig::validate`].
     pub fn wire_up(cfg: &LiveConfig, clock: C, server_ep: T, rx_ep: T) -> io::Result<Self> {
+        cfg.validate().map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let faults = cfg.faults.clone().unwrap_or_default();
-        faults.validate().map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let server_ep = FaultTransport::new(server_ep, clock.clone(), faults.server);
         let fault_stats = vec![server_ep.stats()];
         let server = ServeLoop::new(
@@ -612,6 +607,9 @@ mod tests {
         let mut faults = LiveFaults::default();
         faults.server.rx = WireFaultPolicy { drop: 1.5, ..Default::default() };
         let err = run_live(&LiveConfig { faults: Some(faults), ..short_mem_cfg() }).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        // So is a bottleneck whose PELS share rounds to 0 b/s.
+        let err = run_live(&LiveConfig { bottleneck: Rate::ZERO, ..short_mem_cfg() }).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     }
 

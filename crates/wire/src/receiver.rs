@@ -45,9 +45,8 @@ pub struct WireReceiverConfig {
 }
 
 /// How often a client refreshes a flow's HELLO: a fifth of
-/// [`ServeConfig::flow_idle_timeout`](crate::ServeConfig::flow_idle_timeout)'s
-/// default, so a healthy session survives several consecutive lost
-/// heartbeats before eviction.
+/// [`FLOW_IDLE_TIMEOUT`](crate::serve::FLOW_IDLE_TIMEOUT), so a healthy
+/// session survives several consecutive lost heartbeats before eviction.
 pub const HELLO_INTERVAL: SimDuration = SimDuration::from_millis(100);
 
 /// The live receiving agent.
@@ -76,7 +75,7 @@ pub struct WireReceiver<T: Transport> {
 impl<T: Transport> WireReceiver<T> {
     /// Creates a receiver listening on `transport`.
     pub fn new(cfg: WireReceiverConfig, transport: T) -> Self {
-        let nack = cfg.nack.map(NackTracker::new);
+        let nack = cfg.nack.map(|_| NackTracker::default());
         let next_hello_at = cfg.heartbeat.then_some(SimTime::ZERO);
         WireReceiver {
             transport,

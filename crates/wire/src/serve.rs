@@ -56,7 +56,7 @@ use crate::codec::{packets, peek_kind, WireAck, WireBye, WireData, WireHello, Wi
 use crate::flowtable::{FlowEntry, FlowTable};
 use crate::transport::{Datagram, Outbox, Transport, UdpTransport, AGGREGATE_BYTES};
 use pels_core::color::Color;
-use pels_core::feedback::FeedbackEstimator;
+use pels_core::feedback::{FeedbackEstimator, FEEDBACK_INTERVAL};
 use pels_core::flow::{CcSpec, FlowControl, Planned, SourceMode};
 use pels_core::gamma::GammaConfig;
 use pels_core::mkc::MkcConfig;
@@ -79,8 +79,6 @@ pub struct ServeConfig {
     /// Socket to bind (port 0 picks an ephemeral port, reported via
     /// `on_ready`).
     pub listen: SocketAddr,
-    /// Identifier stamped into feedback labels.
-    pub id: AgentId,
     /// Shared PELS capacity across all flows — the `C` every per-flow MKC
     /// rate contends for.
     pub capacity: Rate,
@@ -101,8 +99,6 @@ pub struct ServeConfig {
     /// minimum: [`ServeLoop::new`] raises it to a frame of base layer from
     /// every admissible flow, so the router never sheds the base layer.
     pub color_limits: [usize; 3],
-    /// Flow-table idle eviction timeout (HELLO refresh keeps a flow live).
-    pub flow_idle_timeout: SimDuration,
     /// Hard cap on concurrent flows; HELLOs beyond it are refused.
     pub max_flows: usize,
     /// Include per-flow gauges (`wire.serve.flow.<id>.rate` / `.gamma`) in
@@ -120,16 +116,14 @@ impl ServeConfig {
     pub fn new(listen: SocketAddr) -> Self {
         ServeConfig {
             listen,
-            id: AgentId(1),
             capacity: Rate::from_mbps(100.0),
             duration: SimDuration::from_secs(5),
             packet_bytes: 400,
             trace: VideoTrace::constant(300, 10.0, 1_600, 10_000),
             mkc: MkcConfig::default(),
             gamma: GammaConfig::default(),
-            feedback_interval: SimDuration::from_millis(30),
+            feedback_interval: FEEDBACK_INTERVAL,
             color_limits: [0, 8192, 2048],
-            flow_idle_timeout: SimDuration::from_millis(500),
             max_flows: 4096,
             telemetry_per_flow: false,
             telemetry: Telemetry::disabled(),
@@ -140,10 +134,14 @@ impl ServeConfig {
     ///
     /// # Errors
     ///
-    /// A data packet ([`MAX_PACKET_BYTES`]) must fit a peer's receive slot
-    /// ([`RX_SLOT_BYTES`]), and the trace must pass
+    /// The capacity must be at least 1 b/s (a rate given in Mb/s can round
+    /// to 0), a data packet ([`MAX_PACKET_BYTES`]) must fit a peer's receive
+    /// slot ([`RX_SLOT_BYTES`]), and the trace must pass
     /// [`VideoTrace::validate`] at that packet size.
     pub fn validate(&self) -> Result<(), String> {
+        if self.capacity.as_bps() == 0 {
+            return Err("capacity must be at least 1 b/s".into());
+        }
         if !(1..=MAX_PACKET_BYTES).contains(&self.packet_bytes) {
             return Err(format!(
                 "packet_bytes {} outside 1..={MAX_PACKET_BYTES}: header + payload must fit \
@@ -238,7 +236,11 @@ pub struct FlowView {
 }
 
 /// Frames whose base layer a flow keeps repairable.
-pub const REPAIR_FRAMES: usize = 8;
+pub use pels_core::source::REPAIR_FRAMES;
+/// Identifier the shared router stamps into its feedback labels.
+const ROUTER_ID: AgentId = AgentId(1);
+/// Flow-table idle eviction timeout (a HELLO refresh keeps a flow live).
+pub const FLOW_IDLE_TIMEOUT: SimDuration = SimDuration::from_millis(500);
 /// Repairs a flow grants per packet: a duplicated or replayed NACK cannot
 /// make it resend one packet without bound.
 pub const REPAIR_TRIES: u8 = 3;
@@ -539,13 +541,11 @@ struct Departure {
 /// [`drain`](Self::drain) is the one place a data packet is encoded.
 #[derive(Debug)]
 struct ServeRouter {
-    id: AgentId,
     estimator: FeedbackEstimator,
     queues: [VecDeque<Departure>; 3],
     budget_bits: f64,
     last_drain: Option<SimTime>,
     capacity_bps: f64,
-    interval: SimDuration,
     color_limits: [usize; 3],
     tx_by_class: [u64; 3],
     drops_by_class: [u64; 3],
@@ -553,21 +553,13 @@ struct ServeRouter {
 }
 
 impl ServeRouter {
-    fn new(
-        id: AgentId,
-        capacity: Rate,
-        interval: SimDuration,
-        smoothing: f64,
-        color_limits: [usize; 3],
-    ) -> Self {
+    fn new(capacity: Rate, interval: SimDuration, color_limits: [usize; 3]) -> Self {
         ServeRouter {
-            id,
-            estimator: FeedbackEstimator::with_smoothing(capacity, interval, smoothing),
+            estimator: FeedbackEstimator::new(capacity, interval),
             queues: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
             budget_bits: 0.0,
             last_drain: None,
             capacity_bps: capacity.as_bps() as f64,
-            interval,
             color_limits,
             tx_by_class: [0; 3],
             drops_by_class: [0; 3],
@@ -606,12 +598,12 @@ impl ServeRouter {
             // least one full datagram, or a capacity below ~1 MTU per
             // interval deadlocks the queue (bucket depth ≥ MTU rule).
             const MAX_DATAGRAM_BITS: f64 = 2048.0 * 8.0;
-            let max_credit =
-                (self.capacity_bps * self.interval.as_secs_f64()).max(MAX_DATAGRAM_BITS);
+            let max_credit = (self.capacity_bps * self.estimator.interval().as_secs_f64())
+                .max(MAX_DATAGRAM_BITS);
             self.budget_bits = (self.budget_bits + self.capacity_bps * dt).min(max_credit);
         }
         self.last_drain = Some(now);
-        let label = self.estimator.label(self.id);
+        let label = self.estimator.label(ROUTER_ID);
         loop {
             let Some(class) = (0..3).find(|&c| !self.queues[c].is_empty()) else {
                 return;
@@ -721,8 +713,7 @@ impl<T: Transport> ServeLoop<T> {
         let base_packets = base_packets.div_ceil(cfg.packet_bytes.max(1)) as usize;
         let [green, yellow, red] = cfg.color_limits;
         let color_limits = [green.max(cfg.max_flows.saturating_mul(base_packets)), yellow, red];
-        let router =
-            ServeRouter::new(cfg.id, cfg.capacity, cfg.feedback_interval, 0.15, color_limits);
+        let router = ServeRouter::new(cfg.capacity, cfg.feedback_interval, color_limits);
         let rx_ring = (0..IO_BATCH).map(|_| Datagram::slot(RX_SLOT_BYTES)).collect();
         let payload_pool = vec![0u8; cfg.packet_bytes as usize];
         let frame_interval = SimDuration::from_secs_f64(cfg.trace.frame_interval_secs());
@@ -958,7 +949,7 @@ impl<T: Transport> ServeLoop<T> {
         };
         let s = &mut entry.state;
         // One check per frame interval stands in for the source's
-        // stale_timeout/4 watchdog cadence (same order of magnitude).
+        // STALE_TIMEOUT / 4 watchdog cadence (same order of magnitude).
         if s.flow.on_stale_check(now) {
             // Labels are stamped at departure here, so none that arrives
             // is old: a full timeout without a fresh one means the epoch
@@ -1050,8 +1041,8 @@ impl<T: Transport> ServeLoop<T> {
         let elapsed =
             self.last_tick.map_or(self.cfg.feedback_interval, |last| now.duration_since(last));
         self.last_tick = Some(now);
-        self.router.estimator.tick_elapsed(self.cfg.id, elapsed);
-        self.evictions += self.flows.evict_idle(now, self.cfg.flow_idle_timeout);
+        self.router.estimator.tick_elapsed(ROUTER_ID, elapsed);
+        self.evictions += self.flows.evict_idle(now, FLOW_IDLE_TIMEOUT);
         self.wheel.schedule(now + self.cfg.feedback_interval, TimerEvent::Tick);
     }
 
@@ -1447,7 +1438,6 @@ mod tests {
         // Tight shared capacity: two flows at the initial 128 kb/s rate
         // overrun 100 kb/s, so the estimator must report loss.
         cfg.capacity = Rate::from_kbps(100.0);
-        cfg.id = AgentId(7);
         let mut lp = mem_loop(&hub, cfg);
         hello(&client, 2);
         run_ms(&mut lp, &client, 0..501);
@@ -1460,7 +1450,7 @@ mod tests {
         // the shared router's stamp, and once an interval has closed, its
         // positive loss.
         for p in &got {
-            assert_eq!(p.feedback.expect("stamped").router, AgentId(7));
+            assert_eq!(p.feedback.expect("stamped").router, ROUTER_ID);
         }
         assert!(got.last().unwrap().feedback.unwrap().loss > 0.0);
     }
@@ -1486,7 +1476,7 @@ mod tests {
     }
 
     fn router(capacity: Rate, color_limits: [usize; 3]) -> ServeRouter {
-        ServeRouter::new(AgentId(1), capacity, SimDuration::from_millis(30), 0.15, color_limits)
+        ServeRouter::new(capacity, FEEDBACK_INTERVAL, color_limits)
     }
 
     /// A table with flow 1 registered at `addr(2)`.
@@ -1584,7 +1574,7 @@ mod tests {
         client.send_to(&ack(2, poisoned), addr(1)).unwrap();
         run_ms(&mut lp, &client, 2..3);
         assert!((rate(&lp) - poisoned).abs() < 1.0, "genuine epoch rejected while poisoned");
-        // Starve the watchdog past stale_timeout (300 ms): it decays the
+        // Starve the watchdog past STALE_TIMEOUT (300 ms): it decays the
         // rate AND resets the filter so the loop can resynchronize.
         run_ms(&mut lp, &client, 3..1_000);
         assert!(lp.flow(FlowId(1)).unwrap().watchdog_trips > 0, "watchdog never fired");

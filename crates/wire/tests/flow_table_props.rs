@@ -9,6 +9,7 @@ use std::net::SocketAddr;
 use pels_netsim::packet::{AgentId, Feedback, FlowId, FrameTag};
 use pels_netsim::time::{SimDuration, SimTime};
 use pels_wire::codec::{WireAck, WireBye, WireData, WireHello, WireNack};
+use pels_wire::serve::FLOW_IDLE_TIMEOUT;
 use pels_wire::{FlowTable, MemHub, ServeConfig, ServeLoop, Transport};
 use proptest::prelude::*;
 
@@ -42,7 +43,7 @@ fn op_strategy(max_flow: u32) -> impl Strategy<Value = Op> {
     })
 }
 
-const TIMEOUT_MS: u64 = 500;
+const TIMEOUT_MS: u64 = FLOW_IDLE_TIMEOUT.as_nanos() / 1_000_000;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
@@ -143,8 +144,7 @@ fn serve_churn(ops: &[Op]) {
     let client = hub.endpoint(addr(11));
     let intruder = hub.endpoint(addr(12));
     let mut foreign = 0u64;
-    let mut cfg = ServeConfig::new(addr(10));
-    cfg.flow_idle_timeout = SimDuration::from_millis(TIMEOUT_MS);
+    let cfg = ServeConfig::new(addr(10));
     let tick_ms = cfg.feedback_interval.as_nanos() / 1_000_000;
     let mut lp = ServeLoop::new(cfg, hub.endpoint(addr(10)), None);
     // Model: flow -> ms of its last HELLO.

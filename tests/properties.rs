@@ -26,7 +26,7 @@ proptest! {
     ) {
         let flow = FlowSpec {
             cc: CcSpec::Mkc(MkcConfig { beta, ..Default::default() }),
-            gamma: GammaConfig { sigma, p_thr, ..Default::default() },
+            gamma: GammaConfig { sigma, p_thr },
             ..Default::default()
         };
         let cfg = ScenarioConfig {
