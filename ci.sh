@@ -49,8 +49,10 @@ done
 
 # A source file up to its test module (everything from `#[cfg(test)]` on may
 # call what it likes), each line prefixed with file and line number. The line
-# ratchets on the same rule are tests/architecture.rs. The determinism of
-# every report is tier-1 too: live and chaos runs repeat in
+# ratchets and the netsim gates (one tx-complete site, cross-shard packets
+# through the lane only, one fate partition) on the same rule are
+# tests/architecture.rs, and tests/experiments.rs checks results/chaos.csv.
+# The determinism of every report is tier-1 too: live and chaos runs repeat in
 # `live::tests::memory_run_is_deterministic`,
 # `wire::chaos::tests::matrix_is_deterministic` and byte_identity.rs, worker
 # counts in report_digests.rs, parallel_determinism.rs and the topo
@@ -155,35 +157,6 @@ cap_sites="$(for f in crates/wire/src/*.rs; do non_test_code "$f"; done \
   echo "container cap compared with a buffer length at: ${cap_sites:-nowhere}; only transport::Outbox::push does" >&2
   exit 1; }
 
-echo "== tx-completes are scheduled in one place (netsim::port) =="
-# A port schedules a completion only when a packet waits behind the one on
-# the wire (41 % of the shared bottleneck's events were idle completions
-# before). `Ev::Tx` is built by the queue's own conversions (event.rs), by
-# `Context::schedule_tx_complete_at` (sim.rs) and, through it, by `Port`
-# alone: a second, eager scheduling site must not come back.
-for f in $(find crates -path '*/src/*' -name '*.rs'); do
-  case "$f" in crates/netsim/src/event.rs|crates/netsim/src/sim.rs|crates/netsim/src/port.rs) continue ;; esac
-  if non_test_code "$f" | grep -E \
-      'Ev::Tx|schedule_tx_complete'; then
-    echo "$f schedules a tx-complete; only netsim::port::Port does" >&2
-    exit 1
-  fi
-done
-
-echo "== packets reach another shard through the lane only (netsim::{shard,sim}) =="
-# A barrier batch is installed as the destination queue's lane and merged
-# at pop (netsim::event, "The cross-shard lane"); wrapping a packet in an
-# `Event` and injecting it — a stash, a heap push and a sift per packet,
-# 26 % of the shared bottleneck's events — must not come back beside it.
-# `Simulator::inject` is for routing faults to their shard.
-for f in crates/netsim/src/shard.rs crates/netsim/src/sim.rs; do
-  if non_test_code "$f" | grep -E \
-      'Event::PacketArrival'; then
-    echo "$f builds a packet-arrival event; cross-shard packets go through the lane" >&2
-    exit 1
-  fi
-done
-
 echo "== cargo test (workspace) =="
 # --workspace again: the root package's `cargo test` alone skips every
 # member crate's unit tests (CLI, netsim, wire, ...).
@@ -227,15 +200,6 @@ cargo test -q --release -p pels-cli --test byte_identity
 # in the debug run above): the serve loop's live heap per flow at 512
 # flows, under its budget at 10 s and flat from 60 s to 90 s.
 cargo test -q --release -p pels-wire --test wire_budget --test serve_memory
-
-echo "== pels chaos regenerates its tracked CSV =="
-# results/chaos.csv is the sim fault matrix at its default seed and 30 s.
-# (Every figure and ablation CSV is checked byte for byte, in-process, by
-# tests/experiments.rs in the test run above.)
-./target/release/pels chaos > /dev/null
-[ "$(tree_state)" = "$before_tests" ] || {
-  echo "pels chaos changed tracked results:" >&2
-  git diff --stat results/ >&2; exit 1; }
 
 echo "== pels live smoke (loopback UDP, 2 s) =="
 # Scratch results dir: the smoke must not clobber the checked-in

@@ -30,11 +30,12 @@ use pels_core::scenario::{
 };
 use pels_core::source::SourceMode;
 use pels_fgs::trace_gen::TraceGenConfig;
+use pels_netsim::faults::FaultWindow;
 use pels_netsim::time::{Rate, SimDuration, SimTime};
 use pels_telemetry::Telemetry;
 use pels_topo::spec::TopoSpec;
 use pels_wire::serve::{MAX_PACKET_BYTES, RX_SLOT_BYTES};
-use pels_wire::{LiveBackend, LiveConfig, LiveFaults, LoadgenConfig, ServeConfig, WireChaosConfig};
+use pels_wire::{LiveBackend, LiveConfig, LiveFaults, LoadgenConfig, ServeConfig};
 use std::collections::HashMap;
 use std::error::Error;
 use std::io::Write;
@@ -115,21 +116,14 @@ pub enum Command {
         /// OS threads running scenarios concurrently.
         workers: usize,
     },
-    /// Run the simulator's fault-injection matrix and report invariant
-    /// verdicts.
+    /// Run a fault-injection matrix and report invariant verdicts: the
+    /// simulator's, or the wire's (`--wire` or `--short`: fault-injecting
+    /// transports around the real wire agents).
     Chaos {
         /// Seed, case length and fault window.
         config: ChaosConfig,
-        /// Emit the report as JSON instead of text.
-        json: bool,
-        /// Write telemetry snapshots (JSON lines) to this path.
-        telemetry: Option<String>,
-    },
-    /// Run the wire recovery matrix (fault-injecting transports around the
-    /// real wire agents): `pels chaos --wire` or `--short`.
-    WireChaos {
-        /// The validated schedule.
-        config: WireChaosConfig,
+        /// Run the wire matrix instead of the simulator's.
+        wire: bool,
         /// Emit the report as JSON instead of text.
         json: bool,
         /// Write telemetry snapshots (JSON lines) to this path.
@@ -506,26 +500,28 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
             if short && map.contains_key("duration") {
                 return Err(ParseArgsError("--short is the 10 s preset: drop --duration".into()));
             }
-            if short || map.contains_key("wire") {
-                let mut config =
-                    if short { WireChaosConfig::short() } else { WireChaosConfig::default() };
-                config.seed = get_parsed(&map, "seed", config.seed)?;
-                config.duration = SimDuration::from_secs_f64(chaos_secs(&map, config.duration)?);
-                config
-                    .validate()
-                    .map_err(|e| ParseArgsError(format!("bad wire chaos schedule: {e}")))?;
-                return Ok(Command::WireChaos { config, json, telemetry });
-            }
-            let mut config = ChaosConfig::default();
+            let wire = short || map.contains_key("wire");
+            let mut config = match (wire, short) {
+                (false, _) => ChaosConfig::default(),
+                (true, false) => pels_wire::chaos::default_config(),
+                (true, true) => pels_wire::chaos::short_config(),
+            };
             config.seed = get_parsed(&map, "seed", config.seed)?;
-            // The fault window scales with the run so a short run still
-            // leaves room to measure recovery: onset at 1/3, lasting 1/20
-            // of the run (the 30 s default gives the library's 10–11.5 s).
             let secs = chaos_secs(&map, config.duration)?;
             config.duration = SimDuration::from_secs_f64(secs);
-            config.fault_from = SimDuration::from_secs_f64(secs / 3.0);
-            config.fault_to = SimDuration::from_secs_f64(secs / 3.0 + secs / 20.0);
-            Ok(Command::Chaos { config, json, telemetry })
+            if wire {
+                config
+                    .validate(pels_wire::chaos::OBSERVE)
+                    .map_err(|e| ParseArgsError(format!("bad wire chaos schedule: {e}")))?;
+            } else {
+                // The simulator's window scales with the run so a short run
+                // still leaves room to measure recovery: onset at 1/3,
+                // lasting 1/20 of it (the 30 s default gives 10–11.5 s).
+                let at = SimTime::from_secs_f64;
+                config.window =
+                    FaultWindow { from: at(secs / 3.0), to: at(secs / 3.0 + secs / 20.0) };
+            }
+            Ok(Command::Chaos { config, wire, json, telemetry })
         }
         "serve" => {
             let map = flag_map(cmd, rest)?;
@@ -735,7 +731,7 @@ pub fn execute(
                 )?;
             }
         }
-        Command::WireChaos { config, json, telemetry } => {
+        Command::Chaos { config, wire: true, json, telemetry } => {
             let tel = open_telemetry(telemetry.as_deref())?;
             let report = pels_wire::run_wire_matrix(&config, &tel)?;
             if json {
@@ -765,7 +761,7 @@ pub fn execute(
             }
             writeln!(out, "all wire invariants held")?;
         }
-        Command::Chaos { config, json, telemetry } => {
+        Command::Chaos { config, wire: false, json, telemetry } => {
             let tel = open_telemetry(telemetry.as_deref())?;
             let report = pels_core::chaos::run_matrix(&config, &tel)?;
             let written = save("chaos.csv", &pels_core::chaos::to_csv(&report))?;
@@ -1440,12 +1436,12 @@ mod tests {
     fn parses_chaos_flags() {
         let cmd = parse_args(&args("chaos --seed 9 --duration 12 --json")).unwrap();
         match cmd {
-            Command::Chaos { config, json, telemetry } => {
+            Command::Chaos { config, wire: false, json, telemetry } => {
                 assert_eq!(config.seed, 9);
                 assert_eq!(config.duration, SimDuration::from_secs(12));
                 // The fault window scales with the run: onset at 1/3, 1/20 long.
-                assert_eq!(config.fault_from, SimDuration::from_secs(4));
-                assert_eq!(config.fault_to, SimDuration::from_secs_f64(4.6));
+                assert_eq!(config.window.from, SimTime::from_secs_f64(4.0));
+                assert_eq!(config.window.to, SimTime::from_secs_f64(4.6));
                 assert!(json);
                 assert!(telemetry.is_none());
             }
@@ -1460,11 +1456,11 @@ mod tests {
         // `--wire` picks the library's 12 s default; `--short` implies `--wire`.
         assert!(matches!(
             parse_args(&args("chaos --wire")).unwrap(),
-            Command::WireChaos { config, .. } if config.duration == SimDuration::from_secs(12)
+            Command::Chaos { config, wire: true, .. } if config.duration == SimDuration::from_secs(12)
         ));
         assert!(matches!(
             parse_args(&args("chaos --short --seed 4")).unwrap(),
-            Command::WireChaos { config, .. }
+            Command::Chaos { config, wire: true, .. }
                 if config.duration == SimDuration::from_secs(10) && config.seed == 4
         ));
         // The preset fixes its own length: a --duration beside it is refused,
@@ -1472,7 +1468,7 @@ mod tests {
         let err = parse_args(&args("chaos --short --duration 30")).unwrap_err().0;
         assert!(err.contains("--duration") && !err.contains('\n'), "{err}");
         // A duration past the 5 s floor but too small for the wire schedule
-        // fails `WireChaosConfig::validate` at parse time.
+        // fails `ChaosConfig::validate` at parse time.
         let err = parse_args(&args("chaos --wire --duration 6")).unwrap_err().0;
         assert!(err.contains("bad wire chaos schedule") && !err.contains('\n'), "{err}");
     }
@@ -1529,6 +1525,21 @@ mod tests {
         assert_eq!(v["cases"].as_array().unwrap().len(), 6);
         assert_eq!(v["all_ok"], serde_json::Value::Bool(true));
         assert_eq!(v["duration_s"].as_f64(), Some(10.0), "--short is the 10 s preset");
+    }
+
+    #[test]
+    fn a_fault_schedule_whose_fractions_round_past_one_parses() {
+        let dir = TestDir::new("faults_sum");
+        let path = dir.join("sched.json");
+        let mut faults = pels_wire::LiveFaults::default();
+        let tx = &mut faults.server.tx;
+        (tx.drop, tx.duplicate, tx.reorder) = (0.34, 0.56, 0.10);
+        std::fs::write(&path, serde_json::to_string(&faults).unwrap()).unwrap();
+        let line = format!("live --duration 2 --mem --faults {}", path.display());
+        let Command::Live { config, .. } = parse_args(&args(&line)).unwrap() else {
+            panic!("live")
+        };
+        assert_eq!(config.faults, Some(faults));
     }
 
     #[test]
@@ -1792,17 +1803,18 @@ mod tests {
             panic!("trace")
         };
         assert_eq!(config, TraceGenConfig::default());
-        let Command::WireChaos { config, .. } = parse_args(&args("chaos --wire")).unwrap() else {
+        let Command::Chaos { config, wire: true, .. } = parse_args(&args("chaos --wire")).unwrap()
+        else {
             panic!("chaos --wire")
         };
-        let lib = WireChaosConfig::default();
+        let lib = pels_wire::chaos::default_config();
         assert_eq!((config.seed, config.duration), (lib.seed, lib.duration));
-        let Command::Chaos { config, .. } = parse_args(&args("chaos")).unwrap() else {
+        let Command::Chaos { config, wire: false, .. } = parse_args(&args("chaos")).unwrap() else {
             panic!("chaos")
         };
         let lib = ChaosConfig::default();
         assert_eq!((config.seed, config.duration), (lib.seed, lib.duration));
-        assert_eq!((config.fault_from, config.fault_to), (lib.fault_from, lib.fault_to));
+        assert_eq!(config.window, lib.window);
     }
 
     #[test]

@@ -113,6 +113,20 @@ fn every_listed_command_prints_its_pinned_bytes() {
             &["live --mem --duration 2"],
             &[("stdout0", "407e33bbb492f705"), ("live.csv", "5fdb094f4f6b3268")],
         ),
+        // The wire recovery matrix and a live run with every fate and a
+        // blackout on both endpoints: the fault vocabulary both stacks share.
+        ("wire_chaos", &["chaos --short"], &[("stdout0", "e0d6ea2ed136a009")]),
+        ("wire_chaos_json", &["chaos --short --json"], &[("stdout0", "89842f3d0e9e79d8")]),
+        (
+            "live_faults",
+            &["live --mem --duration 2 --faults {tests}/live_faults.json --json"],
+            &[("stdout0", "bedbf4cabe519dad"), ("live.csv", "abd751f37b169bab")],
+        ),
+        (
+            "live_faults_text",
+            &["live --mem --duration 2 --faults {tests}/live_faults.json"],
+            &[("stdout0", "50ad37de9751cb08"), ("live.csv", "abd751f37b169bab")],
+        ),
         (
             "metrics",
             &["run --flows 2 --duration 3 --telemetry {dir}/run.jsonl", "metrics {dir}/run.jsonl"],

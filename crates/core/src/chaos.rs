@@ -1,25 +1,24 @@
-//! Chaos harness: scripted fault scenarios on the Fig. 6 dumbbell.
+//! Chaos harness: scripted fault scenarios, and the recovery checks both
+//! stacks run them under.
 //!
-//! Each case builds the standard two-flow PELS scenario, installs one
+//! Both fault matrices — the simulator's here, the wire's in
+//! `pels_wire::chaos` — take one [`ChaosConfig`], judge each case with
+//! [`RecoveryInvariants`] and run through [`run_cases`]; each brings its
+//! own cases, injector and bounds. The simulator's cases install one
 //! [`FaultSchedule`] (link failure, bandwidth degradation, control-packet
-//! mangling, total feedback loss, router queue flush), runs to completion,
-//! and checks the protocol's recovery invariants:
-//!
-//! * **Rate recovery** — every flow's MKC rate ends within
-//!   [`RATE_TOLERANCE`] of the Lemma 6 stationary rate
-//!   `r* = C/N + α/β`, and reaches that band within
-//!   [`RECOVERY_EPOCH_BUDGET`] control steps of the fault clearing.
-//! * **Green delivery** — the base layer survives the fault: at least
-//!   [`GREEN_DELIVERY_FLOOR`] of all green packets sent are delivered.
-//!
-//! Runs are pure functions of the seed, so a report is reproducible
-//! bit-for-bit; the `chaos` binary (and `pels chaos`) verifies this by
-//! running the matrix twice and comparing serialized reports.
+//! mangling, total feedback loss, router queue flush) on the two-flow PELS
+//! dumbbell and check that every flow's MKC rate ends within
+//! [`RATE_TOLERANCE`] of the Lemma 6 rate `r* = C/N + α/β`, re-entering
+//! that band within [`RECOVERY_EPOCH_BUDGET`] control steps of the fault
+//! clearing, and that at least [`GREEN_DELIVERY_FLOOR`] of the green
+//! (base-layer) packets sent arrive. A report is a pure function of the
+//! seed; `results/chaos.csv` is the matrix at its defaults.
 
+use crate::feedback::FEEDBACK_INTERVAL;
 use crate::scenario::{pels_flows, Scenario, ScenarioConfig};
 use crate::SimError;
 use pels_netsim::error::invalid_config;
-use pels_netsim::faults::{ControlFaultPolicy, FaultSchedule};
+use pels_netsim::faults::{ControlFaultPolicy, FaultSchedule, FaultWindow};
 use pels_netsim::packet::AgentId;
 use pels_netsim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -32,10 +31,14 @@ pub const GREEN_DELIVERY_FLOOR: f64 = 0.99;
 /// re-entering the tolerance band.
 pub const RECOVERY_EPOCH_BUDGET: u64 = 20;
 
-/// The machine-checked recovery bar a chaos case must clear, shared by
-/// the simulator matrix here and the wire matrix in `pels_wire::chaos`
-/// (which runs a tighter [`rate_tolerance`](Self::rate_tolerance)).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Run time a case needs after its fault window: the recovery budget's
+/// control steps at one per feedback interval.
+const OBSERVE: SimDuration =
+    SimDuration::from_nanos(RECOVERY_EPOCH_BUDGET * FEEDBACK_INTERVAL.as_nanos());
+
+/// The machine-checked recovery bar a chaos case must clear, in both
+/// stacks (the wire runs tighter bounds).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryInvariants {
     /// The Lemma 6 stationary rate `r* = C/N + α/β`, bits/s.
     pub r_star_bps: f64,
@@ -43,6 +46,29 @@ pub struct RecoveryInvariants {
     pub rate_tolerance: f64,
     /// Minimum fraction of sent green (base-layer) packets delivered.
     pub green_floor: f64,
+    /// The longest recovery that passes, in the stack's unit (control
+    /// steps in the simulator, seconds on the wire).
+    pub recovery_budget: f64,
+}
+
+/// One case's verdicts against its [`RecoveryInvariants`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Verdict {
+    /// Every final rate sits inside the band around `r*`.
+    pub rate_ok: bool,
+    /// `received / sent` green packets (0 when none were sent).
+    pub green_delivery: f64,
+    /// Green packets were sent and their delivery cleared the floor.
+    pub green_ok: bool,
+    /// The rate re-entered the band within the recovery budget.
+    pub recovery_ok: bool,
+}
+
+impl Verdict {
+    /// All three invariants held.
+    pub fn ok(&self) -> bool {
+        self.rate_ok && self.green_ok && self.recovery_ok
+    }
 }
 
 impl RecoveryInvariants {
@@ -51,54 +77,89 @@ impl RecoveryInvariants {
         (rate_bps - self.r_star_bps).abs() <= self.rate_tolerance * self.r_star_bps
     }
 
-    /// Whether a green delivery ratio clears the base-layer floor.
-    pub fn green_ok(&self, delivery: f64) -> bool {
-        delivery >= self.green_floor
-    }
-}
-
-/// One scripted fault case of the *wire* recovery matrix
-/// (`pels chaos --wire`, implemented in `pels_wire::chaos`). The type
-/// lives here so reports and tooling share one vocabulary with the
-/// simulator's [`ChaosCase`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WireChaosCase {
-    /// The receiver's feedback path (ACK/NACK/HELLO) blacks out.
-    FeedbackBlackout,
-    /// A heavy loss burst on the source→router data path.
-    DataLossBurst,
-    /// Corruption and truncation storm on the router's forwarding path.
-    CorruptionStorm,
-    /// The receiver dies mid-stream and a replacement joins.
-    ReceiverChurn,
-    /// Duplicate/reorder flood on both data and feedback paths.
-    DupReorderFlood,
-    /// Large one-way delay on the feedback path only.
-    AsymmetricDelay,
-}
-
-impl WireChaosCase {
-    /// All cases, in matrix order.
-    pub const ALL: [WireChaosCase; 6] = [
-        WireChaosCase::FeedbackBlackout,
-        WireChaosCase::DataLossBurst,
-        WireChaosCase::CorruptionStorm,
-        WireChaosCase::ReceiverChurn,
-        WireChaosCase::DupReorderFlood,
-        WireChaosCase::AsymmetricDelay,
-    ];
-
-    /// Stable human-readable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            WireChaosCase::FeedbackBlackout => "feedback-blackout",
-            WireChaosCase::DataLossBurst => "data-loss-burst",
-            WireChaosCase::CorruptionStorm => "corruption-storm",
-            WireChaosCase::ReceiverChurn => "receiver-churn",
-            WireChaosCase::DupReorderFlood => "dup-reorder-flood",
-            WireChaosCase::AsymmetricDelay => "asymmetric-delay",
+    /// Judges a case: its final rates, the green packets sent and
+    /// received over the measured span, and how long the rate took to
+    /// re-enter the band (`None`: it never did).
+    pub fn verdict(
+        &self,
+        final_rates_bps: impl IntoIterator<Item = f64>,
+        green_sent: u64,
+        green_received: u64,
+        recovery: Option<f64>,
+    ) -> Verdict {
+        let green_delivery =
+            if green_sent > 0 { green_received as f64 / green_sent as f64 } else { 0.0 };
+        Verdict {
+            rate_ok: final_rates_bps.into_iter().all(|r| self.rate_ok(r)),
+            green_delivery,
+            green_ok: green_sent > 0 && green_delivery >= self.green_floor,
+            recovery_ok: recovery.is_some_and(|r| r <= self.recovery_budget),
         }
     }
+}
+
+/// Parameters shared by every case of a chaos run, in either stack.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChaosConfig {
+    /// Seed of every random stream (the whole report is a pure function
+    /// of it).
+    pub seed: u64,
+    /// Run time per case.
+    pub duration: SimDuration,
+    /// When the fault applies (instantaneous faults fire at its start);
+    /// recovery is measured from its end.
+    pub window: FaultWindow,
+}
+
+impl Default for ChaosConfig {
+    /// The simulator's matrix: 30 s per case, faults from 10 s to 11.5 s.
+    fn default() -> Self {
+        ChaosConfig {
+            seed: 1,
+            duration: SimDuration::from_secs(30),
+            window: FaultWindow {
+                from: SimTime::from_secs_f64(10.0),
+                to: SimTime::from_secs_f64(11.5),
+            },
+        }
+    }
+}
+
+impl ChaosConfig {
+    /// Checks the schedule is coherent and leaves `observe` of run time
+    /// after the window, what the stack needs to measure recovery.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated constraint.
+    pub fn validate(&self, observe: SimDuration) -> Result<(), String> {
+        self.window.validate()?;
+        if self.window.from == SimTime::ZERO {
+            return Err("fault window must start after t=0".into());
+        }
+        let needed = self.window.to.saturating_add(observe);
+        if SimTime::ZERO.saturating_add(self.duration) < needed {
+            return Err(format!(
+                "duration {:.2} s leaves no room to observe recovery (need {:.2} s)",
+                self.duration.as_secs_f64(),
+                needed.as_secs_f64()
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// The matrix loop of both stacks: runs every case in order, each on an
+/// engine of its own, and reports whether every case's `ok` held. Stops at
+/// the first error.
+pub fn run_cases<C: Copy, R, E>(
+    cases: &[C],
+    run: impl FnMut(C) -> Result<R, E>,
+    ok: impl Fn(&R) -> bool,
+) -> Result<(Vec<R>, bool), E> {
+    let reports = cases.iter().copied().map(run).collect::<Result<Vec<R>, E>>()?;
+    let all_ok = reports.iter().all(ok);
+    Ok((reports, all_ok))
 }
 
 /// One scripted fault scenario.
@@ -144,44 +205,6 @@ impl ChaosCase {
 
 /// PELS video flows in every case.
 const FLOWS: usize = 2;
-
-/// Parameters shared by every case of a chaos run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ChaosConfig {
-    /// Simulator seed (the whole report is a pure function of it).
-    pub seed: u64,
-    /// Total simulated time per case.
-    pub duration: SimDuration,
-    /// When the fault begins.
-    pub fault_from: SimDuration,
-    /// When the fault clears (instantaneous faults fire at `fault_from`).
-    pub fault_to: SimDuration,
-}
-
-impl Default for ChaosConfig {
-    fn default() -> Self {
-        ChaosConfig {
-            seed: 1,
-            duration: SimDuration::from_secs_f64(30.0),
-            fault_from: SimDuration::from_secs_f64(10.0),
-            fault_to: SimDuration::from_secs_f64(11.5),
-        }
-    }
-}
-
-impl ChaosConfig {
-    fn validate(&self) -> Result<(), SimError> {
-        if self.fault_from >= self.fault_to {
-            return Err(invalid_config("fault window must end after it starts"));
-        }
-        if self.fault_to >= self.duration {
-            return Err(invalid_config(
-                "the run must extend past the fault window to measure recovery",
-            ));
-        }
-        Ok(())
-    }
-}
 
 /// Per-case outcome and invariant verdicts.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -259,8 +282,7 @@ pub fn to_csv(report: &ChaosReport) -> String {
 /// The fault schedule `case` installs on the dumbbell under `cfg`'s window.
 pub fn schedule_for(case: ChaosCase, cfg: &ChaosConfig) -> FaultSchedule {
     let r1 = AgentId(0); // scenario layout: agent 0 is the AQM bottleneck
-    let from = SimTime::from_secs_f64(cfg.fault_from.as_secs_f64());
-    let to = SimTime::from_secs_f64(cfg.fault_to.as_secs_f64());
+    let FaultWindow { from, to } = cfg.window;
     let mut s = FaultSchedule::new();
     match case {
         ChaosCase::Baseline => {}
@@ -296,7 +318,7 @@ pub fn run_case(
     cfg: &ChaosConfig,
     telemetry: &pels_telemetry::Telemetry,
 ) -> Result<CaseReport, SimError> {
-    cfg.validate()?;
+    cfg.validate(OBSERVE).map_err(invalid_config)?;
     let sc = ScenarioConfig {
         seed: cfg.seed,
         flows: pels_flows(&[0.0; FLOWS]),
@@ -304,8 +326,8 @@ pub fn run_case(
         ..Default::default()
     };
     let mut s = Scenario::try_build(sc)?;
-    s.install_faults(&schedule_for(case, cfg));
-    s.run_until(SimTime::from_secs_f64(cfg.duration.as_secs_f64()));
+    s.sim.install_faults(&schedule_for(case, cfg))?;
+    s.run_until(SimTime::ZERO.saturating_add(cfg.duration));
     s.flush_telemetry(telemetry, true);
 
     let n = FLOWS;
@@ -319,59 +341,55 @@ pub fn run_case(
         r_star_bps: r_star,
         rate_tolerance: RATE_TOLERANCE,
         green_floor: GREEN_DELIVERY_FLOOR,
+        recovery_budget: RECOVERY_EPOCH_BUDGET as f64,
     };
-    let band = |rate_bps: f64| invariants.rate_ok(rate_bps);
 
-    let final_rate_kbps: Vec<f64> = (0..n).map(|i| s.source(i).rate_bps() / 1_000.0).collect();
-    let rate_ok = (0..n).map(|i| s.source(i).rate_bps()).all(band);
-
-    let mut green_sent = 0;
-    let mut green_received = 0;
-    let mut stale_decays = 0;
-    let mut shed_frames = 0;
-    for i in 0..n {
-        let src = s.source(i);
-        green_sent += src.sent_by_color[0];
-        shed_frames += src.control().shed_red_frames() + src.control().shed_yellow_frames();
-        stale_decays += src.mkc().map_or(0, |m| m.stale_decays());
-        green_received += s.receiver(i).received_by_color[0];
-    }
-    let green_delivery =
-        if green_sent > 0 { green_received as f64 / green_sent as f64 } else { 0.0 };
-    let green_ok = green_sent > 0 && invariants.green_ok(green_delivery);
+    let final_rates_bps: Vec<f64> = (0..n).map(|i| s.source(i).rate_bps()).collect();
+    let sum = |count: &dyn Fn(usize) -> u64| (0..n).map(count).sum::<u64>();
+    let green_sent = sum(&|i| s.source(i).sent_by_color[0]);
+    let green_received = sum(&|i| s.receiver(i).received_by_color[0]);
+    let stale_decays = sum(&|i| s.source(i).mkc().map_or(0, |m| m.stale_decays()));
+    let shed_frames = sum(&|i| {
+        let control = s.source(i).control();
+        control.shed_red_frames() + control.shed_yellow_frames()
+    });
 
     // Control steps of flow 0 after the fault cleared, until back in band.
-    let clear_s = cfg.fault_to.as_secs_f64();
+    let clear_s = cfg.window.to.as_secs_f64();
     let recovery_epochs = s
         .source(0)
         .rate_series
         .points
         .iter()
         .filter(|(t, _)| *t >= clear_s)
-        .position(|(_, kbps)| band(kbps * 1_000.0))
+        .position(|(_, kbps)| invariants.rate_ok(kbps * 1_000.0))
         .map(|i| i as u64);
-    let recovery_ok = recovery_epochs.is_some_and(|e| e <= RECOVERY_EPOCH_BUDGET);
+    let verdict = invariants.verdict(
+        final_rates_bps.iter().copied(),
+        green_sent,
+        green_received,
+        recovery_epochs.map(|e| e as f64),
+    );
 
     let fs = s.sim.fault_stats();
-    let ok = rate_ok && green_ok && recovery_ok;
     Ok(CaseReport {
         name: case.name().to_string(),
         r_star_kbps: r_star / 1_000.0,
-        final_rate_kbps,
-        rate_ok,
+        final_rate_kbps: final_rates_bps.iter().map(|r| r / 1_000.0).collect(),
+        rate_ok: verdict.rate_ok,
         green_sent,
         green_received,
-        green_delivery,
-        green_ok,
+        green_delivery: verdict.green_delivery,
+        green_ok: verdict.green_ok,
         recovery_epochs,
-        recovery_ok,
+        recovery_ok: verdict.recovery_ok,
         stale_decays,
         shed_frames,
         faults_applied: fs.faults_applied,
         control_dropped: fs.control_dropped,
         control_duplicated: fs.control_duplicated,
         control_reordered: fs.control_reordered,
-        ok,
+        ok: verdict.ok(),
     })
 }
 
@@ -381,12 +399,8 @@ pub fn run_matrix(
     cfg: &ChaosConfig,
     telemetry: &pels_telemetry::Telemetry,
 ) -> Result<ChaosReport, SimError> {
-    cfg.validate()?;
-    let mut cases = Vec::with_capacity(ChaosCase::ALL.len());
-    for case in ChaosCase::ALL {
-        cases.push(run_case(case, cfg, telemetry)?);
-    }
-    let all_ok = cases.iter().all(|c| c.ok);
+    let (cases, all_ok) =
+        run_cases(&ChaosCase::ALL, |case| run_case(case, cfg, telemetry), |c| c.ok)?;
     Ok(ChaosReport { seed: cfg.seed, duration_s: cfg.duration.as_secs_f64(), cases, all_ok })
 }
 
@@ -399,8 +413,10 @@ mod tests {
         ChaosConfig {
             seed: 3,
             duration: SimDuration::from_secs_f64(14.0),
-            fault_from: SimDuration::from_secs_f64(6.0),
-            fault_to: SimDuration::from_secs_f64(7.5),
+            window: FaultWindow {
+                from: SimTime::from_secs_f64(6.0),
+                to: SimTime::from_secs_f64(7.5),
+            },
         }
     }
 
@@ -444,10 +460,10 @@ mod tests {
     #[test]
     fn rejects_degenerate_windows() {
         let mut cfg = short_cfg();
-        cfg.fault_to = cfg.fault_from;
+        cfg.window.to = cfg.window.from;
         assert!(run_case(ChaosCase::Baseline, &cfg, &Telemetry::disabled()).is_err());
         let mut cfg = short_cfg();
-        cfg.fault_to = cfg.duration + SimDuration::from_secs_f64(1.0);
+        cfg.window.to = SimTime::ZERO + cfg.duration + SimDuration::from_secs_f64(1.0);
         assert!(run_matrix(&cfg, &Telemetry::disabled()).is_err());
     }
 }

@@ -22,7 +22,8 @@
 //!   cross traffic on the sharded engine, plus serializable run reports;
 //!   [`roles`] — agent ids by role and the summaries read off them.
 //! * [`chaos`] — scripted fault scenarios (link failures, feedback loss,
-//!   router flushes) with recovery invariants.
+//!   router flushes) and the one recovery checker both stacks' matrices
+//!   run: their config, invariants and loop.
 //!
 //! ## Example: PELS keeps utility ≈ 1 where best-effort collapses
 //!

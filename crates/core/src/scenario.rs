@@ -445,17 +445,6 @@ impl Scenario {
         &self.ids.aqm_routers
     }
 
-    /// Installs a scripted fault schedule into the underlying simulator
-    /// (see [`pels_netsim::faults::FaultSchedule`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid schedule; `self.sim.try_install_faults` is the
-    /// fallible form.
-    pub fn install_faults(&mut self, schedule: &pels_netsim::faults::FaultSchedule) {
-        self.sim.try_install_faults(schedule).unwrap_or_else(|e| panic!("{e}"));
-    }
-
     /// See [`RoleIds::flush_telemetry`].
     pub fn flush_telemetry(&self, telemetry: &pels_telemetry::Telemetry, full: bool) {
         self.ids.flush_telemetry(&self.sim, telemetry, full);

@@ -1,15 +1,18 @@
-//! Deterministic fault injection: scripted link failures, bandwidth
-//! degradation, control-plane packet loss, and router queue flushes.
+//! The fault vocabulary of both stacks, and the simulator's injector.
 //!
-//! A [`FaultSchedule`] is a list of `(time, target, action)` triples. It is
+//! A fault applies in a [`FaultWindow`]; a packet's [`Fate`] is one uniform
+//! draw over the cumulative partition `[drop | duplicate | reorder | delay
+//! | truncate | corrupt | pass]` ([`Fate::draw`]), so at most one fault
+//! applies per packet and a zero fraction never perturbs the others; every
+//! partition passes [`validate_fractions`]. The wire's injector is
+//! `pels_wire::faults::FaultTransport`; the simulator's is here.
+//!
+//! A [`FaultSchedule`] is a list of `(time, target, action)` triples
 //! installed into a [`crate::sim::Simulator`] *before or during* a run;
-//! each entry becomes an [`crate::event::Event::Fault`] in the ordinary
-//! event queue, so faults interleave with traffic in the same deterministic
-//! `(time, seq)` order as every other event and are recorded by the journal.
-//! A run with a fault schedule is still a pure function of (topology, seed,
-//! schedule).
-//!
-//! Two kinds of action exist:
+//! each becomes an [`crate::event::Event::Fault`] in the ordinary event
+//! queue, so faults interleave with traffic in the same deterministic
+//! `(time, seq)` order as every other event and are journaled. A run is
+//! still a pure function of (topology, seed, schedule). Actions are:
 //!
 //! * **Agent-targeted** ([`FaultAction::LinkDown`], [`FaultAction::LinkUp`],
 //!   [`FaultAction::DegradeLink`], [`FaultAction::FlushQueues`]) — dispatched
@@ -17,22 +20,20 @@
 //!   manipulates its own ports ([`apply_port_fault`] does the heavy lifting
 //!   for any port-owning agent).
 //! * **Simulator-global** ([`FaultAction::SetControlPolicy`],
-//!   [`FaultAction::ClearControlPolicy`]) — absorbed by the simulator
-//!   itself: while a [`ControlFaultPolicy`] is active, arriving *control*
-//!   packets (ACK/NACK kinds) are dropped, duplicated, or delayed
-//!   (reordered) using the simulation RNG.
+//!   [`FaultAction::ClearControlPolicy`]) — while a [`ControlFaultPolicy`]
+//!   is active, each arriving control packet (ACK/NACK) draws its fate
+//!   from the destination agent's stream.
 //!
-//! Link-down semantics: a downed port stops serializing; offered packets
-//! still pass through the queue discipline (and may be tail-dropped there),
-//! so nothing leaks from the conservation accounting. On link-up the port
-//! resumes draining its backlog. A queue flush counts every discarded packet
-//! in the port's drop statistics for the same reason.
+//! A downed port stops serializing; offered packets still pass through the
+//! queue discipline (and may be tail-dropped there), so nothing leaks from
+//! the conservation accounting, and on link-up the port drains its backlog.
+//! A queue flush counts every discarded packet as a drop for the same
+//! reason.
 
 use crate::packet::AgentId;
 use crate::port::Port;
 use crate::sim::Context;
 use crate::time::{SimDuration, SimTime};
-use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -40,12 +41,93 @@ use serde::{Deserialize, Serialize};
 /// agent, so any value works — this one makes intent obvious in journals.
 pub const GLOBAL: AgentId = AgentId(u32::MAX);
 
+/// A half-open interval of run time, `[from, to)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct FaultWindow {
+    /// When the window opens.
+    pub from: SimTime,
+    /// When the window closes (exclusive).
+    pub to: SimTime,
+}
+
+impl FaultWindow {
+    /// Whether `now` falls inside the window.
+    pub fn contains(self, now: SimTime) -> bool {
+        now >= self.from && now < self.to
+    }
+
+    /// The one check of a window, in both stacks: it must end after it
+    /// starts.
+    pub fn validate(self) -> Result<(), String> {
+        if self.from < self.to {
+            Ok(())
+        } else {
+            Err("fault window must end after it starts".into())
+        }
+    }
+}
+
+/// One packet's drawn fate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fate {
+    /// Delivered untouched.
+    Pass,
+    /// Silently discarded.
+    Drop,
+    /// Delivered now and again after a hold.
+    Duplicate,
+    /// Held so later traffic overtakes it.
+    Reorder,
+    /// Held for a policy's delay.
+    Delay,
+    /// Clipped to a shorter prefix (the wire only).
+    Truncate,
+    /// Delivered with flipped bits (the wire only).
+    Corrupt,
+}
+
+impl Fate {
+    /// The faults in partition order: a policy's `i`-th fraction is the
+    /// probability of `FAULTS[i]`.
+    pub const FAULTS: [Fate; 6] =
+        [Fate::Drop, Fate::Duplicate, Fate::Reorder, Fate::Delay, Fate::Truncate, Fate::Corrupt];
+
+    /// One packet's fate from one uniform draw over the cumulative
+    /// partition `fractions` (in [`Fate::FAULTS`] order; fates past the end
+    /// of a shorter list have probability zero). The running sum adds left
+    /// to right, so a given draw lands on the same fate in both stacks.
+    pub fn draw(fractions: &[f64], rng: &mut impl Rng) -> Fate {
+        let u: f64 = rng.gen();
+        let mut acc = 0.0;
+        for (fate, frac) in Fate::FAULTS.iter().zip(fractions) {
+            acc += frac;
+            if u < acc {
+                return *fate;
+            }
+        }
+        Fate::Pass
+    }
+}
+
+/// Float rounding a partition's sum may carry past 1: `0.34 + 0.56 + 0.10`
+/// sums to `1.0000000000000002`.
+const SUM_SLACK: f64 = 1e-12;
+
+/// The one rule for a fate partition, in both stacks: each fraction in
+/// `[0, 1]`, their sum at most 1 (plus [`SUM_SLACK`] of rounding).
+pub fn validate_fractions(fractions: &[f64]) -> Result<(), String> {
+    if let Some(f) = fractions.iter().find(|f| !(0.0..=1.0).contains(*f)) {
+        return Err(format!("fault probability {f} outside [0, 1]"));
+    }
+    let sum: f64 = fractions.iter().sum();
+    if sum > 1.0 + SUM_SLACK {
+        return Err(format!("fault probabilities sum to {sum} > 1"));
+    }
+    Ok(())
+}
+
 /// Probabilistic mangling applied to arriving control packets (ACK/NACK)
-/// while the policy is installed.
-///
-/// Each arriving control packet draws one uniform sample; the `drop`,
-/// `duplicate`, and `reorder` fractions partition `[0, 1)` cumulatively,
-/// so their sum must be at most 1.
+/// while the policy is installed: the first three fates of the partition.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ControlFaultPolicy {
     /// Fraction of control packets silently discarded.
@@ -69,18 +151,9 @@ impl ControlFaultPolicy {
         }
     }
 
-    /// Validates the fractions: each in `[0, 1]`, sum at most 1.
-    pub fn validate(&self) -> Result<(), crate::error::SimError> {
-        let ok_frac = |x: f64| x.is_finite() && (0.0..=1.0).contains(&x);
-        if !(ok_frac(self.drop) && ok_frac(self.duplicate) && ok_frac(self.reorder)) {
-            return Err(crate::error::invalid_config("control fault fractions must be in [0,1]"));
-        }
-        if self.drop + self.duplicate + self.reorder > 1.0 + 1e-12 {
-            return Err(crate::error::invalid_config(
-                "control fault fractions must sum to at most 1",
-            ));
-        }
-        Ok(())
+    /// The partition [`Fate::draw`] reads.
+    pub fn fractions(&self) -> [f64; 3] {
+        [self.drop, self.duplicate, self.reorder]
     }
 }
 
@@ -141,7 +214,7 @@ pub struct FaultEvent {
 ///     SimTime::from_secs_f64(5.0),
 ///     SimTime::from_secs_f64(7.0),
 /// );
-/// assert_eq!(faults.len(), 2); // down + up
+/// assert_eq!(faults.events().len(), 2); // down + up
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultSchedule {
@@ -160,6 +233,23 @@ impl FaultSchedule {
         self
     }
 
+    /// Applies `open` to `agent` at `from` and `close` at `to`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `[from, to)` passes [`FaultWindow::validate`].
+    fn during(
+        &mut self,
+        agent: AgentId,
+        from: SimTime,
+        to: SimTime,
+        open: FaultAction,
+        close: FaultAction,
+    ) -> &mut Self {
+        FaultWindow { from, to }.validate().unwrap_or_else(|e| panic!("{e}"));
+        self.push(from, agent, open).push(to, agent, close)
+    }
+
     /// Cut `agent`'s port `port` at `from` and restore it at `to`.
     pub fn link_outage(
         &mut self,
@@ -168,9 +258,7 @@ impl FaultSchedule {
         from: SimTime,
         to: SimTime,
     ) -> &mut Self {
-        assert!(from < to, "outage must end after it starts");
-        self.push(from, agent, FaultAction::LinkDown { port });
-        self.push(to, agent, FaultAction::LinkUp { port })
+        self.during(agent, from, to, FaultAction::LinkDown { port }, FaultAction::LinkUp { port })
     }
 
     /// Degrade `agent`'s port `port` to `factor` of nominal rate during
@@ -183,9 +271,8 @@ impl FaultSchedule {
         from: SimTime,
         to: SimTime,
     ) -> &mut Self {
-        assert!(from < to, "degradation window must end after it starts");
-        self.push(from, agent, FaultAction::DegradeLink { port, factor });
-        self.push(to, agent, FaultAction::DegradeLink { port, factor: 1.0 })
+        let restore = FaultAction::DegradeLink { port, factor: 1.0 };
+        self.during(agent, from, to, FaultAction::DegradeLink { port, factor }, restore)
     }
 
     /// Mangle control packets per `policy` during `[from, to)`.
@@ -195,9 +282,8 @@ impl FaultSchedule {
         from: SimTime,
         to: SimTime,
     ) -> &mut Self {
-        assert!(from < to, "control fault window must end after it starts");
-        self.push(from, GLOBAL, FaultAction::SetControlPolicy(policy));
-        self.push(to, GLOBAL, FaultAction::ClearControlPolicy)
+        let (set, clear) = (FaultAction::SetControlPolicy(policy), FaultAction::ClearControlPolicy);
+        self.during(GLOBAL, from, to, set, clear)
     }
 
     /// Reboot `agent` (flush every queue) at `at`.
@@ -205,45 +291,20 @@ impl FaultSchedule {
         self.push(at, agent, FaultAction::FlushQueues)
     }
 
-    /// Generates `flaps` random link outages of `agent`'s port `port` inside
-    /// `window`, each lasting up to `max_outage`, using `rng`. Deterministic
-    /// for a given RNG state, so property tests can derive arbitrary but
-    /// reproducible schedules from the simulation seed.
-    pub fn random_link_flaps(
-        rng: &mut StdRng,
-        agent: AgentId,
-        port: usize,
-        window: (SimTime, SimTime),
-        flaps: usize,
-        max_outage: SimDuration,
-    ) -> Self {
-        assert!(window.0 < window.1, "flap window must be non-empty");
-        assert!(!max_outage.is_zero(), "max outage must be positive");
-        let span_ns = window.1.duration_since(window.0).as_secs_f64() * 1e9;
-        let mut s = FaultSchedule::new();
-        for _ in 0..flaps {
-            let start_off: f64 = rng.gen::<f64>() * span_ns;
-            let len_ns: f64 = rng.gen::<f64>() * (max_outage.as_secs_f64() * 1e9);
-            let from = window.0 + SimDuration::from_nanos(start_off as u64);
-            let to = from + SimDuration::from_nanos((len_ns as u64).max(1));
-            s.link_outage(agent, port, from, to);
+    /// Checks every action, so a schedule installs whole or not at all:
+    /// only control policies can be invalid.
+    pub fn validate(&self) -> Result<(), crate::error::SimError> {
+        for ev in &self.events {
+            if let FaultAction::SetControlPolicy(p) = ev.action {
+                validate_fractions(&p.fractions()).map_err(crate::error::invalid_config)?;
+            }
         }
-        s
+        Ok(())
     }
 
     /// The scripted faults, in insertion order.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
-    }
-
-    /// Number of scripted faults.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the schedule is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 }
 
@@ -294,6 +355,7 @@ pub fn apply_port_fault(ports: &mut [Port], action: &FaultAction, ctx: &mut Cont
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
@@ -306,45 +368,50 @@ mod tests {
                 SimTime::from_nanos(5),
                 SimTime::from_nanos(25),
             );
-        assert_eq!(s.len(), 5);
+        assert_eq!(s.events().len(), 5);
         assert!(matches!(s.events()[0].action, FaultAction::LinkDown { port: 0 }));
         assert_eq!(s.events()[2].agent, AgentId(2));
         assert_eq!(s.events()[3].agent, GLOBAL);
     }
 
     #[test]
-    fn random_flaps_are_deterministic_per_seed() {
-        let window = (SimTime::ZERO, SimTime::from_secs_f64(10.0));
-        let mk = || {
-            let mut rng = StdRng::seed_from_u64(7);
-            FaultSchedule::random_link_flaps(
-                &mut rng,
-                AgentId(0),
-                0,
-                window,
-                4,
-                SimDuration::from_millis(500),
-            )
-        };
-        assert_eq!(mk(), mk());
-        assert_eq!(mk().len(), 8);
+    fn a_draw_lands_where_the_cumulative_sums_put_it() {
+        let fractions = [0.2, 0.1, 0.3];
+        let (mut rng, mut same) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
+        for _ in 0..1_000 {
+            let u: f64 = same.gen();
+            let want = if u < 0.2 {
+                Fate::Drop
+            } else if u < 0.2 + 0.1 {
+                Fate::Duplicate
+            } else if u < 0.2 + 0.1 + 0.3 {
+                Fate::Reorder
+            } else {
+                Fate::Pass
+            };
+            assert_eq!(Fate::draw(&fractions, &mut rng), want, "u = {u}");
+        }
     }
 
     #[test]
     fn policy_validation() {
-        assert!(ControlFaultPolicy::drop_fraction(0.3).validate().is_ok());
-        assert!(ControlFaultPolicy::drop_fraction(1.5).validate().is_err());
+        let valid = |p: ControlFaultPolicy| validate_fractions(&p.fractions()).is_ok();
+        assert!(valid(ControlFaultPolicy::drop_fraction(0.3)));
+        assert!(!valid(ControlFaultPolicy::drop_fraction(1.5)));
         let p = ControlFaultPolicy {
             drop: 0.6,
             duplicate: 0.3,
             reorder: 0.3,
             reorder_delay: SimDuration::from_millis(1),
         };
-        assert!(p.validate().is_err());
+        assert!(!valid(p));
+        // 0.34 + 0.56 + 0.10 sums to 1.0000000000000002 in f64.
+        assert!(valid(ControlFaultPolicy { drop: 0.34, duplicate: 0.56, reorder: 0.10, ..p }));
+        assert!(!valid(ControlFaultPolicy::drop_fraction(f64::NAN)));
     }
 
     #[test]
-    #[should_panic(expected = "outage must end after it starts")]
+    #[should_panic(expected = "fault window must end after it starts")]
     fn rejects_inverted_outage() {
         FaultSchedule::new().link_outage(
             AgentId(0),

@@ -17,9 +17,11 @@
 //! * a destination-routed store-and-forward router ([`router`]),
 //! * simplified TCP Reno cross traffic ([`tcp`]) and CBR load generators
 //!   ([`cbr`]),
-//! * deterministic fault injection — scripted link outages, bandwidth
-//!   degradation, control-packet loss/duplication/reordering, and queue
-//!   flushes ([`faults`], [`error`]),
+//! * the fault vocabulary both stacks share — a fault window, one fate
+//!   draw over a cumulative partition, one probability rule — and the
+//!   simulator's injector: scripted link outages, bandwidth degradation,
+//!   control-packet loss/duplication/reordering, and queue flushes
+//!   ([`faults`], [`error`]),
 //! * measurement helpers ([`stats`], [`hist`]),
 //! * and the clock abstraction ([`clock`]) that lets the same agent state
 //!   machines run under simulated or wall time (see the `pels-wire` crate).

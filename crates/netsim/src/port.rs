@@ -391,7 +391,7 @@ mod tests {
         let mut sim = Simulator::new(1);
         sim.add_agent(Box::new(Scripted::new(port, plan, chained)));
         sim.add_agent(Box::new(Counter { got: vec![] }));
-        sim.install_faults(faults);
+        sim.install_faults(faults).expect("valid schedule");
         sim.run_until(SimTime::from_secs_f64(1.0));
         sim
     }

@@ -535,10 +535,8 @@ impl ShardedSimulator {
     ///
     /// Returns [`SimError::InvalidConfig`] (before anything is scheduled)
     /// if any action is invalid.
-    pub fn try_install_faults(&mut self, schedule: &FaultSchedule) -> Result<(), SimError> {
-        for ev in schedule.events() {
-            crate::sim::validate_fault_action(&ev.action)?;
-        }
+    pub fn install_faults(&mut self, schedule: &FaultSchedule) -> Result<(), SimError> {
+        schedule.validate()?;
         for ev in schedule.events() {
             let event = Event::Fault { agent: ev.agent, action: ev.action };
             if ev.agent == GLOBAL {
@@ -1014,7 +1012,7 @@ mod tests {
             SimTime::ZERO,
             SimTime::from_secs_f64(1.0),
         );
-        sim.try_install_faults(&faults).expect("valid schedule");
+        sim.install_faults(&faults).expect("valid schedule");
         sim.run_until(SimTime::from_secs_f64(2.0));
         let stats = sim.fault_stats();
         assert_eq!(stats.faults_applied, 2, "set + clear, as a serial run counts them");
@@ -1040,7 +1038,7 @@ mod tests {
         g.add_link(AgentId(0), AgentId(1), ms(4));
         let run = |p: &Partition| {
             let mut sim = ShardedSimulator::new(3, p, pair(200, ms(4)));
-            sim.try_install_faults(&faults).expect("valid schedule");
+            sim.install_faults(&faults).expect("valid schedule");
             sim.run_until(SimTime::from_secs_f64(2.0));
             sim
         };
@@ -1204,7 +1202,7 @@ mod tests {
             SimTime::ZERO,
             SimTime::from_secs_f64(1.0),
         );
-        sim.try_install_faults(&faults).expect("valid schedule");
+        sim.install_faults(&faults).expect("valid schedule");
         sim.run_until(SimTime::from_secs_f64(2.0));
         // Data still arrives at 1, but every ACK back to 0 is dropped by
         // shard 0's control policy.

@@ -9,13 +9,13 @@
 
 use crate::error::SimError;
 use crate::event::{Ev, Event, EventQueue, PacketSlot};
-use crate::faults::{ControlFaultPolicy, FaultAction, FaultSchedule, FaultStats, GLOBAL};
+use crate::faults::{ControlFaultPolicy, Fate, FaultAction, FaultSchedule, FaultStats, GLOBAL};
 use crate::journal::Journal;
 use crate::packet::{AgentId, Packet, PacketId, PacketKind};
 use crate::shard::{stream_seed, CrossEvent, ShardMap};
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::any::Any;
 use std::sync::Arc;
 
@@ -358,62 +358,22 @@ impl Simulator {
     /// appear in the journal. Install before simulated time reaches the
     /// earliest fault (normally before the run starts).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the schedule contains an invalid action (e.g. a control
-    /// fault policy whose fractions exceed 1). Use
-    /// [`Simulator::try_install_faults`] for a `Result` instead.
-    pub fn install_faults(&mut self, schedule: &FaultSchedule) {
-        self.try_install_faults(schedule).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible variant of [`Simulator::install_faults`]: validates every
-    /// action up front and returns [`SimError::InvalidConfig`] instead of
-    /// panicking. Nothing is scheduled unless the whole schedule is valid,
-    /// so a malformed schedule can never half-install.
-    pub fn try_install_faults(&mut self, schedule: &FaultSchedule) -> Result<(), SimError> {
-        for ev in schedule.events() {
-            validate_fault_action(&ev.action)?;
-        }
+    /// [`SimError::InvalidConfig`] for an invalid action (a control fault
+    /// policy whose fractions exceed 1, say). Every action is validated up
+    /// front, so a malformed schedule never half-installs.
+    pub fn install_faults(&mut self, schedule: &FaultSchedule) -> Result<(), SimError> {
+        schedule.validate()?;
         for ev in schedule.events() {
             self.queue.schedule(ev.at, Event::Fault { agent: ev.agent, action: ev.action });
         }
         Ok(())
     }
 
-    /// Schedules a single fault at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the action is invalid; see
-    /// [`Simulator::try_schedule_fault`].
-    pub fn schedule_fault(&mut self, at: SimTime, agent: AgentId, action: FaultAction) {
-        self.try_schedule_fault(at, agent, action).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible variant of [`Simulator::schedule_fault`]: returns
-    /// [`SimError::InvalidConfig`] for an invalid action instead of
-    /// panicking (previously the invalid policy detonated mid-run, deep in
-    /// the event loop).
-    pub fn try_schedule_fault(
-        &mut self,
-        at: SimTime,
-        agent: AgentId,
-        action: FaultAction,
-    ) -> Result<(), SimError> {
-        validate_fault_action(&action)?;
-        self.queue.schedule(at, Event::Fault { agent, action });
-        Ok(())
-    }
-
     /// Counters for applied faults and control-plane packet mangling.
     pub fn fault_stats(&self) -> FaultStats {
         self.fault_stats
-    }
-
-    /// The control-packet fault policy currently in force, if any.
-    pub fn control_policy(&self) -> Option<ControlFaultPolicy> {
-        self.control_policy
     }
 
     /// Current simulation time.
@@ -558,9 +518,9 @@ impl Simulator {
                     );
                 }
                 // Control-plane fault policy: arriving ACK/NACK packets may
-                // be dropped, duplicated, or delayed. One uniform draw per
-                // arrival, from the destination agent's stream, keeps the
-                // run deterministic under any partition. Re-injected copies
+                // be dropped, duplicated, or delayed. One fate per arrival,
+                // drawn from the destination agent's stream, keeps the run
+                // deterministic under any partition. Re-injected copies
                 // pass through the policy again on their own arrival
                 // (geometric, terminates almost surely while fractions stay
                 // below 1).
@@ -568,27 +528,26 @@ impl Simulator {
                     let kind = self.queue.packet(slot).kind;
                     if matches!(kind, PacketKind::Ack | PacketKind::Nack) {
                         let dst_slot = self.local_slot(dst).expect("arrival at a local agent");
-                        let u: f64 = self.rngs[dst_slot].gen();
-                        if u < policy.drop {
-                            self.fault_stats.control_dropped += 1;
-                            let _ = self.queue.take_packet(slot);
-                            return true;
-                        } else if u < policy.drop + policy.duplicate {
-                            self.fault_stats.control_duplicated += 1;
-                            let copy = self.queue.packet(slot).clone();
-                            let copy_slot = self.queue.stash_packet(copy);
-                            self.queue.schedule_ev(
-                                self.now + policy.reorder_delay,
-                                Ev::Arrival { dst, slot: copy_slot },
-                            );
-                            // The original still dispatches below.
-                        } else if u < policy.drop + policy.duplicate + policy.reorder {
-                            self.fault_stats.control_reordered += 1;
-                            self.queue.schedule_ev(
-                                self.now + policy.reorder_delay,
-                                Ev::Arrival { dst, slot },
-                            );
-                            return true;
+                        let later = self.now + policy.reorder_delay;
+                        match Fate::draw(&policy.fractions(), &mut self.rngs[dst_slot]) {
+                            Fate::Drop => {
+                                self.fault_stats.control_dropped += 1;
+                                let _ = self.queue.take_packet(slot);
+                                return true;
+                            }
+                            Fate::Duplicate => {
+                                self.fault_stats.control_duplicated += 1;
+                                let copy = self.queue.packet(slot).clone();
+                                let copy_slot = self.queue.stash_packet(copy);
+                                self.queue.schedule_ev(later, Ev::Arrival { dst, slot: copy_slot });
+                                // The original still dispatches below.
+                            }
+                            Fate::Reorder => {
+                                self.fault_stats.control_reordered += 1;
+                                self.queue.schedule_ev(later, Ev::Arrival { dst, slot });
+                                return true;
+                            }
+                            _ => {}
                         }
                     }
                 }
@@ -624,20 +583,11 @@ impl Simulator {
                     self.fault_stats.faults_applied += 1;
                 }
                 match action {
-                    FaultAction::SetControlPolicy(p) => {
-                        // Both scheduling entry points validated this policy,
-                        // so it cannot be malformed here.
-                        debug_assert!(p.validate().is_ok(), "policy validated at scheduling time");
-                        self.control_policy = Some(p);
-                        return true;
-                    }
-                    FaultAction::ClearControlPolicy => {
-                        self.control_policy = None;
-                        return true;
-                    }
-                    _ => {}
+                    // `install_faults` validated the policy.
+                    FaultAction::SetControlPolicy(p) => self.control_policy = Some(p),
+                    FaultAction::ClearControlPolicy => self.control_policy = None,
+                    _ => self.dispatch(agent, |a, ctx| a.on_fault(&action, ctx)),
                 }
-                self.dispatch(agent, |a, ctx| a.on_fault(&action, ctx));
             }
         }
         true
@@ -744,16 +694,6 @@ impl Simulator {
     /// that owns their target. Packets cross shards through the lane only.
     pub(crate) fn inject(&mut self, time: SimTime, event: Event) {
         self.queue.schedule(time, event);
-    }
-}
-
-/// Rejects fault actions that would be invalid to apply. Only control
-/// policies carry tunable fractions today; everything else is valid by
-/// construction.
-pub(crate) fn validate_fault_action(action: &FaultAction) -> Result<(), SimError> {
-    match action {
-        FaultAction::SetControlPolicy(p) => p.validate(),
-        _ => Ok(()),
     }
 }
 
@@ -927,7 +867,7 @@ mod fault_tests {
         let sink = sim.add_agent(Box::new(Sink { arrivals: vec![] }));
         let mut faults = FaultSchedule::new();
         faults.link_outage(src, 0, SimTime::from_secs_f64(0.001), SimTime::from_secs_f64(0.050));
-        sim.install_faults(&faults);
+        sim.install_faults(&faults).expect("valid schedule");
         sim.run_until(SimTime::from_secs_f64(1.0));
 
         let arrivals = &sim.agent::<Sink>(sink).arrivals;
@@ -950,7 +890,7 @@ mod fault_tests {
         // At t = 4.5 ms, packets 0-3 have serialized, 4 is on the wire,
         // 5-9 are queued: the flush discards those five.
         faults.flush_at(src, SimTime::from_secs_f64(0.0045));
-        sim.install_faults(&faults);
+        sim.install_faults(&faults).expect("valid schedule");
         sim.run_until(SimTime::from_secs_f64(1.0));
 
         assert_eq!(sim.agent::<Sink>(sink).arrivals.len(), 5);
@@ -967,7 +907,7 @@ mod fault_tests {
         let mut faults = FaultSchedule::new();
         // Half rate from the start: 2 ms per packet instead of 1 ms.
         faults.push(SimTime::ZERO, src, FaultAction::DegradeLink { port: 0, factor: 0.5 });
-        sim.install_faults(&faults);
+        sim.install_faults(&faults).expect("valid schedule");
         sim.run_until(SimTime::from_secs_f64(1.0));
 
         let arrivals = &sim.agent::<Sink>(sink).arrivals;
@@ -1020,16 +960,25 @@ mod fault_tests {
             SimTime::ZERO,
             SimTime::from_secs_f64(1.0),
         );
-        sim.install_faults(&faults);
+        sim.install_faults(&faults).expect("valid schedule");
         sim.run_until(SimTime::from_secs_f64(2.0));
 
         assert_eq!(sim.agent::<EchoPeer>(a).acks, 0, "every ACK dropped");
         assert_eq!(sim.fault_stats().control_dropped, 1);
-        assert!(sim.control_policy().is_none(), "window cleared the policy");
         let journal = sim.journal().expect("enabled");
-        let faults_recorded =
-            journal.iter().filter(|e| matches!(e.kind, EntryKind::Fault { .. })).count();
-        assert_eq!(faults_recorded, 2);
+        let faults_recorded: Vec<_> = journal
+            .iter()
+            .filter_map(|e| match e.kind {
+                EntryKind::Fault { action } => Some(action),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(faults_recorded.len(), 2);
+        assert_eq!(
+            faults_recorded[1],
+            FaultAction::ClearControlPolicy,
+            "window cleared the policy"
+        );
         assert_eq!(journal.iter().next().unwrap().target, GLOBAL);
     }
 
@@ -1039,16 +988,12 @@ mod fault_tests {
             let mut sim = Simulator::new(33);
             let src = sim.add_agent(Box::new(host(10)));
             let sink = sim.add_agent(Box::new(Sink { arrivals: vec![] }));
-            let mut rng = StdRng::seed_from_u64(5);
-            let faults = FaultSchedule::random_link_flaps(
-                &mut rng,
-                src,
-                0,
-                (SimTime::ZERO, SimTime::from_secs_f64(0.5)),
-                3,
-                SimDuration::from_millis(40),
-            );
-            sim.install_faults(&faults);
+            let mut faults = FaultSchedule::new();
+            for (from_ms, to_ms) in [(3, 21), (17, 40), (250, 262)] {
+                let at = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+                faults.link_outage(src, 0, at(from_ms), at(to_ms));
+            }
+            sim.install_faults(&faults).expect("valid schedule");
             sim.run_until(SimTime::from_secs_f64(1.0));
             (sim.agent::<Sink>(sink).arrivals.clone(), sim.events_processed())
         }
@@ -1068,16 +1013,18 @@ mod fault_tests {
             SimTime::ZERO,
             SimTime::from_secs_f64(1.0),
         );
-        let err = sim.try_install_faults(&faults);
+        let err = sim.install_faults(&faults);
         assert!(matches!(err, Err(SimError::InvalidConfig(_))));
         sim.run_until(SimTime::from_secs_f64(1.0));
         assert_eq!(sim.fault_stats().faults_applied, 0, "nothing half-installed");
 
-        let err = sim.try_schedule_fault(
+        let mut faults = FaultSchedule::new();
+        faults.push(
             SimTime::ZERO,
             GLOBAL,
             FaultAction::SetControlPolicy(ControlFaultPolicy::drop_fraction(f64::NAN)),
         );
+        let err = sim.install_faults(&faults);
         assert!(matches!(err, Err(SimError::InvalidConfig(_))));
     }
 

@@ -1,44 +1,76 @@
-//! The wire recovery matrix: six scripted fault cases against the wire
-//! stack, each checked against machine-readable recovery invariants.
+//! The wire recovery matrix behind `pels chaos --wire`: six scripted fault
+//! cases ([`WireChaosCase`]) against the stack that ships.
 //!
-//! This is the wire-layer sibling of `pels_core::chaos` (the simulator's
-//! matrix). Instead of perturbing simulator internals, every case here
-//! runs the stack that ships — a [`ServeLoop`](crate::serve::ServeLoop)
-//! streaming to a [`WireReceiver`](crate::WireReceiver), built and driven
-//! by the same [`Session`] as `pels live` — over the in-memory hub with a
-//! [`FaultTransport`](crate::FaultTransport) wrapped around each endpoint,
-//! timed by a [`ManualClock`] so runs are bit-reproducible. The cases
-//! ([`WireChaosCase`]) cover the failure axes a datagram path actually
-//! has: feedback blackout, data loss bursts, byte corruption, receiver
-//! churn, duplicate/reorder floods, and asymmetric delay.
-//!
-//! After the fault window clears, every case must satisfy the
-//! [`RecoveryInvariants`]:
-//!
-//! 1. **Rate re-convergence** — the flow's MKC rate returns to within
-//!    5% of the Lemma 6 stationary point `r* = C/N + α/β` within
-//!    [`WIRE_RECOVERY_BUDGET_S`] seconds of the fault clearing.
-//! 2. **Base layer never starves** — once the path has settled, at least
-//!    [`WIRE_GREEN_FLOOR`] of sent green packets are delivered.
-//! 3. **No panic** — whatever bytes the faults mutate, both endpoints keep
-//!    polling; undecodable packets surface as counted `decode_errors`.
-//!
-//! `pels chaos --wire` runs the whole matrix and fails loudly if any
-//! invariant breaks.
+//! Every case runs a [`ServeLoop`](crate::serve::ServeLoop) streaming to a
+//! [`WireReceiver`](crate::WireReceiver), built and driven by the same
+//! [`Session`] as `pels live`, over the in-memory hub with a
+//! [`FaultTransport`](crate::FaultTransport) around each endpoint and a
+//! [`ManualClock`], so runs are bit-reproducible. The cases cover the
+//! failure axes a datagram path has: feedback blackout, data loss bursts,
+//! byte corruption, receiver churn, duplicate/reorder floods, asymmetric
+//! delay. Config, invariants and loop are the simulator matrix's
+//! (`pels_core::chaos`), with tighter bounds: after the window clears, the
+//! rate must re-enter [`WIRE_RATE_TOLERANCE`] of Lemma 6's `r*` within
+//! [`WIRE_RECOVERY_BUDGET`], post-settle green delivery must clear
+//! [`WIRE_GREEN_FLOOR`], and the case's fault must show in the counters
+//! it targets. Whatever bytes the faults mutate, neither endpoint panics:
+//! undecodable packets are counted `decode_errors`.
 
-use crate::faults::{Blackout, FaultDirection, FaultWindow};
+use crate::faults::{Blackout, FaultDirection};
 use crate::faults::{LiveFaults, WireFaultPolicy, WireFaultSpec, WireFaultTotals};
 use crate::live::{LiveBackend, LiveConfig, Session, RECEIVER_ADDR, SERVER_ADDR};
 use crate::transport::MemHub;
-use pels_core::chaos::{RecoveryInvariants, WireChaosCase};
+use pels_core::chaos::{run_cases, ChaosConfig, RecoveryInvariants};
 use pels_core::mkc::{MkcConfig, MkcController};
 use pels_netsim::clock::ManualClock;
+use pels_netsim::faults::FaultWindow;
 use pels_netsim::time::{SimDuration, SimTime};
 use pels_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::io;
 use std::sync::Arc;
+
+/// One scripted fault case of the wire recovery matrix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum WireChaosCase {
+    /// The receiver's feedback path (ACK/NACK/HELLO) blacks out.
+    FeedbackBlackout,
+    /// A heavy loss burst on the source→router data path.
+    DataLossBurst,
+    /// Corruption and truncation storm on the router's forwarding path.
+    CorruptionStorm,
+    /// The receiver dies mid-stream and a replacement joins.
+    ReceiverChurn,
+    /// Duplicate/reorder flood on both data and feedback paths.
+    DupReorderFlood,
+    /// Large one-way delay on the feedback path only.
+    AsymmetricDelay,
+}
+
+impl WireChaosCase {
+    /// All cases, in matrix order.
+    pub const ALL: [WireChaosCase; 6] = [
+        WireChaosCase::FeedbackBlackout,
+        WireChaosCase::DataLossBurst,
+        WireChaosCase::CorruptionStorm,
+        WireChaosCase::ReceiverChurn,
+        WireChaosCase::DupReorderFlood,
+        WireChaosCase::AsymmetricDelay,
+    ];
+
+    /// Stable human-readable name.
+    pub fn name(self) -> &'static str {
+        match self {
+            WireChaosCase::FeedbackBlackout => "feedback-blackout",
+            WireChaosCase::DataLossBurst => "data-loss-burst",
+            WireChaosCase::CorruptionStorm => "corruption-storm",
+            WireChaosCase::ReceiverChurn => "receiver-churn",
+            WireChaosCase::DupReorderFlood => "dup-reorder-flood",
+            WireChaosCase::AsymmetricDelay => "asymmetric-delay",
+        }
+    }
+}
 
 /// Relative band around `r*` the wire stack must re-enter after a fault.
 /// Tighter than the simulator matrix's 10%: the wire path has no
@@ -49,9 +81,9 @@ pub const WIRE_RATE_TOLERANCE: f64 = 0.05;
 /// simulator's 0.99 to absorb packets cut in half by the stop deadline.
 pub const WIRE_GREEN_FLOOR: f64 = 0.98;
 
-/// Seconds after the fault window clears within which the rate must
-/// re-enter the `r*` band.
-pub const WIRE_RECOVERY_BUDGET_S: f64 = 4.0;
+/// Time after the fault window clears within which the rate must re-enter
+/// the `r*` band.
+pub const WIRE_RECOVERY_BUDGET: SimDuration = SimDuration::from_secs(4);
 
 /// Width of the trailing window the rate invariant averages over. MKC
 /// oscillates around `r*` with an amplitude near the band width, so a
@@ -64,81 +96,31 @@ const RATE_WINDOW: SimDuration = SimDuration::from_secs(1);
 /// faulted packets) is allowed to wash out first.
 const GREEN_SETTLE: SimDuration = SimDuration::from_millis(500);
 
-/// Configuration of one wire-matrix run (shared by all six cases).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WireChaosConfig {
-    /// Seed for every fault RNG stream (per-endpoint streams are derived,
-    /// so one seed still decorrelates the two endpoints).
-    pub seed: u64,
-    /// Streaming time per case (frames stop; in-flight traffic drains).
-    pub duration: SimDuration,
-    /// Fault window start — late enough that MKC has converged to `r*`.
-    pub fault_from: SimTime,
-    /// Fault window end; recovery is measured from here.
-    pub fault_to: SimTime,
-}
+/// Run time a case needs after its fault window: the settling slack, then
+/// the whole recovery budget.
+pub const OBSERVE: SimDuration =
+    SimDuration::from_nanos(GREEN_SETTLE.as_nanos() + WIRE_RECOVERY_BUDGET.as_nanos());
 
-impl Default for WireChaosConfig {
-    /// Twelve seconds per case: ~4.5 s for the startup transient to damp,
-    /// a 1.5 s fault window, then 6 s of observed recovery — comfortably
-    /// more than the 4 s recovery budget.
-    fn default() -> Self {
-        WireChaosConfig {
-            seed: 1,
-            duration: SimDuration::from_secs(12),
-            fault_from: SimTime::from_secs_f64(4.5),
-            fault_to: SimTime::from_secs_f64(6.0),
-        }
+/// `pels chaos --wire`: twelve seconds per case — ~4.5 s for the startup
+/// transient to damp, a 1.5 s fault window, then 6 s of observed recovery,
+/// comfortably more than the 4 s recovery budget.
+pub fn default_config() -> ChaosConfig {
+    ChaosConfig {
+        seed: 1,
+        duration: SimDuration::from_secs(12),
+        window: FaultWindow { from: SimTime::from_secs_f64(4.5), to: SimTime::from_secs_f64(6.0) },
     }
 }
 
-impl WireChaosConfig {
-    /// The CI-sized preset behind `pels chaos --wire --short`: 10 s per
-    /// case with a 1 s fault window ending at 5.5 s. The onset cannot
-    /// move earlier — MKC's startup transient rings until ~4 s, and a
-    /// fault injected mid-transient measures the transient, not recovery.
-    pub fn short() -> Self {
-        WireChaosConfig {
-            duration: SimDuration::from_secs(10),
-            fault_from: SimTime::from_secs_f64(4.5),
-            fault_to: SimTime::from_secs_f64(5.5),
-            ..WireChaosConfig::default()
-        }
-    }
-
-    /// Checks the schedule is coherent.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.fault_from <= SimTime::ZERO {
-            return Err("fault window must start after t=0".into());
-        }
-        if self.fault_from >= self.fault_to {
-            return Err(format!(
-                "fault window is empty: from {} ns, to {} ns",
-                self.fault_from.as_nanos(),
-                self.fault_to.as_nanos()
-            ));
-        }
-        let end = SimTime::ZERO.saturating_add(self.duration);
-        let needed = self
-            .fault_to
-            .saturating_add(GREEN_SETTLE)
-            .saturating_add(SimDuration::from_secs_f64(WIRE_RECOVERY_BUDGET_S));
-        if end < needed {
-            return Err(format!(
-                "duration {:.2} s leaves no room to observe recovery (need {:.2} s)",
-                self.duration.as_secs_f64(),
-                needed.as_secs_f64()
-            ));
-        }
-        Ok(())
-    }
-
-    fn window(&self) -> FaultWindow {
-        FaultWindow { from: self.fault_from, to: self.fault_to }
+/// The CI-sized preset behind `pels chaos --wire --short`: 10 s per case
+/// with a 1 s fault window ending at 5.5 s. The onset cannot move earlier
+/// — MKC's startup transient rings until ~4 s, and a fault injected
+/// mid-transient measures the transient, not recovery.
+pub fn short_config() -> ChaosConfig {
+    ChaosConfig {
+        duration: SimDuration::from_secs(10),
+        window: FaultWindow { from: SimTime::from_secs_f64(4.5), to: SimTime::from_secs_f64(5.5) },
+        ..default_config()
     }
 }
 
@@ -165,7 +147,7 @@ pub struct WireCaseReport {
     /// Seconds after `fault_to` until the rate re-entered the band
     /// (`None` if it never did).
     pub recovery_s: Option<f64>,
-    /// Whether recovery happened within [`WIRE_RECOVERY_BUDGET_S`].
+    /// Whether recovery happened within [`WIRE_RECOVERY_BUDGET`].
     pub recovery_ok: bool,
     /// Stale-feedback decays applied by the flow's watchdog.
     pub watchdog_trips: u64,
@@ -204,8 +186,8 @@ pub struct WireChaosReport {
 /// The fault spec each endpoint runs in `case`. Receiver churn is the one
 /// fault the transports cannot express: both endpoints stay fault-free and
 /// the run loop crashes and replaces the receiver instead.
-fn script_for(case: WireChaosCase, cfg: &WireChaosConfig) -> LiveFaults {
-    let window = Some(cfg.window());
+fn script_for(case: WireChaosCase, cfg: &ChaosConfig) -> LiveFaults {
+    let window = Some(cfg.window);
     // Distinct per-endpoint seeds: FaultTransport derives its own tx/rx
     // streams from each, so endpoints never share a decision sequence.
     let spec =
@@ -215,7 +197,7 @@ fn script_for(case: WireChaosCase, cfg: &WireChaosConfig) -> LiveFaults {
         WireChaosCase::FeedbackBlackout => faults
             .receiver
             .blackouts
-            .push(Blackout { window: cfg.window(), direction: FaultDirection::Tx }),
+            .push(Blackout { window: cfg.window, direction: FaultDirection::Tx }),
         WireChaosCase::DataLossBurst => {
             faults.server.tx = WireFaultPolicy { drop: 0.3, window, ..Default::default() };
         }
@@ -246,18 +228,15 @@ fn script_for(case: WireChaosCase, cfg: &WireChaosConfig) -> LiveFaults {
 ///
 /// # Errors
 ///
-/// The in-memory hub cannot fail; any `io::Error` would come from endpoint
-/// internals and is propagated.
-///
-/// # Panics
-///
-/// Panics if `cfg` fails [`WireChaosConfig::validate`].
+/// [`io::ErrorKind::InvalidInput`] for a config that fails
+/// [`ChaosConfig::validate`] with [`OBSERVE`]. The in-memory hub cannot
+/// fail; any other `io::Error` would come from endpoint internals.
 pub fn run_wire_case(
-    cfg: &WireChaosConfig,
+    cfg: &ChaosConfig,
     case: WireChaosCase,
     telemetry: &Telemetry,
 ) -> io::Result<WireCaseReport> {
-    cfg.validate().expect("invalid wire chaos config");
+    cfg.validate(OBSERVE).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     let churn = case == WireChaosCase::ReceiverChurn;
     // Everything the config does not name is `pels live`'s default stream.
     let live = LiveConfig {
@@ -272,6 +251,7 @@ pub fn run_wire_case(
             .stationary_rate_bps(live.pels_capacity(), 1),
         rate_tolerance: WIRE_RATE_TOLERANCE,
         green_floor: WIRE_GREEN_FLOOR,
+        recovery_budget: WIRE_RECOVERY_BUDGET.as_secs_f64(),
     };
 
     let hub = MemHub::new();
@@ -284,7 +264,8 @@ pub fn run_wire_case(
     let mut carried_green_recv = 0u64;
     let mut carried_hellos = 0u64;
 
-    let settle = cfg.fault_to.saturating_add(GREEN_SETTLE);
+    let FaultWindow { from: fault_from, to: fault_to } = cfg.window;
+    let settle = fault_to.saturating_add(GREEN_SETTLE);
     let mut settle_snapshot: Option<(u64, u64)> = None;
     let mut recovered_at: Option<SimTime> = None;
     // The flow's rate after each poll of the trailing [`RATE_WINDOW`] while
@@ -305,7 +286,7 @@ pub fn run_wire_case(
                 rate_window.pop_front();
             }
         }
-        if churn && !crashed && now >= cfg.fault_from {
+        if churn && !crashed && now >= fault_from {
             // Crash: no BYE, the flow table only learns via idle timeout.
             if let Some(rx) = session.receiver.take() {
                 carried_green_recv = rx.received_by_color[0];
@@ -313,13 +294,13 @@ pub fn run_wire_case(
             }
             crashed = true;
         }
-        if crashed && session.receiver.is_none() && now >= cfg.fault_to {
+        if crashed && session.receiver.is_none() && now >= fault_to {
             // The replacement binds the same address (a fresh queue: what
             // was sent to the dead socket is gone) and registers itself
             // through its own HELLOs.
             session.start_receiver(hub.endpoint(RECEIVER_ADDR));
         }
-        if now >= cfg.fault_to {
+        if now >= fault_to {
             let mean = rate_sum / rate_window.len() as f64;
             if recovered_at.is_none() && invariants.rate_ok(mean) {
                 recovered_at = Some(now);
@@ -342,14 +323,10 @@ pub fn run_wire_case(
     let rx_green = rx.map_or(0, |rx| rx.received_by_color[0]);
     let green_sent_post = session.stopped().paced_by_class[0].saturating_sub(green_sent_at_settle);
     let green_recv_post = (carried_green_recv + rx_green).saturating_sub(green_recv_at_settle);
-    let green_delivery =
-        if green_sent_post > 0 { green_recv_post as f64 / green_sent_post as f64 } else { 0.0 };
-    let green_ok = green_sent_post > 0 && invariants.green_ok(green_delivery);
-
     let final_rate_bps = rate_sum / rate_window.len() as f64;
-    let rate_ok = invariants.rate_ok(final_rate_bps);
-    let recovery_s = recovered_at.map(|t| t.duration_since(cfg.fault_to).as_secs_f64());
-    let recovery_ok = recovery_s.is_some_and(|s| s <= WIRE_RECOVERY_BUDGET_S);
+    let recovery_s = recovered_at.map(|t| t.duration_since(fault_to).as_secs_f64());
+    let verdict =
+        invariants.verdict([final_rate_bps], green_sent_post, green_recv_post, recovery_s);
 
     let faults = session.fault_totals();
     let recovered_packets = rx.map_or(0, |rx| rx.recovered_packets);
@@ -369,18 +346,17 @@ pub fn run_wire_case(
         WireChaosCase::AsymmetricDelay => faults.delayed > 0,
     };
 
-    let ok = rate_ok && green_ok && recovery_ok && signal_ok;
     Ok(WireCaseReport {
         name: case.name().to_string(),
         r_star_kbps: invariants.r_star_bps / 1_000.0,
         final_rate_kbps: final_rate_bps / 1_000.0,
-        rate_ok,
+        rate_ok: verdict.rate_ok,
         green_sent_post_fault: green_sent_post,
         green_received_post_fault: green_recv_post,
-        green_delivery_post_fault: green_delivery,
-        green_ok,
+        green_delivery_post_fault: verdict.green_delivery,
+        green_ok: verdict.green_ok,
         recovery_s,
-        recovery_ok,
+        recovery_ok: verdict.recovery_ok,
         watchdog_trips: flow.watchdog_trips,
         retransmissions: flow.retransmissions,
         recovered_packets,
@@ -389,7 +365,7 @@ pub fn run_wire_case(
         hellos_seen: server.hellos,
         faults,
         signal_ok,
-        ok,
+        ok: verdict.ok() && signal_ok,
     })
 }
 
@@ -399,19 +375,9 @@ pub fn run_wire_case(
 /// # Errors
 ///
 /// See [`run_wire_case`].
-///
-/// # Panics
-///
-/// Panics if `cfg` fails [`WireChaosConfig::validate`].
-pub fn run_wire_matrix(
-    cfg: &WireChaosConfig,
-    telemetry: &Telemetry,
-) -> io::Result<WireChaosReport> {
-    let mut cases = Vec::with_capacity(WireChaosCase::ALL.len());
-    for case in WireChaosCase::ALL {
-        cases.push(run_wire_case(cfg, case, telemetry)?);
-    }
-    let all_ok = cases.iter().all(|c| c.ok);
+pub fn run_wire_matrix(cfg: &ChaosConfig, telemetry: &Telemetry) -> io::Result<WireChaosReport> {
+    let (cases, all_ok) =
+        run_cases(&WireChaosCase::ALL, |case| run_wire_case(cfg, case, telemetry), |c| c.ok)?;
     Ok(WireChaosReport { seed: cfg.seed, duration_s: cfg.duration.as_secs_f64(), cases, all_ok })
 }
 
@@ -419,8 +385,8 @@ pub fn run_wire_matrix(
 mod tests {
     use super::*;
 
-    fn cfg() -> WireChaosConfig {
-        WireChaosConfig::short()
+    fn cfg() -> ChaosConfig {
+        short_config()
     }
 
     fn run_matrix() -> WireChaosReport {
@@ -430,12 +396,12 @@ mod tests {
     #[test]
     fn validate_rejects_incoherent_schedules() {
         let mut bad = cfg();
-        bad.fault_to = bad.fault_from;
-        assert!(bad.validate().is_err(), "empty fault window");
+        bad.window.to = bad.window.from;
+        assert!(bad.validate(OBSERVE).is_err(), "empty fault window");
         let mut bad = cfg();
         bad.duration = SimDuration::from_secs(5);
-        assert!(bad.validate().is_err(), "no room for recovery");
-        assert!(cfg().validate().is_ok());
+        assert!(bad.validate(OBSERVE).is_err(), "no room for recovery");
+        assert!(cfg().validate(OBSERVE).is_ok());
     }
 
     #[test]

@@ -1,18 +1,16 @@
-//! Deterministic fault injection for any [`Transport`].
+//! The wire's fault injector: [`FaultTransport`], middleware around any
+//! [`Transport`].
 //!
-//! [`FaultTransport`] is middleware: it wraps a transport and applies a
-//! scriptable [`WireFaultSpec`] to every datagram crossing it —
-//! per-direction drop / duplicate / reorder / delay / truncate /
-//! bit-corrupt probabilities plus timed link [`Blackout`]s. All decisions
-//! come from a seeded [`StdRng`] and the run [`Clock`], so a run on
-//! [`MemHub`](crate::transport::MemHub) + `ManualClock` is bit-reproducible:
-//! same seed + same schedule → byte-identical fault decisions.
-//!
-//! The fate of each datagram is chosen with a *single* uniform draw over
-//! the cumulative probability partition (the same scheme as the
-//! simulator's `pels_netsim::faults::ControlFaultPolicy`), so at most one
-//! fault applies per datagram and disabling one fault never perturbs the
-//! random stream of another.
+//! It applies a scriptable [`WireFaultSpec`] to every datagram crossing it
+//! — per-direction drop / duplicate / reorder / delay / truncate /
+//! bit-corrupt probabilities plus timed link [`Blackout`]s — in the fault
+//! vocabulary the simulator uses (`pels_netsim::faults`): one [`Fate`]
+//! per datagram from one uniform draw over the cumulative partition, one
+//! [`validate_fractions`] rule, one [`FaultWindow`]. All decisions come
+//! from a seeded [`StdRng`] per direction and the run [`Clock`], so a run
+//! on [`MemHub`](crate::transport::MemHub) + `ManualClock` is
+//! bit-reproducible: same seed + same schedule → byte-identical fault
+//! decisions.
 //!
 //! A [`WireFaultSpec::is_passthrough`] spec short-circuits both directions
 //! before touching the RNG or the lock, which is how `pels live` without
@@ -20,31 +18,17 @@
 
 use crate::transport::Transport;
 use pels_netsim::clock::Clock;
+pub use pels_netsim::faults::FaultWindow;
+use pels_netsim::faults::{validate_fractions, Fate};
 use pels_netsim::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// A half-open interval of run time, `[from, to)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FaultWindow {
-    /// When the window opens.
-    pub from: SimTime,
-    /// When the window closes (exclusive).
-    pub to: SimTime,
-}
-
-impl FaultWindow {
-    /// Whether `now` falls inside the window.
-    pub fn contains(self, now: SimTime) -> bool {
-        now >= self.from && now < self.to
-    }
-}
 
 /// Which direction(s) of a [`FaultTransport`] a blackout severs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -57,12 +41,6 @@ pub enum FaultDirection {
     Both,
 }
 
-impl FaultDirection {
-    fn covers(self, dir: FaultDirection) -> bool {
-        self == FaultDirection::Both || self == dir
-    }
-}
-
 /// A total link outage for one direction during a time window: every
 /// datagram in the covered direction is silently discarded (and counted).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -73,10 +51,9 @@ pub struct Blackout {
     pub direction: FaultDirection,
 }
 
-/// Per-direction fault probabilities. Exactly one fate is drawn per
-/// datagram from the cumulative partition `[drop | duplicate | reorder |
-/// delay | truncate | corrupt | pass]`, so the probabilities must sum to
-/// at most 1.
+/// Per-direction fault probabilities: the whole partition `[drop |
+/// duplicate | reorder | delay | truncate | corrupt | pass]`, one [`Fate`]
+/// drawn per datagram.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WireFaultPolicy {
     /// Probability the datagram is silently discarded.
@@ -127,67 +104,6 @@ impl WireFaultPolicy {
     fn fractions(&self) -> [f64; 6] {
         [self.drop, self.duplicate, self.reorder, self.delay, self.truncate, self.corrupt]
     }
-
-    /// Whether this policy can never fault a datagram.
-    pub fn is_quiet(&self) -> bool {
-        self.fractions().iter().all(|&f| f == 0.0)
-    }
-
-    /// Validates the probability partition.
-    ///
-    /// # Errors
-    ///
-    /// Each probability must be in `[0, 1]` and their sum at most 1.
-    pub fn validate(&self) -> Result<(), String> {
-        for f in self.fractions() {
-            if !(0.0..=1.0).contains(&f) {
-                return Err(format!("fault probability {f} outside [0, 1]"));
-            }
-        }
-        let sum: f64 = self.fractions().iter().sum();
-        if sum > 1.0 {
-            return Err(format!("fault probabilities sum to {sum} > 1"));
-        }
-        if let Some(w) = self.window {
-            if w.from >= w.to {
-                return Err("fault window must end after it starts".into());
-            }
-        }
-        Ok(())
-    }
-
-    fn active(&self, now: SimTime) -> bool {
-        self.window.is_none_or(|w| w.contains(now))
-    }
-}
-
-/// One datagram's drawn fate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Fate {
-    Pass,
-    Drop,
-    Duplicate,
-    Reorder,
-    Delay,
-    Truncate,
-    Corrupt,
-}
-
-impl Fate {
-    const FAULTS: [Fate; 6] =
-        [Fate::Drop, Fate::Duplicate, Fate::Reorder, Fate::Delay, Fate::Truncate, Fate::Corrupt];
-
-    fn draw(policy: &WireFaultPolicy, rng: &mut StdRng) -> Fate {
-        let u: f64 = rng.gen();
-        let mut acc = 0.0;
-        for (fate, frac) in Fate::FAULTS.iter().zip(policy.fractions()) {
-            acc += frac;
-            if u < acc {
-                return *fate;
-            }
-        }
-        Fate::Pass
-    }
 }
 
 /// The full fault script for one wrapped transport: a seed, one policy
@@ -210,56 +126,31 @@ impl WireFaultSpec {
     /// [`FaultTransport`] delegates directly to the inner transport
     /// without drawing from the RNG or taking its lock.
     pub fn is_passthrough(&self) -> bool {
-        self.tx.is_quiet() && self.rx.is_quiet() && self.blackouts.is_empty()
+        let quiet = |p: &WireFaultPolicy| p.fractions().iter().all(|&f| f == 0.0);
+        quiet(&self.tx) && quiet(&self.rx) && self.blackouts.is_empty()
     }
 
-    /// Validates both direction policies and every blackout window.
+    /// Validates both direction policies (their partitions and windows) and
+    /// every blackout window.
     ///
     /// # Errors
     ///
     /// Returns a description of the first invalid field.
     pub fn validate(&self) -> Result<(), String> {
-        self.tx.validate().map_err(|e| format!("tx: {e}"))?;
-        self.rx.validate().map_err(|e| format!("rx: {e}"))?;
+        for (direction, policy) in [("tx", &self.tx), ("rx", &self.rx)] {
+            let window = policy.window.map_or(Ok(()), FaultWindow::validate);
+            validate_fractions(&policy.fractions())
+                .and(window)
+                .map_err(|e| format!("{direction}: {e}"))?;
+        }
         for b in &self.blackouts {
-            if b.window.from >= b.window.to {
-                return Err("blackout window must end after it starts".into());
-            }
+            b.window.validate().map_err(|e| format!("blackout: {e}"))?;
         }
         Ok(())
     }
 }
 
-/// Cumulative fault counters, shared out of a [`FaultTransport`] via
-/// [`FaultTransport::stats`] so the harness can read them after the
-/// transport has been moved into an agent.
-#[derive(Debug, Default)]
-pub struct WireFaultStats {
-    dropped: AtomicU64,
-    duplicated: AtomicU64,
-    reordered: AtomicU64,
-    delayed: AtomicU64,
-    truncated: AtomicU64,
-    corrupted: AtomicU64,
-    blackout_dropped: AtomicU64,
-}
-
-impl WireFaultStats {
-    /// A point-in-time copy of all counters.
-    pub fn totals(&self) -> WireFaultTotals {
-        WireFaultTotals {
-            dropped: self.dropped.load(Ordering::Relaxed),
-            duplicated: self.duplicated.load(Ordering::Relaxed),
-            reordered: self.reordered.load(Ordering::Relaxed),
-            delayed: self.delayed.load(Ordering::Relaxed),
-            truncated: self.truncated.load(Ordering::Relaxed),
-            corrupted: self.corrupted.load(Ordering::Relaxed),
-            blackout_dropped: self.blackout_dropped.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A plain-value snapshot of [`WireFaultStats`].
+/// Fault decisions a [`FaultTransport`] took, by kind.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WireFaultTotals {
     /// Datagrams discarded by the drop fate.
@@ -279,6 +170,18 @@ pub struct WireFaultTotals {
 }
 
 impl WireFaultTotals {
+    fn counter(&mut self, fate: Fate) -> Option<&mut u64> {
+        match fate {
+            Fate::Pass => None,
+            Fate::Drop => Some(&mut self.dropped),
+            Fate::Duplicate => Some(&mut self.duplicated),
+            Fate::Reorder => Some(&mut self.reordered),
+            Fate::Delay => Some(&mut self.delayed),
+            Fate::Truncate => Some(&mut self.truncated),
+            Fate::Corrupt => Some(&mut self.corrupted),
+        }
+    }
+
     /// Sum of all fault events.
     pub fn total(&self) -> u64 {
         self.dropped
@@ -310,36 +213,85 @@ struct Held {
     bytes: Vec<u8>,
 }
 
-/// RNG streams and held-datagram queues, one lock for both directions.
+/// One direction's RNG stream and the datagrams it holds for later.
+#[derive(Debug)]
+struct Direction {
+    rng: StdRng,
+    held: VecDeque<Held>,
+}
+
+impl Direction {
+    fn pop_due(&mut self, now: SimTime) -> Option<Held> {
+        let idx = self.held.iter().position(|h| h.release_at <= now)?;
+        self.held.remove(idx)
+    }
+
+    /// Draws the fate of `bytes` (to or from `addr`) under `policy`, holds
+    /// what it holds and counts the fault in `totals`. Returns the bytes
+    /// that go through now, if any. Both directions decide here, so each
+    /// direction's stream is consumed the same way: the fate, then the
+    /// prefix length of a truncation or the bits of a corruption.
+    fn decide<'a>(
+        &mut self,
+        policy: &WireFaultPolicy,
+        now: SimTime,
+        addr: SocketAddr,
+        bytes: &'a [u8],
+        totals: &mut WireFaultTotals,
+    ) -> Option<Cow<'a, [u8]>> {
+        let mut fate = Fate::Pass;
+        if policy.window.is_none_or(|w| w.contains(now)) {
+            fate = Fate::draw(&policy.fractions(), &mut self.rng);
+        }
+        if fate == Fate::Truncate && bytes.is_empty() {
+            // Nothing to clip: the datagram passes and nothing is counted.
+            fate = Fate::Pass;
+        }
+        if let Some(counter) = totals.counter(fate) {
+            *counter += 1;
+        }
+        match fate {
+            Fate::Pass => Some(Cow::Borrowed(bytes)),
+            Fate::Drop => None,
+            Fate::Duplicate | Fate::Reorder | Fate::Delay => {
+                // A duplicate goes through now and its copy later; the
+                // others only later.
+                let by = if fate == Fate::Delay { policy.delay_by } else { REORDER_BY };
+                let release_at = now.saturating_add(by);
+                self.held.push_back(Held { release_at, addr, bytes: bytes.to_vec() });
+                (fate == Fate::Duplicate).then_some(Cow::Borrowed(bytes))
+            }
+            Fate::Truncate => Some(Cow::Borrowed(&bytes[..self.rng.gen_range(0..bytes.len())])),
+            Fate::Corrupt if bytes.is_empty() => Some(Cow::Borrowed(bytes)),
+            Fate::Corrupt => {
+                let mut mutated = bytes.to_vec();
+                for _ in 0..self.rng.gen_range(1..=CORRUPT_FLIPS) {
+                    let bit = self.rng.gen_range(0..mutated.len() * 8);
+                    mutated[bit / 8] ^= 1 << (bit % 8);
+                }
+                Some(Cow::Owned(mutated))
+            }
+        }
+    }
+}
+
+/// Both directions and the counters, under one lock.
 #[derive(Debug)]
 struct FaultState {
-    tx_rng: StdRng,
-    rx_rng: StdRng,
-    /// Outgoing datagrams waiting for their release time; flushed at the
-    /// head of every `send_to`.
-    tx_held: VecDeque<Held>,
-    /// Incoming datagrams waiting for their release time; delivered from
-    /// `try_recv` once due.
-    rx_held: VecDeque<Held>,
+    tx: Direction,
+    rx: Direction,
+    totals: WireFaultTotals,
 }
 
-fn count(counter: &AtomicU64) {
-    counter.fetch_add(1, Ordering::Relaxed);
-}
+/// A [`FaultTransport`]'s counters, readable after the transport has moved
+/// into an agent.
+#[derive(Debug, Clone)]
+pub struct FaultCounters(Arc<Mutex<FaultState>>);
 
-fn pop_due(held: &mut VecDeque<Held>, now: SimTime) -> Option<Held> {
-    let idx = held.iter().position(|h| h.release_at <= now)?;
-    held.remove(idx)
-}
-
-fn corrupt_in_place(rng: &mut StdRng, buf: &mut [u8]) {
-    if buf.is_empty() {
-        return;
-    }
-    let flips = rng.gen_range(1..=CORRUPT_FLIPS);
-    for _ in 0..flips {
-        let bit = rng.gen_range(0..buf.len() * 8);
-        buf[bit / 8] ^= 1 << (bit % 8);
+impl FaultCounters {
+    /// The fault decisions taken so far.
+    pub fn totals(&self) -> WireFaultTotals {
+        self.0.lock().expect("fault state lock").totals
     }
 }
 
@@ -375,8 +327,7 @@ pub struct FaultTransport<T: Transport, C: Clock> {
     /// Hoisted [`WireFaultSpec::is_passthrough`] so the clean path costs
     /// one branch.
     passthrough: bool,
-    state: Mutex<FaultState>,
-    stats: Arc<WireFaultStats>,
+    state: Arc<Mutex<FaultState>>,
 }
 
 impl<T: Transport, C: Clock> FaultTransport<T, C> {
@@ -388,42 +339,32 @@ impl<T: Transport, C: Clock> FaultTransport<T, C> {
     /// Panics if the spec fails [`WireFaultSpec::validate`]; validate
     /// user-supplied specs first for a recoverable error.
     pub fn new(inner: T, clock: C, spec: WireFaultSpec) -> Self {
-        if let Err(e) = spec.validate() {
-            panic!("invalid fault spec: {e}");
-        }
+        spec.validate().unwrap_or_else(|e| panic!("invalid fault spec: {e}"));
+        // One stream per direction, decorrelated from the raw seed the way
+        // the sharded simulator derives its stream seeds.
+        let direction = |stream| Direction {
+            rng: StdRng::seed_from_u64(pels_netsim::shard::stream_seed(spec.seed, stream)),
+            held: VecDeque::new(),
+        };
+        let (tx, rx) = (direction(0), direction(1));
+        let state = FaultState { tx, rx, totals: WireFaultTotals::default() };
         let passthrough = spec.is_passthrough();
-        // Distinct deterministic streams per direction, decorrelated from
-        // the raw seed the same way the sharded simulator derives stream
-        // seeds.
-        let tx_rng = StdRng::seed_from_u64(pels_netsim::shard::stream_seed(spec.seed, 0));
-        let rx_rng = StdRng::seed_from_u64(pels_netsim::shard::stream_seed(spec.seed, 1));
-        FaultTransport {
-            inner,
-            clock,
-            spec,
-            passthrough,
-            state: Mutex::new(FaultState {
-                tx_rng,
-                rx_rng,
-                tx_held: VecDeque::new(),
-                rx_held: VecDeque::new(),
-            }),
-            stats: Arc::new(WireFaultStats::default()),
-        }
+        FaultTransport { inner, clock, spec, passthrough, state: Arc::new(Mutex::new(state)) }
     }
 
-    /// The shared fault counters; clone the `Arc` before moving the
+    /// The transport's fault counters; take the handle before moving the
     /// transport into an agent.
-    pub fn stats(&self) -> Arc<WireFaultStats> {
-        Arc::clone(&self.stats)
+    pub fn stats(&self) -> FaultCounters {
+        FaultCounters(Arc::clone(&self.state))
     }
 
     fn in_blackout(&self, dir: FaultDirection, now: SimTime) -> bool {
-        self.spec.blackouts.iter().any(|b| b.direction.covers(dir) && b.window.contains(now))
+        let covers = |b: &Blackout| b.direction == FaultDirection::Both || b.direction == dir;
+        self.spec.blackouts.iter().any(|b| covers(b) && b.window.contains(now))
     }
 
     fn flush_tx_due(&self, st: &mut FaultState, now: SimTime) -> io::Result<()> {
-        while let Some(h) = pop_due(&mut st.tx_held, now) {
+        while let Some(h) = st.tx.pop_due(now) {
             self.inner.send_to(&h.bytes, h.addr)?;
         }
         Ok(())
@@ -444,53 +385,17 @@ impl<T: Transport, C: Clock> Transport for FaultTransport<T, C> {
         if self.in_blackout(FaultDirection::Tx, now) {
             // The link is severed: the new datagram is lost and held
             // traffic stays queued until the blackout lifts.
-            count(&self.stats.blackout_dropped);
+            st.totals.blackout_dropped += 1;
             return Ok(());
         }
         // Due held datagrams re-enter the stream at their release time,
         // ahead of anything sent later — flush before the current send.
         self.flush_tx_due(&mut st, now)?;
-        let fate = if self.spec.tx.active(now) {
-            Fate::draw(&self.spec.tx, &mut st.tx_rng)
-        } else {
-            Fate::Pass
-        };
-        match fate {
-            Fate::Pass => self.inner.send_to(buf, to)?,
-            Fate::Drop => count(&self.stats.dropped),
-            Fate::Duplicate => {
-                self.inner.send_to(buf, to)?;
-                let release_at = now.saturating_add(REORDER_BY);
-                st.tx_held.push_back(Held { release_at, addr: to, bytes: buf.to_vec() });
-                count(&self.stats.duplicated);
-            }
-            Fate::Reorder => {
-                let release_at = now.saturating_add(REORDER_BY);
-                st.tx_held.push_back(Held { release_at, addr: to, bytes: buf.to_vec() });
-                count(&self.stats.reordered);
-            }
-            Fate::Delay => {
-                let release_at = now.saturating_add(self.spec.tx.delay_by);
-                st.tx_held.push_back(Held { release_at, addr: to, bytes: buf.to_vec() });
-                count(&self.stats.delayed);
-            }
-            Fate::Truncate => {
-                if buf.is_empty() {
-                    self.inner.send_to(buf, to)?;
-                } else {
-                    let keep = st.tx_rng.gen_range(0..buf.len());
-                    self.inner.send_to(&buf[..keep], to)?;
-                    count(&self.stats.truncated);
-                }
-            }
-            Fate::Corrupt => {
-                let mut mutated = buf.to_vec();
-                corrupt_in_place(&mut st.tx_rng, &mut mutated);
-                self.inner.send_to(&mutated, to)?;
-                count(&self.stats.corrupted);
-            }
+        let FaultState { tx, totals, .. } = &mut *st;
+        match tx.decide(&self.spec.tx, now, to, buf, totals) {
+            Some(bytes) => self.inner.send_to(&bytes, to),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     fn try_recv(&self, buf: &mut [u8]) -> io::Result<Option<(usize, SocketAddr)>> {
@@ -505,7 +410,7 @@ impl<T: Transport, C: Clock> Transport for FaultTransport<T, C> {
         if !self.in_blackout(FaultDirection::Tx, now) {
             self.flush_tx_due(&mut st, now)?;
         }
-        if let Some(h) = pop_due(&mut st.rx_held, now) {
+        if let Some(h) = st.rx.pop_due(now) {
             let n = h.bytes.len().min(buf.len());
             buf[..n].copy_from_slice(&h.bytes[..n]);
             return Ok(Some((n, h.addr)));
@@ -515,52 +420,19 @@ impl<T: Transport, C: Clock> Transport for FaultTransport<T, C> {
                 return Ok(None);
             };
             if self.in_blackout(FaultDirection::Rx, now) {
-                count(&self.stats.blackout_dropped);
+                st.totals.blackout_dropped += 1;
                 continue;
             }
-            let fate = if self.spec.rx.active(now) {
-                Fate::draw(&self.spec.rx, &mut st.rx_rng)
-            } else {
-                Fate::Pass
+            let FaultState { rx, totals, .. } = &mut *st;
+            let len = match rx.decide(&self.spec.rx, now, from, &buf[..n], totals) {
+                None => continue,
+                Some(Cow::Borrowed(bytes)) => bytes.len(),
+                Some(Cow::Owned(bytes)) => {
+                    buf[..bytes.len()].copy_from_slice(&bytes);
+                    bytes.len()
+                }
             };
-            match fate {
-                Fate::Pass => return Ok(Some((n, from))),
-                Fate::Drop => {
-                    count(&self.stats.dropped);
-                    continue;
-                }
-                Fate::Duplicate => {
-                    let release_at = now.saturating_add(REORDER_BY);
-                    st.rx_held.push_back(Held { release_at, addr: from, bytes: buf[..n].to_vec() });
-                    count(&self.stats.duplicated);
-                    return Ok(Some((n, from)));
-                }
-                Fate::Reorder => {
-                    let release_at = now.saturating_add(REORDER_BY);
-                    st.rx_held.push_back(Held { release_at, addr: from, bytes: buf[..n].to_vec() });
-                    count(&self.stats.reordered);
-                    continue;
-                }
-                Fate::Delay => {
-                    let release_at = now.saturating_add(self.spec.rx.delay_by);
-                    st.rx_held.push_back(Held { release_at, addr: from, bytes: buf[..n].to_vec() });
-                    count(&self.stats.delayed);
-                    continue;
-                }
-                Fate::Truncate => {
-                    if n == 0 {
-                        return Ok(Some((n, from)));
-                    }
-                    let keep = st.rx_rng.gen_range(0..n);
-                    count(&self.stats.truncated);
-                    return Ok(Some((keep, from)));
-                }
-                Fate::Corrupt => {
-                    corrupt_in_place(&mut st.rx_rng, &mut buf[..n]);
-                    count(&self.stats.corrupted);
-                    return Ok(Some((n, from)));
-                }
-            }
+            return Ok(Some((len, from)));
         }
     }
 }
@@ -797,6 +669,16 @@ mod tests {
         .validate()
         .is_err());
         assert!(spec_with(|_| {}).validate().is_ok());
+    }
+
+    #[test]
+    fn fractions_that_round_past_one_are_valid() {
+        // 0.34 + 0.56 + 0.10 sums to 1.0000000000000002 in f64.
+        let policy =
+            WireFaultPolicy { drop: 0.34, duplicate: 0.56, reorder: 0.10, ..Default::default() };
+        assert_eq!(spec_with(|s| s.rx = policy).validate(), Ok(()));
+        let policy = WireFaultPolicy { reorder: 0.11, ..policy };
+        assert!(spec_with(|s| s.rx = policy).validate().is_err());
     }
 
     #[test]

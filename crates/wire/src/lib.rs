@@ -31,14 +31,17 @@
 //!   [`WireReceiver`] over loopback UDP or the in-memory hub, reported in
 //!   the simulator's `ScenarioReport` schema, so live and simulated runs
 //!   are directly comparable (`pels live`).
-//! * [`faults`] — [`FaultTransport`], a deterministic fault-injecting
-//!   middleware over any [`Transport`] (drop/duplicate/reorder/delay/
-//!   truncate/corrupt, plus timed blackouts), scriptable per endpoint via
-//!   [`LiveFaults`] and `pels live --faults`.
+//! * [`faults`] — [`FaultTransport`], the wire's fault injector: a
+//!   deterministic middleware over any [`Transport`] that draws each
+//!   datagram's fate (drop/duplicate/reorder/delay/truncate/corrupt, plus
+//!   timed blackouts) in the simulator's fault vocabulary
+//!   (`pels_netsim::faults`), scriptable per endpoint via [`LiveFaults`]
+//!   and `pels live --faults`.
 //! * [`chaos`] — the six-case wire recovery matrix behind
-//!   `pels chaos --wire`, on the same session as [`live`]: machine-checked
-//!   invariants that the stack re-converges to the Lemma 6 rate, keeps the
-//!   base layer fed, and never panics on mutated bytes.
+//!   `pels chaos --wire`, on the same session as [`live`]: the simulator
+//!   matrix's config, invariants and loop (`pels_core::chaos`) checking
+//!   that the stack re-converges to the Lemma 6 rate, keeps the base layer
+//!   fed, and never panics on mutated bytes.
 //!
 //! Time comes from a [`Clock`](pels_netsim::clock::Clock): wall time for
 //! live runs, a hand-stepped mock for reproducible tests. Endpoints never
@@ -62,7 +65,7 @@ pub mod receiver;
 pub mod serve;
 pub mod transport;
 
-pub use chaos::{run_wire_matrix, WireCaseReport, WireChaosConfig, WireChaosReport};
+pub use chaos::{run_wire_matrix, WireCaseReport, WireChaosCase, WireChaosReport};
 pub use codec::{WireAck, WireBye, WireData, WireHello, WireKind, WireNack};
 pub use faults::{FaultTransport, LiveFaults, WireFaultSpec, WireFaultTotals};
 pub use flowtable::FlowTable;

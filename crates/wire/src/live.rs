@@ -10,7 +10,7 @@
 //! layout. The wire chaos matrix ([`crate::chaos`]) drives the same
 //! [`Session`] with a fault script and an observer.
 
-use crate::faults::{FaultTransport, LiveFaults, WireFaultSpec, WireFaultStats, WireFaultTotals};
+use crate::faults::{FaultCounters, FaultTransport, LiveFaults, WireFaultSpec, WireFaultTotals};
 use crate::receiver::{WireReceiver, WireReceiverConfig};
 use crate::serve::{
     FlowView, ServeConfig, ServeLoop, ServeReport, SCRAPE_INTERVAL, SOCKET_BUFFER_BYTES,
@@ -231,7 +231,7 @@ pub(crate) struct Session<T: Transport, C: RunClock> {
     pub receiver: Option<WireReceiver<FaultTransport<T, C>>>,
     rx_faults: WireFaultSpec,
     /// Fault counters of every endpoint the session has opened.
-    fault_stats: Vec<Arc<WireFaultStats>>,
+    fault_stats: Vec<FaultCounters>,
     /// Swallowed-send counters of the session's sockets (UDP backend only).
     udp_drops: Vec<Arc<AtomicU64>>,
     /// Counters of the flow's earlier incarnations: an evicted flow that

@@ -41,3 +41,16 @@ fn every_experiment_passes_its_checks_and_reproduces_its_tracked_results() {
     assert!(problems.is_empty(), "{} problem(s):\n{}", problems.len(), problems.join("\n"));
     assert_eq!(produced.len(), 26, "{produced:?}");
 }
+
+/// `results/chaos.csv` is what `pels chaos` writes at its defaults: the
+/// simulator's fault matrix at `ChaosConfig::default()`.
+#[test]
+fn the_tracked_chaos_csv_is_the_default_fault_matrix() {
+    let config = pels_core::chaos::ChaosConfig::default();
+    let report = pels_core::chaos::run_matrix(&config, &pels_telemetry::Telemetry::disabled())
+        .expect("the default matrix runs");
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("results/chaos.csv");
+    let tracked = std::fs::read_to_string(&path).expect("results/chaos.csv");
+    assert_eq!(pels_core::chaos::to_csv(&report), tracked, "results/chaos.csv moved");
+    assert!(report.all_ok);
+}

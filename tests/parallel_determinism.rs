@@ -14,9 +14,9 @@ use pels_core::chaos::{schedule_for, ChaosCase, ChaosConfig};
 use pels_core::scenario::{
     chained_proportional_config, pels_flows, to_best_effort, Scenario, ScenarioConfig,
 };
-use pels_netsim::faults::FaultSchedule;
+use pels_netsim::faults::{FaultSchedule, FaultWindow};
 use pels_netsim::shard::Partition;
-use pels_netsim::time::{SimDuration, SimTime};
+use pels_netsim::time::SimTime;
 
 const N: usize = 32;
 const HORIZON_S: f64 = 5.0;
@@ -24,7 +24,7 @@ const HORIZON_S: f64 = 5.0;
 fn finish(mut s: Scenario, workers: usize, faults: Option<&FaultSchedule>) -> String {
     s.set_workers(workers);
     if let Some(schedule) = faults {
-        s.install_faults(schedule);
+        s.sim.install_faults(schedule).expect("valid schedule");
     }
     s.run_until(SimTime::from_secs_f64(HORIZON_S));
     serde_json::to_string(&s.report()).expect("report serializes")
@@ -157,8 +157,7 @@ fn best_effort_draws_do_not_see_the_partition() {
 #[test]
 fn control_fault_draws_do_not_see_the_partition() {
     let window = ChaosConfig {
-        fault_from: SimDuration::from_secs_f64(2.0),
-        fault_to: SimDuration::from_secs_f64(3.5),
+        window: FaultWindow { from: SimTime::from_secs_f64(2.0), to: SimTime::from_secs_f64(3.5) },
         ..Default::default()
     };
     let faults = schedule_for(ChaosCase::FeedbackMangling, &window);

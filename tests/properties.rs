@@ -217,7 +217,7 @@ proptest! {
         use pels_netsim::faults::FaultSchedule;
         use pels_netsim::{FaultAction, Simulator};
         use rand::rngs::StdRng;
-        use rand::SeedableRng;
+        use rand::{Rng, SeedableRng};
 
         let mut sim = Simulator::new(seed);
         let src = sim.add_agent(Box::new(Blaster::new(
@@ -227,15 +227,18 @@ proptest! {
         )));
         let sink = sim.add_agent(Box::new(Sink { got: 0, arrivals: vec![] }));
 
+        // `flaps` outages of the source's port, each starting at a uniform
+        // point of [0.1 s, 2.5 s) and lasting up to `max_outage_ms`.
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-        let mut faults = FaultSchedule::random_link_flaps(
-            &mut rng,
-            src,
-            0,
-            (SimTime::from_secs_f64(0.1), SimTime::from_secs_f64(2.5)),
-            flaps,
-            SimDuration::from_millis(max_outage_ms),
-        );
+        let mut faults = FaultSchedule::new();
+        let (start, span_ns) = (SimTime::from_secs_f64(0.1), 2.4e9);
+        for _ in 0..flaps {
+            let start_off: f64 = rng.gen::<f64>() * span_ns;
+            let len_ns: f64 = rng.gen::<f64>() * (max_outage_ms as f64 * 1e6);
+            let from = start + SimDuration::from_nanos(start_off as u64);
+            let to = from + SimDuration::from_nanos((len_ns as u64).max(1));
+            faults.link_outage(src, 0, from, to);
+        }
         if flush == 1 {
             faults.flush_at(src, SimTime::from_secs_f64(1.7));
         }
@@ -245,7 +248,7 @@ proptest! {
             src,
             FaultAction::LinkUp { port: 0 },
         );
-        sim.install_faults(&faults);
+        sim.install_faults(&faults).expect("valid schedule");
 
         // Terminates (no deadlock): run_until returns with all work done.
         sim.run_until(SimTime::from_secs_f64(6.0));

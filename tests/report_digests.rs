@@ -47,7 +47,7 @@ fn scenario_digest(
     let mut s = Scenario::build(cfg);
     s.set_workers(workers);
     if let Some(schedule) = faults {
-        s.install_faults(schedule);
+        s.sim.install_faults(schedule).expect("valid schedule");
     }
     s.run_until(SimTime::from_secs_f64(secs));
     digest(&serde_json::to_string(&s.report()).expect("report serializes"))
@@ -113,7 +113,7 @@ fn control_faults_across_the_cut_digest_is_pinned() {
     faults.control_fault_window(policy, at(2.0), at(5.0));
     let mut s = Scenario::build(shared_dumbbell(8));
     s.set_workers(2);
-    s.install_faults(&faults);
+    s.sim.install_faults(&faults).expect("valid schedule");
     s.run_until(at(8.0));
     let stats = s.sim.fault_stats();
     assert!(
