@@ -47,115 +47,18 @@ for gone in -"-no-batch" -"-batch-size" -"-ack-every" \
   fi
 done
 
-# A source file up to its test module (everything from `#[cfg(test)]` on may
-# call what it likes), each line prefixed with file and line number. The line
-# ratchets and the netsim gates (one tx-complete site, cross-shard packets
-# through the lane only, one fate partition) on the same rule are
-# tests/architecture.rs, and tests/experiments.rs checks results/chaos.csv.
-# The determinism of every report is tier-1 too: live and chaos runs repeat in
-# `live::tests::memory_run_is_deterministic`,
+# The architecture gates read a source file up to its test module
+# (everything from `#[cfg(test)]` on may call what it likes) and are
+# tests/architecture.rs: the line ratchets, the netsim gates (one tx-complete
+# site, cross-shard packets through the lane only, one fate partition), the
+# sender path wired once, the frame planned not materialised, telemetry
+# scraped not pushed, the pacer blind to the router, packets encoded once at
+# departure, and no `pub` item that only tests call. tests/experiments.rs
+# checks results/chaos.csv. The determinism of every report is tier-1 too:
+# live and chaos runs repeat in `live::tests::memory_run_is_deterministic`,
 # `wire::chaos::tests::matrix_is_deterministic` and byte_identity.rs, worker
 # counts in report_digests.rs, parallel_determinism.rs and the topo
 # scenario tests.
-non_test_code() { awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$1"; }
-
-echo "== the sender control path is wired once (pels_core::flow) =="
-# Eq. 8, the fresh-epoch bookkeeping, the watchdog, the epoch filter and
-# frame planning are called from `FlowControl` and nowhere else: a second
-# assembly in an adapter is how the stacks drifted before. Test modules
-# (everything from a file's `#[cfg(test)]` on) may call what they like.
-for f in $(find crates -path '*/src/*' -name '*.rs'); do
-  case "$f" in crates/core/src/flow.rs|crates/core/src/mkc.rs|crates/core/src/aimd.rs|\
-    crates/core/src/tfrc.rs|crates/core/src/gamma.rs|crates/core/src/feedback.rs) continue ;; esac
-  if non_test_code "$f" | grep -E \
-      '\.update_from\(|\.record_fresh\(|\.apply_staleness\(|EpochFilter::new|plan_frame\('; then
-    echo "$f assembles part of the sender control path; call pels_core::flow::FlowControl" >&2
-    exit 1
-  fi
-done
-
-echo "== a frame is planned, not materialised (core::flow, fgs::packetize) =="
-# `FlowControl` holds the frame being sent as its three segment byte counts
-# and a cursor, and cuts each packet when the pacer asks for it through
-# `pels_fgs::packetize::FramePackets`, the one packetization rule. A queue
-# of planned packets kept the capacity of the largest frame a flow ever
-# planned (5 KiB per `sim_shared` flow); a list from `packetize(` in a
-# sender is that queue again. `Packet::acks` was read by nothing but its own
-# test and cost every packet 16 bytes (tests/memory_budget.rs).
-if non_test_code crates/core/src/flow.rs | grep 'VecDeque<Planned>'; then
-  echo "FlowControl queues planned packets; keep the frame as its byte counts" >&2
-  exit 1
-fi
-for f in $(find crates/core/src crates/wire/src -name '*.rs'); do
-  if non_test_code "$f" | grep 'packetize('; then
-    echo "$f builds a packet list; cut packets through FramePackets" >&2
-    exit 1
-  fi
-done
-if grep -n 'pub acks' crates/netsim/src/packet.rs; then
-  echo "Packet carries an acks field again; nothing reads it" >&2
-  exit 1
-fi
-
-echo "== telemetry is scraped, never pushed (core::roles, wire::{serve,live}) =="
-# The engines record every value once, in their own state. A snapshot is
-# built from that state and published in three places — `RoleIds::scrape` /
-# `flush_telemetry` (roles.rs), `ServeLoop::scrape` and its driver
-# (serve.rs), and the one-flow session that adds its receiver's and fault
-# counters (live.rs) — and no per-packet, per-ACK or per-tick path holds a
-# handle to write through: the per-event mirror must not come back.
-for f in $(find crates/netsim/src crates/core/src crates/topo/src crates/wire/src -name '*.rs'); do
-  if non_test_code "$f" | grep -E 'set_telemetry|attach_telemetry'; then
-    echo "$f hands an engine a telemetry handle; scrape its state instead" >&2
-    exit 1
-  fi
-  case "$f" in crates/core/src/roles.rs|crates/wire/src/serve.rs|crates/wire/src/live.rs) continue ;; esac
-  if non_test_code "$f" | grep -E \
-      '\.(counter_add|gauge_set|observe|sample|publish|set_gauge|set_stat|set_series)\(|Snapshot'; then
-    echo "$f writes telemetry outside the scrape sites" >&2
-    exit 1
-  fi
-done
-
-echo "== the pacer does not look at the router (wire::serve) =="
-# Eq. 11 measures the offered load: `ServeRouter::admit` is the one place an
-# arrival is counted and a drop decided, and the sender side paces by its
-# own token bucket. A pacer that holds packets back while a queue is deep
-# hides the overload from the estimator and every flow runs away to
-# `max_rate` (tests/wire_budget.rs); that coupling must not come back.
-arrival_sites="$(non_test_code crates/wire/src/serve.rs | grep -c 'estimator\.on_arrival(' || true)"
-[ "$arrival_sites" -eq 1 ] || {
-  echo "crates/wire/src/serve.rs counts Eq. 11 arrivals in $arrival_sites places; only ServeRouter::admit does" >&2
-  exit 1; }
-if awk '/^    fn on_(pace|frame)\(/{on=1} on{print FILENAME":"FNR": "$0} on&&/^    }$/{on=0}' \
-    crates/wire/src/serve.rs | grep -E 'queue_depth|router\.queues'; then
-  echo "on_pace / on_frame read the shared router's queues; the sender never looks" >&2
-  exit 1
-fi
-
-echo "== a data packet is encoded once, at departure (wire::{serve,transport}) =="
-# The shared router queues plans (`Departure`, 64 bytes) and
-# `ServeRouter::drain` encodes each packet as it leaves, with the label and
-# rate of that moment, into the container `transport::Outbox` builds. A
-# second `WireData` literal in serve.rs is a packet encoded before it is
-# due; a byte buffer in the router is a queue of encodings; a second
-# comparison with the container cap is a second container builder.
-wire_literals="$(non_test_code crates/wire/src/serve.rs | grep -c 'WireData {' || true)"
-in_drain="$(awk '/^    fn drain\(/{on=1} on&&/WireData \{/{n++} on&&/^    }$/{on=0} END{print n+0}' \
-  crates/wire/src/serve.rs)"
-[ "$wire_literals" -eq 1 ] && [ "$in_drain" -eq 1 ] || {
-  echo "crates/wire/src/serve.rs builds $wire_literals data packets ($in_drain in ServeRouter::drain); drain builds the only one" >&2
-  exit 1; }
-if awk '/^struct ServeRouter \{/{on=1} on{print FILENAME":"FNR": "$0} on&&/^}$/{on=0}' \
-    crates/wire/src/serve.rs | grep 'Vec<u8>'; then
-  echo "ServeRouter holds encoded bytes; it queues plans" >&2
-  exit 1
-fi
-cap_sites="$(for f in crates/wire/src/*.rs; do non_test_code "$f"; done \
-  | grep -E 'len\(\).*AGGREGATE_BYTES|AGGREGATE_BYTES.*len\(\)' | cut -d: -f1 | sort | uniq -c | xargs)"
-[ "$cap_sites" = "1 crates/wire/src/transport.rs" ] || {
-  echo "container cap compared with a buffer length at: ${cap_sites:-nowhere}; only transport::Outbox::push does" >&2
-  exit 1; }
 
 echo "== cargo test (workspace) =="
 # --workspace again: the root package's `cargo test` alone skips every

@@ -57,24 +57,6 @@ pub fn simulate_useful_fixed(p: f64, h: u32, trials: u64, seed: u64) -> Estimate
     Estimate { mean, std_error: (var / n).sqrt(), trials }
 }
 
-/// Simulates the mean number of *received* packets per frame (`H(1-p)`).
-pub fn simulate_received_fixed(p: f64, h: u32, trials: u64, seed: u64) -> Estimate {
-    assert!((0.0..=1.0).contains(&p), "loss must be in [0,1]: {p}");
-    assert!(h > 0 && trials > 0, "need h > 0 and trials > 0");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut sum = 0.0;
-    let mut sum_sq = 0.0;
-    for _ in 0..trials {
-        let received = (0..h).filter(|_| rng.gen::<f64>() >= p).count() as f64;
-        sum += received;
-        sum_sq += received * received;
-    }
-    let n = trials as f64;
-    let mean = sum / n;
-    let var = (sum_sq / n - mean * mean).max(0.0);
-    Estimate { mean, std_error: (var / n).sqrt(), trials }
-}
-
 /// A per-position drop map of one frame: `true` = packet lost.
 pub type DropMap = Vec<bool>;
 
@@ -118,12 +100,6 @@ mod tests {
                 est.mean
             );
         }
-    }
-
-    #[test]
-    fn received_matches_h_times_1_minus_p() {
-        let est = simulate_received_fixed(0.1, 100, 50_000, 3);
-        assert!((est.mean - 90.0).abs() < 0.2, "mean {}", est.mean);
     }
 
     #[test]

@@ -51,24 +51,6 @@ pub fn md1_mean_sojourn(lambda: f64, service_s: f64) -> f64 {
     service_s + mg1_mean_wait(lambda, service_s, service_s * service_s)
 }
 
-/// M/M/1 mean sojourn via P-K (cross-check: exponential service has
-/// `E[S²] = 2/μ²`).
-pub fn mm1_mean_sojourn_pk(lambda: f64, mu: f64) -> f64 {
-    1.0 / mu + mg1_mean_wait(lambda, 1.0 / mu, 2.0 / (mu * mu))
-}
-
-/// Erlang-B blocking probability for an M/M/c/c loss system, evaluated with
-/// the numerically stable recurrence `B(0)=1; B(c)=aB(c-1)/(c+aB(c-1))`.
-pub fn erlang_b(offered_erlangs: f64, servers: u32) -> f64 {
-    assert!(offered_erlangs > 0.0 && offered_erlangs.is_finite(), "load must be positive");
-    let a = offered_erlangs;
-    let mut b = 1.0;
-    for c in 1..=servers {
-        b = a * b / (c as f64 + a * b);
-    }
-    b
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,8 +61,11 @@ mod tests {
         assert!((utilization(8.0, 0.1) - 0.8).abs() < 1e-12);
         assert!((mm1_mean_in_system(0.8) - 4.0).abs() < 1e-12);
         assert!((mm1_mean_sojourn(8.0, 10.0) - 0.5).abs() < 1e-12);
-        // P-K agrees with the direct formula.
-        assert!((mm1_mean_sojourn_pk(8.0, 10.0) - 0.5).abs() < 1e-12);
+        // P-K agrees with the direct formula: exponential service has
+        // E[S²] = 2/μ².
+        let (lambda, mu) = (8.0, 10.0);
+        let pk = 1.0 / mu + mg1_mean_wait(lambda, 1.0 / mu, 2.0 / (mu * mu));
+        assert!((pk - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -100,16 +85,6 @@ mod tests {
         let w = mm1_mean_sojourn(lambda, mu);
         let l = mm1_mean_in_system(lambda / mu);
         assert!((l - lambda * w).abs() < 1e-12);
-    }
-
-    #[test]
-    fn erlang_b_known_table_values() {
-        // Classic traffic-table entries.
-        assert!((erlang_b(1.0, 1) - 0.5).abs() < 1e-12);
-        // A = 2 E, c = 2: B = 2/5.
-        assert!((erlang_b(2.0, 2) - 0.4).abs() < 1e-12);
-        // Light load, many servers: blocking ~ 0.
-        assert!(erlang_b(0.1, 10) < 1e-10);
     }
 
     #[test]

@@ -107,14 +107,6 @@ pub fn pels_utility_lower_bound(p: f64, p_thr: f64) -> f64 {
     ((1.0 - p / p_thr) / (1.0 - p)).max(0.0)
 }
 
-/// The stationary partition fraction the γ-controller converges to
-/// (Lemma 4): `γ* = p / p_thr`, clamped to `[0, 1]`.
-pub fn gamma_fixed_point(p: f64, p_thr: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&p), "loss must be in [0,1]: {p}");
-    assert!(p_thr > 0.0 && p_thr <= 1.0, "p_thr must be in (0,1]: {p_thr}");
-    (p / p_thr).min(1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,14 +180,6 @@ mod tests {
             let be = best_effort_utility(p, 105);
             assert!(pels > be, "p={p}: pels bound {pels} <= best-effort {be}");
         }
-    }
-
-    #[test]
-    fn gamma_fixed_point_examples() {
-        // Paper Fig. 5: p = 0.5, p_thr = 0.75 -> gamma* ~= 0.67.
-        assert!((gamma_fixed_point(0.5, 0.75) - 2.0 / 3.0).abs() < 1e-12);
-        // Clamps when loss exceeds the threshold.
-        assert_eq!(gamma_fixed_point(0.9, 0.75), 1.0);
     }
 
     #[test]

@@ -358,10 +358,9 @@ fn parse_topo_spec(map: &Flags) -> Result<TopoSpec, ParseArgsError> {
         GeneratorSpec::FatTree { k } => k.saturating_mul(k).saturating_mul(5) / 4,
         GeneratorSpec::Waxman { routers, .. } => routers,
     };
-    if routers > MAX_ROUTERS || spec.flows() > MAX_FLOWS {
-        return Err(ParseArgsError(format!(
-            "topology too large: at most {MAX_ROUTERS} routers and {MAX_FLOWS} flows"
-        )));
+    // `TopoSpec::validate` already holds the flows below the TCP flow ids.
+    if routers > MAX_ROUTERS {
+        return Err(ParseArgsError(format!("topology too large: at most {MAX_ROUTERS} routers")));
     }
     Ok(spec)
 }
@@ -464,7 +463,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
                 let specs = counts
                     .into_iter()
                     .map(|n| TopoSpec { flows: Some(n), ..spec.clone() })
-                    .collect();
+                    .map(|s| s.validate().map(|()| s).map_err(|e| ParseArgsError(e.to_string())))
+                    .collect::<Result<_, _>>()?;
                 return Ok(Command::SweepTopo { specs, duration_s, json, workers });
             }
             if map.contains_key("seed") {

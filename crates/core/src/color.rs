@@ -21,9 +21,6 @@ pub enum Color {
     Red,
 }
 
-/// Packet class carried by non-PELS (Internet) traffic.
-pub const INTERNET_CLASS: u8 = 3;
-
 impl Color {
     /// The wire class for this color (0, 1 or 2).
     pub const fn class(self) -> u8 {
@@ -90,7 +87,7 @@ mod tests {
         for c in Color::ALL {
             assert_eq!(Color::from_class(c.class()), Some(c));
         }
-        assert_eq!(Color::from_class(INTERNET_CLASS), None);
+        assert_eq!(Color::from_class(3), None);
     }
 
     #[test]

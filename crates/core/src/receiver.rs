@@ -236,9 +236,7 @@ impl PelsReceiver {
     fn issue_nacks(&mut self, ctx: &mut Context<'_>) {
         let Some(tracker) = self.nack.as_mut() else { return };
         for tag in tracker.due(self.max_frame_seen, |g| self.frames.get(g)) {
-            let mut nack = Packet::data(self.flow, ctx.self_id, self.src_hint, 40)
-                .with_frame(tag)
-                .with_id(ctx.alloc_packet_id());
+            let mut nack = Packet::data(self.flow, ctx.self_id, self.src_hint, 40).with_frame(tag);
             nack.kind = PacketKind::Nack;
             nack.sent_at = ctx.now;
             self.port.send(nack, ctx);
@@ -280,7 +278,7 @@ impl Agent for PelsReceiver {
             // of frame accounting — it is not video data, and counting it as
             // a complete one-packet frame would inflate utility.
             self.probes_acked += 1;
-            let mut ack = Packet::ack_for(&packet, ACK_BYTES).with_id(ctx.alloc_packet_id());
+            let mut ack = Packet::ack_for(&packet, ACK_BYTES);
             ack.sent_at = ctx.now;
             self.port.send(ack, ctx);
             return;
@@ -316,7 +314,7 @@ impl Agent for PelsReceiver {
 
         // ACKs flow even for late packets: the feedback label is still
         // fresh, and congestion control must see the path state.
-        let mut ack = Packet::ack_for(&packet, ACK_BYTES).with_id(ctx.alloc_packet_id());
+        let mut ack = Packet::ack_for(&packet, ACK_BYTES);
         ack.sent_at = ctx.now;
         self.port.send(ack, ctx);
     }

@@ -393,8 +393,7 @@ mod tests {
             let mut pkt = Packet::data(FlowId(1), ctx.self_id, self.dst, 500)
                 .with_class(class)
                 .with_seq(self.sent)
-                .with_frame(FrameTag { frame: 0, index: 0, total: 1, base: 0 })
-                .with_id(ctx.alloc_packet_id());
+                .with_frame(FrameTag { frame: 0, index: 0, total: 1, base: 0 });
             pkt.sent_at = ctx.now;
             ctx.deliver(self.router, SimDuration::from_micros(10), pkt);
             self.sent += 1;

@@ -800,18 +800,6 @@ pub fn pels_flows(starts_s: &[f64]) -> Vec<FlowSpec> {
         .collect()
 }
 
-/// Convenience: best-effort comparator flows (uniform loss, no coloring).
-pub fn best_effort_flows(starts_s: &[f64]) -> Vec<FlowSpec> {
-    starts_s
-        .iter()
-        .map(|&s| FlowSpec {
-            start_at: SimDuration::from_secs_f64(s),
-            mode: SourceMode::BestEffort,
-            ..Default::default()
-        })
-        .collect()
-}
-
 /// Convenience: a best-effort scenario config (router in uniform-drop mode,
 /// sources in best-effort marking mode) matching `cfg`'s other parameters.
 pub fn to_best_effort(mut cfg: ScenarioConfig) -> ScenarioConfig {

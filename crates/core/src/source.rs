@@ -341,8 +341,7 @@ impl PelsSource {
         let mut pkt = Packet::data(self.cfg.flow, ctx.self_id, self.cfg.dst, p.bytes)
             .with_class(p.class)
             .with_seq(self.seq)
-            .with_frame(p.tag)
-            .with_id(ctx.alloc_packet_id());
+            .with_frame(p.tag);
         self.seq += 1;
         pkt.sent_at = p.repair_of.unwrap_or(ctx.now);
         if p.repair_of.is_some() {
@@ -573,7 +572,7 @@ mod tests {
     impl Agent for Recorder {
         fn on_packet(&mut self, p: Packet, ctx: &mut Context<'_>) {
             if p.kind == PacketKind::Data {
-                let mut ack = Packet::ack_for(&p, 40).with_id(ctx.alloc_packet_id());
+                let mut ack = Packet::ack_for(&p, 40);
                 ack.set_feedback((self.label)(ctx.now));
                 ctx.deliver(ack.dst, SimDuration::from_millis(1), ack);
                 self.got.push(p);

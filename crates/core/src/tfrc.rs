@@ -56,11 +56,6 @@ impl TfrcController {
         self.rate_bps
     }
 
-    /// The smoothed loss-event estimate.
-    pub fn loss_estimate(&self) -> f64 {
-        self.loss_avg
-    }
-
     /// The TCP throughput equation in bits/s at loss-event rate `p`, for
     /// the paper's 500-byte video packets.
     fn equation(&self, p: f64) -> f64 {
@@ -137,12 +132,12 @@ mod tests {
         }
         let before = t.rate_bps();
         t.update(0.5);
-        assert!(t.loss_estimate() < 0.07, "estimate {}", t.loss_estimate());
+        assert!(t.loss_avg < 0.07, "estimate {}", t.loss_avg);
         assert!(t.rate_bps() >= 0.2 * before - 1.0, "bounded step");
         // Recovery: the estimate decays back once losses stop.
         for _ in 0..100 {
             t.update(0.01);
         }
-        assert!((t.loss_estimate() - 0.01).abs() < 0.005);
+        assert!((t.loss_avg - 0.01).abs() < 0.005);
     }
 }

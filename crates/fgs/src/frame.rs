@@ -130,18 +130,6 @@ impl VideoTrace {
     pub fn iter(&self) -> impl Iterator<Item = &FrameSpec> {
         self.frames.iter()
     }
-
-    /// Mean full-rate (R_max) bitrate of the trace in bits per second.
-    pub fn mean_full_bitrate_bps(&self) -> f64 {
-        let total: u64 = self.frames.iter().map(|f| f.total_bytes() as u64).sum();
-        total as f64 * 8.0 * self.fps / self.frames.len() as f64
-    }
-
-    /// Mean base-layer bitrate in bits per second.
-    pub fn base_bitrate_bps(&self) -> f64 {
-        let total: u64 = self.frames.iter().map(|f| f.base_bytes as u64).sum();
-        total as f64 * 8.0 * self.fps / self.frames.len() as f64
-    }
 }
 
 /// The paper's evaluation profile: CIF Foreman packetization constants.
@@ -194,14 +182,6 @@ mod tests {
         assert_eq!(t.frame(0).index, 0);
         assert_eq!(t.frame(3).index, 0);
         assert_eq!(t.frame(7).index, 1);
-    }
-
-    #[test]
-    fn bitrates() {
-        let t = VideoTrace::constant(10, 10.0, 1_000, 9_000);
-        // 10,000 B/frame * 8 * 10 fps = 800 kb/s.
-        assert!((t.mean_full_bitrate_bps() - 800_000.0).abs() < 1e-6);
-        assert!((t.base_bitrate_bps() - 80_000.0).abs() < 1e-6);
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //! * packetization into 500-byte wire packets ([`packetize`]),
 //! * the receiver-side prefix decoder and utility accounting ([`decoder`]),
 //! * GOP/motion-compensation loss propagation in the base layer ([`gop`]),
-//! * calibrated synthetic quality models replacing the offline codec — a
-//!   smooth R-D map ([`psnr`]) and a bitplane-structured one
-//!   ([`bitplane`]),
+//! * a calibrated synthetic quality model replacing the offline codec, a
+//!   smooth R-D map ([`psnr`]),
 //! * and R-D-aware budget allocation across frames ([`rd_scaling`], the
 //!   paper's cited-but-unused refinement).
 //!
@@ -39,7 +38,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bitplane;
 pub mod decoder;
 pub mod frame;
 pub mod gop;
@@ -49,7 +47,6 @@ pub mod rd_scaling;
 pub mod scaling;
 pub mod trace_gen;
 
-pub use bitplane::{BitplaneConfig, BitplaneModel, QualityModel};
 pub use decoder::{DecodedFrame, FrameLog, FrameReception, UtilityStats};
 pub use frame::{FrameSpec, VideoTrace};
 pub use gop::{propagate_base_loss, GopConfig};

@@ -133,21 +133,6 @@ impl RdModel {
     pub fn base_psnr(&self, frame: u64) -> f64 {
         self.psnr(frame, 0, true)
     }
-
-    /// Mean PSNR over a whole sequence given per-frame useful bytes.
-    pub fn mean_psnr<'a>(&self, per_frame: impl Iterator<Item = &'a (u64, u64, bool)>) -> f64 {
-        let mut sum = 0.0;
-        let mut n = 0u64;
-        for &(frame, bytes, base_ok) in per_frame {
-            sum += self.psnr(frame, bytes, base_ok);
-            n += 1;
-        }
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
-    }
 }
 
 #[cfg(test)]

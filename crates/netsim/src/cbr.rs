@@ -88,8 +88,7 @@ impl Agent for CbrSource {
         }
         let mut pkt = Packet::data(self.cfg.flow, ctx.self_id, self.cfg.dst, self.cfg.packet_bytes)
             .with_class(self.cfg.class)
-            .with_seq(self.seq)
-            .with_id(ctx.alloc_packet_id());
+            .with_seq(self.seq);
         pkt.sent_at = ctx.now;
         self.seq += 1;
         self.sent += 1;
@@ -233,8 +232,7 @@ impl Agent for PoissonSource {
         }
         let mut pkt = Packet::data(self.cfg.flow, ctx.self_id, self.cfg.dst, self.cfg.packet_bytes)
             .with_class(self.cfg.class)
-            .with_seq(self.seq)
-            .with_id(ctx.alloc_packet_id());
+            .with_seq(self.seq);
         pkt.sent_at = ctx.now;
         self.seq += 1;
         self.sent += 1;

@@ -15,8 +15,6 @@
 
 use crate::event::PacketSlot;
 use crate::time::SimTime;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
@@ -363,85 +361,6 @@ impl Discipline for Wrr {
     }
 }
 
-/// FIFO that drops arriving packets of class `>= protect_below` uniformly at
-/// random with a dynamically settable probability.
-///
-/// This realizes the paper's "generic best-effort" comparator (Section 6.5):
-/// uniform random loss in the FGS enhancement layer with a "magically"
-/// protected base layer, matching the Bernoulli loss model of Section 3.
-#[derive(Debug)]
-pub struct UniformLoss {
-    inner: DropTail,
-    /// Classes strictly below this value are never randomly dropped.
-    protect_below: u8,
-    drop_prob: f64,
-    rng: StdRng,
-    /// Random drops performed so far.
-    pub random_drops: u64,
-}
-
-impl UniformLoss {
-    /// Creates a uniform-loss FIFO protecting classes `< protect_below`.
-    pub fn new(limit: QueueLimit, protect_below: u8, seed: u64) -> Self {
-        UniformLoss {
-            inner: DropTail::new(limit),
-            protect_below,
-            drop_prob: 0.0,
-            rng: StdRng::seed_from_u64(seed),
-            random_drops: 0,
-        }
-    }
-
-    /// Sets the current random drop probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]` or not finite.
-    pub fn set_drop_prob(&mut self, p: f64) {
-        assert!(p.is_finite() && (0.0..=1.0).contains(&p), "invalid probability: {p}");
-        self.drop_prob = p;
-    }
-
-    /// Current random drop probability.
-    pub fn drop_prob(&self) -> f64 {
-        self.drop_prob
-    }
-}
-
-impl Discipline for UniformLoss {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn enqueue(&mut self, entry: QEntry, now: SimTime, dropped: &mut Vec<QEntry>) {
-        if entry.class >= self.protect_below
-            && self.drop_prob > 0.0
-            && self.rng.gen::<f64>() < self.drop_prob
-        {
-            self.random_drops += 1;
-            dropped.push(entry);
-            return;
-        }
-        self.inner.enqueue(entry, now, dropped);
-    }
-
-    fn dequeue(&mut self, now: SimTime) -> Option<QEntry> {
-        self.inner.dequeue(now)
-    }
-
-    fn peek_size(&self) -> Option<u32> {
-        self.inner.peek_size()
-    }
-
-    fn len_packets(&self) -> usize {
-        self.inner.len_packets()
-    }
-
-    fn len_bytes(&self) -> u64 {
-        self.inner.len_bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -589,41 +508,6 @@ mod tests {
         let mut d = Vec::new();
         wrr.enqueue(ent(0, 0, 1500), SimTime::ZERO, &mut d);
         assert_eq!(wrr.dequeue(SimTime::ZERO).unwrap().size_bytes, 1500);
-    }
-
-    #[test]
-    fn uniform_loss_protects_low_classes() {
-        let mut q = UniformLoss::new(QueueLimit::Packets(100_000), 1, 3);
-        q.set_drop_prob(1.0);
-        let mut d = Vec::new();
-        for i in 0..100u32 {
-            q.enqueue(ent(2 * i, 0, 500), SimTime::ZERO, &mut d); // protected
-            q.enqueue(ent(2 * i + 1, 1, 500), SimTime::ZERO, &mut d); // always dropped
-        }
-        assert_eq!(q.len_packets(), 100);
-        assert_eq!(d.len(), 100);
-        assert_eq!(q.random_drops, 100);
-        assert!(d.iter().all(|e| e.class == 1));
-    }
-
-    #[test]
-    fn uniform_loss_rate_is_approximately_p() {
-        let mut q = UniformLoss::new(QueueLimit::Packets(1_000_000), 1, 11);
-        q.set_drop_prob(0.1);
-        let mut d = Vec::new();
-        let n = 20_000u32;
-        for i in 0..n {
-            q.enqueue(ent(i, 1, 500), SimTime::ZERO, &mut d);
-        }
-        let rate = d.len() as f64 / n as f64;
-        assert!((rate - 0.1).abs() < 0.01, "measured {rate}");
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid probability")]
-    fn uniform_loss_rejects_bad_probability() {
-        let mut q = UniformLoss::new(QueueLimit::Packets(10), 1, 0);
-        q.set_drop_prob(1.5);
     }
 }
 

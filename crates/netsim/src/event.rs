@@ -183,6 +183,7 @@ impl<T> Slab<T> {
         self.slots[i as usize].as_ref().expect("empty slab slot")
     }
 
+    #[cfg(test)]
     fn len(&self) -> usize {
         self.slots.len() - self.free.len()
     }
@@ -310,8 +311,10 @@ impl EventQueue {
     }
 
     /// Number of packets currently parked in the arena (queued in
-    /// disciplines, serializing, or in flight).
-    pub fn live_packets(&self) -> usize {
+    /// disciplines, serializing, or in flight): what the tests check a pop
+    /// releases.
+    #[cfg(test)]
+    fn live_packets(&self) -> usize {
         self.packets.len()
     }
 
@@ -514,8 +517,10 @@ impl EventQueue {
         }
     }
 
-    /// Time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    /// Time of the earliest pending event, if any: what the tests check
+    /// the lane and the heap agree on.
+    #[cfg(test)]
+    fn peek_time(&self) -> Option<SimTime> {
         let queued = match self.run.last() {
             Some(e) => Some(e.time()),
             None => self.heap.peek().map(Entry::time),
@@ -652,10 +657,11 @@ mod tests {
 #[cfg(test)]
 mod lane_tests {
     use super::*;
-    use crate::packet::{FlowId, PacketId};
+    use crate::packet::FlowId;
 
+    /// An arrival at `at`, stamped `id` (carried as the sequence number).
     pub(super) fn arrival(at: u64, id: u64) -> CrossEvent {
-        let packet = Packet::data(FlowId(0), AgentId(0), AgentId(1), 500).with_id(PacketId(id));
+        let packet = Packet::data(FlowId(0), AgentId(0), AgentId(1), 500).with_seq(id);
         // Install numbers the batch itself: whatever `seq` held is gone.
         CrossEvent {
             time: SimTime::from_nanos(at),
@@ -670,10 +676,10 @@ mod lane_tests {
         Event::Timer { agent: AgentId(0), token }
     }
 
-    /// What fired, as the packet id of an arrival or the token of a timer.
+    /// What fired, as the stamp of an arrival or the token of a timer.
     fn label((t, ev): (SimTime, Event)) -> (u64, &'static str, u64) {
         match ev {
-            Event::PacketArrival { packet, .. } => (t.as_nanos(), "pkt", packet.id.0),
+            Event::PacketArrival { packet, .. } => (t.as_nanos(), "pkt", packet.seq),
             Event::Timer { token, .. } => (t.as_nanos(), "timer", token),
             other => panic!("unexpected {other:?}"),
         }

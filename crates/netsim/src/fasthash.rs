@@ -13,7 +13,7 @@
 //! whose keys the simulation itself allocates (agent ids, sequence
 //! numbers), never for external input.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// 2^64 / φ, the usual Fibonacci hashing multiplier (odd, high entropy).
@@ -68,9 +68,6 @@ pub type BuildFastHasher = BuildHasherDefault<FastHasher>;
 /// A `HashMap` keyed by simulation-allocated integers.
 pub type FastMap<K, V> = HashMap<K, V, BuildFastHasher>;
 
-/// A `HashSet` of simulation-allocated integers.
-pub type FastSet<T> = HashSet<T, BuildFastHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,7 +76,7 @@ mod tests {
     fn distinct_small_keys_spread_across_buckets() {
         // Sequential u32 ids must not collide in the low bits hashbrown
         // uses for bucket selection.
-        let mut low_bits = FastSet::default();
+        let mut low_bits = std::collections::HashSet::new();
         for id in 0u32..4096 {
             let mut h = FastHasher::default();
             h.write_u32(id);

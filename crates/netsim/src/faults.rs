@@ -11,8 +11,8 @@
 //! installed into a [`crate::sim::Simulator`] *before or during* a run;
 //! each becomes an [`crate::event::Event::Fault`] in the ordinary event
 //! queue, so faults interleave with traffic in the same deterministic
-//! `(time, seq)` order as every other event and are journaled. A run is
-//! still a pure function of (topology, seed, schedule). Actions are:
+//! `(time, seq)` order as every other event and are counted in
+//! [`FaultStats`]. A run is still a pure function of (topology, seed, schedule). Actions are:
 //!
 //! * **Agent-targeted** ([`FaultAction::LinkDown`], [`FaultAction::LinkUp`],
 //!   [`FaultAction::DegradeLink`], [`FaultAction::FlushQueues`]) — dispatched
@@ -38,7 +38,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Target id used for simulator-global fault actions; never dispatched to an
-/// agent, so any value works — this one makes intent obvious in journals.
+/// agent, so any value works — this one makes intent obvious in a debugger.
 pub const GLOBAL: AgentId = AgentId(u32::MAX);
 
 /// A half-open interval of run time, `[from, to)`.

@@ -12,8 +12,8 @@
 //!   byte-identical at every worker count ([`shard`]),
 //! * output ports that serialize one packet at a time over links with a
 //!   configurable rate and propagation delay ([`port`]),
-//! * composable queue disciplines — DropTail, strict priority,
-//!   deficit-weighted round robin and a uniform-loss FIFO ([`disc`]),
+//! * composable queue disciplines — DropTail, strict priority and
+//!   deficit-weighted round robin ([`disc`]),
 //! * a destination-routed store-and-forward router ([`router`]),
 //! * simplified TCP Reno cross traffic ([`tcp`]) and CBR load generators
 //!   ([`cbr`]),
@@ -77,7 +77,6 @@ pub mod event;
 pub mod fasthash;
 pub mod faults;
 pub mod hist;
-pub mod journal;
 pub mod packet;
 pub mod port;
 pub mod router;
@@ -90,7 +89,7 @@ pub mod time;
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use error::SimError;
 pub use faults::{ControlFaultPolicy, FaultAction, FaultSchedule, FaultStats};
-pub use packet::{AgentId, Feedback, FlowId, Packet, PacketId, PacketKind};
+pub use packet::{AgentId, Feedback, FlowId, Packet, PacketKind};
 pub use shard::{Partition, ShardedSimulator, TopologyGraph};
 pub use sim::{Agent, Context, Simulator};
 pub use time::{Rate, SimDuration, SimTime};

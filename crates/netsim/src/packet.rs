@@ -35,12 +35,6 @@ impl fmt::Display for FlowId {
     }
 }
 
-/// Globally unique packet identifier, assigned at creation.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
-pub struct PacketId(pub u64);
-
 /// What a packet carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PacketKind {
@@ -118,8 +112,8 @@ const RETRANSMISSION: u8 = 4;
 /// A simulated packet.
 ///
 /// The frame tag and the feedback label are stored field by field, each
-/// present when its bit in one flags byte is set, so a packet is 96 bytes
-/// rather than the 128 two `Option`s of their padded structs would make it.
+/// present when its bit in one flags byte is set, so a packet is 88 bytes
+/// rather than the 120 two `Option`s of their padded structs would make it.
 /// [`Packet::frame`] and [`Packet::feedback`] return them whole.
 ///
 /// # Examples
@@ -133,8 +127,6 @@ const RETRANSMISSION: u8 = 4;
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Packet {
-    /// Globally unique id (0 until assigned by [`Packet::with_id`] or a source).
-    pub id: PacketId,
     /// Flow the packet belongs to.
     pub flow: FlowId,
     /// Originating agent.
@@ -178,7 +170,6 @@ impl Packet {
     /// Creates a data packet with default class 3 (best-effort).
     pub fn data(flow: FlowId, src: AgentId, dst: AgentId, size_bytes: u32) -> Self {
         Packet {
-            id: PacketId(0),
             flow,
             src,
             dst,
@@ -207,7 +198,6 @@ impl Packet {
     /// 5.2), but is no retransmission itself.
     pub fn ack_for(data: &Packet, size_bytes: u32) -> Self {
         Packet {
-            id: PacketId(0),
             src: data.dst,
             dst: data.src,
             size_bytes,
@@ -216,12 +206,6 @@ impl Packet {
             flags: data.flags & !RETRANSMISSION,
             ..data.clone()
         }
-    }
-
-    /// Sets the globally unique id (builder style).
-    pub fn with_id(mut self, id: PacketId) -> Self {
-        self.id = id;
-        self
     }
 
     /// Sets the priority class (builder style).
@@ -285,11 +269,6 @@ impl Packet {
         self.flags |= RETRANSMISSION;
     }
 
-    /// Size of the packet in bits.
-    pub fn size_bits(&self) -> u64 {
-        self.size_bytes as u64 * 8
-    }
-
     /// Applies a router's feedback label using the *max-loss override* rule:
     /// the label in the header is replaced only if the new label reports
     /// strictly larger loss, or if no label is present yet, or if the label
@@ -318,13 +297,12 @@ mod tests {
         let p = pkt();
         assert_eq!(p.kind, PacketKind::Data);
         assert_eq!(p.class, 3);
-        assert_eq!(p.size_bits(), 4000);
         assert!(p.feedback().is_none());
     }
 
     #[test]
     fn ack_reverses_direction_and_echoes_feedback() {
-        let mut p = pkt().with_id(PacketId(42)).with_seq(9);
+        let mut p = pkt().with_seq(9);
         p.stamp_feedback(Feedback::new(AgentId(5), 3, 0.25, 0.3));
         let ack = Packet::ack_for(&p, 40);
         assert_eq!(ack.src, p.dst);
@@ -337,10 +315,10 @@ mod tests {
     }
 
     #[test]
-    fn a_packet_is_at_most_96_bytes() {
+    fn a_packet_is_at_most_88_bytes() {
         // Every hop copies a packet into the arena and out again, and the
         // cross-shard lane and the shard outboxes hold them by value.
-        assert!(std::mem::size_of::<Packet>() <= 96, "{}", std::mem::size_of::<Packet>());
+        assert!(std::mem::size_of::<Packet>() <= 88, "{}", std::mem::size_of::<Packet>());
     }
 
     #[test]
@@ -386,10 +364,9 @@ mod tests {
     #[test]
     fn builder_setters() {
         let tag = FrameTag { frame: 3, index: 5, total: 126, base: 21 };
-        let p = pkt().with_class(1).with_seq(77).with_frame(tag).with_id(PacketId(8));
+        let p = pkt().with_class(1).with_seq(77).with_frame(tag);
         assert_eq!(p.class, 1);
         assert_eq!(p.seq, 77);
         assert_eq!(p.frame(), Some(tag));
-        assert_eq!(p.id, PacketId(8));
     }
 }

@@ -289,9 +289,7 @@ mod tests {
         fn start(&mut self, ctx: &mut Context<'_>) {
             let port = self.port.as_mut().unwrap();
             for seq in 0..self.n as u64 {
-                let pkt = Packet::data(FlowId(0), ctx.self_id, port.peer, 500)
-                    .with_seq(seq)
-                    .with_id(ctx.alloc_packet_id());
+                let pkt = Packet::data(FlowId(0), ctx.self_id, port.peer, 500).with_seq(seq);
                 port.send(pkt, ctx);
             }
         }
@@ -350,8 +348,7 @@ mod tests {
         fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
             let i = token as usize;
             let pkt = Packet::data(FlowId(0), ctx.self_id, self.port.peer, self.plan[i].1)
-                .with_seq(token)
-                .with_id(ctx.alloc_packet_id());
+                .with_seq(token);
             self.port.send(pkt, ctx);
             self.queued_after_send.push(self.port.discipline().len_packets());
             if self.chained && i + 1 < self.plan.len() {

@@ -18,7 +18,6 @@ use std::any::Any;
 #[derive(Debug, Clone, Default)]
 pub struct RouteTable {
     routes: FastMap<AgentId, usize>,
-    default_port: Option<usize>,
 }
 
 impl RouteTable {
@@ -33,21 +32,15 @@ impl RouteTable {
         self
     }
 
-    /// Sets the default route used when no host route matches.
-    pub fn set_default(&mut self, port: usize) -> &mut Self {
-        self.default_port = Some(port);
-        self
-    }
-
     /// Looks up the output port for `dst`.
     pub fn lookup(&self, dst: AgentId) -> Option<usize> {
-        self.routes.get(&dst).copied().or(self.default_port)
+        self.routes.get(&dst).copied()
     }
 }
 
 /// A FIFO store-and-forward router.
 ///
-/// Packets addressed to an unknown destination (no route, no default) are
+/// Packets addressed to an unknown destination (no route) are
 /// counted in [`Router::no_route_drops`] and discarded.
 #[derive(Debug)]
 pub struct Router {
@@ -131,8 +124,7 @@ mod tests {
     impl Agent for Injector {
         fn start(&mut self, ctx: &mut Context<'_>) {
             for (i, &dst) in self.dsts.iter().enumerate() {
-                let pkt = Packet::data(FlowId(i as u32), ctx.self_id, dst, 500)
-                    .with_id(ctx.alloc_packet_id());
+                let pkt = Packet::data(FlowId(i as u32), ctx.self_id, dst, 500);
                 ctx.deliver(self.router, SimDuration::from_millis(1), pkt);
             }
         }
@@ -187,20 +179,6 @@ mod tests {
         sim.add_agent(Box::new(Injector { router: router_id, dsts: vec![nowhere] }));
         sim.run_until(SimTime::from_secs_f64(1.0));
         assert_eq!(sim.agent::<Router>(router_id).no_route_drops, 1);
-    }
-
-    #[test]
-    fn default_route_catches_unknown_destinations() {
-        let mut sim = Simulator::new(1);
-        let router_id = AgentId(0);
-        let sink = AgentId(1);
-        let mut routes = RouteTable::new();
-        routes.set_default(0);
-        sim.add_agent(Box::new(Router::new(vec![port_to(0, sink)], routes)));
-        sim.add_agent(Box::new(Sink { got: vec![] }));
-        sim.add_agent(Box::new(Injector { router: router_id, dsts: vec![sink] }));
-        sim.run_until(SimTime::from_secs_f64(1.0));
-        assert_eq!(sim.agent::<Sink>(sink).got.len(), 1);
     }
 
     #[test]

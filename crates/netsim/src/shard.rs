@@ -3,9 +3,8 @@
 //!
 //! The engine follows classic conservative parallel discrete-event
 //! simulation (PDES): the agent/link graph is split into *shards*, each
-//! shard owns its own event queue and packet-id space, and
-//! shards only interact through link-delayed packet deliveries. Two
-//! partition shapes arise in practice:
+//! shard owns its own event queue, and shards only interact through
+//! link-delayed packet deliveries. Two partition shapes arise in practice:
 //!
 //! * **Connected components** ([`Partition::components`]): the
 //!   capacity-proportional and wideband chain topologies decompose into N
@@ -37,7 +36,7 @@
 //!   same per-shard event schedules and produce byte-identical results.
 //! * Each agent draws from its own stream, derived from the run seed and
 //!   its agent id via SplitMix64 ([`stream_seed`]), so no draw can see the
-//!   partition; each shard allocates packet ids from a disjoint base.
+//!   partition.
 //! * Cross-shard events are exchanged only at window barriers: each
 //!   shard takes exactly the events emitted in that window for its own
 //!   agents and numbers them in `(fire time, source shard, source
@@ -46,8 +45,8 @@
 //!   the thread scheduling or group layout — and the sequence numbers it
 //!   hands the batch are the ones scheduling it event by event would.
 //! * A single-shard partition degenerates to the plain serial
-//!   [`Simulator`] byte-for-byte: same streams, same packet ids, same
-//!   global event queue. Against it, a cut of the same topology gives
+//!   [`Simulator`] byte-for-byte: same streams, same global event
+//!   queue. Against it, a cut of the same topology gives
 //!   every agent the same history and the same draws, up to one kind of
 //!   same-nanosecond tie: a cross-shard arrival is queued at the barrier,
 //!   behind local events scheduled for that instant since it was emitted,
@@ -60,7 +59,6 @@
 use crate::error::SimError;
 use crate::event::Event;
 use crate::faults::{FaultSchedule, FaultStats, GLOBAL};
-use crate::journal::Journal;
 use crate::packet::{AgentId, Packet};
 use crate::sim::{Agent, Simulator};
 use crate::time::{SimDuration, SimTime};
@@ -293,7 +291,7 @@ pub struct CrossEvent {
 /// the same FIFO tie-break sequence numbers regardless of how many worker
 /// threads produced the batch or in what order they posted it. The key is
 /// unique per event, so the unstable sort (in place, no merge buffer of
-/// 120-byte events at every barrier) gives the one possible order.
+/// 112-byte events at every barrier) gives the one possible order.
 pub fn sort_cross_events(batch: &mut [CrossEvent]) {
     batch.sort_unstable_by_key(|e| (e.time, e.src_shard, e.seq));
 }
@@ -316,8 +314,7 @@ pub fn sort_cross_events(batch: &mut [CrossEvent]) {
 /// # impl Agent for Echo {
 /// #     fn start(&mut self, ctx: &mut Context<'_>) {
 /// #         if let Some(peer) = self.peer {
-/// #             let id = ctx.alloc_packet_id();
-/// #             let pkt = Packet::data(FlowId(0), ctx.self_id, peer, 500).with_id(id);
+/// #             let pkt = Packet::data(FlowId(0), ctx.self_id, peer, 500);
 /// #             ctx.deliver(peer, SimDuration::from_millis(5), pkt);
 /// #         }
 /// #     }
@@ -360,9 +357,8 @@ impl ShardedSimulator {
     /// `AgentId` in order) using `partition`.
     ///
     /// With a single-shard partition this is exactly the serial
-    /// [`Simulator`]: same packet-id space, one global queue. With more
-    /// shards, shard `s` allocates packet ids from base `s << 40`. Agents
-    /// draw from per-agent streams either way (see [`stream_seed`]).
+    /// [`Simulator`] with one global queue. Agents draw from per-agent
+    /// streams at any shard count (see [`stream_seed`]).
     ///
     /// # Panics
     ///
@@ -562,22 +558,6 @@ impl ShardedSimulator {
             total.control_reordered += fs.control_reordered;
         }
         total
-    }
-
-    /// Enables the event journal: every shard keeps its most recent
-    /// `capacity` dispatches.
-    pub fn enable_journal(&mut self, capacity: usize) {
-        for shard in &mut self.shards {
-            shard.enable_journal(capacity);
-        }
-    }
-
-    /// The shards' journals merged into one, in `(time, shard)` order, if
-    /// enabled. Each shard evicts on its own, so the oldest stretch of the
-    /// merged view holds only the quieter shards' entries.
-    pub fn journal(&self) -> Option<Journal> {
-        let parts: Option<Vec<&Journal>> = self.shards.iter().map(Simulator::journal).collect();
-        parts.map(|p| Journal::merged(&p))
     }
 
     /// Runs until simulated time reaches `deadline` (events at exactly
@@ -781,11 +761,11 @@ mod tests {
     }
 
     #[test]
-    fn a_cross_event_is_at_most_120_bytes() {
+    fn a_cross_event_is_at_most_112_bytes() {
         // Outboxes, barrier batches and lanes hold every packet that crosses
-        // a cut by value: a 96-byte packet and the merge key.
+        // a cut by value: an 88-byte packet and the merge key.
         let size = std::mem::size_of::<CrossEvent>();
-        assert!(size <= 120, "{size}");
+        assert!(size <= 112, "{size}");
     }
 
     /// Sends `n` packets to `peer` at start, replies to everything it
@@ -800,16 +780,14 @@ mod tests {
     impl Agent for Chatter {
         fn start(&mut self, ctx: &mut Context<'_>) {
             for seq in 0..self.n as u64 {
-                let pkt = Packet::data(FlowId(0), ctx.self_id, self.peer, 500)
-                    .with_seq(seq)
-                    .with_id(ctx.alloc_packet_id());
+                let pkt = Packet::data(FlowId(0), ctx.self_id, self.peer, 500).with_seq(seq);
                 ctx.deliver(self.peer, self.delay, pkt);
             }
         }
         fn on_packet(&mut self, p: Packet, ctx: &mut Context<'_>) {
             self.got.push((ctx.now, p.seq));
             if p.kind == crate::packet::PacketKind::Data {
-                let ack = Packet::ack_for(&p, 40).with_id(ctx.alloc_packet_id());
+                let ack = Packet::ack_for(&p, 40);
                 ctx.deliver(ack.dst, self.delay, ack);
             }
         }
@@ -1083,23 +1061,24 @@ mod tests {
         assert_eq!(seen, vec![at(2), at(2), at(2), at(14), at(14), at(14)]);
     }
 
-    /// Passes each packet on to `next` while its hop budget (`seq`) lasts.
+    /// Passes each packet on to `next` while its hop budget (`seq`) lasts,
+    /// logging when each arrived.
     struct Relay {
         next: AgentId,
         delay: SimDuration,
         inject: bool,
+        arrivals: Vec<SimTime>,
     }
 
     impl Agent for Relay {
         fn start(&mut self, ctx: &mut Context<'_>) {
             if self.inject {
-                let pkt = Packet::data(FlowId(0), ctx.self_id, self.next, 500)
-                    .with_seq(5)
-                    .with_id(ctx.alloc_packet_id());
+                let pkt = Packet::data(FlowId(0), ctx.self_id, self.next, 500).with_seq(5);
                 ctx.deliver(self.next, self.delay, pkt);
             }
         }
         fn on_packet(&mut self, p: Packet, ctx: &mut Context<'_>) {
+            self.arrivals.push(ctx.now);
             if p.seq > 0 {
                 let seq = p.seq - 1;
                 ctx.deliver(self.next, self.delay, p.with_seq(seq));
@@ -1114,7 +1093,7 @@ mod tests {
     }
 
     #[test]
-    fn merged_journal_follows_a_packet_across_the_cut_in_time_order() {
+    fn a_packet_crosses_the_cut_in_time_order() {
         // A ring 0 -1ms- 1 -4ms- 2 -1ms- 3 -4ms- 0, cut at the 4 ms tier
         // into shards {0, 1} and {2, 3}; one packet makes a lap and a half.
         let delays = [ms(1), ms(4), ms(1), ms(4)];
@@ -1128,22 +1107,21 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, &delay)| {
-                Box::new(Relay { next: AgentId((i as u32 + 1) % 4), delay, inject: i == 0 })
-                    as Box<dyn Agent>
+                let next = AgentId((i as u32 + 1) % 4);
+                Box::new(Relay { next, delay, inject: i == 0, arrivals: vec![] }) as Box<dyn Agent>
             })
             .collect();
         let mut sim = ShardedSimulator::new(1, &p, agents);
-        sim.enable_journal(16);
         sim.run_until(SimTime::from_secs_f64(1.0));
 
-        let journal = sim.journal().expect("enabled");
-        assert_eq!(journal.total_recorded, sim.events_processed());
-        let id = crate::packet::PacketId(1);
-        let hops: Vec<(u64, u32)> = journal
-            .packet_journey(id)
-            .iter()
-            .map(|e| (e.time.as_nanos() / 1_000_000, e.target.0))
+        let mut hops: Vec<(u64, u32)> = (0..4)
+            .flat_map(|a| {
+                let arrivals = &sim.agent::<Relay>(AgentId(a)).arrivals;
+                arrivals.iter().map(move |t| (t.as_nanos() / 1_000_000, a)).collect::<Vec<_>>()
+            })
             .collect();
+        hops.sort_unstable();
+        assert_eq!(hops.len() as u64, sim.events_processed());
         assert_eq!(hops, vec![(1, 1), (5, 2), (6, 3), (10, 0), (11, 1), (15, 2)]);
     }
 
@@ -1230,19 +1208,20 @@ mod proptests {
     /// arrival down an RNG-chosen link until its hop budget (`seq`) runs
     /// out. With only two link delays, arrival times tie constantly, so
     /// the recorded order exposes the merge's tie-breaks, and the RNG
-    /// draws and packet ids expose any change in per-shard event order.
+    /// draws and the sender's stamps (the count it had sent, carried as the
+    /// flow id) expose any change in per-agent event order.
     struct Gossip {
         links: Vec<(AgentId, SimDuration)>,
         burst: u32,
-        got: Vec<(SimTime, u64, AgentId)>,
+        sent: u32,
+        got: Vec<(SimTime, u32, AgentId)>,
     }
 
     impl Gossip {
-        fn send(&self, to: usize, hops: u64, ctx: &mut Context<'_>) {
+        fn send(&mut self, to: usize, hops: u64, ctx: &mut Context<'_>) {
             let (peer, delay) = self.links[to];
-            let pkt = Packet::data(FlowId(0), ctx.self_id, peer, 500)
-                .with_seq(hops)
-                .with_id(ctx.alloc_packet_id());
+            self.sent += 1;
+            let pkt = Packet::data(FlowId(self.sent), ctx.self_id, peer, 500).with_seq(hops);
             ctx.deliver(peer, delay, pkt);
         }
     }
@@ -1256,7 +1235,7 @@ mod proptests {
             }
         }
         fn on_packet(&mut self, p: Packet, ctx: &mut Context<'_>) {
-            self.got.push((ctx.now, p.id.0, p.src));
+            self.got.push((ctx.now, p.flow.0, p.src));
             if p.seq > 0 && !self.links.is_empty() {
                 let to = ctx.rng().gen_range(0..self.links.len());
                 self.send(to, p.seq - 1, ctx);
@@ -1317,7 +1296,7 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
         /// Any worker count reproduces the one-worker run under any
-        /// `run_until` chunking: same per-agent (time, packet id, sender)
+        /// `run_until` chunking: same per-agent (time, stamp, sender)
         /// histories, same event count. (Both sides share the chunking:
         /// windows are laid from each call's start, so call boundaries
         /// are part of the schedule.) Slices of 1–39 ms against a 4 ms
@@ -1342,11 +1321,11 @@ mod proptests {
             let build = || {
                 let agents = links
                     .iter()
-                    .map(|l| Box::new(Gossip { links: l.clone(), burst, got: vec![] }) as Box<dyn Agent>)
+                    .map(|l| Box::new(Gossip { links: l.clone(), burst, sent: 0, got: vec![] }) as Box<dyn Agent>)
                     .collect();
                 ShardedSimulator::new(seed, &p, agents)
             };
-            let histories = |sim: &ShardedSimulator| -> Vec<Vec<(SimTime, u64, AgentId)>> {
+            let histories = |sim: &ShardedSimulator| -> Vec<Vec<(SimTime, u32, AgentId)>> {
                 (0..links.len() as u32).map(|a| sim.agent::<Gossip>(AgentId(a)).got.clone()).collect()
             };
             let run = |workers: usize| {

@@ -10,8 +10,7 @@
 use crate::error::SimError;
 use crate::event::{Ev, Event, EventQueue, PacketSlot};
 use crate::faults::{ControlFaultPolicy, Fate, FaultAction, FaultSchedule, FaultStats, GLOBAL};
-use crate::journal::Journal;
-use crate::packet::{AgentId, Packet, PacketId, PacketKind};
+use crate::packet::{AgentId, Packet, PacketKind};
 use crate::shard::{stream_seed, CrossEvent, ShardMap};
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -82,7 +81,6 @@ pub struct Context<'a> {
     pub self_id: AgentId,
     queue: &'a mut EventQueue,
     rng: &'a mut StdRng,
-    next_packet_id: &'a mut u64,
     shard: Option<&'a mut ShardState>,
 }
 
@@ -192,12 +190,6 @@ impl Context<'_> {
         self.queue.has_fired(at, seq)
     }
 
-    /// Allocates a fresh globally-unique packet id.
-    pub fn alloc_packet_id(&mut self) -> PacketId {
-        *self.next_packet_id += 1;
-        PacketId(*self.next_packet_id)
-    }
-
     /// The dispatched agent's own deterministic random stream,
     /// [`stream_seed`]`(run seed, agent id)`: what an agent draws depends on
     /// its own event history only, never on which shard hosts it.
@@ -243,11 +235,9 @@ pub struct Simulator {
     seed: u64,
     /// One stream per agent, parallel to `agents`.
     rngs: Vec<StdRng>,
-    next_packet_id: u64,
     started: bool,
     events_processed: u64,
     peak_queue_depth: usize,
-    journal: Option<Journal>,
     control_policy: Option<ControlFaultPolicy>,
     fault_stats: FaultStats,
     shard: Option<ShardState>,
@@ -271,11 +261,9 @@ impl Simulator {
             agents: Vec::new(),
             seed,
             rngs: Vec::new(),
-            next_packet_id: 0,
             started: false,
             events_processed: 0,
             peak_queue_depth: 0,
-            journal: None,
             control_policy: None,
             fault_stats: FaultStats::default(),
             shard: None,
@@ -287,11 +275,9 @@ impl Simulator {
     /// [`crate::shard::ShardedSimulator`]: deliveries to agents owned by
     /// other shards are buffered in one of `n_outboxes` outboxes (one per
     /// shard of a partition with cross-shard links, none otherwise) instead
-    /// of the local queue, and packet ids are allocated from the disjoint
-    /// base `shard << 40`.
+    /// of the local queue.
     pub(crate) fn new_shard(seed: u64, shard: u32, map: Arc<ShardMap>, n_outboxes: usize) -> Self {
         let mut sim = Simulator::new(seed);
-        sim.next_packet_id = u64::from(shard) << 40;
         sim.shard = Some(ShardState {
             shard,
             map,
@@ -321,18 +307,6 @@ impl Simulator {
         self.agents.push(Some(agent));
     }
 
-    /// Enables the event journal, keeping the most recent `capacity`
-    /// dispatches. Call before (or during) a run; recording starts
-    /// immediately.
-    pub fn enable_journal(&mut self, capacity: usize) {
-        self.journal = Some(Journal::new(capacity));
-    }
-
-    /// The event journal, if enabled.
-    pub fn journal(&self) -> Option<&Journal> {
-        self.journal.as_ref()
-    }
-
     /// Registers an agent and returns its id.
     ///
     /// # Panics
@@ -354,8 +328,8 @@ impl Simulator {
     }
 
     /// Schedules every fault in `schedule` into the event queue. Faults are
-    /// ordinary events: they interleave deterministically with traffic and
-    /// appear in the journal. Install before simulated time reaches the
+    /// ordinary events: they interleave deterministically with traffic.
+    /// Install before simulated time reaches the
     /// earliest fault (normally before the run starts).
     ///
     /// # Errors
@@ -468,7 +442,6 @@ impl Simulator {
                 self_id,
                 queue: &mut self.queue,
                 rng: &mut self.rngs[i],
-                next_packet_id: &mut self.next_packet_id,
                 shard: self.shard.as_mut(),
             };
             agent.start(&mut ctx);
@@ -504,19 +477,6 @@ impl Simulator {
         self.peak_queue_depth = self.peak_queue_depth.max(self.queue.len() + 1);
         match ev {
             Ev::Arrival { dst, slot } => {
-                if let Some(journal) = self.journal.as_mut() {
-                    let p = self.queue.packet(slot);
-                    journal.record_kind(
-                        time,
-                        dst,
-                        crate::journal::EntryKind::PacketArrival {
-                            id: p.id,
-                            flow: p.flow,
-                            class: p.class,
-                            bytes: p.size_bytes,
-                        },
-                    );
-                }
                 // Control-plane fault policy: arriving ACK/NACK packets may
                 // be dropped, duplicated, or delayed. One fate per arrival,
                 // drawn from the destination agent's stream, keeps the run
@@ -555,26 +515,13 @@ impl Simulator {
                 self.dispatch(dst, |agent, ctx| agent.on_packet(packet, ctx));
             }
             Ev::Tx { agent, port } => {
-                if let Some(journal) = self.journal.as_mut() {
-                    journal.record_kind(
-                        time,
-                        agent,
-                        crate::journal::EntryKind::TxComplete { port: port as usize },
-                    );
-                }
                 self.dispatch(agent, |a, ctx| a.on_tx_complete(port as usize, ctx));
             }
             Ev::Timer { agent, token } => {
-                if let Some(journal) = self.journal.as_mut() {
-                    journal.record_kind(time, agent, crate::journal::EntryKind::Timer { token });
-                }
                 self.dispatch(agent, |a, ctx| a.on_timer(token, ctx));
             }
             Ev::Fault { agent, idx } => {
                 let action = self.queue.take_fault(idx);
-                if let Some(journal) = self.journal.as_mut() {
-                    journal.record_kind(time, agent, crate::journal::EntryKind::Fault { action });
-                }
                 // Global fault actions are absorbed by the simulator itself;
                 // agent-targeted ones fall through to normal dispatch. A
                 // global action is broadcast to every shard and counted by
@@ -607,7 +554,6 @@ impl Simulator {
             self_id: target,
             queue: &mut self.queue,
             rng: &mut self.rngs[idx],
-            next_packet_id: &mut self.next_packet_id,
             shard: self.shard.as_mut(),
         };
         f(agent.as_mut(), &mut ctx);
@@ -711,15 +657,14 @@ mod tests {
     impl Agent for Echo {
         fn start(&mut self, ctx: &mut Context<'_>) {
             if let Some(peer) = self.peer {
-                let id = ctx.alloc_packet_id();
-                let pkt = Packet::data(FlowId(0), ctx.self_id, peer, 500).with_id(id);
+                let pkt = Packet::data(FlowId(0), ctx.self_id, peer, 500);
                 ctx.deliver(peer, SimDuration::from_millis(5), pkt);
             }
         }
         fn on_packet(&mut self, packet: Packet, ctx: &mut Context<'_>) {
             self.got.push((ctx.now, packet.kind));
             if packet.kind == PacketKind::Data {
-                let ack = Packet::ack_for(&packet, 40).with_id(ctx.alloc_packet_id());
+                let ack = Packet::ack_for(&packet, 40);
                 ctx.deliver(ack.dst, SimDuration::from_millis(5), ack);
             }
         }
@@ -759,14 +704,18 @@ mod tests {
     }
 
     #[test]
-    fn packet_ids_are_unique_and_monotone() {
+    fn an_echo_pair_dispatches_two_data_and_two_acks() {
         let mut sim = Simulator::new(1);
         let b = AgentId(1);
-        sim.add_agent(Box::new(Echo { peer: Some(b), got: vec![] }));
+        let a = sim.add_agent(Box::new(Echo { peer: Some(b), got: vec![] }));
         sim.add_agent(Box::new(Echo { peer: Some(AgentId(0)), got: vec![] }));
         sim.run_until(SimTime::from_secs_f64(1.0));
-        // 2 data + 2 acks = 4 ids allocated.
+        // 2 data + 2 acks, each arrival one event.
         assert_eq!(sim.events_processed(), 4);
+        for id in [a, b] {
+            let kinds: Vec<PacketKind> = sim.agent::<Echo>(id).got.iter().map(|g| g.1).collect();
+            assert_eq!(kinds, [PacketKind::Data, PacketKind::Ack]);
+        }
     }
 
     #[test]
@@ -797,7 +746,6 @@ mod fault_tests {
     use super::*;
     use crate::disc::{DropTail, QueueLimit};
     use crate::faults::{apply_port_fault, GLOBAL};
-    use crate::journal::EntryKind;
     use crate::packet::FlowId;
     use crate::port::Port;
     use crate::time::Rate;
@@ -810,9 +758,7 @@ mod fault_tests {
     impl Agent for PortHost {
         fn start(&mut self, ctx: &mut Context<'_>) {
             for seq in 0..self.n as u64 {
-                let pkt = Packet::data(FlowId(0), ctx.self_id, self.port.peer, 500)
-                    .with_seq(seq)
-                    .with_id(ctx.alloc_packet_id());
+                let pkt = Packet::data(FlowId(0), ctx.self_id, self.port.peer, 500).with_seq(seq);
                 self.port.send(pkt, ctx);
             }
         }
@@ -918,27 +864,32 @@ mod fault_tests {
     }
 
     #[test]
-    fn control_policy_drops_acks_and_is_journaled() {
-        // Echo pair: A sends data, B acks; a full-drop policy starves A.
+    fn control_policy_drops_acks_inside_its_window() {
+        // Echo pair: A sends data at start and again after the window, B
+        // acks each; a full-drop policy starves A while it is set.
         struct EchoPeer {
             peer: Option<AgentId>,
-            acks: u32,
+            acks: Vec<SimTime>,
         }
         impl Agent for EchoPeer {
             fn start(&mut self, ctx: &mut Context<'_>) {
-                if let Some(peer) = self.peer {
-                    let pkt = Packet::data(FlowId(0), ctx.self_id, peer, 500)
-                        .with_id(ctx.alloc_packet_id());
-                    ctx.deliver(peer, SimDuration::from_millis(5), pkt);
+                if self.peer.is_some() {
+                    self.on_timer(0, ctx);
+                    ctx.schedule_timer(SimDuration::from_millis(1500), 0);
                 }
+            }
+            fn on_timer(&mut self, _token: u64, ctx: &mut Context<'_>) {
+                let peer = self.peer.expect("only the sender sets timers");
+                let pkt = Packet::data(FlowId(0), ctx.self_id, peer, 500);
+                ctx.deliver(peer, SimDuration::from_millis(5), pkt);
             }
             fn on_packet(&mut self, p: Packet, ctx: &mut Context<'_>) {
                 match p.kind {
                     PacketKind::Data => {
-                        let ack = Packet::ack_for(&p, 40).with_id(ctx.alloc_packet_id());
+                        let ack = Packet::ack_for(&p, 40);
                         ctx.deliver(ack.dst, SimDuration::from_millis(5), ack);
                     }
-                    _ => self.acks += 1,
+                    _ => self.acks.push(ctx.now),
                 }
             }
             fn as_any(&self) -> &dyn Any {
@@ -950,10 +901,9 @@ mod fault_tests {
         }
 
         let mut sim = Simulator::new(1);
-        sim.enable_journal(64);
         let b = AgentId(1);
-        let a = sim.add_agent(Box::new(EchoPeer { peer: Some(b), acks: 0 }));
-        sim.add_agent(Box::new(EchoPeer { peer: None, acks: 0 }));
+        let a = sim.add_agent(Box::new(EchoPeer { peer: Some(b), acks: vec![] }));
+        sim.add_agent(Box::new(EchoPeer { peer: None, acks: vec![] }));
         let mut faults = FaultSchedule::new();
         faults.control_fault_window(
             ControlFaultPolicy::drop_fraction(1.0),
@@ -963,23 +913,12 @@ mod fault_tests {
         sim.install_faults(&faults).expect("valid schedule");
         sim.run_until(SimTime::from_secs_f64(2.0));
 
-        assert_eq!(sim.agent::<EchoPeer>(a).acks, 0, "every ACK dropped");
+        // The ACK inside the window is dropped; the one after it arrives,
+        // so the window's end cleared the policy.
+        assert_eq!(sim.agent::<EchoPeer>(a).acks, [SimTime::from_secs_f64(1.51)]);
         assert_eq!(sim.fault_stats().control_dropped, 1);
-        let journal = sim.journal().expect("enabled");
-        let faults_recorded: Vec<_> = journal
-            .iter()
-            .filter_map(|e| match e.kind {
-                EntryKind::Fault { action } => Some(action),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(faults_recorded.len(), 2);
-        assert_eq!(
-            faults_recorded[1],
-            FaultAction::ClearControlPolicy,
-            "window cleared the policy"
-        );
-        assert_eq!(journal.iter().next().unwrap().target, GLOBAL);
+        // Set and clear: two global actions, each counted once.
+        assert_eq!(sim.fault_stats().faults_applied, 2);
     }
 
     #[test]
@@ -1058,30 +997,36 @@ mod fault_tests {
 }
 
 #[cfg(test)]
-mod journal_tests {
+mod dispatch_tests {
     use super::*;
-    use crate::journal::EntryKind;
     use crate::packet::{FlowId, PacketKind};
     use crate::time::SimDuration;
     use std::any::Any;
 
+    /// Logs every dispatch it receives: `(time, flow)` for a packet, the
+    /// token for a timer.
     struct Ping {
         peer: Option<AgentId>,
+        packets: Vec<(SimTime, FlowId)>,
+        timers: Vec<u64>,
     }
     impl Agent for Ping {
         fn start(&mut self, ctx: &mut Context<'_>) {
             if let Some(peer) = self.peer {
-                let pkt =
-                    Packet::data(FlowId(3), ctx.self_id, peer, 500).with_id(ctx.alloc_packet_id());
+                let pkt = Packet::data(FlowId(3), ctx.self_id, peer, 500);
                 ctx.deliver(peer, SimDuration::from_millis(1), pkt);
                 ctx.schedule_timer(SimDuration::from_millis(2), 9);
             }
         }
         fn on_packet(&mut self, p: Packet, ctx: &mut Context<'_>) {
+            self.packets.push((ctx.now, p.flow));
             if p.kind == PacketKind::Data {
-                let ack = Packet::ack_for(&p, 40).with_id(ctx.alloc_packet_id());
+                let ack = Packet::ack_for(&p, 40);
                 ctx.deliver(ack.dst, SimDuration::from_millis(1), ack);
             }
+        }
+        fn on_timer(&mut self, token: u64, _ctx: &mut Context<'_>) {
+            self.timers.push(token);
         }
         fn as_any(&self) -> &dyn Any {
             self
@@ -1092,27 +1037,19 @@ mod journal_tests {
     }
 
     #[test]
-    fn journal_records_all_dispatches() {
+    fn every_dispatch_reaches_its_agent() {
         let mut sim = Simulator::new(1);
-        sim.enable_journal(100);
         let b = AgentId(1);
-        sim.add_agent(Box::new(Ping { peer: Some(b) }));
-        sim.add_agent(Box::new(Ping { peer: None }));
+        let ping = |peer| Box::new(Ping { peer, packets: vec![], timers: vec![] });
+        let a = sim.add_agent(ping(Some(b)));
+        sim.add_agent(ping(None));
         sim.run_until(SimTime::from_secs_f64(1.0));
 
-        let j = sim.journal().expect("enabled");
         // data arrival + ack arrival + timer = 3 events.
-        assert_eq!(j.total_recorded, sim.events_processed());
-        assert_eq!(j.len(), 3);
-        let kinds: Vec<bool> =
-            j.iter().map(|e| matches!(e.kind, EntryKind::PacketArrival { .. })).collect();
-        assert_eq!(kinds.iter().filter(|&&k| k).count(), 2);
-        assert_eq!(j.for_flow(FlowId(3)).len(), 2);
-    }
-
-    #[test]
-    fn journal_disabled_by_default() {
-        let sim = Simulator::new(1);
-        assert!(sim.journal().is_none());
+        assert_eq!(sim.events_processed(), 3);
+        let (pa, pb) = (sim.agent::<Ping>(a), sim.agent::<Ping>(b));
+        assert_eq!(pb.packets, [(SimTime::from_secs_f64(0.001), FlowId(3))]);
+        assert_eq!(pa.packets, [(SimTime::from_secs_f64(0.002), FlowId(3))]);
+        assert_eq!((pa.timers.as_slice(), pb.timers.as_slice()), (&[9][..], &[][..]));
     }
 }

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// s.push(0.0, 128.0);
 /// s.push(1.0, 256.0);
 /// assert_eq!(s.len(), 2);
-/// assert_eq!(s.last_value(), Some(256.0));
+/// assert_eq!(s.mean_after(0.5), Some(256.0));
 /// ```
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TimeSeries {
@@ -43,11 +43,6 @@ impl TimeSeries {
     /// Whether the series has no samples.
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
-    }
-
-    /// Last sampled value.
-    pub fn last_value(&self) -> Option<f64> {
-        self.points.last().map(|&(_, v)| v)
     }
 
     /// Mean of the values sampled at `t >= from`.
@@ -141,11 +136,6 @@ impl Summary {
         } else {
             self.m2 / self.count as f64
         }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     /// Smallest observation, or `None` when empty (the internal `+inf`
@@ -294,7 +284,6 @@ mod tests {
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
     }

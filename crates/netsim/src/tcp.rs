@@ -142,9 +142,7 @@ impl TcpSource {
     }
 
     fn transmit(&mut self, seq: u64, ctx: &mut Context<'_>) {
-        let mut pkt = Packet::data(self.flow, ctx.self_id, self.dst, self.pkt_size)
-            .with_seq(seq)
-            .with_id(ctx.alloc_packet_id());
+        let mut pkt = Packet::data(self.flow, ctx.self_id, self.dst, self.pkt_size).with_seq(seq);
         pkt.sent_at = ctx.now;
         self.sent_times.record(seq, ctx.now);
         self.port.send(pkt, ctx);
@@ -315,7 +313,7 @@ impl Agent for TcpSink {
         } else if packet.seq > self.next_expected {
             self.out_of_order.insert(packet.seq);
         }
-        let mut ack = Packet::ack_for(&packet, 40).with_id(ctx.alloc_packet_id());
+        let mut ack = Packet::ack_for(&packet, 40);
         ack.seq = self.next_expected;
         ack.sent_at = ctx.now;
         self.port.send(ack, ctx);

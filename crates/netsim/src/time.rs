@@ -283,11 +283,6 @@ impl Rate {
         }
     }
 
-    /// Returns the number of bytes transferred in `d` at this rate (floor).
-    pub fn bytes_in(self, d: SimDuration) -> u64 {
-        ((self.0 as u128 * d.0 as u128) / (8 * 1_000_000_000)) as u64
-    }
-
     /// Scales the rate by a non-negative factor.
     ///
     /// # Panics
@@ -349,13 +344,6 @@ mod tests {
         assert_eq!(Rate::from_mbps(4.0).tx_time(500), SimDuration::from_millis(1));
         // 10 Mb/s access link -> 0.4 ms.
         assert_eq!(Rate::from_mbps(10.0).tx_time(500), SimDuration::from_micros(400));
-    }
-
-    #[test]
-    fn rate_bytes_in_interval() {
-        // 4 Mb/s over 30 ms = 15000 bytes.
-        let r = Rate::from_mbps(4.0);
-        assert_eq!(r.bytes_in(SimDuration::from_millis(30)), 15_000);
     }
 
     #[test]

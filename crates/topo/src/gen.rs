@@ -28,6 +28,12 @@ use pels_netsim::error::invalid_config;
 use pels_netsim::time::{Rate, SimDuration, SimTime};
 use std::collections::{BTreeSet, HashMap};
 
+/// The first TCP flow id: video flows are numbered from 0, below it.
+pub(crate) const TCP_FLOW_BASE: u32 = 1_000_000;
+/// The first CBR flow id, above every TCP flow
+/// ([`crate::spec::TopoSpec::validate`] keeps the herds below it).
+pub(crate) const CBR_FLOW_BASE: u32 = 2_000_000;
+
 /// AQM tightness factors cycled over parking-lot segments.
 const SEGMENT_FACTORS: [f64; 5] = [1.0, 0.8, 1.2, 0.9, 1.1];
 /// Queue-limit tiers for Waxman links (packets).
@@ -412,7 +418,7 @@ fn add_tcp_herds(model: &mut TopoModel, spec: &TopoSpec) {
             reps.insert(video[v]);
         }
     }
-    let mut flow = 1_000_000u32;
+    let mut flow = TCP_FLOW_BASE;
     for pi in reps {
         let pair = model.pairs[pi].clone();
         let delay = model.hosts[pair.src_host].delay;
@@ -449,7 +455,7 @@ fn add_poisson_bursts(model: &mut TopoModel, spec: &TopoSpec) {
         add_pair(
             model,
             TrafficKind::Cbr {
-                flow: 2_000_000 + i as u32,
+                flow: CBR_FLOW_BASE + i as u32,
                 rate: Rate::from_bps((ps.rate_kbps.max(1.0) * 1_000.0) as u64),
                 class: 1,
                 poisson: true,

@@ -7,6 +7,7 @@
 //! shorthand, e.g. `fattree:k=4,flows=16` or
 //! `waxman:routers=24,flows=16,seed=7` (see [`TopoSpec::from_shorthand`]).
 
+use crate::gen::{CBR_FLOW_BASE, TCP_FLOW_BASE};
 use pels_core::router::AqmConfig;
 use pels_core::SimError;
 use pels_netsim::error::invalid_config;
@@ -159,7 +160,37 @@ impl TopoSpec {
 
     /// Parses a JSON spec document.
     pub fn from_json(json: &str) -> Result<Self, SimError> {
-        serde_json::from_str(json).map_err(|e| invalid_config(format!("bad topo spec: {e}")))
+        let spec: Self = serde_json::from_str(json)
+            .map_err(|e| invalid_config(format!("bad topo spec: {e}")))?;
+        spec.validate()?;
+        Ok(spec)
+    }
+
+    /// Rejects what the generator cannot run: a per-flow budget that is not
+    /// finite and positive (it sizes every designated link), and flow counts
+    /// whose ids would collide. Video flows are numbered from 0, TCP flows
+    /// from [`TCP_FLOW_BASE`] and CBR flows from [`CBR_FLOW_BASE`]; with at
+    /// most one herd per video flow, `flows × tcp` bounds the TCP flows.
+    pub fn validate(&self) -> Result<(), SimError> {
+        let budget = self.per_flow_kbps();
+        if !(budget.is_finite() && budget > 0.0) {
+            return Err(invalid_config(format!("per-flow budget must be positive, got {budget}")));
+        }
+        let tcp_ids = (CBR_FLOW_BASE - TCP_FLOW_BASE) as usize;
+        if self.flows() >= TCP_FLOW_BASE as usize {
+            return Err(invalid_config(format!(
+                "{} video flows reach the TCP flow ids at {TCP_FLOW_BASE}",
+                self.flows()
+            )));
+        }
+        match self.flows().checked_mul(self.tcp_per_path()) {
+            Some(herds) if herds <= tcp_ids => Ok(()),
+            _ => Err(invalid_config(format!(
+                "{} flows with {} TCP flows per path may need more than the {tcp_ids} TCP flow ids",
+                self.flows(),
+                self.tcp_per_path()
+            ))),
+        }
     }
 
     /// Parses a CLI shorthand: `family:key=value,...`.
@@ -235,6 +266,7 @@ impl TopoSpec {
         if let Some(k) = kv.keys().next() {
             return Err(invalid_config(format!("unknown shorthand key `{k}`")));
         }
+        spec.validate()?;
         Ok(spec)
     }
 
@@ -266,6 +298,33 @@ mod tests {
             }
             _ => panic!("wrong family"),
         }
+    }
+
+    #[test]
+    fn a_budget_must_be_finite_and_positive() {
+        for budget in ["nan", "inf", "0", "-1"] {
+            let shorthand = format!("waxman:budget={budget}");
+            assert!(TopoSpec::from_shorthand(&shorthand).is_err(), "{shorthand} accepted");
+        }
+        assert!(TopoSpec::from_json(r#"{"generator": {"FatTree": {"k": 4}}, "per_flow_kbps": 0}"#)
+            .is_err());
+        assert!(TopoSpec::from_shorthand("waxman:budget=0.5").is_ok());
+    }
+
+    #[test]
+    fn video_flow_ids_stay_below_the_tcp_ids() {
+        assert!(TopoSpec::from_shorthand("waxman:flows=1000001,tcp=1").is_err());
+        assert!(TopoSpec::from_shorthand("waxman:flows=1000000,tcp=0").is_err());
+        assert!(TopoSpec::from_shorthand("waxman:flows=999999,tcp=1").is_ok());
+    }
+
+    #[test]
+    fn the_tcp_herds_fit_below_the_cbr_ids() {
+        assert!(TopoSpec::from_shorthand("waxman:tcp=100000000").is_err());
+        assert!(TopoSpec::from_shorthand(&format!("waxman:flows=2,tcp={}", usize::MAX)).is_err());
+        let json = r#"{"generator": {"FatTree": {"k": 4}}, "flows": 1000, "tcp_per_path": 1001}"#;
+        assert!(TopoSpec::from_json(json).is_err());
+        assert!(TopoSpec::from_shorthand("waxman:flows=1000,tcp=1000").is_ok());
     }
 
     #[test]

@@ -301,7 +301,8 @@ pub(crate) mod sys {
 
 #[cfg(test)]
 mod tests {
-    use crate::transport::{wait_for, Datagram, Transport, UdpTransport};
+    use crate::transport::tests::wait_for;
+    use crate::transport::{Datagram, Transport, UdpTransport};
     use std::time::Duration;
 
     fn bind() -> UdpTransport {

@@ -72,7 +72,7 @@ pub use flowtable::FlowTable;
 pub use live::{run_live, LiveBackend, LiveConfig, LiveOutcome, LiveStats};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
 pub use receiver::{WireReceiver, WireReceiverConfig, HELLO_INTERVAL};
-pub use serve::{run_serve, run_serve_with, FlowView, ServeConfig, ServeLoop, ServeReport};
+pub use serve::{run_serve_with, FlowView, ServeConfig, ServeLoop, ServeReport};
 // `benchmark/src/wire.rs` imports the one UDP backend under both names.
 pub use transport::UdpTransport as BatchedUdp;
 pub use transport::{Datagram, MemHub, MemTransport, Transport, UdpTransport};

@@ -661,7 +661,7 @@ fn owned_entry<'a>(
 }
 
 /// The serve event loop as a `poll(now)` state machine over any
-/// [`Transport`] — `run_serve` drives it against wall time on UDP, tests
+/// [`Transport`] — `run_serve_with` drives it against wall time on UDP, tests
 /// drive it deterministically on [`MemHub`](crate::transport::MemHub) with
 /// a [`ManualClock`](pels_netsim::clock::ManualClock).
 #[derive(Debug)]
@@ -1160,15 +1160,6 @@ pub(crate) const SCRAPE_INTERVAL: SimDuration = SimDuration::from_secs(1);
 /// the shed control datagrams surface as idle-eviction churn, not as any
 /// counted drop. 4 MiB sits at the stock `net.core.rmem_max` ceiling.
 pub(crate) const SOCKET_BUFFER_BYTES: usize = 4 << 20;
-
-/// Runs `pels serve` until its configured duration elapses.
-///
-/// # Errors
-///
-/// Propagates socket setup and hard transport failures.
-pub fn run_serve(cfg: ServeConfig) -> io::Result<ServeReport> {
-    run_serve_with(cfg, |_| {}, || false)
-}
 
 /// Runs `pels serve`, reporting the bound address through `on_ready` (for
 /// ephemeral ports) and stopping early when `should_stop` returns true.

@@ -23,26 +23,6 @@ use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
-
-/// Polls `ready` until it returns `true` or `timeout` elapses, sleeping
-/// `interval` between attempts. Returns whether `ready` succeeded.
-///
-/// This is the deadline-based wait the UDP tests use instead of fixed
-/// retry counts: the deadline is wall-clock, so a slow machine gets the
-/// full timeout rather than `N × interval` worth of scheduler luck.
-pub fn wait_for(timeout: Duration, interval: Duration, mut ready: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    loop {
-        if ready() {
-            return true;
-        }
-        if Instant::now() >= deadline {
-            return false;
-        }
-        std::thread::sleep(interval);
-    }
-}
 
 /// One datagram paired with a peer address: the destination for
 /// [`Transport::send_batch`], the origin after [`Transport::recv_batch`].
@@ -488,8 +468,32 @@ impl Transport for UdpTransport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
+
+    /// Polls `ready` until it returns `true` or `timeout` elapses, sleeping
+    /// `interval` between attempts. Returns whether `ready` succeeded.
+    ///
+    /// This is the deadline-based wait the UDP tests use instead of fixed
+    /// retry counts: the deadline is wall-clock, so a slow machine gets the
+    /// full timeout rather than `N × interval` worth of scheduler luck.
+    pub(crate) fn wait_for(
+        timeout: Duration,
+        interval: Duration,
+        mut ready: impl FnMut() -> bool,
+    ) -> bool {
+        let deadline = Instant::now() + timeout;
+        loop {
+            if ready() {
+                return true;
+            }
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::sleep(interval);
+        }
+    }
 
     fn addr(port: u16) -> SocketAddr {
         format!("127.0.0.1:{port}").parse().unwrap()

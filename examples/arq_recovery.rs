@@ -1,12 +1,12 @@
-//! Retransmission-based recovery vs PELS, plus the simulator's event
-//! journal in action.
+//! Retransmission-based recovery vs PELS: the ARQ comparator's ledger, in
+//! total and for one flow.
 //!
 //! The paper argues (Section 1) that retransmission is the wrong tool for
 //! congested video paths: recoveries ride the same congested queues and
 //! miss their decoding deadlines. This example runs an ARQ comparator over
 //! a FIFO bottleneck with a playout deadline, prints the recovery ledger,
-//! and uses the event journal to show one packet's journey through the
-//! network.
+//! and follows one flow from the NACKs its receiver sent to the frames it
+//! decoded.
 //!
 //! Run with: `cargo run --release --example arq_recovery`
 
@@ -14,7 +14,6 @@ use pels_core::receiver::NackConfig;
 use pels_core::router::QueueMode;
 use pels_core::scenario::{wideband_config, Scenario};
 use pels_core::source::{ArqConfig, SourceMode};
-use pels_netsim::journal::EntryKind;
 use pels_netsim::time::{SimDuration, SimTime};
 
 fn main() {
@@ -30,9 +29,6 @@ fn main() {
     cfg.playout_deadline = Some(SimDuration::from_millis(300));
 
     let mut s = Scenario::build(cfg);
-    // Enable the journal: each of the dumbbell's two shards (the R1 side and
-    // the R2 side) keeps a ring of its last 50k events.
-    s.sim.enable_journal(50_000);
     s.run_until(SimTime::from_secs_f64(20.0));
 
     println!("=== ARQ recovery over a congested FIFO (300 ms playout deadline) ===\n");
@@ -54,27 +50,29 @@ fn main() {
     println!("utility with recovery: {:.3}", u.utility());
     assert!(retx > 0 && on_time > 0);
 
-    // The journal: reconstruct the journey of a recently delivered packet.
-    // Read merged in time order, so a journey crosses the cut in sequence.
-    let journal = s.sim.journal().expect("journal enabled");
-    println!("\njournal: {} events retained of {} recorded", journal.len(), journal.total_recorded);
-    let last_arrival = journal
-        .iter()
-        .rev()
-        .find_map(|e| match e.kind {
-            EntryKind::PacketArrival { id, .. } if e.target == s.ids().receivers[0] => Some(id),
-            _ => None,
-        })
-        .expect("receiver 0 saw traffic");
-    println!("journey of packet {last_arrival:?}:");
-    for hop in journal.packet_journey(last_arrival) {
-        println!("  t={} -> {}", hop.time, hop.target);
-    }
-    let journey = journal.packet_journey(last_arrival);
-    let hops: Vec<_> = journey.iter().map(|e| e.target).collect();
-    let ids = s.ids();
-    assert_eq!(hops, [ids.routers[0], ids.routers[1], ids.receivers[0]], "R1 -> R2 -> receiver");
-    assert!(journey.windows(2).all(|w| w[0].time < w[1].time), "hops in time order");
+    // One flow, end to end: the NACKs its receiver sent, the repairs its
+    // source answered with, and what the receiver decoded.
+    let (rx, tx) = (s.receiver(0), s.source(0));
+    let frames = rx.decode_all();
+    let base_ok = frames.iter().filter(|f| f.base_ok).count();
+    let complete =
+        frames.iter().filter(|f| f.base_ok && f.enh_received_packets == f.enh_sent_packets).count();
+    println!("\nflow 0:");
+    println!("  NACKs sent:                 {}", rx.nacks_sent());
+    println!("  retransmissions:            {}", tx.retransmissions);
+    println!("  repairs on time / too late: {} / {}", rx.recovered_on_time, rx.recovered_late);
+    println!("  frames seen:                {}", rx.frames_seen());
+    println!("  frames with an intact base: {base_ok}");
+    println!("  frames complete:            {complete}");
+    assert!(
+        tx.retransmissions > 0 && tx.retransmissions <= rx.nacks_sent(),
+        "a repair answers a NACK"
+    );
+    assert!(
+        rx.recovered_on_time + rx.recovered_late <= tx.retransmissions,
+        "a repair is counted once"
+    );
+    assert!(complete <= base_ok && base_ok <= rx.frames_seen());
 
     println!(
         "\ncompare: `run_all ablation_retransmission` (crates/bench) shows the\n\

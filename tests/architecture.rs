@@ -22,7 +22,7 @@ const BENCH: usize = 1_292;
 /// Non-test lines under every `crates/*/src`. A knob with one value in use
 /// is a named constant beside the code that reads it: a config field, its
 /// default, its plumbing and its validation coming back show up here first.
-const CRATES: usize = 21_128;
+const CRATES: usize = 20_484;
 
 /// The `.rs` files in `dir`, and in its subdirectories when `recurse`.
 fn rust_files(dir: &Path, recurse: bool) -> Vec<PathBuf> {
@@ -172,4 +172,311 @@ fn one_fate_partition() {
         "partition fault fractions through pels_netsim::faults::Fate::draw:\n{}",
         found.join("\n")
     );
+}
+
+/// Every `.rs` file under `dir`, relative to the repository.
+fn sources_under(dir: &str) -> Vec<PathBuf> {
+    rust_files(&repo().join(dir), true)
+}
+
+/// The lines of `lines` from each one that starts with `start` through the
+/// next one that is exactly `end`: the bodies of the items `start` opens.
+fn bodies<'a>(lines: &'a [String], start: &str, end: &str) -> Vec<&'a str> {
+    let mut found = Vec::new();
+    let mut inside = false;
+    for line in lines {
+        inside |= line.starts_with(start);
+        if inside {
+            found.push(line.as_str());
+            inside = line != end;
+        }
+    }
+    found
+}
+
+/// Eq. 8, the fresh-epoch bookkeeping, the watchdog, the epoch filter and
+/// frame planning are called from `pels_core::flow::FlowControl` and from
+/// the controllers' own files, nowhere else: a second assembly in an adapter
+/// is how the two stacks drifted before.
+#[test]
+fn the_sender_path_is_wired_once() {
+    let allowed = [
+        "crates/core/src/flow.rs",
+        "crates/core/src/mkc.rs",
+        "crates/core/src/aimd.rs",
+        "crates/core/src/tfrc.rs",
+        "crates/core/src/gamma.rs",
+        "crates/core/src/feedback.rs",
+    ];
+    let calls =
+        [".update_from(", ".record_fresh(", ".apply_staleness(", "EpochFilter::new", "plan_frame("];
+    let found =
+        offenders(&crate_sources(), &allowed, |line| calls.iter().any(|c| line.contains(c)));
+    assert!(
+        found.is_empty(),
+        "these assemble part of the sender control path; call pels_core::flow::FlowControl:\n{}",
+        found.join("\n")
+    );
+}
+
+/// `FlowControl` holds the frame being sent as its three segment byte counts
+/// and a cursor, and cuts each packet when the pacer asks for it through
+/// `pels_fgs::packetize::FramePackets`, the one packetization rule. A queue
+/// of planned packets kept the capacity of the largest frame a flow ever
+/// planned (5 KiB per `sim_shared` flow); a list from `packetize(` in a
+/// sender is that queue again. `Packet::acks` was read by nothing but its
+/// own test and cost every packet 16 bytes (tests/memory_budget.rs).
+#[test]
+fn a_frame_is_planned_not_materialised() {
+    let flow = [repo().join("crates/core/src/flow.rs")];
+    let mut found = offenders(&flow, &[], |line| line.contains("VecDeque<Planned>"));
+    let senders = [sources_under("crates/core/src"), sources_under("crates/wire/src")].concat();
+    found.extend(offenders(&senders, &[], |line| line.contains("packetize(")));
+    let packet = [repo().join("crates/netsim/src/packet.rs")];
+    found.extend(offenders(&packet, &[], |line| line.contains("pub acks")));
+    assert!(
+        found.is_empty(),
+        "keep the frame as its byte counts and cut packets through FramePackets:\n{}",
+        found.join("\n")
+    );
+}
+
+/// The engines record every value once, in their own state. A snapshot is
+/// built from that state and published in three places: `RoleIds::scrape`
+/// and `flush_telemetry` (roles.rs), `ServeLoop::scrape` and its driver
+/// (serve.rs), and the one-flow session that adds its receiver's and fault
+/// counters (live.rs). No per-packet, per-ACK or per-tick path holds a
+/// handle to write through: the per-event mirror must not come back.
+#[test]
+fn telemetry_is_scraped_not_pushed() {
+    let engines = ["crates/netsim/src", "crates/core/src", "crates/topo/src", "crates/wire/src"]
+        .map(sources_under)
+        .concat();
+    let mut found = offenders(&engines, &[], |line| {
+        line.contains("set_telemetry") || line.contains("attach_telemetry")
+    });
+    let writes = [
+        ".counter_add(",
+        ".gauge_set(",
+        ".observe(",
+        ".sample(",
+        ".publish(",
+        ".set_gauge(",
+        ".set_stat(",
+        ".set_series(",
+    ];
+    let scrape_sites =
+        ["crates/core/src/roles.rs", "crates/wire/src/serve.rs", "crates/wire/src/live.rs"];
+    found.extend(offenders(&engines, &scrape_sites, |line| {
+        line.contains("Snapshot") || writes.iter().any(|w| line.contains(w))
+    }));
+    assert!(
+        found.is_empty(),
+        "an engine writes telemetry outside the scrape sites; scrape its state instead:\n{}",
+        found.join("\n")
+    );
+}
+
+/// Eq. 11 measures the offered load: `ServeRouter::admit` is the one place
+/// an arrival is counted and a drop decided, and the sender side paces by
+/// its own token bucket. A pacer that holds packets back while a queue is
+/// deep hides the overload from the estimator, and every flow runs away to
+/// `max_rate` (crates/wire/tests/wire_budget.rs).
+#[test]
+fn the_pacer_never_looks_at_the_router() {
+    let serve = non_test_code(&repo().join("crates/wire/src/serve.rs"));
+    let arrivals = serve.iter().filter(|line| line.contains("estimator.on_arrival(")).count();
+    assert_eq!(
+        arrivals, 1,
+        "serve.rs counts Eq. 11 arrivals in {arrivals} places, not admit's one"
+    );
+    let pacer =
+        [bodies(&serve, "    fn on_pace(", "    }"), bodies(&serve, "    fn on_frame(", "    }")]
+            .concat();
+    assert!(!pacer.is_empty(), "on_pace and on_frame are where the pacer runs");
+    let peeks: Vec<&str> = pacer
+        .into_iter()
+        .filter(|line| line.contains("queue_depth") || line.contains("router.queues"))
+        .collect();
+    assert!(peeks.is_empty(), "on_pace / on_frame read the router's queues:\n{}", peeks.join("\n"));
+}
+
+/// The shared router queues plans (`Departure`, 64 bytes), and
+/// `ServeRouter::drain` encodes each packet as it leaves, with the label and
+/// rate of that moment, into the container `transport::Outbox` builds. A
+/// second `WireData` literal in serve.rs is a packet encoded before it is
+/// due; a byte buffer in the router is a queue of encodings; a second
+/// comparison with the container cap is a second container builder.
+#[test]
+fn a_packet_is_encoded_once_at_departure() {
+    let serve = non_test_code(&repo().join("crates/wire/src/serve.rs"));
+    let literal = |line: &str| line.contains("WireData {");
+    let everywhere = serve.iter().filter(|line| literal(line)).count();
+    let in_drain =
+        bodies(&serve, "    fn drain(", "    }").into_iter().filter(|l| literal(l)).count();
+    assert_eq!(
+        (everywhere, in_drain),
+        (1, 1),
+        "serve.rs builds {everywhere} data packets ({in_drain} in ServeRouter::drain); drain builds the only one"
+    );
+    let router = bodies(&serve, "struct ServeRouter {", "}");
+    assert!(!router.is_empty() && !router.iter().any(|line| line.contains("Vec<u8>")));
+    let wire = rust_files(&repo().join("crates/wire/src"), false);
+    let caps =
+        offenders(&wire, &[], |line| line.contains("len()") && line.contains("AGGREGATE_BYTES"));
+    assert!(
+        caps.len() == 1 && caps[0].starts_with("crates/wire/src/transport.rs:"),
+        "compare the container cap with a length in transport::Outbox::push only:\n{}",
+        caps.join("\n")
+    );
+}
+
+/// The `pub` items under `crates/*/src` that no shipped code calls, by
+/// `crate::module::name`, each with the test that keeps it. Everything
+/// else a crate exports has a caller outside tests and examples.
+const ALLOWED: &[(&str, &str)] = &[
+    (
+        "analysis::lossmodel::geometric_ratio",
+        "tests/model_vs_simulation.rs fits its uniform-loss queue's bursts with it",
+    ),
+    (
+        "analysis::lossmodel::geometric_burst_pmf",
+        "lossmodel::tests hold both loss channels' burst PMFs against it",
+    ),
+    (
+        "analysis::queueing::mm1_mean_sojourn",
+        "queueing::tests hold md1_mean_sojourn and mm1_mean_in_system against it",
+    ),
+    (
+        "analysis::queueing::mm1_mean_in_system",
+        "tests/simulator_calibration.rs holds a Poisson-fed port against it",
+    ),
+    (
+        "analysis::queueing::md1_mean_sojourn",
+        "tests/simulator_calibration.rs holds a Poisson-fed port against it",
+    ),
+    (
+        "analysis::stability::mkc_stationary_loss",
+        "stability::tests hold mkc_simulate's loss tail against it (Lemma 6)",
+    ),
+    (
+        "analysis::useful::expected_useful_general",
+        "tests/model_vs_simulation.rs holds the decoder on variable frames against it (Lemma 1)",
+    ),
+    ("core::gamma::fixed_point", "gamma::tests hold the converged γ against it (Lemma 4)"),
+    (
+        "core::scenario::chained_proportional_config",
+        "tests/report_digests.rs and tests/parallel_determinism.rs pin its reports",
+    ),
+    (
+        "fgs::decoder::from_plan",
+        "tests/model_vs_simulation.rs decodes planned frames through a Bernoulli channel with it",
+    ),
+    (
+        "fgs::decoder::CHUNK_BYTES",
+        "decoder::tests and crates/wire/tests/untrusted_frames.rs bound a FrameLog's bytes by it",
+    ),
+    (
+        "fgs::frame::foreman",
+        "the paper's CIF Foreman profile: frame::tests pin it, core::source's tests stream it",
+    ),
+    ("fgs::gop::expected_decodable_fraction", "gop::tests hold propagate_base_loss against it"),
+    (
+        "netsim::sim::deliver",
+        "the port-less delivery the netsim tests' and doc examples' agents are built on",
+    ),
+    (
+        "netsim::stats::variance",
+        "stats::tests check through it the Welford m2 every telemetry summary serializes",
+    ),
+];
+
+/// The item a line defines when it is a plain `pub` item: the name after
+/// `pub fn`, `pub struct`, `pub enum`, `pub trait`, `pub type`, `pub const`,
+/// `pub static` or `pub mod` (`pub const fn` is a fn).
+fn pub_item(line: &str) -> Option<&str> {
+    let rest = line.trim_start().strip_prefix("pub ")?;
+    let kinds =
+        ["const fn ", "fn ", "struct ", "enum ", "trait ", "type ", "const ", "static ", "mod "];
+    let rest = kinds.iter().find_map(|kind| rest.strip_prefix(kind))?;
+    let end = rest.find(|c: char| !is_ident_char(c)).unwrap_or(rest.len());
+    (end > 0).then(|| &rest[..end])
+}
+
+fn is_ident_char(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+/// The lines of `file` that can call an item: its non-test code without
+/// comments and without `pub use` re-exports (a re-export calls nothing;
+/// rustc already flags a plain `use` that nothing reads).
+fn calling_lines(file: &Path) -> Vec<String> {
+    let mut lines = Vec::new();
+    let mut in_reexport = false;
+    for line in non_test_code(file) {
+        let code = line.trim_start();
+        if in_reexport || code.starts_with("pub use ") {
+            in_reexport = !code.contains(';');
+        } else if !code.starts_with("//") {
+            lines.push(line);
+        }
+    }
+    lines
+}
+
+/// `crate::module::name` for an item defined in `file` under
+/// `crates/<crate>/src` (a crate root adds no module).
+fn item_path(file: &Path, name: &str) -> String {
+    let rel = file.strip_prefix(repo().join("crates")).expect("under crates/");
+    let krate = rel.iter().next().expect("a crate directory").to_string_lossy();
+    let module = file.file_stem().expect("a file name").to_string_lossy();
+    match module.as_ref() {
+        "lib" | "main" => format!("{krate}::{name}"),
+        module => format!("{krate}::{module}::{name}"),
+    }
+}
+
+/// A `pub` item that only tests and examples call is machinery the system
+/// ships without using: it goes, moves into the test that uses it, or stays
+/// in [`ALLOWED`] with the test that keeps it. An item is live when its name
+/// is a whole word on some other line of non-test code under `crates/*/src`,
+/// `src/` or `benchmark/src` (the benchmark's aliases are live until the
+/// benchmark stops calling them).
+#[test]
+fn nothing_ships_that_only_a_test_calls() {
+    let callers = [crate_sources(), sources_under("src"), sources_under("benchmark/src")].concat();
+    // How many calling lines name each word, each line counted once.
+    let mut lines_naming = std::collections::HashMap::<String, usize>::new();
+    for file in &callers {
+        for line in calling_lines(file) {
+            let mut words: Vec<&str> = line.split(|c| !is_ident_char(c)).collect();
+            words.sort_unstable();
+            words.dedup();
+            for word in words.into_iter().filter(|w| !w.is_empty()) {
+                *lines_naming.entry(word.to_string()).or_default() += 1;
+            }
+        }
+    }
+    let mut dead = Vec::new();
+    for file in crate_sources() {
+        for name in non_test_code(&file).iter().filter_map(|line| pub_item(line)) {
+            // Its own definition line names it once.
+            if lines_naming.get(name).copied().unwrap_or(0) <= 1 {
+                dead.push(item_path(&file, name));
+            }
+        }
+    }
+    let unlisted: Vec<&String> =
+        dead.iter().filter(|d| !ALLOWED.iter().any(|(path, _)| path == d)).collect();
+    let stale: Vec<&str> = ALLOWED
+        .iter()
+        .map(|(path, _)| *path)
+        .filter(|path| !dead.iter().any(|d| d == path))
+        .collect();
+    assert!(
+        unlisted.is_empty() && stale.is_empty(),
+        "pub items only tests call (delete them, move them into their test, or list them with \
+         a reason): {unlisted:?}\nALLOWED entries that are live again or gone: {stale:?}"
+    );
+    assert!(ALLOWED.iter().all(|(_, reason)| !reason.is_empty()));
 }

@@ -7,14 +7,26 @@ use pels_core::mkc::MkcConfig;
 use pels_core::receiver::PelsReceiver;
 use pels_core::router::{AqmConfig, AqmRouter};
 use pels_core::scenario::{
-    best_effort_flows, pels_flows, to_best_effort, wideband_config, FlowSpec, Scenario,
-    ScenarioConfig,
+    pels_flows, to_best_effort, wideband_config, FlowSpec, Scenario, ScenarioConfig,
 };
-use pels_core::source::{CcSpec, PelsSource};
+use pels_core::source::{CcSpec, PelsSource, SourceMode};
 use pels_fgs::UtilityStats;
 use pels_netsim::time::{Rate, SimDuration, SimTime};
 use pels_topo::spec::{GeneratorSpec, TopoSpec};
 use pels_topo::TopoScenario;
+
+/// Best-effort comparator flows (uniform loss, no coloring) starting at the
+/// given times (seconds).
+fn best_effort_flows(starts_s: &[f64]) -> Vec<FlowSpec> {
+    starts_s
+        .iter()
+        .map(|&s| FlowSpec {
+            start_at: SimDuration::from_secs_f64(s),
+            mode: SourceMode::BestEffort,
+            ..Default::default()
+        })
+        .collect()
+}
 
 fn steady_utility(s: &Scenario, warmup_frames: u64) -> UtilityStats {
     let mut u = UtilityStats::new();
@@ -271,7 +283,7 @@ fn arq_recovers_losses_when_rtt_is_small() {
     // improves over no-ARQ best effort.
     use pels_core::receiver::NackConfig;
     use pels_core::router::QueueMode;
-    use pels_core::source::{ArqConfig, SourceMode};
+    use pels_core::source::ArqConfig;
 
     let base_cfg = || {
         let mut cfg = wideband_config(4, 0.10);
@@ -302,11 +314,9 @@ fn arq_recovers_losses_when_rtt_is_small() {
 }
 
 #[test]
-fn conclusions_hold_under_both_quality_models() {
-    // Robustness of the Fig.-10 conclusion to the quality-map substitution:
-    // whether PSNR comes from the smooth R-D map or the bitplane-structured
-    // model, PELS beats best-effort by a wide margin on the same loss maps.
-    use pels_fgs::bitplane::{BitplaneModel, QualityModel};
+fn conclusions_hold_under_the_rd_quality_model() {
+    // The Fig.-10 conclusion in PSNR: with quality from the smooth R-D map,
+    // PELS beats best-effort by a wide margin on the same loss maps.
     use pels_fgs::psnr::RdModel;
 
     let cfg = wideband_config(4, 0.10);
@@ -316,7 +326,8 @@ fn conclusions_hold_under_both_quality_models() {
     let mut be = Scenario::build(to_best_effort(cfg));
     be.run_until(t);
 
-    let mean_gain = |s: &Scenario, model: &dyn QualityModel| -> f64 {
+    let model = RdModel::foreman_like(300, 42);
+    let mean_gain = |s: &Scenario| -> f64 {
         let mut sum = 0.0;
         let mut base = 0.0;
         for d in s.receiver(0).decode_all() {
@@ -329,17 +340,10 @@ fn conclusions_hold_under_both_quality_models() {
         sum / base - 1.0
     };
 
-    let rd = RdModel::foreman_like(300, 42);
-    let bp = BitplaneModel::foreman_like(300, 42);
-    for (name, model) in [("rd", &rd as &dyn QualityModel), ("bitplane", &bp)] {
-        let g_pels = mean_gain(&pels, model);
-        let g_be = mean_gain(&be, model);
-        assert!(
-            g_pels > 1.5 * g_be,
-            "{name}: PELS gain {g_pels:.3} should dominate best-effort {g_be:.3}"
-        );
-        assert!(g_pels > 0.2, "{name}: PELS gain {g_pels:.3} is substantial");
-    }
+    let g_pels = mean_gain(&pels);
+    let g_be = mean_gain(&be);
+    assert!(g_pels > 1.5 * g_be, "PELS gain {g_pels:.3} should dominate best-effort {g_be:.3}");
+    assert!(g_pels > 0.2, "PELS gain {g_pels:.3} is substantial");
 }
 
 #[test]

@@ -8,9 +8,91 @@ use pels_analysis::useful::{best_effort_utility, expected_useful_fixed};
 use pels_fgs::decoder::{FrameReception, UtilityStats};
 use pels_fgs::packetize::packetize;
 use pels_fgs::scaling::ScaledFrame;
-use pels_netsim::disc::{Discipline, QEntry, QueueLimit, UniformLoss};
+use pels_netsim::disc::{Discipline, DropTail, QEntry, QueueLimit};
 use pels_netsim::event::PacketSlot;
 use pels_netsim::time::SimTime;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::any::Any;
+
+/// A FIFO discipline that drops arriving packets of class `>= protect_below`
+/// uniformly at random with a settable probability: the Bernoulli loss model
+/// of Section 3 (uniform random loss in the FGS enhancement layer with a
+/// "magically" protected base layer) as a netsim [`Discipline`], the oracle
+/// the tests below hold the closed forms and the channel model against.
+#[derive(Debug)]
+struct UniformLoss {
+    inner: DropTail,
+    /// Classes strictly below this value are never randomly dropped.
+    protect_below: u8,
+    drop_prob: f64,
+    rng: StdRng,
+    /// Random drops performed so far.
+    random_drops: u64,
+}
+
+impl UniformLoss {
+    /// Creates a uniform-loss FIFO protecting classes `< protect_below`.
+    fn new(limit: QueueLimit, protect_below: u8, seed: u64) -> Self {
+        UniformLoss {
+            inner: DropTail::new(limit),
+            protect_below,
+            drop_prob: 0.0,
+            rng: StdRng::seed_from_u64(seed),
+            random_drops: 0,
+        }
+    }
+
+    /// Sets the current random drop probability.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside `[0, 1]` or not finite.
+    fn set_drop_prob(&mut self, p: f64) {
+        assert!(p.is_finite() && (0.0..=1.0).contains(&p), "invalid probability: {p}");
+        self.drop_prob = p;
+    }
+}
+
+impl Discipline for UniformLoss {
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn enqueue(&mut self, entry: QEntry, now: SimTime, dropped: &mut Vec<QEntry>) {
+        if entry.class >= self.protect_below
+            && self.drop_prob > 0.0
+            && self.rng.gen::<f64>() < self.drop_prob
+        {
+            self.random_drops += 1;
+            dropped.push(entry);
+            return;
+        }
+        self.inner.enqueue(entry, now, dropped);
+    }
+
+    fn dequeue(&mut self, now: SimTime) -> Option<QEntry> {
+        self.inner.dequeue(now)
+    }
+
+    fn peek_size(&self) -> Option<u32> {
+        self.inner.peek_size()
+    }
+
+    fn len_packets(&self) -> usize {
+        self.inner.len_packets()
+    }
+
+    fn len_bytes(&self) -> u64 {
+        self.inner.len_bytes()
+    }
+}
+
+/// A queue entry: the slot is the packet's identity (the arena is not
+/// involved: slots are opaque to disciplines).
+fn ent(seq: u32, class: u8, size: u32) -> QEntry {
+    QEntry::new(PacketSlot(seq), size, class)
+}
 
 /// Streams `frames` frames of `h` enhancement packets through a Bernoulli
 /// channel and decodes with the real FGS decoder.
@@ -71,7 +153,7 @@ fn montecarlo_and_decoder_agree() {
 
 #[test]
 fn uniform_loss_discipline_is_a_bernoulli_channel() {
-    // The netsim UniformLoss discipline must produce geometric bursts —
+    // The UniformLoss discipline must produce geometric bursts —
     // the Section 3 assumption the best-effort comparator relies on.
     let mut q = UniformLoss::new(QueueLimit::Packets(1_000_000), 0, 23);
     q.set_drop_prob(0.2);
@@ -79,7 +161,7 @@ fn uniform_loss_discipline_is_a_bernoulli_channel() {
     let mut lost_flags = Vec::with_capacity(100_000);
     for seq in 0..100_000u32 {
         let before = dropped.len();
-        q.enqueue(QEntry::new(PacketSlot(seq), 500, 1), SimTime::ZERO, &mut dropped);
+        q.enqueue(ent(seq, 1, 500), SimTime::ZERO, &mut dropped);
         lost_flags.push(dropped.len() > before);
     }
     let bursts = BurstStats::from_sequence(lost_flags.iter().copied());
@@ -88,6 +170,41 @@ fn uniform_loss_discipline_is_a_bernoulli_channel() {
     assert!((bursts.geometric_ratio() - 0.2).abs() < 0.02);
     let loss = lost_flags.iter().filter(|&&l| l).count() as f64 / lost_flags.len() as f64;
     assert!((loss - 0.2).abs() < 0.01);
+}
+
+#[test]
+fn uniform_loss_protects_low_classes() {
+    let mut q = UniformLoss::new(QueueLimit::Packets(100_000), 1, 3);
+    q.set_drop_prob(1.0);
+    let mut d = Vec::new();
+    for i in 0..100u32 {
+        q.enqueue(ent(2 * i, 0, 500), SimTime::ZERO, &mut d); // protected
+        q.enqueue(ent(2 * i + 1, 1, 500), SimTime::ZERO, &mut d); // always dropped
+    }
+    assert_eq!(q.len_packets(), 100);
+    assert_eq!(d.len(), 100);
+    assert_eq!(q.random_drops, 100);
+    assert!(d.iter().all(|e| e.class == 1));
+}
+
+#[test]
+fn uniform_loss_rate_is_approximately_p() {
+    let mut q = UniformLoss::new(QueueLimit::Packets(1_000_000), 1, 11);
+    q.set_drop_prob(0.1);
+    let mut d = Vec::new();
+    let n = 20_000u32;
+    for i in 0..n {
+        q.enqueue(ent(i, 1, 500), SimTime::ZERO, &mut d);
+    }
+    let rate = d.len() as f64 / n as f64;
+    assert!((rate - 0.1).abs() < 0.01, "measured {rate}");
+}
+
+#[test]
+#[should_panic(expected = "invalid probability")]
+fn uniform_loss_rejects_bad_probability() {
+    let mut q = UniformLoss::new(QueueLimit::Packets(10), 1, 0);
+    q.set_drop_prob(1.5);
 }
 
 #[test]

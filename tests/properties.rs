@@ -156,8 +156,7 @@ mod fault_harness {
                 return;
             }
             let pkt = Packet::data(FlowId(0), ctx.self_id, self.port.peer, PACKET_BYTES)
-                .with_seq(self.seq)
-                .with_id(ctx.alloc_packet_id());
+                .with_seq(self.seq);
             self.seq += 1;
             self.sent += 1;
             self.port.send(pkt, ctx);
