@@ -6,19 +6,25 @@
 //! The tracked `results/` CSVs show that only after `run_all`; these tests
 //! pin the FNV-1a digest of the serialized report for a handful of small
 //! configurations — the shared PELS dumbbell at 1 and 2 workers, the
-//! chained layout, best-effort mode, a run under a `FaultSchedule`, one
+//! chained layout, best-effort mode, a dumbbell with every per-flow and
+//! per-run option set (both layouts), a run under a `FaultSchedule`, one
 //! with ACKs mangled as they cross the cut, and a generated topology — so
 //! `cargo test` alone says whether a byte moved.
 //!
 //! The values were recorded on the commit *before* output ports stopped
 //! scheduling idle tx-completes (the mangled-ACK run: before cross-shard
-//! arrivals stopped going through the heap). A digest that changes is a
+//! arrivals stopped going through the heap; the every-option run: before
+//! the dumbbell became a topology model). A digest that changes is a
 //! behaviour change: explain it in EXPERIMENTS.md and re-record, or fix
 //! the code.
 
+use pels_core::receiver::NackConfig;
 use pels_core::scenario::{
-    chained_proportional_config, pels_flows, to_best_effort, Scenario, ScenarioConfig,
+    chained_proportional_config, pels_flows, to_best_effort, FlowSpec, Layout, Scenario,
+    ScenarioConfig,
 };
+use pels_core::source::{ArqConfig, CcSpec, SourceMode};
+use pels_core::GammaConfig;
 use pels_netsim::faults::{ControlFaultPolicy, FaultAction, FaultSchedule};
 use pels_netsim::packet::AgentId;
 use pels_netsim::time::{SimDuration, SimTime};
@@ -67,6 +73,50 @@ fn shared_dumbbell_digest_is_pinned_at_one_and_two_workers() {
 #[test]
 fn chained_digest_is_pinned() {
     assert_eq!(scenario_digest(chained_proportional_config(8), 2, 8.0, None), "45ff602d0edc8703");
+}
+
+/// A small dumbbell that sets every per-run and per-flow option the
+/// network builder carries: an access-delay offset, ARQ with receiver
+/// NACKs, a playout deadline, AIMD, TFRC and best-effort flows beside MKC
+/// ones, non-default γ gains and three TCP flows (in a chain, flow ids
+/// `1000 + i·3 + j`).
+fn every_option(layout: Layout) -> ScenarioConfig {
+    let arq = Some(ArqConfig {});
+    let flows = vec![
+        FlowSpec { arq, ..Default::default() },
+        FlowSpec { arq, extra_delay: SimDuration::from_millis(15), ..Default::default() },
+        FlowSpec { cc: CcSpec::Aimd, start_at: SimDuration::from_millis(40), ..Default::default() },
+        FlowSpec {
+            cc: CcSpec::Tfrc,
+            gamma: GammaConfig { sigma: 0.3, p_thr: 0.8 },
+            ..Default::default()
+        },
+        FlowSpec { mode: SourceMode::BestEffort, ..Default::default() },
+    ];
+    ScenarioConfig {
+        flows,
+        n_tcp: 3,
+        keep_series: false,
+        playout_deadline: Some(SimDuration::from_millis(150)),
+        nack: Some(NackConfig {}),
+        layout,
+        ..Default::default()
+    }
+}
+
+#[test]
+fn every_option_digest_is_pinned_on_both_layouts() {
+    for workers in [1, 2] {
+        assert_eq!(
+            scenario_digest(every_option(Layout::SharedDumbbell), workers, 6.0, None),
+            "96f14971edc91209",
+            "shared, workers={workers}"
+        );
+    }
+    assert_eq!(
+        scenario_digest(every_option(Layout::ChainPerFlow), 2, 6.0, None),
+        "8a5992a11f18fd92"
+    );
 }
 
 #[test]
