@@ -4,25 +4,19 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 echo "== cargo build --release --workspace =="
-# The root Cargo.toml's default-members already name every crate; the flag
-# keeps this step right should they ever narrow.
 cargo build --release --workspace
 
 echo "== benchmark package check (out-of-workspace consumer of pels-wire) =="
-# benchmark/ is its own package, so a public-API break in the crates it
-# compiles against passes every workspace gate and would only surface when
-# the benchmark pipeline runs.
+# benchmark/ is its own package: a break in the crate APIs it compiles
+# against passes every workspace gate. Its tests reach `Scenario` through
+# the `pels_core::parallel::ParallelScenario` re-export.
 cargo check --release --offline --locked --manifest-path benchmark/Cargo.toml
-# Its own smoke (~9 s): the `chained_smoke_digest` determinism gate reaches
-# `Scenario` through the `pels_core::parallel::ParallelScenario` re-export.
 cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
 
 echo "== benchmark smoke (benchmark/run.sh --smoke) =="
-# The repo's one benchmark at smoke size (~9 s): report digest identical at
-# 1 vs 2 workers and run to run, the five workloads on both stacks, the
-# correctness gate (no green drop, leaked flow, decode error or swallowed
-# send), and a working tree left as found. Numbers worth quoting come
-# from the full `benchmark/run.sh` and its `--compare`, not from here.
+# ~9 s: digests equal at 1 vs 2 workers and run to run, five workloads on
+# both stacks, the correctness gate, the tree left as found. Numbers worth
+# quoting come from the full `benchmark/run.sh` and its `--compare`.
 bash benchmark/run.sh --smoke
 
 echo "== binary provenance gate (embedded commit vs HEAD) =="
@@ -51,9 +45,10 @@ done
 # (everything from `#[cfg(test)]` on may call what it likes) and are
 # tests/architecture.rs: the line ratchets, the netsim gates (one tx-complete
 # site, cross-shard packets through the lane only, one fate partition), the
-# sender path wired once, the frame planned not materialised, telemetry
-# scraped not pushed, the pacer blind to the router, packets encoded once at
-# departure, and no `pub` item that only tests call. tests/experiments.rs
+# sender path wired once, a network built in one place
+# (`a_network_is_built_in_one_place`), the frame planned not materialised,
+# telemetry scraped not pushed, the pacer blind to the router, packets
+# encoded once at departure, and no `pub` item that only tests call. tests/experiments.rs
 # checks results/chaos.csv. The determinism of every report is tier-1 too:
 # live and chaos runs repeat in `live::tests::memory_run_is_deterministic`,
 # `wire::chaos::tests::matrix_is_deterministic` and byte_identity.rs, worker
@@ -61,14 +56,11 @@ done
 # scenario tests.
 
 echo "== cargo test (workspace) =="
-# --workspace again: the root package's `cargo test` alone skips every
-# member crate's unit tests (CLI, netsim, wire, ...).
-# Tests pick their output directories by argument; anything they change in
-# the tree (a results/ CSV, say) is a hermeticity bug. This includes
-# crates/cli/tests/byte_identity.rs, which pins the stdout and files of the
-# `pels` binary for one command line per subcommand, and tests/experiments.rs,
-# which runs every figure and ablation row and compares its files with
-# results/ without writing them.
+# --workspace: the root package's `cargo test` alone skips the member
+# crates' unit tests. Tests pick their output directories by argument;
+# anything they change in the tree (a results/ CSV, say) is a hermeticity
+# bug. byte_identity.rs pins the `pels` binary's output per subcommand, and
+# tests/experiments.rs compares every row's files with results/.
 # Compared before/after so the gate also works on uncommitted work; on a
 # clean checkout it is exactly "git status --porcelain prints nothing".
 tree_state() { git status --porcelain; git diff | cksum; }
@@ -86,14 +78,12 @@ echo "== memory budget (live heap per flow, optimised layout) =="
 cargo test -q --release --test memory_budget
 
 echo "== report digests, event budget and exchange budget (optimised build) =="
-# tests/report_digests.rs pins the serialized reports of seven small
-# configurations to digests recorded before ports stopped scheduling idle
-# completions (the run with control faults across the cut: before the
-# lane); tests/event_budget.rs holds events per bottleneck packet at or
-# under 9; tests/exchange_budget.rs pins the event, cross-event and barrier
-# counts of a cut dumbbell and bounds the arrivals that miss the lane. All
-# ran in the debug build above; a report must not depend on the profile
-# either, and release is what the benchmark runs.
+# tests/report_digests.rs pins ten small reports (three set every option
+# the network builder carries, on both layouts);
+# tests/event_budget.rs holds events per bottleneck packet at or under 9;
+# tests/exchange_budget.rs pins a cut dumbbell's event, cross-event and
+# barrier counts and bounds the arrivals that miss the lane. A report must
+# not depend on the profile, and release is what the benchmark runs.
 cargo test -q --release --test report_digests --test event_budget --test exchange_budget
 cargo test -q --release -p pels-cli --test byte_identity
 # The wire's counterparts. crates/wire/tests/wire_budget.rs: 64 and 512

@@ -18,9 +18,12 @@
 //! * [`source`] / [`receiver`] — streaming endpoints: the timers, pacing,
 //!   ARQ and degradation policy around [`flow`]; prefix decoding, delay and
 //!   utility measurement.
-//! * [`scenario`] — the dumbbell evaluation topology (Fig. 6) with TCP
-//!   cross traffic on the sharded engine, plus serializable run reports;
-//!   [`roles`] — agent ids by role and the summaries read off them.
+//! * [`network`] — the network model (routers, links, hosts, traffic
+//!   pairs) and the one builder that turns models into agents, routes and
+//!   the partition graph; [`scenario`] — the dumbbell evaluation topology
+//!   (Fig. 6) as such a model, with TCP cross traffic on the sharded engine,
+//!   plus serializable run reports; [`roles`] — agent ids by role and the
+//!   summaries read off them.
 //! * [`chaos`] — scripted fault scenarios (link failures, feedback loss,
 //!   router flushes) and the one recovery checker both stacks' matrices
 //!   run: their config, invariants and loop.
@@ -49,6 +52,7 @@ pub mod feedback;
 pub mod flow;
 pub mod gamma;
 pub mod mkc;
+pub mod network;
 pub mod parallel;
 pub mod receiver;
 pub mod roles;

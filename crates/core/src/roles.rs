@@ -122,14 +122,6 @@ impl RoleIds {
         total
     }
 
-    /// Base-layer (green) drops summed over every AQM bottleneck port.
-    pub fn green_drops(&self, sim: &ShardedSimulator) -> u64 {
-        self.aqm_routers
-            .iter()
-            .map(|&id| sim.agent::<AqmRouter>(id).port(0).stats.drops_by_class[0])
-            .sum()
-    }
-
     /// Video flows starved by the degradation policy.
     pub fn starved_flows(&self, sim: &ShardedSimulator) -> usize {
         self.sources.iter().filter(|&&id| sim.agent::<PelsSource>(id).is_starved()).count()

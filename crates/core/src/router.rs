@@ -172,12 +172,10 @@ impl AqmRouter {
         }
         bottleneck_port.set_discipline(Self::build_discipline(&cfg));
         let pels_capacity = bottleneck_port.rate.scale(cfg.pels_share);
-        let mut ports = vec![bottleneck_port];
-        for (i, p) in reverse_ports.into_iter().enumerate() {
-            if p.index != i + 1 {
-                return Err(invalid_config("reverse port indices must follow the bottleneck"));
-            }
-            ports.push(p);
+        let mut ports = reverse_ports;
+        ports.insert(0, bottleneck_port);
+        if ports.iter().enumerate().any(|(i, p)| p.index != i) {
+            return Err(invalid_config("reverse port indices must follow the bottleneck"));
         }
         Ok(AqmRouter {
             ports,

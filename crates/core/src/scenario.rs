@@ -9,24 +9,25 @@
 //! R1 is the AQM bottleneck router; its 4 Mb/s link to R2 is shared 50/50
 //! between the PELS queue and the Internet (TCP) queue by WRR. All other
 //! links are 10 Mb/s. Video flows use MKC congestion control and γ-driven
-//! packet coloring; TCP Reno saturates the Internet share.
+//! packet coloring; TCP Reno saturates the Internet share. The dumbbell is
+//! a [`TopoModel`] built by [`Network::append`], one model for the shared
+//! layout and one per flow for [`Layout::ChainPerFlow`].
 
 use crate::gamma::GammaConfig;
 use crate::mkc::{MkcConfig, MkcController};
+use crate::network::{
+    Host, Network, NetworkOptions, RouterLink, TopoModel, TrafficKind, TrafficPair,
+};
 use crate::receiver::PelsReceiver;
 use crate::roles::RoleIds;
 use crate::router::{AqmConfig, AqmRouter, QueueMode};
-use crate::source::{CcSpec, PelsSource, SourceConfig, SourceMode};
+use crate::source::{CcSpec, PelsSource, SourceMode};
 use pels_fgs::decoder::UtilityStats;
 use pels_fgs::frame::VideoTrace;
-use pels_netsim::disc::{DropTail, QueueLimit};
 use pels_netsim::error::invalid_config;
-use pels_netsim::packet::{AgentId, FlowId};
-use pels_netsim::port::Port;
-use pels_netsim::router::{RouteTable, Router};
+use pels_netsim::packet::AgentId;
 use pels_netsim::shard::{Partition, ShardedSimulator, TopologyGraph};
-use pels_netsim::sim::Agent;
-use pels_netsim::tcp::{TcpSink, TcpSource};
+use pels_netsim::tcp::TcpSink;
 use pels_netsim::time::{Rate, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -150,12 +151,22 @@ impl Default for ScenarioConfig {
     }
 }
 
+/// The most TCP flows a scenario may ask for, as many as the CLI's flow
+/// bound: each is two agents, and a count near `u64::MAX` once reached
+/// the allocator.
+pub const MAX_TCP_FLOWS: usize = 1 << 20;
+/// The longest delay a scenario may set (access, per-flow extra, playout
+/// deadline): one hour, far beyond any modelled path, and far enough from
+/// `u64::MAX` nanoseconds that `now + delay` cannot wrap.
+pub const MAX_DELAY: SimDuration = SimDuration::from_secs(3_600);
+
 impl ScenarioConfig {
     /// Rejects values no scenario can run on — a zero bottleneck rate or
     /// packet size, an empty flow list, a trace that fails
-    /// [`VideoTrace::validate`] — before any of them reaches an agent that
-    /// would divide by it. (Delays are unsigned nanosecond counts: every
-    /// representable value is finite and non-negative.)
+    /// [`VideoTrace::validate`], more than [`MAX_TCP_FLOWS`] TCP flows or
+    /// TCP flow ids past `u32`, a delay over [`MAX_DELAY`] — before any of
+    /// them reaches an agent that would divide by it or a clock that would
+    /// wrap.
     pub fn validate(&self) -> Result<(), crate::SimError> {
         if self.flows.is_empty() {
             return Err(invalid_config("a scenario needs at least one video flow"));
@@ -165,6 +176,22 @@ impl ScenarioConfig {
         }
         if self.packet_bytes == 0 {
             return Err(invalid_config("packet size must be positive"));
+        }
+        if self.n_tcp > MAX_TCP_FLOWS {
+            return Err(invalid_config(format!("n_tcp must be at most {MAX_TCP_FLOWS}")));
+        }
+        let chains = match self.layout {
+            Layout::SharedDumbbell => 1,
+            Layout::ChainPerFlow => self.flows.len(),
+        };
+        if self.n_tcp > 0 && tcp_flow_id(chains - 1, self.n_tcp, self.n_tcp - 1).is_none() {
+            return Err(invalid_config("the chains' TCP flow ids overflow u32"));
+        }
+        let extra = self.flows.iter().map(|f| f.extra_delay);
+        let mut delays = [self.access_delay].into_iter().chain(self.playout_deadline).chain(extra);
+        if delays.any(|d| d > MAX_DELAY) {
+            let max_s = MAX_DELAY.as_secs_f64();
+            return Err(invalid_config(format!("delays must be at most {max_s} s")));
         }
         self.trace.validate(self.packet_bytes).map_err(invalid_config)
     }
@@ -198,190 +225,88 @@ pub struct Scenario {
     pub sim: ShardedSimulator,
     ids: RoleIds,
     cfg: ScenarioConfig,
+    /// The model the network was built from, released with the agents it
+    /// describes. Freed at the end of a build, its large buffers let the
+    /// allocator hand memory back that the next build faults in again
+    /// (about 120 page faults per 1,024-flow shared dumbbell).
+    _model: TopoModel,
 }
 
-/// Everything needed to instantiate a scenario: the agents in global-id
-/// order, the link graph for partitioning, and the role ids.
-struct ScenarioParts {
-    agents: Vec<Box<dyn Agent>>,
-    graph: TopologyGraph,
-    ids: RoleIds,
+/// The first TCP flow id on the dumbbell: chain `i`'s TCP flow `j` is
+/// `1000 + i·n_tcp + j` (the shared dumbbell is chain 0).
+const TCP_FLOW_BASE: usize = 1_000;
+
+/// The TCP flow id of chain `i`'s TCP flow `j`, or `None` past `u32`.
+fn tcp_flow_id(i: usize, n_tcp: usize, j: usize) -> Option<u32> {
+    let id = i.checked_mul(n_tcp)?.checked_add(TCP_FLOW_BASE + j)?;
+    u32::try_from(id).ok()
 }
 
-/// Builds the agents, link graph, and role ids for `cfg`. Agent
-/// construction draws no randomness.
-fn build_parts(cfg: &ScenarioConfig) -> Result<ScenarioParts, crate::SimError> {
-    let n = cfg.flows.len();
-    let n_tcp = cfg.n_tcp;
-    // One immutable trace, shared by every source.
-    let trace = Arc::new(cfg.trace.clone());
-    let per_cluster = |flows: usize| 2 + 2 * flows + 2 * n_tcp;
-    let empty = |total: usize| ScenarioParts {
-        agents: Vec::with_capacity(total),
-        graph: TopologyGraph::new(total),
-        ids: RoleIds::default(),
+/// Builds the agents, link graph and role ids of `cfg` from the Fig. 6
+/// dumbbell as a model: R1 (router 0) reaches R2 (router 1) over the
+/// designated bottleneck link, and the hosts are the video sources, the
+/// receivers, the TCP sources and the TCP sinks, in that order. The shared
+/// dumbbell is one such model; [`Layout::ChainPerFlow`] appends one per
+/// flow, restamping a single chain model with each flow's choices, source
+/// delay and ids.
+fn network(cfg: &ScenarioConfig) -> Result<(Network, TopoModel), crate::SimError> {
+    let opts = NetworkOptions {
+        aqm: cfg.aqm,
+        keep_series: cfg.keep_series,
+        trace: Arc::new(cfg.trace.clone()),
+        packet_bytes: cfg.packet_bytes,
+        playout_deadline: cfg.playout_deadline,
+        nack: cfg.nack.is_some(),
     };
-    match cfg.layout {
-        Layout::SharedDumbbell => {
-            let mut parts = empty(per_cluster(n));
-            let flow_ids: Vec<u32> = (0..n as u32).collect();
-            push_dumbbell(cfg, &trace, &cfg.flows, 0, &flow_ids, 1000, &mut parts)?;
-            Ok(parts)
-        }
-        Layout::ChainPerFlow => {
-            let per_chain = per_cluster(1);
-            let mut parts = empty(n * per_chain);
-            for i in 0..n {
-                push_dumbbell(
-                    cfg,
-                    &trace,
-                    std::slice::from_ref(&cfg.flows[i]),
-                    (i * per_chain) as u32,
-                    &[i as u32],
-                    (1000 + i * n_tcp) as u32,
-                    &mut parts,
-                )?;
-            }
-            Ok(parts)
-        }
-    }
-}
-
-/// Appends one dumbbell cluster — AQM router, far router, `flows.len()`
-/// video flows, `cfg.n_tcp` TCP flows — to `parts`, with agent ids offset
-/// by `id_base` and video flows numbered by `flow_ids` (global indices).
-/// With `id_base = 0` and all flows this is exactly the paper's Fig. 6
-/// topology and the historical agent-id layout.
-fn push_dumbbell(
-    cfg: &ScenarioConfig,
-    trace: &Arc<VideoTrace>,
-    flows: &[FlowSpec],
-    id_base: u32,
-    flow_ids: &[u32],
-    tcp_flow_base: u32,
-    parts: &mut ScenarioParts,
-) -> Result<(), crate::SimError> {
-    let n = flows.len();
+    let n = match cfg.layout {
+        Layout::SharedDumbbell => cfg.flows.len(),
+        Layout::ChainPerFlow => 1,
+    };
     let n_tcp = cfg.n_tcp;
-
-    // Agent id layout within the cluster (ids are assigned in push order):
-    // base     = R1 (AQM bottleneck), base + 1 = R2,
-    // base + 2 .. +n                = video sources,
-    // .. + n                        = video receivers,
-    // .. + n_tcp                    = TCP sources,
-    // .. + n_tcp                    = TCP sinks.
-    let r1 = AgentId(id_base);
-    let r2 = AgentId(id_base + 1);
-    let src_id = |i: usize| AgentId(id_base + (2 + i) as u32);
-    let rcv_id = |i: usize| AgentId(id_base + (2 + n + i) as u32);
-    let tcp_src_id = |j: usize| AgentId(id_base + (2 + 2 * n + j) as u32);
-    let tcp_sink_id = |j: usize| AgentId(id_base + (2 + 2 * n + n_tcp + j) as u32);
-
-    debug_assert_eq!(parts.agents.len(), id_base as usize, "id_base must match push order");
-    let q = |limit: usize| Box::new(DropTail::new(QueueLimit::Packets(limit)));
-
-    // --- R1: the AQM bottleneck router ---
-    let bottleneck_port = Port::new(0, r2, cfg.bottleneck, BOTTLENECK_DELAY, q(1));
-    parts.graph.add_link(r1, r2, BOTTLENECK_DELAY);
-    let mut r1_reverse = Vec::new();
-    let mut r1_routes = RouteTable::new();
-    for (i, flow) in flows.iter().enumerate() {
-        r1_routes.add(rcv_id(i), 0);
-        let port_idx = 1 + i;
-        r1_routes.add(src_id(i), port_idx);
-        let delay = cfg.access_delay + flow.extra_delay;
-        r1_reverse.push(Port::new(port_idx, src_id(i), ACCESS_RATE, delay, q(200)));
-        parts.graph.add_link(src_id(i), r1, delay);
+    let host = Host { router: 0, rate: ACCESS_RATE, delay: cfg.access_delay, queue: 200 };
+    let mut hosts = Vec::with_capacity(2 * (n + n_tcp));
+    for (router, count) in [(0, n), (1, n), (0, n_tcp), (1, n_tcp)] {
+        hosts.extend(std::iter::repeat_n(Host { router, ..host }, count));
     }
-    for j in 0..n_tcp {
-        r1_routes.add(tcp_sink_id(j), 0);
-        let port_idx = 1 + n + j;
-        r1_routes.add(tcp_src_id(j), port_idx);
-        r1_reverse.push(Port::new(port_idx, tcp_src_id(j), ACCESS_RATE, cfg.access_delay, q(200)));
-        parts.graph.add_link(tcp_src_id(j), r1, cfg.access_delay);
-    }
-    parts.agents.push(Box::new(AqmRouter::try_new(
-        bottleneck_port,
-        r1_reverse,
-        r1_routes,
-        cfg.aqm,
-        cfg.keep_series,
-    )?));
-    parts.ids.routers.extend([r1, r2]);
-    parts.ids.aqm_routers.push(r1);
-
-    // --- R2: plain far-side router ---
-    let mut r2_ports = vec![Port::new(0, r1, cfg.bottleneck, BOTTLENECK_DELAY, q(200))];
-    let mut r2_routes = RouteTable::new();
-    for i in 0..n {
-        r2_routes.add(src_id(i), 0);
-        let port_idx = 1 + i;
-        r2_routes.add(rcv_id(i), port_idx);
-        r2_ports.push(Port::new(port_idx, rcv_id(i), ACCESS_RATE, cfg.access_delay, q(200)));
-        parts.graph.add_link(r2, rcv_id(i), cfg.access_delay);
-    }
-    for j in 0..n_tcp {
-        r2_routes.add(tcp_src_id(j), 0);
-        let port_idx = 1 + n + j;
-        r2_routes.add(tcp_sink_id(j), port_idx);
-        r2_ports.push(Port::new(port_idx, tcp_sink_id(j), ACCESS_RATE, cfg.access_delay, q(200)));
-        parts.graph.add_link(r2, tcp_sink_id(j), cfg.access_delay);
-    }
-    parts.agents.push(Box::new(Router::new(r2_ports, r2_routes)));
-
-    // --- Video sources ---
-    for (i, spec) in flows.iter().enumerate() {
-        let delay = cfg.access_delay + spec.extra_delay;
-        let port = Port::new(0, r1, ACCESS_RATE, delay, q(400));
-        let sc = SourceConfig {
-            flow: FlowId(flow_ids[i]),
-            dst: rcv_id(i),
-            start_at: spec.start_at,
-            stop_at: None,
-            trace: Arc::clone(trace),
-            cc: spec.cc,
-            gamma: spec.gamma,
-            packet_bytes: cfg.packet_bytes,
-            mode: spec.mode,
-            arq: spec.arq.is_some(),
-            keep_series: cfg.keep_series,
-        };
-        parts.agents.push(Box::new(PelsSource::new(sc, port)));
-        parts.ids.sources.push(src_id(i));
-    }
-
-    // --- Video receivers ---
-    for (i, &flow_id) in flow_ids.iter().enumerate() {
-        let port = Port::new(0, r2, ACCESS_RATE, cfg.access_delay, q(400));
-        let mut rx = PelsReceiver::new(FlowId(flow_id), port, cfg.keep_series);
-        if let Some(d) = cfg.playout_deadline {
-            rx = rx.with_deadline(d);
+    // Every pair's kind is stamped below, chain by chain.
+    let pairs = (0..n + n_tcp)
+        .map(|p| {
+            let (src_host, dst_host) = if p < n { (p, n + p) } else { (n + p, n + n_tcp + p) };
+            let (kind, path) = (TrafficKind::Tcp { flow: 0 }, vec![0, 1]);
+            TrafficPair { kind, src_host, dst_host, path, ack_path: None }
+        })
+        .collect();
+    let bottleneck = RouterLink {
+        rate_ab: cfg.bottleneck,
+        rate_ba: cfg.bottleneck,
+        aqm_ab: true,
+        ..RouterLink::plain(0, 1, BOTTLENECK_DELAY)
+    };
+    let links = vec![bottleneck];
+    let mut model = TopoModel { family: "dumbbell".into(), n_routers: 2, links, hosts, pairs };
+    let (chains, hosts) = (cfg.flows.len() / n, model.hosts.len());
+    let mut net = Network::new(chains * (2 + hosts), chains * (1 + hosts));
+    for (i, flows) in cfg.flows.chunks(n).enumerate() {
+        for (k, f) in flows.iter().enumerate() {
+            model.hosts[k].delay = cfg.access_delay + f.extra_delay;
+            model.pairs[k].kind = TrafficKind::Video {
+                flow: (i * n + k) as u32,
+                start: f.start_at,
+                stop: None,
+                cc: f.cc,
+                gamma: f.gamma,
+                mode: f.mode,
+                arq: f.arq.is_some(),
+            };
         }
-        if cfg.nack.is_some() {
-            rx = rx.with_nack();
+        for (j, pair) in model.pairs[n..].iter_mut().enumerate() {
+            let flow =
+                tcp_flow_id(i, n_tcp, j).ok_or_else(|| invalid_config("TCP ids past u32"))?;
+            pair.kind = TrafficKind::Tcp { flow };
         }
-        parts.agents.push(Box::new(rx));
-        parts.ids.receivers.push(rcv_id(i));
+        net.append(&model, &opts)?;
     }
-
-    // --- TCP cross traffic ---
-    for j in 0..n_tcp {
-        let port = Port::new(0, r1, ACCESS_RATE, cfg.access_delay, q(400));
-        parts.agents.push(Box::new(TcpSource::new(
-            port,
-            FlowId(tcp_flow_base + j as u32),
-            tcp_sink_id(j),
-            TCP_PACKET_BYTES,
-            SimDuration::ZERO,
-        )));
-        parts.ids.tcp_sources.push(tcp_src_id(j));
-    }
-    for j in 0..n_tcp {
-        let port = Port::new(0, r2, ACCESS_RATE, cfg.access_delay, q(400));
-        parts.agents.push(Box::new(TcpSink::new(port, FlowId(tcp_flow_base + j as u32))));
-        parts.ids.tcp_sinks.push(tcp_sink_id(j));
-    }
-    Ok(())
+    Ok((net, model))
 }
 
 impl Scenario {
@@ -411,9 +336,9 @@ impl Scenario {
         partition: impl FnOnce(&TopologyGraph) -> Partition,
     ) -> Result<Self, crate::SimError> {
         cfg.validate()?;
-        let parts = build_parts(&cfg)?;
-        let sim = ShardedSimulator::new(cfg.seed, &partition(&parts.graph), parts.agents);
-        Ok(Scenario { sim, ids: parts.ids, cfg })
+        let (net, model) = network(&cfg)?;
+        let sim = ShardedSimulator::new(cfg.seed, &partition(&net.graph), net.agents);
+        Ok(Scenario { sim, ids: net.ids, cfg, _model: model })
     }
 
     /// Sets the number of OS threads used per window. This affects wall
@@ -421,17 +346,6 @@ impl Scenario {
     /// the partition.
     pub fn set_workers(&mut self, workers: usize) {
         self.sim.set_workers(workers);
-    }
-
-    /// Number of shards the topology was split into.
-    pub fn n_shards(&self) -> usize {
-        self.sim.n_shards()
-    }
-
-    /// The conservative window size, if this partition needs windows
-    /// (`None` for component partitions, which never exchange events).
-    pub fn lookahead(&self) -> Option<SimDuration> {
-        self.sim.lookahead()
     }
 
     /// Agent ids by role, for typed access through [`Scenario::sim`].
@@ -455,24 +369,9 @@ impl Scenario {
         self.sim.run_until(t);
     }
 
-    /// Runs the scenario for `d` more simulated time.
-    pub fn run_for(&mut self, d: SimDuration) {
-        self.sim.run_for(d);
-    }
-
     /// The scenario configuration.
     pub fn config(&self) -> &ScenarioConfig {
         &self.cfg
-    }
-
-    /// Total simulator events processed so far, across all shards.
-    pub fn events_processed(&self) -> u64 {
-        self.sim.events_processed()
-    }
-
-    /// High-water mark of the deepest single shard's event queue.
-    pub fn peak_queue_depth(&self) -> usize {
-        self.sim.peak_queue_depth()
     }
 
     /// Typed access to video source `i`.
@@ -974,8 +873,8 @@ mod tests {
     #[test]
     fn chained_layout_shards_per_flow() {
         let sc = Scenario::build(chained_proportional_config(6));
-        assert_eq!(sc.n_shards(), 6);
-        assert_eq!(sc.lookahead(), None);
+        assert_eq!(sc.sim.n_shards(), 6);
+        assert_eq!(sc.sim.lookahead(), None);
         assert_eq!(sc.router_ids().len(), 6);
     }
 
@@ -993,6 +892,58 @@ mod tests {
             .collect();
         assert_eq!(reports[0], reports[1]);
         assert_eq!(reports[0], reports[2]);
+    }
+
+    /// `validate` alone, so a count the builder would try to allocate is
+    /// never built.
+    fn rejected(cfg: ScenarioConfig) -> bool {
+        matches!(cfg.validate(), Err(crate::SimError::InvalidConfig(_)))
+    }
+
+    #[test]
+    fn a_trillion_tcp_flows_are_rejected() {
+        // Once: "memory allocation of 32000000000096 bytes failed".
+        assert!(rejected(ScenarioConfig { n_tcp: 1_000_000_000_000, ..Default::default() }));
+    }
+
+    #[test]
+    fn five_million_tcp_flows_are_rejected() {
+        // Once: a one-second run still busy after 20 s.
+        assert!(rejected(ScenarioConfig { n_tcp: 5_000_000, ..Default::default() }));
+        assert!(!rejected(ScenarioConfig { n_tcp: MAX_TCP_FLOWS, ..Default::default() }));
+    }
+
+    #[test]
+    fn chain_tcp_ids_past_u32_are_rejected() {
+        // 4096 chains of 2^20 TCP flows number past u32: the ids wrapped.
+        let mut cfg = chained_proportional_config(4_096);
+        cfg.n_tcp = MAX_TCP_FLOWS;
+        assert!(rejected(cfg.clone()));
+        cfg.n_tcp = 1_000;
+        assert!(!rejected(cfg));
+    }
+
+    #[test]
+    fn an_access_delay_near_u64_max_is_rejected() {
+        // Once: `now + delay` wrapped into a lookahead violation.
+        let access_delay = SimDuration::from_nanos(u64::MAX);
+        assert!(rejected(ScenarioConfig { access_delay, ..Default::default() }));
+        let access_delay = MAX_DELAY;
+        assert!(!rejected(ScenarioConfig { access_delay, ..Default::default() }));
+    }
+
+    #[test]
+    fn an_extra_delay_near_u64_max_is_rejected() {
+        // Once: the same wrap, on one flow's access link, and exit 0.
+        let mut cfg = ScenarioConfig::default();
+        cfg.flows[1].extra_delay = SimDuration::from_nanos(u64::MAX - 1_000);
+        assert!(rejected(cfg));
+    }
+
+    #[test]
+    fn a_playout_deadline_past_an_hour_is_rejected() {
+        let playout_deadline = Some(MAX_DELAY + SimDuration::from_nanos(1));
+        assert!(rejected(ScenarioConfig { playout_deadline, ..Default::default() }));
     }
 
     #[test]

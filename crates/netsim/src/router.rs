@@ -26,6 +26,11 @@ impl RouteTable {
         Self::default()
     }
 
+    /// An empty table with room for `n` routes.
+    pub fn with_capacity(n: usize) -> Self {
+        RouteTable { routes: FastMap::with_capacity_and_hasher(n, Default::default()) }
+    }
+
     /// Adds a host route.
     pub fn add(&mut self, dst: AgentId, port: usize) -> &mut Self {
         self.routes.insert(dst, port);

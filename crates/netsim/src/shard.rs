@@ -97,7 +97,12 @@ pub struct TopologyGraph {
 impl TopologyGraph {
     /// Creates a graph over `n_agents` agents with no links yet.
     pub fn new(n_agents: usize) -> Self {
-        TopologyGraph { n_agents, edges: Vec::new() }
+        Self::with_capacity(n_agents, 0)
+    }
+
+    /// [`TopologyGraph::new`] with room for `n_links` links.
+    pub fn with_capacity(n_agents: usize, n_links: usize) -> Self {
+        TopologyGraph { n_agents, edges: Vec::with_capacity(n_links) }
     }
 
     /// Adds a full-duplex link between `a` and `b` with one-way

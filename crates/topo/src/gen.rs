@@ -23,7 +23,8 @@
 
 use crate::model::{Host, RouterLink, TopoModel, TrafficKind, TrafficPair};
 use crate::spec::{GeneratorSpec, TopoSpec};
-use pels_core::SimError;
+use pels_core::source::{CcSpec, SourceMode};
+use pels_core::{GammaConfig, SimError};
 use pels_netsim::error::invalid_config;
 use pels_netsim::time::{Rate, SimDuration, SimTime};
 use std::collections::{BTreeSet, HashMap};
@@ -68,10 +69,11 @@ impl Prng {
     }
 }
 
-/// Generates the full topology + traffic model for `spec`: base family,
-/// then TCP herds, Poisson bursts, and capacity finalization. The result
-/// passes [`crate::model::validate`].
+/// Checks `spec` ([`TopoSpec::validate`]) and generates its full topology +
+/// traffic model: base family, then TCP herds, Poisson bursts, and capacity
+/// finalization. The result passes [`crate::model::validate`].
 pub fn generate(spec: &TopoSpec) -> Result<TopoModel, SimError> {
+    spec.validate()?;
     if spec.flows() == 0 {
         return Err(invalid_config("a topo scenario needs at least one video flow"));
     }
@@ -91,22 +93,31 @@ pub fn generate(spec: &TopoSpec) -> Result<TopoModel, SimError> {
     Ok(model)
 }
 
-/// Arrival/departure schedule for video flow `v` of `n`: starts staggered
-/// across 0.1 s (avoiding phase-locked frame clocks), shifted by flash-crowd
-/// wave, with the highest-numbered fraction departing mid-run.
-fn video_schedule(spec: &TopoSpec, v: usize, n: usize) -> (SimDuration, Option<SimDuration>) {
+/// Video flow `v` of `n` as the generators run it — MKC and γ at their
+/// default gains, PELS marking, no ARQ — on its arrival/departure schedule:
+/// starts staggered across 0.1 s (avoiding phase-locked frame clocks),
+/// shifted by flash-crowd wave, with the highest-numbered fraction
+/// departing mid-run.
+fn video(spec: &TopoSpec, v: usize, n: usize) -> TrafficKind {
     let mut start_s = 0.1 * v as f64 / n.max(1) as f64;
     let mut stop = None;
     if let Some(fc) = &spec.flash_crowd {
-        let waves = fc.waves.max(1);
-        start_s += (v * waves / n.max(1)) as f64 * fc.wave_gap_s.unwrap_or(5.0).max(0.0);
-        let frac = fc.depart_fraction.unwrap_or(0.0).clamp(0.0, 1.0);
+        start_s += (v * fc.waves / n.max(1)) as f64 * fc.wave_gap_s.unwrap_or(5.0);
+        let frac = fc.depart_fraction.unwrap_or(0.0);
         let departing = (frac * n as f64).ceil() as usize;
         if departing > 0 && v + departing >= n {
             stop = Some(SimDuration::from_secs_f64(fc.depart_at_s.unwrap_or(60.0)));
         }
     }
-    (SimDuration::from_secs_f64(start_s), stop)
+    TrafficKind::Video {
+        flow: v as u32,
+        start: SimDuration::from_secs_f64(start_s),
+        stop,
+        cc: CcSpec::default(),
+        gamma: GammaConfig::default(),
+        mode: SourceMode::Pels,
+        arq: false,
+    }
 }
 
 fn add_host(model: &mut TopoModel, router: usize, delay: SimDuration) -> usize {
@@ -151,21 +162,14 @@ fn parking_lot(segments: usize, cross: usize, spec: &TopoSpec) -> Result<TopoMod
     let n_video = long + segments * cross;
     let mut flow = 0u32;
     for v in 0..long {
-        let (start, stop) = video_schedule(spec, v, n_video);
         let path: Vec<usize> = (0..=segments).collect();
-        add_pair(&mut model, TrafficKind::Video { flow, start, stop }, path, None, host_delay);
+        add_pair(&mut model, video(spec, v, n_video), path, None, host_delay);
         flow += 1;
     }
     for seg in 0..segments {
         for _ in 0..cross {
-            let (start, stop) = video_schedule(spec, flow as usize, n_video);
-            add_pair(
-                &mut model,
-                TrafficKind::Video { flow, start, stop },
-                vec![seg, seg + 1],
-                None,
-                host_delay,
-            );
+            let path = vec![seg, seg + 1];
+            add_pair(&mut model, video(spec, flow as usize, n_video), path, None, host_delay);
             flow += 1;
         }
     }
@@ -228,14 +232,7 @@ fn fat_tree(k: usize, spec: &TopoSpec) -> Result<TopoModel, SimError> {
         let a2 = (e + 1) % h;
         let path = vec![edge(p, e), agg(p, e), e * h, agg(p2, e), edge(p2, e)];
         let ack = vec![edge(p2, e), agg(p2, a2), a2 * h + 1, agg(p, a2), edge(p, e)];
-        let (start, stop) = video_schedule(spec, v, n);
-        add_pair(
-            &mut model,
-            TrafficKind::Video { flow: v as u32, start, stop },
-            path,
-            Some(ack),
-            host_delay,
-        );
+        add_pair(&mut model, video(spec, v, n), path, Some(ack), host_delay);
     }
     Ok(model)
 }
@@ -387,14 +384,7 @@ fn waxman(routers: usize, alpha: f64, beta: f64, spec: &TopoSpec) -> Result<Topo
                 path = vec![path[0], d];
             }
         }
-        let (start, stop) = video_schedule(spec, v, n);
-        add_pair(
-            &mut model,
-            TrafficKind::Video { flow: v as u32, start, stop },
-            path,
-            None,
-            host_delay,
-        );
+        add_pair(&mut model, video(spec, v, n), path, None, host_delay);
     }
     Ok(model)
 }
@@ -445,11 +435,8 @@ fn add_poisson_bursts(model: &mut TopoModel, spec: &TopoSpec) {
         return;
     }
     let host_delay = SimDuration::from_micros(500);
-    let start = SimDuration::from_secs_f64(ps.start_s.unwrap_or(0.0).max(0.0));
-    let stop = match ps.stop_s {
-        Some(s) => SimTime::ZERO + SimDuration::from_secs_f64(s.max(0.0)),
-        None => SimTime::MAX,
-    };
+    let start = SimDuration::from_secs_f64(ps.start_s.unwrap_or(0.0));
+    let stop = ps.stop_s.map_or(SimTime::MAX, |s| SimTime::ZERO + SimDuration::from_secs_f64(s));
     for i in 0..ps.bursts.unwrap_or(1) {
         let bn = &bns[i % bns.len()];
         add_pair(
@@ -481,21 +468,18 @@ fn finalize(model: &mut TopoModel, spec: &TopoSpec) {
     let floor = (2.0 * budget / share).max(1_000_000.0);
     let bns = crate::model::bottlenecks(model, spec);
 
-    let mut hop_link: HashMap<(usize, usize), usize> = HashMap::new();
-    for (li, l) in model.links.iter().enumerate() {
-        hop_link.insert((l.a, l.b), li);
-        hop_link.insert((l.b, l.a), li);
-    }
-
-    // Pass 1: designated egress rates from the budget.
-    let mut designated_raw: HashMap<(usize, usize), f64> = HashMap::new();
-    for bn in &bns {
-        let li = hop_link[&(bn.router, bn.next_hop)];
-        let factor = model.links[li].aqm_factor;
-        let raw =
-            ((bn.video_flows.len() as f64 * budget * factor + bn.cbr_load_bps) / share).max(floor);
-        set_rate(&mut model.links[li], bn.router, raw);
-        designated_raw.insert((bn.router, bn.next_hop), raw);
+    // Pass 1: designated egress rates from the budget, by owning router
+    // (`bns` has one row per such router, in router order).
+    let mut designated_raw: Vec<Option<(usize, f64)>> = vec![None; model.n_routers];
+    for l in &mut model.links {
+        for (from, to, designated) in [(l.a, l.b, l.aqm_ab), (l.b, l.a, l.aqm_ba)] {
+            let row = bns.binary_search_by_key(&from, |b| b.router);
+            let (Ok(row), true) = (row, designated) else { continue };
+            let (n, cbr) = (bns[row].video_flows.len() as f64, bns[row].cbr_load_bps);
+            let raw = ((n * budget * l.aqm_factor + cbr) / share).max(floor);
+            set_rate(l, from, raw);
+            designated_raw[from] = Some((to, raw));
+        }
     }
 
     // Pass 2: per-directed-hop crossing load.
@@ -508,7 +492,8 @@ fn finalize(model: &mut TopoModel, spec: &TopoSpec) {
             TrafficKind::Tcp { .. } => pair
                 .path
                 .windows(2)
-                .find_map(|w| designated_raw.get(&(w[0], w[1])))
+                .find_map(|w| designated_raw[w[0]].filter(|&(to, _)| to == w[1]))
+                .map(|(_, raw)| raw)
                 .map(|raw| raw * (1.0 - share) / spec.tcp_per_path().max(1) as f64)
                 .unwrap_or(envelope),
             TrafficKind::Cbr { rate, .. } => rate.as_bps() as f64,
@@ -579,10 +564,12 @@ mod tests {
     fn fat_tree_ack_paths_avoid_designated_uplinks() {
         let spec = TopoSpec::from_shorthand("fattree:k=4,flows=8").unwrap();
         let model = generate(&spec).unwrap();
+        let egress = crate::model::designated_egress(&model);
         for pair in &model.pairs {
             if let Some(ack) = &pair.ack_path {
                 for w in ack.windows(2) {
-                    assert!(!model.is_designated(w[0], w[1]), "ack hop {w:?} is designated");
+                    let designated = egress[w[0]].is_some_and(|(next, _)| next == w[1]);
+                    assert!(!designated, "ack hop {w:?} is designated");
                 }
             }
         }

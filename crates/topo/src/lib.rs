@@ -11,8 +11,9 @@
 //!   random graph) plus the cross-traffic composer (TCP Reno herds, Poisson
 //!   CBR bursts, flash-crowd arrival/departure schedules) and capacity
 //!   finalization;
-//! - [`model`] — the intermediate [`model::TopoModel`] and its compiler to
-//!   `netsim` agents + the shard partitioner's link graph;
+//! - [`model`] — the [`model::TopoModel`] (re-exported from
+//!   `pels_core::network`, whose builder wires it into agents and the shard
+//!   partitioner's link graph), its checks and its bottleneck table;
 //! - [`maxmin`] — the water-filling max-min + MKC `α/β` reference
 //!   (Lemma 6 generalized to many bottlenecks);
 //! - [`scenario`] — [`scenario::TopoScenario`], running a generated

@@ -19,7 +19,6 @@
 //! unbound flows and fix the globally lowest-rate (highest-price) one.
 
 use crate::model::{Bottleneck, TopoModel, TrafficKind};
-use crate::spec::TopoSpec;
 use pels_core::mkc::{MkcConfig, MIN_RATE};
 use pels_netsim::time::SimDuration;
 
@@ -64,7 +63,6 @@ fn bottleneck_rate(m: f64, c: f64, f: f64, offset: f64) -> f64 {
 /// controller's `[MIN_RATE, max_rate]`.
 pub fn predict(
     model: &TopoModel,
-    spec: &TopoSpec,
     bottlenecks: &[Bottleneck],
     horizon: SimDuration,
     cc: &MkcConfig,
@@ -121,7 +119,6 @@ pub fn predict(
             Some(rate[v].unwrap_or(0.0).clamp(min_bps, max_bps) / 1e3)
         })
         .collect();
-    let _ = spec; // spec reserved for future per-flow budgets
     Prediction { flow_kbps, bound_at, offset_kbps: offset_bps / 1e3 }
 }
 
@@ -139,7 +136,7 @@ mod tests {
         let bns = crate::model::bottlenecks(&model, &spec);
         assert_eq!(bns.len(), 1);
         let cc = MkcConfig::default();
-        let p = predict(&model, &spec, &bns, SimDuration::from_secs(30), &cc);
+        let p = predict(&model, &bns, SimDuration::from_secs(30), &cc);
         let expected = bns[0].pels_capacity.as_kbps() / 4.0 + 40.0;
         for r in &p.flow_kbps {
             let r = r.expect("all flows active");
@@ -161,7 +158,7 @@ mod tests {
         let model = crate::gen::generate(&spec).unwrap();
         let bns = crate::model::bottlenecks(&model, &spec);
         let cc = MkcConfig::default();
-        let p = predict(&model, &spec, &bns, SimDuration::from_secs(30), &cc);
+        let p = predict(&model, &bns, SimDuration::from_secs(30), &cc);
         let long = p.flow_kbps[0].unwrap();
         assert!((long - 360.0).abs() < 1e-6, "long flows at Lemma 6: {long}");
         let cross0 = p.flow_kbps[3].unwrap();
@@ -183,7 +180,7 @@ mod tests {
         let model = crate::gen::generate(&spec).unwrap();
         let bns = crate::model::bottlenecks(&model, &spec);
         let cc = MkcConfig::default();
-        let p = predict(&model, &spec, &bns, SimDuration::from_secs(30), &cc);
+        let p = predict(&model, &bns, SimDuration::from_secs(30), &cc);
         assert!(p.flow_kbps[3].is_none(), "departed flow has no stationary rate");
         let survivor = p.flow_kbps[0].unwrap();
         // Capacity was sized for 4 flows; 2 survivors split it.

@@ -19,9 +19,10 @@ use pels_core::receiver::PelsReceiver;
 use pels_core::roles::RoleIds;
 use pels_core::source::PelsSource;
 use pels_core::SimError;
+use pels_netsim::packet::AgentId;
 use pels_netsim::shard::{Partition, ShardedSimulator};
 use pels_netsim::tcp::TcpSink;
-use pels_netsim::time::{SimDuration, SimTime};
+use pels_netsim::time::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// One bottleneck's predicted-vs-measured row in a [`TopoReport`].
@@ -145,7 +146,9 @@ impl TopoScenario {
     pub fn try_from_model(model: TopoModel, spec: TopoSpec) -> Result<Self, SimError> {
         let compiled = compile(&model, &spec)?;
         let partition = Partition::auto(&compiled.graph);
-        let cut_links = cut_link_count(&model, &partition);
+        let shard = |a: AgentId| partition.shard_of[a.0 as usize];
+        let edges = compiled.graph.edges().iter();
+        let cut_links = edges.filter(|&&(a, b, _)| shard(a) != shard(b)).count();
         let sim = ShardedSimulator::new(spec.seed(), &partition, compiled.agents);
         Ok(TopoScenario {
             sim,
@@ -173,19 +176,9 @@ impl TopoScenario {
         self.sim.run_until(t);
     }
 
-    /// Runs for `d` more simulated time.
-    pub fn run_for(&mut self, d: SimDuration) {
-        self.sim.run_for(d);
-    }
-
     /// The generated model.
     pub fn model(&self) -> &TopoModel {
         &self.model
-    }
-
-    /// The spec the scenario was built from.
-    pub fn spec(&self) -> &TopoSpec {
-        &self.spec
     }
 
     /// Agent ids by role, for typed access through [`TopoScenario::sim`].
@@ -196,31 +189,6 @@ impl TopoScenario {
     /// The bottleneck table.
     pub fn bottlenecks(&self) -> &[Bottleneck] {
         &self.bottlenecks
-    }
-
-    /// Shards the topology was split into.
-    pub fn n_shards(&self) -> usize {
-        self.sim.n_shards()
-    }
-
-    /// The conservative window size, if this partition windows.
-    pub fn lookahead(&self) -> Option<SimDuration> {
-        self.sim.lookahead()
-    }
-
-    /// Links crossing shard boundaries.
-    pub fn cut_links(&self) -> usize {
-        self.cut_links
-    }
-
-    /// High-water mark of the deepest single shard's event queue.
-    pub fn peak_queue_depth(&self) -> usize {
-        self.sim.peak_queue_depth()
-    }
-
-    /// Base-layer (green) drops summed over every designated AQM egress.
-    pub fn green_drops(&self) -> u64 {
-        self.ids.green_drops(&self.sim)
     }
 
     /// Video flows starved by the degradation policy.
@@ -241,7 +209,7 @@ impl TopoScenario {
     /// The max-min + offset prediction at the current horizon.
     pub fn prediction(&self) -> Prediction {
         let horizon = self.sim.now() - SimTime::ZERO;
-        maxmin::predict(&self.model, &self.spec, &self.bottlenecks, horizon, &MkcConfig::default())
+        maxmin::predict(&self.model, &self.bottlenecks, horizon, &MkcConfig::default())
     }
 
     /// Summarizes the run: engine stats plus the per-bottleneck
@@ -366,24 +334,6 @@ pub fn to_csv(report: &TopoReport) -> String {
         ));
     }
     out
-}
-
-/// Counts topology links (router-router and host access) whose endpoints
-/// land in different shards — the partitioner's cut quality.
-fn cut_link_count(model: &TopoModel, partition: &Partition) -> usize {
-    let shard = |agent: usize| partition.shard_of[agent];
-    let mut cut = 0;
-    for l in &model.links {
-        if shard(l.a) != shard(l.b) {
-            cut += 1;
-        }
-    }
-    for (h, host) in model.hosts.iter().enumerate() {
-        if shard(model.n_routers + h) != shard(host.router) {
-            cut += 1;
-        }
-    }
-    cut
 }
 
 #[cfg(test)]

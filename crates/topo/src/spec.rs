@@ -13,6 +13,11 @@ use pels_core::SimError;
 use pels_netsim::error::invalid_config;
 use serde::{Deserialize, Serialize};
 
+/// The fastest Poisson burst, kb/s: 10 Gb/s, 2,500 times the paper's
+/// bottleneck. Past it a burst costs the engine more than a second of wall
+/// clock per simulated second, and a rate near `f64::MAX` never finishes.
+pub const MAX_CBR_KBPS: f64 = 1e7;
+
 /// Which generator family builds the topology, and its shape parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum GeneratorSpec {
@@ -170,7 +175,11 @@ impl TopoSpec {
     /// finite and positive (it sizes every designated link), and flow counts
     /// whose ids would collide. Video flows are numbered from 0, TCP flows
     /// from [`TCP_FLOW_BASE`] and CBR flows from [`CBR_FLOW_BASE`]; with at
-    /// most one herd per video flow, `flows × tcp` bounds the TCP flows.
+    /// most one herd per video flow, `flows × tcp` bounds the TCP flows, and
+    /// Poisson bursts count up to the video bound. It also rejects what the
+    /// generator once clamped, hung or crashed on: a burst rate that is not
+    /// in `(0,` [`MAX_CBR_KBPS`]`]`, no burst or no wave, a departing fraction
+    /// outside `[0, 1]`, and a time that is negative or not finite.
     pub fn validate(&self) -> Result<(), SimError> {
         let budget = self.per_flow_kbps();
         if !(budget.is_finite() && budget > 0.0) {
@@ -183,13 +192,36 @@ impl TopoSpec {
                 self.flows()
             )));
         }
-        match self.flows().checked_mul(self.tcp_per_path()) {
-            Some(herds) if herds <= tcp_ids => Ok(()),
-            _ => Err(invalid_config(format!(
+        if self.flows().checked_mul(self.tcp_per_path()).is_none_or(|herds| herds > tcp_ids) {
+            return Err(invalid_config(format!(
                 "{} flows with {} TCP flows per path may need more than the {tcp_ids} TCP flow ids",
                 self.flows(),
                 self.tcp_per_path()
-            ))),
+            )));
+        }
+        let (poisson, crowd) = (self.poisson.as_ref(), self.flash_crowd.as_ref());
+        if poisson.is_some_and(|p| !(p.rate_kbps > 0.0 && p.rate_kbps <= MAX_CBR_KBPS)) {
+            return Err(invalid_config(format!(
+                "poisson rate_kbps must be in (0, {MAX_CBR_KBPS}]"
+            )));
+        }
+        if poisson.is_some_and(|p| !(1..TCP_FLOW_BASE as usize).contains(&p.bursts.unwrap_or(1))) {
+            return Err(invalid_config(format!("poisson bursts must be in 1..{TCP_FLOW_BASE}")));
+        }
+        if crowd.is_some_and(|c| c.waves == 0) {
+            return Err(invalid_config("flash_crowd waves must be at least 1"));
+        }
+        if crowd.and_then(|c| c.depart_fraction).is_some_and(|f| !(0.0..=1.0).contains(&f)) {
+            return Err(invalid_config("flash_crowd depart_fraction must be in [0, 1]"));
+        }
+        let seconds = [poisson.and_then(|p| p.start_s), poisson.and_then(|p| p.stop_s)]
+            .into_iter()
+            .chain([crowd.and_then(|c| c.wave_gap_s), crowd.and_then(|c| c.depart_at_s)]);
+        match seconds.flatten().find(|s| !(s.is_finite() && *s >= 0.0)) {
+            Some(s) => {
+                Err(invalid_config(format!("times must be finite and non-negative, got {s}")))
+            }
+            None => Ok(()),
         }
     }
 
@@ -343,6 +375,51 @@ mod tests {
             GeneratorSpec::FatTree { k } => assert_eq!(k, 6),
             _ => panic!("wrong family"),
         }
+    }
+
+    /// A three-segment parking lot with 4 flows and `extra` spliced in.
+    fn parking_lot(extra: &str) -> Result<TopoSpec, SimError> {
+        let json =
+            format!(r#"{{"generator": {{"ParkingLot": {{"segments": 3}}}}, "flows": 4, {extra}}}"#);
+        TopoSpec::from_json(&json)
+    }
+
+    #[test]
+    fn a_negative_departure_time_is_rejected() {
+        // Once: "invalid duration: -3" and exit 101.
+        let crowd = r#""flash_crowd": {"waves": 2, "depart_fraction": 0.5, "depart_at_s": -3}"#;
+        assert!(parking_lot(crowd).is_err());
+        assert!(parking_lot(&crowd.replace("-3", "3")).is_ok());
+    }
+
+    #[test]
+    fn a_burst_rate_past_the_ceiling_is_rejected() {
+        // Once: a two-second run still busy after 30 s.
+        assert!(parking_lot(r#""poisson": {"rate_kbps": 1e300}"#).is_err());
+        assert!(parking_lot(r#""poisson": {"rate_kbps": 1e7}"#).is_ok());
+    }
+
+    #[test]
+    fn a_trillion_bursts_are_rejected() {
+        // Once: a two-second run still busy after 30 s.
+        assert!(parking_lot(r#""poisson": {"rate_kbps": 100, "bursts": 1000000000000}"#).is_err());
+        assert!(parking_lot(r#""poisson": {"rate_kbps": 100, "bursts": 0}"#).is_err());
+        assert!(parking_lot(r#""poisson": {"rate_kbps": 100, "bursts": 999999}"#).is_ok());
+    }
+
+    #[test]
+    fn values_the_generator_clamped_are_rejected() {
+        for extra in [
+            r#""flash_crowd": {"waves": 0}"#,
+            r#""flash_crowd": {"waves": 2, "depart_fraction": 7}"#,
+            r#""flash_crowd": {"waves": 2, "wave_gap_s": -1}"#,
+            r#""poisson": {"rate_kbps": 100, "start_s": -1}"#,
+            r#""poisson": {"rate_kbps": 100, "stop_s": -1}"#,
+            r#""poisson": {"rate_kbps": -100}"#,
+        ] {
+            assert!(parking_lot(extra).is_err(), "{extra} accepted");
+        }
+        assert!(parking_lot(r#""flash_crowd": {"waves": 1, "depart_fraction": 1}"#).is_ok());
     }
 
     #[test]

@@ -49,7 +49,16 @@ pub fn two_hop_chain(
         });
     };
     for flow in 0..n_flows as u32 {
-        pair(TrafficKind::Video { flow, start: SimDuration::ZERO, stop: None }, vec![0, 1, 2]);
+        let video = TrafficKind::Video {
+            flow,
+            start: SimDuration::ZERO,
+            stop: None,
+            cc: Default::default(),
+            gamma: Default::default(),
+            mode: pels_core::SourceMode::Pels,
+            arq: false,
+        };
+        pair(video, vec![0, 1, 2]);
     }
     if let Some((rate, start)) = background {
         let kind = TrafficKind::Cbr {

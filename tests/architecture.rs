@@ -22,7 +22,7 @@ const BENCH: usize = 1_292;
 /// Non-test lines under every `crates/*/src`. A knob with one value in use
 /// is a named constant beside the code that reads it: a config field, its
 /// default, its plumbing and its validation coming back show up here first.
-const CRATES: usize = 20_484;
+const CRATES: usize = 20_372;
 
 /// The `.rs` files in `dir`, and in its subdirectories when `recurse`.
 fn rust_files(dir: &Path, recurse: bool) -> Vec<PathBuf> {
@@ -215,6 +215,41 @@ fn the_sender_path_is_wired_once() {
     assert!(
         found.is_empty(),
         "these assemble part of the sender control path; call pels_core::flow::FlowControl:\n{}",
+        found.join("\n")
+    );
+}
+
+/// Whether `line` calls `ctor` as a whole word: `Router::new(` is a call in
+/// `Box::new(Router::new(` and in `router::Router::new(`, not in
+/// `ServeRouter::new(`.
+fn calls_word(line: &str, ctor: &str) -> bool {
+    line.match_indices(ctor)
+        .any(|(at, _)| !line[..at].ends_with(|c: char| c.is_alphanumeric() || c == '_'))
+}
+
+/// Routers, ports, routes, endpoints and the partition graph are wired in
+/// `pels_core::network`, the one builder both front-ends append their
+/// models through (the dumbbell and every generated topology). Two
+/// compilers of the same wiring are how the dumbbell and the topologies
+/// could number ports, routes or flow ids apart.
+#[test]
+fn a_network_is_built_in_one_place() {
+    let ctors = [
+        "PelsSource::new(",
+        "PelsReceiver::new(",
+        "AqmRouter::try_new(",
+        "Router::new(",
+        "TcpSource::new(",
+        "TcpSink::new(",
+        "CbrSource::new(",
+        "PoissonSource::new(",
+    ];
+    let found = offenders(&crate_sources(), &["crates/core/src/network.rs"], |line| {
+        !line.trim_start().starts_with("//") && ctors.iter().any(|c| calls_word(line, c))
+    });
+    assert!(
+        found.is_empty(),
+        "agents are built by pels_core::network::Network::append; give it a model:\n{}",
         found.join("\n")
     );
 }

@@ -23,7 +23,7 @@ fn shared_bottleneck_stays_inside_its_event_budget() {
     let mut sc = Scenario::build(wideband_scaled_config(FLOWS, 0.10));
     sc.set_workers(1);
     sc.run_until(SimTime::from_secs_f64(HORIZON_S));
-    let events = sc.events_processed();
+    let events = sc.sim.events_processed();
     let packets: u64 = sc.report().bottleneck_tx_by_class.iter().sum();
     let per_packet = events as f64 / packets as f64;
     println!("{events} events for {packets} bottleneck packets: {per_packet:.2} per packet");

@@ -43,11 +43,11 @@ fn assert_matches_serial_reference(
 ) {
     let serial = |g: &pels_netsim::shard::TopologyGraph| Partition::serial(g.n_agents());
     let reference = Scenario::try_build_partitioned(cfg.clone(), serial).expect("valid config");
-    assert_eq!(reference.n_shards(), 1);
+    assert_eq!(reference.sim.n_shards(), 1);
     let reference = finish(reference, 1, faults);
     for workers in [1, 2, 8] {
         let s = Scenario::build(cfg.clone());
-        assert_eq!(s.n_shards(), shards, "{what}: what Partition::auto picks");
+        assert_eq!(s.sim.n_shards(), shards, "{what}: what Partition::auto picks");
         assert_eq!(reference, finish(s, workers, faults), "{what}: serial vs workers={workers}");
     }
 }
