@@ -16,8 +16,9 @@
 //!   scaling, partitioning) and the frame being sent, held as its three
 //!   segment byte counts and a cursor that cuts each packet when it is sent.
 //! * [`source`] / [`receiver`] — streaming endpoints: the timers, pacing,
-//!   ARQ and degradation policy around [`flow`]; prefix decoding, delay and
-//!   utility measurement.
+//!   ARQ and degradation policy around [`flow`]; the receiver core both
+//!   stacks record through ([`receiver::Reception`]: prefix decoding, NACK
+//!   scheduling, delay and utility measurement).
 //! * [`network`] — the network model (routers, links, hosts, traffic
 //!   pairs) and the one builder that turns models into agents, routes and
 //!   the partition graph; [`scenario`] — the dumbbell evaluation topology

@@ -1,26 +1,36 @@
-//! The PELS receiver agent.
+//! The receiving end of a PELS flow, written once for both stacks.
 //!
-//! The receiver records every arriving video packet into its
-//! [`FrameLog`] (consumed after the run by the FGS prefix decoder),
-//! measures one-way delays per color (the paper's Fig. 8–9), and echoes the
-//! router feedback back to the source in a small ACK for every data packet
-//! (Section 5.2).
+//! [`Reception`] is the sans-I/O receiver core, the receiving counterpart
+//! of [`FlowControl`](crate::flow::FlowControl): it records every arriving
+//! video packet into its [`FrameLog`] (consumed by the FGS prefix decoder,
+//! Section 3), counts packets per color, measures one-way delays per color
+//! (the paper's Fig. 8–9), schedules the ARQ comparator's NACKs through its
+//! `NackTracker`, and yields the receiver half of a [`FlowReport`] and the
+//! delay stats of a telemetry scrape. Both receivers drive it: the
+//! simulator's [`PelsReceiver`] agent here, which adds the port, the
+//! playout deadline, the starvation probes and one ACK per data packet
+//! echoing the router feedback (Section 5.2), and `pels_wire`'s
+//! `WireReceiver`, which adds the socket.
 
+use crate::color::Color;
+use crate::scenario::FlowReport;
 use crate::source::PROBE_FRAME;
 use pels_fgs::decoder::{DecodedFrame, FrameLog, FrameReception, UtilityStats};
+use pels_netsim::hist::Histogram;
 use pels_netsim::packet::{FlowId, FrameTag, Packet, PacketKind};
 use pels_netsim::port::Port;
 use pels_netsim::sim::{Agent, Context};
-use pels_netsim::stats::DelayRecorder;
-use pels_netsim::time::SimDuration;
+use pels_netsim::stats::{DelayRecorder, Summary, TimeSeries};
+use pels_netsim::time::{SimDuration, SimTime};
 use std::any::Any;
 use std::collections::BTreeMap;
+use std::ops::Deref;
 
 /// Size of the acknowledgment packets, bytes.
 pub const ACK_BYTES: u32 = 40;
 
 /// Receiver-side NACKing for the ARQ comparator: a config's
-/// `nack: Some(NackConfig {})` runs a [`NackTracker`]. NACKing has no
+/// `nack: Some(NackConfig {})` runs a `NackTracker`. NACKing has no
 /// settings; the struct keeps a config file's `"nack": {…}` meaning on and
 /// `"nack": null` off.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -35,9 +45,8 @@ const MAX_PER_ROUND: usize = 64;
 /// Frames to wait before the first retry round; the wait doubles every
 /// round (exponential backoff).
 const BACKOFF_BASE: u64 = 1;
-/// Lifetime cap on NACKs a receiver may send. Requests beyond the budget are
-/// counted in [`PelsReceiver::nacks_suppressed`] instead of transmitted,
-/// bounding reverse-path load under pathological loss.
+/// Lifetime cap on NACKs a receiver may send, bounding reverse-path load
+/// under pathological loss: requests beyond it are not granted.
 pub const RETRY_BUDGET: u64 = 65_536;
 
 /// Per-frame retransmission-request bookkeeping.
@@ -51,9 +60,7 @@ struct FrameNackState {
     per_packet: Vec<u8>,
 }
 
-/// The NACK scheduling state machine, factored out of [`PelsReceiver`] so
-/// the live wire receiver (`pels-wire`) can run the identical ARQ policy
-/// over real sockets.
+/// The NACK scheduling state machine of a [`Reception`].
 ///
 /// The tracker decides *which* packets to request; actually building and
 /// transmitting the NACK (a simulator [`Packet`] or a wire datagram) is the
@@ -67,37 +74,27 @@ struct FrameNackState {
 /// receive path with *old* frame tags — can neither rewind the window nor
 /// reset any counter.
 #[derive(Debug, Clone, Default)]
-pub struct NackTracker {
+struct NackTracker {
     /// Per-frame NACK state (rounds, backoff gate, per-packet counts).
     state: BTreeMap<u64, FrameNackState>,
     nacks_sent: u64,
-    nacks_suppressed: u64,
 }
 
 impl NackTracker {
-    /// NACK requests granted so far (each charged against the budget).
-    pub fn nacks_sent(&self) -> u64 {
-        self.nacks_sent
-    }
-
-    /// Requests suppressed by an exhausted retry budget.
-    pub fn nacks_suppressed(&self) -> u64 {
-        self.nacks_suppressed
-    }
-
     /// Returns the frame tags whose packets are due for a retransmission
     /// request at the given frame `horizon`, looking each frame's record
-    /// up through `frames` (a receiver passes its
-    /// [`FrameLog::get`](pels_fgs::decoder::FrameLog::get)). The caller
+    /// up through `frames`. Only the indices below `base` are requested
+    /// when `base_only`, and only requested indices are charged. The caller
     /// must send exactly one NACK per returned tag; the tracker's counters
     /// assume it does.
     ///
     /// `horizon` must be monotone across calls (the highest frame number
     /// seen in any data packet, late retransmissions excluded by the
     /// caller keeping its own running maximum).
-    pub fn due<'a>(
+    fn due<'a>(
         &mut self,
         horizon: u64,
+        base_only: bool,
         frames: impl Fn(u64) -> Option<&'a FrameReception>,
     ) -> Vec<FrameTag> {
         let mut out = Vec::new();
@@ -105,28 +102,26 @@ impl NackTracker {
         for g in lo..horizon {
             let Some(rx) = frames(g) else { continue };
             let (total, base) = (rx.total, rx.base_count);
-            let mut missing = rx.missing().peekable();
+            let wanted = if base_only { base } else { total };
+            // `missing` ascends, so the requested gaps are a prefix of it.
+            let mut missing = rx.missing().take_while(|&index| index < wanted).peekable();
             if missing.peek().is_none() {
                 continue;
             }
             let st = self.state.entry(g).or_insert_with(|| FrameNackState {
                 rounds: 0,
                 next_round_frame: g.saturating_add(BACKOFF_BASE),
-                per_packet: vec![0u8; total as usize],
+                per_packet: vec![0u8; wanted as usize],
             });
             if st.rounds >= MAX_ROUNDS || horizon < st.next_round_frame {
                 continue;
             }
             let mut sent_this_round = 0usize;
             for index in missing {
-                if sent_this_round >= MAX_PER_ROUND {
+                if sent_this_round >= MAX_PER_ROUND || self.nacks_sent >= RETRY_BUDGET {
                     break;
                 }
                 if st.per_packet.get(index as usize).is_some_and(|&c| c >= MAX_ROUNDS) {
-                    continue;
-                }
-                if self.nacks_sent >= RETRY_BUDGET {
-                    self.nacks_suppressed += 1;
                     continue;
                 }
                 out.push(FrameTag { frame: g, index, total, base });
@@ -147,38 +142,168 @@ impl NackTracker {
     }
 }
 
-/// The receiving end of a PELS flow.
+/// One video data packet as it reached a receiver.
+#[derive(Debug, Clone, Copy)]
+pub struct Arrival {
+    /// The packet's frame tag.
+    pub tag: FrameTag,
+    /// Its color class (0 green, 1 yellow, 2 red).
+    pub class: u8,
+    /// The nominal packet size of its frame, bytes: sizes the frame's
+    /// record when this packet opens it.
+    pub nominal_bytes: u32,
+    /// The packet's own size, bytes.
+    pub bytes: u32,
+    /// One-way delay from its (first) emission.
+    pub delay: SimDuration,
+    /// Whether it answers a NACK.
+    pub retransmission: bool,
+    /// Whether it still decodes: `false` past a playout deadline.
+    pub decodable: bool,
+}
+
+/// The receiver core: what a flow's receiving end knows, recorded from
+/// plain inputs and read by both stacks' reports and scrapes.
+#[derive(Debug)]
+pub struct Reception {
+    frames: FrameLog,
+    /// NACK generation (ARQ comparator), when enabled.
+    nack: Option<NackTracker>,
+    /// Highest frame number seen in any data packet. Monotone: late
+    /// retransmissions carry old frame tags and must not rewind the NACK
+    /// window.
+    horizon: u64,
+    /// Per-color one-way delay statistics (retransmissions count their full
+    /// recovery latency).
+    pub delays: DelayRecorder,
+    /// Decodable packets received per color (green, yellow, red).
+    pub received_by_color: [u64; 3],
+    /// Packets that arrived too late to decode, per color.
+    pub late_by_color: [u64; 3],
+    /// Retransmitted packets received in time to decode.
+    pub recovered_on_time: u64,
+    /// Retransmitted packets that arrived too late to decode.
+    pub recovered_late: u64,
+}
+
+impl Reception {
+    /// An empty reception without NACKs. `keep_delay_series` retains raw
+    /// per-packet delay samples for plotting; aggregates are always kept.
+    pub fn new(keep_delay_series: bool) -> Self {
+        Reception {
+            frames: FrameLog::new(),
+            nack: None,
+            horizon: 0,
+            delays: DelayRecorder::new(keep_delay_series),
+            received_by_color: [0; 3],
+            late_by_color: [0; 3],
+            recovered_on_time: 0,
+            recovered_late: 0,
+        }
+    }
+
+    /// Enables NACK-based retransmission requests (builder style).
+    pub fn with_nack(mut self) -> Self {
+        self.nack = Some(NackTracker::default());
+        self
+    }
+
+    /// Records one data packet arriving at `now`. A packet that no longer
+    /// decodes is counted and timed but kept out of the frame log.
+    pub fn record(&mut self, now: SimTime, a: Arrival) {
+        let tag = a.tag;
+        self.horizon = self.horizon.max(tag.frame);
+        if a.retransmission {
+            let recovered =
+                if a.decodable { &mut self.recovered_on_time } else { &mut self.recovered_late };
+            *recovered += 1;
+        }
+        let counts =
+            if a.decodable { &mut self.received_by_color } else { &mut self.late_by_color };
+        if let Some(n) = counts.get_mut(a.class as usize) {
+            *n += 1;
+        }
+        self.delays.record(a.class, now.as_secs_f64(), a.delay.as_secs_f64());
+        if a.decodable {
+            self.frames
+                .entry(tag.frame, tag.total, tag.base, a.nominal_bytes)
+                .mark_received_sized(tag.index, a.bytes);
+        }
+    }
+
+    /// The frame tags due for a NACK at the current frame horizon (none
+    /// when NACKs are off), each already charged: the caller sends one
+    /// request per tag. With `base_only` only base-layer gaps are
+    /// requested.
+    pub fn nacks_due(&mut self, base_only: bool) -> Vec<FrameTag> {
+        let (horizon, frames) = (self.horizon, &self.frames);
+        self.nack.as_mut().map_or_else(Vec::new, |t| t.due(horizon, base_only, |g| frames.get(g)))
+    }
+
+    /// NACK requests granted so far (0 when NACKs are off).
+    pub fn nacks_sent(&self) -> u64 {
+        self.nack.as_ref().map_or(0, |t| t.nacks_sent)
+    }
+
+    /// Number of frames with at least one decodable packet.
+    pub fn frames_seen(&self) -> usize {
+        self.frames.len()
+    }
+
+    /// Decodes every frame seen so far, in frame order (prefix decoding,
+    /// Section 3: base all-or-nothing, enhancement useful up to the first
+    /// gap).
+    pub fn decode_all(&self) -> Vec<DecodedFrame> {
+        self.frames.decode_all()
+    }
+
+    /// Aggregate utility over all frames seen so far.
+    pub fn utility(&self) -> UtilityStats {
+        self.frames.utility()
+    }
+
+    /// The receiver half of a [`FlowReport`] — frames seen, packets
+    /// received per color, utility, enhancement loss and the per-color
+    /// delays — with the sender half left at its default for the caller to
+    /// fill in.
+    pub fn flow_report(&self) -> FlowReport {
+        let u = self.utility();
+        let delay = &self.delays.by_class;
+        FlowReport {
+            frames_seen: self.frames_seen() as u64,
+            received_by_color: self.received_by_color,
+            utility: u.utility(),
+            enh_loss: u.loss_rate(),
+            mean_delay_s: [0, 1, 2].map(|c| delay[c].mean()),
+            max_delay_s: [0, 1, 2].map(|c| delay[c].max().filter(|x| x.is_finite()).unwrap_or(0.0)),
+            ..FlowReport::default()
+        }
+    }
+
+    /// The per-color delay stats a scrape publishes: each color's name,
+    /// its summary, its histogram and its kept series.
+    pub fn delay_stats(
+        &self,
+    ) -> impl Iterator<Item = (&'static str, &Summary, Option<&Histogram>, &TimeSeries)> {
+        Color::ALL.into_iter().map(|color| {
+            let (d, class) = (&self.delays, color.class() as usize);
+            (color.name(), &d.by_class[class], d.hist_by_class[class].as_ref(), &d.series[class])
+        })
+    }
+}
+
+/// The simulator's receiving agent of a PELS flow.
 #[derive(Debug)]
 pub struct PelsReceiver {
     flow: FlowId,
     port: Port,
     /// Source agent (learned from the first data packet; NACK destination).
     src_hint: pels_netsim::packet::AgentId,
-    frames: FrameLog,
+    rx: Reception,
     /// Playout deadline: packets older than this on arrival are discarded
     /// as undecodable (video frames have strict decoding deadlines —
     /// paper Section 1). `None` = infinite buffer.
     deadline: Option<SimDuration>,
-    /// Per-color one-way delay statistics.
-    pub delays: DelayRecorder,
-    /// Packets received per color (green, yellow, red).
-    pub received_by_color: [u64; 3],
-    /// Packets that arrived after the playout deadline, per color.
-    pub late_by_color: [u64; 3],
-    /// Total video data packets received.
-    pub received_packets: u64,
-    /// NACK generation (ARQ comparator), when enabled.
-    nack: Option<NackTracker>,
-    /// Highest frame number seen in any data packet. Monotone: late
-    /// retransmissions carry old frame tags and must not rewind the NACK
-    /// window.
-    max_frame_seen: u64,
-    /// Retransmitted packets received in time to decode.
-    pub recovered_on_time: u64,
-    /// Retransmitted packets that missed the playout deadline.
-    pub recovered_late: u64,
-    /// Starvation probes acknowledged (not video data; see DESIGN.md §11).
-    pub probes_acked: u64,
 }
 
 impl PelsReceiver {
@@ -192,22 +317,13 @@ impl PelsReceiver {
             flow,
             port,
             src_hint: pels_netsim::packet::AgentId(u32::MAX),
-            frames: FrameLog::new(),
+            rx: Reception::new(keep_delay_series),
             deadline: None,
-            delays: DelayRecorder::new(keep_delay_series),
-            received_by_color: [0; 3],
-            late_by_color: [0; 3],
-            received_packets: 0,
-            nack: None,
-            max_frame_seen: 0,
-            recovered_on_time: 0,
-            recovered_late: 0,
-            probes_acked: 0,
         }
     }
 
     /// Sets a playout deadline (builder style): packets whose one-way delay
-    /// exceeds it are counted in [`PelsReceiver::late_by_color`] and do not
+    /// exceeds it are counted in [`Reception::late_by_color`] and do not
     /// contribute to decoding.
     pub fn with_deadline(mut self, deadline: SimDuration) -> Self {
         self.deadline = Some(deadline);
@@ -217,30 +333,8 @@ impl PelsReceiver {
     /// Enables NACK-based retransmission requests (builder style; the
     /// source must have ARQ enabled to answer them).
     pub fn with_nack(mut self) -> Self {
-        self.nack = Some(NackTracker::default());
+        self.rx = self.rx.with_nack();
         self
-    }
-
-    /// NACK packets sent (0 when NACKs are disabled).
-    pub fn nacks_sent(&self) -> u64 {
-        self.nack.as_ref().map_or(0, NackTracker::nacks_sent)
-    }
-
-    /// NACK requests suppressed by an exhausted retry budget.
-    pub fn nacks_suppressed(&self) -> u64 {
-        self.nack.as_ref().map_or(0, NackTracker::nacks_suppressed)
-    }
-
-    /// Issues NACKs for frames behind the (monotone) frame horizon that
-    /// still have gaps — one packet per tag the [`NackTracker`] grants.
-    fn issue_nacks(&mut self, ctx: &mut Context<'_>) {
-        let Some(tracker) = self.nack.as_mut() else { return };
-        for tag in tracker.due(self.max_frame_seen, |g| self.frames.get(g)) {
-            let mut nack = Packet::data(self.flow, ctx.self_id, self.src_hint, 40).with_frame(tag);
-            nack.kind = PacketKind::Nack;
-            nack.sent_at = ctx.now;
-            self.port.send(nack, ctx);
-        }
     }
 
     /// The flow this receiver serves.
@@ -248,20 +342,19 @@ impl PelsReceiver {
         self.flow
     }
 
-    /// Number of frames with at least one received packet.
-    pub fn frames_seen(&self) -> usize {
-        self.frames.len()
+    /// Sends the ACK of `packet`, echoing its feedback label.
+    fn ack(&mut self, packet: &Packet, ctx: &mut Context<'_>) {
+        let mut ack = Packet::ack_for(packet, ACK_BYTES);
+        ack.sent_at = ctx.now;
+        self.port.send(ack, ctx);
     }
+}
 
-    /// Decodes every frame seen so far, in frame order (prefix decoding,
-    /// Section 3).
-    pub fn decode_all(&self) -> Vec<DecodedFrame> {
-        self.frames.decode_all()
-    }
-
-    /// Aggregate utility over all frames seen so far.
-    pub fn utility(&self) -> UtilityStats {
-        self.frames.utility()
+/// A receiver reads as its [`Reception`]: counts, delays, frames, NACKs.
+impl Deref for PelsReceiver {
+    type Target = Reception;
+    fn deref(&self) -> &Reception {
+        &self.rx
     }
 }
 
@@ -277,46 +370,32 @@ impl Agent for PelsReceiver {
             // feedback label via the normal ACK path, but keep the probe out
             // of frame accounting — it is not video data, and counting it as
             // a complete one-packet frame would inflate utility.
-            self.probes_acked += 1;
-            let mut ack = Packet::ack_for(&packet, ACK_BYTES);
-            ack.sent_at = ctx.now;
-            self.port.send(ack, ctx);
+            self.ack(&packet, ctx);
             return;
         }
-        self.received_packets += 1;
-        self.max_frame_seen = self.max_frame_seen.max(tag.frame);
         let delay = ctx.now.duration_since(packet.sent_at);
-        let late = self.deadline.is_some_and(|d| delay > d);
-        if packet.is_retransmission() {
-            if late {
-                self.recovered_late += 1;
-            } else {
-                self.recovered_on_time += 1;
-            }
+        self.rx.record(
+            ctx.now,
+            Arrival {
+                tag,
+                class: packet.class,
+                nominal_bytes: packet.size_bytes,
+                bytes: packet.size_bytes,
+                delay,
+                retransmission: packet.is_retransmission(),
+                decodable: self.deadline.is_none_or(|d| delay <= d),
+            },
+        );
+        // Every missing packet is worth a request to the simulated source.
+        for tag in self.rx.nacks_due(false) {
+            let mut nack = Packet::data(self.flow, ctx.self_id, self.src_hint, 40).with_frame(tag);
+            nack.kind = PacketKind::Nack;
+            nack.sent_at = ctx.now;
+            self.port.send(nack, ctx);
         }
-        if self.nack.is_some() {
-            self.issue_nacks(ctx);
-        }
-        if (packet.class as usize) < 3 {
-            if late {
-                self.late_by_color[packet.class as usize] += 1;
-            } else {
-                self.received_by_color[packet.class as usize] += 1;
-            }
-        }
-        self.delays.record(packet.class, ctx.now.as_secs_f64(), delay.as_secs_f64());
-
-        if !late {
-            self.frames
-                .entry(tag.frame, tag.total, tag.base, packet.size_bytes)
-                .mark_received_sized(tag.index, packet.size_bytes);
-        }
-
         // ACKs flow even for late packets: the feedback label is still
         // fresh, and congestion control must see the path state.
-        let mut ack = Packet::ack_for(&packet, ACK_BYTES);
-        ack.sent_at = ctx.now;
-        self.port.send(ack, ctx);
+        self.ack(&packet, ctx);
     }
 
     fn on_tx_complete(&mut self, _port: usize, ctx: &mut Context<'_>) {
@@ -453,9 +532,11 @@ mod tests {
         foreign.flow = FlowId(99);
         let mut ack = video_packet(0, 0, 1, 1, 0);
         ack.kind = PacketKind::Ack;
-        let (mut sim, rx, _acks) = build(vec![foreign, ack]);
+        let (mut sim, rx, acks) = build(vec![foreign, ack]);
         sim.run_until(SimTime::from_secs_f64(1.0));
-        assert_eq!(sim.agent::<PelsReceiver>(rx).received_packets, 0);
+        let r = sim.agent::<PelsReceiver>(rx);
+        assert_eq!((r.received_by_color, r.late_by_color, r.frames_seen()), ([0; 3], [0; 3], 0));
+        assert!(sim.agent::<AckSink>(acks).acks.is_empty(), "nothing is acknowledged");
     }
 
     #[test]
@@ -519,7 +600,6 @@ mod tests {
         // Round 0 fires at horizon 1, then backoff gates round 1 to
         // horizon 3 (1 + base·2^1); max_rounds = 2 stops it there.
         assert_eq!(r.nacks_sent(), 2, "one NACK per round for the single gap");
-        assert_eq!(r.nacks_suppressed(), 0);
         let nacks: Vec<_> =
             sim.agent::<AckSink>(acks).acks.iter().filter(|p| p.kind == PacketKind::Nack).collect();
         assert_eq!(nacks.len(), 2);
@@ -557,16 +637,50 @@ mod tests {
     fn retry_budget_suppresses_excess_nacks() {
         // Every frame misses all 64 of its packets, so each grants two
         // rounds of 64 NACKs: 520 frames ask for more than the lifetime
-        // budget, which sends exactly its 65 536 and counts the rest.
+        // budget, which grants exactly its 65 536 and nothing after.
         let rx = FrameReception::with_counts(64, 1, 500);
         let mut tracker = NackTracker::default();
         let mut sent = 0u64;
         for horizon in 1..=520 {
-            sent += tracker.due(horizon, |_| Some(&rx)).len() as u64;
+            sent += tracker.due(horizon, false, |_| Some(&rx)).len() as u64;
         }
         assert_eq!(sent, RETRY_BUDGET, "budget caps lifetime NACKs");
-        assert_eq!(tracker.nacks_sent(), RETRY_BUDGET);
-        assert!(tracker.nacks_suppressed() > 0, "suppressed requests are counted");
+        assert_eq!(tracker.nacks_sent, RETRY_BUDGET);
+        assert!(tracker.due(521, false, |_| Some(&rx)).is_empty(), "the budget is spent");
+    }
+
+    #[test]
+    fn base_only_requests_charge_only_the_base() {
+        // Two base packets and 62 enhancement packets, all missing: asked
+        // for the base only, each round grants and charges the two.
+        let rx = FrameReception::with_counts(64, 2, 500);
+        let mut tracker = NackTracker::default();
+        let due = tracker.due(1, true, |_| Some(&rx));
+        assert!(due.iter().map(|t| t.index).eq([0, 1]));
+        assert_eq!(tracker.nacks_sent, 2);
+    }
+
+    #[test]
+    fn a_packet_is_never_requested_on_its_own_arrival() {
+        // Frame 1's green overtakes both packets of frame 0, so frame 0's
+        // first round is due as soon as its green opens its record. That
+        // round asks for the red, which is still missing; the red's own
+        // arrival, one millisecond later, must not ask for it again.
+        let pkts = vec![
+            video_packet(1, 0, 1, 1, 0),
+            video_packet(0, 0, 2, 1, 0),
+            video_packet(0, 1, 2, 1, 2),
+        ];
+        let (mut sim, rx, acks) = build_nack(pkts);
+        sim.run_until(SimTime::from_secs_f64(1.0));
+        let nacks: Vec<_> =
+            sim.agent::<AckSink>(acks).acks.iter().filter(|p| p.kind == PacketKind::Nack).collect();
+        assert_eq!(nacks.len(), 1);
+        let tag = nacks[0].frame().expect("NACK carries the missing packet's tag");
+        assert_eq!((tag.frame, tag.index), (0, 1));
+        // The feeder delivers packet i at 10 + i ms: the red arrives at 12.
+        assert_eq!(nacks[0].sent_at, SimTime::from_nanos(11_000_000), "asked before it arrived");
+        assert_eq!(sim.agent::<PelsReceiver>(rx).nacks_sent(), 1);
     }
 
     #[test]

@@ -91,13 +91,11 @@ impl RoleIds {
             snap.counters.insert(name("nacks"), r.nacks_sent());
             snap.counters.insert(name("recovered"), r.recovered_on_time);
             snap.counters.insert(name("late_packets"), r.late_by_color.iter().sum());
-            for color in Color::ALL {
-                let (class, delay) =
-                    (color.class() as usize, name(&format!("delay.{}", color.name())));
-                let hist = r.delays.hist_by_class[class].as_ref().filter(|_| full);
-                snap.set_stat(delay.as_str(), &r.delays.by_class[class], hist);
+            for (color, stat, hist, series) in r.delay_stats() {
+                let delay = name(&format!("delay.{color}"));
+                snap.set_stat(delay.as_str(), stat, hist.filter(|_| full));
                 if full {
-                    snap.set_series(delay, &r.delays.series[class]);
+                    snap.set_series(delay, series);
                 }
             }
         }

@@ -412,31 +412,16 @@ fn compute_report(sim: &ShardedSimulator, cfg: &ScenarioConfig, ids: &RoleIds) -
         .enumerate()
         .map(|(i, (&src, &rcv))| {
             let s = sim.agent::<PelsSource>(src);
-            let r = sim.agent::<PelsReceiver>(rcv);
-            let u = r.utility();
             FlowReport {
                 flow: i as u32,
                 final_rate_kbps: s.rate_bps() / 1_000.0,
                 final_gamma: s.gamma(),
                 frames_sent: s.frames_sent(),
-                frames_seen: r.frames_seen() as u64,
                 sent_by_color: s.sent_by_color,
-                received_by_color: r.received_by_color,
-                utility: u.utility(),
-                enh_loss: u.loss_rate(),
-                mean_delay_s: [
-                    r.delays.by_class[0].mean(),
-                    r.delays.by_class[1].mean(),
-                    r.delays.by_class[2].mean(),
-                ],
-                max_delay_s: [
-                    finite_or_zero(r.delays.by_class[0].max()),
-                    finite_or_zero(r.delays.by_class[1].max()),
-                    finite_or_zero(r.delays.by_class[2].max()),
-                ],
                 starved: s.is_starved(),
                 skipped_base_frames: s.skipped_base_frames,
                 probes_sent: s.probes_sent,
+                ..sim.agent::<PelsReceiver>(rcv).flow_report()
             }
         })
         .collect();
@@ -470,12 +455,8 @@ fn compute_report(sim: &ShardedSimulator, cfg: &ScenarioConfig, ids: &RoleIds) -
     }
 }
 
-fn finite_or_zero(v: Option<f64>) -> f64 {
-    v.filter(|x| x.is_finite()).unwrap_or(0.0)
-}
-
 /// Per-flow summary of a run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FlowReport {
     /// Flow index.
     pub flow: u32,

@@ -4,13 +4,16 @@
 //! Its [`send_batch`](crate::Transport::send_batch) and
 //! [`recv_batch`](crate::Transport::recv_batch) spend one syscall per
 //! *batch* here instead of one per datagram. On a kernel with CPU
-//! mitigations the syscall boundary dominates and this is the whole story;
-//! on an unmitigated kernel entry is nearly free and the residual
-//! ~1 µs/datagram is loopback *stack traversal*, paid per datagram no
-//! matter how many ride one `sendmmsg`. The serve/loadgen loops therefore
-//! pair this with application-layer coalescing — packing several
-//! self-delimiting wire packets into one datagram — which is what actually
-//! moves the ratio there; see DESIGN.md §9.
+//! mitigations the syscall boundary dominates; on an unmitigated kernel
+//! entry is cheap and most of the residual ~1 µs/datagram is loopback
+//! *stack traversal*, paid per datagram no matter how many ride one
+//! `sendmmsg`. Batching still pays there: with both hooks falling through
+//! to one syscall per datagram, the benchmark's `wire_saturate` spent
+//! about 8 % more CPU per packet (2.93 → 3.17 µs median over ten
+//! alternated pairs on 2 vCPUs) and moved about 9 % fewer packets, so this
+//! path stays unless a measurement says otherwise. The serve/loadgen loops
+//! also pair it with application-layer coalescing — packing several
+//! self-delimiting wire packets into one datagram; see DESIGN.md §9.
 //!
 //! The workspace vendors no `libc` crate, so the two syscalls and the
 //! three kernel structs they take (`iovec`, `msghdr`, `mmsghdr`) are

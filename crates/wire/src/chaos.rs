@@ -329,7 +329,7 @@ pub fn run_wire_case(
         invariants.verdict([final_rate_bps], green_sent_post, green_recv_post, recovery_s);
 
     let faults = session.fault_totals();
-    let recovered_packets = rx.map_or(0, |rx| rx.recovered_packets);
+    let recovered_packets = rx.map_or(0, |rx| rx.recovered_on_time);
     let hellos_sent = carried_hellos + rx.map_or(0, |rx| rx.hellos_sent());
     let decode_errors = server.decode_errors + rx.map_or(0, |rx| rx.decode_errors);
     // The silenced (or dead) receiver's flow was evicted, and the resumed

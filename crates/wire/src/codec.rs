@@ -495,6 +495,18 @@ impl<'a> WireData<'a> {
 }
 
 impl WireAck {
+    /// The acknowledgment of `data`: its flow, sequence number, send time,
+    /// rate echo and feedback label, echoed back to the source.
+    pub fn echo(data: &WireData<'_>) -> Self {
+        WireAck {
+            flow: data.flow,
+            seq: data.seq,
+            sent_at: data.sent_at,
+            rate_echo: data.rate_echo,
+            feedback: data.feedback,
+        }
+    }
+
     /// Encodes into a fresh datagram.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(ACK_BYTES);

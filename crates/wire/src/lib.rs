@@ -24,8 +24,9 @@
 //!   router, answering NACKs with rate-charged base-layer repairs.
 //!   `pels serve` runs it for thousands of flows on UDP.
 //! * [`receiver`] — [`WireReceiver`], the decoding client of one flow:
-//!   reassembly, per-packet ACKs, the simulator's NACK/ARQ scheduler, and
-//!   the HELLO heartbeat that keeps the flow in the server's table.
+//!   the socket end of the simulator's receiver core (reassembly, NACK/ARQ
+//!   scheduling), per-packet ACKs, and the HELLO heartbeat that keeps the
+//!   flow in the server's table.
 //!   [`loadgen`] is the non-decoding client of thousands (`pels loadgen`).
 //! * [`live`] — [`run_live`]: one [`ServeLoop`] streaming to one
 //!   [`WireReceiver`] over loopback UDP or the in-memory hub, reported in

@@ -16,8 +16,6 @@ use crate::serve::{
     FlowView, ServeConfig, ServeLoop, ServeReport, SCRAPE_INTERVAL, SOCKET_BUFFER_BYTES,
 };
 use crate::transport::{MemHub, Transport, UdpTransport};
-use pels_core::color::Color;
-use pels_core::receiver::NackConfig;
 use pels_core::scenario::{FlowReport, ScenarioReport};
 use pels_fgs::frame::VideoTrace;
 use pels_netsim::clock::{Clock, ManualClock, MonotonicClock};
@@ -303,9 +301,7 @@ impl<T: Transport, C: RunClock> Session<T, C> {
         let rx_cfg = WireReceiverConfig {
             flow: FLOW,
             server: self.server.local_addr(),
-            nack: Some(NackConfig::default()),
             packet_bytes: PACKET_BYTES,
-            heartbeat: true,
         };
         self.receiver = Some(WireReceiver::new(rx_cfg, rx_ep));
     }
@@ -439,16 +435,14 @@ impl<T: Transport, C: RunClock> Session<T, C> {
         for (name, count) in [
             ("wire.rx.hellos", rx.hellos_sent()),
             ("wire.rx.nacks", rx.nacks_sent()),
-            ("wire.rx.recovered", rx.recovered_packets),
+            ("wire.rx.recovered", rx.recovered_on_time),
             ("wire.rx.decode_errors", rx.decode_errors),
         ] {
             snap.counters.insert(name.to_owned(), count);
         }
-        for color in Color::ALL {
-            let class = color.class() as usize;
-            let hist = rx.delays.hist_by_class[class].as_ref().filter(|_| full);
-            let name = format!("wire.rx.delay.{}", color.name());
-            snap.set_stat(name, &rx.delays.by_class[class], hist);
+        // The wire keeps no delay series.
+        for (color, stat, hist, _) in rx.delay_stats() {
+            snap.set_stat(format!("wire.rx.delay.{color}"), stat, hist.filter(|_| full));
         }
         snap
     }
@@ -462,29 +456,21 @@ impl<T: Transport, C: RunClock> Session<T, C> {
     pub fn outcome(&self) -> LiveOutcome {
         let (flow, server) = (self.flow(), self.stopped());
         let rx = self.receiver.as_ref().expect("only a churn script removes the receiver");
-        let u = rx.utility();
+        // The server runs without the simulator's degradation policy (a
+        // single live flow has no admission contention to arbitrate): the
+        // flow is never starved, skips no base frame and sends no probe.
         let flow_report = FlowReport {
             flow: FLOW.0,
             final_rate_kbps: flow.rate_bps / 1_000.0,
             final_gamma: flow.gamma,
             frames_sent: flow.frames_sent,
-            frames_seen: rx.frames_seen() as u64,
             sent_by_color: server.paced_by_class,
-            received_by_color: rx.received_by_color,
-            utility: u.utility(),
-            enh_loss: u.loss_rate(),
-            mean_delay_s: [0, 1, 2].map(|c| rx.delays.by_class[c].mean()),
-            max_delay_s: [0, 1, 2].map(|c| finite_or_zero(rx.delays.by_class[c].max())),
-            // The server runs without the simulator's degradation policy
-            // (a single live flow has no admission contention to arbitrate).
-            starved: false,
-            skipped_base_frames: 0,
-            probes_sent: 0,
+            ..rx.flow_report()
         };
         let stats = LiveStats {
             retransmissions: flow.retransmissions,
             nacks_sent: rx.nacks_sent(),
-            recovered_packets: rx.recovered_packets,
+            recovered_packets: rx.recovered_on_time,
             decode_errors: server.decode_errors + rx.decode_errors,
             abandoned_packets: server.abandoned_packets,
             faults: self.fault_totals(),
@@ -510,10 +496,6 @@ impl<T: Transport, C: RunClock> Session<T, C> {
         };
         LiveOutcome { report, stats }
     }
-}
-
-fn finite_or_zero(v: Option<f64>) -> f64 {
-    v.filter(|x| x.is_finite()).unwrap_or(0.0)
 }
 
 /// Renders a [`LiveOutcome`] as the CSV layout used under `results/`:

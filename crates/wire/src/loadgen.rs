@@ -198,13 +198,7 @@ pub fn run_loadgen(cfg: LoadgenConfig) -> io::Result<LoadgenReport> {
                     let Some(f) = flows.get_mut(idx) else { continue };
                     f.rx += 1;
                     f.last_rx = Some(now);
-                    let ack = WireAck {
-                        flow: pkt.flow,
-                        seq: pkt.seq,
-                        sent_at: pkt.sent_at,
-                        rate_echo: pkt.rate_echo,
-                        feedback: pkt.feedback,
-                    };
+                    let ack = WireAck::echo(&pkt);
                     out.push(ACK_BYTES, cfg.server, |buf| ack.append_to(buf));
                     acks_sent += 1;
                 }

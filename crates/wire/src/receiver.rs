@@ -1,28 +1,27 @@
-//! The decoding client: reassembly, feedback echo, and NACK-driven ARQ.
+//! The decoding client: the socket end of a flow's reception.
 //!
-//! [`WireReceiver`] mirrors `pels_core::receiver::PelsReceiver` over real
-//! datagrams. Every data packet — one or several per datagram, the server
-//! coalesces — is recorded into the receiver's [`FrameLog`] and
-//! immediately answered with a [`WireAck`] carrying the router's feedback
-//! label and the server's echoed rate back on the (uncongested) reverse
-//! path. The shared
-//! [`NackTracker`](pels_core::receiver::NackTracker) then schedules
-//! at-most-`max_rounds` NACK retries per missing packet — the exact ARQ
-//! scheduling the simulator uses, reused rather than re-implemented —
-//! but only *base-layer* gaps are actually requested: enhancement is
-//! prefix-decodable loss-tolerant data whose tail the router clips by
-//! design at the MKC operating point (the server would refuse to repair it).
+//! [`WireReceiver`] is `pels_core::receiver::PelsReceiver` over real
+//! datagrams: both drive the one receiver core,
+//! [`Reception`], which keeps the frame log, the NACK schedule, the
+//! per-color counts and the delays. What is left here is the wire's own:
+//! the transport, the HELLO/BYE heartbeat, the walk over the server's
+//! coalesced containers, decode errors, and the datagrams — one
+//! [`WireAck`] per data packet, carrying the router's feedback label and
+//! the server's echoed rate back on the (uncongested) reverse path, and one
+//! [`WireNack`] per due request. Only *base-layer* gaps are requested:
+//! enhancement is prefix-decodable loss-tolerant data whose tail the router
+//! clips by design at the MKC operating point (the server would refuse to
+//! repair it).
 
 use crate::codec::{packets, WireAck, WireBye, WireData, WireHello, WireNack};
 use crate::serve::RX_SLOT_BYTES;
 use crate::transport::Transport;
-use pels_core::receiver::{NackConfig, NackTracker};
-use pels_fgs::decoder::{DecodedFrame, FrameLog, UtilityStats};
+use pels_core::receiver::{Arrival, Reception};
 use pels_netsim::packet::FlowId;
-use pels_netsim::stats::DelayRecorder;
 use pels_netsim::time::{SimDuration, SimTime};
 use std::io;
 use std::net::SocketAddr;
+use std::ops::Deref;
 
 /// Configuration of a [`WireReceiver`].
 #[derive(Debug, Clone)]
@@ -33,15 +32,8 @@ pub struct WireReceiverConfig {
     /// path bypasses its bottleneck router, like the paper's feedback
     /// channel).
     pub server: SocketAddr,
-    /// ARQ scheduling; `None` disables NACKs.
-    pub nack: Option<NackConfig>,
     /// Wire packet payload size, used to size reassembly buffers.
     pub packet_bytes: u32,
-    /// Session liveness: a HELLO into the server's flow table — it streams
-    /// only to registered flows — on the first poll, so the flow registers
-    /// before any data arrives, and every [`HELLO_INTERVAL`] after. Off, the
-    /// receiver sends no HELLO and no BYE.
-    pub heartbeat: bool,
 }
 
 /// How often a client refreshes a flow's HELLO: a fifth of
@@ -50,24 +42,19 @@ pub struct WireReceiverConfig {
 pub const HELLO_INTERVAL: SimDuration = SimDuration::from_millis(100);
 
 /// The live receiving agent.
+///
+/// Session liveness: a HELLO into the server's flow table — it streams only
+/// to registered flows — on the first poll, so the flow registers before any
+/// data arrives, and every [`HELLO_INTERVAL`] after, until the BYE.
 #[derive(Debug)]
 pub struct WireReceiver<T: Transport> {
     transport: T,
     cfg: WireReceiverConfig,
-    frames: FrameLog,
-    nack: Option<NackTracker>,
-    max_frame_seen: u64,
-    /// One-way delay statistics per color (uses the packet's embedded
-    /// `sent_at`, so retransmissions count their full recovery latency).
-    pub delays: DelayRecorder,
-    /// Packets received per color.
-    pub received_by_color: [u64; 3],
-    /// Retransmitted packets that arrived (ARQ recoveries).
-    pub recovered_packets: u64,
+    rx: Reception,
     /// Datagrams that failed to decode or belonged to another flow.
     pub decode_errors: u64,
-    nacks_sent: u64,
     hellos_sent: u64,
+    /// When the next HELLO is due; `None` once the BYE has gone.
     next_hello_at: Option<SimTime>,
     recv_buf: Vec<u8>,
 }
@@ -75,49 +62,15 @@ pub struct WireReceiver<T: Transport> {
 impl<T: Transport> WireReceiver<T> {
     /// Creates a receiver listening on `transport`.
     pub fn new(cfg: WireReceiverConfig, transport: T) -> Self {
-        let nack = cfg.nack.map(|_| NackTracker::default());
-        let next_hello_at = cfg.heartbeat.then_some(SimTime::ZERO);
         WireReceiver {
             transport,
             cfg,
-            frames: FrameLog::new(),
-            nack,
-            max_frame_seen: 0,
-            delays: DelayRecorder::new(false),
-            received_by_color: [0; 3],
-            recovered_packets: 0,
+            rx: Reception::new(false).with_nack(),
             decode_errors: 0,
-            nacks_sent: 0,
             hellos_sent: 0,
-            next_hello_at,
+            next_hello_at: Some(SimTime::ZERO),
             recv_buf: vec![0u8; RX_SLOT_BYTES],
         }
-    }
-
-    /// The address the router should forward data packets to.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.transport.local_addr()
-    }
-
-    /// Distinct frames with at least one packet received.
-    pub fn frames_seen(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Decodes every frame seen so far, in frame order (FGS semantics:
-    /// base all-or-nothing, enhancement useful up to the first gap).
-    pub fn decode_all(&self) -> Vec<DecodedFrame> {
-        self.frames.decode_all()
-    }
-
-    /// Aggregate decode utility over all frames seen.
-    pub fn utility(&self) -> UtilityStats {
-        self.frames.utility()
-    }
-
-    /// NACKs actually emitted so far (base-layer requests only).
-    pub fn nacks_sent(&self) -> u64 {
-        self.nacks_sent
     }
 
     /// HELLO heartbeats emitted so far.
@@ -128,16 +81,12 @@ impl<T: Transport> WireReceiver<T> {
     /// Ends the stream: a BYE to the server, so its flow-table
     /// entry dies immediately instead of idling out, and no further HELLO
     /// (which would register the flow again). Packets already in flight
-    /// are still received and acknowledged. A no-op when heartbeats are
-    /// disabled.
+    /// are still received and acknowledged.
     ///
     /// # Errors
     ///
     /// Propagates hard transport failures.
     pub fn send_bye(&mut self) -> io::Result<()> {
-        if !self.cfg.heartbeat {
-            return Ok(());
-        }
         self.next_hello_at = None;
         let bye = WireBye { flow: self.cfg.flow }.encode();
         self.transport.send_to(&bye, self.cfg.server)
@@ -171,7 +120,14 @@ impl<T: Transport> WireReceiver<T> {
         let res = self.drain(&mut buf, now);
         self.recv_buf = buf;
         res?;
-        self.issue_nacks()
+        // Only base-layer packets are worth requesting: enhancement is
+        // prefix-decodable loss-tolerant data (and the server would refuse
+        // to repair it).
+        for tag in self.rx.nacks_due(true) {
+            let nack = WireNack { flow: self.cfg.flow, tag };
+            self.transport.send_to(&nack.encode(), self.cfg.server)?;
+        }
+        Ok(())
     }
 
     fn drain(&mut self, buf: &mut [u8], now: SimTime) -> io::Result<()> {
@@ -191,43 +147,30 @@ impl<T: Transport> WireReceiver<T> {
     }
 
     fn on_data(&mut self, pkt: &WireData<'_>, now: SimTime) -> io::Result<()> {
-        let tag = pkt.tag;
-        self.max_frame_seen = self.max_frame_seen.max(tag.frame);
-        self.frames
-            .entry(tag.frame, tag.total, tag.base, self.cfg.packet_bytes)
-            .mark_received_sized(tag.index, pkt.payload.len() as u32);
-        let class = pkt.class.min(2);
-        self.received_by_color[class as usize] += 1;
-        let delay_s = now.duration_since(pkt.sent_at).as_secs_f64();
-        self.delays.record(class, now.as_secs_f64(), delay_s);
-        if pkt.retransmission {
-            self.recovered_packets += 1;
-        }
-        let ack = WireAck {
-            flow: pkt.flow,
-            seq: pkt.seq,
-            sent_at: pkt.sent_at,
-            rate_echo: pkt.rate_echo,
-            feedback: pkt.feedback,
-        }
-        .encode();
-        self.transport.send_to(&ack, self.cfg.server)
+        self.rx.record(
+            now,
+            Arrival {
+                tag: pkt.tag,
+                class: pkt.class,
+                nominal_bytes: self.cfg.packet_bytes,
+                bytes: pkt.payload.len() as u32,
+                // From the packet's embedded first emission, so a
+                // retransmission counts its full recovery latency.
+                delay: now.duration_since(pkt.sent_at),
+                retransmission: pkt.retransmission,
+                // The wire client plays nothing out: no deadline to miss.
+                decodable: true,
+            },
+        );
+        self.transport.send_to(&WireAck::echo(pkt).encode(), self.cfg.server)
     }
+}
 
-    fn issue_nacks(&mut self) -> io::Result<()> {
-        let Some(tracker) = self.nack.as_mut() else { return Ok(()) };
-        for tag in tracker.due(self.max_frame_seen, |g| self.frames.get(g)) {
-            // Only base-layer packets are worth requesting: enhancement is
-            // prefix-decodable loss-tolerant data (and the server would
-            // refuse to repair it).
-            if tag.index >= tag.base {
-                continue;
-            }
-            let nack = WireNack { flow: self.cfg.flow, tag };
-            self.transport.send_to(&nack.encode(), self.cfg.server)?;
-            self.nacks_sent += 1;
-        }
-        Ok(())
+/// A receiver reads as its [`Reception`]: counts, delays, frames, NACKs.
+impl<T: Transport> Deref for WireReceiver<T> {
+    type Target = Reception;
+    fn deref(&self) -> &Reception {
+        &self.rx
     }
 }
 
@@ -242,8 +185,8 @@ mod tests {
         format!("127.0.0.1:{port}").parse().unwrap()
     }
 
-    fn rx_cfg(server: SocketAddr, nack: Option<NackConfig>) -> WireReceiverConfig {
-        WireReceiverConfig { flow: FlowId(1), server, nack, packet_bytes: 500, heartbeat: false }
+    fn rx_cfg(server: SocketAddr) -> WireReceiverConfig {
+        WireReceiverConfig { flow: FlowId(1), server, packet_bytes: 500 }
     }
 
     fn data(frame: u64, index: u16, total: u16, base: u16, class: u8) -> Vec<u8> {
@@ -270,18 +213,24 @@ mod tests {
         out
     }
 
+    /// The datagrams of `kind` waiting at `sink`; the rest (the HELLOs
+    /// among them) are drained and dropped.
+    fn drain_kind(sink: &MemTransport, kind: WireKind) -> Vec<Vec<u8>> {
+        drain(sink).into_iter().filter(|d| peek_kind(d) == Ok(kind)).collect()
+    }
+
     #[test]
     fn acks_every_packet_with_echoed_label() {
         let hub = MemHub::new();
         let src = hub.endpoint(addr(1));
         let rx_ep = hub.endpoint(addr(3));
-        let mut rx = WireReceiver::new(rx_cfg(addr(1), None), rx_ep);
+        let mut rx = WireReceiver::new(rx_cfg(addr(1)), rx_ep);
         src.send_to(&data(0, 0, 2, 1, 0), addr(3)).unwrap();
         src.send_to(&data(0, 1, 2, 1, 1), addr(3)).unwrap();
         rx.poll(SimTime::from_nanos(5_000_000)).unwrap();
         assert_eq!(rx.frames_seen(), 1);
         assert_eq!(rx.received_by_color, [1, 1, 0]);
-        let acks = drain(&src);
+        let acks = drain_kind(&src, WireKind::Ack);
         assert_eq!(acks.len(), 2);
         let ack = WireAck::decode(&acks[0]).unwrap();
         assert_eq!(ack.rate_echo, 128_000.0);
@@ -297,7 +246,7 @@ mod tests {
         let hub = MemHub::new();
         let src = hub.endpoint(addr(1));
         let rx_ep = hub.endpoint(addr(3));
-        let mut rx = WireReceiver::new(rx_cfg(addr(1), None), rx_ep);
+        let mut rx = WireReceiver::new(rx_cfg(addr(1)), rx_ep);
         // Three data packets in one datagram, as the server's batched path
         // sends them, then a container whose second packet is cut short.
         let mut container = Vec::new();
@@ -307,7 +256,11 @@ mod tests {
         src.send_to(&container, addr(3)).unwrap();
         rx.poll(SimTime::ZERO).unwrap();
         assert_eq!((rx.received_by_color, rx.decode_errors), ([1, 1, 1], 0));
-        assert_eq!(drain(&src).len(), 3, "one ACK per packet, not per datagram");
+        assert_eq!(
+            drain_kind(&src, WireKind::Ack).len(),
+            3,
+            "one ACK per packet, not per datagram"
+        );
         let one = data(1, 0, 2, 1, 0).len();
         src.send_to(&container[..one + 10], addr(3)).unwrap();
         rx.poll(SimTime::ZERO).unwrap();
@@ -319,7 +272,7 @@ mod tests {
         let hub = MemHub::new();
         let src = hub.endpoint(addr(1));
         let rx_ep = hub.endpoint(addr(3));
-        let mut rx = WireReceiver::new(rx_cfg(addr(1), Some(NackConfig::default())), rx_ep);
+        let mut rx = WireReceiver::new(rx_cfg(addr(1)), rx_ep);
         // Frame 0 misses packet 1; frames 1–2 advance the horizon past the
         // backoff gate while keeping frame 0 inside the 4-frame NACK window.
         src.send_to(&data(0, 0, 2, 2, 0), addr(3)).unwrap();
@@ -327,14 +280,37 @@ mod tests {
             src.send_to(&data(f, 0, 1, 1, 0), addr(3)).unwrap();
         }
         rx.poll(SimTime::ZERO).unwrap();
-        let nacks: Vec<_> = drain(&src)
-            .iter()
-            .filter(|d| peek_kind(d) == Ok(WireKind::Nack))
-            .map(|d| WireNack::decode(d).unwrap())
-            .collect();
+        let nacks: Vec<_> =
+            drain_kind(&src, WireKind::Nack).iter().map(|d| WireNack::decode(d).unwrap()).collect();
         assert_eq!(nacks.len(), 1);
         assert_eq!(nacks[0].tag.frame, 0);
         assert_eq!(nacks[0].tag.index, 1);
+        assert_eq!(rx.nacks_sent(), 1);
+    }
+
+    #[test]
+    fn enhancement_gaps_leave_the_base_nack_budget_whole() {
+        let hub = MemHub::new();
+        let src = hub.endpoint(addr(1));
+        let mut rx = WireReceiver::new(rx_cfg(addr(1)), hub.endpoint(addr(3)));
+        // 520 frames that each lose all 64 enhancement packets: two rounds
+        // of 64 gaps a frame would be more than the lifetime NACK budget,
+        // were gaps the receiver never requests charged against it.
+        for frame in 0..520 {
+            src.send_to(&data(frame, 0, 65, 1, 0), addr(3)).unwrap();
+            rx.poll(SimTime::ZERO).unwrap();
+            assert!(drain_kind(&src, WireKind::Nack).is_empty(), "enhancement is not requested");
+        }
+        // Then a frame that loses its second base packet.
+        src.send_to(&data(520, 0, 2, 2, 0), addr(3)).unwrap();
+        for frame in 521..=522 {
+            src.send_to(&data(frame, 0, 1, 1, 0), addr(3)).unwrap();
+        }
+        rx.poll(SimTime::ZERO).unwrap();
+        let nacks = drain_kind(&src, WireKind::Nack);
+        assert_eq!(nacks.len(), 1, "the base gap is requested");
+        let tag = WireNack::decode(&nacks[0]).unwrap().tag;
+        assert_eq!((tag.frame, tag.index), (520, 1));
         assert_eq!(rx.nacks_sent(), 1);
     }
 
@@ -343,7 +319,7 @@ mod tests {
         let hub = MemHub::new();
         let src = hub.endpoint(addr(1));
         let rx_ep = hub.endpoint(addr(3));
-        let mut rx = WireReceiver::new(rx_cfg(addr(1), None), rx_ep);
+        let mut rx = WireReceiver::new(rx_cfg(addr(1)), rx_ep);
         let retx = WireData {
             flow: FlowId(1),
             seq: 9,
@@ -358,7 +334,7 @@ mod tests {
         .encode();
         src.send_to(&retx, addr(3)).unwrap();
         rx.poll(SimTime::from_secs_f64(0.25)).unwrap();
-        assert_eq!(rx.recovered_packets, 1);
+        assert_eq!(rx.recovered_on_time, 1);
         // Delay measured from the original emission, not the retransmit.
         assert!((rx.delays.by_class[0].mean() - 0.25).abs() < 1e-9);
     }
@@ -368,8 +344,7 @@ mod tests {
         let hub = MemHub::new();
         let router = hub.endpoint(addr(2));
         let rx_ep = hub.endpoint(addr(3));
-        let cfg = WireReceiverConfig { heartbeat: true, ..rx_cfg(addr(2), None) };
-        let mut rx = WireReceiver::new(cfg, rx_ep);
+        let mut rx = WireReceiver::new(rx_cfg(addr(2)), rx_ep);
         // First poll emits immediately; polling again inside the interval
         // does not.
         rx.poll(SimTime::ZERO).unwrap();
@@ -391,24 +366,11 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_off_means_silence() {
-        let hub = MemHub::new();
-        let router = hub.endpoint(addr(2));
-        let rx_ep = hub.endpoint(addr(3));
-        let mut rx = WireReceiver::new(rx_cfg(addr(2), None), rx_ep);
-        rx.poll(SimTime::ZERO).unwrap();
-        rx.poll(SimTime::from_secs_f64(10.0)).unwrap();
-        rx.send_bye().unwrap();
-        assert_eq!(rx.hellos_sent(), 0);
-        assert!(drain(&router).is_empty());
-    }
-
-    #[test]
     fn foreign_flow_and_garbage_are_counted_not_crashed() {
         let hub = MemHub::new();
         let src = hub.endpoint(addr(1));
         let rx_ep = hub.endpoint(addr(3));
-        let mut rx = WireReceiver::new(rx_cfg(addr(1), None), rx_ep);
+        let mut rx = WireReceiver::new(rx_cfg(addr(1)), rx_ep);
         let mut foreign = data(0, 0, 1, 1, 0);
         foreign[4..8].copy_from_slice(&2u32.to_be_bytes()); // flow 2
         src.send_to(&foreign, addr(3)).unwrap();
@@ -416,6 +378,6 @@ mod tests {
         rx.poll(SimTime::ZERO).unwrap();
         assert_eq!(rx.frames_seen(), 0);
         assert_eq!(rx.decode_errors, 2);
-        assert!(drain(&src).is_empty(), "no ACKs for rejected datagrams");
+        assert!(drain_kind(&src, WireKind::Ack).is_empty(), "no ACKs for rejected datagrams");
     }
 }

@@ -7,7 +7,6 @@
 //! the default gains (α = 20 kb/s, β = 0.5), `r* = 2 000 + 40 = 2 040 kb/s`.
 //! Both stacks must land within 5% of each other and of the closed form.
 
-use pels_core::receiver::NackConfig;
 use pels_core::scenario::{default_trace, FlowSpec, Scenario, ScenarioConfig};
 use pels_netsim::clock::{Clock, ManualClock};
 use pels_netsim::packet::FlowId;
@@ -126,13 +125,7 @@ fn flows_find_the_same_fair_operating_point(n: usize, wire_color_limits: [usize;
     );
     let mut receivers: Vec<_> = (1..=n as u32)
         .map(|f| {
-            let cfg = WireReceiverConfig {
-                flow: FlowId(f),
-                server: addr(9000),
-                nack: Some(NackConfig::default()),
-                packet_bytes: 500,
-                heartbeat: true,
-            };
+            let cfg = WireReceiverConfig { flow: FlowId(f), server: addr(9000), packet_bytes: 500 };
             WireReceiver::new(cfg, hub.endpoint(addr(9000 + f as u16)))
         })
         .collect();

@@ -7,7 +7,6 @@
 use std::net::SocketAddr;
 use std::sync::Arc;
 
-use pels_core::receiver::NackConfig;
 use pels_netsim::clock::ManualClock;
 use pels_netsim::packet::{AgentId, Feedback, FlowId, FrameTag};
 use pels_netsim::time::{SimDuration, SimTime};
@@ -132,9 +131,7 @@ proptest! {
             WireReceiverConfig {
                 flow: FlowId(1),
                 server: server_addr,
-                nack: Some(NackConfig::default()),
                 packet_bytes: 500,
-                heartbeat: true,
             },
             hub.endpoint(rx_addr),
         );

@@ -7,7 +7,6 @@
 //!
 //! One `#[test]` only: the byte counter is process-wide.
 
-use pels_core::receiver::NackConfig;
 use pels_fgs::decoder::FrameLog;
 use pels_netsim::packet::{FlowId, FrameTag};
 use pels_netsim::time::SimTime;
@@ -121,50 +120,37 @@ fn hostile_frame_tags_cost_bounded_bytes_and_never_panic() {
         u64::MAX
     ]));
 
-    // The receiver, over datagrams: without NACKs a packet costs what it
-    // costs the log; with them, the tracker's counters for one frame more.
-    for (nack, bound) in [
-        (None, CHUNK_BYTES + BITSET_BYTES + SLACK_BYTES),
-        (
-            Some(NackConfig::default()),
-            CHUNK_BYTES + BITSET_BYTES + NACK_COUNTER_BYTES + SLACK_BYTES,
-        ),
-    ] {
-        let hub = MemHub::new();
-        let server = hub.endpoint(addr(1));
-        let cfg = WireReceiverConfig {
-            flow: FlowId(1),
-            server: addr(1),
-            nack,
-            packet_bytes: 500,
-            heartbeat: false,
-        };
-        let mut rx = WireReceiver::new(cfg, hub.endpoint(addr(2)));
-        let mut buf = [0u8; 2048];
-        let mut deliver = |bytes: &[u8], rx: &mut WireReceiver<_>| {
-            server.send_to(bytes, addr(2)).unwrap();
-            rx.poll(SimTime::ZERO).unwrap();
-            // Take the ACKs and NACKs back out, as the server would.
-            while server.try_recv(&mut buf).unwrap().is_some() {}
-        };
-        // A well-formed packet first, so queues and pools are warm.
-        deliver(&datagram(FrameTag { frame: 2, index: 0, total: 4, base: 1 }), &mut rx);
-        let mut accepted = 0;
-        for tag in hostile_tags() {
-            let bytes = datagram(tag);
-            let well_formed = WireData::decode(&bytes).is_ok();
-            accepted += usize::from(well_formed);
-            let (before, errors) = (live(), rx.decode_errors);
-            deliver(&bytes, &mut rx);
-            let cost = live() - before;
-            assert!(cost <= bound, "{tag:?} cost {cost} bytes (NACKs: {})", nack.is_some());
-            assert_eq!(rx.decode_errors, errors + u64::from(!well_formed), "{tag:?}");
-        }
-        // The codec refuses an index or a base past the end; the other
-        // seven reach the log, on six frames beside the warm-up's.
-        assert_eq!(accepted, 7);
-        assert_eq!(rx.frames_seen(), 7);
-        assert_eq!(rx.decode_all().len(), 7);
-        assert_eq!(rx.utility().frames, 7);
+    // The receiver, over datagrams: a packet costs what it costs the log,
+    // and the NACK tracker's counters for one frame more.
+    let bound = CHUNK_BYTES + BITSET_BYTES + NACK_COUNTER_BYTES + SLACK_BYTES;
+    let hub = MemHub::new();
+    let server = hub.endpoint(addr(1));
+    let cfg = WireReceiverConfig { flow: FlowId(1), server: addr(1), packet_bytes: 500 };
+    let mut rx = WireReceiver::new(cfg, hub.endpoint(addr(2)));
+    let mut buf = [0u8; 2048];
+    let mut deliver = |bytes: &[u8], rx: &mut WireReceiver<_>| {
+        server.send_to(bytes, addr(2)).unwrap();
+        rx.poll(SimTime::ZERO).unwrap();
+        // Take the HELLOs, ACKs and NACKs back out, as the server would.
+        while server.try_recv(&mut buf).unwrap().is_some() {}
+    };
+    // A well-formed packet first, so queues and pools are warm.
+    deliver(&datagram(FrameTag { frame: 2, index: 0, total: 4, base: 1 }), &mut rx);
+    let mut accepted = 0;
+    for tag in hostile_tags() {
+        let bytes = datagram(tag);
+        let well_formed = WireData::decode(&bytes).is_ok();
+        accepted += usize::from(well_formed);
+        let (before, errors) = (live(), rx.decode_errors);
+        deliver(&bytes, &mut rx);
+        let cost = live() - before;
+        assert!(cost <= bound, "{tag:?} cost {cost} bytes");
+        assert_eq!(rx.decode_errors, errors + u64::from(!well_formed), "{tag:?}");
     }
+    // The codec refuses an index or a base past the end; the other
+    // seven reach the log, on six frames beside the warm-up's.
+    assert_eq!(accepted, 7);
+    assert_eq!(rx.frames_seen(), 7);
+    assert_eq!(rx.decode_all().len(), 7);
+    assert_eq!(rx.utility().frames, 7);
 }

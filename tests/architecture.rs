@@ -22,7 +22,7 @@ const BENCH: usize = 1_292;
 /// Non-test lines under every `crates/*/src`. A knob with one value in use
 /// is a named constant beside the code that reads it: a config field, its
 /// default, its plumbing and its validation coming back show up here first.
-const CRATES: usize = 20_372;
+const CRATES: usize = 20_366;
 
 /// The `.rs` files in `dir`, and in its subdirectories when `recurse`.
 fn rust_files(dir: &Path, recurse: bool) -> Vec<PathBuf> {
@@ -215,6 +215,30 @@ fn the_sender_path_is_wired_once() {
     assert!(
         found.is_empty(),
         "these assemble part of the sender control path; call pels_core::flow::FlowControl:\n{}",
+        found.join("\n")
+    );
+}
+
+/// One receiver core, `pels_core::receiver::Reception`, keeps the frame log,
+/// the NACK schedule and the delays for both stacks; the simulator's agent
+/// and the wire's client only feed it. A second copy of that wiring is how
+/// the two receivers drifted apart before (the wire's NACK budget was spent
+/// on requests it never sent).
+#[test]
+fn the_receiver_path_is_wired_once() {
+    let allowed = ["crates/core/src/receiver.rs", "crates/fgs/src/decoder.rs"];
+    let calls = [
+        "FrameLog::new",
+        "NackTracker::default",
+        ".due(",
+        ".mark_received_sized(",
+        "DelayRecorder::new",
+    ];
+    let found =
+        offenders(&crate_sources(), &allowed, |line| calls.iter().any(|c| line.contains(c)));
+    assert!(
+        found.is_empty(),
+        "these assemble part of the receiving path; record through pels_core::receiver::Reception:\n{}",
         found.join("\n")
     );
 }
