@@ -23,7 +23,7 @@ use pels_fgs::rd_scaling::{
 use pels_fgs::scaling::ScaledFrame;
 use pels_fgs::{FrameReception, UtilityStats};
 use pels_netsim::stats::TimeSeries;
-use pels_netsim::time::{Rate, SimDuration};
+use pels_netsim::time::SimDuration;
 
 /// Ablation: the γ-controller gain σ (Lemmas 2–3).
 ///
@@ -592,10 +592,9 @@ pub fn ablation_burstiness() -> Outcome {
 /// including expendable enhancement tails — and lets base packets go red.
 pub fn ablation_marking() -> Outcome {
     let mut o = Outcome::with_csv("ablation_marking.csv", "marking,utility,base_ok,gop_ok");
-    // Give the marker a committed rate matching the aggregate base-layer
-    // bitrate (4 flows x 128 kb/s) — the most favorable honest setting.
-    let tcm = TcmConfig { cir: Rate::from_kbps(512.0), cbs: 8_000, ebs: 64_000 };
-    let [app, tcm] = [("app", None), ("tcm", Some(tcm))].map(|(name, ingress_tcm)| {
+    // The marker's committed rate matches the aggregate base-layer bitrate
+    // (4 flows x 128 kb/s) — the most favorable honest setting (tcm::CIR).
+    let [app, tcm] = [("app", None), ("tcm", Some(TcmConfig {}))].map(|(name, ingress_tcm)| {
         let mut cfg = wideband_config(4, 0.10);
         if ingress_tcm.is_some() {
             cfg.aqm.ingress_tcm = ingress_tcm;

@@ -415,7 +415,7 @@ mod tests {
     use super::*;
     use pels_netsim::disc::{DropTail, QueueLimit};
     use pels_netsim::packet::{AgentId, Feedback, FrameTag};
-    use pels_netsim::sim::Simulator;
+    use pels_netsim::shard::{Partition, ShardedSimulator};
     use pels_netsim::time::{Rate, SimDuration, SimTime};
 
     struct AckSink {
@@ -462,8 +462,13 @@ mod tests {
         p
     }
 
-    fn build(packets: Vec<Packet>) -> (Simulator, AgentId, AgentId) {
-        let mut sim = Simulator::new(1);
+    /// The receiver `receiver` builds on its ACK port (agent 0), the
+    /// [`AckSink`] that port leads to (agent 1) and a [`Feeder`] of
+    /// `packets` (agent 2), on one queue.
+    fn build_with(
+        receiver: impl FnOnce(Port) -> PelsReceiver,
+        packets: Vec<Packet>,
+    ) -> (ShardedSimulator, AgentId, AgentId) {
         let rx_id = AgentId(0);
         let ack_sink_id = AgentId(1);
         let port = Port::new(
@@ -473,10 +478,16 @@ mod tests {
             SimDuration::from_millis(1),
             Box::new(DropTail::new(QueueLimit::Packets(100))),
         );
-        sim.add_agent(Box::new(PelsReceiver::new(FlowId(1), port, true)));
-        sim.add_agent(Box::new(AckSink { acks: vec![] }));
-        sim.add_agent(Box::new(Feeder { rx: rx_id, packets }));
-        (sim, rx_id, ack_sink_id)
+        let agents: Vec<Box<dyn Agent>> = vec![
+            Box::new(receiver(port)),
+            Box::new(AckSink { acks: vec![] }),
+            Box::new(Feeder { rx: rx_id, packets }),
+        ];
+        (ShardedSimulator::new(1, &Partition::serial(3), agents), rx_id, ack_sink_id)
+    }
+
+    fn build(packets: Vec<Packet>) -> (ShardedSimulator, AgentId, AgentId) {
+        build_with(|port| PelsReceiver::new(FlowId(1), port, true), packets)
     }
 
     #[test]
@@ -543,22 +554,11 @@ mod tests {
     fn deadline_discards_late_packets_but_still_acks() {
         let on_time = video_packet(0, 0, 2, 1, 0); // delivered at +10 ms
         let late = video_packet(0, 1, 2, 1, 2); // delivered at +11 ms
-        let mut sim = Simulator::new(1);
-        let rx_id = AgentId(0);
-        let ack_sink_id = AgentId(1);
-        let port = Port::new(
-            0,
-            ack_sink_id,
-            Rate::from_mbps(10.0),
-            SimDuration::from_millis(1),
-            Box::new(DropTail::new(QueueLimit::Packets(100))),
+        let deadline = SimDuration::from_micros(10_500);
+        let (mut sim, rx_id, ack_sink_id) = build_with(
+            |port| PelsReceiver::new(FlowId(1), port, true).with_deadline(deadline),
+            vec![on_time, late],
         );
-        sim.add_agent(Box::new(
-            PelsReceiver::new(FlowId(1), port, true)
-                .with_deadline(SimDuration::from_micros(10_500)),
-        ));
-        sim.add_agent(Box::new(AckSink { acks: vec![] }));
-        sim.add_agent(Box::new(Feeder { rx: rx_id, packets: vec![on_time, late] }));
         sim.run_until(SimTime::from_secs_f64(1.0));
         let r = sim.agent::<PelsReceiver>(rx_id);
         assert_eq!(r.received_by_color[0], 1);
@@ -570,21 +570,8 @@ mod tests {
         assert_eq!(sim.agent::<AckSink>(ack_sink_id).acks.len(), 2);
     }
 
-    fn build_nack(packets: Vec<Packet>) -> (Simulator, AgentId, AgentId) {
-        let mut sim = Simulator::new(1);
-        let rx_id = AgentId(0);
-        let ack_sink_id = AgentId(1);
-        let port = Port::new(
-            0,
-            ack_sink_id,
-            Rate::from_mbps(10.0),
-            SimDuration::from_millis(1),
-            Box::new(DropTail::new(QueueLimit::Packets(100))),
-        );
-        sim.add_agent(Box::new(PelsReceiver::new(FlowId(1), port, true).with_nack()));
-        sim.add_agent(Box::new(AckSink { acks: vec![] }));
-        sim.add_agent(Box::new(Feeder { rx: rx_id, packets }));
-        (sim, rx_id, ack_sink_id)
+    fn build_nack(packets: Vec<Packet>) -> (ShardedSimulator, AgentId, AgentId) {
+        build_with(|port| PelsReceiver::new(FlowId(1), port, true).with_nack(), packets)
     }
 
     #[test]

@@ -193,7 +193,7 @@ impl AqmRouter {
             red_loss_series: TimeSeries::new("p_red"),
             yellow_loss_series: TimeSeries::new("p_yellow"),
             green_loss_series: TimeSeries::new("p_green"),
-            tcm: cfg.ingress_tcm.map(SrTcm::new),
+            tcm: cfg.ingress_tcm.map(|TcmConfig {}| SrTcm::default()),
             backlog_series: TimeSeries::new("video_backlog_pkts"),
             red_backlog_series: TimeSeries::new("red_backlog_pkts"),
             keep_series,
@@ -351,7 +351,7 @@ impl Agent for AqmRouter {
 mod tests {
     use super::*;
     use pels_netsim::packet::{FlowId, FrameTag};
-    use pels_netsim::sim::Simulator;
+    use pels_netsim::shard::{Partition, ShardedSimulator};
     use pels_netsim::time::{Rate, SimTime};
 
     struct Sink {
@@ -405,12 +405,13 @@ mod tests {
         }
     }
 
-    fn build(mode: QueueMode, gap_us: u64, pattern: Vec<u8>) -> (Simulator, AgentId, AgentId) {
-        let mut sim = Simulator::new(3);
+    fn build(
+        mode: QueueMode,
+        gap_us: u64,
+        pattern: Vec<u8>,
+    ) -> (ShardedSimulator, AgentId, AgentId) {
         let router_id = AgentId(0);
         let sink_id = AgentId(1);
-        let blaster_id = AgentId(2);
-        let inet_blaster_id = AgentId(3);
 
         let bottleneck = Port::new(
             0,
@@ -422,28 +423,29 @@ mod tests {
         let mut routes = RouteTable::new();
         routes.add(sink_id, 0);
         let cfg = AqmConfig { mode, ..Default::default() };
-        sim.add_agent(Box::new(AqmRouter::new(bottleneck, vec![], routes, cfg, true)));
-        sim.add_agent(Box::new(Sink { got: vec![] }));
-        sim.add_agent(Box::new(ColorBlaster {
-            router: router_id,
-            dst: sink_id,
-            gap: SimDuration::from_micros(gap_us),
-            pattern,
-            sent: 0,
-            limit: u64::MAX,
-        }));
-        // Saturate the Internet share so WRR actually caps the video child
-        // at its 50% (the scheduler is work-conserving).
-        sim.add_agent(Box::new(ColorBlaster {
-            router: router_id,
-            dst: sink_id,
-            gap: SimDuration::from_micros(1_000),
-            pattern: vec![3],
-            sent: 0,
-            limit: u64::MAX,
-        }));
-        let _ = (blaster_id, inet_blaster_id);
-        (sim, router_id, sink_id)
+        let agents: Vec<Box<dyn Agent>> = vec![
+            Box::new(AqmRouter::new(bottleneck, vec![], routes, cfg, true)),
+            Box::new(Sink { got: vec![] }),
+            Box::new(ColorBlaster {
+                router: router_id,
+                dst: sink_id,
+                gap: SimDuration::from_micros(gap_us),
+                pattern,
+                sent: 0,
+                limit: u64::MAX,
+            }),
+            // Saturate the Internet share so WRR actually caps the video
+            // child at its 50% (the scheduler is work-conserving).
+            Box::new(ColorBlaster {
+                router: router_id,
+                dst: sink_id,
+                gap: SimDuration::from_micros(1_000),
+                pattern: vec![3],
+                sent: 0,
+                limit: u64::MAX,
+            }),
+        ];
+        (ShardedSimulator::new(3, &Partition::serial(4), agents), router_id, sink_id)
     }
 
     #[test]
@@ -463,6 +465,35 @@ mod tests {
         // Overloaded 2:1 -> p ~ 0.5 once measured.
         let last_loss = got.last().unwrap().feedback().unwrap().loss;
         assert!((last_loss - 0.5).abs() < 0.05, "loss {last_loss}");
+    }
+
+    #[test]
+    fn unroutable_packets_are_counted() {
+        let bottleneck = Port::new(
+            0,
+            AgentId(1),
+            Rate::from_mbps(4.0),
+            SimDuration::from_millis(5),
+            Box::new(DropTail::new(QueueLimit::Packets(1))), // placeholder
+        );
+        let mut routes = RouteTable::new();
+        routes.add(AgentId(1), 0);
+        let agents: Vec<Box<dyn Agent>> = vec![
+            Box::new(AqmRouter::new(bottleneck, vec![], routes, AqmConfig::default(), true)),
+            Box::new(Sink { got: vec![] }),
+            Box::new(ColorBlaster {
+                router: AgentId(0),
+                dst: AgentId(99),
+                gap: SimDuration::from_millis(1),
+                pattern: vec![0],
+                sent: 0,
+                limit: 3,
+            }),
+        ];
+        let mut sim = ShardedSimulator::new(3, &Partition::serial(3), agents);
+        sim.run_until(SimTime::from_secs_f64(0.1));
+        assert_eq!(sim.agent::<AqmRouter>(AgentId(0)).no_route_drops, 3);
+        assert!(sim.agent::<Sink>(AgentId(1)).got.is_empty());
     }
 
     #[test]

@@ -561,7 +561,7 @@ mod tests {
     use pels_fgs::frame::foreman;
     use pels_netsim::disc::{DropTail, QueueLimit};
     use pels_netsim::packet::Feedback;
-    use pels_netsim::sim::Simulator;
+    use pels_netsim::shard::{Partition, ShardedSimulator};
     use pels_netsim::time::{Rate, SimTime};
 
     /// ACKs every data packet with the label `label(now)` gives it, if any.
@@ -606,8 +606,7 @@ mod tests {
     fn sim_with(
         cfg: SourceConfig,
         label: impl FnMut(SimTime) -> Option<Feedback> + Send + 'static,
-    ) -> Simulator {
-        let mut sim = Simulator::new(5);
+    ) -> ShardedSimulator {
         let port = Port::new(
             0,
             cfg.dst,
@@ -615,20 +614,25 @@ mod tests {
             SimDuration::from_millis(1),
             Box::new(DropTail::new(QueueLimit::Packets(1000))),
         );
-        sim.add_agent(Box::new(PelsSource::new(cfg, port)));
-        sim.add_agent(Box::new(Recorder { got: vec![], label: Box::new(label) }));
-        sim
+        let agents: Vec<Box<dyn Agent>> = vec![
+            Box::new(PelsSource::new(cfg, port)),
+            Box::new(Recorder { got: vec![], label: Box::new(label) }),
+        ];
+        ShardedSimulator::new(5, &Partition::serial(2), agents)
     }
 
     /// Every ACK carries the same label `reply_feedback`.
-    fn build(mode: SourceMode, reply_feedback: Option<Feedback>) -> (Simulator, AgentId, AgentId) {
+    fn build(
+        mode: SourceMode,
+        reply_feedback: Option<Feedback>,
+    ) -> (ShardedSimulator, AgentId, AgentId) {
         let sim = sim_with(SourceConfig { mode, ..source_cfg() }, move |_| reply_feedback);
         (sim, AgentId(0), AgentId(1))
     }
 
     /// Every ACK carries a fresh (incrementing) epoch; the loss label flips
     /// from `loss_before` to `loss_after` at `switch_at_s`.
-    fn build_with_price(loss_before: f64, loss_after: f64, switch_at_s: f64) -> Simulator {
+    fn build_with_price(loss_before: f64, loss_after: f64, switch_at_s: f64) -> ShardedSimulator {
         let (mut epoch, switch_at) = (0, SimTime::from_secs_f64(switch_at_s));
         sim_with(source_cfg(), move |now| {
             epoch += 1;

@@ -112,7 +112,7 @@ impl Agent for CbrSource {
 mod tests {
     use super::*;
     use crate::disc::{DropTail, QueueLimit};
-    use crate::sim::Simulator;
+    use crate::shard::{Partition, ShardedSimulator};
 
     struct Counter {
         got: u64,
@@ -131,8 +131,7 @@ mod tests {
         }
     }
 
-    fn build(cfg: CbrConfig) -> (Simulator, AgentId) {
-        let mut sim = Simulator::new(1);
+    fn build(cfg: CbrConfig) -> (ShardedSimulator, AgentId) {
         let sink = AgentId(1);
         let port = Port::new(
             0,
@@ -141,9 +140,9 @@ mod tests {
             SimDuration::from_millis(1),
             Box::new(DropTail::new(QueueLimit::Packets(100))),
         );
-        sim.add_agent(Box::new(CbrSource::new(cfg, port)));
-        sim.add_agent(Box::new(Counter { got: 0, bytes: 0 }));
-        (sim, sink)
+        let agents: Vec<Box<dyn Agent>> =
+            vec![Box::new(CbrSource::new(cfg, port)), Box::new(Counter { got: 0, bytes: 0 })];
+        (ShardedSimulator::new(1, &Partition::serial(2), agents), sink)
     }
 
     #[test]
@@ -271,7 +270,7 @@ impl Agent for NullSink {
 mod poisson_tests {
     use super::*;
     use crate::disc::{DropTail, QueueLimit};
-    use crate::sim::Simulator;
+    use crate::shard::{Partition, ShardedSimulator};
     use crate::time::SimTime;
 
     struct Counter {
@@ -298,7 +297,6 @@ mod poisson_tests {
 
     #[test]
     fn mean_rate_and_exponential_gaps() {
-        let mut sim = Simulator::new(17);
         let sink = AgentId(1);
         // 500 packets/s mean (2 Mb/s of 500-byte packets) over a fast link
         // so queueing barely perturbs the gaps.
@@ -310,8 +308,11 @@ mod poisson_tests {
             Box::new(DropTail::new(QueueLimit::Packets(10_000))),
         );
         let cfg = CbrConfig::new(FlowId(1), sink, Rate::from_mbps(2.0), 500, 3);
-        sim.add_agent(Box::new(PoissonSource::new(cfg, port)));
-        sim.add_agent(Box::new(Counter { got: 0, gaps: vec![], last: None }));
+        let agents: Vec<Box<dyn Agent>> = vec![
+            Box::new(PoissonSource::new(cfg, port)),
+            Box::new(Counter { got: 0, gaps: vec![], last: None }),
+        ];
+        let mut sim = ShardedSimulator::new(17, &Partition::serial(2), agents);
         sim.run_until(SimTime::from_secs_f64(60.0));
         let c = sim.agent::<Counter>(sink);
         let rate = c.got as f64 / 60.0;

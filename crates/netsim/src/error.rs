@@ -1,12 +1,12 @@
 //! Simulation errors: the [`SimError`] type returned by fallible public
 //! APIs across the workspace.
 //!
-//! The simulator keeps panicking accessors for ergonomic test code, but every
-//! fallible public entry point now has a `try_*` twin returning
-//! `Result<_, SimError>` so embedding code (CLIs, harnesses, long-running
-//! chaos drivers) can degrade gracefully instead of aborting. The enum is
-//! deliberately `thiserror`-free: this workspace builds offline, so the
-//! `Display`/`Error` impls are written by hand.
+//! Validating constructors (`try_new`, `try_build`), agent lookup
+//! ([`crate::shard::ShardedSimulator::try_agent`]) and fault installation
+//! return `Result<_, SimError>`, so embedding code (CLIs, harnesses,
+//! long-running chaos drivers) can degrade gracefully instead of aborting.
+//! The enum is deliberately `thiserror`-free: this workspace builds offline,
+//! so the `Display`/`Error` impls are written by hand.
 
 use crate::packet::AgentId;
 use std::fmt;
@@ -25,8 +25,6 @@ pub enum SimError {
     },
     /// The agent is currently being dispatched (re-entrant access).
     AgentBusy(AgentId),
-    /// Agents cannot be added after the simulation has started.
-    SimulationStarted,
     /// A configuration value was rejected; the message explains which.
     InvalidConfig(String),
     /// A port index was out of range for the agent.
@@ -42,9 +40,6 @@ impl fmt::Display for SimError {
             }
             SimError::AgentBusy(id) => {
                 write!(f, "agent {id} is currently being dispatched")
-            }
-            SimError::SimulationStarted => {
-                write!(f, "cannot add agents after the simulation started")
             }
             // Bare message so `try_*().unwrap_or_else(|e| panic!("{e}"))`
             // reproduces the exact panic strings older tests assert on.
@@ -75,7 +70,6 @@ mod tests {
             SimError::InvalidConfig("beta must be in (0,2)".into()).to_string(),
             "beta must be in (0,2)"
         );
-        assert!(SimError::SimulationStarted.to_string().contains("after the simulation started"));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! `pels_wire::faults::FaultTransport`; the simulator's is here.
 //!
 //! A [`FaultSchedule`] is a list of `(time, target, action)` triples
-//! installed into a [`crate::sim::Simulator`] *before or during* a run;
-//! each becomes an [`crate::event::Event::Fault`] in the ordinary event
+//! installed into a [`crate::shard::ShardedSimulator`] *before or during*
+//! a run, never into its past; each becomes an [`crate::event::Event::Fault`] in the ordinary event
 //! queue, so faults interleave with traffic in the same deterministic
 //! `(time, seq)` order as every other event and are counted in
 //! [`FaultStats`]. A run is still a pure function of (topology, seed, schedule). Actions are:
@@ -198,7 +198,7 @@ pub struct FaultEvent {
 }
 
 /// An ordered script of faults. Build one with the fluent helpers, then
-/// install it with [`crate::sim::Simulator::install_faults`].
+/// install it with [`crate::shard::ShardedSimulator::install_faults`].
 ///
 /// # Examples
 ///

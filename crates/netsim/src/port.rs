@@ -35,34 +35,13 @@ use crate::packet::{AgentId, Packet};
 use crate::sim::Context;
 use crate::time::{Rate, SimDuration, SimTime};
 
-/// Counters kept by every port.
+/// Counters kept by every port; a total is the sum over the classes.
 #[derive(Debug, Clone, Default)]
 pub struct PortStats {
-    /// Packets fully serialized onto the link.
-    pub tx_packets: u64,
-    /// Bytes fully serialized onto the link.
-    pub tx_bytes: u64,
-    /// Packets dropped by the discipline, total.
-    pub dropped_packets: u64,
-    /// Bytes dropped by the discipline, total.
-    pub dropped_bytes: u64,
     /// Per-class drop counts (classes 0..=3; higher classes fold into 3).
     pub drops_by_class: [u64; 4],
     /// Per-class transmit counts.
     pub tx_by_class: [u64; 4],
-    /// Accumulated busy time.
-    pub busy_time: SimDuration,
-}
-
-impl PortStats {
-    /// Link utilization over `elapsed` time.
-    pub fn utilization(&self, elapsed: SimDuration) -> f64 {
-        if elapsed.is_zero() {
-            0.0
-        } else {
-            self.busy_time.as_secs_f64() / elapsed.as_secs_f64()
-        }
-    }
 }
 
 /// When a transmission ends, as an event-queue key.
@@ -172,8 +151,6 @@ impl Port {
     pub fn flush(&mut self, ctx: &mut Context<'_>) -> usize {
         let mut flushed = 0;
         while let Some(e) = self.disc.dequeue(ctx.now) {
-            self.stats.dropped_packets += 1;
-            self.stats.dropped_bytes += e.size_bytes as u64;
             self.stats.drops_by_class[e.class.min(3) as usize] += 1;
             ctx.release(e.slot);
             flushed += 1;
@@ -214,8 +191,6 @@ impl Port {
             }
             self.disc.enqueue(entry, ctx.now, &mut self.scratch_drops);
             for d in &self.scratch_drops {
-                self.stats.dropped_packets += 1;
-                self.stats.dropped_bytes += d.size_bytes as u64;
                 self.stats.drops_by_class[d.class.min(3) as usize] += 1;
                 ctx.release(d.slot);
             }
@@ -227,10 +202,7 @@ impl Port {
 
     fn begin_tx(&mut self, entry: QEntry, ctx: &mut Context<'_>) {
         let tx = self.rate.tx_time(entry.size_bytes);
-        self.stats.tx_packets += 1;
-        self.stats.tx_bytes += entry.size_bytes as u64;
         self.stats.tx_by_class[entry.class.min(3) as usize] += 1;
-        self.stats.busy_time += tx;
         // The completion's sequence number is taken here, ahead of the
         // arrival's, whether or not the event is ever scheduled.
         self.tx =
@@ -276,7 +248,8 @@ mod tests {
     use crate::disc::{DropTail, QueueLimit};
     use crate::faults::{apply_port_fault, FaultAction, FaultSchedule};
     use crate::packet::FlowId;
-    use crate::sim::{Agent, Simulator};
+    use crate::shard::{Partition, ShardedSimulator};
+    use crate::sim::Agent;
     use proptest::prelude::*;
     use std::any::Any;
 
@@ -373,10 +346,37 @@ mod tests {
         SimTime::from_secs_f64(x / 1e3)
     }
 
+    /// `host` sending to a [`Counter`], agents 0 and 1 on one queue, after
+    /// `faults` and `secs` of simulated time.
+    fn run_pair(host: Box<dyn Agent>, faults: &FaultSchedule, secs: f64) -> ShardedSimulator {
+        let agents = vec![host, Box::new(Counter { got: vec![] })];
+        let mut sim = ShardedSimulator::new(1, &Partition::serial(2), agents);
+        sim.install_faults(faults).expect("valid schedule");
+        sim.run_until(SimTime::from_secs_f64(secs));
+        sim
+    }
+
+    /// A [`Blaster`] of `n` packets into a 4 Mb/s port (a 500-byte packet
+    /// serializes in 1 ms) with `delay` and room for `queue` packets, run
+    /// for `secs`.
+    fn blast(n: usize, delay: SimDuration, queue: usize, secs: f64) -> ShardedSimulator {
+        let disc = Box::new(DropTail::new(QueueLimit::Packets(queue)));
+        let port = Port::new(0, AgentId(1), Rate::from_mbps(4.0), delay, disc);
+        run_pair(Box::new(Blaster { port: Some(port), n }), &FaultSchedule::new(), secs)
+    }
+
+    fn blaster_stats(sim: &ShardedSimulator) -> &PortStats {
+        &sim.agent::<Blaster>(AgentId(0)).port.as_ref().unwrap().stats
+    }
+
     /// Runs a scripted host on a 4 Mb/s zero-delay link (a 500-byte packet
     /// serializes in 1 ms) for 1 s. Returns the simulator, whose agent 0 is
     /// the host and agent 1 a [`Counter`].
-    fn run_scripted(plan: &[(f64, u32)], chained: bool, faults: &FaultSchedule) -> Simulator {
+    fn run_scripted(
+        plan: &[(f64, u32)],
+        chained: bool,
+        faults: &FaultSchedule,
+    ) -> ShardedSimulator {
         let port = Port::new(
             0,
             AgentId(1),
@@ -385,19 +385,14 @@ mod tests {
             Box::new(DropTail::new(QueueLimit::Packets(100))),
         );
         let plan = plan.iter().map(|&(at_ms, bytes)| (ms(at_ms), bytes)).collect();
-        let mut sim = Simulator::new(1);
-        sim.add_agent(Box::new(Scripted::new(port, plan, chained)));
-        sim.add_agent(Box::new(Counter { got: vec![] }));
-        sim.install_faults(faults).expect("valid schedule");
-        sim.run_until(SimTime::from_secs_f64(1.0));
-        sim
+        run_pair(Box::new(Scripted::new(port, plan, chained)), faults, 1.0)
     }
 
-    fn arrivals(sim: &Simulator) -> Vec<SimTime> {
+    fn arrivals(sim: &ShardedSimulator) -> Vec<SimTime> {
         sim.agent::<Counter>(AgentId(1)).got.iter().map(|g| g.0).collect()
     }
 
-    fn host(sim: &Simulator) -> &Scripted {
+    fn host(sim: &ShardedSimulator) -> &Scripted {
         sim.agent::<Scripted>(AgentId(0))
     }
 
@@ -412,7 +407,6 @@ mod tests {
         assert_eq!(arrivals(&sim), vec![ms(1.0), ms(2.0)]);
         // Two timers, two arrivals, and the one completion that dequeued.
         assert_eq!(sim.events_processed(), 5);
-        assert_eq!(host(&sim).port.stats.busy_time, SimDuration::from_millis(2));
     }
 
     /// The same instant from an event scheduled after the transmission
@@ -424,7 +418,6 @@ mod tests {
         assert_eq!(host(&sim).queued_after_send, vec![0, 0]);
         assert_eq!(arrivals(&sim), vec![ms(1.0), ms(2.0)]);
         assert_eq!(sim.events_processed(), 4);
-        assert_eq!(host(&sim).port.stats.busy_time, SimDuration::from_millis(2));
     }
 
     /// A link cut mid-transmission with nothing queued: the packet on the
@@ -452,7 +445,7 @@ mod tests {
         let sim = run_scripted(&[(0.0, 500), (0.7, 500), (2.0, 500)], false, &faults);
         assert_eq!(host(&sim).queued_after_send, vec![0, 1, 2]);
         assert_eq!(arrivals(&sim), vec![ms(1.0), ms(6.0), ms(7.0)]);
-        assert_eq!(host(&sim).port.stats.dropped_packets, 0);
+        assert_eq!(host(&sim).port.stats.drops_by_class, [0; 4]);
     }
 
     /// A link restored while the packet cut on the wire is still
@@ -483,27 +476,14 @@ mod tests {
         assert_eq!(host(&sim).queued_after_send, vec![0, 1, 0]);
         assert_eq!(arrivals(&sim), vec![ms(1.0), ms(2.0), ms(6.0)]);
         let stats = &host(&sim).port.stats;
-        assert_eq!((stats.tx_packets, stats.dropped_packets), (3, 0));
-        assert_eq!(stats.busy_time, SimDuration::from_millis(3));
+        assert_eq!((stats.tx_by_class, stats.drops_by_class), ([0, 0, 0, 3], [0; 4]));
     }
 
     #[test]
     fn serializes_back_to_back_at_link_rate() {
-        let mut sim = Simulator::new(1);
-        let sink_id = AgentId(1);
-        // 4 Mb/s, 10 ms delay: 500-byte packet = 1 ms serialization.
-        let port = Port::new(
-            0,
-            sink_id,
-            Rate::from_mbps(4.0),
-            SimDuration::from_millis(10),
-            Box::new(DropTail::new(QueueLimit::Packets(100))),
-        );
-        let src = sim.add_agent(Box::new(Blaster { port: Some(port), n: 3 }));
-        sim.add_agent(Box::new(Counter { got: vec![] }));
-        sim.run_until(SimTime::from_secs_f64(1.0));
-
-        let got = &sim.agent::<Counter>(sink_id).got;
+        // 10 ms delay on top of the 1 ms serialization.
+        let sim = blast(3, SimDuration::from_millis(10), 100, 1.0);
+        let got = &sim.agent::<Counter>(AgentId(1)).got;
         assert_eq!(got.len(), 3);
         // Arrivals at 11, 12, 13 ms: serialization is pipelined, propagation adds 10 ms.
         assert_eq!(got[0].0, SimTime::from_secs_f64(0.011));
@@ -511,54 +491,28 @@ mod tests {
         assert_eq!(got[2].0, SimTime::from_secs_f64(0.013));
         // In order.
         assert_eq!(got.iter().map(|g| g.1).collect::<Vec<_>>(), vec![0, 1, 2]);
-
-        let stats = &sim.agent::<Blaster>(src).port.as_ref().unwrap().stats;
-        assert_eq!(stats.tx_packets, 3);
-        assert_eq!(stats.tx_bytes, 1500);
-        assert_eq!(stats.busy_time, SimDuration::from_millis(3));
+        assert_eq!(blaster_stats(&sim).tx_by_class, [0, 0, 0, 3]);
     }
 
     #[test]
     fn drops_count_in_stats() {
-        let mut sim = Simulator::new(1);
-        let sink_id = AgentId(1);
-        let port = Port::new(
-            0,
-            sink_id,
-            Rate::from_mbps(4.0),
-            SimDuration::ZERO,
-            Box::new(DropTail::new(QueueLimit::Packets(2))),
-        );
         // 10 packets into a queue of 2 (+1 in flight) -> 7 drops.
-        let src = sim.add_agent(Box::new(Blaster { port: Some(port), n: 10 }));
-        sim.add_agent(Box::new(Counter { got: vec![] }));
-        sim.run_until(SimTime::from_secs_f64(1.0));
-
-        let stats = &sim.agent::<Blaster>(src).port.as_ref().unwrap().stats;
-        assert_eq!(stats.dropped_packets, 7);
-        assert_eq!(stats.tx_packets, 3);
-        assert_eq!(stats.drops_by_class[3], 7);
-        assert_eq!(sim.agent::<Counter>(sink_id).got.len(), 3);
+        let sim = blast(10, SimDuration::ZERO, 2, 1.0);
+        let stats = blaster_stats(&sim);
+        assert_eq!(stats.drops_by_class, [0, 0, 0, 7]);
+        assert_eq!(stats.tx_by_class, [0, 0, 0, 3]);
+        assert_eq!(sim.agent::<Counter>(AgentId(1)).got.len(), 3);
     }
 
     #[test]
     fn utilization_reflects_busy_fraction() {
-        let mut sim = Simulator::new(1);
-        let sink_id = AgentId(1);
-        let port = Port::new(
-            0,
-            sink_id,
-            Rate::from_mbps(4.0),
-            SimDuration::ZERO,
-            Box::new(DropTail::new(QueueLimit::Packets(100))),
-        );
-        let src = sim.add_agent(Box::new(Blaster { port: Some(port), n: 50 }));
-        sim.add_agent(Box::new(Counter { got: vec![] }));
-        sim.run_until(SimTime::from_secs_f64(0.1));
-        let stats = &sim.agent::<Blaster>(src).port.as_ref().unwrap().stats;
-        // 50 packets x 1 ms = 50 ms busy in a 100 ms window.
-        let util = stats.utilization(SimDuration::from_millis(100));
-        assert!((util - 0.5).abs() < 1e-9, "utilization {util}");
+        // 50 packets x 1 ms back to back: the link is busy for the first
+        // 50 ms of the 100 ms window and idle after.
+        let sim = blast(50, SimDuration::ZERO, 100, 0.1);
+        let got = &sim.agent::<Counter>(AgentId(1)).got;
+        let busy = got.last().expect("packets arrived").0.duration_since(SimTime::ZERO);
+        assert_eq!((got.len(), busy), (50, SimDuration::from_millis(50)));
+        assert!((busy.as_secs_f64() / 0.1 - 0.5).abs() < 1e-9);
     }
 
     proptest! {
@@ -588,22 +542,16 @@ mod tests {
                 })
                 .collect();
             let mut expected = Vec::new();
-            let mut busy_ns = 0;
             let mut depart = 0;
             for (arrive, bytes) in &plan {
                 depart = depart.max(arrive.as_nanos()) + u64::from(*bytes);
-                busy_ns += u64::from(*bytes);
                 expected.push((SimTime::from_nanos(depart), expected.len() as u64));
             }
 
-            let mut sim = Simulator::new(1);
-            sim.add_agent(Box::new(Scripted::new(port, plan, chained)));
-            sim.add_agent(Box::new(Counter { got: vec![] }));
-            sim.run_until(SimTime::from_secs_f64(1.0));
+            let scripted = Box::new(Scripted::new(port, plan, chained));
+            let sim = run_pair(scripted, &FaultSchedule::new(), 1.0);
 
             prop_assert_eq!(&sim.agent::<Counter>(AgentId(1)).got, &expected);
-            let stats = &host(&sim).port.stats;
-            prop_assert_eq!(stats.busy_time, SimDuration::from_nanos(busy_ns));
             // A completion is an event only for a packet that had to wait.
             let waited = host(&sim).queued_after_send.iter().filter(|&&q| q > 0).count() as u64;
             let base = 2 * expected.len() as u64;

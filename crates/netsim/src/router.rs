@@ -104,7 +104,7 @@ mod tests {
     use super::*;
     use crate::disc::{DropTail, QueueLimit};
     use crate::packet::FlowId;
-    use crate::sim::Simulator;
+    use crate::shard::{Partition, ShardedSimulator};
     use crate::time::{Rate, SimDuration, SimTime};
 
     struct Sink {
@@ -152,37 +152,43 @@ mod tests {
         )
     }
 
+    /// `agents` on one queue, run for a second.
+    fn run(agents: Vec<Box<dyn Agent>>) -> ShardedSimulator {
+        let mut sim = ShardedSimulator::new(1, &Partition::serial(agents.len()), agents);
+        sim.run_until(SimTime::from_secs_f64(1.0));
+        sim
+    }
+
     #[test]
     fn forwards_by_destination() {
-        let mut sim = Simulator::new(1);
         let router_id = AgentId(0);
         let sink_a = AgentId(1);
         let sink_b = AgentId(2);
 
         let mut routes = RouteTable::new();
         routes.add(sink_a, 0).add(sink_b, 1);
-        sim.add_agent(Box::new(Router::new(vec![port_to(0, sink_a), port_to(1, sink_b)], routes)));
-        sim.add_agent(Box::new(Sink { got: vec![] }));
-        sim.add_agent(Box::new(Sink { got: vec![] }));
-        sim.add_agent(Box::new(Injector { router: router_id, dsts: vec![sink_a, sink_b, sink_a] }));
-
-        sim.run_until(SimTime::from_secs_f64(1.0));
+        let sim = run(vec![
+            Box::new(Router::new(vec![port_to(0, sink_a), port_to(1, sink_b)], routes)),
+            Box::new(Sink { got: vec![] }),
+            Box::new(Sink { got: vec![] }),
+            Box::new(Injector { router: router_id, dsts: vec![sink_a, sink_b, sink_a] }),
+        ]);
         assert_eq!(sim.agent::<Sink>(sink_a).got.len(), 2);
         assert_eq!(sim.agent::<Sink>(sink_b).got.len(), 1);
     }
 
     #[test]
     fn unroutable_packets_are_counted() {
-        let mut sim = Simulator::new(1);
         let router_id = AgentId(0);
         let sink = AgentId(1);
         let nowhere = AgentId(99);
         let mut routes = RouteTable::new();
         routes.add(sink, 0);
-        sim.add_agent(Box::new(Router::new(vec![port_to(0, sink)], routes)));
-        sim.add_agent(Box::new(Sink { got: vec![] }));
-        sim.add_agent(Box::new(Injector { router: router_id, dsts: vec![nowhere] }));
-        sim.run_until(SimTime::from_secs_f64(1.0));
+        let sim = run(vec![
+            Box::new(Router::new(vec![port_to(0, sink)], routes)),
+            Box::new(Sink { got: vec![] }),
+            Box::new(Injector { router: router_id, dsts: vec![nowhere] }),
+        ]);
         assert_eq!(sim.agent::<Router>(router_id).no_route_drops, 1);
     }
 

@@ -87,10 +87,6 @@ pub struct TcpSource {
     rto_epoch: u64,
     sent_times: SendTimes,
     srtt: Option<f64>,
-    /// Total packets acknowledged (for goodput accounting).
-    pub acked_packets: u64,
-    /// Number of RTO events.
-    pub timeouts: u64,
     /// Number of fast retransmits.
     pub fast_retransmits: u64,
 }
@@ -121,8 +117,6 @@ impl TcpSource {
             rto_epoch: 0,
             sent_times: SendTimes::default(),
             srtt: None,
-            acked_packets: 0,
-            timeouts: 0,
             fast_retransmits: 0,
         }
     }
@@ -163,7 +157,6 @@ impl TcpSource {
 
     fn on_new_ack(&mut self, ack_no: u64, ctx: &mut Context<'_>) {
         let newly = ack_no - self.snd_una;
-        self.acked_packets += newly;
         // RTT sample from the oldest acknowledged packet. A retransmitted
         // segment *is* sampled, from its retransmission: the retransmit
         // paths drop its entry and `transmit` records the new time. That is
@@ -253,7 +246,6 @@ impl Agent for TcpSource {
             return;
         }
         // Retransmission timeout.
-        self.timeouts += 1;
         self.ssthresh = (self.cwnd / 2.0).max(2.0);
         self.cwnd = 1.0;
         self.in_recovery = false;
@@ -336,19 +328,18 @@ mod tests {
     use super::*;
     use crate::disc::{DropTail, QueueLimit};
     use crate::router::{RouteTable, Router};
-    use crate::sim::Simulator;
+    use crate::shard::{Partition, ShardedSimulator};
     use crate::time::{Rate, SimTime};
 
     /// Builds: src(0) -> router(1) -> sink(2), with the reverse path
     /// routed through the same router.
-    fn build(bottleneck_kbps: f64, qlen: usize) -> (Simulator, AgentId, AgentId) {
+    fn build(bottleneck_kbps: f64, qlen: usize) -> (ShardedSimulator, AgentId, AgentId) {
         let src_id = AgentId(0);
         let router_id = AgentId(1);
         let sink_id = AgentId(2);
         let access = Rate::from_mbps(10.0);
         let delay = SimDuration::from_millis(5);
 
-        let mut sim = Simulator::new(7);
         let src_port = Port::new(
             0,
             router_id,
@@ -356,13 +347,7 @@ mod tests {
             delay,
             Box::new(DropTail::new(QueueLimit::Packets(1000))),
         );
-        sim.add_agent(Box::new(TcpSource::new(
-            src_port,
-            FlowId(1),
-            sink_id,
-            1000,
-            SimDuration::ZERO,
-        )));
+        let src = TcpSource::new(src_port, FlowId(1), sink_id, 1000, SimDuration::ZERO);
 
         let mut routes = RouteTable::new();
         routes.add(sink_id, 0).add(src_id, 1);
@@ -375,7 +360,7 @@ mod tests {
         );
         let to_src =
             Port::new(1, src_id, access, delay, Box::new(DropTail::new(QueueLimit::Packets(1000))));
-        sim.add_agent(Box::new(Router::new(vec![to_sink, to_src], routes)));
+        let router = Router::new(vec![to_sink, to_src], routes);
 
         let sink_port = Port::new(
             0,
@@ -384,8 +369,9 @@ mod tests {
             delay,
             Box::new(DropTail::new(QueueLimit::Packets(1000))),
         );
-        sim.add_agent(Box::new(TcpSink::new(sink_port, FlowId(1))));
-        (sim, src_id, sink_id)
+        let agents: Vec<Box<dyn Agent>> =
+            vec![Box::new(src), Box::new(router), Box::new(TcpSink::new(sink_port, FlowId(1)))];
+        (ShardedSimulator::new(7, &Partition::serial(3), agents), src_id, sink_id)
     }
 
     #[test]
@@ -402,7 +388,7 @@ mod tests {
 
     #[test]
     fn recovers_from_loss_with_fast_retransmit() {
-        let (mut sim, src, _sink) = build(500.0, 8);
+        let (mut sim, src, sink) = build(500.0, 8);
         sim.run_until(SimTime::from_secs_f64(30.0));
         let source = sim.agent::<TcpSource>(src);
         assert!(
@@ -410,7 +396,7 @@ mod tests {
             "a small buffer at 500 kb/s must force fast retransmits"
         );
         // The connection keeps making progress despite drops.
-        assert!(source.acked_packets > 1000);
+        assert!(sim.agent::<TcpSink>(sink).delivered() > 1000);
     }
 
     #[test]

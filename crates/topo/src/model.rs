@@ -40,8 +40,6 @@ pub struct Bottleneck {
     pub router: usize,
     /// The designated next hop.
     pub next_hop: usize,
-    /// Raw link rate of the designated direction.
-    pub raw_rate: Rate,
     /// PELS share of the raw rate (WRR split).
     pub pels_capacity: Rate,
     /// Video flow indices (position in the video-pair order) crossing it.
@@ -119,7 +117,6 @@ pub fn bottlenecks(model: &TopoModel, spec: &TopoSpec) -> Vec<Bottleneck> {
         out.push(Bottleneck {
             router,
             next_hop,
-            raw_rate: rate,
             pels_capacity: rate.scale(share),
             video_flows: Vec::new(),
             // Summed from +0.0 in pair order: `Iterator::sum` folds from

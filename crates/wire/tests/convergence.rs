@@ -10,7 +10,7 @@
 use pels_core::scenario::{default_trace, FlowSpec, Scenario, ScenarioConfig};
 use pels_netsim::clock::{Clock, ManualClock};
 use pels_netsim::packet::FlowId;
-use pels_netsim::time::{Rate, SimDuration};
+use pels_netsim::time::{Rate, SimDuration, SimTime};
 use pels_wire::live::{run_live, LiveBackend, LiveConfig};
 use pels_wire::{MemHub, ServeConfig, ServeLoop, WireReceiver, WireReceiverConfig};
 
@@ -40,7 +40,7 @@ fn wire_and_sim_agree_on_the_stationary_rate() {
         keep_series: false,
         ..ScenarioConfig::default()
     });
-    scenario.sim.run_for(SimDuration::from_secs(30));
+    scenario.sim.run_until(SimTime::ZERO + SimDuration::from_secs(30));
     let sim_kbps = scenario.report().flows[0].final_rate_kbps;
 
     let rel = |a: f64, b: f64| (a - b).abs() / b;
@@ -89,7 +89,7 @@ fn flows_find_the_same_fair_operating_point(n: usize, wire_color_limits: [usize;
         keep_series: true,
         ..ScenarioConfig::default()
     });
-    scenario.sim.run_for(SimDuration::from_secs(SECS));
+    scenario.sim.run_until(SimTime::ZERO + SimDuration::from_secs(SECS));
     let report = scenario.report();
     let sim_kbps: Vec<f64> = (0..n)
         .map(|i| {

@@ -214,17 +214,16 @@ proptest! {
     ) {
         use fault_harness::{Blaster, Sink};
         use pels_netsim::faults::FaultSchedule;
-        use pels_netsim::{FaultAction, Simulator};
+        use pels_netsim::{Agent, FaultAction, Partition, ShardedSimulator};
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 
-        let mut sim = Simulator::new(seed);
-        let src = sim.add_agent(Box::new(Blaster::new(
-            pels_netsim::AgentId(1),
-            SimDuration::from_millis(2),
-            SimTime::from_secs_f64(3.0),
-        )));
-        let sink = sim.add_agent(Box::new(Sink { got: 0, arrivals: vec![] }));
+        let (src, sink) = (pels_netsim::AgentId(0), pels_netsim::AgentId(1));
+        let agents: Vec<Box<dyn Agent>> = vec![
+            Box::new(Blaster::new(sink, SimDuration::from_millis(2), SimTime::from_secs_f64(3.0))),
+            Box::new(Sink { got: 0, arrivals: vec![] }),
+        ];
+        let mut sim = ShardedSimulator::new(seed, &Partition::serial(2), agents);
 
         // `flaps` outages of the source's port, each starting at a uniform
         // point of [0.1 s, 2.5 s) and lasting up to `max_outage_ms`.
@@ -256,7 +255,8 @@ proptest! {
 
         let (sent, dropped, queued) = {
             let b = sim.agent::<Blaster>(src);
-            (b.sent, b.port.stats.dropped_packets, b.port.discipline().len_packets() as u64)
+            let dropped = b.port.stats.drops_by_class.iter().sum::<u64>();
+            (b.sent, dropped, b.port.discipline().len_packets() as u64)
         };
         let s = sim.agent::<Sink>(sink);
 

@@ -9,7 +9,8 @@ use pels_netsim::cbr::{CbrConfig, PoissonSource};
 use pels_netsim::disc::{DropTail, QueueLimit};
 use pels_netsim::packet::{AgentId, FlowId, Packet, PacketKind};
 use pels_netsim::port::Port;
-use pels_netsim::sim::{Agent, Context, Simulator};
+use pels_netsim::shard::{Partition, ShardedSimulator};
+use pels_netsim::sim::{Agent, Context};
 use pels_netsim::stats::Summary;
 use pels_netsim::time::{Rate, SimDuration, SimTime};
 use std::any::Any;
@@ -40,7 +41,6 @@ fn measure_md1(rho: f64, seed: u64) -> (f64, f64) {
     let lambda = rho / service_s; // packets per second
     let arrival_rate = Rate::from_bps((lambda * packet as f64 * 8.0) as u64);
 
-    let mut sim = Simulator::new(seed);
     let sink = AgentId(1);
     let port = Port::new(
         0,
@@ -50,8 +50,11 @@ fn measure_md1(rho: f64, seed: u64) -> (f64, f64) {
         Box::new(DropTail::new(QueueLimit::Packets(1_000_000))),
     );
     let cfg = CbrConfig::new(FlowId(1), sink, arrival_rate, packet, 3);
-    sim.add_agent(Box::new(PoissonSource::new(cfg, port)));
-    sim.add_agent(Box::new(DelaySink { delays: Summary::new() }));
+    let agents: Vec<Box<dyn Agent>> = vec![
+        Box::new(PoissonSource::new(cfg, port)),
+        Box::new(DelaySink { delays: Summary::new() }),
+    ];
+    let mut sim = ShardedSimulator::new(seed, &Partition::serial(2), agents);
     sim.run_until(SimTime::from_secs_f64(400.0));
 
     let measured = sim.agent::<DelaySink>(sink).delays.mean();
