@@ -6,7 +6,7 @@
 //! draws from its own stream, and the worker count only sizes the thread
 //! pool. These tests pin that at the level a user observes it — the
 //! serialized `ScenarioReport` must be byte-identical to the reference
-//! (the same agents on the plain serial event loop, via the constructor
+//! (the same agents as one shard on one event queue, via the constructor
 //! that takes an explicit partition) at every worker count, and across
 //! repeated runs.
 
@@ -121,7 +121,7 @@ fn repeated_runs_are_bit_stable() {
 }
 
 /// Component partitions never exchange cross-shard events, so each shard
-/// replays exactly the schedule the serial loop would give that component.
+/// replays exactly the schedule the one-queue run gives that component.
 #[test]
 fn chained_parallel_matches_serial_engine() {
     assert_matches_serial_reference("chained", &chained_proportional_config(N), N, None);
@@ -129,7 +129,7 @@ fn chained_parallel_matches_serial_engine() {
 
 /// The shared dumbbell exercises the windowed executor's batched drain
 /// and cross-shard merge: the `(time, src_shard, seq)` merge order must
-/// reproduce the serial loop byte for byte at every worker count.
+/// reproduce the one-queue run byte for byte at every worker count.
 #[test]
 fn shared_dumbbell_parallel_matches_serial_engine() {
     assert_matches_serial_reference("shared dumbbell", &shared_dumbbell(N), 2, None);
@@ -151,7 +151,7 @@ fn best_effort_draws_do_not_see_the_partition() {
 /// per arriving ACK while the policy is in force, from the destination
 /// agent's stream, and the policy is broadcast to both shards. (Four
 /// flows: with two, this seed lands an R1→R2 arrival on the nanosecond of
-/// an R2 tx-complete — the one tie a cut and the serial loop order
+/// an R2 tx-complete — the one tie a cut and the one-queue run order
 /// differently, see `pels_netsim::shard` — and the 20 ms reorder delay
 /// then carries the swap into which ACK takes which draw.)
 #[test]
