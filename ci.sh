@@ -41,19 +41,19 @@ for gone in -"-no-batch" -"-batch-size" -"-ack-every" \
   fi
 done
 
-# The architecture gates read a source file up to its test module
-# (everything from `#[cfg(test)]` on may call what it likes) and are
-# tests/architecture.rs: the line ratchets, the netsim gates (one tx-complete
-# site, cross-shard packets through the lane only, one fate partition), the
-# sender path wired once, a network built in one place
-# (`a_network_is_built_in_one_place`), the frame planned not materialised,
-# telemetry scraped not pushed, the pacer blind to the router, packets
-# encoded once at departure, and no `pub` item that only tests call. tests/experiments.rs
-# checks results/chaos.csv. The determinism of every report is tier-1 too:
-# live and chaos runs repeat in `live::tests::memory_run_is_deterministic`,
-# `wire::chaos::tests::matrix_is_deterministic` and byte_identity.rs, worker
-# counts in report_digests.rs, parallel_determinism.rs and the topo
-# scenario tests.
+echo "== docs build without a warning (broken or private intra-doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
+
+# The architecture gates (tests/architecture.rs) read what a file ships: all
+# but its top-level `#[cfg(test)]` items. They are the line ratchets, the
+# netsim gates (one tx-complete site, the lane, one fate partition), sender
+# and receiver paths and the network wired once, the frame planned not
+# materialised, telemetry scraped, the pacer blind to the router, packets
+# encoded at departure, and no `pub` item, field or trait method only tests
+# use. tests/experiments.rs checks results/chaos.csv. Every report's
+# determinism is tier-1 too: `live::tests::memory_run_is_deterministic`,
+# `wire::chaos::tests::matrix_is_deterministic`, byte_identity.rs, and worker
+# counts in report_digests.rs, parallel_determinism.rs and the topo tests.
 
 echo "== cargo test (workspace) =="
 # --workspace: the root package's `cargo test` alone skips the member

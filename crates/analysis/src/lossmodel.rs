@@ -235,11 +235,6 @@ impl GilbertElliott {
         self.in_bad
     }
 
-    /// Long-run average loss implied by the transition probabilities.
-    pub fn average_loss(&self) -> f64 {
-        self.p_gb / (self.p_gb + self.p_bg)
-    }
-
     /// Mean loss-burst length (`1/p_bg`).
     pub fn mean_burst(&self) -> f64 {
         1.0 / self.p_bg
@@ -253,7 +248,8 @@ mod gilbert_tests {
     #[test]
     fn long_run_loss_matches_target() {
         let mut ch = GilbertElliott::with_average_loss(0.1, 5.0, 3);
-        assert!((ch.average_loss() - 0.1).abs() < 1e-12);
+        // The long-run loss the transition probabilities imply.
+        assert!((ch.p_gb / (ch.p_gb + ch.p_bg) - 0.1).abs() < 1e-12);
         let lost = (0..500_000).filter(|_| ch.is_lost()).count();
         let rate = lost as f64 / 500_000.0;
         assert!((rate - 0.1).abs() < 0.01, "measured {rate}");

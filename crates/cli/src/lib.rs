@@ -531,9 +531,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
             let mbps = get_positive(&map, "capacity-mbps", config.capacity.as_mbps())?;
             config.capacity = Rate::from_mbps(mbps);
             config.max_flows = get_parsed(&map, "max-flows", config.max_flows)?;
-            if config.max_flows == 0 {
-                return Err(ParseArgsError("--max-flows must be at least 1".into()));
-            }
             config.packet_bytes = get_parsed(&map, "packet-bytes", config.packet_bytes)?;
             config.telemetry_per_flow = map.contains_key("telemetry-per-flow");
             config.validate().map_err(|e| ParseArgsError(format!("bad serve config: {e}")))?;
@@ -557,11 +554,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
             if !ramp_s.is_finite() || ramp_s < 0.0 || !warmup_s.is_finite() || warmup_s < 0.0 {
                 return Err(ParseArgsError("--ramp and --warmup must be non-negative".into()));
             }
-            if warmup_s >= duration_s {
-                return Err(ParseArgsError("--warmup must be shorter than --duration".into()));
-            }
             [config.duration, config.ramp, config.warmup] =
                 [duration_s, ramp_s, warmup_s].map(SimDuration::from_secs_f64);
+            config.validate().map_err(|e| ParseArgsError(format!("bad loadgen config: {e}")))?;
             Ok(Command::Loadgen { config, json: map.contains_key("json") })
         }
         "live" => {
@@ -1097,7 +1092,7 @@ pub fn execute(
     Ok(())
 }
 
-/// The usage text: one synopsis per row of [`COMMANDS`], then the notes.
+/// The usage text: one synopsis per row of `COMMANDS`, then the notes.
 pub fn usage() -> String {
     let mut text = String::from("pels — PELS (ICDCS 2004) reproduction driver\n\nUSAGE:\n");
     for &(name, flags, note) in COMMANDS {
@@ -1393,9 +1388,9 @@ mod tests {
         let cmd = parse_args(&args("trace --frames 10 --cv 0.2 --seed 3")).unwrap();
         let mut buf = Vec::new();
         execute(cmd, None, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let trace = pels_fgs::frame::VideoTrace::from_csv(&text).unwrap();
-        assert_eq!(trace.len(), 10);
+        let config = TraceGenConfig { n_frames: 10, cv: 0.2, ..TraceGenConfig::default() };
+        let want = pels_fgs::trace_gen::generate(&config, 3).to_csv();
+        assert_eq!(String::from_utf8(buf).unwrap(), want);
         assert!(parse_args(&args("trace --frames 0")).is_err());
     }
 

@@ -1,4 +1,4 @@
-//! The γ partition controller (paper Section 4.3, Eq. 4–5).
+//! The γ partition controller (paper Section 4.3, Eq. 4).
 //!
 //! γ is the fraction of each frame's transmitted enhancement bytes marked
 //! red. The controller drives the red-queue loss `p_R = p/γ` to a target
@@ -7,8 +7,9 @@
 //! `γ(k) = γ(k-1) + σ (p(k-1)/p_thr − γ(k-1))`
 //!
 //! which is stable iff `0 < σ < 2` (Lemma 2; Lemma 3 extends this to
-//! arbitrary feedback delay) and converges `p_R → p_thr` under stationary
-//! loss (Lemma 4). The production controller here clamps γ to
+//! arbitrary feedback delay, and `pels_analysis::stability` iterates that
+//! delayed form, Eq. 5) and converges `p_R → p_thr` under stationary loss
+//! (Lemma 4). The production controller here clamps γ to
 //! `[GAMMA_LOW, 1]` as the paper's simulations do (Fig. 7: γ falls to
 //! `γ_low = 0.05` while there is no loss).
 //!
@@ -140,94 +141,10 @@ impl GammaController {
     }
 }
 
-/// The delayed form of the γ controller (Eq. 5):
-/// `γ(k) = γ(k−D) + σ (p(k−D)/p_thr − γ(k−D))` for a fixed feedback delay
-/// of `D` control steps.
-///
-/// Lemma 3 shows the stability region is unchanged (`0 < σ < 2`); this
-/// production variant exists so the delayed dynamics can be exercised at
-/// packet level, not just in the analysis crate. With `delay == 1` it
-/// reduces exactly to [`GammaController`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DelayedGammaController {
-    cfg: GammaConfig,
-    /// Ring buffer of the last `delay` γ values, indexed cyclically; the
-    /// slot about to be overwritten holds γ(k−D).
-    gamma_hist: Vec<f64>,
-    /// Ring buffer of the last `delay − 1` loss samples (empty for D = 1,
-    /// where the freshly delivered sample is already `p(k−1)`).
-    p_hist: Vec<f64>,
-    next_gamma: usize,
-    next_p: usize,
-    updates: u64,
-}
-
-impl DelayedGammaController {
-    /// Creates a controller with feedback delay `delay` (in control steps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delay == 0` or the configuration is invalid (see
-    /// [`GammaController::new`]).
-    pub fn new(cfg: GammaConfig, delay: usize) -> Self {
-        Self::try_new(cfg, delay).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Creates a controller, rejecting invalid configurations as
-    /// [`SimError::InvalidConfig`] instead of panicking.
-    pub fn try_new(cfg: GammaConfig, delay: usize) -> Result<Self, SimError> {
-        if delay < 1 {
-            return Err(invalid_config("delay must be at least 1"));
-        }
-        // Reuse the validation.
-        let _ = GammaController::try_new(cfg)?;
-        Ok(DelayedGammaController {
-            cfg,
-            gamma_hist: vec![GAMMA0; delay],
-            p_hist: vec![0.0; delay - 1],
-            next_gamma: 0,
-            next_p: 0,
-            updates: 0,
-        })
-    }
-
-    /// The γ value currently in effect (the most recently computed one).
-    pub fn gamma(&self) -> f64 {
-        let last = (self.next_gamma + self.gamma_hist.len() - 1) % self.gamma_hist.len();
-        self.gamma_hist[last]
-    }
-
-    /// Applies one delayed control step. The `p` argument is the loss
-    /// measured over the interval that just ended (`p(k−1)`); the step uses
-    /// the sample from `D − 1` calls earlier, i.e. `p(k−D)`, together with
-    /// `γ(k−D)` (Eq. 5).
-    pub fn update(&mut self, p: f64) -> f64 {
-        if !p.is_finite() {
-            // Missing sample: hold the γ in effect (see GammaController).
-            return self.gamma();
-        }
-        let p = p.clamp(0.0, 1.0);
-        let old_gamma = self.gamma_hist[self.next_gamma];
-        let old_p = if self.p_hist.is_empty() {
-            p
-        } else {
-            let used = self.p_hist[self.next_p];
-            self.p_hist[self.next_p] = p;
-            self.next_p = (self.next_p + 1) % self.p_hist.len();
-            used
-        };
-        let raw = old_gamma + self.cfg.sigma * (old_p / self.cfg.p_thr - old_gamma);
-        let gamma = raw.clamp(GAMMA_LOW, 1.0);
-        self.gamma_hist[self.next_gamma] = gamma;
-        self.next_gamma = (self.next_gamma + 1) % self.gamma_hist.len();
-        self.updates += 1;
-        gamma
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pels_analysis::stability::gamma_trajectory;
 
     #[test]
     fn converges_to_fixed_point() {
@@ -286,18 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn delayed_holds_on_missing_sample() {
-        let mut g = DelayedGammaController::new(GammaConfig::default(), 3);
-        for _ in 0..300 {
-            g.update(0.3);
-        }
-        let stable = g.gamma();
-        for _ in 0..10 {
-            assert!((g.update(f64::INFINITY) - stable).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn try_new_rejects_bad_configs() {
         use pels_netsim::SimError;
         assert!(GammaController::try_new(GammaConfig::default()).is_ok());
@@ -305,7 +210,6 @@ mod tests {
             GammaController::try_new(GammaConfig { sigma: -1.0, ..Default::default() }),
             Err(SimError::InvalidConfig(_))
         ));
-        assert!(DelayedGammaController::try_new(GammaConfig::default(), 0).is_err());
     }
 
     #[test]
@@ -338,43 +242,38 @@ mod tests {
         let _ = GammaController::new(GammaConfig { p_thr: 0.0, ..Default::default() });
     }
 
+    // The delayed law (Eq. 5) is iterated by `pels_analysis::stability`,
+    // where the stability lemmas are checked; these hold it to the
+    // controller that ships.
+
     #[test]
     fn delayed_with_delay_one_matches_undelayed() {
         let cfg = GammaConfig::default();
         let mut plain = GammaController::new(cfg);
-        let mut delayed = DelayedGammaController::new(cfg, 1);
+        let p = |k: usize| 0.1 + 0.05 * ((k % 7) as f64 / 7.0);
+        let delayed = gamma_trajectory(GAMMA0, cfg.sigma, cfg.p_thr, 1, 100, p);
         for k in 0..100 {
-            let p = 0.1 + 0.05 * ((k % 7) as f64 / 7.0);
-            let a = plain.update(p);
-            let b = delayed.update(p);
+            let (a, b) = (plain.update(p(k)), delayed[k + 1]);
             assert!((a - b).abs() < 1e-12, "step {k}: {a} vs {b}");
         }
     }
 
     #[test]
     fn delayed_converges_for_any_delay_lemma3() {
+        let cfg = GammaConfig::default();
+        let target = GammaController::new(cfg).fixed_point(0.3);
         for delay in [1usize, 3, 10] {
-            let mut g = DelayedGammaController::new(GammaConfig::default(), delay);
-            for _ in 0..2_000 {
-                g.update(0.3);
-            }
-            assert!((g.gamma() - 0.4).abs() < 1e-6, "delay {delay}: gamma {} vs 0.4", g.gamma());
+            let traj = gamma_trajectory(GAMMA0, cfg.sigma, cfg.p_thr, delay, 2_000, |_| 0.3);
+            let last = traj[2_000];
+            assert!((last - target).abs() < 1e-6, "delay {delay}: gamma {last} vs {target}");
         }
-    }
-
-    #[test]
-    fn delayed_respects_clamps() {
-        let mut g = DelayedGammaController::new(GammaConfig::default(), 5);
-        for _ in 0..100 {
-            assert!((0.05..=1.0).contains(&g.update(0.95)));
-        }
-        assert!((g.gamma() - 1.0).abs() < 1e-9);
     }
 
     #[test]
     #[should_panic(expected = "delay must be at least 1")]
     fn delayed_rejects_zero_delay() {
-        let _ = DelayedGammaController::new(GammaConfig::default(), 0);
+        let cfg = GammaConfig::default();
+        let _ = gamma_trajectory(GAMMA0, cfg.sigma, cfg.p_thr, 0, 10, |_| 0.3);
     }
 }
 

@@ -68,7 +68,7 @@ pub use aimd::AimdController;
 pub use color::Color;
 pub use feedback::{EpochFilter, FeedbackEstimator};
 pub use flow::{FlowControl, Planned};
-pub use gamma::{DelayedGammaController, GammaConfig, GammaController};
+pub use gamma::{GammaConfig, GammaController};
 pub use mkc::{MkcConfig, MkcController};
 pub use parallel::ParallelScenario;
 pub use pels_netsim::SimError;

@@ -153,7 +153,7 @@ impl MkcController {
     /// Prefer [`MkcController::update_from`] when the rate that generated
     /// `p` is known (e.g. echoed through an ACK): Eq. 8's base is
     /// `r(k − D)`, and using the matching old rate is what makes MKC stable
-    /// under arbitrary feedback delay (Lemma 5 / reference [34]).
+    /// under arbitrary feedback delay (Lemma 5 / reference \[34\]).
     pub fn update(&mut self, p: f64) -> f64 {
         self.update_from(self.rate_bps, p)
     }

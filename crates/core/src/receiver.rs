@@ -22,7 +22,6 @@ use pels_netsim::port::Port;
 use pels_netsim::sim::{Agent, Context};
 use pels_netsim::stats::{DelayRecorder, Summary, TimeSeries};
 use pels_netsim::time::{SimDuration, SimTime};
-use std::any::Any;
 use std::collections::BTreeMap;
 use std::ops::Deref;
 
@@ -401,13 +400,6 @@ impl Agent for PelsReceiver {
     fn on_tx_complete(&mut self, _port: usize, ctx: &mut Context<'_>) {
         self.port.on_tx_complete(ctx);
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -425,12 +417,6 @@ mod tests {
         fn on_packet(&mut self, p: Packet, _ctx: &mut Context<'_>) {
             self.acks.push(p);
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     /// Delivers a fixed set of tagged packets to the receiver at start.
@@ -446,12 +432,6 @@ mod tests {
             }
         }
         fn on_packet(&mut self, _p: Packet, _ctx: &mut Context<'_>) {}
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     fn video_packet(frame: u64, index: u16, total: u16, base: u16, class: u8) -> Packet {

@@ -15,6 +15,7 @@ use pels_netsim::disc::Wrr;
 use pels_netsim::packet::AgentId;
 use pels_netsim::shard::ShardedSimulator;
 use pels_telemetry::{Snapshot, Telemetry};
+use std::any::Any;
 
 /// Agent ids of every role in a built scenario.
 #[derive(Debug, Clone, Default)]
@@ -55,7 +56,8 @@ impl RoleIds {
                 snap.counters.insert(name(&format!("drops.{}", color.name())), drops);
             }
             snap.set_gauge(name("queue_pkts"), port.discipline().len_packets() as f64);
-            if let Some(wrr) = port.discipline().as_any().downcast_ref::<Wrr>() {
+            let disc: &dyn Any = port.discipline();
+            if let Some(wrr) = disc.downcast_ref::<Wrr>() {
                 snap.set_gauge(name("wrr_turns"), wrr.turns as f64);
             }
             if full {

@@ -307,11 +307,11 @@ impl Agent for AqmRouter {
             let t = ctx.now.as_secs_f64();
             // Sample the video queue's backlog (and its red band when the
             // discipline is the PELS composite).
-            let disc = self.ports[0].discipline();
-            let wrr = disc.as_any().downcast_ref::<Wrr>();
+            let disc: &dyn Any = self.ports[0].discipline();
+            let wrr = disc.downcast_ref::<Wrr>();
             let backlog = wrr.map(|w| w.child_len_packets(0) as f64);
             let red_backlog = wrr
-                .and_then(|w| w.child(0).as_any().downcast_ref::<StrictPriority>())
+                .and_then(|w| (w.child(0) as &dyn Any).downcast_ref::<StrictPriority>())
                 .map(|sp| sp.band_len_packets(2) as f64);
             self.feedback_series.push(t, fb.loss);
             self.fgs_loss_series.push(t, fb.fgs_loss);
@@ -338,13 +338,6 @@ impl Agent for AqmRouter {
     fn on_fault(&mut self, action: &FaultAction, ctx: &mut Context<'_>) {
         apply_port_fault(&mut self.ports, action, ctx);
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -360,12 +353,6 @@ mod tests {
     impl Agent for Sink {
         fn on_packet(&mut self, p: Packet, _ctx: &mut Context<'_>) {
             self.got.push(p);
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -396,12 +383,6 @@ mod tests {
             ctx.deliver(self.router, SimDuration::from_micros(10), pkt);
             self.sent += 1;
             ctx.schedule_timer(self.gap, 0);
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

@@ -1,7 +1,7 @@
 //! The PELS streaming source agent.
 //!
 //! Once per frame interval the source scales the FGS frame to its current
-//! MKC rate (Section 2.3/[5]), partitions the enhancement bytes into yellow
+//! MKC rate (Section 2.3/\[5\]), partitions the enhancement bytes into yellow
 //! and red according to γ (Section 4.2, Fig. 4 right), packetizes, and paces
 //! the packets evenly across the frame interval. Feedback arrives in ACKs;
 //! each *fresh* epoch (Section 5.2) drives one MKC step (Eq. 8) and one γ
@@ -20,7 +20,6 @@ use pels_netsim::port::Port;
 use pels_netsim::sim::{Agent, Context};
 use pels_netsim::stats::TimeSeries;
 use pels_netsim::time::SimDuration;
-use std::any::Any;
 use std::sync::Arc;
 
 /// Retransmission (ARQ) for the comparator experiments: a flow spec's
@@ -29,7 +28,7 @@ use std::sync::Arc;
 ///
 /// The paper argues *against* retransmission-based streaming (Section 1:
 /// under congestion "even the retransmitted packets are dropped in the same
-/// congested queues ... [and] miss their decoding deadlines"). Enabling ARQ
+/// congested queues ... \[and\] miss their decoding deadlines"). Enabling ARQ
 /// lets the harness measure exactly that. ARQ has no settings; the struct
 /// keeps a config file's `"arq": {…}` meaning on and `"arq": null` off.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -545,13 +544,6 @@ impl Agent for PelsSource {
     fn on_tx_complete(&mut self, _port: usize, ctx: &mut Context<'_>) {
         self.port.on_tx_complete(ctx);
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -577,12 +569,6 @@ mod tests {
                 ctx.deliver(ack.dst, SimDuration::from_millis(1), ack);
                 self.got.push(p);
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

@@ -1,9 +1,9 @@
 //! A TFRC-style equation-based rate controller.
 //!
-//! The paper (Section 5) discusses TFRC [9] as the standard smooth
+//! The paper (Section 5) discusses TFRC \[9\] as the standard smooth
 //! congestion control for multimedia, but notes that such schemes "often do
 //! not have stationary points in the operating range of typical
-//! applications and continuously oscillate" [34]. This simplified
+//! applications and continuously oscillate" \[34\]. This simplified
 //! implementation — the TCP throughput equation driven by an EWMA
 //! loss-event estimate — lets the harness measure that claim against MKC
 //! under identical PELS queues.

@@ -130,6 +130,16 @@ impl VideoTrace {
     pub fn iter(&self) -> impl Iterator<Item = &FrameSpec> {
         self.frames.iter()
     }
+
+    /// Serializes the trace as CSV: a header `fps,<fps>` line followed by
+    /// `index,base_bytes,enhancement_bytes` rows (what `pels trace` prints).
+    pub fn to_csv(&self) -> String {
+        let mut out = format!("fps,{}\nindex,base_bytes,enhancement_bytes\n", self.fps);
+        for f in &self.frames {
+            out.push_str(&format!("{},{},{}\n", f.index, f.base_bytes, f.enhancement_bytes));
+        }
+        out
+    }
 }
 
 /// The paper's evaluation profile: CIF Foreman packetization constants.
@@ -194,121 +204,5 @@ mod tests {
     #[should_panic(expected = "at least one frame")]
     fn rejects_empty() {
         let _ = VideoTrace::new(10.0, vec![]);
-    }
-}
-
-/// Errors produced when parsing a trace from CSV.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseTraceError {
-    /// 1-based line number of the offending row (0 = header/structure).
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl std::fmt::Display for ParseTraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "trace parse error at line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for ParseTraceError {}
-
-impl VideoTrace {
-    /// Serializes the trace as CSV: a header `fps,<fps>` line followed by
-    /// `index,base_bytes,enhancement_bytes` rows. Round-trips through
-    /// [`VideoTrace::from_csv`].
-    pub fn to_csv(&self) -> String {
-        let mut out = format!("fps,{}\nindex,base_bytes,enhancement_bytes\n", self.fps);
-        for f in &self.frames {
-            out.push_str(&format!("{},{},{}\n", f.index, f.base_bytes, f.enhancement_bytes));
-        }
-        out
-    }
-
-    /// Parses a trace from the CSV format written by [`VideoTrace::to_csv`]
-    /// (also accepts real coded-video frame-size tables exported in that
-    /// shape). Frame indices are re-assigned sequentially.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ParseTraceError`] for a malformed header, row, or an
-    /// empty trace.
-    pub fn from_csv(text: &str) -> Result<VideoTrace, ParseTraceError> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) =
-            lines.next().ok_or(ParseTraceError { line: 0, message: "empty input".into() })?;
-        let fps: f64 = header
-            .strip_prefix("fps,")
-            .and_then(|v| v.trim().parse().ok())
-            .filter(|v: &f64| v.is_finite() && *v > 0.0)
-            .ok_or(ParseTraceError { line: 1, message: "expected `fps,<value>` header".into() })?;
-        let mut frames = Vec::new();
-        for (i, line) in lines {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with("index,") {
-                continue;
-            }
-            let mut cols = line.split(',');
-            let parse = |v: Option<&str>| -> Option<u64> { v?.trim().parse().ok() };
-            let _index = parse(cols.next());
-            let base = parse(cols.next());
-            let enh = parse(cols.next());
-            match (base, enh) {
-                (Some(b), Some(e)) if b <= u32::MAX as u64 && e <= u32::MAX as u64 => {
-                    frames.push(FrameSpec {
-                        index: frames.len() as u64,
-                        base_bytes: b as u32,
-                        enhancement_bytes: e as u32,
-                    });
-                }
-                _ => {
-                    return Err(ParseTraceError {
-                        line: i + 1,
-                        message: format!("malformed row `{line}`"),
-                    })
-                }
-            }
-        }
-        if frames.is_empty() {
-            return Err(ParseTraceError { line: 0, message: "no frames in trace".into() });
-        }
-        Ok(VideoTrace::new(fps, frames))
-    }
-}
-
-#[cfg(test)]
-mod csv_tests {
-    use super::*;
-
-    #[test]
-    fn roundtrip() {
-        let t = VideoTrace::constant(5, 10.0, 1_600, 61_400);
-        let parsed = VideoTrace::from_csv(&t.to_csv()).unwrap();
-        assert_eq!(parsed, t);
-    }
-
-    #[test]
-    fn tolerates_column_header_and_blank_lines() {
-        let text = "fps,25\nindex,base_bytes,enhancement_bytes\n\n0,100,200\n1,100,300\n";
-        let t = VideoTrace::from_csv(text).unwrap();
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.fps, 25.0);
-        assert_eq!(t.frame(1).enhancement_bytes, 300);
-    }
-
-    #[test]
-    fn reports_offending_line() {
-        let text = "fps,25\n0,100,200\n1,oops,300\n";
-        let err = VideoTrace::from_csv(text).unwrap_err();
-        assert_eq!(err.line, 3);
-        assert!(err.message.contains("oops"));
-    }
-
-    #[test]
-    fn rejects_bad_header_and_empty() {
-        assert!(VideoTrace::from_csv("").is_err());
-        assert!(VideoTrace::from_csv("frames,10\n0,1,2\n").is_err());
-        assert!(VideoTrace::from_csv("fps,30\n").is_err());
     }
 }

@@ -6,7 +6,7 @@
 //!   constants ([`frame`], [`trace_gen`]),
 //! * rate scaling of the FGS enhancement layer and its partition into
 //!   yellow/red segments ([`scaling`]),
-//! * packetization into 500-byte wire packets ([`packetize`]),
+//! * packetization into 500-byte wire packets ([`packetize`](mod@packetize)),
 //! * the receiver-side prefix decoder and utility accounting ([`decoder`]),
 //! * GOP/motion-compensation loss propagation in the base layer ([`gop`]),
 //! * a calibrated synthetic quality model replacing the offline codec, a

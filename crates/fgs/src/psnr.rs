@@ -10,7 +10,7 @@
 //! * decodable enhancement bytes add PSNR linearly up to a saturation cap —
 //!   over the sub-megabit operating range of the paper's experiments,
 //!   measured FGS R-D curves are close to linear in rate (see e.g. the
-//!   paper's own reference [5]).
+//!   paper's own reference \[5\]).
 //!
 //! What *differs* between streaming schemes is only the number of
 //! consecutively decodable enhancement bytes per frame, which the

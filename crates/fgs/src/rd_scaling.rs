@@ -2,7 +2,7 @@
 //!
 //! The paper streams a *fixed fraction* of every frame (Fig. 1 left) and
 //! notes that quality fluctuation "can be further reduced using
-//! sophisticated R-D scaling methods [5] (not used in this work)". This
+//! sophisticated R-D scaling methods \[5\] (not used in this work)". This
 //! module implements that future-work item: given per-frame R-D curves
 //! (PSNR as a function of enhancement bytes) and a total byte budget for a
 //! window of frames, allocate bytes to *equalize quality* across the

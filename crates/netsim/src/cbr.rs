@@ -7,7 +7,6 @@ use crate::packet::{AgentId, FlowId, Packet};
 use crate::port::Port;
 use crate::sim::{Agent, Context};
 use crate::time::{Rate, SimDuration, SimTime};
-use std::any::Any;
 
 /// Configuration of a [`CbrSource`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,13 +98,6 @@ impl Agent for CbrSource {
     fn on_tx_complete(&mut self, _port: usize, ctx: &mut Context<'_>) {
         self.port.on_tx_complete(ctx);
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -122,12 +114,6 @@ mod tests {
         fn on_packet(&mut self, p: Packet, _ctx: &mut Context<'_>) {
             self.got += 1;
             self.bytes += p.size_bytes as u64;
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -242,13 +228,6 @@ impl Agent for PoissonSource {
     fn on_tx_complete(&mut self, _port: usize, ctx: &mut Context<'_>) {
         self.port.on_tx_complete(ctx);
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// An agent that drops everything it receives: the destination of
@@ -258,12 +237,6 @@ pub struct NullSink;
 
 impl Agent for NullSink {
     fn on_packet(&mut self, _p: Packet, _ctx: &mut Context<'_>) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -286,12 +259,6 @@ mod poisson_tests {
                 self.gaps.push(now - last);
             }
             self.last = Some(now);
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

@@ -4,7 +4,7 @@
 //! epochs, pacing) is written against [`SimTime`] — an integer nanosecond
 //! count since "the start". Inside the discrete-event simulator that start
 //! is simulation time zero and the event loop advances time itself; in the
-//! live transport ([`pels-wire`]) the same state machines run against wall
+//! live transport (`pels-wire`) the same state machines run against wall
 //! time. A [`Clock`] is the thing that produces "now" in both worlds:
 //!
 //! * [`ManualClock`] — a hand-advanced clock. Tests and the deterministic

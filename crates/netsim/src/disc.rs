@@ -61,8 +61,11 @@ impl QueueLimit {
 ///
 /// `enqueue` pushes dropped entries (the incoming one, or victims evicted to
 /// make room) into `dropped` so callers can account for them (and release
-/// the parked payloads) without per-call allocation.
-pub trait Discipline: fmt::Debug + Send {
+/// the parked payloads) without per-call allocation. Every discipline is
+/// `Any`: code that reads a concrete one inside a composite (per-band
+/// backlogs through a `&dyn Discipline`) upcasts it to `&dyn Any` and
+/// downcasts that.
+pub trait Discipline: Any + fmt::Debug + Send {
     /// Offers `entry` to the queue at time `now`.
     fn enqueue(&mut self, entry: QEntry, now: SimTime, dropped: &mut Vec<QEntry>);
 
@@ -82,10 +85,6 @@ pub trait Discipline: fmt::Debug + Send {
     fn is_empty(&self) -> bool {
         self.len_packets() == 0
     }
-
-    /// Upcast for inspecting concrete disciplines inside composites
-    /// (e.g. reading per-band backlogs through a `Box<dyn Discipline>`).
-    fn as_any(&self) -> &dyn Any;
 }
 
 /// Plain FIFO with tail drop.
@@ -120,10 +119,6 @@ impl DropTail {
 }
 
 impl Discipline for DropTail {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
     fn enqueue(&mut self, entry: QEntry, _now: SimTime, dropped: &mut Vec<QEntry>) {
         if self.limit.admits(self.queue.len(), self.bytes, &entry) {
             self.bytes += entry.size_bytes as u64;
@@ -192,10 +187,6 @@ impl StrictPriority {
 }
 
 impl Discipline for StrictPriority {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
     fn enqueue(&mut self, entry: QEntry, now: SimTime, dropped: &mut Vec<QEntry>) {
         let band = self.band_for(&entry);
         self.bands[band].enqueue(entry, now, dropped);
@@ -296,10 +287,6 @@ impl Wrr {
 }
 
 impl Discipline for Wrr {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
     fn enqueue(&mut self, entry: QEntry, now: SimTime, dropped: &mut Vec<QEntry>) {
         let child = self.child_for(&entry);
         self.children[child].disc.enqueue(entry, now, dropped);

@@ -11,7 +11,7 @@
 //!
 //! The queue stores events in two tiers:
 //!
-//! * **Inline entries.** Pending events are a compact [`Ev`] (16 bytes)
+//! * **Inline entries.** Pending events are a compact `Ev` (16 bytes)
 //!   paired with a `u128` ordering key — 32 bytes total, stored *by value*
 //!   in the heap and the sorted run. Timers and tx-completes carry their
 //!   whole payload inline; nothing is allocated for them.
@@ -43,7 +43,7 @@
 //! # Batched draining
 //!
 //! Popping exclusively from a binary heap pays a cache-cold sift-down per
-//! event. Instead the queue drains the heap [`RUN_BATCH`] entries at a time
+//! event. Instead the queue drains the heap `RUN_BATCH` entries at a time
 //! into a *sorted run* (descending, so the next event is an `O(1)`
 //! `Vec::pop`). The run is fenced by `run_ceiling`: every key in the heap
 //! is `>= run_ceiling` and every key in the run is `< run_ceiling`, so a

@@ -114,7 +114,7 @@ impl Fate {
 const SUM_SLACK: f64 = 1e-12;
 
 /// The one rule for a fate partition, in both stacks: each fraction in
-/// `[0, 1]`, their sum at most 1 (plus [`SUM_SLACK`] of rounding).
+/// `[0, 1]`, their sum at most 1 (plus `SUM_SLACK` of rounding).
 pub fn validate_fractions(fractions: &[f64]) -> Result<(), String> {
     if let Some(f) = fractions.iter().find(|f| !(0.0..=1.0).contains(*f)) {
         return Err(format!("fault probability {f} outside [0, 1]"));

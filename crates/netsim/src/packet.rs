@@ -149,7 +149,7 @@ pub struct Packet {
     /// The sender's rate (bits/s) when this packet left the source, echoed
     /// back in ACKs. MKC applies its update to this *old* rate — the
     /// `r(k − D)` base of Eq. 8, which is what makes its stability
-    /// independent of feedback delay (paper reference [34]).
+    /// independent of feedback delay (paper reference \[34\]).
     pub rate_echo: f64,
     /// `HAS_FRAME`, `HAS_FEEDBACK` and `RETRANSMISSION`. The fields of an
     /// absent tag or label are zero.

@@ -251,7 +251,6 @@ mod tests {
     use crate::shard::{Partition, ShardedSimulator};
     use crate::sim::Agent;
     use proptest::prelude::*;
-    use std::any::Any;
 
     /// A host that blasts `n` packets into its port at start.
     struct Blaster {
@@ -270,12 +269,6 @@ mod tests {
         fn on_tx_complete(&mut self, _port: usize, ctx: &mut Context<'_>) {
             self.port.as_mut().unwrap().on_tx_complete(ctx);
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     struct Counter {
@@ -284,12 +277,6 @@ mod tests {
     impl Agent for Counter {
         fn on_packet(&mut self, p: Packet, ctx: &mut Context<'_>) {
             self.got.push((ctx.now, p.seq));
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -333,12 +320,6 @@ mod tests {
         }
         fn on_fault(&mut self, action: &FaultAction, ctx: &mut Context<'_>) {
             apply_port_fault(std::slice::from_mut(&mut self.port), action, ctx);
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

@@ -9,7 +9,6 @@ use crate::faults::{apply_port_fault, FaultAction};
 use crate::packet::{AgentId, Packet};
 use crate::port::Port;
 use crate::sim::{Agent, Context};
-use std::any::Any;
 
 /// Destination-based forwarding table: `dst agent -> output port index`.
 ///
@@ -89,14 +88,6 @@ impl Agent for Router {
     fn on_fault(&mut self, action: &FaultAction, ctx: &mut Context<'_>) {
         apply_port_fault(&mut self.ports, action, ctx);
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -114,12 +105,6 @@ mod tests {
         fn on_packet(&mut self, p: Packet, _ctx: &mut Context<'_>) {
             self.got.push(p);
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     struct Injector {
@@ -134,12 +119,6 @@ mod tests {
             }
         }
         fn on_packet(&mut self, _p: Packet, _ctx: &mut Context<'_>) {}
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     fn port_to(index: usize, peer: AgentId) -> Port {

@@ -314,7 +314,6 @@ pub fn sort_cross_events(batch: &mut [CrossEvent]) {
 /// use pels_netsim::time::{SimDuration, SimTime};
 /// # use pels_netsim::sim::{Agent, Context};
 /// # use pels_netsim::packet::{FlowId, Packet};
-/// # use std::any::Any;
 /// # struct Echo { peer: Option<AgentId>, got: u32 }
 /// # impl Agent for Echo {
 /// #     fn start(&mut self, ctx: &mut Context<'_>) {
@@ -324,8 +323,6 @@ pub fn sort_cross_events(batch: &mut [CrossEvent]) {
 /// #         }
 /// #     }
 /// #     fn on_packet(&mut self, _p: Packet, _ctx: &mut Context<'_>) { self.got += 1; }
-/// #     fn as_any(&self) -> &dyn Any { self }
-/// #     fn as_any_mut(&mut self) -> &mut dyn Any { self }
 /// # }
 /// let mut graph = TopologyGraph::new(4);
 /// graph.add_link(AgentId(0), AgentId(1), SimDuration::from_millis(5));
@@ -354,6 +351,9 @@ pub struct ShardedSimulator {
     workers: usize,
     barriers: u64,
     cross_events: u64,
+    /// Total worker threads spawned so far. Stays 0 while
+    /// [`ShardedSimulator::effective_workers`] is 1: single-worker windows
+    /// run in the calling thread.
     threads_spawned: u64,
 }
 
@@ -424,13 +424,6 @@ impl ShardedSimulator {
     /// of parallelism; extra threads would have nothing to run).
     pub fn effective_workers(&self) -> usize {
         self.workers.min(self.shards.len()).max(1)
-    }
-
-    /// Total worker threads spawned so far. Stays 0 while
-    /// [`ShardedSimulator::effective_workers`] is 1: single-worker windows
-    /// run in the calling thread.
-    pub fn threads_spawned(&self) -> u64 {
-        self.threads_spawned
     }
 
     /// Number of shards in the partition.
@@ -739,7 +732,6 @@ mod tests {
     use super::*;
     use crate::packet::{FlowId, Packet};
     use crate::sim::Context;
-    use std::any::Any;
 
     fn ms(n: u64) -> SimDuration {
         SimDuration::from_millis(n)
@@ -775,12 +767,6 @@ mod tests {
                 let ack = Packet::ack_for(&p, 40);
                 ctx.deliver(ack.dst, self.delay, ack);
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -856,7 +842,7 @@ mod tests {
 
         assert_eq!((serial.n_shards(), cut.n_shards()), (1, 2));
         assert_eq!(serial.barriers(), 2, "one window to each deadline");
-        assert_eq!((serial.cross_events(), serial.threads_spawned()), (0, 0));
+        assert_eq!((serial.cross_events(), serial.threads_spawned), (0, 0));
         assert_eq!(serial.now(), SimTime::from_secs_f64(1.0));
         assert_eq!(serial.events_processed(), cut.events_processed());
         for a in [AgentId(0), AgentId(1)] {
@@ -933,7 +919,7 @@ mod tests {
         let mut sim = ShardedSimulator::new(5, &p, agents);
         sim.set_workers(3);
         sim.run_until(SimTime::from_secs_f64(1.0));
-        assert_eq!(sim.threads_spawned(), 2, "2 groups of 2 shards");
+        assert_eq!(sim.threads_spawned, 2, "2 groups of 2 shards");
         for i in 0..4u32 {
             assert_eq!(sim.agent::<Chatter>(AgentId(i * 2 + 1)).got.len(), 2);
         }
@@ -947,14 +933,14 @@ mod tests {
         let mut sim = ShardedSimulator::new(11, &p, pair(5, ms(4)));
         sim.set_workers(1);
         sim.run_until(SimTime::from_secs_f64(1.0));
-        assert_eq!(sim.threads_spawned(), 0, "one group runs on the caller");
+        assert_eq!(sim.threads_spawned, 0, "one group runs on the caller");
         assert_eq!(sim.effective_workers(), 1);
 
         let mut sim = ShardedSimulator::new(11, &p, pair(5, ms(4)));
         sim.set_workers(2);
         for call in 1..=3u64 {
             sim.run_until(sim.now() + SimDuration::from_millis(500));
-            assert_eq!(sim.threads_spawned(), 2 * call, "2 groups x {call} calls");
+            assert_eq!(sim.threads_spawned, 2 * call, "2 groups x {call} calls");
         }
         assert!(sim.barriers() >= 375, "1.5 s / 4 ms lookahead");
     }
@@ -1064,12 +1050,6 @@ mod tests {
                 ctx.deliver(self.next, self.delay, p.with_seq(seq));
             }
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     #[test]
@@ -1111,12 +1091,6 @@ mod tests {
     impl Agent for Bomb {
         fn on_packet(&mut self, _p: Packet, _ctx: &mut Context<'_>) {
             panic!("bomb went off");
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -1176,7 +1150,6 @@ mod proptests {
     use crate::sim::Context;
     use proptest::prelude::*;
     use rand::Rng;
-    use std::any::Any;
 
     const LOCAL: SimDuration = SimDuration::from_millis(1);
     const CROSS: SimDuration = SimDuration::from_millis(4);
@@ -1220,12 +1193,6 @@ mod proptests {
                 let to = ctx.rng().gen_range(0..self.links.len());
                 self.send(to, p.seq - 1, ctx);
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

@@ -22,9 +22,10 @@ use std::sync::Arc;
 
 /// A simulation participant.
 ///
-/// Implementors also provide `as_any`/`as_any_mut` so that scenario code can
-/// recover the concrete type (and its collected statistics) after a run via
-/// [`crate::shard::ShardedSimulator::agent`]. Agents are `Send` so a
+/// Every agent is `Any`: scenario code recovers the concrete type (and its
+/// collected statistics) after a run via
+/// [`crate::shard::ShardedSimulator::agent`], which upcasts the boxed agent
+/// to `&dyn Any` and downcasts that. Agents are `Send` so a
 /// [`crate::shard::ShardedSimulator`] can drive shards on worker threads;
 /// every agent is plain owned data, so this costs nothing.
 pub trait Agent: Any + Send {
@@ -47,12 +48,6 @@ pub trait Agent: Any + Send {
     /// [`crate::faults::apply_port_fault`]; the default ignores faults, so
     /// agents without ports are unaffected.
     fn on_fault(&mut self, _action: &FaultAction, _ctx: &mut Context<'_>) {}
-
-    /// Upcast for post-run inspection.
-    fn as_any(&self) -> &dyn Any;
-
-    /// Upcast for post-run inspection (mutable).
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// Routing state of one shard of a [`crate::shard::ShardedSimulator`].
@@ -291,9 +286,8 @@ impl Simulator {
     pub(crate) fn try_agent<T: Agent>(&self, id: AgentId) -> Result<&T, SimError> {
         let idx = self.local_slot(id)?;
         let slot = self.agents.get(idx).ok_or(SimError::UnknownAgent(id))?;
-        slot.as_ref()
-            .ok_or(SimError::AgentBusy(id))?
-            .as_any()
+        let agent: &dyn Any = slot.as_deref().ok_or(SimError::AgentBusy(id))?;
+        agent
             .downcast_ref::<T>()
             .ok_or(SimError::AgentTypeMismatch { agent: id, expected: std::any::type_name::<T>() })
     }
@@ -520,12 +514,6 @@ mod tests {
                 ctx.deliver(ack.dst, SimDuration::from_millis(5), ack);
             }
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     /// An echo pair on one queue, run for a second: agent 0 sends to 1, and
@@ -613,12 +601,6 @@ mod fault_tests {
         fn on_fault(&mut self, action: &FaultAction, ctx: &mut Context<'_>) {
             apply_port_fault(std::slice::from_mut(&mut self.port), action, ctx);
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     struct Sink {
@@ -627,12 +609,6 @@ mod fault_tests {
     impl Agent for Sink {
         fn on_packet(&mut self, _p: Packet, ctx: &mut Context<'_>) {
             self.arrivals.push(ctx.now);
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -739,12 +715,6 @@ mod fault_tests {
                     _ => self.acks.push(ctx.now),
                 }
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
 
         let agents: Vec<Box<dyn Agent>> = vec![
@@ -846,7 +816,6 @@ mod dispatch_tests {
     use crate::packet::{FlowId, PacketKind};
     use crate::shard::{Partition, ShardedSimulator};
     use crate::time::SimDuration;
-    use std::any::Any;
 
     /// Logs every dispatch it receives: `(time, flow)` for a packet, the
     /// token for a timer.
@@ -872,12 +841,6 @@ mod dispatch_tests {
         }
         fn on_timer(&mut self, token: u64, _ctx: &mut Context<'_>) {
             self.timers.push(token);
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

@@ -12,7 +12,6 @@ use crate::packet::{AgentId, FlowId, Packet, PacketKind};
 use crate::port::Port;
 use crate::sim::{Agent, Context};
 use crate::time::{SimDuration, SimTime};
-use std::any::Any;
 use std::collections::{BTreeSet, VecDeque};
 
 const INITIAL_RTO: SimDuration = SimDuration::from_millis(1000);
@@ -119,16 +118,6 @@ impl TcpSource {
             srtt: None,
             fast_retransmits: 0,
         }
-    }
-
-    /// Current congestion window in packets.
-    pub fn cwnd(&self) -> f64 {
-        self.cwnd
-    }
-
-    /// Smoothed RTT estimate in seconds, once measured.
-    pub fn srtt(&self) -> Option<f64> {
-        self.srtt
     }
 
     fn inflight(&self) -> u64 {
@@ -259,13 +248,6 @@ impl Agent for TcpSource {
     fn on_tx_complete(&mut self, _port: usize, ctx: &mut Context<'_>) {
         self.port.on_tx_complete(ctx);
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// The receiving side of a [`TcpSource`]: generates cumulative ACKs.
@@ -313,13 +295,6 @@ impl Agent for TcpSink {
 
     fn on_tx_complete(&mut self, _port: usize, ctx: &mut Context<'_>) {
         self.port.on_tx_complete(ctx);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -382,7 +357,7 @@ mod tests {
         // 1 Mb/s for 30 s = 3.75 MB = 3750 packets of 1000 B. Expect most
         // of it (slow start ramp + loss recovery overhead allowed).
         assert!(delivered > 3200, "delivered only {delivered} packets (expected near 3750)");
-        let srtt = sim.agent::<TcpSource>(src).srtt().unwrap();
+        let srtt = sim.agent::<TcpSource>(src).srtt.unwrap();
         assert!(srtt > 0.015, "srtt {srtt} too small");
     }
 

@@ -16,7 +16,7 @@
 //!
 //! On top of any family the composer adds TCP Reno herds (one herd per
 //! distinct bottleneck path), Poisson CBR bursts aimed at bottlenecks, and
-//! flash-crowd arrival/departure schedules. [`finalize`] then sizes every
+//! flash-crowd arrival/departure schedules. `finalize` then sizes every
 //! link: designated egresses from the per-flow budget (times the link's
 //! tightness factor, plus steady CBR), everything else overprovisioned from
 //! the computed crossing load so only designated egresses bind.

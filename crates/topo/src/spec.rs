@@ -174,7 +174,7 @@ impl TopoSpec {
     /// Rejects what the generator cannot run: a per-flow budget that is not
     /// finite and positive (it sizes every designated link), and flow counts
     /// whose ids would collide. Video flows are numbered from 0, TCP flows
-    /// from [`TCP_FLOW_BASE`] and CBR flows from [`CBR_FLOW_BASE`]; with at
+    /// from `TCP_FLOW_BASE` and CBR flows from `CBR_FLOW_BASE`; with at
     /// most one herd per video flow, `flows × tcp` bounds the TCP flows, and
     /// Poisson bursts count up to the video bound. It also rejects what the
     /// generator once clamped, hung or crashed on: a burst rate that is not

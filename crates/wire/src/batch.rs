@@ -17,7 +17,7 @@
 //!
 //! The workspace vendors no `libc` crate, so the two syscalls and the
 //! three kernel structs they take (`iovec`, `msghdr`, `mmsghdr`) are
-//! declared by hand in the [`sys`] module — the only place in the crate
+//! declared by hand in the `sys` module — the only place in the crate
 //! allowed to use `unsafe`. It speaks `sockaddr_in` only and exists only on
 //! Linux; an IPv6 socket, an IPv6 destination or another platform takes the
 //! [`Transport`](crate::Transport) trait's per-datagram loop, so behavior

@@ -3,7 +3,7 @@
 //!
 //! Every case runs a [`ServeLoop`](crate::serve::ServeLoop) streaming to a
 //! [`WireReceiver`](crate::WireReceiver), built and driven by the same
-//! [`Session`] as `pels live`, over the in-memory hub with a
+//! `Session` as `pels live`, over the in-memory hub with a
 //! [`FaultTransport`](crate::FaultTransport) around each endpoint and a
 //! [`ManualClock`], so runs are bit-reproducible. The cases cover the
 //! failure axes a datagram path has: feedback blackout, data loss bursts,

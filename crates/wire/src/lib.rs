@@ -17,7 +17,7 @@
 //!   `recvmmsg`/`sendmmsg` bindings of [`batch`].
 //! * [`serve`] — [`ServeLoop`], the one place the control path is
 //!   assembled: a `poll(now)`-driven server hosting a
-//!   [`FlowTable`](flowtable::FlowTable) of per-flow state machines that
+//!   [`FlowTable`] of per-flow state machines that
 //!   reuse the simulator's controllers verbatim — MKC (Eq. 8), the γ
 //!   partitioner (Eq. 4), the router feedback estimator (Eq. 11) — paced
 //!   off a shared timer wheel through one in-process strict-priority

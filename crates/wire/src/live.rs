@@ -8,7 +8,7 @@
 //! simulator — so `pels live` output can be compared field-for-field with
 //! `pels run`, plotted by the same tooling, and written to the same CSV
 //! layout. The wire chaos matrix ([`crate::chaos`]) drives the same
-//! [`Session`] with a fault script and an observer.
+//! `Session` with a fault script and an observer.
 
 use crate::faults::{FaultCounters, FaultTransport, LiveFaults, WireFaultSpec, WireFaultTotals};
 use crate::receiver::{WireReceiver, WireReceiverConfig};

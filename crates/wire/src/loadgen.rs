@@ -16,7 +16,7 @@
 
 use crate::codec::{packets, WireAck, WireBye, WireData, WireHello, ACK_BYTES, DATA_HEADER_BYTES};
 use crate::receiver::HELLO_INTERVAL;
-use crate::serve::{IO_BATCH, RX_SLOT_BYTES};
+use crate::serve::{FLUSH_INTERVAL, IO_BATCH, RX_SLOT_BYTES};
 use crate::transport::{Datagram, Outbox, Transport, UdpTransport};
 use pels_netsim::clock::{Clock, MonotonicClock};
 use pels_netsim::packet::FlowId;
@@ -60,6 +60,27 @@ impl LoadgenConfig {
             ramp: SimDuration::from_secs(1),
             warmup: SimDuration::from_secs(2),
         }
+    }
+
+    /// Checks the values that arrive from a command line.
+    ///
+    /// # Errors
+    ///
+    /// At least one flow, and a warmup shorter than the run: the delivered
+    /// rate is measured after the warmup, and an empty steady window would
+    /// report 0 datagrams/s as if it were a measurement.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.flows == 0 {
+            return Err("flows must be at least 1".into());
+        }
+        if self.warmup >= self.duration {
+            return Err(format!(
+                "warmup {} s must be shorter than the {} s run",
+                self.warmup.as_secs_f64(),
+                self.duration.as_secs_f64()
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -109,12 +130,15 @@ struct ClientFlow {
 ///
 /// # Errors
 ///
-/// Propagates socket setup and hard transport failures.
+/// [`io::ErrorKind::InvalidInput`] for a config that fails
+/// [`LoadgenConfig::validate`]; otherwise propagates socket setup and hard
+/// transport failures.
 pub fn run_loadgen(cfg: LoadgenConfig) -> io::Result<LoadgenReport> {
+    cfg.validate().map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     let transport = UdpTransport::bind(cfg.listen)?;
     transport.expand_buffers(crate::serve::SOCKET_BUFFER_BYTES);
     let clock = MonotonicClock::new();
-    let n = cfg.flows.max(1);
+    let n = cfg.flows;
     let mut flows = vec![ClientFlow::default(); n as usize];
     let mut hellos_sent = 0u64;
     let mut acks_sent = 0u64;
@@ -131,14 +155,12 @@ pub fn run_loadgen(cfg: LoadgenConfig) -> io::Result<LoadgenReport> {
     let end = SimTime::ZERO + cfg.duration;
     let steady_from = SimTime::ZERO + cfg.warmup;
     let ramp_step = SimDuration::from_nanos(cfg.ramp.as_nanos() / u64::from(n));
-    let ring_cap = RX_SLOT_BYTES;
-    let mut ring: Vec<Datagram> = (0..IO_BATCH).map(|_| Datagram::slot(ring_cap)).collect();
+    let mut ring: Vec<Datagram> = (0..IO_BATCH).map(|_| Datagram::slot(RX_SLOT_BYTES)).collect();
     // ACKs/HELLOs accumulate — an ACK storm rides in 24-packet containers —
     // until a full batch of containers (or the deadline below) so each
     // send_batch call amortizes its syscall over a real batch instead of
     // flushing whatever one poll pass produced.
     let mut out = Outbox::default();
-    let flush_interval = SimDuration::from_millis(1);
     let mut out_due = SimTime::ZERO;
 
     let mut now = clock.now();
@@ -177,7 +199,7 @@ pub fn run_loadgen(cfg: LoadgenConfig) -> io::Result<LoadgenReport> {
         // Ingest data, echo ACKs.
         loop {
             for slot in ring.iter_mut() {
-                slot.reset(ring_cap);
+                slot.reset(RX_SLOT_BYTES);
             }
             let got = transport.recv_batch(&mut ring)?;
             // Each received datagram may be a container of several wire
@@ -208,7 +230,7 @@ pub fn run_loadgen(cfg: LoadgenConfig) -> io::Result<LoadgenReport> {
             }
             if out.containers() >= IO_BATCH {
                 out.flush(&transport)?;
-                out_due = now + flush_interval;
+                out_due = now + FLUSH_INTERVAL;
             }
             if got < ring.len() {
                 break;
@@ -216,7 +238,7 @@ pub fn run_loadgen(cfg: LoadgenConfig) -> io::Result<LoadgenReport> {
         }
         if out.packets() > 0 && now >= out_due {
             out.flush(&transport)?;
-            out_due = now + flush_interval;
+            out_due = now + FLUSH_INTERVAL;
         }
         if !work {
             std::thread::sleep(std::time::Duration::from_micros(100));
@@ -312,6 +334,26 @@ mod tests {
             assert_eq!(last["wire.serve.tx"], srv.data_sent, "{listen}");
             assert_eq!(last["wire.udp.send_drops"], srv.send_drops, "{listen}");
             assert!(scrapes[0].1.counters["wire.serve.hellos"] >= 64, "{listen}: mid-run scrape");
+        }
+    }
+
+    /// No flow, or no steady window to measure in, is refused before the
+    /// socket is bound, not reported as a run that delivered nothing.
+    #[test]
+    fn a_run_with_nothing_to_measure_is_invalid_input() {
+        let server = "127.0.0.1:9".parse().unwrap();
+        let short = SimDuration::from_millis(200);
+        for cfg in [
+            LoadgenConfig {
+                flows: 0,
+                duration: short,
+                warmup: SimDuration::ZERO,
+                ..LoadgenConfig::new(server)
+            },
+            LoadgenConfig { duration: short, warmup: short, ..LoadgenConfig::new(server) },
+        ] {
+            let err = run_loadgen(cfg.clone()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{cfg:?}");
         }
     }
 }

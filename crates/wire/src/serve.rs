@@ -135,12 +135,16 @@ impl ServeConfig {
     /// # Errors
     ///
     /// The capacity must be at least 1 b/s (a rate given in Mb/s can round
-    /// to 0), a data packet ([`MAX_PACKET_BYTES`]) must fit a peer's receive
-    /// slot ([`RX_SLOT_BYTES`]), and the trace must pass
+    /// to 0), the flow table must admit a flow (a cap of 0 refuses every
+    /// HELLO), a data packet ([`MAX_PACKET_BYTES`]) must fit a peer's
+    /// receive slot ([`RX_SLOT_BYTES`]), and the trace must pass
     /// [`VideoTrace::validate`] at that packet size.
     pub fn validate(&self) -> Result<(), String> {
         if self.capacity.as_bps() == 0 {
             return Err("capacity must be at least 1 b/s".into());
+        }
+        if self.max_flows == 0 {
+            return Err("max_flows must be at least 1".into());
         }
         if !(1..=MAX_PACKET_BYTES).contains(&self.packet_bytes) {
             return Err(format!(
@@ -416,8 +420,9 @@ enum TimerEvent {
 /// trickled in since the last poll — measured batches of 2–3 datagrams,
 /// which re-inflates the per-datagram syscall cost batching exists to
 /// amortize. One wheel tick of extra queueing is already inside the pacing
-/// tolerance.
-const FLUSH_INTERVAL: SimDuration = SimDuration::from_millis(1);
+/// tolerance. `pels loadgen` holds its ACK and HELLO batches by the same
+/// rule.
+pub(crate) const FLUSH_INTERVAL: SimDuration = SimDuration::from_millis(1);
 
 /// Datagrams per batch I/O call: the size of the receive ring and the
 /// count of departed packets that flushes without waiting for
@@ -425,7 +430,7 @@ const FLUSH_INTERVAL: SimDuration = SimDuration::from_millis(1);
 pub(crate) const IO_BATCH: usize = 64;
 
 /// Receive-slot capacity of every endpoint in this crate. Must hold the
-/// largest container a peer can send ([`AGGREGATE_BYTES`]); anything longer
+/// largest container a peer can send (`AGGREGATE_BYTES`); anything longer
 /// is truncated by the socket and surfaces as a decode error.
 pub const RX_SLOT_BYTES: usize = 2048;
 const _: () = assert!(AGGREGATE_BYTES <= RX_SLOT_BYTES);
@@ -597,9 +602,8 @@ impl ServeRouter {
             // cannot bank an arbitrary burst — but the bucket must hold at
             // least one full datagram, or a capacity below ~1 MTU per
             // interval deadlocks the queue (bucket depth ≥ MTU rule).
-            const MAX_DATAGRAM_BITS: f64 = 2048.0 * 8.0;
             let max_credit = (self.capacity_bps * self.estimator.interval().as_secs_f64())
-                .max(MAX_DATAGRAM_BITS);
+                .max((RX_SLOT_BYTES * 8) as f64);
             self.budget_bits = (self.budget_bits + self.capacity_bps * dt).min(max_credit);
         }
         self.last_drain = Some(now);
@@ -1704,12 +1708,14 @@ mod tests {
         assert!(refused(|_| {}).is_ok());
         assert!(refused(|c| c.packet_bytes = MAX_PACKET_BYTES).is_ok());
         // 3000 + 78 bytes would be truncated by every 2048-byte slot;
-        // 4 GB would be allocated as the payload pool before that.
+        // 4 GB would be allocated as the payload pool before that. A flow
+        // table with no slot would refuse every HELLO for the whole run.
         for bad in [
             (|c| c.packet_bytes = 0) as fn(&mut ServeConfig),
             |c| c.packet_bytes = 3_000,
             |c| c.packet_bytes = 4_000_000_000,
             |c| c.trace = VideoTrace::constant(1, 10.0, 0, 1_000),
+            |c| c.max_flows = 0,
         ] {
             assert_eq!(refused(bad).unwrap_err(), io::ErrorKind::InvalidInput);
         }

@@ -250,7 +250,11 @@ type Queues = HashMap<SocketAddr, VecDeque<(SocketAddr, Vec<u8>)>>;
 #[derive(Debug, Clone, Default)]
 pub struct MemHub {
     queues: Arc<Mutex<Queues>>,
+    /// Datagrams sent to addresses with no registered endpoint.
     dropped: Arc<AtomicU64>,
+    /// Datagrams clipped because a receiver's buffer was smaller than the
+    /// datagram — each one reached the codec as a counted, detectable
+    /// truncation instead of a silent mystery.
     truncated: Arc<AtomicU64>,
     /// Recycled datagram buffers: `try_recv` returns each delivered
     /// buffer here and `send_to` refills from it, so steady-state
@@ -272,18 +276,6 @@ impl MemHub {
     pub fn endpoint(&self, addr: SocketAddr) -> MemTransport {
         self.queues.lock().expect("hub lock").insert(addr, VecDeque::new());
         MemTransport { hub: self.clone(), addr }
-    }
-
-    /// Datagrams sent to addresses with no registered endpoint.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Datagrams clipped because a receiver's buffer was smaller than the
-    /// datagram — each one reached the codec as a counted, detectable
-    /// truncation instead of a silent mystery.
-    pub fn truncated(&self) -> u64 {
-        self.truncated.load(Ordering::Relaxed)
     }
 }
 
@@ -352,7 +344,7 @@ pub struct UdpTransport {
     socket: UdpSocket,
     addr: SocketAddr,
     /// Sends the socket swallowed (full buffer, refused peer) — the UDP
-    /// analogue of [`MemHub::dropped`].
+    /// analogue of a [`MemHub`] datagram to nowhere.
     send_drops: Arc<AtomicU64>,
     #[cfg(target_os = "linux")]
     scratch: RefCell<crate::batch::sys::Scratch>,
@@ -521,7 +513,7 @@ pub(crate) mod tests {
         let hub = MemHub::new();
         let a = hub.endpoint(addr(1));
         a.send_to(b"void", addr(99)).unwrap();
-        assert_eq!(hub.dropped(), 1);
+        assert_eq!(hub.dropped.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -533,11 +525,11 @@ pub(crate) mod tests {
         let mut buf = [0u8; 10];
         let (n, _) = b.try_recv(&mut buf).unwrap().unwrap();
         assert_eq!(n, 10);
-        assert_eq!(hub.truncated(), 1);
+        assert_eq!(hub.truncated.load(Ordering::Relaxed), 1);
         // An exact-fit receive is not a truncation.
         a.send_to(&[7u8; 10], b.local_addr()).unwrap();
         b.try_recv(&mut buf).unwrap().unwrap();
-        assert_eq!(hub.truncated(), 1);
+        assert_eq!(hub.truncated.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -562,7 +554,7 @@ pub(crate) mod tests {
         let mut small = [Datagram::slot(10)];
         assert_eq!(b.recv_batch(&mut small).unwrap(), 1);
         assert_eq!(small[0].buf.len(), 10);
-        assert_eq!(hub.truncated(), 1);
+        assert_eq!(hub.truncated.load(Ordering::Relaxed), 1);
         // Reset restores capacity for reuse.
         small[0].reset(64);
         assert_eq!(small[0].buf.len(), 64);

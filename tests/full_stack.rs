@@ -347,26 +347,6 @@ fn conclusions_hold_under_the_rd_quality_model() {
 }
 
 #[test]
-fn trace_csv_roundtrip_drives_a_simulation() {
-    // A trace exported to CSV, re-imported, and streamed end-to-end behaves
-    // identically to the original.
-    use pels_fgs::frame::VideoTrace;
-
-    let trace = pels_core::scenario::default_trace();
-    let reloaded = VideoTrace::from_csv(&trace.to_csv()).unwrap();
-    assert_eq!(reloaded, trace);
-
-    let run = |tr: VideoTrace| {
-        let cfg =
-            ScenarioConfig { trace: tr, flows: pels_flows(&[0.0, 0.0]), ..Default::default() };
-        let mut s = Scenario::build(cfg);
-        s.run_until(SimTime::from_secs_f64(10.0));
-        s.sim.events_processed()
-    };
-    assert_eq!(run(trace), run(reloaded));
-}
-
-#[test]
 fn router_backlog_series_shows_red_queue_pressure() {
     // The router samples its video-queue backlog each feedback tick; under
     // sustained congestion the red band holds a persistent standing queue

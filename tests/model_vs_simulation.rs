@@ -13,7 +13,6 @@ use pels_netsim::event::PacketSlot;
 use pels_netsim::time::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::any::Any;
 
 /// A FIFO discipline that drops arriving packets of class `>= protect_below`
 /// uniformly at random with a settable probability: the Bernoulli loss model
@@ -55,10 +54,6 @@ impl UniformLoss {
 }
 
 impl Discipline for UniformLoss {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
     fn enqueue(&mut self, entry: QEntry, now: SimTime, dropped: &mut Vec<QEntry>) {
         if entry.class >= self.protect_below
             && self.drop_prob > 0.0

@@ -116,7 +116,6 @@ mod fault_harness {
     use pels_netsim::sim::{Agent, Context};
     use pels_netsim::time::{Rate, SimDuration, SimTime};
     use pels_netsim::{AgentId, FaultAction, FlowId, Packet};
-    use std::any::Any;
 
     pub const PACKET_BYTES: u32 = 500;
 
@@ -169,12 +168,6 @@ mod fault_harness {
         fn on_fault(&mut self, action: &FaultAction, ctx: &mut Context<'_>) {
             apply_port_fault(std::slice::from_mut(&mut self.port), action, ctx);
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     /// Counts arrivals and records their times.
@@ -187,12 +180,6 @@ mod fault_harness {
         fn on_packet(&mut self, _p: Packet, ctx: &mut Context<'_>) {
             self.got += 1;
             self.arrivals.push(ctx.now);
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 }

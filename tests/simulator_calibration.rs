@@ -13,7 +13,6 @@ use pels_netsim::shard::{Partition, ShardedSimulator};
 use pels_netsim::sim::{Agent, Context};
 use pels_netsim::stats::Summary;
 use pels_netsim::time::{Rate, SimDuration, SimTime};
-use std::any::Any;
 
 struct DelaySink {
     delays: Summary,
@@ -23,12 +22,6 @@ impl Agent for DelaySink {
         if p.kind == PacketKind::Data {
             self.delays.record(ctx.now.duration_since(p.sent_at).as_secs_f64());
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
