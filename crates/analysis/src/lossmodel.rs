@@ -234,11 +234,6 @@ impl GilbertElliott {
         self.in_bad = if self.in_bad { u >= self.p_bg } else { u < self.p_gb };
         self.in_bad
     }
-
-    /// Mean loss-burst length (`1/p_bg`).
-    pub fn mean_burst(&self) -> f64 {
-        1.0 / self.p_bg
-    }
 }
 
 #[cfg(test)]

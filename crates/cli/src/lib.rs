@@ -278,14 +278,12 @@ fn get_positive(map: &Flags, key: &str, default: f64) -> Result<f64, ParseArgsEr
     Err(ParseArgsError(format!("--{key} must be positive")))
 }
 
-/// `chaos --duration` in seconds, or the matrix's own `default`: at least
-/// 5 s either way, or there is no recovery to measure.
-fn chaos_secs(map: &Flags, default: SimDuration) -> Result<f64, ParseArgsError> {
-    let secs: f64 = get_parsed(map, "duration", default.as_secs_f64())?;
-    if secs.is_finite() && secs >= 5.0 {
-        return Ok(secs);
-    }
-    Err(ParseArgsError("--duration must be at least 5 seconds to measure recovery".into()))
+/// `secs`, the value of `--key`, as a `SimDuration`, which holds about 584
+/// years: past that the conversion would clamp without a word.
+fn duration(key: &str, secs: f64) -> Result<SimDuration, ParseArgsError> {
+    let max = SimTime::MAX.as_secs_f64();
+    SimDuration::try_from_secs_f64(secs)
+        .ok_or_else(|| ParseArgsError(format!("--{key} must be in [0, {max:.0}) s")))
 }
 
 /// `--workers`, by default the machine's available parallelism; at least 1.
@@ -379,6 +377,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
         "run" => {
             let map = flag_map(cmd, rest)?;
             let duration_s = get_positive(&map, "duration", 30.0)?;
+            duration("duration", duration_s)?;
             let (json, telemetry) = (map.contains_key("json"), map.get("telemetry").cloned());
             let workers = get_workers(&map)?;
             if map.contains_key("topo-spec") || map.contains_key("topology") {
@@ -453,6 +452,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
             let counts =
                 parse_flow_counts(map.get("flows-list").map_or("1,2,4,8", String::as_str))?;
             let duration_s = get_positive(&map, "duration", 20.0)?;
+            duration("duration", duration_s)?;
             let workers = get_workers(&map)?;
             let json = map.contains_key("json");
             // A generated-topology sweep: `--topo-spec FILE.json`, or a
@@ -507,8 +507,11 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
                 (true, true) => pels_wire::chaos::short_config(),
             };
             config.seed = get_parsed(&map, "seed", config.seed)?;
-            let secs = chaos_secs(&map, config.duration)?;
-            config.duration = SimDuration::from_secs_f64(secs);
+            let secs: f64 = get_parsed(&map, "duration", config.duration.as_secs_f64())?;
+            config.duration = duration("duration", secs)?;
+            if config.duration < SimDuration::from_secs(5) {
+                return Err(ParseArgsError("--duration must be at least 5 s for recovery".into()));
+            }
             if wire {
                 config
                     .validate(pels_wire::chaos::OBSERVE)
@@ -527,7 +530,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
             let map = flag_map(cmd, rest)?;
             let mut config = ServeConfig::new(get_parsed(&map, "listen", SERVE_ADDR)?);
             // The command serves 10 s by default, twice the library's run.
-            config.duration = SimDuration::from_secs_f64(get_positive(&map, "duration", 10.0)?);
+            config.duration = duration("duration", get_positive(&map, "duration", 10.0)?)?;
             let mbps = get_positive(&map, "capacity-mbps", config.capacity.as_mbps())?;
             config.capacity = Rate::from_mbps(mbps);
             config.max_flows = get_parsed(&map, "max-flows", config.max_flows)?;
@@ -548,14 +551,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
             // A short run shrinks the ramp and the warmup to a quarter and a
             // half of it.
             let ramp_s = (duration_s / 4.0).min(config.ramp.as_secs_f64());
-            let ramp_s: f64 = get_parsed(&map, "ramp", ramp_s)?;
             let warmup_s = (duration_s / 2.0).min(config.warmup.as_secs_f64());
-            let warmup_s: f64 = get_parsed(&map, "warmup", warmup_s)?;
-            if !ramp_s.is_finite() || ramp_s < 0.0 || !warmup_s.is_finite() || warmup_s < 0.0 {
-                return Err(ParseArgsError("--ramp and --warmup must be non-negative".into()));
-            }
-            [config.duration, config.ramp, config.warmup] =
-                [duration_s, ramp_s, warmup_s].map(SimDuration::from_secs_f64);
+            config.duration = duration("duration", duration_s)?;
+            config.ramp = duration("ramp", get_parsed(&map, "ramp", ramp_s)?)?;
+            config.warmup = duration("warmup", get_parsed(&map, "warmup", warmup_s)?)?;
             config.validate().map_err(|e| ParseArgsError(format!("bad loadgen config: {e}")))?;
             Ok(Command::Loadgen { config, json: map.contains_key("json") })
         }
@@ -563,7 +562,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
             let map = flag_map(cmd, rest)?;
             let mut config = LiveConfig::default();
             let secs = get_positive(&map, "duration", config.duration.as_secs_f64())?;
-            config.duration = SimDuration::from_secs_f64(secs);
+            config.duration = duration("duration", secs)?;
             let mbps = get_positive(&map, "bottleneck-mbps", config.bottleneck.as_mbps())?;
             config.bottleneck = Rate::from_mbps(mbps);
             config.pels_share = get_parsed(&map, "share", config.pels_share)?;
@@ -618,21 +617,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
     }
 }
 
-/// Opens a telemetry handle for `--telemetry PATH`: disabled when no path
-/// was given, otherwise enabled with a JSON-lines sink on the file.
-fn open_telemetry(path: Option<&str>) -> Result<Telemetry, String> {
-    match path {
-        None => Ok(Telemetry::disabled()),
-        Some(p) => {
-            let sink = pels_telemetry::JsonLinesSink::create(p)
-                .map_err(|e| format!("cannot create telemetry file {p}: {e}"))?;
-            let tel = Telemetry::new();
-            tel.attach_sink(Box::new(sink));
-            Ok(tel)
-        }
-    }
-}
-
 /// The simulated times a run stops at, each with whether it is the last:
 /// once a second with telemetry on, so the stream shows the run's
 /// progression (the last stop takes the full scrape), else only the end.
@@ -643,8 +627,11 @@ fn stops(duration_s: f64, tel: &Telemetry) -> impl Iterator<Item = (SimTime, boo
         .map(move |t| (SimTime::from_secs_f64(t), t >= duration_s))
 }
 
+/// What a command leaves: nothing, or a one-line message for stderr.
+type Outcome = Result<(), Box<dyn Error>>;
+
 /// Writes `value` to `out` as pretty-printed JSON.
-fn write_json(out: &mut impl Write, value: &impl serde::Serialize) -> Result<(), Box<dyn Error>> {
+fn write_json(out: &mut impl Write, value: &impl serde::Serialize) -> Outcome {
     Ok(writeln!(out, "{}", serde_json::to_string_pretty(value)?)?)
 }
 
@@ -653,12 +640,29 @@ fn write_json(out: &mut impl Write, value: &impl serde::Serialize) -> Result<(),
 ///
 /// # Errors
 ///
-/// Returns a one-line message suitable for printing to stderr.
-pub fn execute(
-    cmd: Command,
-    results: Option<&Path>,
-    out: &mut impl Write,
-) -> Result<(), Box<dyn Error>> {
+/// Returns a one-line message for stderr, also after the report when the
+/// `--telemetry` file lost snapshots.
+pub fn execute(cmd: Command, results: Option<&Path>, out: &mut impl Write) -> Outcome {
+    let path = match &cmd {
+        Command::Run { telemetry, .. }
+        | Command::RunTopo { telemetry, .. }
+        | Command::Chaos { telemetry, .. }
+        | Command::Live { telemetry, .. }
+        | Command::Serve { telemetry, .. } => telemetry.clone(),
+        _ => None,
+    };
+    let Some(path) = path else { return run(cmd, &Telemetry::disabled(), results, out) };
+    let tel = Telemetry::to_file(&path)
+        .map_err(|e| format!("cannot create telemetry file {path}: {e}"))?;
+    run(cmd, &tel, results, out)?;
+    match tel.sink_errors() {
+        0 => Ok(()),
+        lost => Err(format!("{lost} telemetry snapshot(s) could not be written to {path}").into()),
+    }
+}
+
+/// [`execute`] with the `--telemetry` handle open.
+fn run(cmd: Command, tel: &Telemetry, results: Option<&Path>, out: &mut impl Write) -> Outcome {
     // Writes a result CSV and returns the notice naming it; only text mode
     // prints the notice, so a `--json` report is the whole of stdout.
     let save = |name: &str, content: &str| -> std::io::Result<String> {
@@ -726,9 +730,8 @@ pub fn execute(
                 )?;
             }
         }
-        Command::Chaos { config, wire: true, json, telemetry } => {
-            let tel = open_telemetry(telemetry.as_deref())?;
-            let report = pels_wire::run_wire_matrix(&config, &tel)?;
+        Command::Chaos { config, wire: true, json, .. } => {
+            let report = pels_wire::run_wire_matrix(&config, tel)?;
             if json {
                 return write_json(out, &report);
             }
@@ -756,9 +759,8 @@ pub fn execute(
             }
             writeln!(out, "all wire invariants held")?;
         }
-        Command::Chaos { config, wire: false, json, telemetry } => {
-            let tel = open_telemetry(telemetry.as_deref())?;
-            let report = pels_core::chaos::run_matrix(&config, &tel)?;
+        Command::Chaos { config, wire: false, json, .. } => {
+            let report = pels_core::chaos::run_matrix(&config, tel)?;
             let written = save("chaos.csv", &pels_core::chaos::to_csv(&report))?;
             if json {
                 return write_json(out, &report);
@@ -782,8 +784,8 @@ pub fn execute(
             }
             writeln!(out, "all invariants held")?;
         }
-        Command::Live { mut config, json, telemetry } => {
-            config.telemetry = open_telemetry(telemetry.as_deref())?;
+        Command::Live { mut config, json, .. } => {
+            config.telemetry = tel.clone();
             let outcome =
                 pels_wire::run_live(&config).map_err(|e| format!("live run failed: {e}"))?;
             let written = save("live.csv", &pels_wire::live::to_csv(&outcome))?;
@@ -852,8 +854,8 @@ pub fn execute(
                 )?;
             }
         }
-        Command::Serve { mut config, telemetry, json } => {
-            config.telemetry = open_telemetry(telemetry.as_deref())?;
+        Command::Serve { mut config, json, .. } => {
+            config.telemetry = tel.clone();
             // Announce the bound address on stderr (stdout stays report-only,
             // and with `--listen :0` the port is otherwise unknowable).
             let announce = |addr: SocketAddr| eprintln!("pels serve: listening on {addr}");
@@ -969,18 +971,17 @@ pub fn execute(
                 }
             }
         }
-        Command::RunTopo { mut spec, duration_s, json, telemetry, workers } => {
+        Command::RunTopo { mut spec, duration_s, json, workers, .. } => {
             use pels_topo::scenario::{to_csv, TopoScenario};
-            let tel = open_telemetry(telemetry.as_deref())?;
             // The series a full scrape publishes are the ones the agents keep.
             if tel.is_enabled() {
                 spec.keep_series = Some(true);
             }
             let mut s = TopoScenario::try_build(*spec)?;
             s.set_workers(workers);
-            for (t, last) in stops(duration_s, &tel) {
+            for (t, last) in stops(duration_s, tel) {
                 s.run_until(t);
-                s.flush_telemetry(&tel, last);
+                s.flush_telemetry(tel, last);
             }
             let report = s.report();
             let written = save(&format!("topo_{}.csv", report.family), &to_csv(&report))?;
@@ -1050,17 +1051,16 @@ pub fn execute(
                 )?;
             }
         }
-        Command::Run { mut config, duration_s, json, telemetry, workers } => {
-            let tel = open_telemetry(telemetry.as_deref())?;
+        Command::Run { mut config, duration_s, json, workers, .. } => {
             // The series a full scrape publishes are the ones the agents keep.
             config.keep_series |= tel.is_enabled();
             // The partition is fixed by the topology, so --workers only
             // changes wall clock, never the report.
             let mut s = Scenario::try_build(*config)?;
             s.set_workers(workers);
-            for (t, last) in stops(duration_s, &tel) {
+            for (t, last) in stops(duration_s, tel) {
                 s.run_until(t);
-                s.flush_telemetry(&tel, last);
+                s.flush_telemetry(tel, last);
             }
             let report = s.report();
             if json {
@@ -1228,6 +1228,37 @@ mod tests {
             let err = parse_args(&args(line)).unwrap_err().0;
             assert!(err.contains(why) && !err.contains('\n'), "`{line}`: {err}");
         }
+    }
+
+    #[test]
+    fn seconds_past_a_sim_duration_are_refused_by_name() {
+        // Once clamped to about 584 years: a run that never ends, and a
+        // chaos matrix whose fault window ended before it started.
+        for (line, flag) in [
+            ("run --duration 1e300", "--duration"),
+            ("run --topology fattree:k=4 --duration 1e300", "--duration"),
+            ("sweep --duration 1e300", "--duration"),
+            ("chaos --duration 1e300", "--duration"),
+            ("chaos --wire --duration 1e300", "--duration"),
+            ("live --duration 1e300", "--duration"),
+            ("serve --duration 1e300", "--duration"),
+            ("loadgen --duration 1e300", "--duration"),
+            ("loadgen --duration 1 --ramp 1e30", "--ramp"),
+            ("loadgen --duration 1 --warmup 1e30", "--warmup"),
+        ] {
+            let err = parse_args(&args(line)).unwrap_err().0;
+            assert!(err.contains(flag) && err.contains("18446744074) s"), "`{line}`: {err}");
+        }
+        // The longest a simulation holds still parses.
+        assert!(parse_args(&args("run --duration 18446744073")).is_ok());
+    }
+
+    #[test]
+    fn a_loadgen_ramp_past_its_warmup_is_refused() {
+        // Once: 10 of 256 flows registered, and "sustained 0/256".
+        let err = parse_args(&args("loadgen --duration 1 --ramp 0.8 --warmup 0.5")).unwrap_err().0;
+        assert!(err.contains("ramp") && err.contains("warmup"), "{err}");
+        assert!(parse_args(&args("loadgen --duration 1 --ramp 0.5 --warmup 0.5")).is_ok());
     }
 
     #[test]
@@ -1681,7 +1712,7 @@ mod tests {
         let cmd = parse_args(&args("run --topology fattree:k=4,flows=8 --duration 5")).unwrap();
         match cmd {
             Command::RunTopo { spec, duration_s, json, .. } => {
-                assert_eq!(spec.generator.family(), "fattree");
+                assert!(matches!(spec.generator, pels_topo::spec::GeneratorSpec::FatTree { k: 4 }));
                 assert_eq!(spec.flows(), 8);
                 assert_eq!(duration_s, 5.0);
                 assert!(!json);
@@ -1708,7 +1739,7 @@ mod tests {
         let cmd = parse_args(&args(&format!("run --topo-spec {}", path.display()))).unwrap();
         match cmd {
             Command::RunTopo { spec, .. } => {
-                assert_eq!(spec.generator.family(), "fattree");
+                assert!(matches!(spec.generator, pels_topo::spec::GeneratorSpec::FatTree { k: 4 }));
                 assert_eq!(spec.flows(), 6);
             }
             other => panic!("{other:?}"),
@@ -1915,6 +1946,12 @@ mod tests {
         // A frame with nothing to pace, and one whose 80 001 packets wrap
         // the u16 packet index.
         let one_frame = |base| pels_fgs::frame::VideoTrace::constant(1, 10.0, base, 0);
+        // Gains the controllers refuse: a panic in the build before.
+        let mut bad_beta = base();
+        let mkc = pels_core::mkc::MkcConfig { beta: -1.0, ..Default::default() };
+        bad_beta.flows[1].cc = pels_core::source::CcSpec::Mkc(mkc);
+        let mut bad_sigma = base();
+        bad_sigma.flows[0].gamma.sigma = -5.0;
         let cases = [
             ("packet_bytes", ScenarioConfig { packet_bytes: 0, ..base() }),
             ("fps", ScenarioConfig { trace: zero_fps, ..base() }),
@@ -1923,6 +1960,8 @@ mod tests {
             ("flows", ScenarioConfig { flows: vec![], ..base() }),
             ("no_base", ScenarioConfig { trace: one_frame(0), ..base() }),
             ("huge_frame", ScenarioConfig { trace: one_frame(40_000_000), ..base() }),
+            ("beta", bad_beta),
+            ("sigma", bad_sigma),
         ];
         for (what, cfg) in cases {
             let path = dir.join(format!("{what}.json"));

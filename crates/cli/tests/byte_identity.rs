@@ -175,3 +175,25 @@ fn json_stdout_parses_as_json() {
         assert_eq!(std::fs::read_dir(&dir.0).unwrap().count(), 1, "`pels {line}` wrote its CSV");
     }
 }
+
+/// A `--telemetry` file that loses snapshots fails the run after its
+/// report: the count and the path go to stderr, the exit status is 1.
+#[test]
+fn telemetry_that_cannot_be_written_fails_the_run() {
+    if !Path::new("/dev/full").exists() {
+        return;
+    }
+    let dir = CaseDir::new("telemetry_full");
+    let run = Command::new(env!("CARGO_BIN_EXE_pels"))
+        .args(["run", "--duration", "1", "--telemetry", "/dev/full"])
+        .env("PELS_RESULTS_DIR", &dir.0)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("1 telemetry snapshot(s)") && stderr.contains("/dev/full"), "{stderr}");
+    assert!(
+        String::from_utf8_lossy(&run.stdout).starts_with("ran 1 s:"),
+        "the report still prints"
+    );
+}

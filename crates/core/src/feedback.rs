@@ -223,11 +223,6 @@ impl EpochFilter {
         }
     }
 
-    /// The last accepted `(router, epoch)` pair, if any.
-    pub fn horizon(&self) -> Option<(AgentId, u64)> {
-        self.last
-    }
-
     /// Forgets the horizon so the next label is accepted unconditionally.
     ///
     /// For when the staleness watchdog fires on a sender whose labels
@@ -353,7 +348,7 @@ mod tests {
         assert!(!f.accept(&fb(5)), "duplicate epoch must be rejected");
         assert!(!f.accept(&fb(3)), "stale epoch must be rejected");
         assert!(f.accept(&fb(6)));
-        assert_eq!(f.horizon(), Some((AgentId(1), 6)));
+        assert_eq!(f.last, Some((AgentId(1), 6)));
     }
 
     #[test]
@@ -366,7 +361,7 @@ mod tests {
         assert!(f.accept(&fb(u64::MAX)));
         assert!(!f.accept(&fb(8)), "poisoned horizon rejects real labels");
         f.reset();
-        assert_eq!(f.horizon(), None);
+        assert_eq!(f.last, None);
         assert!(f.accept(&fb(8)), "reset must re-anchor on the next label");
     }
 

@@ -122,16 +122,11 @@ impl GammaController {
     /// Explicitly holds the last stable γ for one control interval whose
     /// loss sample is missing (feedback lost or stale). The clamp to
     /// `[GAMMA_LOW, 1]` is re-applied defensively; the update counter does
-    /// not advance, but the hold is counted in [`GammaController::held`].
+    /// not advance, but the hold is counted.
     pub fn hold(&mut self) -> f64 {
         self.gamma = self.gamma.clamp(GAMMA_LOW, 1.0);
         self.held += 1;
         self.gamma
-    }
-
-    /// Number of control intervals where γ was held for lack of a sample.
-    pub fn held(&self) -> u64 {
-        self.held
     }
 
     /// The fixed point γ* = p/p_thr the controller converges to under
@@ -194,12 +189,12 @@ mod tests {
             g.update(f64::NAN); // feedback lost: hold, do not decay
         }
         assert!((g.gamma() - stable).abs() < 1e-12);
-        assert_eq!(g.held(), 50);
+        assert_eq!(g.held, 50);
         assert_eq!(g.updates(), 100, "holds are not control steps");
         // Explicit hold behaves identically.
         g.hold();
         assert!((g.gamma() - stable).abs() < 1e-12);
-        assert_eq!(g.held(), 51);
+        assert_eq!(g.held, 51);
     }
 
     #[test]

@@ -132,11 +132,6 @@ impl MkcController {
         self.rate_bps
     }
 
-    /// Current sending rate.
-    pub fn rate(&self) -> Rate {
-        Rate::from_bps(self.rate_bps.round() as u64)
-    }
-
     /// Number of control steps applied.
     pub fn updates(&self) -> u64 {
         self.updates

@@ -28,7 +28,7 @@ use crate::scenario::{TCP_PACKET_BYTES, VIDEO_PACKET_BYTES};
 use crate::source::{CcSpec, PelsSource, SourceConfig, SourceMode};
 use crate::SimError;
 use pels_fgs::frame::VideoTrace;
-use pels_netsim::cbr::{CbrConfig, CbrSource, NullSink, PoissonSource};
+use pels_netsim::cbr::{CbrConfig, CbrSource, NullSink};
 use pels_netsim::disc::{DropTail, QueueLimit};
 use pels_netsim::error::invalid_config;
 use pels_netsim::packet::{AgentId, FlowId};
@@ -392,11 +392,7 @@ impl Network {
                 (&TrafficKind::Cbr { flow, rate, class, poisson, start, stop }, true) => {
                     let cfg = CbrConfig::new(FlowId(flow), dst, rate, VIDEO_PACKET_BYTES, class);
                     let cfg = CbrConfig { start_at: start, stop_at: stop, ..cfg };
-                    if poisson {
-                        Box::new(PoissonSource::new(cfg, port))
-                    } else {
-                        Box::new(CbrSource::new(cfg, port))
-                    }
+                    Box::new(CbrSource::new(cfg, port, poisson))
                 }
                 (&TrafficKind::Cbr { .. }, false) => Box::new(NullSink),
             };

@@ -138,22 +138,10 @@ impl AqmRouter {
     /// `reverse_ports` (indices 1..) carry traffic towards sources/other
     /// routers and keep their own disciplines.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `pels_share` is outside `(0, 1)` or port indices are wrong.
-    pub fn new(
-        bottleneck_port: Port,
-        reverse_ports: Vec<Port>,
-        routes: RouteTable,
-        cfg: AqmConfig,
-        keep_series: bool,
-    ) -> Self {
-        Self::try_new(bottleneck_port, reverse_ports, routes, cfg, keep_series)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`AqmRouter::new`]: returns
-    /// [`SimError::InvalidConfig`] instead of panicking.
+    /// [`SimError::InvalidConfig`] if `pels_share` is outside `(0, 1)` or
+    /// port indices are wrong.
     pub fn try_new(
         mut bottleneck_port: Port,
         reverse_ports: Vec<Port>,
@@ -401,11 +389,11 @@ mod tests {
             SimDuration::from_millis(5),
             Box::new(DropTail::new(QueueLimit::Packets(1))), // placeholder
         );
-        let mut routes = RouteTable::new();
+        let mut routes = RouteTable::default();
         routes.add(sink_id, 0);
         let cfg = AqmConfig { mode, ..Default::default() };
         let agents: Vec<Box<dyn Agent>> = vec![
-            Box::new(AqmRouter::new(bottleneck, vec![], routes, cfg, true)),
+            Box::new(AqmRouter::try_new(bottleneck, vec![], routes, cfg, true).unwrap()),
             Box::new(Sink { got: vec![] }),
             Box::new(ColorBlaster {
                 router: router_id,
@@ -457,10 +445,12 @@ mod tests {
             SimDuration::from_millis(5),
             Box::new(DropTail::new(QueueLimit::Packets(1))), // placeholder
         );
-        let mut routes = RouteTable::new();
+        let mut routes = RouteTable::default();
         routes.add(AgentId(1), 0);
         let agents: Vec<Box<dyn Agent>> = vec![
-            Box::new(AqmRouter::new(bottleneck, vec![], routes, AqmConfig::default(), true)),
+            Box::new(
+                AqmRouter::try_new(bottleneck, vec![], routes, AqmConfig::default(), true).unwrap(),
+            ),
             Box::new(Sink { got: vec![] }),
             Box::new(ColorBlaster {
                 router: AgentId(0),

@@ -13,7 +13,7 @@
 //! a [`TopoModel`] built by [`Network::append`], one model for the shared
 //! layout and one per flow for [`Layout::ChainPerFlow`].
 
-use crate::gamma::GammaConfig;
+use crate::gamma::{GammaConfig, GammaController};
 use crate::mkc::{MkcConfig, MkcController};
 use crate::network::{
     Host, Network, NetworkOptions, RouterLink, TopoModel, TrafficKind, TrafficPair,
@@ -193,6 +193,13 @@ impl ScenarioConfig {
             let max_s = MAX_DELAY.as_secs_f64();
             return Err(invalid_config(format!("delays must be at most {max_s} s")));
         }
+        // Each flow's gains pass the checks its controllers are built with.
+        for flow in &self.flows {
+            if let CcSpec::Mkc(mkc) = flow.cc {
+                MkcController::try_new(mkc)?;
+            }
+            GammaController::try_new(flow.gamma)?;
+        }
         self.trace.validate(self.packet_bytes).map_err(invalid_config)
     }
 }
@@ -223,7 +230,8 @@ impl ScenarioConfig {
 pub struct Scenario {
     /// The underlying simulator (exposed for custom stepping).
     pub sim: ShardedSimulator,
-    ids: RoleIds,
+    /// Agent ids by role, for typed access through [`Scenario::sim`].
+    pub ids: RoleIds,
     cfg: ScenarioConfig,
     /// The model the network was built from, released with the agents it
     /// describes. Freed at the end of a build, its large buffers let the
@@ -346,11 +354,6 @@ impl Scenario {
     /// the partition.
     pub fn set_workers(&mut self, workers: usize) {
         self.sim.set_workers(workers);
-    }
-
-    /// Agent ids by role, for typed access through [`Scenario::sim`].
-    pub fn ids(&self) -> &RoleIds {
-        &self.ids
     }
 
     /// Agent ids of the AQM bottleneck router(s): one for the shared
@@ -737,7 +740,7 @@ mod tests {
         let (cfg, t) = short_cfg(2, 10);
         let mut s = Scenario::build(cfg);
         s.run_until(t);
-        let snap = s.ids().scrape(&s.sim, true);
+        let snap = s.ids.scrape(&s.sim, true);
 
         // The shared dumbbell builds its AQM router first: one name whatever
         // the flow count.
@@ -772,7 +775,7 @@ mod tests {
         assert_eq!(red.hist, kept.hist_by_class[2]);
 
         // A periodic scrape is the same counts without the bulk.
-        let periodic = s.ids().scrape(&s.sim, false);
+        let periodic = s.ids.scrape(&s.sim, false);
         assert_eq!(periodic.counters, snap.counters);
         assert!(periodic.series.is_empty());
         assert!(periodic.stats.values().all(|st| st.hist.is_none()));
@@ -784,7 +787,7 @@ mod tests {
         let mut plain = Scenario::build(cfg.clone());
         plain.run_until(t);
         let tel = pels_telemetry::Telemetry::new();
-        let mem = pels_telemetry::MemorySink::new();
+        let mem = pels_telemetry::MemorySink::default();
         tel.attach_sink(Box::new(mem.clone()));
         let mut flushed = Scenario::build(cfg);
         for sec in 1..=5 {

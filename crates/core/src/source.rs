@@ -254,11 +254,6 @@ impl PelsSource {
         self.starved
     }
 
-    /// Smoothed feedback price p̂ (`None` until the first fresh epoch).
-    pub fn p_hat(&self) -> Option<f64> {
-        self.p_hat
-    }
-
     /// Stale-feedback watchdog cadence (MKC sources only): a quarter of the
     /// timeout, so a fault is detected within 1.25 timeouts of the last
     /// fresh epoch.

@@ -18,13 +18,6 @@ pub struct FrameSpec {
     pub enhancement_bytes: u32,
 }
 
-impl FrameSpec {
-    /// Total coded size at `R_max` (base + full enhancement).
-    pub fn total_bytes(&self) -> u32 {
-        self.base_bytes + self.enhancement_bytes
-    }
-}
-
 /// A sequence of frames with a fixed frame rate.
 ///
 /// # Examples
@@ -34,7 +27,7 @@ impl FrameSpec {
 ///
 /// let trace = VideoTrace::constant(300, 10.0, 10_500, 52_500);
 /// assert_eq!(trace.len(), 300);
-/// assert_eq!(trace.frame(0).total_bytes(), 63_000);
+/// assert_eq!(trace.frame(0).base_bytes + trace.frame(0).enhancement_bytes, 63_000);
 /// assert!((trace.frame_interval_secs() - 0.1).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -179,7 +172,7 @@ mod tests {
     #[test]
     fn paper_constants() {
         let t = foreman::trace();
-        assert_eq!(t.frame(0).total_bytes(), 63_000);
+        assert_eq!(t.frame(0).base_bytes + t.frame(0).enhancement_bytes, 63_000);
         assert_eq!(t.frame(0).base_bytes, 10_500);
         assert_eq!(t.frame(0).enhancement_bytes, 52_500);
         assert_eq!(foreman::PACKETS_PER_FRAME, 126);

@@ -16,13 +16,6 @@ pub struct ScaledFrame {
     pub enhancement_bytes: u32,
 }
 
-impl ScaledFrame {
-    /// Total bytes on the wire for this frame.
-    pub fn total_bytes(&self) -> u32 {
-        self.base_bytes + self.enhancement_bytes
-    }
-}
-
 /// Scales frames to a target rate by giving every frame the same byte budget
 /// (the "fixed fraction" policy of Fig. 1 left, which is what the paper's
 /// simulations use: `x_i` is derived from the congestion-control rate).
@@ -41,7 +34,7 @@ impl ScaledFrame {
 /// // 1 Mb/s at 10 fps = 12,500 B/frame; 2,000 B left for enhancement.
 /// let s = scale_to_rate(&f, 1_000_000.0, 10.0);
 /// assert_eq!(s.enhancement_bytes, 2_000);
-/// assert_eq!(s.total_bytes(), 12_500);
+/// assert_eq!(s.base_bytes + s.enhancement_bytes, 12_500);
 /// ```
 ///
 /// # Panics
@@ -158,7 +151,7 @@ mod proptests {
             let budget = rate / 8.0 / fps;
             // base always included; enhancement fits in the leftover budget.
             if s.enhancement_bytes > 0 {
-                prop_assert!(s.total_bytes() as f64 <= budget + 1.0);
+                prop_assert!((s.base_bytes + s.enhancement_bytes) as f64 <= budget + 1.0);
             }
         }
     }

@@ -1,7 +1,9 @@
-//! A constant-bit-rate source: emits fixed-size packets at a fixed rate,
-//! optionally only during an on-interval. Used as background/interfering
-//! traffic (e.g. to move a bottleneck mid-experiment) and as a load
-//! generator in tests.
+//! The background-traffic source: fixed-size packets at a fixed rate or
+//! with exponential (Poisson) gaps of the same mean, optionally only during
+//! an on-interval. Used as background/interfering traffic (e.g. to move a
+//! bottleneck mid-experiment) and as a load generator in tests; a Poisson
+//! source into a fixed-rate [`Port`] is an M/D/1 queue, which the
+//! integration tests hold against the Pollaczek–Khinchine formula.
 
 use crate::packet::{AgentId, FlowId, Packet};
 use crate::port::Port;
@@ -43,34 +45,43 @@ impl CbrConfig {
     }
 }
 
-/// The CBR source agent.
+/// The CBR source agent, or a Poisson one.
 #[derive(Debug)]
 pub struct CbrSource {
     cfg: CbrConfig,
     port: Port,
-    gap: SimDuration,
+    /// The gap implied by the configured rate, seconds: every gap, or the
+    /// mean of exponential ones.
+    mean_gap_s: f64,
+    poisson: bool,
     seq: u64,
     /// Packets emitted so far.
     pub sent: u64,
 }
 
 impl CbrSource {
-    /// Creates a source sending through `port`.
+    /// Creates a source sending through `port` at `cfg.rate`: with a fixed
+    /// gap, or with exponential gaps of that mean when `poisson`.
     ///
     /// # Panics
     ///
     /// Panics if the rate or packet size is zero.
-    pub fn new(cfg: CbrConfig, port: Port) -> Self {
+    pub fn new(cfg: CbrConfig, port: Port, poisson: bool) -> Self {
         assert!(cfg.rate.as_bps() > 0, "rate must be positive");
         assert!(cfg.packet_bytes > 0, "packet size must be positive");
-        let gap =
-            SimDuration::from_secs_f64(cfg.packet_bytes as f64 * 8.0 / cfg.rate.as_bps() as f64);
-        CbrSource { cfg, port, gap, seq: 0, sent: 0 }
+        let mean_gap_s = cfg.packet_bytes as f64 * 8.0 / cfg.rate.as_bps() as f64;
+        CbrSource { cfg, port, mean_gap_s, poisson, seq: 0, sent: 0 }
     }
 
-    /// The inter-packet gap implied by the configured rate.
-    pub fn gap(&self) -> SimDuration {
-        self.gap
+    /// The gap to the next packet: fixed, or drawn by the inverse CDF from
+    /// this agent's deterministic stream and capped at 10⁴ s.
+    fn next_gap(&self, ctx: &mut Context<'_>) -> SimDuration {
+        if !self.poisson {
+            return SimDuration::from_secs_f64(self.mean_gap_s);
+        }
+        let u: f64 = rand::Rng::gen::<f64>(ctx.rng());
+        let gap = -self.mean_gap_s * (1.0 - u).ln();
+        SimDuration::from_secs_f64(gap.min(1e4))
     }
 }
 
@@ -92,12 +103,22 @@ impl Agent for CbrSource {
         self.seq += 1;
         self.sent += 1;
         self.port.send(pkt, ctx);
-        ctx.schedule_timer(self.gap, 0);
+        let gap = self.next_gap(ctx);
+        ctx.schedule_timer(gap, 0);
     }
 
     fn on_tx_complete(&mut self, _port: usize, ctx: &mut Context<'_>) {
         self.port.on_tx_complete(ctx);
     }
+}
+
+/// An agent that drops everything it receives: the destination of
+/// background traffic nobody measures.
+#[derive(Debug)]
+pub struct NullSink;
+
+impl Agent for NullSink {
+    fn on_packet(&mut self, _p: Packet, _ctx: &mut Context<'_>) {}
 }
 
 #[cfg(test)]
@@ -126,8 +147,10 @@ mod tests {
             SimDuration::from_millis(1),
             Box::new(DropTail::new(QueueLimit::Packets(100))),
         );
-        let agents: Vec<Box<dyn Agent>> =
-            vec![Box::new(CbrSource::new(cfg, port)), Box::new(Counter { got: 0, bytes: 0 })];
+        let agents: Vec<Box<dyn Agent>> = vec![
+            Box::new(CbrSource::new(cfg, port, false)),
+            Box::new(Counter { got: 0, bytes: 0 }),
+        ];
         (ShardedSimulator::new(1, &Partition::serial(2), agents), sink)
     }
 
@@ -165,93 +188,15 @@ mod tests {
         sim.run_until(SimTime::from_secs_f64(0.5));
         let src = sim.agent::<CbrSource>(AgentId(0));
         assert!(src.sent > 200);
-        assert_eq!(src.gap(), SimDuration::from_millis(2));
-    }
-}
-
-/// A Poisson packet source: fixed-size packets with exponential
-/// inter-arrival gaps. Together with the fixed-rate [`Port`] server this
-/// realizes an M/D/1 queue, which the integration tests validate against
-/// the Pollaczek–Khinchine formula.
-#[derive(Debug)]
-pub struct PoissonSource {
-    cfg: CbrConfig,
-    port: Port,
-    mean_gap_s: f64,
-    seq: u64,
-    /// Packets emitted so far.
-    pub sent: u64,
-}
-
-impl PoissonSource {
-    /// Creates a source whose *mean* rate matches `cfg.rate`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rate or packet size is zero.
-    pub fn new(cfg: CbrConfig, port: Port) -> Self {
-        assert!(cfg.rate.as_bps() > 0, "rate must be positive");
-        assert!(cfg.packet_bytes > 0, "packet size must be positive");
-        let mean_gap_s = cfg.packet_bytes as f64 * 8.0 / cfg.rate.as_bps() as f64;
-        PoissonSource { cfg, port, mean_gap_s, seq: 0, sent: 0 }
+        assert_eq!(src.mean_gap_s, 0.002);
     }
 
-    fn schedule_next(&self, ctx: &mut Context<'_>) {
-        // Exponential gap via inverse CDF of this agent's deterministic RNG.
-        let u: f64 = rand::Rng::gen::<f64>(ctx.rng());
-        let gap = -self.mean_gap_s * (1.0 - u).ln();
-        ctx.schedule_timer(SimDuration::from_secs_f64(gap.min(1e4)), 0);
-    }
-}
-
-impl Agent for PoissonSource {
-    fn start(&mut self, ctx: &mut Context<'_>) {
-        ctx.schedule_timer(self.cfg.start_at, 0);
-    }
-
-    fn on_packet(&mut self, _p: Packet, _ctx: &mut Context<'_>) {}
-
-    fn on_timer(&mut self, _token: u64, ctx: &mut Context<'_>) {
-        if ctx.now >= self.cfg.stop_at {
-            return;
-        }
-        let mut pkt = Packet::data(self.cfg.flow, ctx.self_id, self.cfg.dst, self.cfg.packet_bytes)
-            .with_class(self.cfg.class)
-            .with_seq(self.seq);
-        pkt.sent_at = ctx.now;
-        self.seq += 1;
-        self.sent += 1;
-        self.port.send(pkt, ctx);
-        self.schedule_next(ctx);
-    }
-
-    fn on_tx_complete(&mut self, _port: usize, ctx: &mut Context<'_>) {
-        self.port.on_tx_complete(ctx);
-    }
-}
-
-/// An agent that drops everything it receives: the destination of
-/// background traffic nobody measures.
-#[derive(Debug)]
-pub struct NullSink;
-
-impl Agent for NullSink {
-    fn on_packet(&mut self, _p: Packet, _ctx: &mut Context<'_>) {}
-}
-
-#[cfg(test)]
-mod poisson_tests {
-    use super::*;
-    use crate::disc::{DropTail, QueueLimit};
-    use crate::shard::{Partition, ShardedSimulator};
-    use crate::time::SimTime;
-
-    struct Counter {
+    struct GapCounter {
         got: u64,
         gaps: Vec<f64>,
         last: Option<f64>,
     }
-    impl Agent for Counter {
+    impl Agent for GapCounter {
         fn on_packet(&mut self, _p: Packet, ctx: &mut Context<'_>) {
             self.got += 1;
             let now = ctx.now.as_secs_f64();
@@ -276,12 +221,12 @@ mod poisson_tests {
         );
         let cfg = CbrConfig::new(FlowId(1), sink, Rate::from_mbps(2.0), 500, 3);
         let agents: Vec<Box<dyn Agent>> = vec![
-            Box::new(PoissonSource::new(cfg, port)),
-            Box::new(Counter { got: 0, gaps: vec![], last: None }),
+            Box::new(CbrSource::new(cfg, port, true)),
+            Box::new(GapCounter { got: 0, gaps: vec![], last: None }),
         ];
         let mut sim = ShardedSimulator::new(17, &Partition::serial(2), agents);
         sim.run_until(SimTime::from_secs_f64(60.0));
-        let c = sim.agent::<Counter>(sink);
+        let c = sim.agent::<GapCounter>(sink);
         let rate = c.got as f64 / 60.0;
         assert!((rate - 500.0).abs() < 20.0, "rate {rate}");
         // Exponential gaps: std dev ~ mean, CV ~ 1.

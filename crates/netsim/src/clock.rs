@@ -57,11 +57,6 @@ impl ManualClock {
         Self::default()
     }
 
-    /// Creates a clock at an explicit starting time.
-    pub fn at(t: SimTime) -> Self {
-        ManualClock { now_ns: AtomicU64::new(t.as_nanos()) }
-    }
-
     /// Advances the clock by `d` and returns the new time.
     pub fn advance(&self, d: SimDuration) -> SimTime {
         let ns = self.now_ns.fetch_add(d.as_nanos(), Ordering::SeqCst) + d.as_nanos();
@@ -144,7 +139,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "must not go backwards")]
     fn manual_clock_rejects_rewind() {
-        let c = ManualClock::at(SimTime::from_secs_f64(2.0));
+        let c = ManualClock::new();
+        c.set(SimTime::from_secs_f64(2.0));
         c.set(SimTime::from_secs_f64(1.0));
     }
 

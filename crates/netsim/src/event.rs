@@ -51,6 +51,7 @@
 //! `RUN_BATCH` cache-hot entries) exactly when it must fire before the
 //! fence, and in the heap otherwise. Keys are unique, which makes the fence
 //! exact: total pop order is identical to a pure heap, bit for bit.
+//! DESIGN.md ("What the run buys") measures it against a pure heap.
 //!
 //! # The cross-shard lane
 //!
@@ -122,18 +123,6 @@ pub enum Event {
         /// The fault to apply.
         action: FaultAction,
     },
-}
-
-impl Event {
-    /// The agent this event is dispatched to.
-    pub fn target(&self) -> AgentId {
-        match self {
-            Event::PacketArrival { dst, .. } => *dst,
-            Event::TxComplete { agent, .. } => *agent,
-            Event::Timer { agent, .. } => *agent,
-            Event::Fault { agent, .. } => *agent,
-        }
-    }
 }
 
 /// Handle to a packet parked in the queue's packet arena.
@@ -577,13 +566,6 @@ mod tests {
             assert!(matches!(ev, Event::Timer { token, .. } if token == expect));
         }
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn event_target() {
-        assert_eq!(timer(0).target(), AgentId(0));
-        let ev = Event::TxComplete { agent: AgentId(7), port: 1 };
-        assert_eq!(ev.target(), AgentId(7));
     }
 
     #[test]

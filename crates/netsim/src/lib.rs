@@ -50,7 +50,7 @@
 //! let (src, router, sink) = (AgentId(0), AgentId(1), AgentId(2));
 //! let q = || Box::new(DropTail::new(QueueLimit::Packets(50)));
 //! let delay = SimDuration::from_millis(5);
-//! let mut routes = RouteTable::new();
+//! let mut routes = RouteTable::default();
 //! routes.add(sink, 0).add(src, 1);
 //!
 //! let agents: Vec<Box<dyn Agent>> = vec![

@@ -20,11 +20,6 @@ pub struct RouteTable {
 }
 
 impl RouteTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// An empty table with room for `n` routes.
     pub fn with_capacity(n: usize) -> Self {
         RouteTable { routes: FastMap::with_capacity_and_hasher(n, Default::default()) }
@@ -144,7 +139,7 @@ mod tests {
         let sink_a = AgentId(1);
         let sink_b = AgentId(2);
 
-        let mut routes = RouteTable::new();
+        let mut routes = RouteTable::default();
         routes.add(sink_a, 0).add(sink_b, 1);
         let sim = run(vec![
             Box::new(Router::new(vec![port_to(0, sink_a), port_to(1, sink_b)], routes)),
@@ -161,7 +156,7 @@ mod tests {
         let router_id = AgentId(0);
         let sink = AgentId(1);
         let nowhere = AgentId(99);
-        let mut routes = RouteTable::new();
+        let mut routes = RouteTable::default();
         routes.add(sink, 0);
         let sim = run(vec![
             Box::new(Router::new(vec![port_to(0, sink)], routes)),
@@ -174,6 +169,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "port index must match")]
     fn misindexed_ports_rejected() {
-        let _ = Router::new(vec![port_to(1, AgentId(1))], RouteTable::new());
+        let _ = Router::new(vec![port_to(1, AgentId(1))], RouteTable::default());
     }
 }

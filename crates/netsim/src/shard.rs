@@ -95,12 +95,8 @@ pub struct TopologyGraph {
 }
 
 impl TopologyGraph {
-    /// Creates a graph over `n_agents` agents with no links yet.
-    pub fn new(n_agents: usize) -> Self {
-        Self::with_capacity(n_agents, 0)
-    }
-
-    /// [`TopologyGraph::new`] with room for `n_links` links.
+    /// Creates a graph over `n_agents` agents with no links yet and room
+    /// for `n_links`.
     pub fn with_capacity(n_agents: usize, n_links: usize) -> Self {
         TopologyGraph { n_agents, edges: Vec::with_capacity(n_links) }
     }
@@ -324,7 +320,7 @@ pub fn sort_cross_events(batch: &mut [CrossEvent]) {
 /// #     }
 /// #     fn on_packet(&mut self, _p: Packet, _ctx: &mut Context<'_>) { self.got += 1; }
 /// # }
-/// let mut graph = TopologyGraph::new(4);
+/// let mut graph = TopologyGraph::with_capacity(4, 0);
 /// graph.add_link(AgentId(0), AgentId(1), SimDuration::from_millis(5));
 /// graph.add_link(AgentId(2), AgentId(3), SimDuration::from_millis(5));
 /// let partition = Partition::auto(&graph);
@@ -412,11 +408,6 @@ impl ShardedSimulator {
     /// the partition, so results are byte-identical at every worker count.
     pub fn set_workers(&mut self, workers: usize) {
         self.workers = workers.max(1);
-    }
-
-    /// The configured worker thread count.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// The worker threads a window execution will actually use: the
@@ -790,7 +781,7 @@ mod tests {
 
     #[test]
     fn components_partition_disconnected_graph() {
-        let mut g = TopologyGraph::new(6);
+        let mut g = TopologyGraph::with_capacity(6, 0);
         g.add_link(AgentId(0), AgentId(1), ms(1));
         g.add_link(AgentId(1), AgentId(2), ms(1));
         g.add_link(AgentId(3), AgentId(4), ms(1));
@@ -804,7 +795,7 @@ mod tests {
     #[test]
     fn cut_splits_dumbbell_at_bottleneck() {
         // src0, src1 - R1 ==5ms== R2 - dst0, dst1 (access links 1 ms).
-        let mut g = TopologyGraph::new(6);
+        let mut g = TopologyGraph::with_capacity(6, 0);
         let (r1, r2) = (AgentId(0), AgentId(1));
         g.add_link(r1, r2, ms(5));
         g.add_link(AgentId(2), r1, ms(1));
@@ -821,7 +812,7 @@ mod tests {
 
     #[test]
     fn cut_refuses_zero_delay_graphs() {
-        let mut g = TopologyGraph::new(2);
+        let mut g = TopologyGraph::with_capacity(2, 0);
         g.add_link(AgentId(0), AgentId(1), SimDuration::ZERO);
         let p = Partition::cut(&g);
         assert_eq!(p.n_shards, 1);
@@ -836,7 +827,7 @@ mod tests {
             }
             sim
         };
-        let mut g = TopologyGraph::new(2);
+        let mut g = TopologyGraph::with_capacity(2, 0);
         g.add_link(AgentId(0), AgentId(1), ms(3));
         let (serial, cut) = (run(&Partition::serial(2)), run(&Partition::cut(&g)));
 
@@ -852,7 +843,7 @@ mod tests {
 
     #[test]
     fn windowed_execution_moves_cross_events_and_counts_barriers() {
-        let mut g = TopologyGraph::new(2);
+        let mut g = TopologyGraph::with_capacity(2, 0);
         g.add_link(AgentId(0), AgentId(1), ms(4));
         let p = Partition::cut(&g);
         let mut sim = ShardedSimulator::new(3, &p, pair(4, ms(4)));
@@ -878,7 +869,7 @@ mod tests {
         let mut serial = ShardedSimulator::new(9, &Partition::serial(4), agents());
         serial.run_until(SimTime::from_secs_f64(1.0));
 
-        let mut g = TopologyGraph::new(4);
+        let mut g = TopologyGraph::with_capacity(4, 0);
         g.add_link(AgentId(0), AgentId(1), ms(2));
         g.add_link(AgentId(2), AgentId(3), ms(7));
         let p = Partition::auto(&g);
@@ -901,7 +892,7 @@ mod tests {
     fn group_count_follows_the_chunking_not_the_request() {
         // 4 shards, 3 workers: chunks of 2 leave only 2 groups; the
         // barrier must size to the actual group count, not the request.
-        let mut g = TopologyGraph::new(8);
+        let mut g = TopologyGraph::with_capacity(8, 0);
         for pair_idx in 0..4u32 {
             g.add_link(AgentId(pair_idx * 2), AgentId(pair_idx * 2 + 1), ms(3));
         }
@@ -927,7 +918,7 @@ mod tests {
 
     #[test]
     fn workers_are_spawned_once_per_call_not_per_window() {
-        let mut g = TopologyGraph::new(2);
+        let mut g = TopologyGraph::with_capacity(2, 0);
         g.add_link(AgentId(0), AgentId(1), ms(4));
         let p = Partition::cut(&g);
         let mut sim = ShardedSimulator::new(11, &p, pair(5, ms(4)));
@@ -947,7 +938,7 @@ mod tests {
 
     #[test]
     fn a_global_fault_window_counts_once_across_shards() {
-        let mut g = TopologyGraph::new(2);
+        let mut g = TopologyGraph::with_capacity(2, 0);
         g.add_link(AgentId(0), AgentId(1), ms(4));
         let mut sim = ShardedSimulator::new(3, &Partition::cut(&g), pair(2, ms(4)));
         let mut faults = FaultSchedule::new();
@@ -978,7 +969,7 @@ mod tests {
         };
         let mut faults = FaultSchedule::new();
         faults.control_fault_window(policy, SimTime::ZERO, SimTime::from_secs_f64(1.0));
-        let mut g = TopologyGraph::new(2);
+        let mut g = TopologyGraph::with_capacity(2, 0);
         g.add_link(AgentId(0), AgentId(1), ms(4));
         let run = |p: &Partition| {
             let mut sim = ShardedSimulator::new(3, p, pair(200, ms(4)));
@@ -1005,7 +996,7 @@ mod tests {
         // Shards {0} and {1, 2}: the 2 ms link sets the lookahead, the 7 ms
         // link from 0 to 2 is slower, so what 0 sends to 2 is still in 2's
         // lane when the next three barriers install their batches.
-        let mut g = TopologyGraph::new(3);
+        let mut g = TopologyGraph::with_capacity(3, 0);
         g.add_link(AgentId(0), AgentId(1), ms(2));
         g.add_link(AgentId(0), AgentId(2), ms(7));
         g.add_link(AgentId(1), AgentId(2), ms(1));
@@ -1057,7 +1048,7 @@ mod tests {
         // A ring 0 -1ms- 1 -4ms- 2 -1ms- 3 -4ms- 0, cut at the 4 ms tier
         // into shards {0, 1} and {2, 3}; one packet makes a lap and a half.
         let delays = [ms(1), ms(4), ms(1), ms(4)];
-        let mut g = TopologyGraph::new(4);
+        let mut g = TopologyGraph::with_capacity(4, 0);
         for (i, &d) in delays.iter().enumerate() {
             g.add_link(AgentId(i as u32), AgentId((i as u32 + 1) % 4), d);
         }
@@ -1098,7 +1089,7 @@ mod tests {
     fn a_panicking_shard_fails_the_run_instead_of_hanging_it() {
         // Shard 1 panics in the window after the first exchange while
         // shard 0's worker is headed for (or parked on) the barrier.
-        let mut g = TopologyGraph::new(2);
+        let mut g = TopologyGraph::with_capacity(2, 0);
         g.add_link(AgentId(0), AgentId(1), ms(4));
         let p = Partition::cut(&g);
         let (done_tx, done_rx) = std::sync::mpsc::channel();
@@ -1124,7 +1115,7 @@ mod tests {
 
     #[test]
     fn faults_route_to_owning_shards() {
-        let mut g = TopologyGraph::new(2);
+        let mut g = TopologyGraph::with_capacity(2, 0);
         g.add_link(AgentId(0), AgentId(1), ms(4));
         let p = Partition::cut(&g);
         let mut sim = ShardedSimulator::new(3, &p, pair(2, ms(4)));
@@ -1214,7 +1205,7 @@ mod proptests {
             })
             .collect();
         let n_agents: usize = sizes.iter().sum();
-        let mut graph = TopologyGraph::new(n_agents);
+        let mut graph = TopologyGraph::with_capacity(n_agents, 0);
         let mut links = vec![Vec::new(); n_agents];
         let mut link = |a: u32, b: u32, d: SimDuration| {
             graph.add_link(AgentId(a), AgentId(b), d);

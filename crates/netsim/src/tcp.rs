@@ -324,7 +324,7 @@ mod tests {
         );
         let src = TcpSource::new(src_port, FlowId(1), sink_id, 1000, SimDuration::ZERO);
 
-        let mut routes = RouteTable::new();
+        let mut routes = RouteTable::default();
         routes.add(sink_id, 0).add(src_id, 1);
         let to_sink = Port::new(
             0,

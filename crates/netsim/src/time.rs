@@ -114,6 +114,13 @@ impl SimDuration {
         SimDuration((secs * 1e9).round() as u64)
     }
 
+    /// Creates a duration from float seconds, or `None` when `secs` is
+    /// negative, not finite, or past the `u64` nanoseconds a duration holds
+    /// (about 584 years), which [`SimDuration::from_secs_f64`] clamps to.
+    pub fn try_from_secs_f64(secs: f64) -> Option<Self> {
+        (secs >= 0.0 && secs * 1e9 < u64::MAX as f64).then(|| Self::from_secs_f64(secs))
+    }
+
     /// Returns the span as integer nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0

@@ -33,7 +33,7 @@
 //! use pels_telemetry::{MemorySink, Snapshot, Telemetry};
 //!
 //! let tel = Telemetry::new();
-//! let mem = MemorySink::new();
+//! let mem = MemorySink::default();
 //! tel.attach_sink(Box::new(mem.clone()));
 //!
 //! let mut snap = Snapshot::default();
@@ -42,7 +42,7 @@
 //! tel.publish(1.0, snap);
 //!
 //! assert_eq!(tel.counter("sim.router0.drops.red"), 7);
-//! assert_eq!(mem.last().unwrap().0, 1.0);
+//! assert_eq!(mem.snapshots()[0].0, 1.0);
 //!
 //! // A disabled handle keeps nothing and reaches no sink.
 //! let off = Telemetry::disabled();
@@ -89,6 +89,18 @@ impl Telemetry {
                 sinks: Mutex::new(Vec::new()),
             })),
         }
+    }
+
+    /// Creates an enabled handle whose snapshots go to a [`JsonLinesSink`]
+    /// on `path`, created or truncated.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the failure to create the file.
+    pub fn to_file(path: &str) -> std::io::Result<Self> {
+        let tel = Telemetry::new();
+        tel.attach_sink(Box::new(JsonLinesSink::create(path)?));
+        Ok(tel)
     }
 
     /// Creates a disabled handle (same as `Telemetry::default()`).
@@ -142,6 +154,12 @@ impl Telemetry {
     pub fn attach_sink(&self, sink: Box<dyn Sink>) {
         let Some(inner) = &self.inner else { return };
         lock(&inner.sinks).push(sink);
+    }
+
+    /// Snapshots the attached sinks failed to deliver (0 when disabled).
+    pub fn sink_errors(&self) -> u64 {
+        let Some(inner) = &self.inner else { return 0 };
+        lock(&inner.sinks).iter().map(|sink| sink.errors()).sum()
     }
 }
 
@@ -204,7 +222,7 @@ mod tests {
     #[test]
     fn a_publish_replaces_the_registry_and_reaches_every_sink() {
         let tel = Telemetry::new();
-        let mem = MemorySink::new();
+        let mem = MemorySink::default();
         tel.attach_sink(Box::new(mem.clone()));
         tel.publish(1.0, counters(1));
         let mut second = counters(2);
@@ -215,7 +233,7 @@ mod tests {
         assert_eq!(snaps[0].1.counters["c"], 1);
         assert!(snaps[0].1.gauges.is_empty());
         assert_eq!(snaps[1].1.counters["c"], 2);
-        assert_eq!(mem.last().unwrap().0, 2.0);
+        assert_eq!(snaps[1].0, 2.0);
         // A scrape is the engines' whole state, not an increment.
         assert_eq!(tel.counter("c"), 2);
         assert_eq!(tel.snapshot().gauges["g"].value, 0.5);

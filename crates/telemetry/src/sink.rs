@@ -2,7 +2,8 @@
 //!
 //! Sinks receive every published snapshot. File sinks are best-effort: I/O
 //! errors after a successful open are counted, not raised, so a full disk
-//! can never take down a live streaming session.
+//! can never take down a live streaming session; the run reads the count
+//! at its end ([`crate::Telemetry::sink_errors`]).
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -17,6 +18,11 @@ use crate::snapshot::Snapshot;
 pub trait Sink: Send {
     /// Receives the snapshot scraped at time `t` (seconds).
     fn emit(&mut self, t: f64, snap: &Snapshot);
+
+    /// Snapshots this sink failed to deliver.
+    fn errors(&self) -> u64 {
+        0
+    }
 }
 
 /// One line of a JSON-lines telemetry stream: the scrape time plus the
@@ -48,11 +54,6 @@ impl JsonLinesSink {
     pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
         Ok(JsonLinesSink { w: BufWriter::new(File::create(path)?), errors: 0 })
     }
-
-    /// Snapshots that failed to serialize or write.
-    pub fn errors(&self) -> u64 {
-        self.errors
-    }
 }
 
 impl Sink for JsonLinesSink {
@@ -68,6 +69,10 @@ impl Sink for JsonLinesSink {
             Err(_) => self.errors += 1,
         }
     }
+
+    fn errors(&self) -> u64 {
+        self.errors
+    }
 }
 
 /// Retains every published snapshot in memory; clone the sink to keep a
@@ -78,19 +83,9 @@ pub struct MemorySink {
 }
 
 impl MemorySink {
-    /// Creates an empty in-memory sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// All `(t, snapshot)` pairs published so far.
     pub fn snapshots(&self) -> Vec<(f64, Snapshot)> {
         self.store.lock().map(|g| g.clone()).unwrap_or_default()
-    }
-
-    /// The most recent published snapshot, if any.
-    pub fn last(&self) -> Option<(f64, Snapshot)> {
-        self.store.lock().ok().and_then(|g| g.last().cloned())
     }
 }
 

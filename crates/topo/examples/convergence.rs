@@ -11,7 +11,7 @@ use pels_topo::spec::TopoSpec;
 
 fn main() {
     let spec = TopoSpec::from_shorthand("parkinglot:segments=2,cross=1,flows=3").unwrap();
-    let mut sc = TopoScenario::build(spec);
+    let mut sc = TopoScenario::try_build(spec).unwrap();
     for t in [2.0, 4.0, 8.0, 15.0, 25.0, 40.0] {
         sc.run_until(SimTime::from_secs_f64(t));
         let r = sc.report();

@@ -129,7 +129,8 @@ pub struct TopoScenario {
     pub sim: ShardedSimulator,
     spec: TopoSpec,
     model: TopoModel,
-    ids: RoleIds,
+    /// Agent ids by role, for typed access through [`TopoScenario::sim`].
+    pub ids: RoleIds,
     bottlenecks: Vec<Bottleneck>,
     cut_links: usize,
 }
@@ -160,11 +161,6 @@ impl TopoScenario {
         })
     }
 
-    /// Panicking variant of [`TopoScenario::try_build`].
-    pub fn build(spec: TopoSpec) -> Self {
-        Self::try_build(spec).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Sets the worker thread count (wall clock only; results are fixed by
     /// the partition).
     pub fn set_workers(&mut self, workers: usize) {
@@ -179,11 +175,6 @@ impl TopoScenario {
     /// The generated model.
     pub fn model(&self) -> &TopoModel {
         &self.model
-    }
-
-    /// Agent ids by role, for typed access through [`TopoScenario::sim`].
-    pub fn ids(&self) -> &RoleIds {
-        &self.ids
     }
 
     /// The bottleneck table.
@@ -343,7 +334,7 @@ mod tests {
     #[test]
     fn parking_lot_runs_and_validates() {
         let spec = TopoSpec::from_shorthand("parkinglot:segments=2,cross=1,flows=3").unwrap();
-        let mut sc = TopoScenario::build(spec);
+        let mut sc = TopoScenario::try_build(spec).unwrap();
         // Leftover-capacity flows converge slowly (low loop gain when the
         // bottleneck price is small), so validate at a long horizon.
         sc.run_until(SimTime::from_secs_f64(30.0));
@@ -373,7 +364,7 @@ mod tests {
         // must sit inside its stated tier (TCP-crossed 30 %, sole-flow
         // video-only 12 %, multi-flow 5 %).
         let spec = TopoSpec::from_shorthand("fattree:k=4,flows=8,seed=1").unwrap();
-        let mut sc = TopoScenario::build(spec);
+        let mut sc = TopoScenario::try_build(spec).unwrap();
         sc.run_until(SimTime::from_secs_f64(30.0));
         let report = sc.report();
         let bound_rows: Vec<_> = report.bottlenecks.iter().filter(|b| b.n_bound > 0).collect();
@@ -401,7 +392,7 @@ mod tests {
             let reports: Vec<String> = [1usize, 2]
                 .iter()
                 .map(|&w| {
-                    let mut sc = TopoScenario::build(spec.clone());
+                    let mut sc = TopoScenario::try_build(spec.clone()).unwrap();
                     sc.set_workers(w);
                     sc.run_until(SimTime::from_secs_f64(5.0));
                     serde_json::to_string(&sc.report()).unwrap()
@@ -416,10 +407,10 @@ mod tests {
         use pels_core::router::AqmRouter;
         let mut spec = TopoSpec::from_shorthand("parkinglot:segments=2,flows=4").unwrap();
         spec.keep_series = Some(true);
-        let mut sc = TopoScenario::build(spec);
+        let mut sc = TopoScenario::try_build(spec).unwrap();
         sc.run_until(SimTime::from_secs_f64(5.0));
-        let snap = sc.ids().scrape(&sc.sim, true);
-        let routers = &sc.ids().aqm_routers;
+        let snap = sc.ids.scrape(&sc.sim, true);
+        let routers = &sc.ids.aqm_routers;
         assert_eq!(routers.len(), 2);
         // Eq. 11's price is per router: one series each, point for point the
         // router's own, and the two segments do not share a price.

@@ -50,17 +50,6 @@ pub enum GeneratorSpec {
     },
 }
 
-impl GeneratorSpec {
-    /// Short family name used in reports and artifact names.
-    pub fn family(&self) -> &'static str {
-        match self {
-            GeneratorSpec::ParkingLot { .. } => "parkinglot",
-            GeneratorSpec::FatTree { .. } => "fattree",
-            GeneratorSpec::Waxman { .. } => "waxman",
-        }
-    }
-}
-
 /// A Poisson CBR burst schedule: `bursts` sources of PELS-class (yellow)
 /// background traffic aimed at designated bottleneck links.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -320,7 +309,6 @@ mod tests {
     #[test]
     fn shorthand_roundtrip() {
         let spec = TopoSpec::from_shorthand("waxman:routers=24,flows=12,alpha=0.5").unwrap();
-        assert_eq!(spec.generator.family(), "waxman");
         assert_eq!(spec.flows(), 12);
         match spec.generator {
             GeneratorSpec::Waxman { routers, alpha, beta } => {

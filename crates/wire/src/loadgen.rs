@@ -66,12 +66,20 @@ impl LoadgenConfig {
     ///
     /// # Errors
     ///
-    /// At least one flow, and a warmup shorter than the run: the delivered
-    /// rate is measured after the warmup, and an empty steady window would
-    /// report 0 datagrams/s as if it were a measurement.
+    /// At least one flow, a warmup shorter than the run and a ramp no
+    /// longer than the warmup: the delivered rate is measured after the
+    /// warmup, over flows that are all registered by then, and an empty
+    /// steady window would report 0 datagrams/s as if it were a measurement.
     pub fn validate(&self) -> Result<(), String> {
         if self.flows == 0 {
             return Err("flows must be at least 1".into());
+        }
+        if self.ramp > self.warmup {
+            return Err(format!(
+                "ramp {} s must not outlast the {} s warmup",
+                self.ramp.as_secs_f64(),
+                self.warmup.as_secs_f64()
+            ));
         }
         if self.warmup >= self.duration {
             return Err(format!(
@@ -116,8 +124,6 @@ pub struct LoadgenReport {
 /// Per-flow client bookkeeping.
 #[derive(Debug, Clone, Copy, Default)]
 struct ClientFlow {
-    registered: bool,
-    rx: u64,
     last_rx: Option<SimTime>,
     /// This flow's own next liveness-HELLO deadline. Per-flow deadlines
     /// preserve the ramp's stagger for the life of the run; a single
@@ -175,7 +181,6 @@ pub fn run_loadgen(cfg: LoadgenConfig) -> io::Result<LoadgenReport> {
             let flow = FlowId(registered + 1);
             let hello = WireHello { flow, seq: 0 }.encode();
             out.push(hello.len(), cfg.server, |buf| buf.extend_from_slice(&hello));
-            flows[registered as usize].registered = true;
             flows[registered as usize].next_hello = Some(now + HELLO_INTERVAL);
             registered += 1;
             hellos_sent += 1;
@@ -185,7 +190,7 @@ pub fn run_loadgen(cfg: LoadgenConfig) -> io::Result<LoadgenReport> {
         // `ClientFlow::next_hello`), swept at scan granularity.
         if now >= next_scan {
             for (i, f) in flows.iter_mut().enumerate().take(registered as usize) {
-                if f.registered && f.next_hello.is_some_and(|t| now >= t) {
+                if f.next_hello.is_some_and(|t| now >= t) {
                     let flow = FlowId(i as u32 + 1);
                     let hello = WireHello { flow, seq: hellos_sent }.encode();
                     out.push(hello.len(), cfg.server, |buf| buf.extend_from_slice(&hello));
@@ -218,7 +223,6 @@ pub fn run_loadgen(cfg: LoadgenConfig) -> io::Result<LoadgenReport> {
                     }
                     let idx = pkt.flow.0.wrapping_sub(1) as usize;
                     let Some(f) = flows.get_mut(idx) else { continue };
-                    f.rx += 1;
                     f.last_rx = Some(now);
                     let ack = WireAck::echo(&pkt);
                     out.push(ACK_BYTES, cfg.server, |buf| ack.append_to(buf));
@@ -248,12 +252,10 @@ pub fn run_loadgen(cfg: LoadgenConfig) -> io::Result<LoadgenReport> {
     // Teardown: every flow says BYE so the server's table empties without
     // waiting for idle eviction.
     let mut byes_sent = 0u64;
-    for (i, f) in flows.iter().enumerate() {
-        if f.registered {
-            let bye = WireBye { flow: FlowId(i as u32 + 1) }.encode();
-            out.push(bye.len(), cfg.server, |buf| buf.extend_from_slice(&bye));
-            byes_sent += 1;
-        }
+    for flow in (1..=registered).map(FlowId) {
+        let bye = WireBye { flow }.encode();
+        out.push(bye.len(), cfg.server, |buf| buf.extend_from_slice(&bye));
+        byes_sent += 1;
     }
     out.flush(&transport)?;
 
@@ -302,7 +304,7 @@ mod tests {
             }
             let stop = AtomicBool::new(false);
             let (addr_tx, addr_rx) = std::sync::mpsc::channel();
-            let (tel, scrapes) = (Telemetry::new(), MemorySink::new());
+            let (tel, scrapes) = (Telemetry::new(), MemorySink::default());
             tel.attach_sink(Box::new(scrapes.clone()));
             let (srv, lg) = std::thread::scope(|s| {
                 let server = s.spawn(|| {

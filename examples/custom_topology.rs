@@ -82,7 +82,7 @@ fn main() {
     println!("=== custom dumbbell: 3 TCP flows vs a 1.5 Mb/s unresponsive CBR ===\n");
     let mut tcp_rates = Vec::new();
     for i in 0..N_TCP as usize {
-        let delivered = sc.sim.agent::<TcpSink>(sc.ids().tcp_sinks[i]).delivered();
+        let delivered = sc.sim.agent::<TcpSink>(sc.ids.tcp_sinks[i]).delivered();
         let kbps = delivered as f64 * 1_000.0 * 8.0 / 60.0 / 1_000.0;
         println!("TCP flow {i}: {delivered} packets ({kbps:.0} kb/s)");
         tcp_rates.push(kbps);

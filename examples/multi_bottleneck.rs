@@ -19,7 +19,7 @@ fn run(capacity_a_mbps: f64, capacity_b_mbps: f64) {
     let spec = TopoSpec::new(GeneratorSpec::ParkingLot { segments: 2, cross_per_segment: None });
     let mut t = TopoScenario::try_from_model(model, spec).expect("valid chain");
     t.run_until(SimTime::from_secs_f64(40.0));
-    let ids = t.ids();
+    let ids = t.ids;
     let source = |i: usize| t.sim.agent::<PelsSource>(ids.sources[i]);
     let loss = |r: usize| t.sim.agent::<AqmRouter>(ids.routers[r]).estimator().loss();
 

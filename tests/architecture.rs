@@ -25,7 +25,7 @@ const BENCH: usize = 1_291;
 /// Non-test lines under every `crates/*/src`. A knob with one value in use
 /// is a named constant beside the code that reads it: a config field, its
 /// default, its plumbing and its validation coming back show up here first.
-const CRATES: usize = 20_181;
+const CRATES: usize = 20_051;
 
 /// The `.rs` files in `dir`, and in its subdirectories when `recurse`.
 fn rust_files(dir: &Path, recurse: bool) -> Vec<PathBuf> {
@@ -288,7 +288,6 @@ fn a_network_is_built_in_one_place() {
         "TcpSource::new(",
         "TcpSink::new(",
         "CbrSource::new(",
-        "PoissonSource::new(",
     ];
     let found = offenders(&crate_sources(), &["crates/core/src/network.rs"], |line| {
         !line.trim_start().starts_with("//") && ctors.iter().any(|c| calls_word(line, c))
@@ -516,6 +515,10 @@ const ALLOWED: &[(&str, &str)] = &[
          run published",
     ),
     (
+        "telemetry::sink::MemorySink::snapshots",
+        "scenario::tests, live::tests and loadgen::tests read every scrape a run published by it",
+    ),
+    (
         "netsim::stats::Summary::variance",
         "stats::tests check through it the Welford m2 every telemetry summary serializes",
     ),
@@ -560,33 +563,140 @@ fn is_ident_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// A line that can call an item: the `pub fn` whose body it is in, if any,
-/// the type whose `impl` block it is in, if any, and its text.
+/// What keeps a `pub` item alive. A `pub fn` of an `impl Type` block is a
+/// method when it takes `self` and an associated function when it does not;
+/// every other item is kept by its name.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+enum Use {
+    /// A whole word that is not a field read or a `name:`: a free function,
+    /// a type, a trait, a constant or a module.
+    Word(String),
+    /// `.name(`, `.name::<` or a `::name` path: a method of that name.
+    Call(String),
+    /// `Type::name`, through an alias of `Type` too, or `Self::name` inside
+    /// an `impl Type` block: that type's associated function.
+    Path(String, String),
+}
+
+/// A line that can call an item: what keeps alive the `pub fn` whose body
+/// it is in, if any, the type whose `impl` block it is in, if any, the `pub`
+/// item it declares, if any, with what keeps that alive, and its text with
+/// string literals and trailing comments blanked.
 struct Caller {
-    within: Option<String>,
+    within: Option<Use>,
     impl_of: Option<String>,
+    declares: Option<(Use, String)>,
     text: String,
+}
+
+/// `rest` after the generic parameters it starts with, if any: `(&self)` in
+/// `<F: Fn(u8)>(&self)`.
+fn after_generics(rest: &str) -> Option<&str> {
+    let Some(generics) = rest.strip_prefix('<') else { return Some(rest) };
+    let mut depth = 1;
+    let close = generics.find(|c| {
+        depth += match c {
+            '<' => 1,
+            '>' => -1,
+            _ => 0,
+        };
+        depth == 0
+    })?;
+    Some(&generics[close + 1..])
 }
 
 /// The type an `impl` line is for: `Wrr` in `impl Discipline for Wrr {` and
 /// in `impl<T: Clock> Wrr<T> {`.
 fn impl_type(line: &str) -> Option<&str> {
-    let mut rest = line.trim_start().strip_prefix("impl")?;
-    if let Some(generics) = rest.strip_prefix('<') {
-        let mut depth = 1;
-        let close = generics.find(|c| {
-            depth += match c {
-                '<' => 1,
-                '>' => -1,
-                _ => 0,
-            };
-            depth == 0
-        })?;
-        rest = &generics[close + 1..];
-    }
+    let rest = after_generics(line.trim_start().strip_prefix("impl")?)?;
     let target = rest.strip_prefix(' ')?.rsplit(" for ").next()?;
     let path = target.split(|c: char| !is_ident_char(c) && c != ':').next()?;
     path.rsplit("::").next().filter(|name| !name.is_empty())
+}
+
+/// Whether the `fn` that `signature` opens takes `self`: `signature` is its
+/// line and the next one, for a parameter list that starts on a new line.
+fn takes_self(signature: &str) -> bool {
+    let Some((_, named)) = signature.split_once("fn ") else { return false };
+    let Some(params) = after_generics(named.trim_start_matches(is_ident_char)) else {
+        return false;
+    };
+    let mut first = params.trim_start_matches('(').trim_start().trim_start_matches('&');
+    if first.starts_with('\'') {
+        first = first.split_once(' ').map_or("", |(_, rest)| rest);
+    }
+    let first = first.strip_prefix("mut ").unwrap_or(first);
+    first.starts_with("self") && !first[4..].starts_with(is_ident_char)
+}
+
+/// `lines` with the contents of every string literal blanked to spaces (a
+/// literal may span lines; raw strings and `'"'` are understood) and every
+/// trailing `//` comment cut: a name inside text calls nothing.
+fn blank_strings(lines: &[String]) -> Vec<String> {
+    // The string literal being read: a plain one, or a raw one closed by a
+    // `"` and that many `#`s.
+    let mut open: Option<Option<usize>> = None;
+    let mut out = Vec::with_capacity(lines.len());
+    for line in lines {
+        let chars: Vec<char> = line.chars().collect();
+        let mut text = String::with_capacity(line.len());
+        let mut i = 0;
+        while i < chars.len() {
+            let c = chars[i];
+            let closes =
+                |hashes: usize| c == '"' && (1..=hashes).all(|k| chars.get(i + k) == Some(&'#'));
+            match open {
+                Some(None) if c == '\\' => {
+                    text.push_str("  ");
+                    i += 2;
+                    continue;
+                }
+                Some(raw) if closes(raw.unwrap_or(0)) => {
+                    text.push('"');
+                    i += raw.unwrap_or(0) + 1;
+                    open = None;
+                    continue;
+                }
+                Some(_) => text.push(' '),
+                None if c == '/' && chars.get(i + 1) == Some(&'/') => break,
+                None if c == '"' => {
+                    open = Some(None);
+                    text.push('"');
+                }
+                None if c == 'r' && (i == 0 || !is_ident_char(chars[i - 1])) => {
+                    let hashes = chars[i + 1..].iter().take_while(|&&h| h == '#').count();
+                    if chars.get(i + 1 + hashes) == Some(&'"') {
+                        open = Some(Some(hashes));
+                        text.push('"');
+                        i += hashes + 2;
+                        continue;
+                    }
+                    text.push(c);
+                }
+                None if c == '\'' => {
+                    // A char literal: `'x'`, `'"'` or an escape; else a lifetime.
+                    let end = match chars.get(i + 1) {
+                        Some('\\') => {
+                            chars[i + 2..].iter().position(|&q| q == '\'').map(|p| i + 2 + p)
+                        }
+                        Some(_) if chars.get(i + 2) == Some(&'\'') => Some(i + 2),
+                        _ => None,
+                    };
+                    text.push(c);
+                    if let Some(end) = end {
+                        text.extend(std::iter::repeat_n(' ', end - i - 1));
+                        text.push('\'');
+                        i = end;
+                    }
+                }
+                None => text.push(c),
+            }
+            i += 1;
+        }
+        out.push(text);
+    }
+    assert!(open.is_none(), "a string literal runs past the end of the file");
+    out
 }
 
 /// The words `line` uses: each whole word bar a field read (`.name` with no
@@ -594,49 +704,118 @@ fn impl_type(line: &str) -> Option<&str> {
 /// A field of a `pub fn`'s name does not keep it alive.
 fn uses(line: &str) -> Vec<&str> {
     let mut words = Vec::new();
+    for (from, at) in idents(line) {
+        let (before, after) = (&line[..from], &line[at..]);
+        let field_read =
+            before.ends_with('.') && !before.ends_with("..") && !after.starts_with(['(', ':']);
+        let named_field = after.starts_with(':') && !after.starts_with("::");
+        if !field_read && !named_field {
+            words.push(&line[from..at]);
+        }
+    }
+    words
+}
+
+/// The byte ranges of the identifiers in `line`.
+fn idents(line: &str) -> Vec<(usize, usize)> {
+    let mut found = Vec::new();
     let mut start = None;
     for (at, c) in line.char_indices().chain([(line.len(), ' ')]) {
         match (start, is_ident_char(c)) {
             (None, true) => start = Some(at),
             (Some(from), false) => {
                 start = None;
-                let (before, after) = (&line[..from], &line[at..]);
-                let field_read = before.ends_with('.')
-                    && !before.ends_with("..")
-                    && !after.starts_with(['(', ':']);
-                let named_field = after.starts_with(':') && !after.starts_with("::");
-                if !field_read && !named_field {
-                    words.push(&line[from..at]);
-                }
+                found.push((from, at));
             }
             _ => {}
         }
     }
-    words
+    found
 }
 
-/// Whether `line` calls a method `name`: `.name(` or a `::name` path.
-fn calls_method(line: &str, name: &str) -> bool {
-    line.match_indices(name).any(|(at, _)| {
-        let (before, after) = (&line[..at], &line[at + name.len()..]);
-        let method = before.ends_with('.') && after.starts_with('(');
-        method || before.ends_with("::") && !after.starts_with(is_ident_char)
-    })
+/// The calls and paths in `line`: `.name(` and `.name::<` call a method,
+/// `Type::name` names a method or an associated function. `Self` is the type
+/// whose `impl` block the line is in, and an alias is the type it renames.
+fn calls(line: &str, impl_of: Option<&str>, aliases: &[(String, String)]) -> Vec<Use> {
+    let mut found = Vec::new();
+    for (from, at) in idents(line) {
+        let (before, after, name) = (&line[..from], &line[at..], &line[from..at]);
+        let method = before.ends_with('.') && !before.ends_with("..");
+        if method && (after.starts_with('(') || after.starts_with("::<")) {
+            found.push(Use::Call(name.to_string()));
+        }
+        let Some(path) = before.strip_suffix("::") else { continue };
+        found.push(Use::Call(name.to_string()));
+        let owner = path.rsplit(|c: char| !is_ident_char(c)).next().unwrap_or("");
+        let owner = match owner {
+            "Self" => impl_of.unwrap_or(owner),
+            _ => aliases.iter().find(|(alias, _)| alias == owner).map_or(owner, |(_, ty)| ty),
+        };
+        if !owner.is_empty() {
+            found.push(Use::Path(owner.to_string(), name.to_string()));
+        }
+    }
+    found
+}
+
+/// The type aliases in `lines`, as `(alias, type)`: `use path::Type as
+/// Alias` and `type Alias = path::Type;`.
+fn aliases(lines: &[String]) -> Vec<(String, String)> {
+    let mut found = Vec::new();
+    let mut in_use = false;
+    for line in lines {
+        let code = line.trim_start();
+        let code = code.strip_prefix("pub ").unwrap_or(code);
+        in_use |= code.starts_with("use ");
+        if in_use {
+            for (at, _) in code.match_indices(" as ") {
+                let (ty, alias) = (ending(&code[..at]), starting(&code[at + 4..]));
+                found.push((alias.to_string(), ty.to_string()));
+            }
+            in_use = !code.contains(';');
+        } else if let Some((alias, ty)) =
+            code.strip_prefix("type ").and_then(|t| t.split_once(" = "))
+        {
+            let ty = ty.trim_end_matches(';');
+            if ty.chars().all(|c| is_ident_char(c) || c == ':') {
+                found.push((alias.to_string(), ty.rsplit("::").next().unwrap_or(ty).to_string()));
+            }
+        }
+    }
+    found
+}
+
+/// What keeps the `pub` item `line` declares alive, and its name: a `pub
+/// fn` of `impl_of`'s block is kept by a method call or a path to it; any
+/// other item by its name. `next` is the line after, where a parameter list
+/// may start.
+fn keeper(line: &str, next: &str, impl_of: Option<&str>) -> Option<(Use, String)> {
+    let name = pub_item(line)?;
+    let key = match impl_of.filter(|_| pub_fn(line).is_some()) {
+        Some(_) if takes_self(&format!("{line} {}", next.trim_start())) => {
+            Use::Call(name.to_string())
+        }
+        Some(owner) => Use::Path(owner.to_string(), name.to_string()),
+        None => Use::Word(name.to_string()),
+    };
+    Some((key, name.to_string()))
 }
 
 /// The lines of `file` that can call an item: its non-test code without
 /// comments and without `pub use` re-exports (a re-export calls nothing;
 /// rustc already flags a plain `use` that nothing reads).
 fn calling_lines(file: &Path) -> Vec<Caller> {
+    let code = non_test_code(file);
+    let blanked = blank_strings(&code);
     let mut lines = Vec::new();
     let mut in_reexport = false;
-    // The `pub fn` being read and the line that closes its body.
-    let mut within: Option<(String, String)> = None;
+    // What keeps the `pub fn` being read alive and the line that closes its body.
+    let mut within: Option<(Use, String)> = None;
     // The type whose `impl` block is being read and the line that closes it.
     let mut impl_of: Option<(String, String)> = None;
-    for line in non_test_code(file) {
+    for (i, (line, text)) in code.iter().zip(blanked).enumerate() {
         if impl_of.is_none() {
-            impl_of = impl_type(&line).map(|name| {
+            impl_of = impl_type(line).map(|name| {
                 let indent = &line[..line.len() - line.trim_start().len()];
                 (name.to_string(), format!("{indent}}}"))
             });
@@ -644,28 +823,30 @@ fn calling_lines(file: &Path) -> Vec<Caller> {
         let implemented = impl_of.as_ref().map(|(name, _)| name.clone());
         // A block ends at the brace at its `impl`'s indentation, or on the
         // `impl`'s own line when the block is empty (`impl Error for E {}`).
-        let one_line = impl_type(&line).is_some() && line.trim_end().ends_with('}');
-        if one_line || impl_of.as_ref().is_some_and(|(_, end)| *end == line) {
+        let one_line = impl_type(line).is_some() && line.trim_end().ends_with('}');
+        if one_line || impl_of.as_ref().is_some_and(|(_, end)| end == line) {
             impl_of = None;
         }
-        if within.is_none() {
-            within = pub_fn(&line).map(|name| {
+        let next = code.get(i + 1).map_or("", String::as_str);
+        let declares = keeper(line, next, implemented.as_deref());
+        if within.is_none() && pub_fn(line).is_some() {
+            within = declares.as_ref().map(|(key, _)| {
                 let indent = &line[..line.len() - line.trim_start().len()];
-                (name.to_string(), format!("{indent}}}"))
+                (key.clone(), format!("{indent}}}"))
             });
         }
-        let enclosing = within.as_ref().map(|(name, _)| name.clone());
+        let enclosing = within.as_ref().map(|(key, _)| key.clone());
         // A body ends at the brace at its `pub fn`'s indentation, or on the
         // `pub fn`'s own line when the whole fn is one line.
-        let one_line = pub_fn(&line).is_some() && line.trim_end().ends_with(['}', ';']);
-        if one_line || within.as_ref().is_some_and(|(_, end)| *end == line) {
+        let one_line = pub_fn(line).is_some() && line.trim_end().ends_with(['}', ';']);
+        if one_line || within.as_ref().is_some_and(|(_, end)| end == line) {
             within = None;
         }
-        let code = line.trim_start();
-        if in_reexport || code.starts_with("pub use ") {
-            in_reexport = !code.contains(';');
-        } else if !code.starts_with("//") {
-            lines.push(Caller { within: enclosing, impl_of: implemented, text: line });
+        let trimmed = line.trim_start();
+        if in_reexport || trimmed.starts_with("pub use ") {
+            in_reexport = !trimmed.contains(';');
+        } else if !trimmed.starts_with("//") {
+            lines.push(Caller { within: enclosing, impl_of: implemented, declares, text });
         }
     }
     lines
@@ -764,51 +945,56 @@ fn reads_field(line: &str, field: &str) -> bool {
 /// in [`ALLOWED`] with the test that keeps it. An item is live when a line
 /// of non-test code under `crates/*/src`, `src/` or `benchmark/src` (the
 /// benchmark's aliases are live until the benchmark stops calling them)
-/// uses its name as a whole word, where:
-/// - a line that declares an item of that name does not use it, and a line
-///   of a type's own `impl` block does not use the type;
-/// - a field read (`.name` with no call) and a field, initialiser or
-///   binding (`name:`) are not uses: only a call keeps a `pub fn` alive;
+/// uses it, with string literals blanked first:
+/// - a `pub fn` of an `impl Type` block that takes `self` through a method
+///   call or a path, `.name(`, `.name::<` or `::name`: a local, a parameter,
+///   a field read or a `name:` of its name does not call it;
+/// - one that does not take `self` through `Type::name`, an alias of `Type`
+///   standing for it, or `Self::name` inside an `impl Type` block;
+/// - any other item through its name as a whole word, where a line that
+///   declares an item of that name does not use it, a line of a type's own
+///   `impl` block does not use the type, and a field read (`.name` with no
+///   call) or a field, initialiser or binding (`name:`) is not a use;
 /// - inside the body of a `pub fn`, a line counts only once that `pub fn`
 ///   is itself live: a wrapper of the same name, or one only tests call,
 ///   keeps nothing alive.
 ///
 /// A `pub` field of a struct that is not serialized is live when such a
-/// line reads it, and a method a `pub` trait declares when such a line
-/// calls it (`.name(` or a `::name` path).
+/// line reads it (by name: a field of another struct with the same name
+/// counts), and a method a `pub` trait declares when such a line calls it.
 #[test]
 fn nothing_ships_that_only_a_test_calls() {
-    let callers: Vec<Caller> =
-        [crate_sources(), sources_under("src"), sources_under("benchmark/src")]
-            .concat()
-            .iter()
-            .flat_map(|file| calling_lines(file))
-            .collect();
-    // The words each calling line uses, bar the item it declares and the
-    // type whose `impl` block it is in.
-    let named: Vec<Vec<&str>> = callers
+    let files = [crate_sources(), sources_under("src"), sources_under("benchmark/src")].concat();
+    let aliases: Vec<(String, String)> =
+        files.iter().flat_map(|file| aliases(&non_test_code(file))).collect();
+    let callers: Vec<Caller> = files.iter().flat_map(|file| calling_lines(file)).collect();
+    // What each calling line uses: its words bar the item it declares and
+    // the type whose `impl` block it is in, its calls and its paths.
+    let used: Vec<Vec<Use>> = callers
         .iter()
         .map(|caller| {
             let declared = declared_item(&caller.text);
-            let mut words: Vec<&str> = uses(&caller.text)
+            let mut found: Vec<Use> = uses(&caller.text)
                 .into_iter()
                 .filter(|w| Some(*w) != declared && Some(*w) != caller.impl_of.as_deref())
+                .map(|w| Use::Word(w.to_string()))
+                .chain(calls(&caller.text, caller.impl_of.as_deref(), &aliases))
                 .collect();
-            words.sort_unstable();
-            words.dedup();
-            words
+            found.sort_unstable();
+            found.dedup();
+            found
         })
         .collect();
     // The least fixed point: a body counts once its `pub fn` is live.
-    let counts = |live: &HashSet<&str>, caller: &Caller| {
-        caller.within.as_deref().is_none_or(|f| live.contains(f))
+    let counts = |live: &HashSet<&Use>, caller: &Caller| {
+        caller.within.as_ref().is_none_or(|keeper| live.contains(keeper))
     };
-    let mut live = HashSet::<&str>::new();
+    let mut live = HashSet::<&Use>::new();
     loop {
         let before = live.len();
-        for (caller, words) in callers.iter().zip(&named) {
+        for (caller, found) in callers.iter().zip(&used) {
             if counts(&live, caller) {
-                live.extend(words);
+                live.extend(found);
             }
         }
         if live.len() == before {
@@ -818,17 +1004,14 @@ fn nothing_ships_that_only_a_test_calls() {
     let mut dead = Vec::new();
     for file in crate_sources() {
         for line in calling_lines(&file) {
-            let Some(name) = pub_item(&line.text).filter(|name| !live.contains(name)) else {
+            let Some((_, name)) = line.declares.filter(|(key, _)| !live.contains(key)) else {
                 continue;
             };
-            let name = line.impl_of.map_or(name.to_string(), |owner| format!("{owner}::{name}"));
+            let name = line.impl_of.map_or(name.clone(), |owner| format!("{owner}::{name}"));
             dead.push(item_path(&file, &name));
         }
         for (owner, method) in trait_methods(&file) {
-            let called = callers
-                .iter()
-                .any(|caller| counts(&live, caller) && calls_method(&caller.text, &method));
-            if !called {
+            if !live.contains(&Use::Call(method.clone())) {
                 dead.push(item_path(&file, &format!("{owner}::{method}")));
             }
         }

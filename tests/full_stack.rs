@@ -30,7 +30,7 @@ fn best_effort_flows(starts_s: &[f64]) -> Vec<FlowSpec> {
 
 fn steady_utility(s: &Scenario, warmup_frames: u64) -> UtilityStats {
     let mut u = UtilityStats::new();
-    for i in 0..s.ids().receivers.len() {
+    for i in 0..s.ids.receivers.len() {
         for d in s.receiver(i).decode_all() {
             if d.frame >= warmup_frames {
                 u.add(&d);
@@ -202,11 +202,11 @@ fn tandem(
 }
 
 fn hop_loss(t: &TopoScenario, router: usize) -> f64 {
-    t.sim.agent::<AqmRouter>(t.ids().routers[router]).estimator().loss()
+    t.sim.agent::<AqmRouter>(t.ids.routers[router]).estimator().loss()
 }
 
 fn mean_rate_after(t: &TopoScenario, flow: usize, secs: f64) -> f64 {
-    t.sim.agent::<PelsSource>(t.ids().sources[flow]).rate_series.mean_after(secs).unwrap()
+    t.sim.agent::<PelsSource>(t.ids.sources[flow]).rate_series.mean_after(secs).unwrap()
 }
 
 #[test]
@@ -223,7 +223,7 @@ fn tandem_follows_bottleneck_shift() {
     // Utility stays high across two AQM hops once past the join transient
     // (frames 0..50 cover the initial MKC ramp, before the γ cushion forms).
     let mut total = UtilityStats::new();
-    for &id in &t.ids().receivers {
+    for &id in &t.ids.receivers {
         for d in t.sim.agent::<PelsReceiver>(id).decode_all() {
             if d.frame >= 50 {
                 total.add(&d);

@@ -104,7 +104,7 @@ fn chained_flows_stay_inside_their_memory_budget() {
     let before = LIVE.load(Ordering::Relaxed);
     let started = Instant::now();
     let spec = TopoSpec::from_shorthand(WAXMAN).expect("valid spec");
-    let mut waxman = TopoScenario::build(spec);
+    let mut waxman = TopoScenario::try_build(spec).unwrap();
     waxman.set_workers(1);
     waxman.run_until(SimTime::from_secs_f64(WAXMAN_HORIZON_S));
     let waxman_kib = kib_per_flow(before, WAXMAN_FLOWS);

@@ -92,7 +92,7 @@ fn scraped_snapshots_are_worker_invariant() {
         let mut s = Scenario::build(cfg);
         s.set_workers(workers);
         s.run_until(SimTime::from_secs_f64(HORIZON_S));
-        let snap = s.ids().scrape(&s.sim, true);
+        let snap = s.ids.scrape(&s.sim, true);
         assert!(snap.series.len() >= 6 * s.config().flows.len(), "series are kept and scraped");
         serde_json::to_string(&snap).expect("snapshot serializes")
     };

@@ -185,7 +185,7 @@ fn control_faults_across_the_cut_digest_is_pinned() {
 #[test]
 fn topo_digest_is_pinned_with_events_zeroed() {
     let spec = TopoSpec::from_shorthand("waxman:routers=12,flows=8,seed=1").expect("valid spec");
-    let mut sc = TopoScenario::build(spec);
+    let mut sc = TopoScenario::try_build(spec).unwrap();
     sc.set_workers(2);
     sc.run_until(SimTime::from_secs_f64(5.0));
     let mut report = sc.report();

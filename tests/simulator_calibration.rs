@@ -5,7 +5,7 @@
 //! trustworthy ground for every PELS experiment built on top.
 
 use pels_analysis::queueing::{md1_mean_sojourn, mm1_mean_in_system, utilization};
-use pels_netsim::cbr::{CbrConfig, PoissonSource};
+use pels_netsim::cbr::{CbrConfig, CbrSource};
 use pels_netsim::disc::{DropTail, QueueLimit};
 use pels_netsim::packet::{AgentId, FlowId, Packet, PacketKind};
 use pels_netsim::port::Port;
@@ -44,7 +44,7 @@ fn measure_md1(rho: f64, seed: u64) -> (f64, f64) {
     );
     let cfg = CbrConfig::new(FlowId(1), sink, arrival_rate, packet, 3);
     let agents: Vec<Box<dyn Agent>> = vec![
-        Box::new(PoissonSource::new(cfg, port)),
+        Box::new(CbrSource::new(cfg, port, true)),
         Box::new(DelaySink { delays: Summary::new() }),
     ];
     let mut sim = ShardedSimulator::new(seed, &Partition::serial(2), agents);
